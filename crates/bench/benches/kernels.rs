@@ -1,23 +1,16 @@
 //! Criterion micro-benchmarks of the `hfta-kernels` compute layer at the
 //! paper's workload shapes: PointNet-style per-point GEMMs and DCGAN-style
-//! fused grouped convolutions (forward + both backward passes), blocked
-//! backend vs the retained naive reference path.
+//! fused grouped convolutions (forward + both backward passes), default
+//! dispatch vs the retained naive reference path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hfta_kernels::{set_backend, simd_available, GemmBackend};
+use hfta_kernels::{set_backend, GemmBackend};
 use hfta_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvCfg};
 use hfta_tensor::Rng;
 use std::hint::black_box;
 
-/// The fixed backends to sweep: the naive reference, the blocked default,
-/// and — where the CPU supports it — the opt-in AVX2/FMA micro-kernel.
-fn backends() -> Vec<GemmBackend> {
-    let mut v = vec![GemmBackend::Naive, GemmBackend::Blocked];
-    if simd_available() {
-        v.push(GemmBackend::Simd);
-    }
-    v
-}
+/// The backends to sweep: the naive reference and the default dispatch.
+const BACKENDS: [GemmBackend; 2] = [GemmBackend::Naive, GemmBackend::Auto];
 
 fn bench_gemm_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_backends");
@@ -30,7 +23,7 @@ fn bench_gemm_shapes(c: &mut Criterion) {
     for (label, m, k, n) in shapes {
         let a = rng.randn([m, k]);
         let b = rng.randn([k, n]);
-        for backend in backends() {
+        for backend in BACKENDS {
             group.bench_with_input(
                 BenchmarkId::new(backend.name(), label),
                 &label,
@@ -48,7 +41,7 @@ fn bench_gemm_shapes(c: &mut Criterion) {
                             n,
                         );
                     });
-                    set_backend(GemmBackend::Blocked);
+                    set_backend(GemmBackend::Auto);
                 },
             );
         }
@@ -69,7 +62,7 @@ fn bench_fused_conv_training_step(c: &mut Criterion) {
     let bias = rng.randn([16 * b]);
     let y = conv2d(&x, &w, Some(&bias), cfg);
     let gy = rng.randn(y.dims().to_vec());
-    for backend in backends() {
+    for backend in BACKENDS {
         group.bench_with_input(BenchmarkId::new(backend.name(), b), &b, |bench, _| {
             set_backend(backend);
             bench.iter(|| {
@@ -78,7 +71,7 @@ fn bench_fused_conv_training_step(c: &mut Criterion) {
                 let gw = conv2d_grad_weight(&x, &gy, (4, 4), cfg);
                 black_box((y, gx, gw));
             });
-            set_backend(GemmBackend::Blocked);
+            set_backend(GemmBackend::Auto);
         });
     }
     group.finish();
@@ -92,7 +85,7 @@ fn bench_baddbmm(c: &mut Criterion) {
         let x = rng.randn([b, 64, 128]);
         let w = rng.randn([b, 128, 64]);
         let bias = rng.randn([b, 1, 64]);
-        group.bench_with_input(BenchmarkId::new("blocked", b), &b, |bench, _| {
+        group.bench_with_input(BenchmarkId::new("auto", b), &b, |bench, _| {
             bench.iter(|| black_box(x.baddbmm(&w, &bias)));
         });
     }

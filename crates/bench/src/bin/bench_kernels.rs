@@ -1,9 +1,10 @@
 //! Kernel-layer benchmark harness with machine-readable output.
 //!
-//! Measures the `hfta-kernels` blocked GEMM and the fused conv training
-//! step (forward + grad_input + grad_weight, B = 6 fused DCGAN-style
-//! models) against the pre-PR serial path (naive GEMM backend, 1 thread),
-//! and writes every measurement to a JSON file.
+//! Measures the `hfta-kernels` default GEMM dispatch (`auto`: the AVX2/FMA
+//! tile where the CPU has it, the portable `mul_add` tile elsewhere) and
+//! the fused conv training step (forward + grad_input + grad_weight, B = 6
+//! fused DCGAN-style models) against the retained oracle (`naive` backend,
+//! 1 thread), and writes every measurement to a JSON file.
 //!
 //! Usage:
 //!
@@ -13,27 +14,28 @@
 //!               [--gate-scaling <ratio>] [--tune-db <path>]
 //! ```
 //!
-//! The headline `fused_conv_speedup` entry is the acceptance gate for the
-//! kernel layer: blocked backend at 4 threads vs naive backend at 1 thread
-//! on the same end-to-end training step. Per shape, `scaling_efficiency`
-//! reports blocked-backend GFLOP/s at 4 threads over 1 thread (4.0 would
-//! be perfect scaling). With `--history <file>` the run's roofline summary
-//! (vs the calibrated `--probe-db` peaks) is appended to the perf-history
-//! JSONL for `scope_report --history` drift gating.
+//! Rows are measured at 1 thread and at `min(4, host_cpus)` threads; no row
+//! is ever emitted with more threads than the host has CPUs, because two
+//! threads time-slicing one core measure the scheduler, not the kernel.
+//! The headline `fused_conv_speedup` entry is `auto` at the multi-thread
+//! count vs `naive` at 1 thread on the same end-to-end training step. Per
+//! shape, `scaling_efficiency` reports `auto` GFLOP/s at the multi-thread
+//! count over 1 thread (absent on a 1-CPU host). With `--history <file>`
+//! the run's roofline summary (vs the calibrated `--probe-db` peaks) is
+//! appended to the perf-history JSONL for `scope_report --history` drift
+//! gating.
 //!
-//! `--gate-scaling <ratio>` turns the blocked 4T/1T scaling ratio into a CI
-//! gate on large shapes (exit 1 below the ratio; skipped with a note on
-//! hosts with fewer than 4 CPUs). `--tune-db <path>` points the persistent
-//! autotuner at a find-db and adds tuned `auto`-backend rows (with the SIMD
-//! candidate opted in); SIMD rows themselves appear whenever the CPU
-//! supports AVX2+FMA.
+//! `--gate-scaling <ratio>` turns the 4T/1T scaling ratio into a CI gate on
+//! large shapes (exit 1 below the ratio; skipped with a note on hosts with
+//! fewer than 4 CPUs). `--tune-db <path>` points the persistent autotuner
+//! at a find-db, so the conv step's im2col-vs-prepacked choice is tuned.
 
 use hfta_bench::cli::CommonArgs;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::{FusedConv2d, FusedModule, FusedParameter};
 use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
 use hfta_core::scope::{per_model_ce_losses, ScopeMonitor, SentinelCfg};
-use hfta_kernels::{set_auto_simd, set_backend, set_num_threads, simd_available, GemmBackend};
+use hfta_kernels::{set_backend, set_num_threads, simd_available, GemmBackend};
 use hfta_nn::layers::Conv2dCfg;
 use hfta_nn::{Module, Tape};
 use hfta_probe::{classify, git_rev, HistoryRecord, MachinePeaks, OpUtil, PerfHistory};
@@ -57,23 +59,26 @@ struct BenchRecord {
     bytes_per_iter: f64,
 }
 
-/// Thread-scaling quality of the blocked backend on one shape.
+/// Thread-scaling quality of the default dispatch on one shape.
 #[derive(Serialize)]
 struct ScalingRecord {
     op: String,
     shape: String,
-    /// Blocked-backend GFLOP/s at 4 threads over 1 thread; 4.0 would be
+    /// The multi-thread count of the ratio (`min(4, host_cpus)`).
+    threads: u64,
+    /// `auto` GFLOP/s at `threads` over 1 thread; `threads` would be
     /// perfect scaling, below 1.0 means threading actively hurts.
     scaling_efficiency: f64,
 }
 
 #[derive(Serialize)]
 struct BenchReport {
-    /// CPUs the host exposes — scaling numbers above 1T are only
-    /// meaningful when this is at least the thread count measured.
+    /// CPUs the host exposes; no record has more threads than this.
     host_cpus: u64,
-    /// Whether the AVX2/FMA micro-kernel was available (simd rows are
-    /// absent when false).
+    /// The host CPU's model name (`unknown` where `/proc/cpuinfo` has none).
+    cpu_model: String,
+    /// Whether `auto` ran the AVX2/FMA kernels (false: the portable
+    /// `mul_add` twins — same bits, far fewer GFLOP/s).
     simd_available: bool,
     records: Vec<BenchRecord>,
     scaling_efficiency: Vec<ScalingRecord>,
@@ -141,9 +146,22 @@ fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// A blocked-backend 4T/1T scaling ratio only gates on shapes at least this
-/// many FLOPs — small GEMMs are latency- not throughput-bound.
+/// The 4T/1T scaling ratio only gates on shapes at least this many FLOPs —
+/// small GEMMs are latency- not throughput-bound.
 const LARGE_SHAPE_FLOPS: f64 = (1u64 << 23) as f64;
+
+/// The `model name` of the first CPU in `/proc/cpuinfo`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
 
 const USAGE: &str = "bench_kernels [--quick] [--bench-json <path>] \
                      [--probe-db <path>] [--history <file>] \
@@ -164,35 +182,24 @@ fn main() {
         .unwrap_or(1) as u64;
     let simd = simd_available();
     if let Some(db) = &args.tune_db {
-        // Tuned (`auto`) rows benchmark with the SIMD candidate opted in —
-        // the bench harness is explicitly a perf tool, so the tolerance
-        // contract is acceptable here; library defaults stay bit-exact.
         hfta_kernels::tune::set_db_path(Some(db.clone()));
-        set_auto_simd(true);
-        println!(
-            "autotuner find-db: {} (simd candidate opted in)",
-            db.display()
-        );
+        println!("autotuner find-db: {}", db.display());
+    }
+    if !simd {
+        println!("note: AVX2/FMA unavailable on this CPU; `auto` rows run the portable kernels");
     }
 
-    // The (backend, threads) measurement matrix. The first and third rows
-    // (naive@1T, blocked@4T) anchor `fused_conv_speedup`.
-    let mut configs: Vec<(GemmBackend, usize, &str)> = vec![
-        (GemmBackend::Naive, 1, "naive"),
-        (GemmBackend::Blocked, 1, "blocked"),
-        (GemmBackend::Blocked, 4, "blocked"),
-    ];
-    if simd {
-        configs.push((GemmBackend::Simd, 1, "simd"));
-        configs.push((GemmBackend::Simd, 4, "simd"));
+    // The (backend, threads) measurement matrix: the oracle at 1T, the
+    // default dispatch at 1T and — never above the host's CPU count — at
+    // `mt` threads. The first and last rows anchor `fused_conv_speedup`.
+    let mt = host_cpus.min(4) as usize;
+    let mut configs: Vec<(GemmBackend, usize)> =
+        vec![(GemmBackend::Naive, 1), (GemmBackend::Auto, 1)];
+    if mt > 1 {
+        configs.push((GemmBackend::Auto, mt));
     } else {
-        println!("note: AVX2/FMA unavailable on this CPU; skipping simd backend rows");
+        println!("note: 1-CPU host; multi-thread rows and scaling are not measurable here");
     }
-    if args.tune_db.is_some() {
-        configs.push((GemmBackend::Auto, 1, "auto"));
-        configs.push((GemmBackend::Auto, 4, "auto"));
-    }
-
     let mut records = Vec::new();
     let mut rng = Rng::seed_from(17);
 
@@ -207,7 +214,7 @@ fn main() {
         let b = rng.randn([k, n]);
         let flops = 2.0 * (m * k * n) as f64;
         let bytes = 4.0 * (m * k + k * n + m * n) as f64;
-        for &(backend, threads, backend_name) in &configs {
+        for &(backend, threads) in &configs {
             set_backend(backend);
             set_num_threads(threads);
             let mut out = vec![0.0f32; m * n];
@@ -225,7 +232,7 @@ fn main() {
             records.push(BenchRecord {
                 op: "gemm".to_string(),
                 shape: format!("{label}:{m}x{k}x{n}"),
-                backend: backend_name.to_string(),
+                backend: backend.name().to_string(),
                 threads: threads as u64,
                 ns_per_iter: ns,
                 gflops: flops / ns,
@@ -240,7 +247,7 @@ fn main() {
     let x = rng.randn([4, 3 * b, 32, 32]);
     let w = rng.randn([16 * b, 3, 4, 4]);
     let bias = rng.randn([16 * b]);
-    set_backend(GemmBackend::Blocked);
+    set_backend(GemmBackend::Auto);
     let y = conv2d(&x, &w, Some(&bias), cfg);
     let gy = rng.randn(y.dims().to_vec());
     let spatial = y.dim(2) * y.dim(3);
@@ -252,7 +259,7 @@ fn main() {
     let step_bytes =
         3.0 * 4.0 * (x.as_slice().len() + w.as_slice().len() + y.as_slice().len()) as f64;
     let mut step_ns = vec![0.0f64; configs.len()];
-    for (ci, &(backend, threads, backend_name)) in configs.iter().enumerate() {
+    for (ci, &(backend, threads)) in configs.iter().enumerate() {
         set_backend(backend);
         set_num_threads(threads);
         let ns = time_ns(iters, || {
@@ -265,7 +272,7 @@ fn main() {
         records.push(BenchRecord {
             op: "fused_conv_training_step".to_string(),
             shape: format!("B={b}:x4x{}x32x32:w{}x3x4x4", 3 * b, 16 * b),
-            backend: backend_name.to_string(),
+            backend: backend.name().to_string(),
             threads: threads as u64,
             ns_per_iter: ns,
             gflops: step_flops / ns,
@@ -276,8 +283,8 @@ fn main() {
     // No profiler is installed, so both sides run the identical disabled
     // fast path; the delta is exactly hfta-scope's per-step compute (one
     // fused gradient reduction, per-model losses, one parameter pass).
-    set_backend(GemmBackend::Blocked);
-    set_num_threads(4);
+    set_backend(GemmBackend::Auto);
+    set_num_threads(mt);
     let scope_iters = if quick { 5 } else { 30 };
     let sb = 6usize;
     let conv = FusedConv2d::new(sb, Conv2dCfg::new(3, 16, 4), &mut rng);
@@ -317,45 +324,33 @@ fn main() {
     assert!(!monitor.any_fired(), "bench workload should stay healthy");
     let scope_overhead_pct = scope_ns / bare_ns * 100.0;
 
-    set_backend(GemmBackend::Blocked);
+    set_backend(GemmBackend::Auto);
     set_num_threads(prev_threads);
-    // Pre-PR serial path (naive, 1 thread) vs the kernel layer at 4 threads.
-    let fused_conv_speedup = step_ns[0] / step_ns[2];
+    // The oracle (naive, 1 thread) vs the kernel layer at `mt` threads.
+    let fused_conv_speedup = step_ns[0] / step_ns[configs.len() - 1];
 
-    // Blocked-backend thread scaling per shape: GFLOP/s at 4T over 1T.
-    let blocked_gflops = |op: &str, shape: &str, threads: u64| {
+    // Default-dispatch thread scaling per shape: GFLOP/s at `mt` over 1T.
+    let auto_rows = |threads: usize| {
         records
             .iter()
-            .find(|r| {
-                r.op == op && r.shape == shape && r.backend == "blocked" && r.threads == threads
-            })
-            .map(|r| r.gflops)
+            .filter(move |r| r.backend == "auto" && r.threads == threads as u64)
     };
     let mut scaling = Vec::new();
-    let mut seen_shapes: Vec<(String, String)> = Vec::new();
-    for r in &records {
-        let key = (r.op.clone(), r.shape.clone());
-        if !seen_shapes.contains(&key) {
-            seen_shapes.push(key);
-        }
-    }
-    for (op, shape) in seen_shapes {
-        if let (Some(g4), Some(g1)) = (
-            blocked_gflops(&op, &shape, 4),
-            blocked_gflops(&op, &shape, 1),
-        ) {
-            if g1 > 0.0 {
-                scaling.push(ScalingRecord {
-                    op,
-                    shape,
-                    scaling_efficiency: g4 / g1,
-                });
-            }
+    if mt > 1 {
+        for (r1, r_mt) in auto_rows(1).zip(auto_rows(mt)) {
+            debug_assert!(r1.op == r_mt.op && r1.shape == r_mt.shape);
+            scaling.push(ScalingRecord {
+                op: r1.op.clone(),
+                shape: r1.shape.clone(),
+                threads: mt as u64,
+                scaling_efficiency: r_mt.gflops / r1.gflops,
+            });
         }
     }
 
     let report = BenchReport {
         host_cpus,
+        cpu_model: cpu_model(),
         simd_available: simd,
         records,
         scaling_efficiency: scaling,
@@ -368,7 +363,10 @@ fn main() {
         std::process::exit(1);
     });
 
-    println!("# hfta-kernels benchmark");
+    println!(
+        "# hfta-kernels benchmark ({} CPUs, {})",
+        report.host_cpus, report.cpu_model
+    );
     println!(
         "{:<28} {:>24} {:>8} {:>8} {:>14} {:>9}",
         "op", "shape", "backend", "threads", "ns/iter", "GFLOP/s"
@@ -381,12 +379,12 @@ fn main() {
     }
     for s in &report.scaling_efficiency {
         println!(
-            "scaling efficiency (blocked @4T / @1T) {:<28} {:>24} {:.2}x",
-            s.op, s.shape, s.scaling_efficiency
+            "scaling efficiency (auto @{}T / @1T) {:<28} {:>24} {:.2}x",
+            s.threads, s.op, s.shape, s.scaling_efficiency
         );
     }
     println!(
-        "\nfused conv training step speedup (blocked @4T vs naive @1T): {fused_conv_speedup:.2}x"
+        "\nfused conv training step speedup (auto @{mt}T vs naive @1T): {fused_conv_speedup:.2}x"
     );
     println!("hfta-scope overhead on a fused DCGAN step: {scope_overhead_pct:.2}% (budget 5%)");
     println!("wrote {json_path}");
@@ -397,7 +395,7 @@ fn main() {
             .probe_db
             .clone()
             .unwrap_or_else(|| std::path::PathBuf::from("probe_db.json"));
-        let peaks = MachinePeaks::load_or_calibrate(&db, &[1, 4]);
+        let peaks = MachinePeaks::load_or_calibrate(&db, &[1, mt]);
         let ops = report
             .records
             .iter()
@@ -423,8 +421,8 @@ fn main() {
             schema: hfta_probe::HISTORY_SCHEMA,
             label: "bench_kernels".to_string(),
             git_rev: git_rev(),
-            threads: 4,
-            backend: "blocked".to_string(),
+            threads: mt as u64,
+            backend: "auto".to_string(),
             ops,
         };
         let history = PerfHistory::new(hpath);
@@ -449,10 +447,7 @@ fn main() {
                     .records
                     .iter()
                     .find(|r| {
-                        r.op == s.op
-                            && r.shape == s.shape
-                            && r.backend == "blocked"
-                            && r.threads == 1
+                        r.op == s.op && r.shape == s.shape && r.backend == "auto" && r.threads == 1
                     })
                     .map(|r| r.gflops * r.ns_per_iter)
                     .unwrap_or(0.0);
@@ -461,7 +456,7 @@ fn main() {
                 }
                 if s.scaling_efficiency < min_ratio {
                     eprintln!(
-                        "scaling gate FAILED: {}/{} blocked @4T/@1T = {:.2}x < {min_ratio:.2}x",
+                        "scaling gate FAILED: {}/{} auto @4T/@1T = {:.2}x < {min_ratio:.2}x",
                         s.op, s.shape, s.scaling_efficiency
                     );
                     failed = true;
@@ -470,7 +465,7 @@ fn main() {
             if failed {
                 std::process::exit(1);
             }
-            println!("scaling gate passed (blocked @4T/@1T >= {min_ratio:.2}x on large shapes)");
+            println!("scaling gate passed (auto @4T/@1T >= {min_ratio:.2}x on large shapes)");
         }
     }
 }

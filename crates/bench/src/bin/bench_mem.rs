@@ -17,7 +17,7 @@
 
 use hfta_bench::cli::CommonArgs;
 use hfta_bench::mem;
-use hfta_kernels::{set_backend, set_num_threads, GemmBackend};
+use hfta_kernels::set_num_threads;
 
 const USAGE: &str = "bench_mem [--quick] [--bench-json <path>]";
 
@@ -30,10 +30,9 @@ fn main() {
         .unwrap_or_else(|| "BENCH_mem.json".to_string());
 
     // Pin the configuration so footprints are comparable across runs:
-    // recycling on, blocked GEMM, 4 workers (scratch arenas are
-    // per-worker, so the thread count is part of the footprint).
+    // recycling on, 4 workers (scratch arenas are per-worker, so the
+    // thread count is part of the footprint).
     hfta_mem::set_pool_enabled(true);
-    set_backend(GemmBackend::Blocked);
     set_num_threads(4);
 
     let (widths, warm, measured): (&[usize], usize, usize) = if quick {

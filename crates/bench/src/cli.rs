@@ -27,7 +27,7 @@ pub struct CommonArgs {
     pub history: Option<PathBuf>,
     /// `--max-drift <pct>`: drift-gate tolerance in percent.
     pub max_drift: Option<f64>,
-    /// `--gate-scaling <ratio>`: minimum blocked-backend 4T/1T GFLOP/s
+    /// `--gate-scaling <ratio>`: minimum default-dispatch 4T/1T GFLOP/s
     /// ratio on large shapes; below it the bin exits non-zero. Skipped
     /// (with a note) when the host has fewer than 4 CPUs.
     pub gate_scaling: Option<f64>,

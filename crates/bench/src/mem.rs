@@ -207,21 +207,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_report_passes_its_own_gates() {
-        hfta_mem::set_pool_enabled(true);
-        let report = run(&[1, 2], 2, 2);
-        assert_eq!(report.records.len(), 4);
-        let v = violations(&report);
-        assert!(v.is_empty(), "gate violations: {v:?}");
-        for r in &report.records {
-            assert!(r.peak_bytes > 0);
-            if r.b == 1 {
-                assert_eq!(r.peak_bytes, r.serial_peak_bytes);
-            }
-        }
-    }
-
-    #[test]
     fn violations_flags_bad_records() {
         let bad = MemReport {
             records: vec![MemRecord {

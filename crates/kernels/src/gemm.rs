@@ -1,4 +1,4 @@
-//! Cache-blocked, register-tiled f32 GEMM with selectable backends.
+//! Cache-blocked, register-tiled f32 GEMM under one FMA contract.
 //!
 //! Structure: `A` and `B` are packed into contiguous `MR`-row / `NR`-column
 //! panels (transposition is absorbed by the packing, so all three variants
@@ -8,49 +8,38 @@
 //! (row-panel, column-panel-group) tiles so that medium GEMMs expose at
 //! least as many chunks as the pool has threads even when `m` is small.
 //!
-//! # Backends
+//! # The contract
 //!
-//! | backend   | micro-kernel          | contract vs. [`crate::reference`] |
-//! |-----------|-----------------------|-----------------------------------|
-//! | `Blocked` | scalar, autovectorized| bit-identical                     |
-//! | `Naive`   | the reference itself  | bit-identical (it *is* the ref)   |
-//! | `Simd`    | AVX2/FMA f32x8        | relative tolerance (FMA rounding) |
-//! | `Auto`    | picks one of the above| bit-identical unless SIMD opted in|
+//! Every output element is `acc = fma(a[i,p], b[p,j], acc)` for `p`
+//! ascending from its initial value, one rounding per step — exactly the
+//! loops of [`crate::reference`], the oracle. Every path computes that
+//! chain, and IEEE-754 fusedMultiplyAdd is correctly rounded on every
+//! platform, so all of them are **bit-identical**: to the oracle, to each
+//! other, across thread counts (tile decomposition and the [`crate::pool`]
+//! grain depend only on the shape), across fused widths and across
+//! machines. `tests/proptests.rs` asserts identity — not closeness.
 //!
-//! The process-wide selection comes from [`set_backend`] or the
-//! `HFTA_GEMM_BACKEND` env var (`auto` / `blocked` / `naive` / `simd`, read
-//! once); the default is `Auto`. A forced `Simd` backend falls back to the
-//! scalar blocked kernel when the CPU lacks AVX2+FMA (see
-//! [`crate::simd::simd_available`]).
+//! # Paths
 //!
-//! `Auto` consults the persistent autotuner ([`crate::tune`]) when a
-//! find-db is configured: first encounter of an `(op, shape, threads)` key
-//! times the candidate backends on a scratch copy of the output and caches
-//! the winner; later dispatches jump straight to it. With tuning disabled,
-//! `Auto` is a static heuristic (the blocked kernel; the SIMD kernel when
-//! opted in via [`set_auto_simd`] / `HFTA_TUNE_SIMD=1`). SIMD only ever
-//! enters the `Auto` candidate set through that explicit opt-in, so default
-//! runs — tuned or not — stay bit-identical to the references.
+//! | path    | shapes            | with AVX2+FMA                  | without (portable)             |
+//! |---------|-------------------|--------------------------------|--------------------------------|
+//! | tiled   | `>= SMALL_FLOPS`, all of [`gemm_prepacked`] | [`crate::simd`] 8×8 / paired 8×16 `vfmadd` tile | `portable_microkernel`, `f32::mul_add` |
+//! | direct  | `< SMALL_FLOPS`; all under `Naive` | reference loops compiled with AVX2+FMA | the reference loops |
 //!
-//! # Bit-exactness
-//!
-//! Each output element accumulates into its initial value in ascending
-//! contraction order with separate multiply and add (no FMA contraction, no
-//! reordering), which is exactly the order of the naive references in
-//! [`crate::reference`]. The property tests in `tests/proptests.rs` assert
-//! bit-identity — not closeness — between the two, at thread counts 1, 2 and
-//! the maximum. Tile decomposition (and the [`crate::pool`] grain) depends
-//! only on the shape, so the thread count never changes the result. The
-//! opt-in `Simd` backend instead carries a relative-tolerance contract,
-//! property-tested separately.
+//! Which column runs is decided by the platform
+//! ([`crate::simd::simd_available`], runtime detection), never by an
+//! option: there is one production kernel and an oracle, so there is
+//! nothing to tune and GEMM dispatch does not consult [`crate::tune`].
+//! The process-wide [`GemmBackend`] comes from [`set_backend`] or the
+//! `HFTA_GEMM_BACKEND` env var (`auto` / `naive`, read once; anything else
+//! means `Auto`) and only chooses between production dispatch and running
+//! the reference loops at every size.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::time::Instant;
 
 use crate::pool::{self, UnsafeSlice};
 use crate::reference;
 use crate::simd;
-use crate::tune;
 use hfta_mem::scratch;
 
 /// Micro-kernel tile rows.
@@ -59,55 +48,47 @@ pub const MR: usize = 8;
 pub const NR: usize = 8;
 
 /// Below this many FLOPs (2·m·k·n) the packed path's overhead outweighs its
-/// wins and the reference kernels run instead. The reference and the scalar
-/// blocked path are bit-identical, so this is purely a performance knob —
-/// and the SIMD micro-kernel never engages below it, keeping tiny GEMMs
-/// bit-stable under every backend.
+/// wins and the reference loops run directly instead. Both are the same FMA
+/// chain per element, so this is purely a performance crossover — a
+/// constant, not a knob. Measured with the AVX2 instantiations at 1 thread
+/// on the PointNet / linear-trial shapes: the `nn`/`tn` loops (unit-stride
+/// rows) break even with the tiled path at 8–16 kFLOP, the `nt` loop
+/// (strided `B`) already at ~2 kFLOP; 4 kFLOP sits between. By 64×64×1024
+/// the tiled path is 1.9× ahead.
 const SMALL_FLOPS: usize = 1 << 12;
 
 /// Target FLOPs per parallel tile of the 2-D macro-kernel partition.
 const CHUNK_FLOPS: usize = 1 << 19;
 
-/// The autotuner skips the naive candidate above this many FLOPs — on big
-/// shapes the naive kernel is orders of magnitude off and timing it would
-/// dominate first-encounter cost.
-const NAIVE_TUNE_MAX_FLOPS: usize = 1 << 24;
-
 /// Which implementation the `gemm*` entry points dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmBackend {
-    /// Heuristic/tuned selection among the fixed backends (default). Never
-    /// selects `Simd` unless [`set_auto_simd`] / `HFTA_TUNE_SIMD=1` opted in.
-    Auto,
-    /// Packed, register-tiled, pool-parallel scalar kernels (bit-exact).
-    Blocked,
-    /// The retained naive serial reference — the pre-kernel-layer path,
-    /// kept selectable for A/B benchmarking and equivalence tests.
-    Naive,
-    /// The AVX2/FMA micro-kernel ([`crate::simd`]) — opt-in, tolerance
-    /// contract; falls back to `Blocked` where unsupported.
-    Simd,
+    /// The production dispatch (default): packed, register-tiled,
+    /// pool-parallel kernels above `SMALL_FLOPS`, direct loops below, each
+    /// in its AVX2/FMA or portable instantiation as the CPU allows.
+    Auto = 0,
+    /// The retained naive serial reference loops at every size — no
+    /// packing, tiling or pool — kept selectable for equivalence tests and
+    /// A/B benchmarking. (The oracle proper is [`crate::reference`] called
+    /// directly: these same loops, always in the portable instantiation.)
+    Naive = 1,
 }
 
 impl GemmBackend {
-    /// The find-db / CLI name of this backend.
+    /// The CLI / report name of this backend.
     pub fn name(self) -> &'static str {
         match self {
             GemmBackend::Auto => "auto",
-            GemmBackend::Blocked => "blocked",
             GemmBackend::Naive => "naive",
-            GemmBackend::Simd => "simd",
         }
     }
 
-    /// Parses a backend name (as in `HFTA_GEMM_BACKEND` or find-db
-    /// winners); `None` for anything unrecognized.
+    /// Parses a backend name (as in `HFTA_GEMM_BACKEND`); `None` for
+    /// anything unrecognized, including the retired `blocked` / `simd`.
     pub fn parse(name: &str) -> Option<GemmBackend> {
         match name.trim().to_ascii_lowercase().as_str() {
             "auto" => Some(GemmBackend::Auto),
-            "blocked" => Some(GemmBackend::Blocked),
             "naive" => Some(GemmBackend::Naive),
-            "simd" => Some(GemmBackend::Simd),
             _ => None,
         }
     }
@@ -116,18 +97,9 @@ impl GemmBackend {
 /// `u8::MAX` = not yet resolved from `HFTA_GEMM_BACKEND`.
 static BACKEND: AtomicU8 = AtomicU8::new(u8::MAX);
 
-fn encode(backend: GemmBackend) -> u8 {
-    match backend {
-        GemmBackend::Auto => 0,
-        GemmBackend::Blocked => 1,
-        GemmBackend::Naive => 2,
-        GemmBackend::Simd => 3,
-    }
-}
-
 /// Selects the GEMM implementation process-wide (overrides the env var).
 pub fn set_backend(backend: GemmBackend) {
-    BACKEND.store(encode(backend), Ordering::Relaxed);
+    BACKEND.store(backend as u8, Ordering::Relaxed);
 }
 
 /// The currently selected GEMM implementation. First call resolves
@@ -135,9 +107,7 @@ pub fn set_backend(backend: GemmBackend) {
 pub fn backend() -> GemmBackend {
     match BACKEND.load(Ordering::Relaxed) {
         0 => GemmBackend::Auto,
-        1 => GemmBackend::Blocked,
-        2 => GemmBackend::Naive,
-        3 => GemmBackend::Simd,
+        1 => GemmBackend::Naive,
         _ => {
             let be = std::env::var("HFTA_GEMM_BACKEND")
                 .ok()
@@ -146,47 +116,16 @@ pub fn backend() -> GemmBackend {
             // Racing first calls resolve identically; an interleaved
             // `set_backend` wins over the env value by overwriting.
             let _ =
-                BACKEND.compare_exchange(u8::MAX, encode(be), Ordering::Relaxed, Ordering::Relaxed);
+                BACKEND.compare_exchange(u8::MAX, be as u8, Ordering::Relaxed, Ordering::Relaxed);
             backend()
         }
     }
 }
 
-/// `u8::MAX` = not yet resolved from `HFTA_TUNE_SIMD`.
-static AUTO_SIMD: AtomicU8 = AtomicU8::new(u8::MAX);
-
-/// Opts the SIMD kernel in (or out) as an `Auto` candidate. Without this
-/// opt-in `Auto` only ever picks bit-exact backends, so the default
-/// configuration preserves fused-vs-serial bit-identity end to end.
-pub fn set_auto_simd(enabled: bool) {
-    AUTO_SIMD.store(enabled as u8, Ordering::Relaxed);
-}
-
-/// Whether `Auto` may select the SIMD kernel ([`set_auto_simd`] or
-/// `HFTA_TUNE_SIMD=1`, env read once).
+/// Whether [`GemmBackend::Auto`] runs the AVX2/FMA path on this machine —
+/// [`simd::simd_available`] under the name run reports record it by.
 pub fn auto_simd() -> bool {
-    match AUTO_SIMD.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => {
-            let on = std::env::var("HFTA_TUNE_SIMD")
-                .map(|v| {
-                    let t = v.trim();
-                    t == "1" || t.eq_ignore_ascii_case("true")
-                })
-                .unwrap_or(false);
-            let _ =
-                AUTO_SIMD.compare_exchange(u8::MAX, on as u8, Ordering::Relaxed, Ordering::Relaxed);
-            auto_simd()
-        }
-    }
-}
-
-/// Which micro-kernel the macro-kernel runs per tile.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Micro {
-    Scalar,
-    Simd,
+    simd::simd_available()
 }
 
 /// How operand `A` is stored relative to the `[m, k]` logical view.
@@ -209,12 +148,18 @@ enum PackB<'a> {
     T(&'a [f32]),
 }
 
+/// One of the three orientation-specific direct-loop kernels.
+type DirectFn = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
+
 /// `out[m,n] += a[m,k] @ b[k,n]`, all row-major.
 pub fn gemm(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    dispatch(out, PackA::N(a), PackB::N(b), m, k, n, "gemm");
+    match direct_kernel(m, k, n, reference::gemm_ref, simd::gemm_small) {
+        Some(direct) => direct(out, a, b, m, k, n),
+        None => tiled(out, PackA::N(a), PackB::N(b), m, k, n),
+    }
 }
 
 /// `out[m,n] += a[m,k] @ b[n,k]^T` (`b` stored row-major as `[n, k]`).
@@ -222,7 +167,10 @@ pub fn gemm_nt(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usi
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    dispatch(out, PackA::N(a), PackB::T(b), m, k, n, "gemm_nt");
+    match direct_kernel(m, k, n, reference::gemm_nt_ref, simd::gemm_nt_small) {
+        Some(direct) => direct(out, a, b, m, k, n),
+        None => tiled(out, PackA::N(a), PackB::T(b), m, k, n),
+    }
 }
 
 /// `out[m,n] += a[k,m]^T @ b[k,n]` (`a` stored row-major as `[k, m]`).
@@ -230,7 +178,30 @@ pub fn gemm_tn(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usi
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    dispatch(out, PackA::T(a), PackB::N(b), m, k, n, "gemm_tn");
+    match direct_kernel(m, k, n, reference::gemm_tn_ref, simd::gemm_tn_small) {
+        Some(direct) => direct(out, a, b, m, k, n),
+        None => tiled(out, PackA::T(a), PackB::N(b), m, k, n),
+    }
+}
+
+/// The direct-loop kernel this dispatch runs, if any: the reference loops
+/// — in whichever instantiation the platform allows — at every size under
+/// [`GemmBackend::Naive`] and below [`SMALL_FLOPS`] otherwise; `None` for
+/// the tiled path.
+fn direct_kernel(
+    m: usize,
+    k: usize,
+    n: usize,
+    portable: DirectFn,
+    vector: DirectFn,
+) -> Option<DirectFn> {
+    if backend() == GemmBackend::Auto && 2 * m * k * n >= SMALL_FLOPS {
+        None
+    } else if simd::simd_available() {
+        Some(vector)
+    } else {
+        Some(portable)
+    }
 }
 
 /// Length of the buffer [`pack_a_into`] fills for an `[m, k]` operand.
@@ -261,127 +232,16 @@ pub fn pack_a_into(a: &[f32], m: usize, k: usize, buf: &mut [f32]) {
 
 /// `out[m,n] += A @ b[k,n]` where `A` was packed once by [`pack_a_into`].
 ///
-/// Bit-compatible with [`gemm`] on the same operands for every bit-exact
-/// backend: below [`SMALL_FLOPS`]-sized shapes and under scalar kernels the
-/// accumulation order is identical, so pre-packing never changes results —
-/// only the per-call packing cost. The SIMD micro-kernel engages exactly
-/// when a forced `Simd` backend (or SIMD-opted-in `Auto`) would use it.
+/// Bit-identical to [`gemm`] on the same operands: the tiled path (which
+/// this always takes — there is no reference loop over packed panels, so
+/// the shape threshold and [`GemmBackend::Naive`] do not apply) keeps the
+/// per-element FMA chain, so pre-packing never changes results — only the
+/// per-call packing cost.
 pub fn gemm_prepacked(out: &mut [f32], apack: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(apack.len(), packed_a_len(m, k));
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    let flops = 2 * m * k * n;
-    let simd_active = matches!(backend(), GemmBackend::Simd)
-        || (matches!(backend(), GemmBackend::Auto) && auto_simd());
-    let micro = if flops >= SMALL_FLOPS && simd_active && simd::simd_available() {
-        Micro::Simd
-    } else {
-        Micro::Scalar
-    };
-    run_tiled(out, PackA::Pre(apack), PackB::N(b), m, k, n, micro);
-}
-
-/// Runs the naive reference matching the operand orientations.
-fn run_reference(out: &mut [f32], a: PackA<'_>, b: PackB<'_>, m: usize, k: usize, n: usize) {
-    match (a, b) {
-        (PackA::N(a), PackB::N(b)) => reference::gemm_ref(out, a, b, m, k, n),
-        (PackA::N(a), PackB::T(b)) => reference::gemm_nt_ref(out, a, b, m, k, n),
-        (PackA::T(a), PackB::N(b)) => reference::gemm_tn_ref(out, a, b, m, k, n),
-        // No entry point produces these; the scalar tiled kernel is
-        // bit-identical to the references, so it serves as the fallback.
-        _ => run_tiled(out, a, b, m, k, n, Micro::Scalar),
-    }
-}
-
-/// Runs one resolved (non-`Auto`) backend.
-fn run_fixed(
-    be: GemmBackend,
-    out: &mut [f32],
-    a: PackA<'_>,
-    b: PackB<'_>,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    match be {
-        GemmBackend::Naive => run_reference(out, a, b, m, k, n),
-        GemmBackend::Simd if simd::simd_available() => {
-            run_tiled(out, a, b, m, k, n, Micro::Simd);
-        }
-        _ => run_tiled(out, a, b, m, k, n, Micro::Scalar),
-    }
-}
-
-/// Resolves an `Auto` dispatch: find-db winner when tuned, candidate
-/// benchmark on first encounter, static heuristic when tuning is off.
-fn auto_backend(
-    out: &mut [f32],
-    a: PackA<'_>,
-    b: PackB<'_>,
-    m: usize,
-    k: usize,
-    n: usize,
-    op: &str,
-) -> GemmBackend {
-    let simd_in = auto_simd() && simd::simd_available();
-    let heuristic = if simd_in {
-        GemmBackend::Simd
-    } else {
-        GemmBackend::Blocked
-    };
-    if !tune::enabled() {
-        return heuristic;
-    }
-    let key = tune::key(op, m, k, n, pool::num_threads());
-    if let Some(winner) = tune::lookup(&key) {
-        return match GemmBackend::parse(&winner) {
-            Some(GemmBackend::Simd) if !simd::simd_available() => GemmBackend::Blocked,
-            Some(be) if be != GemmBackend::Auto => be,
-            _ => heuristic,
-        };
-    }
-    // First encounter: time every candidate against the real operands on a
-    // scratch copy of the output (the op is `out += a@b`, so candidates must
-    // not double-accumulate into the caller's buffer). One reading per
-    // candidate is deliberate — among bit-exact candidates a noisy winner is
-    // harmless, and the SIMD/blocked gap is far wider than timer noise.
-    let flops = 2 * m * k * n;
-    let mut candidates = vec![GemmBackend::Blocked];
-    if flops <= NAIVE_TUNE_MAX_FLOPS {
-        candidates.push(GemmBackend::Naive);
-    }
-    if simd_in {
-        candidates.push(GemmBackend::Simd);
-    }
-    scratch::reserve("tune.out", out.len(), 1);
-    let mut best = (GemmBackend::Blocked, f64::INFINITY);
-    let mut micros: Vec<(&str, f64)> = Vec::with_capacity(candidates.len());
-    for be in candidates {
-        let us = scratch::with(out.len(), |tmp| {
-            tmp.copy_from_slice(out);
-            let t0 = Instant::now();
-            run_fixed(be, tmp, a, b, m, k, n);
-            t0.elapsed().as_secs_f64() * 1e6
-        });
-        micros.push((be.name(), us));
-        if us < best.1 {
-            best = (be, us);
-        }
-    }
-    tune::record(&key, best.0.name(), &micros);
-    best.0
-}
-
-fn dispatch(out: &mut [f32], a: PackA<'_>, b: PackB<'_>, m: usize, k: usize, n: usize, op: &str) {
-    if 2 * m * k * n < SMALL_FLOPS {
-        run_reference(out, a, b, m, k, n);
-        return;
-    }
-    let be = match backend() {
-        GemmBackend::Auto => auto_backend(out, a, b, m, k, n, op),
-        be => be,
-    };
-    run_fixed(be, out, a, b, m, k, n);
+    tiled(out, PackA::Pre(apack), PackB::N(b), m, k, n);
 }
 
 /// Packs all of `B` into `ceil(n/NR)` zero-padded column panels; panel `jb`
@@ -442,12 +302,14 @@ fn pack_a(a: PackA<'_>, m: usize, k: usize, i0: usize, rows: usize, buf: &mut [f
     }
 }
 
-/// The scalar register-tiled inner kernel: `acc[r][c] += apanel[p][r] *
-/// bpanel[p][c]` for `p` ascending, separate multiply and add. `acc`
-/// rows/columns beyond the valid tile see only the panels' zero padding and
-/// stay untouched in value. Shared with the SIMD module's equivalence tests.
+/// The portable register-tiled inner kernel: `acc[r][c] = fma(apanel[p][r],
+/// bpanel[p][c], acc[r][c])` for `p` ascending — the contract's chain via
+/// [`f32::mul_add`] (native `fmadd` on aarch64, libm `fmaf` on x86-64
+/// without FMA: slow but correctly rounded). Runs only where
+/// [`simd::simd_available`] is false. `acc` rows/columns beyond the valid
+/// tile see only the panels' zero padding and are never stored.
 #[inline]
-pub(crate) fn scalar_microkernel(
+pub(crate) fn portable_microkernel(
     k: usize,
     apanel: &[f32],
     bpanel: &[f32],
@@ -460,7 +322,7 @@ pub(crate) fn scalar_microkernel(
             let av = arow[r];
             let accr = &mut acc[r];
             for c in 0..NR {
-                accr[c] += av * brow[c];
+                accr[c] = av.mul_add(brow[c], accr[c]);
             }
         }
     }
@@ -471,9 +333,10 @@ pub(crate) fn scalar_microkernel(
 /// [`CHUNK_FLOPS`] the columns split so short-`m` GEMMs still expose many
 /// chunks; otherwise row panels group as before. Both grains — and hence the
 /// decomposition — are pure functions of the shape, and every output element
-/// is still produced by exactly one micro-kernel call walking the full
-/// contraction ascending, so scalar results are bit-identical at any thread
-/// count and to the 1-D partition this replaces.
+/// is produced by exactly one micro-kernel call walking the full
+/// contraction ascending, so results are bit-identical at any thread count.
+/// `vector` (from [`simd::simd_available`], read once per call) picks the
+/// AVX2/FMA instantiation of the micro-kernel over the portable one.
 fn run_tiled(
     out: &mut [f32],
     a: PackA<'_>,
@@ -481,7 +344,7 @@ fn run_tiled(
     m: usize,
     k: usize,
     n: usize,
-    micro: Micro,
+    vector: bool,
 ) {
     let row_panels = m.div_ceil(MR);
     let col_panels = n.div_ceil(NR);
@@ -559,12 +422,12 @@ fn run_tiled(
                         };
                         let mut jb = jg * col_grain;
                         while jb < jp_end {
-                            // The SIMD path pairs adjacent column panels
+                            // The vector path pairs adjacent column panels
                             // (8x16 tile) whenever the chunk holds two more:
                             // bitwise equal to two single-tile calls (see
                             // `simd::microkernel_x2`), so the pairing — a
                             // chunk-local accident — never changes results.
-                            if micro == Micro::Simd && jb + 1 < jp_end {
+                            if vector && jb + 1 < jp_end {
                                 let bp0 = &bpack[jb * k * NR..(jb + 1) * k * NR];
                                 let bp1 = &bpack[(jb + 1) * k * NR..(jb + 2) * k * NR];
                                 let mut acc0 = load_acc(jb);
@@ -577,9 +440,10 @@ fn run_tiled(
                             }
                             let bpanel = &bpack[jb * k * NR..(jb + 1) * k * NR];
                             let mut acc = load_acc(jb);
-                            match micro {
-                                Micro::Scalar => scalar_microkernel(k, apanel, bpanel, &mut acc),
-                                Micro::Simd => simd::microkernel(k, apanel, bpanel, &mut acc),
+                            if vector {
+                                simd::microkernel(k, apanel, bpanel, &mut acc);
+                            } else {
+                                portable_microkernel(k, apanel, bpanel, &mut acc);
                             }
                             store_acc(jb, &acc);
                             jb += 1;
@@ -589,6 +453,11 @@ fn run_tiled(
             });
         });
     });
+}
+
+/// [`run_tiled`] in the instantiation the platform selects.
+fn tiled(out: &mut [f32], a: PackA<'_>, b: PackB<'_>, m: usize, k: usize, n: usize) {
+    run_tiled(out, a, b, m, k, n, simd::simd_available());
 }
 
 /// Checks out the per-chunk A-panel scratch, skipped entirely for
@@ -626,6 +495,16 @@ mod tests {
         out
     }
 
+    /// Both micro-kernel instantiations (the vector one where the CPU has
+    /// it), forced onto the tiled path even below the size threshold.
+    fn instantiations() -> Vec<bool> {
+        if simd::detected() {
+            vec![false, true]
+        } else {
+            vec![false]
+        }
+    }
+
     #[test]
     fn tiled_bitwise_equals_reference_over_shape_sweep() {
         for &(m, k, n) in &[
@@ -642,65 +521,47 @@ mod tests {
             let a = fill(m * k, 1 + (m * 31 + k * 7 + n) as u64);
             let b = fill(k * n, 2 + (m + k * 13 + n * 3) as u64);
             let init = fill(m * n, 3 + (m + k + n) as u64);
-            let mut fast = init.clone();
-            let mut slow = init.clone();
-            // Force the tiled path even below the size threshold.
-            run_tiled(
-                &mut fast,
-                PackA::N(&a),
-                PackB::N(&b),
-                m,
-                k,
-                n,
-                Micro::Scalar,
-            );
-            reference::gemm_ref(&mut slow, &a, &b, m, k, n);
-            assert_eq!(fast, slow, "gemm mismatch at ({m},{k},{n})");
-
             let at = transpose(&a, m, k);
-            let mut fast_tn = init.clone();
-            let mut slow_tn = init.clone();
-            run_tiled(
-                &mut fast_tn,
-                PackA::T(&at),
-                PackB::N(&b),
-                m,
-                k,
-                n,
-                Micro::Scalar,
-            );
-            reference::gemm_tn_ref(&mut slow_tn, &at, &b, m, k, n);
-            assert_eq!(fast_tn, slow_tn, "gemm_tn mismatch at ({m},{k},{n})");
-
             let bt = transpose(&b, k, n);
-            let mut fast_nt = init.clone();
-            let mut slow_nt = init.clone();
-            run_tiled(
-                &mut fast_nt,
-                PackA::N(&a),
-                PackB::T(&bt),
-                m,
-                k,
-                n,
-                Micro::Scalar,
-            );
-            reference::gemm_nt_ref(&mut slow_nt, &a, &bt, m, k, n);
-            assert_eq!(fast_nt, slow_nt, "gemm_nt mismatch at ({m},{k},{n})");
-
-            // Pre-packed A must be bit-identical to packing per call.
             let mut apack = vec![0.0f32; packed_a_len(m, k)];
             pack_a_into(&a, m, k, &mut apack);
-            let mut fast_pre = init.clone();
-            run_tiled(
-                &mut fast_pre,
-                PackA::Pre(&apack),
-                PackB::N(&b),
-                m,
-                k,
-                n,
-                Micro::Scalar,
-            );
-            assert_eq!(fast_pre, slow, "prepacked mismatch at ({m},{k},{n})");
+
+            let mut slow = init.clone();
+            reference::gemm_ref(&mut slow, &a, &b, m, k, n);
+            let mut slow_tn = init.clone();
+            reference::gemm_tn_ref(&mut slow_tn, &at, &b, m, k, n);
+            let mut slow_nt = init.clone();
+            reference::gemm_nt_ref(&mut slow_nt, &a, &bt, m, k, n);
+
+            for vector in instantiations() {
+                let tiled = |pa: PackA<'_>, pb: PackB<'_>| {
+                    let mut out = init.clone();
+                    run_tiled(&mut out, pa, pb, m, k, n, vector);
+                    out
+                };
+                let at_shape = format!("({m},{k},{n}) vector={vector}");
+                assert_eq!(
+                    tiled(PackA::N(&a), PackB::N(&b)),
+                    slow,
+                    "gemm mismatch at {at_shape}"
+                );
+                assert_eq!(
+                    tiled(PackA::T(&at), PackB::N(&b)),
+                    slow_tn,
+                    "gemm_tn mismatch at {at_shape}"
+                );
+                assert_eq!(
+                    tiled(PackA::N(&a), PackB::T(&bt)),
+                    slow_nt,
+                    "gemm_nt mismatch at {at_shape}"
+                );
+                // Pre-packed A must be bit-identical to packing per call.
+                assert_eq!(
+                    tiled(PackA::Pre(&apack), PackB::N(&b)),
+                    slow,
+                    "prepacked mismatch at {at_shape}"
+                );
+            }
         }
     }
 
@@ -713,8 +574,8 @@ mod tests {
         let b = fill(16 * 16, 10);
         let mut via_entry = vec![0.0f32; 16 * 16];
         gemm(&mut via_entry, &a, &b, 16, 16, 16);
-        set_backend(GemmBackend::Blocked);
-        assert_eq!(backend(), GemmBackend::Blocked);
+        set_backend(GemmBackend::Auto);
+        assert_eq!(backend(), GemmBackend::Auto);
         let mut via_ref = vec![0.0f32; 16 * 16];
         reference::gemm_ref(&mut via_ref, &a, &b, 16, 16, 16);
         assert_eq!(via_entry, via_ref);
@@ -723,19 +584,14 @@ mod tests {
 
     #[test]
     fn backend_names_round_trip() {
-        for be in [
-            GemmBackend::Auto,
-            GemmBackend::Blocked,
-            GemmBackend::Naive,
-            GemmBackend::Simd,
-        ] {
+        for be in [GemmBackend::Auto, GemmBackend::Naive] {
             assert_eq!(GemmBackend::parse(be.name()), Some(be));
         }
-        assert_eq!(
-            GemmBackend::parse(" Blocked \n"),
-            Some(GemmBackend::Blocked)
-        );
-        assert_eq!(GemmBackend::parse("mystery"), None);
+        assert_eq!(GemmBackend::parse(" Naive \n"), Some(GemmBackend::Naive));
+        // The retired backend names are no longer selectable.
+        for retired in ["blocked", "simd", "mystery"] {
+            assert_eq!(GemmBackend::parse(retired), None);
+        }
     }
 
     #[test]

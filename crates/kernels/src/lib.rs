@@ -9,17 +9,21 @@
 //!   bit-identical at any thread count.
 //! * [`gemm`] — cache-blocked, register-tiled f32 GEMM ([`gemm()`],
 //!   [`gemm_nt()`], [`gemm_tn()`], [`gemm_prepacked()`]) with packed A/B
-//!   panels, a 2-D tiled macro-kernel, and selectable backends: the scalar
-//!   8×8 micro-kernel is bit-identical to the retained naive references in
-//!   [`reference`] (the accumulation order per output element is
-//!   preserved); the opt-in [`simd`] AVX2/FMA micro-kernel carries a
-//!   relative-tolerance contract instead.
-//! * [`simd`] — runtime-detected AVX2/FMA f32x8 micro-kernel behind
-//!   [`GemmBackend::Simd`], with [`simd::set_simd_enabled`] as the
-//!   force-scalar hook.
-//! * [`tune`] — a persistent MIOpen-style find-db: `Auto` dispatches
-//!   benchmark candidate backends per (op, shape, threads) key on first
-//!   encounter and cache the winner (`HFTA_TUNE_DB`).
+//!   panels and a 2-D tiled macro-kernel, under **one contract**: every
+//!   output element is `acc = fma(a[i,p], b[p,j], acc)` for `p` ascending,
+//!   one rounding per step. Every path computes exactly that chain, so all
+//!   are bit-identical to the retained naive oracle in [`reference`] and to
+//!   each other. [`GemmBackend`] is `{Auto, Naive}`: production dispatch
+//!   or the reference loops at every size.
+//! * [`simd`] — the runtime-detected AVX2/FMA instantiations (8×8 / paired
+//!   8×16 micro-kernel, small-shape loops) `Auto` takes wherever the CPU
+//!   has them; elsewhere the portable `f32::mul_add` twins run. FMA is
+//!   correctly rounded on both, which is why the choice is by platform and
+//!   never changes a bit. [`simd::set_simd_enabled`] is the test hook that
+//!   forces the portable path.
+//! * [`tune`] — a persistent MIOpen-style find-db for `hfta-tensor`'s
+//!   `conv2d` algorithm choice (`HFTA_TUNE_DB`); GEMM dispatch has one
+//!   production kernel and does not consult it.
 //! * [`profile`] — [`profiled()`] wires `hfta-telemetry` spans/counters
 //!   (kernel name, threads, FLOPs) around kernel dispatches.
 //!
@@ -38,8 +42,8 @@ pub mod simd;
 pub mod tune;
 
 pub use gemm::{
-    backend, gemm, gemm_nt, gemm_prepacked, gemm_tn, pack_a_into, packed_a_len, set_auto_simd,
-    set_backend, GemmBackend,
+    backend, gemm, gemm_nt, gemm_prepacked, gemm_tn, pack_a_into, packed_a_len, set_backend,
+    GemmBackend,
 };
 pub use pool::{
     for_each_chunk_mut, num_threads, parallel_for, parallel_for_work, pool_dispatches,

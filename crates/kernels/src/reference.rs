@@ -1,14 +1,22 @@
-//! Retained naive reference GEMMs.
+//! Retained naive reference GEMMs — the oracle of the one GEMM contract.
 //!
-//! These are the semantic ground truth the blocked kernels in
-//! [`crate::gemm`] are property-tested against: every output element is
-//! accumulated **into its initial value, in ascending `p` (contraction)
-//! order, with separate multiply and add** — exactly the order the blocked
-//! micro-kernel preserves, so the two paths are bit-identical (not merely
-//! close). Keeping the reference alive also gives the benches a faithful
-//! "pre-kernel-layer" serial baseline.
+//! These are the semantic ground truth every kernel in [`crate::gemm`] is
+//! property-tested against: each output element is `acc = fma(a[i,p],
+//! b[p,j], acc)` for `p` **ascending from its initial value, one rounding
+//! per step** ([`f32::mul_add`], IEEE-754 fusedMultiplyAdd). FMA is
+//! correctly rounded wherever it runs — a `vfmadd` lane, an aarch64
+//! `fmadd`, libm's `fmaf` on the portable x86-64 baseline — so any kernel
+//! that keeps this chain per element is bit-identical to these loops (not
+//! merely close), on every machine. Keeping the reference alive also gives
+//! the benches a faithful "pre-kernel-layer" serial baseline.
+//!
+//! The loops are `#[inline(always)]` so [`crate::simd`] can instantiate the
+//! same bodies with AVX2/FMA enabled for the small-shape production path;
+//! called directly (the `Naive` backend, the tests) they compile for the
+//! portable baseline.
 
 /// `out[m,n] += a[m,k] @ b[k,n]`, all row-major.
+#[inline(always)]
 pub fn gemm_ref(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -18,13 +26,14 @@ pub fn gemm_ref(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: us
         for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
             let brow = &b[p * n..(p + 1) * n];
             for (ov, &bv) in orow.iter_mut().zip(brow) {
-                *ov += av * bv;
+                *ov = av.mul_add(bv, *ov);
             }
         }
     }
 }
 
 /// `out[m,n] += a[m,k] @ b[n,k]^T` (`b` stored row-major as `[n, k]`).
+#[inline(always)]
 pub fn gemm_nt_ref(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
@@ -33,13 +42,14 @@ pub fn gemm_nt_ref(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n:
         let orow = &mut out[i * n..(i + 1) * n];
         for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
             for (c, ov) in orow.iter_mut().enumerate() {
-                *ov += av * b[c * k + p];
+                *ov = av.mul_add(b[c * k + p], *ov);
             }
         }
     }
 }
 
 /// `out[m,n] += a[k,m]^T @ b[k,n]` (`a` stored row-major as `[k, m]`).
+#[inline(always)]
 pub fn gemm_tn_ref(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
@@ -50,7 +60,7 @@ pub fn gemm_tn_ref(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n:
         for (r, &av) in arow.iter().enumerate() {
             let orow = &mut out[r * n..(r + 1) * n];
             for (ov, &bv) in orow.iter_mut().zip(brow) {
-                *ov += av * bv;
+                *ov = av.mul_add(bv, *ov);
             }
         }
     }

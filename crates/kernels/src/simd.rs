@@ -1,11 +1,19 @@
-//! Explicit-SIMD (AVX2/FMA) GEMM micro-kernels with runtime detection.
+//! Explicit-SIMD (AVX2/FMA) instantiations of the GEMM contract, with
+//! runtime detection.
 //!
-//! The blocked GEMM's scalar micro-kernel autovectorizes, but the portable
-//! x86-64 baseline the workspace builds for (see `.cargo/config.toml`) caps
-//! it at SSE2 and forbids FMA contraction. This module hand-writes the same
-//! 8×8 register tile with `std::arch` AVX2 intrinsics — one f32x8 vector per
-//! accumulator row, `vfmadd` per contraction step — and gates it behind
-//! runtime `is_x86_feature_detected!` so the binary stays portable.
+//! The workspace builds for the portable x86-64 baseline (see
+//! `.cargo/config.toml`), where `f32::mul_add` is a libm `fmaf` call and
+//! autovectorization stops at SSE2. This module holds the fast twins of the
+//! two portable code paths, gated behind runtime
+//! `is_x86_feature_detected!` so the binary stays portable:
+//!
+//! * the hand-written 8×8 register tile — one f32x8 vector per accumulator
+//!   row, `vfmadd` per contraction step — twin of
+//!   `gemm::portable_microkernel`;
+//! * `gemm_small` / `gemm_nt_small` / `gemm_tn_small` — the
+//!   [`crate::reference`] loop bodies compiled with AVX2+FMA enabled, so
+//!   `mul_add` lowers to `vfmadd` and the row loops vectorize 8-wide — the
+//!   small-shape production path (and the `Naive` backend).
 //!
 //! The single-tile kernel is load-port-bound: each contraction step issues
 //! nine load μops (one B vector + eight A broadcasts) against eight FMAs.
@@ -14,73 +22,78 @@
 //! eight accumulators, two B vectors and one broadcast fit the sixteen ymm
 //! registers): every A broadcast now feeds two FMAs, moving the kernel to
 //! the FMA-throughput bound. Each output lane's FMA chain is identical to
-//! the single-panel kernel's, so the paired path is **bitwise equal** to two
-//! single-tile calls — pairing is purely a scheduling decision.
+//! the single-panel kernel's, so pairing is purely a scheduling decision.
 //!
-//! # Tolerance, not bit-exactness
+//! # One contract, two instantiations
 //!
-//! FMA contracts the multiply-add into one rounding, so results differ from
-//! the scalar kernels in the last bits. `GemmBackend::Simd` is therefore
-//! **opt-in** and carries a relative-tolerance equivalence contract
-//! (property-tested in `tests/proptests.rs`); the default `Blocked` backend
-//! keeps its documented bit-exactness. On CPUs without AVX2+FMA — or after
-//! [`set_simd_enabled`]`(false)` — a forced `Simd` backend silently runs the
-//! scalar blocked kernel, which *is* bit-exact.
+//! Every output element is `acc = fma(a, b, acc)` for `p` ascending — here
+//! as a `vfmadd` lane, on the portable path as `f32::mul_add`. IEEE-754
+//! fusedMultiplyAdd is *correctly rounded* (the exact `a·b + acc`, rounded
+//! once), so the result of each step is fully determined by its three
+//! inputs no matter which instruction or library routine computes it; by
+//! induction over `p` the whole chain — and hence every output bit — is
+//! equal on both paths. Selection between them is by platform
+//! ([`simd_available`]), never by option, and `tests/proptests.rs` pins
+//! vector == portable == oracle bitwise. [`set_simd_enabled`]`(false)` is
+//! the test hook that forces the portable path on an AVX2 machine.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 use crate::gemm::{MR, NR};
 
-/// 0 = not yet detected, 1 = available, 2 = unavailable or force-disabled.
-static SIMD_STATE: AtomicU8 = AtomicU8::new(0);
+/// Set by [`set_simd_enabled`]`(false)`: take the portable path even where
+/// the CPU has AVX2+FMA.
+static FORCE_PORTABLE: AtomicBool = AtomicBool::new(false);
 
 const _: () = assert!(
     MR == 8 && NR == 8,
     "AVX2 micro-kernel is written for an 8x8 tile"
 );
 
-#[cfg(target_arch = "x86_64")]
-fn detect() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect() -> bool {
-    false
-}
-
-/// Whether the AVX2/FMA micro-kernel can run on this CPU (cached after the
-/// first call). `false` after [`set_simd_enabled`]`(false)`.
-pub fn simd_available() -> bool {
-    match SIMD_STATE.load(Ordering::Relaxed) {
-        0 => {
-            let ok = detect();
-            SIMD_STATE.store(if ok { 1 } else { 2 }, Ordering::Relaxed);
-            ok
+/// Whether this CPU has AVX2+FMA (detected once). What the `unsafe` calls
+/// below rest on — unlike [`simd_available`] it cannot be toggled, so a
+/// [`set_simd_enabled`] racing a running GEMM is harmless.
+pub(crate) fn detected() -> bool {
+    static DETECTED: OnceLock<bool> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
         }
-        1 => true,
-        _ => false,
-    }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
 }
 
-/// Force-disables (`false`) or re-detects (`true`) the SIMD micro-kernel.
+/// Whether GEMM dispatch takes the AVX2/FMA path: the CPU supports it and
+/// [`set_simd_enabled`]`(false)` has not forced the portable one.
+pub fn simd_available() -> bool {
+    !FORCE_PORTABLE.load(Ordering::Relaxed) && detected()
+}
+
+/// Test hook: `false` forces every dispatch onto the portable `mul_add`
+/// path, `true` returns to platform selection (it cannot enable the vector
+/// path on a CPU without AVX2+FMA).
 ///
-/// Disabling makes every `GemmBackend::Simd` dispatch take the scalar
-/// blocked path — the hook the fallback equivalence tests use to prove the
-/// two paths agree bitwise when SIMD is off. Passing `true` re-runs CPU
-/// detection rather than blindly enabling.
+/// Both paths are bit-identical, so a toggle racing a GEMM on another
+/// thread can change which instructions run but never a result.
 pub fn set_simd_enabled(enabled: bool) {
-    if enabled {
-        SIMD_STATE.store(if detect() { 1 } else { 2 }, Ordering::Relaxed);
-    } else {
-        SIMD_STATE.store(2, Ordering::Relaxed);
-    }
+    FORCE_PORTABLE.store(!enabled, Ordering::Relaxed);
 }
 
-/// AVX2/FMA twin of the scalar micro-kernel: `acc[r] += apanel[p][r] *
-/// bpanel[p]` as an 8-lane fused multiply-add, `p` ascending. Panel layout
-/// is identical to the scalar path (`apanel[p*MR + r]`, `bpanel[p*NR + c]`),
-/// so the packing code is shared.
+/// AVX2/FMA twin of the portable micro-kernel: `acc[r] = fma(apanel[p][r],
+/// bpanel[p], acc[r])` as an 8-lane `vfmadd`, `p` ascending. Panel layout
+/// is identical to the portable path (`apanel[p*MR + r]`, `bpanel[p*NR +
+/// c]`), so the packing code is shared.
+///
+/// # Safety
+///
+/// The CPU must have AVX2+FMA, and the panels must hold at least `k * MR` /
+/// `k * NR` elements (they are read through raw pointers).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn microkernel_avx2(k: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
@@ -112,6 +125,10 @@ unsafe fn microkernel_avx2(k: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [
 /// against 8 FMAs, so the kernel runs at the FMA bound instead of the
 /// single-tile version's load bound. Lane-for-lane the FMA sequence equals
 /// two single-tile calls, so results are bitwise identical to them.
+///
+/// # Safety
+///
+/// As [`microkernel_avx2`], for all three panels.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn microkernel_avx2_x2(
@@ -174,31 +191,24 @@ unsafe fn microkernel_avx2_x2(
     }
 }
 
-/// Runs the SIMD micro-kernel. Callers must have checked [`simd_available`]
-/// at dispatch time; this is enforced in debug builds.
+/// Runs the AVX2/FMA micro-kernel. Only [`crate::gemm`]'s tiled path calls
+/// it, and only with a `vector` flag that came from [`simd_available`].
 #[inline]
 pub(crate) fn microkernel(k: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    debug_assert!(
-        simd_available(),
-        "SIMD micro-kernel dispatched without CPU support"
-    );
+    assert_detected();
+    assert!(apanel.len() >= k * MR && bpanel.len() >= k * NR);
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: `simd_available()` was checked by the dispatcher (and asserted
-    // above in debug builds), so AVX2+FMA are present.
+    // SAFETY: the two asserts above checked that AVX2+FMA are present and
+    // that the panels cover every element the kernel reads.
     unsafe {
         microkernel_avx2(k, apanel, bpanel, acc);
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        // Unreachable in practice: `simd_available()` is always false here,
-        // so the dispatcher never selects this kernel.
-        let _ = (k, apanel, bpanel, acc);
-        unreachable!("SIMD micro-kernel selected on a non-x86_64 target");
-    }
+    let _ = (k, apanel, bpanel, acc);
 }
 
-/// Runs the paired (two-B-panel) SIMD micro-kernel; bitwise equal to two
-/// [`microkernel`] calls on the same panels. Same caller contract.
+/// Runs the paired (two-B-panel) AVX2/FMA micro-kernel; bitwise equal to
+/// two [`microkernel`] calls on the same panels. Same caller contract.
 #[inline]
 pub(crate) fn microkernel_x2(
     k: usize,
@@ -208,70 +218,103 @@ pub(crate) fn microkernel_x2(
     acc0: &mut [[f32; NR]; MR],
     acc1: &mut [[f32; NR]; MR],
 ) {
-    debug_assert!(
-        simd_available(),
-        "SIMD micro-kernel dispatched without CPU support"
-    );
+    assert_detected();
+    assert!(apanel.len() >= k * MR && bpanel0.len() >= k * NR && bpanel1.len() >= k * NR);
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: `simd_available()` was checked by the dispatcher (and asserted
-    // above in debug builds), so AVX2+FMA are present.
+    // SAFETY: as in `microkernel`.
     unsafe {
         microkernel_avx2_x2(k, apanel, bpanel0, bpanel1, acc0, acc1);
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (k, apanel, bpanel0, bpanel1, acc0, acc1);
-        unreachable!("SIMD micro-kernel selected on a non-x86_64 target");
-    }
+    let _ = (k, apanel, bpanel0, bpanel1, acc0, acc1);
 }
+
+/// Part of what makes the safe wrappers in this module sound on their own:
+/// every one checks the CPU before its `unsafe` call. Callers only get here
+/// behind a [`simd_available`] check (never true off x86-64), so this
+/// firing means a dispatch bug, not a slow path.
+#[inline]
+fn assert_detected() {
+    assert!(detected(), "AVX2/FMA kernel dispatched without CPU support");
+}
+
+/// Stamps the AVX2/FMA instantiation of one [`crate::reference`] loop: the
+/// same `#[inline(always)]` body, compiled where `mul_add` is a `vfmadd`
+/// and the row loop vectorizes 8-wide. Same FMA chain per element, so
+/// bit-identical to the portable instantiation (the reference itself).
+macro_rules! small_kernel {
+    ($(#[$doc:meta])* $name:ident => $body:path) => {
+        $(#[$doc])*
+        pub(crate) fn $name(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+            assert_detected();
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx2,fma")]
+                unsafe fn imp(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+                    $body(out, a, b, m, k, n)
+                }
+                // SAFETY: `assert_detected` just checked that AVX2+FMA are
+                // present.
+                unsafe { imp(out, a, b, m, k, n) }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            let _ = (out, a, b, m, k, n);
+        }
+    };
+}
+
+small_kernel!(
+    /// AVX2/FMA instantiation of [`crate::reference::gemm_ref`].
+    gemm_small => crate::reference::gemm_ref
+);
+small_kernel!(
+    /// AVX2/FMA instantiation of [`crate::reference::gemm_nt_ref`].
+    gemm_nt_small => crate::reference::gemm_nt_ref
+);
+small_kernel!(
+    /// AVX2/FMA instantiation of [`crate::reference::gemm_tn_ref`].
+    gemm_tn_small => crate::reference::gemm_tn_ref
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn force_disable_and_redetect_round_trip() {
-        let initial = simd_available();
+    fn force_portable_and_back_round_trip() {
         set_simd_enabled(false);
         assert!(!simd_available());
         set_simd_enabled(true);
-        assert_eq!(simd_available(), initial, "re-enable must re-run detection");
+        assert_eq!(
+            simd_available(),
+            detected(),
+            "re-enable must return to platform selection, not force the vector path"
+        );
     }
 
     #[test]
-    #[cfg(target_arch = "x86_64")]
-    fn simd_tile_matches_scalar_within_tolerance() {
-        if !simd_available() {
+    fn vector_tile_is_bitwise_portable_tile() {
+        if !detected() {
+            eprintln!("skipped: no AVX2+FMA on this CPU");
             return;
         }
         let k = 37;
         let apanel: Vec<f32> = (0..k * MR)
-            .map(|i| ((i * 7 + 3) % 23) as f32 * 0.125 - 1.0)
+            .map(|i| ((i * 7 + 3) % 23) as f32 * 0.1 - 1.0)
             .collect();
         let bpanel: Vec<f32> = (0..k * NR)
-            .map(|i| ((i * 5 + 1) % 19) as f32 * 0.25 - 2.0)
+            .map(|i| ((i * 5 + 1) % 19) as f32 * 0.3 - 2.0)
             .collect();
-        let init = |r: usize, c: usize| (r * NR + c) as f32 * 0.5 - 16.0;
-        let mut simd_acc = [[0.0f32; NR]; MR];
-        let mut scalar_acc = [[0.0f32; NR]; MR];
-        for r in 0..MR {
-            for c in 0..NR {
-                simd_acc[r][c] = init(r, c);
-                scalar_acc[r][c] = init(r, c);
+        let mut vector_acc = [[0.0f32; NR]; MR];
+        for (r, row) in vector_acc.iter_mut().enumerate() {
+            for (c, v) in row.iter_mut().enumerate() {
+                *v = (r * NR + c) as f32 * 0.7 - 16.0;
             }
         }
-        microkernel(k, &apanel, &bpanel, &mut simd_acc);
-        crate::gemm::scalar_microkernel(k, &apanel, &bpanel, &mut scalar_acc);
-        for r in 0..MR {
-            for c in 0..NR {
-                let (s, g) = (simd_acc[r][c], scalar_acc[r][c]);
-                let tol = 1e-5 * s.abs().max(g.abs()).max(1.0);
-                assert!(
-                    (s - g).abs() <= tol,
-                    "tile ({r},{c}): simd {s} vs scalar {g}"
-                );
-            }
-        }
+        let mut portable_acc = vector_acc;
+        microkernel(k, &apanel, &bpanel, &mut vector_acc);
+        crate::gemm::portable_microkernel(k, &apanel, &bpanel, &mut portable_acc);
+        assert_eq!(vector_acc, portable_acc);
     }
 
     /// The invariant the macro-kernel's pairing rests on: processing two B
@@ -279,9 +322,9 @@ mod tests {
     /// calls, so whether a column panel lands in a pair (a chunk-local
     /// scheduling accident) can never change results.
     #[test]
-    #[cfg(target_arch = "x86_64")]
     fn paired_kernel_is_bitwise_two_single_calls() {
-        if !simd_available() {
+        if !detected() {
+            eprintln!("skipped: no AVX2+FMA on this CPU");
             return;
         }
         for k in [1usize, 7, 37, 64] {

@@ -3,10 +3,12 @@
 //! MIOpen ships several implementations per primitive and picks one per
 //! problem shape by benchmarking on first encounter, caching the winner in a
 //! "find-db" so later runs dispatch straight to the tuned kernel. This
-//! module is that selection layer for the GEMM/conv backends: the dispatcher
-//! in [`crate::gemm`] (and the conv algo choice in `hfta-tensor`) asks
-//! [`lookup`] for a cached winner keyed by `(op, shape, threads)`, times the
-//! candidates itself on a miss, and [`record`]s the result.
+//! module is that selection layer where implementations genuinely trade
+//! places per shape — today only `hfta-tensor`'s `conv2d` algorithm choice
+//! (`im2col` vs `prepacked`): the caller asks [`lookup`] for a cached winner
+//! keyed by `(op, shape, threads)`, times the candidates itself on a miss,
+//! and [`record`]s the result. GEMM dispatch has one production kernel and
+//! never consults the db.
 //!
 //! # File format and versioning
 //!
@@ -15,12 +17,13 @@
 //! wall micros from the tuning run, kept for `bench_kernels` reporting).
 //! [`TUNE_DB_VERSION`] gates loads exactly like the probe db: a version
 //! mismatch silently discards the file, so a method or layout change
-//! re-tunes instead of dispatching on stale winners.
+//! re-tunes instead of dispatching on stale winners. A winner name the
+//! caller does not recognize means its default — never a panic.
 //!
 //! Tuning is off until a db path is configured — via [`set_db_path`] or the
 //! `HFTA_TUNE_DB` env var (read once) — because benchmarking candidates on
-//! first encounter costs a few extra kernel runs; with no path set the
-//! dispatcher falls back to its static heuristic and this module is inert.
+//! first encounter costs a few extra kernel runs; with no path set callers
+//! take their default and this module is inert.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -30,15 +33,15 @@ use std::sync::{Mutex, OnceLock};
 use serde::{Deserialize, Serialize};
 
 /// Bump when the key format, candidate set semantics, or file layout
-/// changes; stale files are silently discarded and re-tuned.
-pub const TUNE_DB_VERSION: u64 = 1;
+/// changes; stale files are silently discarded and re-tuned. Version 2:
+/// the `gemm*` keys and their `blocked` / `simd` winners no longer exist.
+pub const TUNE_DB_VERSION: u64 = 2;
 
-/// One tuned decision: the winning backend name and the per-candidate wall
+/// One tuned decision: the winning candidate name and the per-candidate wall
 /// micros measured when the decision was made.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TuneEntry {
-    /// Winning candidate name (`"naive"`, `"blocked"`, `"simd"`,
-    /// `"im2col"`, `"prepacked"`, ...).
+    /// Winning candidate name (`"im2col"`, `"prepacked"`, ...).
     pub winner: String,
     /// Wall-clock micros per candidate from the tuning run.
     pub micros: BTreeMap<String, f64>,
@@ -148,13 +151,13 @@ pub fn set_db_path(path: Option<PathBuf>) {
     st.path = path;
 }
 
-/// Whether a find-db is configured — i.e. whether `Auto` dispatches tune.
+/// Whether a find-db is configured — i.e. whether tunable ops tune.
 pub fn enabled() -> bool {
     state().lock().unwrap().path.is_some()
 }
 
 /// The find-db key for one problem: `"op/MxKxN@TT"`. Thread count is part
-/// of the key because the best backend shifts with parallelism.
+/// of the key because the best candidate shifts with parallelism.
 pub fn key(op: &str, m: usize, k: usize, n: usize, threads: usize) -> String {
     format!("{op}/{m}x{k}x{n}@{threads}T")
 }
@@ -207,12 +210,15 @@ mod tests {
         let path = dir.join("find_db.json");
         let mut db = FindDb::new();
         db.entries.insert(
-            key("gemm", 64, 64, 1024, 4),
+            key("conv2d", 64, 64, 1024, 4),
             TuneEntry {
-                winner: "simd".to_string(),
-                micros: [("blocked".to_string(), 41.5), ("simd".to_string(), 12.25)]
-                    .into_iter()
-                    .collect(),
+                winner: "prepacked".to_string(),
+                micros: [
+                    ("im2col".to_string(), 41.5),
+                    ("prepacked".to_string(), 12.25),
+                ]
+                .into_iter()
+                .collect(),
             },
         );
         db.save(&path).unwrap();

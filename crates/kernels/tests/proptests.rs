@@ -1,16 +1,26 @@
-//! Property tests of the kernel determinism contract: the blocked,
-//! parallel GEMM kernels must be **bit-identical** to the retained naive
-//! references — across shapes, initial output contents (the kernels
-//! accumulate), backends and thread counts (1, 2 and the max the pool
-//! allows in tests, 4).
+//! Property tests of the one GEMM contract: every output element is
+//! `acc = fma(a[i,p], b[p,j], acc)` for `p` ascending, one rounding per
+//! step. For all four entry points (`gemm`, `gemm_nt`, `gemm_tn`,
+//! `gemm_prepacked`) — across shapes straddling the small-shape threshold
+//! and the 8×8 tile, random initial output contents (the kernels
+//! accumulate) and thread counts 1, 2 and 4 — the tests assert **bit
+//! identity**, never closeness:
 //!
-//! `set_num_threads` / `set_backend` are process globals, so every test in
-//! this binary serializes on [`GLOBAL_LOCK`] and restores the previous
-//! configuration before releasing it.
+//! * default dispatch == the oracle ([`reference`]);
+//! * the AVX2/FMA path == the portable `mul_add` path (forced with
+//!   [`set_simd_enabled`]`(false)`), which is what carries results across
+//!   machines;
+//! * on inputs where a fused multiply-add and a separate multiply + add
+//!   provably differ, every path produces the *fused* answer, checked
+//!   against hand-derived bits rather than against another kernel.
+//!
+//! `set_num_threads` / `set_backend` / `set_simd_enabled` are process
+//! globals, so every test in this binary serializes on [`GLOBAL_LOCK`] and
+//! restores the previous configuration before releasing it.
 
 use hfta_kernels::{
-    gemm, gemm_nt, gemm_tn, reference, set_backend, set_num_threads, set_simd_enabled,
-    simd_available, GemmBackend,
+    gemm, gemm_nt, gemm_prepacked, gemm_tn, pack_a_into, packed_a_len, reference, set_backend,
+    set_num_threads, set_simd_enabled, simd_available, GemmBackend,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -33,7 +43,23 @@ fn fill(n: usize, seed: u64, salt: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Restores thread count and backend when a test body exits (even early).
+fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; rows * cols];
+    for r in 0..rows {
+        for c in 0..cols {
+            out[c * rows + r] = src[r * cols + c];
+        }
+    }
+    out
+}
+
+/// Bit patterns, so `-0.0 != 0.0` and NaNs compare by payload.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Restores thread count, backend and platform selection when a test body
+/// exits (even early).
 struct RestoreGlobals {
     threads: usize,
     backend: GemmBackend,
@@ -56,170 +82,217 @@ impl Drop for RestoreGlobals {
     }
 }
 
-type GemmFn = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
+/// The four public entry points, each fed from the same logical operands
+/// `a[m,k]`, `b[k,n]`.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Gemm,
+    GemmNt,
+    GemmTn,
+    Prepacked,
+}
 
-fn check_variant(
-    kernel: GemmFn,
-    reference: GemmFn,
+const ENTRIES: [Entry; 4] = [Entry::Gemm, Entry::GemmNt, Entry::GemmTn, Entry::Prepacked];
+
+/// One problem in the storage layout its entry point expects.
+struct Problem {
+    entry: Entry,
+    a: Vec<f32>,
+    b: Vec<f32>,
+    init: Vec<f32>,
     m: usize,
     k: usize,
     n: usize,
-    seed: u64,
-) -> Result<(), String> {
-    let _g = GLOBAL_LOCK.lock().unwrap();
-    let _restore = RestoreGlobals::capture();
-    let a = fill(m * k, seed, 1);
-    let b = fill(k * n, seed, 2);
-    let out_init = fill(m * n, seed, 3);
+}
 
-    let mut expect = out_init.clone();
-    reference(&mut expect, &a, &b, m, k, n);
-
-    // The naive backend must match the reference exactly (same code path).
-    set_backend(GemmBackend::Naive);
-    let mut naive = out_init.clone();
-    kernel(&mut naive, &a, &b, m, k, n);
-    prop_assert!(naive == expect, "naive backend diverged at {m}x{k}x{n}");
-
-    // The blocked backend must be bit-identical at every thread count.
-    set_backend(GemmBackend::Blocked);
-    for threads in [1usize, 2, 4] {
-        set_num_threads(threads);
-        let mut got = out_init.clone();
-        kernel(&mut got, &a, &b, m, k, n);
-        prop_assert!(
-            got == expect,
-            "blocked backend diverged at {m}x{k}x{n} with {threads} threads"
-        );
+impl Problem {
+    fn new(entry: Entry, a: &[f32], b: &[f32], init: &[f32], m: usize, k: usize, n: usize) -> Self {
+        let (a, b) = match entry {
+            Entry::Gemm => (a.to_vec(), b.to_vec()),
+            Entry::GemmNt => (a.to_vec(), transpose(b, k, n)),
+            Entry::GemmTn => (transpose(a, m, k), b.to_vec()),
+            Entry::Prepacked => {
+                let mut apack = vec![0.0f32; packed_a_len(m, k)];
+                pack_a_into(a, m, k, &mut apack);
+                (apack, b.to_vec())
+            }
+        };
+        Problem {
+            entry,
+            a,
+            b,
+            init: init.to_vec(),
+            m,
+            k,
+            n,
+        }
     }
-    Ok(())
+
+    /// Runs the entry point under the current global configuration.
+    fn run(&self) -> Vec<u32> {
+        let (m, k, n) = (self.m, self.k, self.n);
+        let mut out = self.init.clone();
+        match self.entry {
+            Entry::Gemm => gemm(&mut out, &self.a, &self.b, m, k, n),
+            Entry::GemmNt => gemm_nt(&mut out, &self.a, &self.b, m, k, n),
+            Entry::GemmTn => gemm_tn(&mut out, &self.a, &self.b, m, k, n),
+            Entry::Prepacked => gemm_prepacked(&mut out, &self.a, &self.b, m, k, n),
+        }
+        bits(&out)
+    }
+
+    /// The oracle's answer. `gemm_prepacked` has no reference loop of its
+    /// own; its oracle is `gemm_ref` on the unpacked operands, which the
+    /// caller passes as `logical_a`.
+    fn oracle(&self, logical_a: &[f32]) -> Vec<u32> {
+        let (m, k, n) = (self.m, self.k, self.n);
+        let mut out = self.init.clone();
+        match self.entry {
+            Entry::Gemm => reference::gemm_ref(&mut out, &self.a, &self.b, m, k, n),
+            Entry::GemmNt => reference::gemm_nt_ref(&mut out, &self.a, &self.b, m, k, n),
+            Entry::GemmTn => reference::gemm_tn_ref(&mut out, &self.a, &self.b, m, k, n),
+            Entry::Prepacked => reference::gemm_ref(&mut out, logical_a, &self.b, m, k, n),
+        }
+        bits(&out)
+    }
 }
 
-/// The SIMD backend's contract is relative tolerance, not bit-identity:
-/// FMA contracts multiply+add into one rounding per contraction step, so
-/// each output element may drift by a few ULP per step from the scalar
-/// accumulation.
-fn simd_tolerance(expect: f32, k: usize) -> f32 {
-    1e-5 * (k.max(1) as f32).sqrt() * expect.abs().max(1.0)
-}
-
-fn check_simd_variant(
-    kernel: GemmFn,
-    reference: GemmFn,
-    m: usize,
-    k: usize,
-    n: usize,
-    seed: u64,
+/// Asserts, for every entry point at 1/2/4 threads, that default dispatch,
+/// the forced-portable path and the `Naive` backend all reproduce `expect`
+/// (or, when `None`, each entry's oracle) bit for bit.
+fn check_all_paths(
+    a: &[f32],
+    b: &[f32],
+    init: &[f32],
+    (m, k, n): (usize, usize, usize),
+    expect: Option<&[u32]>,
 ) -> Result<(), String> {
     let _g = GLOBAL_LOCK.lock().unwrap();
     let _restore = RestoreGlobals::capture();
+    set_simd_enabled(true);
     if !simd_available() {
-        // Nothing to measure on this CPU; the fallback path is covered by
-        // `forced_simd_without_cpu_support_is_bitwise_blocked`.
-        return Ok(());
+        eprintln!("note: no AVX2+FMA here; vector == portable is vacuous on this CPU");
     }
-    let a = fill(m * k, seed, 1);
-    let b = fill(k * n, seed, 2);
-    let out_init = fill(m * n, seed, 3);
+    for entry in ENTRIES {
+        let problem = Problem::new(entry, a, b, init, m, k, n);
+        let oracle = problem.oracle(a);
+        let expect = expect.unwrap_or(&oracle);
+        prop_assert!(
+            oracle == expect,
+            "{entry:?}: oracle diverged from the expected bits at {m}x{k}x{n}"
+        );
 
-    let mut expect = out_init.clone();
-    reference(&mut expect, &a, &b, m, k, n);
+        set_backend(GemmBackend::Naive);
+        prop_assert!(
+            problem.run() == expect,
+            "{entry:?}: naive backend diverged at {m}x{k}x{n}"
+        );
 
-    set_backend(GemmBackend::Simd);
-    let mut first: Option<Vec<f32>> = None;
-    for threads in [1usize, 2, 4] {
-        set_num_threads(threads);
-        let mut got = out_init.clone();
-        kernel(&mut got, &a, &b, m, k, n);
-        for (i, (&g, &e)) in got.iter().zip(&expect).enumerate() {
-            let tol = simd_tolerance(e, k);
+        set_backend(GemmBackend::Auto);
+        for threads in [1usize, 2, 4] {
+            set_num_threads(threads);
+            set_simd_enabled(true);
+            let default = problem.run();
             prop_assert!(
-                (g - e).abs() <= tol,
-                "simd diverged past tolerance at {m}x{k}x{n}[{i}] ({threads}T): {g} vs {e}"
+                default == expect,
+                "{entry:?}: default dispatch != oracle at {m}x{k}x{n} with {threads} threads"
+            );
+            set_simd_enabled(false);
+            prop_assert!(
+                problem.run() == default,
+                "{entry:?}: vector path != portable path at {m}x{k}x{n} with {threads} threads"
             );
         }
-        // Across thread counts the SIMD backend must still be bit-stable
-        // with itself: the tile decomposition is a pure function of shape.
-        match &first {
-            None => first = Some(got),
-            Some(f) => prop_assert!(
-                &got == f,
-                "simd backend not thread-count deterministic at {m}x{k}x{n} ({threads}T)"
-            ),
-        }
     }
     Ok(())
+}
+
+fn check_random(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
+    let a = fill(m * k, seed, 1);
+    let b = fill(k * n, seed, 2);
+    let init = fill(m * n, seed, 3);
+    check_all_paths(&a, &b, &init, (m, k, n), None)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
+    // 2·m·k·n runs from 0 (k = 0) to ~47k FLOPs, straddling the 4 kFLOP
+    // small-shape threshold; m, k, n are mostly not multiples of the 8×8
+    // tile, and n ≥ 16 puts two column panels in one chunk (the paired
+    // 8×16 kernel) with an odd third panel behind them.
     #[test]
-    fn gemm_bit_identical(m in 1usize..28, k in 0usize..28, n in 1usize..28, seed in 0u64..1_000_000) {
-        check_variant(gemm, reference::gemm_ref, m, k, n, seed)?;
+    fn all_paths_bit_identical(m in 1usize..28, k in 0usize..28, n in 1usize..32, seed in 0u64..1_000_000) {
+        check_random(m, k, n, seed)?;
     }
 
+    // Enough row panels and column groups that the 2-D tile partition and
+    // the pool both engage.
     #[test]
-    fn gemm_nt_bit_identical(m in 1usize..28, k in 0usize..28, n in 1usize..28, seed in 0u64..1_000_000) {
-        check_variant(gemm_nt, reference::gemm_nt_ref, m, k, n, seed)?;
-    }
-
-    #[test]
-    fn gemm_tn_bit_identical(m in 1usize..28, k in 0usize..28, n in 1usize..28, seed in 0u64..1_000_000) {
-        check_variant(gemm_tn, reference::gemm_tn_ref, m, k, n, seed)?;
-    }
-
-    #[test]
-    fn gemm_bit_identical_large_rows(m in 24usize..80, seed in 0u64..1_000_000) {
-        // Enough row panels that the pool actually splits the work.
-        check_variant(gemm, reference::gemm_ref, m, 17, 19, seed)?;
-    }
-
-    // The SIMD backend: relative tolerance vs. the references, thread-count
-    // deterministic with itself. Shape ranges straddle multiples of the 8×8
-    // tile so remainder rows/columns (m, n, k not divisible by 8) are hit.
-    #[test]
-    fn gemm_simd_within_tolerance(m in 1usize..28, k in 0usize..28, n in 1usize..28, seed in 0u64..1_000_000) {
-        check_simd_variant(gemm, reference::gemm_ref, m, k, n, seed)?;
-    }
-
-    #[test]
-    fn gemm_nt_simd_within_tolerance(m in 1usize..28, k in 0usize..28, n in 1usize..28, seed in 0u64..1_000_000) {
-        check_simd_variant(gemm_nt, reference::gemm_nt_ref, m, k, n, seed)?;
-    }
-
-    #[test]
-    fn gemm_tn_simd_within_tolerance(m in 1usize..28, k in 0usize..28, n in 1usize..28, seed in 0u64..1_000_000) {
-        check_simd_variant(gemm_tn, reference::gemm_tn_ref, m, k, n, seed)?;
-    }
-
-    #[test]
-    fn gemm_simd_within_tolerance_large(m in 24usize..80, n in 24usize..80, seed in 0u64..1_000_000) {
-        // Multiple row panels and column groups: the 2-D tile partition and
-        // the pool both engage.
-        check_simd_variant(gemm, reference::gemm_ref, m, 33, n, seed)?;
+    fn all_paths_bit_identical_large(m in 24usize..80, n in 24usize..80, seed in 0u64..1_000_000) {
+        check_random(m, 33, n, seed)?;
     }
 }
 
+/// Inputs on which `fma(a, b, c)` and `(a * b) + c` round differently, with
+/// the fused answer derived by hand. Only the *last* contraction step is
+/// active (earlier columns of `A` are zero, so `fma(0, b, c) == c` carries
+/// the initial value through unchanged); every path — oracle, small loops,
+/// tiled, paired, pre-packed, vector and portable — must produce the fused
+/// bits, so reintroducing a separate multiply and add anywhere fails here.
 #[test]
-fn forced_simd_without_cpu_support_is_bitwise_blocked() {
-    let _g = GLOBAL_LOCK.lock().unwrap();
-    let _restore = RestoreGlobals::capture();
-    let (m, k, n) = (37, 29, 41);
-    let a = fill(m * k, 77, 1);
-    let b = fill(k * n, 77, 2);
-    let out_init = fill(m * n, 77, 3);
-
-    set_backend(GemmBackend::Blocked);
-    let mut blocked = out_init.clone();
-    gemm(&mut blocked, &a, &b, m, k, n);
-
-    // Force-disable the SIMD kernel: a still-forced Simd backend must fall
-    // back to the scalar blocked path — bitwise, not just close.
-    set_simd_enabled(false);
-    assert!(!simd_available());
-    set_backend(GemmBackend::Simd);
-    let mut fallback = out_init.clone();
-    gemm(&mut fallback, &a, &b, m, k, n);
-    assert_eq!(fallback, blocked, "scalar fallback must be bit-identical");
+fn every_path_rounds_once_per_step() {
+    let two = |e: i32| 2.0f32.powi(e);
+    // (name, a, b, c, fused, split)
+    let cases = [
+        // (1+2^-12)^2 = 1 + 2^-11 + 2^-24; the product alone ties to even
+        // and loses the 2^-24, the fused sum keeps exactly it.
+        (
+            "catastrophic cancellation",
+            1.0 + two(-12),
+            1.0 + two(-12),
+            -(1.0 + two(-11)),
+            two(-24),
+            0.0,
+        ),
+        // 2^-150 is half the smallest subnormal: alone it ties to 0, fused
+        // with 2^-149 the exact 1.5 ulp ties to the even 2 ulp.
+        (
+            "subnormal product",
+            two(-75),
+            two(-75),
+            two(-149),
+            two(-148),
+            two(-149),
+        ),
+        // -2^-200 alone underflows to -0 and -0 + +0 = +0; fused, the exact
+        // tiny negative sum rounds to -0.
+        ("signed zero", -two(-100), two(-100), 0.0, -0.0, 0.0),
+    ];
+    for (name, av, bv, cv, fused, split) in cases {
+        assert_eq!(
+            av.mul_add(bv, cv).to_bits(),
+            fused.to_bits(),
+            "{name}: hand-derived fused result is wrong"
+        );
+        assert_eq!(
+            (av * bv + cv).to_bits(),
+            split.to_bits(),
+            "{name}: hand-derived split result is wrong"
+        );
+        assert_ne!(fused.to_bits(), split.to_bits(), "{name}: case is blind");
+        // Small loops; full tiles, one panel pair; pairs plus an odd panel
+        // with remainder rows and columns.
+        for (m, k, n) in [(3usize, 5usize, 4usize), (16, 16, 16), (9, 7, 35)] {
+            let mut a = vec![0.0f32; m * k];
+            for row in a.chunks_exact_mut(k) {
+                row[k - 1] = av;
+            }
+            let b = vec![bv; k * n];
+            let init = vec![cv; m * n];
+            let expect = vec![fused.to_bits(); m * n];
+            check_all_paths(&a, &b, &init, (m, k, n), Some(&expect))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+    }
 }

@@ -1,16 +1,16 @@
-//! Integration tests of the autotuned `Auto` dispatch path: first
-//! encounter of an (op, shape, threads) key benchmarks the candidates and
-//! records a winner; the second dispatch is a cache hit that skips
-//! re-benchmarking entirely. Runs as its own test binary because the
-//! find-db path, backend, and stats counters are process globals.
+//! Integration tests of the find-db's unhappy paths and of its separation
+//! from GEMM dispatch: a configured db — whatever it holds — never changes
+//! what `gemm*` run, and stale-version or garbage files mean "start empty",
+//! never a panic. Runs as its own test binary because the find-db path and
+//! stats counters are process globals.
 
-use hfta_kernels::tune::{self, FindDb};
-use hfta_kernels::{gemm, reference, set_backend, set_num_threads, GemmBackend};
+use hfta_kernels::tune::{self, FindDb, TuneEntry, TUNE_DB_VERSION};
+use hfta_kernels::{gemm, reference};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-/// The find-db path, backend, and stats counters are process globals;
-/// serialize the tests that touch them.
+/// The find-db path and stats counters are process globals; serialize the
+/// tests that touch them.
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
 fn fill(n: usize, seed: u64) -> Vec<f32> {
@@ -29,87 +29,94 @@ fn temp_db(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hfta-tune-it-{}-{name}.json", std::process::id()))
 }
 
-#[test]
-fn auto_dispatch_tunes_once_then_hits_the_cache() {
-    let _g = GLOBAL_LOCK.lock().unwrap();
-    let db_path = temp_db("cache");
-    let _ = std::fs::remove_file(&db_path);
-    tune::set_db_path(Some(db_path.clone()));
-    tune::reset_stats();
-    set_backend(GemmBackend::Auto);
-    set_num_threads(1);
+fn entry(winner: &str) -> TuneEntry {
+    TuneEntry {
+        winner: winner.to_string(),
+        micros: Default::default(),
+    }
+}
 
-    // Large enough to clear the small-GEMM reference shortcut.
+#[test]
+fn gemm_dispatch_never_consults_the_find_db() {
+    let _g = GLOBAL_LOCK.lock().unwrap();
+    // Large enough to clear the small-shape shortcut.
     let (m, k, n) = (32, 32, 48);
     let a = fill(m * k, 5);
     let b = fill(k * n, 6);
     let init = fill(m * n, 7);
-
     let mut expect = init.clone();
     reference::gemm_ref(&mut expect, &a, &b, m, k, n);
 
-    // First encounter: candidates are benchmarked, a winner is recorded.
-    let mut first = init.clone();
-    gemm(&mut first, &a, &b, m, k, n);
-    let after_first = tune::stats();
-    assert_eq!(after_first.benchmarked, 1, "first dispatch must tune");
-    assert_eq!(after_first.hits, 0);
-    // Without SIMD opt-in every candidate is bit-exact, so the tuned result
-    // matches the reference bitwise no matter which candidate won.
-    assert_eq!(first, expect);
+    // A current-version db whose entry for this very GEMM names a retired
+    // backend, and one naming nonsense: both must be ignored.
+    for winner in ["blocked", "simd", "mystery"] {
+        let db_path = temp_db(winner);
+        let mut db = FindDb::new();
+        let threads = hfta_kernels::num_threads();
+        db.entries
+            .insert(tune::key("gemm", m, k, n, threads), entry(winner));
+        db.save(&db_path).unwrap();
+        tune::set_db_path(Some(db_path.clone()));
+        tune::reset_stats();
 
-    // Second dispatch of the same (op, shape, threads): pure cache hit.
-    let mut second = init.clone();
-    gemm(&mut second, &a, &b, m, k, n);
-    let after_second = tune::stats();
-    assert_eq!(
-        after_second.benchmarked, 1,
-        "cache hit must skip re-benchmarking"
-    );
-    assert_eq!(after_second.hits, 1);
-    assert_eq!(second, expect);
+        let mut got = init.clone();
+        gemm(&mut got, &a, &b, m, k, n);
+        assert_eq!(got, expect, "a `{winner}` winner changed the GEMM result");
+        let stats = tune::stats();
+        assert_eq!(stats.hits, 0, "GEMM dispatch looked `{winner}` up");
+        assert_eq!(stats.benchmarked, 0, "GEMM dispatch tuned");
+        assert_eq!(
+            FindDb::load(&db_path).expect("db still loads"),
+            db,
+            "GEMM dispatch wrote to the find-db"
+        );
 
-    // The decision was persisted write-through with the candidates' timings.
-    let on_disk = FindDb::load(&db_path).expect("find-db must be written");
-    let key = tune::key("gemm", m, k, n, 1);
-    let entry = on_disk.entries.get(&key).expect("tuned key must persist");
-    assert!(entry.micros.contains_key("blocked"));
-    assert!(entry.micros.contains_key(entry.winner.as_str()));
+        tune::set_db_path(None);
+        let _ = std::fs::remove_file(&db_path);
+    }
+}
 
-    // A fresh process (simulated by reloading the db) dispatches on the
-    // cached winner without tuning.
+#[test]
+fn stale_version_db_starts_empty_and_retunes() {
+    let _g = GLOBAL_LOCK.lock().unwrap();
+    let db_path = temp_db("stale");
+    // What a pre-bump process left behind: the previous version, winners
+    // that no longer exist.
+    let mut stale = FindDb::new();
+    stale.version = TUNE_DB_VERSION - 1;
+    let key = tune::key("conv2d", 3, 18, 100, 1);
+    stale.entries.insert(key.clone(), entry("blocked"));
+    stale.save(&db_path).unwrap();
+
     tune::set_db_path(Some(db_path.clone()));
     tune::reset_stats();
-    let mut third = init.clone();
-    gemm(&mut third, &a, &b, m, k, n);
-    let after_reload = tune::stats();
-    assert_eq!(
-        after_reload.benchmarked, 0,
-        "persisted winner must be reused"
+    assert!(tune::enabled());
+    assert!(
+        tune::snapshot().entries.is_empty(),
+        "stale entries survived"
     );
-    assert_eq!(after_reload.hits, 1);
-    assert_eq!(third, expect);
+    assert_eq!(tune::lookup(&key), None);
+
+    // The next decision overwrites the stale file at the current version.
+    tune::record(&key, "im2col", &[("im2col", 1.0), ("prepacked", 2.0)]);
+    let on_disk = FindDb::load(&db_path).expect("re-tuned db must load");
+    assert_eq!(on_disk.version, TUNE_DB_VERSION);
+    assert_eq!(on_disk.entries[&key].winner, "im2col");
 
     tune::set_db_path(None);
     let _ = std::fs::remove_file(&db_path);
 }
 
 #[test]
-fn disabled_tuner_never_benchmarks() {
+fn garbage_db_starts_empty() {
     let _g = GLOBAL_LOCK.lock().unwrap();
+    let db_path = temp_db("garbage");
+    for garbage in ["", "not json {", "{\"version\": \"two\", \"entries\": []}"] {
+        std::fs::write(&db_path, garbage).unwrap();
+        tune::set_db_path(Some(db_path.clone()));
+        assert!(tune::snapshot().entries.is_empty());
+        assert_eq!(tune::lookup("conv2d/1x1x1@1T"), None);
+    }
     tune::set_db_path(None);
-    tune::reset_stats();
-    set_backend(GemmBackend::Auto);
-    let (m, k, n) = (40, 16, 40);
-    let a = fill(m * k, 11);
-    let b = fill(k * n, 12);
-    let init = fill(m * n, 13);
-    let mut expect = init.clone();
-    reference::gemm_ref(&mut expect, &a, &b, m, k, n);
-    let mut got = init.clone();
-    gemm(&mut got, &a, &b, m, k, n);
-    assert_eq!(got, expect, "untuned Auto must stay bit-exact");
-    let stats = tune::stats();
-    assert_eq!(stats.benchmarked, 0, "no db path, no tuning benchmarks");
-    assert_eq!(stats.hits, 0);
+    let _ = std::fs::remove_file(&db_path);
 }

@@ -14,10 +14,12 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-/// Bump when the record layout changes; [`PerfHistory::load`] rejects
-/// records from other schemas so the drift gate never compares apples to
-/// re-laid-out oranges.
-pub const HISTORY_SCHEMA: u64 = 1;
+/// Bump when the record layout changes or a field changes meaning;
+/// [`PerfHistory::load`] rejects records from other schemas so the drift
+/// gate never compares apples to re-laid-out oranges. Schema 2:
+/// `pct_of_peak` is relative to the default (vector where available)
+/// kernel's peak (`PROBE_DB_VERSION` 2), no longer the SSE2 scalar tile's.
+pub const HISTORY_SCHEMA: u64 = 2;
 
 /// How many trailing prior records the drift baseline medians over.
 pub const DRIFT_WINDOW: usize = 8;
@@ -46,7 +48,7 @@ pub struct HistoryRecord {
     pub git_rev: String,
     /// Worker-pool thread count of the run.
     pub threads: u64,
-    /// Kernel backend (`blocked`, `naive`, ...).
+    /// Kernel backend (`auto`, `naive`, `sim`, ...).
     pub backend: String,
     /// Per-op roofline summaries.
     pub ops: Vec<OpUtil>,

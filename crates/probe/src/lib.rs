@@ -5,7 +5,7 @@
 //! quantity the paper's whole thesis is measured in (Figs 8/11/12).
 //!
 //! * [`roofline`] — one-shot machine calibration ([`calibrate`]): attainable
-//!   peak f32 GFLOP/s (the blocked GEMM's 8×8 micro-kernel) and stream GB/s
+//!   peak f32 GFLOP/s (the default GEMM's 8×8 micro-kernel) and stream GB/s
 //!   per thread count, cached MIOpen-find-db style in a versioned probe
 //!   database ([`MachinePeaks`], `--probe-db <path>`).
 //! * [`classify`] — places every recorded `OpSample {flops, bytes, ns}`

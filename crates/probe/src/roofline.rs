@@ -2,7 +2,8 @@
 //!
 //! The roofline model needs two machine constants per thread count: the
 //! attainable peak f32 GFLOP/s (measured by looping the same cache-blocked
-//! 8×8 GEMM micro-kernel the tensor stack dispatches) and the attainable
+//! 8×8 GEMM micro-kernel the tensor stack dispatches by default — the
+//! AVX2/FMA tile where the CPU has it) and the attainable
 //! stream bandwidth in GB/s (a triad sweep over a buffer larger than the
 //! last-level cache). Calibration is a one-shot microbench; the result is
 //! cached MIOpen-find-db style in a versioned JSON file next to the run
@@ -13,8 +14,10 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 /// Bump when the calibration method or file layout changes; stale files
-/// are silently re-calibrated.
-pub const PROBE_DB_VERSION: u64 = 1;
+/// are silently re-calibrated. Version 2: the compute peak is the default
+/// (vector where available) kernel's, no longer the SSE2 scalar tile's —
+/// version-1 peaks would put today's kernels above 100% of peak.
+pub const PROBE_DB_VERSION: u64 = 2;
 
 /// Attainable peaks measured at one worker-pool thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -122,12 +125,10 @@ const REPS: usize = 3;
 /// stream GB/s at each of `thread_counts`, restoring the worker-pool
 /// thread count afterwards. Entries come back sorted ascending by threads.
 ///
-/// The GEMM loop is pinned to the `Blocked` backend for the measurement:
-/// the compute peak is defined against the default bit-exact kernel, so a
-/// process that opted into the SIMD backend (or enabled the autotuner)
-/// calibrates the same reference peak as everyone else — cached probe dbs
-/// and the perf history stay comparable across backend configurations.
-/// (Opt-in SIMD rows can therefore exceed 100% of this peak in reports.)
+/// The GEMM loop is pinned to the default `Auto` backend for the
+/// measurement: the compute peak is defined against the production kernel,
+/// so a process running on the `Naive` oracle calibrates the same peak as
+/// everyone else and cached probe dbs stay comparable.
 ///
 /// # Panics
 ///
@@ -136,7 +137,7 @@ pub fn calibrate(thread_counts: &[usize]) -> MachinePeaks {
     assert!(!thread_counts.is_empty(), "calibrate needs a thread count");
     let prior = hfta_kernels::num_threads();
     let prior_backend = hfta_kernels::backend();
-    hfta_kernels::set_backend(hfta_kernels::GemmBackend::Blocked);
+    hfta_kernels::set_backend(hfta_kernels::GemmBackend::Auto);
     let mut counts: Vec<usize> = thread_counts.to_vec();
     counts.sort_unstable();
     counts.dedup();
@@ -160,8 +161,8 @@ pub fn calibrate(thread_counts: &[usize]) -> MachinePeaks {
     }
 }
 
-/// Best-of-[`REPS`] GFLOP/s of the blocked GEMM (8×8 micro-kernel) on a
-/// cache-resident square problem.
+/// Best-of-[`REPS`] GFLOP/s of the default tiled GEMM (8×8 micro-kernel)
+/// on a cache-resident square problem.
 fn peak_gemm_gflops() -> f64 {
     let n = GEMM_N;
     let a = vec![1.0f32; n * n];
@@ -253,11 +254,13 @@ mod tests {
         let peaks = MachinePeaks::synthetic(42.0, 17.0);
         peaks.save(&path).unwrap();
         assert_eq!(MachinePeaks::load(&path).unwrap(), peaks);
-        // A stale version invalidates the cache.
-        let mut stale = peaks.clone();
-        stale.version = PROBE_DB_VERSION + 1;
-        stale.save(&path).unwrap();
-        assert!(MachinePeaks::load(&path).is_none());
+        // A stale version — older or newer — invalidates the cache.
+        for version in [PROBE_DB_VERSION - 1, PROBE_DB_VERSION + 1] {
+            let mut stale = peaks.clone();
+            stale.version = version;
+            stale.save(&path).unwrap();
+            assert!(MachinePeaks::load(&path).is_none());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

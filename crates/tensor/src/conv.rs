@@ -196,8 +196,9 @@ enum ConvAlgo {
     /// The per-group weight matrices are packed into micro-kernel panel
     /// layout once up front ([`kernels::pack_a_into`]) and every block runs
     /// [`kernels::gemm_prepacked`], trading one pass of pack work per group
-    /// for `n` repacks. Bit-identical to `Im2col` under every bit-exact
-    /// backend; pays off when the batch is deep relative to the GEMM.
+    /// for `n` repacks. Bit-identical to `Im2col` (both keep the GEMM
+    /// contract's per-element FMA chain); pays off when the batch is deep
+    /// relative to the GEMM.
     Prepacked,
 }
 
@@ -924,10 +925,10 @@ mod tests {
     }
 
     #[test]
-    fn prepacked_conv_algo_is_bit_identical_to_im2col() {
-        // Seed a find-db whose entry forces the prepacked algorithm for this
-        // exact per-block GEMM shape, so the test is deterministic instead
-        // of depending on which candidate happens to win a timing race.
+    fn find_db_winner_picks_the_algo_and_unknown_names_fall_back() {
+        // Seed a find-db whose entry names the winner for this exact
+        // per-block GEMM shape, so the test is deterministic instead of
+        // depending on which candidate happens to win a timing race.
         let x = randn(&[3, 4, 10, 10], 101);
         let w = randn(&[6, 2, 3, 3], 102);
         let bias = randn(&[6], 103);
@@ -943,24 +944,29 @@ mod tests {
         let key = kernels::tune::key("conv2d", coutg, krows, ho * wo, kernels::num_threads());
         let db_path =
             std::env::temp_dir().join(format!("hfta-conv-prepacked-{}.json", std::process::id()));
-        let mut db = kernels::tune::FindDb::new();
-        db.entries.insert(
-            key,
-            kernels::tune::TuneEntry {
-                winner: "prepacked".to_string(),
-                micros: std::collections::BTreeMap::new(),
-            },
-        );
-        db.save(&db_path).unwrap();
-        kernels::tune::set_db_path(Some(db_path.clone()));
-        let prepacked = conv2d(&x, &w, Some(&bias), cfg);
-        kernels::tune::set_db_path(None);
+        // `prepacked` must be bit-identical to im2col; a winner this build
+        // does not know (a retired or future name) must mean the default
+        // algorithm, not a panic.
+        for winner in ["prepacked", "blocked", ""] {
+            let mut db = kernels::tune::FindDb::new();
+            db.entries.insert(
+                key.clone(),
+                kernels::tune::TuneEntry {
+                    winner: winner.to_string(),
+                    micros: std::collections::BTreeMap::new(),
+                },
+            );
+            db.save(&db_path).unwrap();
+            kernels::tune::set_db_path(Some(db_path.clone()));
+            let tuned = conv2d(&x, &w, Some(&bias), cfg);
+            kernels::tune::set_db_path(None);
+            assert_eq!(
+                tuned.to_vec(),
+                baseline.to_vec(),
+                "conv under find-db winner `{winner}` must be bit-identical to im2col"
+            );
+        }
         let _ = std::fs::remove_file(&db_path);
-        assert_eq!(
-            prepacked.to_vec(),
-            baseline.to_vec(),
-            "prepacked conv algo must be bit-identical to im2col"
-        );
     }
 
     #[test]

@@ -136,7 +136,8 @@ proptest! {
 // --- Kernel determinism contract at the conv level -------------------------
 //
 // The forward and both backward convolutions must be **bit-identical** at
-// every thread count and on both GEMM backends: HFTA's Figure 3 claim
+// every thread count and on both GEMM backends (production dispatch and
+// the oracle): HFTA's Figure 3 claim
 // (fused training is bit-exact with serial training) only survives if the
 // compute layer underneath is deterministic. `set_num_threads` /
 // `set_backend` are process globals, so these tests serialize on a mutex
@@ -150,12 +151,22 @@ static KERNEL_GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
 struct RestoreGlobals {
     threads: usize,
+    backend: GemmBackend,
+}
+
+impl RestoreGlobals {
+    fn capture() -> Self {
+        RestoreGlobals {
+            threads: hfta_kernels::num_threads(),
+            backend: hfta_kernels::backend(),
+        }
+    }
 }
 
 impl Drop for RestoreGlobals {
     fn drop(&mut self) {
         set_num_threads(self.threads);
-        set_backend(GemmBackend::Blocked);
+        set_backend(self.backend);
     }
 }
 
@@ -184,7 +195,7 @@ proptest! {
         seed in 0usize..1000,
     ) {
         let _l = KERNEL_GLOBAL_LOCK.lock().unwrap();
-        let _restore = RestoreGlobals { threads: hfta_kernels::num_threads() };
+        let _restore = RestoreGlobals::capture();
         let cfg = ConvCfg::square(stride, pad, g);
         let x = mk_tensor(seed, &[n, g * cing, hw, hw]);
         let w = mk_tensor(seed + 13, &[g * coutg, cing, 3, 3]);
@@ -195,7 +206,7 @@ proptest! {
         let gw = conv2d_grad_weight(&x, &gy, (3, 3), cfg);
         for threads in [1usize, 2, 4] {
             set_num_threads(threads);
-            for backend in [GemmBackend::Blocked, GemmBackend::Naive] {
+            for backend in [GemmBackend::Auto, GemmBackend::Naive] {
                 set_backend(backend);
                 prop_assert_eq!(&conv2d(&x, &w, Some(&bias), cfg), &y);
                 prop_assert_eq!(&conv2d_grad_input(&w, &gy, (hw, hw), g * cing, cfg), &gx);
@@ -213,7 +224,7 @@ proptest! {
         seed in 0usize..1000,
     ) {
         let _l = KERNEL_GLOBAL_LOCK.lock().unwrap();
-        let _restore = RestoreGlobals { threads: hfta_kernels::num_threads() };
+        let _restore = RestoreGlobals::capture();
         let x = mk_tensor(seed, &[b, m, k]);
         let w = mk_tensor(seed + 3, &[b, k, nn]);
         let bias = mk_tensor(seed + 9, &[b, 1, nn]);

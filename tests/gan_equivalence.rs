@@ -139,3 +139,52 @@ fn fused_adversarial_step_matches_serial_d_update() {
         }
     }
 }
+
+/// The GEMM contract end to end: three fused DCGAN-D training steps
+/// (training-mode batch norm, BCE, Adam) with the AVX2/FMA kernels on and
+/// with the portable `mul_add` path forced produce identical per-lane loss
+/// bits and identical parameters — the vector and portable instantiations
+/// are one kernel, so results carry across machines. (Vacuous, with a note,
+/// on a CPU without AVX2+FMA.)
+#[test]
+fn fused_discriminator_training_is_bit_identical_on_vector_and_portable_kernels() {
+    let b = 3;
+    let run = |vector: bool| -> (Vec<u32>, Vec<u32>) {
+        hfta_kernels::set_simd_enabled(vector);
+        let mut rng = Rng::seed_from(41);
+        let fd = FusedDiscriminator::new(b, DcganCfg::mini(), &mut rng);
+        let lrs = PerModel::new(vec![4e-4f32, 2e-4, 1e-4]);
+        let mut opt = FusedAdam::new(fd.fused_parameters(), lrs).unwrap();
+        let mut loss_bits = Vec::new();
+        for _ in 0..3 {
+            let xs: Vec<Tensor> = (0..b)
+                .map(|_| rng.rand([2, 3, 16, 16], -1.0, 1.0))
+                .collect();
+            opt.zero_grad();
+            let tape = Tape::new();
+            let logits = fd.forward(&tape.leaf(stack_conv(&xs).unwrap())); // [N, B]
+            for lane in 0..b {
+                let lane_logits = Tape::new().leaf(logits.value().narrow(1, lane, 1));
+                let lane_loss = lane_logits.bce_with_logits(&Tensor::ones([2, 1]));
+                loss_bits.push(lane_loss.item().to_bits());
+            }
+            fused_bce_with_logits(&logits, &Tensor::ones([2, b]), b, Reduction::Mean).backward();
+            opt.step();
+        }
+        let param_bits = fd
+            .fused_parameters()
+            .iter()
+            .flat_map(|p| (0..b).flat_map(|lane| p.model_slice(lane).to_vec()))
+            .map(f32::to_bits)
+            .collect();
+        (loss_bits, param_bits)
+    };
+    let default = run(true);
+    if !hfta_kernels::simd_available() {
+        eprintln!("note: no AVX2+FMA here; both runs took the portable kernels");
+    }
+    let portable = run(false);
+    hfta_kernels::set_simd_enabled(true);
+    assert_eq!(default.0, portable.0, "per-lane loss bits diverged");
+    assert_eq!(default.1, portable.1, "trained parameters diverged");
+}
