@@ -11,7 +11,7 @@
 //! ```text
 //! bench_kernels [--quick] [--bench-json <path>]   # default BENCH_kernels.json
 //!               [--probe-db <path>] [--history <file>]
-//!               [--gate-scaling <ratio>] [--tune-db <path>]
+//!               [--gate-scaling <ratio>]
 //! ```
 //!
 //! Rows are measured at 1 thread and at `min(4, host_cpus)` threads; no row
@@ -27,8 +27,7 @@
 //!
 //! `--gate-scaling <ratio>` turns the 4T/1T scaling ratio into a CI gate on
 //! large shapes (exit 1 below the ratio; skipped with a note on hosts with
-//! fewer than 4 CPUs). `--tune-db <path>` points the persistent autotuner
-//! at a find-db, so the conv step's im2col-vs-prepacked choice is tuned.
+//! fewer than 4 CPUs).
 
 use hfta_bench::cli::CommonArgs;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
@@ -165,7 +164,7 @@ fn cpu_model() -> String {
 
 const USAGE: &str = "bench_kernels [--quick] [--bench-json <path>] \
                      [--probe-db <path>] [--history <file>] \
-                     [--gate-scaling <ratio>] [--tune-db <path>]";
+                     [--gate-scaling <ratio>]";
 
 fn main() {
     let args = CommonArgs::parse(USAGE);
@@ -181,10 +180,6 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1) as u64;
     let simd = simd_available();
-    if let Some(db) = &args.tune_db {
-        hfta_kernels::tune::set_db_path(Some(db.clone()));
-        println!("autotuner find-db: {}", db.display());
-    }
     if !simd {
         println!("note: AVX2/FMA unavailable on this CPU; `auto` rows run the portable kernels");
     }

@@ -31,9 +31,6 @@ pub struct CommonArgs {
     /// ratio on large shapes; below it the bin exits non-zero. Skipped
     /// (with a note) when the host has fewer than 4 CPUs.
     pub gate_scaling: Option<f64>,
-    /// `--tune-db <path>`: persistent autotuner find-db file
-    /// (see `hfta_kernels::tune`).
-    pub tune_db: Option<PathBuf>,
     /// Arguments this parser did not consume, in order.
     pub rest: Vec<String>,
 }
@@ -88,9 +85,6 @@ impl CommonArgs {
                         Ok(r) if r >= 0.0 => out.gate_scaling = Some(r),
                         _ => return Err(format!("--gate-scaling needs a non-negative ratio: {v}")),
                     }
-                }
-                "--tune-db" => {
-                    out.tune_db = Some(PathBuf::from(take_value(&flag, inline, &mut it)?));
                 }
                 _ => out.rest.push(a),
             }
@@ -184,8 +178,6 @@ mod tests {
             "--max-drift",
             "12.5",
             "--gate-scaling=2.5",
-            "--tune-db",
-            "tune.json",
         ]);
         assert!(a.quick);
         assert_eq!(a.bench_json.as_deref(), Some("out.json"));
@@ -194,7 +186,6 @@ mod tests {
         assert_eq!(a.history, Some(PathBuf::from("h.jsonl")));
         assert_eq!(a.max_drift, Some(12.5));
         assert_eq!(a.gate_scaling, Some(2.5));
-        assert_eq!(a.tune_db, Some(PathBuf::from("tune.json")));
         assert!(a.rest.is_empty());
     }
 

@@ -23,17 +23,15 @@
 //!
 //! | path    | shapes            | with AVX2+FMA                  | without (portable)             |
 //! |---------|-------------------|--------------------------------|--------------------------------|
-//! | tiled   | `>= SMALL_FLOPS`, all of [`gemm_prepacked`] | [`crate::simd`] 8×8 / paired 8×16 `vfmadd` tile | `portable_microkernel`, `f32::mul_add` |
+//! | tiled   | `>= SMALL_FLOPS`  | [`crate::simd`] 8×8 / paired 8×16 `vfmadd` tile | `portable_microkernel`, `f32::mul_add` |
 //! | direct  | `< SMALL_FLOPS`; all under `Naive` | reference loops compiled with AVX2+FMA | the reference loops |
 //!
-//! Which column runs is decided by the platform
-//! ([`crate::simd::simd_available`], runtime detection), never by an
-//! option: there is one production kernel and an oracle, so there is
-//! nothing to tune and GEMM dispatch does not consult [`crate::tune`].
-//! The process-wide [`GemmBackend`] comes from [`set_backend`] or the
-//! `HFTA_GEMM_BACKEND` env var (`auto` / `naive`, read once; anything else
-//! means `Auto`) and only chooses between production dispatch and running
-//! the reference loops at every size.
+//! Selection is by platform and shape, never by an option: the row comes
+//! from the FLOP count, the column from [`crate::simd::simd_available`]
+//! (runtime detection). The process-wide [`GemmBackend`] starts as `Auto`;
+//! [`set_backend`] is the in-process hook tests and A/B benchmarks use to
+//! run the reference loops at every size instead. No environment variable
+//! reaches this module.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -82,43 +80,22 @@ impl GemmBackend {
             GemmBackend::Naive => "naive",
         }
     }
-
-    /// Parses a backend name (as in `HFTA_GEMM_BACKEND`); `None` for
-    /// anything unrecognized, including the retired `blocked` / `simd`.
-    pub fn parse(name: &str) -> Option<GemmBackend> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(GemmBackend::Auto),
-            "naive" => Some(GemmBackend::Naive),
-            _ => None,
-        }
-    }
 }
 
-/// `u8::MAX` = not yet resolved from `HFTA_GEMM_BACKEND`.
-static BACKEND: AtomicU8 = AtomicU8::new(u8::MAX);
+static BACKEND: AtomicU8 = AtomicU8::new(GemmBackend::Auto as u8);
 
-/// Selects the GEMM implementation process-wide (overrides the env var).
+/// Selects the GEMM implementation process-wide.
 pub fn set_backend(backend: GemmBackend) {
     BACKEND.store(backend as u8, Ordering::Relaxed);
 }
 
-/// The currently selected GEMM implementation. First call resolves
-/// `HFTA_GEMM_BACKEND` (unset or unrecognized values mean [`GemmBackend::Auto`]).
+/// The currently selected GEMM implementation ([`GemmBackend::Auto`] until
+/// [`set_backend`] says otherwise).
 pub fn backend() -> GemmBackend {
-    match BACKEND.load(Ordering::Relaxed) {
-        0 => GemmBackend::Auto,
-        1 => GemmBackend::Naive,
-        _ => {
-            let be = std::env::var("HFTA_GEMM_BACKEND")
-                .ok()
-                .and_then(|v| GemmBackend::parse(&v))
-                .unwrap_or(GemmBackend::Auto);
-            // Racing first calls resolve identically; an interleaved
-            // `set_backend` wins over the env value by overwriting.
-            let _ =
-                BACKEND.compare_exchange(u8::MAX, be as u8, Ordering::Relaxed, Ordering::Relaxed);
-            backend()
-        }
+    if BACKEND.load(Ordering::Relaxed) == GemmBackend::Naive as u8 {
+        GemmBackend::Naive
+    } else {
+        GemmBackend::Auto
     }
 }
 
@@ -135,8 +112,6 @@ enum PackA<'a> {
     N(&'a [f32]),
     /// `a[k, m]` row-major (transposed access).
     T(&'a [f32]),
-    /// Already packed by [`pack_a_into`]: `ceil(m/MR)` panels of `k*MR`.
-    Pre(&'a [f32]),
 }
 
 /// How operand `B` is stored relative to the `[k, n]` logical view.
@@ -204,46 +179,6 @@ fn direct_kernel(
     }
 }
 
-/// Length of the buffer [`pack_a_into`] fills for an `[m, k]` operand.
-pub fn packed_a_len(m: usize, k: usize) -> usize {
-    m.div_ceil(MR) * k * MR
-}
-
-/// Packs a row-major `a[m, k]` into zero-padded `MR`-row panels (the layout
-/// the macro-kernel consumes), for reuse across many [`gemm_prepacked`]
-/// calls that share the same `A` — e.g. a conv weight matrix applied to
-/// every sample of a batch.
-pub fn pack_a_into(a: &[f32], m: usize, k: usize, buf: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(buf.len(), packed_a_len(m, k));
-    for ib in 0..m.div_ceil(MR) {
-        let i0 = ib * MR;
-        let rows = MR.min(m - i0);
-        pack_a(
-            PackA::N(a),
-            m,
-            k,
-            i0,
-            rows,
-            &mut buf[ib * k * MR..(ib + 1) * k * MR],
-        );
-    }
-}
-
-/// `out[m,n] += A @ b[k,n]` where `A` was packed once by [`pack_a_into`].
-///
-/// Bit-identical to [`gemm`] on the same operands: the tiled path (which
-/// this always takes — there is no reference loop over packed panels, so
-/// the shape threshold and [`GemmBackend::Naive`] do not apply) keeps the
-/// per-element FMA chain, so pre-packing never changes results — only the
-/// per-call packing cost.
-pub fn gemm_prepacked(out: &mut [f32], apack: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(apack.len(), packed_a_len(m, k));
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    tiled(out, PackA::Pre(apack), PackB::N(b), m, k, n);
-}
-
 /// Packs all of `B` into `ceil(n/NR)` zero-padded column panels; panel `jb`
 /// occupies `bpack[jb*k*NR..][p*NR + c] = B[p, jb*NR + c]`. `bpack` must
 /// arrive zero-filled (scratch checkouts are) — the packing only writes the
@@ -298,7 +233,6 @@ fn pack_a(a: PackA<'_>, m: usize, k: usize, i0: usize, rows: usize, buf: &mut [f
                 buf[p * MR..p * MR + rows].copy_from_slice(arow);
             }
         }
-        PackA::Pre(_) => unreachable!("pre-packed panels are read in place"),
     }
 }
 
@@ -374,14 +308,12 @@ fn run_tiled(
         (1, pool::num_threads().min(n_chunks))
     };
     scratch::reserve("gemm.bpack", bpack_len, bpack_count);
-    if !matches!(a, PackA::Pre(_)) {
-        scratch::reserve("gemm.apanel", k * MR, apanel_count);
-    }
+    scratch::reserve("gemm.apanel", k * MR, apanel_count);
     scratch::with(bpack_len, |bpack| {
         pack_b_into(b, k, n, bpack);
         let shared = UnsafeSlice::new(out);
         pool::parallel_for_work(n_chunks, 1, 2 * m * k * n, |chunks| {
-            with_apanel_scratch(a, k, |apanel_buf| {
+            scratch::with(k * MR, |apanel| {
                 for chunk in chunks {
                     let rg = chunk / col_groups;
                     let jg = chunk % col_groups;
@@ -389,13 +321,7 @@ fn run_tiled(
                     for ib in rg * row_grain..((rg + 1) * row_grain).min(row_panels) {
                         let i0 = ib * MR;
                         let rows = MR.min(m - i0);
-                        let apanel: &[f32] = match a {
-                            PackA::Pre(src) => &src[ib * k * MR..(ib + 1) * k * MR],
-                            _ => {
-                                pack_a(a, m, k, i0, rows, apanel_buf);
-                                apanel_buf
-                            }
-                        };
+                        pack_a(a, m, k, i0, rows, apanel);
                         let load_acc = |jb: usize| -> [[f32; NR]; MR] {
                             let j0 = jb * NR;
                             let cols = NR.min(n - j0);
@@ -460,15 +386,6 @@ fn tiled(out: &mut [f32], a: PackA<'_>, b: PackB<'_>, m: usize, k: usize, n: usi
     run_tiled(out, a, b, m, k, n, simd::simd_available());
 }
 
-/// Checks out the per-chunk A-panel scratch, skipped entirely for
-/// pre-packed operands (their panels are read in place).
-fn with_apanel_scratch<R>(a: PackA<'_>, k: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    match a {
-        PackA::Pre(_) => f(&mut []),
-        _ => scratch::with(k * MR, f),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,8 +440,6 @@ mod tests {
             let init = fill(m * n, 3 + (m + k + n) as u64);
             let at = transpose(&a, m, k);
             let bt = transpose(&b, k, n);
-            let mut apack = vec![0.0f32; packed_a_len(m, k)];
-            pack_a_into(&a, m, k, &mut apack);
 
             let mut slow = init.clone();
             reference::gemm_ref(&mut slow, &a, &b, m, k, n);
@@ -555,12 +470,6 @@ mod tests {
                     slow_nt,
                     "gemm_nt mismatch at {at_shape}"
                 );
-                // Pre-packed A must be bit-identical to packing per call.
-                assert_eq!(
-                    tiled(PackA::Pre(&apack), PackB::N(&b)),
-                    slow,
-                    "prepacked mismatch at {at_shape}"
-                );
             }
         }
     }
@@ -580,18 +489,6 @@ mod tests {
         reference::gemm_ref(&mut via_ref, &a, &b, 16, 16, 16);
         assert_eq!(via_entry, via_ref);
         set_backend(prev);
-    }
-
-    #[test]
-    fn backend_names_round_trip() {
-        for be in [GemmBackend::Auto, GemmBackend::Naive] {
-            assert_eq!(GemmBackend::parse(be.name()), Some(be));
-        }
-        assert_eq!(GemmBackend::parse(" Naive \n"), Some(GemmBackend::Naive));
-        // The retired backend names are no longer selectable.
-        for retired in ["blocked", "simd", "mystery"] {
-            assert_eq!(GemmBackend::parse(retired), None);
-        }
     }
 
     #[test]

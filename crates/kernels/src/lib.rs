@@ -8,22 +8,22 @@
 //!   boundaries depend only on the problem shape, so results are
 //!   bit-identical at any thread count.
 //! * [`gemm`] — cache-blocked, register-tiled f32 GEMM ([`gemm()`],
-//!   [`gemm_nt()`], [`gemm_tn()`], [`gemm_prepacked()`]) with packed A/B
-//!   panels and a 2-D tiled macro-kernel, under **one contract**: every
-//!   output element is `acc = fma(a[i,p], b[p,j], acc)` for `p` ascending,
-//!   one rounding per step. Every path computes exactly that chain, so all
+//!   [`gemm_nt()`], [`gemm_tn()`]) with packed A/B panels and a 2-D tiled
+//!   macro-kernel, under **one contract**: every output element is
+//!   `acc = fma(a[i,p], b[p,j], acc)` for `p` ascending, one rounding per
+//!   step. Every path computes exactly that chain, so all
 //!   are bit-identical to the retained naive oracle in [`reference`] and to
 //!   each other. [`GemmBackend`] is `{Auto, Naive}`: production dispatch
-//!   or the reference loops at every size.
+//!   or the reference loops at every size, switched only in-process
+//!   ([`set_backend`]) by tests and A/B benchmarks.
 //! * [`simd`] — the runtime-detected AVX2/FMA instantiations (8×8 / paired
 //!   8×16 micro-kernel, small-shape loops) `Auto` takes wherever the CPU
 //!   has them; elsewhere the portable `f32::mul_add` twins run. FMA is
 //!   correctly rounded on both, which is why the choice is by platform and
 //!   never changes a bit. [`simd::set_simd_enabled`] is the test hook that
 //!   forces the portable path.
-//! * [`tune`] — a persistent MIOpen-style find-db for `hfta-tensor`'s
-//!   `conv2d` algorithm choice (`HFTA_TUNE_DB`); GEMM dispatch has one
-//!   production kernel and does not consult it.
+//! * [`tune`] — a one-function stub (`enabled() == false`) kept for the
+//!   benchmark's host record; nothing tunes.
 //! * [`profile`] — [`profiled()`] wires `hfta-telemetry` spans/counters
 //!   (kernel name, threads, FLOPs) around kernel dispatches.
 //!
@@ -31,6 +31,9 @@
 //! training — survives this layer because every kernel here is
 //! deterministic by construction; the property tests in `tests/proptests.rs`
 //! enforce it.
+//!
+//! **Selection is by platform and shape; the only env var is
+//! `HFTA_NUM_THREADS`, a resource setting.**
 
 #![warn(missing_docs)]
 
@@ -41,10 +44,7 @@ pub mod reference;
 pub mod simd;
 pub mod tune;
 
-pub use gemm::{
-    backend, gemm, gemm_nt, gemm_prepacked, gemm_tn, pack_a_into, packed_a_len, set_backend,
-    GemmBackend,
-};
+pub use gemm::{backend, gemm, gemm_nt, gemm_tn, set_backend, GemmBackend};
 pub use pool::{
     for_each_chunk_mut, num_threads, parallel_for, parallel_for_work, pool_dispatches,
     set_num_threads, UnsafeSlice,

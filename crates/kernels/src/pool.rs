@@ -458,6 +458,27 @@ mod tests {
     /// Serializes tests that mutate the global thread count.
     pub(crate) static THREAD_LOCK: Mutex<()> = Mutex::new(());
 
+    /// Whether a threshold-sized dispatch goes through the pool (the
+    /// submitter participates with the pool flag set). Retried, yielding
+    /// in between: tests of other modules share this process's pool without
+    /// taking [`THREAD_LOCK`], and while one of their dispatches is in
+    /// flight ours falls back to inline.
+    fn reaches_pool() -> bool {
+        for _ in 0..10_000 {
+            let flagged = AtomicUsize::new(0);
+            parallel_for_work(4096, 64, MIN_POOL_WORK, |_range| {
+                if in_worker() {
+                    flagged.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            if flagged.load(Ordering::Relaxed) > 0 {
+                return true;
+            }
+            std::thread::yield_now();
+        }
+        false
+    }
+
     #[test]
     fn chunks_cover_exactly_once() {
         let _guard = THREAD_LOCK.lock().unwrap();
@@ -529,16 +550,7 @@ mod tests {
             // The pool must keep *dispatching* too — a panic while holding
             // the submit lock used to poison it, silently inlining every
             // later parallel_for for the rest of the process.
-            let flagged = AtomicUsize::new(0);
-            parallel_for_work(97, 1, MIN_POOL_WORK, |_range| {
-                if in_worker() {
-                    flagged.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                flagged.load(Ordering::Relaxed) > 0,
-                "pool stopped dispatching after a panic"
-            );
+            assert!(reaches_pool(), "pool stopped dispatching after a panic");
         }
         set_num_threads(1);
     }
@@ -574,21 +586,8 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as f32);
         }
-        // At or above the threshold the dispatch goes through the pool: the
-        // submitter participates with the pool flag set. Retry, since a
-        // concurrent test's in-flight dispatch forces an inline fallback.
-        for attempt in 0.. {
-            let flagged = AtomicUsize::new(0);
-            parallel_for_work(4096, 64, MIN_POOL_WORK, |_range| {
-                if in_worker() {
-                    flagged.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            if flagged.load(Ordering::Relaxed) > 0 {
-                break;
-            }
-            assert!(attempt < 100, "threshold-sized op never reached the pool");
-        }
+        // At or above the threshold the dispatch goes through the pool.
+        assert!(reaches_pool(), "threshold-sized op never reached the pool");
         set_num_threads(1);
     }
 

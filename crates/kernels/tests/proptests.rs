@@ -1,10 +1,9 @@
 //! Property tests of the one GEMM contract: every output element is
 //! `acc = fma(a[i,p], b[p,j], acc)` for `p` ascending, one rounding per
-//! step. For all four entry points (`gemm`, `gemm_nt`, `gemm_tn`,
-//! `gemm_prepacked`) — across shapes straddling the small-shape threshold
-//! and the 8×8 tile, random initial output contents (the kernels
-//! accumulate) and thread counts 1, 2 and 4 — the tests assert **bit
-//! identity**, never closeness:
+//! step. For all three entry points (`gemm`, `gemm_nt`, `gemm_tn`) —
+//! across shapes straddling the small-shape threshold and the 8×8 tile,
+//! random initial output contents (the kernels accumulate) and thread
+//! counts 1, 2 and 4 — the tests assert **bit identity**, never closeness:
 //!
 //! * default dispatch == the oracle ([`reference`]);
 //! * the AVX2/FMA path == the portable `mul_add` path (forced with
@@ -19,8 +18,8 @@
 //! restores the previous configuration before releasing it.
 
 use hfta_kernels::{
-    gemm, gemm_nt, gemm_prepacked, gemm_tn, pack_a_into, packed_a_len, reference, set_backend,
-    set_num_threads, set_simd_enabled, simd_available, GemmBackend,
+    gemm, gemm_nt, gemm_tn, reference, set_backend, set_num_threads, set_simd_enabled,
+    simd_available, GemmBackend,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -82,17 +81,16 @@ impl Drop for RestoreGlobals {
     }
 }
 
-/// The four public entry points, each fed from the same logical operands
+/// The three public entry points, each fed from the same logical operands
 /// `a[m,k]`, `b[k,n]`.
 #[derive(Debug, Clone, Copy)]
 enum Entry {
     Gemm,
     GemmNt,
     GemmTn,
-    Prepacked,
 }
 
-const ENTRIES: [Entry; 4] = [Entry::Gemm, Entry::GemmNt, Entry::GemmTn, Entry::Prepacked];
+const ENTRIES: [Entry; 3] = [Entry::Gemm, Entry::GemmNt, Entry::GemmTn];
 
 /// One problem in the storage layout its entry point expects.
 struct Problem {
@@ -111,11 +109,6 @@ impl Problem {
             Entry::Gemm => (a.to_vec(), b.to_vec()),
             Entry::GemmNt => (a.to_vec(), transpose(b, k, n)),
             Entry::GemmTn => (transpose(a, m, k), b.to_vec()),
-            Entry::Prepacked => {
-                let mut apack = vec![0.0f32; packed_a_len(m, k)];
-                pack_a_into(a, m, k, &mut apack);
-                (apack, b.to_vec())
-            }
         };
         Problem {
             entry,
@@ -136,22 +129,18 @@ impl Problem {
             Entry::Gemm => gemm(&mut out, &self.a, &self.b, m, k, n),
             Entry::GemmNt => gemm_nt(&mut out, &self.a, &self.b, m, k, n),
             Entry::GemmTn => gemm_tn(&mut out, &self.a, &self.b, m, k, n),
-            Entry::Prepacked => gemm_prepacked(&mut out, &self.a, &self.b, m, k, n),
         }
         bits(&out)
     }
 
-    /// The oracle's answer. `gemm_prepacked` has no reference loop of its
-    /// own; its oracle is `gemm_ref` on the unpacked operands, which the
-    /// caller passes as `logical_a`.
-    fn oracle(&self, logical_a: &[f32]) -> Vec<u32> {
+    /// The oracle's answer.
+    fn oracle(&self) -> Vec<u32> {
         let (m, k, n) = (self.m, self.k, self.n);
         let mut out = self.init.clone();
         match self.entry {
             Entry::Gemm => reference::gemm_ref(&mut out, &self.a, &self.b, m, k, n),
             Entry::GemmNt => reference::gemm_nt_ref(&mut out, &self.a, &self.b, m, k, n),
             Entry::GemmTn => reference::gemm_tn_ref(&mut out, &self.a, &self.b, m, k, n),
-            Entry::Prepacked => reference::gemm_ref(&mut out, logical_a, &self.b, m, k, n),
         }
         bits(&out)
     }
@@ -175,7 +164,7 @@ fn check_all_paths(
     }
     for entry in ENTRIES {
         let problem = Problem::new(entry, a, b, init, m, k, n);
-        let oracle = problem.oracle(a);
+        let oracle = problem.oracle();
         let expect = expect.unwrap_or(&oracle);
         prop_assert!(
             oracle == expect,
@@ -238,7 +227,7 @@ proptest! {
 /// the fused answer derived by hand. Only the *last* contraction step is
 /// active (earlier columns of `A` are zero, so `fma(0, b, c) == c` carries
 /// the initial value through unchanged); every path — oracle, small loops,
-/// tiled, paired, pre-packed, vector and portable — must produce the fused
+/// tiled, paired, vector and portable — must produce the fused
 /// bits, so reintroducing a separate multiply and add anywhere fails here.
 #[test]
 fn every_path_rounds_once_per_step() {

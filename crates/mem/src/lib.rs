@@ -19,9 +19,10 @@
 //!
 //! Recycled buffers are value-filled exactly as `vec![fill; len]` would be
 //! before any kernel sees them, so pooled and unpooled runs are bitwise
-//! equal at any thread count. The `HFTA_MEM_POOL=off` environment toggle
-//! (or [`set_pool_enabled`]) falls back to plain `Vec` allocation for A/B
-//! equivalence tests.
+//! equal at any thread count. The pool is always on; [`set_pool_enabled`]
+//! is the in-process hook that falls back to plain `Vec` allocation for A/B
+//! equivalence tests and `bench_mem`. No environment variable reaches this
+//! crate.
 //!
 //! Accounting covers `f32` buffers owned by [`Storage`] and the scratch
 //! arenas — the tensors, gradients and kernel workspace that dominate a

@@ -22,7 +22,7 @@
 //! acquired and released on the thread that owns the tensor, and scratch
 //! growth is serialized under the reservation lock (see [`crate::scratch`]).
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Element count of the smallest size class (256 B of `f32`s). Requests
@@ -100,33 +100,17 @@ static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static POOLED_FREE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_FOOTPRINT_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// 0 = disabled, 1 = enabled, 2 = read `HFTA_MEM_POOL` on first use.
-static ENABLED: AtomicU8 = AtomicU8::new(2);
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether the recycling pool is on (free-list reuse). Accounting runs
-/// either way. Initialized from `HFTA_MEM_POOL` (`0`/`off`/`false`/`no`
-/// disable it; anything else — including unset — enables it).
+/// Whether the recycling pool is on (free-list reuse): yes, until
+/// [`set_pool_enabled`] says otherwise. Accounting runs either way.
 pub fn pool_enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => {
-            let on = !matches!(
-                std::env::var("HFTA_MEM_POOL")
-                    .unwrap_or_default()
-                    .to_ascii_lowercase()
-                    .as_str(),
-                "0" | "off" | "false" | "no"
-            );
-            ENABLED.store(u8::from(on), Ordering::Relaxed);
-            on
-        }
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Overrides the pool toggle process-wide (for in-process A/B tests).
 pub fn set_pool_enabled(on: bool) {
-    ENABLED.store(u8::from(on), Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Updates the footprint high-water mark after any owned-bytes increase.

@@ -16,6 +16,8 @@
 //! * [`trial`] — trial identity and lifecycle;
 //! * [`asha`] — rung geometry and the asynchronous promotion ledger;
 //! * [`backend`] — the training-backend abstraction ([`ArrayBackend`]);
+//! * [`events`] — the simulated-time event queue this crate's engine and
+//!   `hfta-serve`'s both drive;
 //! * [`linear`] — a concrete backend (fused linear classifiers) whose
 //!   per-trial trajectories are bit-invariant to width/lane placement;
 //! * [`sched`] — the event-driven engine and the serial / static-fusion /
@@ -51,6 +53,7 @@
 
 pub mod asha;
 pub mod backend;
+pub mod events;
 pub mod linear;
 pub mod pack;
 pub mod sched;

@@ -21,8 +21,7 @@
 //! trials — the integration tests compare scheduler-produced final
 //! weights against solo runs for exact equality.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use hfta_core::surgery::LaneState;
 use hfta_sim::{DeviceFleet, SharingPolicy, TrainingJob};
@@ -32,6 +31,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::asha::{RungLedger, RungPolicy};
 use crate::backend::{ArrayBackend, TrainOutcome};
+use crate::events::{ns, EventQueue};
 use crate::trial::{Trial, TrialStatus};
 
 /// The scheduling policy under test.
@@ -140,34 +140,6 @@ enum EventKind {
     Arrival(u64),
 }
 
-#[derive(Debug)]
-struct Event {
-    t: f64,
-    prio: u8,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.t
-            .total_cmp(&other.t)
-            .then(self.prio.cmp(&other.prio))
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
 struct Running<A> {
     array: A,
     trial_ids: Vec<u64>,
@@ -182,11 +154,6 @@ struct Running<A> {
     /// so completion-edge flight events land exactly where rung-start
     /// arithmetic predicts and the SLO decomposition telescopes.
     seg_end_ns: u64,
-}
-
-/// Simulated seconds → the integer nanosecond flight grid.
-fn ns(t: f64) -> u64 {
-    (t * 1e9).round() as u64
 }
 
 struct Engine<'a, B: ArrayBackend> {
@@ -204,9 +171,8 @@ struct Engine<'a, B: ArrayBackend> {
     /// `buffer[r]`: survivor lanes waiting to train rung `r` (Elastic).
     buffer: Vec<Vec<(u64, LaneState)>>,
     running: HashMap<u64, Running<B::Array>>,
-    heap: BinaryHeap<Reverse<Event>>,
+    events: EventQueue<EventKind>,
     ledger: RungLedger,
-    seq: u64,
     next_array: u64,
     next_aid: u64,
     makespan_s: f64,
@@ -218,12 +184,6 @@ struct Engine<'a, B: ArrayBackend> {
 }
 
 impl<B: ArrayBackend> Engine<'_, B> {
-    fn push_event(&mut self, t: f64, prio: u8, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Event { t, prio, seq, kind }));
-    }
-
     fn trial(&self, id: u64) -> Trial<B::Config> {
         Trial {
             id,
@@ -323,7 +283,7 @@ impl<B: ArrayBackend> Engine<'_, B> {
         let key = self.next_array;
         self.next_array += 1;
         self.running.insert(key, ra);
-        self.push_event(end, 0, EventKind::SegmentDone(key));
+        self.events.push(end, 0, EventKind::SegmentDone(key));
     }
 
     /// Applies a finished segment's outcome: sentinel kills, rung
@@ -587,9 +547,8 @@ pub fn run<B: ArrayBackend>(
         queue: VecDeque::new(),
         buffer: vec![Vec::new(); cfg.rung.rungs],
         running: HashMap::new(),
-        heap: BinaryHeap::new(),
+        events: EventQueue::default(),
         ledger: RungLedger::new(cfg.rung.rungs),
-        seq: 0,
         next_array: 0,
         next_aid: 0,
         makespan_s: 0.0,
@@ -601,25 +560,11 @@ pub fn run<B: ArrayBackend>(
     };
     for (id, (t, _)) in arrivals.iter().enumerate() {
         assert!(t.is_finite() && *t >= 0.0, "arrival times must be ≥ 0");
-        engine.push_event(*t, 1, EventKind::Arrival(id as u64));
+        engine.events.push(*t, 1, EventKind::Arrival(id as u64));
     }
-    while let Some(Reverse(ev)) = engine.heap.pop() {
-        let t = ev.t;
-        let mut batch = vec![ev];
-        // Drain every event at this exact timestamp before dispatching:
-        // a device whose completion is still queued at `t` is not idle,
-        // even though its booking already ended.
-        while let Some(Reverse(next)) = engine.heap.peek() {
-            if next.t != t {
-                break;
-            }
-            let Some(Reverse(next)) = engine.heap.pop() else {
-                unreachable!("peeked event vanished");
-            };
-            batch.push(next);
-        }
-        for ev in batch {
-            match ev.kind {
+    while let Some((t, batch)) = engine.events.pop_batch() {
+        for kind in batch {
+            match kind {
                 EventKind::Arrival(id) => {
                     engine.stats.arrival();
                     engine

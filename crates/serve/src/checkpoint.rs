@@ -7,7 +7,8 @@
 //!   reports, barrier decisions, checkpoints, terminal outcomes, and the
 //!   teed flight-recorder stream). Each line is flushed as written, so
 //!   the journal survives a hard kill with at most one torn trailing
-//!   line, which [`CheckpointStore::read_journal`] tolerates.
+//!   line, which [`CheckpointStore::read_journal`] tolerates and
+//!   [`CheckpointStore::resume`] cuts off before appending.
 //! - `trial-<id>.ckpt` — the latest lane snapshot per trial
 //!   ([`hfta_core::snapshot`] format: parameters, every optimizer-state
 //!   slot, and the step counter), written to a temp file and atomically
@@ -23,7 +24,7 @@
 //! flags rather than omitted keys.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use hfta_core::snapshot::{load_lane, save_lane};
@@ -137,10 +138,11 @@ impl CheckpointStore {
     }
 
     /// Reads the journal back (tolerating one torn trailing line from a
-    /// hard kill) and reopens it for appending. Fails if the journal is
-    /// missing or its `meta` header declares an unknown version.
+    /// hard kill), truncates the file to the end of its last intact record
+    /// and reopens it for appending. Fails if the journal is missing or its
+    /// `meta` header declares an unknown version.
     pub fn resume(dir: &Path) -> io::Result<(Vec<ServeJournalRec>, CheckpointStore)> {
-        let recs = CheckpointStore::read_journal(dir)?;
+        let (recs, keep) = read_intact(dir)?;
         match recs.first() {
             Some(meta) if meta.kind == "meta" && meta.version == JOURNAL_VERSION => {}
             Some(meta) if meta.kind == "meta" => {
@@ -156,9 +158,15 @@ impl CheckpointStore {
                 ));
             }
         }
-        let journal = OpenOptions::new()
+        // Cut everything after the last intact record and terminate it
+        // afresh: a record appended behind a torn fragment would be glued
+        // onto it, lost, and — the glued line no longer being last — turn
+        // the next recovery into a hard error.
+        let mut journal = OpenOptions::new()
             .append(true)
             .open(dir.join(JOURNAL_FILE))?;
+        journal.set_len(keep)?;
+        journal.write_all(b"\n")?;
         Ok((
             recs,
             CheckpointStore {
@@ -172,29 +180,7 @@ impl CheckpointStore {
     /// fails to parse is treated as torn by the crash and dropped; a
     /// malformed line elsewhere is a hard error.
     pub fn read_journal(dir: &Path) -> io::Result<Vec<ServeJournalRec>> {
-        let file = File::open(dir.join(JOURNAL_FILE))?;
-        let lines: Vec<String> = BufReader::new(file).lines().collect::<Result<_, _>>()?;
-        let mut recs = Vec::with_capacity(lines.len());
-        for (i, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<ServeJournalRec>(line) {
-                Ok(rec) => recs.push(rec),
-                Err(e) if i + 1 == lines.len() => {
-                    // Torn tail from the crash; everything before it is
-                    // intact because each line was flushed on write.
-                    let _ = e;
-                }
-                Err(e) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("corrupt journal line {}: {e}", i + 1),
-                    ));
-                }
-            }
-        }
-        Ok(recs)
+        Ok(read_intact(dir)?.0)
     }
 
     /// Appends one record and flushes it to disk.
@@ -232,6 +218,40 @@ impl CheckpointStore {
     pub fn dir(&self) -> &Path {
         &self.dir
     }
+}
+
+/// Parses the journal's intact prefix: its records, and the byte offset
+/// just past the last one's text (before its newline, which a kill between
+/// the two writes of [`CheckpointStore::append`] can leave off).
+fn read_intact(dir: &Path) -> io::Result<(Vec<ServeJournalRec>, u64)> {
+    let bytes = fs::read(dir.join(JOURNAL_FILE))?;
+    let (mut recs, mut keep, mut end) = (Vec::new(), 0, 0);
+    for (i, line) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
+        end += line.len();
+        let text = line.strip_suffix(b"\n").unwrap_or(line);
+        if text.trim_ascii().is_empty() {
+            continue;
+        }
+        let parsed = std::str::from_utf8(text)
+            .map_err(|e| e.to_string())
+            .and_then(|t| serde_json::from_str(t).map_err(|e| e.to_string()));
+        match parsed {
+            Ok(rec) => {
+                recs.push(rec);
+                keep = end - (line.len() - text.len());
+            }
+            // Torn tail from the crash; everything before it is intact
+            // because each line was flushed on write.
+            Err(_) if end == bytes.len() => {}
+            Err(e) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("corrupt journal line {}: {e}", i + 1),
+                ));
+            }
+        }
+    }
+    Ok((recs, keep as u64))
 }
 
 #[cfg(test)]
@@ -276,6 +296,47 @@ mod tests {
         assert_eq!(recs[1].tenant, "alice");
         assert_eq!(recs[2].score_bits, (-0.25f32).to_bits());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_appended_after_a_torn_tail_survive_the_next_recovery() {
+        // A whole record whose newline never landed is kept; a fragment is
+        // cut off. Either way the next append must start on its own line.
+        let fragment: &[u8] = b"{\"kind\":\"report\",\"t_ns\":";
+        let whole = serde_json::to_string(&ServeJournalRec::blank("cancel", 7)).unwrap();
+        for (tag, tail, want) in [
+            (
+                "frag",
+                fragment,
+                vec!["meta", "submit", "report", "terminal"],
+            ),
+            (
+                "nonl",
+                whole.as_bytes(),
+                vec!["meta", "submit", "cancel", "report", "terminal"],
+            ),
+        ] {
+            let dir = tmpdir(tag);
+            let mut store = CheckpointStore::create(&dir).unwrap();
+            store.append(&ServeJournalRec::blank("submit", 5)).unwrap();
+            drop(store);
+            OpenOptions::new()
+                .append(true)
+                .open(dir.join(JOURNAL_FILE))
+                .unwrap()
+                .write_all(tail)
+                .unwrap();
+            let (recs, mut store) = CheckpointStore::resume(&dir).unwrap();
+            assert_eq!(recs.len(), want.len() - 2, "{tag}: before the appends");
+            for (kind, t_ns) in [("report", 9), ("terminal", 11)] {
+                store.append(&ServeJournalRec::blank(kind, t_ns)).unwrap();
+            }
+            drop(store);
+            let (recs, _store) = CheckpointStore::resume(&dir).unwrap();
+            let kinds: Vec<&str> = recs.iter().map(|r| r.kind.as_str()).collect();
+            assert_eq!(kinds, want, "{tag}");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

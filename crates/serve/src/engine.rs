@@ -34,14 +34,14 @@
 //!   are lost and simply retrain from the last snapshot — determinism
 //!   makes the retrained steps identical.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 use std::path::PathBuf;
 
 use hfta_core::surgery::LaneState;
 use hfta_sched::asha::RungPolicy;
 use hfta_sched::backend::ArrayBackend;
+use hfta_sched::events::{ns, EventQueue};
 use hfta_sched::trial::Trial;
 use hfta_sim::{DeviceFleet, SharingPolicy, TrainingJob};
 use hfta_telemetry::flight::{self, FlightCursor, FlightKind, FlightRecorder, SimSegment};
@@ -278,39 +278,6 @@ enum EventKind {
     Command(usize),
 }
 
-#[derive(Debug)]
-struct Event {
-    t: f64,
-    prio: u8,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.t
-            .total_cmp(&other.t)
-            .then(self.prio.cmp(&other.prio))
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// Simulated seconds to the integer ns grid every event timestamp uses.
-fn ns(t: f64) -> u64 {
-    (t * 1e9).round() as u64
-}
-
 // ---------------------------------------------------------------------
 // Internal state
 // ---------------------------------------------------------------------
@@ -403,8 +370,7 @@ pub struct ServeEngine<B: ArrayBackend> {
     /// posted to the fleet only when segments settle).
     busy: Vec<f64>,
 
-    heap: BinaryHeap<Reverse<Event>>,
-    event_seq: u64,
+    events: EventQueue<EventKind>,
     set_seq: u64,
     run_seq: u64,
     next_aid: u64,
@@ -449,7 +415,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
             }
             let idx = eng.commands.len();
             eng.commands.push(Some(cmd));
-            eng.push_event(t.max(0.0), 1, EventKind::Command(idx));
+            eng.events.push(t.max(0.0), 1, EventKind::Command(idx));
         }
         Ok(eng)
     }
@@ -483,8 +449,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
             running: BTreeMap::new(),
             cancelled_segs: BTreeSet::new(),
             busy,
-            heap: BinaryHeap::new(),
-            event_seq: 0,
+            events: EventQueue::default(),
             set_seq: 0,
             run_seq: 0,
             next_aid: 0,
@@ -502,12 +467,6 @@ impl<B: ArrayBackend> ServeEngine<B> {
         }
     }
 
-    fn push_event(&mut self, t: f64, prio: u8, kind: EventKind) {
-        let seq = self.event_seq;
-        self.event_seq += 1;
-        self.heap.push(Reverse(Event { t, prio, seq, kind }));
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> f64 {
         self.now_s
@@ -520,7 +479,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
 
     /// True while events remain on the queue.
     pub fn has_events(&self) -> bool {
-        !self.heap.is_empty()
+        !self.events.is_empty()
     }
 
     /// Trials submitted so far.
@@ -557,7 +516,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
         self.pending_submits += 1;
         let idx = self.commands.len();
         self.commands.push(Some(ServeCmd::Submit(spec)));
-        self.push_event(self.now_s, 1, EventKind::Command(idx));
+        self.events.push(self.now_s, 1, EventKind::Command(idx));
         Ok(id)
     }
 
@@ -565,27 +524,19 @@ impl<B: ArrayBackend> ServeEngine<B> {
     pub fn cancel(&mut self, sweep: u64) {
         let idx = self.commands.len();
         self.commands.push(Some(ServeCmd::Cancel { sweep }));
-        self.push_event(self.now_s, 1, EventKind::Command(idx));
+        self.events.push(self.now_s, 1, EventKind::Command(idx));
     }
 
     /// Processes one event batch (all events at the next timestamp,
     /// completions before commands) and re-dispatches. Returns `false`
     /// when no events remain.
     pub fn step(&mut self) -> io::Result<bool> {
-        let Some(Reverse(head)) = self.heap.peek() else {
+        let Some((t, batch)) = self.events.pop_batch() else {
             return Ok(false);
         };
-        let t = head.t;
         self.now_s = t;
-        let mut batch = Vec::new();
-        while let Some(Reverse(e)) = self.heap.peek() {
-            if e.t != t {
-                break;
-            }
-            batch.push(self.heap.pop().expect("peeked").0);
-        }
-        for e in batch {
-            match e.kind {
+        for kind in batch {
+            match kind {
                 EventKind::SegmentDone(key) => self.complete(key, t)?,
                 EventKind::Command(idx) => self.command(idx, t)?,
             }
@@ -1151,7 +1102,8 @@ impl<B: ArrayBackend> ServeEngine<B> {
         self.busy[device] = t + steps as f64 * step_s;
         let key = self.run_seq;
         self.run_seq += 1;
-        self.push_event(self.busy[device], 0, EventKind::SegmentDone(key));
+        self.events
+            .push(self.busy[device], 0, EventKind::SegmentDone(key));
         self.running.insert(
             key,
             RunningSeg {
@@ -1350,7 +1302,18 @@ impl<B: ArrayBackend> ServeEngine<B> {
         let mut decisions: BTreeMap<(u64, u64), Vec<u64>> = BTreeMap::new();
         let mut flights: Vec<hfta_telemetry::flight::FlightEvent> = Vec::new();
 
-        for rec in &recs {
+        // The journal is outside input: whatever it holds that replay
+        // cannot interpret is a typed error naming the record, not a panic.
+        for (line, rec) in recs.iter().enumerate() {
+            let bad = |why: &str| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "journal record {line} ({} at {} ns): {why}",
+                        rec.kind, rec.t_ns
+                    ),
+                )
+            };
             resume_ns = resume_ns.max(rec.t_ns);
             match rec.kind.as_str() {
                 "meta" => {}
@@ -1358,20 +1321,19 @@ impl<B: ArrayBackend> ServeEngine<B> {
                     let spec = match cmds.pop_front() {
                         Some((_, ServeCmd::Submit(spec))) => spec,
                         Some((_, ServeCmd::Cancel { .. })) => {
-                            panic!("journal/command mismatch: expected a submit")
+                            return Err(bad("the command list has a cancel here"));
                         }
-                        None => panic!("journal has more submits than the command list"),
+                        None => return Err(bad("the command list has no command left")),
                     };
-                    assert_eq!(
-                        spec.configs.len() as u64,
-                        rec.n_trials,
-                        "recovered sweep size differs from the journal"
-                    );
+                    if spec.configs.len() as u64 != rec.n_trials {
+                        return Err(bad("sweep size differs from the command list"));
+                    }
                     let sweep = eng.sweeps.len() as u64;
-                    assert_eq!(sweep, rec.sweep, "sweep ids must replay in order");
-                    let tenant = eng.fair.tenant_id(&rec.tenant, rec.priority);
                     let base = eng.configs.len() as u64;
-                    assert_eq!(base, rec.base_trial, "trial ids must replay in order");
+                    if sweep != rec.sweep || base != rec.base_trial {
+                        return Err(bad("sweep / trial ids do not replay in order"));
+                    }
+                    let tenant = eng.fair.tenant_id(&rec.tenant, rec.priority);
                     let ids: Vec<u64> = (base..base + rec.n_trials).collect();
                     for config in spec.configs {
                         eng.configs.push(config);
@@ -1398,10 +1360,8 @@ impl<B: ArrayBackend> ServeEngine<B> {
                 }
                 "cancel" => {
                     match cmds.pop_front() {
-                        Some((_, ServeCmd::Cancel { sweep })) => {
-                            debug_assert_eq!(sweep, rec.sweep);
-                        }
-                        _ => panic!("journal/command mismatch: expected a cancel"),
+                        Some((_, ServeCmd::Cancel { sweep })) if sweep == rec.sweep => {}
+                        _ => return Err(bad("the command list has no such cancel here")),
                     }
                     if let Some(info) = eng.sweeps.get_mut(rec.sweep as usize) {
                         info.cancelled = true;
@@ -1411,7 +1371,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
                     let cohort = eng
                         .cohorts
                         .get_mut(&(rec.sweep, rec.rung))
-                        .expect("report for unknown cohort in journal");
+                        .ok_or_else(|| bad("cohort was never opened"))?;
                     let score = rec.has_score.then(|| f32::from_bits(rec.score_bits));
                     cohort.reports.insert(rec.trial, score);
                 }
@@ -1419,7 +1379,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
                     let cohort = eng
                         .cohorts
                         .get_mut(&(rec.sweep, rec.rung))
-                        .expect("decision for unknown cohort in journal");
+                        .ok_or_else(|| bad("cohort was never opened"))?;
                     cohort.decided = true;
                     decisions.insert((rec.sweep, rec.rung), rec.promoted.clone());
                     if !rec.promoted.is_empty() {
@@ -1438,17 +1398,21 @@ impl<B: ArrayBackend> ServeEngine<B> {
                 }
                 "terminal" => {
                     let state = TrialState::from_label(&rec.status)
-                        .expect("unknown terminal status in journal");
-                    eng.trials[rec.trial as usize].state = state;
-                    eng.trials[rec.trial as usize].loss_bits =
-                        rec.has_loss.then_some(rec.loss_bits);
+                        .filter(TrialState::is_terminal)
+                        .ok_or_else(|| bad("status is not a terminal one"))?;
+                    let info = usize::try_from(rec.trial)
+                        .ok()
+                        .and_then(|tid| eng.trials.get_mut(tid))
+                        .ok_or_else(|| bad("trial was never submitted"))?;
+                    info.state = state;
+                    info.loss_bits = rec.has_loss.then_some(rec.loss_bits);
                 }
                 "flight" => {
                     if let Some(e) = &rec.flight {
                         flights.push(e.clone());
                     }
                 }
-                other => panic!("unknown journal record kind {other:?}"),
+                _ => return Err(bad("unknown record kind")),
             }
         }
 
@@ -1605,7 +1569,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
             }
             let idx = eng.commands.len();
             eng.commands.push(Some(cmd));
-            eng.push_event(t.max(resume_s), 1, EventKind::Command(idx));
+            eng.events.push(t.max(resume_s), 1, EventKind::Command(idx));
         }
 
         eng.dispatch(resume_s)?;

@@ -78,49 +78,9 @@ impl<C: Send + 'static> ServeHandle<C> {
     {
         let (tx, rx) = mpsc::channel::<Request<C>>();
         let worker = thread::spawn(move || {
-            let mut engine = ServeEngine::new(backend, fleet, cfg, Vec::new())
+            let engine = ServeEngine::new(backend, fleet, cfg, Vec::new())
                 .expect("service engine construction failed");
-            loop {
-                // Serve every queued request at the current sim time,
-                // blocking only when the simulation has nothing to do.
-                let req = if engine_idle(&engine) {
-                    match rx.recv() {
-                        Ok(r) => Some(r),
-                        Err(_) => break, // all handles dropped
-                    }
-                } else {
-                    match rx.try_recv() {
-                        Ok(r) => Some(r),
-                        Err(mpsc::TryRecvError::Empty) => None,
-                        Err(mpsc::TryRecvError::Disconnected) => break,
-                    }
-                };
-                match req {
-                    Some(Request::Submit { spec, reply }) => {
-                        let _ = reply.send(engine.submit(spec));
-                    }
-                    Some(Request::Status { reply }) => {
-                        let _ = reply.send(status_of(&engine));
-                    }
-                    Some(Request::Cancel { sweep, reply }) => {
-                        engine.cancel(sweep);
-                        let _ = reply.send(());
-                    }
-                    Some(Request::Shutdown { reply }) => {
-                        let run = engine.drain().map(|()| engine.finish());
-                        let _ = reply.send(run);
-                        return;
-                    }
-                    None => {
-                        // Advance one event batch, then look again.
-                        if let Err(e) = engine.step() {
-                            panic!("service engine failed: {e}");
-                        }
-                    }
-                }
-            }
-            // Handles dropped without shutdown: finish the work quietly.
-            let _ = engine.drain();
+            serve(engine, &rx);
         });
         ServeHandle {
             tx,
@@ -183,6 +143,53 @@ impl<C> Drop for ServeHandle<C> {
             let _ = worker.join();
         }
     }
+}
+
+/// The worker loop: alternates between serving queued client requests
+/// (all of them, before any simulation step) and advancing the simulation
+/// one event batch; returns on `Shutdown` or when every handle is gone.
+fn serve<B: ArrayBackend>(mut engine: ServeEngine<B>, rx: &mpsc::Receiver<Request<B::Config>>) {
+    loop {
+        // Serve every queued request at the current sim time,
+        // blocking only when the simulation has nothing to do.
+        let req = if engine_idle(&engine) {
+            match rx.recv() {
+                Ok(r) => Some(r),
+                Err(_) => break, // all handles dropped
+            }
+        } else {
+            match rx.try_recv() {
+                Ok(r) => Some(r),
+                Err(mpsc::TryRecvError::Empty) => None,
+                Err(mpsc::TryRecvError::Disconnected) => break,
+            }
+        };
+        match req {
+            Some(Request::Submit { spec, reply }) => {
+                let _ = reply.send(engine.submit(spec));
+            }
+            Some(Request::Status { reply }) => {
+                let _ = reply.send(status_of(&engine));
+            }
+            Some(Request::Cancel { sweep, reply }) => {
+                engine.cancel(sweep);
+                let _ = reply.send(());
+            }
+            Some(Request::Shutdown { reply }) => {
+                let run = engine.drain().map(|()| engine.finish());
+                let _ = reply.send(run);
+                return;
+            }
+            None => {
+                // Advance one event batch, then look again.
+                if let Err(e) = engine.step() {
+                    panic!("service engine failed: {e}");
+                }
+            }
+        }
+    }
+    // Handles dropped without shutdown: finish the work quietly.
+    let _ = engine.drain();
 }
 
 fn engine_idle<B: ArrayBackend>(engine: &ServeEngine<B>) -> bool {
@@ -250,20 +257,33 @@ mod tests {
             width_cap: 4,
             checkpoint_dir: None,
         };
-        let handle = ServeHandle::spawn(backend, fleet, cfg);
-        let a = handle.submit(sweep("alice", 1.0, 4)).unwrap();
-        let b = handle.submit(sweep("bob", 2.0, 4)).unwrap();
-        assert_eq!(a, 0);
-        assert_eq!(b, 1);
-        handle.cancel(b);
-        let run = handle.shutdown().unwrap();
+        // Every request is queued before the worker loop starts, so all of
+        // them land at simulated time 0 and the cancel provably precedes
+        // bob's first step. (Through a live handle the cancel would race the
+        // worker's own stepping: bob may finish first.)
+        let (tx, rx) = mpsc::channel();
+        let (ids_tx, ids) = mpsc::channel();
+        for spec in [sweep("alice", 1.0, 4), sweep("bob", 2.0, 4)] {
+            let reply = ids_tx.clone();
+            tx.send(Request::Submit { spec, reply }).unwrap();
+        }
+        let (a, b) = (0, 1);
+        let (reply, _cancelled) = mpsc::channel();
+        tx.send(Request::Cancel { sweep: b, reply }).unwrap();
+        let (reply, finished) = mpsc::channel();
+        tx.send(Request::Shutdown { reply }).unwrap();
+        serve(
+            ServeEngine::new(backend, fleet, cfg, Vec::new()).unwrap(),
+            &rx,
+        );
+        assert_eq!(ids.recv().unwrap().unwrap(), a);
+        assert_eq!(ids.recv().unwrap().unwrap(), b);
+        let run = finished.recv().unwrap().unwrap();
         assert_eq!(run.report.sweeps, 2);
         assert_eq!(run.report.trials, 8);
-        // Bob's sweep was cancelled before (or while) training.
+        // Bob's sweep was cancelled before training.
         let bob: Vec<_> = run.outcomes.iter().filter(|o| o.sweep == b).collect();
-        assert!(bob
-            .iter()
-            .all(|o| o.status == "cancelled" || o.status == "killed"));
+        assert!(bob.iter().all(|o| o.status == "cancelled"));
         // Alice's sweep ran to completion: someone finished.
         assert!(run
             .outcomes

@@ -11,12 +11,14 @@
 //! their last snapshot), but not what they compute.
 
 use std::fs;
+use std::io;
 use std::path::PathBuf;
 
 use hfta_sched::asha::RungPolicy;
 use hfta_sched::linear::{LinearBackend, LinearTrialCfg};
+use hfta_serve::checkpoint::{ServeJournalRec, JOURNAL_FILE};
 use hfta_serve::engine::{ServeCfg, ServeCmd, ServeEngine, ServeRun, SweepSpec};
-use hfta_serve::AdmitPolicy;
+use hfta_serve::{AdmitPolicy, CheckpointStore};
 use hfta_sim::{DeviceFleet, DeviceSpec};
 
 fn fleet() -> DeviceFleet {
@@ -179,4 +181,102 @@ fn preempted_lanes_resume_on_any_device_bit_identically() {
     eng.drain().unwrap();
     let other = eng.finish();
     assert_eq!(full.outcomes, other.outcomes);
+}
+
+#[test]
+fn malformed_journals_are_typed_errors_never_panics() {
+    // A real journal from a service killed after its first batch: one
+    // submit replayed, four commands still unprocessed.
+    let dir = tmpdir("malformed");
+    {
+        let mut eng = ServeEngine::new(
+            LinearBackend::default(),
+            fleet(),
+            cfg(AdmitPolicy::FairShare, Some(dir.clone())),
+            commands(),
+        )
+        .unwrap();
+        eng.step().unwrap();
+    }
+    let good = CheckpointStore::read_journal(&dir).unwrap();
+    let submit = good.iter().position(|r| r.kind == "submit").unwrap();
+    assert_eq!(good.iter().filter(|r| r.kind == "submit").count(), 1);
+
+    // Each case: the journal edited, or the command list swapped.
+    type Journal = Vec<ServeJournalRec>;
+    let append = |kind: &str, edit: fn(&mut ServeJournalRec)| {
+        let mut journal = good.clone();
+        let mut rec = ServeJournalRec::blank(kind, 1);
+        edit(&mut rec);
+        journal.push(rec);
+        (journal, commands())
+    };
+    let edit_submit = |edit: fn(&mut ServeJournalRec)| {
+        let mut journal = good.clone();
+        edit(&mut journal[submit]);
+        (journal, commands())
+    };
+    let with_command = |at: usize, cmd: ServeCmd<LinearTrialCfg>, extra: Option<&str>| {
+        let mut cmds = commands();
+        cmds[at].1 = cmd;
+        let mut journal = good.clone();
+        journal.extend(extra.map(|kind| ServeJournalRec::blank(kind, 1)));
+        (journal, cmds)
+    };
+    let cases: Vec<(&str, (Journal, Vec<_>))> = vec![
+        ("unknown kind", append("mystery", |_| {})),
+        (
+            "unknown status",
+            append("terminal", |r| r.status = "exploded".into()),
+        ),
+        (
+            "non-terminal status",
+            append("terminal", |r| r.status = "running".into()),
+        ),
+        (
+            "terminal for a trial never submitted",
+            append("terminal", |r| {
+                (r.status, r.trial) = ("finished".into(), 10_000)
+            }),
+        ),
+        (
+            "report for a cohort never opened",
+            append("report", |r| r.sweep = 99),
+        ),
+        (
+            "decision for a cohort never opened",
+            append("decision", |r| r.rung = 7),
+        ),
+        ("cancel where the commands submit", append("cancel", |_| {})),
+        (
+            "cancel of another sweep than the commands'",
+            with_command(1, ServeCmd::Cancel { sweep: 3 }, Some("cancel")),
+        ),
+        (
+            "submit where the commands cancel",
+            with_command(0, ServeCmd::Cancel { sweep: 0 }, None),
+        ),
+        ("more submits than commands", (good.clone(), Vec::new())),
+        ("sweep size mismatch", edit_submit(|r| r.n_trials += 1)),
+        ("sweep id out of order", edit_submit(|r| r.sweep = 5)),
+        ("trial id out of order", edit_submit(|r| r.base_trial = 5)),
+    ];
+    for (name, (journal, cmds)) in cases {
+        let text: String = journal
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap() + "\n")
+            .collect();
+        fs::write(dir.join(JOURNAL_FILE), text).unwrap();
+        let recovered = ServeEngine::recover(
+            LinearBackend::default(),
+            fleet(),
+            cfg(AdmitPolicy::FairShare, Some(dir.clone())),
+            cmds,
+        );
+        match recovered {
+            Ok(_) => panic!("{name}: recovery accepted a malformed journal"),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{name}: {e}"),
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
 }

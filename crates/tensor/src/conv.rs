@@ -6,12 +6,14 @@
 //! serial and fused paths in this workspace execute through these kernels.
 //!
 //! Implementation is classic im2col/col2im + per-group GEMM, with the
-//! transposed convolution expressed through the same adjoint kernels.
+//! transposed convolution expressed through the same adjoint kernels. There
+//! is one forward path — pad, per-(sample, group) im2col, [`kernels::gemm`]
+//! with the bias folded into the block initialization — and nothing that
+//! selects another.
 
 use crate::tensor::Tensor;
 use hfta_kernels::{self as kernels, UnsafeSlice};
 use hfta_mem::scratch;
-use std::time::Instant;
 
 /// Target FLOPs per parallel chunk when fanning out over (sample, group)
 /// blocks. A pure function of the problem shape — never of the thread
@@ -187,106 +189,6 @@ fn check_conv_args(x: &Tensor, w: &Tensor, cfg: &ConvCfg) {
     );
 }
 
-/// Which GEMM formulation the conv2d forward runs per (sample, group) block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConvAlgo {
-    /// im2col followed by a plain [`kernels::gemm`], which re-packs the
-    /// group's weight matrix inside every call. The historical default.
-    Im2col,
-    /// The per-group weight matrices are packed into micro-kernel panel
-    /// layout once up front ([`kernels::pack_a_into`]) and every block runs
-    /// [`kernels::gemm_prepacked`], trading one pass of pack work per group
-    /// for `n` repacks. Bit-identical to `Im2col` (both keep the GEMM
-    /// contract's per-element FMA chain); pays off when the batch is deep
-    /// relative to the GEMM.
-    Prepacked,
-}
-
-/// Picks the forward algorithm for one conv2d launch.
-///
-/// Without a find-db (`HFTA_TUNE_DB` unset) this is always
-/// [`ConvAlgo::Im2col`] — the historical path, zero selection overhead.
-/// With one, the per-block GEMM shape `(coutg, krows, spatial)` keys a
-/// persisted decision under op `"conv2d"`; on a miss, block `(0, 0)` is
-/// timed both ways — the shared im2col lowering excluded, the one-off pack
-/// cost amortized over the `n` samples that reuse a group's panels — and
-/// the winner recorded write-through.
-#[allow(clippy::too_many_arguments)]
-fn choose_conv2d_algo(
-    w_data: &[f32],
-    xp_data: &[f32],
-    cing: usize,
-    coutg: usize,
-    krows: usize,
-    spatial: usize,
-    block: usize,
-    (hp, wp): (usize, usize),
-    (kh, kw): (usize, usize),
-    stride: (usize, usize),
-    (ho, wo): (usize, usize),
-    n: usize,
-) -> ConvAlgo {
-    if !kernels::tune::enabled() || n == 0 || block == 0 || krows == 0 {
-        return ConvAlgo::Im2col;
-    }
-    let key = kernels::tune::key("conv2d", coutg, krows, spatial, kernels::num_threads());
-    if let Some(winner) = kernels::tune::lookup(&key) {
-        return if winner == "prepacked" {
-            ConvAlgo::Prepacked
-        } else {
-            ConvAlgo::Im2col
-        };
-    }
-    let aplen = kernels::packed_a_len(coutg, krows);
-    let wmat0 = &w_data[..coutg * krows];
-    scratch::reserve("conv.cols", krows * spatial, 1);
-    scratch::reserve("conv.tune.out", block, 1);
-    scratch::reserve("conv.tune.pack", aplen, 1);
-    let (im2col_us, prepacked_us) = scratch::with(krows * spatial, |cols| {
-        im2col_into(
-            cols,
-            &xp_data[..cing * hp * wp],
-            cing,
-            (hp, wp),
-            (kh, kw),
-            stride,
-            (ho, wo),
-        );
-        scratch::with(block, |tmp| {
-            // Warm-up dispatch: the GEMM's own per-shape tuning (and any
-            // lazy pool spin-up) must not be billed to the im2col candidate.
-            kernels::gemm(tmp, wmat0, cols, coutg, krows, spatial);
-            let t0 = Instant::now();
-            kernels::gemm(tmp, wmat0, cols, coutg, krows, spatial);
-            let im2col_us = t0.elapsed().as_secs_f64() * 1e6;
-            scratch::with(aplen, |apack| {
-                let t0 = Instant::now();
-                kernels::pack_a_into(wmat0, coutg, krows, apack);
-                let pack_us = t0.elapsed().as_secs_f64() * 1e6;
-                let t0 = Instant::now();
-                kernels::gemm_prepacked(tmp, apack, cols, coutg, krows, spatial);
-                let gemm_us = t0.elapsed().as_secs_f64() * 1e6;
-                (im2col_us, gemm_us + pack_us / n as f64)
-            })
-        })
-    });
-    let winner = if prepacked_us < im2col_us {
-        ConvAlgo::Prepacked
-    } else {
-        ConvAlgo::Im2col
-    };
-    let name = match winner {
-        ConvAlgo::Prepacked => "prepacked",
-        ConvAlgo::Im2col => "im2col",
-    };
-    kernels::tune::record(
-        &key,
-        name,
-        &[("im2col", im2col_us), ("prepacked", prepacked_us)],
-    );
-    winner
-}
-
 /// 2-D convolution: `x [N, Cin, H, W]`, `w [Cout, Cin/g, kh, kw]`,
 /// optional `b [Cout]` → `[N, Cout, Ho, Wo]`.
 ///
@@ -338,68 +240,26 @@ pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tenso
         let grain = block_grain(per_block_flops, n * g);
         reserve_cols(krows * spatial, n * g, grain);
         let mut out = Tensor::zeros([n, cout, ho, wo]);
-        let algo = choose_conv2d_algo(
-            w_data,
-            xp_data,
-            cing,
-            coutg,
-            krows,
-            spatial,
-            block,
-            (hp, wp),
-            (kh, kw),
-            cfg.stride,
-            (ho, wo),
-            n,
-        );
         let shared = UnsafeSlice::new(out.as_mut_slice());
-        let run_blocks = |wpack: &[f32], aplen: usize| {
-            kernels::parallel_for_work(n * g, grain, n * g * per_block_flops, |range| {
-                for idx in range {
-                    let (ni, gi) = (idx / g, idx % g);
-                    // SAFETY: each (sample, group) index owns a disjoint block.
-                    let out_block = unsafe { shared.slice_mut(idx * block..(idx + 1) * block) };
-                    if let Some(bd) = bias_data {
-                        for (co, row) in out_block.chunks_exact_mut(spatial).enumerate() {
-                            row.fill(bd[gi * coutg + co]);
-                        }
+        kernels::parallel_for_work(n * g, grain, n * g * per_block_flops, |range| {
+            for idx in range {
+                let (ni, gi) = (idx / g, idx % g);
+                // SAFETY: each (sample, group) index owns a disjoint block.
+                let out_block = unsafe { shared.slice_mut(idx * block..(idx + 1) * block) };
+                if let Some(bd) = bias_data {
+                    for (co, row) in out_block.chunks_exact_mut(spatial).enumerate() {
+                        row.fill(bd[gi * coutg + co]);
                     }
-                    let img = &xp_data
-                        [(ni * cin + gi * cing) * hp * wp..(ni * cin + (gi + 1) * cing) * hp * wp];
-                    scratch::with(krows * spatial, |cols| {
-                        im2col_into(cols, img, cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo));
-                        if aplen > 0 {
-                            let apack = &wpack[gi * aplen..(gi + 1) * aplen];
-                            kernels::gemm_prepacked(out_block, apack, cols, coutg, krows, spatial);
-                        } else {
-                            let wmat = &w_data[gi * coutg * krows..(gi + 1) * coutg * krows];
-                            kernels::gemm(out_block, wmat, cols, coutg, krows, spatial);
-                        }
-                    });
                 }
-            });
-        };
-        match algo {
-            ConvAlgo::Im2col => run_blocks(&[], 0),
-            ConvAlgo::Prepacked => {
-                // Pack every group's weight matrix into micro-kernel panel
-                // layout once; all `n` samples of a group then reuse its
-                // panels instead of re-packing inside each GEMM call.
-                let aplen = kernels::packed_a_len(coutg, krows);
-                scratch::reserve("conv.wpack", g * aplen, 1);
-                scratch::with(g * aplen, |wpack| {
-                    for gi in 0..g {
-                        kernels::pack_a_into(
-                            &w_data[gi * coutg * krows..(gi + 1) * coutg * krows],
-                            coutg,
-                            krows,
-                            &mut wpack[gi * aplen..(gi + 1) * aplen],
-                        );
-                    }
-                    run_blocks(wpack, aplen);
+                let img = &xp_data
+                    [(ni * cin + gi * cing) * hp * wp..(ni * cin + (gi + 1) * cing) * hp * wp];
+                let wmat = &w_data[gi * coutg * krows..(gi + 1) * coutg * krows];
+                scratch::with(krows * spatial, |cols| {
+                    im2col_into(cols, img, cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo));
+                    kernels::gemm(out_block, wmat, cols, coutg, krows, spatial);
                 });
             }
-        }
+        });
         out
     })
 }
@@ -922,51 +782,6 @@ mod tests {
         let fast = conv2d(&x, &w, None, cfg);
         let slow = conv2d_naive(&x, &w, None, cfg);
         assert!(fast.allclose(&slow, 1e-3));
-    }
-
-    #[test]
-    fn find_db_winner_picks_the_algo_and_unknown_names_fall_back() {
-        // Seed a find-db whose entry names the winner for this exact
-        // per-block GEMM shape, so the test is deterministic instead of
-        // depending on which candidate happens to win a timing race.
-        let x = randn(&[3, 4, 10, 10], 101);
-        let w = randn(&[6, 2, 3, 3], 102);
-        let bias = randn(&[6], 103);
-        let cfg = ConvCfg {
-            stride: (1, 1),
-            padding: (1, 1),
-            groups: 2,
-        };
-        let baseline = conv2d(&x, &w, Some(&bias), cfg);
-
-        let (coutg, krows) = (6 / 2, 2 * 3 * 3);
-        let (ho, wo) = cfg.out_hw((10, 10), (3, 3));
-        let key = kernels::tune::key("conv2d", coutg, krows, ho * wo, kernels::num_threads());
-        let db_path =
-            std::env::temp_dir().join(format!("hfta-conv-prepacked-{}.json", std::process::id()));
-        // `prepacked` must be bit-identical to im2col; a winner this build
-        // does not know (a retired or future name) must mean the default
-        // algorithm, not a panic.
-        for winner in ["prepacked", "blocked", ""] {
-            let mut db = kernels::tune::FindDb::new();
-            db.entries.insert(
-                key.clone(),
-                kernels::tune::TuneEntry {
-                    winner: winner.to_string(),
-                    micros: std::collections::BTreeMap::new(),
-                },
-            );
-            db.save(&db_path).unwrap();
-            kernels::tune::set_db_path(Some(db_path.clone()));
-            let tuned = conv2d(&x, &w, Some(&bias), cfg);
-            kernels::tune::set_db_path(None);
-            assert_eq!(
-                tuned.to_vec(),
-                baseline.to_vec(),
-                "conv under find-db winner `{winner}` must be bit-identical to im2col"
-            );
-        }
-        let _ = std::fs::remove_file(&db_path);
     }
 
     #[test]

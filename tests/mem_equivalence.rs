@@ -4,7 +4,7 @@
 //! HFTA bit-identity contract (fused training reproduces serial training
 //! bit-for-bit) only survives if recycling changes *nothing* about the
 //! computed values. These tests train real fused models twice — pool on
-//! vs `HFTA_MEM_POOL=off` semantics (`set_pool_enabled(false)`) — and
+//! vs plain allocation (`set_pool_enabled(false)`) — and
 //! compare every parameter bit-for-bit at 1 and 4 worker threads, then
 //! pin down the two properties the memory layer itself claims: fixed
 //! workloads produce identical pool statistics, and after warm-up a
