@@ -12,7 +12,9 @@
 //! shared accelerator.
 //!
 //! * [`rules`] — the fusion rule table and the fusability checker;
-//! * [`ops`] — fused operator modules with `new` / `from_models` / `unfuse`;
+//! * [`ops`] — fused operator modules with `new` / `from_models` / `unfuse`,
+//!   and the [`ops::Ops`] operator families (`Serial` / `Fused(B)`) that let a
+//!   model be written once and instantiated as one job or as an array;
 //! * [`mod@format`] — the fused data layouts and differentiable converters;
 //! * [`loss`] — fused losses with the §3.2 gradient-exact scaling rule;
 //! * [`optim`] — fused optimizers/schedulers with per-model hyper-parameters;

@@ -10,11 +10,32 @@
 //! | `Linear` | `baddbmm` over `[B, N, F]` operands |
 //! | `BatchNorm1d/2d` | same op widened to `B*C` channels |
 //! | `MaxPool2d`, `Dropout(2d)`, activations | same op (stateless) |
+//! | a whole model written against [`Ops`] | the same definition at [`Fused`]`(B)` |
 //!
 //! Every module offers three constructors/conversions:
 //! `new` (fresh per-model initializations), `from_models` (fuse trained
 //! per-model layers; checks the same-type/same-shape condition), and
 //! `unfuse` (recover the per-model layers, e.g. to checkpoint each job).
+//!
+//! # Operator families
+//!
+//! [`Ops`] is the paper's `get_hfta_op_for(op, B)` (§3.3, Fig 2) as a type:
+//! a *family* names one layer type per operator kind and builds it, so a
+//! model written once over `O: Ops` is a serial model at [`Serial`] (the
+//! `hfta-nn` layers, one job) and a fused array at [`Fused`]`(B)` (the
+//! `FusedX` modules above). The family is chosen at the call site and
+//! dispatch is static. Besides constructors a family carries the few
+//! **layout rules** on which the two genuinely differ, because the fused
+//! ops fix where the model axis lives (conv format `[N, B*C, ..]` for
+//! convs and batch norm, array format `[B, N, F]` for `Linear`): the
+//! conv→array hop before a `Linear`, batch norm over array-format
+//! activations, the per-model class axis of a log-softmax, per-model
+//! channel concat, and a per-model batched matmul. Those live here, next
+//! to the ops that impose them, so a model definition never encodes how it
+//! is mapped onto the device; each is an identity (a handle clone, no tape
+//! node) or the plain per-model op for [`Serial`].
+
+use std::fmt::Debug;
 
 use hfta_nn::layers::{BatchNorm, Conv1d, Conv2d, Conv2dCfg, ConvTranspose2d, Linear, LinearCfg};
 use hfta_nn::{Module, Parameter, Var};
@@ -22,6 +43,7 @@ use hfta_tensor::conv::ConvCfg;
 use hfta_tensor::{Rng, Tensor};
 
 use crate::error::{FusionError, Result};
+use crate::format::{array_to_conv, conv_to_array, fused_concat_channels};
 
 /// A fused parameter together with its array width; axis 0 is always the
 /// model axis (divided into `b` equal chunks), which is how per-model
@@ -75,7 +97,7 @@ pub trait FusedModule: Module {
     }
 }
 
-fn check_same<T: PartialEq + std::fmt::Debug>(
+fn check_same<T: PartialEq + Debug>(
     items: impl Iterator<Item = T>,
     kind: &'static str,
 ) -> Result<T> {
@@ -743,6 +765,253 @@ stateless_fused! {
 stateless_fused! {
     /// `B` fused Tanhs over the widened tensor (Table 6 row 12).
     FusedTanh wraps hfta_nn::layers::Tanh
+}
+
+// ---------------------------------------------------------------------------
+// Operator families
+// ---------------------------------------------------------------------------
+
+/// An operator family: which layer type realizes each operator kind, and
+/// the layout rules that differ between one model and a fused array (see
+/// the module docs). Models are written once, generic over `O: Ops`.
+///
+/// # Example — one definition, two instantiations
+///
+/// ```
+/// use hfta_core::ops::{Fused, Ops, Serial};
+/// use hfta_nn::{layers::LinearCfg, Module, Tape, Var};
+/// use hfta_tensor::Rng;
+///
+/// struct Mlp<O: Ops> {
+///     fc1: O::Linear,
+///     bn: O::BatchNorm,
+///     fc2: O::Linear,
+///     ops: O,
+/// }
+///
+/// impl<O: Ops> Mlp<O> {
+///     fn build(ops: O, rng: &mut Rng) -> Self {
+///         Mlp {
+///             fc1: ops.linear(LinearCfg::new(6, 8), rng),
+///             bn: ops.batch_norm(8),
+///             fc2: ops.linear(LinearCfg::new(8, 3), rng),
+///             ops,
+///         }
+///     }
+///
+///     /// Conv-format features `[N, B*6]` in, the family's logits out.
+///     fn forward(&self, x: &Var) -> Var {
+///         let h = self.fc1.forward(&self.ops.to_linear(x));
+///         self.fc2.forward(&self.ops.batch_norm_linear(&self.bn, &h).relu())
+///     }
+/// }
+///
+/// let (tape, mut rng) = (Tape::new(), Rng::seed_from(0));
+/// let one_job = Mlp::build(Serial, &mut rng);
+/// let y = one_job.forward(&tape.leaf(rng.randn([4, 6])));
+/// assert_eq!(y.dims(), vec![4, 3]);
+/// let array = Mlp::build(Fused(5), &mut rng);
+/// let y = array.forward(&tape.leaf(rng.randn([4, 5 * 6])));
+/// assert_eq!(y.dims(), vec![5, 4, 3]);
+/// ```
+pub trait Ops: Copy + Debug {
+    /// 2-D convolution.
+    type Conv2d: Module + Debug;
+    /// 2-D transposed convolution.
+    type ConvTranspose2d: Module + Debug;
+    /// 1-D convolution.
+    type Conv1d: Module + Debug;
+    /// Fully connected layer.
+    type Linear: Module + Debug;
+    /// Batch normalization.
+    type BatchNorm: Module + Debug;
+
+    /// Number of models one op of this family computes (1 for [`Serial`]).
+    fn b(&self) -> usize;
+
+    /// Builds a 2-D convolution.
+    fn conv2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> Self::Conv2d;
+    /// Builds a 2-D transposed convolution.
+    fn conv_transpose2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> Self::ConvTranspose2d;
+    /// Builds an ungrouped 1-D convolution.
+    fn conv1d(
+        &self,
+        cin: usize,
+        cout: usize,
+        kernel: usize,
+        stride: usize,
+        padding: usize,
+        rng: &mut Rng,
+    ) -> Self::Conv1d;
+    /// Builds a fully connected layer.
+    fn linear(&self, cfg: LinearCfg, rng: &mut Rng) -> Self::Linear;
+    /// Builds a batch norm over `channels` channels per model.
+    fn batch_norm(&self, channels: usize) -> Self::BatchNorm;
+
+    /// Flattened conv-format features `[N, B*F]` → the family's `Linear`
+    /// input (`[N, F]` unchanged, or array format `[B, N, F]`).
+    fn to_linear(&self, x: &Var) -> Var;
+    /// Applies `bn` to a `Linear` output.
+    fn batch_norm_linear(&self, bn: &Self::BatchNorm, x: &Var) -> Var;
+    /// Log-softmax over each model's own classes of conv-format logits
+    /// `[N, B*K, P]`.
+    fn log_softmax_channels(&self, logits: &Var) -> Var;
+    /// Per-model `cat([a_i, b_i], dim = 1)` of two conv-format activations.
+    fn concat_channels(&self, a: &Var, b: &Var) -> Var;
+    /// Right-multiplies each model's points `x [N, B*3, P]` by its own 3x3
+    /// matrices, given as a `Linear` output of 9 features.
+    fn transform_points(&self, x: &Var, mats: &Var) -> Var;
+}
+
+/// The per-model family: the `hfta-nn` layers themselves, one training job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Serial;
+
+impl Ops for Serial {
+    type Conv2d = Conv2d;
+    type ConvTranspose2d = ConvTranspose2d;
+    type Conv1d = Conv1d;
+    type Linear = Linear;
+    type BatchNorm = BatchNorm;
+
+    fn b(&self) -> usize {
+        1
+    }
+
+    fn conv2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> Conv2d {
+        Conv2d::new(cfg, rng)
+    }
+
+    fn conv_transpose2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> ConvTranspose2d {
+        ConvTranspose2d::new(cfg, rng)
+    }
+
+    fn conv1d(
+        &self,
+        cin: usize,
+        cout: usize,
+        kernel: usize,
+        stride: usize,
+        padding: usize,
+        rng: &mut Rng,
+    ) -> Conv1d {
+        Conv1d::new(cin, cout, kernel, stride, padding, 1, rng)
+    }
+
+    fn linear(&self, cfg: LinearCfg, rng: &mut Rng) -> Linear {
+        Linear::new(cfg, rng)
+    }
+
+    fn batch_norm(&self, channels: usize) -> BatchNorm {
+        BatchNorm::new(channels)
+    }
+
+    fn to_linear(&self, x: &Var) -> Var {
+        x.clone()
+    }
+
+    fn batch_norm_linear(&self, bn: &BatchNorm, x: &Var) -> Var {
+        bn.forward(x)
+    }
+
+    fn log_softmax_channels(&self, logits: &Var) -> Var {
+        logits.log_softmax(1)
+    }
+
+    fn concat_channels(&self, a: &Var, b: &Var) -> Var {
+        Var::concat(&[a, b], 1)
+    }
+
+    fn transform_points(&self, x: &Var, mats: &Var) -> Var {
+        let mats = mats.reshape(&[x.dim(0), 3, 3]);
+        // [N, P, 3] x [N, 3, 3] -> [N, P, 3], then back to [N, 3, P].
+        x.transpose(1, 2).bmm(&mats).transpose(1, 2)
+    }
+}
+
+/// The horizontally fused family at array width `B`: the `FusedX` modules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fused(pub usize);
+
+impl Ops for Fused {
+    type Conv2d = FusedConv2d;
+    type ConvTranspose2d = FusedConvTranspose2d;
+    type Conv1d = FusedConv1d;
+    type Linear = FusedLinear;
+    type BatchNorm = FusedBatchNorm;
+
+    fn b(&self) -> usize {
+        self.0
+    }
+
+    fn conv2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> FusedConv2d {
+        FusedConv2d::new(self.0, cfg, rng)
+    }
+
+    fn conv_transpose2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> FusedConvTranspose2d {
+        FusedConvTranspose2d::new(self.0, cfg, rng)
+    }
+
+    fn conv1d(
+        &self,
+        cin: usize,
+        cout: usize,
+        kernel: usize,
+        stride: usize,
+        padding: usize,
+        rng: &mut Rng,
+    ) -> FusedConv1d {
+        FusedConv1d::new(self.0, cin, cout, kernel, stride, padding, rng)
+    }
+
+    fn linear(&self, cfg: LinearCfg, rng: &mut Rng) -> FusedLinear {
+        FusedLinear::new(self.0, cfg, rng)
+    }
+
+    fn batch_norm(&self, channels: usize) -> FusedBatchNorm {
+        FusedBatchNorm::new(self.0, channels)
+    }
+
+    fn to_linear(&self, x: &Var) -> Var {
+        conv_to_array(x, self.0)
+    }
+
+    /// The widened batch norm runs in conv format: `[B, N, F]` → `[N, B*F]`,
+    /// normalize, and back.
+    fn batch_norm_linear(&self, bn: &FusedBatchNorm, x: &Var) -> Var {
+        conv_to_array(&bn.forward(&array_to_conv(x)), self.0)
+    }
+
+    fn log_softmax_channels(&self, logits: &Var) -> Var {
+        // [N, B*K, P] -> [N, B, K, P]: softmax over K only.
+        let dims = logits.dims();
+        let (n, k, p) = (dims[0], dims[1] / self.0, dims[2]);
+        logits
+            .reshape(&[n, self.0, k, p])
+            .log_softmax(2)
+            .reshape(&dims)
+    }
+
+    fn concat_channels(&self, a: &Var, b: &Var) -> Var {
+        fused_concat_channels(a, b, self.0)
+    }
+
+    /// `B*N` batched 3x3 matmuls — the fused form of the reference
+    /// `torch.bmm`.
+    fn transform_points(&self, x: &Var, mats: &Var) -> Var {
+        let (b, n, p) = (self.0, x.dim(0), x.dim(2));
+        let mats = mats.reshape(&[b * n, 3, 3]);
+        // [N, B*3, P] -> [B*N, P, 3], batched transform, and back.
+        let points = x
+            .reshape(&[n, b, 3, p])
+            .permute(&[1, 0, 3, 2]) // [B, N, P, 3]
+            .reshape(&[b * n, p, 3]);
+        points
+            .bmm(&mats)
+            .reshape(&[b, n, p, 3])
+            .permute(&[1, 0, 3, 2]) // [N, B, 3, P]
+            .reshape(&[n, b * 3, p])
+    }
 }
 
 #[cfg(test)]

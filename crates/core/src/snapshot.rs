@@ -97,12 +97,27 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or(SnapshotError::Truncated)?;
+        let s = &self.bytes[self.pos..end];
+        self.pos = end;
         Ok(s)
+    }
+
+    /// Reads a count that declares `n * per` further items of at least 4
+    /// bytes each, and rejects one the remaining bytes cannot hold before
+    /// anything is reserved for it: the header of an on-disk file is not
+    /// trusted to size an allocation.
+    fn count(&mut self, per: usize) -> Result<usize, SnapshotError> {
+        let n = self.u32()? as usize;
+        let need = n.checked_mul(per).and_then(|items| items.checked_mul(4));
+        match need {
+            Some(need) if need <= self.bytes.len() - self.pos => Ok(n),
+            _ => Err(SnapshotError::Truncated),
+        }
     }
 
     fn u32(&mut self) -> Result<u32, SnapshotError> {
@@ -116,14 +131,17 @@ impl<'a> Reader<'a> {
     }
 
     fn tensor(&mut self) -> Result<Tensor, SnapshotError> {
-        let rank = self.u32()? as usize;
+        let rank = self.count(1)?;
         let mut dims = Vec::with_capacity(rank);
         for _ in 0..rank {
             dims.push(self.u32()? as usize);
         }
-        let numel: usize = dims.iter().product();
+        let byte_len = dims
+            .iter()
+            .try_fold(4usize, |acc, &d| acc.checked_mul(d))
+            .ok_or(SnapshotError::Truncated)?;
         let data: Vec<f32> = self
-            .take(numel * 4)?
+            .take(byte_len)?
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect();
@@ -156,12 +174,12 @@ pub fn load_lane(bytes: &[u8]) -> Result<LaneState, SnapshotError> {
             lane: r.u64()?,
         }),
     };
-    let param_count = r.u32()? as usize;
+    let param_count = r.count(1)?;
     let mut params = Vec::with_capacity(param_count);
     for _ in 0..param_count {
         params.push(r.tensor()?);
     }
-    let slots = r.u32()? as usize;
+    let slots = r.count(param_count)?;
     let mut opt_state = Vec::with_capacity(param_count);
     for _ in 0..param_count {
         let mut per_param = Vec::with_capacity(slots);
@@ -253,6 +271,41 @@ mod tests {
             load_lane(&trailing).unwrap_err(),
             SnapshotError::TrailingBytes
         );
+    }
+
+    #[test]
+    fn corrupt_headers_and_every_prefix_are_errors_not_panics() {
+        fn with_header(fields: &[u32]) -> Vec<u8> {
+            let mut bytes = [&MAGIC[..], &VERSION.to_le_bytes(), &[0; 8], &[0]].concat();
+            for f in fields {
+                bytes.extend_from_slice(&f.to_le_bytes());
+            }
+            bytes
+        }
+        let d = 65536;
+        let corrupt = [
+            ("numel overflows usize", with_header(&[1, 4, d, d, d, d])),
+            ("param_count = u32::MAX", with_header(&[u32::MAX])),
+            ("rank = u32::MAX", with_header(&[1, u32::MAX])),
+            // One rank-0 parameter (bits of 1.0), then the slot count.
+            (
+                "slots = u32::MAX",
+                with_header(&[1, 0, 0x3f80_0000, u32::MAX]),
+            ),
+        ];
+        for (what, bytes) in &corrupt {
+            assert_eq!(
+                load_lane(bytes).unwrap_err(),
+                SnapshotError::Truncated,
+                "{what}"
+            );
+        }
+        for with_ctx in [false, true] {
+            let valid = save_lane(&state(with_ctx));
+            for len in 0..valid.len() {
+                assert!(load_lane(&valid[..len]).is_err(), "prefix of {len} bytes");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! AlexNet (Krizhevsky et al., 2012) — the paper's Figure 2 example of
-//! "how to enable HFTA": the model definition is identical between the
-//! serial and fused variants; only the operator classes change.
+//! "how to enable HFTA". One definition, two instantiations: [`AlexNetOn`]
+//! is written once over an operator family ([`hfta_core::ops::Ops`]);
+//! [`AlexNet`] is the serial model and [`FusedAlexNet`] the HFTA-fused
+//! array of the same code — only the operator classes change.
 
-use hfta_core::format::conv_to_array;
-use hfta_core::ops::{FusedConv2d, FusedLinear, FusedModule};
-use hfta_nn::layers::{Conv2d, Conv2dCfg, Dropout, Linear, LinearCfg, MaxPool2d};
+use hfta_core::ops::{Fused, Ops, Serial};
+use hfta_nn::layers::{Conv2dCfg, Dropout, LinearCfg, MaxPool2d};
 use hfta_nn::{Module, Parameter, Var};
 use hfta_tensor::Rng;
 
@@ -34,45 +35,54 @@ impl AlexNetCfg {
     }
 }
 
-/// Serial AlexNet (CIFAR-style kernel sizes).
+/// AlexNet (CIFAR-style kernel sizes) over the operator family `O`: conv
+/// format `[N, B*3, S, S]` → logits in the family's `Linear` layout
+/// (`[N, classes]` for [`Serial`], array format `[B, N, classes]` for
+/// [`Fused`]). Pooling and dropout are stateless and serve both families.
 #[derive(Debug)]
-pub struct AlexNet {
-    convs: Vec<Conv2d>,
+pub struct AlexNetOn<O: Ops> {
+    convs: Vec<O::Conv2d>,
     pool: MaxPool2d,
     drop1: Dropout,
-    fc1: Linear,
+    fc1: O::Linear,
     drop2: Dropout,
-    fc2: Linear,
-    fc3: Linear,
+    fc2: O::Linear,
+    fc3: O::Linear,
+    ops: O,
 }
 
-impl AlexNet {
-    /// Builds the network.
-    pub fn new(cfg: AlexNetCfg, rng: &mut Rng) -> Self {
+/// Serial AlexNet: `[N, 3, S, S]` → logits `[N, classes]`.
+pub type AlexNet = AlexNetOn<Serial>;
+/// HFTA-fused AlexNet array.
+pub type FusedAlexNet = AlexNetOn<Fused>;
+
+impl<O: Ops> AlexNetOn<O> {
+    /// Builds the network out of `ops`' layers.
+    pub fn build(ops: O, cfg: AlexNetCfg, rng: &mut Rng) -> Self {
         let w = cfg.width;
         let convs = vec![
-            Conv2d::new(Conv2dCfg::new(3, w, 3).padding(1), rng),
-            Conv2d::new(Conv2dCfg::new(w, 2 * w, 3).padding(1), rng),
-            Conv2d::new(Conv2dCfg::new(2 * w, 4 * w, 3).padding(1), rng),
-            Conv2d::new(Conv2dCfg::new(4 * w, 4 * w, 3).padding(1), rng),
-            Conv2d::new(Conv2dCfg::new(4 * w, 2 * w, 3).padding(1), rng),
+            ops.conv2d(Conv2dCfg::new(3, w, 3).padding(1), rng),
+            ops.conv2d(Conv2dCfg::new(w, 2 * w, 3).padding(1), rng),
+            ops.conv2d(Conv2dCfg::new(2 * w, 4 * w, 3).padding(1), rng),
+            ops.conv2d(Conv2dCfg::new(4 * w, 4 * w, 3).padding(1), rng),
+            ops.conv2d(Conv2dCfg::new(4 * w, 2 * w, 3).padding(1), rng),
         ];
         let s = cfg.spatial_out();
         let flat = 2 * w * s * s;
-        AlexNet {
+        AlexNetOn {
             convs,
             pool: MaxPool2d::new(2),
             drop1: Dropout::new(0.5, rng.split().below(u32::MAX as usize) as u64),
-            fc1: Linear::new(LinearCfg::new(flat, 4 * w), rng),
+            fc1: ops.linear(LinearCfg::new(flat, 4 * w), rng),
             drop2: Dropout::new(0.5, rng.split().below(u32::MAX as usize) as u64),
-            fc2: Linear::new(LinearCfg::new(4 * w, 4 * w), rng),
-            fc3: Linear::new(LinearCfg::new(4 * w, cfg.classes), rng),
+            fc2: ops.linear(LinearCfg::new(4 * w, 4 * w), rng),
+            fc3: ops.linear(LinearCfg::new(4 * w, cfg.classes), rng),
+            ops,
         }
     }
 }
 
-impl Module for AlexNet {
-    /// `x [N, 3, S, S]` → logits `[N, classes]`.
+impl<O: Ops> Module for AlexNetOn<O> {
     fn forward(&self, x: &Var) -> Var {
         let mut h = x.clone();
         for (i, conv) in self.convs.iter().enumerate() {
@@ -82,7 +92,8 @@ impl Module for AlexNet {
                 h = self.pool.forward(&h);
             }
         }
-        let h = h.flatten_from(1);
+        // [N, B*C, s, s] flattens with each model's block contiguous.
+        let h = self.ops.to_linear(&h.flatten_from(1));
         let h = self.fc1.forward(&self.drop1.forward(&h)).relu();
         let h = self.fc2.forward(&self.drop2.forward(&h)).relu();
         self.fc3.forward(&h)
@@ -102,89 +113,7 @@ impl Module for AlexNet {
     }
 }
 
-/// HFTA-fused AlexNet array — per the paper's Figure 2, the definition
-/// mirrors [`AlexNet`] with the operator classes swapped for their fused
-/// counterparts.
-#[derive(Debug)]
-pub struct FusedAlexNet {
-    convs: Vec<FusedConv2d>,
-    pool: MaxPool2d,
-    drop1: Dropout,
-    fc1: FusedLinear,
-    drop2: Dropout,
-    fc2: FusedLinear,
-    fc3: FusedLinear,
-    b: usize,
-}
-
-impl FusedAlexNet {
-    /// Builds a `b`-wide fused array.
-    pub fn new(b: usize, cfg: AlexNetCfg, rng: &mut Rng) -> Self {
-        let w = cfg.width;
-        let convs = vec![
-            FusedConv2d::new(b, Conv2dCfg::new(3, w, 3).padding(1), rng),
-            FusedConv2d::new(b, Conv2dCfg::new(w, 2 * w, 3).padding(1), rng),
-            FusedConv2d::new(b, Conv2dCfg::new(2 * w, 4 * w, 3).padding(1), rng),
-            FusedConv2d::new(b, Conv2dCfg::new(4 * w, 4 * w, 3).padding(1), rng),
-            FusedConv2d::new(b, Conv2dCfg::new(4 * w, 2 * w, 3).padding(1), rng),
-        ];
-        let s = cfg.spatial_out();
-        let flat = 2 * w * s * s;
-        FusedAlexNet {
-            convs,
-            pool: MaxPool2d::new(2),
-            drop1: Dropout::new(0.5, rng.split().below(u32::MAX as usize) as u64),
-            fc1: FusedLinear::new(b, LinearCfg::new(flat, 4 * w), rng),
-            drop2: Dropout::new(0.5, rng.split().below(u32::MAX as usize) as u64),
-            fc2: FusedLinear::new(b, LinearCfg::new(4 * w, 4 * w), rng),
-            fc3: FusedLinear::new(b, LinearCfg::new(4 * w, cfg.classes), rng),
-            b,
-        }
-    }
-}
-
-impl Module for FusedAlexNet {
-    /// Conv format `[N, B*3, S, S]` → array format `[B, N, classes]`.
-    fn forward(&self, x: &Var) -> Var {
-        let mut h = x.clone();
-        for (i, conv) in self.convs.iter().enumerate() {
-            h = conv.forward(&h).relu();
-            if i == 0 || i == 1 || i == 4 {
-                h = self.pool.forward(&h);
-            }
-        }
-        // [N, B*C, s, s]: flatten each model's block, then to array format.
-        let dims = h.dims();
-        let (n, bc, s1, s2) = (dims[0], dims[1], dims[2], dims[3]);
-        let c = bc / self.b;
-        let flat = h
-            .reshape(&[n, self.b, c * s1 * s2])
-            .reshape(&[n, self.b * c * s1 * s2]);
-        let arr = conv_to_array(&flat, self.b);
-        let h = self.fc1.forward(&self.drop1.forward(&arr)).relu();
-        let h = self.fc2.forward(&self.drop2.forward(&h)).relu();
-        self.fc3.forward(&h)
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        let mut ps: Vec<Parameter> = self.convs.iter().flat_map(|c| c.parameters()).collect();
-        ps.extend(self.fc1.parameters());
-        ps.extend(self.fc2.parameters());
-        ps.extend(self.fc3.parameters());
-        ps
-    }
-
-    fn set_training(&self, t: bool) {
-        self.drop1.set_training(t);
-        self.drop2.set_training(t);
-    }
-}
-
-impl FusedModule for FusedAlexNet {
-    fn b(&self) -> usize {
-        self.b
-    }
-}
+instantiate!(AlexNetOn, AlexNetCfg);
 
 #[cfg(test)]
 mod tests {

@@ -1,12 +1,15 @@
-//! DCGAN (Radford et al., 2016) generator and discriminator in serial and
-//! HFTA-fused form, following the PyTorch official example the paper
-//! benchmarks.
+//! DCGAN (Radford et al., 2016) generator and discriminator, following the
+//! PyTorch official example the paper benchmarks. One definition, two
+//! instantiations: [`DcganG`] and [`DcganD`] are written once over an
+//! operator family ([`hfta_core::ops::Ops`]); [`Generator`] /
+//! [`Discriminator`] are the serial models and [`FusedGenerator`] /
+//! [`FusedDiscriminator`] the HFTA-fused arrays of the same code.
 //!
 //! A `width`/`image` knob scales the networks so CPU training is feasible;
 //! the paper-scale op traces live in [`crate::traces`].
 
-use hfta_core::ops::{FusedBatchNorm, FusedConv2d, FusedConvTranspose2d, FusedModule};
-use hfta_nn::layers::{BatchNorm, Conv2d, Conv2dCfg, ConvTranspose2d};
+use hfta_core::ops::{Fused, Ops, Serial};
+use hfta_nn::layers::Conv2dCfg;
 use hfta_nn::{Module, Parameter, Var};
 use hfta_tensor::Rng;
 
@@ -49,7 +52,7 @@ impl DcganCfg {
 
     /// Number of stride-2 up/down-sampling stages between 4x4 and the
     /// image resolution.
-    fn stages(&self) -> usize {
+    pub(crate) fn stages(&self) -> usize {
         match self.image {
             16 => 2,
             _ => 4,
@@ -57,53 +60,81 @@ impl DcganCfg {
     }
 }
 
-/// DCGAN generator: latent `[N, nz, 1, 1]` → image `[N, 3, S, S]` in
-/// `[-1, 1]`.
-#[derive(Debug)]
-pub struct Generator {
-    layers: Vec<(ConvTranspose2d, Option<BatchNorm>)>,
+/// A (transposed) convolution and the batch norm that follows it, if any.
+type Stage<C, N> = (C, Option<N>);
+
+fn stage_parameters<C: Module, N: Module>(layers: &[Stage<C, N>]) -> Vec<Parameter> {
+    layers
+        .iter()
+        .flat_map(|(conv, bn)| {
+            let mut ps = conv.parameters();
+            if let Some(bn) = bn {
+                ps.extend(bn.parameters());
+            }
+            ps
+        })
+        .collect()
 }
 
-impl Generator {
-    /// Builds the generator.
-    pub fn new(cfg: DcganCfg, rng: &mut Rng) -> Self {
+fn set_stage_training<C, N: Module>(layers: &[Stage<C, N>], t: bool) {
+    for bn in layers.iter().filter_map(|(_, bn)| bn.as_ref()) {
+        bn.set_training(t);
+    }
+}
+
+/// DCGAN generator over the operator family `O`: latent `[N, B*nz, 1, 1]`
+/// → images `[N, B*3, S, S]` in `[-1, 1]` (`B = 1` for [`Serial`]).
+#[derive(Debug)]
+pub struct DcganG<O: Ops> {
+    layers: Vec<Stage<O::ConvTranspose2d, O::BatchNorm>>,
+    ops: O,
+}
+
+/// Serial DCGAN generator: latent `[N, nz, 1, 1]` → image `[N, 3, S, S]`.
+pub type Generator = DcganG<Serial>;
+/// HFTA-fused DCGAN generator array.
+pub type FusedGenerator = DcganG<Fused>;
+
+impl<O: Ops> DcganG<O> {
+    /// Builds the generator out of `ops`' layers.
+    pub fn build(ops: O, cfg: DcganCfg, rng: &mut Rng) -> Self {
         cfg.check();
         let s = cfg.stages();
         let mut layers = Vec::new();
         // Project latent to (width * 2^(s-1)) x 4 x 4.
         let mut c = cfg.width << (s - 1);
         layers.push((
-            ConvTranspose2d::new(
+            ops.conv_transpose2d(
                 Conv2dCfg::new(cfg.latent, c, 4)
                     .stride(1)
                     .padding(0)
                     .bias(false),
                 rng,
             ),
-            Some(BatchNorm::new(c)),
+            Some(ops.batch_norm(c)),
         ));
         for _ in 0..s - 1 {
             layers.push((
-                ConvTranspose2d::new(
+                ops.conv_transpose2d(
                     Conv2dCfg::new(c, c / 2, 4).stride(2).padding(1).bias(false),
                     rng,
                 ),
-                Some(BatchNorm::new(c / 2)),
+                Some(ops.batch_norm(c / 2)),
             ));
             c /= 2;
         }
         layers.push((
-            ConvTranspose2d::new(
+            ops.conv_transpose2d(
                 Conv2dCfg::new(c, 3, 4).stride(2).padding(1).bias(false),
                 rng,
             ),
             None,
         ));
-        Generator { layers }
+        DcganG { layers, ops }
     }
 }
 
-impl Module for Generator {
+impl<O: Ops> Module for DcganG<O> {
     fn forward(&self, z: &Var) -> Var {
         let mut h = z.clone();
         let last = self.layers.len() - 1;
@@ -120,42 +151,37 @@ impl Module for Generator {
     }
 
     fn parameters(&self) -> Vec<Parameter> {
-        self.layers
-            .iter()
-            .flat_map(|(d, bn)| {
-                let mut ps = d.parameters();
-                if let Some(bn) = bn {
-                    ps.extend(bn.parameters());
-                }
-                ps
-            })
-            .collect()
+        stage_parameters(&self.layers)
     }
 
     fn set_training(&self, t: bool) {
-        for (_, bn) in &self.layers {
-            if let Some(bn) = bn {
-                bn.set_training(t);
-            }
-        }
+        set_stage_training(&self.layers, t);
     }
 }
 
-/// DCGAN discriminator: image `[N, 3, S, S]` → real/fake logit `[N, 1]`.
+/// DCGAN discriminator over the operator family `O`: images
+/// `[N, B*3, S, S]` → real/fake logits `[N, B]`, one column per model
+/// (`B = 1` for [`Serial`]).
 #[derive(Debug)]
-pub struct Discriminator {
-    layers: Vec<(Conv2d, Option<BatchNorm>)>,
+pub struct DcganD<O: Ops> {
+    layers: Vec<Stage<O::Conv2d, O::BatchNorm>>,
+    ops: O,
 }
 
-impl Discriminator {
-    /// Builds the discriminator.
-    pub fn new(cfg: DcganCfg, rng: &mut Rng) -> Self {
+/// Serial DCGAN discriminator: image `[N, 3, S, S]` → logit `[N, 1]`.
+pub type Discriminator = DcganD<Serial>;
+/// HFTA-fused DCGAN discriminator array.
+pub type FusedDiscriminator = DcganD<Fused>;
+
+impl<O: Ops> DcganD<O> {
+    /// Builds the discriminator out of `ops`' layers.
+    pub fn build(ops: O, cfg: DcganCfg, rng: &mut Rng) -> Self {
         cfg.check();
         let s = cfg.stages();
         let mut layers = Vec::new();
         let mut c = cfg.width;
         layers.push((
-            Conv2d::new(
+            ops.conv2d(
                 Conv2dCfg::new(3, c, 4).stride(2).padding(1).bias(false),
                 rng,
             ),
@@ -163,26 +189,26 @@ impl Discriminator {
         ));
         for _ in 0..s - 1 {
             layers.push((
-                Conv2d::new(
+                ops.conv2d(
                     Conv2dCfg::new(c, c * 2, 4).stride(2).padding(1).bias(false),
                     rng,
                 ),
-                Some(BatchNorm::new(c * 2)),
+                Some(ops.batch_norm(c * 2)),
             ));
             c *= 2;
         }
         layers.push((
-            Conv2d::new(
+            ops.conv2d(
                 Conv2dCfg::new(c, 1, 4).stride(1).padding(0).bias(false),
                 rng,
             ),
             None,
         ));
-        Discriminator { layers }
+        DcganD { layers, ops }
     }
 }
 
-impl Module for Discriminator {
+impl<O: Ops> Module for DcganD<O> {
     fn forward(&self, x: &Var) -> Var {
         let mut h = x.clone();
         let last = self.layers.len() - 1;
@@ -196,214 +222,20 @@ impl Module for Discriminator {
             }
         }
         let n = h.dim(0);
-        h.reshape(&[n, 1])
+        h.reshape(&[n, self.ops.b()])
     }
 
     fn parameters(&self) -> Vec<Parameter> {
-        self.layers
-            .iter()
-            .flat_map(|(c, bn)| {
-                let mut ps = c.parameters();
-                if let Some(bn) = bn {
-                    ps.extend(bn.parameters());
-                }
-                ps
-            })
-            .collect()
+        stage_parameters(&self.layers)
     }
 
     fn set_training(&self, t: bool) {
-        for (_, bn) in &self.layers {
-            if let Some(bn) = bn {
-                bn.set_training(t);
-            }
-        }
+        set_stage_training(&self.layers, t);
     }
 }
 
-/// HFTA-fused DCGAN generator array: latent `[N, B*nz, 1, 1]` → images
-/// `[N, B*3, S, S]`.
-#[derive(Debug)]
-pub struct FusedGenerator {
-    layers: Vec<(FusedConvTranspose2d, Option<FusedBatchNorm>)>,
-    b: usize,
-}
-
-impl FusedGenerator {
-    /// Builds a `b`-wide fused generator array.
-    pub fn new(b: usize, cfg: DcganCfg, rng: &mut Rng) -> Self {
-        cfg.check();
-        let s = cfg.stages();
-        let mut layers = Vec::new();
-        let mut c = cfg.width << (s - 1);
-        layers.push((
-            FusedConvTranspose2d::new(
-                b,
-                Conv2dCfg::new(cfg.latent, c, 4)
-                    .stride(1)
-                    .padding(0)
-                    .bias(false),
-                rng,
-            ),
-            Some(FusedBatchNorm::new(b, c)),
-        ));
-        for _ in 0..s - 1 {
-            layers.push((
-                FusedConvTranspose2d::new(
-                    b,
-                    Conv2dCfg::new(c, c / 2, 4).stride(2).padding(1).bias(false),
-                    rng,
-                ),
-                Some(FusedBatchNorm::new(b, c / 2)),
-            ));
-            c /= 2;
-        }
-        layers.push((
-            FusedConvTranspose2d::new(
-                b,
-                Conv2dCfg::new(c, 3, 4).stride(2).padding(1).bias(false),
-                rng,
-            ),
-            None,
-        ));
-        FusedGenerator { layers, b }
-    }
-}
-
-impl Module for FusedGenerator {
-    fn forward(&self, z: &Var) -> Var {
-        let mut h = z.clone();
-        let last = self.layers.len() - 1;
-        for (i, (deconv, bn)) in self.layers.iter().enumerate() {
-            h = deconv.forward(&h);
-            if let Some(bn) = bn {
-                h = bn.forward(&h).relu();
-            }
-            if i == last {
-                h = h.tanh();
-            }
-        }
-        h
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        self.layers
-            .iter()
-            .flat_map(|(d, bn)| {
-                let mut ps = d.parameters();
-                if let Some(bn) = bn {
-                    ps.extend(bn.parameters());
-                }
-                ps
-            })
-            .collect()
-    }
-
-    fn set_training(&self, t: bool) {
-        for (_, bn) in &self.layers {
-            if let Some(bn) = bn {
-                bn.set_training(t);
-            }
-        }
-    }
-}
-
-impl FusedModule for FusedGenerator {
-    fn b(&self) -> usize {
-        self.b
-    }
-}
-
-/// HFTA-fused DCGAN discriminator array: images `[N, B*3, S, S]` → logits
-/// `[N, B]` (one column per model).
-#[derive(Debug)]
-pub struct FusedDiscriminator {
-    layers: Vec<(FusedConv2d, Option<FusedBatchNorm>)>,
-    b: usize,
-}
-
-impl FusedDiscriminator {
-    /// Builds a `b`-wide fused discriminator array.
-    pub fn new(b: usize, cfg: DcganCfg, rng: &mut Rng) -> Self {
-        cfg.check();
-        let s = cfg.stages();
-        let mut layers = Vec::new();
-        let mut c = cfg.width;
-        layers.push((
-            FusedConv2d::new(
-                b,
-                Conv2dCfg::new(3, c, 4).stride(2).padding(1).bias(false),
-                rng,
-            ),
-            None,
-        ));
-        for _ in 0..s - 1 {
-            layers.push((
-                FusedConv2d::new(
-                    b,
-                    Conv2dCfg::new(c, c * 2, 4).stride(2).padding(1).bias(false),
-                    rng,
-                ),
-                Some(FusedBatchNorm::new(b, c * 2)),
-            ));
-            c *= 2;
-        }
-        layers.push((
-            FusedConv2d::new(
-                b,
-                Conv2dCfg::new(c, 1, 4).stride(1).padding(0).bias(false),
-                rng,
-            ),
-            None,
-        ));
-        FusedDiscriminator { layers, b }
-    }
-}
-
-impl Module for FusedDiscriminator {
-    fn forward(&self, x: &Var) -> Var {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for (i, (conv, bn)) in self.layers.iter().enumerate() {
-            h = conv.forward(&h);
-            if let Some(bn) = bn {
-                h = bn.forward(&h);
-            }
-            if i != last {
-                h = h.leaky_relu(0.2);
-            }
-        }
-        let n = h.dim(0);
-        h.reshape(&[n, self.b])
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        self.layers
-            .iter()
-            .flat_map(|(c, bn)| {
-                let mut ps = c.parameters();
-                if let Some(bn) = bn {
-                    ps.extend(bn.parameters());
-                }
-                ps
-            })
-            .collect()
-    }
-
-    fn set_training(&self, t: bool) {
-        for (_, bn) in &self.layers {
-            if let Some(bn) = bn {
-                bn.set_training(t);
-            }
-        }
-    }
-}
-
-impl FusedModule for FusedDiscriminator {
-    fn b(&self) -> usize {
-        self.b
-    }
-}
+instantiate!(DcganG, DcganCfg);
+instantiate!(DcganD, DcganCfg);
 
 #[cfg(test)]
 mod tests {

@@ -1,9 +1,10 @@
 //! `hfta-plan` graph extraction for the paper's benchmark models.
 //!
-//! Each function mirrors the corresponding serial constructor layer for
+//! Each function mirrors the corresponding model definition layer for
 //! layer, so a [`hfta_plan::FusionPlan`] computed over these graphs
 //! describes exactly the programs `Discriminator::new` & co. execute. The
-//! DCGAN graphs are fully executable by `hfta_core::planned::PlannedArray`;
+//! DCGAN graphs are fully executable by `hfta_core::planned::PlannedArray`
+//! (and tested to build and run bit-identically to the models);
 //! the PointNet and ResNet graphs contain planner-only markers
 //! (`GlobalMaxPool`, `ResidualAdd`) and support planning/packing decisions
 //! but not planned execution.
@@ -15,17 +16,10 @@ use crate::dcgan::DcganCfg;
 use crate::pointnet::PointNetCfg;
 use crate::resnet::ResNetCfg;
 
-fn dcgan_stages(image: usize) -> usize {
-    match image {
-        16 => 2,
-        _ => 4,
-    }
-}
-
 /// Graph of [`crate::dcgan::Discriminator`]: image `[3, S, S]` →
 /// logit, with the trailing reshape modeled as `Flatten`.
 pub fn discriminator_graph(cfg: DcganCfg) -> ModelGraph {
-    let s = dcgan_stages(cfg.image);
+    let s = cfg.stages();
     let mut ops = vec![
         OpSpec::conv2d(
             Conv2dCfg::new(3, cfg.width, 4)
@@ -82,7 +76,7 @@ pub fn discriminator_variant_graph(cfg: DcganCfg, extra: usize) -> ModelGraph {
 /// Graph of [`crate::dcgan::Generator`]: latent `[nz, 1, 1]` → image
 /// `[3, S, S]`.
 pub fn generator_graph(cfg: DcganCfg) -> ModelGraph {
-    let s = dcgan_stages(cfg.image);
+    let s = cfg.stages();
     let mut c = cfg.width << (s - 1);
     let mut ops = vec![
         OpSpec::conv_transpose2d(
@@ -189,7 +183,50 @@ pub fn resnet_graph(cfg: ResNetCfg, side: usize) -> ModelGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dcgan::{Discriminator, Generator};
+    use hfta_core::planned::PlannedArray;
+    use hfta_nn::{Module, Tape};
     use hfta_plan::FusionPlan;
+    use hfta_tensor::{Rng, Tensor};
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A width-1 planned array built from `graph` must be `model`: same
+    /// parameters from the same seed, same forward, bit for bit.
+    fn assert_mirrors(graph: ModelGraph, model: &impl Module, seed: u64, x: Tensor) {
+        let plan = FusionPlan::serial(std::slice::from_ref(&graph)).unwrap();
+        let planned = PlannedArray::build(&[graph], &plan, &[seed]).unwrap();
+        let (got, want) = (planned.fused_parameters(), model.parameters());
+        assert_eq!(got.len(), want.len(), "parameter count");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.param.value().dims(), w.value().dims(), "parameter {i}");
+            assert_eq!(bits(&g.param.value()), bits(&w.value()), "parameter {i}");
+        }
+        let (_tape, outs) = planned.forward(std::slice::from_ref(&x)).unwrap();
+        let y = model.forward(&Tape::new().leaf(x)).value();
+        assert_eq!(outs[0].dims(), y.dims());
+        assert_eq!(bits(&outs[0].value()), bits(&y));
+    }
+
+    #[test]
+    fn dcgan_graphs_build_and_run_as_the_models_they_mirror() {
+        let at_64 = DcganCfg {
+            latent: 8,
+            width: 4,
+            image: 64,
+        };
+        for (cfg, seed) in [(DcganCfg::mini(), 11), (at_64, 12)] {
+            let mut rng = Rng::seed_from(seed ^ 0xda7a);
+            let image = rng.randn([2, 3, cfg.image, cfg.image]);
+            let latent = rng.randn([2, cfg.latent, 1, 1]);
+            let d = Discriminator::new(cfg, &mut Rng::seed_from(seed));
+            assert_mirrors(discriminator_graph(cfg), &d, seed, image);
+            let g = Generator::new(cfg, &mut Rng::seed_from(seed));
+            assert_mirrors(generator_graph(cfg), &g, seed, latent);
+        }
+    }
 
     #[test]
     fn dcgan_graphs_shape_check() {

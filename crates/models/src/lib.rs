@@ -1,18 +1,49 @@
 //! # hfta-models
 //!
-//! The HFTA paper's benchmark models in three forms:
+//! The HFTA paper's benchmark models in two forms:
 //!
-//! 1. **Executable serial models** on `hfta-nn` (PointNet classification
-//!    and segmentation, DCGAN, ResNet-18, AlexNet) at CPU-tractable mini
-//!    scales — used for the convergence-equivalence experiments (paper
-//!    §3.3 / Figure 3);
-//! 2. **Executable fused arrays** on `hfta-core` — the same architectures
-//!    with every operator swapped for its horizontally fused counterpart
-//!    (the paper's Figure 2 recipe);
-//! 3. **Full-size operator traces** at the paper's batch sizes, lowered to
+//! 1. **Executable models, one definition and two instantiations each**
+//!    (PointNet classification and segmentation, DCGAN, ResNet-18,
+//!    AlexNet, at CPU-tractable mini scales). Every architecture is
+//!    written once, generic over an operator family
+//!    ([`hfta_core::ops::Ops`], the paper's Figure 2 recipe):
+//!    instantiated at `Serial` it is the per-job model on `hfta-nn` —
+//!    the reference of the convergence-equivalence experiments (paper
+//!    §3.3 / Figure 3) — and at `Fused` it is the horizontally fused
+//!    array on `hfta-core`. The public names (`Discriminator`,
+//!    `FusedDiscriminator`, …) are type aliases of those instantiations;
+//! 2. **Full-size operator traces** at the paper's batch sizes, lowered to
 //!    `hfta-sim` kernels for the throughput experiments (Figures 4–8).
 
 #![warn(missing_docs)]
+
+/// Gives the two instantiations of a model `$model<O: Ops>` (with a
+/// `build(ops, cfg, rng)` constructor and an `ops` field) the constructor
+/// signatures of the serial model and of the fused array, and makes the
+/// fused one a `FusedModule`.
+macro_rules! instantiate {
+    ($model:ident, $cfg:ty) => {
+        impl $model<hfta_core::ops::Serial> {
+            /// Builds one serial model.
+            pub fn new(cfg: $cfg, rng: &mut hfta_tensor::Rng) -> Self {
+                Self::build(hfta_core::ops::Serial, cfg, rng)
+            }
+        }
+
+        impl $model<hfta_core::ops::Fused> {
+            /// Builds a `b`-wide fused array.
+            pub fn new(b: usize, cfg: $cfg, rng: &mut hfta_tensor::Rng) -> Self {
+                Self::build(hfta_core::ops::Fused(b), cfg, rng)
+            }
+        }
+
+        impl hfta_core::ops::FusedModule for $model<hfta_core::ops::Fused> {
+            fn b(&self) -> usize {
+                hfta_core::ops::Ops::b(&self.ops)
+            }
+        }
+    };
+}
 
 pub mod alexnet;
 pub mod dcgan;
@@ -24,15 +55,18 @@ pub mod resnet;
 pub mod traces;
 pub mod workloads;
 
-pub use alexnet::{AlexNet, AlexNetCfg, FusedAlexNet};
-pub use dcgan::{DcganCfg, Discriminator, FusedDiscriminator, FusedGenerator, Generator};
+pub use alexnet::{AlexNet, AlexNetCfg, AlexNetOn, FusedAlexNet};
+pub use dcgan::{
+    DcganCfg, DcganD, DcganG, Discriminator, FusedDiscriminator, FusedGenerator, Generator,
+};
 pub use graphs::{
     discriminator_graph, discriminator_variant_graph, generator_graph, pointnet_cls_graph,
     resnet_graph,
 };
 pub use lower_plan::{lower_graph, lower_op, planned_step_time_s, serial_step_time_s, PlanSimCfg};
 pub use pointnet::{
-    FusedPointNetCls, FusedPointNetSeg, FusedStn3d, PointNetCfg, PointNetCls, PointNetSeg, Stn3d,
+    FusedPointNetCls, FusedPointNetSeg, FusedStn3d, PointNetCfg, PointNetClassifier, PointNetCls,
+    PointNetSeg, PointNetSegmenter, PointNetStn, Stn3d,
 };
-pub use resnet::{FusedResNet, ResNet, ResNetCfg};
+pub use resnet::{FusedResNet, ResNet, ResNetCfg, ResNetOn};
 pub use workloads::Workload;

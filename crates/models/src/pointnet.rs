@@ -1,19 +1,22 @@
-//! PointNet classification and segmentation (Qi et al., 2017) in serial
-//! and HFTA-fused form.
+//! PointNet classification and segmentation (Qi et al., 2017). One
+//! definition, two instantiations: every block here is written once over
+//! an operator family ([`hfta_core::ops::Ops`]); [`PointNetCls`],
+//! [`PointNetSeg`] and [`Stn3d`] are the serial models and
+//! [`FusedPointNetCls`], [`FusedPointNetSeg`] and [`FusedStn3d`] the
+//! HFTA-fused arrays of the same code.
 //!
 //! The architecture follows the third-party PyTorch implementation the
 //! paper benchmarks (`fxia22/pointnet.pytorch`), including the optional
-//! STN3d input transformer ([`Stn3d`] / [`FusedStn3d`]; enable with
+//! STN3d input transformer ([`PointNetStn`]; enable with
 //! [`PointNetCfg::stn`]). The feature transform (STNkd) is omitted, as in
 //! the reference default. A `width` knob scales all channel counts so
 //! convergence experiments run quickly on CPU while the structure matches
 //! the paper's.
 
-use hfta_core::format::{conv_to_array, fused_concat_channels};
-use hfta_core::ops::{FusedBatchNorm, FusedConv1d, FusedLinear, FusedModule, FusedParameter};
-use hfta_nn::layers::{BatchNorm, Conv1d, Dropout, Linear, LinearCfg};
+use hfta_core::ops::{Fused, Ops, Serial};
+use hfta_nn::layers::{Dropout, LinearCfg};
 use hfta_nn::{Module, Parameter, Var};
-use hfta_tensor::Rng;
+use hfta_tensor::{Rng, Tensor};
 
 /// Configuration shared by the serial and fused PointNet variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,142 +62,75 @@ impl PointNetCfg {
     }
 }
 
-/// The STN3d input spatial transformer of the reference implementation:
-/// regresses a 3x3 alignment matrix from the cloud and applies it to the
-/// input coordinates (initialized to the identity transform).
+/// The STN3d input spatial transformer of the reference implementation,
+/// over the operator family `O`: regresses one 3x3 alignment matrix per
+/// model from the cloud and applies it to that model's input coordinates
+/// (initialized to the identity transform).
 #[derive(Debug)]
-pub struct Stn3d {
-    trunk: PointNetFeat,
-    fc1: Linear,
-    bn1: BatchNorm,
-    fc2: Linear,
-    bn2: BatchNorm,
-    fc3: Linear,
+pub struct PointNetStn<O: Ops> {
+    trunk: PointNetFeat<O>,
+    fc1: O::Linear,
+    bn1: O::BatchNorm,
+    fc2: O::Linear,
+    bn2: O::BatchNorm,
+    fc3: O::Linear,
+    ops: O,
 }
+
+/// Serial STN3d over `[N, 3, P]`.
+pub type Stn3d = PointNetStn<Serial>;
+/// HFTA-fused STN3d array over conv format `[N, B*3, P]`.
+pub type FusedStn3d = PointNetStn<Fused>;
 
 impl Stn3d {
     /// Builds the transformer at the given width.
     pub fn new(cfg: PointNetCfg, rng: &mut Rng) -> Self {
-        let (_, _, c3) = cfg.dims();
-        let (f1, f2) = (8 * cfg.width, 4 * cfg.width);
-        let fc3 = Linear::new(LinearCfg::new(f2, 9), rng);
-        // Reference init: zero weights, identity bias, so the transform
-        // starts as the identity.
-        fc3.weight.set_value(hfta_tensor::Tensor::zeros([f2, 9]));
-        fc3.bias
-            .as_ref()
-            .expect("bias")
-            .set_value(hfta_tensor::Tensor::from_vec(
-                vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-                [9],
-            ));
-        Stn3d {
-            trunk: PointNetFeat::new(cfg, rng),
-            fc1: Linear::new(LinearCfg::new(c3, f1), rng),
-            bn1: BatchNorm::new(f1),
-            fc2: Linear::new(LinearCfg::new(f1, f2), rng),
-            bn2: BatchNorm::new(f2),
-            fc3,
-        }
+        Self::build(Serial, cfg, rng)
     }
-
-    /// Regresses the transform and applies it: `x [N, 3, P] -> [N, 3, P]`.
-    pub fn transform(&self, x: &Var) -> Var {
-        let (global, _) = self.trunk.forward(x);
-        let h = self.bn1.forward(&self.fc1.forward(&global)).relu();
-        let h = self.bn2.forward(&self.fc2.forward(&h)).relu();
-        let n = x.dim(0);
-        let mat = self.fc3.forward(&h).reshape(&[n, 3, 3]);
-        // [N, P, 3] x [N, 3, 3] -> [N, P, 3], then back to [N, 3, P].
-        x.transpose(1, 2).bmm(&mat).transpose(1, 2)
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        [
-            self.trunk.parameters(),
-            self.fc1.parameters(),
-            self.bn1.parameters(),
-            self.fc2.parameters(),
-            self.bn2.parameters(),
-            self.fc3.parameters(),
-        ]
-        .concat()
-    }
-
-    fn set_training(&self, t: bool) {
-        self.trunk.set_training(t);
-        self.bn1.set_training(t);
-        self.bn2.set_training(t);
-    }
-}
-
-/// Fused STN3d: regresses `B` per-model 3x3 transforms from conv-format
-/// input `[N, B*3, P]` and applies each model's transform to its own
-/// channel block — `B*N` batched 3x3 matmuls, exactly the fused form of
-/// the reference `torch.bmm`.
-#[derive(Debug)]
-pub struct FusedStn3d {
-    trunk: FusedPointNetFeat,
-    fc1: FusedLinear,
-    bn1: FusedBatchNorm,
-    fc2: FusedLinear,
-    bn2: FusedBatchNorm,
-    fc3: FusedLinear,
-    b: usize,
 }
 
 impl FusedStn3d {
     /// Builds a `b`-wide fused transformer.
     pub fn new(b: usize, cfg: PointNetCfg, rng: &mut Rng) -> Self {
+        Self::build(Fused(b), cfg, rng)
+    }
+}
+
+impl<O: Ops> PointNetStn<O> {
+    /// Builds the transformer out of `ops`' layers.
+    pub fn build(ops: O, cfg: PointNetCfg, rng: &mut Rng) -> Self {
         let (_, _, c3) = cfg.dims();
         let (f1, f2) = (8 * cfg.width, 4 * cfg.width);
-        let fc3 = FusedLinear::new(b, LinearCfg::new(f2, 9), rng);
-        fc3.weight.set_value(hfta_tensor::Tensor::zeros([b, f2, 9]));
-        let eye: Vec<f32> = (0..b)
-            .flat_map(|_| [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
-            .collect();
-        fc3.bias
-            .as_ref()
-            .expect("bias")
-            .set_value(hfta_tensor::Tensor::from_vec(eye, [b, 1, 9]));
-        FusedStn3d {
-            trunk: FusedPointNetFeat::new(b, cfg, rng),
-            fc1: FusedLinear::new(b, LinearCfg::new(c3, f1), rng),
-            bn1: FusedBatchNorm::new(b, f1),
-            fc2: FusedLinear::new(b, LinearCfg::new(f1, f2), rng),
-            bn2: FusedBatchNorm::new(b, f2),
+        let fc3 = ops.linear(LinearCfg::new(f2, 9), rng);
+        // Reference init: zero weights, identity bias, so every model's
+        // transform starts as the identity.
+        let params = fc3.parameters();
+        let (weight, bias) = (&params[0], &params[1]);
+        let zeros = weight.value().zeros_like();
+        weight.set_value(zeros);
+        let eye = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0].repeat(ops.b());
+        let bias_shape = bias.value().shape().clone();
+        bias.set_value(Tensor::from_vec(eye, bias_shape));
+        PointNetStn {
+            trunk: PointNetFeat::build(ops, cfg, rng),
+            fc1: ops.linear(LinearCfg::new(c3, f1), rng),
+            bn1: ops.batch_norm(f1),
+            fc2: ops.linear(LinearCfg::new(f1, f2), rng),
+            bn2: ops.batch_norm(f2),
             fc3,
-            b,
+            ops,
         }
     }
 
-    fn bn_array(bn: &FusedBatchNorm, x: &Var) -> Var {
-        let dims = x.dims();
-        let (b, n, f) = (dims[0], dims[1], dims[2]);
-        bn.forward(&x.permute(&[1, 0, 2]).reshape(&[n, b * f]))
-            .reshape(&[n, b, f])
-            .permute(&[1, 0, 2])
-    }
-
-    /// Applies the per-model transforms: `[N, B*3, P] -> [N, B*3, P]`.
+    /// Regresses the transforms and applies them:
+    /// `x [N, B*3, P] -> [N, B*3, P]`.
     pub fn transform(&self, x: &Var) -> Var {
-        let (global, _) = self.trunk.forward(x); // [N, B*16w]
-        let arr = conv_to_array(&global, self.b); // [B, N, 16w]
-        let h = Self::bn_array(&self.bn1, &self.fc1.forward(&arr)).relu();
-        let h = Self::bn_array(&self.bn2, &self.fc2.forward(&h)).relu();
-        let n = x.dim(0);
-        let p = x.dim(2);
-        let mats = self.fc3.forward(&h).reshape(&[self.b * n, 3, 3]);
-        // [N, B*3, P] -> [B*N, P, 3], batched transform, and back.
-        let points = x
-            .reshape(&[n, self.b, 3, p])
-            .permute(&[1, 0, 3, 2]) // [B, N, P, 3]
-            .reshape(&[self.b * n, p, 3]);
-        points
-            .bmm(&mats)
-            .reshape(&[self.b, n, p, 3])
-            .permute(&[1, 0, 3, 2]) // [N, B, 3, P]
-            .reshape(&[n, self.b * 3, p])
+        let o = &self.ops;
+        let (global, _) = self.trunk.forward(x);
+        let h = self.fc1.forward(&o.to_linear(&global));
+        let h = o.batch_norm_linear(&self.bn1, &h).relu();
+        let h = o.batch_norm_linear(&self.bn2, &self.fc2.forward(&h)).relu();
+        o.transform_points(x, &self.fc3.forward(&h))
     }
 
     fn parameters(&self) -> Vec<Parameter> {
@@ -216,32 +152,33 @@ impl FusedStn3d {
     }
 }
 
-/// The shared PointNet feature extractor: three 1x1 `Conv1d`+BN+ReLU
-/// stages followed by a global max-pool over points.
+/// The shared PointNet feature extractor over conv format `[N, B*3, P]`:
+/// three 1x1 `Conv1d`+BN+ReLU stages followed by a global max-pool over
+/// points.
 #[derive(Debug)]
-struct PointNetFeat {
-    conv1: Conv1d,
-    bn1: BatchNorm,
-    conv2: Conv1d,
-    bn2: BatchNorm,
-    conv3: Conv1d,
-    bn3: BatchNorm,
+struct PointNetFeat<O: Ops> {
+    conv1: O::Conv1d,
+    bn1: O::BatchNorm,
+    conv2: O::Conv1d,
+    bn2: O::BatchNorm,
+    conv3: O::Conv1d,
+    bn3: O::BatchNorm,
 }
 
-impl PointNetFeat {
-    fn new(cfg: PointNetCfg, rng: &mut Rng) -> Self {
+impl<O: Ops> PointNetFeat<O> {
+    fn build(ops: O, cfg: PointNetCfg, rng: &mut Rng) -> Self {
         let (c1, c2, c3) = cfg.dims();
         PointNetFeat {
-            conv1: Conv1d::new(3, c1, 1, 1, 0, 1, rng),
-            bn1: BatchNorm::new(c1),
-            conv2: Conv1d::new(c1, c2, 1, 1, 0, 1, rng),
-            bn2: BatchNorm::new(c2),
-            conv3: Conv1d::new(c2, c3, 1, 1, 0, 1, rng),
-            bn3: BatchNorm::new(c3),
+            conv1: ops.conv1d(3, c1, 1, 1, 0, rng),
+            bn1: ops.batch_norm(c1),
+            conv2: ops.conv1d(c1, c2, 1, 1, 0, rng),
+            bn2: ops.batch_norm(c2),
+            conv3: ops.conv1d(c2, c3, 1, 1, 0, rng),
+            bn3: ops.batch_norm(c3),
         }
     }
 
-    /// Returns `(global [N, 16w], pointwise [N, w, P])`.
+    /// Returns `(global [N, B*16w], pointwise [N, B*w, P])`.
     fn forward(&self, x: &Var) -> (Var, Var) {
         let h1 = self.bn1.forward(&self.conv1.forward(x)).relu();
         let h2 = self.bn2.forward(&self.conv2.forward(&h1)).relu();
@@ -268,52 +205,67 @@ impl PointNetFeat {
     }
 }
 
-/// Serial PointNet classifier: feature extractor plus a 3-layer MLP head
-/// with batch norm and dropout, emitting log-probabilities.
+/// PointNet classifier over the operator family `O`: feature extractor
+/// plus a 3-layer MLP head with batch norm and dropout, emitting
+/// log-probabilities.
+///
+/// Input is conv format `[N, B*3, P]` (stack per-model clouds with
+/// [`hfta_core::format::stack_conv`]); output is the family's `Linear`
+/// layout — `[N, classes]` for [`Serial`], array format
+/// `[B, N, classes]` for [`Fused`], ready for
+/// [`hfta_core::loss::fused_nll_loss`].
 #[derive(Debug)]
-pub struct PointNetCls {
-    stn: Option<Stn3d>,
-    feat: PointNetFeat,
-    fc1: Linear,
-    bnf1: BatchNorm,
-    fc2: Linear,
-    bnf2: BatchNorm,
+pub struct PointNetClassifier<O: Ops> {
+    stn: Option<PointNetStn<O>>,
+    feat: PointNetFeat<O>,
+    fc1: O::Linear,
+    bnf1: O::BatchNorm,
+    fc2: O::Linear,
+    bnf2: O::BatchNorm,
     dropout: Dropout,
-    fc3: Linear,
+    fc3: O::Linear,
+    ops: O,
 }
 
-impl PointNetCls {
-    /// Builds the classifier.
-    pub fn new(cfg: PointNetCfg, rng: &mut Rng) -> Self {
+/// Serial PointNet classifier: `[N, 3, P]` → `[N, classes]`.
+pub type PointNetCls = PointNetClassifier<Serial>;
+/// HFTA-fused PointNet classifier array: `B` models trained together.
+pub type FusedPointNetCls = PointNetClassifier<Fused>;
+
+impl<O: Ops> PointNetClassifier<O> {
+    /// Builds the classifier out of `ops`' layers.
+    pub fn build(ops: O, cfg: PointNetCfg, rng: &mut Rng) -> Self {
         let (_, _, c3) = cfg.dims();
         let (f1, f2) = (8 * cfg.width, 4 * cfg.width);
-        PointNetCls {
-            stn: cfg.with_stn.then(|| Stn3d::new(cfg, rng)),
-            feat: PointNetFeat::new(cfg, rng),
-            fc1: Linear::new(LinearCfg::new(c3, f1), rng),
-            bnf1: BatchNorm::new(f1),
-            fc2: Linear::new(LinearCfg::new(f1, f2), rng),
-            bnf2: BatchNorm::new(f2),
+        PointNetClassifier {
+            stn: cfg.with_stn.then(|| PointNetStn::build(ops, cfg, rng)),
+            feat: PointNetFeat::build(ops, cfg, rng),
+            fc1: ops.linear(LinearCfg::new(c3, f1), rng),
+            bnf1: ops.batch_norm(f1),
+            fc2: ops.linear(LinearCfg::new(f1, f2), rng),
+            bnf2: ops.batch_norm(f2),
             dropout: Dropout::new(0.3, rng.split().below(u32::MAX as usize) as u64),
-            fc3: Linear::new(LinearCfg::new(f2, cfg.classes), rng),
+            fc3: ops.linear(LinearCfg::new(f2, cfg.classes), rng),
+            ops,
         }
     }
 }
 
-impl Module for PointNetCls {
-    /// `x [N, 3, P]` → log-probabilities `[N, classes]`.
+impl<O: Ops> Module for PointNetClassifier<O> {
     fn forward(&self, x: &Var) -> Var {
+        let o = &self.ops;
         let x = match &self.stn {
             Some(stn) => stn.transform(x),
             None => x.clone(),
         };
         let (global, _) = self.feat.forward(&x);
-        let h = self.bnf1.forward(&self.fc1.forward(&global)).relu();
-        let h = self
-            .dropout
-            .forward(&self.bnf2.forward(&self.fc2.forward(&h)))
-            .relu();
-        self.fc3.forward(&h).log_softmax(1)
+        let h = self.fc1.forward(&o.to_linear(&global));
+        let h = o.batch_norm_linear(&self.bnf1, &h).relu();
+        let h = o.batch_norm_linear(&self.bnf2, &self.fc2.forward(&h));
+        let logits = self.fc3.forward(&self.dropout.forward(&h).relu());
+        // A `Linear` output carries its classes on the last axis in
+        // either family.
+        logits.log_softmax(logits.dims().len() - 1)
     }
 
     fn parameters(&self) -> Vec<Parameter> {
@@ -347,210 +299,56 @@ impl Module for PointNetCls {
     }
 }
 
-/// Fused feature extractor over conv format `[N, B*3, P]`.
+/// PointNet segmentation model over the operator family `O`: per-point
+/// part log-probabilities from concatenated local + global features, conv
+/// format `[N, B*3, P]` → `[N, B*classes, P]` (per-model channel blocks
+/// contiguous).
 #[derive(Debug)]
-struct FusedPointNetFeat {
-    conv1: FusedConv1d,
-    bn1: FusedBatchNorm,
-    conv2: FusedConv1d,
-    bn2: FusedBatchNorm,
-    conv3: FusedConv1d,
-    bn3: FusedBatchNorm,
+pub struct PointNetSegmenter<O: Ops> {
+    feat: PointNetFeat<O>,
+    conv1: O::Conv1d,
+    bn1: O::BatchNorm,
+    conv2: O::Conv1d,
+    bn2: O::BatchNorm,
+    conv3: O::Conv1d,
+    ops: O,
 }
 
-impl FusedPointNetFeat {
-    fn new(b: usize, cfg: PointNetCfg, rng: &mut Rng) -> Self {
-        let (c1, c2, c3) = cfg.dims();
-        FusedPointNetFeat {
-            conv1: FusedConv1d::new(b, 3, c1, 1, 1, 0, rng),
-            bn1: FusedBatchNorm::new(b, c1),
-            conv2: FusedConv1d::new(b, c1, c2, 1, 1, 0, rng),
-            bn2: FusedBatchNorm::new(b, c2),
-            conv3: FusedConv1d::new(b, c2, c3, 1, 1, 0, rng),
-            bn3: FusedBatchNorm::new(b, c3),
-        }
-    }
+/// Serial PointNet segmentation model: `[N, 3, P]` → `[N, classes, P]`.
+pub type PointNetSeg = PointNetSegmenter<Serial>;
+/// HFTA-fused PointNet segmentation array.
+pub type FusedPointNetSeg = PointNetSegmenter<Fused>;
 
-    fn forward(&self, x: &Var) -> (Var, Var) {
-        let h1 = self.bn1.forward(&self.conv1.forward(x)).relu();
-        let h2 = self.bn2.forward(&self.conv2.forward(&h1)).relu();
-        let h3 = self.bn3.forward(&self.conv3.forward(&h2));
-        (h3.max_axis(2), h1)
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        [
-            self.conv1.parameters(),
-            self.bn1.parameters(),
-            self.conv2.parameters(),
-            self.bn2.parameters(),
-            self.conv3.parameters(),
-            self.bn3.parameters(),
-        ]
-        .concat()
-    }
-
-    fn set_training(&self, t: bool) {
-        self.bn1.set_training(t);
-        self.bn2.set_training(t);
-        self.bn3.set_training(t);
-    }
-}
-
-/// HFTA-fused PointNet classifier array: `B` models trained together.
-///
-/// Input is conv format `[N, B*3, P]` (stack per-model clouds with
-/// [`hfta_core::format::stack_conv`]); output is array format
-/// `[B, N, classes]` log-probabilities, ready for
-/// [`hfta_core::loss::fused_nll_loss`].
-#[derive(Debug)]
-pub struct FusedPointNetCls {
-    stn: Option<FusedStn3d>,
-    feat: FusedPointNetFeat,
-    fc1: FusedLinear,
-    bnf1: FusedBatchNorm,
-    fc2: FusedLinear,
-    bnf2: FusedBatchNorm,
-    dropout: Dropout,
-    fc3: FusedLinear,
-    b: usize,
-}
-
-impl FusedPointNetCls {
-    /// Builds a `b`-wide fused classifier array.
-    pub fn new(b: usize, cfg: PointNetCfg, rng: &mut Rng) -> Self {
-        let (_, _, c3) = cfg.dims();
-        let (f1, f2) = (8 * cfg.width, 4 * cfg.width);
-        FusedPointNetCls {
-            stn: cfg.with_stn.then(|| FusedStn3d::new(b, cfg, rng)),
-            feat: FusedPointNetFeat::new(b, cfg, rng),
-            fc1: FusedLinear::new(b, LinearCfg::new(c3, f1), rng),
-            bnf1: FusedBatchNorm::new(b, f1),
-            fc2: FusedLinear::new(b, LinearCfg::new(f1, f2), rng),
-            bnf2: FusedBatchNorm::new(b, f2),
-            dropout: Dropout::new(0.3, rng.split().below(u32::MAX as usize) as u64),
-            fc3: FusedLinear::new(b, LinearCfg::new(f2, cfg.classes), rng),
-            b,
-        }
-    }
-
-    /// Fused batch norm over an array-format activation `[B, N, F]`
-    /// (convert to `[N, B*F]` conv format, normalize, convert back).
-    fn bn_array(&self, bn: &FusedBatchNorm, x: &Var) -> Var {
-        let dims = x.dims();
-        let (b, n, f) = (dims[0], dims[1], dims[2]);
-        let conv = x.permute(&[1, 0, 2]).reshape(&[n, b * f]);
-        let normed = bn.forward(&conv);
-        normed.reshape(&[n, b, f]).permute(&[1, 0, 2])
-    }
-}
-
-impl Module for FusedPointNetCls {
-    fn forward(&self, x: &Var) -> Var {
-        let x = match &self.stn {
-            Some(stn) => stn.transform(x),
-            None => x.clone(),
-        };
-        let (global, _) = self.feat.forward(&x); // [N, B*16w]
-        let arr = conv_to_array(&global, self.b); // [B, N, 16w]
-        let h = self.bn_array(&self.bnf1, &self.fc1.forward(&arr)).relu();
-        let h = self
-            .dropout
-            .forward(&self.bn_array(&self.bnf2, &self.fc2.forward(&h)))
-            .relu();
-        self.fc3.forward(&h).log_softmax(2)
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        let mut ps = self
-            .stn
-            .as_ref()
-            .map(|s| s.parameters())
-            .unwrap_or_default();
-        ps.extend(
-            [
-                self.feat.parameters(),
-                self.fc1.parameters(),
-                self.bnf1.parameters(),
-                self.fc2.parameters(),
-                self.bnf2.parameters(),
-                self.fc3.parameters(),
-            ]
-            .concat(),
-        );
-        ps
-    }
-
-    fn set_training(&self, t: bool) {
-        if let Some(stn) = &self.stn {
-            stn.set_training(t);
-        }
-        self.feat.set_training(t);
-        self.bnf1.set_training(t);
-        self.bnf2.set_training(t);
-        self.dropout.set_training(t);
-    }
-}
-
-impl FusedModule for FusedPointNetCls {
-    fn b(&self) -> usize {
-        self.b
-    }
-
-    fn fused_parameters(&self) -> Vec<FusedParameter> {
-        self.parameters()
-            .into_iter()
-            .map(|param| FusedParameter { param, b: self.b })
-            .collect()
-    }
-}
-
-/// Serial PointNet segmentation head: per-point part logits from
-/// concatenated local + global features.
-#[derive(Debug)]
-pub struct PointNetSeg {
-    feat: PointNetFeat,
-    conv1: Conv1d,
-    bn1: BatchNorm,
-    conv2: Conv1d,
-    bn2: BatchNorm,
-    conv3: Conv1d,
-    cfg: PointNetCfg,
-}
-
-impl PointNetSeg {
-    /// Builds the segmentation model.
-    pub fn new(cfg: PointNetCfg, rng: &mut Rng) -> Self {
+impl<O: Ops> PointNetSegmenter<O> {
+    /// Builds the segmentation model out of `ops`' layers.
+    pub fn build(ops: O, cfg: PointNetCfg, rng: &mut Rng) -> Self {
         let (c1, _, c3) = cfg.dims();
         let concat = c1 + c3; // local + global (1088 at paper scale)
         let (h1, h2) = (8 * cfg.width, 4 * cfg.width);
-        PointNetSeg {
-            feat: PointNetFeat::new(cfg, rng),
-            conv1: Conv1d::new(concat, h1, 1, 1, 0, 1, rng),
-            bn1: BatchNorm::new(h1),
-            conv2: Conv1d::new(h1, h2, 1, 1, 0, 1, rng),
-            bn2: BatchNorm::new(h2),
-            conv3: Conv1d::new(h2, cfg.classes, 1, 1, 0, 1, rng),
-            cfg,
+        PointNetSegmenter {
+            feat: PointNetFeat::build(ops, cfg, rng),
+            conv1: ops.conv1d(concat, h1, 1, 1, 0, rng),
+            bn1: ops.batch_norm(h1),
+            conv2: ops.conv1d(h1, h2, 1, 1, 0, rng),
+            bn2: ops.batch_norm(h2),
+            conv3: ops.conv1d(h2, cfg.classes, 1, 1, 0, rng),
+            ops,
         }
     }
 }
 
-impl Module for PointNetSeg {
-    /// `x [N, 3, P]` → per-point log-probabilities `[N, classes, P]`.
+impl<O: Ops> Module for PointNetSegmenter<O> {
     fn forward(&self, x: &Var) -> Var {
-        let p = x.dim(2);
+        let (n, p) = (x.dim(0), x.dim(2));
         let (global, local) = self.feat.forward(x);
-        let (_, _, c3) = self.cfg.dims();
-        let n = x.dim(0);
         // Broadcast the global feature over points and concat with local.
-        let tape = x.tape().clone();
-        let zeros = tape.leaf(hfta_tensor::Tensor::zeros([n, c3, p]));
-        let global_rep = global.reshape(&[n, c3, 1]).add(&zeros);
-        let h = Var::concat(&[&local, &global_rep], 1);
+        let c = global.dim(1);
+        let zeros = x.tape().leaf(Tensor::zeros([n, c, p]));
+        let global_rep = global.reshape(&[n, c, 1]).add(&zeros);
+        let h = self.ops.concat_channels(&local, &global_rep);
         let h = self.bn1.forward(&self.conv1.forward(&h)).relu();
         let h = self.bn2.forward(&self.conv2.forward(&h)).relu();
-        self.conv3.forward(&h).log_softmax(1)
+        self.ops.log_softmax_channels(&self.conv3.forward(&h))
     }
 
     fn parameters(&self) -> Vec<Parameter> {
@@ -572,95 +370,13 @@ impl Module for PointNetSeg {
     }
 }
 
-/// HFTA-fused PointNet segmentation array over conv format `[N, B*3, P]`,
-/// producing `[N, B*classes, P]` per-point log-probabilities (per-model
-/// channel blocks contiguous).
-#[derive(Debug)]
-pub struct FusedPointNetSeg {
-    feat: FusedPointNetFeat,
-    conv1: FusedConv1d,
-    bn1: FusedBatchNorm,
-    conv2: FusedConv1d,
-    bn2: FusedBatchNorm,
-    conv3: FusedConv1d,
-    cfg: PointNetCfg,
-    b: usize,
-}
-
-impl FusedPointNetSeg {
-    /// Builds a `b`-wide fused segmentation array.
-    pub fn new(b: usize, cfg: PointNetCfg, rng: &mut Rng) -> Self {
-        let (c1, _, c3) = cfg.dims();
-        let concat = c1 + c3;
-        let (h1, h2) = (8 * cfg.width, 4 * cfg.width);
-        FusedPointNetSeg {
-            feat: FusedPointNetFeat::new(b, cfg, rng),
-            conv1: FusedConv1d::new(b, concat, h1, 1, 1, 0, rng),
-            bn1: FusedBatchNorm::new(b, h1),
-            conv2: FusedConv1d::new(b, h1, h2, 1, 1, 0, rng),
-            bn2: FusedBatchNorm::new(b, h2),
-            conv3: FusedConv1d::new(b, h2, cfg.classes, 1, 1, 0, rng),
-            cfg,
-            b,
-        }
-    }
-
-    /// Per-point log-softmax within each model's class block.
-    fn fused_log_softmax(&self, logits: &Var) -> Var {
-        // [N, B*K, P] -> [N, B, K, P]: softmax over K only.
-        let dims = logits.dims();
-        let (n, _, p) = (dims[0], dims[1], dims[2]);
-        let k = self.cfg.classes;
-        logits
-            .reshape(&[n, self.b, k, p])
-            .log_softmax(2)
-            .reshape(&[n, self.b * k, p])
-    }
-}
-
-impl Module for FusedPointNetSeg {
-    fn forward(&self, x: &Var) -> Var {
-        let p = x.dim(2);
-        let n = x.dim(0);
-        let (_, _, c3) = self.cfg.dims();
-        let (global, local) = self.feat.forward(x); // [N, B*16w], [N, B*w, P]
-        let tape = x.tape().clone();
-        let zeros = tape.leaf(hfta_tensor::Tensor::zeros([n, self.b * c3, p]));
-        let global_rep = global.reshape(&[n, self.b * c3, 1]).add(&zeros);
-        let h = fused_concat_channels(&local, &global_rep, self.b);
-        let h = self.bn1.forward(&self.conv1.forward(&h)).relu();
-        let h = self.bn2.forward(&self.conv2.forward(&h)).relu();
-        self.fused_log_softmax(&self.conv3.forward(&h))
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        [
-            self.feat.parameters(),
-            self.conv1.parameters(),
-            self.bn1.parameters(),
-            self.conv2.parameters(),
-            self.bn2.parameters(),
-            self.conv3.parameters(),
-        ]
-        .concat()
-    }
-
-    fn set_training(&self, t: bool) {
-        self.feat.set_training(t);
-        self.bn1.set_training(t);
-        self.bn2.set_training(t);
-    }
-}
-
-impl FusedModule for FusedPointNetSeg {
-    fn b(&self) -> usize {
-        self.b
-    }
-}
+instantiate!(PointNetClassifier, PointNetCfg);
+instantiate!(PointNetSegmenter, PointNetCfg);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hfta_core::ops::FusedModule;
     use hfta_nn::Tape;
 
     #[test]

@@ -1,9 +1,11 @@
-//! ResNet-18 (He et al., 2016), CIFAR variant, in serial and HFTA-fused
-//! form — the paper's conventional-model check (Figures 3 and 5).
+//! ResNet-18 (He et al., 2016), CIFAR variant — the paper's
+//! conventional-model check (Figures 3 and 5). One definition, two
+//! instantiations: [`ResNetOn`] is written once over an operator family
+//! ([`hfta_core::ops::Ops`]); [`ResNet`] is the serial model and
+//! [`FusedResNet`] the HFTA-fused array of the same code.
 
-use hfta_core::format::conv_to_array;
-use hfta_core::ops::{FusedBatchNorm, FusedConv2d, FusedLinear, FusedModule};
-use hfta_nn::layers::{BatchNorm, Conv2d, Conv2dCfg, Linear, LinearCfg};
+use hfta_core::ops::{Fused, Ops, Serial};
+use hfta_nn::layers::{Conv2dCfg, LinearCfg};
 use hfta_nn::{Module, Parameter, Var};
 use hfta_tensor::Rng;
 
@@ -39,19 +41,17 @@ impl ResNetCfg {
     }
 }
 
-/// A residual basic block, generic over conv/norm layer types so the same
-/// structure serves the serial (`Conv2d`/`BatchNorm`) and fused
-/// (`FusedConv2d`/`FusedBatchNorm`) variants.
+/// A residual basic block over the operator family `O`.
 #[derive(Debug)]
-struct BasicBlock<C, B> {
-    conv1: C,
-    bn1: B,
-    conv2: C,
-    bn2: B,
-    down: Option<(C, B)>,
+struct BasicBlock<O: Ops> {
+    conv1: O::Conv2d,
+    bn1: O::BatchNorm,
+    conv2: O::Conv2d,
+    bn2: O::BatchNorm,
+    down: Option<(O::Conv2d, O::BatchNorm)>,
 }
 
-impl<C: Module, B: Module> BasicBlock<C, B> {
+impl<O: Ops> BasicBlock<O> {
     fn forward(&self, x: &Var) -> Var {
         let h = self.bn1.forward(&self.conv1.forward(x)).relu();
         let h = self.bn2.forward(&self.conv2.forward(&h));
@@ -97,18 +97,27 @@ fn conv1(cin: usize, cout: usize, stride: usize) -> Conv2dCfg {
     Conv2dCfg::new(cin, cout, 1).stride(stride).bias(false)
 }
 
-/// Serial ResNet (CIFAR stem, 2 basic blocks per stage).
+/// ResNet (CIFAR stem, 2 basic blocks per stage) over the operator family
+/// `O`: conv format `[N, B*3, S, S]` → logits in the family's `Linear`
+/// layout (`[N, classes]` for [`Serial`], array format `[B, N, classes]`
+/// for [`Fused`]).
 #[derive(Debug)]
-pub struct ResNet {
-    stem: Conv2d,
-    stem_bn: BatchNorm,
-    blocks: Vec<BasicBlock<Conv2d, BatchNorm>>,
-    fc: Linear,
+pub struct ResNetOn<O: Ops> {
+    stem: O::Conv2d,
+    stem_bn: O::BatchNorm,
+    blocks: Vec<BasicBlock<O>>,
+    fc: O::Linear,
+    ops: O,
 }
 
-impl ResNet {
-    /// Builds the network.
-    pub fn new(cfg: ResNetCfg, rng: &mut Rng) -> Self {
+/// Serial ResNet: `[N, 3, S, S]` → logits `[N, classes]`.
+pub type ResNet = ResNetOn<Serial>;
+/// HFTA-fused ResNet array.
+pub type FusedResNet = ResNetOn<Fused>;
+
+impl<O: Ops> ResNetOn<O> {
+    /// Builds the network out of `ops`' layers.
+    pub fn build(ops: O, cfg: ResNetCfg, rng: &mut Rng) -> Self {
         let w = cfg.width;
         let mut blocks = Vec::new();
         let mut cin = w;
@@ -118,28 +127,28 @@ impl ResNet {
             for block in 0..2 {
                 let (s, ci) = if block == 0 { (stride, cin) } else { (1, cout) };
                 let down = (s != 1 || ci != cout)
-                    .then(|| (Conv2d::new(conv1(ci, cout, s), rng), BatchNorm::new(cout)));
+                    .then(|| (ops.conv2d(conv1(ci, cout, s), rng), ops.batch_norm(cout)));
                 blocks.push(BasicBlock {
-                    conv1: Conv2d::new(conv3(ci, cout, s), rng),
-                    bn1: BatchNorm::new(cout),
-                    conv2: Conv2d::new(conv3(cout, cout, 1), rng),
-                    bn2: BatchNorm::new(cout),
+                    conv1: ops.conv2d(conv3(ci, cout, s), rng),
+                    bn1: ops.batch_norm(cout),
+                    conv2: ops.conv2d(conv3(cout, cout, 1), rng),
+                    bn2: ops.batch_norm(cout),
                     down,
                 });
             }
             cin = cout;
         }
-        ResNet {
-            stem: Conv2d::new(conv3(3, w, 1), rng),
-            stem_bn: BatchNorm::new(w),
+        ResNetOn {
+            stem: ops.conv2d(conv3(3, w, 1), rng),
+            stem_bn: ops.batch_norm(w),
             blocks,
-            fc: Linear::new(LinearCfg::new(cin, cfg.classes), rng),
+            fc: ops.linear(LinearCfg::new(cin, cfg.classes), rng),
+            ops,
         }
     }
 }
 
-impl Module for ResNet {
-    /// `x [N, 3, S, S]` → logits `[N, classes]`.
+impl<O: Ops> Module for ResNetOn<O> {
     fn forward(&self, x: &Var) -> Var {
         let mut h = self.stem_bn.forward(&self.stem.forward(x)).relu();
         for b in &self.blocks {
@@ -149,7 +158,7 @@ impl Module for ResNet {
         let pooled = h.mean_axis_keep(3).mean_axis_keep(2);
         let dims = pooled.dims();
         let flat = pooled.reshape(&[dims[0], dims[1]]);
-        self.fc.forward(&flat)
+        self.fc.forward(&self.ops.to_linear(&flat))
     }
 
     fn parameters(&self) -> Vec<Parameter> {
@@ -170,89 +179,7 @@ impl Module for ResNet {
     }
 }
 
-/// HFTA-fused ResNet array over conv format `[N, B*3, S, S]`, producing
-/// array-format logits `[B, N, classes]`.
-#[derive(Debug)]
-pub struct FusedResNet {
-    stem: FusedConv2d,
-    stem_bn: FusedBatchNorm,
-    blocks: Vec<BasicBlock<FusedConv2d, FusedBatchNorm>>,
-    fc: FusedLinear,
-    b: usize,
-}
-
-impl FusedResNet {
-    /// Builds a `b`-wide fused array.
-    pub fn new(b: usize, cfg: ResNetCfg, rng: &mut Rng) -> Self {
-        let w = cfg.width;
-        let mut blocks = Vec::new();
-        let mut cin = w;
-        for stage in 0..cfg.stages {
-            let cout = w << stage;
-            let stride = if stage == 0 { 1 } else { 2 };
-            for block in 0..2 {
-                let (s, ci) = if block == 0 { (stride, cin) } else { (1, cout) };
-                let down = (s != 1 || ci != cout).then(|| {
-                    (
-                        FusedConv2d::new(b, conv1(ci, cout, s), rng),
-                        FusedBatchNorm::new(b, cout),
-                    )
-                });
-                blocks.push(BasicBlock {
-                    conv1: FusedConv2d::new(b, conv3(ci, cout, s), rng),
-                    bn1: FusedBatchNorm::new(b, cout),
-                    conv2: FusedConv2d::new(b, conv3(cout, cout, 1), rng),
-                    bn2: FusedBatchNorm::new(b, cout),
-                    down,
-                });
-            }
-            cin = cout;
-        }
-        FusedResNet {
-            stem: FusedConv2d::new(b, conv3(3, w, 1), rng),
-            stem_bn: FusedBatchNorm::new(b, w),
-            blocks,
-            fc: FusedLinear::new(b, LinearCfg::new(cin, cfg.classes), rng),
-            b,
-        }
-    }
-}
-
-impl Module for FusedResNet {
-    fn forward(&self, x: &Var) -> Var {
-        let mut h = self.stem_bn.forward(&self.stem.forward(x)).relu();
-        for blk in &self.blocks {
-            h = blk.forward(&h);
-        }
-        let pooled = h.mean_axis_keep(3).mean_axis_keep(2);
-        let dims = pooled.dims();
-        let flat = pooled.reshape(&[dims[0], dims[1]]); // [N, B*C]
-        self.fc.forward(&conv_to_array(&flat, self.b))
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        let mut ps = self.stem.parameters();
-        ps.extend(self.stem_bn.parameters());
-        for b in &self.blocks {
-            ps.extend(b.parameters());
-        }
-        ps.extend(self.fc.parameters());
-        ps
-    }
-
-    fn set_training(&self, t: bool) {
-        self.stem_bn.set_training(t);
-        for b in &self.blocks {
-            b.set_training(t);
-        }
-    }
-}
-
-impl FusedModule for FusedResNet {
-    fn b(&self) -> usize {
-        self.b
-    }
-}
+instantiate!(ResNetOn, ResNetCfg);
 
 #[cfg(test)]
 mod tests {

@@ -58,15 +58,4 @@ pub trait ArrayBackend {
     /// job `hfta-sim` fuses to width `B` for step timing and the
     /// memory-capacity max-width selection.
     fn job_profile(&self) -> TrainingJob;
-
-    /// The planning IR of the model a trial with `config` would train,
-    /// if the backend can describe it. When every candidate lane of a
-    /// fresh dispatch reports a graph, the scheduler asks the auto-fusion
-    /// planner for the pack's fusibility (see [`crate::pack::plan_pack`])
-    /// and trims lanes that would ride along mostly serial. The default
-    /// (`None`) preserves the legacy width selection.
-    fn lane_graph(&self, config: &Self::Config) -> Option<hfta_plan::ModelGraph> {
-        let _ = config;
-        None
-    }
 }

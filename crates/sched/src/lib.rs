@@ -55,13 +55,11 @@ pub mod asha;
 pub mod backend;
 pub mod events;
 pub mod linear;
-pub mod pack;
 pub mod sched;
 pub mod trial;
 
 pub use asha::{RungLedger, RungPolicy};
 pub use backend::{ArrayBackend, TrainOutcome};
 pub use linear::{LinearBackend, LinearTrialCfg};
-pub use pack::{plan_pack, PackDecision};
 pub use sched::{run, Policy, SchedCfg, SchedReport, SchedRun};
 pub use trial::{Trial, TrialStatus};

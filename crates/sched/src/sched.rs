@@ -418,25 +418,10 @@ impl<B: ArrayBackend> Engine<'_, B> {
     /// Builds a fresh rung-0 array from the arrival queue and dispatches
     /// it.
     fn dispatch_fresh(&mut self, device: usize, mem_cap: usize, t: f64) {
-        let mut width = match self.cfg.policy {
+        let width = match self.cfg.policy {
             Policy::Serial => 1,
             _ => mem_cap.min(self.queue.len()),
         };
-        if width > 1 {
-            // Fusibility-aware trim: when the backend can describe every
-            // candidate lane's model graph, pack only the prefix the
-            // planner says actually fuses. Backends without graphs (and
-            // homogeneous sweeps, which fuse fully) are unchanged.
-            let graphs: Vec<_> = self
-                .queue
-                .iter()
-                .take(width)
-                .filter_map(|&id| self.backend.lane_graph(&self.trial(id).config))
-                .collect();
-            if graphs.len() == width {
-                width = crate::pack::plan_pack(&graphs).lanes;
-            }
-        }
         let ids: Vec<u64> = (0..width)
             .map(|_| self.queue.pop_front().expect("queue checked non-empty"))
             .collect();
