@@ -22,14 +22,15 @@
 //! shape, `scaling_efficiency` reports `auto` GFLOP/s at the multi-thread
 //! count over 1 thread (absent on a 1-CPU host). With `--history <file>`
 //! the run's roofline summary (vs the calibrated `--probe-db` peaks) is
-//! appended to the perf-history JSONL for `scope_report --history` drift
+//! appended to the perf-history JSONL for `hfta_report history` drift
 //! gating.
 //!
 //! `--gate-scaling <ratio>` turns the 4T/1T scaling ratio into a CI gate on
 //! large shapes (exit 1 below the ratio; skipped with a note on hosts with
 //! fewer than 4 CPUs).
 
-use hfta_bench::cli::CommonArgs;
+use hfta_bench::cli::{write_json, CommonArgs};
+use hfta_bench::record::{KernelRecord, KernelsFile, ScalingRecord};
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::{FusedConv2d, FusedModule, FusedParameter};
 use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
@@ -41,53 +42,8 @@ use hfta_probe::{classify, git_rev, HistoryRecord, MachinePeaks, OpUtil, PerfHis
 use hfta_telemetry::OpAgg;
 use hfta_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvCfg};
 use hfta_tensor::{Rng, Tensor};
-use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
-
-#[derive(Serialize)]
-struct BenchRecord {
-    op: String,
-    shape: String,
-    backend: String,
-    threads: u64,
-    ns_per_iter: f64,
-    gflops: f64,
-    /// Bytes moved per iteration (operand reads + result writes) — what
-    /// roofline classification needs alongside the FLOPs.
-    bytes_per_iter: f64,
-}
-
-/// Thread-scaling quality of the default dispatch on one shape.
-#[derive(Serialize)]
-struct ScalingRecord {
-    op: String,
-    shape: String,
-    /// The multi-thread count of the ratio (`min(4, host_cpus)`).
-    threads: u64,
-    /// `auto` GFLOP/s at `threads` over 1 thread; `threads` would be
-    /// perfect scaling, below 1.0 means threading actively hurts.
-    scaling_efficiency: f64,
-}
-
-#[derive(Serialize)]
-struct BenchReport {
-    /// CPUs the host exposes; no record has more threads than this.
-    host_cpus: u64,
-    /// The host CPU's model name (`unknown` where `/proc/cpuinfo` has none).
-    cpu_model: String,
-    /// Whether `auto` ran the AVX2/FMA kernels (false: the portable
-    /// `mul_add` twins — same bits, far fewer GFLOP/s).
-    simd_available: bool,
-    records: Vec<BenchRecord>,
-    scaling_efficiency: Vec<ScalingRecord>,
-    fused_conv_speedup: f64,
-    /// hfta-scope cost on a fused DCGAN-style training step, percent:
-    /// per-model loss extraction + sentinel scan (`after_backward`) +
-    /// norm/update-ratio pass (`after_step`) relative to the bare step.
-    /// The acceptance budget is < 5%.
-    scope_overhead_pct: f64,
-}
 
 /// One fused DCGAN-style training step (conv forward, fused CE loss,
 /// backward, SGD); with `scope` set it also runs the full hfta-scope
@@ -224,7 +180,7 @@ fn main() {
                     n,
                 );
             });
-            records.push(BenchRecord {
+            records.push(KernelRecord {
                 op: "gemm".to_string(),
                 shape: format!("{label}:{m}x{k}x{n}"),
                 backend: backend.name().to_string(),
@@ -264,7 +220,7 @@ fn main() {
             black_box((y, gx, gw));
         });
         step_ns[ci] = ns;
-        records.push(BenchRecord {
+        records.push(KernelRecord {
             op: "fused_conv_training_step".to_string(),
             shape: format!("B={b}:x4x{}x32x32:w{}x3x4x4", 3 * b, 16 * b),
             backend: backend.name().to_string(),
@@ -343,7 +299,7 @@ fn main() {
         }
     }
 
-    let report = BenchReport {
+    let report = KernelsFile {
         host_cpus,
         cpu_model: cpu_model(),
         simd_available: simd,
@@ -352,8 +308,7 @@ fn main() {
         fused_conv_speedup,
         scope_overhead_pct,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize bench report");
-    std::fs::write(&json_path, &json).unwrap_or_else(|e| {
+    write_json(&json_path, &report).unwrap_or_else(|e| {
         eprintln!("failed to write {json_path}: {e}");
         std::process::exit(1);
     });

@@ -32,17 +32,17 @@
 //!   backend fused and serial execution do the same arithmetic.
 //!
 //! `--trace` additionally writes `plan.json` (the serialized
-//! [`FusionPlan`]) into the trace dir for `plan_report`, and records each
-//! leg's per-lane loss streams under the `serial` / `partial-fusion`
-//! experiment scopes — `scope_report --diff` gates those against
+//! [`FusionPlan`]) into the trace dir for `hfta_report plan`, and records
+//! each leg's per-lane loss streams under the `serial` / `partial-fusion`
+//! experiment scopes — `hfta_report diff` gates those against
 //! `ci/golden/plan.report.json`. `--bench-json` writes the per-plan
-//! timing records that `scope_report --diff` gates across PRs.
+//! timing records that `hfta_report diff` gates across PRs.
 
-use std::fs;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use hfta_bench::cli::{usage_exit, CommonArgs};
+use hfta_bench::cli::{write_json, CommonArgs};
+use hfta_bench::record::{PlanFile, PlanRecord};
 use hfta_core::optim::PerModel;
 use hfta_core::planned::{per_lane_ce, PlannedArray, PlannedOptimizer};
 use hfta_models::{planned_step_time_s, serial_step_time_s, PlanSimCfg};
@@ -50,7 +50,6 @@ use hfta_nn::layers::{Conv2dCfg, LinearCfg};
 use hfta_plan::{FusionPlan, ModelGraph, OpSpec};
 use hfta_sim::{DeviceSpec, GpuSim};
 use hfta_tensor::{Rng, Tensor};
-use serde::Serialize;
 
 /// Input image side; two stride-2 convs take it to `SIDE / 4`.
 const SIDE: usize = 16;
@@ -72,24 +71,15 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let common = CommonArgs::parse(USAGE);
-    let mut out = Args {
-        steps: if common.quick { 3 } else { 60 },
+    let mut common = CommonArgs::parse(USAGE);
+    let steps = common.take(USAGE, "--steps", "a positive integer", |v: &usize| *v > 0);
+    common.expect_no_rest(USAGE);
+    Args {
+        steps: steps.unwrap_or(if common.quick { 3 } else { 60 }),
         width: 8,
         batch: if common.quick { 2 } else { 4 },
         common,
-    };
-    let mut rest = out.common.rest.clone().into_iter();
-    while let Some(a) = rest.next() {
-        match a.as_str() {
-            "--steps" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => out.steps = v,
-                _ => usage_exit(USAGE, "--steps needs a positive integer"),
-            },
-            other => usage_exit(USAGE, &format!("unknown argument: {other}")),
-        }
     }
-    out
 }
 
 /// DCGAN-D-style classifier with `refine` shape-preserving middle convs:
@@ -207,35 +197,6 @@ fn run_leg(
     }
 }
 
-#[derive(Debug, Serialize)]
-struct PlanRecord {
-    plan: &'static str,
-    /// Simulated V100 step time (deterministic — what `scope_report
-    /// --diff` gates). Host wall-clock is printed to stdout only: it is
-    /// machine- and load-dependent, and keeping it out of the file is
-    /// what makes `BENCH_plan.json` byte-identical across runs and
-    /// thread counts.
-    sim_step_us: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct BenchFile {
-    name: &'static str,
-    device: &'static str,
-    lanes: usize,
-    steps: usize,
-    width: usize,
-    batch: usize,
-    fused_fraction: f64,
-    max_fused_width: usize,
-    /// One record per execution plan (unique `plan` keys — these are what
-    /// `scope_report --diff` gates).
-    records: Vec<PlanRecord>,
-    /// Simulated serial / planned step-time ratio (the headline gate).
-    partial_fusion_speedup: f64,
-    bit_identical: bool,
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
     let session = args.common.trace_session("bench_plan");
@@ -303,47 +264,37 @@ fn main() -> ExitCode {
     }
 
     if let Some(dir) = &args.common.trace {
-        let write_plan = fs::create_dir_all(dir).and_then(|()| {
-            let json = serde_json::to_string_pretty(&fused)
-                .map_err(|e| std::io::Error::other(format!("serializing plan: {e}")))?;
-            fs::write(dir.join("plan.json"), json)
-        });
-        if let Err(e) = write_plan {
-            eprintln!("FAIL: cannot write plan.json: {e}");
+        let path = dir.join("plan.json").display().to_string();
+        if let Err(e) = write_json(&path, &fused) {
+            eprintln!("FAIL: cannot write {path}: {e}");
             failed = true;
         }
     }
 
     if let Some(path) = &args.common.bench_json {
-        let file = BenchFile {
-            name: "bench_plan",
-            device: "V100",
-            lanes: graphs.len(),
-            steps: args.steps,
-            width: args.width,
-            batch: args.batch,
+        let file = PlanFile {
+            name: "bench_plan".into(),
+            device: "V100".into(),
+            lanes: graphs.len() as u64,
+            steps: args.steps as u64,
+            width: args.width as u64,
+            batch: args.batch as u64,
             fused_fraction: fraction,
-            max_fused_width: fused.max_fused_width(),
+            max_fused_width: fused.max_fused_width() as u64,
             records: vec![
                 PlanRecord {
-                    plan: "serial",
+                    plan: "serial".into(),
                     sim_step_us: sim_serial_us,
                 },
                 PlanRecord {
-                    plan: "partial-fusion",
+                    plan: "partial-fusion".into(),
                     sim_step_us: sim_fused_us,
                 },
             ],
             partial_fusion_speedup: speedup,
             bit_identical,
         };
-        let json = serde_json::to_string_pretty(&file).expect("bench file serializes");
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                let _ = fs::create_dir_all(dir);
-            }
-        }
-        if let Err(e) = fs::write(path, json) {
+        if let Err(e) = write_json(path, &file) {
             eprintln!("FAIL: cannot write {path}: {e}");
             failed = true;
         } else {

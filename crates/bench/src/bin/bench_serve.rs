@@ -25,21 +25,21 @@
 //! time, so `--trace` reports diff clean across machines and thread
 //! counts (CI keeps a golden in `ci/golden/serve.report.json`).
 //! `--bench-json` writes the per-policy SLO table for
-//! `scope_report --diff` gating.
+//! `hfta_report diff` gating.
 
 use std::fs;
 use std::process::ExitCode;
 
-use hfta_bench::cli::{usage_exit, CommonArgs};
+use hfta_bench::cli::{write_json, CommonArgs};
+use hfta_bench::record::ServeFile;
 use hfta_cluster::replay::{normalize_arrivals_open, sweep_arrivals, OpenLoopCfg};
 use hfta_cluster::trace::{generate, TraceCfg};
 use hfta_sched::asha::RungPolicy;
 use hfta_sched::linear::{LinearBackend, LinearTrialCfg};
-use hfta_serve::engine::{ServeCfg, ServeCmd, ServeEngine, ServeReport, ServeRun, SweepSpec};
+use hfta_serve::engine::{ServeCfg, ServeCmd, ServeEngine, ServeRun, SweepSpec};
 use hfta_serve::AdmitPolicy;
 use hfta_sim::{DeviceFleet, DeviceSpec};
 use hfta_telemetry::Profiler;
-use serde::Serialize;
 
 /// Burst-grouping gap when recovering sweeps from the trace, seconds.
 const BURST_GAP_S: u64 = 120;
@@ -49,23 +49,6 @@ const MIN_TRIALS: usize = 4;
 const RATE_SCALE: f64 = 0.9;
 /// Seed for the open-loop thinning coin.
 const OPEN_LOOP_SEED: u64 = 7;
-
-#[derive(Debug, Serialize)]
-struct BenchFile {
-    name: &'static str,
-    trials: usize,
-    devices: usize,
-    span_s: f64,
-    /// One record per admission policy (unique `policy` keys — these are
-    /// what `scope_report --diff` gates).
-    records: Vec<ServeReport>,
-    /// The kill-and-restart fair-share leg (same policy key as the
-    /// uninterrupted one, so kept out of `records`).
-    restart: ServeReport,
-    fair_share_speedup_vs_static: f64,
-    fair_share_p99_queue_wait_improvement_pct: f64,
-    restart_bit_identical: bool,
-}
 
 const USAGE: &str = "bench_serve [--trials <n>] [--span <s>] [--quick] \
                      [--bench-json <path>] [--trace <dir>]";
@@ -77,27 +60,17 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let common = CommonArgs::parse(USAGE);
-    let mut out = Args {
-        trials: if common.quick { 64 } else { 128 },
-        span_s: if common.quick { 0.025 } else { 0.05 },
+    let mut common = CommonArgs::parse(USAGE);
+    let trials = common.take(USAGE, "--trials", "a positive integer", |v: &usize| *v > 0);
+    let span_s = common.take(USAGE, "--span", "a non-negative number", |v: &f64| {
+        *v >= 0.0
+    });
+    common.expect_no_rest(USAGE);
+    Args {
+        trials: trials.unwrap_or(if common.quick { 64 } else { 128 }),
+        span_s: span_s.unwrap_or(if common.quick { 0.025 } else { 0.05 }),
         common,
-    };
-    let mut rest = out.common.rest.clone().into_iter();
-    while let Some(a) = rest.next() {
-        match a.as_str() {
-            "--trials" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => out.trials = v,
-                _ => usage_exit(USAGE, "--trials needs a positive integer"),
-            },
-            "--span" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 0.0 => out.span_s = v,
-                _ => usage_exit(USAGE, "--span needs a non-negative number"),
-            },
-            other => usage_exit(USAGE, &format!("unknown argument: {other}")),
-        }
     }
-    out
 }
 
 /// Sub-sweep sizes carved out of each trace burst, cycled by a global
@@ -350,10 +323,10 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.common.bench_json {
-        let file = BenchFile {
-            name: "bench_serve",
-            trials: args.trials,
-            devices,
+        let file = ServeFile {
+            name: "bench_serve".into(),
+            trials: args.trials as u64,
+            devices: devices as u64,
             span_s: args.span_s,
             fair_share_speedup_vs_static: stat.report.makespan_s / fair.report.makespan_s,
             fair_share_p99_queue_wait_improvement_pct: (1.0
@@ -363,13 +336,7 @@ fn main() -> ExitCode {
             records: vec![stat.report, fair.report],
             restart: restarted.report,
         };
-        let json = serde_json::to_string_pretty(&file).expect("bench file serializes");
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                let _ = fs::create_dir_all(dir);
-            }
-        }
-        if let Err(e) = fs::write(path, json) {
+        if let Err(e) = write_json(path, &file) {
             eprintln!("FAIL: cannot write {path}: {e}");
             failed = true;
         } else {

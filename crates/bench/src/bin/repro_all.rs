@@ -1,223 +1,638 @@
-//! Runs every experiment and writes the paper-vs-measured report
-//! (EXPERIMENTS.md). `cargo run --release -p hfta-bench --bin repro_all`.
+//! Regenerates the paper's tables and figures, one section per id.
+//!
+//! ```text
+//! repro_all [--trace <dir>] [<id>...]
+//! ```
+//!
+//! With ids (`repro_all fig4 table5`) each named section prints its full
+//! artifact. With none, every section contributes its headline numbers to
+//! the paper-vs-measured roll-up, which is printed and written to
+//! `EXPERIMENTS.md` in the current directory. One function per section
+//! serves both, so the detailed view and the roll-up cannot disagree about
+//! a workload, a device or a paper constant.
 //!
 //! With `--trace <dir>` the run also emits `repro_all.trace.json` (Chrome
-//! trace-event JSON; one experiment scope per figure/table, plus the
-//! simulated A100 kernel streams and DCGM counter time-series behind
-//! Figures 8/11/12) and `repro_all.report.json` (the serialized
-//! [`hfta_telemetry::RunReport`]).
+//! trace-event JSON; one experiment scope per section, plus — in the
+//! roll-up — the simulated A100 kernel streams and DCGM counter
+//! time-series behind Figures 8/11/12) and `repro_all.report.json` (the
+//! serialized [`hfta_telemetry::RunReport`]).
 //!
-//! The binary exits non-zero if any I/O fails or if a sanity bound is
-//! violated (Figure 3 convergence divergence, Table 1 classifier
-//! accuracy) — making it usable as a CI gate.
+//! Exits 1 if any I/O fails or a sanity bound is violated (Figure 3
+//! convergence divergence, Table 1 classifier accuracy) — making it usable
+//! as a CI gate — and 2 on an unknown flag or section id.
 
-use std::error::Error;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
+use hfta_bench::cli::CommonArgs;
 use hfta_bench::convergence::resnet_convergence;
-use hfta_bench::sweep::{gpu_panel, linear_regression, tpu_curve, Panel};
-use hfta_bench::telemetry_cli::TraceSession;
+use hfta_bench::sweep::{
+    gpu_panel, linear_regression, policies_for, push_table, tpu_curve, CurvePoint, Panel,
+};
 use hfta_cluster::{classify, trace};
-use hfta_models::Workload;
-use hfta_sim::{DeviceSpec, GpuSim, SharingPolicy, TpuSim};
+use hfta_core::array::copy_model_weights;
+use hfta_core::format::{stack_conv, unstack_array};
+use hfta_core::ops::FusedModule;
+use hfta_core::rules::rule_table;
+use hfta_models::{AlexNet, AlexNetCfg, FusedAlexNet, Workload};
+use hfta_nn::{Module, Tape};
+use hfta_sim::counters::dcgm;
+use hfta_sim::{Counters, DeviceSpec, GpuSim, SharingPolicy, TpuSim};
 use hfta_telemetry::Profiler;
+use hfta_tensor::Rng;
 
 /// Figure 3's bound: serial and fused loss curves must overlap to fp32
 /// round-off accumulated over 12 iterations.
 const FIG3_MAX_DIVERGENCE: f32 = 5e-3;
-
-/// One report section: appends markdown, optionally records telemetry,
-/// and pushes a message per violated sanity bound.
-type Section = fn(&mut String, Option<&Profiler>, &mut Vec<String>) -> Result<(), Box<dyn Error>>;
 /// Table 1's bound: the Appendix-A classifier must recover at least this
 /// share of the planted ground truth.
 const TABLE1_ACCURACY_FLOOR: f64 = 0.9;
 
+/// What a section is asked for and where its side effects go.
+struct Ctx<'a> {
+    /// Headline paragraph for EXPERIMENTS.md rather than the full artifact.
+    rollup: bool,
+    profiler: Option<&'a Profiler>,
+    /// One message per violated sanity bound.
+    violations: Vec<String>,
+}
+
+/// `(id, experiment-scope name in the roll-up, section)`; a `None` scope
+/// marks a section that only has a detail view.
+type Section = (
+    &'static str,
+    Option<&'static str>,
+    fn(&mut String, &mut Ctx) -> fmt::Result,
+);
+
+/// Every section, roll-up members in EXPERIMENTS.md order.
+const SECTIONS: &[Section] = &[
+    ("specs", None, specs),
+    ("table1", Some("table1"), table1),
+    ("fig10", None, fig10),
+    ("fig2", None, fig2),
+    ("fig3", Some("fig3"), fig3),
+    ("table5", Some("table5_fig4"), table5),
+    ("fig4", None, fig4),
+    ("fig5", Some("fig5"), fig5),
+    ("fig6", Some("fig6"), fig6),
+    ("fig7", Some("fig7"), fig7),
+    ("fig8", Some("fig8_11_12"), fig8),
+    ("fig11", None, fig11),
+    ("fig12", None, fig12),
+    ("table6", None, table6),
+    ("table7", None, table7),
+    ("table8", None, table8),
+    ("table9", None, table9),
+    ("table10", Some("table10"), table10),
+];
+
 fn main() {
-    match run() {
-        Ok(violations) if violations.is_empty() => {}
-        Ok(violations) => {
-            for v in &violations {
-                eprintln!("SANITY VIOLATION: {v}");
-            }
+    let ids: Vec<&str> = SECTIONS.iter().map(|s| s.0).collect();
+    let usage = format!(
+        "repro_all [--trace <dir>] [<id>...]\n       ids: {} (none = all, writes EXPERIMENTS.md)",
+        ids.join(" ")
+    );
+    let mut args = CommonArgs::parse(&usage);
+    // Detail view: the named sections under their own ids. Roll-up: every
+    // section that has a roll-up scope.
+    let mut picked: Vec<(&str, &Section)> = Vec::new();
+    args.rest.retain(|a| {
+        let section = SECTIONS.iter().find(|s| s.0 == a.as_str());
+        picked.extend(section.map(|s| (s.0, s)));
+        section.is_none()
+    });
+    args.expect_no_rest(&usage);
+    let rollup = picked.is_empty();
+    if rollup {
+        picked.extend(SECTIONS.iter().filter_map(|s| Some((s.1?, s))));
+    }
+
+    let session = args.trace_session("repro_all");
+    let mut ctx = Ctx {
+        rollup,
+        profiler: session.profiler(),
+        violations: Vec::new(),
+    };
+    let mut out = String::new();
+    for (scope, section) in picked {
+        // Each section runs inside its own experiment scope, so the
+        // RunReport buckets wall time and metrics per figure/table.
+        let _scope = ctx.profiler.map(|p| p.experiment(scope));
+        (section.2)(&mut out, &mut ctx).expect("writing to a String cannot fail");
+    }
+    if rollup {
+        let md = format!("{ROLLUP_HEADER}{out}{DEVIATIONS}");
+        if let Err(e) = std::fs::write("EXPERIMENTS.md", &md) {
+            eprintln!("error: writing EXPERIMENTS.md: {e}");
             std::process::exit(1);
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+        println!("{md}\n\n(wrote EXPERIMENTS.md)");
+    } else {
+        print!("{out}");
+    }
+    let violations = ctx.violations;
+    session.finish_or_exit();
+    for v in &violations {
+        eprintln!("SANITY VIOLATION: {v}");
+    }
+    if !violations.is_empty() {
+        std::process::exit(1);
     }
 }
 
-fn run() -> Result<Vec<String>, Box<dyn Error>> {
-    let session = TraceSession::from_args("repro_all");
-    let mut md = String::new();
-    let mut violations = Vec::new();
-    let out = &mut md;
-    writeln!(out, "# EXPERIMENTS — paper vs. measured\n")?;
-    writeln!(
-        out,
-        "Generated by `cargo run --release -p hfta-bench --bin repro_all`. \
-         Every table and figure of the HFTA paper (MLSys 2021) is regenerated \
-         by a dedicated harness (`cargo run -p hfta-bench --bin <id>`); this \
-         file records the headline numbers side by side. The hardware is \
-         simulated (see DESIGN.md §4), so absolute throughputs are not \
-         comparable — the claims under reproduction are the *relative* \
-         speedups, orderings, crossovers and capacity ratios.\n"
-    )?;
+const ROLLUP_HEADER: &str = "# EXPERIMENTS — paper vs. measured\n\n\
+    Generated by `cargo run --release -p hfta-bench --bin repro_all`. \
+    Every table and figure of the HFTA paper (MLSys 2021) is regenerated \
+    by one section of that binary (`repro_all <id>`); this \
+    file records the headline numbers side by side. The hardware is \
+    simulated (see DESIGN.md §4), so absolute throughputs are not \
+    comparable — the claims under reproduction are the *relative* \
+    speedups, orderings, crossovers and capacity ratios.\n\n";
 
-    // Each section runs inside its own experiment scope, so the RunReport
-    // buckets wall time and metrics per figure/table.
-    let sections: &[(&str, Section)] = &[
-        ("table1", table1),
-        ("fig3", fig3),
-        ("table5_fig4", table5_and_fig4),
-        ("fig5", fig5),
-        ("fig6", fig6),
-        ("fig7", fig7),
-        ("fig8_11_12", fig8),
-        ("table10", table10),
-        ("deviations", deviations),
-    ];
-    for (name, section) in sections {
-        let _scope = session.profiler().map(|p| p.experiment(*name));
-        section(out, session.profiler(), &mut violations)?;
-    }
+const DEVIATIONS: &str = "## Known deviations\n\n\
+    - **DCGAN-vs-serial overshoots** (~2x: V100 8.4x vs paper 4.59x): \
+    our simulator has no equivalent of the era's cuDNN regressions; the \
+    paper itself flags its A100 DCGAN AMP numbers as anomalous \
+    (\"insufficient optimization in some of the new cuDNN kernels\") \
+    and expects them to improve. We model transposed convolutions as \
+    TC-ineligible, which reproduces the small AMP gains, but our FP32 \
+    fused DCGAN scales further than theirs did.\n\
+    - **A100 concurrent DCGAN** (paper 1.29 vs ours 1.98): their \
+    concurrent DCGAN degraded from host I/O contention on \
+    the 12-vCPU A2 instance; our host model is milder.\n\
+    - **PointNet-seg on TPU** measures 2.9x vs the paper's 1.20x: the \
+    qualitative claim (seg benefits far less than cls/DCGAN because of \
+    non-GEMM operators) holds, but we do not model the per-point \
+    gather/scatter pathologies that held the real run to 1.2x.\n\
+    - **Figure 5 (ResNet-18)** reproduces direction, not magnitude: \
+    8.16x requires the serial baseline to leave >85% of the GPU idle, \
+    more than our calibrated gap model produces at batch 1000.\n\
+    - Everything in the correctness track (Table 6 identities, Figure 3 \
+    convergence, loss scaling, fused optimizers) reproduces exactly, \
+    since those are mathematical properties, not hardware behaviours.\n";
 
-    std::fs::write("EXPERIMENTS.md", &md)?;
-    println!("{md}");
-    println!("\n(wrote EXPERIMENTS.md)");
-    if let Some((trace_path, report_path)) = session.finish()? {
-        println!(
-            "(wrote {} and {})",
-            trace_path.display(),
-            report_path.display()
-        );
-    }
-    Ok(violations)
-}
+// ---------------------------------------------------------------------------
+// Shared pieces
+// ---------------------------------------------------------------------------
 
-fn table1(
-    out: &mut String,
-    _profiler: Option<&Profiler>,
-    violations: &mut Vec<String>,
-) -> Result<(), Box<dyn Error>> {
-    let jobs = trace::generate(&trace::TraceCfg::default(), 2020);
-    let cats = classify::classify(&jobs, &classify::ClassifyCfg::default());
-    let b = classify::Breakdown::from_assignments(&jobs, &cats);
-    writeln!(out, "## Table 1 / Figure 9 — cluster GPU-hour breakdown\n")?;
-    writeln!(out, "| Category | paper | measured |")?;
-    writeln!(out, "|---|---|---|")?;
-    for ((name, _, pct), paper) in b.rows().iter().zip([46.2, 3.5, 24.0, 26.3]) {
-        writeln!(out, "| {name} | {paper}% | {pct:.1}% |")?;
+/// One line per sharing policy on `device`: `prefix`, the policy name, and
+/// the curve's `(models, value)` points as `point` renders them.
+fn policy_series(
+    o: &mut String,
+    device: &DeviceSpec,
+    panel: &Panel,
+    amp: bool,
+    prefix: &str,
+    point: impl Fn(&CurvePoint) -> String,
+) -> fmt::Result {
+    for policy in policies_for(device) {
+        if let Some(curve) = panel.curve(policy, amp) {
+            let points: Vec<String> = curve.points.iter().map(&point).collect();
+            writeln!(o, "{prefix}{:<11} {}", policy.name(), points.join(" "))?;
+        }
     }
-    let accuracy = classify::accuracy(&jobs, &cats);
-    if accuracy < TABLE1_ACCURACY_FLOOR {
-        violations.push(format!(
-            "table1: classifier accuracy {:.3} below floor {TABLE1_ACCURACY_FLOOR}",
-            accuracy
-        ));
-    }
-    writeln!(
-        out,
-        "\nClassifier (Appendix A: 60 s bursts + Levenshtein >= 0.9) recovers \
-         the planted ground truth at {:.1}% accuracy. Repetitive single-GPU \
-         jobs dominate, as the paper found. Figure 10's 13 sampled jobs stay \
-         under 24% sm_active / 14% sm_occupancy (`--bin fig10`).\n",
-        accuracy * 100.0
-    )?;
     Ok(())
 }
 
-fn fig3(
-    out: &mut String,
-    _profiler: Option<&Profiler>,
-    violations: &mut Vec<String>,
-) -> Result<(), Box<dyn Error>> {
-    // With a profiler installed, the training loops inside record
-    // per-op forward/backward spans and per-step loss metrics.
-    let curves = resnet_convergence(&[0.1, 0.05, 0.01], 12, 42);
-    let divergence = curves.max_divergence();
-    // NaN must also trip the gate, hence not `divergence >= bound` alone.
-    if divergence.is_nan() || divergence >= FIG3_MAX_DIVERGENCE {
-        violations.push(format!(
-            "fig3: serial/fused loss divergence {divergence:.3e} exceeds {FIG3_MAX_DIVERGENCE:.0e}"
-        ));
+fn precision(amp: bool) -> &'static str {
+    if amp {
+        "AMP"
+    } else {
+        "FP32"
     }
-    writeln!(out, "## Figure 3 — convergence equivalence\n")?;
-    writeln!(
-        out,
-        "Serial vs HFTA loss curves for three learning rates over 12 \
-         iterations of the ResNet mini: max divergence **{divergence:.2e}** \
-         (paper: \"dotted curves overlap completely with the solid ones\"). \
-         The integration suite (`tests/equivalence.rs`) repeats this for \
-         AlexNet/SGD, ResNet/Adam, ResNet/Adadelta and PointNet/Adam.\n"
-    )?;
-    Ok(())
 }
 
-fn policy_rows(panel: &Panel, device: &DeviceSpec) -> Vec<(SharingPolicy, f64)> {
-    let mut baselines = vec![
-        SharingPolicy::Serial,
-        SharingPolicy::Concurrent,
-        SharingPolicy::Mps,
-    ];
-    if device.supports_mig() {
-        baselines.push(SharingPolicy::Mig);
-    }
-    baselines
-        .into_iter()
-        .map(|b| (b, panel.peak_speedup_over(b)))
+/// One Figure-4 panel per paper benchmark on `device`.
+fn panels(device: &DeviceSpec) -> Vec<Panel> {
+    Workload::paper_benchmarks()
+        .iter()
+        .map(|w| gpu_panel(device, w))
         .collect()
 }
 
-fn table5_and_fig4(
-    out: &mut String,
-    _profiler: Option<&Profiler>,
-    _violations: &mut Vec<String>,
-) -> Result<(), Box<dyn Error>> {
-    writeln!(out, "## Table 5 / Figure 4 — peak HFTA speedups on GPUs\n")?;
-    writeln!(
-        out,
-        "| GPU | baseline | PointNet-cls (paper) | PointNet-seg (paper) | DCGAN (paper) |"
-    )?;
-    writeln!(out, "|---|---|---|---|---|")?;
-    let paper: &[(&str, &str, [f64; 3])] = &[
-        ("V100", "serial", [5.02, 4.29, 4.59]),
-        ("V100", "concurrent", [4.87, 4.24, 2.01]),
-        ("V100", "MPS", [4.50, 3.03, 2.03]),
-        ("RTX6000", "serial", [4.36, 3.63, 6.29]),
-        ("RTX6000", "concurrent", [4.26, 3.54, 1.72]),
-        ("RTX6000", "MPS", [3.79, 2.54, 1.82]),
-        ("A100", "serial", [11.50, 9.48, 4.41]),
-        ("A100", "concurrent", [12.98, 10.26, 1.29]),
-        ("A100", "MPS", [4.72, 2.93, 1.33]),
-        ("A100", "MIG", [4.88, 3.02, 1.33]),
+/// The sharing policies HFTA is compared against on `device`.
+fn baselines(device: &DeviceSpec) -> Vec<SharingPolicy> {
+    let mut p = policies_for(device);
+    p.retain(|policy| *policy != SharingPolicy::Hfta);
+    p
+}
+
+/// One normalized-throughput line per precision x policy (Figures 4, 5).
+fn throughput_curves(o: &mut String, device: &DeviceSpec, panel: &Panel) -> fmt::Result {
+    for amp in [false, true] {
+        let prefix = format!("{:<5} ", precision(amp));
+        policy_series(o, device, panel, amp, &prefix, |p| {
+            format!("({}, {:.2})", p.models, p.normalized)
+        })?;
+    }
+    Ok(())
+}
+
+/// The three per-counter blocks of Figures 8 and 12.
+fn counter_blocks(o: &mut String, device: &DeviceSpec, panel: &Panel) -> fmt::Result {
+    type Pick = fn(&Counters) -> f64;
+    let counters: [(&str, Pick); 3] = [
+        ("sm_active", |c| c.sm_active),
+        ("sm_occupancy", |c| c.sm_occupancy),
+        ("tensor_active", |c| c.tensor_active),
     ];
+    for (title, pick) in counters {
+        writeln!(o, "\n## {title}")?;
+        policy_series(o, device, panel, true, "", |p| {
+            format!("({}, {:.2})", p.models, pick(&p.result.counters))
+        })?;
+    }
+    Ok(())
+}
+
+/// A GPU x precision x baseline speedup table (Tables 8 and 9).
+fn precision_table(
+    o: &mut String,
+    title: &str,
+    skip_serial: bool,
+    cell: impl Fn(&Panel, SharingPolicy, bool) -> f64,
+) {
+    let mut rows = Vec::new();
     for device in DeviceSpec::evaluation_gpus() {
-        let panels: Vec<Panel> = Workload::paper_benchmarks()
-            .iter()
-            .map(|w| gpu_panel(&device, w))
-            .collect();
-        for (policy, _) in policy_rows(&panels[0], &device) {
-            let row = paper
-                .iter()
-                .find(|(d, b, _)| *d == device.name && *b == policy.name())
-                .map(|(_, _, v)| *v)
-                .unwrap_or([f64::NAN; 3]);
-            let cells: Vec<String> = panels
-                .iter()
-                .enumerate()
-                .map(|(i, p)| format!("{:.2} ({:.2})", p.peak_speedup_over(policy), row[i]))
-                .collect();
-            writeln!(
-                out,
-                "| {} | {} | {} |",
-                device.name,
-                policy.name(),
-                cells.join(" | ")
+        let panels = panels(&device);
+        for amp in [false, true] {
+            for base in baselines(&device) {
+                if skip_serial && base == SharingPolicy::Serial {
+                    continue;
+                }
+                let mut row = vec![
+                    device.name.clone(),
+                    precision(amp).to_string(),
+                    base.name().to_string(),
+                ];
+                row.extend(panels.iter().map(|p| format!("{:.2}", cell(p, base, amp))));
+                rows.push(row);
+            }
+        }
+    }
+    let header = [
+        "GPU",
+        "precision",
+        "baseline",
+        "PointNet-cls",
+        "PointNet-seg",
+        "DCGAN",
+    ];
+    push_table(o, title, &header, &rows);
+}
+
+// ---------------------------------------------------------------------------
+// Sections
+// ---------------------------------------------------------------------------
+
+/// **Tables 2–4**: accelerator and platform specifications.
+fn specs(o: &mut String, _c: &mut Ctx) -> fmt::Result {
+    writeln!(
+        o,
+        "# Tables 2-4 — accelerator specifications (simulator presets)"
+    )?;
+    let tpu = DeviceSpec::tpu_v3();
+    push_table(
+        o,
+        "Table 2 — Cloud TPU core",
+        &["TPU", "MXUs", "Memory (HBM)"],
+        &[vec![
+            "v3 (2018)".into(),
+            tpu.sm_count.to_string(),
+            format!("{} GB", tpu.hbm_gib),
+        ]],
+    );
+    let rows: Vec<Vec<String>> = DeviceSpec::evaluation_gpus()
+        .iter()
+        .map(|d| {
+            vec![
+                format!("{} ({})", d.name, d.year),
+                d.sm_count.to_string(),
+                format!("{} GB", d.hbm_gib),
+                format!("{:.0} GB/s", d.hbm_bw_gibs),
+                if d.tensor_tflops > 200.0 {
+                    "TF32 & FP16".into()
+                } else {
+                    "FP16".to_string()
+                },
+            ]
+        })
+        .collect();
+    push_table(
+        o,
+        "Table 3 — NVIDIA data center GPUs",
+        &["GPU", "SMs", "HBM", "HBM Bandwidth", "TC Types"],
+        &rows,
+    );
+    let rows4: Vec<Vec<String>> = DeviceSpec::evaluation_gpus()
+        .iter()
+        .chain(std::iter::once(&tpu))
+        .map(|d| {
+            vec![
+                d.name.clone(),
+                format!("{} GiB", d.hbm_gib),
+                format!("{:.1} FP32 TFLOPS", d.fp32_tflops),
+                format!("{:.1} tensor TFLOPS", d.tensor_tflops),
+                format!(
+                    "{:.2} GiB fw overhead (FP32)",
+                    d.framework_overhead_fp32_gib
+                ),
+            ]
+        })
+        .collect();
+    push_table(
+        o,
+        "Table 4 — experiment platforms (cost-model view)",
+        &[
+            "Accelerator",
+            "Dev. Mem.",
+            "FP32 peak",
+            "Tensor peak",
+            "Framework overhead",
+        ],
+        &rows4,
+    );
+    Ok(())
+}
+
+/// **Table 1 / Figure 9**: GPU-hour usage breakdown of a two-month cluster
+/// trace (paper: repetitive 46.2%, isolated 3.5%, distributed 24.0%, other
+/// 26.3% over 51,338 jobs / 471,768 GPU-hours).
+fn table1(o: &mut String, c: &mut Ctx) -> fmt::Result {
+    let cfg = trace::TraceCfg::default();
+    let jobs = trace::generate(&cfg, 2020);
+    let cats = classify::classify(&jobs, &classify::ClassifyCfg::default());
+    let b = classify::Breakdown::from_assignments(&jobs, &cats);
+    let accuracy = classify::accuracy(&jobs, &cats);
+    if accuracy < TABLE1_ACCURACY_FLOOR {
+        c.violations.push(format!(
+            "table1: classifier accuracy {accuracy:.3} below floor {TABLE1_ACCURACY_FLOOR}"
+        ));
+    }
+    let paper = [46.2, 3.5, 24.0, 26.3];
+    if c.rollup {
+        writeln!(o, "## Table 1 / Figure 9 — cluster GPU-hour breakdown\n")?;
+        writeln!(o, "| Category | paper | measured |")?;
+        writeln!(o, "|---|---|---|")?;
+        for ((name, _, pct), paper) in b.rows().iter().zip(paper) {
+            writeln!(o, "| {name} | {paper}% | {pct:.1}% |")?;
+        }
+        return writeln!(
+            o,
+            "\nClassifier (Appendix A: 60 s bursts + Levenshtein >= 0.9) recovers \
+             the planted ground truth at {:.1}% accuracy. Repetitive single-GPU \
+             jobs dominate, as the paper found. Figure 10's 13 sampled jobs stay \
+             under 24% sm_active / 14% sm_occupancy (`repro_all fig10`).\n",
+            accuracy * 100.0
+        );
+    }
+    writeln!(o, "# Table 1 / Figure 9 — GPU-hour breakdown")?;
+    writeln!(
+        o,
+        "\ntrace: {} jobs over {} days, {:.0} total GPU-hours (paper: 51,338 jobs, 471,768 GPU-h)",
+        jobs.len(),
+        cfg.days,
+        b.total
+    )?;
+    let rows: Vec<Vec<String>> = b
+        .rows()
+        .iter()
+        .zip(paper)
+        .map(|((name, hours, pct), paper_pct)| {
+            vec![
+                name.to_string(),
+                format!("{:.0}K", hours / 1000.0),
+                format!("{pct:.1}%"),
+                format!("{paper_pct:.1}%"),
+            ]
+        })
+        .collect();
+    push_table(
+        o,
+        "GPU hours by category",
+        &["Category", "GPU hours", "measured share", "paper share"],
+        &rows,
+    );
+    writeln!(
+        o,
+        "\nclassifier accuracy vs planted ground truth: {:.1}%",
+        accuracy * 100.0
+    )?;
+    writeln!(o, "\nper-partition GPU hours (Appendix A inventory):")?;
+    for (name, hours) in trace::partition_hours(&jobs, &cfg) {
+        writeln!(o, "  {name:<4} {hours:>9.0} GPU-h")?;
+    }
+    Ok(())
+}
+
+/// **Figure 10**: DCGM profiles of 13 sampled repetitive single-GPU jobs
+/// (paper: max sm_active 24%, max sm_occupancy 14%).
+fn fig10(o: &mut String, _c: &mut Ctx) -> fmt::Result {
+    let jobs = trace::generate(&trace::TraceCfg::default(), 2020);
+    let cats = classify::classify(&jobs, &classify::ClassifyCfg::default());
+    let samples = classify::sample_utilization(&jobs, &cats, 13);
+    writeln!(
+        o,
+        "# Figure 10 — sampled utilization of repetitive single-GPU jobs"
+    )?;
+    let rows: Vec<Vec<String>> = samples
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            vec![
+                format!("job {}", i + 1),
+                format!("{:.1}%", s.sm_active * 100.0),
+                format!("{:.1}%", s.sm_occupancy * 100.0),
+            ]
+        })
+        .collect();
+    push_table(
+        o,
+        "13 sampled jobs",
+        &["Job", "sm_active", "sm_occupancy"],
+        &rows,
+    );
+    let max_a = samples.iter().map(|s| s.sm_active).fold(0.0, f64::max);
+    let max_o = samples.iter().map(|s| s.sm_occupancy).fold(0.0, f64::max);
+    writeln!(
+        o,
+        "\nmax sm_active {:.1}% (paper: 24%), max sm_occupancy {:.1}% (paper: 14%)",
+        max_a * 100.0,
+        max_o * 100.0
+    )
+}
+
+/// **Figure 2**: enabling HFTA on AlexNet — the model definition stays the
+/// same; only the operator classes change. Shows the two variants produce
+/// identical outputs for identical weights.
+fn fig2(o: &mut String, _c: &mut Ctx) -> fmt::Result {
+    writeln!(o, "# Figure 2 — enabling HFTA for AlexNet")?;
+    writeln!(
+        o,
+        "\nserial:  AlexNet::new(cfg, rng)        -> Conv2d / Linear / MaxPool2d / Dropout"
+    )?;
+    writeln!(o, "fused:   FusedAlexNet::new(B, cfg, rng) -> FusedConv2d / FusedLinear / (same pool & dropout)")?;
+    let b = 3;
+    let cfg = AlexNetCfg::mini(10);
+    let mut rng = Rng::seed_from(0);
+    let fused = FusedAlexNet::new(b, cfg, &mut rng);
+    fused.set_training(false);
+    let serial: Vec<AlexNet> = (0..b)
+        .map(|_| {
+            let m = AlexNet::new(cfg, &mut rng);
+            m.set_training(false);
+            m
+        })
+        .collect();
+    for (i, m) in serial.iter().enumerate() {
+        copy_model_weights(&fused.fused_parameters(), i, &m.parameters());
+    }
+    let inputs: Vec<_> = (0..b).map(|_| rng.randn([2, 3, 16, 16])).collect();
+    let tape = Tape::new();
+    let fused_out = fused.forward(&tape.leaf(stack_conv(&inputs).unwrap()));
+    let parts = unstack_array(&fused_out.value(), b);
+    let mut max_diff = 0.0f32;
+    for (i, m) in serial.iter().enumerate() {
+        let tape = Tape::new();
+        let y = m.forward(&tape.leaf(inputs[i].clone())).value();
+        max_diff = max_diff.max(parts[i].max_abs_diff(&y));
+    }
+    writeln!(
+        o,
+        "\nB = {b} models, identical weights: max |serial - fused| output diff = {max_diff:.2e}"
+    )?;
+    writeln!(
+        o,
+        "(mathematical equivalence of the Figure 2 transformation)"
+    )
+}
+
+/// **Figure 3**: training-loss-per-iteration curves for three learning
+/// rates, serial vs HFTA — the curves must overlap completely.
+fn fig3(o: &mut String, c: &mut Ctx) -> fmt::Result {
+    let lrs = [0.1f32, 0.05, 0.01];
+    // With a profiler installed, the training loops inside record
+    // per-op forward/backward spans and per-step loss metrics.
+    let curves = resnet_convergence(&lrs, if c.rollup { 12 } else { 20 }, 42);
+    let divergence = curves.max_divergence();
+    // NaN must also trip the gate, hence not `divergence >= bound` alone.
+    if divergence.is_nan() || divergence >= FIG3_MAX_DIVERGENCE {
+        c.violations.push(format!(
+            "fig3: serial/fused loss divergence {divergence:.3e} exceeds {FIG3_MAX_DIVERGENCE:.0e}"
+        ));
+    }
+    if c.rollup {
+        writeln!(o, "## Figure 3 — convergence equivalence\n")?;
+        return writeln!(
+            o,
+            "Serial vs HFTA loss curves for three learning rates over 12 \
+             iterations of the ResNet mini: max divergence **{divergence:.2e}** \
+             (paper: \"dotted curves overlap completely with the solid ones\"). \
+             The integration suite (`tests/equivalence.rs`) repeats this for \
+             AlexNet/SGD, ResNet/Adam, ResNet/Adadelta and PointNet/Adam.\n"
+        );
+    }
+    writeln!(
+        o,
+        "# Figure 3 — serial vs HFTA loss curves (ResNet mini, synthetic CIFAR)"
+    )?;
+    writeln!(
+        o,
+        "\niter  {}",
+        lrs.iter()
+            .map(|lr| format!("serial(lr={lr:<4})  hfta(lr={lr:<4})"))
+            .collect::<Vec<_>>()
+            .join("  ")
+    )?;
+    for t in 0..curves.serial[0].len() {
+        let mut row = format!("{t:>4}");
+        for m in 0..lrs.len() {
+            write!(
+                row,
+                "  {:>14.5}  {:>12.5}",
+                curves.serial[m][t], curves.fused[m][t]
             )?;
         }
+        writeln!(o, "{row}")?;
+    }
+    writeln!(
+        o,
+        "\nmax |serial - hfta| divergence: {divergence:.2e} (paper: curves overlap completely)"
+    )
+}
+
+/// The paper's Table 5 values, row order (gpu, baseline) x (cls, seg, dcgan).
+const TABLE5_PAPER: [(&str, &str, [f64; 3]); 10] = [
+    ("V100", "serial", [5.02, 4.29, 4.59]),
+    ("V100", "concurrent", [4.87, 4.24, 2.01]),
+    ("V100", "MPS", [4.50, 3.03, 2.03]),
+    ("RTX6000", "serial", [4.36, 3.63, 6.29]),
+    ("RTX6000", "concurrent", [4.26, 3.54, 1.72]),
+    ("RTX6000", "MPS", [3.79, 2.54, 1.82]),
+    ("A100", "serial", [11.50, 9.48, 4.41]),
+    ("A100", "concurrent", [12.98, 10.26, 1.29]),
+    ("A100", "MPS", [4.72, 2.93, 1.33]),
+    ("A100", "MIG", [4.88, 3.02, 1.33]),
+];
+
+/// **Table 5**: peak training-throughput speedups of HFTA over each
+/// baseline (best of FP32/AMP on both sides).
+fn table5(o: &mut String, c: &mut Ctx) -> fmt::Result {
+    // `(device, baseline, [(measured, paper); 3])`, in table order.
+    let mut rows = Vec::new();
+    for device in DeviceSpec::evaluation_gpus() {
+        let panels = panels(&device);
+        for base in baselines(&device) {
+            let paper = TABLE5_PAPER
+                .iter()
+                .find(|(d, b, _)| *d == device.name && *b == base.name())
+                .map(|(_, _, v)| *v)
+                .unwrap_or([f64::NAN; 3]);
+            let cells: Vec<(f64, f64)> = panels
+                .iter()
+                .zip(paper)
+                .map(|(p, paper)| (p.peak_speedup_over(base), paper))
+                .collect();
+            rows.push((device.name.clone(), base.name(), cells));
+        }
+    }
+    if !c.rollup {
+        writeln!(
+            o,
+            "# Table 5 — peak HFTA speedups over the baselines (best precision)"
+        )?;
+        let rows: Vec<Vec<String>> = rows
+            .into_iter()
+            .map(|(device, base, cells)| {
+                let mut row = vec![device, base.to_string()];
+                row.extend(
+                    cells
+                        .iter()
+                        .map(|(ours, paper)| format!("{ours:.2} (paper {paper:.2})")),
+                );
+                row
+            })
+            .collect();
+        push_table(
+            o,
+            "peak speedups",
+            &["GPU", "baseline", "PointNet-cls", "PointNet-seg", "DCGAN"],
+            &rows,
+        );
+        return Ok(());
+    }
+    writeln!(o, "## Table 5 / Figure 4 — peak HFTA speedups on GPUs\n")?;
+    writeln!(
+        o,
+        "| GPU | baseline | PointNet-cls (paper) | PointNet-seg (paper) | DCGAN (paper) |"
+    )?;
+    writeln!(o, "|---|---|---|---|---|")?;
+    for (device, base, cells) in rows {
+        let cells: Vec<String> = cells
+            .iter()
+            .map(|(ours, paper)| format!("{ours:.2} ({paper:.2})"))
+            .collect();
+        writeln!(o, "| {device} | {base} | {} |", cells.join(" | "))?;
     }
     // Capacity ratio (paper: HFTA fits 1.5-7.57x more jobs than MPS).
     let v100 = gpu_panel(&DeviceSpec::v100(), &Workload::dcgan());
@@ -228,202 +643,384 @@ fn table5_and_fig4(
         .curve(SharingPolicy::Mps, false)
         .map_or(1, |c| c.max_models());
     writeln!(
-        out,
+        o,
         "\nV100 DCGAN capacity: HFTA co-locates {hfta_max} models vs MPS {mps_max} \
-         ({:.2}x; paper: up to 7.57x). Full curves: `--bin fig4`.\n",
+         ({:.2}x; paper: up to 7.57x). Full curves: `repro_all fig4`.\n",
         hfta_max as f64 / mps_max as f64
-    )?;
+    )
+}
+
+/// **Figure 4 (a–i)**: normalized training throughput as the number of
+/// models sharing one GPU grows, for every workload x GPU x sharing policy
+/// x precision.
+fn fig4(o: &mut String, _c: &mut Ctx) -> fmt::Result {
+    writeln!(o, "# Figure 4 — normalized throughput vs models per GPU")?;
+    for device in DeviceSpec::evaluation_gpus() {
+        for panel in panels(&device) {
+            writeln!(
+                o,
+                "\n## {} / {} (normalized by FP32 serial = {:.0} examples/s)",
+                panel.device, panel.workload, panel.serial_fp32_eps
+            )?;
+            throughput_curves(o, &device, &panel)?;
+        }
+    }
     Ok(())
 }
 
-fn fig5(
-    out: &mut String,
-    _profiler: Option<&Profiler>,
-    _violations: &mut Vec<String>,
-) -> Result<(), Box<dyn Error>> {
-    let panel = gpu_panel(&DeviceSpec::v100(), &Workload::resnet18());
+/// **Figure 5**: normalized ResNet-18 training throughput on V100 (paper
+/// peaks: HFTA 8.16x serial, 4.21x concurrent, 4.18x MPS).
+fn fig5(o: &mut String, c: &mut Ctx) -> fmt::Result {
+    let device = DeviceSpec::v100();
+    let panel = gpu_panel(&device, &Workload::resnet18());
+    let peaks = [
+        (SharingPolicy::Serial, "8.16"),
+        (SharingPolicy::Concurrent, "4.21"),
+        (SharingPolicy::Mps, "4.18"),
+    ]
+    .map(|(base, paper)| (base, panel.peak_speedup_over(base), paper));
+    if c.rollup {
+        writeln!(o, "## Figure 5 — ResNet-18 (conventional model) on V100\n")?;
+        return writeln!(
+            o,
+            "Peak HFTA speedups: {:.2}x over serial (paper {}), {:.2}x over \
+             concurrent (paper {}), {:.2}x over MPS (paper {}).\n",
+            peaks[0].1, peaks[0].2, peaks[1].1, peaks[1].2, peaks[2].1, peaks[2].2,
+        );
+    }
+    writeln!(o, "# Figure 5 — ResNet-18 (CIFAR-10, batch 1000) on V100")?;
     writeln!(
-        out,
-        "## Figure 5 — ResNet-18 (conventional model) on V100\n"
+        o,
+        "normalization: FP32 serial = {:.0} examples/s\n",
+        panel.serial_fp32_eps
     )?;
-    writeln!(
-        out,
-        "Peak HFTA speedups: {:.2}x over serial (paper 8.16), {:.2}x over \
-         concurrent (paper 4.21), {:.2}x over MPS (paper 4.18).\n",
-        panel.peak_speedup_over(SharingPolicy::Serial),
-        panel.peak_speedup_over(SharingPolicy::Concurrent),
-        panel.peak_speedup_over(SharingPolicy::Mps),
-    )?;
+    throughput_curves(o, &device, &panel)?;
+    writeln!(o, "\npeak speedups (best precision):")?;
+    for (base, ours, paper) in peaks {
+        writeln!(
+            o,
+            "  HFTA / {:<11} = {ours:.2} (paper: {paper})",
+            base.name()
+        )?;
+    }
     Ok(())
 }
 
-fn fig6(
-    out: &mut String,
-    profiler: Option<&Profiler>,
-    _violations: &mut Vec<String>,
-) -> Result<(), Box<dyn Error>> {
-    writeln!(out, "## Figure 6 — TPU v3\n")?;
-    writeln!(out, "| Workload | paper peak | measured peak |")?;
-    writeln!(out, "|---|---|---|")?;
+/// **Figure 6**: TPU v3 per-core normalized throughput, serial vs HFTA
+/// (paper peaks: PointNet-cls 4.93x, DCGAN 15.13x; PointNet-seg only 1.20x).
+fn fig6(o: &mut String, c: &mut Ctx) -> fmt::Result {
+    if c.rollup {
+        writeln!(o, "## Figure 6 — TPU v3\n")?;
+        writeln!(o, "| Workload | paper peak | measured peak |")?;
+        writeln!(o, "|---|---|---|")?;
+    } else {
+        writeln!(o, "# Figure 6 — TPU v3 serial vs HFTA")?;
+    }
     for (w, paper) in [
         (Workload::pointnet_cls(), 4.93),
         (Workload::dcgan(), 15.13),
         (Workload::pointnet_seg(), 1.20),
     ] {
-        let peak = tpu_curve(&w)
-            .iter()
-            .map(|p| p.normalized)
-            .fold(0.0f64, f64::max);
-        writeln!(out, "| {} | {paper} | {peak:.2} |", w.name)?;
-        // Render one fused kernel stream per workload onto the trace.
-        if let Some(p) = profiler {
-            let tpu = TpuSim::new(DeviceSpec::tpu_v3());
-            tpu.simulate_traced(&w.fused_job(8), p, &format!("{}-hfta8", w.name));
+        let curve = tpu_curve(&w);
+        let peak = curve.iter().map(|p| p.normalized).fold(0.0f64, f64::max);
+        if c.rollup {
+            writeln!(o, "| {} | {paper} | {peak:.2} |", w.name)?;
+            // Render one fused kernel stream per workload onto the trace.
+            if let Some(p) = c.profiler {
+                let tpu = TpuSim::new(DeviceSpec::tpu_v3());
+                tpu.simulate_traced(&w.fused_job(8), p, &format!("{}-hfta8", w.name));
+            }
+        } else {
+            let points: Vec<String> = curve
+                .iter()
+                .map(|p| format!("({}, {:.2})", p.models, p.normalized))
+                .collect();
+            writeln!(o, "\n{}: {}", w.name, points.join(" "))?;
+            writeln!(o, "  peak HFTA/serial = {peak:.2} (paper: {paper:.2})")?;
         }
     }
-    writeln!(
-        out,
-        "\nOrdering preserved: DCGAN (XLA-padding-crippled serial baseline) \
-         >> PointNet-cls >> PointNet-seg (non-GEMM-heavy).\n"
-    )?;
-    Ok(())
-}
-
-fn fig7(
-    out: &mut String,
-    _profiler: Option<&Profiler>,
-    _violations: &mut Vec<String>,
-) -> Result<(), Box<dyn Error>> {
-    writeln!(
-        out,
-        "## Figure 7 — memory footprints (PointNet-cls, V100)\n"
-    )?;
-    let w = Workload::pointnet_cls();
-    for amp in [false, true] {
-        let sim = GpuSim::new(DeviceSpec::v100(), amp);
-        let mut hfta = Vec::new();
-        let mut mps = Vec::new();
-        for j in 1..=8 {
-            let h = sim.simulate(SharingPolicy::Hfta, &w.fused_job(j), 1);
-            if h.fits {
-                hfta.push((j as f64, h.memory_gib));
-            }
-            let m = sim.simulate(SharingPolicy::Mps, &w.serial_job(), j);
-            if m.fits {
-                mps.push((j as f64, m.memory_gib));
-            }
-        }
-        let (hs, hi) = linear_regression(&hfta);
-        let (ms, mi) = linear_regression(&mps);
+    if c.rollup {
         writeln!(
-            out,
-            "- {}: HFTA {hs:.2} GiB/model + **{hi:.2} GiB intercept** \
-             (paper {}); MPS {ms:.2} GiB/model + {mi:.2} GiB (paper: through \
-             the origin, steeper slope).",
-            if amp { "AMP" } else { "FP32" },
-            if amp { "2.12 GB" } else { "1.52 GB" },
+            o,
+            "\nOrdering preserved: DCGAN (XLA-padding-crippled serial baseline) \
+             >> PointNet-cls >> PointNet-seg (non-GEMM-heavy).\n"
         )?;
     }
-    writeln!(
-        out,
-        "\n(The measured HFTA intercept = framework reservation + the shared \
-         0.15 GiB cuDNN workspace, hence ~0.15 above the paper's value.)\n"
-    )?;
     Ok(())
 }
 
-fn fig8(
-    out: &mut String,
-    profiler: Option<&Profiler>,
-    _violations: &mut Vec<String>,
-) -> Result<(), Box<dyn Error>> {
-    let panel = gpu_panel(&DeviceSpec::a100(), &Workload::pointnet_cls());
-    let pick = |policy, last: bool| -> f64 {
-        let c: &hfta_bench::sweep::Curve = panel.curve(policy, true).unwrap();
-        let p = if last {
-            c.points.last().unwrap()
-        } else {
-            c.points.first().unwrap()
+/// **Figure 7**: GPU memory footprint of MPS vs HFTA for PointNet-cls on
+/// V100, with the linear regressions whose HFTA intercepts recover the
+/// framework overhead (paper: 1.52 GB FP32, 2.12 GB AMP).
+fn fig7(o: &mut String, c: &mut Ctx) -> fmt::Result {
+    if c.rollup {
+        writeln!(o, "## Figure 7 — memory footprints (PointNet-cls, V100)\n")?;
+    } else {
+        writeln!(
+            o,
+            "# Figure 7 — memory footprint vs models (PointNet-cls, V100)"
+        )?;
+    }
+    let w = Workload::pointnet_cls();
+    // The roll-up fits both lines over the same 8 model counts; the figure
+    // itself runs each policy to its own memory limit.
+    let max_models = if c.rollup { 8 } else { 24 };
+    for amp in [false, true] {
+        let sim = GpuSim::new(DeviceSpec::v100(), amp);
+        let paper_intercept = if amp { "2.12" } else { "1.52" };
+        let footprints = |policy: SharingPolicy| -> Vec<(f64, f64)> {
+            let mut pts = Vec::new();
+            for j in 1..=max_models {
+                let r = match policy {
+                    SharingPolicy::Hfta => sim.simulate(policy, &w.fused_job(j), 1),
+                    _ => sim.simulate(policy, &w.serial_job(), j),
+                };
+                if r.fits {
+                    pts.push((j as f64, r.memory_gib));
+                } else if !c.rollup {
+                    break;
+                }
+            }
+            pts
         };
-        p.result.counters.sm_active
+        if c.rollup {
+            let (hs, hi) = linear_regression(&footprints(SharingPolicy::Hfta));
+            let (ms, mi) = linear_regression(&footprints(SharingPolicy::Mps));
+            writeln!(
+                o,
+                "- {}: HFTA {hs:.2} GiB/model + **{hi:.2} GiB intercept** \
+                 (paper {paper_intercept} GB); MPS {ms:.2} GiB/model + {mi:.2} GiB (paper: through \
+                 the origin, steeper slope).",
+                precision(amp),
+            )?;
+            continue;
+        }
+        for policy in [SharingPolicy::Mps, SharingPolicy::Hfta] {
+            let pts = footprints(policy);
+            let (slope, intercept) = linear_regression(&pts);
+            let points: Vec<String> = pts
+                .iter()
+                .map(|(x, y)| format!("({x:.0}, {y:.2})"))
+                .collect();
+            writeln!(
+                o,
+                "\n{} {:<5} {}",
+                precision(amp),
+                policy.name(),
+                points.join(" ")
+            )?;
+            writeln!(
+                o,
+                "  regression: {slope:.2} GiB/model + {intercept:.2} GiB intercept{}",
+                if policy == SharingPolicy::Hfta {
+                    format!(" (paper intercept: {paper_intercept} GB)")
+                } else {
+                    " (paper: passes through origin)".into()
+                }
+            )?;
+        }
+    }
+    if c.rollup {
+        writeln!(
+            o,
+            "\n(The measured HFTA intercept = framework reservation + the shared \
+             0.15 GiB cuDNN workspace, hence ~0.15 above the paper's value.)\n"
+        )?;
+    }
+    Ok(())
+}
+
+/// **Figure 8**: hardware performance counters for PointNet-cls on A100 as
+/// models are added (HFTA keeps scaling; MPS/MIG plateau; concurrent
+/// matches serial). The roll-up paragraph also covers Figures 11 and 12.
+fn fig8(o: &mut String, c: &mut Ctx) -> fmt::Result {
+    let device = DeviceSpec::a100();
+    let w = Workload::pointnet_cls();
+    let panel = gpu_panel(&device, &w);
+    if !c.rollup {
+        writeln!(
+            o,
+            "# Figure 8 — A100 counters vs models (PointNet-cls, AMP)"
+        )?;
+        return counter_blocks(o, &device, &panel);
+    }
+    let pick = |policy, last: bool| -> f64 {
+        let points = &panel.curve(policy, true).unwrap().points;
+        let p = if last { points.last() } else { points.first() };
+        p.unwrap().result.counters.sm_active
     };
     // The Figure 11/12 DCGM series: replay the simulated A100 kernel
     // streams onto trace lanes, sampling sm_active / sm_occupancy /
     // tensor_active / smi_util per kernel into the RunReport.
-    if let Some(p) = profiler {
-        let w = Workload::pointnet_cls();
-        let sim = GpuSim::new(DeviceSpec::a100(), true);
+    if let Some(p) = c.profiler {
+        let sim = GpuSim::new(device, true);
         sim.simulate_traced(SharingPolicy::Serial, &w.serial_job(), 1, p, "serial");
         sim.simulate_traced(SharingPolicy::Mps, &w.serial_job(), 4, p, "mps4");
         sim.simulate_traced(SharingPolicy::Hfta, &w.fused_job(8), 1, p, "hfta8");
     }
-    writeln!(out, "## Figures 8 / 11 / 12 — hardware counters\n")?;
+    writeln!(o, "## Figures 8 / 11 / 12 — hardware counters\n")?;
     writeln!(
-        out,
+        o,
         "A100 PointNet-cls (AMP) sm_active: serial {:.2}, concurrent (max) \
          {:.2}, MPS (max) {:.2}, HFTA scales {:.2} -> {:.2} with B (paper: \
          serial ~0.1, MPS plateaus, HFTA keeps scaling). V100 serial runs \
-         *higher* than A100 serial (`--bin fig12`), reproducing the paper's \
+         *higher* than A100 serial (`repro_all fig12`), reproducing the paper's \
          newer-GPUs-suffer-more observation; the nvidia-smi \"GPU \
-         utilization\" series (`--bin fig11`) is saturated and noisy, the \
+         utilization\" series (`repro_all fig11`) is saturated and noisy, the \
          paper's weak-indicator caveat.\n",
         pick(SharingPolicy::Serial, false),
         pick(SharingPolicy::Concurrent, true),
         pick(SharingPolicy::Mps, true),
         pick(SharingPolicy::Hfta, false),
         pick(SharingPolicy::Hfta, true),
+    )
+}
+
+/// **Figure 11**: the nvidia-smi-defined "GPU utilization" for
+/// PointNet-cls on A100 — noisy and decoupled from real utilization (a
+/// weak indicator, contrary to popular belief).
+fn fig11(o: &mut String, _c: &mut Ctx) -> fmt::Result {
+    writeln!(
+        o,
+        "# Figure 11 — nvidia-smi \"GPU utilization\" (PointNet-cls, A100, AMP)"
     )?;
+    let device = DeviceSpec::a100();
+    let panel = gpu_panel(&device, &Workload::pointnet_cls());
+    policy_series(o, &device, &panel, true, "", |p| {
+        format!("({}, {:.0}%)", p.models, p.result.counters.smi_util * 100.0)
+    })?;
+    writeln!(
+        o,
+        "\nnote: compare with fig8 — smi_util saturates and jitters while"
+    )?;
+    writeln!(
+        o,
+        "sm_active/tensor_active keep discriminating the schemes."
+    )
+}
+
+/// **Figure 12**: V100 hardware counters for PointNet-cls (serial
+/// utilization is higher on V100 than on A100 — newer GPUs suffer more
+/// from under-utilization).
+fn fig12(o: &mut String, _c: &mut Ctx) -> fmt::Result {
+    writeln!(
+        o,
+        "# Figure 12 — V100 counters vs models (PointNet-cls, AMP)"
+    )?;
+    let w = Workload::pointnet_cls();
+    let v100 = gpu_panel(&DeviceSpec::v100(), &w);
+    counter_blocks(o, &DeviceSpec::v100(), &v100)?;
+    // The cross-generation observation.
+    let a100 = gpu_panel(&DeviceSpec::a100(), &w);
+    let serial_sm_active = |panel: &Panel| {
+        panel.curve(SharingPolicy::Serial, true).unwrap().points[0]
+            .result
+            .counters
+            .sm_active
+    };
+    writeln!(
+        o,
+        "\nserial sm_active: V100 {:.2} vs A100 {:.2} (paper: lower on A100)",
+        serial_sm_active(&v100),
+        serial_sm_active(&a100)
+    )
+}
+
+/// **Table 6**: the horizontal fusion rules HFTA supports.
+fn table6(o: &mut String, _c: &mut Ctx) -> fmt::Result {
+    writeln!(o, "# Table 6 — HFTA operator fusion rules")?;
+    let rows: Vec<Vec<String>> = rule_table()
+        .iter()
+        .map(|r| {
+            vec![
+                r.original.to_string(),
+                r.fused.to_string(),
+                r.kind.fusion_mechanism().to_string(),
+            ]
+        })
+        .collect();
+    push_table(
+        o,
+        "12 supported operators",
+        &[
+            "PyTorch operator",
+            "HFTA horizontally fused operator",
+            "mechanism",
+        ],
+        &rows,
+    );
     Ok(())
 }
 
-fn table10(
-    out: &mut String,
-    _profiler: Option<&Profiler>,
-    _violations: &mut Vec<String>,
-) -> Result<(), Box<dyn Error>> {
-    writeln!(out, "## Tables 8-10 — precision splits\n")?;
-    let panel = gpu_panel(&DeviceSpec::v100(), &Workload::pointnet_cls());
-    writeln!(
-        out,
-        "V100 PointNet-cls max AMP-over-FP32 gain: serial {:.2} (paper 1.00), \
-         MPS {:.2} (paper 1.01), HFTA **{:.2}** (paper 1.92) — only HFTA's \
-         fused kernels are large enough to engage the tensor cores. Full \
-         splits: `--bin table8`, `--bin table9`, `--bin table10`.\n",
-        panel.amp_gain(SharingPolicy::Serial),
-        panel.amp_gain(SharingPolicy::Mps),
-        panel.amp_gain(SharingPolicy::Hfta),
-    )?;
+/// **Table 7**: the DCGM performance-counter field identifiers.
+fn table7(o: &mut String, _c: &mut Ctx) -> fmt::Result {
+    writeln!(o, "# Table 7 — DCGM metrics")?;
+    let rows: Vec<Vec<String>> = dcgm::table7()
+        .iter()
+        .map(|(name, mac, id)| vec![name.to_string(), mac.to_string(), id.to_string()])
+        .collect();
+    push_table(
+        o,
+        "field identifiers",
+        &["Name", "Field Identifier Macro", "ID"],
+        &rows,
+    );
     Ok(())
 }
 
-fn deviations(
-    out: &mut String,
-    _profiler: Option<&Profiler>,
-    _violations: &mut Vec<String>,
-) -> Result<(), Box<dyn Error>> {
-    writeln!(out, "## Known deviations\n")?;
-    writeln!(
-        out,
-        "- **DCGAN-vs-serial overshoots** (~2x: V100 8.4x vs paper 4.59x): \
-         our simulator has no equivalent of the era's cuDNN regressions; the \
-         paper itself flags its A100 DCGAN AMP numbers as anomalous \
-         (\"insufficient optimization in some of the new cuDNN kernels\") \
-         and expects them to improve. We model transposed convolutions as \
-         TC-ineligible, which reproduces the small AMP gains, but our FP32 \
-         fused DCGAN scales further than theirs did.\n\
-         - **A100 concurrent DCGAN** (paper 1.29 vs ours 1.98): their \
-         concurrent DCGAN degraded from host I/O contention on \
-         the 12-vCPU A2 instance; our host model is milder.\n\
-         - **PointNet-seg on TPU** measures 2.9x vs the paper's 1.20x: the \
-         qualitative claim (seg benefits far less than cls/DCGAN because of \
-         non-GEMM operators) holds, but we do not model the per-point \
-         gather/scatter pathologies that held the real run to 1.2x.\n\
-         - **Figure 5 (ResNet-18)** reproduces direction, not magnitude: \
-         8.16x requires the serial baseline to leave >85% of the GPU idle, \
-         more than our calibrated gap model produces at batch 1000.\n\
-         - Everything in the correctness track (Table 6 identities, Figure 3 \
-         convergence, loss scaling, fused optimizers) reproduces exactly, \
-         since those are mathematical properties, not hardware behaviours."
-    )?;
+/// **Table 8**: peak HFTA speedups split by precision.
+fn table8(o: &mut String, _c: &mut Ctx) -> fmt::Result {
+    writeln!(o, "# Table 8 — peak HFTA speedups, FP32 vs AMP")?;
+    precision_table(o, "peak speedups by precision", false, |p, base, amp| {
+        p.peak_speedup_at(base, amp)
+    });
+    Ok(())
+}
+
+/// **Table 9**: maximum HFTA speedup over each baseline given the *same*
+/// number of models sharing the GPU (isolates compute-utilization benefits
+/// from memory-capacity benefits).
+fn table9(o: &mut String, _c: &mut Ctx) -> fmt::Result {
+    writeln!(o, "# Table 9 — max HFTA speedup at equal model counts")?;
+    precision_table(o, "same-model-count speedups", true, |p, base, amp| {
+        p.same_count_speedup(base, amp)
+    });
+    Ok(())
+}
+
+/// **Table 10**: maximum AMP-over-FP32 speedup per scheme — HFTA exploits
+/// tensor cores (1.9-2.7x) while the baselines cannot (~1.0x). The roll-up
+/// paragraph stands for Tables 8-10.
+fn table10(o: &mut String, c: &mut Ctx) -> fmt::Result {
+    if c.rollup {
+        writeln!(o, "## Tables 8-10 — precision splits\n")?;
+        let panel = gpu_panel(&DeviceSpec::v100(), &Workload::pointnet_cls());
+        return writeln!(
+            o,
+            "V100 PointNet-cls max AMP-over-FP32 gain: serial {:.2} (paper 1.00), \
+             MPS {:.2} (paper 1.01), HFTA **{:.2}** (paper 1.92) — only HFTA's \
+             fused kernels are large enough to engage the tensor cores. Full \
+             splits: `repro_all table8 table9 table10`.\n",
+            panel.amp_gain(SharingPolicy::Serial),
+            panel.amp_gain(SharingPolicy::Mps),
+            panel.amp_gain(SharingPolicy::Hfta),
+        );
+    }
+    writeln!(o, "# Table 10 — max AMP speedup over FP32")?;
+    let mut rows = Vec::new();
+    for device in DeviceSpec::evaluation_gpus() {
+        let panels = panels(&device);
+        for scheme in policies_for(&device) {
+            let mut row = vec![device.name.clone(), scheme.name().to_string()];
+            row.extend(panels.iter().map(|p| format!("{:.2}", p.amp_gain(scheme))));
+            rows.push(row);
+        }
+    }
+    push_table(
+        o,
+        "AMP over FP32",
+        &["GPU", "scheme", "PointNet-cls", "PointNet-seg", "DCGAN"],
+        &rows,
+    );
     Ok(())
 }

@@ -24,13 +24,12 @@
 //! queue-wait and e2e latency, all in bit-exact simulated time) — for the
 //! artifact upload. `--history <file>` appends one perf-history record per
 //! policy encoding queue-wait p99 as an inverse rate (`1e6 / p99_us`), so
-//! the standard `scope_report --history` drift gate flags latency
+//! the standard `hfta_report history` drift gate flags latency
 //! *increases* as utilization drops.
 
-use std::fs;
 use std::process::ExitCode;
 
-use hfta_bench::cli::{usage_exit, CommonArgs};
+use hfta_bench::cli::{write_json, CommonArgs};
 use hfta_cluster::replay::{normalize_arrivals, sweep_arrivals};
 use hfta_cluster::trace::{generate, TraceCfg};
 use hfta_probe::{git_rev, HistoryRecord, OpUtil, PerfHistory, HISTORY_SCHEMA};
@@ -72,32 +71,20 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let common = CommonArgs::parse(USAGE);
-    let mut out = Args {
-        trials: 48,
-        devices: 2,
-        span_s: 0.01,
+    let mut common = CommonArgs::parse(USAGE);
+    let positive = |v: &usize| *v > 0;
+    let trials = common.take(USAGE, "--trials", "a positive integer", positive);
+    let devices = common.take(USAGE, "--devices", "a positive integer", positive);
+    let span_s = common.take(USAGE, "--span", "a non-negative number", |v: &f64| {
+        *v >= 0.0
+    });
+    common.expect_no_rest(USAGE);
+    Args {
+        trials: trials.unwrap_or(48),
+        devices: devices.unwrap_or(2),
+        span_s: span_s.unwrap_or(0.01),
         common,
-    };
-    let mut rest = out.common.rest.clone().into_iter();
-    while let Some(a) = rest.next() {
-        match a.as_str() {
-            "--trials" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => out.trials = v,
-                _ => usage_exit(USAGE, "--trials needs a positive integer"),
-            },
-            "--devices" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => out.devices = v,
-                _ => usage_exit(USAGE, "--devices needs a positive integer"),
-            },
-            "--span" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 0.0 => out.span_s = v,
-                _ => usage_exit(USAGE, "--span needs a non-negative number"),
-            },
-            other => usage_exit(USAGE, &format!("unknown argument: {other}")),
-        }
     }
-    out
 }
 
 /// The replayed trial stream: `(arrival_s, config)`, one entry per trial,
@@ -297,13 +284,7 @@ fn main() -> ExitCode {
                 * 100.0,
             records,
         };
-        let json = serde_json::to_string_pretty(&file).expect("bench file serializes");
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            if !dir.as_os_str().is_empty() {
-                let _ = fs::create_dir_all(dir);
-            }
-        }
-        if let Err(e) = fs::write(path, json) {
+        if let Err(e) = write_json(path, &file) {
             eprintln!("FAIL: cannot write {path}: {e}");
             failed = true;
         } else {

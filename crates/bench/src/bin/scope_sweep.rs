@@ -2,7 +2,7 @@
 //! stack: per-model loss/grad-norm/param-norm/update-ratio streams, a
 //! deliberately NaN-seeded model, the divergence sentinel that catches it,
 //! and the quarantine that freezes it — all written to a `--trace` dir for
-//! `scope_report` to render and diff (CI diffs the report against
+//! `hfta_report` to render and diff (CI diffs the report against
 //! `ci/golden/scope_sweep.report.json`).
 //!
 //! ```text
@@ -11,10 +11,10 @@
 //!
 //! Everything is seeded and thread-count independent, so the report's
 //! losses, streams and sentinel events are bit-reproducible; only wall
-//! times and throughput vary by machine (which the default `scope_report
-//! --diff` gates ignore).
+//! times and throughput vary by machine (which `hfta_report diff` never
+//! reads).
 
-use hfta_bench::cli::{usage_exit, CommonArgs};
+use hfta_bench::cli::CommonArgs;
 use hfta_bench::scope_report::print_health;
 use hfta_core::array::ModelArray;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
@@ -37,7 +37,7 @@ const POISON_STEP: u64 = 1;
 const USAGE: &str = "scope_sweep [--steps <n>] [--trace <dir>]";
 
 fn main() {
-    let args = CommonArgs::parse(USAGE);
+    let mut args = CommonArgs::parse(USAGE);
     let session = args.trace_session("scope_sweep");
     // Without --trace, still install a local profiler so the health table
     // at the end has streams to render.
@@ -48,18 +48,10 @@ fn main() {
     };
     let _local_guard = local.as_ref().map(Profiler::install);
 
-    let mut steps = 2u64;
-    let mut rest = args.rest.iter();
-    while let Some(a) = rest.next() {
-        if a == "--steps" {
-            steps = rest
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage_exit(USAGE, "--steps requires a positive integer"));
-        } else {
-            usage_exit(USAGE, &format!("unknown argument: {a}"));
-        }
-    }
+    let steps = args
+        .take(USAGE, "--steps", "a non-negative integer", |_: &u64| true)
+        .unwrap_or(2);
+    args.expect_no_rest(USAGE);
 
     let lrs = PerModel::new(vec![0.05, 0.1, 0.2, 0.5]);
     let mut rng = Rng::seed_from(0x5C09E);

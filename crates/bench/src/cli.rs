@@ -1,15 +1,14 @@
 //! Shared command-line parsing for the bench binaries.
 //!
-//! Every bin in `src/bin/` used to hand-roll the same `--trace <dir>` /
-//! `--bench-json <path>` / `--quick` loop; [`CommonArgs`] parses the flags
-//! they all share (including the probe-layer `--probe-db`, `--history` and
-//! `--max-drift`) in one place, in both `--flag value` and `--flag=value`
-//! forms, and hands anything it does not recognize back in
+//! [`CommonArgs`] parses the flags the bins share (`--quick`,
+//! `--bench-json`, `--trace`, the probe-layer `--probe-db` and `--history`,
+//! `--gate-scaling`) in one place, in both `--flag value` and
+//! `--flag=value` forms, and hands anything it does not recognize back in
 //! [`CommonArgs::rest`] for bin-specific parsing.
 
 use std::path::PathBuf;
 
-use crate::scope_report::DiffOutcome;
+use crate::record::DiffOutcome;
 use crate::telemetry_cli::TraceSession;
 
 /// Flags shared across the bench binaries.
@@ -25,8 +24,6 @@ pub struct CommonArgs {
     pub probe_db: Option<PathBuf>,
     /// `--history <path>`: append-only perf-history JSONL file.
     pub history: Option<PathBuf>,
-    /// `--max-drift <pct>`: drift-gate tolerance in percent.
-    pub max_drift: Option<f64>,
     /// `--gate-scaling <ratio>`: minimum default-dispatch 4T/1T GFLOP/s
     /// ratio on large shapes; below it the bin exits non-zero. Skipped
     /// (with a note) when the host has fewer than 4 CPUs.
@@ -35,61 +32,47 @@ pub struct CommonArgs {
     pub rest: Vec<String>,
 }
 
-fn take_value(
-    flag: &str,
-    inline: Option<String>,
-    it: &mut impl Iterator<Item = String>,
-) -> Result<String, String> {
-    inline
-        .or_else(|| it.next())
-        .ok_or_else(|| format!("{flag} requires a value"))
-}
-
 impl CommonArgs {
     /// Parses the shared flags out of an explicit argument list. Unknown
-    /// arguments are collected into [`CommonArgs::rest`] (with any
-    /// `--flag=value` form left intact) for the caller to interpret.
+    /// arguments are left in [`CommonArgs::rest`], in order (with any
+    /// `--flag=value` form intact), for the caller to interpret.
     ///
     /// # Errors
     ///
     /// Returns a message when a shared flag is missing its value or
-    /// `--max-drift` is not a non-negative number.
+    /// `--gate-scaling` is not a non-negative number.
     pub fn parse_iter(args: impl IntoIterator<Item = String>) -> Result<CommonArgs, String> {
-        let mut out = CommonArgs::default();
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            let (flag, inline) = match a.split_once('=') {
-                Some((f, v)) if f.starts_with("--") => (f.to_string(), Some(v.to_string())),
-                _ => (a.clone(), None),
-            };
-            match flag.as_str() {
-                "--quick" => out.quick = true,
-                "--bench-json" => out.bench_json = Some(take_value(&flag, inline, &mut it)?),
-                "--trace" => out.trace = Some(PathBuf::from(take_value(&flag, inline, &mut it)?)),
-                "--probe-db" => {
-                    out.probe_db = Some(PathBuf::from(take_value(&flag, inline, &mut it)?));
-                }
-                "--history" => {
-                    out.history = Some(PathBuf::from(take_value(&flag, inline, &mut it)?));
-                }
-                "--max-drift" => {
-                    let v = take_value(&flag, inline, &mut it)?;
-                    match v.parse::<f64>() {
-                        Ok(p) if p >= 0.0 => out.max_drift = Some(p),
-                        _ => return Err(format!("--max-drift needs a non-negative percent: {v}")),
-                    }
-                }
-                "--gate-scaling" => {
-                    let v = take_value(&flag, inline, &mut it)?;
-                    match v.parse::<f64>() {
-                        Ok(r) if r >= 0.0 => out.gate_scaling = Some(r),
-                        _ => return Err(format!("--gate-scaling needs a non-negative ratio: {v}")),
-                    }
-                }
-                _ => out.rest.push(a),
+        let mut out = CommonArgs {
+            rest: args.into_iter().collect(),
+            ..CommonArgs::default()
+        };
+        out.quick = out.take_switch("--quick");
+        out.bench_json = out.pull("--bench-json")?;
+        out.trace = out.pull("--trace")?.map(PathBuf::from);
+        out.probe_db = out.pull("--probe-db")?.map(PathBuf::from);
+        out.history = out.pull("--history")?.map(PathBuf::from);
+        if let Some(v) = out.pull("--gate-scaling")? {
+            match v.parse::<f64>() {
+                Ok(r) if r >= 0.0 => out.gate_scaling = Some(r),
+                _ => return Err(format!("--gate-scaling needs a non-negative ratio: {v}")),
             }
         }
         Ok(out)
+    }
+
+    /// Removes the first `--flag <value>` / `--flag=<value>` from
+    /// [`CommonArgs::rest`], returning the value.
+    fn pull(&mut self, flag: &str) -> Result<Option<String>, String> {
+        let name = |a: &String| a.split_once('=').map_or(a.as_str(), |(f, _)| f) == flag;
+        let Some(i) = self.rest.iter().position(name) else {
+            return Ok(None);
+        };
+        let arg = self.rest.remove(i);
+        match arg.split_once('=') {
+            Some((_, v)) => Ok(Some(v.to_string())),
+            None if i < self.rest.len() => Ok(Some(self.rest.remove(i))),
+            None => Err(format!("{flag} requires a value")),
+        }
     }
 
     /// Parses the process arguments; on a malformed shared flag prints the
@@ -110,12 +93,52 @@ impl CommonArgs {
         }
     }
 
-    /// Exits with usage status 2 if any unrecognized arguments remain —
-    /// for bins whose whole CLI is the shared flag set.
+    /// Removes a bin-specific `--flag <value>` / `--flag=<value>` from
+    /// [`CommonArgs::rest`] and parses it; `None` when the flag is absent.
+    /// Exits with usage status 2 (`<flag> needs <what>`) when the value is
+    /// missing, does not parse, or fails `ok`.
+    pub fn take<T: std::str::FromStr>(
+        &mut self,
+        usage: &str,
+        flag: &str,
+        what: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Option<T> {
+        let parsed = self
+            .pull(flag)
+            .map(|v| v.map(|v| v.parse().ok().filter(&ok)));
+        match parsed {
+            Ok(None) => None,
+            Ok(Some(Some(v))) => Some(v),
+            _ => usage_exit(usage, &format!("{flag} needs {what}")),
+        }
+    }
+
+    /// Removes a bare `--flag` switch from [`CommonArgs::rest`]; whether
+    /// it was there.
+    pub fn take_switch(&mut self, flag: &str) -> bool {
+        let before = self.rest.len();
+        self.rest.retain(|a| a != flag);
+        self.rest.len() != before
+    }
+
+    /// Exits with usage status 2 if any unrecognized arguments remain.
     pub fn expect_no_rest(&self, usage: &str) {
         if let Some(first) = self.rest.first() {
             usage_exit(usage, &format!("unknown argument: {first}"));
         }
+    }
+
+    /// The `N` positional arguments left in [`CommonArgs::rest`]; exits
+    /// with usage status 2 on a leftover flag or any other count.
+    pub fn positionals<const N: usize>(self, usage: &str) -> [String; N] {
+        if let Some(flag) = self.rest.iter().find(|a| a.starts_with('-')) {
+            usage_exit(usage, &format!("unknown argument: {flag}"));
+        }
+        let got = self.rest.len();
+        self.rest
+            .try_into()
+            .unwrap_or_else(|_| usage_exit(usage, &format!("expected {N} argument(s), got {got}")))
     }
 }
 
@@ -127,20 +150,22 @@ pub fn usage_exit(usage: &str, msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Parses a `--max-regress`-style percentage value; exits with usage
-/// status 2 when missing or negative. Shared by every `--diff` bin.
-pub fn parse_pct(usage: &str, flag: &str, value: Option<String>) -> f64 {
-    match value.as_deref().map(str::parse::<f64>) {
-        Some(Ok(p)) if p >= 0.0 => p,
-        _ => usage_exit(usage, &format!("{flag} needs a non-negative percent")),
+/// Writes `doc` as pretty JSON to `path`, creating its parent directory.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn write_json<T: serde::Serialize>(path: &str, doc: &T) -> std::io::Result<()> {
+    let json = serde_json::to_string_pretty(doc).map_err(std::io::Error::other)?;
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir)?;
     }
+    std::fs::write(path, json)
 }
 
 /// Prints a [`DiffOutcome`] under `header` and exits with the shared
 /// gating convention — 0 = clean, 1 = regression found (usage and I/O
-/// errors exit 2 via [`usage_exit`]). `scope_report --diff` and
-/// `flight_report --diff` both finish through here so their exit codes
-/// can never drift apart.
+/// errors exit 2 via [`usage_exit`]).
 pub fn finish_diff(header: &str, out: &DiffOutcome) -> ! {
     println!("# {header}");
     for line in &out.lines {
@@ -175,8 +200,6 @@ mod tests {
             "--probe-db",
             "db.json",
             "--history=h.jsonl",
-            "--max-drift",
-            "12.5",
             "--gate-scaling=2.5",
         ]);
         assert!(a.quick);
@@ -184,7 +207,6 @@ mod tests {
         assert_eq!(a.trace, Some(PathBuf::from("/tmp/t")));
         assert_eq!(a.probe_db, Some(PathBuf::from("db.json")));
         assert_eq!(a.history, Some(PathBuf::from("h.jsonl")));
-        assert_eq!(a.max_drift, Some(12.5));
         assert_eq!(a.gate_scaling, Some(2.5));
         assert!(a.rest.is_empty());
     }
@@ -197,10 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn missing_values_and_bad_drift_are_errors() {
+    fn missing_values_and_bad_gate_scaling_are_errors() {
         assert!(CommonArgs::parse_iter(vec!["--bench-json".to_string()]).is_err());
         assert!(CommonArgs::parse_iter(vec!["--trace".to_string()]).is_err());
-        let bad = vec!["--max-drift".to_string(), "-3".to_string()];
+        let bad = vec!["--gate-scaling".to_string(), "-3".to_string()];
         assert!(CommonArgs::parse_iter(bad).is_err());
         let bad_gate = vec!["--gate-scaling".to_string(), "nope".to_string()];
         assert!(CommonArgs::parse_iter(bad_gate).is_err());

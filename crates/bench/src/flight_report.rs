@@ -1,22 +1,22 @@
 //! hfta-flight reporting: rebuild causal trial timelines from the
 //! `*.flight.jsonl` journals a `--trace` run leaves behind, render ASCII
-//! Gantt charts, critical paths and SLO tables, summarize to a
-//! machine-independent JSON, and diff two summaries with the shared
-//! 0/1/2 gating convention.
+//! Gantt charts, critical paths and SLO tables, and summarize to a
+//! machine-independent [`FlightSummary`] (the record `hfta_report diff`
+//! gates — its schema lives in [`crate::record`]).
 //!
 //! Everything here works on *simulated* integer-nanosecond timestamps, so
 //! a committed golden summary gates bit-identically across machines and
-//! thread counts. `flight_report` (offline report) and `hfta_top` (live
-//! refresh-in-place dashboard) are both thin CLIs over this module.
+//! thread counts. `hfta_report flight` (offline report) and `hfta_report
+//! top` (live refresh-in-place dashboard) are both thin CLIs over this
+//! module.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use hfta_telemetry::flight::{bucket_intervals, derive_all_strict, nearest_rank};
 use hfta_telemetry::{FlightEvent, FlightKind, JournalLine, TrialSlo, FLEET_TRIAL};
-use serde::{Deserialize, Serialize};
 
-use crate::scope_report::DiffOutcome;
+use crate::record::{ExpSlo, FlightSummary, FLIGHT_SCHEMA};
 
 /// A loaded trace directory's journals: experiment scope → events, in
 /// recorded order. Trial ids repeat across experiments (each policy replays
@@ -69,54 +69,6 @@ pub fn load_journal_dir(dir: &Path) -> Result<FlightJournal, String> {
     }
     Ok(journal)
 }
-
-/// Per-experiment SLO aggregate: deterministic, machine-independent
-/// numbers only (counts and simulated-time statistics).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExpSlo {
-    /// Experiment scope (policy) name.
-    pub name: String,
-    /// Trials with a complete causal timeline.
-    pub trials: u64,
-    /// Trials that completed the final rung.
-    pub completed: u64,
-    /// Trials evicted (early-stopped or sentinel-killed).
-    pub evicted: u64,
-    /// Trials with at least one sentinel fault.
-    pub faulted: u64,
-    /// Fleet-wide p50 queue wait, simulated µs (exact nearest-rank).
-    pub queue_wait_p50_us: f64,
-    /// Fleet-wide p95 queue wait, simulated µs.
-    pub queue_wait_p95_us: f64,
-    /// Fleet-wide p99 queue wait, simulated µs.
-    pub queue_wait_p99_us: f64,
-    /// Fleet-wide p50 end-to-end latency, simulated µs.
-    pub e2e_p50_us: f64,
-    /// Fleet-wide p95 end-to-end latency, simulated µs.
-    pub e2e_p95_us: f64,
-    /// Fleet-wide p99 end-to-end latency, simulated µs.
-    pub e2e_p99_us: f64,
-    /// Summed queue-wait time across trials, simulated µs.
-    pub queue_us: f64,
-    /// Summed rung-compute time, simulated µs.
-    pub compute_us: f64,
-    /// Summed surgery (extract→re-dispatch) time, simulated µs.
-    pub surgery_us: f64,
-    /// Summed quarantine (fault→evict) time, simulated µs.
-    pub quarantine_us: f64,
-}
-
-/// The serializable summary `flight_report` writes and `--diff` gates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlightSummary {
-    /// Summary schema version.
-    pub schema: u64,
-    /// One aggregate per experiment scope, sorted by name.
-    pub experiments: Vec<ExpSlo>,
-}
-
-/// Current [`FlightSummary::schema`].
-pub const FLIGHT_SCHEMA: u64 = 1;
 
 /// Derives per-trial SLOs for one experiment's journal, strictly: a
 /// malformed timeline is an error, not a skip.
@@ -302,95 +254,6 @@ pub fn render_gantt(name: &str, events: &[FlightEvent], width: usize) -> Result<
     Ok(out)
 }
 
-/// Diffs two summaries with the shared gating convention: structural
-/// fields (experiment set, trial/terminal/fault counts) must match
-/// exactly; latency statistics regress when the candidate exceeds the
-/// base by more than `max_regress_pct` percent. Improvements and in-budget
-/// changes are informational lines.
-pub fn diff_flight(
-    base: &FlightSummary,
-    cand: &FlightSummary,
-    max_regress_pct: f64,
-) -> DiffOutcome {
-    let mut out = DiffOutcome::default();
-    if base.schema != cand.schema {
-        out.regressions
-            .push(format!("schema {} != {}", base.schema, cand.schema));
-        return out;
-    }
-    let base_by: BTreeMap<&str, &ExpSlo> = base
-        .experiments
-        .iter()
-        .map(|e| (e.name.as_str(), e))
-        .collect();
-    let cand_by: BTreeMap<&str, &ExpSlo> = cand
-        .experiments
-        .iter()
-        .map(|e| (e.name.as_str(), e))
-        .collect();
-    for name in base_by.keys() {
-        if !cand_by.contains_key(name) {
-            out.regressions
-                .push(format!("{name}: experiment missing from candidate"));
-        }
-    }
-    for name in cand_by.keys() {
-        if !base_by.contains_key(name) {
-            out.lines
-                .push(format!("{name}: new experiment (not gated)"));
-        }
-    }
-    for (name, b) in &base_by {
-        let Some(c) = cand_by.get(name) else { continue };
-        for (what, bv, cv) in [
-            ("trials", b.trials, c.trials),
-            ("completed", b.completed, c.completed),
-            ("evicted", b.evicted, c.evicted),
-            ("faulted", b.faulted, c.faulted),
-        ] {
-            if bv == cv {
-                out.lines.push(format!("{name}: {what} {bv}"));
-            } else {
-                out.regressions
-                    .push(format!("{name}: {what} changed {bv} -> {cv}"));
-            }
-        }
-        for (what, bv, cv) in [
-            (
-                "queue_wait_p50_us",
-                b.queue_wait_p50_us,
-                c.queue_wait_p50_us,
-            ),
-            (
-                "queue_wait_p99_us",
-                b.queue_wait_p99_us,
-                c.queue_wait_p99_us,
-            ),
-            ("e2e_p50_us", b.e2e_p50_us, c.e2e_p50_us),
-            ("e2e_p99_us", b.e2e_p99_us, c.e2e_p99_us),
-            ("queue_us", b.queue_us, c.queue_us),
-            ("compute_us", b.compute_us, c.compute_us),
-            ("surgery_us", b.surgery_us, c.surgery_us),
-            ("quarantine_us", b.quarantine_us, c.quarantine_us),
-        ] {
-            let budget = bv.abs() * max_regress_pct / 100.0;
-            if cv > bv + budget {
-                out.regressions.push(format!(
-                    "{name}: {what} {bv:.1} -> {cv:.1} (+{:.1}%, budget {max_regress_pct}%)",
-                    if bv.abs() > 0.0 {
-                        100.0 * (cv - bv) / bv.abs()
-                    } else {
-                        f64::INFINITY
-                    }
-                ));
-            } else {
-                out.lines.push(format!("{name}: {what} {bv:.1} -> {cv:.1}"));
-            }
-        }
-    }
-    out
-}
-
 /// One device's state at a dashboard instant, parsed from the fleet's
 /// bind/release events.
 #[derive(Debug, Clone, PartialEq)]
@@ -406,7 +269,7 @@ pub struct DeviceNow {
 }
 
 /// A snapshot of one experiment's journal at simulated instant `now_ns` —
-/// the data behind one `hfta_top` frame.
+/// the data behind one `hfta_report top` frame.
 #[derive(Debug, Clone, Default)]
 pub struct FleetSnapshot {
     /// Simulated instant.
@@ -493,7 +356,7 @@ pub fn snapshot_at(events: &[FlightEvent], now_ns: u64) -> FleetSnapshot {
     snap
 }
 
-/// Renders one `hfta_top` frame for `exp` at `now_ns`.
+/// Renders one `hfta_report top` frame for `exp` at `now_ns`.
 pub fn render_frame(exp: &str, events: &[FlightEvent], now_ns: u64) -> String {
     let snap = snapshot_at(events, now_ns);
     let busy = snap.devices.iter().filter(|d| d.busy).count();
@@ -620,30 +483,34 @@ mod tests {
 
     #[test]
     fn diff_gates_counts_exactly_and_latency_by_budget() {
+        use crate::record::{diff_records, Doc};
+        let diff = |base: &FlightSummary, cand: &FlightSummary| {
+            diff_records(&Doc::of(base), &Doc::of(cand)).unwrap()
+        };
         let base = summarize(&journal_one_exp()).unwrap();
         // Identical candidate: clean.
-        assert!(!diff_flight(&base, &base, 5.0).regressed());
-        // Latency blowup beyond budget: regression.
+        assert!(!diff(&base, &base).regressed());
+        // Any latency growth is beyond the 0% bound: regression.
         let mut slow = base.clone();
-        slow.experiments[0].e2e_p99_us *= 2.0;
-        let out = diff_flight(&base, &slow, 5.0);
-        assert!(out.regressed());
-        assert!(out.regressions.iter().any(|r| r.contains("e2e_p99_us")));
+        slow.experiments[0].e2e_p99_us += 0.001;
+        let out = diff(&base, &slow);
+        assert_eq!(out.regressions.len(), 1, "{:?}", out.regressions);
+        assert!(out.regressions[0].starts_with("elastic e2e_p99_us:"));
         // Latency improvement: informational, not gated.
         let mut fast = base.clone();
         fast.experiments[0].e2e_p99_us *= 0.5;
-        assert!(!diff_flight(&base, &fast, 5.0).regressed());
+        assert!(!diff(&base, &fast).regressed());
         // A changed trial count is always a regression.
         let mut fewer = base.clone();
         fewer.experiments[0].trials = 1;
-        assert!(diff_flight(&base, &fewer, 5.0).regressed());
+        assert!(diff(&base, &fewer).regressed());
         // A missing experiment is a regression; a new one is not.
         let empty = FlightSummary {
             schema: FLIGHT_SCHEMA,
             experiments: vec![],
         };
-        assert!(diff_flight(&base, &empty, 5.0).regressed());
-        assert!(!diff_flight(&empty, &base, 5.0).regressed());
+        assert!(diff(&base, &empty).regressed());
+        assert!(!diff(&empty, &base).regressed());
     }
 
     #[test]

@@ -24,39 +24,8 @@ use hfta_data::PointClouds;
 use hfta_models::{DcganCfg, FusedDiscriminator, FusedPointNetCls, PointNetCfg};
 use hfta_nn::{Module, Tape};
 use hfta_tensor::{Rng, Tensor};
-use serde::{Deserialize, Serialize};
 
-/// One (model, B) footprint measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MemRecord {
-    /// Model family driving the session.
-    pub model: String,
-    /// Fused array width.
-    pub b: u64,
-    /// Warm-up steps excluded from the steady-state allocation window.
-    pub warm_steps: u64,
-    /// Steps inside the steady-state allocation window.
-    pub measured_steps: u64,
-    /// Peak accounted footprint of the fused session (live + pooled free
-    /// + scratch arenas), in bytes.
-    pub peak_bytes: u64,
-    /// B × the measured B = 1 peak — what B separate processes would pay.
-    pub serial_peak_bytes: u64,
-    /// `serial_peak_bytes / peak_bytes`; > 1 means fusion saves memory.
-    pub savings_ratio: f64,
-    /// Fresh heap allocations during the measured steps (gate: must be 0).
-    pub steady_fresh_allocs: u64,
-    /// Pool reuses during the measured steps (shows recycling is active).
-    pub steady_pool_reuses: u64,
-}
-
-/// The `BENCH_mem.json` document (top-level `records` key so
-/// `scope_report --diff` classifies it as a bench report).
-#[derive(Debug, Serialize, Deserialize)]
-pub struct MemReport {
-    /// All (model, B) measurements.
-    pub records: Vec<MemRecord>,
-}
+use crate::record::{MemRecord, MemReport};
 
 /// Counters extracted from one measured training session.
 #[derive(Clone, Copy)]

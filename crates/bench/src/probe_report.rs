@@ -1,4 +1,4 @@
-//! Rendering for the `probe_report` bin: roofline attribution tables,
+//! Rendering for `hfta_report roofline`: roofline attribution tables,
 //! per-lane utilization, and the Fig-8-style per-device utilization
 //! timeline, all computed from the `*.report.json` files a `--trace` run
 //! leaves behind.
@@ -21,7 +21,8 @@ use hfta_telemetry::{CounterSeries, ExperimentReport, RunReport};
 ///
 /// # Errors
 ///
-/// Fails when the directory is unreadable or a report file does not parse.
+/// Fails when the directory is unreadable, holds no report file, or one
+/// does not parse.
 pub fn collect_run_reports(dir: &Path) -> Result<Vec<(PathBuf, RunReport)>, String> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("reading {}: {e}", dir.display()))?
@@ -32,6 +33,9 @@ pub fn collect_run_reports(dir: &Path) -> Result<Vec<(PathBuf, RunReport)>, Stri
         })
         .collect();
     paths.sort();
+    if paths.is_empty() {
+        return Err(format!("no *.report.json files in {}", dir.display()));
+    }
     let mut out = Vec::with_capacity(paths.len());
     for path in paths {
         let text = std::fs::read_to_string(&path)

@@ -1,97 +1,25 @@
 //! hfta-scope reporting: per-model health tables and run comparison.
 //!
-//! The library half of the `scope_report` binary. It consumes the
-//! `<bin>.report.json` files the [`crate::telemetry_cli::TraceSession`]
-//! writes (a serialized [`RunReport`]) or the `BENCH_*.json` files
-//! `bench_kernels` writes, and offers two views:
+//! The library half of `hfta_report health` and the run-report side of
+//! `hfta_report diff`. It consumes the `<bin>.report.json` files the
+//! [`crate::telemetry_cli::TraceSession`] writes (a serialized
+//! [`hfta_telemetry::RunReport`]) and offers two views:
 //!
 //! * **health** — one table per experiment: each model's last/min loss,
 //!   gradient- and parameter-norm trajectory endpoints, update ratio, and
 //!   any sentinel events ([`print_health`]);
-//! * **diff** — compares two runs ([`diff_reports`]) or two bench files
-//!   ([`diff_bench`]). Structural and loss differences are always gated
-//!   (deterministic across thread counts); throughput is only gated when
-//!   [`DiffCfg::max_regress_pct`] is set, because wall-clock numbers vary
-//!   by machine. Bench-file diffs always gate throughput (that is all a
-//!   bench file contains), defaulting to a 10% budget.
+//! * **diff** — compares two runs ([`diff_runs`]) on what is deterministic
+//!   across machines and thread counts: the stream set, each stream's
+//!   point count, each model's final loss (within
+//!   [`LOSS_TOL`](crate::record::LOSS_TOL)) and the sentinel events. Both
+//!   sides are [`RunSummary`]s — a full report is reduced to one on load —
+//!   so wall-clock fields never enter the comparison. Bench files and
+//!   flight summaries diff through [`crate::record::diff_records`].
 
-use hfta_telemetry::{ExperimentReport, RunReport, SentinelEvent};
-use serde::{Deserialize, Value};
+use hfta_telemetry::{ExperimentReport, SentinelEvent};
 
+use crate::record::{DiffOutcome, ExpSummary, RunSummary, LOSS_TOL};
 use crate::sweep::print_table;
-
-/// Tolerances for [`diff_reports`] / [`diff_bench`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiffCfg {
-    /// Maximum allowed |base − candidate| on each model's final loss.
-    pub loss_tol: f64,
-    /// Throughput-regression budget in percent. `None` skips the
-    /// throughput gate for run reports (bench diffs fall back to 10%).
-    pub max_regress_pct: Option<f64>,
-    /// Memory-regression budget in percent, applied to the `peak_bytes`
-    /// (higher is worse) and `savings_ratio` (lower is worse) fields of
-    /// `BENCH_mem.json` records. Bench diffs fall back to 10%.
-    pub max_mem_regress_pct: Option<f64>,
-}
-
-impl Default for DiffCfg {
-    fn default() -> Self {
-        DiffCfg {
-            loss_tol: 1e-6,
-            max_regress_pct: None,
-            max_mem_regress_pct: None,
-        }
-    }
-}
-
-/// Outcome of a diff: informational lines plus gating regressions.
-#[derive(Debug, Default)]
-pub struct DiffOutcome {
-    /// Informational comparison lines (printed as-is).
-    pub lines: Vec<String>,
-    /// Regressions that should fail the comparison (non-zero exit).
-    pub regressions: Vec<String>,
-}
-
-impl DiffOutcome {
-    /// Whether any gated regression was found.
-    pub fn regressed(&self) -> bool {
-        !self.regressions.is_empty()
-    }
-
-    fn note(&mut self, s: String) {
-        self.lines.push(s);
-    }
-
-    fn regress(&mut self, s: String) {
-        self.regressions.push(s);
-    }
-}
-
-/// A parsed report file of either supported kind.
-pub enum LoadedReport {
-    /// A `<bin>.report.json` run report.
-    Run(RunReport),
-    /// A `BENCH_*.json` bench report, kept as a raw value tree.
-    Bench(Value),
-}
-
-/// Parses report JSON, detecting the file kind from its top-level fields.
-///
-/// # Errors
-///
-/// Returns a message when the text is not JSON or matches neither kind.
-pub fn load_report(text: &str) -> Result<LoadedReport, String> {
-    let v: Value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    if v.get("experiments").is_some() {
-        let run = RunReport::deserialize(&v).map_err(|e| format!("bad run report: {e}"))?;
-        Ok(LoadedReport::Run(run))
-    } else if v.get("records").is_some() {
-        Ok(LoadedReport::Bench(v))
-    } else {
-        Err("unrecognized report: expected `experiments` (run report) or `records` (bench)".into())
-    }
-}
 
 fn fmt(v: Option<f64>) -> String {
     match v {
@@ -159,69 +87,34 @@ pub fn print_health(exp: &ExperimentReport) {
     );
 }
 
-/// Mean throughput of an experiment: the `*throughput_eps` gauges when
-/// present, else the positive per-step `samples_per_s` entries.
-pub fn throughput_of(exp: &ExperimentReport) -> Option<f64> {
-    let gauges: Vec<f64> = exp
-        .gauges
-        .iter()
-        .filter(|g| g.name.ends_with("throughput_eps"))
-        .map(|g| g.value)
-        .collect();
-    if !gauges.is_empty() {
-        return Some(gauges.iter().sum::<f64>() / gauges.len() as f64);
-    }
-    let steps: Vec<f64> = exp
-        .steps
-        .iter()
-        .map(|s| s.samples_per_s)
-        .filter(|v| *v > 0.0)
-        .collect();
-    if steps.is_empty() {
-        None
-    } else {
-        Some(steps.iter().sum::<f64>() / steps.len() as f64)
-    }
-}
-
-fn sentinel_key(e: &SentinelEvent) -> (u64, u64, &'static str, bool) {
-    (e.step, e.model, e.kind.label(), e.quarantined)
-}
-
-fn diff_experiment(
-    base: &ExperimentReport,
-    cand: &ExperimentReport,
-    cfg: &DiffCfg,
-    out: &mut DiffOutcome,
-) {
+fn diff_experiment(base: &ExpSummary, cand: &ExpSummary, out: &mut DiffOutcome) {
     let name = &base.name;
     // Per-model scalar streams: structure (presence + step count) always
-    // gates; the loss value gates within `loss_tol`.
-    for bs in &base.scalars {
-        let Some(cs) = cand.scalar_stream(bs.model, &bs.metric) else {
+    // gates; the loss value gates within `LOSS_TOL`.
+    for bs in base.streams() {
+        let found = cand
+            .streams()
+            .find(|s| s.model == bs.model && s.metric == bs.metric);
+        let Some(cs) = found else {
             out.regress(format!(
                 "{name}: model {} lost its `{}` stream",
                 bs.model, bs.metric
             ));
             continue;
         };
-        if cs.points.len() != bs.points.len() {
+        if cs.points != bs.points {
             out.regress(format!(
                 "{name}: model {} `{}` has {} points, expected {}",
-                bs.model,
-                bs.metric,
-                cs.points.len(),
-                bs.points.len()
+                bs.model, bs.metric, cs.points, bs.points
             ));
             continue;
         }
-        if bs.metric == "loss" {
-            let (b, c) = (bs.last().unwrap_or(f64::NAN), cs.last().unwrap_or(f64::NAN));
-            let equal = (b.is_nan() && c.is_nan()) || (b - c).abs() <= cfg.loss_tol;
+        if let (Some(b), Some(c)) = (bs.final_loss, cs.final_loss) {
+            let equal = (b.is_nan() && c.is_nan()) || (b - c).abs() <= LOSS_TOL;
             if !equal {
                 out.regress(format!(
-                    "{name}: model {} final loss {c:.6} differs from {b:.6} (tol {})",
-                    bs.model, cfg.loss_tol
+                    "{name}: model {} final loss {c:.6} differs from {b:.6} (tol {LOSS_TOL})",
+                    bs.model
                 ));
             } else {
                 out.note(format!("{name}: model {} final loss {c:.6} ok", bs.model));
@@ -230,9 +123,8 @@ fn diff_experiment(
     }
     // Sentinels: any new fault in the candidate gates; a cleared fault is
     // an improvement worth noting.
-    let base_keys: Vec<_> = base.sentinels.iter().map(sentinel_key).collect();
     for e in &cand.sentinels {
-        if !base_keys.contains(&sentinel_key(e)) {
+        if !base.sentinels.contains(e) {
             out.regress(format!(
                 "{name}: new sentinel {} on model {} at step {}",
                 e.kind.label(),
@@ -241,9 +133,8 @@ fn diff_experiment(
             ));
         }
     }
-    let cand_keys: Vec<_> = cand.sentinels.iter().map(sentinel_key).collect();
     for e in &base.sentinels {
-        if !cand_keys.contains(&sentinel_key(e)) {
+        if !cand.sentinels.contains(e) {
             out.note(format!(
                 "{name}: sentinel {} on model {} cleared",
                 e.kind.label(),
@@ -251,469 +142,31 @@ fn diff_experiment(
             ));
         }
     }
-    // Throughput only gates on request (machine-dependent).
-    if let (Some(pct), Some(b), Some(c)) = (
-        cfg.max_regress_pct,
-        throughput_of(base),
-        throughput_of(cand),
-    ) {
-        if b > 0.0 {
-            let change = (c - b) / b * 100.0;
-            if change < -pct {
-                out.regress(format!(
-                    "{name}: throughput {c:.1} is {:.1}% below baseline {b:.1} (budget {pct}%)",
-                    -change
-                ));
-            } else {
-                out.note(format!(
-                    "{name}: throughput {c:.1} vs {b:.1} ({change:+.1}%)"
-                ));
-            }
-        }
-    }
 }
 
-/// Diffs two run reports experiment-by-experiment. See [`DiffCfg`] for
-/// what gates.
-pub fn diff_reports(base: &RunReport, cand: &RunReport, cfg: &DiffCfg) -> DiffOutcome {
+/// Diffs two run summaries experiment-by-experiment.
+pub fn diff_runs(base: &RunSummary, cand: &RunSummary) -> DiffOutcome {
     let mut out = DiffOutcome::default();
     for be in &base.experiments {
-        match cand.experiment(&be.name) {
-            Some(ce) => diff_experiment(be, ce, cfg, &mut out),
+        match cand.experiments.iter().find(|e| e.name == be.name) {
+            Some(ce) => diff_experiment(be, ce, &mut out),
             None => out.regress(format!("experiment `{}` missing from candidate", be.name)),
         }
     }
     for ce in &cand.experiments {
-        if base.experiment(&ce.name).is_none() {
+        if !base.experiments.iter().any(|e| e.name == ce.name) {
             out.note(format!("experiment `{}` only in candidate", ce.name));
         }
     }
     out
 }
 
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::F64(n) => Some(*n),
-        Value::U64(n) => Some(*n as f64),
-        Value::I64(n) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-/// `(key, backend)` of one kernel bench record. Older bench files predate
-/// the `backend`/`threads` columns; those records fall back to `?`
-/// placeholders instead of being dropped from the diff.
-fn record_key(rec: &Value) -> Option<(String, String)> {
-    let s = |k: &str| {
-        rec.get(k).and_then(|v| match v {
-            Value::Str(s) => Some(s.clone()),
-            other => as_f64(other).map(|n| n.to_string()),
-        })
-    };
-    let backend = s("backend").unwrap_or_else(|| "?".to_string());
-    let threads = s("threads").unwrap_or_else(|| "?".to_string());
-    Some((
-        format!("{}/{}/{backend}@{threads}T", s("op")?, s("shape")?),
-        backend,
-    ))
-}
-
-/// Upper bound on `scope_overhead_pct` in a bench file — hfta-scope must
-/// stay under 5% of a fused training step (ISSUE acceptance gate).
-pub const SCOPE_OVERHEAD_BUDGET_PCT: f64 = 5.0;
-
-/// Diffs two `BENCH_*.json` value trees record-by-record on `gflops`,
-/// plus the headline `fused_conv_speedup` and `scope_overhead_pct`
-/// figures. Throughput always gates here, at
-/// `cfg.max_regress_pct.unwrap_or(10.0)` percent. `BENCH_mem.json`
-/// records (keyed by `model`/`b`) gate on `peak_bytes`, `savings_ratio`
-/// and `steady_fresh_allocs` — see [`DiffCfg::max_mem_regress_pct`].
-/// `BENCH_serve.json` records (keyed by `policy`) gate on p50/p99 queue
-/// wait (may not grow) and fleet occupancy (may not shrink).
-/// `BENCH_plan.json` records (keyed by `plan`) gate on the simulated
-/// per-plan step time, the partial-fusion speedup headline, the fused
-/// fraction, and the bit-identity flag — see [`diff_plan_records`].
-///
-/// Format skew is tolerated in both directions: records lacking the newer
-/// optional fields (`backend`, `threads`, `bytes_per_iter`) still diff by
-/// a fallback key, a backend column wholly absent from the candidate only
-/// notes, and the `scaling_efficiency` comparison is skipped when either
-/// file predates it.
-pub fn diff_bench(base: &Value, cand: &Value, cfg: &DiffCfg) -> DiffOutcome {
-    let mut out = DiffOutcome::default();
-    let pct = cfg.max_regress_pct.unwrap_or(10.0);
-    let gate_drop = |out: &mut DiffOutcome, what: &str, b: f64, c: f64| {
-        if b <= 0.0 {
-            return;
-        }
-        let change = (c - b) / b * 100.0;
-        if change < -pct {
-            out.regress(format!(
-                "{what}: {c:.3} is {:.1}% below baseline {b:.3} (budget {pct}%)",
-                -change
-            ));
-        } else {
-            out.note(format!("{what}: {c:.3} vs {b:.3} ({change:+.1}%)"));
-        }
-    };
-    // Records matched by (op, shape, backend, threads), compared on GFLOP/s.
-    let records = |v: &Value| -> Vec<(String, String, f64)> {
-        match v.get("records") {
-            Some(Value::Array(items)) => items
-                .iter()
-                .filter_map(|r| {
-                    let (key, backend) = record_key(r)?;
-                    Some((key, backend, as_f64(r.get("gflops")?)?))
-                })
-                .collect(),
-            _ => Vec::new(),
-        }
-    };
-    let cand_records = records(cand);
-    for (key, backend, b) in records(base) {
-        match cand_records.iter().find(|(k, _, _)| *k == key) {
-            Some((_, _, c)) => gate_drop(&mut out, &key, b, *c),
-            // A whole backend column absent from the candidate is
-            // environmental (e.g. simd rows on a host without AVX2, or a
-            // bench file predating the backend matrix) — note, don't gate.
-            // A missing record within a backend the candidate does report
-            // is a genuine regression.
-            None if !cand_records.iter().any(|(_, be, _)| *be == backend) => {
-                out.note(format!(
-                    "{key}: `{backend}` rows absent from candidate (skipped)"
-                ));
-            }
-            None => out.regress(format!("{key}: record missing from candidate")),
-        }
-    }
-    // Thread-scaling records (newer bench files only): compared on the
-    // 4T/1T efficiency ratio, silently skipped when either side predates
-    // the field.
-    let scalings = |v: &Value| -> Vec<(String, f64)> {
-        match v.get("scaling_efficiency") {
-            Some(Value::Array(items)) => items
-                .iter()
-                .filter_map(|r| {
-                    let s = |k: &str| match r.get(k) {
-                        Some(Value::Str(s)) => Some(s.clone()),
-                        _ => None,
-                    };
-                    Some((
-                        format!("scaling:{}/{}", s("op")?, s("shape")?),
-                        as_f64(r.get("scaling_efficiency")?)?,
-                    ))
-                })
-                .collect(),
-            _ => Vec::new(),
-        }
-    };
-    let cand_scaling = scalings(cand);
-    if !cand_scaling.is_empty() {
-        for (key, b) in scalings(base) {
-            if let Some((_, c)) = cand_scaling.iter().find(|(k, _)| *k == key) {
-                gate_drop(&mut out, &key, b, *c);
-            }
-        }
-    }
-    if let (Some(b), Some(c)) = (
-        base.get("fused_conv_speedup").and_then(as_f64),
-        cand.get("fused_conv_speedup").and_then(as_f64),
-    ) {
-        gate_drop(&mut out, "fused_conv_speedup", b, c);
-    }
-    // Lower is better for the scope overhead; gate on the absolute budget.
-    if let Some(c) = cand.get("scope_overhead_pct").and_then(as_f64) {
-        if c > SCOPE_OVERHEAD_BUDGET_PCT {
-            out.regress(format!(
-                "scope_overhead_pct: {c:.2}% exceeds the {SCOPE_OVERHEAD_BUDGET_PCT}% budget"
-            ));
-        } else {
-            out.note(format!(
-                "scope_overhead_pct: {c:.2}% (budget {SCOPE_OVERHEAD_BUDGET_PCT}%)"
-            ));
-        }
-    }
-    diff_mem_records(base, cand, cfg, &mut out);
-    diff_serve_records(base, cand, cfg, &mut out);
-    diff_plan_records(base, cand, cfg, &mut out);
-    out
-}
-
-/// One parsed `BENCH_mem.json` record: key plus the gated fields.
-struct MemFields {
-    key: String,
-    peak_bytes: f64,
-    savings_ratio: f64,
-    steady_fresh_allocs: f64,
-}
-
-fn mem_records(v: &Value) -> Vec<MemFields> {
-    let Some(Value::Array(items)) = v.get("records") else {
-        return Vec::new();
-    };
-    items
-        .iter()
-        .filter_map(|r| {
-            let model = match r.get("model")? {
-                Value::Str(s) => s.clone(),
-                _ => return None,
-            };
-            Some(MemFields {
-                key: format!("mem:{}/B={}", model, as_f64(r.get("b")?)?),
-                peak_bytes: as_f64(r.get("peak_bytes")?)?,
-                savings_ratio: as_f64(r.get("savings_ratio")?)?,
-                steady_fresh_allocs: as_f64(r.get("steady_fresh_allocs")?)?,
-            })
-        })
-        .collect()
-}
-
-/// Gates the memory records of a bench diff: `peak_bytes` may not grow and
-/// `savings_ratio` may not shrink by more than [`DiffCfg::max_mem_regress_pct`]
-/// (default 10%), and a candidate record with nonzero steady-state fresh
-/// allocations always regresses (the zero-malloc claim is absolute).
-/// Records without the memory fields (e.g. kernel throughput records) are
-/// skipped.
-fn diff_mem_records(base: &Value, cand: &Value, cfg: &DiffCfg, out: &mut DiffOutcome) {
-    let pct = cfg.max_mem_regress_pct.unwrap_or(10.0);
-    let cand_recs = mem_records(cand);
-    for b in mem_records(base) {
-        let Some(c) = cand_recs.iter().find(|c| c.key == b.key) else {
-            out.regress(format!("{}: record missing from candidate", b.key));
-            continue;
-        };
-        if b.peak_bytes > 0.0 {
-            let change = (c.peak_bytes - b.peak_bytes) / b.peak_bytes * 100.0;
-            if change > pct {
-                out.regress(format!(
-                    "{} peak_bytes: {:.0} is {change:.1}% above baseline {:.0} (budget {pct}%)",
-                    b.key, c.peak_bytes, b.peak_bytes
-                ));
-            } else {
-                out.note(format!(
-                    "{} peak_bytes: {:.0} vs {:.0} ({change:+.1}%)",
-                    b.key, c.peak_bytes, b.peak_bytes
-                ));
-            }
-        }
-        if b.savings_ratio > 0.0 {
-            let change = (c.savings_ratio - b.savings_ratio) / b.savings_ratio * 100.0;
-            if change < -pct {
-                out.regress(format!(
-                    "{} savings_ratio: {:.3} is {:.1}% below baseline {:.3} (budget {pct}%)",
-                    b.key, c.savings_ratio, -change, b.savings_ratio
-                ));
-            } else {
-                out.note(format!(
-                    "{} savings_ratio: {:.3} vs {:.3} ({change:+.1}%)",
-                    b.key, c.savings_ratio, b.savings_ratio
-                ));
-            }
-        }
-        if c.steady_fresh_allocs > 0.0 {
-            out.regress(format!(
-                "{}: {} steady-state fresh allocations (must be 0)",
-                b.key, c.steady_fresh_allocs
-            ));
-        }
-    }
-}
-
-/// One parsed `BENCH_serve.json` record: the per-policy serving SLOs.
-struct ServeFields {
-    key: String,
-    queue_wait_p50_us: f64,
-    queue_wait_p99_us: f64,
-    occupancy: f64,
-}
-
-fn serve_records(v: &Value) -> Vec<ServeFields> {
-    let Some(Value::Array(items)) = v.get("records") else {
-        return Vec::new();
-    };
-    items
-        .iter()
-        .filter_map(|r| {
-            // Serve records are the ones carrying queue-latency SLOs.
-            let policy = match r.get("policy")? {
-                Value::Str(s) => s.clone(),
-                _ => return None,
-            };
-            Some(ServeFields {
-                key: format!("serve:{policy}"),
-                queue_wait_p50_us: as_f64(r.get("queue_wait_p50_us")?)?,
-                queue_wait_p99_us: as_f64(r.get("queue_wait_p99_us")?)?,
-                occupancy: as_f64(r.get("occupancy")?)?,
-            })
-        })
-        .collect()
-}
-
-/// Gates the serving records of a bench diff: per-policy p50/p99 queue
-/// wait may not grow, and fleet occupancy may not shrink, by more than
-/// `cfg.max_regress_pct.unwrap_or(10.0)` percent. Records without the
-/// serve fields (kernel or memory records) are skipped.
-fn diff_serve_records(base: &Value, cand: &Value, cfg: &DiffCfg, out: &mut DiffOutcome) {
-    let pct = cfg.max_regress_pct.unwrap_or(10.0);
-    let cand_recs = serve_records(cand);
-    let base_recs = serve_records(base);
-    // Higher is worse for queue latency.
-    let gate_grow = |out: &mut DiffOutcome, what: String, b: f64, c: f64| {
-        if b <= 0.0 {
-            return;
-        }
-        let change = (c - b) / b * 100.0;
-        if change > pct {
-            out.regress(format!(
-                "{what}: {c:.1} is {change:.1}% above baseline {b:.1} (budget {pct}%)"
-            ));
-        } else {
-            out.note(format!("{what}: {c:.1} vs {b:.1} ({change:+.1}%)"));
-        }
-    };
-    for b in base_recs {
-        let Some(c) = cand_recs.iter().find(|c| c.key == b.key) else {
-            out.regress(format!("{}: record missing from candidate", b.key));
-            continue;
-        };
-        gate_grow(
-            out,
-            format!("{} queue_wait_p50_us", b.key),
-            b.queue_wait_p50_us,
-            c.queue_wait_p50_us,
-        );
-        gate_grow(
-            out,
-            format!("{} queue_wait_p99_us", b.key),
-            b.queue_wait_p99_us,
-            c.queue_wait_p99_us,
-        );
-        // Lower is worse for occupancy.
-        if b.occupancy > 0.0 {
-            let change = (c.occupancy - b.occupancy) / b.occupancy * 100.0;
-            if change < -pct {
-                out.regress(format!(
-                    "{} occupancy: {:.3} is {:.1}% below baseline {:.3} (budget {pct}%)",
-                    b.key, c.occupancy, -change, b.occupancy
-                ));
-            } else {
-                out.note(format!(
-                    "{} occupancy: {:.3} vs {:.3} ({change:+.1}%)",
-                    b.key, c.occupancy, b.occupancy
-                ));
-            }
-        }
-    }
-}
-
-/// One parsed `BENCH_plan.json` record: per-execution-plan simulated cost.
-struct PlanFields {
-    key: String,
-    sim_step_us: f64,
-}
-
-fn plan_records(v: &Value) -> Vec<PlanFields> {
-    let Some(Value::Array(items)) = v.get("records") else {
-        return Vec::new();
-    };
-    items
-        .iter()
-        .filter_map(|r| {
-            // Plan records are the ones carrying per-plan simulated costs.
-            let plan = match r.get("plan")? {
-                Value::Str(s) => s.clone(),
-                _ => return None,
-            };
-            Some(PlanFields {
-                key: format!("plan:{plan}"),
-                sim_step_us: as_f64(r.get("sim_step_us")?)?,
-            })
-        })
-        .collect()
-}
-
-/// Gates the fusion-planner records of a bench diff: per-plan simulated
-/// step time (`sim_step_us`) may not grow, and the headline
-/// `partial_fusion_speedup` may not drop, by more than
-/// `cfg.max_regress_pct.unwrap_or(10.0)` percent. Both are priced on the
-/// deterministic device model, so they are machine-independent; the
-/// wall-clock columns (`wall_ms`, `steps_per_s`) are informational and
-/// never gate. `fused_fraction` is pure planner output and must not
-/// shrink at all, and a candidate reporting `bit_identical: false`
-/// always regresses (planned execution must match serial bit-for-bit).
-/// Records without the plan fields (kernel/mem/serve records) are
-/// skipped.
-fn diff_plan_records(base: &Value, cand: &Value, cfg: &DiffCfg, out: &mut DiffOutcome) {
-    let pct = cfg.max_regress_pct.unwrap_or(10.0);
-    let cand_recs = plan_records(cand);
-    for b in plan_records(base) {
-        let Some(c) = cand_recs.iter().find(|c| c.key == b.key) else {
-            out.regress(format!("{}: record missing from candidate", b.key));
-            continue;
-        };
-        // Higher is worse for simulated step time.
-        if b.sim_step_us > 0.0 {
-            let change = (c.sim_step_us - b.sim_step_us) / b.sim_step_us * 100.0;
-            if change > pct {
-                out.regress(format!(
-                    "{} sim_step_us: {:.1} is {change:.1}% above baseline {:.1} (budget {pct}%)",
-                    b.key, c.sim_step_us, b.sim_step_us
-                ));
-            } else {
-                out.note(format!(
-                    "{} sim_step_us: {:.1} vs {:.1} ({change:+.1}%)",
-                    b.key, c.sim_step_us, b.sim_step_us
-                ));
-            }
-        }
-    }
-    if let (Some(b), Some(c)) = (
-        base.get("partial_fusion_speedup").and_then(as_f64),
-        cand.get("partial_fusion_speedup").and_then(as_f64),
-    ) {
-        if b > 0.0 {
-            let change = (c - b) / b * 100.0;
-            if change < -pct {
-                out.regress(format!(
-                    "partial_fusion_speedup: {c:.3} is {:.1}% below baseline {b:.3} (budget {pct}%)",
-                    -change
-                ));
-            } else {
-                out.note(format!(
-                    "partial_fusion_speedup: {c:.3} vs {b:.3} ({change:+.1}%)"
-                ));
-            }
-        }
-    }
-    if let (Some(b), Some(c)) = (
-        base.get("fused_fraction").and_then(as_f64),
-        cand.get("fused_fraction").and_then(as_f64),
-    ) {
-        // Deterministic planner output: any shrink means the planner now
-        // fuses less of the same sweep.
-        if c < b - 1e-12 {
-            out.regress(format!(
-                "fused_fraction: {c:.4} shrank from baseline {b:.4} (planner fuses less)"
-            ));
-        } else {
-            out.note(format!("fused_fraction: {c:.4} vs {b:.4}"));
-        }
-    }
-    if let Some(Value::Bool(ok)) = cand.get("bit_identical") {
-        if *ok {
-            out.note("bit_identical: true".to_string());
-        } else {
-            out.regress(
-                "bit_identical: false (planned execution diverged from serial)".to_string(),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfta_telemetry::{ScalarPoint, ScalarStream, SentinelKind};
+    use crate::record::tests::{kernels_file, mem_report, plan_file, serve_file};
+    use crate::record::{diff_records, load, Doc, Loaded, Record, KERNELS};
+    use hfta_telemetry::{RunReport, ScalarPoint, ScalarStream, SentinelKind};
 
     fn exp_with_losses(name: &str, losses: &[(u64, f64)]) -> ExperimentReport {
         ExperimentReport {
@@ -749,10 +202,14 @@ mod tests {
         }
     }
 
+    fn diff_reports(base: &RunReport, cand: &RunReport) -> DiffOutcome {
+        diff_runs(&RunSummary::of(base), &RunSummary::of(cand))
+    }
+
     #[test]
     fn identical_reports_do_not_regress() {
         let a = run(vec![exp_with_losses("e", &[(0, 1.0), (1, 2.0)])]);
-        let out = diff_reports(&a, &a.clone(), &DiffCfg::default());
+        let out = diff_reports(&a, &a.clone());
         assert!(!out.regressed(), "{:?}", out.regressions);
         assert_eq!(out.lines.len(), 2);
     }
@@ -761,11 +218,22 @@ mod tests {
     fn loss_drift_and_lost_streams_regress() {
         let a = run(vec![exp_with_losses("e", &[(0, 1.0), (1, 2.0)])]);
         let drift = run(vec![exp_with_losses("e", &[(0, 1.0), (1, 2.5)])]);
-        assert!(diff_reports(&a, &drift, &DiffCfg::default()).regressed());
+        assert!(diff_reports(&a, &drift).regressed());
         let lost = run(vec![exp_with_losses("e", &[(0, 1.0)])]);
-        assert!(diff_reports(&a, &lost, &DiffCfg::default()).regressed());
+        assert!(diff_reports(&a, &lost).regressed());
         let gone = run(vec![]);
-        assert!(diff_reports(&a, &gone, &DiffCfg::default()).regressed());
+        assert!(diff_reports(&a, &gone).regressed());
+        // A stream that lost a point regresses even with the same final loss.
+        let mut longer = a.clone();
+        longer.experiments[0].scalars[0].points.insert(
+            0,
+            ScalarPoint {
+                step: 0,
+                value: 9.0,
+            },
+        );
+        let out = diff_reports(&longer, &a);
+        assert!(out.regressions[0].contains("has 1 points, expected 2"));
     }
 
     #[test]
@@ -773,9 +241,9 @@ mod tests {
         // The vendored JSON round-trips non-finite values through `null`,
         // so a poisoned model's NaN loss must diff clean against itself.
         let a = run(vec![exp_with_losses("e", &[(0, f64::NAN)])]);
-        assert!(!diff_reports(&a, &a.clone(), &DiffCfg::default()).regressed());
+        assert!(!diff_reports(&a, &a.clone()).regressed());
         let healthy = run(vec![exp_with_losses("e", &[(0, 1.0)])]);
-        assert!(diff_reports(&a, &healthy, &DiffCfg::default()).regressed());
+        assert!(diff_reports(&a, &healthy).regressed());
     }
 
     #[test]
@@ -789,241 +257,158 @@ mod tests {
             value: f64::NAN,
             quarantined: true,
         });
-        let out = diff_reports(
-            &run(vec![base.clone()]),
-            &run(vec![cand.clone()]),
-            &DiffCfg::default(),
-        );
+        let out = diff_reports(&run(vec![base.clone()]), &run(vec![cand.clone()]));
         assert!(out.regressed());
         // Swapped direction: the fault cleared — informational only.
         std::mem::swap(&mut base, &mut cand);
-        let out = diff_reports(&run(vec![base]), &run(vec![cand]), &DiffCfg::default());
+        let out = diff_reports(&run(vec![base]), &run(vec![cand]));
         assert!(!out.regressed());
         assert!(out.lines.iter().any(|l| l.contains("cleared")));
     }
 
     #[test]
-    fn throughput_gate_only_fires_when_configured() {
+    fn throughput_and_wall_time_never_enter_the_diff() {
         let mk = |eps: f64| {
             let mut e = exp_with_losses("e", &[(0, 1.0)]);
+            e.wall_ms = 1e6 / eps;
             e.gauges.push(hfta_telemetry::CounterSample {
                 name: "hfta4/throughput_eps".into(),
                 value: eps,
             });
             run(vec![e])
         };
-        let base = mk(1000.0);
-        let slow = mk(850.0); // 15% drop
-        assert!(!diff_reports(&base, &slow, &DiffCfg::default()).regressed());
-        let gated = DiffCfg {
-            max_regress_pct: Some(10.0),
-            ..DiffCfg::default()
-        };
-        assert!(diff_reports(&base, &slow, &gated).regressed());
-        assert!(!diff_reports(&base, &mk(950.0), &gated).regressed());
+        let (base, slow) = (mk(1000.0), mk(100.0));
+        assert_eq!(RunSummary::of(&base), RunSummary::of(&slow));
+        assert!(!diff_reports(&base, &slow).regressed());
     }
 
-    fn bench_json(gflops: f64, speedup: f64) -> Value {
-        let text = format!(
-            r#"{{"records": [{{"op": "gemm", "shape": "64x64", "backend": "blocked",
-                 "threads": 4, "ns_per_iter": 10.0, "gflops": {gflops}}}],
-                "fused_conv_speedup": {speedup}, "scope_overhead_pct": 1.0}}"#
+    /// A full report, its summary, and the summary's JSON all diff alike:
+    /// the committed goldens are summaries, candidates are full reports.
+    #[test]
+    fn summary_and_full_report_diffs_print_the_same_lines() {
+        let mut exp = exp_with_losses("e", &[(0, 1.0), (1, f64::NAN)]);
+        exp.sentinels.push(hfta_telemetry::SentinelEvent {
+            step: 1,
+            model: 1,
+            kind: SentinelKind::NonFiniteLoss,
+            value: f64::NAN,
+            quarantined: true,
+        });
+        let base = run(vec![exp.clone()]);
+        exp.scalars[0].points[0].value = 1.5;
+        exp.sentinels.clear();
+        let cand = run(vec![exp]);
+        let load_run = |text: String| match load(&text).unwrap() {
+            Loaded::Run(summary) => summary,
+            Loaded::Records(d) => panic!("loaded as {}", d.kind()),
+        };
+        let full = |r: &RunReport| load_run(serde_json::to_string(r).unwrap());
+        let summarized = |r: &RunReport| load_run(serde_json::to_string(&full(r)).unwrap());
+        let a = diff_runs(&full(&base), &full(&cand));
+        let b = diff_runs(&summarized(&base), &full(&cand));
+        assert!(a.regressed());
+        assert_eq!(
+            (a.lines, a.regressions),
+            (b.lines.clone(), b.regressions.clone())
         );
-        serde_json::from_str(&text).unwrap()
+        let c = diff_runs(&full(&base), &summarized(&cand));
+        assert_eq!((b.lines, b.regressions), (c.lines, c.regressions));
+    }
+
+    fn diff<T: Record>(base: &T, cand: &T) -> DiffOutcome {
+        diff_records(&Doc::of(base), &Doc::of(cand)).unwrap()
     }
 
     #[test]
     fn bench_diff_gates_ten_percent_throughput_regressions() {
-        let base = bench_json(100.0, 2.0);
-        // 12% gflops drop: over the default 10% budget.
-        let out = diff_bench(&base, &bench_json(88.0, 2.0), &DiffCfg::default());
-        assert!(out.regressed());
-        // 5% drop passes by default but fails a 2% budget.
-        let out = diff_bench(&base, &bench_json(95.0, 2.0), &DiffCfg::default());
-        assert!(!out.regressed());
-        let tight = DiffCfg {
-            max_regress_pct: Some(2.0),
-            ..DiffCfg::default()
-        };
-        assert!(diff_bench(&base, &bench_json(95.0, 2.0), &tight).regressed());
+        let base = kernels_file(100.0, 2.0);
+        // 12% gflops drop: over the 10% bound.
+        let out = diff(&base, &kernels_file(88.0, 2.0));
+        assert_eq!(out.regressions.len(), 1);
+        assert!(out.regressions[0].starts_with("gemm/a/auto@4T gflops:"));
+        // A 5% drop is within it.
+        assert!(!diff(&base, &kernels_file(95.0, 2.0)).regressed());
         // The headline speedup gates too.
-        assert!(diff_bench(&base, &bench_json(100.0, 1.5), &DiffCfg::default()).regressed());
+        let out = diff(&base, &kernels_file(100.0, 1.5));
+        assert!(out.regressions[0].starts_with("fused_conv_speedup:"));
     }
 
     #[test]
     fn bench_diff_gates_scope_overhead_budget() {
-        let base = bench_json(100.0, 2.0);
-        let mut cand = bench_json(100.0, 2.0);
-        if let Value::Object(fields) = &mut cand {
-            for (k, v) in fields.iter_mut() {
-                if k == "scope_overhead_pct" {
-                    *v = Value::F64(7.5);
-                }
-            }
-        }
-        let out = diff_bench(&base, &cand, &DiffCfg::default());
+        let base = kernels_file(100.0, 2.0);
+        let mut cand = kernels_file(100.0, 2.0);
+        cand.scope_overhead_pct = 7.5;
+        let out = diff(&base, &cand);
         assert!(out.regressed());
         assert!(out.regressions[0].contains("scope_overhead_pct"));
-    }
-
-    #[test]
-    fn bench_diff_tolerates_records_without_backend_columns() {
-        // A pre-backend-matrix bench file: records carry neither `backend`
-        // nor `threads` (nor `bytes_per_iter`). It must diff clean against
-        // itself via the fallback key rather than being silently dropped.
-        let old: Value = serde_json::from_str(
-            r#"{"records": [{"op": "gemm", "shape": "64x64", "ns_per_iter": 10.0,
-                 "gflops": 100.0}], "fused_conv_speedup": 2.0}"#,
-        )
-        .unwrap();
-        let out = diff_bench(&old, &old.clone(), &DiffCfg::default());
-        assert!(!out.regressed(), "{:?}", out.regressions);
-        assert!(out.lines.iter().any(|l| l.contains("gemm/64x64/?@?T")));
-        // Old baseline vs new-format candidate: the `?` backend column is
-        // absent from the candidate — informational, not gating.
-        let out = diff_bench(&old, &bench_json(100.0, 2.0), &DiffCfg::default());
-        assert!(!out.regressed(), "{:?}", out.regressions);
-        assert!(out
-            .lines
-            .iter()
-            .any(|l| l.contains("absent from candidate")));
-    }
-
-    #[test]
-    fn bench_diff_skips_absent_backend_columns_but_gates_within_present_ones() {
-        let two_backends: Value = serde_json::from_str(
-            r#"{"records": [
-                 {"op": "gemm", "shape": "a", "backend": "blocked", "threads": 1, "gflops": 50.0},
-                 {"op": "gemm", "shape": "a", "backend": "simd", "threads": 1, "gflops": 150.0}]}"#,
-        )
-        .unwrap();
-        // Candidate ran on a host without AVX2: simd rows absent entirely.
-        let blocked_only: Value = serde_json::from_str(
-            r#"{"records": [
-                 {"op": "gemm", "shape": "a", "backend": "blocked", "threads": 1, "gflops": 50.0}]}"#,
-        )
-        .unwrap();
-        let out = diff_bench(&two_backends, &blocked_only, &DiffCfg::default());
-        assert!(!out.regressed(), "{:?}", out.regressions);
-        assert!(out
-            .lines
-            .iter()
-            .any(|l| l.contains("simd") && l.contains("absent")));
-        // But losing one record of a backend the candidate does report gates.
-        let missing_shape: Value = serde_json::from_str(
-            r#"{"records": [
-                 {"op": "gemm", "shape": "b", "backend": "blocked", "threads": 1, "gflops": 50.0},
-                 {"op": "gemm", "shape": "a", "backend": "simd", "threads": 1, "gflops": 150.0}]}"#,
-        )
-        .unwrap();
-        let out = diff_bench(&two_backends, &missing_shape, &DiffCfg::default());
-        assert!(out.regressed());
-        assert!(out.regressions[0].contains("blocked@1T"));
+        // The bound is absolute: a base already over it does not excuse it.
+        assert!(diff(&cand, &cand).regressed());
     }
 
     #[test]
     fn bench_diff_gates_scaling_efficiency_only_when_both_report_it() {
-        let with_scaling = |eff: f64| -> Value {
-            serde_json::from_str(&format!(
-                r#"{{"records": [], "scaling_efficiency": [
-                     {{"op": "gemm", "shape": "a", "scaling_efficiency": {eff}}}]}}"#
-            ))
-            .unwrap()
-        };
-        // A 20% efficiency drop gates at the default 10% budget.
-        let out = diff_bench(&with_scaling(3.0), &with_scaling(2.4), &DiffCfg::default());
+        let base = kernels_file(100.0, 2.0);
+        // A 20% efficiency drop gates at the 10% bound.
+        let mut cand = kernels_file(100.0, 2.0);
+        cand.scaling_efficiency[0].scaling_efficiency = 2.4;
+        let out = diff(&base, &cand);
         assert!(out.regressed());
         assert!(out.regressions[0].contains("scaling:gemm/a"));
-        // Candidate predates the field: skipped, not regressed.
-        let old: Value = serde_json::from_str(r#"{"records": []}"#).unwrap();
-        let out = diff_bench(&with_scaling(3.0), &old, &DiffCfg::default());
+        // A 1-CPU candidate cannot measure scaling: skipped, not regressed.
+        cand.scaling_efficiency.clear();
+        let out = diff(&base, &cand);
         assert!(!out.regressed(), "{:?}", out.regressions);
-    }
-
-    fn mem_json(peak: f64, savings: f64, fresh: f64) -> Value {
-        let text = format!(
-            r#"{{"records": [
-                 {{"model": "dcgan_d", "b": 1, "peak_bytes": 100000.0,
-                   "savings_ratio": 1.0, "steady_fresh_allocs": 0}},
-                 {{"model": "dcgan_d", "b": 4, "peak_bytes": {peak},
-                   "savings_ratio": {savings}, "steady_fresh_allocs": {fresh}}}]}}"#
-        );
-        serde_json::from_str(&text).unwrap()
     }
 
     #[test]
     fn mem_diff_gates_peak_growth_and_savings_drop() {
-        let base = mem_json(300000.0, 1.33, 0.0);
+        let base = mem_report(300_000, 1.33, 0);
         // Identical: clean, with informational lines for both fields.
-        let out = diff_bench(&base, &mem_json(300000.0, 1.33, 0.0), &DiffCfg::default());
+        let out = diff(&base, &mem_report(300_000, 1.33, 0));
         assert!(!out.regressed(), "{:?}", out.regressions);
         assert!(out.lines.iter().any(|l| l.contains("peak_bytes")));
-        // 20% peak growth: over the default 10% budget.
-        let out = diff_bench(&base, &mem_json(360000.0, 1.33, 0.0), &DiffCfg::default());
+        // 20% peak growth: over the 10% bound; 5% is within it.
+        let out = diff(&base, &mem_report(360_000, 1.33, 0));
         assert!(out.regressed());
-        assert!(out.regressions[0].contains("peak_bytes"));
-        // 5% growth passes by default but fails a 2% budget.
-        assert!(
-            !diff_bench(&base, &mem_json(315000.0, 1.33, 0.0), &DiffCfg::default()).regressed()
-        );
-        let tight = DiffCfg {
-            max_mem_regress_pct: Some(2.0),
-            ..DiffCfg::default()
-        };
-        assert!(diff_bench(&base, &mem_json(315000.0, 1.33, 0.0), &tight).regressed());
+        assert!(out.regressions[0].contains("mem:dcgan_d/B=4 peak_bytes"));
+        assert!(!diff(&base, &mem_report(315_000, 1.33, 0)).regressed());
         // Savings ratio dropping 15% regresses; rising never does.
-        let out = diff_bench(&base, &mem_json(300000.0, 1.13, 0.0), &DiffCfg::default());
+        let out = diff(&base, &mem_report(300_000, 1.13, 0));
         assert!(out.regressed());
         assert!(out.regressions[0].contains("savings_ratio"));
-        assert!(
-            !diff_bench(&base, &mem_json(300000.0, 1.50, 0.0), &DiffCfg::default()).regressed()
-        );
+        assert!(!diff(&base, &mem_report(300_000, 1.50, 0)).regressed());
     }
 
     #[test]
     fn mem_diff_fresh_allocs_gate_is_absolute() {
-        let base = mem_json(300000.0, 1.33, 0.0);
-        let out = diff_bench(&base, &mem_json(300000.0, 1.33, 2.0), &DiffCfg::default());
+        let base = mem_report(300_000, 1.33, 0);
+        let out = diff(&base, &mem_report(300_000, 1.33, 2));
         assert!(out.regressed());
-        assert!(out.regressions[0].contains("fresh allocations"));
+        assert!(out.regressions[0].contains("steady_fresh_allocs"));
     }
 
     #[test]
     fn mem_diff_flags_missing_records_and_skips_kernel_records() {
-        let base = mem_json(300000.0, 1.33, 0.0);
-        let only_b1: Value = serde_json::from_str(
-            r#"{"records": [{"model": "dcgan_d", "b": 1, "peak_bytes": 100000.0,
-                 "savings_ratio": 1.0, "steady_fresh_allocs": 0}]}"#,
-        )
-        .unwrap();
-        let out = diff_bench(&base, &only_b1, &DiffCfg::default());
+        let base = mem_report(300_000, 1.33, 0);
+        let mut only_b1 = mem_report(300_000, 1.33, 0);
+        only_b1.records.pop();
+        let out = diff(&base, &only_b1);
         assert!(out
             .regressions
             .iter()
             .any(|r| r.contains("mem:dcgan_d/B=4") && r.contains("missing")));
-        // Kernel bench files have no mem fields: the mem gate stays silent.
-        let kernels = bench_json(100.0, 2.0);
-        let out = diff_bench(&kernels, &bench_json(100.0, 2.0), &DiffCfg::default());
+        // A kernel bench diff says nothing about memory.
+        let kernels = kernels_file(100.0, 2.0);
+        let out = diff(&kernels, &kernels);
         assert!(!out.regressed(), "{:?}", out.regressions);
         assert!(!out.lines.iter().any(|l| l.contains("mem:")));
     }
 
-    fn serve_json(p50: f64, p99: f64, occ: f64) -> Value {
-        let text = format!(
-            r#"{{"records": [
-                 {{"policy": "static", "queue_wait_p50_us": 900.0,
-                   "queue_wait_p99_us": 4000.0, "occupancy": 0.50}},
-                 {{"policy": "fair-share", "queue_wait_p50_us": {p50},
-                   "queue_wait_p99_us": {p99}, "occupancy": {occ}}}]}}"#
-        );
-        serde_json::from_str(&text).unwrap()
-    }
-
     #[test]
     fn serve_diff_gates_queue_latency_growth_and_occupancy_drop() {
-        let base = serve_json(500.0, 2000.0, 0.60);
+        let base = serve_file(500.0, 2000.0, 0.60);
         // Identical: clean, with informational lines for all three gauges.
-        let out = diff_bench(&base, &serve_json(500.0, 2000.0, 0.60), &DiffCfg::default());
+        let out = diff(&base, &serve_file(500.0, 2000.0, 0.60));
         assert!(!out.regressed(), "{:?}", out.regressions);
         assert!(out
             .lines
@@ -1033,178 +418,97 @@ mod tests {
             .lines
             .iter()
             .any(|l| l.contains("serve:static occupancy")));
-        // 25% p99 growth: over the default 10% budget.
-        let out = diff_bench(&base, &serve_json(500.0, 2500.0, 0.60), &DiffCfg::default());
+        // 25% p99 growth: over the 10% bound; 5% is within it.
+        let out = diff(&base, &serve_file(500.0, 2500.0, 0.60));
         assert!(out.regressed());
         assert!(out.regressions[0].contains("queue_wait_p99_us"));
+        assert!(!diff(&base, &serve_file(500.0, 2100.0, 0.60)).regressed());
         // p50 gates too.
-        let out = diff_bench(&base, &serve_json(600.0, 2000.0, 0.60), &DiffCfg::default());
+        let out = diff(&base, &serve_file(600.0, 2000.0, 0.60));
         assert!(out.regressed());
         assert!(out.regressions[0].contains("queue_wait_p50_us"));
-        // 5% growth passes by default but fails a 2% budget.
-        assert!(
-            !diff_bench(&base, &serve_json(500.0, 2100.0, 0.60), &DiffCfg::default()).regressed()
-        );
-        let tight = DiffCfg {
-            max_regress_pct: Some(2.0),
-            ..DiffCfg::default()
-        };
-        assert!(diff_bench(&base, &serve_json(500.0, 2100.0, 0.60), &tight).regressed());
         // Occupancy dropping 20% regresses; improving latency never does.
-        let out = diff_bench(&base, &serve_json(500.0, 2000.0, 0.48), &DiffCfg::default());
+        let out = diff(&base, &serve_file(500.0, 2000.0, 0.48));
         assert!(out.regressed());
         assert!(out.regressions[0].contains("occupancy"));
-        assert!(
-            !diff_bench(&base, &serve_json(300.0, 1000.0, 0.80), &DiffCfg::default()).regressed()
-        );
+        assert!(!diff(&base, &serve_file(300.0, 1000.0, 0.80)).regressed());
     }
 
     #[test]
     fn serve_diff_flags_missing_policy_and_skips_other_records() {
-        let base = serve_json(500.0, 2000.0, 0.60);
-        let static_only: Value = serde_json::from_str(
-            r#"{"records": [{"policy": "static", "queue_wait_p50_us": 900.0,
-                 "queue_wait_p99_us": 4000.0, "occupancy": 0.50}]}"#,
-        )
-        .unwrap();
-        let out = diff_bench(&base, &static_only, &DiffCfg::default());
+        let base = serve_file(500.0, 2000.0, 0.60);
+        let mut static_only = serve_file(500.0, 2000.0, 0.60);
+        static_only.records.pop();
+        let out = diff(&base, &static_only);
         assert!(out
             .regressions
             .iter()
             .any(|r| r.contains("serve:fair-share") && r.contains("missing")));
-        // Kernel and memory bench files have no serve fields: stay silent.
-        let out = diff_bench(
-            &mem_json(300000.0, 1.33, 0.0),
-            &mem_json(300000.0, 1.33, 0.0),
-            &DiffCfg::default(),
-        );
+        // A memory bench diff says nothing about serving.
+        let mem = mem_report(300_000, 1.33, 0);
+        let out = diff(&mem, &mem);
         assert!(!out.lines.iter().any(|l| l.contains("serve:")));
-    }
-
-    fn plan_json(fused_us: f64, speedup: f64, fraction: f64, bit_identical: bool) -> Value {
-        let text = format!(
-            r#"{{"records": [
-                 {{"plan": "serial", "sim_step_us": 34607.5, "wall_ms": 100.0,
-                   "steps_per_s": 10.0}},
-                 {{"plan": "partial-fusion", "sim_step_us": {fused_us},
-                   "wall_ms": 90.0, "steps_per_s": 11.0}}],
-                 "partial_fusion_speedup": {speedup},
-                 "fused_fraction": {fraction},
-                 "bit_identical": {bit_identical}}}"#
-        );
-        serde_json::from_str(&text).unwrap()
     }
 
     #[test]
     fn plan_diff_gates_sim_step_growth_and_speedup_drop() {
-        let base = plan_json(12417.7, 2.79, 0.824, true);
+        let base = plan_file(12417.7, 2.79, 0.824, true);
         // Identical: clean, with informational lines for every gauge.
-        let out = diff_bench(
-            &base,
-            &plan_json(12417.7, 2.79, 0.824, true),
-            &DiffCfg::default(),
-        );
+        let out = diff(&base, &plan_file(12417.7, 2.79, 0.824, true));
         assert!(!out.regressed(), "{:?}", out.regressions);
         assert!(out
             .lines
             .iter()
             .any(|l| l.contains("plan:partial-fusion sim_step_us")));
         assert!(out.lines.iter().any(|l| l.contains("fused_fraction")));
-        // 20% simulated-step growth: over the default 10% budget.
-        let out = diff_bench(
-            &base,
-            &plan_json(14901.2, 2.79, 0.824, true),
-            &DiffCfg::default(),
-        );
+        // 20% simulated-step growth: over the 10% bound; 5% is within it.
+        let out = diff(&base, &plan_file(14901.2, 2.79, 0.824, true));
         assert!(out.regressed());
         assert!(out.regressions[0].contains("sim_step_us"));
-        // 5% growth passes by default but fails a 2% budget.
-        assert!(!diff_bench(
-            &base,
-            &plan_json(13038.6, 2.79, 0.824, true),
-            &DiffCfg::default()
-        )
-        .regressed());
-        let tight = DiffCfg {
-            max_regress_pct: Some(2.0),
-            ..DiffCfg::default()
-        };
-        assert!(diff_bench(&base, &plan_json(13038.6, 2.79, 0.824, true), &tight).regressed());
+        assert!(!diff(&base, &plan_file(13038.6, 2.79, 0.824, true)).regressed());
         // Speedup dropping 15% regresses; a faster plan never does.
-        let out = diff_bench(
-            &base,
-            &plan_json(12417.7, 2.37, 0.824, true),
-            &DiffCfg::default(),
-        );
+        let out = diff(&base, &plan_file(12417.7, 2.37, 0.824, true));
         assert!(out.regressed());
         assert!(out.regressions[0].contains("partial_fusion_speedup"));
-        assert!(!diff_bench(
-            &base,
-            &plan_json(11000.0, 3.10, 0.824, true),
-            &DiffCfg::default()
-        )
-        .regressed());
+        assert!(!diff(&base, &plan_file(11000.0, 3.10, 0.824, true)).regressed());
     }
 
     #[test]
     fn plan_diff_fused_fraction_and_bit_identity_gates_are_absolute() {
-        let base = plan_json(12417.7, 2.79, 0.824, true);
+        let base = plan_file(12417.7, 2.79, 0.824, true);
         // Any fused-fraction shrink regresses, however small.
-        let out = diff_bench(
-            &base,
-            &plan_json(12417.7, 2.79, 0.823, true),
-            &DiffCfg::default(),
-        );
+        let out = diff(&base, &plan_file(12417.7, 2.79, 0.823, true));
         assert!(out.regressed());
         assert!(out.regressions[0].contains("fused_fraction"));
         // Growing is fine.
-        assert!(!diff_bench(
-            &base,
-            &plan_json(12417.7, 2.79, 0.900, true),
-            &DiffCfg::default()
-        )
-        .regressed());
+        assert!(!diff(&base, &plan_file(12417.7, 2.79, 0.900, true)).regressed());
         // A candidate that lost bit-identity always regresses.
-        let out = diff_bench(
-            &base,
-            &plan_json(12417.7, 2.79, 0.824, false),
-            &DiffCfg::default(),
-        );
+        let out = diff(&base, &plan_file(12417.7, 2.79, 0.824, false));
         assert!(out.regressed());
         assert!(out.regressions[0].contains("bit_identical"));
     }
 
     #[test]
     fn plan_diff_flags_missing_plan_and_skips_other_records() {
-        let base = plan_json(12417.7, 2.79, 0.824, true);
-        let serial_only: Value = serde_json::from_str(
-            r#"{"records": [{"plan": "serial", "sim_step_us": 34607.5,
-                 "wall_ms": 100.0, "steps_per_s": 10.0}]}"#,
-        )
-        .unwrap();
-        let out = diff_bench(&base, &serial_only, &DiffCfg::default());
+        let base = plan_file(12417.7, 2.79, 0.824, true);
+        let mut serial_only = plan_file(12417.7, 2.79, 0.824, true);
+        serial_only.records.pop();
+        let out = diff(&base, &serial_only);
         assert!(out
             .regressions
             .iter()
             .any(|r| r.contains("plan:partial-fusion") && r.contains("missing")));
-        // Kernel, memory and serve bench files have no plan fields: silent.
-        let out = diff_bench(
-            &serve_json(500.0, 2000.0, 0.60),
-            &serve_json(500.0, 2000.0, 0.60),
-            &DiffCfg::default(),
-        );
+        // A serve bench diff says nothing about plans.
+        let serve = serve_file(500.0, 2000.0, 0.60);
+        let out = diff(&serve, &serve);
         assert!(!out.lines.iter().any(|l| l.contains("plan:")));
     }
 
     #[test]
     fn load_report_detects_both_kinds() {
-        assert!(matches!(
-            load_report(r#"{"records": [], "fused_conv_speedup": 1.0}"#),
-            Ok(LoadedReport::Bench(_))
-        ));
-        let run_json = r#"{"name": "x", "wall_ms": 1.0, "trace_events": 0, "experiments": []}"#;
-        assert!(matches!(load_report(run_json), Ok(LoadedReport::Run(_))));
-        assert!(load_report(r#"{"something": 1}"#).is_err());
-        assert!(load_report("not json").is_err());
+        let bench = serde_json::to_string(&kernels_file(100.0, 2.0)).unwrap();
+        assert!(matches!(load(&bench), Ok(Loaded::Records(d)) if d.kind() == KERNELS.name));
+        let run_json = serde_json::to_string(&run(vec![])).unwrap();
+        assert!(matches!(load(&run_json), Ok(Loaded::Run(_))));
     }
 }

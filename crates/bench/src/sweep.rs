@@ -232,17 +232,20 @@ pub fn linear_regression(points: &[(f64, f64)]) -> (f64, f64) {
     (slope, intercept)
 }
 
-/// Markdown-ish table printer shared by the harness binaries.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n## {title}\n");
-    println!("| {} |", header.join(" | "));
-    println!(
-        "|{}|",
-        header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
+/// Appends a markdown-ish table, the form every harness prints, to `out`.
+pub fn push_table(out: &mut String, title: &str, header: &[&str], rows: &[Vec<String>]) {
+    out.push_str(&format!("\n## {title}\n\n| {} |\n", header.join(" | ")));
+    out.push_str(&format!("|{}|\n", vec!["---"; header.len()].join("|")));
     for row in rows {
-        println!("| {} |", row.join(" | "));
+        out.push_str(&format!("| {} |\n", row.join(" | ")));
     }
+}
+
+/// Prints a [`push_table`] table to stdout.
+pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+    let mut out = String::new();
+    push_table(&mut out, title, header, rows);
+    print!("{out}");
 }
 
 #[cfg(test)]

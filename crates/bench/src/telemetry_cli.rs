@@ -1,8 +1,9 @@
-//! Shared `--trace <dir>` support for the figure/table binaries.
+//! Shared `--trace <dir>` support for the bench binaries.
 //!
-//! Every harness accepts `--trace <dir>` (or `--trace=<dir>`): when given,
-//! a [`Profiler`] is installed for the duration of the run and two files
-//! are written on exit —
+//! Every harness accepts `--trace <dir>` (or `--trace=<dir>`, parsed by
+//! [`CommonArgs`](crate::cli::CommonArgs)): when given, a [`Profiler`] is
+//! installed for the duration of the run and three files are written on
+//! exit —
 //!
 //! * `<dir>/<bin>.trace.json` — Chrome trace-event JSON, loadable in
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`;
@@ -12,7 +13,7 @@
 //! * `<dir>/<bin>.flight.jsonl` — the hfta-flight journal (one
 //!   [`JournalLine`](hfta_telemetry::JournalLine) per line): ring-buffer
 //!   spill-over during the run plus the in-memory tail flushed on exit.
-//!   `flight_report` and `hfta_top` read this file.
+//!   `hfta_report flight` and `hfta_report top` read this file.
 //!
 //! Without the flag nothing is installed and the instrumented code paths
 //! stay on their single-branch disabled fast path.
@@ -24,7 +25,9 @@ use hfta_telemetry::{InstallGuard, Profiler};
 
 /// An optionally-active telemetry session for one benchmark binary.
 ///
-/// Construct it first thing in `main`, run the workload, then call
+/// Construct it first thing in `main` (via
+/// [`CommonArgs::trace_session`](crate::cli::CommonArgs::trace_session)),
+/// run the workload, then call
 /// [`TraceSession::finish`] (fallible mains) or
 /// [`TraceSession::finish_or_exit`] (infallible mains) last.
 pub struct TraceSession {
@@ -39,37 +42,6 @@ struct Active {
 }
 
 impl TraceSession {
-    /// Parses `--trace <dir>` / `--trace=<dir>` out of the process
-    /// arguments. All other arguments are ignored (the harnesses take
-    /// none). Exits with status 2 if `--trace` is given without a value.
-    pub fn from_args(bin: &str) -> TraceSession {
-        Self::from_iter(bin, std::env::args().skip(1))
-    }
-
-    /// Like [`TraceSession::from_args`] but over an explicit argument
-    /// list (testable).
-    pub fn from_iter(bin: &str, args: impl IntoIterator<Item = String>) -> TraceSession {
-        let mut args = args.into_iter();
-        let mut dir = None;
-        while let Some(a) = args.next() {
-            if a == "--trace" {
-                match args.next() {
-                    Some(d) => dir = Some(PathBuf::from(d)),
-                    None => {
-                        eprintln!("error: --trace requires a directory argument");
-                        std::process::exit(2);
-                    }
-                }
-            } else if let Some(rest) = a.strip_prefix("--trace=") {
-                dir = Some(PathBuf::from(rest));
-            }
-        }
-        match dir {
-            Some(dir) => TraceSession::active(bin, dir),
-            None => TraceSession::disabled(),
-        }
-    }
-
     /// A session that records nothing and writes nothing.
     pub fn disabled() -> TraceSession {
         TraceSession { inner: None }
@@ -144,10 +116,15 @@ impl TraceSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::CommonArgs;
+
+    fn session(bin: &str, args: Vec<String>) -> TraceSession {
+        CommonArgs::parse_iter(args).unwrap().trace_session(bin)
+    }
 
     #[test]
     fn no_flag_means_disabled() {
-        let s = TraceSession::from_iter("t", Vec::new());
+        let s = session("t", Vec::new());
         assert!(!s.is_active());
         assert!(Profiler::current().is_none());
         assert!(s.finish().unwrap().is_none());
@@ -157,7 +134,7 @@ mod tests {
     fn flag_installs_and_finish_writes_both_files() {
         let dir = std::env::temp_dir().join("hfta-telemetry-cli-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let s = TraceSession::from_iter(
+        let s = session(
             "unit",
             vec!["--trace".to_string(), dir.display().to_string()],
         );
@@ -206,7 +183,7 @@ mod tests {
     fn equals_form_is_accepted() {
         let dir = std::env::temp_dir().join("hfta-telemetry-cli-test-eq");
         let _ = std::fs::remove_dir_all(&dir);
-        let s = TraceSession::from_iter("eq", vec![format!("--trace={}", dir.display())]);
+        let s = session("eq", vec![format!("--trace={}", dir.display())]);
         assert!(s.is_active());
         s.finish().unwrap();
         assert!(dir.join("eq.trace.json").exists());

@@ -1,9 +1,10 @@
-//! hfta-probe integration tests: the `probe_report` pipeline on a traced
-//! fused DCGAN-style training step (the ISSUE acceptance case: per-op
-//! roofline classification plus per-lane and per-device utilization must
-//! come out of the trace), perf-history appends from `bench_kernels`, and
-//! the `scope_report --history` drift-gate exit-code contract — 0 on the
-//! committed CI baseline, 1 on an injected ≥10% utilization drop.
+//! hfta-probe integration tests: the `hfta_report roofline` pipeline on a
+//! traced fused DCGAN-style training step (the ISSUE acceptance case:
+//! per-op roofline classification plus per-lane and per-device utilization
+//! must come out of the trace), perf-history appends from `bench_kernels`,
+//! and the `hfta_report history` drift-gate exit-code contract — 0 on the
+//! committed CI baseline, 1 on an injected ≥10% utilization drop or when
+//! the latest record has nothing to drift from.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -70,15 +71,15 @@ fn probe_report_classifies_a_traced_dcgan_step() {
     let db = dir.join("probe_db.json");
     synthetic_db(&db);
 
-    let out = Command::new(env!("CARGO_BIN_EXE_probe_report"))
-        .arg(dir.display().to_string())
+    let out = Command::new(env!("CARGO_BIN_EXE_hfta_report"))
+        .args(["roofline", &dir.display().to_string()])
         .args(["--probe-db", &db.display().to_string()])
         .output()
-        .expect("probe_report runs");
+        .expect("hfta_report runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
-        "probe_report failed: {stdout}\n{}",
+        "hfta_report roofline failed: {stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     // Per-op roofline classification with bound labels.
@@ -119,11 +120,11 @@ fn probe_report_appends_history_records() {
     let history_path = dir.join("history.jsonl");
 
     for _ in 0..2 {
-        let out = Command::new(env!("CARGO_BIN_EXE_probe_report"))
-            .arg(dir.display().to_string())
+        let out = Command::new(env!("CARGO_BIN_EXE_hfta_report"))
+            .args(["roofline", &dir.display().to_string()])
             .args(["--history", &history_path.display().to_string()])
             .output()
-            .expect("probe_report runs");
+            .expect("hfta_report runs");
         assert!(out.status.success());
     }
     let records = PerfHistory::new(&history_path).load().expect("loads");
@@ -149,12 +150,11 @@ fn history_rec(pct: f64) -> HistoryRecord {
     }
 }
 
-fn scope_report_history(path: &Path, extra: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_scope_report"))
-        .args(["--history", &path.display().to_string()])
-        .args(extra)
+fn report_history(path: &Path) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_hfta_report"))
+        .args(["history", &path.display().to_string()])
         .output()
-        .expect("scope_report runs")
+        .expect("hfta_report runs")
 }
 
 #[test]
@@ -163,12 +163,25 @@ fn history_drift_gate_exit_codes() {
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.join("history.jsonl");
     let history = PerfHistory::new(&path);
-    for pct in [60.0, 61.0, 59.5] {
+
+    // A lone record has nothing to drift from: a gate that cannot fail is
+    // reported as such (exit 1), not passed.
+    history.append(&history_rec(60.0)).expect("append");
+    let out = report_history(&path);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "no baseline must fail: {stdout}"
+    );
+    assert!(stdout.contains("no baseline"), "no callout: {stdout}");
+
+    for pct in [61.0, 59.5] {
         history.append(&history_rec(pct)).expect("append");
     }
 
     // Steady utilization: exit 0 and a trajectory table.
-    let out = scope_report_history(&path, &[]);
+    let out = report_history(&path);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
         out.status.code(),
@@ -180,17 +193,13 @@ fn history_drift_gate_exit_codes() {
 
     // An injected >=10% drop vs the trailing median (60) must exit 1.
     history.append(&history_rec(50.0)).expect("append");
-    let out = scope_report_history(&path, &[]);
+    let out = report_history(&path);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "drop must fail: {stdout}");
     assert!(stdout.contains("DRIFT"), "no drift callout: {stdout}");
 
-    // Loosening the tolerance past the drop clears the gate.
-    let out = scope_report_history(&path, &["--max-drift", "25"]);
-    assert_eq!(out.status.code(), Some(0));
-
     // Missing file is a usage error, not a drift.
-    let out = scope_report_history(&dir.join("nope.jsonl"), &[]);
+    let out = report_history(&dir.join("nope.jsonl"));
     assert_eq!(out.status.code(), Some(2));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -199,14 +208,17 @@ fn history_drift_gate_exit_codes() {
 fn committed_history_baseline_passes_the_gate() {
     let golden =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../ci/golden/probe_history.jsonl");
-    let out = scope_report_history(&golden, &[]);
+    let out = report_history(&golden);
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
         out.status.code(),
         Some(0),
-        "committed baseline must stay clean: {}\n{}",
-        String::from_utf8_lossy(&out.stdout),
+        "committed baseline must stay clean: {stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // ...and for a reason: every op of the latest record has a trail.
+    assert!(stdout.contains("<- ["), "no trajectory: {stdout}");
+    assert!(!stdout.contains("no baseline"), "vacuous gate: {stdout}");
 }
 
 #[test]

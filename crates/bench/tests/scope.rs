@@ -1,15 +1,17 @@
 //! hfta-scope integration tests: fused loss streams vs unfused runs
 //! (ISSUE satellite c), the `scope_sweep` trace pipeline, and the
-//! `scope_report --diff` exit-code contract (including the acceptance
-//! case: an injected ≥10% throughput regression must exit non-zero).
+//! `hfta_report diff` exit-code contract (including the acceptance
+//! cases: an injected ≥10% throughput regression must exit 1, a file the
+//! record schema cannot parse must exit 2).
 
-use hfta_bench::scope_report::{load_report, LoadedReport};
+use hfta_bench::record::{KernelRecord, KernelsFile, SCOPE_OVERHEAD_BUDGET_PCT};
 use hfta_core::array::ModelArray;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::FusedLinear;
 use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
 use hfta_core::scope::per_model_ce_losses;
 use hfta_nn::layers::LinearCfg;
+use hfta_telemetry::RunReport;
 use hfta_tensor::{Rng, Tensor};
 use std::path::Path;
 use std::process::Command;
@@ -88,11 +90,11 @@ fn fused_loss_streams_match_unfused_runs() {
     }
 }
 
-fn run_scope_report(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_scope_report"))
+fn hfta_report(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_hfta_report"))
         .args(args)
         .output()
-        .expect("spawn scope_report")
+        .expect("spawn hfta_report")
 }
 
 #[test]
@@ -109,9 +111,7 @@ fn scope_sweep_trace_renders_and_self_diffs_clean() {
     // quarantined sentinel on model 3 at step 1.
     let report_path = dir.join("scope_sweep.report.json");
     let text = std::fs::read_to_string(&report_path).unwrap();
-    let LoadedReport::Run(run) = load_report(&text).unwrap() else {
-        panic!("expected a run report");
-    };
+    let run: RunReport = serde_json::from_str(&text).expect("a run report");
     let exp = &run.experiments[0];
     assert_eq!(exp.scalar_models(), vec![0, 1, 2, 3]);
     for metric in ["loss", "grad_norm", "param_norm", "update_ratio"] {
@@ -123,7 +123,7 @@ fn scope_sweep_trace_renders_and_self_diffs_clean() {
     assert!(exp.sentinels[0].quarantined);
 
     // Health mode renders the quarantine.
-    let health = run_scope_report(&[&dir.display().to_string()]);
+    let health = hfta_report(&["health", &dir.display().to_string()]);
     assert!(health.status.success());
     let stdout = String::from_utf8_lossy(&health.stdout);
     assert!(stdout.contains("nan_grad@1 (quarantined)"), "{stdout}");
@@ -131,7 +131,23 @@ fn scope_sweep_trace_renders_and_self_diffs_clean() {
     // Self-diff is clean (exit 0) despite the NaN grad-norm points the
     // report round-trips through JSON `null`.
     let rp = report_path.display().to_string();
-    assert!(run_scope_report(&["--diff", &rp, &rp]).status.success());
+    assert!(hfta_report(&["diff", &rp, &rp]).status.success());
+
+    // The summary (the committed-golden format) gates like the full report,
+    // line for line.
+    let summary = hfta_report(&["summarize", &rp]);
+    assert!(summary.status.success(), "{summary:?}");
+    let spath = dir.join("summary.report.json");
+    std::fs::write(&spath, &summary.stdout).unwrap();
+    let sp = spath.display().to_string();
+    let full = hfta_report(&["diff", &rp, &rp]);
+    let mixed = hfta_report(&["diff", &sp, &rp]);
+    assert!(mixed.status.success(), "{mixed:?}");
+    let body = |o: &std::process::Output| {
+        let text = String::from_utf8_lossy(&o.stdout).into_owned();
+        text.lines().skip(1).map(str::to_string).collect::<Vec<_>>()
+    };
+    assert_eq!(body(&full), body(&mixed));
 
     // A drifted loss fails the diff (exit 1).
     let mut tampered = run.clone();
@@ -146,23 +162,38 @@ fn scope_sweep_trace_renders_and_self_diffs_clean() {
         .value += 0.5;
     let tpath = dir.join("tampered.report.json");
     std::fs::write(&tpath, serde_json::to_string_pretty(&tampered).unwrap()).unwrap();
-    let diff = run_scope_report(&["--diff", &rp, &tpath.display().to_string()]);
+    let tp = tpath.display().to_string();
+    let diff = hfta_report(&["diff", &rp, &tp]);
     assert_eq!(diff.status.code(), Some(1), "{diff:?}");
+    assert_eq!(hfta_report(&["diff", &sp, &tp]).status.code(), Some(1));
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn bench_file(gflops: f64) -> String {
-    format!(
-        r#"{{"records": [{{"op": "gemm", "shape": "64x64", "backend": "blocked",
-             "threads": 4, "ns_per_iter": 10.0, "gflops": {gflops}}}],
-            "fused_conv_speedup": 2.0, "scope_overhead_pct": 0.5}}"#
-    )
+    let file = KernelsFile {
+        host_cpus: 4,
+        cpu_model: "test".into(),
+        simd_available: true,
+        records: vec![KernelRecord {
+            op: "gemm".into(),
+            shape: "64x64".into(),
+            backend: "auto".into(),
+            threads: 4,
+            ns_per_iter: 10.0,
+            gflops,
+            bytes_per_iter: 49152.0,
+        }],
+        scaling_efficiency: vec![],
+        fused_conv_speedup: 2.0,
+        scope_overhead_pct: 0.5,
+    };
+    serde_json::to_string_pretty(&file).unwrap()
 }
 
 /// ISSUE acceptance: injecting a ≥10% throughput regression into one of
-/// two otherwise-identical BENCH_*.json files makes `scope_report --diff`
-/// exit non-zero.
+/// two otherwise-identical BENCH_*.json files makes `hfta_report diff`
+/// exit 1, naming the record and field.
 #[test]
 fn diff_cli_fails_on_injected_throughput_regression() {
     let dir = std::env::temp_dir().join("hfta-scope-diff-test");
@@ -180,18 +211,55 @@ fn diff_cli_fails_on_injected_throughput_regression() {
         slow.display().to_string(),
     );
 
-    assert!(run_scope_report(&["--diff", &base, &same]).status.success());
-    let regressed = run_scope_report(&["--diff", &base, &slow]);
+    assert!(hfta_report(&["diff", &base, &same]).status.success());
+    let regressed = hfta_report(&["diff", &base, &slow]);
     assert_eq!(regressed.status.code(), Some(1), "{regressed:?}");
-    // The budget is configurable: 12% passes a 20% gate.
+    let stdout = String::from_utf8_lossy(&regressed.stdout);
     assert!(
-        run_scope_report(&["--diff", &base, &slow, "--max-regress", "20"])
-            .status
-            .success()
+        stdout.contains("REGRESSION: gemm/64x64/auto@4T gflops"),
+        "{stdout}"
     );
-    // Usage errors exit 2.
-    assert_eq!(run_scope_report(&["--diff", &base]).status.code(), Some(2));
+    // Usage errors exit 2; the bounds are constants, not flags.
+    assert_eq!(hfta_report(&["diff", &base]).status.code(), Some(2));
+    let flagged = hfta_report(&["diff", &base, &slow, "--bound", "20"]);
+    assert_eq!(flagged.status.code(), Some(2));
+    assert_eq!(hfta_report(&["frobnicate", &base]).status.code(), Some(2));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A bench file whose records the schema cannot parse must be a typed
+/// error naming the field (exit 2) — the same field renamed on both sides
+/// used to drop every record from the diff and print `no regressions`.
+#[test]
+fn diff_cli_rejects_a_file_with_a_renamed_field() {
+    let dir = std::env::temp_dir().join("hfta-scope-renamed-field-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = dir.join("BENCH_serve.json");
+    let serve = Command::new(env!("CARGO_BIN_EXE_bench_serve"))
+        .args(["--quick", "--bench-json", &good.display().to_string()])
+        .output()
+        .expect("spawn bench_serve");
+    assert!(serve.status.success(), "bench_serve failed: {serve:?}");
+    let good_path = good.display().to_string();
+    assert!(hfta_report(&["diff", &good_path, &good_path])
+        .status
+        .success());
+
+    let text = std::fs::read_to_string(&good).unwrap();
+    assert!(text.contains("\"occupancy\""));
+    let renamed = dir.join("renamed.json");
+    std::fs::write(
+        &renamed,
+        text.replace("\"occupancy\"", "\"fleet_occupancy\""),
+    )
+    .unwrap();
+    let renamed = renamed.display().to_string();
+    let out = hfta_report(&["diff", &renamed, &renamed]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("missing field `occupancy`"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -201,15 +269,10 @@ fn diff_cli_fails_on_injected_throughput_regression() {
 fn committed_bench_json_has_scope_overhead_under_budget() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernels.json");
     let text = std::fs::read_to_string(&path).unwrap();
-    let LoadedReport::Bench(v) = load_report(&text).unwrap() else {
-        panic!("expected a bench report");
-    };
-    let pct = match v.get("scope_overhead_pct") {
-        Some(serde::Value::F64(p)) => *p,
-        other => panic!("missing scope_overhead_pct: {other:?}"),
-    };
+    let file: KernelsFile = serde_json::from_str(&text).expect("a kernel bench file");
     assert!(
-        pct < hfta_bench::scope_report::SCOPE_OVERHEAD_BUDGET_PCT,
-        "scope overhead {pct}% exceeds budget"
+        file.scope_overhead_pct < SCOPE_OVERHEAD_BUDGET_PCT,
+        "scope overhead {}% exceeds budget",
+        file.scope_overhead_pct
     );
 }

@@ -154,10 +154,11 @@ fn repro_all_trace_covers_every_experiment() {
 #[test]
 fn fig3_without_trace_flag_writes_nothing() {
     let dir = temp_dir("fig3-plain");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig3"))
+    let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .arg("fig3")
         .current_dir(&dir)
         .output()
-        .expect("spawn fig3");
+        .expect("spawn repro_all fig3");
     assert!(out.status.success());
     let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert!(leftovers.is_empty(), "no flag must mean no files");
@@ -167,22 +168,52 @@ fn fig3_without_trace_flag_writes_nothing() {
 #[test]
 fn fig3_trace_records_autograd_spans() {
     let dir = temp_dir("fig3-traced");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig3"))
-        .args([format!("--trace={}", dir.display())])
+    let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .args(["fig3".to_string(), format!("--trace={}", dir.display())])
         .current_dir(&dir)
         .output()
-        .expect("spawn fig3");
+        .expect("spawn repro_all fig3");
     assert!(
         out.status.success(),
-        "fig3 failed:\n{}",
+        "repro_all fig3 failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    validate_trace(&dir.join("fig3.trace.json"));
-    let raw = std::fs::read_to_string(dir.join("fig3.trace.json")).unwrap();
+    validate_trace(&dir.join("repro_all.trace.json"));
+    let raw = std::fs::read_to_string(dir.join("repro_all.trace.json")).unwrap();
     for needle in ["conv2d", "bwd:conv2d", "\"flops\""] {
         assert!(raw.contains(needle), "trace must contain {needle}");
     }
-    let report = validate_report(&dir.join("fig3.report.json"));
-    assert!(!report.experiments[0].steps.is_empty());
+    let report = validate_report(&dir.join("repro_all.report.json"));
+    let fig3 = report.experiment("fig3").expect("a fig3 scope");
+    assert!(!fig3.steps.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A mistyped flag used to be ignored (`table7 --tarce d` exited 0 and
+/// wrote no trace); now it and an unknown section id are usage errors that
+/// list the valid ids.
+#[test]
+fn repro_all_rejects_unknown_flags_and_section_ids() {
+    let dir = temp_dir("repro-all-bad-args");
+    for args in [
+        &["table7", "--tarce", "x", "--bogus"][..],
+        &["--bogus"][..],
+        &["fig99"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repro_all");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a section");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("ids:") && stderr.contains("table7"),
+            "{stderr}"
+        );
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(leftovers.is_empty(), "a usage error must write nothing");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,7 +19,7 @@
 //!   trailing median fails the run.
 //!
 //! The op samples come from the `profiled(name, flops, bytes, f)` hook in
-//! `hfta-kernels` and the Tape op spans in `hfta-nn`; `probe_report` in
+//! `hfta-kernels` and the Tape op spans in `hfta-nn`; `hfta_report roofline` in
 //! `hfta-bench` renders the tables and the Fig-8-style per-device timeline.
 
 #![warn(missing_docs)]
