@@ -7,14 +7,19 @@
 //!    §3.2 xB scale.
 //! 3. **End-to-end training-step timing** — real CPU time per model of a
 //!    serial step vs a fused step as B grows.
+//! 4. **Optimizer fusion** — one `FusedAdam` step over the `dcgan_compute`
+//!    array's parameters vs the six serial `Adam` steps it replaces.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hfta_core::format::stack_conv;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::FusedModule;
-use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
-use hfta_models::{AlexNet, AlexNetCfg, FusedAlexNet, Workload};
-use hfta_nn::{Module, Optimizer, Sgd, Tape};
+use hfta_core::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel};
+use hfta_models::{
+    AlexNet, AlexNetCfg, DcganCfg, Discriminator, FusedAlexNet, FusedDiscriminator, FusedGenerator,
+    Generator, Workload,
+};
+use hfta_nn::{Adam, Module, Optimizer, Sgd, Tape};
 use hfta_sim::{DeviceSpec, GpuSim, SharingPolicy};
 use hfta_tensor::{Rng, Tensor};
 use std::hint::black_box;
@@ -166,9 +171,66 @@ fn ablation_step_time(c: &mut Criterion) {
     group.finish();
 }
 
+/// Optimizer fusion (paper §3.1, Fig 1): `FusedAdam` at B = 6 over the
+/// `dcgan_compute` workload's G + D parameters against the six serial
+/// `Adam`s it replaces. Both run the same one-pass slice kernel, so the
+/// ratio should sit near 1 (it read 2.07 while the fused step was eleven
+/// tensor-level passes per parameter).
+fn ablation_optimizer(c: &mut Criterion) {
+    let b = 6;
+    let cfg = DcganCfg {
+        latent: 32,
+        width: 12,
+        image: 64,
+    };
+    let mut rng = Rng::seed_from(9);
+    let mut fparams = FusedGenerator::new(b, cfg, &mut rng).fused_parameters();
+    fparams.extend(FusedDiscriminator::new(b, cfg, &mut rng).fused_parameters());
+    let serial: Vec<_> = (0..b)
+        .map(|_| {
+            let mut params = Generator::new(cfg, &mut rng).parameters();
+            params.extend(Discriminator::new(cfg, &mut rng).parameters());
+            params
+        })
+        .collect();
+    let numel: usize = fparams.iter().map(|p| p.param.numel()).sum();
+    for p in fparams
+        .iter()
+        .map(|p| &p.param)
+        .chain(serial.iter().flatten())
+    {
+        p.update_grad(|g| g.as_mut_slice().fill(0.01));
+    }
+    let mut fused = FusedAdam::new(fparams, PerModel::uniform(b, 2e-4)).unwrap();
+    let mut adams: Vec<Adam> = serial.into_iter().map(|p| Adam::new(p, 2e-4)).collect();
+    let median_ms = |step: &mut dyn FnMut()| {
+        let mut ms: Vec<f64> = (0..21)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                step();
+                started.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    };
+    let fused_ms = median_ms(&mut || fused.step());
+    let serial_ms = median_ms(&mut || adams.iter_mut().for_each(Adam::step));
+    println!("\n## Ablation: optimizer fusion (Adam, B = {b}, {numel} elements)");
+    println!("  one FusedAdam step:          {fused_ms:.3} ms");
+    println!("  {b} serial Adam steps:         {serial_ms:.3} ms");
+    println!("  fused / serial:              {:.2}", fused_ms / serial_ms);
+    let mut group = c.benchmark_group("optimizer");
+    group.bench_function("fused_adam_b6", |bench| bench.iter(|| fused.step()));
+    group.bench_function("six_serial_adams", |bench| {
+        bench.iter(|| adams.iter_mut().for_each(Adam::step))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).warm_up_time(std::time::Duration::from_millis(500)).measurement_time(std::time::Duration::from_secs(2));
-    targets = ablation_mechanisms, ablation_loss_scaling, ablation_step_time
+    targets = ablation_mechanisms, ablation_loss_scaling, ablation_step_time, ablation_optimizer
 }
 criterion_main!(benches);

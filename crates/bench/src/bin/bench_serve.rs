@@ -171,13 +171,7 @@ fn main() -> ExitCode {
     let session = args.common.trace_session("bench_serve");
     // The engine derives its SLO rollup from the ambient profiler's
     // flight journal; install one even when `--trace` is absent.
-    let local_profiler = if session.is_active() {
-        None
-    } else {
-        let p = Profiler::new("bench_serve");
-        let guard = p.install();
-        Some((p, guard))
-    };
+    let local_profiler = session.local_profiler("bench_serve");
     let profiler = Profiler::current().expect("profiler installed");
     let commands = command_stream(args.trials, args.span_s);
     let devices = fleet().len();

@@ -119,6 +119,9 @@ fn trial_stream(n: usize, span_s: f64) -> Vec<(f64, LinearTrialCfg)> {
 fn main() -> ExitCode {
     let args = parse_args();
     let session = args.common.trace_session("sched_sweep");
+    // The SLO columns (and so `--history`) are read back from the ambient
+    // profiler's flight journal: untraced, every latency would read zero.
+    let _local = session.local_profiler("sched_sweep");
     let arrivals = trial_stream(args.trials, args.span_s);
 
     let backend = LinearBackend::default();

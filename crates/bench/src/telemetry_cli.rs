@@ -74,6 +74,16 @@ impl TraceSession {
         self.inner.is_some()
     }
 
+    /// For bins whose numbers are read back from the ambient profiler's
+    /// flight journal (the sched / serve SLO roll-ups): installs a profiler
+    /// named `bin` that is never written out when `--trace` was absent, so
+    /// an untraced run reports the same latencies as a traced one. `None`
+    /// when the session's own profiler is already installed.
+    #[must_use = "the local profiler uninstalls when the guard drops"]
+    pub fn local_profiler(&self, bin: &str) -> Option<InstallGuard> {
+        (!self.is_active()).then(|| Profiler::new(bin).install())
+    }
+
     /// Writes `<dir>/<bin>.trace.json` and `<dir>/<bin>.report.json`,
     /// creating `<dir>` if needed. Returns the two paths, or `None` when
     /// the session was never activated.

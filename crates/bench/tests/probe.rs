@@ -222,6 +222,44 @@ fn committed_history_baseline_passes_the_gate() {
 }
 
 #[test]
+fn sched_sweep_history_needs_no_trace_to_record_real_latencies() {
+    // The SLOs are read back from the profiler's flight journal: without
+    // `--trace` there used to be none, and the record appended was all
+    // `gflops = 0, pct_of_peak = 1e15` — a poisoned drift baseline.
+    let dir = std::env::temp_dir().join("hfta-probe-sched-history-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let append = |file: &str, extra: &[&str]| {
+        let path = dir.join(file);
+        let out = Command::new(env!("CARGO_BIN_EXE_sched_sweep"))
+            .args(["--history", &path.display().to_string()])
+            .args(extra)
+            .output()
+            .expect("sched_sweep runs");
+        assert!(
+            out.status.success(),
+            "sched_sweep failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let mut records = PerfHistory::new(&path).load().expect("history loads");
+        assert_eq!(records.len(), 1);
+        records.remove(0).ops
+    };
+    let untraced = append("untraced.jsonl", &[]);
+    assert_eq!(untraced.len(), 6, "ops: {untraced:?}");
+    for op in &untraced {
+        assert!(
+            op.gflops > 0.0 && op.pct_of_peak < 1e6,
+            "zero record: {op:?}"
+        );
+    }
+    // Simulated time is bit-exact, so tracing must not change a digit.
+    let trace_dir = dir.join("trace").display().to_string();
+    assert_eq!(untraced, append("traced.jsonl", &["--trace", &trace_dir]));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bench_kernels_emits_scaling_efficiency_and_history() {
     let dir = std::env::temp_dir().join("hfta-probe-bench-kernels-test");
     let _ = std::fs::remove_dir_all(&dir);

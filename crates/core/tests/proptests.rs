@@ -6,12 +6,195 @@
 use hfta_core::format::{stack_array, stack_conv, unstack_array, unstack_conv};
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::{FusedBatchNorm, FusedConv1d, FusedConv2d, FusedLinear, FusedParameter};
-use hfta_core::optim::{FusedAdam, FusedOptimizer, PerModel};
+use hfta_core::optim::{FusedAdadelta, FusedAdam, FusedOptimizer, FusedSgd, PerModel};
 use hfta_core::rules::{fuse, OpSpec};
 use hfta_nn::layers::{BatchNorm, Conv1d, Conv2d, Conv2dCfg, Linear, LinearCfg};
 use hfta_nn::{Adam, Module, Optimizer, Parameter, Tape};
 use hfta_tensor::{Rng, Tensor};
 use proptest::prelude::*;
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The three fused update rules as the tensor-op compositions they were
+/// before the one-pass lane kernels (`hfta_nn::{sgd,adam,adadelta}_update`)
+/// replaced them: per-model hyper-parameters broadcast as a
+/// `[dim0, 1, ..., 1]` tensor (Figure 1), one temporary per operator. Kept
+/// here, test-side only, as the oracle the kernels must match bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Rule {
+    Sgd,
+    Adam,
+    Adadelta,
+}
+
+struct Oracle {
+    rule: Rule,
+    b: usize,
+    lr: Vec<f32>,
+    /// Per-model momentum (SGD) or rho (Adadelta); unused by Adam.
+    aux: Vec<f32>,
+    value: Tensor,
+    state: [Tensor; 2],
+    t: u64,
+    quarantined: Vec<bool>,
+}
+
+fn zero_lane(t: &mut Tensor, b: usize, lane: usize) {
+    let chunk = t.numel() / b;
+    t.as_mut_slice()[lane * chunk..(lane + 1) * chunk].fill(0.0);
+}
+
+impl Oracle {
+    /// `values` broadcast over the model axis of the fused parameter.
+    fn expand(&self, values: &[f32]) -> Tensor {
+        let mut dims = vec![1; self.value.rank()];
+        dims[0] = self.value.dim(0);
+        let chunk = dims[0] / self.b;
+        let flat = values.iter().flat_map(|&v| vec![v; chunk]).collect();
+        Tensor::from_vec(flat, dims)
+    }
+
+    fn quarantine(&mut self, lane: usize) {
+        self.quarantined[lane] = true;
+        for s in &mut self.state {
+            zero_lane(s, self.b, lane);
+        }
+    }
+
+    fn step(&mut self, grad: &Tensor) {
+        let mut g = grad.clone();
+        for lane in (0..self.b).filter(|&l| self.quarantined[l]) {
+            zero_lane(&mut g, self.b, lane);
+        }
+        let (lr, aux) = (self.expand(&self.lr), self.expand(&self.aux));
+        let [s0, s1] = &mut self.state;
+        let update = match self.rule {
+            Rule::Sgd if self.aux.iter().all(|&m| m == 0.0) => g.mul(&lr),
+            Rule::Sgd => {
+                *s0 = s0.mul(&aux).add(&g);
+                s0.mul(&lr)
+            }
+            Rule::Adam => {
+                let (beta1, beta2, eps) = (0.9f32, 0.999f32, 1e-8);
+                self.t += 1;
+                let bc1 = 1.0 - beta1.powi(self.t as i32);
+                let bc2 = 1.0 - beta2.powi(self.t as i32);
+                s0.lerp_assign(&g, beta1, 1.0 - beta1);
+                s1.lerp_assign(&g.square(), beta2, 1.0 - beta2);
+                let (m_hat, v_hat) = (s0.div_scalar(bc1), s1.div_scalar(bc2));
+                m_hat.div(&v_hat.sqrt().add_scalar(eps)).mul(&lr)
+            }
+            Rule::Adadelta => {
+                let eps = 1e-6;
+                let rho = aux;
+                let one_minus_rho = rho.neg().add_scalar(1.0);
+                *s0 = s0.mul(&rho).add(&g.square().mul(&one_minus_rho));
+                let delta = s1
+                    .add_scalar(eps)
+                    .sqrt()
+                    .div(&s0.add_scalar(eps).sqrt())
+                    .mul(&g);
+                *s1 = s1.mul(&rho).add(&delta.square().mul(&one_minus_rho));
+                delta.mul(&lr)
+            }
+        };
+        self.value.add_assign_scaled(&update, -1.0);
+    }
+}
+
+/// One generated optimizer scenario; everything else derives from `seed`.
+#[derive(Debug, Clone, Copy)]
+struct OptimCase {
+    seed: u64,
+    rule: Rule,
+    rank: usize,
+    b: usize,
+    steps: usize,
+    /// Lane quarantined before step `.1` (skipped when the step never runs).
+    quarantine: (usize, usize),
+    /// Lane whose gradient is NaN / +-inf from step `.1` on.
+    poison: (usize, usize),
+}
+
+/// Drives the real fused optimizer and the oracle through `case` in
+/// lockstep, asserting equal parameter and state bits after every step;
+/// returns the final parameter + state bits. `poisoned = false` feeds the
+/// poison lane its finite gradient instead.
+fn run_optimizer_case(case: OptimCase, poisoned: bool) -> Result<Vec<Vec<u32>>, String> {
+    let OptimCase { rule, b, .. } = case;
+    let mut rng = Rng::seed_from(case.seed);
+    let mut dims: Vec<usize> = (0..case.rank).map(|_| 1 + rng.below(3)).collect();
+    dims[0] *= b;
+    let lr: Vec<f32> = (0..b).map(|_| rng.uniform(1e-3, 0.5)).collect();
+    let aux: Vec<f32> = (0..b)
+        .map(|_| match (rule, rng.below(3)) {
+            (Rule::Sgd, 0) => 0.0,
+            (Rule::Sgd, _) => rng.uniform(0.1, 0.95),
+            _ => rng.uniform(0.5, 0.99),
+        })
+        .collect();
+    let init = rng.randn(dims.clone());
+    let fused = FusedParameter {
+        param: Parameter::new(init.clone(), "wf"),
+        b,
+    };
+    let (params, lrs, auxs) = (
+        vec![fused.clone()],
+        PerModel::new(lr.clone()),
+        PerModel::new(aux.clone()),
+    );
+    let mut opt: Box<dyn FusedOptimizer> = match rule {
+        Rule::Sgd => Box::new(FusedSgd::with_momenta(params, lrs, auxs).unwrap()),
+        Rule::Adam => Box::new(FusedAdam::new(params, lrs).unwrap()),
+        Rule::Adadelta => Box::new(FusedAdadelta::new(params, lrs, auxs, 1e-6).unwrap()),
+    };
+    let mut oracle = Oracle {
+        rule,
+        b,
+        lr,
+        aux,
+        state: [init.zeros_like(), init.zeros_like()],
+        value: init,
+        t: 0,
+        quarantined: vec![false; b],
+    };
+    let (q_lane, q_step) = (case.quarantine.0 % b, case.quarantine.1);
+    let (p_lane, p_step) = (case.poison.0 % b, case.poison.1);
+    let chunk = oracle.value.numel() / b;
+    for step in 0..case.steps {
+        if step == q_step {
+            opt.quarantine(q_lane);
+            oracle.quarantine(q_lane);
+        }
+        let mut grad = rng.randn(dims.clone());
+        if poisoned && step >= p_step {
+            let lane = &mut grad.as_mut_slice()[p_lane * chunk..(p_lane + 1) * chunk];
+            for (i, g) in lane.iter_mut().enumerate() {
+                *g = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][i % 3];
+            }
+        }
+        fused
+            .param
+            .update_grad(|g| g.as_mut_slice().copy_from_slice(grad.as_slice()));
+        opt.step();
+        oracle.step(&grad);
+        prop_assert!(
+            bits(&fused.param.value()) == bits(&oracle.value),
+            "{case:?}: value differs from the oracle at step {step}"
+        );
+        for slot in 0..opt.state_slots() {
+            prop_assert!(
+                bits(opt.state(0, slot)) == bits(&oracle.state[slot]),
+                "{case:?}: state slot {slot} differs from the oracle at step {step}"
+            );
+        }
+    }
+    let mut out = vec![bits(&fused.param.value())];
+    out.extend((0..opt.state_slots()).map(|slot| bits(opt.state(0, slot))));
+    Ok(out)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -197,8 +380,7 @@ proptest! {
             fused_opt.step();
         }
         for (i, p) in serial.iter().enumerate() {
-            let slice = stacked.model_slice(i);
-            prop_assert!(slice.allclose(&p.value_cloned(), 1e-5), "model {i}");
+            prop_assert!(bits(&stacked.model_slice(i)) == bits(&p.value()), "model {i}");
         }
     }
 
@@ -223,6 +405,40 @@ proptest! {
                 _ => OpSpec::Relu { numel: 10 },
             };
             prop_assert!(fuse(&specs).is_err());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn lane_kernels_equal_the_tensor_op_oracle_bit_for_bit(
+        seed in 0u64..10_000,
+        rule in 0usize..3,
+        rank in 1usize..5,
+        width in 0usize..4,
+        steps in 1usize..7,
+        q_lane in 0usize..6,
+        q_step in 0usize..8,
+        p_lane in 0usize..6,
+        p_step in 0usize..6,
+    ) {
+        let rule = [Rule::Sgd, Rule::Adam, Rule::Adadelta][rule];
+        let b = [1, 2, 3, 6][width];
+        let (quarantine, poison) = ((q_lane, q_step), (p_lane, p_step));
+        let case = OptimCase { seed, rule, rank, b, steps, quarantine, poison };
+        let poisoned = run_optimizer_case(case, true)?;
+        let clean = run_optimizer_case(case, false)?;
+        // Lanes never mix: poisoning one lane's gradient leaves every other
+        // lane's parameter and state bits exactly where the clean run put them.
+        let p_lane = p_lane % b;
+        for (with, without) in poisoned.iter().zip(&clean) {
+            let chunk = with.len() / b;
+            for lane in (0..b).filter(|&l| l != p_lane) {
+                let r = lane * chunk..(lane + 1) * chunk;
+                prop_assert!(with[r.clone()] == without[r], "{case:?}: lane {lane} moved");
+            }
         }
     }
 }

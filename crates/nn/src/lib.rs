@@ -37,6 +37,9 @@ mod var_ops;
 
 pub use gradcheck::check_gradients;
 pub use module::{Module, Sequential};
-pub use optim::{clip_grad_norm, Adadelta, Adam, CosineLr, ExponentialLr, Optimizer, Sgd, StepLr};
+pub use optim::{
+    adadelta_update, adam_update, clip_grad_norm, optim_step_span, sgd_update, Adadelta, Adam,
+    AdamCoeffs, CosineLr, ExponentialLr, Optimizer, Sgd, StepLr,
+};
 pub use parameter::Parameter;
 pub use tape::{Tape, Var};

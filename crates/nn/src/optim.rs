@@ -1,12 +1,139 @@
-//! Optimizers (SGD, Adam, Adadelta) and the StepLR learning-rate scheduler.
+//! Optimizers (SGD, Adam, Adadelta) and learning-rate schedulers.
 //!
-//! These are the serial counterparts of the fused optimizers in
-//! `hfta-core`; the fused versions must produce bit-identical updates when
-//! all models share the same hyper-parameters.
+//! Each update rule is written once, as a one-pass slice kernel
+//! ([`sgd_update`], [`adam_update`], [`adadelta_update`]): one read of
+//! `grad`, one read-modify-write of `value` and of each state slice, scalar
+//! hyper-parameters, no temporary. The serial optimizers here pass whole
+//! tensors; the fused ones in `hfta-core` pass one model lane at a time, so
+//! fused == serial bit for bit by construction. The arithmetic is plain
+//! `a * b + c`, never `mul_add`: contraction rounds once instead of twice
+//! and would move every loss in the last bits.
 
+use hfta_telemetry::{OpCost, OpSpanGuard, Profiler};
 use hfta_tensor::Tensor;
 
 use crate::parameter::Parameter;
+
+/// Opens the `optim_step` op span on the installed profiler: one sample per
+/// optimizer step (not per parameter) of `words` f32 reads + writes and
+/// `flops` per element. `None`, and `numel` never walked, when untraced.
+pub fn optim_step_span(
+    numel: impl Iterator<Item = usize>,
+    words: usize,
+    flops: usize,
+) -> Option<OpSpanGuard> {
+    let p = Profiler::current()?;
+    let n = numel.sum::<usize>() as f64;
+    let cost = OpCost {
+        flops: flops as f64 * n,
+        bytes: 4.0 * words as f64 * n,
+    };
+    Some(p.op_span(p.lane("optim", "step"), "optim_step", cost))
+}
+
+/// SGD over one contiguous run of elements: `v = v * momentum + g;
+/// x += v * -lr` (PyTorch convention), or `x += g * -lr` with no `velocity`.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ.
+pub fn sgd_update(
+    value: &mut [f32],
+    grad: &[f32],
+    velocity: Option<&mut [f32]>,
+    lr: f32,
+    momentum: f32,
+) {
+    assert_eq!(value.len(), grad.len(), "sgd_update length mismatch");
+    let Some(velocity) = velocity else {
+        for (x, &g) in value.iter_mut().zip(grad) {
+            *x += g * -lr;
+        }
+        return;
+    };
+    assert_eq!(value.len(), velocity.len(), "sgd_update length mismatch");
+    for ((x, &g), v) in value.iter_mut().zip(grad).zip(velocity) {
+        *v = *v * momentum + g;
+        *x += *v * -lr;
+    }
+}
+
+/// The per-step scalars of Adam shared by every element (and every lane).
+#[derive(Debug, Clone, Copy)]
+pub struct AdamCoeffs {
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    bc1: f32,
+    bc2: f32,
+}
+
+impl AdamCoeffs {
+    /// Coefficients of step `t` (1-based), with PyTorch's bias correction.
+    pub fn at_step(beta1: f32, beta2: f32, eps: f32, t: u64) -> Self {
+        AdamCoeffs {
+            beta1,
+            beta2,
+            eps,
+            bc1: 1.0 - beta1.powi(t as i32),
+            bc2: 1.0 - beta2.powi(t as i32),
+        }
+    }
+}
+
+/// Adam over one contiguous run of elements.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ.
+pub fn adam_update(
+    value: &mut [f32],
+    grad: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    lr: f32,
+    c: AdamCoeffs,
+) {
+    let n = value.len();
+    assert!(
+        grad.len() == n && m.len() == n && v.len() == n,
+        "adam_update length mismatch"
+    );
+    let (w1, w2) = (1.0 - c.beta1, 1.0 - c.beta2);
+    for (((x, &g), m), v) in value.iter_mut().zip(grad).zip(m).zip(v) {
+        *m = *m * c.beta1 + g * w1;
+        *v = *v * c.beta2 + (g * g) * w2;
+        *x += (*m / c.bc1) / ((*v / c.bc2).sqrt() + c.eps) * -lr;
+    }
+}
+
+/// Adadelta over one contiguous run of elements.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ.
+pub fn adadelta_update(
+    value: &mut [f32],
+    grad: &[f32],
+    sq_avg: &mut [f32],
+    acc_delta: &mut [f32],
+    lr: f32,
+    rho: f32,
+    eps: f32,
+) {
+    let n = value.len();
+    assert!(
+        grad.len() == n && sq_avg.len() == n && acc_delta.len() == n,
+        "adadelta_update length mismatch"
+    );
+    let w = 1.0 - rho;
+    for (((x, &g), sq), acc) in value.iter_mut().zip(grad).zip(sq_avg).zip(acc_delta) {
+        *sq = *sq * rho + (g * g) * w;
+        let delta = (*acc + eps).sqrt() / (*sq + eps).sqrt() * g;
+        *acc = *acc * rho + (delta * delta) * w;
+        *x += delta * -lr;
+    }
+}
 
 /// A first-order optimizer over a set of [`Parameter`]s.
 pub trait Optimizer {
@@ -47,15 +174,11 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self) {
+        let (words, flops) = if self.momentum != 0.0 { (5, 4) } else { (3, 2) };
+        let _span = optim_step_span(self.params.iter().map(Parameter::numel), words, flops);
         for (p, v) in self.params.iter().zip(&mut self.velocity) {
-            let g = p.grad_cloned();
-            if self.momentum != 0.0 {
-                // v = momentum * v + g; p -= lr * v  (PyTorch convention).
-                v.lerp_assign(&g, self.momentum, 1.0);
-                p.update(|value, _| value.add_assign_scaled(v, -self.lr));
-            } else {
-                p.update(|value, _| value.add_assign_scaled(&g, -self.lr));
-            }
+            let v = (self.momentum != 0.0).then(|| v.as_mut_slice());
+            p.update(|x, g| sgd_update(x.as_mut_slice(), g.as_slice(), v, self.lr, self.momentum));
         }
     }
 
@@ -118,17 +241,12 @@ impl Adam {
 
 impl Optimizer for Adam {
     fn step(&mut self) {
+        let _span = optim_step_span(self.params.iter().map(Parameter::numel), 7, 14);
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let c = AdamCoeffs::at_step(self.beta1, self.beta2, self.eps, self.t);
         for ((p, m), v) in self.params.iter().zip(&mut self.m).zip(&mut self.v) {
-            let g = p.grad_cloned();
-            m.lerp_assign(&g, self.beta1, 1.0 - self.beta1);
-            v.lerp_assign(&g.square(), self.beta2, 1.0 - self.beta2);
-            let m_hat = m.div_scalar(bc1);
-            let v_hat = v.div_scalar(bc2);
-            let update = m_hat.div(&v_hat.sqrt().add_scalar(self.eps));
-            p.update(|value, _| value.add_assign_scaled(&update, -self.lr));
+            let (m, v) = (m.as_mut_slice(), v.as_mut_slice());
+            p.update(|x, g| adam_update(x.as_mut_slice(), g.as_slice(), m, v, self.lr, c));
         }
     }
 
@@ -182,21 +300,12 @@ impl Adadelta {
 
 impl Optimizer for Adadelta {
     fn step(&mut self) {
-        for ((p, sq), acc) in self
-            .params
-            .iter()
-            .zip(&mut self.sq_avg)
-            .zip(&mut self.acc_delta)
-        {
-            let g = p.grad_cloned();
-            sq.lerp_assign(&g.square(), self.rho, 1.0 - self.rho);
-            let delta = acc
-                .add_scalar(self.eps)
-                .sqrt()
-                .div(&sq.add_scalar(self.eps).sqrt())
-                .mul(&g);
-            acc.lerp_assign(&delta.square(), self.rho, 1.0 - self.rho);
-            p.update(|value, _| value.add_assign_scaled(&delta, -self.lr));
+        let _span = optim_step_span(self.params.iter().map(Parameter::numel), 7, 16);
+        let (lr, rho, eps) = (self.lr, self.rho, self.eps);
+        let state = self.sq_avg.iter_mut().zip(&mut self.acc_delta);
+        for (p, (sq, acc)) in self.params.iter().zip(state) {
+            let (sq, acc) = (sq.as_mut_slice(), acc.as_mut_slice());
+            p.update(|x, g| adadelta_update(x.as_mut_slice(), g.as_slice(), sq, acc, lr, rho, eps));
         }
     }
 
@@ -234,9 +343,7 @@ pub fn clip_grad_norm(params: &[Parameter], max_norm: f32) -> f32 {
     if norm > max_norm {
         let scale = max_norm / norm;
         for p in params {
-            let scaled = p.grad_cloned().mul_scalar(scale);
-            p.zero_grad();
-            p.accumulate_grad(&scaled);
+            p.update_grad(|g| g.map_inplace(|v| v * scale));
         }
     }
     norm
@@ -397,6 +504,17 @@ mod tests {
             quadratic_step(&w2, 0.0, &mut moment);
         }
         assert!(w2.value_cloned().item().abs() < w1.value_cloned().item().abs());
+    }
+
+    #[test]
+    fn update_rules_round_the_product_before_the_sum() {
+        // v * momentum = (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24 rounds (ties to
+        // even) to 1 + 2^-11, so adding g = -(1 + 2^-11) leaves exactly 0. A
+        // contracted `mul_add` keeps the 2^-24 and would move every loss.
+        let a = 1.0 + 2f32.powi(-12);
+        let (mut x, mut v) = ([0.0f32], [a]);
+        sgd_update(&mut x, &[-(1.0 + 2f32.powi(-11))], Some(&mut v), 1.0, a);
+        assert_eq!((v[0].to_bits(), x[0].to_bits()), (0, 0));
     }
 
     #[test]

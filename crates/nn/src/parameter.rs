@@ -112,10 +112,10 @@ impl Parameter {
         inner.grad.add_assign_scaled(g, 1.0);
     }
 
-    /// Zeroes the gradient slot.
+    /// Zeroes the gradient slot in place (the storage is kept, so a
+    /// training step pays no pool round-trip per parameter for it).
     pub fn zero_grad(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.grad = inner.grad.zeros_like();
+        self.inner.borrow_mut().grad.as_mut_slice().fill(0.0);
     }
 
     /// Applies an in-place update `f(&mut value, &grad)` — the optimizer
@@ -179,6 +179,16 @@ mod tests {
         assert_eq!(p.grad_cloned().to_vec(), vec![2.0, 2.0]);
         p.zero_grad();
         assert_eq!(p.grad_cloned().to_vec(), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn zero_grad_keeps_the_grad_storage() {
+        let p = Parameter::new(Tensor::zeros([5]), "w");
+        p.accumulate_grad(&Tensor::full([5], -3.0));
+        let before = p.grad().as_slice().as_ptr();
+        p.zero_grad();
+        assert_eq!(p.grad().as_slice().as_ptr(), before);
+        assert!(p.grad().as_slice().iter().all(|v| v.to_bits() == 0));
     }
 
     #[test]
