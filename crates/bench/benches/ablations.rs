@@ -9,6 +9,8 @@
 //!    serial step vs a fused step as B grows.
 //! 4. **Optimizer fusion** — one `FusedAdam` step over the `dcgan_compute`
 //!    array's parameters vs the six serial `Adam` steps it replaces.
+//! 5. **Conv ops** — `conv2d` and its two gradients at the benchmark's four
+//!    stride-2 DCGAN-D layers, µs and GFLOP/s per op at one thread.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hfta_core::format::stack_conv;
@@ -21,6 +23,7 @@ use hfta_models::{
 };
 use hfta_nn::{Adam, Module, Optimizer, Sgd, Tape};
 use hfta_sim::{DeviceSpec, GpuSim, SharingPolicy};
+use hfta_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvCfg};
 use hfta_tensor::{Rng, Tensor};
 use std::hint::black_box;
 
@@ -171,6 +174,19 @@ fn ablation_step_time(c: &mut Criterion) {
     group.finish();
 }
 
+/// Median wall time of `samples` runs of `step`, in seconds.
+fn median_secs(samples: usize, mut step: impl FnMut()) -> f64 {
+    let mut secs: Vec<f64> = (0..samples)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            step();
+            started.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[secs.len() / 2]
+}
+
 /// Optimizer fusion (paper §3.1, Fig 1): `FusedAdam` at B = 6 over the
 /// `dcgan_compute` workload's G + D parameters against the six serial
 /// `Adam`s it replaces. Both run the same one-pass slice kernel, so the
@@ -203,19 +219,8 @@ fn ablation_optimizer(c: &mut Criterion) {
     }
     let mut fused = FusedAdam::new(fparams, PerModel::uniform(b, 2e-4)).unwrap();
     let mut adams: Vec<Adam> = serial.into_iter().map(|p| Adam::new(p, 2e-4)).collect();
-    let median_ms = |step: &mut dyn FnMut()| {
-        let mut ms: Vec<f64> = (0..21)
-            .map(|_| {
-                let started = std::time::Instant::now();
-                step();
-                started.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        ms.sort_by(f64::total_cmp);
-        ms[ms.len() / 2]
-    };
-    let fused_ms = median_ms(&mut || fused.step());
-    let serial_ms = median_ms(&mut || adams.iter_mut().for_each(Adam::step));
+    let fused_ms = median_secs(21, || fused.step()) * 1e3;
+    let serial_ms = median_secs(21, || adams.iter_mut().for_each(Adam::step)) * 1e3;
     println!("\n## Ablation: optimizer fusion (Adam, B = {b}, {numel} elements)");
     println!("  one FusedAdam step:          {fused_ms:.3} ms");
     println!("  {b} serial Adam steps:         {serial_ms:.3} ms");
@@ -228,9 +233,67 @@ fn ablation_optimizer(c: &mut Criterion) {
     group.finish();
 }
 
+/// The three conv ops at the four stride-2 DCGAN-D layers of the benchmark
+/// (`dcgan_compute`: width 12, 64x64, B = 6 fused as groups, batch 2) on
+/// one thread — the per-op before/after of a conv-kernel change,
+/// independent of the benchmark's replay ledger.
+fn ablation_conv(c: &mut Criterion) {
+    let (b, batch) = (6usize, 2usize);
+    let threads = hfta_kernels::num_threads();
+    hfta_kernels::set_num_threads(1);
+    let cfg = ConvCfg::square(2, 1, b);
+    let mut rng = Rng::seed_from(18);
+    type ConvOp<'a> = (&'a str, Box<dyn Fn() -> Tensor + 'a>);
+    println!(
+        "\n## Ablation: conv ops at the DCGAN-D layers (B = {b} as groups, N = {batch}, 1 thread)"
+    );
+    let mut totals = [0.0f64; 3];
+    let mut group = c.benchmark_group("conv");
+    for (cin, cout, h) in [
+        (3usize, 12usize, 64usize),
+        (12, 24, 32),
+        (24, 48, 16),
+        (48, 96, 8),
+    ] {
+        let x = rng.randn([batch, b * cin, h, h]);
+        let w = rng.randn([b * cout, cin, 4, 4]);
+        let gy = rng.randn([batch, b * cout, h / 2, h / 2]);
+        let flops = (2 * batch * b * cout * cin * 16 * (h / 2) * (h / 2)) as f64;
+        let ops: [ConvOp<'_>; 3] = [
+            ("conv2d", Box::new(|| conv2d(&x, &w, None, cfg))),
+            (
+                "conv2d_grad_input",
+                Box::new(|| conv2d_grad_input(&w, &gy, (h, h), b * cin, cfg)),
+            ),
+            (
+                "conv2d_grad_weight",
+                Box::new(|| conv2d_grad_weight(&x, &gy, (4, 4), cfg)),
+            ),
+        ];
+        for ((name, op), total) in ops.iter().zip(&mut totals) {
+            let us = median_secs(41, || drop(black_box(op()))) * 1e6;
+            *total += us;
+            println!(
+                "  {cin:>2}x{cout:<2} @ {h:<2} {name:<19} {us:>8.1} us  {:>6.2} GFLOP/s",
+                flops / us / 1e3
+            );
+            let id = format!("{name}/{cin}x{cout}x{h}");
+            group.bench_function(id, |bench| bench.iter(|| black_box(op())));
+        }
+    }
+    group.finish();
+    println!(
+        "  totals: conv2d {:.2} ms, grad_input {:.2} ms, grad_weight {:.2} ms",
+        totals[0] / 1e3,
+        totals[1] / 1e3,
+        totals[2] / 1e3
+    );
+    hfta_kernels::set_num_threads(threads);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).warm_up_time(std::time::Duration::from_millis(500)).measurement_time(std::time::Duration::from_secs(2));
-    targets = ablation_mechanisms, ablation_loss_scaling, ablation_step_time, ablation_optimizer
+    targets = ablation_mechanisms, ablation_loss_scaling, ablation_step_time, ablation_optimizer, ablation_conv
 }
 criterion_main!(benches);

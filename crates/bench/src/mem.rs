@@ -5,8 +5,8 @@
 //! For each (model, B) the harness trims the recycling pool, resets the
 //! byte accounting, then builds the fused array *and* its optimizer and
 //! trains it entirely inside the measurement window — parameters,
-//! optimizer state, activations, tape gradient buffers, GEMM packing
-//! panels and im2col scratch all count toward the session peak, the same
+//! optimizer state, activations, tape gradient buffers and GEMM packing
+//! scratch all count toward the session peak, the same
 //! way `nvidia-smi` attributes a whole training process. The serial
 //! baseline for width B is B × the measured B = 1 peak: B independent
 //! runs each pay their own workspace arenas and pool slack, while the

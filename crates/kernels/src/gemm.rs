@@ -26,6 +26,13 @@
 //! | tiled   | `>= SMALL_FLOPS`  | [`crate::simd`] 8×8 / paired 8×16 `vfmadd` tile | `portable_microkernel`, `f32::mul_add` |
 //! | direct  | `< SMALL_FLOPS`; all under `Naive` | reference loops compiled with AVX2+FMA | the reference loops |
 //!
+//! `B` may also be *gathered* through two [`Offsets`] tables while it is
+//! packed ([`gemm_gather`]), and the product *scatter-added* through them one
+//! finished `MR`-row strip at a time ([`gemm_tn_scatter`]) — a convolution on
+//! its padded image, no im2col matrix. On the direct row the tables first
+//! materialise the operand (or the product). Same chain per element, same
+//! add order per destination, either row.
+//!
 //! Selection is by platform and shape, never by an option: the row comes
 //! from the FLOP count, the column from [`crate::simd::simd_available`]
 //! (runtime detection). The process-wide [`GemmBackend`] starts as `Auto`;
@@ -121,6 +128,40 @@ enum PackB<'a> {
     N(&'a [f32]),
     /// `b[n, k]` row-major (transposed access).
     T(&'a [f32]),
+    /// `b[p, j] = src[off.row[p] + off.col[j]]`, `off` already checked.
+    Gather(&'a [f32], Offsets<'a>),
+}
+
+/// Two offset tables addressing a logical `[rows, cols]` matrix inside a
+/// larger buffer: element `(i, j)` lives at `row[i] + col[j]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Offsets<'a> {
+    row: &'a [usize],
+    col: &'a [usize],
+}
+
+impl<'a> Offsets<'a> {
+    /// The matrix whose element `(i, j)` lives at `row[i] + col[j]`.
+    pub fn new(row: &'a [usize], col: &'a [usize]) -> Self {
+        Offsets { row, col }
+    }
+
+    /// The one hard check behind the unchecked table loops: the tables have
+    /// the matrix's extents and their largest sum indexes inside `len`.
+    fn check(self, rows: usize, cols: usize, len: usize) {
+        assert_eq!(
+            (self.row.len(), self.col.len()),
+            (rows, cols),
+            "offset tables do not match the {rows}x{cols} matrix they address"
+        );
+        let max = |t: &[usize]| t.iter().max().copied();
+        if let (Some(r), Some(c)) = (max(self.row), max(self.col)) {
+            assert!(
+                r.checked_add(c).is_some_and(|at| at < len),
+                "offset tables reach {r} + {c}, outside a buffer of {len} elements"
+            );
+        }
+    }
 }
 
 /// One of the three orientation-specific direct-loop kernels.
@@ -133,7 +174,7 @@ pub fn gemm(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize)
     debug_assert_eq!(out.len(), m * n);
     match direct_kernel(m, k, n, reference::gemm_ref, simd::gemm_small) {
         Some(direct) => direct(out, a, b, m, k, n),
-        None => tiled(out, PackA::N(a), PackB::N(b), m, k, n),
+        None => run_tiled(out, None, PackA::N(a), PackB::N(b), m, k, n),
     }
 }
 
@@ -144,7 +185,7 @@ pub fn gemm_nt(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usi
     debug_assert_eq!(out.len(), m * n);
     match direct_kernel(m, k, n, reference::gemm_nt_ref, simd::gemm_nt_small) {
         Some(direct) => direct(out, a, b, m, k, n),
-        None => tiled(out, PackA::N(a), PackB::T(b), m, k, n),
+        None => run_tiled(out, None, PackA::N(a), PackB::T(b), m, k, n),
     }
 }
 
@@ -155,7 +196,76 @@ pub fn gemm_tn(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usi
     debug_assert_eq!(out.len(), m * n);
     match direct_kernel(m, k, n, reference::gemm_tn_ref, simd::gemm_tn_small) {
         Some(direct) => direct(out, a, b, m, k, n),
-        None => tiled(out, PackA::T(a), PackB::N(b), m, k, n),
+        None => run_tiled(out, None, PackA::T(a), PackB::N(b), m, k, n),
+    }
+}
+
+/// `out[m,n] += a[m,k] @ b[k,n]` with `b[p,j] = src[off.row[p] + off.col[j]]`,
+/// gathered as the panels are packed — `b` itself never exists. Panics if
+/// the tables are not `[k]` and `[n]` long or reach outside `src`.
+pub fn gemm_gather(
+    out: &mut [f32],
+    a: &[f32],
+    src: &[f32],
+    off: Offsets<'_>,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    off.check(k, n, src.len());
+    match direct_kernel(m, k, n, reference::gemm_ref, simd::gemm_small) {
+        Some(direct) => with_dense(k * n, |b| {
+            for (brow, &base) in b.chunks_exact_mut(n.max(1)).zip(off.row) {
+                for (bv, &c) in brow.iter_mut().zip(off.col) {
+                    *bv = src[base + c];
+                }
+            }
+            direct(out, a, b, m, k, n)
+        }),
+        None => run_tiled(out, None, PackA::N(a), PackB::Gather(src, off), m, k, n),
+    }
+}
+
+/// `dst[off.row[i] + off.col[j]] += (a[k,m]^T @ b[k,n])[i,j]`: every product
+/// element is the contract's chain from zero, and the adds reach `dst` in
+/// row-major `(i, j)` order — so overlapping destinations are well defined.
+/// Panics if the tables are not `[m]` and `[n]` long or reach outside `dst`.
+pub fn gemm_tn_scatter(
+    dst: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    off: Offsets<'_>,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    off.check(m, n, dst.len());
+    match direct_kernel(m, k, n, reference::gemm_tn_ref, simd::gemm_tn_small) {
+        Some(direct) => with_dense(m * n, |product| {
+            direct(product, a, b, m, k, n);
+            scatter_add(dst, off, 0, product, n);
+        }),
+        None => with_dense(MR * n, |strip| {
+            run_tiled(dst, Some((off, strip)), PackA::T(a), PackB::N(b), m, k, n)
+        }),
+    }
+}
+
+/// Zeroed scratch for the dense copy of a table-addressed operand, product
+/// or `MR`-row strip of one; one per thread that can be inside a GEMM.
+fn with_dense<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    let count = pool::in_worker().then(pool::num_threads).unwrap_or(1);
+    scratch::reserve("gemm.dense", len, count);
+    scratch::with(len, f)
+}
+
+/// `dst[off.row[i0 + r] + off.col[j]] += rows[r * n + j]`, row-major; `off` checked for `dst`.
+fn scatter_add(dst: &mut [f32], off: Offsets<'_>, i0: usize, rows: &[f32], n: usize) {
+    for (row, &base) in rows.chunks_exact(n.max(1)).zip(&off.row[i0..]) {
+        for (&v, &c) in row.iter().zip(off.col) {
+            // SAFETY: `Offsets::check` bounded every row + column sum.
+            unsafe { *dst.get_unchecked_mut(base + c) += v };
+        }
     }
 }
 
@@ -204,6 +314,19 @@ fn pack_b_into(b: PackB<'_>, k: usize, n: usize, bpack: &mut [f32]) {
                     }
                 }
             }
+            PackB::Gather(src, off) => {
+                // A short last panel reads its first column again (to keep
+                // the row loop `NR` wide), then gets its zero padding back.
+                let mut col = [off.col[j0]; NR];
+                col[..cols].copy_from_slice(&off.col[j0..j0 + cols]);
+                for (prow, &base) in panel.chunks_exact_mut(NR).zip(off.row) {
+                    for (pv, &c) in prow.iter_mut().zip(&col) {
+                        // SAFETY: `Offsets::check` bounded every row + column sum.
+                        *pv = unsafe { *src.get_unchecked(base + c) };
+                    }
+                    prow[cols..].fill(0.0);
+                }
+            }
         }
     }
 }
@@ -212,11 +335,11 @@ fn pack_b_into(b: PackB<'_>, k: usize, n: usize, bpack: &mut [f32]) {
 /// `buf[p*MR + r] = A[i0 + r, p]`.
 fn pack_a(a: PackA<'_>, m: usize, k: usize, i0: usize, rows: usize, buf: &mut [f32]) {
     debug_assert_eq!(buf.len(), k * MR);
+    if rows < MR {
+        buf.fill(0.0);
+    }
     match a {
         PackA::N(src) => {
-            if rows < MR {
-                buf.fill(0.0);
-            }
             for r in 0..rows {
                 let arow = &src[(i0 + r) * k..(i0 + r + 1) * k];
                 for (p, &v) in arow.iter().enumerate() {
@@ -225,12 +348,14 @@ fn pack_a(a: PackA<'_>, m: usize, k: usize, i0: usize, rows: usize, buf: &mut [f
             }
         }
         PackA::T(src) => {
-            if rows < MR {
-                buf.fill(0.0);
-            }
-            for p in 0..k {
+            for (p, prow) in buf.chunks_exact_mut(MR).enumerate() {
                 let arow = &src[p * m + i0..p * m + i0 + rows];
-                buf[p * MR..p * MR + rows].copy_from_slice(arow);
+                // As for tile rows: a full panel row is a fixed-size copy.
+                if rows == MR {
+                    prow.copy_from_slice(arow);
+                } else {
+                    prow[..rows].copy_from_slice(arow);
+                }
             }
         }
     }
@@ -269,21 +394,30 @@ pub(crate) fn portable_microkernel(
 /// decomposition — are pure functions of the shape, and every output element
 /// is produced by exactly one micro-kernel call walking the full
 /// contraction ascending, so results are bit-identical at any thread count.
-/// `vector` (from [`simd::simd_available`], read once per call) picks the
-/// AVX2/FMA instantiation of the micro-kernel over the portable one.
+/// [`simd::simd_available`], read once per call, picks the AVX2/FMA
+/// instantiation of the micro-kernel over the portable one.
+///
+/// With `scatter` tables `out` is a destination, not `[m, n]`: a row panel's
+/// tiles start from zero and fill the `MR x n` strip beside the tables, which
+/// is then added to `out` row by row. All of it is one chunk, so the adds to
+/// any destination come in ascending row order; scattering tile by tile
+/// would reorder them.
 fn run_tiled(
     out: &mut [f32],
+    scatter: Option<(Offsets<'_>, &mut [f32])>,
     a: PackA<'_>,
     b: PackB<'_>,
     m: usize,
     k: usize,
     n: usize,
-    vector: bool,
 ) {
+    let vector = simd::simd_available();
     let row_panels = m.div_ceil(MR);
     let col_panels = n.div_ceil(NR);
     let panel_flops = 2 * MR * k * n;
-    let (row_grain, col_grain) = if panel_flops >= CHUNK_FLOPS {
+    let (row_grain, col_grain) = if scatter.is_some() {
+        (row_panels, col_panels)
+    } else if panel_flops >= CHUNK_FLOPS {
         (
             1,
             (CHUNK_FLOPS / (2 * MR * k * NR).max(1)).clamp(1, col_panels),
@@ -307,6 +441,7 @@ fn run_tiled(
     } else {
         (1, pool::num_threads().min(n_chunks))
     };
+    let scatter = scatter.map(|(off, strip)| (off, UnsafeSlice::new(strip)));
     scratch::reserve("gemm.bpack", bpack_len, bpack_count);
     scratch::reserve("gemm.apanel", k * MR, apanel_count);
     scratch::with(bpack_len, |bpack| {
@@ -322,17 +457,28 @@ fn run_tiled(
                         let i0 = ib * MR;
                         let rows = MR.min(m - i0);
                         pack_a(a, m, k, i0, rows, apanel);
+                        // Tiles live in `out` itself, or in the strip.
+                        let (tiles, row0, seeded) = match &scatter {
+                            None => (&shared, i0, rows),
+                            Some((_, strip)) => (strip, 0, 0),
+                        };
                         let load_acc = |jb: usize| -> [[f32; NR]; MR] {
                             let j0 = jb * NR;
                             let cols = NR.min(n - j0);
                             let mut acc = [[0.0f32; NR]; MR];
-                            for (r, accr) in acc.iter_mut().enumerate().take(rows) {
-                                let at = (i0 + r) * n + j0;
+                            for (r, accr) in acc.iter_mut().enumerate().take(seeded) {
+                                let at = (row0 + r) * n + j0;
                                 // SAFETY: tile (ib, jb) belongs to exactly one
                                 // chunk, so these regions are disjoint across
                                 // concurrent chunks.
-                                let orow = unsafe { shared.slice_mut(at..at + cols) };
-                                accr[..cols].copy_from_slice(orow);
+                                let orow = unsafe { tiles.slice_mut(at..at + cols) };
+                                // A full row copies as one fixed-size block;
+                                // a variable length is a `memcpy` call per row.
+                                if cols == NR {
+                                    accr.copy_from_slice(orow);
+                                } else {
+                                    accr[..cols].copy_from_slice(orow);
+                                }
                             }
                             acc
                         };
@@ -340,10 +486,15 @@ fn run_tiled(
                             let j0 = jb * NR;
                             let cols = NR.min(n - j0);
                             for (r, accr) in acc.iter().enumerate().take(rows) {
-                                let at = (i0 + r) * n + j0;
-                                // SAFETY: as above; the read borrow ended.
-                                let orow = unsafe { shared.slice_mut(at..at + cols) };
-                                orow.copy_from_slice(&accr[..cols]);
+                                let at = (row0 + r) * n + j0;
+                                // SAFETY: as above (the strip is this chunk's
+                                // own); the read borrow ended.
+                                let orow = unsafe { tiles.slice_mut(at..at + cols) };
+                                if cols == NR {
+                                    orow.copy_from_slice(accr);
+                                } else {
+                                    orow.copy_from_slice(&accr[..cols]);
+                                }
                             }
                         };
                         let mut jb = jg * col_grain;
@@ -374,16 +525,19 @@ fn run_tiled(
                             store_acc(jb, &acc);
                             jb += 1;
                         }
+                        if let Some((off, strip)) = &scatter {
+                            // SAFETY (both): a scatter is a single chunk and
+                            // every tile borrow above has ended, so nothing
+                            // else borrows `out` or the strip.
+                            let dst = unsafe { shared.slice_mut(0..shared.len()) };
+                            let done = unsafe { strip.slice_mut(0..rows * n) };
+                            scatter_add(dst, *off, i0, done, n);
+                        }
                     }
                 }
             });
         });
     });
-}
-
-/// [`run_tiled`] in the instantiation the platform selects.
-fn tiled(out: &mut [f32], a: PackA<'_>, b: PackB<'_>, m: usize, k: usize, n: usize) {
-    run_tiled(out, a, b, m, k, n, simd::simd_available());
 }
 
 #[cfg(test)]
@@ -412,14 +566,28 @@ mod tests {
         out
     }
 
-    /// Both micro-kernel instantiations (the vector one where the CPU has
-    /// it), forced onto the tiled path even below the size threshold.
-    fn instantiations() -> Vec<bool> {
-        if simd::detected() {
-            vec![false, true]
-        } else {
-            vec![false]
+    /// Runs `f` under each micro-kernel instantiation (the vector one where
+    /// the CPU has it), selected through the [`simd::set_simd_enabled`] hook
+    /// that [`run_tiled`] reads.
+    fn for_each_instantiation(mut f: impl FnMut(bool)) {
+        let _hook = simd::HOOK_LOCK.lock().unwrap();
+        for vector in [false, true] {
+            simd::set_simd_enabled(vector);
+            if simd::simd_available() == vector {
+                f(vector);
+            }
         }
+        simd::set_simd_enabled(true);
+    }
+
+    /// Table pair for an `[rows, cols]` matrix scattered over `len` slots:
+    /// strided rows and columns that overlap each other (like a stride-1
+    /// convolution's taps), deterministic in `salt`.
+    fn tables(rows: usize, cols: usize, salt: usize) -> (Vec<usize>, Vec<usize>, usize) {
+        let row: Vec<usize> = (0..rows).map(|i| (i * 3 + salt) % 11 + i / 4 * 5).collect();
+        let col: Vec<usize> = (0..cols).map(|j| j * 2 + (j + salt) % 3).collect();
+        let len = row.iter().max().unwrap() + col.iter().max().unwrap() + 1;
+        (row, col, len)
     }
 
     #[test]
@@ -448,10 +616,36 @@ mod tests {
             let mut slow_nt = init.clone();
             reference::gemm_nt_ref(&mut slow_nt, &a, &bt, m, k, n);
 
-            for vector in instantiations() {
+            // The same `b`, read out of a sparse buffer through tables.
+            let (b_row, b_col, b_len) = tables(k, n, m);
+            let mut b_src = fill(b_len, 4 + (m * k * n) as u64);
+            let b_off = Offsets::new(&b_row, &b_col);
+            let mut b_seen = vec![0.0f32; k * n];
+            for p in 0..k {
+                for j in 0..n {
+                    b_seen[p * n + j] = b_src[b_row[p] + b_col[j]];
+                }
+            }
+            let mut slow_gather = init.clone();
+            reference::gemm_ref(&mut slow_gather, &a, &b_seen, m, k, n);
+
+            // `a^T b` from zero, then added through tables in row-major order.
+            let (o_row, o_col, o_len) = tables(m, n, k);
+            let o_off = Offsets::new(&o_row, &o_col);
+            let mut product = vec![0.0f32; m * n];
+            reference::gemm_tn_ref(&mut product, &at, &b, m, k, n);
+            b_src.resize(o_len.max(b_len), 0.5);
+            let mut slow_scatter = b_src[..o_len].to_vec();
+            for i in 0..m {
+                for j in 0..n {
+                    slow_scatter[o_row[i] + o_col[j]] += product[i * n + j];
+                }
+            }
+
+            for_each_instantiation(|vector| {
                 let tiled = |pa: PackA<'_>, pb: PackB<'_>| {
                     let mut out = init.clone();
-                    run_tiled(&mut out, pa, pb, m, k, n, vector);
+                    run_tiled(&mut out, None, pa, pb, m, k, n);
                     out
                 };
                 let at_shape = format!("({m},{k},{n}) vector={vector}");
@@ -470,8 +664,42 @@ mod tests {
                     slow_nt,
                     "gemm_nt mismatch at {at_shape}"
                 );
-            }
+                assert_eq!(
+                    tiled(PackA::N(&a), PackB::Gather(&b_src[..b_len], b_off)),
+                    slow_gather,
+                    "gemm_gather mismatch at {at_shape}"
+                );
+                let mut dst = b_src[..o_len].to_vec();
+                let mut strip = vec![f32::NAN; MR * n];
+                let sink = Some((o_off, &mut strip[..]));
+                run_tiled(&mut dst, sink, PackA::T(&at), PackB::N(&b), m, k, n);
+                assert_eq!(dst, slow_scatter, "gemm_tn_scatter mismatch at {at_shape}");
+            });
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "offset tables reach 9 + 6, outside a buffer of 15 elements")]
+    fn gather_rejects_a_table_that_reaches_outside_the_source() {
+        let mut out = [0.0f32; 4];
+        let off = Offsets::new(&[0, 9], &[0, 6]);
+        gemm_gather(&mut out, &[1.0; 4], &[0.0; 15], off, 2, 2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "offset tables reach 9 + 6, outside a buffer of 15 elements")]
+    fn scatter_rejects_a_table_that_reaches_outside_the_destination() {
+        let mut dst = [0.0f32; 15];
+        let off = Offsets::new(&[0, 9], &[0, 6]);
+        gemm_tn_scatter(&mut dst, &[1.0; 6], &[1.0; 6], off, 2, 3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "offset tables do not match the 3x2 matrix they address")]
+    fn gather_rejects_tables_of_the_wrong_extent() {
+        let mut out = [0.0f32; 4];
+        let off = Offsets::new(&[0, 1], &[0, 1]);
+        gemm_gather(&mut out, &[1.0; 6], &[0.0; 16], off, 2, 3, 2);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   are bit-identical to the retained naive oracle in [`reference`] and to
 //!   each other. [`GemmBackend`] is `{Auto, Naive}`: production dispatch
 //!   or the reference loops at every size, switched only in-process
-//!   ([`set_backend`]) by tests and A/B benchmarks.
+//!   ([`set_backend`]) by tests and A/B benchmarks. [`gemm_gather()`] and
+//!   [`gemm_tn_scatter()`] are the same GEMMs with `B` read, or the product
+//!   added, through two [`Offsets`] tables — how `hfta-tensor` convolves a
+//!   padded image without materialising its im2col matrix.
 //! * [`simd`] — the runtime-detected AVX2/FMA instantiations (8×8 / paired
 //!   8×16 micro-kernel, small-shape loops) `Auto` takes wherever the CPU
 //!   has them; elsewhere the portable `f32::mul_add` twins run. FMA is
@@ -44,7 +47,10 @@ pub mod reference;
 pub mod simd;
 pub mod tune;
 
-pub use gemm::{backend, gemm, gemm_nt, gemm_tn, set_backend, GemmBackend};
+pub use gemm::{
+    backend, gemm, gemm_gather, gemm_nt, gemm_tn, gemm_tn_scatter, set_backend, GemmBackend,
+    Offsets,
+};
 pub use pool::{
     for_each_chunk_mut, num_threads, parallel_for, parallel_for_work, pool_dispatches,
     set_num_threads, UnsafeSlice,

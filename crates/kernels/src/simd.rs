@@ -51,6 +51,11 @@ const _: () = assert!(
     "AVX2 micro-kernel is written for an 8x8 tile"
 );
 
+/// Serializes the unit tests that flip [`set_simd_enabled`] or assert on
+/// [`simd_available`] (the hook is process-wide).
+#[cfg(test)]
+pub(crate) static HOOK_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Whether this CPU has AVX2+FMA (detected once). What the `unsafe` calls
 /// below rest on — unlike [`simd_available`] it cannot be toggled, so a
 /// [`set_simd_enabled`] racing a running GEMM is harmless.
@@ -282,6 +287,7 @@ mod tests {
 
     #[test]
     fn force_portable_and_back_round_trip() {
+        let _hook = HOOK_LOCK.lock().unwrap();
         set_simd_enabled(false);
         assert!(!simd_available());
         set_simd_enabled(true);

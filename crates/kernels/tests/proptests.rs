@@ -11,15 +11,19 @@
 //!   machines;
 //! * on inputs where a fused multiply-add and a separate multiply + add
 //!   provably differ, every path produces the *fused* answer, checked
-//!   against hand-derived bits rather than against another kernel.
+//!   against hand-derived bits rather than against another kernel;
+//! * the table-addressed entry points are the same GEMMs: `gemm_gather` ==
+//!   the oracle on the `B` its tables materialise, `gemm_tn_scatter` == the
+//!   oracle into zeroed columns followed by a row-major add through the
+//!   tables — including, on a hand-derived case, the *order* of those adds.
 //!
 //! `set_num_threads` / `set_backend` / `set_simd_enabled` are process
 //! globals, so every test in this binary serializes on [`GLOBAL_LOCK`] and
 //! restores the previous configuration before releasing it.
 
 use hfta_kernels::{
-    gemm, gemm_nt, gemm_tn, reference, set_backend, set_num_threads, set_simd_enabled,
-    simd_available, GemmBackend,
+    gemm, gemm_gather, gemm_nt, gemm_tn, gemm_tn_scatter, reference, set_backend, set_num_threads,
+    set_simd_enabled, simd_available, GemmBackend, Offsets,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -146,9 +150,9 @@ impl Problem {
     }
 }
 
-/// Asserts, for every entry point at 1/2/4 threads, that default dispatch,
-/// the forced-portable path and the `Naive` backend all reproduce `expect`
-/// (or, when `None`, each entry's oracle) bit for bit.
+/// Asserts, for every entry point, that every configuration (see
+/// [`check_every_configuration`]) reproduces `expect` — or, when `None`, each
+/// entry's oracle — bit for bit.
 fn check_all_paths(
     a: &[f32],
     b: &[f32],
@@ -156,12 +160,6 @@ fn check_all_paths(
     (m, k, n): (usize, usize, usize),
     expect: Option<&[u32]>,
 ) -> Result<(), String> {
-    let _g = GLOBAL_LOCK.lock().unwrap();
-    let _restore = RestoreGlobals::capture();
-    set_simd_enabled(true);
-    if !simd_available() {
-        eprintln!("note: no AVX2+FMA here; vector == portable is vacuous on this CPU");
-    }
     for entry in ENTRIES {
         let problem = Problem::new(entry, a, b, init, m, k, n);
         let oracle = problem.oracle();
@@ -170,30 +168,93 @@ fn check_all_paths(
             oracle == expect,
             "{entry:?}: oracle diverged from the expected bits at {m}x{k}x{n}"
         );
+        check_every_configuration(&format!("{entry:?} {m}x{k}x{n}"), expect, || problem.run())?;
+    }
+    Ok(())
+}
 
-        set_backend(GemmBackend::Naive);
-        prop_assert!(
-            problem.run() == expect,
-            "{entry:?}: naive backend diverged at {m}x{k}x{n}"
-        );
-
-        set_backend(GemmBackend::Auto);
-        for threads in [1usize, 2, 4] {
-            set_num_threads(threads);
-            set_simd_enabled(true);
-            let default = problem.run();
+/// Runs `run` under every configuration — the `Naive` backend, then default
+/// dispatch at 1/2/4 threads on the vector and the forced-portable path —
+/// and asserts each result equals `expect`.
+fn check_every_configuration(
+    what: &str,
+    expect: &[u32],
+    run: impl Fn() -> Vec<u32>,
+) -> Result<(), String> {
+    let _g = GLOBAL_LOCK.lock().unwrap();
+    let _restore = RestoreGlobals::capture();
+    set_simd_enabled(true);
+    if !simd_available() {
+        eprintln!("note: no AVX2+FMA here; vector == portable is vacuous on this CPU");
+    }
+    set_backend(GemmBackend::Naive);
+    prop_assert!(run() == expect, "{what}: naive backend diverged");
+    set_backend(GemmBackend::Auto);
+    for threads in [1usize, 2, 4] {
+        set_num_threads(threads);
+        for vector in [true, false] {
+            set_simd_enabled(vector);
             prop_assert!(
-                default == expect,
-                "{entry:?}: default dispatch != oracle at {m}x{k}x{n} with {threads} threads"
-            );
-            set_simd_enabled(false);
-            prop_assert!(
-                problem.run() == default,
-                "{entry:?}: vector path != portable path at {m}x{k}x{n} with {threads} threads"
+                run() == expect,
+                "{what}: default dispatch diverged at {threads} threads, vector={vector}"
             );
         }
     }
     Ok(())
+}
+
+/// Pseudo-random offset table of `len` entries below `bound` (repeats, and
+/// so overlapping destinations, included), decorrelated by `salt`.
+fn table(len: usize, bound: usize, seed: u64, salt: u64) -> Vec<usize> {
+    fill(len, seed, salt)
+        .iter()
+        .map(|v| ((v + 2.0) * 1e4) as usize % bound)
+        .collect()
+}
+
+/// `gemm_gather` against the oracle on the `B` its tables materialise, and
+/// `gemm_tn_scatter` against the oracle into zeroed columns followed by a
+/// row-major `dst[row[i] + col[j]] += cols[i][j]`, over every configuration.
+fn check_tables(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
+    let a = fill(m * k, seed, 1);
+    let init = fill(m * n, seed, 3);
+
+    let (b_row, b_col) = (table(k, 3 * k + 1, seed, 4), table(n, 2 * n + 1, seed, 5));
+    let src = fill(5 * (k + n) + 2, seed, 6);
+    let mut b = vec![0.0f32; k * n];
+    for (p, &base) in b_row.iter().enumerate() {
+        for (j, &c) in b_col.iter().enumerate() {
+            b[p * n + j] = src[base + c];
+        }
+    }
+    let mut expect = init.clone();
+    reference::gemm_ref(&mut expect, &a, &b, m, k, n);
+    check_every_configuration(&format!("gather {m}x{k}x{n}"), &bits(&expect), || {
+        let mut out = init.clone();
+        let off = Offsets::new(&b_row, &b_col);
+        gemm_gather(&mut out, &a, &src, off, m, k, n);
+        bits(&out)
+    })?;
+
+    // Offsets far smaller than the matrix, so most destinations are hit many
+    // times, from several rows and several column tiles.
+    let (d_row, d_col) = (table(m, m / 2 + 1, seed, 7), table(n, n / 2 + 1, seed, 8));
+    let dst = fill(m / 2 + n / 2 + 1, seed, 9);
+    let at = transpose(&a, m, k);
+    let mut cols = vec![0.0f32; m * n];
+    reference::gemm_tn_ref(&mut cols, &at, &b, m, k, n);
+    let mut expect = dst.clone();
+    for (i, &base) in d_row.iter().enumerate() {
+        for (j, &c) in d_col.iter().enumerate() {
+            expect[base + c] += cols[i * n + j];
+        }
+    }
+    check_every_configuration(&format!("scatter {m}x{k}x{n}"), &bits(&expect), || {
+        let mut out = dst.clone();
+        let off = Offsets::new(&d_row, &d_col);
+        gemm_tn_scatter(&mut out, &at, &b, off, m, k, n);
+        bits(&out)
+    })
 }
 
 fn check_random(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
@@ -221,6 +282,61 @@ proptest! {
     fn all_paths_bit_identical_large(m in 24usize..80, n in 24usize..80, seed in 0u64..1_000_000) {
         check_random(m, 33, n, seed)?;
     }
+
+    // The same straddle for the table-addressed entry points: k in {0, 1}
+    // included, m and n mostly off the tile edges, several row panels (the
+    // scatter's strips) and an odd column panel behind the pairs.
+    #[test]
+    fn table_paths_bit_identical(m in 1usize..28, k in 0usize..28, n in 1usize..40, seed in 0u64..1_000_000) {
+        check_tables(m, k, n, seed)?;
+    }
+}
+
+/// The scatter's add order, derived by hand. Rows 0, 1, 2 of one row panel
+/// carry `1e8`, `-1e8` and `1.0` in every column, and the tables land row 0's
+/// third column tile, row 1's second and row 2's first on the same eight
+/// destinations. Added in ascending row order — what a `col2im` pass over the
+/// whole product does — each of those reads `(1e8 + -1e8) + 1.0 = 1.0`. A
+/// scatter done tile by tile would reach them in column-tile order, rows 2,
+/// 1, 0: `(1.0 + -1e8) + 1e8`, and `1.0 - 1e8` rounds to `-1e8` (the spacing
+/// of f32 there is 8), leaving `0.0`.
+#[test]
+fn scatter_adds_in_ascending_row_order() {
+    let taps = [1e8f32, -1e8, 1.0];
+    assert_eq!(
+        (taps[0] + taps[1]) + taps[2],
+        1.0,
+        "hand-derived ascending sum"
+    );
+    assert_eq!(
+        (taps[2] + taps[1]) + taps[0],
+        0.0,
+        "case is blind to the order"
+    );
+    // k = 32 puts the product above the small-shape threshold; only the last
+    // contraction step is active, so each product element is exactly a tap.
+    let (m, k, n) = (3usize, 32usize, 24usize);
+    let mut a = vec![0.0f32; k * m];
+    a[(k - 1) * m..].copy_from_slice(&taps);
+    let b = vec![1.0f32; k * n];
+    let row = [0usize, 8, 16];
+    let col: Vec<usize> = (0..n).collect();
+    // Destination d collects row 0's column d, row 1's d - 8, row 2's d - 16.
+    let expect: Vec<f32> = (0..40)
+        .map(|d| match d / 8 {
+            0 => 1e8,        // row 0 alone
+            1 => 1e8 + -1e8, // rows 0, 1
+            2 => 1.0,        // rows 0, 1, 2: the case above
+            3 => -1e8 + 1.0, // rows 1, 2
+            _ => 1.0,        // row 2 alone
+        })
+        .collect();
+    check_every_configuration("scatter order", &bits(&expect), || {
+        let mut dst = vec![0.0f32; 40];
+        gemm_tn_scatter(&mut dst, &a, &b, Offsets::new(&row, &col), m, k, n);
+        bits(&dst)
+    })
+    .unwrap();
 }
 
 /// Inputs on which `fma(a, b, c)` and `(a * b) + c` round differently, with

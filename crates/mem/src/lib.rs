@@ -10,8 +10,9 @@
 //!   process *footprint* (live + pool-held + scratch-held bytes) whose
 //!   high-water mark is the CPU analogue of the paper's Table 8/9
 //!   `nvidia-smi` peak-usage measurements.
-//! * [`scratch`] — step-scoped scratch arenas for kernel workspace (im2col
-//!   columns, GEMM packing panels). Call sites [`scratch::reserve`] their
+//! * [`scratch`] — step-scoped scratch arenas for kernel workspace (GEMM
+//!   packing panels and scatter strips; convolutions read their image
+//!   through offset tables and hold no im2col columns). Call sites [`scratch::reserve`] their
 //!   worst-case concurrency up front so steady-state training steps perform
 //!   **zero fresh allocations** on the hot path.
 //!

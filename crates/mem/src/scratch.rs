@@ -1,9 +1,10 @@
 //! Step-scoped scratch arenas for kernel workspace.
 //!
-//! Kernels that need per-chunk working buffers (im2col columns, GEMM
-//! packing panels) check them out with [`with`], which zero-fills the
-//! buffer — bit-identical to the `vec![0.0; len]` they replace — runs the
-//! closure, and parks the buffer again. The free lists are shared across
+//! Kernels that need per-chunk working buffers (GEMM packing panels, the
+//! scatter sink's row strip, the direct paths' dense copy of a
+//! table-addressed operand) check them out with [`with`], which zero-fills
+//! the buffer — bit-identical to the `vec![0.0; len]` they replace — runs
+//! the closure, and parks the buffer again. The free lists are shared across
 //! threads, so a handful of buffers serve the whole worker pool forever.
 //!
 //! # Deterministic zero-miss steady state
@@ -13,8 +14,8 @@
 //! tag) target and grows the arena (under one lock, so the growth is
 //! serialized and its byte count deterministic) until the class owns the
 //! *sum* of its tags' targets. Distinct tags may hold buffers of the same
-//! class simultaneously (a conv worker's columns plus the GEMM panel of
-//! its nested call), which is why targets sum across tags rather than
+//! class simultaneously (a GEMM's packed `B` plus the `A` panel of each
+//! of its tile chunks), which is why targets sum across tags rather than
 //! max. After the first step every checkout hits, so `fresh_allocs`
 //! stays flat — the property the steady-state allocation guard asserts.
 

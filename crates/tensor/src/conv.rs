@@ -5,15 +5,28 @@
 //! groups over channel-concatenated inputs (Table 6 of the paper). Both the
 //! serial and fused paths in this workspace execute through these kernels.
 //!
-//! Implementation is classic im2col/col2im + per-group GEMM, with the
-//! transposed convolution expressed through the same adjoint kernels. There
-//! is one forward path — pad, per-(sample, group) im2col, [`kernels::gemm`]
-//! with the bias folded into the block initialization — and nothing that
-//! selects another.
+//! # One path, no column matrix
+//!
+//! On a padded image im2col is *separable*: `cols[(ci,u,v), (oy,ox)] =
+//! img[koff[(ci,u,v)] + soff[(oy,ox)]]` with `koff = (ci*hp + u)*wp + v` and
+//! `soff = oy*sh*wp + ox*sw`. Each op builds the two tables once per call and
+//! hands them to `hfta-kernels` with each (sample, group) image block: the
+//! forward pass and the weight gradient *gather* their GEMM operand through
+//! them as it is packed ([`kernels::gemm_gather`]; the weight gradient wants
+//! `cols^T`, the same tables swapped), the input gradient — hence the
+//! transposed convolution's forward — *scatter-adds* `w^T @ gy` through them
+//! ([`kernels::gemm_tn_scatter`]). That sink adds one finished row strip at a
+//! time in ascending `(ci,u,v)`, the order in which a `col2im` pass hands
+//! each pixel its taps, so every op is bit-identical to pad → im2col → GEMM →
+//! col2im (the oracle the tests keep) without ever writing the columns.
+//!
+//! A 1x1, stride-1, unpadded convolution's tables are the identity: its image
+//! block *is* the operand and goes to [`kernels::gemm()`] / [`kernels::gemm_nt`]
+//! as is. Its input gradient still scatters — adding into the zeroed image is
+//! what turns a `-0.0` product into `+0.0`.
 
 use crate::tensor::Tensor;
-use hfta_kernels::{self as kernels, UnsafeSlice};
-use hfta_mem::scratch;
+use hfta_kernels::{self as kernels, Offsets, UnsafeSlice};
 
 /// Target FLOPs per parallel chunk when fanning out over (sample, group)
 /// blocks. A pure function of the problem shape — never of the thread
@@ -26,14 +39,6 @@ fn block_grain(per_block_flops: usize, n_blocks: usize) -> usize {
     PAR_CHUNK_FLOPS
         .checked_div(per_block_flops)
         .map_or(n_blocks.max(1), |g| g.clamp(1, n_blocks.max(1)))
-}
-
-/// Pre-reserves the im2col column scratch for a `parallel_for` fan-out of
-/// `n_blocks` blocks at `grain` blocks per chunk: at most one column buffer
-/// per concurrently running chunk is ever live.
-fn reserve_cols(len: usize, n_blocks: usize, grain: usize) {
-    let workers = kernels::num_threads().min(n_blocks.max(1).div_ceil(grain));
-    scratch::reserve("conv.cols", len, workers);
 }
 
 /// Configuration for 2-D (de)convolutions: `(height, width)` stride and
@@ -107,79 +112,42 @@ impl Default for ConvCfg {
     }
 }
 
-/// Lowers one padded image `[c, hp, wp]` into `cols` (`[c*kh*kw, ho*wo]`,
-/// fully overwritten), so callers can hand in recycled scratch.
-fn im2col_into(
-    cols: &mut [f32],
-    img: &[f32],
+/// The separable `(koff, soff)` tables of one padded `[c, hp, wp]` image block.
+fn im2col_tables(
     c: usize,
     (hp, wp): (usize, usize),
     (kh, kw): (usize, usize),
     (sh, sw): (usize, usize),
     (ho, wo): (usize, usize),
-) {
-    debug_assert_eq!(cols.len(), c * kh * kw * ho * wo);
-    let col_w = ho * wo;
-    for ci in 0..c {
-        for u in 0..kh {
-            for v in 0..kw {
-                let row = ((ci * kh + u) * kw + v) * col_w;
-                for p in 0..ho {
-                    let src_row = (ci * hp + p * sh + u) * wp + v;
-                    let dst = row + p * wo;
-                    for q in 0..wo {
-                        cols[dst + q] = img[src_row + q * sw];
-                    }
-                }
-            }
-        }
-    }
+) -> (Vec<usize>, Vec<usize>) {
+    let koff = (0..c * kh * kw).map(|r| (r / (kh * kw) * hp + r / kw % kh) * wp + r % kw);
+    let soff = (0..ho * wo).map(|s| s / wo * sh * wp + s % wo * sw);
+    (koff.collect(), soff.collect())
 }
 
-/// Adjoint of [`im2col`]: accumulates columns back into the padded image.
-fn col2im(
-    cols: &[f32],
-    img: &mut [f32],
-    c: usize,
-    (hp, wp): (usize, usize),
-    (kh, kw): (usize, usize),
-    (sh, sw): (usize, usize),
-    (ho, wo): (usize, usize),
-) {
-    let col_w = ho * wo;
-    for ci in 0..c {
-        for u in 0..kh {
-            for v in 0..kw {
-                let row = ((ci * kh + u) * kw + v) * col_w;
-                for p in 0..ho {
-                    let dst_row = (ci * hp + p * sh + u) * wp + v;
-                    let src = row + p * wo;
-                    for q in 0..wo {
-                        img[dst_row + q * sw] += cols[src + q];
-                    }
-                }
-            }
-        }
-    }
+/// Whether the im2col tables are the identity: the image block is its own column matrix.
+fn pointwise(kernel: (usize, usize), cfg: &ConvCfg) -> bool {
+    (kernel, cfg.stride, cfg.padding) == ((1, 1), (1, 1), (0, 0))
+}
+
+fn check_groups(cin: usize, cout: usize, groups: usize) {
+    assert!(
+        cin.is_multiple_of(groups) && cout.is_multiple_of(groups),
+        "channels {cin} -> {cout} not divisible by groups {groups}"
+    );
+}
+
+/// The gradient ops index the image through tables built from these extents.
+fn check_out_hw(cfg: &ConvCfg, hw: (usize, usize), kernel: (usize, usize), got: (usize, usize)) {
+    let want = cfg.out_hw(hw, kernel);
+    assert_eq!(got, want, "grad output extent for input {hw:?}");
 }
 
 fn check_conv_args(x: &Tensor, w: &Tensor, cfg: &ConvCfg) {
     assert_eq!(x.rank(), 4, "conv2d input must be [N, C, H, W]");
     assert_eq!(w.rank(), 4, "conv2d weight must be [Cout, Cin/g, kh, kw]");
     let cin = x.dim(1);
-    let cout = w.dim(0);
-    assert_eq!(
-        cin % cfg.groups,
-        0,
-        "input channels {cin} not divisible by groups {}",
-        cfg.groups
-    );
-    assert_eq!(
-        cout % cfg.groups,
-        0,
-        "output channels {cout} not divisible by groups {}",
-        cfg.groups
-    );
+    check_groups(cin, w.dim(0), cfg.groups);
     assert_eq!(
         w.dim(1),
         cin / cfg.groups,
@@ -232,13 +200,14 @@ pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tenso
     // there is no second pass over the output.
     let block = coutg * spatial;
     let per_block_flops = 2 * coutg * krows * spatial;
-    // Per (sample, group) block: image read, im2col columns written then
-    // re-read by the GEMM, weights read, output written.
-    let per_block_bytes = 4 * (cing * hp * wp + 2 * krows * spatial + coutg * krows + block);
+    // Per (sample, group) block: image and weights read, output written.
+    let per_block_bytes = 4 * (cing * hp * wp + coutg * krows + block);
     let bytes = (n * g * per_block_bytes) as f64;
     kernels::profiled("conv2d", (n * g * per_block_flops) as f64, bytes, || {
         let grain = block_grain(per_block_flops, n * g);
-        reserve_cols(krows * spatial, n * g, grain);
+        let tables = (!pointwise((kh, kw), &cfg))
+            .then(|| im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo)));
+        let cols = tables.as_ref().map(|(koff, soff)| Offsets::new(koff, soff));
         let mut out = Tensor::zeros([n, cout, ho, wo]);
         let shared = UnsafeSlice::new(out.as_mut_slice());
         kernels::parallel_for_work(n * g, grain, n * g * per_block_flops, |range| {
@@ -254,10 +223,10 @@ pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tenso
                 let img = &xp_data
                     [(ni * cin + gi * cing) * hp * wp..(ni * cin + (gi + 1) * cing) * hp * wp];
                 let wmat = &w_data[gi * coutg * krows..(gi + 1) * coutg * krows];
-                scratch::with(krows * spatial, |cols| {
-                    im2col_into(cols, img, cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo));
-                    kernels::gemm(out_block, wmat, cols, coutg, krows, spatial);
-                });
+                match cols {
+                    Some(c) => kernels::gemm_gather(out_block, wmat, img, c, coutg, krows, spatial),
+                    None => kernels::gemm(out_block, wmat, img, coutg, krows, spatial),
+                }
             }
         });
         out
@@ -283,13 +252,13 @@ pub fn conv2d_grad_input(
     let (n, cout, ho, wo) = (gy.dim(0), gy.dim(1), gy.dim(2), gy.dim(3));
     let (kh, kw) = (w.dim(2), w.dim(3));
     let g = cfg.groups;
+    check_groups(cin, cout, g);
+    check_out_hw(&cfg, input_hw, (kh, kw), (ho, wo));
     let (cing, coutg) = (cin / g, cout / g);
     assert_eq!(w.dim(0), cout, "weight Cout mismatch");
     assert_eq!(w.dim(1), cing, "weight Cin/g mismatch");
-    let (hp, wp) = (
-        input_hw.0 + 2 * cfg.padding.0,
-        input_hw.1 + 2 * cfg.padding.1,
-    );
+    let (ph, pw) = cfg.padding;
+    let (hp, wp) = (input_hw.0 + 2 * ph, input_hw.1 + 2 * pw);
     let krows = cing * kh * kw;
     let spatial = ho * wo;
     let gy_data = gy.as_slice();
@@ -298,38 +267,29 @@ pub fn conv2d_grad_input(
     // the padded input gradient, so the blocks fan out across the pool.
     let block = cing * hp * wp;
     let per_block_flops = 2 * coutg * krows * spatial;
-    // Per block: grad-output and weights read, columns written then folded
-    // by col2im, padded input gradient written.
-    let per_block_bytes = 4 * (coutg * spatial + coutg * krows + 2 * krows * spatial + block);
-    kernels::profiled(
-        "conv2d_grad_input",
-        (n * g * per_block_flops) as f64,
-        (n * g * per_block_bytes) as f64,
-        || {
-            let grain = block_grain(per_block_flops, n * g);
-            reserve_cols(krows * spatial, n * g, grain);
-            let mut gx_pad = Tensor::zeros([n, cin, hp, wp]);
-            let shared = UnsafeSlice::new(gx_pad.as_mut_slice());
-            kernels::parallel_for_work(n * g, grain, n * g * per_block_flops, |range| {
-                for idx in range {
-                    let (ni, gi) = (idx / g, idx % g);
-                    let wmat = &w_data[gi * coutg * krows..(gi + 1) * coutg * krows];
-                    let gybase = (ni * cout + gi * coutg) * spatial;
-                    let gymat = &gy_data[gybase..gybase + coutg * spatial];
-                    // cols = w^T @ gy : [krows, spatial]; the scratch
-                    // checkout arrives zero-filled, which gemm_tn's
-                    // accumulation requires.
-                    scratch::with(krows * spatial, |cols| {
-                        kernels::gemm_tn(cols, wmat, gymat, krows, coutg, spatial);
-                        // SAFETY: each (sample, group) index owns a disjoint block.
-                        let img = unsafe { shared.slice_mut(idx * block..(idx + 1) * block) };
-                        col2im(cols, img, cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo));
-                    });
-                }
-            });
-            gx_pad.unpad2d(cfg.padding.0, cfg.padding.1)
-        },
-    )
+    // Per block: grad-output and weights read, padded input gradient written.
+    let bytes = (4 * n * g * (coutg * spatial + coutg * krows + block)) as f64;
+    let flops = (n * g * per_block_flops) as f64;
+    kernels::profiled("conv2d_grad_input", flops, bytes, || {
+        let grain = block_grain(per_block_flops, n * g);
+        let (koff, soff) = im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo));
+        let cols = Offsets::new(&koff, &soff);
+        let mut gx_pad = Tensor::zeros([n, cin, hp, wp]);
+        let shared = UnsafeSlice::new(gx_pad.as_mut_slice());
+        kernels::parallel_for_work(n * g, grain, n * g * per_block_flops, |range| {
+            for idx in range {
+                let (ni, gi) = (idx / g, idx % g);
+                let wmat = &w_data[gi * coutg * krows..(gi + 1) * coutg * krows];
+                let gybase = (ni * cout + gi * coutg) * spatial;
+                let gymat = &gy_data[gybase..gybase + coutg * spatial];
+                // SAFETY: each (sample, group) index owns a disjoint block.
+                let img = unsafe { shared.slice_mut(idx * block..(idx + 1) * block) };
+                // img[cols] += w^T @ gy : [krows, spatial]
+                kernels::gemm_tn_scatter(img, wmat, gymat, cols, krows, coutg, spatial);
+            }
+        });
+        gx_pad.unpad2d(ph, pw)
+    })
 }
 
 /// Gradient of [`conv2d`] with respect to its weight.
@@ -348,8 +308,9 @@ pub fn conv2d_grad_weight(
     assert_eq!(n, n2, "batch mismatch between input and grad output");
     let (kh, kw) = kernel_hw;
     let g = cfg.groups;
+    check_groups(cin, cout, g);
+    check_out_hw(&cfg, (h, wdt), (kh, kw), (ho, wo));
     let (cing, coutg) = (cin / g, cout / g);
-    debug_assert_eq!(cfg.out_hw((h, wdt), (kh, kw)), (ho, wo));
     let xp = x.pad2d(cfg.padding.0, cfg.padding.1);
     let (hp, wp) = (xp.dim(2), xp.dim(3));
     let xp_data = xp.as_slice();
@@ -359,48 +320,40 @@ pub fn conv2d_grad_weight(
     // The weight gradient REDUCES over the batch: every sample accumulates
     // into the same per-group block of `gw`, and float addition is not
     // associative, so that reduction must never be split across chunks.
-    // With g >= 2 the groups fan out across the pool (each group walks
-    // `ni` in ascending order on one thread); with g == 1 the batch loop
-    // stays serial and the GEMM parallelizes internally over output rows.
-    // Path selection depends only on the shape — never the thread count —
-    // and both paths keep the identical per-element accumulation order.
+    // Groups fan out across the pool, each walking `ni` in ascending order
+    // on one thread; a single group is a single chunk, which runs on the
+    // caller and lets its GEMMs parallelize internally over tiles. Chunking
+    // depends only on the shape — never the thread count.
     let block = coutg * krows;
-    let flops = 2 * n * g * coutg * spatial * krows;
-    // Per (sample, group): image read, columns written + re-read, grad
-    // output read, weight-gradient block read-modify-written.
-    let bytes =
-        (4 * n * g * (cing * hp * wp + 2 * krows * spatial + coutg * spatial + 2 * block)) as f64;
+    let per_group_flops = 2 * n * coutg * spatial * krows;
+    let flops = g * per_group_flops;
+    // Per (sample, group): image and grad output read, weight-gradient
+    // block read-modify-written.
+    let bytes = (4 * n * g * (cing * hp * wp + coutg * spatial + 2 * block)) as f64;
     kernels::profiled("conv2d_grad_weight", flops as f64, bytes, || {
+        let grain = block_grain(per_group_flops, g);
+        let tables = (!pointwise((kh, kw), &cfg))
+            .then(|| im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo)));
+        let cols_t = tables.as_ref().map(|(koff, soff)| Offsets::new(soff, koff));
         let mut gw = Tensor::zeros([cout, cing, kh, kw]);
-        let group_work = |gw_block: &mut [f32], gi: usize| {
-            for ni in 0..n {
-                let img = &xp_data
-                    [(ni * cin + gi * cing) * hp * wp..(ni * cin + (gi + 1) * cing) * hp * wp];
-                scratch::with(krows * spatial, |cols| {
-                    im2col_into(cols, img, cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo));
+        let shared = UnsafeSlice::new(gw.as_mut_slice());
+        kernels::parallel_for_work(g, grain, flops, |range| {
+            for gi in range {
+                // SAFETY: each group owns a disjoint block of `gw`.
+                let gw_g = unsafe { shared.slice_mut(gi * block..(gi + 1) * block) };
+                for ni in 0..n {
+                    let img = &xp_data
+                        [(ni * cin + gi * cing) * hp * wp..(ni * cin + (gi + 1) * cing) * hp * wp];
                     let gybase = (ni * cout + gi * coutg) * spatial;
                     let gymat = &gy_data[gybase..gybase + coutg * spatial];
-                    // gw_g += gy [coutg, spatial] @ cols^T [spatial, krows]
-                    kernels::gemm_nt(gw_block, gymat, cols, coutg, spatial, krows);
-                });
-            }
-        };
-        if g >= 2 {
-            let per_group_flops = 2 * n * coutg * spatial * krows;
-            let grain = block_grain(per_group_flops, g);
-            reserve_cols(krows * spatial, g, grain);
-            let shared = UnsafeSlice::new(gw.as_mut_slice());
-            kernels::parallel_for_work(g, grain, flops, |range| {
-                for gi in range {
-                    // SAFETY: each group owns a disjoint block of `gw`.
-                    let gw_block = unsafe { shared.slice_mut(gi * block..(gi + 1) * block) };
-                    group_work(gw_block, gi);
+                    // += gy [coutg, spatial] @ cols^T [spatial, krows]
+                    match cols_t {
+                        Some(c) => kernels::gemm_gather(gw_g, gymat, img, c, coutg, spatial, krows),
+                        None => kernels::gemm_nt(gw_g, gymat, img, coutg, spatial, krows),
+                    }
                 }
-            });
-        } else {
-            reserve_cols(krows * spatial, 1, 1);
-            group_work(gw.as_mut_slice(), 0);
-        }
+            }
+        });
         gw
     })
 }
@@ -440,18 +393,11 @@ pub fn conv_transpose2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg
     let mut y = conv2d_grad_input(w, x, (ho, wo), cout, cfg);
     if let Some(bias) = b {
         assert_eq!(bias.dims(), &[cout], "bias must be [Cout]");
-        let spatial = ho * wo;
-        let n = y.dim(0);
-        let bd = bias.as_slice();
-        let yd = y.as_mut_slice();
-        for ni in 0..n {
-            #[allow(clippy::needless_range_loop)]
-            for co in 0..cout {
-                let base = (ni * cout + co) * spatial;
-                for v in &mut yd[base..base + spatial] {
-                    *v += bd[co];
-                }
-            }
+        // A second pass on purpose: seeding the image with the bias would
+        // put it first in every pixel's add chain instead of last.
+        let rows = y.as_mut_slice().chunks_exact_mut((ho * wo).max(1));
+        for (row, &bv) in rows.zip(bias.as_slice().iter().cycle()) {
+            row.iter_mut().for_each(|v| *v += bv);
         }
     }
     y
@@ -533,6 +479,215 @@ pub fn conv1d_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hfta_kernels::reference;
+    use proptest::prelude::*;
+
+    /// Lowers one padded image `[c, hp, wp]` into `cols` (`[c*kh*kw, ho*wo]`,
+    /// fully overwritten), so callers can hand in recycled scratch.
+    fn im2col_into(
+        cols: &mut [f32],
+        img: &[f32],
+        c: usize,
+        (hp, wp): (usize, usize),
+        (kh, kw): (usize, usize),
+        (sh, sw): (usize, usize),
+        (ho, wo): (usize, usize),
+    ) {
+        debug_assert_eq!(cols.len(), c * kh * kw * ho * wo);
+        let col_w = ho * wo;
+        for ci in 0..c {
+            for u in 0..kh {
+                for v in 0..kw {
+                    let row = ((ci * kh + u) * kw + v) * col_w;
+                    for p in 0..ho {
+                        let src_row = (ci * hp + p * sh + u) * wp + v;
+                        let dst = row + p * wo;
+                        for q in 0..wo {
+                            cols[dst + q] = img[src_row + q * sw];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adjoint of [`im2col_into`]: accumulates columns back into the padded image.
+    fn col2im(
+        cols: &[f32],
+        img: &mut [f32],
+        c: usize,
+        (hp, wp): (usize, usize),
+        (kh, kw): (usize, usize),
+        (sh, sw): (usize, usize),
+        (ho, wo): (usize, usize),
+    ) {
+        let col_w = ho * wo;
+        for ci in 0..c {
+            for u in 0..kh {
+                for v in 0..kw {
+                    let row = ((ci * kh + u) * kw + v) * col_w;
+                    for p in 0..ho {
+                        let dst_row = (ci * hp + p * sh + u) * wp + v;
+                        let src = row + p * wo;
+                        for q in 0..wo {
+                            img[dst_row + q * sw] += cols[src + q];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One conv's geometry, as every oracle below needs it.
+    struct Geom {
+        g: usize,
+        cing: usize,
+        coutg: usize,
+        padded: (usize, usize),
+        kernel: (usize, usize),
+        out: (usize, usize),
+        krows: usize,
+        spatial: usize,
+    }
+
+    impl Geom {
+        fn new(
+            cin: usize,
+            cout: usize,
+            hw: (usize, usize),
+            kernel: (usize, usize),
+            cfg: &ConvCfg,
+        ) -> Self {
+            let g = cfg.groups;
+            let out = cfg.out_hw(hw, kernel);
+            Geom {
+                g,
+                cing: cin / g,
+                coutg: cout / g,
+                padded: (hw.0 + 2 * cfg.padding.0, hw.1 + 2 * cfg.padding.1),
+                kernel,
+                out,
+                krows: cin / g * kernel.0 * kernel.1,
+                spatial: out.0 * out.1,
+            }
+        }
+
+        /// The im2col matrix of padded image block `(ni, gi)`.
+        fn cols(&self, xp: &[f32], cin: usize, ni: usize, gi: usize, cfg: &ConvCfg) -> Vec<f32> {
+            let plane = self.padded.0 * self.padded.1;
+            let img = &xp[(ni * cin + gi * self.cing) * plane..][..self.cing * plane];
+            let mut cols = vec![0.0f32; self.krows * self.spatial];
+            im2col_into(
+                &mut cols,
+                img,
+                self.cing,
+                self.padded,
+                self.kernel,
+                cfg.stride,
+                self.out,
+            );
+            cols
+        }
+    }
+
+    /// What this module computed before it stopped materialising columns:
+    /// pad → im2col → the reference GEMM on the bias-seeded block.
+    fn oracle_conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tensor {
+        let (n, cin, cout) = (x.dim(0), x.dim(1), w.dim(0));
+        let geo = Geom::new(cin, cout, (x.dim(2), x.dim(3)), (w.dim(2), w.dim(3)), &cfg);
+        let (coutg, krows, spatial) = (geo.coutg, geo.krows, geo.spatial);
+        let xp = x.pad2d(cfg.padding.0, cfg.padding.1);
+        let mut out = Tensor::zeros([n, cout, geo.out.0, geo.out.1]);
+        for (idx, block) in out
+            .as_mut_slice()
+            .chunks_exact_mut(coutg * spatial)
+            .enumerate()
+        {
+            let (ni, gi) = (idx / geo.g, idx % geo.g);
+            if let Some(bias) = b {
+                for (co, row) in block.chunks_exact_mut(spatial).enumerate() {
+                    row.fill(bias.as_slice()[gi * coutg + co]);
+                }
+            }
+            let cols = geo.cols(xp.as_slice(), cin, ni, gi, &cfg);
+            let wmat = &w.as_slice()[gi * coutg * krows..][..coutg * krows];
+            reference::gemm_ref(block, wmat, &cols, coutg, krows, spatial);
+        }
+        out
+    }
+
+    /// `w^T @ gy` into zeroed columns → col2im into the zeroed padded image
+    /// → unpad.
+    fn oracle_grad_input(
+        w: &Tensor,
+        gy: &Tensor,
+        hw: (usize, usize),
+        cin: usize,
+        cfg: ConvCfg,
+    ) -> Tensor {
+        let (n, cout) = (gy.dim(0), gy.dim(1));
+        let geo = Geom::new(cin, cout, hw, (w.dim(2), w.dim(3)), &cfg);
+        assert_eq!(geo.out, (gy.dim(2), gy.dim(3)));
+        let (coutg, krows, spatial) = (geo.coutg, geo.krows, geo.spatial);
+        let mut gx_pad = Tensor::zeros([n, cin, geo.padded.0, geo.padded.1]);
+        let block = geo.cing * geo.padded.0 * geo.padded.1;
+        for (idx, img) in gx_pad.as_mut_slice().chunks_exact_mut(block).enumerate() {
+            let (ni, gi) = (idx / geo.g, idx % geo.g);
+            let wmat = &w.as_slice()[gi * coutg * krows..][..coutg * krows];
+            let gymat = &gy.as_slice()[(ni * cout + gi * coutg) * spatial..][..coutg * spatial];
+            let mut cols = vec![0.0f32; krows * spatial];
+            reference::gemm_tn_ref(&mut cols, wmat, gymat, krows, coutg, spatial);
+            col2im(
+                &cols, img, geo.cing, geo.padded, geo.kernel, cfg.stride, geo.out,
+            );
+        }
+        gx_pad.unpad2d(cfg.padding.0, cfg.padding.1)
+    }
+
+    /// Per group, samples ascending: `gw_g += gy @ cols^T`.
+    fn oracle_grad_weight(x: &Tensor, gy: &Tensor, kernel: (usize, usize), cfg: ConvCfg) -> Tensor {
+        let (n, cin, cout) = (x.dim(0), x.dim(1), gy.dim(1));
+        let geo = Geom::new(cin, cout, (x.dim(2), x.dim(3)), kernel, &cfg);
+        assert_eq!(geo.out, (gy.dim(2), gy.dim(3)));
+        let (coutg, krows, spatial) = (geo.coutg, geo.krows, geo.spatial);
+        let xp = x.pad2d(cfg.padding.0, cfg.padding.1);
+        let mut gw = Tensor::zeros([cout, geo.cing, kernel.0, kernel.1]);
+        for (gi, gw_g) in gw
+            .as_mut_slice()
+            .chunks_exact_mut(coutg * krows)
+            .enumerate()
+        {
+            for ni in 0..n {
+                let cols = geo.cols(xp.as_slice(), cin, ni, gi, &cfg);
+                let gymat = &gy.as_slice()[(ni * cout + gi * coutg) * spatial..][..coutg * spatial];
+                reference::gemm_nt_ref(gw_g, gymat, &cols, coutg, spatial, krows);
+            }
+        }
+        gw
+    }
+
+    /// The adjoint conv's input gradient, then the bias as a second pass.
+    fn oracle_conv_transpose2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tensor {
+        let cout = w.dim(1) * cfg.groups;
+        let out_hw = cfg.transpose_out_hw((x.dim(2), x.dim(3)), (w.dim(2), w.dim(3)));
+        let mut y = oracle_grad_input(w, x, out_hw, cout, cfg);
+        if let Some(bias) = b {
+            let plane = out_hw.0 * out_hw.1;
+            for (idx, row) in y.as_mut_slice().chunks_exact_mut(plane).enumerate() {
+                row.iter_mut()
+                    .for_each(|v| *v += bias.as_slice()[idx % cout]);
+            }
+        }
+        y
+    }
+
+    /// Bit patterns, so `-0.0 != 0.0` and NaNs compare by payload.
+    fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
+        (
+            t.dims().to_vec(),
+            t.as_slice().iter().map(|v| v.to_bits()).collect(),
+        )
+    }
 
     /// Naive direct convolution reference (groups supported).
     fn conv2d_naive(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tensor {
@@ -637,7 +792,8 @@ mod tests {
         let b_fused = Tensor::concat(&bs.iter().collect::<Vec<_>>(), 0);
         let fused = conv2d(&x_fused, &w_fused, Some(&b_fused), cfg.fused(b));
         let expect = Tensor::concat(&per_model.iter().collect::<Vec<_>>(), 1);
-        assert!(fused.allclose(&expect, 1e-4));
+        // Table 6 is an identity here, not an approximation.
+        assert_eq!(bits(&fused), bits(&expect));
     }
 
     #[test]
@@ -729,7 +885,7 @@ mod tests {
         let bf = Tensor::concat(&bs.iter().collect::<Vec<_>>(), 0);
         let fused = conv_transpose2d(&xf, &wf, Some(&bf), cfg.fused(b));
         let expect = Tensor::concat(&per.iter().collect::<Vec<_>>(), 1);
-        assert!(fused.allclose(&expect, 1e-4));
+        assert_eq!(bits(&fused), bits(&expect));
     }
 
     #[test]
@@ -782,6 +938,129 @@ mod tests {
         let fast = conv2d(&x, &w, None, cfg);
         let slow = conv2d_naive(&x, &w, None, cfg);
         assert!(fast.allclose(&slow, 1e-3));
+    }
+
+    #[test]
+    #[should_panic(expected = "grad output extent for input (6, 6)")]
+    fn grad_input_rejects_a_grad_output_of_the_wrong_extent() {
+        // (6 + 2 - 3) / 2 + 1 = 3, not 4.
+        let (w, gy) = (randn(&[3, 2, 3, 3], 1), randn(&[1, 3, 4, 4], 2));
+        conv2d_grad_input(&w, &gy, (6, 6), 2, ConvCfg::square(2, 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "grad output extent for input (6, 6)")]
+    fn grad_weight_rejects_a_grad_output_of_the_wrong_extent() {
+        let (x, gy) = (randn(&[1, 2, 6, 6], 1), randn(&[1, 3, 3, 2], 2));
+        conv2d_grad_weight(&x, &gy, (3, 3), ConvCfg::square(2, 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "channels 4 -> 3 not divisible by groups 2")]
+    fn grad_input_rejects_channels_the_groups_do_not_divide() {
+        let (w, gy) = (randn(&[3, 2, 3, 3], 1), randn(&[1, 3, 3, 3], 2));
+        conv2d_grad_input(&w, &gy, (6, 6), 4, ConvCfg::square(2, 1, 2));
+    }
+
+    const KERNELS: [(usize, usize); 4] = [(1, 1), (3, 3), (4, 4), (2, 3)];
+    const GROUPS: [usize; 3] = [1, 2, 6];
+    /// Output rows that end inside, on and beyond an 8-wide panel.
+    const OUT_WIDTHS: [usize; 5] = [1, 4, 5, 8, 16];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        // Strides 1-3, paddings 0-2, square / pointwise / non-square
+        // kernels, groups up to the fused width of `dcgan_compute`,
+        // non-square inputs the stride does not divide. Nearly half the
+        // cases put a (sample, group) block above the GEMM's small-shape
+        // threshold, the rest run its direct loops.
+        #[test]
+        fn every_op_is_bitwise_the_im2col_composition(
+            n in 1usize..3,
+            g in 0usize..3,
+            cing in 1usize..7,
+            coutg in 1usize..13,
+            kernel in 0usize..4,
+            sh in 1usize..4,
+            sw in 1usize..4,
+            ph in 0usize..3,
+            pw in 0usize..3,
+            ho in 1usize..9,
+            wo in 0usize..5,
+            // Rows / columns past the last tap, which no output reads.
+            eh in 0usize..3,
+            ew in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let (g, (kh, kw), wo) = (GROUPS[g], KERNELS[kernel], OUT_WIDTHS[wo]);
+            // The taps span `(th, tw)`; the padding leaves at least one pixel
+            // of input (and of the transposed conv's output) inside them.
+            let (th, tw) = ((ho - 1) * sh + kh, (wo - 1) * sw + kw);
+            let (ph, pw) = (ph.min((th - 1) / 2), pw.min((tw - 1) / 2));
+            let (hp, wp) = (th + eh % sh, tw + ew % sw);
+            let (hw, cin, cout) = ((hp - 2 * ph, wp - 2 * pw), g * cing, g * coutg);
+            let cfg = ConvCfg { stride: (sh, sw), padding: (ph, pw), groups: g };
+            prop_assert_eq!(cfg.out_hw(hw, (kh, kw)), (ho, wo));
+            let x = randn(&[n, cin, hw.0, hw.1], seed);
+            let w = randn(&[cout, cing, kh, kw], seed + 1);
+            let bias = randn(&[cout], seed + 2);
+            let gy = randn(&[n, cout, ho, wo], seed + 3);
+            for b in [None, Some(&bias)] {
+                prop_assert_eq!(bits(&conv2d(&x, &w, b, cfg)), bits(&oracle_conv2d(&x, &w, b, cfg)));
+            }
+            prop_assert_eq!(
+                bits(&conv2d_grad_input(&w, &gy, hw, cin, cfg)),
+                bits(&oracle_grad_input(&w, &gy, hw, cin, cfg))
+            );
+            prop_assert_eq!(
+                bits(&conv2d_grad_weight(&x, &gy, (kh, kw), cfg)),
+                bits(&oracle_grad_weight(&x, &gy, (kh, kw), cfg))
+            );
+            // The transposed conv runs the other way: a `gy`-shaped input,
+            // the same weight read as `[Cin, Cout/g, kh, kw]`, `cin` outputs.
+            let tbias = randn(&[cin], seed + 4);
+            for b in [None, Some(&tbias)] {
+                prop_assert_eq!(
+                    bits(&conv_transpose2d(&gy, &w, b, cfg)),
+                    bits(&oracle_conv_transpose2d(&gy, &w, b, cfg))
+                );
+            }
+        }
+
+        #[test]
+        fn conv1d_is_bitwise_the_im2col_composition(
+            n in 1usize..3,
+            g in 0usize..3,
+            cing in 1usize..4,
+            coutg in 1usize..4,
+            k in 1usize..5,
+            stride in 1usize..4,
+            padding in 0usize..3,
+            lo in 0usize..5,
+            seed in 0u64..1000,
+        ) {
+            let (g, lo) = (GROUPS[g], 2 * OUT_WIDTHS[lo] + 1);
+            if (lo - 1) * stride + k <= 2 * padding {
+                return Ok(());
+            }
+            let len = (lo - 1) * stride + k - 2 * padding;
+            let x = randn(&[n, g * cing, len], seed);
+            let w = randn(&[g * coutg, cing, k], seed + 1);
+            let bias = randn(&[g * coutg], seed + 2);
+            let cfg = ConvCfg { stride: (1, stride), padding: (0, padding), groups: g };
+            let x4 = x.reshape(&[n, g * cing, 1, len]);
+            let w4 = w.reshape(&[g * coutg, cing, 1, k]);
+            let y = conv1d(&x, &w, Some(&bias), stride, padding, g);
+            prop_assert_eq!(y.dims(), &[n, g * coutg, lo]);
+            prop_assert_eq!(bits(&y).1, bits(&oracle_conv2d(&x4, &w4, Some(&bias), cfg)).1);
+            let gy = randn(y.dims(), seed + 3);
+            let gy4 = gy.reshape(&[n, g * coutg, 1, lo]);
+            let (gx, gw, _) = conv1d_backward(&x, &w, &gy, stride, padding, g);
+            let want_gx = oracle_grad_input(&w4, &gy4, (1, len), g * cing, cfg);
+            prop_assert_eq!(bits(&gx).1, bits(&want_gx).1);
+            prop_assert_eq!(bits(&gw).1, bits(&oracle_grad_weight(&x4, &gy4, (1, k), cfg)).1);
+        }
     }
 
     #[test]
