@@ -10,7 +10,6 @@
 //!
 //! ```text
 //! bench_kernels [--quick] [--bench-json <path>]   # default BENCH_kernels.json
-//!               [--probe-db <path>] [--history <file>]
 //!               [--gate-scaling <ratio>]
 //! ```
 //!
@@ -20,10 +19,7 @@
 //! The headline `fused_conv_speedup` entry is `auto` at the multi-thread
 //! count vs `naive` at 1 thread on the same end-to-end training step. Per
 //! shape, `scaling_efficiency` reports `auto` GFLOP/s at the multi-thread
-//! count over 1 thread (absent on a 1-CPU host). With `--history <file>`
-//! the run's roofline summary (vs the calibrated `--probe-db` peaks) is
-//! appended to the perf-history JSONL for `hfta_report history` drift
-//! gating.
+//! count over 1 thread (absent on a 1-CPU host).
 //!
 //! `--gate-scaling <ratio>` turns the 4T/1T scaling ratio into a CI gate on
 //! large shapes (exit 1 below the ratio; skipped with a note on hosts with
@@ -38,8 +34,6 @@ use hfta_core::scope::{per_model_ce_losses, ScopeMonitor, SentinelCfg};
 use hfta_kernels::{set_backend, set_num_threads, simd_available, GemmBackend};
 use hfta_nn::layers::Conv2dCfg;
 use hfta_nn::{Module, Tape};
-use hfta_probe::{classify, git_rev, HistoryRecord, MachinePeaks, OpUtil, PerfHistory};
-use hfta_telemetry::OpAgg;
 use hfta_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvCfg};
 use hfta_tensor::{Rng, Tensor};
 use std::hint::black_box;
@@ -118,9 +112,7 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-const USAGE: &str = "bench_kernels [--quick] [--bench-json <path>] \
-                     [--probe-db <path>] [--history <file>] \
-                     [--gate-scaling <ratio>]";
+const USAGE: &str = "bench_kernels [--quick] [--bench-json <path>] [--gate-scaling <ratio>]";
 
 fn main() {
     let args = CommonArgs::parse(USAGE);
@@ -338,50 +330,6 @@ fn main() {
     );
     println!("hfta-scope overhead on a fused DCGAN step: {scope_overhead_pct:.2}% (budget 5%)");
     println!("wrote {json_path}");
-
-    // --- Perf-history append (roofline summary vs calibrated peaks) -------
-    if let Some(hpath) = &args.history {
-        let db = args
-            .probe_db
-            .clone()
-            .unwrap_or_else(|| std::path::PathBuf::from("probe_db.json"));
-        let peaks = MachinePeaks::load_or_calibrate(&db, &[1, mt]);
-        let ops = report
-            .records
-            .iter()
-            .filter_map(|r| {
-                let peak = peaks.entry_for(r.threads)?;
-                let agg = OpAgg {
-                    name: format!("{}/{}@{}{}T", r.op, r.shape, r.backend, r.threads),
-                    calls: iters as u64,
-                    flops: r.gflops * r.ns_per_iter,
-                    bytes: r.bytes_per_iter,
-                    ns: r.ns_per_iter,
-                };
-                let c = classify(&agg, peak);
-                Some(OpUtil {
-                    name: c.name,
-                    pct_of_peak: c.pct_of_peak,
-                    gflops: c.attained_gflops,
-                    bound: c.bound.name().to_string(),
-                })
-            })
-            .collect();
-        let rec = HistoryRecord {
-            schema: hfta_probe::HISTORY_SCHEMA,
-            label: "bench_kernels".to_string(),
-            git_rev: git_rev(),
-            threads: mt as u64,
-            backend: "auto".to_string(),
-            ops,
-        };
-        let history = PerfHistory::new(hpath);
-        if let Err(e) = history.append(&rec) {
-            eprintln!("failed to append {}: {e}", hpath.display());
-            std::process::exit(1);
-        }
-        println!("appended roofline summary to {}", hpath.display());
-    }
 
     // --- Thread-scaling gate ---------------------------------------------
     if let Some(min_ratio) = args.gate_scaling {

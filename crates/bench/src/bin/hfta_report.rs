@@ -5,8 +5,7 @@
 //! hfta_report health <trace-dir>        # per-model health tables (hfta-scope)
 //! hfta_report diff <base> <candidate>   # gate candidate against base
 //! hfta_report summarize <report.json>   # the gated fields of a run report
-//! hfta_report history <file>            # perf-history trajectory + drift gate
-//! hfta_report roofline <trace-dir> [--probe-db <path>] [--history <file>]
+//! hfta_report roofline <trace-dir>      # per-op roofline + lane / device tables
 //! hfta_report flight <trace-dir> [--width <cols>] [--out <summary.json>]
 //! hfta_report top <trace-dir> [--exp <name>] [--frames <n>] [--delay-ms <d>]
 //!                 [--no-clear]
@@ -17,40 +16,32 @@
 //! (full `<bin>.report.json` or `summarize` output), `BENCH_*.json` bench
 //! files, or flight summaries — and gates each field the way
 //! [`hfta_bench::record`] declares; both sides must be the same kind.
-//! `history` prints each tracked op's utilization trajectory from the
-//! perf-history JSONL (`roofline --history`, `bench_kernels --history`,
-//! `sched_sweep --history`) and fails when the latest record drops more
-//! than [`HISTORY_DRIFT_PCT`] percent below the trailing median, or when
-//! none of its ops has a baseline to compare against. `roofline`
-//! calibrates (or loads) the machine-peak database — by default
-//! `<trace-dir>/probe_db.json`; delete it to force re-calibration — and
-//! places every recorded op on it. `flight` and `top` read the
+//! `roofline` calibrates the machine peaks when it runs (about a quarter of
+//! a second; nothing is cached) and places every recorded op on them: one
+//! row per forward op and one `bwd:<op>` row per backward node, each counted
+//! once by the autograd tape. `flight` and `top` read the
 //! `*.flight.jsonl` journals (simulated integer nanoseconds, so `--out`
 //! summaries are bit-reproducible and can be committed as goldens); `top`
 //! replays the recorded timeline as `--frames` refresh-in-place frames.
 //!
-//! Exit codes, every subcommand: 0 = clean, 1 = regression or drift found,
+//! Exit codes, every subcommand: 0 = clean, 1 = regression found,
 //! 2 = usage or I/O error.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use hfta_bench::cli::{finish_diff, usage_exit, write_json, CommonArgs};
 use hfta_bench::flight_report::{
     load_journal_dir, render_frame, render_gantt, render_slo_table, summarize,
 };
-use hfta_bench::probe_report::{
-    collect_run_reports, history_record, print_lanes, print_roofline, print_timelines,
-};
-use hfta_bench::record::{diff_records, load, Loaded, HISTORY_DRIFT_PCT};
+use hfta_bench::probe_report::{collect_run_reports, print_lanes, print_roofline, print_timelines};
+use hfta_bench::record::{diff_records, load, Loaded};
 use hfta_bench::scope_report::{diff_runs, print_health};
 use hfta_plan::FusionPlan;
-use hfta_probe::{drift, MachinePeaks, PerfHistory, DRIFT_WINDOW};
 
 const USAGE: &str = "hfta_report health <trace-dir>\n       \
      hfta_report diff <base> <candidate>\n       \
      hfta_report summarize <report.json>\n       \
-     hfta_report history <file>\n       \
-     hfta_report roofline <trace-dir> [--probe-db <path>] [--history <file>]\n       \
+     hfta_report roofline <trace-dir>\n       \
      hfta_report flight <trace-dir> [--width <cols>] [--out <summary.json>]\n       \
      hfta_report top <trace-dir> [--exp <name>] [--frames <n>] [--delay-ms <d>] [--no-clear]\n       \
      hfta_report plan <trace-dir>";
@@ -101,76 +92,13 @@ fn summarize_run(path: &str) {
     println!("{json}");
 }
 
-/// Trajectory table plus drift gate. Exits 1 on drift, or when no op of
-/// the latest record has an earlier record to drift from (a gate that
-/// cannot fail is not a gate).
-fn history(path: &str) -> ! {
-    let records = ok(PerfHistory::new(path).load());
-    let Some((latest, prior)) = records.split_last() else {
-        usage_exit(
-            USAGE,
-            &format!("{path}: no records under the current schema"),
-        );
-    };
-    println!(
-        "# perf history: {path} ({} records, window {DRIFT_WINDOW}, tolerance {HISTORY_DRIFT_PCT}%)",
-        records.len()
-    );
-    println!(
-        "latest: {} @ {} ({} threads, {} backend)",
-        latest.label, latest.git_rev, latest.threads, latest.backend
-    );
-    let mut with_baseline = 0usize;
-    for op in &latest.ops {
-        let trail: Vec<String> = prior
-            .iter()
-            .rev()
-            .take(DRIFT_WINDOW)
-            .filter_map(|r| r.op(&op.name))
-            .map(|o| format!("{:.1}", o.pct_of_peak))
-            .collect();
-        let trail = if trail.is_empty() {
-            "no baseline".to_string()
-        } else {
-            with_baseline += 1;
-            format!("<- [{}]", trail.join(", "))
-        };
-        println!(
-            "  {:<44} {:>6.1}% of peak ({}) {trail}",
-            op.name, op.pct_of_peak, op.bound
-        );
-    }
-    let violations = drift(&records, HISTORY_DRIFT_PCT);
-    for v in &violations {
-        println!(
-            "  DRIFT: {} fell to {:.1}% of peak, {:.1}% below the trailing median {:.1}%",
-            v.op, v.latest_pct, v.drop_pct, v.median_pct
-        );
-    }
-    if !violations.is_empty() {
-        eprintln!("{} op(s) drifted", violations.len());
-        std::process::exit(1);
-    }
-    if with_baseline == 0 {
-        eprintln!("no baseline: no op of the latest record appears in an earlier one");
-        std::process::exit(1);
-    }
-    println!("no drift beyond {HISTORY_DRIFT_PCT}%");
-    std::process::exit(0);
-}
-
 const TIMELINE_COLS: usize = 64;
 
-fn roofline(dir: &Path, probe_db: Option<PathBuf>, history: Option<PathBuf>) {
+fn roofline(dir: &Path) {
     let reports = ok(collect_run_reports(dir));
     let threads = hfta_kernels::num_threads();
-    let db = probe_db.unwrap_or_else(|| dir.join("probe_db.json"));
-    let peaks = MachinePeaks::load_or_calibrate(&db, &[1, threads]);
-    let Some(peak) = peaks.entry_for(threads as u64) else {
-        usage_exit(USAGE, &format!("probe db {} has no entries", db.display()));
-    };
-    let history = history.map(PerfHistory::new);
-    let backend = format!("{:?}", hfta_kernels::backend()).to_lowercase();
+    let peaks = hfta_probe::calibrate(&[threads]);
+    let peak = peaks.entry_for(threads as u64).expect("calibrated above");
 
     let mut classified = 0usize;
     for (path, run) in &reports {
@@ -184,14 +112,6 @@ fn roofline(dir: &Path, probe_db: Option<PathBuf>, history: Option<PathBuf>) {
                 println!("  (no op samples recorded)");
             }
             print_timelines(exp, TIMELINE_COLS);
-            if let Some(h) = &history {
-                let label = format!("{}/{}", run.name, exp.name);
-                let rec = history_record(&label, exp, peak, threads as u64, &backend);
-                if !rec.ops.is_empty() {
-                    ok(h.append(&rec)
-                        .map_err(|e| format!("appending {}: {e}", h.path().display())));
-                }
-            }
         }
     }
     if classified == 0 {
@@ -288,19 +208,9 @@ fn main() {
             let [path] = args.positionals(USAGE);
             summarize_run(&path);
         }
-        "history" => {
-            let [path] = args.positionals(USAGE);
-            history(&path);
-        }
         "roofline" => {
-            let probe_db = args.take(USAGE, "--probe-db", "a path", any);
-            let history = args.take(USAGE, "--history", "a file", any);
             let [dir] = args.positionals(USAGE);
-            roofline(
-                Path::new(&dir),
-                probe_db.map(PathBuf::from),
-                history.map(PathBuf::from),
-            );
+            roofline(Path::new(&dir));
         }
         "flight" => {
             let width = args

@@ -22,17 +22,14 @@
 //! the makespan/device-hours/packing table — now including the per-policy
 //! SLO decomposition (queue/compute/surgery/quarantine plus p50/p99
 //! queue-wait and e2e latency, all in bit-exact simulated time) — for the
-//! artifact upload. `--history <file>` appends one perf-history record per
-//! policy encoding queue-wait p99 as an inverse rate (`1e6 / p99_us`), so
-//! the standard `hfta_report history` drift gate flags latency
-//! *increases* as utilization drops.
+//! artifact upload; the same p99s are gated exactly (bound 0) by the
+//! `ci/golden/flight_sweep.report.json` diff.
 
 use std::process::ExitCode;
 
 use hfta_bench::cli::{write_json, CommonArgs};
 use hfta_cluster::replay::{normalize_arrivals, sweep_arrivals};
 use hfta_cluster::trace::{generate, TraceCfg};
-use hfta_probe::{git_rev, HistoryRecord, OpUtil, PerfHistory, HISTORY_SCHEMA};
 use hfta_sched::asha::RungPolicy;
 use hfta_sched::linear::{LinearBackend, LinearTrialCfg};
 use hfta_sched::sched::{run, Policy, SchedCfg, SchedReport};
@@ -61,7 +58,7 @@ struct BenchFile {
 }
 
 const USAGE: &str = "sched_sweep [--trials <n>] [--devices <n>] [--span <s>] \
-                     [--bench-json <path>] [--trace <dir>] [--history <file>]";
+                     [--bench-json <path>] [--trace <dir>]";
 
 struct Args {
     trials: usize,
@@ -119,8 +116,8 @@ fn trial_stream(n: usize, span_s: f64) -> Vec<(f64, LinearTrialCfg)> {
 fn main() -> ExitCode {
     let args = parse_args();
     let session = args.common.trace_session("sched_sweep");
-    // The SLO columns (and so `--history`) are read back from the ambient
-    // profiler's flight journal: untraced, every latency would read zero.
+    // The SLO columns are read back from the ambient profiler's flight
+    // journal: untraced, every latency would read zero.
     let _local = session.local_profiler("sched_sweep");
     let arrivals = trial_stream(args.trials, args.span_s);
 
@@ -230,47 +227,6 @@ fn main() -> ExitCode {
             elastic.packing_efficiency, stat.packing_efficiency
         );
         failed = true;
-    }
-
-    if let Some(path) = &args.common.history {
-        // Latency enters the drift gate as an inverse rate so the standard
-        // "utilization dropped" check fires when latency *rises*: a p99 of
-        // 100us scores 1e6/100 = 10_000. `gflops` carries the raw
-        // microseconds for human inspection of the JSONL.
-        let inv = |us: f64| 1e6 / us.max(1e-9);
-        let record = HistoryRecord {
-            schema: HISTORY_SCHEMA,
-            label: "sched_sweep".into(),
-            git_rev: git_rev(),
-            threads: 1, // simulated fleet; thread count does not matter
-            backend: "sim".into(),
-            ops: records
-                .iter()
-                .flat_map(|r| {
-                    [
-                        OpUtil {
-                            name: format!("sched/{}/queue_p99", r.policy),
-                            pct_of_peak: inv(r.queue_wait_p99_us),
-                            gflops: r.queue_wait_p99_us,
-                            bound: "latency".into(),
-                        },
-                        OpUtil {
-                            name: format!("sched/{}/e2e_p99", r.policy),
-                            pct_of_peak: inv(r.e2e_latency_p99_us),
-                            gflops: r.e2e_latency_p99_us,
-                            bound: "latency".into(),
-                        },
-                    ]
-                })
-                .collect(),
-        };
-        let history = PerfHistory::new(path);
-        if let Err(e) = history.append(&record) {
-            eprintln!("FAIL: cannot append {}: {e}", path.display());
-            failed = true;
-        } else {
-            println!("appended {} ops to {}", record.ops.len(), path.display());
-        }
     }
 
     if let Some(path) = &args.common.bench_json {

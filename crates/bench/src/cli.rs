@@ -1,10 +1,9 @@
 //! Shared command-line parsing for the bench binaries.
 //!
 //! [`CommonArgs`] parses the flags the bins share (`--quick`,
-//! `--bench-json`, `--trace`, the probe-layer `--probe-db` and `--history`,
-//! `--gate-scaling`) in one place, in both `--flag value` and
-//! `--flag=value` forms, and hands anything it does not recognize back in
-//! [`CommonArgs::rest`] for bin-specific parsing.
+//! `--bench-json`, `--trace`, `--gate-scaling`) in one place, in both
+//! `--flag value` and `--flag=value` forms, and hands anything it does not
+//! recognize back in [`CommonArgs::rest`] for bin-specific parsing.
 
 use std::path::PathBuf;
 
@@ -20,10 +19,6 @@ pub struct CommonArgs {
     pub bench_json: Option<String>,
     /// `--trace <dir>`: telemetry output directory (see [`TraceSession`]).
     pub trace: Option<PathBuf>,
-    /// `--probe-db <path>`: cached machine-peak calibration file.
-    pub probe_db: Option<PathBuf>,
-    /// `--history <path>`: append-only perf-history JSONL file.
-    pub history: Option<PathBuf>,
     /// `--gate-scaling <ratio>`: minimum default-dispatch 4T/1T GFLOP/s
     /// ratio on large shapes; below it the bin exits non-zero. Skipped
     /// (with a note) when the host has fewer than 4 CPUs.
@@ -49,8 +44,6 @@ impl CommonArgs {
         out.quick = out.take_switch("--quick");
         out.bench_json = out.pull("--bench-json")?;
         out.trace = out.pull("--trace")?.map(PathBuf::from);
-        out.probe_db = out.pull("--probe-db")?.map(PathBuf::from);
-        out.history = out.pull("--history")?.map(PathBuf::from);
         if let Some(v) = out.pull("--gate-scaling")? {
             match v.parse::<f64>() {
                 Ok(r) if r >= 0.0 => out.gate_scaling = Some(r),
@@ -197,16 +190,11 @@ mod tests {
             "--bench-json",
             "out.json",
             "--trace=/tmp/t",
-            "--probe-db",
-            "db.json",
-            "--history=h.jsonl",
             "--gate-scaling=2.5",
         ]);
         assert!(a.quick);
         assert_eq!(a.bench_json.as_deref(), Some("out.json"));
         assert_eq!(a.trace, Some(PathBuf::from("/tmp/t")));
-        assert_eq!(a.probe_db, Some(PathBuf::from("db.json")));
-        assert_eq!(a.history, Some(PathBuf::from("h.jsonl")));
         assert_eq!(a.gate_scaling, Some(2.5));
         assert!(a.rest.is_empty());
     }

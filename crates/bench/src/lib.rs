@@ -9,7 +9,7 @@
 //!   EXPERIMENTS.md paper-vs-measured report.
 //! * `bench_kernels`, `bench_mem`, `bench_plan`, `bench_serve`,
 //!   `sched_sweep`, `scope_sweep` each define one workload.
-//! * `hfta_report <health|diff|summarize|history|roofline|flight|top|plan>`
+//! * `hfta_report <health|diff|summarize|roofline|flight|top|plan>`
 //!   renders and compares their outputs; [`record`] is the single schema
 //!   both sides share.
 //!

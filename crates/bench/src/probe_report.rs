@@ -4,17 +4,15 @@
 //! leaves behind.
 //!
 //! The roofline side leans entirely on `hfta-probe`: op aggregates come
-//! from [`ExperimentReport::ops`], peaks from the calibrated
-//! [`MachinePeaks`] database, and this module only formats the result. The
+//! from [`ExperimentReport::ops`], peaks from `hfta_probe::calibrate`, and
+//! this module only formats the result. The
 //! timeline side re-samples the recorded utilization counter series
 //! (`sched/<device>/util`, `<label>/smi_util`) onto a fixed-width ASCII
 //! strip so a terminal shows what Perfetto would plot.
 
 use std::path::{Path, PathBuf};
 
-use hfta_probe::{
-    classify_experiment, per_lane_utilization, HistoryRecord, OpUtil, PeakEntry, HISTORY_SCHEMA,
-};
+use hfta_probe::{classify_experiment, per_lane_utilization, PeakEntry};
 use hfta_telemetry::{CounterSeries, ExperimentReport, RunReport};
 
 /// Loads every `*.report.json` under `dir`, sorted by file name.
@@ -164,34 +162,6 @@ pub fn print_timelines(exp: &ExperimentReport, cols: usize) {
             render_timeline(s, cols),
             peak,
         );
-    }
-}
-
-/// Summarizes one experiment's roofline classification as a perf-history
-/// record ready for [`hfta_probe::PerfHistory::append`].
-pub fn history_record(
-    label: &str,
-    exp: &ExperimentReport,
-    peak: &PeakEntry,
-    threads: u64,
-    backend: &str,
-) -> HistoryRecord {
-    let ops = classify_experiment(exp, peak)
-        .into_iter()
-        .map(|r| OpUtil {
-            name: r.name,
-            pct_of_peak: r.pct_of_peak,
-            gflops: r.attained_gflops,
-            bound: r.bound.name().to_string(),
-        })
-        .collect();
-    HistoryRecord {
-        schema: HISTORY_SCHEMA,
-        label: label.to_string(),
-        git_rev: hfta_probe::git_rev(),
-        threads,
-        backend: backend.to_string(),
-        ops,
     }
 }
 

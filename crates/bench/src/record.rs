@@ -27,9 +27,6 @@ pub const FLIGHT_BOUND_PCT: f64 = 0.0;
 pub const SCOPE_OVERHEAD_BUDGET_PCT: f64 = 5.0;
 /// Maximum |base − candidate| on a model's final loss in a run report.
 pub const LOSS_TOL: f64 = 1e-6;
-/// Perf-history drift gate: maximum drop, percent, of an op's latest
-/// utilization below its trailing median.
-pub const HISTORY_DRIFT_PCT: f64 = 10.0;
 
 /// How one field of a record takes part in a diff.
 #[derive(Debug, Clone, Copy)]

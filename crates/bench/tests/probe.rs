@@ -1,12 +1,11 @@
 //! hfta-probe integration tests: the `hfta_report roofline` pipeline on a
-//! traced fused DCGAN-style training step (the ISSUE acceptance case:
-//! per-op roofline classification plus per-lane and per-device utilization
-//! must come out of the trace), perf-history appends from `bench_kernels`,
-//! and the `hfta_report history` drift-gate exit-code contract — 0 on the
-//! committed CI baseline, 1 on an injected ≥10% utilization drop or when
-//! the latest record has nothing to drift from.
+//! traced fused DCGAN-style training step (per-op roofline classification —
+//! forward and `bwd:` rows — plus per-lane and per-device utilization must
+//! come out of the trace), and the two producers the roofline used to be
+//! appended from: `bench_kernels`' scaling-efficiency rows and
+//! `sched_sweep`'s latencies, which must be real with or without `--trace`.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 
 use hfta_bench::telemetry_cli::TraceSession;
@@ -15,7 +14,7 @@ use hfta_core::ops::{FusedConv2d, FusedModule};
 use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
 use hfta_nn::layers::Conv2dCfg;
 use hfta_nn::{Module, Tape};
-use hfta_probe::{HistoryRecord, OpUtil, PerfHistory, HISTORY_SCHEMA};
+use hfta_sched::sched::SchedReport;
 use hfta_tensor::Rng;
 
 const B: usize = 4;
@@ -56,24 +55,13 @@ fn trace_dcgan_step(dir: &Path) {
     session.finish().expect("trace written");
 }
 
-/// Writes a synthetic probe database so tests never pay (or depend on)
-/// real machine calibration.
-fn synthetic_db(path: &Path) {
-    hfta_probe::MachinePeaks::synthetic(50.0, 20.0)
-        .save(path)
-        .expect("probe db written");
-}
-
 #[test]
 fn probe_report_classifies_a_traced_dcgan_step() {
     let dir = std::env::temp_dir().join("hfta-probe-dcgan-test");
     trace_dcgan_step(&dir);
-    let db = dir.join("probe_db.json");
-    synthetic_db(&db);
 
     let out = Command::new(env!("CARGO_BIN_EXE_hfta_report"))
         .args(["roofline", &dir.display().to_string()])
-        .args(["--probe-db", &db.display().to_string()])
         .output()
         .expect("hfta_report runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -92,8 +80,17 @@ fn probe_report_classifies_a_traced_dcgan_step() {
         stdout.contains("compute") || stdout.contains("bandwidth"),
         "no bound classification: {stdout}"
     );
-    // The conv step's dominant ops must be attributed by name.
-    assert!(stdout.contains("conv2d"), "conv ops missing: {stdout}");
+    // The conv step's dominant op must be attributed by name, once forward
+    // and once backward: the tape is the only recorder.
+    let rows = |op: &str| {
+        stdout
+            .lines()
+            .filter(|l| l.split_whitespace().next() == Some(op))
+            .count()
+    };
+    assert_eq!(rows("conv2d"), 1, "conv2d rows: {stdout}");
+    assert_eq!(rows("bwd:conv2d"), 1, "bwd:conv2d rows: {stdout}");
+    assert_eq!(rows("conv2d_grad_input"), 0, "kernel-level row: {stdout}");
     // Per-lane attribution at the fused width.
     assert!(stdout.contains("lane"), "no lane table: {stdout}");
     for lane in 0..B {
@@ -113,126 +110,16 @@ fn probe_report_classifies_a_traced_dcgan_step() {
 }
 
 #[test]
-fn probe_report_appends_history_records() {
-    let dir = std::env::temp_dir().join("hfta-probe-history-append-test");
-    trace_dcgan_step(&dir);
-    synthetic_db(&dir.join("probe_db.json"));
-    let history_path = dir.join("history.jsonl");
-
-    for _ in 0..2 {
-        let out = Command::new(env!("CARGO_BIN_EXE_hfta_report"))
-            .args(["roofline", &dir.display().to_string()])
-            .args(["--history", &history_path.display().to_string()])
-            .output()
-            .expect("hfta_report runs");
-        assert!(out.status.success());
-    }
-    let records = PerfHistory::new(&history_path).load().expect("loads");
-    assert_eq!(records.len(), 2, "one record per run");
-    assert!(!records[0].ops.is_empty());
-    assert_eq!(records[0].threads, records[1].threads);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-fn history_rec(pct: f64) -> HistoryRecord {
-    HistoryRecord {
-        schema: HISTORY_SCHEMA,
-        label: "test".into(),
-        git_rev: "deadbee".into(),
-        threads: 4,
-        backend: "blocked".into(),
-        ops: vec![OpUtil {
-            name: "gemm/test".into(),
-            pct_of_peak: pct,
-            gflops: pct,
-            bound: "compute".into(),
-        }],
-    }
-}
-
-fn report_history(path: &Path) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_hfta_report"))
-        .args(["history", &path.display().to_string()])
-        .output()
-        .expect("hfta_report runs")
-}
-
-#[test]
-fn history_drift_gate_exit_codes() {
-    let dir = std::env::temp_dir().join("hfta-probe-drift-gate-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    let path = dir.join("history.jsonl");
-    let history = PerfHistory::new(&path);
-
-    // A lone record has nothing to drift from: a gate that cannot fail is
-    // reported as such (exit 1), not passed.
-    history.append(&history_rec(60.0)).expect("append");
-    let out = report_history(&path);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "no baseline must fail: {stdout}"
-    );
-    assert!(stdout.contains("no baseline"), "no callout: {stdout}");
-
-    for pct in [61.0, 59.5] {
-        history.append(&history_rec(pct)).expect("append");
-    }
-
-    // Steady utilization: exit 0 and a trajectory table.
-    let out = report_history(&path);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "clean history must pass: {stdout}"
-    );
-    assert!(stdout.contains("gemm/test"), "no trajectory row: {stdout}");
-    assert!(stdout.contains("no drift"), "no verdict line: {stdout}");
-
-    // An injected >=10% drop vs the trailing median (60) must exit 1.
-    history.append(&history_rec(50.0)).expect("append");
-    let out = report_history(&path);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1), "drop must fail: {stdout}");
-    assert!(stdout.contains("DRIFT"), "no drift callout: {stdout}");
-
-    // Missing file is a usage error, not a drift.
-    let out = report_history(&dir.join("nope.jsonl"));
-    assert_eq!(out.status.code(), Some(2));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn committed_history_baseline_passes_the_gate() {
-    let golden =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../ci/golden/probe_history.jsonl");
-    let out = report_history(&golden);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "committed baseline must stay clean: {stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // ...and for a reason: every op of the latest record has a trail.
-    assert!(stdout.contains("<- ["), "no trajectory: {stdout}");
-    assert!(!stdout.contains("no baseline"), "vacuous gate: {stdout}");
-}
-
-#[test]
-fn sched_sweep_history_needs_no_trace_to_record_real_latencies() {
+fn sched_sweep_needs_no_trace_to_record_real_latencies() {
     // The SLOs are read back from the profiler's flight journal: without
-    // `--trace` there used to be none, and the record appended was all
-    // `gflops = 0, pct_of_peak = 1e15` — a poisoned drift baseline.
-    let dir = std::env::temp_dir().join("hfta-probe-sched-history-test");
+    // `--trace` there used to be none, and every latency read zero.
+    let dir = std::env::temp_dir().join("hfta-probe-sched-latency-test");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let append = |file: &str, extra: &[&str]| {
+    let latencies = |file: &str, extra: &[&str]| {
         let path = dir.join(file);
         let out = Command::new(env!("CARGO_BIN_EXE_sched_sweep"))
-            .args(["--history", &path.display().to_string()])
+            .args(["--bench-json", &path.display().to_string()])
             .args(extra)
             .output()
             .expect("sched_sweep runs");
@@ -241,38 +128,33 @@ fn sched_sweep_history_needs_no_trace_to_record_real_latencies() {
             "sched_sweep failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let mut records = PerfHistory::new(&path).load().expect("history loads");
-        assert_eq!(records.len(), 1);
-        records.remove(0).ops
+        let text = std::fs::read_to_string(&path).expect("bench json written");
+        let doc: serde::Value = serde_json::from_str(&text).expect("bench json parses");
+        let records: Vec<SchedReport> =
+            serde_json::from_value(doc.get("records").expect("records")).expect("sched reports");
+        records
+            .iter()
+            .flat_map(|r| [r.queue_wait_p99_us, r.e2e_latency_p99_us])
+            .collect::<Vec<f64>>()
     };
-    let untraced = append("untraced.jsonl", &[]);
-    assert_eq!(untraced.len(), 6, "ops: {untraced:?}");
-    for op in &untraced {
-        assert!(
-            op.gflops > 0.0 && op.pct_of_peak < 1e6,
-            "zero record: {op:?}"
-        );
-    }
+    let untraced = latencies("untraced.json", &[]);
+    assert_eq!(untraced.len(), 6, "latencies: {untraced:?}");
+    assert!(untraced.iter().all(|&us| us > 0.0), "zeros: {untraced:?}");
     // Simulated time is bit-exact, so tracing must not change a digit.
     let trace_dir = dir.join("trace").display().to_string();
-    assert_eq!(untraced, append("traced.jsonl", &["--trace", &trace_dir]));
+    assert_eq!(untraced, latencies("traced.json", &["--trace", &trace_dir]));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn bench_kernels_emits_scaling_efficiency_and_history() {
+fn bench_kernels_emits_scaling_efficiency() {
     let dir = std::env::temp_dir().join("hfta-probe-bench-kernels-test");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     let json = dir.join("BENCH_kernels.json");
-    let db = dir.join("probe_db.json");
-    synthetic_db(&db);
-    let history_path = dir.join("history.jsonl");
 
     let out = Command::new(env!("CARGO_BIN_EXE_bench_kernels"))
         .args(["--quick", "--bench-json", &json.display().to_string()])
-        .args(["--probe-db", &db.display().to_string()])
-        .args(["--history", &history_path.display().to_string()])
         .output()
         .expect("bench_kernels runs");
     assert!(
@@ -286,13 +168,5 @@ fn bench_kernels_emits_scaling_efficiency_and_history() {
         text.contains("\"scaling_efficiency\""),
         "scaling_efficiency missing from {text}"
     );
-    let records = PerfHistory::new(&history_path)
-        .load()
-        .expect("history loads");
-    assert_eq!(records.len(), 1);
-    assert_eq!(records[0].label, "bench_kernels");
-    // Every benched (op, shape, backend, threads) cell lands in the record.
-    assert!(records[0].ops.len() >= 6, "ops: {:?}", records[0].ops);
-    assert!(records[0].ops.iter().all(|o| o.gflops > 0.0));
     let _ = std::fs::remove_dir_all(&dir);
 }

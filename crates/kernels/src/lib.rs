@@ -27,8 +27,11 @@
 //!   forces the portable path.
 //! * [`tune`] — a one-function stub (`enabled() == false`) kept for the
 //!   benchmark's host record; nothing tunes.
-//! * [`profile`] — [`profiled()`] wires `hfta-telemetry` spans/counters
-//!   (kernel name, threads, FLOPs) around kernel dispatches.
+//!
+//! This crate carries no observability code: op spans and samples are
+//! recorded once, on the autograd tape in `hfta-nn`, and the pool's
+//! internals are visible as a plain counter ([`pool_dispatches`]) the
+//! reporter reads.
 //!
 //! The paper's Figure 3 claim — fused training is bit-exact with serial
 //! training — survives this layer because every kernel here is
@@ -42,7 +45,6 @@
 
 pub mod gemm;
 pub mod pool;
-pub mod profile;
 pub mod reference;
 pub mod simd;
 pub mod tune;
@@ -55,5 +57,4 @@ pub use pool::{
     for_each_chunk_mut, num_threads, parallel_for, parallel_for_work, pool_dispatches,
     set_num_threads, UnsafeSlice,
 };
-pub use profile::profiled;
 pub use simd::{set_simd_enabled, simd_available};

@@ -79,12 +79,26 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(CheckpointError::Truncated);
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or(CheckpointError::Truncated)?;
+        let s = &self.bytes[self.pos..end];
+        self.pos = end;
         Ok(s)
+    }
+
+    /// Reads a count of further items of at least `min_bytes` each, and
+    /// rejects one the remaining bytes cannot hold before anything is
+    /// reserved for it: a file's header is not trusted to size an
+    /// allocation.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, CheckpointError> {
+        let n = self.u32()? as usize;
+        match n.checked_mul(min_bytes) {
+            Some(need) if need <= self.bytes.len() - self.pos => Ok(n),
+            _ => Err(CheckpointError::Truncated),
+        }
     }
 
     fn u32(&mut self) -> Result<u32, CheckpointError> {
@@ -107,21 +121,25 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<(String, Tensor)>, CheckpointError> {
     if version != VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
-    let count = r.u32()? as usize;
+    // Every parameter holds at least its name length and its rank.
+    let count = r.count(8)?;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        let name_len = r.u32()? as usize;
+        let name_len = r.count(1)?;
         let name = std::str::from_utf8(r.take(name_len)?)
             .map_err(|_| CheckpointError::BadName)?
             .to_string();
-        let rank = r.u32()? as usize;
+        let rank = r.count(4)?;
         let mut dims = Vec::with_capacity(rank);
         for _ in 0..rank {
             dims.push(r.u32()? as usize);
         }
-        let numel: usize = dims.iter().product();
-        let data_bytes = r.take(numel * 4)?;
-        let data: Vec<f32> = data_bytes
+        let byte_len = dims
+            .iter()
+            .try_fold(4usize, |acc, &d| acc.checked_mul(d))
+            .ok_or(CheckpointError::Truncated)?;
+        let data: Vec<f32> = r
+            .take(byte_len)?
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect();
@@ -210,6 +228,41 @@ mod tests {
         let mut bad = save(&params());
         bad[4] = 99;
         assert!(matches!(decode(&bad), Err(CheckpointError::BadVersion(_))));
+    }
+
+    #[test]
+    fn corrupt_headers_are_truncation_errors_not_aborts() {
+        let header = |count: u32| {
+            let mut b = MAGIC.to_vec();
+            b.extend_from_slice(&VERSION.to_le_bytes());
+            b.extend_from_slice(&count.to_le_bytes());
+            b
+        };
+        let words = |b: &mut Vec<u8>, ws: &[u32]| {
+            ws.iter()
+                .for_each(|w| b.extend_from_slice(&w.to_le_bytes()));
+        };
+        // A count the file cannot hold must not size a reservation.
+        let huge_count = header(u32::MAX);
+        // One unnamed parameter whose element count wraps to zero.
+        let mut wrapping_dims = header(1);
+        words(&mut wrapping_dims, &[0, 4, 65536, 65536, 65536, 65536]);
+        let mut huge_rank = header(1);
+        words(&mut huge_rank, &[0, u32::MAX]);
+        let mut huge_name = header(1);
+        words(&mut huge_name, &[u32::MAX]);
+        for (what, bytes) in [
+            ("count = u32::MAX", &huge_count),
+            ("dims [65536; 4], no data", &wrapping_dims),
+            ("rank = u32::MAX", &huge_rank),
+            ("name_len = u32::MAX", &huge_name),
+        ] {
+            assert_eq!(decode(bytes), Err(CheckpointError::Truncated), "{what}");
+        }
+        let valid = save(&params());
+        for len in 0..valid.len() {
+            assert!(decode(&valid[..len]).is_err(), "prefix of {len} bytes");
+        }
     }
 
     #[test]

@@ -5,6 +5,17 @@
 //! gradients into [`Parameter`] slots. The tape is rebuilt every training
 //! iteration while parameters persist outside it — the same lifecycle as
 //! PyTorch's dynamic graph.
+//!
+//! The tape is also the **one place an op sample comes from**. Under an
+//! installed [`Profiler`] every op opens one forward span declaring its
+//! [`OpCost`] (`Tape::record_op`), and the node keeps that cost; the
+//! backward sweep opens one `bwd:<op>` span per node and prices it at the
+//! forward cost times the number of parent gradients the closure returned.
+//! That is exact for the GEMM-backed ops (input + weight gradient = 2 x
+//! forward, the 3x-forward training rule the simulator is priced with) and
+//! the right order for elementwise ops. Nothing below the tape (`hfta-tensor`,
+//! `hfta-kernels`, `hfta-mem`) records anything, so every op is counted
+//! once under its own name.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -24,8 +35,10 @@ pub(crate) struct Node {
     pub(crate) value: Tensor,
     pub(crate) backward: Option<BackwardFn>,
     pub(crate) param: Option<Parameter>,
-    /// Op that produced this node; names the backward span.
+    /// Op that produced this node and the cost its forward span declared;
+    /// they name and price the backward span.
     pub(crate) op: &'static str,
+    pub(crate) cost: OpCost,
 }
 
 /// Telemetry captured once per tape so hot paths pay a single branch.
@@ -38,8 +51,9 @@ pub(crate) struct TapeTelemetry {
 #[derive(Default)]
 pub(crate) struct TapeInner {
     pub(crate) nodes: RefCell<Vec<Node>>,
-    /// Name of the op currently recording (consumed by the next `push`).
-    pub(crate) current_op: Cell<Option<&'static str>>,
+    /// Name and cost of the op currently recording (consumed by the next
+    /// `push`).
+    pub(crate) current_op: Cell<Option<(&'static str, OpCost)>>,
     /// `Some` only when a profiler was installed at tape creation.
     pub(crate) telemetry: Option<TapeTelemetry>,
 }
@@ -94,18 +108,20 @@ impl Tape {
     }
 
     /// Opens a forward span for op `name`, attributing FLOPs and bytes from
-    /// `cost`. On close the span folds an `OpSample {flops, bytes, ns}` into
-    /// the current experiment's per-op aggregates (the hfta-probe roofline
-    /// feed). When no profiler is installed this is a single branch: `cost`
-    /// is never evaluated and no allocation happens.
+    /// `cost`, and hands both to the node the op is about to push. On close
+    /// the span folds an `OpSample {flops, bytes, ns}` into the current
+    /// experiment's per-op aggregates (the hfta-probe roofline feed). When
+    /// no profiler is installed this is a single branch: `cost` is never
+    /// evaluated and no allocation happens.
     pub(crate) fn record_op(
         &self,
         name: &'static str,
         cost: impl FnOnce() -> OpCost,
     ) -> Option<OpSpanGuard> {
         let t = self.inner.telemetry.as_ref()?;
-        self.inner.current_op.set(Some(name));
-        Some(t.profiler.op_span(t.fwd, name, cost()))
+        let cost = cost();
+        self.inner.current_op.set(Some((name, cost)));
+        Some(t.profiler.op_span(t.fwd, name, cost))
     }
 
     /// Number of recorded nodes.
@@ -135,13 +151,18 @@ impl Tape {
         backward: Option<BackwardFn>,
         param: Option<Parameter>,
     ) -> Var {
-        let op = self.inner.current_op.take().unwrap_or("leaf");
+        let (op, cost) = self
+            .inner
+            .current_op
+            .take()
+            .unwrap_or(("leaf", OpCost::default()));
         let mut nodes = self.inner.nodes.borrow_mut();
         nodes.push(Node {
             value,
             backward,
             param,
             op,
+            cost,
         });
         Var {
             tape: self.clone(),
@@ -263,8 +284,15 @@ impl Var {
             let Some(g) = grads[id].take() else { continue };
             let node = &nodes[id];
             if let Some(backward) = &node.backward {
-                let _span = telemetry.map(|t| t.profiler.span(t.bwd, format!("bwd:{}", node.op)));
-                for (pid, pg) in backward(&g) {
+                let mut span = telemetry.map(|t| {
+                    t.profiler
+                        .op_span(t.bwd, format!("bwd:{}", node.op), node.cost)
+                });
+                let parent_grads = backward(&g);
+                if let Some(span) = &mut span {
+                    span.scale(parent_grads.len());
+                }
+                for (pid, pg) in parent_grads {
                     debug_assert!(pid < id, "tape must be topologically ordered");
                     match &mut grads[pid] {
                         Some(existing) => existing.add_assign_scaled(&pg, 1.0),
@@ -397,12 +425,15 @@ mod tests {
         assert!(json.contains("\"mul\""));
         assert!(json.contains("bwd:mul"));
         assert!(json.contains("flops"));
-        // Forward ops fold OpSamples for the probe roofline layer.
+        // Forward ops fold OpSamples for the probe roofline layer, and
+        // each backward node one more: forward cost x parent gradients.
         let report = p.report();
         let mul = report.experiments[0].op("mul").expect("mul op sample");
         assert_eq!(mul.calls, 1);
         assert!(mul.flops > 0.0 && mul.bytes > 0.0 && mul.ns > 0.0);
         assert!(report.experiments[0].op("sum").is_some());
+        let bwd = report.experiments[0].op("bwd:mul").expect("bwd:mul sample");
+        assert_eq!((bwd.calls, bwd.flops), (1, 2.0 * mul.flops));
     }
 
     #[test]

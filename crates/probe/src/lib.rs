@@ -2,37 +2,33 @@
 //!
 //! Roofline-based utilization observability for the HFTA reproduction: the
 //! layer that answers "what fraction of the machine did we squeeze?" — the
-//! quantity the paper's whole thesis is measured in (Figs 8/11/12).
+//! quantity the paper's whole thesis is measured in (Figs 8/11/12). It
+//! keeps only what nothing else does, and no store it can recompute:
 //!
 //! * [`roofline`] — one-shot machine calibration ([`calibrate`]): attainable
 //!   peak f32 GFLOP/s (the default GEMM's 8×8 micro-kernel) and stream GB/s
-//!   per thread count, cached MIOpen-find-db style in a versioned probe
-//!   database ([`MachinePeaks`], `--probe-db <path>`).
+//!   per thread count ([`MachinePeaks`]). It takes a quarter of a second,
+//!   so `hfta_report roofline` calibrates when it runs and nothing is
+//!   cached on disk.
 //! * [`classify`] — places every recorded `OpSample {flops, bytes, ns}`
 //!   aggregate on the roofline ([`OpRoofline`]: compute- vs bandwidth-bound,
 //!   % of *attainable* peak) and splits experiment totals across fused
 //!   lanes ([`per_lane_utilization`]) with `hfta-sim`'s exact even-split
 //!   attribution.
-//! * [`history`] — the append-only [`PerfHistory`] JSONL store (git rev,
-//!   threads, backend, per-op summary per run) and the [`drift`] gate:
-//!   utilization of any tracked op dropping beyond tolerance vs the
-//!   trailing median fails the run.
 //!
-//! The op samples come from the `profiled(name, flops, bytes, f)` hook in
-//! `hfta-kernels` and the Tape op spans in `hfta-nn`; `hfta_report roofline` in
-//! `hfta-bench` renders the tables and the Fig-8-style per-device timeline.
+//! The op samples come from one place, the autograd tape in `hfta-nn`: one
+//! forward span per op and one `bwd:<op>` span per backward node (plus the
+//! optimizers' `optim_step`). `hfta_report roofline` in `hfta-bench` renders
+//! the tables and the Fig-8-style per-device timeline. Wall-clock
+//! trajectories across commits belong to `benchmark/run.sh compare`, and
+//! simulated latencies are gated exactly by the `ci/golden` diffs.
 
 #![warn(missing_docs)]
 
 pub mod classify;
-pub mod history;
 pub mod roofline;
 
 pub use classify::{
     classify, classify_experiment, per_lane_utilization, BoundKind, LaneUtil, OpRoofline,
 };
-pub use history::{
-    drift, git_rev, DriftViolation, HistoryRecord, OpUtil, PerfHistory, DRIFT_WINDOW,
-    HISTORY_SCHEMA,
-};
-pub use roofline::{calibrate, MachinePeaks, PeakEntry, PROBE_DB_VERSION};
+pub use roofline::{calibrate, MachinePeaks, PeakEntry};

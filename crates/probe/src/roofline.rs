@@ -1,26 +1,16 @@
-//! Machine-peak calibration and the versioned probe database.
+//! Machine-peak calibration.
 //!
 //! The roofline model needs two machine constants per thread count: the
 //! attainable peak f32 GFLOP/s (measured by looping the same cache-blocked
 //! 8×8 GEMM micro-kernel the tensor stack dispatches by default — the
 //! AVX2/FMA tile where the CPU has it) and the attainable
 //! stream bandwidth in GB/s (a triad sweep over a buffer larger than the
-//! last-level cache). Calibration is a one-shot microbench; the result is
-//! cached MIOpen-find-db style in a versioned JSON file next to the run
-//! (`--probe-db <path>`), so repeat runs load instead of re-measuring.
-
-use std::path::Path;
-
-use serde::{Deserialize, Serialize};
-
-/// Bump when the calibration method or file layout changes; stale files
-/// are silently re-calibrated. Version 2: the compute peak is the default
-/// (vector where available) kernel's, no longer the SSE2 scalar tile's —
-/// version-1 peaks would put today's kernels above 100% of peak.
-pub const PROBE_DB_VERSION: u64 = 2;
+//! last-level cache). Calibration is a one-shot microbench of about a
+//! quarter of a second, so whoever needs the peaks measures them; there is
+//! no cache file to version, invalidate or carry between hosts.
 
 /// Attainable peaks measured at one worker-pool thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeakEntry {
     /// Worker-pool thread count the peaks were measured at.
     pub threads: u64,
@@ -42,74 +32,23 @@ impl PeakEntry {
     }
 }
 
-/// The probe database: attainable peaks per thread count, versioned so a
-/// method change invalidates cached files.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Attainable peaks per calibrated thread count.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachinePeaks {
-    /// File-format/method version ([`PROBE_DB_VERSION`]).
-    pub version: u64,
     /// One entry per calibrated thread count, ascending.
     pub entries: Vec<PeakEntry>,
 }
 
 impl MachinePeaks {
-    /// Builds a database from explicit peaks (tests, machine-independent
-    /// report rendering).
-    pub fn synthetic(gflops: f64, stream_gbps: f64) -> Self {
-        MachinePeaks {
-            version: PROBE_DB_VERSION,
-            entries: vec![PeakEntry {
-                threads: 1,
-                gflops,
-                stream_gbps,
-            }],
-        }
-    }
-
     /// The entry for `threads`: an exact match if calibrated, otherwise the
     /// largest calibrated count not above it, otherwise the smallest entry.
-    /// Returns `None` only for an empty database.
+    /// Returns `None` only when there are no entries.
     pub fn entry_for(&self, threads: u64) -> Option<&PeakEntry> {
         self.entries
             .iter()
             .filter(|e| e.threads <= threads)
             .max_by_key(|e| e.threads)
             .or_else(|| self.entries.first())
-    }
-
-    /// Writes the database as pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let json = serde_json::to_string_pretty(self).expect("peaks serialize infallibly");
-        std::fs::write(path, json)
-    }
-
-    /// Loads a cached database; `None` when the file is missing, unparsable,
-    /// or carries a stale [`PROBE_DB_VERSION`] (callers then re-calibrate).
-    pub fn load(path: &Path) -> Option<MachinePeaks> {
-        let text = std::fs::read_to_string(path).ok()?;
-        let peaks: MachinePeaks = serde_json::from_str(&text).ok()?;
-        (peaks.version == PROBE_DB_VERSION).then_some(peaks)
-    }
-
-    /// Loads the cached database at `path`, or calibrates `thread_counts`
-    /// and caches the result there (save errors are ignored — a read-only
-    /// location just means re-calibrating next run).
-    pub fn load_or_calibrate(path: &Path, thread_counts: &[usize]) -> MachinePeaks {
-        if let Some(peaks) = Self::load(path) {
-            return peaks;
-        }
-        let peaks = calibrate(thread_counts);
-        let _ = peaks.save(path);
-        peaks
     }
 }
 
@@ -128,7 +67,7 @@ const REPS: usize = 3;
 /// The GEMM loop is pinned to the default `Auto` backend for the
 /// measurement: the compute peak is defined against the production kernel,
 /// so a process running on the `Naive` oracle calibrates the same peak as
-/// everyone else and cached probe dbs stay comparable.
+/// everyone else.
 ///
 /// # Panics
 ///
@@ -155,10 +94,7 @@ pub fn calibrate(thread_counts: &[usize]) -> MachinePeaks {
         .collect();
     hfta_kernels::set_num_threads(prior);
     hfta_kernels::set_backend(prior_backend);
-    MachinePeaks {
-        version: PROBE_DB_VERSION,
-        entries,
-    }
+    MachinePeaks { entries }
 }
 
 /// Best-of-[`REPS`] GFLOP/s of the default tiled GEMM (8×8 micro-kernel)
@@ -226,7 +162,6 @@ mod tests {
     #[test]
     fn entry_selection_prefers_nearest_below() {
         let peaks = MachinePeaks {
-            version: PROBE_DB_VERSION,
             entries: vec![
                 PeakEntry {
                     threads: 1,
@@ -245,23 +180,6 @@ mod tests {
         assert_eq!(peaks.entry_for(4).unwrap().gflops, 30.0);
         assert_eq!(peaks.entry_for(16).unwrap().gflops, 30.0);
         assert_eq!(peaks.entry_for(1).unwrap().ridge(), 2.0);
-    }
-
-    #[test]
-    fn save_load_round_trip_and_version_gate() {
-        let dir = std::env::temp_dir().join(format!("hfta-probe-db-{}", std::process::id()));
-        let path = dir.join("machine.json");
-        let peaks = MachinePeaks::synthetic(42.0, 17.0);
-        peaks.save(&path).unwrap();
-        assert_eq!(MachinePeaks::load(&path).unwrap(), peaks);
-        // A stale version — older or newer — invalidates the cache.
-        for version in [PROBE_DB_VERSION - 1, PROBE_DB_VERSION + 1] {
-            let mut stale = peaks.clone();
-            stale.version = version;
-            stale.save(&path).unwrap();
-            assert!(MachinePeaks::load(&path).is_none());
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

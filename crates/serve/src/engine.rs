@@ -25,12 +25,15 @@
 //!   the set; it later splices into a fresh array on whatever device
 //!   admission picks — same mechanism as rung-boundary migration, so a
 //!   preempted trial resumes bit-for-bit on any device or width.
-//! - **Crash-safe journal.** With a checkpoint directory configured,
-//!   every state change (and the teed flight-recorder stream) is
-//!   journaled append-only and every extracted lane is snapshotted
-//!   atomically; [`ServeEngine::recover`] replays the journal, reloads
-//!   snapshots, re-emits the flight history, and resumes every
-//!   surviving trial bit-identically. In-flight segments at the crash
+//! - **Crash-safe journal, one commit per step.** With a checkpoint
+//!   directory configured, every state change (and the teed
+//!   flight-recorder stream) of one [`ServeEngine::step`] is staged and
+//!   written as one journal line when the step ends, and every extracted
+//!   lane is snapshotted into an immutable file that line names: a kill
+//!   at any instant leaves whole steps only (`tests/crash_matrix.rs`).
+//!   [`ServeEngine::recover`] replays the journal, reloads snapshots,
+//!   re-emits the flight history, and resumes every surviving trial
+//!   bit-identically. In-flight segments at the crash
 //!   are lost and simply retrain from the last snapshot — determinism
 //!   makes the retrained steps identical.
 
@@ -542,7 +545,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
             }
         }
         self.dispatch(t)?;
-        self.tee()?;
+        self.commit()?;
         self.batches += 1;
         Ok(true)
     }
@@ -815,7 +818,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
         rec.sweep = self.trials[tid as usize].sweep;
         rec.rung = rung;
         rec.cum_steps = cum_steps;
-        store.append(&rec)?;
+        store.stage(&rec)?;
         self.checkpoints += 1;
         self.flight
             .record_with(tid, t_ns, FlightKind::Checkpoint, None, None, None, || {
@@ -1229,7 +1232,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
 
     fn journal(&mut self, rec: &ServeJournalRec) -> io::Result<()> {
         match &mut self.store {
-            Some(store) => store.append(rec),
+            Some(store) => store.stage(rec),
             None => Ok(()),
         }
     }
@@ -1253,26 +1256,31 @@ impl<B: ArrayBackend> ServeEngine<B> {
         self.journal(&rec)
     }
 
-    /// Tees flight events recorded since the last call into the journal
-    /// so recovery can replay the exact observability stream.
-    fn tee(&mut self) -> io::Result<()> {
-        if self.store.is_none() {
-            return Ok(());
-        }
-        let Some(p) = self.profiler.clone() else {
+    /// Ends a step: tees the flight events recorded since the last call
+    /// into the journal (so recovery can replay the exact observability
+    /// stream) and commits everything the step staged as one line.
+    fn commit(&mut self) -> io::Result<()> {
+        let Some(store) = &mut self.store else {
             return Ok(());
         };
-        let n = p.flight_event_count();
-        if n <= self.teed {
-            return Ok(());
+        if let Some(p) = &self.profiler {
+            let n = p.flight_event_count();
+            if n > self.teed {
+                for e in p.flight_tail(n - self.teed) {
+                    let mut rec = ServeJournalRec::blank("flight", e.t_ns);
+                    rec.flight = Some(e);
+                    store.stage(&rec)?;
+                }
+                self.teed = n;
+            }
         }
-        let events = p.flight_tail(n - self.teed);
-        let store = self.store.as_mut().expect("checked above");
-        for e in &events {
-            store.append_flight(e)?;
-        }
-        self.teed = n;
-        Ok(())
+        store.commit()
+    }
+
+    /// The checkpoint store, for arming its fail-point in tests.
+    #[doc(hidden)]
+    pub fn store_mut(&mut self) -> Option<&mut CheckpointStore> {
+        self.store.as_mut()
     }
 
     // -- recovery -----------------------------------------------------
@@ -1451,11 +1459,12 @@ impl<B: ArrayBackend> ServeEngine<B> {
                     if cum == eng.cfg.rung.total_steps_at(rung as usize) {
                         match decisions.get(&(sweep, rung)) {
                             Some(promoted) if promoted.contains(&tid) => (sweep, rung + 1, cum),
+                            // A decision and its terminals share a commit.
                             Some(_) => {
-                                // Decided against but the terminal record
-                                // is missing (torn tail): settle it now.
-                                eng.set_terminal(tid, TrialState::Stopped, None, resume_ns)?;
-                                continue;
+                                return Err(io::Error::new(
+                                    io::ErrorKind::InvalidData,
+                                    format!("trial {tid} was decided against but never settled"),
+                                ));
                             }
                             None => {
                                 // Reported, barrier still open: back to
@@ -1573,7 +1582,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
         }
 
         eng.dispatch(resume_s)?;
-        eng.tee()?;
+        eng.commit()?;
         Ok(eng)
     }
 

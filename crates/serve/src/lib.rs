@@ -12,12 +12,14 @@
 //! - [`admission`] — the deficit-weighted fair-share queue and the
 //!   [`admission::AdmitPolicy`] choice (strict-FIFO static baseline vs.
 //!   preemptive fair share).
-//! - [`checkpoint`] — crash-safe persistence: an append-only JSONL
-//!   journal of service decisions plus per-trial lane snapshots
-//!   (`hfta-core::snapshot`) written atomically via tmp + rename.
+//! - [`checkpoint`] — persistence that survives a killed process (not a
+//!   power loss: nothing is `fsync`ed): an append-only journal with one
+//!   line per engine step plus immutable per-trial lane snapshots
+//!   (`hfta-core::snapshot`) named by the commit that refers to them.
 //! - [`engine`] — the event-driven service core: lazy-trained segments
 //!   on a simulated heterogeneous fleet, synchronous per-rung cohort
-//!   barriers, preemptive lane migration, and journal replay / restore.
+//!   barriers, preemptive lane migration, one journal commit per step,
+//!   and journal replay / restore.
 //! - [`service`] — a thread-backed in-process API (`submit` / `status` /
 //!   `cancel` over a command channel) wrapping the engine.
 

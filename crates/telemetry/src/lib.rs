@@ -2,11 +2,17 @@
 //!
 //! One crate owns all observability for the HFTA reproduction:
 //!
-//! * [`Profiler`] — scoped spans ([`Profiler::span`]), experiment scopes
-//!   ([`Profiler::experiment`]), counters/gauges/histograms, per-step
-//!   training metrics, and counter time-series. Installed thread-locally
-//!   ([`Profiler::install`]); when nothing is installed,
-//!   [`Profiler::current`] is `None` and instrumented code pays one branch.
+//! * [`Profiler`] — scoped spans ([`Profiler::span`]), op spans that fold
+//!   a `{flops, bytes, ns}` sample on close ([`Profiler::op_span`]),
+//!   experiment scopes ([`Profiler::experiment`]),
+//!   counters/gauges/histograms, per-step training metrics, and counter
+//!   time-series. Installed thread-locally ([`Profiler::install`]); when
+//!   nothing is installed, [`Profiler::current`] is `None` and instrumented
+//!   code pays one branch. Op samples have one producer per op: the autograd
+//!   tape in `hfta-nn` (one forward span per op, one `bwd:<op>` span per
+//!   backward node) plus the optimizers' `optim_step`. The layers below it
+//!   (`hfta-tensor`, `hfta-kernels`, `hfta-mem`) do not depend on this
+//!   crate; their internals are plain counters the reporter reads.
 //! * [`trace`] — the Chrome trace-event JSON writer. Load the output in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>; lanes (`pid`/`tid`)
 //!   map to device/policy/model.

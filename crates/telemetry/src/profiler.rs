@@ -297,8 +297,8 @@ impl Profiler {
     /// Opens a span that, on close, also folds an [`OpSample`]-style record
     /// (`flops`, `bytes`, elapsed ns) into the current experiment's per-op
     /// aggregates. This is the hfta-probe hook: the trace gets a normal
-    /// begin/end pair carrying the cost as args, and the report gains a row
-    /// in [`ExperimentReport::ops`] keyed by `name`.
+    /// begin/end pair whose end event carries the cost as args, and the
+    /// report gains a row in [`ExperimentReport::ops`] keyed by `name`.
     ///
     /// [`OpSample`]: crate::report::OpAgg
     pub fn op_span(&self, lane: LaneId, name: impl Into<String>, cost: OpCost) -> OpSpanGuard {
@@ -310,10 +310,7 @@ impl Profiler {
             ts_us: ts,
             pid: lane.pid,
             tid: lane.tid,
-            args: vec![
-                ("flops".to_string(), Value::F64(cost.flops)),
-                ("bytes".to_string(), Value::F64(cost.bytes)),
-            ],
+            args: Vec::new(),
         });
         OpSpanGuard {
             profiler: self.clone(),
@@ -645,15 +642,25 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Closes an op span on drop: emits the trace end event and folds the
-/// elapsed time plus the declared [`OpCost`] into the current experiment's
-/// per-op aggregates.
+/// Closes an op span on drop: emits the trace end event (carrying the
+/// cost) and folds the elapsed time plus the [`OpCost`] into the current
+/// experiment's per-op aggregates.
 pub struct OpSpanGuard {
     profiler: Profiler,
     lane: LaneId,
     name: String,
     cost: OpCost,
     started: Instant,
+}
+
+impl OpSpanGuard {
+    /// Multiplies the cost folded on close by `n`: a span whose work is
+    /// only known once it ran (the tape's backward sweep prices a node at
+    /// its forward cost times the parent gradients it produced).
+    pub fn scale(&mut self, n: usize) {
+        self.cost.flops *= n as f64;
+        self.cost.bytes *= n as f64;
+    }
 }
 
 impl Drop for OpSpanGuard {
@@ -668,7 +675,10 @@ impl Drop for OpSpanGuard {
             ts_us: ts,
             pid: self.lane.pid,
             tid: self.lane.tid,
-            args: Vec::new(),
+            args: vec![
+                ("flops".to_string(), Value::F64(self.cost.flops)),
+                ("bytes".to_string(), Value::F64(self.cost.bytes)),
+            ],
         });
     }
 }
@@ -815,7 +825,7 @@ mod tests {
     #[test]
     fn op_spans_aggregate_per_op_kind() {
         let p = Profiler::new("t");
-        let lane = p.lane("kernels", "cpu");
+        let lane = p.lane("autograd", "forward");
         for _ in 0..3 {
             let _g = p.op_span(lane, "matmul", OpCost::matmul(1, 8, 8, 8));
         }
@@ -834,8 +844,14 @@ mod tests {
         let relu = report.experiments[0].op("relu").unwrap();
         assert_eq!(relu.calls, 2);
         assert_eq!(relu.flops, 128.0);
+        // A scaled span folds (and reports on its end event) the scaled cost.
+        p.op_span(lane, "bwd:matmul", OpCost::matmul(1, 8, 8, 8))
+            .scale(2);
+        let bwd = p.report().experiments[0].op("bwd:matmul").cloned().unwrap();
+        assert_eq!((bwd.calls, bwd.flops), (1, 2.0 * 1024.0));
+        assert!(p.trace_json().contains("\"flops\":2048"));
         // Trace side: begin+end per op_span, none for record_op_sample.
-        assert_eq!(p.event_count(), 8);
+        assert_eq!(p.event_count(), 10);
     }
 
     #[test]

@@ -200,37 +200,32 @@ pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tenso
     // there is no second pass over the output.
     let block = coutg * spatial;
     let per_block_flops = 2 * coutg * krows * spatial;
-    // Per (sample, group) block: image and weights read, output written.
-    let per_block_bytes = 4 * (cing * hp * wp + coutg * krows + block);
-    let bytes = (n * g * per_block_bytes) as f64;
-    kernels::profiled("conv2d", (n * g * per_block_flops) as f64, bytes, || {
-        let grain = block_grain(per_block_flops, n * g);
-        let tables = (!pointwise((kh, kw), &cfg))
-            .then(|| im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo)));
-        let cols = tables.as_ref().map(|(koff, soff)| Offsets::new(koff, soff));
-        let mut out = Tensor::zeros([n, cout, ho, wo]);
-        let shared = UnsafeSlice::new(out.as_mut_slice());
-        kernels::parallel_for_work(n * g, grain, n * g * per_block_flops, |range| {
-            for idx in range {
-                let (ni, gi) = (idx / g, idx % g);
-                // SAFETY: each (sample, group) index owns a disjoint block.
-                let out_block = unsafe { shared.slice_mut(idx * block..(idx + 1) * block) };
-                if let Some(bd) = bias_data {
-                    for (co, row) in out_block.chunks_exact_mut(spatial).enumerate() {
-                        row.fill(bd[gi * coutg + co]);
-                    }
-                }
-                let img = &xp_data
-                    [(ni * cin + gi * cing) * hp * wp..(ni * cin + (gi + 1) * cing) * hp * wp];
-                let wmat = &w_data[gi * coutg * krows..(gi + 1) * coutg * krows];
-                match cols {
-                    Some(c) => kernels::gemm_gather(out_block, wmat, img, c, coutg, krows, spatial),
-                    None => kernels::gemm(out_block, wmat, img, coutg, krows, spatial),
+    let grain = block_grain(per_block_flops, n * g);
+    let tables = (!pointwise((kh, kw), &cfg))
+        .then(|| im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo)));
+    let cols = tables.as_ref().map(|(koff, soff)| Offsets::new(koff, soff));
+    let mut out = Tensor::zeros([n, cout, ho, wo]);
+    let shared = UnsafeSlice::new(out.as_mut_slice());
+    kernels::parallel_for_work(n * g, grain, n * g * per_block_flops, |range| {
+        for idx in range {
+            let (ni, gi) = (idx / g, idx % g);
+            // SAFETY: each (sample, group) index owns a disjoint block.
+            let out_block = unsafe { shared.slice_mut(idx * block..(idx + 1) * block) };
+            if let Some(bd) = bias_data {
+                for (co, row) in out_block.chunks_exact_mut(spatial).enumerate() {
+                    row.fill(bd[gi * coutg + co]);
                 }
             }
-        });
-        out
-    })
+            let img =
+                &xp_data[(ni * cin + gi * cing) * hp * wp..(ni * cin + (gi + 1) * cing) * hp * wp];
+            let wmat = &w_data[gi * coutg * krows..(gi + 1) * coutg * krows];
+            match cols {
+                Some(c) => kernels::gemm_gather(out_block, wmat, img, c, coutg, krows, spatial),
+                None => kernels::gemm(out_block, wmat, img, coutg, krows, spatial),
+            }
+        }
+    });
+    out
 }
 
 /// Gradient of [`conv2d`] with respect to its input.
@@ -267,29 +262,24 @@ pub fn conv2d_grad_input(
     // the padded input gradient, so the blocks fan out across the pool.
     let block = cing * hp * wp;
     let per_block_flops = 2 * coutg * krows * spatial;
-    // Per block: grad-output and weights read, padded input gradient written.
-    let bytes = (4 * n * g * (coutg * spatial + coutg * krows + block)) as f64;
-    let flops = (n * g * per_block_flops) as f64;
-    kernels::profiled("conv2d_grad_input", flops, bytes, || {
-        let grain = block_grain(per_block_flops, n * g);
-        let (koff, soff) = im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo));
-        let cols = Offsets::new(&koff, &soff);
-        let mut gx_pad = Tensor::zeros([n, cin, hp, wp]);
-        let shared = UnsafeSlice::new(gx_pad.as_mut_slice());
-        kernels::parallel_for_work(n * g, grain, n * g * per_block_flops, |range| {
-            for idx in range {
-                let (ni, gi) = (idx / g, idx % g);
-                let wmat = &w_data[gi * coutg * krows..(gi + 1) * coutg * krows];
-                let gybase = (ni * cout + gi * coutg) * spatial;
-                let gymat = &gy_data[gybase..gybase + coutg * spatial];
-                // SAFETY: each (sample, group) index owns a disjoint block.
-                let img = unsafe { shared.slice_mut(idx * block..(idx + 1) * block) };
-                // img[cols] += w^T @ gy : [krows, spatial]
-                kernels::gemm_tn_scatter(img, wmat, gymat, cols, krows, coutg, spatial);
-            }
-        });
-        gx_pad.unpad2d(ph, pw)
-    })
+    let grain = block_grain(per_block_flops, n * g);
+    let (koff, soff) = im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo));
+    let cols = Offsets::new(&koff, &soff);
+    let mut gx_pad = Tensor::zeros([n, cin, hp, wp]);
+    let shared = UnsafeSlice::new(gx_pad.as_mut_slice());
+    kernels::parallel_for_work(n * g, grain, n * g * per_block_flops, |range| {
+        for idx in range {
+            let (ni, gi) = (idx / g, idx % g);
+            let wmat = &w_data[gi * coutg * krows..(gi + 1) * coutg * krows];
+            let gybase = (ni * cout + gi * coutg) * spatial;
+            let gymat = &gy_data[gybase..gybase + coutg * spatial];
+            // SAFETY: each (sample, group) index owns a disjoint block.
+            let img = unsafe { shared.slice_mut(idx * block..(idx + 1) * block) };
+            // img[cols] += w^T @ gy : [krows, spatial]
+            kernels::gemm_tn_scatter(img, wmat, gymat, cols, krows, coutg, spatial);
+        }
+    });
+    gx_pad.unpad2d(ph, pw)
 }
 
 /// Gradient of [`conv2d`] with respect to its weight.
@@ -327,35 +317,30 @@ pub fn conv2d_grad_weight(
     let block = coutg * krows;
     let per_group_flops = 2 * n * coutg * spatial * krows;
     let flops = g * per_group_flops;
-    // Per (sample, group): image and grad output read, weight-gradient
-    // block read-modify-written.
-    let bytes = (4 * n * g * (cing * hp * wp + coutg * spatial + 2 * block)) as f64;
-    kernels::profiled("conv2d_grad_weight", flops as f64, bytes, || {
-        let grain = block_grain(per_group_flops, g);
-        let tables = (!pointwise((kh, kw), &cfg))
-            .then(|| im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo)));
-        let cols_t = tables.as_ref().map(|(koff, soff)| Offsets::new(soff, koff));
-        let mut gw = Tensor::zeros([cout, cing, kh, kw]);
-        let shared = UnsafeSlice::new(gw.as_mut_slice());
-        kernels::parallel_for_work(g, grain, flops, |range| {
-            for gi in range {
-                // SAFETY: each group owns a disjoint block of `gw`.
-                let gw_g = unsafe { shared.slice_mut(gi * block..(gi + 1) * block) };
-                for ni in 0..n {
-                    let img = &xp_data
-                        [(ni * cin + gi * cing) * hp * wp..(ni * cin + (gi + 1) * cing) * hp * wp];
-                    let gybase = (ni * cout + gi * coutg) * spatial;
-                    let gymat = &gy_data[gybase..gybase + coutg * spatial];
-                    // += gy [coutg, spatial] @ cols^T [spatial, krows]
-                    match cols_t {
-                        Some(c) => kernels::gemm_gather(gw_g, gymat, img, c, coutg, spatial, krows),
-                        None => kernels::gemm_nt(gw_g, gymat, img, coutg, spatial, krows),
-                    }
+    let grain = block_grain(per_group_flops, g);
+    let tables = (!pointwise((kh, kw), &cfg))
+        .then(|| im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo)));
+    let cols_t = tables.as_ref().map(|(koff, soff)| Offsets::new(soff, koff));
+    let mut gw = Tensor::zeros([cout, cing, kh, kw]);
+    let shared = UnsafeSlice::new(gw.as_mut_slice());
+    kernels::parallel_for_work(g, grain, flops, |range| {
+        for gi in range {
+            // SAFETY: each group owns a disjoint block of `gw`.
+            let gw_g = unsafe { shared.slice_mut(gi * block..(gi + 1) * block) };
+            for ni in 0..n {
+                let img = &xp_data
+                    [(ni * cin + gi * cing) * hp * wp..(ni * cin + (gi + 1) * cing) * hp * wp];
+                let gybase = (ni * cout + gi * coutg) * spatial;
+                let gymat = &gy_data[gybase..gybase + coutg * spatial];
+                // += gy [coutg, spatial] @ cols^T [spatial, krows]
+                match cols_t {
+                    Some(c) => kernels::gemm_gather(gw_g, gymat, img, c, coutg, spatial, krows),
+                    None => kernels::gemm_nt(gw_g, gymat, img, coutg, spatial, krows),
                 }
             }
-        });
-        gw
-    })
+        }
+    });
+    gw
 }
 
 /// Gradient of [`conv2d`] with respect to its bias: `gy` summed over batch

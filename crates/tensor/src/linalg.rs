@@ -122,20 +122,16 @@ impl Tensor {
             k, k2,
             "matmul inner dims mismatch: [{m}, {k}] x [{k2}, {n}]"
         );
-        let flops = 2.0 * (m * k * n) as f64;
-        let bytes = 4.0 * (m * k + k * n + m * n) as f64;
-        kernels::profiled("matmul", flops, bytes, || {
-            let mut out = Tensor::zeros([m, n]);
-            kernels::gemm(
-                out.as_mut_slice(),
-                self.as_slice(),
-                other.as_slice(),
-                m,
-                k,
-                n,
-            );
-            out
-        })
+        let mut out = Tensor::zeros([m, n]);
+        kernels::gemm(
+            out.as_mut_slice(),
+            self.as_slice(),
+            other.as_slice(),
+            m,
+            k,
+            n,
+        );
+        out
     }
 
     /// Batched matrix multiplication: `[B, m, k] x [B, k, n] -> [B, m, n]`.
@@ -151,24 +147,20 @@ impl Tensor {
         let (b2, k2, n) = (other.dim(0), other.dim(1), other.dim(2));
         assert_eq!(b, b2, "bmm batch dims mismatch: {b} vs {b2}");
         assert_eq!(k, k2, "bmm inner dims mismatch: {k} vs {k2}");
-        let flops = 2.0 * (b * m * k * n) as f64;
-        let bytes = 4.0 * (b * (m * k + k * n + m * n)) as f64;
-        kernels::profiled("bmm", flops, bytes, || {
-            let mut out = Tensor::zeros([b, m, n]);
-            batched_gemm(
-                out.as_mut_slice(),
-                self.as_slice(),
-                other.as_slice(),
-                b,
-                m,
-                k,
-                n,
-                m * k,
-                k * n,
-                kernels::gemm,
-            );
-            out
-        })
+        let mut out = Tensor::zeros([b, m, n]);
+        batched_gemm(
+            out.as_mut_slice(),
+            self.as_slice(),
+            other.as_slice(),
+            b,
+            m,
+            k,
+            n,
+            m * k,
+            k * n,
+            kernels::gemm,
+        );
+        out
     }
 
     /// Batched `bias + self @ other` with a broadcastable bias
@@ -188,27 +180,22 @@ impl Tensor {
         let (b2, k2, n) = (other.dim(0), other.dim(1), other.dim(2));
         assert_eq!(b, b2, "baddbmm batch dims mismatch: {b} vs {b2}");
         assert_eq!(k, k2, "baddbmm inner dims mismatch: {k} vs {k2}");
-        let flops = 2.0 * (b * m * k * n) as f64;
-        // Bias seeding writes the output once more on top of the gemm traffic.
-        let bytes = 4.0 * (b * (m * k + k * n + 2 * m * n)) as f64;
-        kernels::profiled("baddbmm", flops, bytes, || {
-            let out_shape = Shape::new(vec![b, m, n]);
-            let mut out = Tensor::zeros(out_shape.clone());
-            broadcast_fill(out.as_mut_slice(), bias, &out_shape);
-            batched_gemm(
-                out.as_mut_slice(),
-                self.as_slice(),
-                other.as_slice(),
-                b,
-                m,
-                k,
-                n,
-                m * k,
-                k * n,
-                kernels::gemm,
-            );
-            out
-        })
+        let out_shape = Shape::new(vec![b, m, n]);
+        let mut out = Tensor::zeros(out_shape.clone());
+        broadcast_fill(out.as_mut_slice(), bias, &out_shape);
+        batched_gemm(
+            out.as_mut_slice(),
+            self.as_slice(),
+            other.as_slice(),
+            b,
+            m,
+            k,
+            n,
+            m * k,
+            k * n,
+            kernels::gemm,
+        );
+        out
     }
 
     /// `self @ other` where `other` is transposed on its last two axes:
@@ -225,24 +212,20 @@ impl Tensor {
         let (b2, n, k2) = (other.dim(0), other.dim(1), other.dim(2));
         assert_eq!(b, b2, "bmm_nt batch dims mismatch");
         assert_eq!(k, k2, "bmm_nt inner dims mismatch");
-        let flops = 2.0 * (b * m * k * n) as f64;
-        let bytes = 4.0 * (b * (m * k + n * k + m * n)) as f64;
-        kernels::profiled("bmm_nt", flops, bytes, || {
-            let mut out = Tensor::zeros([b, m, n]);
-            batched_gemm(
-                out.as_mut_slice(),
-                self.as_slice(),
-                other.as_slice(),
-                b,
-                m,
-                k,
-                n,
-                m * k,
-                n * k,
-                kernels::gemm_nt,
-            );
-            out
-        })
+        let mut out = Tensor::zeros([b, m, n]);
+        batched_gemm(
+            out.as_mut_slice(),
+            self.as_slice(),
+            other.as_slice(),
+            b,
+            m,
+            k,
+            n,
+            m * k,
+            n * k,
+            kernels::gemm_nt,
+        );
+        out
     }
 
     /// `self^T @ other` batched: `[B, k, m] x [B, k, n] -> [B, m, n]`.
@@ -257,24 +240,20 @@ impl Tensor {
         let (b2, k2, n) = (other.dim(0), other.dim(1), other.dim(2));
         assert_eq!(b, b2, "bmm_tn batch dims mismatch");
         assert_eq!(k, k2, "bmm_tn inner dims mismatch");
-        let flops = 2.0 * (b * m * k * n) as f64;
-        let bytes = 4.0 * (b * (k * m + k * n + m * n)) as f64;
-        kernels::profiled("bmm_tn", flops, bytes, || {
-            let mut out = Tensor::zeros([b, m, n]);
-            batched_gemm(
-                out.as_mut_slice(),
-                self.as_slice(),
-                other.as_slice(),
-                b,
-                m,
-                k,
-                n,
-                k * m,
-                k * n,
-                kernels::gemm_tn,
-            );
-            out
-        })
+        let mut out = Tensor::zeros([b, m, n]);
+        batched_gemm(
+            out.as_mut_slice(),
+            self.as_slice(),
+            other.as_slice(),
+            b,
+            m,
+            k,
+            n,
+            k * m,
+            k * n,
+            kernels::gemm_tn,
+        );
+        out
     }
 
     /// Dot product of two 1-D tensors.
