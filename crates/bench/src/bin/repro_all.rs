@@ -935,7 +935,7 @@ fn table6(o: &mut String, _c: &mut Ctx) -> fmt::Result {
             vec![
                 r.original.to_string(),
                 r.fused.to_string(),
-                r.kind.fusion_mechanism().to_string(),
+                r.mechanism.to_string(),
             ]
         })
         .collect();

@@ -11,7 +11,10 @@
 //! Table 6 of the paper) and the `B` models trained simultaneously on one
 //! shared accelerator.
 //!
-//! * [`rules`] — the fusion rule table and the fusability checker;
+//! * [`rules`] — Table 6 itself: the rule table and the
+//!   same-type-same-shape fusability checker, over `hfta_plan::ShapedOp`
+//!   (the workspace's one operator descriptor, which carries the fusion
+//!   transform and the cost accounting);
 //! * [`ops`] — fused operator modules with `new` / `from_models` / `unfuse`,
 //!   and the [`ops::Ops`] operator families (`Serial` / `Fused(B)`) that let a
 //!   model be written once and instantiated as one job or as an array;

@@ -7,11 +7,19 @@ use hfta_core::format::{stack_array, stack_conv, unstack_array, unstack_conv};
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::{FusedBatchNorm, FusedConv1d, FusedConv2d, FusedLinear, FusedParameter};
 use hfta_core::optim::{FusedAdadelta, FusedAdam, FusedOptimizer, FusedSgd, PerModel};
-use hfta_core::rules::{fuse, OpSpec};
+use hfta_core::rules::fuse;
 use hfta_nn::layers::{BatchNorm, Conv1d, Conv2d, Conv2dCfg, Linear, LinearCfg};
 use hfta_nn::{Adam, Module, Optimizer, Parameter, Tape};
+use hfta_plan::{OpSpec, ShapedOp};
 use hfta_tensor::{Rng, Tensor};
 use proptest::prelude::*;
+
+/// A `Linear` over `n` rows as the shaped op the fusion rules check.
+fn linear_op(n: usize, f_in: usize, f_out: usize) -> ShapedOp {
+    OpSpec::linear(LinearCfg::new(f_in, f_out))
+        .at(&[f_in], n)
+        .unwrap()
+}
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -387,22 +395,23 @@ proptest! {
     #[test]
     fn op_spec_fusion_is_associative_in_width(b1 in 1usize..4, b2 in 1usize..4) {
         // Fusing b1 then b2 equals fusing b1 * b2 at once.
-        let spec = OpSpec::Conv2d {
-            n: 4, c_in: 3, c_out: 8, h: 8, w: 8, kernel: 3, stride: 1, padding: 1, groups: 1,
-        };
-        prop_assert_eq!(spec.fused(b1).fused(b2), spec.fused(b1 * b2));
+        for op in [
+            OpSpec::conv2d(Conv2dCfg::new(3, 8, 3).padding(1)).at(&[3, 8, 8], 4).unwrap(),
+            linear_op(8, 16, 4),
+        ] {
+            prop_assert_eq!(op.fused(b1).fused(b2), op.fused(b1 * b2));
+        }
     }
 
     #[test]
     fn fuse_checker_accepts_replicas_rejects_mutants(copies in 1usize..6, mutate in 0usize..3) {
-        let base = OpSpec::Linear { n: 8, f_in: 16, f_out: 4, arrays: 1 };
-        let mut specs = vec![base; copies];
+        let mut specs = vec![linear_op(8, 16, 4); copies];
         prop_assert!(fuse(&specs).is_ok());
         if copies > 1 {
             specs[copies - 1] = match mutate {
-                0 => OpSpec::Linear { n: 9, f_in: 16, f_out: 4, arrays: 1 },
-                1 => OpSpec::Linear { n: 8, f_in: 17, f_out: 4, arrays: 1 },
-                _ => OpSpec::Relu { numel: 10 },
+                0 => linear_op(9, 16, 4),
+                1 => linear_op(8, 17, 4),
+                _ => OpSpec::relu().at(&[10], 1).unwrap(),
             };
             prop_assert!(fuse(&specs).is_err());
         }

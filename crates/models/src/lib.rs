@@ -12,8 +12,12 @@
 //!    §3.3 / Figure 3) — and at `Fused` it is the horizontally fused
 //!    array on `hfta-core`. The public names (`Discriminator`,
 //!    `FusedDiscriminator`, …) are type aliases of those instantiations;
-//! 2. **Full-size operator traces** at the paper's batch sizes, lowered to
-//!    `hfta-sim` kernels for the throughput experiments (Figures 4–8).
+//! 2. **Full-size operator traces** at the paper's batch sizes
+//!    ([`traces`]: `hfta_plan::ShapedOp` sequences, DCGAN's derived from
+//!    its [`graphs`], PointNet's and ResNet-18's hand-listed), lowered to
+//!    `hfta-sim` kernels by the one lowering ([`lower`]; [`lower_plan`]
+//!    prices whole fusion plans with it) for the throughput experiments
+//!    (Figures 4–8).
 
 #![warn(missing_docs)]
 
@@ -63,7 +67,7 @@ pub use graphs::{
     discriminator_graph, discriminator_variant_graph, generator_graph, pointnet_cls_graph,
     resnet_graph,
 };
-pub use lower_plan::{lower_graph, lower_op, planned_step_time_s, serial_step_time_s, PlanSimCfg};
+pub use lower_plan::{lower_graph, planned_step_time_s, serial_step_time_s, PlanSimCfg};
 pub use pointnet::{
     FusedPointNetCls, FusedPointNetSeg, FusedStn3d, PointNetCfg, PointNetClassifier, PointNetCls,
     PointNetSeg, PointNetSegmenter, PointNetStn, Stn3d,

@@ -1,145 +1,60 @@
-//! Lowering operator traces to simulator kernels.
+//! Lowering shaped operators to simulator kernels — the one lowering,
+//! shared by the paper workloads' traces ([`crate::traces`]) and the
+//! planner's graphs ([`crate::lower_plan`]).
 //!
-//! Each forward [`OpSpec`] becomes one GPU kernel; stateful GEMM ops add
-//! two backward kernels (data-gradient and weight-gradient GEMMs, the
-//! standard 3x-forward-cost rule of thumb), other ops add one. One
-//! optimizer kernel per ~4M parameters closes the iteration. The same
-//! lowering annotates TPU information (GEMM dims for systolic padding,
-//! channel widths for XLA layout padding).
+//! Each forward [`ShapedOp`] becomes one GPU kernel whose FLOPs, bytes
+//! and GEMM view are the op's own (`hfta_plan::ir` is the only home of
+//! those formulas); stateful GEMM ops add two backward kernels
+//! (data-gradient and weight-gradient GEMMs, the standard 3x-forward-cost
+//! rule of thumb), other ops add one. One optimizer kernel per
+//! parameter-holding op closes the iteration. The lowering adds what is
+//! the device's, not the op's: the tile decomposition and the TPU
+//! annotations (GEMM dims for systolic padding, channel widths for XLA
+//! layout padding).
 
-use hfta_core::rules::OpSpec;
+use hfta_plan::{OpKind, ShapedOp};
 use hfta_sim::{GemmDims, JobMemory, Kernel, TrainingJob};
 
-/// Output-tile granularity of GEMM-backed kernels.
-const GEMM_TILE_ELEMS: u64 = 128 * 128;
 /// Flat-tile granularity of elementwise kernels.
 const ELT_TILE_ELEMS: u64 = 16 * 1024;
 
-fn conv_out(sz: usize, k: usize, s: usize, p: usize) -> usize {
-    (sz + 2 * p - k) / s + 1
-}
-
-/// GEMM view of a spec, when it has one.
-fn gemm_dims(spec: &OpSpec) -> Option<GemmDims> {
-    match *spec {
-        OpSpec::Conv2d {
-            n,
-            c_in,
-            c_out,
-            h,
-            w,
-            kernel,
-            stride,
-            padding,
-            groups,
-        } => Some(GemmDims {
-            m: (n * conv_out(h, kernel, stride, padding) * conv_out(w, kernel, stride, padding))
-                as u64,
-            n: c_out as u64,
-            k: ((c_in / groups) * kernel * kernel) as u64,
-            batch: 1,
-        }),
-        OpSpec::Conv1d {
-            n,
-            c_in,
-            c_out,
-            l,
-            kernel,
-            stride,
-            padding,
-            groups,
-        } => Some(GemmDims {
-            m: (n * conv_out(l, kernel, stride, padding)) as u64,
-            n: c_out as u64,
-            k: ((c_in / groups) * kernel) as u64,
-            batch: 1,
-        }),
-        OpSpec::ConvTranspose2d {
-            n,
-            c_in,
-            c_out,
-            h,
-            w,
-            kernel,
-            stride,
-            padding,
-            groups,
-        } => {
-            let ho = (h - 1) * stride + kernel - 2 * padding;
-            let wo = (w - 1) * stride + kernel - 2 * padding;
-            Some(GemmDims {
-                m: (n * ho * wo) as u64,
-                n: c_out as u64,
-                k: ((c_in / groups) * kernel * kernel) as u64,
-                batch: 1,
-            })
-        }
-        OpSpec::Linear {
-            n,
-            f_in,
-            f_out,
-            arrays,
-        } => Some(GemmDims {
-            m: n as u64,
-            n: f_out as u64,
-            k: f_in as u64,
-            batch: arrays as u64,
-        }),
-        _ => None,
-    }
-}
-
-/// The channel-like axis XLA pads on TPUs.
-fn pad_dim(spec: &OpSpec) -> Option<u64> {
-    match *spec {
-        OpSpec::Conv2d { c_out, .. }
-        | OpSpec::Conv1d { c_out, .. }
-        | OpSpec::ConvTranspose2d { c_out, .. } => Some(c_out as u64),
-        OpSpec::Linear { f_out, .. } => Some(f_out as u64),
-        OpSpec::BatchNorm1d { c, .. } | OpSpec::BatchNorm2d { c, .. } => Some(c as u64),
-        OpSpec::MaxPool2d { c, .. } | OpSpec::Dropout2d { c, .. } => Some(c as u64),
-        _ => None,
-    }
-}
-
-/// Lowers one forward spec to a kernel.
-pub fn forward_kernel(spec: &OpSpec) -> Kernel {
-    let gemm = gemm_dims(spec);
+/// Lowers one forward op to a kernel.
+pub fn forward_kernel(op: &ShapedOp) -> Kernel {
+    let kind = op.op().kind;
+    let gemm = op
+        .gemm()
+        .map(|[m, n, k, batch]| GemmDims { m, n, k, batch });
     let tiles = match gemm {
-        Some(g) => (g.m.div_ceil(128) * g.n.div_ceil(128) * g.batch).max(1),
-        None => (spec.activation_elems() as u64).div_ceil(ELT_TILE_ELEMS),
-    }
-    .max(1);
-    let _ = GEMM_TILE_ELEMS;
+        // 128x128 output tiles, roughly cuBLAS/cuDNN tiling granularity.
+        Some(g) => g.m.div_ceil(128) * g.n.div_ceil(128) * g.batch,
+        None => (op.out_elems() as u64).div_ceil(ELT_TILE_ELEMS),
+    };
+    // The channel-like axis XLA pads on TPUs: a GEMM's output columns,
+    // a norm's or pool's channels.
+    let channels = matches!(kind, OpKind::BatchNorm | OpKind::MaxPool2d);
     Kernel {
-        flops: spec.flops(),
-        bytes: spec.bytes(),
-        tiles,
+        flops: op.flops(),
+        bytes: op.bytes(),
+        tiles: tiles.max(1),
         gemm,
-        pad_dim: pad_dim(spec),
+        pad_dim: gemm
+            .map(|g| g.n)
+            .or_else(|| channels.then(|| op.entry()[0] as u64)),
         // cuDNN of the paper's era lacked tensor-core kernels for
         // transposed convolutions (the paper's §5.1 DCGAN AMP anomaly).
-        tc_eligible: !matches!(spec, OpSpec::ConvTranspose2d { .. }),
+        tc_eligible: kind != OpKind::ConvTranspose2d,
     }
 }
 
 /// Lowers a forward trace into the full iteration kernel stream
 /// (forward + backward + optimizer).
-pub fn iteration_kernels(trace: &[OpSpec]) -> Vec<Kernel> {
-    let mut kernels = Vec::new();
-    for spec in trace {
-        kernels.push(forward_kernel(spec));
-    }
-    // Backward, in reverse order.
-    for spec in trace.iter().rev() {
-        let fwd = forward_kernel(spec);
-        if spec.is_gemm() {
-            // Data-grad and weight-grad GEMMs.
-            kernels.push(fwd);
-            kernels.push(fwd);
-        } else {
-            kernels.push(fwd);
-        }
+pub fn iteration_kernels(trace: &[ShapedOp]) -> Vec<Kernel> {
+    let mut kernels: Vec<Kernel> = trace.iter().map(forward_kernel).collect();
+    // Backward, in reverse order: data-grad and weight-grad GEMMs for a
+    // GEMM op, one kernel otherwise.
+    for i in (0..trace.len()).rev() {
+        let fwd = kernels[i];
+        kernels.extend(std::iter::repeat_n(fwd, if fwd.is_gemm() { 2 } else { 1 }));
     }
     // Optimizer: one elementwise kernel per parameter-holding op.
     let params: usize = trace.iter().map(|s| s.param_count()).sum();
@@ -164,15 +79,15 @@ pub fn iteration_kernels(trace: &[OpSpec]) -> Vec<Kernel> {
 /// Device memory model for one job running `trace` (per model, GiB):
 /// weights + Adam state, saved activations + their gradients, and a
 /// cuDNN-style workspace.
-pub fn job_memory(trace: &[OpSpec]) -> JobMemory {
+pub fn job_memory(trace: &[ShapedOp]) -> JobMemory {
     let params: usize = trace.iter().map(|s| s.param_count()).sum();
     // Only outputs that must be *saved* for the backward pass count:
     // stateful ops and pooling. Activation-function and dropout outputs
     // are recomputed-from/folded-into their producer in practice.
     let activations: usize = trace
         .iter()
-        .filter(|s| s.param_count() > 0 || matches!(s, OpSpec::MaxPool2d { .. }))
-        .map(|s| s.activation_elems())
+        .filter(|s| s.param_count() > 0 || s.op().kind == OpKind::MaxPool2d)
+        .map(|s| s.out_elems())
         .sum();
     const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
     JobMemory {
@@ -187,13 +102,13 @@ pub fn job_memory(trace: &[OpSpec]) -> JobMemory {
 /// Builds a complete simulator job from a forward trace.
 ///
 /// `models` is 1 for serial jobs or `B` for a fused trace (i.e. a trace
-/// already mapped through [`OpSpec::fused`]); `examples` is the per-model
+/// already mapped through [`ShapedOp::fused`]); `examples` is the per-model
 /// minibatch size, `host_us` the per-iteration host data-pipeline time and
 /// `sync_us` the per-kernel framework gap (see
 /// [`TrainingJob::sync_us_per_kernel`]).
 pub fn build_job(
     name: impl Into<String>,
-    trace: &[OpSpec],
+    trace: &[ShapedOp],
     models: usize,
     examples: usize,
     host_us: f64,
@@ -213,7 +128,7 @@ pub fn build_job(
 }
 
 /// Maps a per-model trace through the Table 6 fusion transform.
-pub fn fused_trace(trace: &[OpSpec], b: usize) -> Vec<OpSpec> {
+pub fn fused_trace(trace: &[ShapedOp], b: usize) -> Vec<ShapedOp> {
     trace.iter().map(|s| s.fused(b)).collect()
 }
 
@@ -221,25 +136,41 @@ pub fn fused_trace(trace: &[OpSpec], b: usize) -> Vec<OpSpec> {
 mod tests {
     use super::*;
     use crate::traces;
+    use hfta_nn::layers::Conv2dCfg;
+    use hfta_plan::OpSpec;
+
+    /// A 3x3 same-padded conv over `n` images of side `side`.
+    fn conv(c_in: usize, c_out: usize, side: usize, n: usize) -> ShapedOp {
+        OpSpec::conv2d(Conv2dCfg::new(c_in, c_out, 3).padding(1))
+            .at(&[c_in, side, side], n)
+            .unwrap()
+    }
 
     #[test]
     fn forward_kernel_carries_gemm_info() {
-        let spec = OpSpec::Conv2d {
-            n: 8,
-            c_in: 3,
-            c_out: 64,
-            h: 32,
-            w: 32,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-            groups: 1,
-        };
-        let k = forward_kernel(&spec);
+        let k = forward_kernel(&conv(3, 64, 32, 8));
         assert!(k.is_gemm());
         assert_eq!(k.gemm.unwrap().n, 64);
         assert_eq!(k.pad_dim, Some(64));
         assert!(k.tiles > 1);
+    }
+
+    #[test]
+    fn fused_tiles_grow_with_b() {
+        // The core utilization claim: one fused kernel exposes ~B times the
+        // parallelism of one per-model kernel.
+        let s = conv(16, 128, 14, 8);
+        assert_eq!(
+            forward_kernel(&s.fused(8)).tiles,
+            8 * forward_kernel(&s).tiles
+        );
+        // A conv narrower than the 128-column output tile fills its
+        // partial tile first: 8 x 32 channels are two tile columns.
+        let narrow = conv(16, 32, 14, 8);
+        assert_eq!(
+            forward_kernel(&narrow.fused(8)).tiles,
+            2 * forward_kernel(&narrow).tiles
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Lowering `hfta-plan` fusion plans to simulator training jobs.
+//! Pricing `hfta-plan` graphs and fusion plans on the device model.
 //!
-//! [`crate::lower`] turns hand-written per-model op traces
-//! ([`hfta_core::rules::OpSpec`]) into [`TrainingJob`]s; this module does
-//! the same for planner-facing [`ModelGraph`]s — and, block-by-block, for
-//! a whole [`FusionPlan`] — so a partially fused schedule can be priced
-//! on the device model the paper's evaluation uses.
+//! A [`ModelGraph`] at a batch size *is* a trace — its
+//! [`ModelGraph::shaped`] ops, minus the zero-cost ones — so
+//! [`lower_graph`] is all it takes to hand a planner-facing graph to
+//! [`crate::lower`]; this module adds the block-by-block pricing of a
+//! whole [`FusionPlan`], so a partially fused schedule can be priced on
+//! the device model the paper's evaluation uses.
 //!
 //! The cost of a planned step is the sum of its blocks run back-to-back
 //! on one device: a fused block of width `k` is one `k`-wide HFTA job
@@ -14,13 +15,11 @@
 //! `host_us` once — while the serial baseline pays it per lane, one full
 //! per-model job after another.
 //!
-//! Zero-cost graph ops (`Flatten`) lower to no kernel. `GlobalMaxPool`
-//! and `ResidualAdd` are plannable but have no dedicated trace op; both
-//! cost one elementwise pass over their input, which is exactly a
-//! ReLU-shaped kernel, so they lower as one.
+//! A block is widened at kernel level by [`hfta_sim::fuse_job`], not by
+//! [`ShapedOp::fused`]: the two transforms price a fused GEMM's tiles and
+//! padding differently and each is pinned by its own goldens.
 
-use hfta_core::rules::OpSpec as TraceOp;
-use hfta_plan::{FusionPlan, ModelGraph, OpKind, OpSpec, PlanError};
+use hfta_plan::{FusionPlan, ModelGraph, OpKind, PlanError, ShapedOp};
 use hfta_sim::{fuse_job, GpuSim, SharingPolicy, TrainingJob};
 
 use crate::lower::build_job;
@@ -55,85 +54,12 @@ impl Default for PlanSimCfg {
     }
 }
 
-fn numel(batch: usize, shape: &[usize]) -> usize {
-    batch * shape.iter().product::<usize>()
-}
-
-/// Lowers one graph op entered at `entry` (activation shape, sans batch)
-/// to its simulator trace op; `None` for zero-cost ops (`Flatten`).
-pub fn lower_op(op: &OpSpec, entry: &[usize], batch: usize) -> Option<TraceOp> {
-    let groups = op.groups.max(1);
-    match op.kind {
-        OpKind::Conv2d => Some(TraceOp::Conv2d {
-            n: batch,
-            c_in: op.c_in,
-            c_out: op.c_out,
-            h: entry[1],
-            w: entry[2],
-            kernel: op.kernel,
-            stride: op.stride,
-            padding: op.padding,
-            groups,
-        }),
-        OpKind::ConvTranspose2d => Some(TraceOp::ConvTranspose2d {
-            n: batch,
-            c_in: op.c_in,
-            c_out: op.c_out,
-            h: entry[1],
-            w: entry[2],
-            kernel: op.kernel,
-            stride: op.stride,
-            padding: op.padding,
-            groups,
-        }),
-        OpKind::Conv1d => Some(TraceOp::Conv1d {
-            n: batch,
-            c_in: op.c_in,
-            c_out: op.c_out,
-            l: entry[1],
-            kernel: op.kernel,
-            stride: op.stride,
-            padding: op.padding,
-            groups,
-        }),
-        OpKind::BatchNorm => Some(match *entry {
-            [c, h, w] => TraceOp::BatchNorm2d { n: batch, c, h, w },
-            [c, l] => TraceOp::BatchNorm1d { n: batch, c, l },
-            _ => TraceOp::BatchNorm1d {
-                n: batch,
-                c: entry[0],
-                l: 1,
-            },
-        }),
-        OpKind::Relu => Some(TraceOp::Relu {
-            numel: numel(batch, entry),
-        }),
-        OpKind::LeakyRelu => Some(TraceOp::LeakyRelu {
-            numel: numel(batch, entry),
-        }),
-        OpKind::Tanh => Some(TraceOp::Tanh {
-            numel: numel(batch, entry),
-        }),
-        OpKind::MaxPool2d => Some(TraceOp::MaxPool2d {
-            n: batch,
-            c: entry[0],
-            h: entry[1],
-            w: entry[2],
-            kernel: op.kernel,
-            stride: op.kernel,
-        }),
-        OpKind::Flatten => None,
-        OpKind::Linear => Some(TraceOp::Linear {
-            n: batch,
-            f_in: op.c_in,
-            f_out: op.c_out,
-            arrays: 1,
-        }),
-        // One elementwise pass over the entry activation: ReLU-shaped.
-        OpKind::GlobalMaxPool | OpKind::ResidualAdd => Some(TraceOp::Relu {
-            numel: numel(batch, entry),
-        }),
-    }
+/// The ops of `ops` that lower to a kernel: all but `Flatten`, a view.
+fn kernel_ops(ops: &[ShapedOp]) -> Vec<ShapedOp> {
+    ops.iter()
+        .filter(|s| s.op().kind != OpKind::Flatten)
+        .cloned()
+        .collect()
 }
 
 /// Lowers a graph's whole program to a per-model simulator trace.
@@ -141,14 +67,8 @@ pub fn lower_op(op: &OpSpec, entry: &[usize], batch: usize) -> Option<TraceOp> {
 /// # Errors
 ///
 /// Propagates the graph's shape-check failure.
-pub fn lower_graph(graph: &ModelGraph, batch: usize) -> Result<Vec<TraceOp>, PlanError> {
-    let shapes = graph.shapes()?;
-    Ok(graph
-        .ops
-        .iter()
-        .zip(&shapes)
-        .filter_map(|(op, entry)| lower_op(op, entry, batch))
-        .collect())
+pub fn lower_graph(graph: &ModelGraph, batch: usize) -> Result<Vec<ShapedOp>, PlanError> {
+    Ok(kernel_ops(&graph.shaped(batch)?))
 }
 
 /// Simulated seconds for one step of the all-serial baseline: each lane's
@@ -184,17 +104,14 @@ pub fn planned_step_time_s(
     plan: &FusionPlan,
     cfg: &PlanSimCfg,
 ) -> Result<f64, PlanError> {
+    let lanes = graphs
+        .iter()
+        .map(|g| g.shaped(cfg.batch))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut total_us = cfg.host_us;
     for (bi, block) in plan.blocks.iter().enumerate() {
-        let lane = block.lanes[0];
         let start = block.starts[0];
-        let shapes = graphs[lane].shapes()?;
-        let trace: Vec<TraceOp> = block
-            .ops
-            .iter()
-            .enumerate()
-            .filter_map(|(i, op)| lower_op(op, &shapes[start + i], cfg.batch))
-            .collect();
+        let trace = kernel_ops(&lanes[block.lanes[0]][start..start + block.ops.len()]);
         if trace.is_empty() {
             continue;
         }
@@ -248,9 +165,9 @@ mod tests {
         let trace = lower_graph(&g, 16).unwrap();
         let flat_ops = g.ops.iter().filter(|o| o.kind == OpKind::Flatten).count();
         assert_eq!(trace.len(), g.ops.len() - flat_ops);
-        assert!(trace
-            .iter()
-            .any(|t| matches!(t, TraceOp::Conv2d { stride: 2, .. })));
+        assert!(trace.iter().all(|t| t.op().kind != OpKind::Flatten));
+        let stride2 = trace.iter().find(|t| t.op().stride == 2).unwrap();
+        assert_eq!(stride2.gemm(), Some([16 * 8 * 8, 8, 3 * 16, 1]));
     }
 
     #[test]

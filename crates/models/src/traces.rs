@@ -1,13 +1,27 @@
 //! Full-size operator traces of the paper's benchmark models.
 //!
-//! These are shape-level `OpSpec` sequences at the *paper's* batch sizes
-//! and resolutions (kept the same as the original publications, per §4 of
+//! These are [`ShapedOp`] sequences at the *paper's* batch sizes and
+//! resolutions (kept the same as the original publications, per §4 of
 //! the paper). They drive the `hfta-sim` cost model through
 //! [`crate::lower`]; the fused counterpart of a trace is obtained by
-//! mapping [`OpSpec::fused`] over it, which is exactly the Table 6
+//! mapping [`ShapedOp::fused`] over it, which is exactly the Table 6
 //! transform.
+//!
+//! The DCGAN trace is *derived*: it is [`crate::graphs`]' generator and
+//! discriminator graphs — the ones pinned bit for bit to the executable
+//! models — at [`DcganCfg::paper`]. PointNet and ResNet-18 are
+//! hand-listed because they price what those single-path graphs leave
+//! out: the STN side branch, the skip-path downsample convs, dropout, and
+//! the log-softmax / broadcast / concat / pooling passes the IR has no
+//! kind for. A [`Trace`] still propagates every shape through
+//! [`OpSpec::out_shape`]; only channel widths are written down.
 
-use hfta_core::rules::OpSpec;
+use hfta_nn::layers::{Conv2dCfg, LinearCfg};
+use hfta_plan::{OpSpec, ShapedOp};
+
+use crate::dcgan::DcganCfg;
+use crate::graphs::{discriminator_graph, generator_graph};
+use crate::lower_plan::lower_graph;
 
 /// PointNet classification batch size (reference implementation default).
 pub const POINTNET_BATCH: usize = 32;
@@ -20,398 +34,181 @@ pub const DCGAN_BATCH: usize = 64;
 /// ResNet-18 batch size used in the paper's Figures 3 and 5.
 pub const RESNET_BATCH: usize = 1000;
 
-fn conv1d_bn_relu(ops: &mut Vec<OpSpec>, n: usize, c_in: usize, c_out: usize, l: usize) {
-    ops.push(OpSpec::Conv1d {
-        n,
-        c_in,
-        c_out,
-        l,
-        kernel: 1,
-        stride: 1,
-        padding: 0,
-        groups: 1,
-    });
-    ops.push(OpSpec::BatchNorm1d { n, c: c_out, l });
-    ops.push(OpSpec::Relu {
-        numel: n * c_out * l,
-    });
+/// A hand-listed trace under construction: the ops so far plus the
+/// activation shape the next one enters at.
+struct Trace {
+    ops: Vec<ShapedOp>,
+    n: usize,
+    shape: Vec<usize>,
 }
 
-fn linear_bn_relu(ops: &mut Vec<OpSpec>, n: usize, f_in: usize, f_out: usize) {
-    ops.push(OpSpec::Linear {
-        n,
-        f_in,
-        f_out,
-        arrays: 1,
-    });
-    ops.push(OpSpec::BatchNorm1d { n, c: f_out, l: 1 });
-    ops.push(OpSpec::Relu { numel: n * f_out });
-}
-
-/// The STN3d/STNkd spatial transformer of the reference implementation
-/// (shared trunk shapes, `k*k` regression output).
-fn stn(ops: &mut Vec<OpSpec>, n: usize, p: usize, k: usize) {
-    conv1d_bn_relu(ops, n, k, 64, p);
-    conv1d_bn_relu(ops, n, 64, 128, p);
-    conv1d_bn_relu(ops, n, 128, 1024, p);
-    // Global max over points (reduce; elementwise-cost stand-in).
-    ops.push(OpSpec::Relu {
-        numel: n * 1024 * p,
-    });
-    linear_bn_relu(ops, n, 1024, 512);
-    linear_bn_relu(ops, n, 512, 256);
-    ops.push(OpSpec::Linear {
-        n,
-        f_in: 256,
-        f_out: k * k,
-        arrays: 1,
-    });
-    // Applying the transform: batched [n, p, k] x [n, k, k] matmul,
-    // counted as a Linear over n*p rows.
-    ops.push(OpSpec::Linear {
-        n: n * p,
-        f_in: k,
-        f_out: k,
-        arrays: 1,
-    });
-}
-
-/// Shared PointNet feature trunk; returns with the global feature
-/// computed. `with_stn` includes the input transformer.
-fn pointnet_feat(ops: &mut Vec<OpSpec>, n: usize, p: usize, with_stn: bool) {
-    if with_stn {
-        stn(ops, n, p, 3);
+impl Trace {
+    fn new(n: usize, input: &[usize]) -> Trace {
+        Trace {
+            ops: Vec::new(),
+            n,
+            shape: input.to_vec(),
+        }
     }
-    conv1d_bn_relu(ops, n, 3, 64, p);
-    conv1d_bn_relu(ops, n, 64, 128, p);
-    ops.push(OpSpec::Conv1d {
-        n,
-        c_in: 128,
-        c_out: 1024,
-        l: p,
-        kernel: 1,
-        stride: 1,
-        padding: 0,
-        groups: 1,
-    });
-    ops.push(OpSpec::BatchNorm1d { n, c: 1024, l: p });
-    // Global max pool over points.
-    ops.push(OpSpec::Relu {
-        numel: n * 1024 * p,
-    });
+
+    /// Appends `op` at the current shape and moves on to its output.
+    fn push(&mut self, op: OpSpec) {
+        let op = op
+            .at(&self.shape, self.n)
+            .expect("paper-scale trace shapes propagate");
+        self.shape = op.out_shape();
+        self.ops.push(op);
+    }
+
+    /// One elementwise kernel priced at `passes` ReLU passes over the
+    /// current activation, which it leaves as it is: the stand-in for an
+    /// op the IR has no kind for (dropout, log-softmax, a reduce or copy).
+    fn elementwise(&mut self, passes: usize) {
+        let entry = [&[passes], &self.shape[..]].concat();
+        let op = OpSpec::relu().at(&entry, self.n);
+        self.ops.push(op.expect("ReLU takes any shape"));
+    }
+
+    fn conv1d_bn_relu(&mut self, c_out: usize) {
+        self.push(OpSpec::conv1d(self.shape[0], c_out, 1, 1, 0));
+        self.push(OpSpec::batch_norm(c_out));
+        self.push(OpSpec::relu());
+    }
+
+    fn linear(&mut self, f_out: usize) {
+        self.push(OpSpec::linear(LinearCfg::new(self.shape[0], f_out)));
+    }
+
+    fn linear_bn_relu(&mut self, f_out: usize) {
+        self.linear(f_out);
+        self.push(OpSpec::batch_norm(f_out));
+        self.push(OpSpec::relu());
+    }
+
+    fn conv2d_bn(&mut self, c_out: usize, kernel: usize, stride: usize) {
+        let cfg = Conv2dCfg::new(self.shape[0], c_out, kernel);
+        self.push(OpSpec::conv2d(cfg.stride(stride).padding(kernel / 2)));
+        self.push(OpSpec::batch_norm(c_out));
+    }
+}
+
+/// The STN3d spatial transformer of the reference implementation: a side
+/// branch off the `[3, p]` cloud that regresses a 3x3 transform and
+/// applies it, leaving the main path where it found it.
+fn stn(t: &mut Trace) {
+    let cloud = t.shape.clone();
+    let (k, p) = (cloud[0], cloud[1]);
+    t.conv1d_bn_relu(64);
+    t.conv1d_bn_relu(128);
+    t.conv1d_bn_relu(1024);
+    t.push(OpSpec::global_max_pool());
+    t.linear_bn_relu(512);
+    t.linear_bn_relu(256);
+    t.linear(k * k);
+    // Applying the transform is a batched [n, p, k] x [n, k, k] matmul,
+    // priced as a Linear over n * p rows (as a Conv1d over p points it
+    // would price the same serially but not fused).
+    let apply = OpSpec::linear(LinearCfg::new(k, k)).at(&[k], t.n * p);
+    t.ops.push(apply.expect("k features enter a k x k Linear"));
+    t.shape = cloud;
+}
+
+/// Shared PointNet feature trunk over `[3, p]` clouds, input transformer
+/// included; returns with the `[1024]` global feature computed.
+fn pointnet_feat(n: usize, p: usize) -> Trace {
+    let mut t = Trace::new(n, &[3, p]);
+    stn(&mut t);
+    t.conv1d_bn_relu(64);
+    t.conv1d_bn_relu(128);
+    t.push(OpSpec::conv1d(128, 1024, 1, 1, 0));
+    t.push(OpSpec::batch_norm(1024));
+    t.push(OpSpec::global_max_pool());
+    t
 }
 
 /// PointNet classification forward trace (reference architecture with
 /// STN3d, 16 ShapeNet categories).
-pub fn pointnet_cls() -> Vec<OpSpec> {
-    let (n, p) = (POINTNET_BATCH, POINTNET_POINTS);
-    let mut ops = Vec::new();
-    pointnet_feat(&mut ops, n, p, true);
-    linear_bn_relu(&mut ops, n, 1024, 512);
-    ops.push(OpSpec::Linear {
-        n,
-        f_in: 512,
-        f_out: 256,
-        arrays: 1,
-    });
-    ops.push(OpSpec::Dropout { numel: n * 256 });
-    ops.push(OpSpec::BatchNorm1d { n, c: 256, l: 1 });
-    ops.push(OpSpec::Relu { numel: n * 256 });
-    ops.push(OpSpec::Linear {
-        n,
-        f_in: 256,
-        f_out: POINTNET_CLASSES,
-        arrays: 1,
-    });
-    ops.push(OpSpec::Relu {
-        numel: n * POINTNET_CLASSES, // log-softmax stand-in
-    });
-    ops
+pub fn pointnet_cls() -> Vec<ShapedOp> {
+    let mut t = pointnet_feat(POINTNET_BATCH, POINTNET_POINTS);
+    t.linear_bn_relu(512);
+    t.linear(256);
+    t.elementwise(1); // dropout
+    t.push(OpSpec::batch_norm(256));
+    t.push(OpSpec::relu());
+    t.linear(POINTNET_CLASSES);
+    t.elementwise(1); // log-softmax
+    t.ops
 }
 
 /// PointNet segmentation forward trace (per-point part prediction; the
 /// variant the paper notes is rich in non-GEMM operators — the layout
 /// shuffles around the local/global concat appear as elementwise ops).
-pub fn pointnet_seg(part_classes: usize) -> Vec<OpSpec> {
-    let (n, p) = (POINTNET_BATCH, POINTNET_POINTS);
-    let mut ops = Vec::new();
-    pointnet_feat(&mut ops, n, p, true);
-    // Broadcast global feature over points + concat with 64-d local
-    // features (copy-heavy, non-GEMM).
-    ops.push(OpSpec::Relu {
-        numel: n * 1024 * p,
-    });
-    ops.push(OpSpec::Relu {
-        numel: n * 1088 * p,
-    });
-    conv1d_bn_relu(&mut ops, n, 1088, 512, p);
-    conv1d_bn_relu(&mut ops, n, 512, 256, p);
-    conv1d_bn_relu(&mut ops, n, 256, 128, p);
-    ops.push(OpSpec::Conv1d {
-        n,
-        c_in: 128,
-        c_out: part_classes,
-        l: p,
-        kernel: 1,
-        stride: 1,
-        padding: 0,
-        groups: 1,
-    });
+pub fn pointnet_seg(part_classes: usize) -> Vec<ShapedOp> {
+    let p = POINTNET_POINTS;
+    let mut t = pointnet_feat(POINTNET_BATCH, p);
+    // Broadcast the global feature over the points, then concat it with
+    // the 64-d local features (copy-heavy, non-GEMM).
+    t.shape = vec![1024, p];
+    t.elementwise(1);
+    t.shape = vec![1024 + 64, p];
+    t.elementwise(1);
+    t.conv1d_bn_relu(512);
+    t.conv1d_bn_relu(256);
+    t.conv1d_bn_relu(128);
+    t.push(OpSpec::conv1d(128, part_classes, 1, 1, 0));
     // Per-point transpose + log-softmax (layout + elementwise).
-    ops.push(OpSpec::Relu {
-        numel: 2 * n * part_classes * p,
-    });
-    ops
+    t.elementwise(2);
+    t.ops
 }
 
-#[allow(clippy::too_many_arguments)]
-fn convt_bn_relu(
-    ops: &mut Vec<OpSpec>,
-    n: usize,
-    c_in: usize,
-    c_out: usize,
-    h: usize,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
-) -> usize {
-    ops.push(OpSpec::ConvTranspose2d {
-        n,
-        c_in,
-        c_out,
-        h,
-        w: h,
-        kernel,
-        stride,
-        padding,
-        groups: 1,
-    });
-    let ho = (h - 1) * stride + kernel - 2 * padding;
-    ops.push(OpSpec::BatchNorm2d {
-        n,
-        c: c_out,
-        h: ho,
-        w: ho,
-    });
-    ops.push(OpSpec::Relu {
-        numel: n * c_out * ho * ho,
-    });
-    ho
+/// One DCGAN training iteration (`nz = 100`, `ngf = ndf = 64`, 64x64
+/// images): the generator forward plus two discriminator passes (real and
+/// fake batches), matching the standard alternating recipe. Backward
+/// costs are added by the lowering.
+pub fn dcgan_iteration() -> Vec<ShapedOp> {
+    let cfg = DcganCfg::paper();
+    let lower = |graph| lower_graph(&graph, DCGAN_BATCH).expect("DCGAN graphs shape-check");
+    let d = lower(discriminator_graph(cfg));
+    [lower(generator_graph(cfg)), d.clone(), d].concat()
 }
 
-fn conv_bn_lrelu(
-    ops: &mut Vec<OpSpec>,
-    n: usize,
-    c_in: usize,
-    c_out: usize,
-    h: usize,
-    bn: bool,
-) -> usize {
-    ops.push(OpSpec::Conv2d {
-        n,
-        c_in,
-        c_out,
-        h,
-        w: h,
-        kernel: 4,
-        stride: 2,
-        padding: 1,
-        groups: 1,
-    });
-    let ho = h / 2;
-    if bn {
-        ops.push(OpSpec::BatchNorm2d {
-            n,
-            c: c_out,
-            h: ho,
-            w: ho,
-        });
-    }
-    ops.push(OpSpec::LeakyRelu {
-        numel: n * c_out * ho * ho,
-    });
-    ho
-}
-
-/// DCGAN generator forward trace (`nz = 100`, `ngf = 64`, 64x64 output).
-pub fn dcgan_generator() -> Vec<OpSpec> {
-    let n = DCGAN_BATCH;
-    let mut ops = Vec::new();
-    let mut h = convt_bn_relu(&mut ops, n, 100, 512, 1, 4, 1, 0); // 4
-    h = convt_bn_relu(&mut ops, n, 512, 256, h, 4, 2, 1); // 8
-    h = convt_bn_relu(&mut ops, n, 256, 128, h, 4, 2, 1); // 16
-    h = convt_bn_relu(&mut ops, n, 128, 64, h, 4, 2, 1); // 32
-    ops.push(OpSpec::ConvTranspose2d {
-        n,
-        c_in: 64,
-        c_out: 3,
-        h,
-        w: h,
-        kernel: 4,
-        stride: 2,
-        padding: 1,
-        groups: 1,
-    });
-    ops.push(OpSpec::Tanh {
-        numel: n * 3 * 64 * 64,
-    });
-    ops
-}
-
-/// DCGAN discriminator forward trace (`ndf = 64`, 64x64 input).
-pub fn dcgan_discriminator() -> Vec<OpSpec> {
-    let n = DCGAN_BATCH;
-    let mut ops = Vec::new();
-    let mut h = conv_bn_lrelu(&mut ops, n, 3, 64, 64, false); // 32
-    h = conv_bn_lrelu(&mut ops, n, 64, 128, h, true); // 16
-    h = conv_bn_lrelu(&mut ops, n, 128, 256, h, true); // 8
-    h = conv_bn_lrelu(&mut ops, n, 256, 512, h, true); // 4
-    ops.push(OpSpec::Conv2d {
-        n,
-        c_in: 512,
-        c_out: 1,
-        h,
-        w: h,
-        kernel: 4,
-        stride: 1,
-        padding: 0,
-        groups: 1,
-    });
-    ops
-}
-
-/// One DCGAN training iteration: the generator forward plus two
-/// discriminator passes (real and fake batches), matching the standard
-/// alternating recipe. Backward costs are added by the lowering.
-pub fn dcgan_iteration() -> Vec<OpSpec> {
-    let mut ops = dcgan_generator();
-    ops.extend(dcgan_discriminator());
-    ops.extend(dcgan_discriminator());
-    ops
-}
-
-fn res_block(
-    ops: &mut Vec<OpSpec>,
-    n: usize,
-    c_in: usize,
-    c_out: usize,
-    h: usize,
-    stride: usize,
-) -> usize {
-    let ho = h / stride;
-    ops.push(OpSpec::Conv2d {
-        n,
-        c_in,
-        c_out,
-        h,
-        w: h,
-        kernel: 3,
-        stride,
-        padding: 1,
-        groups: 1,
-    });
-    ops.push(OpSpec::BatchNorm2d {
-        n,
-        c: c_out,
-        h: ho,
-        w: ho,
-    });
-    ops.push(OpSpec::Relu {
-        numel: n * c_out * ho * ho,
-    });
-    ops.push(OpSpec::Conv2d {
-        n,
-        c_in: c_out,
-        c_out,
-        h: ho,
-        w: ho,
-        kernel: 3,
-        stride: 1,
-        padding: 1,
-        groups: 1,
-    });
-    ops.push(OpSpec::BatchNorm2d {
-        n,
-        c: c_out,
-        h: ho,
-        w: ho,
-    });
-    if stride != 1 || c_in != c_out {
-        ops.push(OpSpec::Conv2d {
-            n,
-            c_in,
-            c_out,
-            h,
-            w: h,
-            kernel: 1,
-            stride,
-            padding: 0,
-            groups: 1,
-        });
-        ops.push(OpSpec::BatchNorm2d {
-            n,
-            c: c_out,
-            h: ho,
-            w: ho,
-        });
+/// A ResNet basic block; the 1x1 downsample projection of a stride-2 or
+/// widening block runs on the skip path, from the block's entry shape.
+fn res_block(t: &mut Trace, c_out: usize, stride: usize) {
+    let entry = t.shape.clone();
+    t.conv2d_bn(c_out, 3, stride);
+    t.push(OpSpec::relu());
+    t.conv2d_bn(c_out, 3, 1);
+    if stride != 1 || entry[0] != c_out {
+        t.shape = entry;
+        t.conv2d_bn(c_out, 1, stride);
     }
     // Skip add + relu.
-    ops.push(OpSpec::Relu {
-        numel: 2 * n * c_out * ho * ho,
-    });
-    ho
+    t.elementwise(2);
 }
 
 /// ResNet-18 (CIFAR-10 stem) forward trace at the paper's batch size 1000.
-pub fn resnet18() -> Vec<OpSpec> {
-    let n = RESNET_BATCH;
-    let mut ops = Vec::new();
-    ops.push(OpSpec::Conv2d {
-        n,
-        c_in: 3,
-        c_out: 64,
-        h: 32,
-        w: 32,
-        kernel: 3,
-        stride: 1,
-        padding: 1,
-        groups: 1,
-    });
-    ops.push(OpSpec::BatchNorm2d {
-        n,
-        c: 64,
-        h: 32,
-        w: 32,
-    });
-    ops.push(OpSpec::Relu {
-        numel: n * 64 * 32 * 32,
-    });
-    let mut h = 32;
-    let mut c = 64;
+pub fn resnet18() -> Vec<ShapedOp> {
+    let mut t = Trace::new(RESNET_BATCH, &[3, 32, 32]);
+    t.conv2d_bn(64, 3, 1);
+    t.push(OpSpec::relu());
     for stage in 0..4 {
         let c_out = 64 << stage;
-        let stride = if stage == 0 { 1 } else { 2 };
-        h = res_block(&mut ops, n, c, c_out, h, stride);
-        h = res_block(&mut ops, n, c_out, c_out, h, 1);
-        c = c_out;
+        res_block(&mut t, c_out, if stage == 0 { 1 } else { 2 });
+        res_block(&mut t, c_out, 1);
     }
     // Global average pool + FC.
-    ops.push(OpSpec::Relu {
-        numel: n * c * h * h,
-    });
-    ops.push(OpSpec::Linear {
-        n,
-        f_in: c,
-        f_out: 10,
-        arrays: 1,
-    });
-    ops
+    t.elementwise(1);
+    t.shape.truncate(1);
+    t.linear(10);
+    t.ops
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hfta_core::rules::fuse;
+    use hfta_plan::OpKind;
 
     #[test]
     fn traces_are_nonempty_and_fusable() {
@@ -424,7 +221,7 @@ mod tests {
             assert!(trace.len() > 10);
             for op in &trace {
                 // Every op must fuse with copies of itself (Table 6 check).
-                let fused = fuse(&[*op, *op, *op]).unwrap();
+                let fused = fuse(&[op.clone(), op.clone(), op.clone()]).unwrap();
                 assert_eq!(fused, op.fused(3));
             }
         }
@@ -443,7 +240,7 @@ mod tests {
     fn dcgan_is_compute_heavy_relative_to_pointnet() {
         // The paper classifies DCGAN as compute-bound and PointNet as
         // memory-bound: flop/byte ratio must be clearly higher for DCGAN.
-        let intensity = |trace: &[OpSpec]| {
+        let intensity = |trace: &[ShapedOp]| {
             let f: u64 = trace.iter().map(|o| o.flops()).sum();
             let b: u64 = trace.iter().map(|o| o.bytes()).sum();
             f as f64 / b as f64
@@ -456,7 +253,7 @@ mod tests {
         // The paper attributes PointNet-seg's weak TPU result to its many
         // non-GEMM operators; those are memory-traffic-bound, so compare
         // byte shares.
-        let non_gemm_bytes = |trace: &[OpSpec]| -> u64 {
+        let non_gemm_bytes = |trace: &[ShapedOp]| -> u64 {
             trace
                 .iter()
                 .filter(|o| !o.is_gemm())
@@ -468,30 +265,32 @@ mod tests {
 
     #[test]
     fn dcgan_generator_ends_at_64px() {
-        let ops = dcgan_generator();
-        match ops[ops.len() - 2] {
-            OpSpec::ConvTranspose2d {
-                h,
-                stride,
-                kernel,
-                padding,
-                c_out,
-                ..
-            } => {
-                assert_eq!(c_out, 3);
-                assert_eq!((h - 1) * stride + kernel - 2 * padding, 64);
-            }
-            ref other => panic!("unexpected tail op {other:?}"),
-        }
+        // Generator (5 deconvs, tanh last), then the discriminator twice.
+        let trace = dcgan_iteration();
+        let tanh = trace
+            .iter()
+            .position(|o| o.op().kind == OpKind::Tanh)
+            .unwrap();
+        assert_eq!(tanh, 13);
+        assert_eq!(trace[tanh].entry(), [3, 64, 64]);
+        assert_eq!(trace[tanh - 1].op().kind, OpKind::ConvTranspose2d);
+        let d = &trace[tanh + 1..];
+        assert_eq!(d.len(), 2 * 12);
+        assert_eq!(d[..12], d[12..]);
+        assert_eq!(d[11].out_shape(), [1, 1, 1]);
     }
 
     #[test]
     fn resnet_has_eight_blocks_worth_of_convs() {
-        let convs = resnet18()
+        let trace = resnet18();
+        let convs = trace
             .iter()
-            .filter(|o| matches!(o, OpSpec::Conv2d { .. }))
+            .filter(|o| o.op().kind == OpKind::Conv2d)
             .count();
         // 1 stem + 16 block convs + 3 downsample convs.
         assert_eq!(convs, 20);
+        // Stride-2 stages halve 32 -> 4; the classifier reads 512 features.
+        assert_eq!(trace[trace.len() - 2].entry(), [1, 512, 4, 4]);
+        assert_eq!(trace[trace.len() - 1].entry(), [512]);
     }
 }

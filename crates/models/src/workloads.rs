@@ -2,7 +2,7 @@
 //! per-model and fused [`TrainingJob`] builders with calibrated host-side
 //! data-pipeline costs.
 
-use hfta_core::rules::OpSpec;
+use hfta_plan::ShapedOp;
 use hfta_sim::TrainingJob;
 
 use crate::lower::{build_job, fused_trace};
@@ -14,7 +14,7 @@ pub struct Workload {
     /// Display name matching the paper's figures.
     pub name: &'static str,
     /// Forward trace of one model.
-    pub trace: Vec<OpSpec>,
+    pub trace: Vec<ShapedOp>,
     /// Per-model minibatch size.
     pub batch: usize,
     /// Host data-pipeline time per iteration per process, µs.

@@ -1,4 +1,4 @@
-//! The lightweight graph IR the planner matches on.
+//! The operator IR: the one op descriptor of the workspace.
 //!
 //! A [`ModelGraph`] is one lane's program: an input shape plus a
 //! topologically ordered list of [`OpSpec`] nodes. Edges are implicit —
@@ -11,9 +11,38 @@
 //! groups, bias), so *node equality is the isomorphism test*: two ops
 //! fuse horizontally exactly when their specs are equal **and** their
 //! activation entry shapes (propagated from the graph input by
-//! [`ModelGraph::shapes`]) are equal. The planner matches on
-//! [`ModelGraph::tokens`] — `(spec, entry shape)` pairs — which makes
-//! shape-unsafe fusions unrepresentable by construction.
+//! [`ModelGraph::shapes`]) are equal. An op at its entry shape is a
+//! [`ShapedOp`] — one instance of a row of the paper's Table 6 — and it
+//! is what everything downstream consumes: the planner matches on
+//! [`ModelGraph::shaped`] sequences, which makes shape-unsafe fusions
+//! unrepresentable by construction; `hfta_core::rules::fuse` is the
+//! same-type-same-shape check over them; and `hfta-models` lowers them to
+//! simulator kernels through the geometry and cost methods here
+//! ([`ShapedOp::fused`], [`ShapedOp::flops`], [`ShapedOp::bytes`],
+//! [`ShapedOp::param_count`], [`ShapedOp::out_elems`], [`ShapedOp::gemm`]),
+//! each written once over [`OpSpec::out_shape`].
+//!
+//! # Pricing rules
+//!
+//! The cost methods feed the device simulator, whose published figures
+//! are pinned byte for byte, so these conventions are part of the
+//! contract (`hfta-models/tests/sim_inputs.rs` holds them):
+//!
+//! * `param_count` charges every conv / linear a bias of `c_out`
+//!   whatever [`OpSpec::bias`] says;
+//! * batch norm is the 1-D or 2-D operator by the rank of its entry; the
+//!   price is the same formula over the entry's element count;
+//! * a `Linear`'s [`OpSpec::groups`] counts the weight arrays of the
+//!   `baddbmm` it runs as (`0`, what [`OpSpec::linear`] sets, reads as
+//!   one): the fused form of `B` linears is the block-diagonal
+//!   `[B*F_in] -> [B*F_out]` layer with `groups = B`, and its GEMM view
+//!   is `B` batched `[n, F_in] x [F_in, F_out]` products, whereas a
+//!   grouped conv's GEMM view spans all groups' output channels at once;
+//! * `GlobalMaxPool` and `ResidualAdd` are one elementwise pass over
+//!   their entry — ReLU's price — and `GlobalMaxPool::out_elems` is
+//!   therefore its *entry's* element count;
+//! * there is no dropout kind: a dropout is priced as a ReLU;
+//! * `Flatten` is a view: zero FLOPs, zero bytes, no kernel.
 
 use hfta_nn::layers::{Conv2dCfg, LinearCfg};
 use serde::{Deserialize, Serialize};
@@ -234,44 +263,45 @@ impl OpSpec {
     }
 
     /// Propagates an activation shape (without the batch axis) through
-    /// this op. `ResidualAdd` is identity here; its skip-shape agreement
-    /// is checked by [`ModelGraph::shapes`], which sees the history.
+    /// this op, rejecting geometry no layer can run: a zero-length axis,
+    /// a zero stride / kernel / pool window, conv groups that are zero or
+    /// do not divide both channel counts. `ResidualAdd` is identity here;
+    /// its skip-shape agreement is checked by [`ModelGraph::shapes`],
+    /// which sees the history.
     pub fn out_shape(&self, input: &[usize]) -> Result<Vec<usize>, String> {
-        let conv_axis = |len: usize, k: usize, s: usize, p: usize| -> Result<usize, String> {
-            let padded = len + 2 * p;
-            if padded < k {
-                return Err(format!("axis {len} too small for kernel {k} padding {p}"));
+        if input.contains(&0) {
+            return Err(format!("zero-length axis in activation {input:?}"));
+        }
+        let conv_axis = |len: usize| -> Result<usize, String> {
+            let padded = len + 2 * self.padding;
+            if padded < self.kernel {
+                return Err(format!(
+                    "axis {len} too small for kernel {} padding {}",
+                    self.kernel, self.padding
+                ));
             }
-            Ok((padded - k) / s + 1)
+            Ok((padded - self.kernel) / self.stride + 1)
         };
-        match self.kind {
+        let out = match self.kind {
             OpKind::Conv2d => {
                 let [c, h, w] = *shape3(input, "Conv2d")?;
-                check_channels(c, self.c_in, "Conv2d")?;
-                Ok(vec![
-                    self.c_out,
-                    conv_axis(h, self.kernel, self.stride, self.padding)?,
-                    conv_axis(w, self.kernel, self.stride, self.padding)?,
-                ])
+                self.check_conv(c, "Conv2d")?;
+                vec![self.c_out, conv_axis(h)?, conv_axis(w)?]
             }
             OpKind::ConvTranspose2d => {
                 let [c, h, w] = *shape3(input, "ConvTranspose2d")?;
-                check_channels(c, self.c_in, "ConvTranspose2d")?;
+                self.check_conv(c, "ConvTranspose2d")?;
                 let up = |len: usize| -> Result<usize, String> {
                     ((len - 1) * self.stride + self.kernel)
                         .checked_sub(2 * self.padding)
-                        .filter(|&v| v > 0)
                         .ok_or_else(|| format!("ConvTranspose2d collapses axis {len}"))
                 };
-                Ok(vec![self.c_out, up(h)?, up(w)?])
+                vec![self.c_out, up(h)?, up(w)?]
             }
             OpKind::Conv1d => {
                 let [c, l] = *shape2(input, "Conv1d")?;
-                check_channels(c, self.c_in, "Conv1d")?;
-                Ok(vec![
-                    self.c_out,
-                    conv_axis(l, self.kernel, self.stride, self.padding)?,
-                ])
+                self.check_conv(c, "Conv1d")?;
+                vec![self.c_out, conv_axis(l)?]
             }
             OpKind::BatchNorm => {
                 check_channels(
@@ -279,29 +309,69 @@ impl OpSpec {
                     self.c_in,
                     "BatchNorm",
                 )?;
-                Ok(input.to_vec())
+                input.to_vec()
             }
-            OpKind::Relu | OpKind::LeakyRelu | OpKind::Tanh | OpKind::ResidualAdd => {
-                Ok(input.to_vec())
-            }
+            OpKind::Relu | OpKind::LeakyRelu | OpKind::Tanh | OpKind::ResidualAdd => input.to_vec(),
             OpKind::MaxPool2d => {
                 let [c, h, w] = *shape3(input, "MaxPool2d")?;
-                if h < self.kernel || w < self.kernel {
-                    return Err(format!("MaxPool2d kernel {} exceeds {h}x{w}", self.kernel));
+                if self.kernel == 0 || h < self.kernel || w < self.kernel {
+                    return Err(format!("MaxPool2d window {} on {h}x{w}", self.kernel));
                 }
-                Ok(vec![c, h / self.kernel, w / self.kernel])
+                vec![c, h / self.kernel, w / self.kernel]
             }
-            OpKind::Flatten => Ok(vec![input.iter().product()]),
+            OpKind::Flatten => vec![input.iter().product()],
             OpKind::Linear => {
                 let [f] = *shape1(input, "Linear")?;
                 check_channels(f, self.c_in, "Linear")?;
-                Ok(vec![self.c_out])
+                vec![self.c_out]
             }
             OpKind::GlobalMaxPool => {
                 let [c, _p] = *shape2(input, "GlobalMaxPool")?;
-                Ok(vec![c])
+                vec![c]
             }
+        };
+        if out.contains(&0) {
+            return Err(format!(
+                "{:?} produces a zero-length axis: {out:?}",
+                self.kind
+            ));
         }
+        Ok(out)
+    }
+
+    /// The checks the three convolutions share: channel agreement, a
+    /// positive kernel and stride, groups dividing both channel counts.
+    fn check_conv(&self, channels: usize, op: &str) -> Result<(), String> {
+        check_channels(channels, self.c_in, op)?;
+        if self.kernel == 0 || self.stride == 0 {
+            return Err(format!(
+                "{op} kernel {} stride {} must be positive",
+                self.kernel, self.stride
+            ));
+        }
+        let g = self.groups;
+        if g == 0 || !self.c_in.is_multiple_of(g) || !self.c_out.is_multiple_of(g) {
+            return Err(format!(
+                "{op} groups {g} must divide channels {} -> {}",
+                self.c_in, self.c_out
+            ));
+        }
+        Ok(())
+    }
+
+    /// This op entered at activation shape `entry` (batch axis excluded)
+    /// over `n` rows.
+    ///
+    /// # Errors
+    ///
+    /// The [`Self::out_shape`] failure when `entry` does not fit the op.
+    pub fn at(&self, entry: &[usize], n: usize) -> Result<ShapedOp, String> {
+        self.out_shape(entry)?;
+        Ok(ShapedOp {
+            op: self.clone(),
+            entry: entry.to_vec(),
+            n,
+        })
     }
 }
 
@@ -357,14 +427,164 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// One matching token: an op plus the activation shape entering it.
-/// Two lanes' ops fuse exactly when their tokens are equal.
+/// One operator at concrete shapes — an instance of a Table 6 row: the
+/// op, the activation shape entering it and the row count. Built only by
+/// [`OpSpec::at`] and [`ModelGraph::shaped`], so it always shape-checks;
+/// two lanes' ops fuse exactly when their shaped ops are equal.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Token {
+pub struct ShapedOp {
+    op: OpSpec,
+    entry: Vec<usize>,
+    n: usize,
+}
+
+impl ShapedOp {
     /// The op.
-    pub op: OpSpec,
+    pub fn op(&self) -> &OpSpec {
+        &self.op
+    }
+
     /// Activation shape (batch axis excluded) entering the op.
-    pub entry: Vec<usize>,
+    pub fn entry(&self) -> &[usize] {
+        &self.entry
+    }
+
+    /// Activation shape (batch axis excluded) leaving the op.
+    pub fn out_shape(&self) -> Vec<usize> {
+        self.op
+            .out_shape(&self.entry)
+            .expect("shape-checked at construction")
+    }
+
+    /// The Table 6 transform: the single operator that computes `b`
+    /// horizontally fused copies of this one. Every op widens its leading
+    /// (channel / feature) axis by `b`; convs and batch norms widen their
+    /// channel counts with it, convs multiply their groups, and a
+    /// `Linear` becomes `b` weight arrays (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b == 0`.
+    pub fn fused(&self, b: usize) -> ShapedOp {
+        assert!(b > 0, "fusion width must be positive");
+        let mut fused = self.clone();
+        match fused.entry.first_mut() {
+            Some(lead) => *lead *= b,
+            None => fused.entry.push(b),
+        }
+        let op = &mut fused.op;
+        if self.is_gemm() || op.kind == OpKind::BatchNorm {
+            op.c_in *= b;
+            op.c_out *= b;
+        }
+        if self.is_gemm() {
+            op.groups = b * self.groups();
+        }
+        fused
+    }
+
+    /// Whether the op maps to a GEMM (tensor-core eligible under AMP,
+    /// systolic-array friendly on TPUs).
+    pub fn is_gemm(&self) -> bool {
+        matches!(
+            self.op.kind,
+            OpKind::Conv2d | OpKind::Conv1d | OpKind::ConvTranspose2d | OpKind::Linear
+        )
+    }
+
+    /// GEMM view `[m, n, k, batch]` of a matrix-multiply-backed op.
+    pub fn gemm(&self) -> Option<[u64; 4]> {
+        let (op, g) = (&self.op, self.groups());
+        let dims = match op.kind {
+            OpKind::Conv2d | OpKind::Conv1d | OpKind::ConvTranspose2d => [
+                self.out_elems() / op.c_out,
+                op.c_out,
+                (op.c_in / g) * self.taps(),
+                1,
+            ],
+            OpKind::Linear => [self.n, op.c_out / g, op.c_in / g, g],
+            _ => return None,
+        };
+        Some(dims.map(|d| d as u64))
+    }
+
+    /// Forward-pass floating point operations (multiply-accumulate = 2).
+    pub fn flops(&self) -> u64 {
+        let (op, g) = (&self.op, self.groups());
+        let flops = match op.kind {
+            OpKind::Conv2d | OpKind::Conv1d | OpKind::Linear => {
+                2 * self.out_elems() * (op.c_in / g) * self.taps()
+            }
+            OpKind::ConvTranspose2d => 2 * self.in_elems() * (op.c_out / g) * self.taps(),
+            OpKind::BatchNorm => 8 * self.in_elems(),
+            OpKind::MaxPool2d => self.out_elems() * op.kernel * op.kernel,
+            OpKind::Tanh => 4 * self.in_elems(),
+            OpKind::Relu | OpKind::LeakyRelu | OpKind::GlobalMaxPool | OpKind::ResidualAdd => {
+                self.in_elems()
+            }
+            OpKind::Flatten => 0,
+        };
+        flops as u64
+    }
+
+    /// Forward-pass bytes moved (input + output + weights, fp32; a batch
+    /// norm's four per-channel vectors count as its weights).
+    pub fn bytes(&self) -> u64 {
+        let state = match self.op.kind {
+            OpKind::Flatten => return 0,
+            OpKind::BatchNorm => 4 * self.op.c_in,
+            _ => self.weight_elems(),
+        };
+        4 * (self.in_elems() + self.out_elems() + state) as u64
+    }
+
+    /// Trainable parameter count (0 for stateless ops).
+    pub fn param_count(&self) -> usize {
+        match self.op.kind {
+            OpKind::BatchNorm => 2 * self.op.c_in,
+            _ if self.is_gemm() => self.weight_elems() + self.op.c_out,
+            _ => 0,
+        }
+    }
+
+    /// Output activation element count over all rows (the memory model's
+    /// saved activation, an elementwise kernel's tile count).
+    pub fn out_elems(&self) -> usize {
+        match self.op.kind {
+            // Priced as a pass over its entry (see the module docs).
+            OpKind::GlobalMaxPool => self.in_elems(),
+            _ => self.n * self.out_shape().iter().product::<usize>(),
+        }
+    }
+
+    fn in_elems(&self) -> usize {
+        self.n * self.entry.iter().product::<usize>()
+    }
+
+    fn groups(&self) -> usize {
+        self.op.groups.max(1)
+    }
+
+    /// Kernel taps per input channel per output element.
+    fn taps(&self) -> usize {
+        match self.op.kind {
+            OpKind::Conv2d | OpKind::ConvTranspose2d => self.op.kernel * self.op.kernel,
+            OpKind::Conv1d => self.op.kernel,
+            _ => 1,
+        }
+    }
+
+    /// Weight tensor element count, bias excluded.
+    fn weight_elems(&self) -> usize {
+        let (op, g) = (&self.op, self.groups());
+        match op.kind {
+            OpKind::Conv2d | OpKind::Conv1d | OpKind::Linear => {
+                op.c_out * (op.c_in / g) * self.taps()
+            }
+            OpKind::ConvTranspose2d => op.c_in * (op.c_out / g) * self.taps(),
+            _ => 0,
+        }
+    }
 }
 
 /// One lane's program: a named op chain plus its input shape.
@@ -416,30 +636,20 @@ impl ModelGraph {
         Ok(shapes)
     }
 
-    /// The matching tokens: one `(op, entry shape)` pair per op.
-    pub fn tokens(&self) -> Result<Vec<Token>, PlanError> {
+    /// The program at `n` rows: one [`ShapedOp`] per op. At `n = 1` these
+    /// are the planner's matching tokens.
+    pub fn shaped(&self, n: usize) -> Result<Vec<ShapedOp>, PlanError> {
         let shapes = self.shapes()?;
         Ok(self
             .ops
             .iter()
-            .zip(&shapes)
-            .map(|(op, entry)| Token {
+            .zip(shapes)
+            .map(|(op, entry)| ShapedOp {
                 op: op.clone(),
-                entry: entry.clone(),
+                entry,
+                n,
             })
             .collect())
-    }
-
-    /// Stable 64-bit architecture signature (FNV-1a over the serialized
-    /// graph): lanes with equal signatures run the same program.
-    pub fn signature(&self) -> u64 {
-        let json = serde_json::to_string(self).expect("graph serializes");
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in json.as_bytes() {
-            h ^= u64::from(*byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
     }
 }
 
@@ -518,15 +728,43 @@ mod tests {
     }
 
     #[test]
-    fn tokens_carry_entry_shapes_and_signatures_distinguish_archs() {
+    fn shaped_ops_carry_entry_shapes_and_rows() {
         let g = chain();
-        let toks = g.tokens().unwrap();
+        let toks = g.shaped(16).unwrap();
         assert_eq!(toks.len(), 4);
-        assert_eq!(toks[2].entry, vec![4, 4, 4]);
-        let mut other = chain();
-        other.ops.insert(2, OpSpec::relu());
-        assert_ne!(g.signature(), other.signature());
-        assert_eq!(g.signature(), chain().signature());
+        assert_eq!(toks[2].entry(), [4, 4, 4]);
+        assert_eq!(toks[2].out_shape(), [64]);
+        assert_eq!(toks[3].gemm(), Some([16, 2, 64, 1]));
+        assert_eq!(toks[0], g.ops[0].at(&[3, 8, 8], 16).unwrap());
+        assert_ne!(toks, g.shaped(1).unwrap());
+    }
+
+    #[test]
+    fn malformed_geometry_is_a_shape_error_not_a_panic() {
+        let conv = |cfg: Conv2dCfg| OpSpec::conv2d(cfg);
+        let cases = [
+            (conv(Conv2dCfg::new(3, 4, 3).stride(0)), vec![3, 8, 8]),
+            (conv(Conv2dCfg::new(3, 4, 0)), vec![3, 8, 8]),
+            (conv(Conv2dCfg::new(3, 4, 3).groups(2)), vec![3, 8, 8]),
+            (conv(Conv2dCfg::new(4, 4, 3).groups(0)), vec![4, 8, 8]),
+            (conv(Conv2dCfg::new(4, 0, 3)), vec![4, 8, 8]),
+            (
+                OpSpec::conv_transpose2d(Conv2dCfg::new(3, 4, 4).stride(2).padding(1)),
+                vec![3, 0, 0],
+            ),
+            (OpSpec::conv1d(3, 4, 1, 0, 0), vec![3, 8]),
+            (OpSpec::max_pool2d(0), vec![3, 8, 8]),
+            (OpSpec::relu(), vec![3, 0]),
+        ];
+        for (op, input) in cases {
+            let g = ModelGraph::new("bad", input.clone(), vec![op.clone()]);
+            assert!(
+                matches!(g.shapes(), Err(PlanError::Shape { op: 0, .. })),
+                "{op:?} at {input:?}: {:?}",
+                g.shapes()
+            );
+            assert!(op.at(&input, 1).is_err());
+        }
     }
 
     #[test]

@@ -11,12 +11,15 @@
 //!
 //! Pipeline:
 //!
-//! 1. [`ir`] — a lightweight graph IR: per-lane [`ModelGraph`]s of
-//!    [`OpSpec`] nodes (op kind + full geometry), with shape propagation;
+//! 1. [`ir`] — the operator IR: per-lane [`ModelGraph`]s of [`OpSpec`]
+//!    nodes (op kind + full geometry) with shape propagation, and the
+//!    [`ShapedOp`] — an op at its entry shape — that carries the Table 6
+//!    fusion transform and the FLOP / byte / parameter accounting the
+//!    device simulator is fed;
 //! 2. [`planner`] — [`FusionPlan::plan`] finds maximal isomorphic
-//!    same-shaped subgraph runs across lanes (LCS over `(op, entry
-//!    shape)` tokens) and emits ordered fused/serial [`Block`]s with
-//!    lane-index maps;
+//!    same-shaped subgraph runs across lanes (LCS over the lanes'
+//!    [`ShapedOp`] sequences) and emits ordered fused/serial [`Block`]s
+//!    with lane-index maps;
 //! 3. [`report`] — ASCII block timelines for `plan_report`.
 //!
 //! Execution lives in `hfta-core::planned` (`PlannedArray`), which runs
@@ -29,6 +32,6 @@ pub mod ir;
 pub mod planner;
 pub mod report;
 
-pub use ir::{ModelGraph, OpKind, OpSpec, PlanError, Token};
+pub use ir::{ModelGraph, OpKind, OpSpec, PlanError, ShapedOp};
 pub use planner::{Block, BlockKind, FusionPlan};
 pub use report::render_timeline;

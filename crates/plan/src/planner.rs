@@ -1,9 +1,10 @@
 //! The auto-fusion planner: from N lane graphs to a [`FusionPlan`].
 //!
-//! Matching works on [`Token`]s — `(op spec, entry shape)` pairs — so a
-//! candidate fusion is shape-safe by construction. The planner:
+//! Matching works on tokens — each lane's [`ShapedOp`]s, `(op spec, entry
+//! shape)` pairs at one row — so a candidate fusion is shape-safe by
+//! construction. The planner:
 //!
-//! 1. computes every lane's token sequence ([`ModelGraph::tokens`]);
+//! 1. computes every lane's token sequence ([`ModelGraph::shaped`]);
 //! 2. folds a longest-common-subsequence over the *distinct* sequences,
 //!    yielding the **anchors**: a maximal common run of tokens present in
 //!    every lane, in order;
@@ -25,7 +26,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::ir::{ModelGraph, OpSpec, PlanError, Token};
+use crate::ir::{ModelGraph, OpSpec, PlanError, ShapedOp};
 
 /// Whether a block runs horizontally fused or per-lane serial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -121,7 +122,7 @@ impl FusionPlan {
             blocks.push(Block::new(
                 (0..n).collect(),
                 next.clone(),
-                anchors[i..j].iter().map(|t| t.op.clone()).collect(),
+                anchors[i..j].iter().map(|t| t.op().clone()).collect(),
             ));
             for (c, p) in cursor.iter_mut().zip(&pos) {
                 *c = p[j - 1] + 1;
@@ -197,17 +198,17 @@ impl FusionPlan {
     }
 }
 
-fn all_tokens(graphs: &[ModelGraph]) -> Result<Vec<Vec<Token>>, PlanError> {
+fn all_tokens(graphs: &[ModelGraph]) -> Result<Vec<Vec<ShapedOp>>, PlanError> {
     if graphs.is_empty() {
         return Err(PlanError::Empty);
     }
-    graphs.iter().map(ModelGraph::tokens).collect()
+    graphs.iter().map(|g| g.shaped(1)).collect()
 }
 
 /// Folds LCS over the distinct token sequences: the result is a common
 /// subsequence of every lane's program.
-fn common_anchors(toks: &[Vec<Token>]) -> Vec<Token> {
-    let mut distinct: Vec<&Vec<Token>> = Vec::new();
+fn common_anchors(toks: &[Vec<ShapedOp>]) -> Vec<ShapedOp> {
+    let mut distinct: Vec<&Vec<ShapedOp>> = Vec::new();
     for t in toks {
         if !distinct.contains(&t) {
             distinct.push(t);
@@ -224,7 +225,7 @@ fn common_anchors(toks: &[Vec<Token>]) -> Vec<Token> {
 }
 
 /// Classic O(n·m) longest-common-subsequence on tokens.
-fn lcs(a: &[Token], b: &[Token]) -> Vec<Token> {
+fn lcs(a: &[ShapedOp], b: &[ShapedOp]) -> Vec<ShapedOp> {
     let (n, m) = (a.len(), b.len());
     let mut dp = vec![0u32; (n + 1) * (m + 1)];
     let at = |i: usize, j: usize| i * (m + 1) + j;
@@ -254,7 +255,7 @@ fn lcs(a: &[Token], b: &[Token]) -> Vec<Token> {
 }
 
 /// Greedy leftmost positions of `anchors` (a known subsequence) in `seq`.
-fn match_leftmost(seq: &[Token], anchors: &[Token]) -> Vec<usize> {
+fn match_leftmost(seq: &[ShapedOp], anchors: &[ShapedOp]) -> Vec<usize> {
     let mut pos = Vec::with_capacity(anchors.len());
     let mut i = 0;
     for a in anchors {
@@ -270,7 +271,7 @@ fn match_leftmost(seq: &[Token], anchors: &[Token]) -> Vec<usize> {
 /// Emits blocks for the per-lane gap segments `cursor[l]..next[l]`,
 /// grouping lanes with identical segment content into sub-width fused
 /// blocks (groups ordered by smallest member lane).
-fn gap_blocks(toks: &[Vec<Token>], cursor: &[usize], next: &[usize], blocks: &mut Vec<Block>) {
+fn gap_blocks(toks: &[Vec<ShapedOp>], cursor: &[usize], next: &[usize], blocks: &mut Vec<Block>) {
     let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new(); // (lanes, starts)
     for (l, t) in toks.iter().enumerate() {
         let seg = &t[cursor[l]..next[l]];
@@ -294,7 +295,7 @@ fn gap_blocks(toks: &[Vec<Token>], cursor: &[usize], next: &[usize], blocks: &mu
         let l0 = lanes[0];
         let ops = toks[l0][starts[0]..next[l0]]
             .iter()
-            .map(|t| t.op.clone())
+            .map(|t| t.op().clone())
             .collect();
         blocks.push(Block::new(lanes, starts, ops));
     }

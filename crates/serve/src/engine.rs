@@ -1712,5 +1712,11 @@ mod tests {
         let err = spec(2, vec![convnet(3), mlp()]).validate().unwrap_err();
         assert!(matches!(err, ServeError::Unfusible { .. }), "{err}");
         assert!(err.to_string().contains("0%"), "{err}");
+        // Geometry no layer can run is a shape error, not a panic.
+        let mut bad = convnet(3);
+        bad.ops[0].stride = 0;
+        let err = spec(2, vec![bad.clone(), bad]).validate().unwrap_err();
+        assert!(matches!(err, ServeError::Unfusible { .. }), "{err}");
+        assert!(err.to_string().contains("stride 0"), "{err}");
     }
 }
