@@ -184,9 +184,11 @@ impl Tensor {
         self.map(|v| 1.0 / (1.0 + (-v).exp()))
     }
 
-    /// Elementwise rectified linear unit.
+    /// Elementwise rectified linear unit. NaN propagates (as in
+    /// `torch.relu`): `f32::max` would return the non-NaN `0.0` and hide a
+    /// diverging lane from the scope sentinels.
     pub fn relu(&self) -> Tensor {
-        self.map(|v| v.max(0.0))
+        self.map(|v| if v <= 0.0 { 0.0 } else { v })
     }
 
     /// Elementwise leaky ReLU with the given negative slope.
@@ -329,6 +331,19 @@ mod tests {
         assert_eq!(a.square().to_vec(), vec![1.0, 0.0, 16.0]);
         assert_eq!(t(vec![4.0], &[1]).sqrt().to_vec(), vec![2.0]);
         assert_eq!(a.clamp(-0.5, 1.0).to_vec(), vec![-0.5, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn relu_propagates_nan_and_keeps_zero_signs() {
+        let a = t(
+            vec![f32::NAN, -0.0, 0.0, -f32::INFINITY, f32::INFINITY],
+            &[5],
+        );
+        let r = a.relu().to_vec();
+        assert!(r[0].is_nan(), "relu(NaN) must stay NaN, got {}", r[0]);
+        // -0.0 <= 0.0, so it maps to +0.0 exactly as `max(0.0)` did.
+        let bits: Vec<u32> = r[1..].iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, [0.0f32, 0.0, 0.0, f32::INFINITY].map(f32::to_bits));
     }
 
     #[test]
