@@ -11,6 +11,9 @@
 //!    array's parameters vs the six serial `Adam` steps it replaces.
 //! 5. **Conv ops** — `conv2d` and its two gradients at the benchmark's four
 //!    stride-2 DCGAN-D layers, µs and GFLOP/s per op at one thread.
+//! 6. **Non-GEMM passes** — activations, batch norm and the global max
+//!    pool through the tape at the benchmark's shapes, µs forward and
+//!    backward per op at one thread.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hfta_core::format::stack_conv;
@@ -291,9 +294,100 @@ fn ablation_conv(c: &mut Criterion) {
     hfta_kernels::set_num_threads(threads);
 }
 
+/// The non-GEMM passes of a fused step at the `dcgan_compute` (B = 6,
+/// width 12, batch 2) and `pointnet_overhead` (B = 8) shapes, through the
+/// tape on one thread: each op's forward, and its backward net of the
+/// parameter-gradient accumulation a bare leaf's backward also pays.
+fn ablation_passes(c: &mut Criterion) {
+    let threads = hfta_kernels::num_threads();
+    hfta_kernels::set_num_threads(1);
+    let mut rng = Rng::seed_from(25);
+    type Op = fn(&hfta_nn::Var, &[hfta_nn::Var]) -> hfta_nn::Var;
+    let leaky: Op = |x, _| x.leaky_relu(0.2);
+    let relu: Op = |x, _| x.relu();
+    let tanh: Op = |x, _| x.tanh();
+    let bn_train: Op = |x, gb| x.batch_norm(&gb[0], &gb[1], 1e-5, None).0;
+    let bn_eval: Op = |x, gb| {
+        let c = x.dim(1);
+        let (rm, rv) = (vec![0.1f32; c], vec![0.9f32; c]);
+        x.batch_norm(&gb[0], &gb[1], 1e-5, Some((&rm, &rv))).0
+    };
+    let max_axis: Op = |x, _| x.max_axis(2);
+    let (d1, d2, g5) = ([2usize, 72, 32, 32], [2, 144, 16, 16], [2, 18, 64, 64]);
+    let mut rows: Vec<(&str, &[usize], Op)> = Vec::new();
+    for (name, op) in [("leaky_relu", leaky), ("relu", relu), ("tanh", tanh)] {
+        for dims in [&d1[..], &d2, &g5] {
+            rows.push((name, dims, op));
+        }
+    }
+    rows.push(("bn_train", &d1, bn_train));
+    rows.push(("bn_train", &[2, 576, 4, 4], bn_train));
+    rows.push(("bn_eval", &[2, 512, 32], bn_eval));
+    rows.push(("max_axis", &[2, 512, 32], max_axis));
+    println!("\n## Ablation: non-GEMM passes through the tape (1 thread, median of 41)");
+    println!(
+        "  {:<10} {:<16} {:>9} {:>9} {:>9}",
+        "op", "shape", "fwd us", "bwd us", "total"
+    );
+    let mut group = c.benchmark_group("passes");
+    for (name, dims, op) in rows {
+        let x = hfta_nn::Parameter::new(rng.randn(dims.to_vec()), "x");
+        let ch = dims[1];
+        let gb = [
+            hfta_nn::Parameter::new(rng.rand([ch], 0.5, 1.5), "gamma"),
+            hfta_nn::Parameter::new(rng.randn([ch]), "beta"),
+        ];
+        let out_dims = {
+            let tape = Tape::new();
+            let gbv: Vec<_> = gb.iter().map(|p| tape.param(p)).collect();
+            op(&tape.param(&x), &gbv).dims()
+        };
+        let seed = rng.randn(out_dims);
+        let x_seed = rng.randn(dims.to_vec());
+        // (forward, backward) seconds of one op; the bare-leaf run prices
+        // the leaf's own gradient accumulation, which is subtracted.
+        let run = |bare: bool| -> (f64, f64) {
+            let tape = Tape::new();
+            let xv = tape.param(&x);
+            let gbv: Vec<_> = gb.iter().map(|p| tape.param(p)).collect();
+            let started = std::time::Instant::now();
+            let (y, s) = if bare {
+                (xv, x_seed.clone())
+            } else {
+                (op(&xv, &gbv), seed.clone())
+            };
+            let fwd = started.elapsed().as_secs_f64();
+            let started = std::time::Instant::now();
+            y.backward_with(s);
+            (fwd, started.elapsed().as_secs_f64())
+        };
+        let median = |bare: bool| -> (f64, f64) {
+            let mut samples: Vec<(f64, f64)> = (0..41).map(|_| run(bare)).collect();
+            let mut pick = |f: fn(&(f64, f64)) -> f64| {
+                samples.sort_by(|a, b| f(a).total_cmp(&f(b)));
+                f(&samples[samples.len() / 2])
+            };
+            (pick(|s| s.0), pick(|s| s.1))
+        };
+        let (fwd, bwd) = median(false);
+        let (_, bare_bwd) = median(true);
+        let (fwd_us, bwd_us) = (fwd * 1e6, (bwd - bare_bwd).max(0.0) * 1e6);
+        let shape = format!("{dims:?}");
+        println!(
+            "  {name:<10} {shape:<16} {fwd_us:>9.1} {bwd_us:>9.1} {:>9.1}",
+            fwd_us + bwd_us
+        );
+        group.bench_function(format!("{name}/{shape}"), |bench| {
+            bench.iter(|| black_box(run(false)))
+        });
+    }
+    group.finish();
+    hfta_kernels::set_num_threads(threads);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).warm_up_time(std::time::Duration::from_millis(500)).measurement_time(std::time::Duration::from_secs(2));
-    targets = ablation_mechanisms, ablation_loss_scaling, ablation_step_time, ablation_optimizer, ablation_conv
+    targets = ablation_mechanisms, ablation_loss_scaling, ablation_step_time, ablation_optimizer, ablation_conv, ablation_passes
 }
 criterion_main!(benches);

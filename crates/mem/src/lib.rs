@@ -20,7 +20,9 @@
 //!
 //! Recycled buffers are value-filled exactly as `vec![fill; len]` would be
 //! before any kernel sees them, so pooled and unpooled runs are bitwise
-//! equal at any thread count. The pool is always on; [`set_pool_enabled`]
+//! equal at any thread count. [`Storage::unfilled`] skips the fill for a
+//! pass that overwrites every element anyway: its stale values never reach
+//! a result. The pool is always on; [`set_pool_enabled`]
 //! is the in-process hook that falls back to plain `Vec` allocation for A/B
 //! equivalence tests and `bench_mem`. No environment variable reaches this
 //! crate.

@@ -141,14 +141,35 @@ fn account_live_sub(len: usize) {
 /// Allocates (or recycles) a buffer of exactly `len` elements, every
 /// element set to `fill` — bit-identical to `vec![fill; len]`.
 pub(crate) fn acquire(len: usize, fill: f32) -> Vec<f32> {
-    acquire_with(len, |buf| buf.resize(len, fill))
+    acquire_with(len, |buf| {
+        buf.clear();
+        buf.resize(len, fill);
+    })
 }
 
 /// Allocates (or recycles) a buffer holding a copy of `src`.
 pub(crate) fn acquire_copy(src: &[f32]) -> Vec<f32> {
-    acquire_with(src.len(), |buf| buf.extend_from_slice(src))
+    acquire_with(src.len(), |buf| {
+        buf.clear();
+        buf.extend_from_slice(src);
+    })
 }
 
+/// Allocates (or recycles) a buffer of exactly `len` elements whose values
+/// are unspecified: a recycled buffer keeps what its last owner wrote
+/// (only a tail beyond its old length is zeroed), a fresh one is zeroed.
+/// For a pass that writes every element before anything reads one — it
+/// skips the fill that pass would overwrite.
+pub(crate) fn acquire_unfilled(len: usize) -> Vec<f32> {
+    acquire_with(len, |buf| {
+        buf.truncate(len);
+        buf.resize(len, 0.0);
+    })
+}
+
+/// Serves `len` elements from the pool (or the allocator) and hands the
+/// buffer to `init`, which must leave it at exactly `len` elements; a
+/// recycled buffer arrives holding its previous contents.
 fn acquire_with(len: usize, init: impl FnOnce(&mut Vec<f32>)) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
@@ -158,7 +179,6 @@ fn acquire_with(len: usize, init: impl FnOnce(&mut Vec<f32>)) -> Vec<f32> {
         if let Some(c) = class_of(len) {
             if let Some(mut buf) = FREE[c].lock().unwrap().pop() {
                 POOLED_FREE_BYTES.fetch_sub((buf.len() * 4) as u64, Ordering::Relaxed);
-                buf.clear();
                 init(&mut buf);
                 debug_assert_eq!(buf.len(), len);
                 REUSES.fetch_add(1, Ordering::Relaxed);

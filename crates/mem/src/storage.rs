@@ -40,6 +40,16 @@ impl Storage {
         }
     }
 
+    /// A buffer of `len` elements with unspecified values, for a pass that
+    /// overwrites every element before reading any: it skips the fill.
+    /// Safe to read (values are stale or zero, never uninitialized), but
+    /// only a full overwrite makes the result independent of pool history.
+    pub fn unfilled(len: usize) -> Self {
+        Storage {
+            buf: pool::acquire_unfilled(len),
+        }
+    }
+
     /// A buffer holding a copy of `src`.
     pub fn copy_of(src: &[f32]) -> Self {
         Storage {
@@ -132,6 +142,8 @@ mod tests {
         assert_eq!(Storage::filled(2, 7.5).as_slice(), &[7.5, 7.5]);
         assert_eq!(Storage::copy_of(&[1.0, 2.0]).as_slice(), &[1.0, 2.0]);
         assert_eq!(Storage::zeroed(0).len(), 0);
+        assert_eq!(Storage::unfilled(5).len(), 5);
+        assert_eq!(Storage::unfilled(0).len(), 0);
         assert!(Storage::default().is_empty());
     }
 

@@ -28,8 +28,38 @@ use crate::parameter::Parameter;
 /// Gradients flowing to each parent: `(parent_node_id, gradient)` pairs.
 pub(crate) type ParentGrads = Vec<(usize, Tensor)>;
 
-/// A backward function: maps the node's output gradient to parent gradients.
-pub(crate) type BackwardFn = Box<dyn Fn(&Tensor) -> ParentGrads>;
+/// A backward function: maps the node's output gradient to parent
+/// gradients, reading whatever values it needs from the tape through the
+/// [`BackwardCtx`] instead of holding copies of them.
+pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &BackwardCtx<'_>) -> ParentGrads>;
+
+/// What a backward closure may read during the reverse sweep: the values
+/// the tape already holds — its parents' and its own output — and which
+/// parents want a gradient at all.
+pub(crate) struct BackwardCtx<'a> {
+    nodes: &'a [Node],
+    id: usize,
+}
+
+impl<'a> BackwardCtx<'a> {
+    /// The forward value of node `id` (a parent of the running node).
+    pub(crate) fn value(&self, id: usize) -> &'a Tensor {
+        &self.nodes[id].value
+    }
+
+    /// The running node's own forward output.
+    pub(crate) fn output(&self) -> &'a Tensor {
+        &self.nodes[self.id].value
+    }
+
+    /// Whether a gradient sent to node `id` can reach anything. A
+    /// [`Tape::leaf`] has no backward and no parameter, so its gradient
+    /// would be dropped unread: ops skip computing it.
+    pub(crate) fn needs_grad(&self, id: usize) -> bool {
+        let node = &self.nodes[id];
+        node.backward.is_some() || node.param.is_some()
+    }
+}
 
 pub(crate) struct Node {
     pub(crate) value: Tensor,
@@ -145,12 +175,38 @@ impl Tape {
         self.push(param.value_cloned(), None, Some(param.clone()))
     }
 
-    pub(crate) fn push(
+    /// Runs `f` against borrows of several variables' values at once — the
+    /// multi-operand form of [`Var::with_value`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a variable lives on another tape, or if `f` re-enters the
+    /// tape mutably.
+    pub(crate) fn with_values<R>(&self, vars: &[&Var], f: impl FnOnce(&[&Tensor]) -> R) -> R {
+        let nodes = self.inner.nodes.borrow();
+        let values: Vec<&Tensor> = vars
+            .iter()
+            .map(|v| {
+                assert!(
+                    Rc::ptr_eq(&self.inner, &v.tape.inner),
+                    "operands must share a tape"
+                );
+                &nodes[v.id].value
+            })
+            .collect();
+        f(&values)
+    }
+
+    /// Records an op's output with its backward closure.
+    pub(crate) fn push_op(
         &self,
         value: Tensor,
-        backward: Option<BackwardFn>,
-        param: Option<Parameter>,
+        backward: impl Fn(&Tensor, &BackwardCtx<'_>) -> ParentGrads + 'static,
     ) -> Var {
+        self.push(value, Some(Box::new(backward)), None)
+    }
+
+    fn push(&self, value: Tensor, backward: Option<BackwardFn>, param: Option<Parameter>) -> Var {
         let (op, cost) = self
             .inner
             .current_op
@@ -288,7 +344,7 @@ impl Var {
                     t.profiler
                         .op_span(t.bwd, format!("bwd:{}", node.op), node.cost)
                 });
-                let parent_grads = backward(&g);
+                let parent_grads = backward(&g, &BackwardCtx { nodes: &nodes, id });
                 if let Some(span) = &mut span {
                     span.scale(parent_grads.len());
                 }
@@ -306,41 +362,67 @@ impl Var {
         }
     }
 
-    /// Records a unary op: `value = f(self.value)`, with `backward`
-    /// mapping the output gradient to this node's gradient.
+    /// Records a unary op whose `backward(g, x, y)` maps the output
+    /// gradient to this node's gradient, reading this node's value `x` and
+    /// the op's output `y` from the tape. Skipped when this node needs no
+    /// gradient.
     pub(crate) fn unary(
         &self,
         value: Tensor,
-        backward: impl Fn(&Tensor) -> Tensor + 'static,
+        backward: impl Fn(&Tensor, &Tensor, &Tensor) -> Tensor + 'static,
     ) -> Var {
         let id = self.id;
-        self.tape.push(
-            value,
-            Some(Box::new(move |g| vec![(id, backward(g))])),
-            None,
-        )
+        self.tape.push_op(value, move |g, ctx| {
+            if ctx.needs_grad(id) {
+                vec![(id, backward(g, ctx.value(id), ctx.output()))]
+            } else {
+                Vec::new()
+            }
+        })
     }
 
-    /// Records a binary op with gradients for both operands.
+    /// Records a binary op: `grad_a(g, a, b)` / `grad_b(g, a, b)` map the
+    /// output gradient to each operand's gradient, reading both operand
+    /// values from the tape; each runs only if its operand needs a
+    /// gradient.
     pub(crate) fn binary(
         &self,
         other: &Var,
         value: Tensor,
-        backward: impl Fn(&Tensor) -> (Tensor, Tensor) + 'static,
+        grad_a: impl Fn(&Tensor, &Tensor, &Tensor) -> Tensor + 'static,
+        grad_b: impl Fn(&Tensor, &Tensor, &Tensor) -> Tensor + 'static,
     ) -> Var {
         assert!(
             Rc::ptr_eq(&self.tape.inner, &other.tape.inner),
             "operands must share a tape"
         );
         let (a, b) = (self.id, other.id);
-        self.tape.push(
-            value,
-            Some(Box::new(move |g| {
-                let (ga, gb) = backward(g);
-                vec![(a, ga), (b, gb)]
-            })),
-            None,
-        )
+        self.tape.push_op(value, move |g, ctx| {
+            let (av, bv) = (ctx.value(a), ctx.value(b));
+            let mut out = Vec::with_capacity(2);
+            if ctx.needs_grad(a) {
+                out.push((a, grad_a(g, av, bv)));
+            }
+            if ctx.needs_grad(b) {
+                out.push((b, grad_b(g, av, bv)));
+            }
+            out
+        })
+    }
+}
+
+#[cfg(test)]
+impl Var {
+    /// The parents this op node's backward sends a gradient to, given the
+    /// output gradient `g`.
+    pub(crate) fn grad_targets(&self, g: &Tensor) -> Vec<usize> {
+        let nodes = self.tape.inner.nodes.borrow();
+        let backward = nodes[self.id].backward.as_ref().expect("an op node");
+        let ctx = BackwardCtx {
+            nodes: &nodes,
+            id: self.id,
+        };
+        backward(g, &ctx).into_iter().map(|(id, _)| id).collect()
     }
 }
 

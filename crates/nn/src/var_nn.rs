@@ -1,18 +1,26 @@
 //! Differentiable neural-network ops on [`Var`]: convolutions, pooling,
 //! batch norm, softmax and loss primitives.
+//!
+//! Backward closures read their operands (`x`, `w`, `gamma`) and outputs
+//! from the tape rather than capturing copies, and skip the gradient of any
+//! operand that needs none — a plain [`crate::Tape::leaf`] such as a model's
+//! input batch.
 
 use hfta_tensor::activation::{log_softmax_backward, softmax_backward};
 use hfta_tensor::conv::{
-    conv1d_backward, conv2d, conv2d_grad_bias, conv2d_grad_input, conv2d_grad_weight,
-    conv_transpose2d, conv_transpose2d_grad_input, conv_transpose2d_grad_weight, ConvCfg,
+    conv1d_grad_bias, conv1d_grad_input, conv1d_grad_weight, conv2d, conv2d_grad_bias,
+    conv2d_grad_input, conv2d_grad_weight, conv_transpose2d, conv_transpose2d_grad_input,
+    conv_transpose2d_grad_weight, ConvCfg,
 };
-use hfta_tensor::norm::{batch_norm_backward, batch_norm_eval, batch_norm_train};
+use hfta_tensor::norm::{
+    batch_norm_backward, batch_norm_eval, batch_norm_eval_backward, batch_norm_train,
+};
 use hfta_tensor::pool::{max_pool2d, max_pool2d_backward};
 use hfta_tensor::Tensor;
 
 use hfta_telemetry::OpCost;
 
-use crate::tape::Var;
+use crate::tape::{BackwardCtx, ParentGrads, Var};
 
 /// FLOP/byte cost of a direct convolution producing `out_numel` outputs,
 /// each accumulating over `k_per_out` kernel taps.
@@ -26,6 +34,39 @@ fn conv_cost(out_numel: usize, k_per_out: usize, in_numel: usize, w_numel: usize
 /// Per-channel batch statistics `(mean, variance)` returned by
 /// training-mode batch norm.
 pub type BatchStats = (Vec<f32>, Vec<f32>);
+
+/// Records a convolution-shaped op over `x`, `w` and an optional bias:
+/// `forward(x, w, b)` computes the output now; in the backward sweep
+/// `grad_x(g, w)`, `grad_w(g, x)` and `grad_b(g)` run for each operand that
+/// needs a gradient, reading `x` and `w` from the tape.
+fn record_conv(
+    x: &Var,
+    weight: &Var,
+    bias: Option<&Var>,
+    forward: impl FnOnce(&Tensor, &Tensor, Option<&Tensor>) -> Tensor,
+    grad_x: impl Fn(&Tensor, &Tensor) -> Tensor + 'static,
+    grad_w: impl Fn(&Tensor, &Tensor) -> Tensor + 'static,
+    grad_b: fn(&Tensor) -> Tensor,
+) -> Var {
+    let operands: Vec<&Var> = [x, weight].into_iter().chain(bias).collect();
+    let y = x
+        .tape
+        .with_values(&operands, |v| forward(v[0], v[1], v.get(2).copied()));
+    let (xi, wi, bi) = (x.id, weight.id, bias.map(|b| b.id));
+    x.tape.push_op(y, move |g, ctx| {
+        let mut out: ParentGrads = Vec::with_capacity(3);
+        if ctx.needs_grad(xi) {
+            out.push((xi, grad_x(g, ctx.value(wi))));
+        }
+        if ctx.needs_grad(wi) {
+            out.push((wi, grad_w(g, ctx.value(xi))));
+        }
+        if let Some(bi) = bi.filter(|&bi| ctx.needs_grad(bi)) {
+            out.push((bi, grad_b(g)));
+        }
+        out
+    })
+}
 
 impl Var {
     /// 2-D convolution (`x [N, Cin, H, W]`, `w [Cout, Cin/g, kh, kw]`,
@@ -45,30 +86,16 @@ impl Var {
                 weight.numel(),
             )
         });
-        let x = self.value();
-        let w = weight.value();
-        let b = bias.map(|b| b.value());
-        let y = conv2d(&x, &w, b.as_ref(), cfg);
-        let input_hw = (x.dim(2), x.dim(3));
-        let cin = x.dim(1);
-        let kernel_hw = (w.dim(2), w.dim(3));
-        let ids: Vec<usize> = match bias {
-            Some(b) => vec![self.id, weight.id, b.id],
-            None => vec![self.id, weight.id],
-        };
-        let has_bias = bias.is_some();
-        self.tape.push(
-            y,
-            Some(Box::new(move |g| {
-                let gx = conv2d_grad_input(&w, g, input_hw, cin, cfg);
-                let gw = conv2d_grad_weight(&x, g, kernel_hw, cfg);
-                let mut out = vec![(ids[0], gx), (ids[1], gw)];
-                if has_bias {
-                    out.push((ids[2], conv2d_grad_bias(g)));
-                }
-                out
-            })),
-            None,
+        let (xd, wd) = (self.dims(), weight.dims());
+        let (input_hw, cin, kernel_hw) = ((xd[2], xd[3]), xd[1], (wd[2], wd[3]));
+        record_conv(
+            self,
+            weight,
+            bias,
+            |x, w, b| conv2d(x, w, b, cfg),
+            move |g, w| conv2d_grad_input(w, g, input_hw, cin, cfg),
+            move |g, x| conv2d_grad_weight(x, g, kernel_hw, cfg),
+            conv2d_grad_bias,
         )
     }
 
@@ -95,26 +122,16 @@ impl Var {
                 weight.numel(),
             )
         });
-        let x = self.value();
-        let w = weight.value();
-        let b = bias.map(|b| b.value());
-        let y = hfta_tensor::conv::conv1d(&x, &w, b.as_ref(), stride, padding, groups);
-        let ids: Vec<usize> = match bias {
-            Some(b) => vec![self.id, weight.id, b.id],
-            None => vec![self.id, weight.id],
-        };
-        let has_bias = bias.is_some();
-        self.tape.push(
-            y,
-            Some(Box::new(move |g| {
-                let (gx, gw, gb) = conv1d_backward(&x, &w, g, stride, padding, groups);
-                let mut out = vec![(ids[0], gx), (ids[1], gw)];
-                if has_bias {
-                    out.push((ids[2], gb));
-                }
-                out
-            })),
-            None,
+        let (xd, k) = (self.dims(), weight.dim(2));
+        let (cin, len) = (xd[1], xd[2]);
+        record_conv(
+            self,
+            weight,
+            bias,
+            |x, w, b| hfta_tensor::conv::conv1d(x, w, b, stride, padding, groups),
+            move |g, w| conv1d_grad_input(w, g, (cin, len), stride, padding, groups),
+            move |g, x| conv1d_grad_weight(x, g, k, stride, padding, groups),
+            conv1d_grad_bias,
         )
     }
 
@@ -135,28 +152,16 @@ impl Var {
                 weight.numel(),
             )
         });
-        let x = self.value();
-        let w = weight.value();
-        let b = bias.map(|b| b.value());
-        let y = conv_transpose2d(&x, &w, b.as_ref(), cfg);
-        let kernel_hw = (w.dim(2), w.dim(3));
-        let ids: Vec<usize> = match bias {
-            Some(b) => vec![self.id, weight.id, b.id],
-            None => vec![self.id, weight.id],
-        };
-        let has_bias = bias.is_some();
-        self.tape.push(
-            y,
-            Some(Box::new(move |g| {
-                let gx = conv_transpose2d_grad_input(&w, g, cfg);
-                let gw = conv_transpose2d_grad_weight(&x, g, kernel_hw, cfg);
-                let mut out = vec![(ids[0], gx), (ids[1], gw)];
-                if has_bias {
-                    out.push((ids[2], conv2d_grad_bias(g)));
-                }
-                out
-            })),
-            None,
+        let wd = weight.dims();
+        let kernel_hw = (wd[2], wd[3]);
+        record_conv(
+            self,
+            weight,
+            bias,
+            |x, w, b| conv_transpose2d(x, w, b, cfg),
+            move |g, w| conv_transpose2d_grad_input(w, g, cfg),
+            move |g, x| conv_transpose2d_grad_weight(x, g, kernel_hw, cfg),
+            conv2d_grad_bias,
         )
     }
 
@@ -169,10 +174,10 @@ impl Var {
         let _t = self
             .tape
             .record_op("max_pool2d", || OpCost::reduction(self.numel()));
-        let (in_dims, r) = self.with_value(|x| (x.dims().to_vec(), max_pool2d(x, kernel, stride)));
+        let r = self.with_value(|x| max_pool2d(x, kernel, stride));
         let indices = r.indices;
-        self.unary(r.output, move |g| {
-            max_pool2d_backward(g, &indices, &in_dims)
+        self.unary(r.output, move |g, x, _| {
+            max_pool2d_backward(g, &indices, x.dims())
         })
     }
 
@@ -197,78 +202,37 @@ impl Var {
         let _t = self
             .tape
             .record_op("batch_norm", || OpCost::elementwise(self.numel()));
-        let gv = gamma.value();
+        let (xi, gi, bi) = (self.id, gamma.id, beta.id);
+        let grads = move |ctx: &BackwardCtx<'_>, (gx, ggamma, gbeta): (Tensor, Tensor, Tensor)| {
+            [(xi, gx), (gi, ggamma), (bi, gbeta)]
+                .into_iter()
+                .filter(|(id, _)| ctx.needs_grad(*id))
+                .collect::<ParentGrads>()
+        };
+        let operands = [self, gamma, beta];
         match running_stats {
             None => {
-                let ctx =
-                    self.with_value(|x| beta.with_value(|bv| batch_norm_train(x, &gv, bv, eps)));
-                let stats = (ctx.mean.clone(), ctx.var.clone());
-                let out_value = ctx.output.clone();
-                let ids = (self.id, gamma.id, beta.id);
-                let var = self.tape.push(
-                    out_value,
-                    Some(Box::new(move |g| {
-                        let (gx, ggamma, gbeta) = batch_norm_backward(g, &ctx, &gv);
-                        vec![(ids.0, gx), (ids.1, ggamma), (ids.2, gbeta)]
-                    })),
-                    None,
-                );
+                let mut ctx = self
+                    .tape
+                    .with_values(&operands, |v| batch_norm_train(v[0], v[1], v[2], eps));
+                // The tape keeps the output; the closure keeps x̂ and the
+                // per-channel inverse std, all `batch_norm_backward` reads.
+                let y = std::mem::take(&mut ctx.output);
+                let stats = (std::mem::take(&mut ctx.mean), std::mem::take(&mut ctx.var));
+                let var = self.tape.push_op(y, move |g, c| {
+                    grads(c, batch_norm_backward(g, &ctx, c.value(gi)))
+                });
                 (var, Some(stats))
             }
             Some((rm, rvar)) => {
-                let y = self.with_value(|x| {
-                    beta.with_value(|bv| batch_norm_eval(x, &gv, bv, rm, rvar, eps))
+                let y = self.tape.with_values(&operands, |v| {
+                    batch_norm_eval(v[0], v[1], v[2], rm, rvar, eps)
                 });
-                // Eval-mode backward: y = gamma * (x - rm) * inv_std + beta.
-                let c = gv.numel();
-                let inv_std: Vec<f32> = rvar.iter().map(|v| 1.0 / (v + eps).sqrt()).collect();
-                let xhat = {
-                    // (x - rm) * inv_std, per channel.
-                    let mut xh = self.value();
-                    let n = xh.dim(0);
-                    let spatial = xh.numel() / (n * c);
-                    let data = xh.as_mut_slice();
-                    for ni in 0..n {
-                        for ci in 0..c {
-                            let base = (ni * c + ci) * spatial;
-                            for i in 0..spatial {
-                                data[base + i] = (data[base + i] - rm[ci]) * inv_std[ci];
-                            }
-                        }
-                    }
-                    xh
-                };
-                let ids = (self.id, gamma.id, beta.id);
-                let var = self.tape.push(
-                    y,
-                    Some(Box::new(move |g| {
-                        let n = g.dim(0);
-                        let spatial = g.numel() / (n * c);
-                        let gd = g.as_slice();
-                        let xh = xhat.as_slice();
-                        let gvd = gv.as_slice();
-                        let mut gx_t = Tensor::zeros(g.shape().clone());
-                        let mut ggamma_t = Tensor::zeros([c]);
-                        let mut gbeta_t = Tensor::zeros([c]);
-                        {
-                            let gx = gx_t.as_mut_slice();
-                            let ggamma = ggamma_t.as_mut_slice();
-                            let gbeta = gbeta_t.as_mut_slice();
-                            for ni in 0..n {
-                                for ci in 0..c {
-                                    let base = (ni * c + ci) * spatial;
-                                    for i in 0..spatial {
-                                        gx[base + i] = gd[base + i] * gvd[ci] * inv_std[ci];
-                                        ggamma[ci] += gd[base + i] * xh[base + i];
-                                        gbeta[ci] += gd[base + i];
-                                    }
-                                }
-                            }
-                        }
-                        vec![(ids.0, gx_t), (ids.1, ggamma_t), (ids.2, gbeta_t)]
-                    })),
-                    None,
-                );
+                let (rm, rvar) = (rm.to_vec(), rvar.to_vec());
+                let var = self.tape.push_op(y, move |g, c| {
+                    let (x, gv) = (c.value(xi), c.value(gi));
+                    grads(c, batch_norm_eval_backward(g, x, gv, &rm, &rvar, eps))
+                });
                 (var, None)
             }
         }
@@ -279,9 +243,9 @@ impl Var {
         let _t = self
             .tape
             .record_op("log_softmax", || OpCost::elementwise(self.numel()));
-        let y = self.with_value(|x| x.log_softmax(axis));
-        let yc = y.clone();
-        self.unary(y, move |g| log_softmax_backward(g, &yc, axis))
+        self.unary(self.with_value(|x| x.log_softmax(axis)), move |g, _, y| {
+            log_softmax_backward(g, y, axis)
+        })
     }
 
     /// Softmax along `axis`.
@@ -289,9 +253,9 @@ impl Var {
         let _t = self
             .tape
             .record_op("softmax", || OpCost::elementwise(self.numel()));
-        let y = self.with_value(|x| x.softmax(axis));
-        let yc = y.clone();
-        self.unary(y, move |g| softmax_backward(g, &yc, axis))
+        self.unary(self.with_value(|x| x.softmax(axis)), move |g, _, y| {
+            softmax_backward(g, y, axis)
+        })
     }
 
     /// Negative log-likelihood of integer targets given log-probabilities
@@ -305,7 +269,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("nll_loss", || OpCost::reduction(self.numel()));
-        let (total, n, c, d, dims) = self.with_value(|lp| {
+        let (total, n, c, d) = self.with_value(|lp| {
             assert!(
                 lp.rank() == 2 || lp.rank() == 3,
                 "nll_loss expects [N, C] or [N, C, D]"
@@ -323,13 +287,13 @@ impl Var {
                     total -= data[(ni * c + t) * d + di];
                 }
             }
-            (total, n, c, d, lp.dims().to_vec())
+            (total, n, c, d)
         });
         let count = (n * d) as f32;
         let targets = targets.to_vec();
-        self.unary(Tensor::scalar(total / count), move |g| {
+        self.unary(Tensor::scalar(total / count), move |g, lp, _| {
             let scale = -g.item() / count;
-            let mut gx_t = Tensor::zeros(dims.clone());
+            let mut gx_t = Tensor::zeros(lp.shape().clone());
             let gx = gx_t.as_mut_slice();
             for ni in 0..n {
                 for di in 0..d {
@@ -357,17 +321,18 @@ impl Var {
         let _t = self
             .tape
             .record_op("bce_with_logits", || OpCost::reduction(self.numel()));
-        let x = self.value();
-        assert_eq!(x.shape(), targets.shape(), "bce target shape mismatch");
-        let n = x.numel() as f32;
-        let total: f32 = x
-            .as_slice()
-            .iter()
-            .zip(targets.as_slice())
-            .map(|(&xi, &yi)| xi.max(0.0) - xi * yi + (1.0 + (-xi.abs()).exp()).ln())
-            .sum();
+        let (total, n) = self.with_value(|x| {
+            assert_eq!(x.shape(), targets.shape(), "bce target shape mismatch");
+            let total: f32 = x
+                .as_slice()
+                .iter()
+                .zip(targets.as_slice())
+                .map(|(&xi, &yi)| xi.max(0.0) - xi * yi + (1.0 + (-xi.abs()).exp()).ln())
+                .sum();
+            (total, x.numel() as f32)
+        });
         let tc = targets.clone();
-        self.unary(Tensor::scalar(total / n), move |g| {
+        self.unary(Tensor::scalar(total / n), move |g, x, _| {
             // d/dx = sigmoid(x) - y.
             x.sigmoid().sub(&tc).mul_scalar(g.item() / n)
         })
@@ -388,7 +353,7 @@ impl Var {
         });
         let n = diff.numel() as f32;
         let loss = diff.square().sum().item() / n;
-        self.unary(Tensor::scalar(loss), move |g| {
+        self.unary(Tensor::scalar(loss), move |g, _, _| {
             diff.mul_scalar(2.0 * g.item() / n)
         })
     }
@@ -401,6 +366,56 @@ mod tests {
     use crate::parameter::Parameter;
     use crate::tape::Tape;
     use hfta_tensor::Rng;
+
+    #[test]
+    fn leaf_inputs_get_no_gradient_and_weight_grads_stay_bitwise() {
+        type Op = fn(&Var, &Var) -> Var;
+        let cases: [(&str, [usize; 4], [usize; 4], Op); 5] = [
+            ("conv2d", [2, 4, 6, 6], [6, 2, 3, 3], |x, w| {
+                x.conv2d(w, None, ConvCfg::square(2, 1, 2))
+            }),
+            ("conv_transpose2d", [2, 4, 3, 3], [4, 3, 4, 4], |x, w| {
+                x.conv_transpose2d(w, None, ConvCfg::square(2, 1, 2))
+            }),
+            ("conv1d", [2, 4, 9, 0], [6, 4, 3, 0], |x, w| {
+                x.conv1d(w, None, 1, 1, 1)
+            }),
+            ("matmul", [3, 4, 0, 0], [4, 5, 0, 0], |x, w| x.matmul(w)),
+            ("bmm", [2, 3, 4, 0], [2, 4, 5, 0], |x, w| x.bmm(w)),
+        ];
+        let mut rng = Rng::seed_from(21);
+        for (name, xd, wd, op) in cases {
+            let dims = |d: [usize; 4]| d.into_iter().filter(|&v| v > 0).collect::<Vec<_>>();
+            let x = rng.randn(dims(xd));
+            let w = Parameter::new(rng.randn(dims(wd)), "w");
+            let mut weight_grads = Vec::new();
+            for x_is_leaf in [true, false] {
+                w.zero_grad();
+                let px = Parameter::new(x.clone(), "x");
+                let tape = Tape::new();
+                let xv = if x_is_leaf {
+                    tape.leaf(x.clone())
+                } else {
+                    tape.param(&px)
+                };
+                let wv = tape.param(&w);
+                let y = op(&xv, &wv);
+                let gy = y.with_value(|v| v.map(|e| (e * 0.7).sin()));
+                let targets = y.grad_targets(&gy);
+                assert_eq!(targets.contains(&xv.id), !x_is_leaf, "{name}: {targets:?}");
+                assert!(targets.contains(&wv.id), "{name}: {targets:?}");
+                y.backward_with(gy);
+                let bits: Vec<u32> = w
+                    .grad_cloned()
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                weight_grads.push(bits);
+            }
+            assert_eq!(weight_grads[0], weight_grads[1], "{name} weight grad");
+        }
+    }
 
     #[test]
     fn conv2d_gradcheck() {

@@ -2,9 +2,14 @@
 //!
 //! Every substantive op opens a forward telemetry span via
 //! `Tape::record_op` before computing; when no profiler is installed the
-//! call is a single branch and the cost closure never runs.
+//! call is a single branch and the cost closure never runs. Forward bodies
+//! borrow their operands in place (`with_value`) and backward closures read
+//! them back from the tape, so no op copies a value the tape already holds.
 
 use hfta_telemetry::OpCost;
+use hfta_tensor::activation::{
+    leaky_relu_backward, relu_backward, sigmoid_backward, tanh_backward,
+};
 use hfta_tensor::Tensor;
 
 use crate::tape::Var;
@@ -22,7 +27,12 @@ impl Var {
         let value = self.with_value(|a| other.with_value(|b| a.add(b)));
         let sa = self.with_value(|a| a.shape().clone());
         let sb = other.with_value(|b| b.shape().clone());
-        self.binary(other, value, move |g| (g.sum_to(&sa), g.sum_to(&sb)))
+        self.binary(
+            other,
+            value,
+            move |g, _, _| g.sum_to(&sa),
+            move |g, _, _| g.sum_to(&sb),
+        )
     }
 
     /// Elementwise subtraction with broadcasting.
@@ -33,7 +43,12 @@ impl Var {
         let value = self.with_value(|a| other.with_value(|b| a.sub(b)));
         let sa = self.with_value(|a| a.shape().clone());
         let sb = other.with_value(|b| b.shape().clone());
-        self.binary(other, value, move |g| (g.sum_to(&sa), g.neg().sum_to(&sb)))
+        self.binary(
+            other,
+            value,
+            move |g, _, _| g.sum_to(&sa),
+            move |g, _, _| g.neg().sum_to(&sb),
+        )
     }
 
     /// Elementwise multiplication with broadcasting.
@@ -41,12 +56,13 @@ impl Var {
         let _t = self.tape.record_op("mul", || {
             OpCost::elementwise(self.numel().max(other.numel()))
         });
-        let (av, bv) = (self.value(), other.value());
-        let (sa, sb) = (av.shape().clone(), bv.shape().clone());
-        let value = av.mul(&bv);
-        self.binary(other, value, move |g| {
-            (g.mul(&bv).sum_to(&sa), g.mul(&av).sum_to(&sb))
-        })
+        let value = self.with_value(|a| other.with_value(|b| a.mul(b)));
+        self.binary(
+            other,
+            value,
+            |g, a, b| g.mul(b).sum_to(a.shape()),
+            |g, a, b| g.mul(a).sum_to(b.shape()),
+        )
     }
 
     /// Elementwise division with broadcasting.
@@ -54,14 +70,13 @@ impl Var {
         let _t = self.tape.record_op("div", || {
             OpCost::elementwise(self.numel().max(other.numel()))
         });
-        let (av, bv) = (self.value(), other.value());
-        let (sa, sb) = (av.shape().clone(), bv.shape().clone());
-        let value = av.div(&bv);
-        self.binary(other, value, move |g| {
-            let ga = g.div(&bv).sum_to(&sa);
-            let gb = g.mul(&av).neg().div(&bv.square()).sum_to(&sb);
-            (ga, gb)
-        })
+        let value = self.with_value(|a| other.with_value(|b| a.div(b)));
+        self.binary(
+            other,
+            value,
+            |g, a, b| g.div(b).sum_to(a.shape()),
+            |g, a, b| g.mul(a).neg().div(&b.square()).sum_to(b.shape()),
+        )
     }
 
     /// Adds a scalar.
@@ -69,7 +84,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("add_scalar", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.add_scalar(s)), |g| g.clone())
+        self.unary(self.with_value(|x| x.add_scalar(s)), |g, _, _| g.clone())
     }
 
     /// Multiplies by a scalar.
@@ -77,7 +92,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("mul_scalar", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.mul_scalar(s)), move |g| {
+        self.unary(self.with_value(|x| x.mul_scalar(s)), move |g, _, _| {
             g.mul_scalar(s)
         })
     }
@@ -87,7 +102,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("neg", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.neg()), |g| g.neg())
+        self.unary(self.with_value(|x| x.neg()), |g, _, _| g.neg())
     }
 
     // ------------------------------------------------------------------
@@ -99,8 +114,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("relu", || OpCost::elementwise(self.numel()));
-        let mask = self.with_value(|x| x.gt_mask(&Tensor::scalar(0.0)));
-        self.unary(self.with_value(|x| x.relu()), move |g| g.mul(&mask))
+        self.unary(self.with_value(|x| x.relu()), |g, x, _| relu_backward(g, x))
     }
 
     /// Leaky ReLU with the given negative slope.
@@ -108,9 +122,8 @@ impl Var {
         let _t = self
             .tape
             .record_op("leaky_relu", || OpCost::elementwise(self.numel()));
-        let dmask = self.with_value(|v| v.map(|x| if x >= 0.0 { 1.0 } else { slope }));
-        self.unary(self.with_value(|v| v.leaky_relu(slope)), move |g| {
-            g.mul(&dmask)
+        self.unary(self.with_value(|x| x.leaky_relu(slope)), move |g, x, _| {
+            leaky_relu_backward(g, x, slope)
         })
     }
 
@@ -119,9 +132,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("tanh", || OpCost::elementwise(self.numel()));
-        let y = self.with_value(|x| x.tanh());
-        let yc = y.clone();
-        self.unary(y, move |g| g.mul(&yc.square().neg().add_scalar(1.0)))
+        self.unary(self.with_value(|x| x.tanh()), |g, _, y| tanh_backward(g, y))
     }
 
     /// Logistic sigmoid.
@@ -129,9 +140,9 @@ impl Var {
         let _t = self
             .tape
             .record_op("sigmoid", || OpCost::elementwise(self.numel()));
-        let y = self.with_value(|x| x.sigmoid());
-        let yc = y.clone();
-        self.unary(y, move |g| g.mul(&yc).mul(&yc.neg().add_scalar(1.0)))
+        self.unary(self.with_value(|x| x.sigmoid()), |g, _, y| {
+            sigmoid_backward(g, y)
+        })
     }
 
     /// Natural exponential.
@@ -139,9 +150,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("exp", || OpCost::elementwise(self.numel()));
-        let y = self.with_value(|x| x.exp());
-        let yc = y.clone();
-        self.unary(y, move |g| g.mul(&yc))
+        self.unary(self.with_value(|x| x.exp()), |g, _, y| g.mul(y))
     }
 
     /// Natural logarithm.
@@ -149,9 +158,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("ln", || OpCost::elementwise(self.numel()));
-        let x = self.value();
-        let value = x.ln();
-        self.unary(value, move |g| g.div(&x))
+        self.unary(self.with_value(|x| x.ln()), |g, x, _| g.div(x))
     }
 
     /// Elementwise square.
@@ -159,9 +166,9 @@ impl Var {
         let _t = self
             .tape
             .record_op("square", || OpCost::elementwise(self.numel()));
-        let x = self.value();
-        let value = x.square();
-        self.unary(value, move |g| g.mul(&x).mul_scalar(2.0))
+        self.unary(self.with_value(|x| x.square()), |g, x, _| {
+            g.mul(x).mul_scalar(2.0)
+        })
     }
 
     /// Multiplies elementwise by a *constant* tensor (no gradient into the
@@ -174,10 +181,9 @@ impl Var {
         let _t = self
             .tape
             .record_op("mul_const", || OpCost::elementwise(self.numel()));
-        let shape = self.with_value(|v| v.shape().clone());
         let cc = c.clone();
-        self.unary(self.with_value(|v| v.mul(c)), move |g| {
-            g.mul(&cc).sum_to(&shape)
+        self.unary(self.with_value(|v| v.mul(c)), move |g, x, _| {
+            g.mul(&cc).sum_to(x.shape())
         })
     }
 
@@ -190,8 +196,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("add_const", || OpCost::elementwise(self.numel()));
-        let shape = self.with_value(|v| v.shape().clone());
-        self.unary(self.with_value(|v| v.add(c)), move |g| g.sum_to(&shape))
+        self.unary(self.with_value(|v| v.add(c)), |g, x, _| g.sum_to(x.shape()))
     }
 
     // ------------------------------------------------------------------
@@ -203,9 +208,8 @@ impl Var {
         let _t = self
             .tape
             .record_op("sum", || OpCost::reduction(self.numel()));
-        let shape = self.with_value(|v| v.shape().clone());
-        self.unary(self.with_value(|v| v.sum()), move |g| {
-            Tensor::full(shape.clone(), g.item())
+        self.unary(self.with_value(|v| v.sum()), |g, x, _| {
+            Tensor::full(x.shape().clone(), g.item())
         })
     }
 
@@ -214,10 +218,8 @@ impl Var {
         let _t = self
             .tape
             .record_op("mean", || OpCost::reduction(self.numel()));
-        let shape = self.with_value(|v| v.shape().clone());
-        let n = shape.numel() as f32;
-        self.unary(self.with_value(|v| v.mean()), move |g| {
-            Tensor::full(shape.clone(), g.item() / n)
+        self.unary(self.with_value(|v| v.mean()), |g, x, _| {
+            Tensor::full(x.shape().clone(), g.item() / x.numel() as f32)
         })
     }
 
@@ -226,10 +228,9 @@ impl Var {
         let _t = self
             .tape
             .record_op("sum_axis", || OpCost::reduction(self.numel()));
-        let shape = self.with_value(|v| v.shape().clone());
-        self.unary(self.with_value(|v| v.sum_axis(axis, true)), move |g| {
+        self.unary(self.with_value(|v| v.sum_axis(axis, true)), |g, x, _| {
             // Broadcast the reduced gradient back across the axis.
-            Tensor::zeros(shape.clone()).add(g)
+            Tensor::zeros(x.shape().clone()).add(g)
         })
     }
 
@@ -244,24 +245,17 @@ impl Var {
         let _t = self
             .tape
             .record_op("max_axis", || OpCost::reduction(self.numel()));
-        let (out, indices, in_dims, n) = self.with_value(|v| {
-            let (out, indices) = v.max_axis_with_indices(axis);
-            (out, indices, v.dims().to_vec(), v.dim(axis))
-        });
-        let (outer, inner) = {
-            let outer: usize = in_dims[..axis].iter().product();
-            let inner: usize = in_dims[axis + 1..].iter().product();
-            (outer, inner)
-        };
-        self.unary(out, move |g| {
+        let (out, indices) = self.with_value(|v| v.max_axis_with_indices(axis));
+        self.unary(out, move |g, x, _| {
+            let dims = x.dims();
+            let n = dims[axis];
+            let inner: usize = dims[axis + 1..].iter().product();
             let gd = g.as_slice();
-            let mut gx_t = Tensor::zeros(in_dims.clone());
+            let mut gx_t = Tensor::zeros(dims);
             let gx = gx_t.as_mut_slice();
-            for o in 0..outer {
-                for i in 0..inner {
-                    let k = indices[o * inner + i];
-                    gx[(o * n + k) * inner + i] += gd[o * inner + i];
-                }
+            for (oi, (&k, &gv)) in indices.iter().zip(gd).enumerate() {
+                let (o, i) = (oi / inner, oi % inner);
+                gx[(o * n + k) * inner + i] += gv;
             }
             gx_t
         })
@@ -280,9 +274,8 @@ impl Var {
         let _t = self
             .tape
             .record_op("reshape", || OpCost::elementwise(self.numel()));
-        let old = self.with_value(|v| v.dims().to_vec());
-        self.unary(self.with_value(|v| v.reshape(dims)), move |g| {
-            g.reshape(&old)
+        self.unary(self.with_value(|v| v.reshape(dims)), |g, x, _| {
+            g.reshape(x.dims())
         })
     }
 
@@ -291,10 +284,10 @@ impl Var {
         let _t = self
             .tape
             .record_op("flatten", || OpCost::elementwise(self.numel()));
-        let old = self.with_value(|v| v.dims().to_vec());
-        self.unary(self.with_value(|v| v.flatten_from(start_axis)), move |g| {
-            g.reshape(&old)
-        })
+        self.unary(
+            self.with_value(|v| v.flatten_from(start_axis)),
+            |g, x, _| g.reshape(x.dims()),
+        )
     }
 
     /// Permutes axes.
@@ -306,12 +299,11 @@ impl Var {
         let _t = self
             .tape
             .record_op("permute", || OpCost::elementwise(self.numel()));
-        let order = order.to_vec();
         let mut inverse = vec![0usize; order.len()];
         for (i, &a) in order.iter().enumerate() {
             inverse[a] = i;
         }
-        self.unary(self.with_value(|v| v.permute(&order)), move |g| {
+        self.unary(self.with_value(|v| v.permute(order)), move |g, _, _| {
             g.permute(&inverse)
         })
     }
@@ -328,12 +320,14 @@ impl Var {
         let _t = self
             .tape
             .record_op("narrow", || OpCost::elementwise(self.numel()));
-        let dims = self.with_value(|v| v.dims().to_vec());
-        self.unary(self.with_value(|v| v.narrow(axis, start, len)), move |g| {
-            let mut gx = Tensor::zeros(dims.clone());
-            gx.narrow_assign(axis, start, g);
-            gx
-        })
+        self.unary(
+            self.with_value(|v| v.narrow(axis, start, len)),
+            move |g, x, _| {
+                let mut gx = Tensor::zeros(x.shape().clone());
+                gx.narrow_assign(axis, start, g);
+                gx
+            },
+        )
     }
 
     /// Concatenates variables along `axis`.
@@ -347,23 +341,22 @@ impl Var {
         let _t = tape.record_op("concat", || {
             OpCost::elementwise(vars.iter().map(|v| v.numel()).sum())
         });
-        let values: Vec<Tensor> = vars.iter().map(|v| v.value()).collect();
-        let value = Tensor::concat(&values.iter().collect::<Vec<_>>(), axis);
+        let (value, sizes) = tape.with_values(vars, |values| {
+            let sizes: Vec<usize> = values.iter().map(|v| v.dim(axis)).collect();
+            (Tensor::concat(values, axis), sizes)
+        });
         let ids: Vec<usize> = vars.iter().map(|v| v.id).collect();
-        let sizes: Vec<usize> = values.iter().map(|v| v.dim(axis)).collect();
-        tape.push(
-            value,
-            Some(Box::new(move |g| {
-                let mut out = Vec::with_capacity(ids.len());
-                let mut off = 0;
-                for (i, &id) in ids.iter().enumerate() {
-                    out.push((id, g.narrow(axis, off, sizes[i])));
-                    off += sizes[i];
+        tape.push_op(value, move |g, ctx| {
+            let mut out = Vec::with_capacity(ids.len());
+            let mut off = 0;
+            for (&id, &size) in ids.iter().zip(&sizes) {
+                if ctx.needs_grad(id) {
+                    out.push((id, g.narrow(axis, off, size)));
                 }
-                out
-            })),
-            None,
-        )
+                off += size;
+            }
+            out
+        })
     }
 
     // ------------------------------------------------------------------
@@ -376,9 +369,13 @@ impl Var {
             let (a, b) = (self.dims(), other.dims());
             OpCost::matmul(1, a[0], a[1], b[1])
         });
-        let (a, b) = (self.value(), other.value());
-        let value = a.matmul(&b);
-        self.binary(other, value, move |g| (g.matmul(&b.t()), a.t().matmul(g)))
+        let value = self.with_value(|a| other.with_value(|b| a.matmul(b)));
+        self.binary(
+            other,
+            value,
+            |g, _, b| g.matmul(&b.t()),
+            |g, a, _| a.t().matmul(g),
+        )
     }
 
     /// Batched matrix product `[B, m, k] x [B, k, n]`.
@@ -387,9 +384,8 @@ impl Var {
             let (a, b) = (self.dims(), other.dims());
             OpCost::matmul(a[0], a[1], a[2], b[2])
         });
-        let (a, b) = (self.value(), other.value());
-        let value = a.bmm(&b);
-        self.binary(other, value, move |g| (g.bmm_nt(&b), a.bmm_tn(g)))
+        let value = self.with_value(|a| other.with_value(|b| a.bmm(b)));
+        self.binary(other, value, |g, _, b| g.bmm_nt(b), |g, a, _| a.bmm_tn(g))
     }
 
     /// Batched `bias + self @ other` with broadcastable bias — the fused

@@ -32,11 +32,12 @@ fn every_op_is_sampled_once_forward_and_once_backward() {
         .backward();
 
     // (op, analytic forward FLOPs, parent gradients of its backward node).
+    // The conv's input `x` is a plain leaf, so only its weight gets one.
     let expected: [(&str, f64, f64); 8] = [
         (
             "conv2d",
             2.0 * (2 * 8 * 16 * 16) as f64 * (4 * 3 * 3) as f64,
-            2.0,
+            1.0,
         ),
         ("relu", (2 * 8 * 16 * 16) as f64, 1.0),
         ("flatten", (2 * 8 * 16 * 16) as f64, 1.0),

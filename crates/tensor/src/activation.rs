@@ -1,6 +1,40 @@
-//! Softmax-family kernels along an arbitrary axis.
+//! Activation gradients and softmax-family kernels.
+//!
+//! Each gradient is one pass that reads the upstream gradient and the one
+//! saved operand it needs — the activation's input `x` or its output `y` —
+//! and writes every element once. Masks are selects, not branches, and the
+//! per-element IEEE operations are the ones the old mask-then-multiply
+//! passes performed, in the same order.
 
 use crate::tensor::Tensor;
+
+/// Gradient of [`Tensor::relu`]: `gy * (x > 0 ? 1 : 0)`. The mask comes
+/// from `x`, not the output: `y = 0` cannot tell `x = 0` from `x < 0`.
+pub fn relu_backward(gy: &Tensor, x: &Tensor) -> Tensor {
+    gy.zip(x, |g, x| g * if x > 0.0 { 1.0 } else { 0.0 })
+}
+
+/// Gradient of [`Tensor::leaky_relu`]: `gy * (x >= 0 ? 1 : slope)`. The
+/// mask comes from `x`: the output's sign is lost where `x * slope`
+/// underflows to `-0.0`.
+pub fn leaky_relu_backward(gy: &Tensor, x: &Tensor, negative_slope: f32) -> Tensor {
+    gy.zip(x, move |g, x| {
+        // Read the slope before the select: a read inside the `else` arm
+        // is a conditional load, which keeps the branch in the loop.
+        let slope = negative_slope;
+        g * if x >= 0.0 { 1.0 } else { slope }
+    })
+}
+
+/// Gradient of [`Tensor::tanh`] from its output: `gy * (1 - y²)`.
+pub fn tanh_backward(gy: &Tensor, y: &Tensor) -> Tensor {
+    gy.zip(y, |g, y| g * (-(y * y) + 1.0))
+}
+
+/// Gradient of [`Tensor::sigmoid`] from its output: `gy * y * (1 - y)`.
+pub fn sigmoid_backward(gy: &Tensor, y: &Tensor) -> Tensor {
+    gy.zip(y, |g, y| g * y * (-y + 1.0))
+}
 
 impl Tensor {
     /// Numerically stable softmax along `axis`.

@@ -406,6 +406,21 @@ pub fn conv_transpose2d_grad_weight(
     conv2d_grad_weight(gy, x, kernel_hw, cfg)
 }
 
+/// The 2-D view of a 1-D convolution: a unit height axis.
+fn conv1d_cfg(stride: usize, padding: usize, groups: usize) -> ConvCfg {
+    ConvCfg {
+        stride: (1, stride),
+        padding: (0, padding),
+        groups,
+    }
+}
+
+/// `[N, C, L]` as `[N, C, 1, L]` (and weights `[Cout, Cin/g, k]` as
+/// `[Cout, Cin/g, 1, k]`).
+fn unit_height(t: &Tensor) -> Tensor {
+    t.reshape(&[t.dim(0), t.dim(1), 1, t.dim(2)])
+}
+
 /// 1-D convolution: `x [N, Cin, L]`, `w [Cout, Cin/g, k]` → `[N, Cout, Lo]`.
 ///
 /// Delegates to [`conv2d`] with a unit height axis.
@@ -423,42 +438,45 @@ pub fn conv1d(
 ) -> Tensor {
     assert_eq!(x.rank(), 3, "conv1d input must be [N, C, L]");
     assert_eq!(w.rank(), 3, "conv1d weight must be [Cout, Cin/g, k]");
-    let x4 = x.reshape(&[x.dim(0), x.dim(1), 1, x.dim(2)]);
-    let w4 = w.reshape(&[w.dim(0), w.dim(1), 1, w.dim(2)]);
-    let cfg = ConvCfg {
-        stride: (1, stride),
-        padding: (0, padding),
-        groups,
-    };
-    let y = conv2d(&x4, &w4, b, cfg);
+    let cfg = conv1d_cfg(stride, padding, groups);
+    let y = conv2d(&unit_height(x), &unit_height(w), b, cfg);
     y.reshape(&[y.dim(0), y.dim(1), y.dim(3)])
 }
 
-/// Gradients of [`conv1d`]: `(grad_input, grad_weight, grad_bias)`.
-pub fn conv1d_backward(
-    x: &Tensor,
+/// Gradient of [`conv1d`] with respect to its input of length `len` and
+/// `cin` channels.
+pub fn conv1d_grad_input(
     w: &Tensor,
     gy: &Tensor,
+    (cin, len): (usize, usize),
     stride: usize,
     padding: usize,
     groups: usize,
-) -> (Tensor, Tensor, Tensor) {
-    let x4 = x.reshape(&[x.dim(0), x.dim(1), 1, x.dim(2)]);
-    let w4 = w.reshape(&[w.dim(0), w.dim(1), 1, w.dim(2)]);
-    let gy4 = gy.reshape(&[gy.dim(0), gy.dim(1), 1, gy.dim(2)]);
-    let cfg = ConvCfg {
-        stride: (1, stride),
-        padding: (0, padding),
-        groups,
-    };
-    let gx = conv2d_grad_input(&w4, &gy4, (1, x.dim(2)), x.dim(1), cfg);
-    let gw = conv2d_grad_weight(&x4, &gy4, (1, w.dim(2)), cfg);
-    let gb = conv2d_grad_bias(&gy4);
-    (
-        gx.reshape(&[x.dim(0), x.dim(1), x.dim(2)]),
-        gw.reshape(&[w.dim(0), w.dim(1), w.dim(2)]),
-        gb,
-    )
+) -> Tensor {
+    let cfg = conv1d_cfg(stride, padding, groups);
+    let gx = conv2d_grad_input(&unit_height(w), &unit_height(gy), (1, len), cin, cfg);
+    gx.reshape(&[gy.dim(0), cin, len])
+}
+
+/// Gradient of [`conv1d`] with respect to its weight of kernel size `k`.
+pub fn conv1d_grad_weight(
+    x: &Tensor,
+    gy: &Tensor,
+    k: usize,
+    stride: usize,
+    padding: usize,
+    groups: usize,
+) -> Tensor {
+    let cfg = conv1d_cfg(stride, padding, groups);
+    let gw = conv2d_grad_weight(&unit_height(x), &unit_height(gy), (1, k), cfg);
+    gw.reshape(&[gw.dim(0), gw.dim(1), k])
+}
+
+/// Gradient of [`conv1d`] with respect to its bias: `gy` summed over batch
+/// and length (the sums [`conv2d_grad_bias`] takes over the unit-height
+/// view, whose extra size-1 reduction adds each sum to `+0.0` unchanged).
+pub fn conv1d_grad_bias(gy: &Tensor) -> Tensor {
+    gy.sum_axis(2, false).sum_axis(0, false)
 }
 
 #[cfg(test)]
@@ -907,10 +925,16 @@ mod tests {
         let y = conv1d(&x, &w, None, 1, 1, 1);
         assert_eq!(y.dims(), &[2, 4, 10]);
         let gy = randn(y.dims(), 83);
-        let (gx, gw, gb) = conv1d_backward(&x, &w, &gy, 1, 1, 1);
+        let gx = conv1d_grad_input(&w, &gy, (3, 10), 1, 1, 1);
+        let gw = conv1d_grad_weight(&x, &gy, 3, 1, 1, 1);
+        let gb = conv1d_grad_bias(&gy);
         assert_eq!(gx.dims(), x.dims());
         assert_eq!(gw.dims(), w.dims());
         assert_eq!(gb.dims(), &[4]);
+        assert_eq!(
+            bits(&gb),
+            bits(&conv2d_grad_bias(&gy.reshape(&[2, 4, 1, 10])))
+        );
     }
 
     #[test]
@@ -1041,7 +1065,8 @@ mod tests {
             prop_assert_eq!(bits(&y).1, bits(&oracle_conv2d(&x4, &w4, Some(&bias), cfg)).1);
             let gy = randn(y.dims(), seed + 3);
             let gy4 = gy.reshape(&[n, g * coutg, 1, lo]);
-            let (gx, gw, _) = conv1d_backward(&x, &w, &gy, stride, padding, g);
+            let gx = conv1d_grad_input(&w, &gy, (g * cing, len), stride, padding, g);
+            let gw = conv1d_grad_weight(&x, &gy, k, stride, padding, g);
             let want_gx = oracle_grad_input(&w4, &gy4, (1, len), g * cing, cfg);
             prop_assert_eq!(bits(&gx).1, bits(&want_gx).1);
             prop_assert_eq!(bits(&gw).1, bits(&oracle_grad_weight(&x4, &gy4, (1, k), cfg)).1);

@@ -192,8 +192,20 @@ impl Tensor {
     }
 
     /// Elementwise leaky ReLU with the given negative slope.
+    ///
+    /// Both candidates are computed and one is selected, so the pass
+    /// compiles to a vector blend instead of a branch that mispredicts on
+    /// every sign change; the selected value is the same IEEE result the
+    /// branch produced.
     pub fn leaky_relu(&self, negative_slope: f32) -> Tensor {
-        self.map(|v| if v >= 0.0 { v } else { v * negative_slope })
+        self.map(|v| {
+            let scaled = v * negative_slope;
+            if v >= 0.0 {
+                v
+            } else {
+                scaled
+            }
+        })
     }
 
     /// Clamps every element into `[lo, hi]`.

@@ -4,9 +4,19 @@
 //! `BatchNorm1d` (`[N, C]` / `[N, C, L]`) and `BatchNorm2d` (`[N, C, H, W]`)
 //! cases. The HFTA fusion of `B` batch-norms simply widens the channel axis
 //! to `B * C` — these kernels are oblivious to the fusion.
+//!
+//! Every per-channel statistic pair — forward `(Σx, Σx²)`, training
+//! backward `(Σgy, Σgy·x̂)`, evaluation backward `(Σgy·x̂, Σgy)` — comes
+//! from one pass that advances [`CHAINS`] channels' accumulation chains
+//! together. Each chain keeps one fixed order (elements ascending within a
+//! sample; training statistics add per-sample partials into a
+//! cross-sample total, the evaluation backward runs one chain across
+//! samples), so results are bit-identical to one channel at a time and at
+//! any thread count; interleaving only lets the independent adds overlap
+//! in the pipeline instead of each waiting on its predecessor.
 
 use crate::tensor::{Tensor, ELEMWISE_GRAIN};
-use hfta_kernels::{self as kernels, UnsafeSlice};
+use hfta_kernels as kernels;
 
 /// Saved context from a batch-norm forward pass, consumed by
 /// [`batch_norm_backward`].
@@ -24,6 +34,10 @@ pub struct BatchNormOutput {
     pub var: Vec<f32>,
 }
 
+/// Channels whose accumulation chains one statistics pass advances
+/// together.
+const CHAINS: usize = 8;
+
 fn check_bn_input(x: &Tensor) -> (usize, usize, usize) {
     assert!(
         (2..=4).contains(&x.rank()),
@@ -36,38 +50,136 @@ fn check_bn_input(x: &Tensor) -> (usize, usize, usize) {
     (n, c, spatial)
 }
 
-/// Per-channel sums of `f(value, aux_value)` over batch and spatial axes.
-///
-/// Channel-outer so the channels fan out across the worker pool; each
-/// channel's reduction stays on one thread and walks samples in ascending
-/// order (one per-sample partial sum, then the cross-sample total), so the
-/// result is bit-identical at any thread count.
-fn per_channel_sum(
-    x: &[f32],
-    aux: &[f32],
-    n: usize,
-    c: usize,
-    spatial: usize,
-    f: impl Fn(f32, f32) -> f32 + Sync,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; c];
-    let grain = (ELEMWISE_GRAIN / (n * spatial).max(1)).max(1);
+/// The two sums of each lane of a channel block: `[Σ p; CHAINS]`,
+/// `[Σ q; CHAINS]`. Two arrays, not pairs, so each sum's lanes sit side by
+/// side and their adds vectorize.
+type BlockSums = [[f32; CHAINS]; 2];
+
+/// Per-channel statistic pairs: `block(channels)` computes the sums of one
+/// block of [`CHAINS`] channels (a tail block repeats its last channel in
+/// the spare lanes, whose results are dropped); blocks spread across the
+/// worker pool, about [`ELEMWISE_GRAIN`] elements per chunk.
+fn per_channel(
+    (n, c, spatial): (usize, usize, usize),
+    block: impl Fn([usize; CHAINS]) -> BlockSums + Sync,
+) -> Vec<[f32; 2]> {
+    let mut out = vec![[0.0f32; 2]; c];
+    let grain = (ELEMWISE_GRAIN / (n * spatial))
+        .max(1)
+        .next_multiple_of(CHAINS);
     kernels::for_each_chunk_mut(&mut out, grain, |start, chunk| {
-        for (rel, slot) in chunk.iter_mut().enumerate() {
-            let ci = start + rel;
-            let mut total = 0.0f32;
-            for ni in 0..n {
-                let base = (ni * c + ci) * spatial;
-                let mut acc = 0.0f32;
-                for i in 0..spatial {
-                    acc += f(x[base + i], aux[base + i]);
-                }
-                total += acc;
+        for (k, pairs) in chunk.chunks_mut(CHAINS).enumerate() {
+            let c0 = start + k * CHAINS;
+            let last = c0 + pairs.len() - 1;
+            let [p, q] = block(std::array::from_fn(|j| (c0 + j).min(last)));
+            for (j, pair) in pairs.iter_mut().enumerate() {
+                *pair = [p[j], q[j]];
             }
-            *slot = total;
         }
     });
     out
+}
+
+/// Sample `ni`'s row of each channel in `channels`, as slices of `data`.
+fn rows(
+    data: &[f32],
+    ni: usize,
+    channels: [usize; CHAINS],
+    (c, spatial): (usize, usize),
+) -> [&[f32]; CHAINS] {
+    channels.map(|ci| &data[(ni * c + ci) * spatial..][..spatial])
+}
+
+/// `sums` plus `f(lane, a, b)` at every position of one sample's rows,
+/// added into the lanes' two chains in position order.
+#[inline(always)]
+fn accumulate(
+    mut sums: BlockSums,
+    a: [&[f32]; CHAINS],
+    b: [&[f32]; CHAINS],
+    f: impl Fn(usize, f32, f32) -> (f32, f32),
+) -> BlockSums {
+    for i in 0..a[0].len() {
+        let va: [f32; CHAINS] = std::array::from_fn(|j| a[j][i]);
+        let vb: [f32; CHAINS] = std::array::from_fn(|j| b[j][i]);
+        for j in 0..CHAINS {
+            let (p, q) = f(j, va[j], vb[j]);
+            sums[0][j] += p;
+            sums[1][j] += q;
+        }
+    }
+    sums
+}
+
+/// Per-channel `[Σ p, Σ q]` of `(p, q) = f(a, b)` over each channel's
+/// elements: a partial per sample, then the cross-sample total.
+fn channel_sums(
+    a: &[f32],
+    b: &[f32],
+    dims: (usize, usize, usize),
+    f: impl Fn(f32, f32) -> (f32, f32) + Sync,
+) -> Vec<[f32; 2]> {
+    let (n, c, spatial) = dims;
+    per_channel(dims, |channels| {
+        let mut total = [[0.0f32; CHAINS]; 2];
+        for ni in 0..n {
+            let (ra, rb) = (
+                rows(a, ni, channels, (c, spatial)),
+                rows(b, ni, channels, (c, spatial)),
+            );
+            let partial = accumulate([[0.0; CHAINS]; 2], ra, rb, |_, x, y| f(x, y));
+            for (t, p) in total.iter_mut().flatten().zip(partial.iter().flatten()) {
+                *t += p;
+            }
+        }
+        total
+    })
+}
+
+/// Writes every element of `out` as `f(channel, a, b)` of the same
+/// position in `a` and `b`, rows spread across the worker pool. Each
+/// element is written once, so `out` may start unfilled.
+fn map_rows(
+    out: &mut Tensor,
+    a: &[f32],
+    b: &[f32],
+    (_, c, spatial): (usize, usize, usize),
+    f: impl Fn(usize, f32, f32) -> f32 + Sync,
+) {
+    let grain = (ELEMWISE_GRAIN / spatial).max(1) * spatial;
+    kernels::for_each_chunk_mut(out.as_mut_slice(), grain, |start, chunk| {
+        let span = start..start + chunk.len();
+        rows_into(
+            chunk,
+            &a[span.clone()],
+            &b[span],
+            (start / spatial, c, spatial),
+            &f,
+        );
+    });
+}
+
+/// The loop of [`map_rows`] over whole rows from row `row0`, out of line
+/// so `out` arrives as a `&mut` argument: only then is it known not to
+/// alias the inputs or `f`'s per-channel tables, and the rows vectorize.
+#[inline(never)]
+fn rows_into(
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    (row0, c, spatial): (usize, usize, usize),
+    f: &impl Fn(usize, f32, f32) -> f32,
+) {
+    let rows = out
+        .chunks_mut(spatial)
+        .zip(a.chunks(spatial))
+        .zip(b.chunks(spatial));
+    for (k, ((o, a), b)) in rows.enumerate() {
+        let ci = (row0 + k) % c;
+        for ((o, &x), &y) in o.iter_mut().zip(a).zip(b) {
+            *o = f(ci, x, y);
+        }
+    }
 }
 
 /// Batch normalization in **training** mode.
@@ -80,44 +192,27 @@ fn per_channel_sum(
 ///
 /// Panics on rank/shape inconsistencies.
 pub fn batch_norm_train(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> BatchNormOutput {
-    let (n, c, spatial) = check_bn_input(x);
+    let dims @ (n, c, spatial) = check_bn_input(x);
     assert_eq!(gamma.dims(), &[c], "gamma must be [C]");
     assert_eq!(beta.dims(), &[c], "beta must be [C]");
     let count = (n * spatial) as f32;
     let xd = x.as_slice();
-    let sums = per_channel_sum(xd, xd, n, c, spatial, |v, _| v);
-    let mean: Vec<f32> = sums.iter().map(|s| s / count).collect();
-    let sq_sums = per_channel_sum(xd, xd, n, c, spatial, |v, _| v * v);
-    let var: Vec<f32> = sq_sums
+    let sums = channel_sums(xd, xd, dims, |v, _| (v, v * v));
+    let mean: Vec<f32> = sums.iter().map(|s| s[0] / count).collect();
+    let var: Vec<f32> = sums
         .iter()
         .zip(&mean)
-        .map(|(s, m)| (s / count - m * m).max(0.0))
+        .map(|(s, m)| (s[1] / count - m * m).max(0.0))
         .collect();
     let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + eps).sqrt()).collect();
-    let g = gamma.as_slice();
-    let bt = beta.as_slice();
-    let mut xhat = Tensor::zeros(x.shape().clone());
-    let mut out = Tensor::zeros(x.shape().clone());
-    {
-        let xhat_s = UnsafeSlice::new(xhat.as_mut_slice());
-        let out_s = UnsafeSlice::new(out.as_mut_slice());
-        let grain = (ELEMWISE_GRAIN / spatial.max(1)).max(1);
-        kernels::parallel_for_work(n * c, grain, n * c * spatial, |range| {
-            for idx in range {
-                let ci = idx % c;
-                let base = idx * spatial;
-                // SAFETY: each (sample, channel) index owns a disjoint block.
-                let xh = unsafe { xhat_s.slice_mut(base..base + spatial) };
-                let ob = unsafe { out_s.slice_mut(base..base + spatial) };
-                let (m, is, gv, bv) = (mean[ci], inv_std[ci], g[ci], bt[ci]);
-                for i in 0..spatial {
-                    let h = (xd[base + i] - m) * is;
-                    xh[i] = h;
-                    ob[i] = gv * h + bv;
-                }
-            }
-        });
-    }
+    let (g, bt) = (gamma.as_slice(), beta.as_slice());
+    let mut xhat = Tensor::unfilled(x.shape().clone());
+    map_rows(&mut xhat, xd, xd, dims, |ci, v, _| {
+        (v - mean[ci]) * inv_std[ci]
+    });
+    let mut out = Tensor::unfilled(x.shape().clone());
+    let xh = xhat.as_slice();
+    map_rows(&mut out, xh, xh, dims, |ci, h, _| g[ci] * h + bt[ci]);
     BatchNormOutput {
         output: out,
         xhat,
@@ -141,29 +236,16 @@ pub fn batch_norm_eval(
     running_var: &[f32],
     eps: f32,
 ) -> Tensor {
-    let (n, c, spatial) = check_bn_input(x);
+    let dims @ (_, c, _) = check_bn_input(x);
     assert_eq!(running_mean.len(), c, "running mean must be [C]");
     assert_eq!(running_var.len(), c, "running var must be [C]");
     let xd = x.as_slice();
-    let g = gamma.as_slice();
-    let bt = beta.as_slice();
-    let mut out = Tensor::zeros(x.shape().clone());
-    {
-        let out_s = UnsafeSlice::new(out.as_mut_slice());
-        let grain = (ELEMWISE_GRAIN / spatial.max(1)).max(1);
-        kernels::parallel_for_work(n * c, grain, n * c * spatial, |range| {
-            for idx in range {
-                let ci = idx % c;
-                let base = idx * spatial;
-                // SAFETY: each (sample, channel) index owns a disjoint block.
-                let ob = unsafe { out_s.slice_mut(base..base + spatial) };
-                let is = 1.0 / (running_var[ci] + eps).sqrt();
-                for i in 0..spatial {
-                    ob[i] = g[ci] * (xd[base + i] - running_mean[ci]) * is + bt[ci];
-                }
-            }
-        });
-    }
+    let (g, bt) = (gamma.as_slice(), beta.as_slice());
+    let inv_std: Vec<f32> = running_var.iter().map(|v| 1.0 / (v + eps).sqrt()).collect();
+    let mut out = Tensor::unfilled(x.shape().clone());
+    map_rows(&mut out, xd, xd, dims, |ci, v, _| {
+        g[ci] * (v - running_mean[ci]) * inv_std[ci] + bt[ci]
+    });
     out
 }
 
@@ -177,36 +259,82 @@ pub fn batch_norm_backward(
     ctx: &BatchNormOutput,
     gamma: &Tensor,
 ) -> (Tensor, Tensor, Tensor) {
-    let (n, c, spatial) = check_bn_input(gy);
+    let dims @ (n, c, spatial) = check_bn_input(gy);
     let count = (n * spatial) as f32;
     let gyd = gy.as_slice();
     let xh = ctx.xhat.as_slice();
     let g = gamma.as_slice();
-    let sum_gy = per_channel_sum(gyd, xh, n, c, spatial, |a, _| a);
-    let sum_gy_xhat = per_channel_sum(gyd, xh, n, c, spatial, |a, b| a * b);
-    let mut gx = Tensor::zeros(gy.shape().clone());
-    {
-        let gx_s = UnsafeSlice::new(gx.as_mut_slice());
-        let grain = (ELEMWISE_GRAIN / spatial.max(1)).max(1);
-        kernels::parallel_for_work(n * c, grain, n * c * spatial, |range| {
-            for idx in range {
-                let ci = idx % c;
-                let base = idx * spatial;
-                // SAFETY: each (sample, channel) index owns a disjoint block.
-                let gxb = unsafe { gx_s.slice_mut(base..base + spatial) };
-                let scale = g[ci] * ctx.inv_std[ci];
-                let mg = sum_gy[ci] / count;
-                let mgx = sum_gy_xhat[ci] / count;
-                for i in 0..spatial {
-                    gxb[i] = scale * (gyd[base + i] - mg - xh[base + i] * mgx);
-                }
-            }
-        });
-    }
+    let sums = channel_sums(gyd, xh, dims, |a, b| (a, a * b));
+    // Per channel: scale, mean of gy, mean of gy * x̂.
+    let coef: Vec<[f32; 3]> = (0..c)
+        .map(|ci| {
+            [
+                g[ci] * ctx.inv_std[ci],
+                sums[ci][0] / count,
+                sums[ci][1] / count,
+            ]
+        })
+        .collect();
+    let mut gx = Tensor::unfilled(gy.shape().clone());
+    map_rows(&mut gx, gyd, xh, dims, |ci, gv, h| {
+        let [scale, mg, mgx] = coef[ci];
+        scale * (gv - mg - h * mgx)
+    });
+    let (sum_gy, sum_gy_xhat): (Vec<f32>, Vec<f32>) = sums.iter().map(|s| (s[0], s[1])).unzip();
     (
         gx,
         Tensor::from_slice(&sum_gy_xhat, [c]),
         Tensor::from_slice(&sum_gy, [c]),
+    )
+}
+
+/// Gradients of [`batch_norm_eval`] — `y = gamma * (x - rm) * inv_std +
+/// beta` with the running statistics held constant — as `(grad_input,
+/// grad_gamma, grad_beta)`. `x̂ = (x - rm) * inv_std` is recomputed from
+/// `x` inside the statistics pass; each channel's two sums run as one
+/// chain across samples.
+///
+/// # Panics
+///
+/// Panics on rank/shape inconsistencies.
+pub fn batch_norm_eval_backward(
+    gy: &Tensor,
+    x: &Tensor,
+    gamma: &Tensor,
+    running_mean: &[f32],
+    running_var: &[f32],
+    eps: f32,
+) -> (Tensor, Tensor, Tensor) {
+    let dims @ (n, c, spatial) = check_bn_input(gy);
+    assert_eq!(
+        x.shape(),
+        gy.shape(),
+        "batch_norm input/grad shape mismatch"
+    );
+    assert_eq!(running_mean.len(), c, "running mean must be [C]");
+    assert_eq!(running_var.len(), c, "running var must be [C]");
+    let inv_std: Vec<f32> = running_var.iter().map(|v| 1.0 / (v + eps).sqrt()).collect();
+    let (gyd, xd, g) = (gy.as_slice(), x.as_slice(), gamma.as_slice());
+    let sums = per_channel(dims, |channels| {
+        let (m, is) = (
+            channels.map(|ci| running_mean[ci]),
+            channels.map(|ci| inv_std[ci]),
+        );
+        (0..n).fold([[0.0; CHAINS]; 2], |acc, ni| {
+            let (rg, rx) = (
+                rows(gyd, ni, channels, (c, spatial)),
+                rows(xd, ni, channels, (c, spatial)),
+            );
+            accumulate(acc, rg, rx, |j, gv, v| (gv * ((v - m[j]) * is[j]), gv))
+        })
+    });
+    let mut gx = Tensor::unfilled(gy.shape().clone());
+    map_rows(&mut gx, gyd, gyd, dims, |ci, d, _| d * g[ci] * inv_std[ci]);
+    let (ggamma, gbeta): (Vec<f32>, Vec<f32>) = sums.iter().map(|s| (s[0], s[1])).unzip();
+    (
+        gx,
+        Tensor::from_slice(&ggamma, [c]),
+        Tensor::from_slice(&gbeta, [c]),
     )
 }
 

@@ -116,10 +116,18 @@ impl Tensor {
     /// Max along `axis` together with the argmax indices (both keep the
     /// reduced axis removed). Used by max-pool-style backward passes.
     ///
+    /// Each output scans its candidates in ascending order from `-inf` and
+    /// a strictly greater value takes over, so the first maximum wins and
+    /// NaN never does (an all-NaN or all-`-inf` line gives `-inf` at index
+    /// 0). The take-over is a select, not a branch; with contiguous lines
+    /// (`axis` last) several lines' scans advance together.
+    ///
     /// # Panics
     ///
     /// Panics if `axis` is out of range or has size 0.
     pub fn max_axis_with_indices(&self, axis: usize) -> (Tensor, Vec<usize>) {
+        /// Lines whose scans advance together when each is contiguous.
+        const LINES: usize = 8;
         self.shape().check_axis(axis).expect("max axis");
         let n = self.dim(axis);
         assert!(n > 0, "max over empty axis");
@@ -127,16 +135,46 @@ impl Tensor {
         let data = self.as_slice();
         let mut dims = self.dims().to_vec();
         dims.remove(axis);
-        let mut out_t = Tensor::full(dims, f32::NEG_INFINITY);
+        let mut out_t = Tensor::unfilled(dims);
         let out = out_t.as_mut_slice();
         let mut idx = vec![0usize; outer * inner];
-        for o in 0..outer {
-            for i in 0..inner {
+        if inner == 1 {
+            for (o0, (best_out, idx_out)) in out
+                .chunks_mut(LINES)
+                .zip(idx.chunks_mut(LINES))
+                .enumerate()
+                .map(|(b, pair)| (b * LINES, pair))
+            {
+                // A short last block repeats its last line in the spare
+                // lanes and drops their results.
+                let last = o0 + best_out.len() - 1;
+                let lines: [&[f32]; LINES] =
+                    std::array::from_fn(|j| &data[(o0 + j).min(last) * n..][..n]);
+                let mut best = [f32::NEG_INFINITY; LINES];
+                let mut at = [0usize; LINES];
                 for k in 0..n {
-                    let v = data[(o * n + k) * inner + i];
-                    if v > out[o * inner + i] {
-                        out[o * inner + i] = v;
-                        idx[o * inner + i] = k;
+                    for ((b, a), line) in best.iter_mut().zip(&mut at).zip(&lines) {
+                        let v = line[k];
+                        let gt = v > *b;
+                        *b = if gt { v } else { *b };
+                        *a = if gt { k } else { *a };
+                    }
+                }
+                best_out.copy_from_slice(&best[..best_out.len()]);
+                idx_out.copy_from_slice(&at[..idx_out.len()]);
+            }
+        } else if inner > 0 {
+            for ((best, at), lines) in out
+                .chunks_mut(inner)
+                .zip(idx.chunks_mut(inner))
+                .zip(data.chunks(n * inner))
+            {
+                best.fill(f32::NEG_INFINITY);
+                for (k, line) in lines.chunks(inner).enumerate() {
+                    for ((b, a), &v) in best.iter_mut().zip(at.iter_mut()).zip(line) {
+                        let gt = v > *b;
+                        *b = if gt { v } else { *b };
+                        *a = if gt { k } else { *a };
                     }
                 }
             }

@@ -21,7 +21,8 @@ pub(crate) const ELEMWISE_GRAIN: usize = 1 << 15;
 /// predictability over zero-copy views. Storage comes from the `hfta-mem`
 /// size-class pool: dropped tensors recycle their buffers into later
 /// allocations (bit-identically — recycled buffers are value-filled
-/// exactly as a fresh `vec![fill; len]` would be), and live/peak bytes are
+/// exactly as a fresh `vec![fill; len]` would be, or, for a pass that
+/// writes every element, handed over unfilled), and live/peak bytes are
 /// tracked per class (`hfta_mem::stats`).
 ///
 /// # Example
@@ -104,6 +105,17 @@ impl Tensor {
     /// Tensor of zeros.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         Self::full(shape, 0.0)
+    }
+
+    /// A tensor whose elements are unspecified, for a pass that writes every
+    /// element before any is read (it skips the zero-fill the pass would
+    /// overwrite; see [`Storage::unfilled`]).
+    pub(crate) fn unfilled(shape: impl Into<Shape>) -> Self {
+        let shape = shape.into();
+        Tensor {
+            data: Storage::unfilled(shape.numel()),
+            shape,
+        }
     }
 
     /// Pooled copy of this tensor's elements under a new shape of equal
@@ -299,20 +311,15 @@ impl Tensor {
     // Pointwise construction helpers (used by the op modules)
     // ---------------------------------------------------------------------
 
-    /// Applies `f` elementwise, producing a new tensor.
+    /// Applies `f` elementwise, producing a new tensor: one pass that
+    /// writes each output element once.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
         let src = self.data.as_slice();
-        let mut data = Storage::zeroed(src.len());
-        hfta_kernels::for_each_chunk_mut(data.as_mut_slice(), ELEMWISE_GRAIN, |start, chunk| {
-            let len = chunk.len();
-            for (o, &v) in chunk.iter_mut().zip(&src[start..start + len]) {
-                *o = f(v);
-            }
+        let mut out = Tensor::unfilled(self.shape.clone());
+        hfta_kernels::for_each_chunk_mut(out.as_mut_slice(), ELEMWISE_GRAIN, |start, chunk| {
+            map_into(chunk, &src[start..start + chunk.len()], &f);
         });
-        Tensor {
-            data,
-            shape: self.shape.clone(),
-        }
+        out
     }
 
     /// Applies `f` elementwise in place.
@@ -337,16 +344,31 @@ impl Tensor {
             self.shape, other.shape
         );
         let (da, db) = (self.data.as_slice(), other.data.as_slice());
-        let mut data = Storage::zeroed(da.len());
-        hfta_kernels::for_each_chunk_mut(data.as_mut_slice(), ELEMWISE_GRAIN, |start, chunk| {
-            for (j, o) in chunk.iter_mut().enumerate() {
-                *o = f(da[start + j], db[start + j]);
-            }
+        let mut out = Tensor::unfilled(self.shape.clone());
+        hfta_kernels::for_each_chunk_mut(out.as_mut_slice(), ELEMWISE_GRAIN, |start, chunk| {
+            let range = start..start + chunk.len();
+            zip_into(chunk, &da[range.clone()], &db[range], &f);
         });
-        Tensor {
-            data,
-            shape: self.shape.clone(),
-        }
+        out
+    }
+}
+
+// The loops of `map` / `zip`, kept out of line on purpose: a parallel chunk
+// arrives through a raw pointer, and only as a `&mut` *argument* is it known
+// not to alias the values `f` captured, so those stay in registers and the
+// selects in `f` vectorize instead of running scalar behind an alias check.
+
+#[inline(never)]
+fn map_into(out: &mut [f32], src: &[f32], f: &impl Fn(f32) -> f32) {
+    for (o, &v) in out.iter_mut().zip(src) {
+        *o = f(v);
+    }
+}
+
+#[inline(never)]
+fn zip_into(out: &mut [f32], a: &[f32], b: &[f32], f: &impl Fn(f32, f32) -> f32) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
     }
 }
 
