@@ -1,10 +1,10 @@
 //! Kernel-layer benchmark harness with machine-readable output.
 //!
-//! Measures the `hfta-kernels` default GEMM dispatch (`auto`: the AVX2/FMA
-//! tile where the CPU has it, the portable `mul_add` tile elsewhere) and
-//! the fused conv training step (forward + grad_input + grad_weight, B = 6
-//! fused DCGAN-style models) against the retained oracle (`naive` backend,
-//! 1 thread), and writes every measurement to a JSON file.
+//! Measures the `hfta-kernels` GEMM dispatch (`auto`, the only one: the
+//! AVX2/FMA tile where the CPU has it, the portable `mul_add` tile
+//! elsewhere) and the fused conv training step (forward + grad_input +
+//! grad_weight, B = 6 fused DCGAN-style models), and writes every
+//! measurement to a JSON file.
 //!
 //! Usage:
 //!
@@ -16,9 +16,7 @@
 //! Rows are measured at 1 thread and at `min(4, host_cpus)` threads; no row
 //! is ever emitted with more threads than the host has CPUs, because two
 //! threads time-slicing one core measure the scheduler, not the kernel.
-//! The headline `fused_conv_speedup` entry is `auto` at the multi-thread
-//! count vs `naive` at 1 thread on the same end-to-end training step. Per
-//! shape, `scaling_efficiency` reports `auto` GFLOP/s at the multi-thread
+//! Per shape, `scaling_efficiency` reports GFLOP/s at the multi-thread
 //! count over 1 thread (absent on a 1-CPU host).
 //!
 //! `--gate-scaling <ratio>` turns the 4T/1T scaling ratio into a CI gate on
@@ -31,7 +29,7 @@ use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::{FusedConv2d, FusedModule, FusedParameter};
 use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
 use hfta_core::scope::{per_model_ce_losses, ScopeMonitor, SentinelCfg};
-use hfta_kernels::{set_backend, set_num_threads, simd_available, GemmBackend};
+use hfta_kernels::{set_num_threads, simd_available};
 use hfta_nn::layers::Conv2dCfg;
 use hfta_nn::{Module, Tape};
 use hfta_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvCfg};
@@ -81,7 +79,7 @@ fn dcgan_step(
 /// three back-to-back windows of `iters` calls. Taking the fastest window
 /// filters scheduler preemption and frequency dips on shared hosts — the
 /// shortest observation is the closest to the kernel's true cost, which is
-/// what backend-vs-backend ratios should compare.
+/// what thread-scaling ratios should compare.
 fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
     f();
     let mut best = f64::INFINITY;
@@ -132,14 +130,13 @@ fn main() {
         println!("note: AVX2/FMA unavailable on this CPU; `auto` rows run the portable kernels");
     }
 
-    // The (backend, threads) measurement matrix: the oracle at 1T, the
-    // default dispatch at 1T and — never above the host's CPU count — at
-    // `mt` threads. The first and last rows anchor `fused_conv_speedup`.
+    // Thread counts measured: 1 and — never above the host's CPU count —
+    // `mt`.
+    let backend = hfta_kernels::gemm::backend().name().to_string();
     let mt = host_cpus.min(4) as usize;
-    let mut configs: Vec<(GemmBackend, usize)> =
-        vec![(GemmBackend::Naive, 1), (GemmBackend::Auto, 1)];
+    let mut thread_counts = vec![1];
     if mt > 1 {
-        configs.push((GemmBackend::Auto, mt));
+        thread_counts.push(mt);
     } else {
         println!("note: 1-CPU host; multi-thread rows and scaling are not measurable here");
     }
@@ -157,8 +154,7 @@ fn main() {
         let b = rng.randn([k, n]);
         let flops = 2.0 * (m * k * n) as f64;
         let bytes = 4.0 * (m * k + k * n + m * n) as f64;
-        for &(backend, threads) in &configs {
-            set_backend(backend);
+        for &threads in &thread_counts {
             set_num_threads(threads);
             let mut out = vec![0.0f32; m * n];
             let ns = time_ns(iters, || {
@@ -175,7 +171,7 @@ fn main() {
             records.push(KernelRecord {
                 op: "gemm".to_string(),
                 shape: format!("{label}:{m}x{k}x{n}"),
-                backend: backend.name().to_string(),
+                backend: backend.clone(),
                 threads: threads as u64,
                 ns_per_iter: ns,
                 gflops: flops / ns,
@@ -190,7 +186,6 @@ fn main() {
     let x = rng.randn([4, 3 * b, 32, 32]);
     let w = rng.randn([16 * b, 3, 4, 4]);
     let bias = rng.randn([16 * b]);
-    set_backend(GemmBackend::Auto);
     let y = conv2d(&x, &w, Some(&bias), cfg);
     let gy = rng.randn(y.dims().to_vec());
     let spatial = y.dim(2) * y.dim(3);
@@ -201,9 +196,7 @@ fn main() {
     // output-sized gradient once — close enough for roofline placement.
     let step_bytes =
         3.0 * 4.0 * (x.as_slice().len() + w.as_slice().len() + y.as_slice().len()) as f64;
-    let mut step_ns = vec![0.0f64; configs.len()];
-    for (ci, &(backend, threads)) in configs.iter().enumerate() {
-        set_backend(backend);
+    for &threads in &thread_counts {
         set_num_threads(threads);
         let ns = time_ns(iters, || {
             let y = conv2d(black_box(&x), black_box(&w), Some(&bias), cfg);
@@ -211,11 +204,10 @@ fn main() {
             let gw = conv2d_grad_weight(&x, &gy, (4, 4), cfg);
             black_box((y, gx, gw));
         });
-        step_ns[ci] = ns;
         records.push(KernelRecord {
             op: "fused_conv_training_step".to_string(),
             shape: format!("B={b}:x4x{}x32x32:w{}x3x4x4", 3 * b, 16 * b),
-            backend: backend.name().to_string(),
+            backend: backend.clone(),
             threads: threads as u64,
             ns_per_iter: ns,
             gflops: step_flops / ns,
@@ -226,7 +218,6 @@ fn main() {
     // No profiler is installed, so both sides run the identical disabled
     // fast path; the delta is exactly hfta-scope's per-step compute (one
     // fused gradient reduction, per-model losses, one parameter pass).
-    set_backend(GemmBackend::Auto);
     set_num_threads(mt);
     let scope_iters = if quick { 5 } else { 30 };
     let sb = 6usize;
@@ -267,20 +258,13 @@ fn main() {
     assert!(!monitor.any_fired(), "bench workload should stay healthy");
     let scope_overhead_pct = scope_ns / bare_ns * 100.0;
 
-    set_backend(GemmBackend::Auto);
     set_num_threads(prev_threads);
-    // The oracle (naive, 1 thread) vs the kernel layer at `mt` threads.
-    let fused_conv_speedup = step_ns[0] / step_ns[configs.len() - 1];
 
-    // Default-dispatch thread scaling per shape: GFLOP/s at `mt` over 1T.
-    let auto_rows = |threads: usize| {
-        records
-            .iter()
-            .filter(move |r| r.backend == "auto" && r.threads == threads as u64)
-    };
+    // Thread scaling per shape: GFLOP/s at `mt` over 1T.
+    let rows = |threads: usize| records.iter().filter(move |r| r.threads == threads as u64);
     let mut scaling = Vec::new();
     if mt > 1 {
-        for (r1, r_mt) in auto_rows(1).zip(auto_rows(mt)) {
+        for (r1, r_mt) in rows(1).zip(rows(mt)) {
             debug_assert!(r1.op == r_mt.op && r1.shape == r_mt.shape);
             scaling.push(ScalingRecord {
                 op: r1.op.clone(),
@@ -297,7 +281,6 @@ fn main() {
         simd_available: simd,
         records,
         scaling_efficiency: scaling,
-        fused_conv_speedup,
         scope_overhead_pct,
     };
     write_json(&json_path, &report).unwrap_or_else(|e| {
@@ -321,13 +304,10 @@ fn main() {
     }
     for s in &report.scaling_efficiency {
         println!(
-            "scaling efficiency (auto @{}T / @1T) {:<28} {:>24} {:.2}x",
+            "scaling efficiency (@{}T / @1T) {:<28} {:>24} {:.2}x",
             s.threads, s.op, s.shape, s.scaling_efficiency
         );
     }
-    println!(
-        "\nfused conv training step speedup (auto @{mt}T vs naive @1T): {fused_conv_speedup:.2}x"
-    );
     println!("hfta-scope overhead on a fused DCGAN step: {scope_overhead_pct:.2}% (budget 5%)");
     println!("wrote {json_path}");
 
@@ -344,9 +324,7 @@ fn main() {
                 let flops = report
                     .records
                     .iter()
-                    .find(|r| {
-                        r.op == s.op && r.shape == s.shape && r.backend == "auto" && r.threads == 1
-                    })
+                    .find(|r| r.op == s.op && r.shape == s.shape && r.threads == 1)
                     .map(|r| r.gflops * r.ns_per_iter)
                     .unwrap_or(0.0);
                 if flops < LARGE_SHAPE_FLOPS {
@@ -354,7 +332,7 @@ fn main() {
                 }
                 if s.scaling_efficiency < min_ratio {
                     eprintln!(
-                        "scaling gate FAILED: {}/{} auto @4T/@1T = {:.2}x < {min_ratio:.2}x",
+                        "scaling gate FAILED: {}/{} @4T/@1T = {:.2}x < {min_ratio:.2}x",
                         s.op, s.shape, s.scaling_efficiency
                     );
                     failed = true;
@@ -363,7 +341,7 @@ fn main() {
             if failed {
                 std::process::exit(1);
             }
-            println!("scaling gate passed (auto @4T/@1T >= {min_ratio:.2}x on large shapes)");
+            println!("scaling gate passed (@4T/@1T >= {min_ratio:.2}x on large shapes)");
         }
     }
 }

@@ -29,10 +29,8 @@ fn main() {
         .bench_json
         .unwrap_or_else(|| "BENCH_mem.json".to_string());
 
-    // Pin the configuration so footprints are comparable across runs:
-    // recycling on, 4 workers (scratch arenas are per-worker, so the
-    // thread count is part of the footprint).
-    hfta_mem::set_pool_enabled(true);
+    // Pin the worker count so footprints are comparable across runs
+    // (scratch arenas are per-worker, so it is part of the footprint).
     set_num_threads(4);
 
     let (widths, warm, measured): (&[usize], usize, usize) = if quick {

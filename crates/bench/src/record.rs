@@ -120,7 +120,7 @@ record! {
         op: String => Key,
         /// Shape label.
         shape: String => Key,
-        /// GEMM backend name.
+        /// GEMM dispatch name (`auto`, the only one).
         backend: String => Key,
         /// Worker threads the cell ran at.
         threads: u64 => Key,
@@ -144,7 +144,7 @@ record! {
         shape: String => Key,
         /// The multi-thread count of the ratio (`min(4, host_cpus)`).
         threads: u64 => Info,
-        /// `auto` GFLOP/s at `threads` over 1 thread; `threads` would be
+        /// GFLOP/s at `threads` over 1 thread; `threads` would be
         /// perfect scaling, below 1.0 means threading actively hurts.
         scaling_efficiency: f64 => Higher(BENCH_BOUND_PCT),
     }
@@ -166,9 +166,6 @@ record! {
         records: Vec<KernelRecord> => Records(&KERNEL_RECORD),
         /// Per-shape thread scaling (empty on a 1-CPU host).
         scaling_efficiency: Vec<ScalingRecord> => OptionalRecords(&SCALING_RECORD),
-        /// `auto` at the multi-thread count vs `naive` at 1 thread on the
-        /// fused conv training step.
-        fused_conv_speedup: f64 => Higher(BENCH_BOUND_PCT),
         /// hfta-scope cost on a fused DCGAN-style training step, percent.
         scope_overhead_pct: f64 => Gate::AtMost(SCOPE_OVERHEAD_BUDGET_PCT),
     }
@@ -575,7 +572,7 @@ type Parse = fn(&Value) -> Result<Doc, String>;
 /// match wins.
 static KINDS: &[(&str, Parse)] = &[
     ("schema", typed::<FlightSummary>),
-    ("fused_conv_speedup", typed::<KernelsFile>),
+    ("scope_overhead_pct", typed::<KernelsFile>),
     ("partial_fusion_speedup", typed::<PlanFile>),
     ("restart", typed::<ServeFile>),
     ("records", typed::<MemReport>),
@@ -801,13 +798,13 @@ pub(crate) mod tests {
         }
     }
 
-    /// A kernel bench file: a fixed oracle row plus one `auto@4T` row at
+    /// A kernel bench file: a fixed `auto@1T` row plus one `auto@4T` row at
     /// `gflops`, scaling efficiency 3.0 on two shapes, scope overhead 1%.
-    pub(crate) fn kernels_file(gflops: f64, speedup: f64) -> KernelsFile {
-        let record = |backend: &str, threads: u64, gflops: f64| KernelRecord {
+    pub(crate) fn kernels_file(gflops: f64) -> KernelsFile {
+        let record = |threads: u64, gflops: f64| KernelRecord {
             op: "gemm".into(),
             shape: "a".into(),
-            backend: backend.into(),
+            backend: "auto".into(),
             threads,
             ns_per_iter: 10.0,
             gflops,
@@ -817,7 +814,7 @@ pub(crate) mod tests {
             host_cpus: 4,
             cpu_model: "test".into(),
             simd_available: true,
-            records: vec![record("naive", 1, 20.0), record("auto", 4, gflops)],
+            records: vec![record(1, 20.0), record(4, gflops)],
             scaling_efficiency: ["a", "b"]
                 .map(|shape| ScalingRecord {
                     op: "gemm".into(),
@@ -826,7 +823,6 @@ pub(crate) mod tests {
                     scaling_efficiency: 3.0,
                 })
                 .to_vec(),
-            fused_conv_speedup: speedup,
             scope_overhead_pct: 1.0,
         }
     }
@@ -917,7 +913,7 @@ pub(crate) mod tests {
             quarantine_us: 12.5,
         };
         vec![
-            Doc::of(&kernels_file(100.0, 2.0)),
+            Doc::of(&kernels_file(100.0)),
             Doc::of(&mem_report(300_000, 1.33, 0)),
             Doc::of(&serve_file(500.0, 2000.0, 0.6)),
             Doc::of(&plan_file(12417.7, 2.79, 0.824, true)),
@@ -1136,7 +1132,7 @@ pub(crate) mod tests {
         assert!(err.contains("occupancy"), "{err}");
         // Likewise a kernel record predating the backend/threads columns.
         let old = r#"{"records": [{"op": "gemm", "shape": "64x64", "ns_per_iter": 10.0,
-            "gflops": 100.0}], "scaling_efficiency": [], "fused_conv_speedup": 2.0,
+            "gflops": 100.0}], "scaling_efficiency": [],
             "scope_overhead_pct": 1.0, "host_cpus": 1, "cpu_model": "x",
             "simd_available": false}"#;
         assert!(load(old).unwrap_err().contains("backend"));

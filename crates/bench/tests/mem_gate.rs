@@ -7,7 +7,6 @@ use hfta_bench::mem::{run, violations};
 
 #[test]
 fn quick_report_passes_its_own_gates() {
-    hfta_mem::set_pool_enabled(true);
     let report = run(&[1, 2], 2, 2);
     assert_eq!(report.records.len(), 4);
     let v = violations(&report);

@@ -185,7 +185,6 @@ fn bench_file(gflops: f64) -> String {
             bytes_per_iter: 49152.0,
         }],
         scaling_efficiency: vec![],
-        fused_conv_speedup: 2.0,
         scope_overhead_pct: 0.5,
     };
     serde_json::to_string_pretty(&file).unwrap()

@@ -11,7 +11,6 @@ use hfta_tensor::Rng;
 
 #[test]
 fn steady_state_zero_grad_and_step_never_touch_the_pool() {
-    hfta_mem::set_pool_enabled(true);
     let b = 3;
     let mut rng = Rng::seed_from(17);
     let params: Vec<FusedParameter> = [vec![b * 4, 5, 3, 3], vec![b * 4], vec![b * 2, 70_000]]

@@ -24,7 +24,7 @@
 //! | path    | shapes            | with AVX2+FMA                  | without (portable)             |
 //! |---------|-------------------|--------------------------------|--------------------------------|
 //! | tiled   | `>= SMALL_FLOPS`  | [`crate::simd`] 8×8 / paired 8×16 `vfmadd` tile | `portable_microkernel`, `f32::mul_add` |
-//! | direct  | `< SMALL_FLOPS`; all under `Naive` | reference loops compiled with AVX2+FMA | the reference loops |
+//! | direct  | `< SMALL_FLOPS`   | reference loops compiled with AVX2+FMA | the reference loops |
 //!
 //! `B` may also be *gathered* through two [`Offsets`] tables while it is
 //! packed ([`gemm_gather`]), and the product *scatter-added* through them one
@@ -34,13 +34,10 @@
 //! add order per destination, either row.
 //!
 //! Selection is by platform and shape, never by an option: the row comes
-//! from the FLOP count, the column from [`crate::simd::simd_available`]
-//! (runtime detection). The process-wide [`GemmBackend`] starts as `Auto`;
-//! [`set_backend`] is the in-process hook tests and A/B benchmarks use to
-//! run the reference loops at every size instead. No environment variable
-//! reaches this module.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! from the FLOP count, the column from `simd::detected` (runtime
+//! detection), which each entry point reads once and passes down as a
+//! `vector` flag. No environment variable or process-wide switch reaches
+//! this module; the unit tests below pick a column by passing the flag.
 
 use crate::pool::{self, UnsafeSlice};
 use crate::reference;
@@ -65,51 +62,29 @@ const SMALL_FLOPS: usize = 1 << 12;
 /// Target FLOPs per parallel tile of the 2-D macro-kernel partition.
 const CHUNK_FLOPS: usize = 1 << 19;
 
-/// Which implementation the `gemm*` entry points dispatch to.
+/// The one GEMM dispatch, as [`backend`] reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GemmBackend {
-    /// The production dispatch (default): packed, register-tiled,
-    /// pool-parallel kernels above `SMALL_FLOPS`, direct loops below, each
-    /// in its AVX2/FMA or portable instantiation as the CPU allows.
-    Auto = 0,
-    /// The retained naive serial reference loops at every size — no
-    /// packing, tiling or pool — kept selectable for equivalence tests and
-    /// A/B benchmarking. (The oracle proper is [`crate::reference`] called
-    /// directly: these same loops, always in the portable instantiation.)
-    Naive = 1,
-}
+pub struct AutoBackend;
 
-impl GemmBackend {
-    /// The CLI / report name of this backend.
+impl AutoBackend {
+    /// The report name of the dispatch: `"auto"`.
     pub fn name(self) -> &'static str {
-        match self {
-            GemmBackend::Auto => "auto",
-            GemmBackend::Naive => "naive",
-        }
+        "auto"
     }
 }
 
-static BACKEND: AtomicU8 = AtomicU8::new(GemmBackend::Auto as u8);
-
-/// Selects the GEMM implementation process-wide.
-pub fn set_backend(backend: GemmBackend) {
-    BACKEND.store(backend as u8, Ordering::Relaxed);
+/// The dispatch every entry point runs. There is only one, so this never
+/// changes; it is kept, like [`auto_simd`] and [`crate::tune::enabled`],
+/// because run records (the out-of-workspace `benchmark/` host record,
+/// `bench_kernels`) name it.
+pub fn backend() -> AutoBackend {
+    AutoBackend
 }
 
-/// The currently selected GEMM implementation ([`GemmBackend::Auto`] until
-/// [`set_backend`] says otherwise).
-pub fn backend() -> GemmBackend {
-    if BACKEND.load(Ordering::Relaxed) == GemmBackend::Naive as u8 {
-        GemmBackend::Naive
-    } else {
-        GemmBackend::Auto
-    }
-}
-
-/// Whether [`GemmBackend::Auto`] runs the AVX2/FMA path on this machine —
-/// [`simd::simd_available`] under the name run reports record it by.
+/// Whether the entry points run the AVX2/FMA path on this machine: CPU
+/// detection, under the name the `benchmark/` host record reads.
 pub fn auto_simd() -> bool {
-    simd::simd_available()
+    simd::detected()
 }
 
 /// How operand `A` is stored relative to the `[m, k]` logical view.
@@ -169,35 +144,17 @@ type DirectFn = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
 
 /// `out[m,n] += a[m,k] @ b[k,n]`, all row-major.
 pub fn gemm(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    match direct_kernel(m, k, n, reference::gemm_ref, simd::gemm_small) {
-        Some(direct) => direct(out, a, b, m, k, n),
-        None => run_tiled(out, None, PackA::N(a), PackB::N(b), m, k, n),
-    }
+    gemm_on(simd::detected(), out, a, b, m, k, n)
 }
 
 /// `out[m,n] += a[m,k] @ b[n,k]^T` (`b` stored row-major as `[n, k]`).
 pub fn gemm_nt(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    match direct_kernel(m, k, n, reference::gemm_nt_ref, simd::gemm_nt_small) {
-        Some(direct) => direct(out, a, b, m, k, n),
-        None => run_tiled(out, None, PackA::N(a), PackB::T(b), m, k, n),
-    }
+    gemm_nt_on(simd::detected(), out, a, b, m, k, n)
 }
 
 /// `out[m,n] += a[k,m]^T @ b[k,n]` (`a` stored row-major as `[k, m]`).
 pub fn gemm_tn(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    match direct_kernel(m, k, n, reference::gemm_tn_ref, simd::gemm_tn_small) {
-        Some(direct) => direct(out, a, b, m, k, n),
-        None => run_tiled(out, None, PackA::T(a), PackB::N(b), m, k, n),
-    }
+    gemm_tn_on(simd::detected(), out, a, b, m, k, n)
 }
 
 /// `out[m,n] += a[m,k] @ b[k,n]` with `b[p,j] = src[off.row[p] + off.col[j]]`,
@@ -212,18 +169,7 @@ pub fn gemm_gather(
     k: usize,
     n: usize,
 ) {
-    off.check(k, n, src.len());
-    match direct_kernel(m, k, n, reference::gemm_ref, simd::gemm_small) {
-        Some(direct) => with_dense(k * n, |b| {
-            for (brow, &base) in b.chunks_exact_mut(n.max(1)).zip(off.row) {
-                for (bv, &c) in brow.iter_mut().zip(off.col) {
-                    *bv = src[base + c];
-                }
-            }
-            direct(out, a, b, m, k, n)
-        }),
-        None => run_tiled(out, None, PackA::N(a), PackB::Gather(src, off), m, k, n),
-    }
+    gemm_gather_on(simd::detected(), out, a, src, off, m, k, n)
 }
 
 /// `dst[off.row[i] + off.col[j]] += (a[k,m]^T @ b[k,n])[i,j]`: every product
@@ -239,14 +185,90 @@ pub fn gemm_tn_scatter(
     k: usize,
     n: usize,
 ) {
+    gemm_tn_scatter_on(simd::detected(), dst, a, b, off, m, k, n)
+}
+
+// Each entry point above on an explicit instantiation: `vector` runs the
+// AVX2/FMA kernels (the CPU must have them), otherwise the portable ones.
+
+fn gemm_on(vector: bool, out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(out.len(), m * n);
+    match direct_kernel(vector, m, k, n, reference::gemm_ref, simd::gemm_small) {
+        Some(direct) => direct(out, a, b, m, k, n),
+        None => run_tiled(vector, out, None, PackA::N(a), PackB::N(b), m, k, n),
+    }
+}
+
+fn gemm_nt_on(vector: bool, out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), n * k);
+    debug_assert_eq!(out.len(), m * n);
+    match direct_kernel(vector, m, k, n, reference::gemm_nt_ref, simd::gemm_nt_small) {
+        Some(direct) => direct(out, a, b, m, k, n),
+        None => run_tiled(vector, out, None, PackA::N(a), PackB::T(b), m, k, n),
+    }
+}
+
+fn gemm_tn_on(vector: bool, out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(a.len(), k * m);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(out.len(), m * n);
+    match direct_kernel(vector, m, k, n, reference::gemm_tn_ref, simd::gemm_tn_small) {
+        Some(direct) => direct(out, a, b, m, k, n),
+        None => run_tiled(vector, out, None, PackA::T(a), PackB::N(b), m, k, n),
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn gemm_gather_on(
+    vector: bool,
+    out: &mut [f32],
+    a: &[f32],
+    src: &[f32],
+    off: Offsets<'_>,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    off.check(k, n, src.len());
+    match direct_kernel(vector, m, k, n, reference::gemm_ref, simd::gemm_small) {
+        Some(direct) => with_dense(k * n, |b| {
+            for (brow, &base) in b.chunks_exact_mut(n.max(1)).zip(off.row) {
+                for (bv, &c) in brow.iter_mut().zip(off.col) {
+                    *bv = src[base + c];
+                }
+            }
+            direct(out, a, b, m, k, n)
+        }),
+        None => {
+            let b = PackB::Gather(src, off);
+            run_tiled(vector, out, None, PackA::N(a), b, m, k, n)
+        }
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn gemm_tn_scatter_on(
+    vector: bool,
+    dst: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    off: Offsets<'_>,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     off.check(m, n, dst.len());
-    match direct_kernel(m, k, n, reference::gemm_tn_ref, simd::gemm_tn_small) {
+    match direct_kernel(vector, m, k, n, reference::gemm_tn_ref, simd::gemm_tn_small) {
         Some(direct) => with_dense(m * n, |product| {
             direct(product, a, b, m, k, n);
             scatter_add(dst, off, 0, product, n);
         }),
         None => with_dense(MR * n, |strip| {
-            run_tiled(dst, Some((off, strip)), PackA::T(a), PackB::N(b), m, k, n)
+            let sink = Some((off, strip));
+            run_tiled(vector, dst, sink, PackA::T(a), PackB::N(b), m, k, n)
         }),
     }
 }
@@ -269,21 +291,21 @@ fn scatter_add(dst: &mut [f32], off: Offsets<'_>, i0: usize, rows: &[f32], n: us
     }
 }
 
-/// The direct-loop kernel this dispatch runs, if any: the reference loops
-/// — in whichever instantiation the platform allows — at every size under
-/// [`GemmBackend::Naive`] and below [`SMALL_FLOPS`] otherwise; `None` for
-/// the tiled path.
+/// The direct-loop kernel this dispatch runs, if any: below [`SMALL_FLOPS`]
+/// the reference loops in the `vector` (`fast`) or portable instantiation;
+/// `None` for the tiled path.
 fn direct_kernel(
+    vector: bool,
     m: usize,
     k: usize,
     n: usize,
     portable: DirectFn,
-    vector: DirectFn,
+    fast: DirectFn,
 ) -> Option<DirectFn> {
-    if backend() == GemmBackend::Auto && 2 * m * k * n >= SMALL_FLOPS {
+    if 2 * m * k * n >= SMALL_FLOPS {
         None
-    } else if simd::simd_available() {
-        Some(vector)
+    } else if vector {
+        Some(fast)
     } else {
         Some(portable)
     }
@@ -365,7 +387,7 @@ fn pack_a(a: PackA<'_>, m: usize, k: usize, i0: usize, rows: usize, buf: &mut [f
 /// bpanel[p][c], acc[r][c])` for `p` ascending — the contract's chain via
 /// [`f32::mul_add`] (native `fmadd` on aarch64, libm `fmaf` on x86-64
 /// without FMA: slow but correctly rounded). Runs only where
-/// [`simd::simd_available`] is false. `acc` rows/columns beyond the valid
+/// `simd::detected` is false (and in the tests). `acc` rows/columns beyond the valid
 /// tile see only the panels' zero padding and are never stored.
 #[inline]
 pub(crate) fn portable_microkernel(
@@ -394,7 +416,7 @@ pub(crate) fn portable_microkernel(
 /// decomposition — are pure functions of the shape, and every output element
 /// is produced by exactly one micro-kernel call walking the full
 /// contraction ascending, so results are bit-identical at any thread count.
-/// [`simd::simd_available`], read once per call, picks the AVX2/FMA
+/// `vector`, read once by the entry point, picks the AVX2/FMA
 /// instantiation of the micro-kernel over the portable one.
 ///
 /// With `scatter` tables `out` is a destination, not `[m, n]`: a row panel's
@@ -402,7 +424,9 @@ pub(crate) fn portable_microkernel(
 /// is then added to `out` row by row. All of it is one chunk, so the adds to
 /// any destination come in ascending row order; scattering tile by tile
 /// would reorder them.
+#[allow(clippy::too_many_arguments)]
 fn run_tiled(
+    vector: bool,
     out: &mut [f32],
     scatter: Option<(Offsets<'_>, &mut [f32])>,
     a: PackA<'_>,
@@ -411,7 +435,6 @@ fn run_tiled(
     k: usize,
     n: usize,
 ) {
-    let vector = simd::simd_available();
     let row_panels = m.div_ceil(MR);
     let col_panels = n.div_ceil(NR);
     let panel_flops = 2 * MR * k * n;
@@ -543,6 +566,7 @@ fn run_tiled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn fill(len: usize, seed: u64) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -566,18 +590,20 @@ mod tests {
         out
     }
 
-    /// Runs `f` under each micro-kernel instantiation (the vector one where
-    /// the CPU has it), selected through the [`simd::set_simd_enabled`] hook
-    /// that [`run_tiled`] reads.
-    fn for_each_instantiation(mut f: impl FnMut(bool)) {
-        let _hook = simd::HOOK_LOCK.lock().unwrap();
-        for vector in [false, true] {
-            simd::set_simd_enabled(vector);
-            if simd::simd_available() == vector {
-                f(vector);
-            }
+    /// Bit patterns, so `-0.0 != 0.0`.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The `vector` flags this CPU can run: the portable instantiation
+    /// always, the AVX2/FMA one where detected.
+    fn instantiations() -> Vec<bool> {
+        if simd::detected() {
+            vec![false, true]
+        } else {
+            eprintln!("note: no AVX2+FMA here; vector == portable is vacuous on this CPU");
+            vec![false]
         }
-        simd::set_simd_enabled(true);
     }
 
     /// Table pair for an `[rows, cols]` matrix scattered over `len` slots:
@@ -586,8 +612,155 @@ mod tests {
     fn tables(rows: usize, cols: usize, salt: usize) -> (Vec<usize>, Vec<usize>, usize) {
         let row: Vec<usize> = (0..rows).map(|i| (i * 3 + salt) % 11 + i / 4 * 5).collect();
         let col: Vec<usize> = (0..cols).map(|j| j * 2 + (j + salt) % 3).collect();
-        let len = row.iter().max().unwrap() + col.iter().max().unwrap() + 1;
+        let max = |t: &[usize]| t.iter().max().copied().unwrap_or(0);
+        let len = max(&row) + max(&col) + 1;
         (row, col, len)
+    }
+
+    /// One shape's operands in the layout of each of the five entry points
+    /// (`gemm`, `gemm_nt`, `gemm_tn`, `gemm_gather`, `gemm_tn_scatter`, in
+    /// that order) and the oracle's answer to each.
+    struct Case {
+        m: usize,
+        k: usize,
+        n: usize,
+        a: Vec<f32>,
+        at: Vec<f32>,
+        b: Vec<f32>,
+        bt: Vec<f32>,
+        init: Vec<f32>,
+        /// `gemm_gather`'s source buffer and its tables.
+        src: Vec<f32>,
+        src_off: (Vec<usize>, Vec<usize>),
+        /// The scatter's destination before the adds, and its tables.
+        dst: Vec<f32>,
+        dst_off: (Vec<usize>, Vec<usize>),
+        expect: [Vec<u32>; 5],
+    }
+
+    impl Case {
+        fn new(m: usize, k: usize, n: usize, seed: u64) -> Case {
+            let a = fill(m * k, seed);
+            let b = fill(k * n, seed + 1);
+            let init = fill(m * n, seed + 2);
+            let (at, bt) = (transpose(&a, m, k), transpose(&b, k, n));
+
+            // The tables overlap, so the gathered `B` is whatever `src` holds
+            // where they point.
+            let (s_row, s_col, s_len) = tables(k, n, m);
+            let src = fill(s_len, seed + 3);
+            let mut b_seen = vec![0.0f32; k * n];
+            for p in 0..k {
+                for j in 0..n {
+                    b_seen[p * n + j] = src[s_row[p] + s_col[j]];
+                }
+            }
+            let (d_row, d_col, d_len) = tables(m, n, k);
+            let dst = fill(d_len, seed + 4);
+
+            let oracle = |f: DirectFn, a: &[f32], b: &[f32]| {
+                let mut out = init.clone();
+                f(&mut out, a, b, m, k, n);
+                out
+            };
+            // `a^T b` from zero, then added through the tables row-major.
+            let mut product = vec![0.0f32; m * n];
+            reference::gemm_tn_ref(&mut product, &at, &b, m, k, n);
+            let mut scattered = dst.clone();
+            for i in 0..m {
+                for j in 0..n {
+                    scattered[d_row[i] + d_col[j]] += product[i * n + j];
+                }
+            }
+            let expect = [
+                oracle(reference::gemm_ref, &a, &b),
+                oracle(reference::gemm_nt_ref, &a, &bt),
+                oracle(reference::gemm_tn_ref, &at, &b),
+                oracle(reference::gemm_ref, &a, &b_seen),
+                scattered,
+            ]
+            .map(|v| bits(&v));
+            Case {
+                m,
+                k,
+                n,
+                a,
+                at,
+                b,
+                bt,
+                init,
+                src,
+                src_off: (s_row, s_col),
+                dst,
+                dst_off: (d_row, d_col),
+                expect,
+            }
+        }
+
+        /// The five entry points' answers through the dispatch on one
+        /// instantiation.
+        fn dispatch(&self, vector: bool) -> [Vec<u32>; 5] {
+            let (m, k, n) = (self.m, self.k, self.n);
+            let src_off = Offsets::new(&self.src_off.0, &self.src_off.1);
+            let dst_off = Offsets::new(&self.dst_off.0, &self.dst_off.1);
+            let mut out = [(); 5].map(|_| self.init.clone());
+            out[4].clone_from(&self.dst);
+            let [nn, nt, tn, gather, scatter] = &mut out;
+            gemm_on(vector, nn, &self.a, &self.b, m, k, n);
+            gemm_nt_on(vector, nt, &self.a, &self.bt, m, k, n);
+            gemm_tn_on(vector, tn, &self.at, &self.b, m, k, n);
+            gemm_gather_on(vector, gather, &self.a, &self.src, src_off, m, k, n);
+            gemm_tn_scatter_on(vector, scatter, &self.at, &self.b, dst_off, m, k, n);
+            out.map(|v| bits(&v))
+        }
+
+        /// The same five through the tiled macro-kernel at any size.
+        fn tiled(&self, vector: bool) -> [Vec<u32>; 5] {
+            let (m, k, n) = (self.m, self.k, self.n);
+            let tiled = |pa: PackA<'_>, pb: PackB<'_>| {
+                let mut out = self.init.clone();
+                run_tiled(vector, &mut out, None, pa, pb, m, k, n);
+                bits(&out)
+            };
+            let src_off = Offsets::new(&self.src_off.0, &self.src_off.1);
+            let dst_off = Offsets::new(&self.dst_off.0, &self.dst_off.1);
+            let (a, at, b) = (&self.a, &self.at, &self.b);
+            let mut scattered = self.dst.clone();
+            let mut strip = vec![f32::NAN; MR * n];
+            let sink = Some((dst_off, &mut strip[..]));
+            run_tiled(
+                vector,
+                &mut scattered,
+                sink,
+                PackA::T(at),
+                PackB::N(b),
+                m,
+                k,
+                n,
+            );
+            [
+                tiled(PackA::N(a), PackB::N(b)),
+                tiled(PackA::N(a), PackB::T(&self.bt)),
+                tiled(PackA::T(at), PackB::N(b)),
+                tiled(PackA::N(a), PackB::Gather(&self.src, src_off)),
+                bits(&scattered),
+            ]
+        }
+
+        /// The first entry point whose answer in `got` is not the oracle's.
+        fn mismatch(&self, got: [Vec<u32>; 5]) -> Option<&'static str> {
+            let names = [
+                "gemm",
+                "gemm_nt",
+                "gemm_tn",
+                "gemm_gather",
+                "gemm_tn_scatter",
+            ];
+            let mut pairs = names.into_iter().zip(got.iter().zip(&self.expect));
+            pairs
+                .find(|(_, (got, want))| got != want)
+                .map(|(name, _)| name)
+        }
     }
 
     #[test]
@@ -603,78 +776,33 @@ mod tests {
             // Short-m, wide-n: exercises the column-split partition regime.
             (8, 96, 700),
         ] {
-            let a = fill(m * k, 1 + (m * 31 + k * 7 + n) as u64);
-            let b = fill(k * n, 2 + (m + k * 13 + n * 3) as u64);
-            let init = fill(m * n, 3 + (m + k + n) as u64);
-            let at = transpose(&a, m, k);
-            let bt = transpose(&b, k, n);
-
-            let mut slow = init.clone();
-            reference::gemm_ref(&mut slow, &a, &b, m, k, n);
-            let mut slow_tn = init.clone();
-            reference::gemm_tn_ref(&mut slow_tn, &at, &b, m, k, n);
-            let mut slow_nt = init.clone();
-            reference::gemm_nt_ref(&mut slow_nt, &a, &bt, m, k, n);
-
-            // The same `b`, read out of a sparse buffer through tables.
-            let (b_row, b_col, b_len) = tables(k, n, m);
-            let mut b_src = fill(b_len, 4 + (m * k * n) as u64);
-            let b_off = Offsets::new(&b_row, &b_col);
-            let mut b_seen = vec![0.0f32; k * n];
-            for p in 0..k {
-                for j in 0..n {
-                    b_seen[p * n + j] = b_src[b_row[p] + b_col[j]];
-                }
+            let case = Case::new(m, k, n, (m * 31 + k * 7 + n) as u64);
+            for vector in instantiations() {
+                let bad = case.mismatch(case.tiled(vector));
+                assert!(bad.is_none(), "{bad:?} at ({m},{k},{n}) vector={vector}");
             }
-            let mut slow_gather = init.clone();
-            reference::gemm_ref(&mut slow_gather, &a, &b_seen, m, k, n);
+        }
+    }
 
-            // `a^T b` from zero, then added through tables in row-major order.
-            let (o_row, o_col, o_len) = tables(m, n, k);
-            let o_off = Offsets::new(&o_row, &o_col);
-            let mut product = vec![0.0f32; m * n];
-            reference::gemm_tn_ref(&mut product, &at, &b, m, k, n);
-            b_src.resize(o_len.max(b_len), 0.5);
-            let mut slow_scatter = b_src[..o_len].to_vec();
-            for i in 0..m {
-                for j in 0..n {
-                    slow_scatter[o_row[i] + o_col[j]] += product[i * n + j];
-                }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // vector == portable == oracle for every entry point. 2·m·k·n runs
+        // from 0 to ~63k FLOPs, straddling `SMALL_FLOPS`, so both rows of
+        // the dispatch table are compared; n ≥ 16 puts a panel pair (the
+        // paired 8×16 kernel) in a chunk with an odd panel behind it.
+        #[test]
+        fn every_entry_point_is_the_oracle_on_both_instantiations(
+            m in 1usize..28,
+            k in 0usize..28,
+            n in 1usize..40,
+            seed in 0u64..1_000_000,
+        ) {
+            let case = Case::new(m, k, n, seed);
+            for vector in instantiations() {
+                let bad = case.mismatch(case.dispatch(vector));
+                prop_assert!(bad.is_none(), "{bad:?} at ({m},{k},{n}) vector={vector}");
             }
-
-            for_each_instantiation(|vector| {
-                let tiled = |pa: PackA<'_>, pb: PackB<'_>| {
-                    let mut out = init.clone();
-                    run_tiled(&mut out, None, pa, pb, m, k, n);
-                    out
-                };
-                let at_shape = format!("({m},{k},{n}) vector={vector}");
-                assert_eq!(
-                    tiled(PackA::N(&a), PackB::N(&b)),
-                    slow,
-                    "gemm mismatch at {at_shape}"
-                );
-                assert_eq!(
-                    tiled(PackA::T(&at), PackB::N(&b)),
-                    slow_tn,
-                    "gemm_tn mismatch at {at_shape}"
-                );
-                assert_eq!(
-                    tiled(PackA::N(&a), PackB::T(&bt)),
-                    slow_nt,
-                    "gemm_nt mismatch at {at_shape}"
-                );
-                assert_eq!(
-                    tiled(PackA::N(&a), PackB::Gather(&b_src[..b_len], b_off)),
-                    slow_gather,
-                    "gemm_gather mismatch at {at_shape}"
-                );
-                let mut dst = b_src[..o_len].to_vec();
-                let mut strip = vec![f32::NAN; MR * n];
-                let sink = Some((o_off, &mut strip[..]));
-                run_tiled(&mut dst, sink, PackA::T(&at), PackB::N(&b), m, k, n);
-                assert_eq!(dst, slow_scatter, "gemm_tn_scatter mismatch at {at_shape}");
-            });
         }
     }
 
@@ -700,23 +828,6 @@ mod tests {
         let mut out = [0.0f32; 4];
         let off = Offsets::new(&[0, 1], &[0, 1]);
         gemm_gather(&mut out, &[1.0; 6], &[0.0; 16], off, 2, 3, 2);
-    }
-
-    #[test]
-    fn backend_toggle_dispatches_naive() {
-        let prev = backend();
-        set_backend(GemmBackend::Naive);
-        assert_eq!(backend(), GemmBackend::Naive);
-        let a = fill(16 * 16, 9);
-        let b = fill(16 * 16, 10);
-        let mut via_entry = vec![0.0f32; 16 * 16];
-        gemm(&mut via_entry, &a, &b, 16, 16, 16);
-        set_backend(GemmBackend::Auto);
-        assert_eq!(backend(), GemmBackend::Auto);
-        let mut via_ref = vec![0.0f32; 16 * 16];
-        reference::gemm_ref(&mut via_ref, &a, &b, 16, 16, 16);
-        assert_eq!(via_entry, via_ref);
-        set_backend(prev);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   `acc = fma(a[i,p], b[p,j], acc)` for `p` ascending, one rounding per
 //!   step. Every path computes exactly that chain, so all
 //!   are bit-identical to the retained naive oracle in [`reference`] and to
-//!   each other. [`GemmBackend`] is `{Auto, Naive}`: production dispatch
-//!   or the reference loops at every size, switched only in-process
-//!   ([`set_backend`]) by tests and A/B benchmarks. [`gemm_gather()`] and
+//!   each other. There is one dispatch: the FLOP count picks the tiled or
+//!   the direct loops, the CPU picks the instantiation, and nothing
+//!   switches either at run time. [`gemm_gather()`] and
 //!   [`gemm_tn_scatter()`] are the same GEMMs with `B` read, or the product
 //!   added, through two [`Offsets`] tables — how `hfta-tensor` convolves a
 //!   padded image without materialising its im2col matrix.
@@ -23,10 +23,10 @@
 //!   8×16 micro-kernel, small-shape loops) `Auto` takes wherever the CPU
 //!   has them; elsewhere the portable `f32::mul_add` twins run. FMA is
 //!   correctly rounded on both, which is why the choice is by platform and
-//!   never changes a bit. [`simd::set_simd_enabled`] is the test hook that
-//!   forces the portable path.
+//!   never changes a bit. [`simd_available`] reports it.
 //! * [`tune`] — a one-function stub (`enabled() == false`) kept for the
-//!   benchmark's host record; nothing tunes.
+//!   benchmark's host record; nothing tunes. So are [`gemm::backend`]
+//!   (always `"auto"`) and [`gemm::auto_simd`].
 //!
 //! This crate carries no observability code: op spans and samples are
 //! recorded once, on the autograd tape in `hfta-nn`, and the pool's
@@ -38,8 +38,9 @@
 //! deterministic by construction; the property tests in `tests/proptests.rs`
 //! enforce it.
 //!
-//! **Selection is by platform and shape; the only env var is
-//! `HFTA_NUM_THREADS`, a resource setting.**
+//! **Selection is by platform and shape; the only env var and the only
+//! process-wide setting is the worker-pool size (`HFTA_NUM_THREADS`,
+//! [`set_num_threads`]), a resource setting.**
 
 #![warn(missing_docs)]
 
@@ -49,12 +50,9 @@ pub mod reference;
 pub mod simd;
 pub mod tune;
 
-pub use gemm::{
-    backend, gemm, gemm_gather, gemm_nt, gemm_tn, gemm_tn_scatter, set_backend, GemmBackend,
-    Offsets,
-};
+pub use gemm::{gemm, gemm_gather, gemm_nt, gemm_tn, gemm_tn_scatter, Offsets};
 pub use pool::{
     for_each_chunk_mut, num_threads, parallel_for, parallel_for_work, pool_dispatches,
     set_num_threads, UnsafeSlice,
 };
-pub use simd::{set_simd_enabled, simd_available};
+pub use simd::simd_available;

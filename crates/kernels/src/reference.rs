@@ -7,13 +7,12 @@
 //! correctly rounded wherever it runs — a `vfmadd` lane, an aarch64
 //! `fmadd`, libm's `fmaf` on the portable x86-64 baseline — so any kernel
 //! that keeps this chain per element is bit-identical to these loops (not
-//! merely close), on every machine. Keeping the reference alive also gives
-//! the benches a faithful "pre-kernel-layer" serial baseline.
+//! merely close), on every machine.
 //!
 //! The loops are `#[inline(always)]` so [`crate::simd`] can instantiate the
 //! same bodies with AVX2/FMA enabled for the small-shape production path;
-//! called directly (the `Naive` backend, the tests) they compile for the
-//! portable baseline.
+//! called directly (the small-shape path without AVX2/FMA, the tests) they
+//! compile for the portable baseline.
 
 /// `out[m,n] += a[m,k] @ b[k,n]`, all row-major.
 #[inline(always)]

@@ -13,7 +13,7 @@
 //! * `gemm_small` / `gemm_nt_small` / `gemm_tn_small` — the
 //!   [`crate::reference`] loop bodies compiled with AVX2+FMA enabled, so
 //!   `mul_add` lowers to `vfmadd` and the row loops vectorize 8-wide — the
-//!   small-shape production path (and the `Naive` backend).
+//!   small-shape production path.
 //!
 //! The single-tile kernel is load-port-bound: each contraction step issues
 //! nine load μops (one B vector + eight A broadcasts) against eight FMAs.
@@ -33,32 +33,22 @@
 //! inputs no matter which instruction or library routine computes it; by
 //! induction over `p` the whole chain — and hence every output bit — is
 //! equal on both paths. Selection between them is by platform
-//! ([`simd_available`]), never by option, and `tests/proptests.rs` pins
-//! vector == portable == oracle bitwise. [`set_simd_enabled`]`(false)` is
-//! the test hook that forces the portable path on an AVX2 machine.
+//! (`detected`), never by option: each `gemm*` entry point reads it once
+//! and passes a `vector` flag down, and `gemm.rs`'s unit tests pass that
+//! flag themselves to pin vector == portable == oracle bitwise. This is
+//! the only file that asks the CPU what it has.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use crate::gemm::{MR, NR};
-
-/// Set by [`set_simd_enabled`]`(false)`: take the portable path even where
-/// the CPU has AVX2+FMA.
-static FORCE_PORTABLE: AtomicBool = AtomicBool::new(false);
 
 const _: () = assert!(
     MR == 8 && NR == 8,
     "AVX2 micro-kernel is written for an 8x8 tile"
 );
 
-/// Serializes the unit tests that flip [`set_simd_enabled`] or assert on
-/// [`simd_available`] (the hook is process-wide).
-#[cfg(test)]
-pub(crate) static HOOK_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Whether this CPU has AVX2+FMA (detected once). What the `unsafe` calls
-/// below rest on — unlike [`simd_available`] it cannot be toggled, so a
-/// [`set_simd_enabled`] racing a running GEMM is harmless.
+/// Whether this CPU has AVX2+FMA (detected once): what dispatch selects the
+/// vector path by, and what the `unsafe` calls below rest on.
 pub(crate) fn detected() -> bool {
     static DETECTED: OnceLock<bool> = OnceLock::new();
     *DETECTED.get_or_init(|| {
@@ -74,20 +64,10 @@ pub(crate) fn detected() -> bool {
     })
 }
 
-/// Whether GEMM dispatch takes the AVX2/FMA path: the CPU supports it and
-/// [`set_simd_enabled`]`(false)` has not forced the portable one.
+/// Whether GEMM dispatch takes the AVX2/FMA path: `detected`, under the
+/// name run records (`bench_kernels`, the `benchmark/` host record) read.
 pub fn simd_available() -> bool {
-    !FORCE_PORTABLE.load(Ordering::Relaxed) && detected()
-}
-
-/// Test hook: `false` forces every dispatch onto the portable `mul_add`
-/// path, `true` returns to platform selection (it cannot enable the vector
-/// path on a CPU without AVX2+FMA).
-///
-/// Both paths are bit-identical, so a toggle racing a GEMM on another
-/// thread can change which instructions run but never a result.
-pub fn set_simd_enabled(enabled: bool) {
-    FORCE_PORTABLE.store(!enabled, Ordering::Relaxed);
+    detected()
 }
 
 /// AVX2/FMA twin of the portable micro-kernel: `acc[r] = fma(apanel[p][r],
@@ -197,7 +177,7 @@ unsafe fn microkernel_avx2_x2(
 }
 
 /// Runs the AVX2/FMA micro-kernel. Only [`crate::gemm`]'s tiled path calls
-/// it, and only with a `vector` flag that came from [`simd_available`].
+/// it, on a `vector` flag.
 #[inline]
 pub(crate) fn microkernel(k: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
     assert_detected();
@@ -236,8 +216,8 @@ pub(crate) fn microkernel_x2(
 
 /// Part of what makes the safe wrappers in this module sound on their own:
 /// every one checks the CPU before its `unsafe` call. Callers only get here
-/// behind a [`simd_available`] check (never true off x86-64), so this
-/// firing means a dispatch bug, not a slow path.
+/// on a `vector` flag that came from [`detected`] (never true off x86-64),
+/// so this firing means a dispatch bug, not a slow path.
 #[inline]
 fn assert_detected() {
     assert!(detected(), "AVX2/FMA kernel dispatched without CPU support");
@@ -284,19 +264,6 @@ small_kernel!(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn force_portable_and_back_round_trip() {
-        let _hook = HOOK_LOCK.lock().unwrap();
-        set_simd_enabled(false);
-        assert!(!simd_available());
-        set_simd_enabled(true);
-        assert_eq!(
-            simd_available(),
-            detected(),
-            "re-enable must return to platform selection, not force the vector path"
-        );
-    }
 
     #[test]
     fn vector_tile_is_bitwise_portable_tile() {

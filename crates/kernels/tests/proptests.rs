@@ -1,14 +1,11 @@
 //! Property tests of the one GEMM contract: every output element is
 //! `acc = fma(a[i,p], b[p,j], acc)` for `p` ascending, one rounding per
-//! step. For all three entry points (`gemm`, `gemm_nt`, `gemm_tn`) —
-//! across shapes straddling the small-shape threshold and the 8×8 tile,
-//! random initial output contents (the kernels accumulate) and thread
-//! counts 1, 2 and 4 — the tests assert **bit identity**, never closeness:
+//! step. For all five public entry points — across shapes straddling the
+//! small-shape threshold and the 8×8 tile, random initial output contents
+//! (the kernels accumulate) and thread counts 1, 2 and 4 — the tests assert
+//! **bit identity**, never closeness:
 //!
 //! * default dispatch == the oracle ([`reference`]);
-//! * the AVX2/FMA path == the portable `mul_add` path (forced with
-//!   [`set_simd_enabled`]`(false)`), which is what carries results across
-//!   machines;
 //! * on inputs where a fused multiply-add and a separate multiply + add
 //!   provably differ, every path produces the *fused* answer, checked
 //!   against hand-derived bits rather than against another kernel;
@@ -17,18 +14,21 @@
 //!   oracle into zeroed columns followed by a row-major add through the
 //!   tables — including, on a hand-derived case, the *order* of those adds.
 //!
-//! `set_num_threads` / `set_backend` / `set_simd_enabled` are process
-//! globals, so every test in this binary serializes on [`GLOBAL_LOCK`] and
-//! restores the previous configuration before releasing it.
+//! That the AVX2/FMA and the portable instantiations agree is a unit test
+//! in `src/gemm.rs`, which can name an instantiation; from here, dispatch
+//! takes whichever the CPU has.
+//!
+//! `set_num_threads` is process-wide, so every test in this binary
+//! serializes on [`THREADS_LOCK`] and restores the thread count before
+//! releasing it.
 
 use hfta_kernels::{
-    gemm, gemm_gather, gemm_nt, gemm_tn, gemm_tn_scatter, reference, set_backend, set_num_threads,
-    set_simd_enabled, simd_available, GemmBackend, Offsets,
+    gemm, gemm_gather, gemm_nt, gemm_tn, gemm_tn_scatter, reference, set_num_threads, Offsets,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
 
-static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
+static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Deterministic pseudo-random fill (xorshift), decorrelated by `salt`.
 fn fill(n: usize, seed: u64, salt: u64) -> Vec<f32> {
@@ -61,27 +61,12 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Restores thread count, backend and platform selection when a test body
-/// exits (even early).
-struct RestoreGlobals {
-    threads: usize,
-    backend: GemmBackend,
-}
+/// Restores the thread count when a test body exits (even early).
+struct RestoreThreads(usize);
 
-impl RestoreGlobals {
-    fn capture() -> Self {
-        RestoreGlobals {
-            threads: hfta_kernels::num_threads(),
-            backend: hfta_kernels::backend(),
-        }
-    }
-}
-
-impl Drop for RestoreGlobals {
+impl Drop for RestoreThreads {
     fn drop(&mut self) {
-        set_num_threads(self.threads);
-        set_backend(self.backend);
-        set_simd_enabled(true);
+        set_num_threads(self.0);
     }
 }
 
@@ -125,7 +110,7 @@ impl Problem {
         }
     }
 
-    /// Runs the entry point under the current global configuration.
+    /// Runs the entry point at the current thread count.
     fn run(&self) -> Vec<u32> {
         let (m, k, n) = (self.m, self.k, self.n);
         let mut out = self.init.clone();
@@ -150,7 +135,7 @@ impl Problem {
     }
 }
 
-/// Asserts, for every entry point, that every configuration (see
+/// Asserts, for every entry point, that every thread count (see
 /// [`check_every_configuration`]) reproduces `expect` — or, when `None`, each
 /// entry's oracle — bit for bit.
 fn check_all_paths(
@@ -173,32 +158,21 @@ fn check_all_paths(
     Ok(())
 }
 
-/// Runs `run` under every configuration — the `Naive` backend, then default
-/// dispatch at 1/2/4 threads on the vector and the forced-portable path —
-/// and asserts each result equals `expect`.
+/// Runs `run` through default dispatch at 1, 2 and 4 threads and asserts
+/// each result equals `expect`.
 fn check_every_configuration(
     what: &str,
     expect: &[u32],
     run: impl Fn() -> Vec<u32>,
 ) -> Result<(), String> {
-    let _g = GLOBAL_LOCK.lock().unwrap();
-    let _restore = RestoreGlobals::capture();
-    set_simd_enabled(true);
-    if !simd_available() {
-        eprintln!("note: no AVX2+FMA here; vector == portable is vacuous on this CPU");
-    }
-    set_backend(GemmBackend::Naive);
-    prop_assert!(run() == expect, "{what}: naive backend diverged");
-    set_backend(GemmBackend::Auto);
+    let _g = THREADS_LOCK.lock().unwrap();
+    let _restore = RestoreThreads(hfta_kernels::num_threads());
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);
-        for vector in [true, false] {
-            set_simd_enabled(vector);
-            prop_assert!(
-                run() == expect,
-                "{what}: default dispatch diverged at {threads} threads, vector={vector}"
-            );
-        }
+        prop_assert!(
+            run() == expect,
+            "{what}: default dispatch diverged at {threads} threads"
+        );
     }
     Ok(())
 }
@@ -214,7 +188,7 @@ fn table(len: usize, bound: usize, seed: u64, salt: u64) -> Vec<usize> {
 
 /// `gemm_gather` against the oracle on the `B` its tables materialise, and
 /// `gemm_tn_scatter` against the oracle into zeroed columns followed by a
-/// row-major `dst[row[i] + col[j]] += cols[i][j]`, over every configuration.
+/// row-major `dst[row[i] + col[j]] += cols[i][j]`, at every thread count.
 fn check_tables(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
     let a = fill(m * k, seed, 1);
     let init = fill(m * n, seed, 3);
@@ -342,9 +316,9 @@ fn scatter_adds_in_ascending_row_order() {
 /// Inputs on which `fma(a, b, c)` and `(a * b) + c` round differently, with
 /// the fused answer derived by hand. Only the *last* contraction step is
 /// active (earlier columns of `A` are zero, so `fma(0, b, c) == c` carries
-/// the initial value through unchanged); every path — oracle, small loops,
-/// tiled, paired, vector and portable — must produce the fused
-/// bits, so reintroducing a separate multiply and add anywhere fails here.
+/// the initial value through unchanged); every path dispatch takes —
+/// oracle, small loops, tiled, paired — must produce the fused bits, so
+/// reintroducing a separate multiply and add anywhere fails here.
 #[test]
 fn every_path_rounds_once_per_step() {
     let two = |e: i32| 2.0f32.powi(e);

@@ -19,13 +19,13 @@
 //! # Bit-identity
 //!
 //! Recycled buffers are value-filled exactly as `vec![fill; len]` would be
-//! before any kernel sees them, so pooled and unpooled runs are bitwise
-//! equal at any thread count. [`Storage::unfilled`] skips the fill for a
-//! pass that overwrites every element anyway: its stale values never reach
-//! a result. The pool is always on; [`set_pool_enabled`]
-//! is the in-process hook that falls back to plain `Vec` allocation for A/B
-//! equivalence tests and `bench_mem`. No environment variable reaches this
-//! crate.
+//! before any kernel sees them, so a run's results do not depend on what
+//! the pool held before it, at any thread count. [`Storage::unfilled`]
+//! skips the fill for a pass that overwrites every element anyway: its
+//! stale values never reach a result. `tests/mem_equivalence.rs` trains
+//! from a cold pool and from one whose free lists hold NaN-filled buffers
+//! and requires equal bits. The pool is always on: there is no switch and
+//! no environment variable reaches this crate.
 //!
 //! Accounting covers `f32` buffers owned by [`Storage`] and the scratch
 //! arenas — the tensors, gradients and kernel workspace that dominate a
@@ -38,5 +38,5 @@ pub mod pool;
 pub mod scratch;
 pub mod storage;
 
-pub use pool::{pool_enabled, reset_stats, set_pool_enabled, stats, trim, ClassStats, MemStats};
+pub use pool::{pool_enabled, reset_stats, stats, trim, ClassStats, MemStats};
 pub use storage::Storage;

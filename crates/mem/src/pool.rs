@@ -6,9 +6,8 @@
 //! capacity of at least its class size, so recycled buffers always satisfy
 //! later requests of the same class without reallocating.
 //!
-//! Accounting is always on (a handful of relaxed atomics per allocation)
-//! even when recycling is disabled, so the A/B toggle changes *where* bytes
-//! come from but never *whether* they are measured:
+//! Accounting is always on (a handful of relaxed atomics per allocation),
+//! for pooled and oversize buffers alike:
 //!
 //! * `live_bytes` — bytes inside live [`crate::Storage`] values (requested
 //!   lengths, not capacities — byte-accurate, no class-rounding slack).
@@ -22,7 +21,7 @@
 //! acquired and released on the thread that owns the tensor, and scratch
 //! growth is serialized under the reservation lock (see [`crate::scratch`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Element count of the smallest size class (256 B of `f32`s). Requests
@@ -100,17 +99,11 @@ static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static POOLED_FREE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_FOOTPRINT_BYTES: AtomicU64 = AtomicU64::new(0);
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether the recycling pool is on (free-list reuse): yes, until
-/// [`set_pool_enabled`] says otherwise. Accounting runs either way.
+/// Whether the recycling pool is on: always `true`, there is no switch.
+/// Kept, like `hfta_kernels::tune::enabled`, only because the
+/// out-of-workspace `benchmark/` host record reads it.
 pub fn pool_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Overrides the pool toggle process-wide (for in-process A/B tests).
-pub fn set_pool_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    true
 }
 
 /// Updates the footprint high-water mark after any owned-bytes increase.
@@ -175,30 +168,22 @@ fn acquire_with(len: usize, init: impl FnOnce(&mut Vec<f32>)) -> Vec<f32> {
         return Vec::new();
     }
     let idx = account_idx(len);
-    if pool_enabled() {
-        if let Some(c) = class_of(len) {
-            if let Some(mut buf) = FREE[c].lock().unwrap().pop() {
-                POOLED_FREE_BYTES.fetch_sub((buf.len() * 4) as u64, Ordering::Relaxed);
-                init(&mut buf);
-                debug_assert_eq!(buf.len(), len);
-                REUSES.fetch_add(1, Ordering::Relaxed);
-                CLASSES[idx].reuses.fetch_add(1, Ordering::Relaxed);
-                account_live_add(len);
-                return buf;
-            }
-            // Miss: allocate at full class capacity so the buffer serves
-            // any later request of its class once recycled.
-            let mut buf = Vec::with_capacity(class_elems(c));
+    let class = class_of(len);
+    if let Some(c) = class {
+        if let Some(mut buf) = FREE[c].lock().unwrap().pop() {
+            POOLED_FREE_BYTES.fetch_sub((buf.len() * 4) as u64, Ordering::Relaxed);
             init(&mut buf);
-            FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            CLASSES[idx].fresh.fetch_add(1, Ordering::Relaxed);
+            debug_assert_eq!(buf.len(), len);
+            REUSES.fetch_add(1, Ordering::Relaxed);
+            CLASSES[idx].reuses.fetch_add(1, Ordering::Relaxed);
             account_live_add(len);
-            bump_footprint();
             return buf;
         }
     }
-    // Pool disabled or oversize: plain allocation, still accounted.
-    let mut buf = Vec::with_capacity(len);
+    // Miss: allocate at full class capacity so the buffer serves any later
+    // request of its class once recycled; an oversize request gets exactly
+    // `len`, still accounted.
+    let mut buf = Vec::with_capacity(class.map_or(len, class_elems));
     init(&mut buf);
     FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
     CLASSES[idx].fresh.fetch_add(1, Ordering::Relaxed);
@@ -215,12 +200,10 @@ pub(crate) fn adopt(buf: &mut Vec<f32>) {
     if len == 0 {
         return;
     }
-    if pool_enabled() {
-        if let Some(c) = class_of(len) {
-            let want = class_elems(c);
-            if buf.capacity() < want {
-                buf.reserve_exact(want - len);
-            }
+    if let Some(c) = class_of(len) {
+        let want = class_elems(c);
+        if buf.capacity() < want {
+            buf.reserve_exact(want - len);
         }
     }
     FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -240,17 +223,14 @@ pub(crate) fn disown(len: usize) {
     account_live_sub(len);
 }
 
-/// Returns a buffer to the pool (or drops it when recycling is off or the
-/// capacity is below the smallest class).
+/// Returns a buffer to the pool (or drops it when its capacity is below the
+/// smallest class).
 pub(crate) fn release(buf: Vec<f32>) {
     let len = buf.len();
     if len == 0 {
         return;
     }
     account_live_sub(len);
-    if !pool_enabled() {
-        return;
-    }
     let Some(c) = floor_class_of_capacity(buf.capacity()) else {
         return;
     };
@@ -276,7 +256,7 @@ pub struct ClassStats {
 /// Snapshot of the pool + scratch accounting counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemStats {
-    /// Fresh storage allocations (pool misses, adopted `Vec`s, unpooled).
+    /// Fresh storage allocations (pool misses, adopted `Vec`s, oversize).
     pub pool_fresh_allocs: u64,
     /// Storage allocations served from the free lists.
     pub pool_reuses: u64,

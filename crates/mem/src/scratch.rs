@@ -71,10 +71,10 @@ fn new_class_buffer(c: usize) -> Vec<f32> {
 
 /// Declares that up to `count` buffers of `len` elements may be checked
 /// out concurrently by call site `tag`, and grows the arena to the sum of
-/// all tags' targets for that class. Idempotent; a no-op when the pool is
-/// disabled or the request is oversize.
+/// all tags' targets for that class. Idempotent; a no-op when the request
+/// is oversize.
 pub fn reserve(tag: &'static str, len: usize, count: usize) {
-    if count == 0 || !pool::pool_enabled() {
+    if count == 0 {
         return;
     }
     let Some(c) = class_of(len) else {
@@ -102,17 +102,16 @@ pub fn reserve(tag: &'static str, len: usize, count: usize) {
 
 /// Checks out a zero-filled scratch buffer of `len` elements, runs `f`,
 /// and returns the buffer to the arena. Falls back to a plain allocation
-/// when the pool is disabled or the request is oversize.
+/// when the request is oversize.
 pub fn with<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     if len == 0 {
         return f(&mut []);
     }
-    if !pool::pool_enabled() || class_of(len).is_none() {
+    let Some(c) = class_of(len) else {
         FRESH.fetch_add(1, Ordering::Relaxed);
         let mut buf = vec![0.0f32; len];
         return f(&mut buf);
-    }
-    let c = class_of(len).expect("checked above");
+    };
     let popped = FREE[c].lock().unwrap().pop();
     let mut buf = match popped {
         Some(buf) => buf,

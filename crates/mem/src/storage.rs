@@ -6,7 +6,7 @@ use crate::pool;
 ///
 /// `Storage` behaves like an immovable-length `Vec<f32>`: it is created at
 /// its final length, read and written through slices, and never grows. On
-/// drop the buffer returns to the size-class pool (when enabled) so the
+/// drop the buffer returns to the size-class pool so the
 /// next same-class allocation reuses it; every path keeps the live/peak
 /// byte accounting in [`crate::pool`] exact.
 ///
@@ -172,10 +172,7 @@ mod tests {
 
     #[test]
     fn recycling_reuses_same_class() {
-        // Serialized against other stat-sensitive tests elsewhere; here we
-        // only assert relative deltas that hold regardless of interleaving
-        // within this single-threaded test.
-        crate::set_pool_enabled(true);
+        // Only relative deltas, which hold however other tests interleave.
         let before = crate::stats();
         drop(Storage::zeroed(1000));
         let s = Storage::zeroed(900); // same 1024-element class

@@ -27,6 +27,8 @@ pub enum CheckpointError {
     Truncated,
     /// A parameter name was not valid UTF-8.
     BadName,
+    /// Bytes were left over after the last declared parameter.
+    TrailingBytes,
     /// The checkpoint's parameters do not match the destination model.
     Mismatch {
         /// Human-readable detail.
@@ -41,6 +43,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             CheckpointError::Truncated => write!(f, "checkpoint is truncated"),
             CheckpointError::BadName => write!(f, "checkpoint contains an invalid name"),
+            CheckpointError::TrailingBytes => write!(f, "checkpoint has trailing bytes"),
             CheckpointError::Mismatch { detail } => {
                 write!(f, "checkpoint does not match the model: {detail}")
             }
@@ -111,7 +114,9 @@ impl<'a> Reader<'a> {
 ///
 /// # Errors
 ///
-/// Returns a [`CheckpointError`] on any malformed input.
+/// Returns a [`CheckpointError`] on any malformed input; the whole buffer
+/// must be consumed (no trailing bytes), so a torn or concatenated file is
+/// rejected rather than half-read.
 pub fn decode(bytes: &[u8]) -> Result<Vec<(String, Tensor)>, CheckpointError> {
     let mut r = Reader { bytes, pos: 0 };
     if r.take(4)? != MAGIC {
@@ -144,6 +149,9 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<(String, Tensor)>, CheckpointError> {
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect();
         out.push((name, Tensor::from_vec(data, dims)));
+    }
+    if r.pos != bytes.len() {
+        return Err(CheckpointError::TrailingBytes);
     }
     Ok(out)
 }
@@ -228,6 +236,17 @@ mod tests {
         let mut bad = save(&params());
         bad[4] = 99;
         assert!(matches!(decode(&bad), Err(CheckpointError::BadVersion(_))));
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let one = save(&params());
+        let concatenated = [one.clone(), save(&params()[..1])].concat();
+        assert_eq!(decode(&concatenated), Err(CheckpointError::TrailingBytes));
+        let mut extra = one;
+        extra.push(0);
+        assert_eq!(decode(&extra), Err(CheckpointError::TrailingBytes));
+        assert_eq!(load(&extra, &params()), Err(CheckpointError::TrailingBytes));
     }
 
     #[test]

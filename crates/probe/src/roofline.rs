@@ -64,19 +64,12 @@ const REPS: usize = 3;
 /// stream GB/s at each of `thread_counts`, restoring the worker-pool
 /// thread count afterwards. Entries come back sorted ascending by threads.
 ///
-/// The GEMM loop is pinned to the default `Auto` backend for the
-/// measurement: the compute peak is defined against the production kernel,
-/// so a process running on the `Naive` oracle calibrates the same peak as
-/// everyone else.
-///
 /// # Panics
 ///
 /// Panics if `thread_counts` is empty or contains zero.
 pub fn calibrate(thread_counts: &[usize]) -> MachinePeaks {
     assert!(!thread_counts.is_empty(), "calibrate needs a thread count");
     let prior = hfta_kernels::num_threads();
-    let prior_backend = hfta_kernels::backend();
-    hfta_kernels::set_backend(hfta_kernels::GemmBackend::Auto);
     let mut counts: Vec<usize> = thread_counts.to_vec();
     counts.sort_unstable();
     counts.dedup();
@@ -93,7 +86,6 @@ pub fn calibrate(thread_counts: &[usize]) -> MachinePeaks {
         })
         .collect();
     hfta_kernels::set_num_threads(prior);
-    hfta_kernels::set_backend(prior_backend);
     MachinePeaks { entries }
 }
 

@@ -9,82 +9,16 @@
 //! `live / allocated` is the packing efficiency the elastic scheduler
 //! exists to maximize.
 
-use serde::{Deserialize, Serialize};
-
 use hfta_telemetry::{FlightKind, Profiler, FLEET_TRIAL};
 
 use crate::device::DeviceSpec;
 use crate::gpu::{GpuSim, SharingPolicy};
 use crate::kernel::{GemmDims, JobMemory, Kernel, TrainingJob};
 
-const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
-
 /// Simulated seconds → the integer-ns flight grid (same rounding as the
 /// scheduler's event timestamps, so bind/release align with trial events).
 fn ns(t: f64) -> u64 {
     (t * 1e9).round() as u64
-}
-
-/// Linear footprint model `bytes(B) = base + B * per_lane`, fit from
-/// *measured* per-width peak footprints (`bench_mem`'s `peak_bytes`
-/// column) instead of the analytic [`JobMemory`] estimate. `base` absorbs
-/// everything width-independent (framework state, shared workspaces);
-/// `per_lane` is the marginal cost of one more fused lane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MemoryModel {
-    /// Width-independent bytes (shared framework + workspace state).
-    pub base_bytes: f64,
-    /// Marginal bytes per fused lane.
-    pub per_lane_bytes: f64,
-}
-
-impl MemoryModel {
-    /// Least-squares fit of the linear model over measured
-    /// `(width, peak_bytes)` points. Returns `None` with fewer than two
-    /// distinct widths (the slope would be unconstrained). Negative fitted
-    /// components clamp to zero so a noisy fit never predicts a *smaller*
-    /// footprint at a larger width.
-    pub fn fit(points: &[(usize, u64)]) -> Option<MemoryModel> {
-        let n = points.len() as f64;
-        let first = points.first()?.0;
-        if !points.iter().any(|&(b, _)| b != first) {
-            return None;
-        }
-        let mean_b = points.iter().map(|&(b, _)| b as f64).sum::<f64>() / n;
-        let mean_y = points.iter().map(|&(_, y)| y as f64).sum::<f64>() / n;
-        let mut cov = 0.0;
-        let mut var = 0.0;
-        for &(b, y) in points {
-            let db = b as f64 - mean_b;
-            cov += db * (y as f64 - mean_y);
-            var += db * db;
-        }
-        let per_lane = (cov / var).max(0.0);
-        let base = (mean_y - per_lane * mean_b).max(0.0);
-        Some(MemoryModel {
-            base_bytes: base,
-            per_lane_bytes: per_lane,
-        })
-    }
-
-    /// Predicted footprint of a `b`-wide fused array in bytes.
-    pub fn predict_bytes(&self, b: usize) -> f64 {
-        self.base_bytes + self.per_lane_bytes * b as f64
-    }
-}
-
-/// How [`DeviceFleet::max_fused_width_with`] estimates the footprint of a
-/// candidate fused width.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WidthMode<'a> {
-    /// Analytic [`JobMemory`] scaling — the paper's Table-5 estimate
-    /// (weights and activations replicate per lane, workspace is shared,
-    /// plus the framework reservation).
-    Analytic,
-    /// A [`MemoryModel`] fit from real measured footprints. The measured
-    /// base already contains every width-independent reservation, so the
-    /// prediction is compared against raw device capacity.
-    Measured(&'a MemoryModel),
 }
 
 /// Scales a per-model training job to a `B`-wide fused job, the way HFTA
@@ -237,29 +171,6 @@ impl DeviceFleet {
         self.devices[id]
             .sim
             .max_jobs(SharingPolicy::Hfta, limit, |b| fuse_job(profile, b))
-    }
-
-    /// [`DeviceFleet::max_fused_width`] with a selectable footprint
-    /// estimator: [`WidthMode::Analytic`] reproduces the Table-5 style
-    /// estimate, [`WidthMode::Measured`] sizes the array from a
-    /// [`MemoryModel`] fit to real `bench_mem` footprints instead.
-    pub fn max_fused_width_with(
-        &self,
-        id: usize,
-        profile: &TrainingJob,
-        limit: usize,
-        mode: WidthMode<'_>,
-    ) -> usize {
-        match mode {
-            WidthMode::Analytic => self.max_fused_width(id, profile, limit),
-            WidthMode::Measured(model) => {
-                let cap = self.devices[id].sim.device().hbm_gib * GIB;
-                (1..=limit)
-                    .take_while(|&b| model.predict_bytes(b) <= cap)
-                    .last()
-                    .unwrap_or(0)
-            }
-        }
     }
 
     /// Simulated seconds one training step of a `width`-wide fusion of
@@ -497,84 +408,6 @@ mod tests {
         assert!((8..=16).contains(&w), "max width {w}");
         // The cap is honored.
         assert_eq!(fleet.max_fused_width(0, &job(), 4), 4);
-    }
-
-    #[test]
-    fn memory_model_fit_recovers_linear_footprints() {
-        // Points generated from an exactly linear footprint.
-        let points: Vec<(usize, u64)> = [1usize, 2, 4, 6]
-            .iter()
-            .map(|&b| (b, 3_000_000_000 + 1_200_000_000 * b as u64))
-            .collect();
-        let m = MemoryModel::fit(&points).unwrap();
-        assert!((m.base_bytes - 3.0e9).abs() < 1.0);
-        assert!((m.per_lane_bytes - 1.2e9).abs() < 1.0);
-        assert!((m.predict_bytes(8) - (3.0e9 + 9.6e9)).abs() < 1.0);
-        // One width (or none) is not enough to constrain the slope.
-        assert!(MemoryModel::fit(&[(4, 100)]).is_none());
-        assert!(MemoryModel::fit(&[]).is_none());
-    }
-
-    #[test]
-    fn measured_width_mode_tracks_analytic_estimate() {
-        let fleet = DeviceFleet::homogeneous(DeviceSpec::v100(), false, 1);
-        let base = job();
-        let analytic = fleet.max_fused_width(0, &base, 64);
-
-        // Synthesize "measurements" from the same analytic footprint the
-        // simulator charges (framework reservation + per-lane weights and
-        // activations + shared workspace): the fitted model must then
-        // reproduce the analytic width choice exactly.
-        let gib = |g: f64| (g * GIB) as u64;
-        let fw = fleet.sim(0).device().framework_overhead_fp32_gib;
-        let points: Vec<(usize, u64)> = [1usize, 2, 4, 6]
-            .iter()
-            .map(|&b| {
-                let m = fuse_job(&base, b).memory;
-                (
-                    b,
-                    gib(fw + m.weights_gib + m.activations_gib + m.workspace_gib),
-                )
-            })
-            .collect();
-        let model = MemoryModel::fit(&points).unwrap();
-        let measured = fleet.max_fused_width_with(0, &base, 64, WidthMode::Measured(&model));
-        assert_eq!(measured, analytic, "measured mode diverged from analytic");
-        assert_eq!(
-            fleet.max_fused_width_with(0, &base, 64, WidthMode::Analytic),
-            analytic
-        );
-        // The limit cap still binds.
-        assert_eq!(
-            fleet.max_fused_width_with(0, &base, 4, WidthMode::Measured(&model)),
-            4
-        );
-
-        // A real measured profile (bench_mem on this CPU runtime) sees a
-        // *smaller* per-lane cost than the analytic GPU estimate — the
-        // fused array shares the im2col/GEMM workspace and the pool
-        // amortizes per-lane slack — so the measured width is never below
-        // the analytic one. The delta direction is the documented
-        // CPU-measured vs GPU-analytic gap.
-        let shared = MemoryModel {
-            base_bytes: points[0].1 as f64,
-            per_lane_bytes: model.per_lane_bytes * 0.6,
-        };
-        let w = fleet.max_fused_width_with(0, &base, 64, WidthMode::Measured(&shared));
-        assert!(
-            w >= analytic,
-            "shared-workspace width {w} < analytic {analytic}"
-        );
-
-        // A model that never fits reports width 0.
-        let huge = MemoryModel {
-            base_bytes: 1e18,
-            per_lane_bytes: 1.0,
-        };
-        assert_eq!(
-            fleet.max_fused_width_with(0, &base, 8, WidthMode::Measured(&huge)),
-            0
-        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod tpu;
 pub use attribution::{job_lane_totals, per_model_shares, LaneShare};
 pub use counters::Counters;
 pub use device::{DeviceKind, DeviceSpec};
-pub use fleet::{fuse_job, DeviceFleet, MemoryModel, WidthMode};
+pub use fleet::{fuse_job, DeviceFleet};
 pub use gpu::{GpuSim, SharingPolicy, SimResult};
 pub use kernel::{GemmDims, JobMemory, Kernel, TrainingJob};
 pub use tpu::{TpuSim, TpuSimResult};

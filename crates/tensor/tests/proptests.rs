@@ -136,37 +136,23 @@ proptest! {
 // --- Kernel determinism contract at the conv level -------------------------
 //
 // The forward and both backward convolutions must be **bit-identical** at
-// every thread count and on both GEMM backends (production dispatch and
-// the oracle): HFTA's Figure 3 claim
-// (fused training is bit-exact with serial training) only survives if the
-// compute layer underneath is deterministic. `set_num_threads` /
-// `set_backend` are process globals, so these tests serialize on a mutex
-// and restore the configuration before releasing it.
+// every thread count: HFTA's Figure 3 claim (fused training is bit-exact
+// with serial training) only survives if the compute layer underneath is
+// deterministic. (That conv equals its im2col + reference oracle is a unit
+// test in `src/conv.rs`.) `set_num_threads` is process-wide, so these tests
+// serialize on a mutex and restore the thread count before releasing it.
 
-use hfta_kernels::{set_backend, set_num_threads, GemmBackend};
+use hfta_kernels::set_num_threads;
 use hfta_tensor::conv::{conv2d_grad_input, conv2d_grad_weight};
 use std::sync::Mutex;
 
-static KERNEL_GLOBAL_LOCK: Mutex<()> = Mutex::new(());
+static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
-struct RestoreGlobals {
-    threads: usize,
-    backend: GemmBackend,
-}
+struct RestoreThreads(usize);
 
-impl RestoreGlobals {
-    fn capture() -> Self {
-        RestoreGlobals {
-            threads: hfta_kernels::num_threads(),
-            backend: hfta_kernels::backend(),
-        }
-    }
-}
-
-impl Drop for RestoreGlobals {
+impl Drop for RestoreThreads {
     fn drop(&mut self) {
-        set_num_threads(self.threads);
-        set_backend(self.backend);
+        set_num_threads(self.0);
     }
 }
 
@@ -188,7 +174,7 @@ proptest! {
     // the tiled gather / scatter paths are compared, not only the direct
     // loops; the rest stay below it.
     #[test]
-    fn conv2d_bit_identical_across_threads_and_backends(
+    fn conv2d_bit_identical_across_threads(
         n in 1usize..4,
         g in 1usize..4,
         cing in 1usize..6,
@@ -198,8 +184,8 @@ proptest! {
         pad in 0usize..2,
         seed in 0usize..1000,
     ) {
-        let _l = KERNEL_GLOBAL_LOCK.lock().unwrap();
-        let _restore = RestoreGlobals::capture();
+        let _l = THREADS_LOCK.lock().unwrap();
+        let _restore = RestoreThreads(hfta_kernels::num_threads());
         let cfg = ConvCfg::square(stride, pad, g);
         let x = mk_tensor(seed, &[n, g * cing, hw, hw]);
         let w = mk_tensor(seed + 13, &[g * coutg, cing, 3, 3]);
@@ -210,12 +196,9 @@ proptest! {
         let gw = conv2d_grad_weight(&x, &gy, (3, 3), cfg);
         for threads in [1usize, 2, 4] {
             set_num_threads(threads);
-            for backend in [GemmBackend::Auto, GemmBackend::Naive] {
-                set_backend(backend);
-                prop_assert_eq!(&conv2d(&x, &w, Some(&bias), cfg), &y);
-                prop_assert_eq!(&conv2d_grad_input(&w, &gy, (hw, hw), g * cing, cfg), &gx);
-                prop_assert_eq!(&conv2d_grad_weight(&x, &gy, (3, 3), cfg), &gw);
-            }
+            prop_assert_eq!(&conv2d(&x, &w, Some(&bias), cfg), &y);
+            prop_assert_eq!(&conv2d_grad_input(&w, &gy, (hw, hw), g * cing, cfg), &gx);
+            prop_assert_eq!(&conv2d_grad_weight(&x, &gy, (3, 3), cfg), &gw);
         }
     }
 
@@ -227,8 +210,8 @@ proptest! {
         nn in 1usize..10,
         seed in 0usize..1000,
     ) {
-        let _l = KERNEL_GLOBAL_LOCK.lock().unwrap();
-        let _restore = RestoreGlobals::capture();
+        let _l = THREADS_LOCK.lock().unwrap();
+        let _restore = RestoreThreads(hfta_kernels::num_threads());
         let x = mk_tensor(seed, &[b, m, k]);
         let w = mk_tensor(seed + 3, &[b, k, nn]);
         let bias = mk_tensor(seed + 9, &[b, 1, nn]);

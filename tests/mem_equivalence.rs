@@ -1,49 +1,94 @@
-//! Pooled-storage equivalence and steady-state allocation guards.
+//! Recycled-buffer equivalence and steady-state allocation guards.
 //!
-//! The size-class pool under `Tensor` recycles buffers between steps; the
-//! HFTA bit-identity contract (fused training reproduces serial training
-//! bit-for-bit) only survives if recycling changes *nothing* about the
-//! computed values. These tests train real fused models twice — pool on
-//! vs plain allocation (`set_pool_enabled(false)`) — and
-//! compare every parameter bit-for-bit at 1 and 4 worker threads, then
-//! pin down the two properties the memory layer itself claims: fixed
-//! workloads produce identical pool statistics, and after warm-up a
-//! training step performs zero fresh allocations.
+//! The size-class pool under `Tensor` recycles buffers between steps, and
+//! `Storage::unfilled` hands a pass a recycled buffer without filling it.
+//! The HFTA bit-identity contract (fused training reproduces serial
+//! training bit-for-bit) only survives if what a recycled buffer held never
+//! reaches a result. These tests train real fused models twice — from a
+//! cold pool (`hfta_mem::trim()`: every buffer fresh) and from a dirty one
+//! whose free lists hold only NaN-filled buffers — and compare every
+//! parameter bit-for-bit at 1 and 4 worker threads, so a pass that reads an
+//! unfilled buffer before writing it fails here. Then they pin down the two
+//! properties the memory layer itself claims: fixed workloads produce
+//! identical pool statistics, and after warm-up a training step performs
+//! zero fresh allocations.
 
 use std::sync::Mutex;
 
 use hfta_core::format::{conv_to_array, stack_conv, stack_targets};
 use hfta_core::loss::{fused_bce_with_logits, fused_cross_entropy, fused_nll_loss, Reduction};
-use hfta_core::ops::{FusedConv2d, FusedLinear, FusedModule};
+use hfta_core::ops::{FusedConv2d, FusedLinear, FusedModule, FusedParameter};
 use hfta_core::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel};
 use hfta_data::PointClouds;
+use hfta_mem::Storage;
 use hfta_models::{DcganCfg, FusedDiscriminator, FusedPointNetCls, PointNetCfg};
 use hfta_nn::layers::{Conv2dCfg, LinearCfg};
 use hfta_nn::{Module, Tape};
 use hfta_tensor::{Rng, Tensor};
 use proptest::prelude::*;
 
-/// The pool toggle, thread count and statistics are process-global, so
-/// every test in this binary runs under one lock and restores the
-/// defaults (pool on) before releasing it.
+/// The worker-thread count is process-wide, and so are the pool's free
+/// lists and counters these tests poison and read: every test in this
+/// binary runs under one lock.
 static GLOBAL: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Trains a fused conv → linear classifier for `steps` and returns every
-/// parameter as raw `f32` bit patterns.
-fn conv_linear_param_bits(
-    b: usize,
-    steps: usize,
-    seed: u64,
-    threads: usize,
-    pooled: bool,
-) -> Vec<Vec<u32>> {
-    hfta_kernels::set_num_threads(threads);
-    hfta_mem::set_pool_enabled(pooled);
-    hfta_mem::trim();
+/// Every parameter of a fused model as raw `f32` bit patterns.
+fn param_bits(params: &[FusedParameter]) -> Vec<Vec<u32>> {
+    params
+        .iter()
+        .map(|p| {
+            p.param
+                .value_cloned()
+                .to_vec()
+                .into_iter()
+                .map(f32::to_bits)
+                .collect()
+        })
+        .collect()
+}
+
+/// Leaves every buffer the pool holds NaN-filled: for each size class it
+/// has ever served, checks out full-class buffers of NaN until the class
+/// runs dry (a fresh allocation), then drops them all back into the free
+/// lists.
+fn poison_pool() {
+    let mut held = Vec::new();
+    for class in hfta_mem::stats().classes {
+        if class.elems == 0 || class.fresh_allocs == 0 {
+            continue;
+        }
+        loop {
+            let fresh = hfta_mem::stats().pool_fresh_allocs;
+            held.push(Storage::filled(class.elems, f32::NAN));
+            if hfta_mem::stats().pool_fresh_allocs > fresh {
+                break;
+            }
+        }
+    }
+}
+
+/// Runs `train` from a cold pool and again from a poisoned one, at 1 and 4
+/// worker threads, and requires the same bits each time.
+fn assert_cold_matches_dirty(what: &str, train: impl Fn() -> Vec<Vec<u32>>) {
+    for threads in [1usize, 4] {
+        hfta_kernels::set_num_threads(threads);
+        hfta_mem::trim();
+        let cold = train();
+        poison_pool();
+        assert!(
+            cold == train(),
+            "{what}: a dirty pool changed the result at {threads} threads"
+        );
+    }
+}
+
+/// Trains a fused conv → linear classifier for two steps and returns every
+/// parameter's bits.
+fn conv_linear_param_bits(b: usize, seed: u64) -> Vec<Vec<u32>> {
     let mut rng = Rng::seed_from(seed);
     let conv = FusedConv2d::new(b, Conv2dCfg::new(3, 6, 3), &mut rng);
     let x = rng.rand([2, 3 * b, 8, 8], -1.0, 1.0);
@@ -60,7 +105,7 @@ fn conv_linear_param_bits(
     let mut opt =
         FusedSgd::new(params.clone(), PerModel::uniform(b, 0.05), 0.9).expect("widths match");
     let targets: Vec<usize> = (0..2 * b).map(|_| rng.below(4)).collect();
-    for _ in 0..steps {
+    for _ in 0..2 {
         opt.zero_grad();
         let tape = Tape::new();
         let h = conv.forward(&tape.leaf(x.clone())).relu();
@@ -68,34 +113,18 @@ fn conv_linear_param_bits(
         fused_cross_entropy(&logits, &targets, Reduction::Mean).backward();
         opt.step();
     }
-    params
-        .iter()
-        .map(|p| {
-            p.param
-                .value_cloned()
-                .to_vec()
-                .into_iter()
-                .map(f32::to_bits)
-                .collect()
-        })
-        .collect()
+    param_bits(&params)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Satellite (c): pooled and unpooled fused conv+linear training is
-    /// bit-identical at 1 and 4 worker threads, for arbitrary seeds and
-    /// array widths.
+    /// Fused conv+linear training is bit-identical from a cold and a dirty
+    /// pool at 1 and 4 worker threads, for arbitrary seeds and array widths.
     #[test]
     fn pooled_training_is_bit_identical(b in 1usize..4, seed in 0u64..1_000) {
         let _g = lock();
-        for threads in [1usize, 4] {
-            let pooled = conv_linear_param_bits(b, 2, seed, threads, true);
-            let plain = conv_linear_param_bits(b, 2, seed, threads, false);
-            prop_assert_eq!(&pooled, &plain);
-        }
-        hfta_mem::set_pool_enabled(true);
+        assert_cold_matches_dirty("conv+linear", || conv_linear_param_bits(b, seed));
     }
 }
 
@@ -119,14 +148,11 @@ fn run_dcgan_steps(b: usize, steps: usize) {
     }
 }
 
-/// DCGAN bit-identity at the full-model level, pool on vs off.
+/// DCGAN-D bit-identity at the full-model level, cold pool vs dirty pool.
 #[test]
-fn dcgan_step_pooled_matches_unpooled() {
+fn dcgan_step_cold_pool_matches_dirty_pool() {
     let _g = lock();
-    let run = |pooled: bool, threads: usize| -> Vec<Vec<u32>> {
-        hfta_kernels::set_num_threads(threads);
-        hfta_mem::set_pool_enabled(pooled);
-        hfta_mem::trim();
+    assert_cold_matches_dirty("DCGAN-D", || {
         let mut rng = Rng::seed_from(33);
         let disc = FusedDiscriminator::new(3, DcganCfg::mini(), &mut rng);
         disc.set_training(false);
@@ -143,36 +169,15 @@ fn dcgan_step_pooled_matches_unpooled() {
             fused_bce_with_logits(&d, &labels, 3, Reduction::Mean).backward();
             opt.step();
         }
-        params
-            .iter()
-            .map(|p| {
-                p.param
-                    .value_cloned()
-                    .to_vec()
-                    .into_iter()
-                    .map(f32::to_bits)
-                    .collect()
-            })
-            .collect()
-    };
-    for threads in [1usize, 4] {
-        assert_eq!(
-            run(true, threads),
-            run(false, threads),
-            "pooled DCGAN diverged at {threads} threads"
-        );
-    }
-    hfta_mem::set_pool_enabled(true);
+        param_bits(&params)
+    });
 }
 
-/// PointNet bit-identity at the full-model level, pool on vs off.
+/// PointNet bit-identity at the full-model level, cold pool vs dirty pool.
 #[test]
-fn pointnet_step_pooled_matches_unpooled() {
+fn pointnet_step_cold_pool_matches_dirty_pool() {
     let _g = lock();
-    let run = |pooled: bool, threads: usize| -> Vec<Vec<u32>> {
-        hfta_kernels::set_num_threads(threads);
-        hfta_mem::set_pool_enabled(pooled);
-        hfta_mem::trim();
+    assert_cold_matches_dirty("PointNet", || {
         let mut rng = Rng::seed_from(34);
         let net = FusedPointNetCls::new(2, PointNetCfg::mini(6), &mut rng);
         net.set_training(false);
@@ -190,26 +195,8 @@ fn pointnet_step_pooled_matches_unpooled() {
             fused_nll_loss(&lp, &targets, Reduction::Mean).backward();
             opt.step();
         }
-        params
-            .iter()
-            .map(|p| {
-                p.param
-                    .value_cloned()
-                    .to_vec()
-                    .into_iter()
-                    .map(f32::to_bits)
-                    .collect()
-            })
-            .collect()
-    };
-    for threads in [1usize, 4] {
-        assert_eq!(
-            run(true, threads),
-            run(false, threads),
-            "pooled PointNet diverged at {threads} threads"
-        );
-    }
-    hfta_mem::set_pool_enabled(true);
+        param_bits(&params)
+    });
 }
 
 /// Satellite (c): identical workloads produce identical pool statistics —
@@ -219,7 +206,6 @@ fn pointnet_step_pooled_matches_unpooled() {
 fn pool_stats_are_deterministic_for_fixed_workload() {
     let _g = lock();
     hfta_kernels::set_num_threads(1);
-    hfta_mem::set_pool_enabled(true);
     let observe = || {
         hfta_mem::trim();
         hfta_mem::reset_stats();
@@ -245,7 +231,6 @@ fn pool_stats_are_deterministic_for_fixed_workload() {
 fn steady_state_steps_allocate_nothing() {
     let _g = lock();
     hfta_kernels::set_num_threads(4);
-    hfta_mem::set_pool_enabled(true);
     for b in [1usize, 4] {
         hfta_mem::trim();
         hfta_mem::reset_stats();
