@@ -1073,6 +1073,75 @@ mod tests {
         }
     }
 
+    /// Every conv geometry of the benchmark's two conv workloads, fused, as
+    /// `(cin, cout, hw, kernel, cfg)` at batch 2. DCGAN at B = 6 (width 12,
+    /// 64x64): the discriminator's five convs; the generator's stride-2
+    /// transposed convs are the adjoints of the first four, and its 1 -> 4
+    /// projection is the adjoint of the sixth. PointNet at B = 8 (width 4,
+    /// 32 points): the three 1x1 conv1d stages on their unit-height view.
+    /// Each of the first four puts one group's weight-gradient reduction
+    /// (both samples) above the GEMM's per-chunk FLOP target.
+    #[allow(clippy::type_complexity)]
+    fn fused_workload_layers() -> Vec<(usize, usize, (usize, usize), (usize, usize), ConvCfg)> {
+        let down = ConvCfg::square(2, 1, 6);
+        let edge = ConvCfg::square(1, 0, 6);
+        let pointwise = ConvCfg::unit().fused(8);
+        vec![
+            (18, 72, (64, 64), (4, 4), down),
+            (72, 144, (32, 32), (4, 4), down),
+            (144, 288, (16, 16), (4, 4), down),
+            (288, 576, (8, 8), (4, 4), down),
+            (576, 6, (4, 4), (4, 4), edge),
+            (576, 192, (4, 4), (4, 4), edge),
+            (24, 32, (1, 32), (1, 1), pointwise),
+            (32, 64, (1, 32), (1, 1), pointwise),
+            (64, 512, (1, 32), (1, 1), pointwise),
+        ]
+    }
+
+    #[test]
+    fn fused_workload_layers_are_the_im2col_composition_at_every_thread_count() {
+        let ops = [
+            "conv2d",
+            "conv2d + bias",
+            "conv2d_grad_input",
+            "conv2d_grad_weight",
+            "conv_transpose2d",
+            "conv_transpose2d + bias",
+        ];
+        for (layer, (cin, cout, hw, kernel, cfg)) in fused_workload_layers().into_iter().enumerate()
+        {
+            let seed = 100 * layer as u64;
+            let (ho, wo) = cfg.out_hw(hw, kernel);
+            let x = randn(&[2, cin, hw.0, hw.1], seed);
+            let w = randn(&[cout, cin / cfg.groups, kernel.0, kernel.1], seed + 1);
+            let bias = randn(&[cout], seed + 2);
+            let gy = randn(&[2, cout, ho, wo], seed + 3);
+            let tbias = randn(&[cin], seed + 4);
+            let want = [
+                bits(&oracle_conv2d(&x, &w, None, cfg)),
+                bits(&oracle_conv2d(&x, &w, Some(&bias), cfg)),
+                bits(&oracle_grad_input(&w, &gy, hw, cin, cfg)),
+                bits(&oracle_grad_weight(&x, &gy, kernel, cfg)),
+                bits(&oracle_conv_transpose2d(&gy, &w, None, cfg)),
+                bits(&oracle_conv_transpose2d(&gy, &w, Some(&tbias), cfg)),
+            ];
+            crate::thread_counts::each(|threads| {
+                let got = [
+                    bits(&conv2d(&x, &w, None, cfg)),
+                    bits(&conv2d(&x, &w, Some(&bias), cfg)),
+                    bits(&conv2d_grad_input(&w, &gy, hw, cin, cfg)),
+                    bits(&conv2d_grad_weight(&x, &gy, kernel, cfg)),
+                    bits(&conv_transpose2d(&gy, &w, None, cfg)),
+                    bits(&conv_transpose2d(&gy, &w, Some(&tbias), cfg)),
+                ];
+                for (op, (got, want)) in ops.iter().zip(got.iter().zip(&want)) {
+                    assert!(got == want, "{op} of layer {layer} at {threads} threads");
+                }
+            });
+        }
+    }
+
     #[test]
     fn out_hw_math() {
         let cfg = ConvCfg::square(2, 1, 1);

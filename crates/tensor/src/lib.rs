@@ -42,3 +42,31 @@ pub use error::{Result, TensorError};
 pub use init::Rng;
 pub use shape::{IndexIter, Shape};
 pub use tensor::Tensor;
+
+/// The worker-pool sizes the bit-identity tests run at.
+#[cfg(test)]
+mod thread_counts {
+    use std::sync::Mutex;
+
+    /// Serializes the tests that resize the process-wide pool.
+    static LOCK: Mutex<()> = Mutex::new(());
+
+    /// Puts the pool size back when a test body exits, even by panicking.
+    struct Restore(usize);
+
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            hfta_kernels::set_num_threads(self.0);
+        }
+    }
+
+    /// Runs `f` with the pool at 1, 2 and 4 threads, passing the count.
+    pub(crate) fn each(mut f: impl FnMut(usize)) {
+        let _lock = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let _restore = Restore(hfta_kernels::num_threads());
+        for threads in [1, 2, 4] {
+            hfta_kernels::set_num_threads(threads);
+            f(threads);
+        }
+    }
+}

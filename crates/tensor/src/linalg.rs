@@ -361,6 +361,62 @@ mod tests {
         assert!(direct.allclose(&via_transpose, 1e-6));
     }
 
+    /// `[b, m, k] x [b, k, n]`: two shapes under the GEMM's small-shape
+    /// threshold (4 kFLOP per entry), the fused PointNet fc1 (B = 8, batch
+    /// 2), an odd shape, three at `b >= 4` and `2·b·m·k·n >= 2^20`, and one
+    /// large single product.
+    const BATCHED: [(usize, usize, usize, usize); 8] = [
+        (8, 2, 16, 10),
+        (3, 5, 7, 9),
+        (8, 2, 64, 32),
+        (3, 9, 33, 17),
+        (6, 32, 96, 48),
+        (4, 64, 64, 64),
+        (16, 24, 40, 56),
+        (1, 96, 64, 80),
+    ];
+
+    type RefGemm = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
+
+    /// `f` once per batch entry, each from a zeroed `[m, n]` block.
+    fn per_entry(f: RefGemm, (m, k, n): (usize, usize, usize), a: &Tensor, b: &Tensor) -> Vec<u32> {
+        let mut out = vec![0.0f32; a.numel() / (m * k) * m * n];
+        let entries = out
+            .chunks_exact_mut(m * n)
+            .zip(a.as_slice().chunks_exact(m * k))
+            .zip(b.as_slice().chunks_exact(k * n));
+        for ((o, a), b) in entries {
+            f(o, a, b, m, k, n);
+        }
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn batched_products_are_the_per_entry_oracle_at_every_thread_count() {
+        use hfta_kernels::reference;
+        let ops = ["bmm", "bmm_nt", "bmm_tn", "matmul"];
+        for (i, &(bsz, m, k, n)) in BATCHED.iter().enumerate() {
+            let mut rng = crate::Rng::seed_from(i as u64);
+            let (a, b) = (rng.randn([bsz, m, k]), rng.randn([bsz, k, n]));
+            let (at, bt) = (a.transpose(1, 2), b.transpose(1, 2));
+            let a2 = a.narrow(0, 0, 1).reshape(&[m, k]);
+            let b2 = b.narrow(0, 0, 1).reshape(&[k, n]);
+            let want = [
+                per_entry(reference::gemm_ref, (m, k, n), &a, &b),
+                per_entry(reference::gemm_nt_ref, (m, k, n), &a, &bt),
+                per_entry(reference::gemm_tn_ref, (m, k, n), &at, &b),
+                per_entry(reference::gemm_ref, (m, k, n), &a2, &b2),
+            ];
+            crate::thread_counts::each(|threads| {
+                let got = [a.bmm(&b), a.bmm_nt(&bt), at.bmm_tn(&b), a2.matmul(&b2)];
+                for (op, (got, want)) in ops.iter().zip(got.iter().zip(&want)) {
+                    let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+                    assert!(&got == want, "{op} at {bsz}x{m}x{k}x{n}, {threads} threads");
+                }
+            });
+        }
+    }
+
     #[test]
     fn dot_product() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]);
