@@ -60,7 +60,7 @@ fn bench_linear_fusion(c: &mut Criterion) {
     for b in [2usize, 8] {
         let xs: Vec<Tensor> = (0..b).map(|_| rng.randn([16, 64])).collect();
         let ws: Vec<Tensor> = (0..b).map(|_| rng.randn([64, 32])).collect();
-        let bias: Vec<Tensor> = (0..b).map(|_| rng.randn([1, 1, 32])).collect();
+        let bias: Vec<Tensor> = (0..b).map(|_| rng.randn([32])).collect();
         let xf = {
             let u: Vec<Tensor> = xs.iter().map(|t| t.unsqueeze(0)).collect();
             Tensor::concat(&u.iter().collect::<Vec<_>>(), 0)
@@ -69,16 +69,17 @@ fn bench_linear_fusion(c: &mut Criterion) {
             let u: Vec<Tensor> = ws.iter().map(|t| t.unsqueeze(0)).collect();
             Tensor::concat(&u.iter().collect::<Vec<_>>(), 0)
         };
-        let bf = Tensor::concat(&bias.iter().collect::<Vec<_>>(), 0);
+        let bf = Tensor::concat(&bias.iter().collect::<Vec<_>>(), 0).reshape(&[b, 1, 32]);
         group.bench_with_input(BenchmarkId::new("serial", b), &b, |bench, _| {
             bench.iter(|| {
                 for i in 0..b {
-                    black_box(xs[i].matmul(&ws[i]));
+                    black_box(xs[i].matmul(&ws[i]).add(&bias[i]));
                 }
             })
         });
         group.bench_with_input(BenchmarkId::new("hfta", b), &b, |bench, _| {
-            bench.iter(|| black_box(xf.baddbmm(&wf, &bf)))
+            // The fused `Linear`: one bmm, then the bias (`Var::baddbmm`).
+            bench.iter(|| black_box(xf.bmm(&wf).add(&bf)))
         });
     }
     group.finish();

@@ -1,12 +1,30 @@
-//! Cache-blocked, register-tiled f32 GEMM under one FMA contract.
+//! Cache-blocked, register-tiled f32 GEMM under one FMA contract, behind one
+//! batched entry point.
 //!
 //! Structure: `A` and `B` are packed into contiguous `MR`-row / `NR`-column
-//! panels (transposition is absorbed by the packing, so all three variants
-//! share one macro-kernel), then an `MR x NR` micro-kernel keeps the output
-//! tile in registers and walks the full contraction dimension with
-//! sequential panel reads. The macro-kernel partitions work in 2-D over
-//! (row-panel, column-panel-group) tiles so that medium GEMMs expose at
-//! least as many chunks as the pool has threads even when `m` is small.
+//! panels (transposition is absorbed by the packing, so every layout shares
+//! one macro-kernel), then an `MR x NR` micro-kernel keeps the output tile in
+//! registers and walks the full contraction dimension with sequential panel
+//! reads. The macro-kernel partitions work in 2-D over (row-panel,
+//! column-panel-group) tiles so that medium GEMMs expose at least as many
+//! chunks as the pool has threads even when `m` is small.
+//!
+//! # One call per op
+//!
+//! [`gemm_batched`] takes a whole batch of same-shape products: the
+//! `(sample × group)` blocks of a grouped convolution, the `B` products of a
+//! fused `bmm`. Each operand has a layout ([`PackA`], [`PackB`]), the
+//! products go to an [`Out`], and two [`Axis`] strides place every entry. An
+//! axis whose output stride is 0 is a reduction: its entries add into one
+//! block in ascending order. [`gemm()`], [`gemm_nt`] and [`gemm_tn`] are the
+//! one-entry case.
+//!
+//! The batch splits across the pool by one rule, which depends on the shape
+//! only. Output blocks, each counted with its whole reduction chain, group
+//! into chunks of about `CHUNK_FLOPS`. A batch that makes a single chunk
+//! runs its entries in order on the caller, and each GEMM splits its own
+//! tiles. The direct-or-tiled decision, the instantiation and the scratch
+//! reservations are made once per call, not once per entry.
 //!
 //! # The contract
 //!
@@ -27,17 +45,18 @@
 //! | direct  | `< SMALL_FLOPS`   | reference loops compiled with AVX2+FMA | the reference loops |
 //!
 //! `B` may also be *gathered* through two [`Offsets`] tables while it is
-//! packed ([`gemm_gather`]), and the product *scatter-added* through them one
-//! finished `MR`-row strip at a time ([`gemm_tn_scatter`]) — a convolution on
-//! its padded image, no im2col matrix. On the direct row the tables first
+//! packed ([`PackB::Gather`]), and the product *scatter-added* through them
+//! one finished `MR`-row strip at a time ([`Out::Scatter`]) — a convolution
+//! on its padded image, no im2col matrix. On the direct row the tables first
 //! materialise the operand (or the product). Same chain per element, same
-//! add order per destination, either row.
+//! add order per destination, either row. `A^T B^T` has no direct loops and
+//! tiles at every size.
 //!
 //! Selection is by platform and shape, never by an option: the row comes
 //! from the FLOP count, the column from `simd::detected` (runtime
-//! detection), which each entry point reads once and passes down as a
-//! `vector` flag. No environment variable or process-wide switch reaches
-//! this module; the unit tests below pick a column by passing the flag.
+//! detection), which each call reads once and passes down as a `vector`
+//! flag. No environment variable or process-wide switch reaches this
+//! module; the unit tests below pick a column by passing the flag.
 
 use crate::pool::{self, UnsafeSlice};
 use crate::reference;
@@ -59,7 +78,8 @@ pub const NR: usize = 8;
 /// the tiled path is 1.9× ahead.
 const SMALL_FLOPS: usize = 1 << 12;
 
-/// Target FLOPs per parallel tile of the 2-D macro-kernel partition.
+/// Target FLOPs per parallel chunk: of output blocks in a batch, and of
+/// tiles inside one GEMM.
 const CHUNK_FLOPS: usize = 1 << 19;
 
 /// The one GEMM dispatch, as [`backend`] reports it.
@@ -88,8 +108,8 @@ pub fn auto_simd() -> bool {
 }
 
 /// How operand `A` is stored relative to the `[m, k]` logical view.
-#[derive(Clone, Copy)]
-enum PackA<'a> {
+#[derive(Debug, Clone, Copy)]
+pub enum PackA<'a> {
     /// `a[m, k]` row-major.
     N(&'a [f32]),
     /// `a[k, m]` row-major (transposed access).
@@ -97,14 +117,37 @@ enum PackA<'a> {
 }
 
 /// How operand `B` is stored relative to the `[k, n]` logical view.
-#[derive(Clone, Copy)]
-enum PackB<'a> {
+#[derive(Debug, Clone, Copy)]
+pub enum PackB<'a> {
     /// `b[k, n]` row-major.
     N(&'a [f32]),
     /// `b[n, k]` row-major (transposed access).
     T(&'a [f32]),
-    /// `b[p, j] = src[off.row[p] + off.col[j]]`, `off` already checked.
+    /// `b[p, j] = src[row[p] + col[j]]` through `[k]` and `[n]` tables:
+    /// gathered while the panels are packed, so `b` itself never exists.
     Gather(&'a [f32], Offsets<'a>),
+}
+
+impl<'a> PackA<'a> {
+    /// One batch entry's operand: the `len` elements at `off`.
+    fn at(self, off: usize, len: usize) -> Self {
+        match self {
+            PackA::N(s) => PackA::N(&s[off..off + len]),
+            PackA::T(s) => PackA::T(&s[off..off + len]),
+        }
+    }
+}
+
+impl<'a> PackB<'a> {
+    /// As [`PackA::at`]; a gathered source keeps its whole tail, which the
+    /// tables address.
+    fn at(self, off: usize, len: usize) -> Self {
+        match self {
+            PackB::N(s) => PackB::N(&s[off..off + len]),
+            PackB::T(s) => PackB::T(&s[off..off + len]),
+            PackB::Gather(s, tables) => PackB::Gather(&s[off..], tables),
+        }
+    }
 }
 
 /// Two offset tables addressing a logical `[rows, cols]` matrix inside a
@@ -123,20 +166,61 @@ impl<'a> Offsets<'a> {
 
     /// The one hard check behind the unchecked table loops: the tables have
     /// the matrix's extents and their largest sum indexes inside `len`.
-    fn check(self, rows: usize, cols: usize, len: usize) {
+    /// Returns the span they address, `max(row) + max(col) + 1`, or 0 for
+    /// an empty matrix.
+    fn check(self, rows: usize, cols: usize, len: usize) -> usize {
         assert_eq!(
             (self.row.len(), self.col.len()),
             (rows, cols),
             "offset tables do not match the {rows}x{cols} matrix they address"
         );
         let max = |t: &[usize]| t.iter().max().copied();
-        if let (Some(r), Some(c)) = (max(self.row), max(self.col)) {
-            assert!(
-                r.checked_add(c).is_some_and(|at| at < len),
-                "offset tables reach {r} + {c}, outside a buffer of {len} elements"
-            );
+        let (Some(r), Some(c)) = (max(self.row), max(self.col)) else {
+            return 0;
+        };
+        match r.checked_add(c) {
+            Some(at) if at < len => at + 1,
+            _ => panic!("offset tables reach {r} + {c}, outside a buffer of {len} elements"),
         }
     }
+}
+
+/// Where [`gemm_batched`] adds each product.
+#[derive(Debug)]
+pub enum Out<'a> {
+    /// Row-major `[m, n]` blocks: `out[i*n + j] += product[i, j]`, each
+    /// element the contract's chain from its value.
+    Add(&'a mut [f32]),
+    /// `dst[row[i] + col[j]] += product[i, j]` through `[m]` and `[n]`
+    /// tables, each product element the contract's chain from zero. The
+    /// adds reach `dst` in row-major `(i, j)` order, so overlapping
+    /// destinations are well defined.
+    Scatter(&'a mut [f32], Offsets<'a>),
+}
+
+/// One axis of a [`gemm_batched`] batch: `count` entries, each `a`, `b` and
+/// `out` elements past the previous one in its buffer. An `out` stride of 0
+/// makes the axis a reduction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Axis {
+    /// Entries along the axis.
+    pub count: usize,
+    /// Element stride between the entries' `A` operands.
+    pub a: usize,
+    /// Element stride between the entries' `B` operands (or sources).
+    pub b: usize,
+    /// Element stride between the entries' output blocks; 0 reduces.
+    pub out: usize,
+}
+
+impl Axis {
+    /// The axis of a single entry.
+    pub const ONE: Axis = Axis {
+        count: 1,
+        a: 0,
+        b: 0,
+        out: 0,
+    };
 }
 
 /// One of the three orientation-specific direct-loop kernels.
@@ -144,141 +228,210 @@ type DirectFn = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
 
 /// `out[m,n] += a[m,k] @ b[k,n]`, all row-major.
 pub fn gemm(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    gemm_on(simd::detected(), out, a, b, m, k, n)
+    single(out, PackA::N(a), PackB::N(b), (m, k, n));
 }
 
 /// `out[m,n] += a[m,k] @ b[n,k]^T` (`b` stored row-major as `[n, k]`).
 pub fn gemm_nt(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    gemm_nt_on(simd::detected(), out, a, b, m, k, n)
+    single(out, PackA::N(a), PackB::T(b), (m, k, n));
 }
 
 /// `out[m,n] += a[k,m]^T @ b[k,n]` (`a` stored row-major as `[k, m]`).
 pub fn gemm_tn(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    gemm_tn_on(simd::detected(), out, a, b, m, k, n)
+    single(out, PackA::T(a), PackB::N(b), (m, k, n));
 }
 
-/// `out[m,n] += a[m,k] @ b[k,n]` with `b[p,j] = src[off.row[p] + off.col[j]]`,
-/// gathered as the panels are packed — `b` itself never exists. Panics if
-/// the tables are not `[k]` and `[n]` long or reach outside `src`.
-pub fn gemm_gather(
-    out: &mut [f32],
-    a: &[f32],
-    src: &[f32],
-    off: Offsets<'_>,
-    m: usize,
-    k: usize,
-    n: usize,
+/// The one-entry [`gemm_batched`] into a dense `[m, n]` output.
+fn single(out: &mut [f32], a: PackA<'_>, b: PackB<'_>, mkn: (usize, usize, usize)) {
+    gemm_batched(Out::Add(out), a, b, mkn, [Axis::ONE; 2]);
+}
+
+/// Every `[m, k] x [k, n]` product of a batch, in one call. Entry `(i, j)`
+/// of the two axes reads `A` from `i·batch[0].a + j·batch[1].a` and `B`
+/// from `i·batch[0].b + j·batch[1].b`, and adds its product into the block
+/// at `i·batch[0].out + j·batch[1].out`.
+///
+/// Entries with different output offsets write disjoint blocks. Entries
+/// along a reducing axis (`out` stride 0) add into one block in ascending
+/// order, exactly like back-to-back single calls, so every output element
+/// is the contract's chain through each of them in turn.
+///
+/// # Panics
+///
+/// Panics if distinct output blocks overlap, if a buffer is too short for
+/// the batch, or if a table has the wrong length or reaches outside its
+/// buffer.
+pub fn gemm_batched(
+    out: Out<'_>,
+    a: PackA<'_>,
+    b: PackB<'_>,
+    mkn: (usize, usize, usize),
+    batch: [Axis; 2],
 ) {
-    gemm_gather_on(simd::detected(), out, a, src, off, m, k, n)
+    gemm_batched_on(simd::detected(), out, a, b, mkn, batch)
 }
 
-/// `dst[off.row[i] + off.col[j]] += (a[k,m]^T @ b[k,n])[i,j]`: every product
-/// element is the contract's chain from zero, and the adds reach `dst` in
-/// row-major `(i, j)` order — so overlapping destinations are well defined.
-/// Panics if the tables are not `[m]` and `[n]` long or reach outside `dst`.
-pub fn gemm_tn_scatter(
-    dst: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    off: Offsets<'_>,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    gemm_tn_scatter_on(simd::detected(), dst, a, b, off, m, k, n)
-}
-
-// Each entry point above on an explicit instantiation: `vector` runs the
-// AVX2/FMA kernels (the CPU must have them), otherwise the portable ones.
-
-fn gemm_on(vector: bool, out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    match direct_kernel(vector, m, k, n, reference::gemm_ref, simd::gemm_small) {
-        Some(direct) => direct(out, a, b, m, k, n),
-        None => run_tiled(vector, out, None, PackA::N(a), PackB::N(b), m, k, n),
-    }
-}
-
-fn gemm_nt_on(vector: bool, out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    match direct_kernel(vector, m, k, n, reference::gemm_nt_ref, simd::gemm_nt_small) {
-        Some(direct) => direct(out, a, b, m, k, n),
-        None => run_tiled(vector, out, None, PackA::N(a), PackB::T(b), m, k, n),
-    }
-}
-
-fn gemm_tn_on(vector: bool, out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    match direct_kernel(vector, m, k, n, reference::gemm_tn_ref, simd::gemm_tn_small) {
-        Some(direct) => direct(out, a, b, m, k, n),
-        None => run_tiled(vector, out, None, PackA::T(a), PackB::N(b), m, k, n),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gemm_gather_on(
+/// [`gemm_batched`] on an explicit instantiation: `vector` runs the
+/// AVX2/FMA kernels (the CPU must have them), otherwise the portable ones.
+fn gemm_batched_on(
     vector: bool,
-    out: &mut [f32],
-    a: &[f32],
-    src: &[f32],
-    off: Offsets<'_>,
-    m: usize,
-    k: usize,
-    n: usize,
+    out: Out<'_>,
+    a: PackA<'_>,
+    b: PackB<'_>,
+    (m, k, n): (usize, usize, usize),
+    batch: [Axis; 2],
 ) {
-    off.check(k, n, src.len());
-    match direct_kernel(vector, m, k, n, reference::gemm_ref, simd::gemm_small) {
-        Some(direct) => with_dense(k * n, |b| {
-            for (brow, &base) in b.chunks_exact_mut(n.max(1)).zip(off.row) {
-                for (bv, &c) in brow.iter_mut().zip(off.col) {
-                    *bv = src[base + c];
-                }
+    // A reducing axis goes inside, so each output block's entries are
+    // consecutive: `chain` entries make one unit of work.
+    let [outer, inner] = match batch {
+        [o, i] if o.out == 0 && i.out != 0 => [i, o],
+        axes => axes,
+    };
+    let entries = outer.count * inner.count;
+    if entries == 0 {
+        return;
+    }
+    let chain = if inner.out != 0 {
+        1
+    } else if outer.out != 0 {
+        inner.count
+    } else {
+        entries
+    };
+    let units = entries / chain;
+    let offsets = |e: usize| {
+        let (i, j) = (e / inner.count, e % inner.count);
+        let at = |o: usize, s: usize| i * o + j * s;
+        (
+            at(outer.a, inner.a),
+            at(outer.b, inner.b),
+            at(outer.out, inner.out),
+        )
+    };
+    let (_, b_last, out_last) = offsets(entries - 1);
+    if let PackB::Gather(src, tables) = b {
+        tables.check(k, n, src.len().saturating_sub(b_last));
+    }
+    let (dst, scatter) = match out {
+        Out::Add(dst) => (dst, None),
+        Out::Scatter(dst, tables) => (dst, Some(tables)),
+    };
+    let extent = match scatter {
+        None => m * n,
+        Some(tables) => tables.check(m, n, dst.len().saturating_sub(out_last)),
+    };
+    if extent == 0 {
+        return;
+    }
+    // Chunks write distinct blocks concurrently, so they must not overlap.
+    let mut end = 0;
+    for unit in 0..units {
+        let at = offsets(unit * chain).2;
+        assert!(at >= end, "batch output blocks overlap at element {at}");
+        end = at + extent;
+    }
+    assert!(end <= dst.len(), "batch output needs {end} elements");
+
+    let flops = 2 * m * k * n;
+    let direct = direct_kernel(vector, flops, a, b);
+    let unit_flops = flops * chain;
+    let grain = CHUNK_FLOPS
+        .checked_div(unit_flops)
+        .map_or(units, |g| g.clamp(1, units));
+    let work = units * unit_flops;
+
+    // Worst-case concurrent scratch, declared once for the batch. Entries
+    // that fan out across the pool run their GEMMs inline on the workers, so
+    // every worker can hold one entry's buffers; a batch on the caller holds
+    // one entry's at a time, whose tile chunks each hold an A panel.
+    let threads = pool::num_threads();
+    let nested = pool::in_worker() || !pool::runs_inline(units.div_ceil(grain), work);
+    let each = if nested { threads } else { 1 };
+    match direct {
+        Some(_) => {
+            if let PackB::Gather(..) = b {
+                scratch::reserve("gemm.dense", k * n, each);
             }
-            direct(out, a, b, m, k, n)
-        }),
+            if scatter.is_some() {
+                scratch::reserve("gemm.dense", m * n, each);
+            }
+        }
         None => {
-            let b = PackB::Gather(src, off);
-            run_tiled(vector, out, None, PackA::N(a), b, m, k, n)
+            let (_, _, tile_chunks) = tile_grid(m, k, n, scatter.is_some());
+            if scatter.is_some() {
+                scratch::reserve("gemm.dense", MR * n, each);
+            }
+            scratch::reserve("gemm.bpack", n.div_ceil(NR) * k * NR, each);
+            let apanels = if nested {
+                threads
+            } else {
+                threads.min(tile_chunks)
+            };
+            scratch::reserve("gemm.apanel", k * MR, apanels);
         }
     }
+
+    let shared = UnsafeSlice::new(dst);
+    pool::parallel_for_work(units, grain, work, |chunk| {
+        for e in chunk.start * chain..chunk.end * chain {
+            let (a_at, b_at, out_at) = offsets(e);
+            // SAFETY: distinct units own disjoint output blocks (checked
+            // above), and a unit's entries run one after another here.
+            let out = unsafe { shared.slice_mut(out_at..out_at + extent) };
+            let (a, b) = (a.at(a_at, m * k), b.at(b_at, k * n));
+            match direct {
+                Some(f) => run_direct(f, out, scatter, a, b, (m, k, n)),
+                None => run_tiled(vector, out, scatter, a, b, (m, k, n)),
+            }
+        }
+    });
 }
 
-#[allow(clippy::too_many_arguments)]
-fn gemm_tn_scatter_on(
-    vector: bool,
-    dst: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    off: Offsets<'_>,
-    m: usize,
-    k: usize,
-    n: usize,
+/// The direct-loop kernel this dispatch runs, if any: below [`SMALL_FLOPS`]
+/// the oracle's loops for the layout pair in the `vector` (`fast`) or
+/// portable instantiation; `None` for the tiled path, which `A^T B^T`, with
+/// no loops of its own, takes at every size.
+fn direct_kernel(vector: bool, flops: usize, a: PackA<'_>, b: PackB<'_>) -> Option<DirectFn> {
+    let (portable, fast): (DirectFn, DirectFn) = match (a, b) {
+        _ if flops >= SMALL_FLOPS => return None,
+        (PackA::N(_), PackB::T(_)) => (reference::gemm_nt_ref, simd::gemm_nt_small),
+        (PackA::N(_), _) => (reference::gemm_ref, simd::gemm_small),
+        (PackA::T(_), PackB::T(_)) => return None,
+        (PackA::T(_), _) => (reference::gemm_tn_ref, simd::gemm_tn_small),
+    };
+    Some(if vector { fast } else { portable })
+}
+
+/// One entry on the direct loops. A gathered `B` is first copied out dense;
+/// a scattered product lands in zeroed scratch and is then added through
+/// the tables, row-major like the tiled sink.
+fn run_direct(
+    f: DirectFn,
+    out: &mut [f32],
+    scatter: Option<Offsets<'_>>,
+    a: PackA<'_>,
+    b: PackB<'_>,
+    (m, k, n): (usize, usize, usize),
 ) {
-    off.check(m, n, dst.len());
-    match direct_kernel(vector, m, k, n, reference::gemm_tn_ref, simd::gemm_tn_small) {
-        Some(direct) => with_dense(m * n, |product| {
-            direct(product, a, b, m, k, n);
-            scatter_add(dst, off, 0, product, n);
+    let (PackA::N(a) | PackA::T(a)) = a;
+    let mut product = |b: &[f32]| match scatter {
+        None => f(out, a, b, m, k, n),
+        Some(tables) => scratch::with(m * n, |product| {
+            f(product, a, b, m, k, n);
+            scatter_add(out, tables, 0, product, n);
         }),
-        None => with_dense(MR * n, |strip| {
-            let sink = Some((off, strip));
-            run_tiled(vector, dst, sink, PackA::T(a), PackB::N(b), m, k, n)
+    };
+    match b {
+        PackB::N(b) | PackB::T(b) => product(b),
+        PackB::Gather(src, tables) => scratch::with(k * n, |dense| {
+            for (row, &base) in dense.chunks_exact_mut(n.max(1)).zip(tables.row) {
+                for (v, &c) in row.iter_mut().zip(tables.col) {
+                    *v = src[base + c];
+                }
+            }
+            product(dense)
         }),
     }
-}
-
-/// Zeroed scratch for the dense copy of a table-addressed operand, product
-/// or `MR`-row strip of one; one per thread that can be inside a GEMM.
-fn with_dense<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    let count = pool::in_worker().then(pool::num_threads).unwrap_or(1);
-    scratch::reserve("gemm.dense", len, count);
-    scratch::with(len, f)
 }
 
 /// `dst[off.row[i0 + r] + off.col[j]] += rows[r * n + j]`, row-major; `off` checked for `dst`.
@@ -288,26 +441,6 @@ fn scatter_add(dst: &mut [f32], off: Offsets<'_>, i0: usize, rows: &[f32], n: us
             // SAFETY: `Offsets::check` bounded every row + column sum.
             unsafe { *dst.get_unchecked_mut(base + c) += v };
         }
-    }
-}
-
-/// The direct-loop kernel this dispatch runs, if any: below [`SMALL_FLOPS`]
-/// the reference loops in the `vector` (`fast`) or portable instantiation;
-/// `None` for the tiled path.
-fn direct_kernel(
-    vector: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-    portable: DirectFn,
-    fast: DirectFn,
-) -> Option<DirectFn> {
-    if 2 * m * k * n >= SMALL_FLOPS {
-        None
-    } else if vector {
-        Some(fast)
-    } else {
-        Some(portable)
     }
 }
 
@@ -330,7 +463,8 @@ fn pack_b_into(b: PackB<'_>, k: usize, n: usize, bpack: &mut [f32]) {
                 }
             }
             PackB::T(src) => {
-                for (c, col) in src[j0 * k..(j0 + cols) * k].chunks_exact(k).enumerate() {
+                let columns = src[j0 * k..(j0 + cols) * k].chunks_exact(k.max(1));
+                for (c, col) in columns.enumerate() {
                     for (p, &v) in col.iter().enumerate() {
                         panel[p * NR + c] = v;
                     }
@@ -409,155 +543,146 @@ pub(crate) fn portable_microkernel(
     }
 }
 
-/// The 2-D tiled macro-kernel. Work is split over (row-panel-group,
-/// column-panel-group) tiles: when one row panel already carries
-/// [`CHUNK_FLOPS`] the columns split so short-`m` GEMMs still expose many
-/// chunks; otherwise row panels group as before. Both grains — and hence the
-/// decomposition — are pure functions of the shape, and every output element
-/// is produced by exactly one micro-kernel call walking the full
-/// contraction ascending, so results are bit-identical at any thread count.
-/// `vector`, read once by the entry point, picks the AVX2/FMA
-/// instantiation of the micro-kernel over the portable one.
+/// The 2-D tile partition of one GEMM, a pure function of the shape: row
+/// panels group `row_grain` and column panels `col_grain` to a chunk, of
+/// which there are `chunks`. When one row panel already carries
+/// `CHUNK_FLOPS` the columns split, so short-`m` GEMMs still expose many
+/// chunks; otherwise row panels group. A scatter is one chunk, so its
+/// strips reach the destination in ascending row order.
+fn tile_grid(m: usize, k: usize, n: usize, scatter: bool) -> (usize, usize, usize) {
+    let (row_panels, col_panels) = (m.div_ceil(MR), n.div_ceil(NR));
+    let panel_flops = 2 * MR * k * n;
+    let (row_grain, col_grain) = if scatter {
+        (row_panels, col_panels)
+    } else if panel_flops >= CHUNK_FLOPS {
+        let grain = CHUNK_FLOPS / (2 * MR * k * NR).max(1);
+        (1, grain.clamp(1, col_panels))
+    } else {
+        let grain = CHUNK_FLOPS / panel_flops.max(1);
+        (grain.clamp(1, row_panels), col_panels)
+    };
+    let chunks = row_panels.div_ceil(row_grain) * col_panels.div_ceil(col_grain);
+    (row_grain, col_grain, chunks)
+}
+
+/// The 2-D tiled macro-kernel on one entry (`m, n >= 1`). Every output
+/// element is produced by exactly one micro-kernel call walking the full
+/// contraction ascending, and the [`tile_grid`] depends only on the shape,
+/// so results are bit-identical at any thread count. `vector`, read once
+/// per call, picks the AVX2/FMA instantiation of the micro-kernel over the
+/// portable one.
 ///
 /// With `scatter` tables `out` is a destination, not `[m, n]`: a row panel's
 /// tiles start from zero and fill the `MR x n` strip beside the tables, which
 /// is then added to `out` row by row. All of it is one chunk, so the adds to
 /// any destination come in ascending row order; scattering tile by tile
 /// would reorder them.
-#[allow(clippy::too_many_arguments)]
 fn run_tiled(
     vector: bool,
     out: &mut [f32],
-    scatter: Option<(Offsets<'_>, &mut [f32])>,
+    scatter: Option<Offsets<'_>>,
     a: PackA<'_>,
     b: PackB<'_>,
-    m: usize,
-    k: usize,
-    n: usize,
+    (m, k, n): (usize, usize, usize),
 ) {
-    let row_panels = m.div_ceil(MR);
-    let col_panels = n.div_ceil(NR);
-    let panel_flops = 2 * MR * k * n;
-    let (row_grain, col_grain) = if scatter.is_some() {
-        (row_panels, col_panels)
-    } else if panel_flops >= CHUNK_FLOPS {
-        (
-            1,
-            (CHUNK_FLOPS / (2 * MR * k * NR).max(1)).clamp(1, col_panels),
-        )
-    } else {
-        (
-            (CHUNK_FLOPS / panel_flops.max(1)).clamp(1, row_panels),
-            col_panels,
-        )
-    };
-    let row_groups = row_panels.div_ceil(row_grain);
+    let (row_grain, col_grain, n_chunks) = tile_grid(m, k, n, scatter.is_some());
+    let (row_panels, col_panels) = (m.div_ceil(MR), n.div_ceil(NR));
     let col_groups = col_panels.div_ceil(col_grain);
-    let n_chunks = row_groups * col_groups;
-    let bpack_len = col_panels * k * NR;
-    // Worst-case concurrent scratch demand. A GEMM nested inside a pool
-    // worker runs inline there, so every worker can hold one B-pack and one
-    // A-panel at once; a top-level GEMM holds one B-pack on the caller while
-    // its tile chunks each hold an A-panel.
-    let (bpack_count, apanel_count) = if pool::in_worker() {
-        (pool::num_threads(), pool::num_threads())
-    } else {
-        (1, pool::num_threads().min(n_chunks))
-    };
-    let scatter = scatter.map(|(off, strip)| (off, UnsafeSlice::new(strip)));
-    scratch::reserve("gemm.bpack", bpack_len, bpack_count);
-    scratch::reserve("gemm.apanel", k * MR, apanel_count);
-    scratch::with(bpack_len, |bpack| {
-        pack_b_into(b, k, n, bpack);
-        let shared = UnsafeSlice::new(out);
-        pool::parallel_for_work(n_chunks, 1, 2 * m * k * n, |chunks| {
-            scratch::with(k * MR, |apanel| {
-                for chunk in chunks {
-                    let rg = chunk / col_groups;
-                    let jg = chunk % col_groups;
-                    let jp_end = ((jg + 1) * col_grain).min(col_panels);
-                    for ib in rg * row_grain..((rg + 1) * row_grain).min(row_panels) {
-                        let i0 = ib * MR;
-                        let rows = MR.min(m - i0);
-                        pack_a(a, m, k, i0, rows, apanel);
-                        // Tiles live in `out` itself, or in the strip.
-                        let (tiles, row0, seeded) = match &scatter {
-                            None => (&shared, i0, rows),
-                            Some((_, strip)) => (strip, 0, 0),
-                        };
-                        let load_acc = |jb: usize| -> [[f32; NR]; MR] {
-                            let j0 = jb * NR;
-                            let cols = NR.min(n - j0);
-                            let mut acc = [[0.0f32; NR]; MR];
-                            for (r, accr) in acc.iter_mut().enumerate().take(seeded) {
-                                let at = (row0 + r) * n + j0;
-                                // SAFETY: tile (ib, jb) belongs to exactly one
-                                // chunk, so these regions are disjoint across
-                                // concurrent chunks.
-                                let orow = unsafe { tiles.slice_mut(at..at + cols) };
-                                // A full row copies as one fixed-size block;
-                                // a variable length is a `memcpy` call per row.
-                                if cols == NR {
-                                    accr.copy_from_slice(orow);
-                                } else {
-                                    accr[..cols].copy_from_slice(orow);
+    let strip_len = if scatter.is_some() { MR * n } else { 0 };
+    scratch::with(strip_len, |strip| {
+        let strip = UnsafeSlice::new(strip);
+        scratch::with(col_panels * k * NR, |bpack| {
+            pack_b_into(b, k, n, bpack);
+            let shared = UnsafeSlice::new(out);
+            pool::parallel_for_work(n_chunks, 1, 2 * m * k * n, |chunks| {
+                scratch::with(k * MR, |apanel| {
+                    for chunk in chunks {
+                        let rg = chunk / col_groups;
+                        let jg = chunk % col_groups;
+                        let jp_end = ((jg + 1) * col_grain).min(col_panels);
+                        for ib in rg * row_grain..((rg + 1) * row_grain).min(row_panels) {
+                            let i0 = ib * MR;
+                            let rows = MR.min(m - i0);
+                            pack_a(a, m, k, i0, rows, apanel);
+                            // Tiles live in `out` itself, or in the strip.
+                            let (tiles, row0, seeded) = match scatter {
+                                None => (&shared, i0, rows),
+                                Some(_) => (&strip, 0, 0),
+                            };
+                            let load_acc = |jb: usize| -> [[f32; NR]; MR] {
+                                let j0 = jb * NR;
+                                let cols = NR.min(n - j0);
+                                let mut acc = [[0.0f32; NR]; MR];
+                                for (r, accr) in acc.iter_mut().enumerate().take(seeded) {
+                                    let at = (row0 + r) * n + j0;
+                                    // SAFETY: tile (ib, jb) belongs to exactly one
+                                    // chunk, so these regions are disjoint across
+                                    // concurrent chunks.
+                                    let orow = unsafe { tiles.slice_mut(at..at + cols) };
+                                    // A full row copies as one fixed-size block;
+                                    // a variable length is a `memcpy` call per row.
+                                    if cols == NR {
+                                        accr.copy_from_slice(orow);
+                                    } else {
+                                        accr[..cols].copy_from_slice(orow);
+                                    }
                                 }
-                            }
-                            acc
-                        };
-                        let store_acc = |jb: usize, acc: &[[f32; NR]; MR]| {
-                            let j0 = jb * NR;
-                            let cols = NR.min(n - j0);
-                            for (r, accr) in acc.iter().enumerate().take(rows) {
-                                let at = (row0 + r) * n + j0;
-                                // SAFETY: as above (the strip is this chunk's
-                                // own); the read borrow ended.
-                                let orow = unsafe { tiles.slice_mut(at..at + cols) };
-                                if cols == NR {
-                                    orow.copy_from_slice(accr);
-                                } else {
-                                    orow.copy_from_slice(&accr[..cols]);
+                                acc
+                            };
+                            let store_acc = |jb: usize, acc: &[[f32; NR]; MR]| {
+                                let j0 = jb * NR;
+                                let cols = NR.min(n - j0);
+                                for (r, accr) in acc.iter().enumerate().take(rows) {
+                                    let at = (row0 + r) * n + j0;
+                                    // SAFETY: as above (the strip is this chunk's
+                                    // own); the read borrow ended.
+                                    let orow = unsafe { tiles.slice_mut(at..at + cols) };
+                                    if cols == NR {
+                                        orow.copy_from_slice(accr);
+                                    } else {
+                                        orow.copy_from_slice(&accr[..cols]);
+                                    }
                                 }
+                            };
+                            let mut jb = jg * col_grain;
+                            while jb < jp_end {
+                                // The vector path pairs adjacent column panels
+                                // (8x16 tile) whenever the chunk holds two more:
+                                // bitwise equal to two single-tile calls (see
+                                // `simd::microkernel_x2`), so the pairing — a
+                                // chunk-local accident — never changes results.
+                                if vector && jb + 1 < jp_end {
+                                    let bp0 = &bpack[jb * k * NR..(jb + 1) * k * NR];
+                                    let bp1 = &bpack[(jb + 1) * k * NR..(jb + 2) * k * NR];
+                                    let mut acc0 = load_acc(jb);
+                                    let mut acc1 = load_acc(jb + 1);
+                                    simd::microkernel_x2(k, apanel, bp0, bp1, &mut acc0, &mut acc1);
+                                    store_acc(jb, &acc0);
+                                    store_acc(jb + 1, &acc1);
+                                    jb += 2;
+                                    continue;
+                                }
+                                let bpanel = &bpack[jb * k * NR..(jb + 1) * k * NR];
+                                let mut acc = load_acc(jb);
+                                if vector {
+                                    simd::microkernel(k, apanel, bpanel, &mut acc);
+                                } else {
+                                    portable_microkernel(k, apanel, bpanel, &mut acc);
+                                }
+                                store_acc(jb, &acc);
+                                jb += 1;
                             }
-                        };
-                        let mut jb = jg * col_grain;
-                        while jb < jp_end {
-                            // The vector path pairs adjacent column panels
-                            // (8x16 tile) whenever the chunk holds two more:
-                            // bitwise equal to two single-tile calls (see
-                            // `simd::microkernel_x2`), so the pairing — a
-                            // chunk-local accident — never changes results.
-                            if vector && jb + 1 < jp_end {
-                                let bp0 = &bpack[jb * k * NR..(jb + 1) * k * NR];
-                                let bp1 = &bpack[(jb + 1) * k * NR..(jb + 2) * k * NR];
-                                let mut acc0 = load_acc(jb);
-                                let mut acc1 = load_acc(jb + 1);
-                                simd::microkernel_x2(k, apanel, bp0, bp1, &mut acc0, &mut acc1);
-                                store_acc(jb, &acc0);
-                                store_acc(jb + 1, &acc1);
-                                jb += 2;
-                                continue;
+                            if let Some(tables) = scatter {
+                                // SAFETY (both): a scatter is a single chunk and
+                                // every tile borrow above has ended, so nothing
+                                // else borrows `out` or the strip.
+                                let dst = unsafe { shared.slice_mut(0..shared.len()) };
+                                let done = unsafe { strip.slice_mut(0..rows * n) };
+                                scatter_add(dst, tables, i0, done, n);
                             }
-                            let bpanel = &bpack[jb * k * NR..(jb + 1) * k * NR];
-                            let mut acc = load_acc(jb);
-                            if vector {
-                                simd::microkernel(k, apanel, bpanel, &mut acc);
-                            } else {
-                                portable_microkernel(k, apanel, bpanel, &mut acc);
-                            }
-                            store_acc(jb, &acc);
-                            jb += 1;
-                        }
-                        if let Some((off, strip)) = &scatter {
-                            // SAFETY (both): a scatter is a single chunk and
-                            // every tile borrow above has ended, so nothing
-                            // else borrows `out` or the strip.
-                            let dst = unsafe { shared.slice_mut(0..shared.len()) };
-                            let done = unsafe { strip.slice_mut(0..rows * n) };
-                            scatter_add(dst, *off, i0, done, n);
                         }
                     }
-                }
+                });
             });
         });
     });
@@ -580,11 +705,16 @@ mod tests {
             .collect()
     }
 
-    fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; rows * cols];
-        for r in 0..rows {
-            for c in 0..cols {
-                out[c * rows + r] = src[r * cols + c];
+    /// Each `[rows, cols]` matrix of a batch stored one after another,
+    /// transposed in place.
+    fn transpose_each(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; src.len()];
+        let len = (rows * cols).max(1);
+        for (o, s) in out.chunks_exact_mut(len).zip(src.chunks_exact(len)) {
+            for r in 0..rows {
+                for c in 0..cols {
+                    o[c * rows + r] = s[r * cols + c];
+                }
             }
         }
         out
@@ -617,146 +747,207 @@ mod tests {
         (row, col, len)
     }
 
-    /// One shape's operands in the layout of each of the five entry points
-    /// (`gemm`, `gemm_nt`, `gemm_tn`, `gemm_gather`, `gemm_tn_scatter`, in
-    /// that order) and the oracle's answer to each.
+    /// The layouts a case runs, in order: `A·B`, `A·B^T`, `A^T·B`,
+    /// `A^T·B^T`, `A·B` with `B` gathered, and `A^T·B` scattered.
+    const LAYOUTS: [&str; 6] = ["N·N", "N·T", "T·N", "T·T", "gather", "scatter"];
+
+    /// One shape's batch in every layout and the oracle's answer to each.
+    /// The batch is `par` output blocks, each the sum of a chain of `red`
+    /// entries added in ascending order; the reducing axis is listed first
+    /// when `red_outer`. Entry `e = block * red + r` keeps its operands `e`
+    /// operand lengths into each buffer.
     struct Case {
         m: usize,
         k: usize,
         n: usize,
+        par: usize,
+        red: usize,
+        red_outer: bool,
         a: Vec<f32>,
         at: Vec<f32>,
         b: Vec<f32>,
         bt: Vec<f32>,
         init: Vec<f32>,
-        /// `gemm_gather`'s source buffer and its tables.
+        /// The entries' gather sources, `s_len` apart, and their tables.
         src: Vec<f32>,
+        s_len: usize,
         src_off: (Vec<usize>, Vec<usize>),
-        /// The scatter's destination before the adds, and its tables.
+        /// The blocks' scatter destinations, `d_len` apart, and their tables.
         dst: Vec<f32>,
+        d_len: usize,
         dst_off: (Vec<usize>, Vec<usize>),
-        expect: [Vec<u32>; 5],
+        expect: [Vec<u32>; 6],
     }
 
     impl Case {
-        fn new(m: usize, k: usize, n: usize, seed: u64) -> Case {
-            let a = fill(m * k, seed);
-            let b = fill(k * n, seed + 1);
-            let init = fill(m * n, seed + 2);
-            let (at, bt) = (transpose(&a, m, k), transpose(&b, k, n));
+        fn new(m: usize, k: usize, n: usize, batch: (usize, usize, bool), seed: u64) -> Case {
+            let (par, red, red_outer) = batch;
+            let entries = par * red;
+            let (mk, kn, mn) = (m * k, k * n, m * n);
+            let a = fill(entries * mk, seed);
+            let b = fill(entries * kn, seed + 1);
+            let init = fill(par * mn, seed + 2);
+            let (at, bt) = (transpose_each(&a, m, k), transpose_each(&b, k, n));
 
-            // The tables overlap, so the gathered `B` is whatever `src` holds
-            // where they point.
+            // The tables overlap, so each gathered `B` is whatever its
+            // source holds where they point.
             let (s_row, s_col, s_len) = tables(k, n, m);
-            let src = fill(s_len, seed + 3);
-            let mut b_seen = vec![0.0f32; k * n];
-            for p in 0..k {
-                for j in 0..n {
-                    b_seen[p * n + j] = src[s_row[p] + s_col[j]];
+            let src = fill(entries * s_len, seed + 3);
+            let mut b_seen = vec![0.0f32; entries * kn];
+            for e in 0..entries {
+                for p in 0..k {
+                    for j in 0..n {
+                        b_seen[e * kn + p * n + j] = src[e * s_len + s_row[p] + s_col[j]];
+                    }
                 }
             }
             let (d_row, d_col, d_len) = tables(m, n, k);
-            let dst = fill(d_len, seed + 4);
+            let dst = fill(par * d_len, seed + 4);
 
             let oracle = |f: DirectFn, a: &[f32], b: &[f32]| {
                 let mut out = init.clone();
-                f(&mut out, a, b, m, k, n);
-                out
+                for e in 0..entries {
+                    let block = &mut out[e / red * mn..][..mn];
+                    f(block, &a[e * mk..][..mk], &b[e * kn..][..kn], m, k, n);
+                }
+                bits(&out)
             };
-            // `a^T b` from zero, then added through the tables row-major.
-            let mut product = vec![0.0f32; m * n];
-            reference::gemm_tn_ref(&mut product, &at, &b, m, k, n);
+            // Each `a^T b` from zero, then added through the tables row-major.
             let mut scattered = dst.clone();
-            for i in 0..m {
-                for j in 0..n {
-                    scattered[d_row[i] + d_col[j]] += product[i * n + j];
+            for e in 0..entries {
+                let mut product = vec![0.0f32; mn];
+                reference::gemm_tn_ref(
+                    &mut product,
+                    &at[e * mk..][..mk],
+                    &b[e * kn..][..kn],
+                    m,
+                    k,
+                    n,
+                );
+                let base = e / red * d_len;
+                for i in 0..m {
+                    for j in 0..n {
+                        scattered[base + d_row[i] + d_col[j]] += product[i * n + j];
+                    }
                 }
             }
+            let nn = oracle(reference::gemm_ref, &a, &b);
             let expect = [
-                oracle(reference::gemm_ref, &a, &b),
+                nn.clone(),
                 oracle(reference::gemm_nt_ref, &a, &bt),
                 oracle(reference::gemm_tn_ref, &at, &b),
+                nn,
                 oracle(reference::gemm_ref, &a, &b_seen),
-                scattered,
-            ]
-            .map(|v| bits(&v));
+                bits(&scattered),
+            ];
             Case {
                 m,
                 k,
                 n,
+                par,
+                red,
+                red_outer,
                 a,
                 at,
                 b,
                 bt,
                 init,
                 src,
+                s_len,
                 src_off: (s_row, s_col),
                 dst,
+                d_len,
                 dst_off: (d_row, d_col),
                 expect,
             }
         }
 
-        /// The five entry points' answers through the dispatch on one
-        /// instantiation.
-        fn dispatch(&self, vector: bool) -> [Vec<u32>; 5] {
-            let (m, k, n) = (self.m, self.k, self.n);
-            let src_off = Offsets::new(&self.src_off.0, &self.src_off.1);
-            let dst_off = Offsets::new(&self.dst_off.0, &self.dst_off.1);
-            let mut out = [(); 5].map(|_| self.init.clone());
-            out[4].clone_from(&self.dst);
-            let [nn, nt, tn, gather, scatter] = &mut out;
-            gemm_on(vector, nn, &self.a, &self.b, m, k, n);
-            gemm_nt_on(vector, nt, &self.a, &self.bt, m, k, n);
-            gemm_tn_on(vector, tn, &self.at, &self.b, m, k, n);
-            gemm_gather_on(vector, gather, &self.a, &self.src, src_off, m, k, n);
-            gemm_tn_scatter_on(vector, scatter, &self.at, &self.b, dst_off, m, k, n);
-            out.map(|v| bits(&v))
+        /// The two batch axes for per-entry `A`, `B` and output strides.
+        fn batch(&self, a: usize, b: usize, out: usize) -> [Axis; 2] {
+            let red = Axis {
+                count: self.red,
+                a,
+                b,
+                out: 0,
+            };
+            let par = Axis {
+                count: self.par,
+                a: self.red * a,
+                b: self.red * b,
+                out,
+            };
+            if self.red_outer {
+                [red, par]
+            } else {
+                [par, red]
+            }
         }
 
-        /// The same five through the tiled macro-kernel at any size.
-        fn tiled(&self, vector: bool) -> [Vec<u32>; 5] {
+        /// Every layout's answer through the dispatch on one instantiation.
+        fn dispatch(&self, vector: bool) -> [Vec<u32>; 6] {
             let (m, k, n) = (self.m, self.k, self.n);
-            let tiled = |pa: PackA<'_>, pb: PackB<'_>| {
+            let dense = |a: PackA<'_>, b: PackB<'_>, b_len: usize| {
                 let mut out = self.init.clone();
-                run_tiled(vector, &mut out, None, pa, pb, m, k, n);
+                let batch = self.batch(m * k, b_len, m * n);
+                gemm_batched_on(vector, Out::Add(&mut out), a, b, (m, k, n), batch);
                 bits(&out)
             };
             let src_off = Offsets::new(&self.src_off.0, &self.src_off.1);
             let dst_off = Offsets::new(&self.dst_off.0, &self.dst_off.1);
-            let (a, at, b) = (&self.a, &self.at, &self.b);
             let mut scattered = self.dst.clone();
-            let mut strip = vec![f32::NAN; MR * n];
-            let sink = Some((dst_off, &mut strip[..]));
+            let sink = Out::Scatter(&mut scattered, dst_off);
+            let (a, b) = (PackA::T(&self.at), PackB::N(&self.b));
+            let batch = self.batch(m * k, k * n, self.d_len);
+            gemm_batched_on(vector, sink, a, b, (m, k, n), batch);
+            [
+                dense(PackA::N(&self.a), PackB::N(&self.b), k * n),
+                dense(PackA::N(&self.a), PackB::T(&self.bt), k * n),
+                dense(PackA::T(&self.at), PackB::N(&self.b), k * n),
+                dense(PackA::T(&self.at), PackB::T(&self.bt), k * n),
+                dense(
+                    PackA::N(&self.a),
+                    PackB::Gather(&self.src, src_off),
+                    self.s_len,
+                ),
+                bits(&scattered),
+            ]
+        }
+
+        /// A one-entry case's layouts through the tiled macro-kernel at any
+        /// size.
+        fn tiled(&self, vector: bool) -> [Vec<u32>; 6] {
+            assert_eq!(self.par * self.red, 1, "the macro-kernel runs one entry");
+            let mkn = (self.m, self.k, self.n);
+            let tiled = |a: PackA<'_>, b: PackB<'_>| {
+                let mut out = self.init.clone();
+                run_tiled(vector, &mut out, None, a, b, mkn);
+                bits(&out)
+            };
+            let src_off = Offsets::new(&self.src_off.0, &self.src_off.1);
+            let dst_off = Offsets::new(&self.dst_off.0, &self.dst_off.1);
+            let (a, at, b, bt) = (&self.a, &self.at, &self.b, &self.bt);
+            let mut scattered = self.dst.clone();
             run_tiled(
                 vector,
                 &mut scattered,
-                sink,
+                Some(dst_off),
                 PackA::T(at),
                 PackB::N(b),
-                m,
-                k,
-                n,
+                mkn,
             );
             [
                 tiled(PackA::N(a), PackB::N(b)),
-                tiled(PackA::N(a), PackB::T(&self.bt)),
+                tiled(PackA::N(a), PackB::T(bt)),
                 tiled(PackA::T(at), PackB::N(b)),
+                tiled(PackA::T(at), PackB::T(bt)),
                 tiled(PackA::N(a), PackB::Gather(&self.src, src_off)),
                 bits(&scattered),
             ]
         }
 
-        /// The first entry point whose answer in `got` is not the oracle's.
-        fn mismatch(&self, got: [Vec<u32>; 5]) -> Option<&'static str> {
-            let names = [
-                "gemm",
-                "gemm_nt",
-                "gemm_tn",
-                "gemm_gather",
-                "gemm_tn_scatter",
-            ];
-            let mut pairs = names.into_iter().zip(got.iter().zip(&self.expect));
+        /// The first layout whose answer in `got` is not the oracle's.
+        fn mismatch(&self, got: [Vec<u32>; 6]) -> Option<&'static str> {
+            let mut pairs = LAYOUTS.into_iter().zip(got.iter().zip(&self.expect));
             pairs
                 .find(|(_, (got, want))| got != want)
                 .map(|(name, _)| name)
@@ -776,7 +967,7 @@ mod tests {
             // Short-m, wide-n: exercises the column-split partition regime.
             (8, 96, 700),
         ] {
-            let case = Case::new(m, k, n, (m * 31 + k * 7 + n) as u64);
+            let case = Case::new(m, k, n, (1, 1, false), (m * 31 + k * 7 + n) as u64);
             for vector in instantiations() {
                 let bad = case.mismatch(case.tiled(vector));
                 assert!(bad.is_none(), "{bad:?} at ({m},{k},{n}) vector={vector}");
@@ -787,21 +978,30 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        // vector == portable == oracle for every entry point. 2·m·k·n runs
-        // from 0 to ~63k FLOPs, straddling `SMALL_FLOPS`, so both rows of
-        // the dispatch table are compared; n ≥ 16 puts a panel pair (the
-        // paired 8×16 kernel) in a chunk with an odd panel behind it.
+        // vector == portable == oracle for every layout, on batches of one
+        // to three output blocks each reducing a chain of one to three
+        // entries, with the reducing axis listed either first or second.
+        // 2·m·k·n runs from 0 to ~63k FLOPs per entry, straddling
+        // `SMALL_FLOPS`, so both rows of the dispatch table are compared;
+        // n ≥ 16 puts a panel pair (the paired 8×16 kernel) in a chunk with
+        // an odd panel behind it.
         #[test]
         fn every_entry_point_is_the_oracle_on_both_instantiations(
             m in 1usize..28,
             k in 0usize..28,
             n in 1usize..40,
+            par in 1usize..4,
+            red in 1usize..4,
+            red_outer in any::<bool>(),
             seed in 0u64..1_000_000,
         ) {
-            let case = Case::new(m, k, n, seed);
+            let case = Case::new(m, k, n, (par, red, red_outer), seed);
             for vector in instantiations() {
                 let bad = case.mismatch(case.dispatch(vector));
-                prop_assert!(bad.is_none(), "{bad:?} at ({m},{k},{n}) vector={vector}");
+                prop_assert!(
+                    bad.is_none(),
+                    "{bad:?} at ({m},{k},{n}) x ({par} blocks, {red} deep) vector={vector}"
+                );
             }
         }
     }
@@ -810,24 +1010,57 @@ mod tests {
     #[should_panic(expected = "offset tables reach 9 + 6, outside a buffer of 15 elements")]
     fn gather_rejects_a_table_that_reaches_outside_the_source() {
         let mut out = [0.0f32; 4];
-        let off = Offsets::new(&[0, 9], &[0, 6]);
-        gemm_gather(&mut out, &[1.0; 4], &[0.0; 15], off, 2, 2, 2);
+        let b = PackB::Gather(&[0.0; 15], Offsets::new(&[0, 9], &[0, 6]));
+        gemm_batched(
+            Out::Add(&mut out),
+            PackA::N(&[1.0; 4]),
+            b,
+            (2, 2, 2),
+            [Axis::ONE; 2],
+        );
     }
 
     #[test]
     #[should_panic(expected = "offset tables reach 9 + 6, outside a buffer of 15 elements")]
     fn scatter_rejects_a_table_that_reaches_outside_the_destination() {
         let mut dst = [0.0f32; 15];
-        let off = Offsets::new(&[0, 9], &[0, 6]);
-        gemm_tn_scatter(&mut dst, &[1.0; 6], &[1.0; 6], off, 2, 3, 2);
+        let out = Out::Scatter(&mut dst, Offsets::new(&[0, 9], &[0, 6]));
+        gemm_batched(
+            out,
+            PackA::T(&[1.0; 6]),
+            PackB::N(&[1.0; 6]),
+            (2, 3, 2),
+            [Axis::ONE; 2],
+        );
     }
 
     #[test]
     #[should_panic(expected = "offset tables do not match the 3x2 matrix they address")]
     fn gather_rejects_tables_of_the_wrong_extent() {
         let mut out = [0.0f32; 4];
-        let off = Offsets::new(&[0, 1], &[0, 1]);
-        gemm_gather(&mut out, &[1.0; 6], &[0.0; 16], off, 2, 3, 2);
+        let b = PackB::Gather(&[0.0; 16], Offsets::new(&[0, 1], &[0, 1]));
+        gemm_batched(
+            Out::Add(&mut out),
+            PackA::N(&[1.0; 6]),
+            b,
+            (2, 3, 2),
+            [Axis::ONE; 2],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "batch output blocks overlap at element 2")]
+    fn overlapping_output_blocks_are_rejected() {
+        // Two 2x2 blocks two elements apart.
+        let mut out = [0.0f32; 8];
+        let blocks = Axis {
+            count: 2,
+            a: 2,
+            b: 2,
+            out: 2,
+        };
+        let (a, b) = (PackA::N(&[1.0; 4]), PackB::N(&[1.0; 4]));
+        gemm_batched(Out::Add(&mut out), a, b, (2, 1, 2), [blocks, Axis::ONE]);
     }
 
     #[test]

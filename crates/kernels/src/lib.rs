@@ -7,18 +7,20 @@
 //!   override, a [`set_num_threads`] API, and a determinism contract: chunk
 //!   boundaries depend only on the problem shape, so results are
 //!   bit-identical at any thread count.
-//! * [`gemm`] — cache-blocked, register-tiled f32 GEMM ([`gemm()`],
-//!   [`gemm_nt()`], [`gemm_tn()`]) with packed A/B panels and a 2-D tiled
-//!   macro-kernel, under **one contract**: every output element is
-//!   `acc = fma(a[i,p], b[p,j], acc)` for `p` ascending, one rounding per
-//!   step. Every path computes exactly that chain, so all
+//! * [`gemm`] — cache-blocked, register-tiled f32 GEMM with packed A/B
+//!   panels and a 2-D tiled macro-kernel, under **one contract**: every
+//!   output element is `acc = fma(a[i,p], b[p,j], acc)` for `p` ascending,
+//!   one rounding per step. Every path computes exactly that chain, so all
 //!   are bit-identical to the retained naive oracle in [`reference`] and to
-//!   each other. There is one dispatch: the FLOP count picks the tiled or
-//!   the direct loops, the CPU picks the instantiation, and nothing
-//!   switches either at run time. [`gemm_gather()`] and
-//!   [`gemm_tn_scatter()`] are the same GEMMs with `B` read, or the product
-//!   added, through two [`Offsets`] tables — how `hfta-tensor` convolves a
-//!   padded image without materialising its im2col matrix.
+//!   each other. There is one entry point, [`gemm_batched()`]: a whole
+//!   `(sample × group)` or fused-model batch of products in one call, split
+//!   across the pool by one shape-only rule, with `B` optionally read
+//!   ([`PackB::Gather`]) and the product optionally added ([`Out::Scatter`])
+//!   through two [`Offsets`] tables — how `hfta-tensor` convolves a padded
+//!   image without materialising its im2col matrix. [`gemm()`],
+//!   [`gemm_nt()`] and [`gemm_tn()`] are its one-entry case. The FLOP count
+//!   picks the tiled or the direct loops, the CPU picks the instantiation,
+//!   and nothing switches either at run time.
 //! * [`simd`] — the runtime-detected AVX2/FMA instantiations (8×8 / paired
 //!   8×16 micro-kernel, small-shape loops) `Auto` takes wherever the CPU
 //!   has them; elsewhere the portable `f32::mul_add` twins run. FMA is
@@ -50,7 +52,7 @@ pub mod reference;
 pub mod simd;
 pub mod tune;
 
-pub use gemm::{gemm, gemm_gather, gemm_nt, gemm_tn, gemm_tn_scatter, Offsets};
+pub use gemm::{gemm, gemm_batched, gemm_nt, gemm_tn, Axis, Offsets, Out, PackA, PackB};
 pub use pool::{
     for_each_chunk_mut, num_threads, parallel_for, parallel_for_work, pool_dispatches,
     set_num_threads, UnsafeSlice,

@@ -17,7 +17,7 @@
 //!
 //! Nested dispatch from inside a worker (or from the submitting thread while
 //! it participates) runs inline and serial, so kernels freely compose —
-//! e.g. a batch-parallel `bmm` whose per-batch GEMM is itself potentially
+//! e.g. a batched GEMM whose per-entry GEMMs are themselves potentially
 //! parallel.
 //!
 //! # Panics
@@ -300,7 +300,7 @@ pub fn parallel_for_work(
             f(chunk_range(chunk, grain, n_items));
         }
     };
-    if work < MIN_POOL_WORK || n_chunks <= 1 || in_worker() {
+    if runs_inline(n_chunks, work) {
         run_inline();
         return;
     }
@@ -395,6 +395,13 @@ pub fn for_each_chunk_mut<T: Send>(
         let chunk = unsafe { shared.slice_mut(range.clone()) };
         f(range.start, chunk);
     });
+}
+
+/// Whether [`parallel_for_work`] runs `n_chunks` chunks of `work` in total
+/// inline on the caller whatever the pool size: below [`MIN_POOL_WORK`], as
+/// a single chunk, or from inside a worker.
+pub(crate) fn runs_inline(n_chunks: usize, work: usize) -> bool {
+    work < MIN_POOL_WORK || n_chunks <= 1 || in_worker()
 }
 
 /// A `Sync` wrapper around a mutable slice for disjoint parallel writes.

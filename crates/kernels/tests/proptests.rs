@@ -1,18 +1,22 @@
 //! Property tests of the one GEMM contract: every output element is
 //! `acc = fma(a[i,p], b[p,j], acc)` for `p` ascending, one rounding per
-//! step. For all five public entry points — across shapes straddling the
-//! small-shape threshold and the 8×8 tile, random initial output contents
-//! (the kernels accumulate) and thread counts 1, 2 and 4 — the tests assert
-//! **bit identity**, never closeness:
+//! step. For every layout of the one entry point — across shapes straddling
+//! the small-shape threshold and the 8×8 tile, random initial output
+//! contents (the kernels accumulate) and thread counts 1, 2 and 4 — the
+//! tests assert **bit identity**, never closeness:
 //!
 //! * default dispatch == the oracle ([`reference`]);
 //! * on inputs where a fused multiply-add and a separate multiply + add
 //!   provably differ, every path produces the *fused* answer, checked
 //!   against hand-derived bits rather than against another kernel;
-//! * the table-addressed entry points are the same GEMMs: `gemm_gather` ==
-//!   the oracle on the `B` its tables materialise, `gemm_tn_scatter` == the
+//! * the table-addressed layouts are the same GEMMs: a gathered `B` == the
+//!   oracle on the `B` its tables materialise, a scattered product == the
 //!   oracle into zeroed columns followed by a row-major add through the
-//!   tables — including, on a hand-derived case, the *order* of those adds.
+//!   tables — including, on a hand-derived case, the *order* of those adds;
+//! * a batch is its entries: a reduction over entries == the oracle run on
+//!   each entry in ascending order into one block, and a scatter batch ==
+//!   each entry scattered into its own block, at batch sizes that split
+//!   across the pool.
 //!
 //! That the AVX2/FMA and the portable instantiations agree is a unit test
 //! in `src/gemm.rs`, which can name an instantiation; from here, dispatch
@@ -23,7 +27,8 @@
 //! releasing it.
 
 use hfta_kernels::{
-    gemm, gemm_gather, gemm_nt, gemm_tn, gemm_tn_scatter, reference, set_num_threads, Offsets,
+    gemm, gemm_batched, gemm_nt, gemm_tn, reference, set_num_threads, Axis, Offsets, Out, PackA,
+    PackB,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -186,8 +191,8 @@ fn table(len: usize, bound: usize, seed: u64, salt: u64) -> Vec<usize> {
         .collect()
 }
 
-/// `gemm_gather` against the oracle on the `B` its tables materialise, and
-/// `gemm_tn_scatter` against the oracle into zeroed columns followed by a
+/// A gathered `B` against the oracle on the `B` its tables materialise, and
+/// a scattered `a^T b` against the oracle into zeroed columns followed by a
 /// row-major `dst[row[i] + col[j]] += cols[i][j]`, at every thread count.
 fn check_tables(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
     let a = fill(m * k, seed, 1);
@@ -205,8 +210,14 @@ fn check_tables(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
     reference::gemm_ref(&mut expect, &a, &b, m, k, n);
     check_every_configuration(&format!("gather {m}x{k}x{n}"), &bits(&expect), || {
         let mut out = init.clone();
-        let off = Offsets::new(&b_row, &b_col);
-        gemm_gather(&mut out, &a, &src, off, m, k, n);
+        let b = PackB::Gather(&src, Offsets::new(&b_row, &b_col));
+        gemm_batched(
+            Out::Add(&mut out),
+            PackA::N(&a),
+            b,
+            (m, k, n),
+            [Axis::ONE; 2],
+        );
         bits(&out)
     })?;
 
@@ -225,8 +236,88 @@ fn check_tables(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
     }
     check_every_configuration(&format!("scatter {m}x{k}x{n}"), &bits(&expect), || {
         let mut out = dst.clone();
-        let off = Offsets::new(&d_row, &d_col);
-        gemm_tn_scatter(&mut out, &at, &b, off, m, k, n);
+        let sink = Out::Scatter(&mut out, Offsets::new(&d_row, &d_col));
+        gemm_batched(sink, PackA::T(&at), PackB::N(&b), (m, k, n), [Axis::ONE; 2]);
+        bits(&out)
+    })
+}
+
+/// Two batches shaped like a grouped convolution's, at every thread count.
+///
+/// A reduction (the weight gradient's layout): `groups` output blocks, each
+/// `a[s, g] @ b[s, g]^T` summed over the `samples` in ascending order. A
+/// scatter (the input gradient's layout): `samples × groups` entries
+/// `w[g]^T @ b[s, g]`, the weights shared by every sample, each added
+/// through the same tables into its own destination block.
+fn check_batches(
+    (groups, samples): (usize, usize),
+    (m, k, n): (usize, usize, usize),
+    seed: u64,
+) -> Result<(), String> {
+    let entries = groups * samples;
+    let (mk, kn, mn) = (m * k, k * n, m * n);
+    let a = fill(entries * mk, seed, 1);
+    let b = fill(entries * kn, seed, 2);
+    let init = fill(groups * mn, seed, 3);
+    let mut expect = init.clone();
+    for g in 0..groups {
+        for s in 0..samples {
+            let (e, block) = (s * groups + g, &mut expect[g * mn..][..mn]);
+            reference::gemm_nt_ref(block, &a[e * mk..][..mk], &b[e * kn..][..kn], m, k, n);
+        }
+    }
+    let group = Axis {
+        count: groups,
+        a: mk,
+        b: kn,
+        out: mn,
+    };
+    let sample = Axis {
+        count: samples,
+        a: groups * mk,
+        b: groups * kn,
+        out: 0,
+    };
+    let what = format!("reduction {groups}x{samples} of {m}x{k}x{n}");
+    check_every_configuration(&what, &bits(&expect), || {
+        let mut out = init.clone();
+        let (pa, pb) = (PackA::N(&a), PackB::T(&b));
+        gemm_batched(Out::Add(&mut out), pa, pb, (m, k, n), [group, sample]);
+        bits(&out)
+    })?;
+
+    let w = fill(groups * mk, seed, 4);
+    let (row, col) = (table(m, m / 2 + 1, seed, 5), table(n, n / 2 + 1, seed, 6));
+    let block = m / 2 + n / 2 + 1;
+    let dst = fill(entries * block, seed, 7);
+    let mut expect = dst.clone();
+    for e in 0..entries {
+        let mut cols = vec![0.0f32; mn];
+        let g = e % groups;
+        reference::gemm_tn_ref(&mut cols, &w[g * mk..][..mk], &b[e * kn..][..kn], m, k, n);
+        for (i, &base) in row.iter().enumerate() {
+            for (j, &c) in col.iter().enumerate() {
+                expect[e * block + base + c] += cols[i * n + j];
+            }
+        }
+    }
+    let sample = Axis {
+        count: samples,
+        a: 0,
+        b: groups * kn,
+        out: groups * block,
+    };
+    let group = Axis {
+        count: groups,
+        a: mk,
+        b: kn,
+        out: block,
+    };
+    let what = format!("scatter {samples}x{groups} of {m}x{k}x{n}");
+    check_every_configuration(&what, &bits(&expect), || {
+        let mut out = dst.clone();
+        let sink = Out::Scatter(&mut out, Offsets::new(&row, &col));
+        gemm_batched(sink, PackA::T(&w), PackB::N(&b), (m, k, n), [sample, group]);
         bits(&out)
     })
 }
@@ -260,6 +351,22 @@ proptest! {
     // The same straddle for the table-addressed entry points: k in {0, 1}
     // included, m and n mostly off the tile edges, several row panels (the
     // scatter's strips) and an odd column panel behind the pairs.
+    // Grouped-conv-sized batches: 2 to 6 groups of 1 to 3 samples, entries
+    // from under the small-shape threshold to ~230 kFLOP. Some batches stay
+    // on the caller, others split across the pool, and a group's reduction
+    // chain sometimes exceeds a chunk's FLOP target on its own.
+    #[test]
+    fn batches_bit_identical(
+        groups in 2usize..7,
+        samples in 1usize..4,
+        m in 1usize..40,
+        k in 1usize..40,
+        n in 1usize..72,
+        seed in 0u64..1_000_000,
+    ) {
+        check_batches((groups, samples), (m, k, n), seed)?;
+    }
+
     #[test]
     fn table_paths_bit_identical(m in 1usize..28, k in 0usize..28, n in 1usize..40, seed in 0u64..1_000_000) {
         check_tables(m, k, n, seed)?;
@@ -307,7 +414,8 @@ fn scatter_adds_in_ascending_row_order() {
         .collect();
     check_every_configuration("scatter order", &bits(&expect), || {
         let mut dst = vec![0.0f32; 40];
-        gemm_tn_scatter(&mut dst, &a, &b, Offsets::new(&row, &col), m, k, n);
+        let sink = Out::Scatter(&mut dst, Offsets::new(&row, &col));
+        gemm_batched(sink, PackA::T(&a), PackB::N(&b), (m, k, n), [Axis::ONE; 2]);
         bits(&dst)
     })
     .unwrap();

@@ -370,12 +370,8 @@ impl Var {
             OpCost::matmul(1, a[0], a[1], b[1])
         });
         let value = self.with_value(|a| other.with_value(|b| a.matmul(b)));
-        self.binary(
-            other,
-            value,
-            |g, _, b| g.matmul(&b.t()),
-            |g, a, _| a.t().matmul(g),
-        )
+        // The rank-2 `_nt` / `_tn` products read the transposes in place.
+        self.binary(other, value, |g, _, b| g.bmm_nt(b), |g, a, _| a.bmm_tn(g))
     }
 
     /// Batched matrix product `[B, m, k] x [B, k, n]`.
@@ -438,6 +434,36 @@ mod tests {
             |tape| tape.param(&a).matmul(&tape.param(&b)).sum(),
             1e-2,
         );
+    }
+
+    #[test]
+    fn matmul_grads_are_bitwise_the_transposed_products() {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Below and above the GEMM's small-shape threshold.
+        for (m, k, n) in [(3, 4, 2), (24, 40, 16)] {
+            let mut rng = Rng::seed_from((m * k * n) as u64);
+            let a = param(&mut rng, &[m, k], "a");
+            let b = param(&mut rng, &[k, n], "b");
+            let g = rng.randn([m, n]);
+            let tape = Tape::new();
+            let y = tape.param(&a).matmul(&tape.param(&b));
+            y.backward_with(g.clone());
+            // The same products on copied transposes, accumulated the same way.
+            let want_a = param(&mut rng, &[m, k], "want_a");
+            want_a.accumulate_grad(&g.matmul(&b.value_cloned().t()));
+            let want_b = param(&mut rng, &[k, n], "want_b");
+            want_b.accumulate_grad(&a.value_cloned().t().matmul(&g));
+            assert_eq!(
+                bits(&a.grad()),
+                bits(&want_a.grad()),
+                "grad a at {m}x{k}x{n}"
+            );
+            assert_eq!(
+                bits(&b.grad()),
+                bits(&want_b.grad()),
+                "grad b at {m}x{k}x{n}"
+            );
+        }
     }
 
     #[test]

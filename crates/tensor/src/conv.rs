@@ -5,41 +5,32 @@
 //! groups over channel-concatenated inputs (Table 6 of the paper). Both the
 //! serial and fused paths in this workspace execute through these kernels.
 //!
-//! # One path, no column matrix
+//! # One GEMM call per op, no column matrix
+//!
+//! Each op is one [`kernels::gemm_batched`] call over its `(sample, group)`
+//! blocks; the weight gradient's batch runs `(group, sample)` with the
+//! samples reducing into each group's block in ascending order. How the
+//! batch splits across threads is the kernel layer's one shape-only rule.
 //!
 //! On a padded image im2col is *separable*: `cols[(ci,u,v), (oy,ox)] =
 //! img[koff[(ci,u,v)] + soff[(oy,ox)]]` with `koff = (ci*hp + u)*wp + v` and
-//! `soff = oy*sh*wp + ox*sw`. Each op builds the two tables once per call and
-//! hands them to `hfta-kernels` with each (sample, group) image block: the
-//! forward pass and the weight gradient *gather* their GEMM operand through
-//! them as it is packed ([`kernels::gemm_gather`]; the weight gradient wants
-//! `cols^T`, the same tables swapped), the input gradient — hence the
+//! `soff = oy*sh*wp + ox*sw`. Each op builds the two tables once per call:
+//! the forward pass and the weight gradient *gather* their GEMM operand
+//! through them as it is packed ([`PackB::Gather`]; the weight gradient
+//! wants `cols^T`, the same tables swapped), the input gradient — hence the
 //! transposed convolution's forward — *scatter-adds* `w^T @ gy` through them
-//! ([`kernels::gemm_tn_scatter`]). That sink adds one finished row strip at a
-//! time in ascending `(ci,u,v)`, the order in which a `col2im` pass hands
-//! each pixel its taps, so every op is bit-identical to pad → im2col → GEMM →
-//! col2im (the oracle the tests keep) without ever writing the columns.
+//! ([`Out::Scatter`]). That sink adds one finished row strip at a time in
+//! ascending `(ci,u,v)`, the order in which a `col2im` pass hands each pixel
+//! its taps, so every op is bit-identical to pad → im2col → GEMM → col2im
+//! (the oracle the tests keep) without ever writing the columns.
 //!
 //! A 1x1, stride-1, unpadded convolution's tables are the identity: its image
-//! block *is* the operand and goes to [`kernels::gemm()`] / [`kernels::gemm_nt`]
-//! as is. Its input gradient still scatters — adding into the zeroed image is
-//! what turns a `-0.0` product into `+0.0`.
+//! block *is* the operand and is read densely. Its input gradient still
+//! scatters — adding into the zeroed image is what turns a `-0.0` product
+//! into `+0.0`.
 
 use crate::tensor::Tensor;
-use hfta_kernels::{self as kernels, Offsets, UnsafeSlice};
-
-/// Target FLOPs per parallel chunk when fanning out over (sample, group)
-/// blocks. A pure function of the problem shape — never of the thread
-/// count — so chunk boundaries (and therefore results) are identical on
-/// any pool size.
-const PAR_CHUNK_FLOPS: usize = 1 << 19;
-
-/// Chunk size (in `(sample, group)` blocks) for `per_block_flops` each.
-fn block_grain(per_block_flops: usize, n_blocks: usize) -> usize {
-    PAR_CHUNK_FLOPS
-        .checked_div(per_block_flops)
-        .map_or(n_blocks.max(1), |g| g.clamp(1, n_blocks.max(1)))
-}
+use hfta_kernels::{self as kernels, Axis, Offsets, Out, PackA, PackB};
 
 /// Configuration for 2-D (de)convolutions: `(height, width)` stride and
 /// zero-padding, plus channel groups.
@@ -94,15 +85,24 @@ impl ConvCfg {
     }
 
     /// Output spatial size of the *transposed* convolution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is inconsistent (an empty input, or padding
+    /// wider than the kernel taps span).
     pub fn transpose_out_hw(
         &self,
         (h, w): (usize, usize),
         (kh, kw): (usize, usize),
     ) -> (usize, usize) {
-        (
-            (h - 1) * self.stride.0 + kh - 2 * self.padding.0,
-            (w - 1) * self.stride.1 + kw - 2 * self.padding.1,
-        )
+        assert!(h > 0 && w > 0, "transposed conv input ({h}, {w}) is empty");
+        let (th, tw) = ((h - 1) * self.stride.0 + kh, (w - 1) * self.stride.1 + kw);
+        let (ph, pw) = self.padding;
+        assert!(
+            th >= 2 * ph && tw >= 2 * pw,
+            "transposed conv taps ({th}, {tw}) narrower than padding ({ph}, {pw}) on both sides"
+        );
+        (th - 2 * ph, tw - 2 * pw)
     }
 }
 
@@ -178,53 +178,46 @@ pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tenso
     check_conv_args(x, w, &cfg);
     let (n, cin, h, wdt) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
     let (cout, _, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
-    if let Some(bias) = b {
-        assert_eq!(bias.dims(), &[cout], "bias must be [Cout]");
-    }
     let g = cfg.groups;
     let (cing, coutg) = (cin / g, cout / g);
     let (ho, wo) = cfg.out_hw((h, wdt), (kh, kw));
+    let (krows, spatial) = (cing * kh * kw, ho * wo);
     let xp = x.pad2d(cfg.padding.0, cfg.padding.1);
     let (hp, wp) = (xp.dim(2), xp.dim(3));
-    let xp_data = xp.as_slice();
-    let w_data = w.as_slice();
-    let krows = cing * kh * kw;
-    let spatial = ho * wo;
-    let bias_data = b.map(|bias| bias.as_slice());
-    // Each (sample, group) pair writes one contiguous, disjoint output
-    // block, so the blocks parallelize trivially across the worker pool —
-    // the CPU analogue of the bigger-fused-kernel effect HFTA exploits (a
-    // fused conv with B x g groups exposes B x more independent blocks).
-    // The bias is folded into the block initialization: each output row is
-    // seeded with its channel's bias and the GEMM accumulates on top, so
-    // there is no second pass over the output.
-    let block = coutg * spatial;
-    let per_block_flops = 2 * coutg * krows * spatial;
-    let grain = block_grain(per_block_flops, n * g);
     let tables = (!pointwise((kh, kw), &cfg))
         .then(|| im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo)));
-    let cols = tables.as_ref().map(|(koff, soff)| Offsets::new(koff, soff));
+    let image = match &tables {
+        Some((koff, soff)) => PackB::Gather(xp.as_slice(), Offsets::new(koff, soff)),
+        None => PackB::N(xp.as_slice()),
+    };
     let mut out = Tensor::zeros([n, cout, ho, wo]);
-    let shared = UnsafeSlice::new(out.as_mut_slice());
-    kernels::parallel_for_work(n * g, grain, n * g * per_block_flops, |range| {
-        for idx in range {
-            let (ni, gi) = (idx / g, idx % g);
-            // SAFETY: each (sample, group) index owns a disjoint block.
-            let out_block = unsafe { shared.slice_mut(idx * block..(idx + 1) * block) };
-            if let Some(bd) = bias_data {
-                for (co, row) in out_block.chunks_exact_mut(spatial).enumerate() {
-                    row.fill(bd[gi * coutg + co]);
-                }
-            }
-            let img =
-                &xp_data[(ni * cin + gi * cing) * hp * wp..(ni * cin + (gi + 1) * cing) * hp * wp];
-            let wmat = &w_data[gi * coutg * krows..(gi + 1) * coutg * krows];
-            match cols {
-                Some(c) => kernels::gemm_gather(out_block, wmat, img, c, coutg, krows, spatial),
-                None => kernels::gemm(out_block, wmat, img, coutg, krows, spatial),
-            }
+    // Each output row starts from its channel's bias and the GEMM adds on
+    // top: the bias comes first in every element's chain, with no second
+    // pass over the output.
+    if let Some(bias) = b {
+        assert_eq!(bias.dims(), &[cout], "bias must be [Cout]");
+        let rows = out.as_mut_slice().chunks_exact_mut(spatial.max(1));
+        for (row, &bv) in rows.zip(bias.as_slice().iter().cycle()) {
+            row.fill(bv);
         }
-    });
+    }
+    // out[ni, gi] += w[gi] @ cols(xp[ni, gi]) : [coutg, spatial]
+    let batch = [
+        Axis {
+            count: n,
+            a: 0,
+            b: cin * hp * wp,
+            out: cout * spatial,
+        },
+        Axis {
+            count: g,
+            a: coutg * krows,
+            b: cing * hp * wp,
+            out: coutg * spatial,
+        },
+    ];
+    let (blocks, weights) = (Out::Add(out.as_mut_slice()), PackA::N(w.as_slice()));
+    kernels::gemm_batched(blocks, weights, image, (coutg, krows, spatial), batch);
     out
 }
 
@@ -254,31 +247,27 @@ pub fn conv2d_grad_input(
     assert_eq!(w.dim(1), cing, "weight Cin/g mismatch");
     let (ph, pw) = cfg.padding;
     let (hp, wp) = (input_hw.0 + 2 * ph, input_hw.1 + 2 * pw);
-    let krows = cing * kh * kw;
-    let spatial = ho * wo;
-    let gy_data = gy.as_slice();
-    let w_data = w.as_slice();
-    // Each (sample, group) pair owns one disjoint [cing, hp, wp] block of
-    // the padded input gradient, so the blocks fan out across the pool.
-    let block = cing * hp * wp;
-    let per_block_flops = 2 * coutg * krows * spatial;
-    let grain = block_grain(per_block_flops, n * g);
+    let (krows, spatial) = (cing * kh * kw, ho * wo);
     let (koff, soff) = im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo));
-    let cols = Offsets::new(&koff, &soff);
     let mut gx_pad = Tensor::zeros([n, cin, hp, wp]);
-    let shared = UnsafeSlice::new(gx_pad.as_mut_slice());
-    kernels::parallel_for_work(n * g, grain, n * g * per_block_flops, |range| {
-        for idx in range {
-            let (ni, gi) = (idx / g, idx % g);
-            let wmat = &w_data[gi * coutg * krows..(gi + 1) * coutg * krows];
-            let gybase = (ni * cout + gi * coutg) * spatial;
-            let gymat = &gy_data[gybase..gybase + coutg * spatial];
-            // SAFETY: each (sample, group) index owns a disjoint block.
-            let img = unsafe { shared.slice_mut(idx * block..(idx + 1) * block) };
-            // img[cols] += w^T @ gy : [krows, spatial]
-            kernels::gemm_tn_scatter(img, wmat, gymat, cols, krows, coutg, spatial);
-        }
-    });
+    // gx_pad[ni, gi][cols] += w[gi]^T @ gy[ni, gi] : [krows, spatial]
+    let batch = [
+        Axis {
+            count: n,
+            a: 0,
+            b: cout * spatial,
+            out: cin * hp * wp,
+        },
+        Axis {
+            count: g,
+            a: coutg * krows,
+            b: coutg * spatial,
+            out: cing * hp * wp,
+        },
+    ];
+    let sink = Out::Scatter(gx_pad.as_mut_slice(), Offsets::new(&koff, &soff));
+    let (weights, grads) = (PackA::T(w.as_slice()), PackB::N(gy.as_slice()));
+    kernels::gemm_batched(sink, weights, grads, (krows, coutg, spatial), batch);
     gx_pad.unpad2d(ph, pw)
 }
 
@@ -301,45 +290,35 @@ pub fn conv2d_grad_weight(
     check_groups(cin, cout, g);
     check_out_hw(&cfg, (h, wdt), (kh, kw), (ho, wo));
     let (cing, coutg) = (cin / g, cout / g);
+    let (krows, spatial) = (cing * kh * kw, ho * wo);
     let xp = x.pad2d(cfg.padding.0, cfg.padding.1);
     let (hp, wp) = (xp.dim(2), xp.dim(3));
-    let xp_data = xp.as_slice();
-    let gy_data = gy.as_slice();
-    let krows = cing * kh * kw;
-    let spatial = ho * wo;
-    // The weight gradient REDUCES over the batch: every sample accumulates
-    // into the same per-group block of `gw`, and float addition is not
-    // associative, so that reduction must never be split across chunks.
-    // Groups fan out across the pool, each walking `ni` in ascending order
-    // on one thread; a single group is a single chunk, which runs on the
-    // caller and lets its GEMMs parallelize internally over tiles. Chunking
-    // depends only on the shape — never the thread count.
-    let block = coutg * krows;
-    let per_group_flops = 2 * n * coutg * spatial * krows;
-    let flops = g * per_group_flops;
-    let grain = block_grain(per_group_flops, g);
     let tables = (!pointwise((kh, kw), &cfg))
         .then(|| im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo)));
-    let cols_t = tables.as_ref().map(|(koff, soff)| Offsets::new(soff, koff));
+    let image_t = match &tables {
+        Some((koff, soff)) => PackB::Gather(xp.as_slice(), Offsets::new(soff, koff)),
+        None => PackB::T(xp.as_slice()),
+    };
     let mut gw = Tensor::zeros([cout, cing, kh, kw]);
-    let shared = UnsafeSlice::new(gw.as_mut_slice());
-    kernels::parallel_for_work(g, grain, flops, |range| {
-        for gi in range {
-            // SAFETY: each group owns a disjoint block of `gw`.
-            let gw_g = unsafe { shared.slice_mut(gi * block..(gi + 1) * block) };
-            for ni in 0..n {
-                let img = &xp_data
-                    [(ni * cin + gi * cing) * hp * wp..(ni * cin + (gi + 1) * cing) * hp * wp];
-                let gybase = (ni * cout + gi * coutg) * spatial;
-                let gymat = &gy_data[gybase..gybase + coutg * spatial];
-                // += gy [coutg, spatial] @ cols^T [spatial, krows]
-                match cols_t {
-                    Some(c) => kernels::gemm_gather(gw_g, gymat, img, c, coutg, spatial, krows),
-                    None => kernels::gemm_nt(gw_g, gymat, img, coutg, spatial, krows),
-                }
-            }
-        }
-    });
+    // gw[gi] += gy[ni, gi] @ cols(xp[ni, gi])^T : [coutg, krows]. The weight
+    // gradient REDUCES over the batch: the sample axis writes no new block,
+    // so each group's samples add into it in ascending order.
+    let batch = [
+        Axis {
+            count: g,
+            a: coutg * spatial,
+            b: cing * hp * wp,
+            out: coutg * krows,
+        },
+        Axis {
+            count: n,
+            a: cout * spatial,
+            b: cin * hp * wp,
+            out: 0,
+        },
+    ];
+    let (blocks, grads) = (Out::Add(gw.as_mut_slice()), PackA::N(gy.as_slice()));
+    kernels::gemm_batched(blocks, grads, image_t, (coutg, spatial, krows), batch);
     gw
 }
 
@@ -1151,5 +1130,19 @@ mod tests {
         let cfg2 = ConvCfg::square(2, 1, 1);
         let (ho, wo) = cfg2.out_hw((8, 8), (4, 4));
         assert_eq!(cfg2.transpose_out_hw((ho, wo), (4, 4)), (8, 8));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "transposed conv taps (3, 3) narrower than padding (2, 2) on both sides"
+    )]
+    fn transpose_out_hw_rejects_padding_wider_than_the_taps() {
+        ConvCfg::square(1, 2, 1).transpose_out_hw((1, 1), (3, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "transposed conv input (0, 4) is empty")]
+    fn transpose_out_hw_rejects_an_empty_input() {
+        ConvCfg::square(2, 1, 1).transpose_out_hw((0, 4), (4, 4));
     }
 }

@@ -3,13 +3,17 @@
 //! Dense `f32` n-dimensional tensors and the neural-network kernels needed
 //! by the HFTA (Horizontally Fused Training Array, MLSys 2021)
 //! reproduction: broadcasting arithmetic, reductions, batched GEMM
-//! (`bmm`/`baddbmm`), **grouped** (transposed) convolutions, max pooling,
-//! batch normalization and softmax — each with the gradient kernels the
-//! autograd layer (`hfta-nn`) builds on.
+//! (`bmm`), **grouped** (transposed) convolutions, max pooling, batch
+//! normalization and softmax — each with the gradient kernels the autograd
+//! layer (`hfta-nn`) builds on.
 //!
-//! Grouped convolution and `baddbmm` deserve the emphasis: they are the
-//! already-well-optimized operators that HFTA's inter-model horizontal
-//! fusion maps onto (Table 6 of the paper).
+//! Grouped convolution and the batched `bmm` deserve the emphasis: they are
+//! the already-well-optimized operators that HFTA's inter-model horizontal
+//! fusion maps onto (Table 6 of the paper; its `baddbmm` is a `bmm` followed
+//! by a broadcast bias add). Each is one call into `hfta-kernels`' batched
+//! GEMM, which alone decides how their work splits across threads; the
+//! other passes split through `hfta_kernels::for_each_chunk_mut`, so this
+//! crate needs no `unsafe` code.
 //!
 //! # Example
 //!
@@ -23,6 +27,7 @@
 //! assert_eq!(y.dims(), &[1, 16, 8, 8]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod activation;

@@ -15,7 +15,7 @@ pub(crate) const ELEMWISE_GRAIN: usize = 1 << 15;
 /// `Tensor` is the storage substrate for the whole HFTA reproduction: the
 /// autograd engine in `hfta-nn` wraps it, and the fused operators in
 /// `hfta-core` are expressed entirely in terms of its kernels (grouped
-/// convolution, `baddbmm`, widened batch-norm, ...).
+/// convolution, batched `bmm`, widened batch-norm, ...).
 ///
 /// All layout-changing ops materialize new storage — simplicity and
 /// predictability over zero-copy views. Storage comes from the `hfta-mem`
