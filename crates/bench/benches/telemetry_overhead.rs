@@ -9,10 +9,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hfta_core::loss::{fused_cross_entropy, Reduction};
-use hfta_core::ops::{FusedConv2d, FusedModule};
+use hfta_core::ops::{Fused, FusedParameter, Ops};
 use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
 use hfta_core::scope::{ScopeMonitor, SentinelCfg};
-use hfta_nn::layers::Conv2dCfg;
+use hfta_nn::layers::{Conv2d, Conv2dCfg};
 use hfta_nn::{Module, Tape};
 use hfta_telemetry::{FlightKind, FlightRecorder, MetricsRegistry, Profiler, SchedStats};
 use hfta_tensor::{Rng, Tensor};
@@ -22,7 +22,7 @@ use std::time::Instant;
 const B: usize = 4;
 
 struct Setup {
-    conv: FusedConv2d,
+    conv: Conv2d,
     opt: FusedSgd,
     x: Tensor,
     targets: Vec<usize>,
@@ -30,9 +30,13 @@ struct Setup {
 
 fn setup() -> Setup {
     let mut rng = Rng::seed_from(7);
-    let conv = FusedConv2d::new(B, Conv2dCfg::new(3, 4, 3), &mut rng);
-    let opt = FusedSgd::new(conv.fused_parameters(), PerModel::new(vec![0.01; B]), 0.9)
-        .expect("matching widths");
+    let conv = Fused(B).conv2d(Conv2dCfg::new(3, 4, 3), &mut rng);
+    let opt = FusedSgd::new(
+        FusedParameter::of(&conv, B),
+        PerModel::new(vec![0.01; B]),
+        0.9,
+    )
+    .expect("matching widths");
     // One fused batch [N, B*C, H, W]; targets over the 4 output channels
     // after pooling the spatial dims away via mean.
     let x = rng.randn([2, B * 3, 8, 8]);
@@ -172,7 +176,7 @@ fn bench_overhead(c: &mut Criterion) {
     // gradient reduction, sentinel checks, norm/update-ratio pass) on top
     // of the plain step, still without a profiler.
     let mut s = setup();
-    let params = s.conv.fused_parameters();
+    let params = FusedParameter::of(&s.conv, B);
     let mut monitor = ScopeMonitor::new(B, SentinelCfg::default());
     let mut step = 0u64;
     group.bench_function("train_step/scoped", |bench| {

@@ -26,11 +26,11 @@
 use hfta_bench::cli::{write_json, CommonArgs};
 use hfta_bench::record::{KernelRecord, KernelsFile, ScalingRecord};
 use hfta_core::loss::{fused_cross_entropy, Reduction};
-use hfta_core::ops::{FusedConv2d, FusedModule, FusedParameter};
+use hfta_core::ops::{Fused, FusedParameter, Ops};
 use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
 use hfta_core::scope::{per_model_ce_losses, ScopeMonitor, SentinelCfg};
 use hfta_kernels::{set_num_threads, simd_available};
-use hfta_nn::layers::Conv2dCfg;
+use hfta_nn::layers::{Conv2d, Conv2dCfg};
 use hfta_nn::{Module, Tape};
 use hfta_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvCfg};
 use hfta_tensor::{Rng, Tensor};
@@ -41,7 +41,7 @@ use std::time::Instant;
 /// backward, SGD); with `scope` set it also runs the full hfta-scope
 /// per-step protocol (per-model losses, sentinel scan, health pass).
 fn dcgan_step(
-    conv: &FusedConv2d,
+    conv: &Conv2d,
     opt: &mut FusedSgd,
     x: &Tensor,
     targets: &[usize],
@@ -221,8 +221,8 @@ fn main() {
     set_num_threads(mt);
     let scope_iters = if quick { 5 } else { 30 };
     let sb = 6usize;
-    let conv = FusedConv2d::new(sb, Conv2dCfg::new(3, 16, 4), &mut rng);
-    let params = conv.fused_parameters();
+    let conv = Fused(sb).conv2d(Conv2dCfg::new(3, 16, 4), &mut rng);
+    let params = FusedParameter::of(&conv, sb);
     let mut opt =
         FusedSgd::new(params.clone(), PerModel::new(vec![0.01; sb]), 0.9).expect("matching widths");
     let x = rng.randn([4, sb * 3, 32, 32]);

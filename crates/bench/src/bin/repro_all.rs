@@ -471,7 +471,10 @@ fn fig2(o: &mut String, _c: &mut Ctx) -> fmt::Result {
         o,
         "\nserial:  AlexNet::new(cfg, rng)        -> Conv2d / Linear / MaxPool2d / Dropout"
     )?;
-    writeln!(o, "fused:   FusedAlexNet::new(B, cfg, rng) -> FusedConv2d / FusedLinear / (same pool & dropout)")?;
+    writeln!(
+        o,
+        "fused:   FusedAlexNet::new(B, cfg, rng) -> Conv2d at B x channels, groups B / FusedLinear / (same pool & dropout)"
+    )?;
     let b = 3;
     let cfg = AlexNetCfg::mini(10);
     let mut rng = Rng::seed_from(0);

@@ -10,7 +10,7 @@ use std::process::Command;
 
 use hfta_bench::telemetry_cli::TraceSession;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
-use hfta_core::ops::{FusedConv2d, FusedModule};
+use hfta_core::ops::{Fused, FusedParameter, Ops};
 use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
 use hfta_nn::layers::Conv2dCfg;
 use hfta_nn::{Module, Tape};
@@ -28,9 +28,13 @@ fn trace_dcgan_step(dir: &Path) {
     let p = session.profiler().expect("active session").clone();
 
     let mut rng = Rng::seed_from(11);
-    let conv = FusedConv2d::new(B, Conv2dCfg::new(3, 8, 3), &mut rng);
-    let mut opt = FusedSgd::new(conv.fused_parameters(), PerModel::new(vec![0.01; B]), 0.9)
-        .expect("matching widths");
+    let conv = Fused(B).conv2d(Conv2dCfg::new(3, 8, 3), &mut rng);
+    let mut opt = FusedSgd::new(
+        FusedParameter::of(&conv, B),
+        PerModel::new(vec![0.01; B]),
+        0.9,
+    )
+    .expect("matching widths");
     let x = rng.randn([2, B * 3, 16, 16]);
     let targets = vec![0usize; B * 2];
 

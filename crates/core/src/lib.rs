@@ -15,8 +15,10 @@
 //!   same-type-same-shape fusability checker, over `hfta_plan::ShapedOp`
 //!   (the workspace's one operator descriptor, which carries the fusion
 //!   transform and the cost accounting);
-//! * [`ops`] — fused operator modules with `new` / `from_models` / `unfuse`,
-//!   and the [`ops::Ops`] operator families (`Serial` / `Fused(B)`) that let a
+//! * [`ops`] — the stacking rules that fuse `B` per-model convs and batch
+//!   norms into the same `hfta-nn` layer at the widened configuration,
+//!   [`ops::FusedLinear`] (the one fused operator with its own type), and
+//!   the [`ops::Ops`] operator families (`Serial` / `Fused(B)`) that let a
 //!   model be written once and instantiated as one job or as an array;
 //! * [`mod@format`] — the fused data layouts and differentiable converters;
 //! * [`loss`] — fused losses with the §3.2 gradient-exact scaling rule;

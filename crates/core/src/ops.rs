@@ -1,32 +1,38 @@
-//! Horizontally fused operator modules.
+//! Horizontally fused operators.
 //!
-//! Each `FusedX` module computes `B` independent copies of layer `X` (one
-//! per training job) in a **single** call of an already-well-optimized
-//! operator, per Table 6 of the paper:
+//! Per Table 6 of the paper, `B` copies of a layer (one per training job)
+//! run as a **single** call of an already-well-optimized operator. For
+//! every kind but `Linear` that operator is the `hfta-nn` layer itself at
+//! a widened configuration, so the fused layer *is* an `hfta-nn` layer:
 //!
 //! | per-model layer | fused realization |
 //! |---|---|
-//! | `Conv1d/2d`, `ConvTranspose2d` (groups `g`) | same op with groups `B*g` |
-//! | `Linear` | `baddbmm` over `[B, N, F]` operands |
-//! | `BatchNorm1d/2d` | same op widened to `B*C` channels |
-//! | `MaxPool2d`, `Dropout(2d)`, activations | same op (stateless) |
+//! | `Conv1d/2d`, `ConvTranspose2d` (groups `g`) | the same layer with `B×` channels and groups `B*g` |
+//! | `BatchNorm1d/2d` | the same layer widened to `B*C` channels |
+//! | `MaxPool2d`, `Dropout(2d)`, activations | the same layer over the widened tensor (stateless) |
+//! | `Linear` | [`FusedLinear`]: one `baddbmm` over `[B, N, F]` operands |
 //! | a whole model written against [`Ops`] | the same definition at [`Fused`]`(B)` |
 //!
-//! Every module offers three constructors/conversions:
-//! `new` (fresh per-model initializations), `from_models` (fuse trained
-//! per-model layers; checks the same-type/same-shape condition), and
-//! `unfuse` (recover the per-model layers, e.g. to checkpoint each job).
+//! The stacking rules [`fuse_conv2d`], [`fuse_conv_transpose2d`],
+//! [`fuse_conv1d`], [`fuse_batch_norm`] and [`FusedLinear::from_models`]
+//! fuse `B` per-model layers: they check the same-configuration condition
+//! (bias included) and concatenate weights, biases and running statistics
+//! on axis 0, so model `i` owns the `i`-th of `B` equal chunks of every
+//! fused parameter ([`FusedParameter::model_slice`]).
+//! [`FusedLinear::unfuse`] recovers per-model `Linear`s, whose layout
+//! differs from the fused one.
 //!
 //! # Operator families
 //!
 //! [`Ops`] is the paper's `get_hfta_op_for(op, B)` (§3.3, Fig 2) as a type:
-//! a *family* names one layer type per operator kind and builds it, so a
-//! model written once over `O: Ops` is a serial model at [`Serial`] (the
-//! `hfta-nn` layers, one job) and a fused array at [`Fused`]`(B)` (the
-//! `FusedX` modules above). The family is chosen at the call site and
-//! dispatch is static. Besides constructors a family carries the few
-//! **layout rules** on which the two genuinely differ, because the fused
-//! ops fix where the model axis lives (conv format `[N, B*C, ..]` for
+//! a *family* builds each operator kind, so a model written once over
+//! `O: Ops` is a serial model at [`Serial`] (one job) and a fused array at
+//! [`Fused`]`(B)`. Both families build the same `hfta-nn` conv and batch
+//! norm types, one of them at the widened configuration, so `Linear` is
+//! the only kind whose type the family names. The family is chosen at the
+//! call site and dispatch is static. Besides constructors a family carries
+//! the few **layout rules** on which the two genuinely differ, because the
+//! fused ops fix where the model axis lives (conv format `[N, B*C, ..]` for
 //! convs and batch norm, array format `[B, N, F]` for `Linear`): the
 //! conv→array hop before a `Linear`, batch norm over array-format
 //! activations, the per-model class axis of a log-softmax, per-model
@@ -39,7 +45,6 @@ use std::fmt::Debug;
 
 use hfta_nn::layers::{BatchNorm, Conv1d, Conv2d, Conv2dCfg, ConvTranspose2d, Linear, LinearCfg};
 use hfta_nn::{Module, Parameter, Var};
-use hfta_tensor::conv::ConvCfg;
 use hfta_tensor::{Rng, Tensor};
 
 use crate::error::{FusionError, Result};
@@ -57,28 +62,40 @@ pub struct FusedParameter {
 }
 
 impl FusedParameter {
+    /// The parameters of `module`, a `b`-wide fused layer or model,
+    /// annotated with its width.
+    pub fn of<M: Module + ?Sized>(module: &M, b: usize) -> Vec<FusedParameter> {
+        module
+            .parameters()
+            .into_iter()
+            .map(|param| FusedParameter { param, b })
+            .collect()
+    }
+
     /// Extracts model `i`'s slice of the parameter value.
     ///
     /// # Panics
     ///
     /// Panics if `i >= b` or axis 0 is not divisible by `b`.
     pub fn model_slice(&self, i: usize) -> Tensor {
-        assert!(i < self.b, "model index {i} out of range (B = {})", self.b);
-        let v = self.param.value_cloned();
-        let chunk = v.dim(0) / self.b;
-        v.narrow(0, i * chunk, chunk)
+        self.lane(self.param.value_cloned(), i)
     }
 
     /// Extracts model `i`'s slice of the gradient.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= b`.
+    /// Panics if `i >= b` or axis 0 is not divisible by `b`.
     pub fn model_grad_slice(&self, i: usize) -> Tensor {
-        assert!(i < self.b, "model index {i} out of range (B = {})", self.b);
-        let g = self.param.grad_cloned();
-        let chunk = g.dim(0) / self.b;
-        g.narrow(0, i * chunk, chunk)
+        self.lane(self.param.grad_cloned(), i)
+    }
+
+    fn lane(&self, t: Tensor, i: usize) -> Tensor {
+        let (b, rows) = (self.b, t.dim(0));
+        assert!(i < b, "model index {i} out of range (B = {b})");
+        assert_eq!(rows % b, 0, "axis 0 ({rows}) not divisible by B = {b}");
+        let chunk = rows / b;
+        t.narrow(0, i * chunk, chunk)
     }
 }
 
@@ -89,11 +106,7 @@ pub trait FusedModule: Module {
 
     /// The module's parameters annotated with fusion metadata.
     fn fused_parameters(&self) -> Vec<FusedParameter> {
-        let b = self.b();
-        self.parameters()
-            .into_iter()
-            .map(|param| FusedParameter { param, b })
-            .collect()
+        FusedParameter::of(self, self.b())
     }
 }
 
@@ -115,354 +128,120 @@ fn check_same<T: PartialEq + Debug>(
     Ok(first)
 }
 
-// ---------------------------------------------------------------------------
-// FusedConv2d
-// ---------------------------------------------------------------------------
-
-/// `B` fused 2-D convolutions, realized as one grouped convolution with
-/// `G = B * g` (Table 6 row 1). Operates in conv format `[N, B*Cin, H, W]`.
-#[derive(Debug)]
-pub struct FusedConv2d {
-    /// Stacked filter weights `[B*Cout, Cin/g, k, k]`.
-    pub weight: Parameter,
-    /// Stacked bias `[B*Cout]`.
-    pub bias: Option<Parameter>,
-    b: usize,
-    per_model: Conv2dCfg,
+/// Concatenates one tensor per model on axis 0, the model axis.
+fn concat(parts: impl Iterator<Item = Tensor>) -> Tensor {
+    let parts: Vec<Tensor> = parts.collect();
+    Tensor::concat(&parts.iter().collect::<Vec<_>>(), 0)
 }
 
-impl FusedConv2d {
-    /// Creates `b` independently initialized fused convolutions.
-    ///
-    /// Each model's filters are drawn from its own RNG stream (split from
-    /// `rng`), exactly as `b` separate jobs would initialize.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b == 0` or channel counts are not divisible by groups.
-    pub fn new(b: usize, cfg: Conv2dCfg, rng: &mut Rng) -> Self {
-        assert!(b > 0, "array width must be positive");
-        let models: Vec<Conv2d> = (0..b).map(|_| Conv2d::new(cfg, &mut rng.split())).collect();
-        Self::from_models(&models).expect("freshly built models always fuse")
-    }
+/// Checks that the models' `(weight, bias)` pairs share one weight shape
+/// and one bias shape, whether there is a bias included.
+fn check_weights<'a>(
+    layers: impl Iterator<Item = (&'a Parameter, Option<&'a Parameter>)>,
+    kind: &'static str,
+) -> Result<()> {
+    let dims = |p: &Parameter| p.value().dims().to_vec();
+    check_same(layers.map(|(w, b)| (dims(w), b.map(dims))), kind).map(drop)
+}
 
-    /// Fuses existing per-model layers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusionError`] if configurations differ or the slice is
-    /// empty.
-    pub fn from_models(models: &[Conv2d]) -> Result<Self> {
-        let cfg = check_same(models.iter().map(|m| m.cfg()), "Conv2d")?;
-        let weights: Vec<Tensor> = models.iter().map(|m| m.weight.value_cloned()).collect();
-        let weight = Tensor::concat(&weights.iter().collect::<Vec<_>>(), 0);
-        let bias = if cfg.bias {
-            let biases: Vec<Tensor> = models
-                .iter()
-                .map(|m| m.bias.as_ref().expect("cfg.bias set").value_cloned())
-                .collect();
-            Some(Tensor::concat(&biases.iter().collect::<Vec<_>>(), 0))
-        } else {
-            None
-        };
-        Ok(FusedConv2d {
-            weight: Parameter::new(weight, "fused_conv2d.weight"),
-            bias: bias.map(|b| Parameter::new(b, "fused_conv2d.bias")),
-            b: models.len(),
-            per_model: cfg,
-        })
-    }
+/// Concatenates the models' weights and, when they have them, biases on
+/// axis 0, after [`check_weights`].
+fn stack_weights<'a>(
+    layers: impl Iterator<Item = (&'a Parameter, Option<&'a Parameter>)> + Clone,
+    kind: &'static str,
+) -> Result<(Tensor, Option<Tensor>)> {
+    check_weights(layers.clone(), kind)?;
+    let (weights, biases): (Vec<_>, Vec<_>) = layers.unzip();
+    let concat_values = |ps: Vec<&Parameter>| concat(ps.into_iter().map(Parameter::value_cloned));
+    let biases: Option<Vec<_>> = biases.into_iter().collect();
+    Ok((concat_values(weights), biases.map(concat_values)))
+}
 
-    /// Recovers the per-model layers (weights are copied out).
-    pub fn unfuse(&self) -> Vec<Conv2d> {
-        let ws = self.weight.value_cloned().chunk(self.b, 0);
-        let bs: Vec<Option<Tensor>> = match &self.bias {
-            Some(bias) => bias
-                .value_cloned()
-                .chunk(self.b, 0)
-                .into_iter()
-                .map(Some)
-                .collect(),
-            None => vec![None; self.b],
-        };
-        ws.into_iter()
-            .zip(bs)
-            .map(|(w, b)| Conv2d::from_parts(self.per_model, w, b))
-            .collect()
-    }
-
-    /// The per-model configuration.
-    pub fn per_model_cfg(&self) -> Conv2dCfg {
-        self.per_model
-    }
-
-    fn conv_cfg(&self) -> ConvCfg {
-        ConvCfg::square(
-            self.per_model.stride,
-            self.per_model.padding,
-            self.per_model.groups * self.b,
-        )
+/// `cfg` at array width `b`: channels and groups `×b`.
+fn widened(cfg: Conv2dCfg, b: usize) -> Conv2dCfg {
+    Conv2dCfg {
+        in_channels: b * cfg.in_channels,
+        out_channels: b * cfg.out_channels,
+        groups: b * cfg.groups,
+        ..cfg
     }
 }
 
-impl Module for FusedConv2d {
-    fn forward(&self, x: &Var) -> Var {
-        let tape = x.tape().clone();
-        let w = tape.param(&self.weight);
-        let b = self.bias.as_ref().map(|b| tape.param(b));
-        x.conv2d(&w, b.as_ref(), self.conv_cfg())
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        let mut ps = vec![self.weight.clone()];
-        if let Some(b) = &self.bias {
-            ps.push(b.clone());
-        }
-        ps
-    }
+/// Fuses `B` same-config 2-D convolutions (groups `g`) into one
+/// convolution with `B×` the channels and groups `B*g` (Table 6 row 1),
+/// running in conv format `[N, B*Cin, H, W]`.
+///
+/// # Errors
+///
+/// Returns [`FusionError`] if the configurations differ (bias included) or
+/// the slice is empty.
+pub fn fuse_conv2d(models: &[Conv2d]) -> Result<Conv2d> {
+    let cfg = check_same(models.iter().map(Conv2d::cfg), "Conv2d")?;
+    let (weight, bias) = stack_weights(
+        models.iter().map(|m| (&m.weight, m.bias.as_ref())),
+        "Conv2d",
+    )?;
+    Ok(Conv2d::from_parts(widened(cfg, models.len()), weight, bias))
 }
 
-impl FusedModule for FusedConv2d {
-    fn b(&self) -> usize {
-        self.b
-    }
+/// Fuses `B` same-config 2-D transposed convolutions into one grouped
+/// transposed convolution (Table 6 row 3), as [`fuse_conv2d`] does.
+///
+/// # Errors
+///
+/// Returns [`FusionError`] if the configurations differ (bias included) or
+/// the slice is empty.
+pub fn fuse_conv_transpose2d(models: &[ConvTranspose2d]) -> Result<ConvTranspose2d> {
+    let cfg = check_same(models.iter().map(ConvTranspose2d::cfg), "ConvTranspose2d")?;
+    let (weight, bias) = stack_weights(
+        models.iter().map(|m| (&m.weight, m.bias.as_ref())),
+        "ConvTranspose2d",
+    )?;
+    Ok(ConvTranspose2d::from_parts(
+        widened(cfg, models.len()),
+        weight,
+        bias,
+    ))
 }
 
-// ---------------------------------------------------------------------------
-// FusedConvTranspose2d
-// ---------------------------------------------------------------------------
-
-/// `B` fused 2-D transposed convolutions (grouped, Table 6 row 3).
-/// Operates in conv format `[N, B*Cin, H, W]`.
-#[derive(Debug)]
-pub struct FusedConvTranspose2d {
-    /// Stacked filter weights `[B*Cin, Cout/g, k, k]`.
-    pub weight: Parameter,
-    /// Stacked bias `[B*Cout]`.
-    pub bias: Option<Parameter>,
-    b: usize,
-    per_model: Conv2dCfg,
+/// Fuses `B` 1-D convolutions into one grouped convolution (Table 6 row
+/// 2), running in conv format `[N, B*Cin, L]`.
+///
+/// # Errors
+///
+/// Returns [`FusionError`] if geometries, weight shapes or bias shapes
+/// (including whether there is a bias) differ, or the slice is empty.
+pub fn fuse_conv1d(models: &[Conv1d]) -> Result<Conv1d> {
+    let (stride, padding, groups) = check_same(models.iter().map(Conv1d::geometry), "Conv1d")?;
+    let (weight, bias) = stack_weights(
+        models.iter().map(|m| (&m.weight, m.bias.as_ref())),
+        "Conv1d",
+    )?;
+    Ok(Conv1d::from_parts(
+        weight,
+        bias,
+        stride,
+        padding,
+        models.len() * groups,
+    ))
 }
 
-impl FusedConvTranspose2d {
-    /// Creates `b` independently initialized fused deconvolutions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b == 0` or channel counts are not divisible by groups.
-    pub fn new(b: usize, cfg: Conv2dCfg, rng: &mut Rng) -> Self {
-        assert!(b > 0, "array width must be positive");
-        let models: Vec<ConvTranspose2d> = (0..b)
-            .map(|_| ConvTranspose2d::new(cfg, &mut rng.split()))
-            .collect();
-        Self::from_models(&models).expect("freshly built models always fuse")
-    }
-
-    /// Fuses existing per-model layers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusionError`] if configurations differ or the slice is
-    /// empty.
-    pub fn from_models(models: &[ConvTranspose2d]) -> Result<Self> {
-        let cfg = check_same(models.iter().map(|m| m.cfg()), "ConvTranspose2d")?;
-        let weights: Vec<Tensor> = models.iter().map(|m| m.weight.value_cloned()).collect();
-        let weight = Tensor::concat(&weights.iter().collect::<Vec<_>>(), 0);
-        let bias = if cfg.bias {
-            let biases: Vec<Tensor> = models
-                .iter()
-                .map(|m| m.bias.as_ref().expect("cfg.bias set").value_cloned())
-                .collect();
-            Some(Tensor::concat(&biases.iter().collect::<Vec<_>>(), 0))
-        } else {
-            None
-        };
-        Ok(FusedConvTranspose2d {
-            weight: Parameter::new(weight, "fused_convt2d.weight"),
-            bias: bias.map(|b| Parameter::new(b, "fused_convt2d.bias")),
-            b: models.len(),
-            per_model: cfg,
-        })
-    }
-
-    /// Recovers the per-model layers.
-    pub fn unfuse(&self) -> Vec<ConvTranspose2d> {
-        let ws = self.weight.value_cloned().chunk(self.b, 0);
-        let bs: Vec<Option<Tensor>> = match &self.bias {
-            Some(bias) => bias
-                .value_cloned()
-                .chunk(self.b, 0)
-                .into_iter()
-                .map(Some)
-                .collect(),
-            None => vec![None; self.b],
-        };
-        ws.into_iter()
-            .zip(bs)
-            .map(|(w, b)| ConvTranspose2d::from_parts(self.per_model, w, b))
-            .collect()
-    }
-
-    fn conv_cfg(&self) -> ConvCfg {
-        ConvCfg::square(
-            self.per_model.stride,
-            self.per_model.padding,
-            self.per_model.groups * self.b,
-        )
-    }
-}
-
-impl Module for FusedConvTranspose2d {
-    fn forward(&self, x: &Var) -> Var {
-        let tape = x.tape().clone();
-        let w = tape.param(&self.weight);
-        let b = self.bias.as_ref().map(|b| tape.param(b));
-        x.conv_transpose2d(&w, b.as_ref(), self.conv_cfg())
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        let mut ps = vec![self.weight.clone()];
-        if let Some(b) = &self.bias {
-            ps.push(b.clone());
-        }
-        ps
-    }
-}
-
-impl FusedModule for FusedConvTranspose2d {
-    fn b(&self) -> usize {
-        self.b
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FusedConv1d
-// ---------------------------------------------------------------------------
-
-/// `B` fused 1-D convolutions (grouped, Table 6 row 2). Operates in conv
-/// format `[N, B*Cin, L]`.
-#[derive(Debug)]
-pub struct FusedConv1d {
-    /// Stacked filter weights `[B*Cout, Cin/g, k]`.
-    pub weight: Parameter,
-    /// Stacked bias `[B*Cout]`.
-    pub bias: Option<Parameter>,
-    b: usize,
-    stride: usize,
-    padding: usize,
-    groups: usize,
-}
-
-impl FusedConv1d {
-    /// Creates `b` independently initialized fused 1-D convolutions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b == 0` or channel counts are not divisible by groups.
-    pub fn new(
-        b: usize,
-        in_channels: usize,
-        out_channels: usize,
-        kernel: usize,
-        stride: usize,
-        padding: usize,
-        rng: &mut Rng,
-    ) -> Self {
-        assert!(b > 0, "array width must be positive");
-        let models: Vec<Conv1d> = (0..b)
-            .map(|_| {
-                Conv1d::new(
-                    in_channels,
-                    out_channels,
-                    kernel,
-                    stride,
-                    padding,
-                    1,
-                    &mut rng.split(),
-                )
-            })
-            .collect();
-        Self::from_models(&models).expect("freshly built models always fuse")
-    }
-
-    /// Fuses existing per-model layers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusionError`] if geometries or weight shapes differ.
-    pub fn from_models(models: &[Conv1d]) -> Result<Self> {
-        let (stride, padding, groups) = check_same(models.iter().map(|m| m.geometry()), "Conv1d")?;
-        check_same(
-            models.iter().map(|m| m.weight.value().dims().to_vec()),
-            "Conv1d",
-        )?;
-        let weights: Vec<Tensor> = models.iter().map(|m| m.weight.value_cloned()).collect();
-        let weight = Tensor::concat(&weights.iter().collect::<Vec<_>>(), 0);
-        let bias = if models[0].bias.is_some() {
-            let biases: Vec<Tensor> = models
-                .iter()
-                .map(|m| m.bias.as_ref().expect("uniform bias").value_cloned())
-                .collect();
-            Some(Tensor::concat(&biases.iter().collect::<Vec<_>>(), 0))
-        } else {
-            None
-        };
-        Ok(FusedConv1d {
-            weight: Parameter::new(weight, "fused_conv1d.weight"),
-            bias: bias.map(|b| Parameter::new(b, "fused_conv1d.bias")),
-            b: models.len(),
-            stride,
-            padding,
-            groups,
-        })
-    }
-
-    /// Recovers the per-model layers.
-    pub fn unfuse(&self) -> Vec<Conv1d> {
-        let ws = self.weight.value_cloned().chunk(self.b, 0);
-        let bs: Vec<Option<Tensor>> = match &self.bias {
-            Some(bias) => bias
-                .value_cloned()
-                .chunk(self.b, 0)
-                .into_iter()
-                .map(Some)
-                .collect(),
-            None => vec![None; self.b],
-        };
-        ws.into_iter()
-            .zip(bs)
-            .map(|(w, b)| Conv1d::from_parts(w, b, self.stride, self.padding, self.groups))
-            .collect()
-    }
-}
-
-impl Module for FusedConv1d {
-    fn forward(&self, x: &Var) -> Var {
-        let tape = x.tape().clone();
-        let w = tape.param(&self.weight);
-        let b = self.bias.as_ref().map(|b| tape.param(b));
-        x.conv1d(
-            &w,
-            b.as_ref(),
-            self.stride,
-            self.padding,
-            self.groups * self.b,
-        )
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        let mut ps = vec![self.weight.clone()];
-        if let Some(b) = &self.bias {
-            ps.push(b.clone());
-        }
-        ps
-    }
-}
-
-impl FusedModule for FusedConv1d {
-    fn b(&self) -> usize {
-        self.b
-    }
+/// Fuses `B` batch norms into one batch norm widened to `B*C` channels
+/// (Table 6 rows 5–6), affine weights and running statistics concatenated.
+/// Per-channel statistics are independent, so the widened op computes
+/// exactly the per-model statistics.
+///
+/// # Errors
+///
+/// Returns [`FusionError`] if channel counts differ or the slice is empty.
+pub fn fuse_batch_norm(models: &[BatchNorm]) -> Result<BatchNorm> {
+    check_same(models.iter().map(|m| m.gamma.numel()), "BatchNorm")?;
+    Ok(BatchNorm::from_parts(
+        concat(models.iter().map(|m| m.gamma.value_cloned())),
+        concat(models.iter().map(|m| m.beta.value_cloned())),
+        models.iter().flat_map(BatchNorm::running_mean).collect(),
+        models.iter().flat_map(BatchNorm::running_var).collect(),
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -487,19 +266,18 @@ impl FusedLinear {
     ///
     /// Panics if `b == 0`.
     pub fn new(b: usize, cfg: LinearCfg, rng: &mut Rng) -> Self {
-        assert!(b > 0, "array width must be positive");
-        let models: Vec<Linear> = (0..b).map(|_| Linear::new(cfg, &mut rng.split())).collect();
-        Self::from_models(&models).expect("freshly built models always fuse")
+        Fused(b).stacked(rng, |rng| Linear::new(cfg, rng), Self::from_models)
     }
 
     /// Fuses existing per-model layers.
     ///
     /// # Errors
     ///
-    /// Returns [`FusionError`] if weight shapes differ.
+    /// Returns [`FusionError`] if weight or bias shapes (including whether
+    /// there is a bias) differ, or the slice is empty.
     pub fn from_models(models: &[Linear]) -> Result<Self> {
-        check_same(
-            models.iter().map(|m| m.weight.value().dims().to_vec()),
+        check_weights(
+            models.iter().map(|m| (&m.weight, m.bias.as_ref())),
             "Linear",
         )?;
         let ws: Vec<Tensor> = models
@@ -507,19 +285,18 @@ impl FusedLinear {
             .map(|m| m.weight.value_cloned().unsqueeze(0))
             .collect();
         let weight = Tensor::concat(&ws.iter().collect::<Vec<_>>(), 0);
-        let bias = if models[0].bias.is_some() {
+        let bias = models[0].bias.is_some().then(|| {
             let bs: Vec<Tensor> = models
                 .iter()
-                .map(|m| {
-                    let b = m.bias.as_ref().expect("uniform bias").value_cloned();
+                .filter_map(|m| m.bias.as_ref())
+                .map(|b| {
+                    let b = b.value_cloned();
                     let f = b.numel();
                     b.reshape(&[1, 1, f])
                 })
                 .collect();
-            Some(Tensor::concat(&bs.iter().collect::<Vec<_>>(), 0))
-        } else {
-            None
-        };
+            Tensor::concat(&bs.iter().collect::<Vec<_>>(), 0)
+        });
         Ok(FusedLinear {
             weight: Parameter::new(weight, "fused_linear.weight"),
             bias: bias.map(|b| Parameter::new(b, "fused_linear.bias")),
@@ -581,210 +358,23 @@ impl FusedModule for FusedLinear {
 }
 
 // ---------------------------------------------------------------------------
-// FusedBatchNorm
-// ---------------------------------------------------------------------------
-
-/// `B` fused batch norms: one batch norm widened to `B*C` channels
-/// (Table 6 rows 5–6). Per-channel statistics are independent, so the
-/// widened op computes exactly the per-model statistics. Operates in conv
-/// format.
-#[derive(Debug)]
-pub struct FusedBatchNorm {
-    inner: BatchNorm,
-    b: usize,
-    channels: usize,
-}
-
-impl FusedBatchNorm {
-    /// Creates `b` fused batch norms over `channels` channels each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b == 0`.
-    pub fn new(b: usize, channels: usize) -> Self {
-        assert!(b > 0, "array width must be positive");
-        FusedBatchNorm {
-            inner: BatchNorm::new(b * channels),
-            b,
-            channels,
-        }
-    }
-
-    /// Fuses existing per-model batch norms.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusionError`] if channel counts differ.
-    pub fn from_models(models: &[BatchNorm]) -> Result<Self> {
-        let c = check_same(models.iter().map(|m| m.gamma.numel()), "BatchNorm")?;
-        let gs: Vec<Tensor> = models.iter().map(|m| m.gamma.value_cloned()).collect();
-        let bs: Vec<Tensor> = models.iter().map(|m| m.beta.value_cloned()).collect();
-        let gamma = Tensor::concat(&gs.iter().collect::<Vec<_>>(), 0);
-        let beta = Tensor::concat(&bs.iter().collect::<Vec<_>>(), 0);
-        let rm: Vec<f32> = models.iter().flat_map(|m| m.running_mean()).collect();
-        let rv: Vec<f32> = models.iter().flat_map(|m| m.running_var()).collect();
-        Ok(FusedBatchNorm {
-            inner: BatchNorm::from_parts(gamma, beta, rm, rv),
-            b: models.len(),
-            channels: c,
-        })
-    }
-
-    /// Recovers the per-model batch norms (affine weights and running
-    /// statistics).
-    pub fn unfuse(&self) -> Vec<BatchNorm> {
-        let gs = self.inner.gamma.value_cloned().chunk(self.b, 0);
-        let bs = self.inner.beta.value_cloned().chunk(self.b, 0);
-        let rm = self.inner.running_mean();
-        let rv = self.inner.running_var();
-        (0..self.b)
-            .map(|i| {
-                BatchNorm::from_parts(
-                    gs[i].clone(),
-                    bs[i].clone(),
-                    rm[i * self.channels..(i + 1) * self.channels].to_vec(),
-                    rv[i * self.channels..(i + 1) * self.channels].to_vec(),
-                )
-            })
-            .collect()
-    }
-
-    /// Per-model channel count.
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-}
-
-impl Module for FusedBatchNorm {
-    fn forward(&self, x: &Var) -> Var {
-        self.inner.forward(x)
-    }
-
-    fn parameters(&self) -> Vec<Parameter> {
-        self.inner.parameters()
-    }
-
-    fn set_training(&self, training: bool) {
-        self.inner.set_training(training);
-    }
-}
-
-impl FusedModule for FusedBatchNorm {
-    fn b(&self) -> usize {
-        self.b
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stateless fused operators (Table 6 rows 7-12)
-// ---------------------------------------------------------------------------
-
-/// Declares a fused wrapper around a stateless `hfta-nn` layer: per
-/// Table 6, stateless operators fuse by simply running over the widened
-/// tensor, so the wrapper only adds the array-width bookkeeping that
-/// [`FusedModule`] consumers rely on.
-macro_rules! stateless_fused {
-    ($(#[$doc:meta])* $name:ident wraps $inner:ty) => {
-        $(#[$doc])*
-        #[derive(Debug)]
-        pub struct $name {
-            inner: $inner,
-            b: usize,
-        }
-
-        impl $name {
-            /// Wraps the per-model layer for a `b`-wide array.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `b == 0`.
-            pub fn new(b: usize, inner: $inner) -> Self {
-                assert!(b > 0, "array width must be positive");
-                $name { inner, b }
-            }
-
-            /// The wrapped per-model layer.
-            pub fn inner(&self) -> &$inner {
-                &self.inner
-            }
-        }
-
-        impl Module for $name {
-            fn forward(&self, x: &Var) -> Var {
-                self.inner.forward(x)
-            }
-
-            fn parameters(&self) -> Vec<Parameter> {
-                Vec::new()
-            }
-
-            fn set_training(&self, training: bool) {
-                self.inner.set_training(training);
-            }
-        }
-
-        impl FusedModule for $name {
-            fn b(&self) -> usize {
-                self.b
-            }
-        }
-    };
-}
-
-stateless_fused! {
-    /// `B` fused max pools: one `MaxPool2d` over `[N, B*C, H, W]`
-    /// (Table 6 row 7 — channels pool independently).
-    FusedMaxPool2d wraps hfta_nn::layers::MaxPool2d
-}
-
-stateless_fused! {
-    /// `B` fused channel dropouts: one `Dropout2d` over `[N, B*C, H, W]`
-    /// (Table 6 row 8). Note the fused mask realization differs from `B`
-    /// independent serial masks — stochastically equivalent, not
-    /// bit-identical (disable training mode for exact comparisons).
-    FusedDropout2d wraps hfta_nn::layers::Dropout2d
-}
-
-stateless_fused! {
-    /// `B` fused elementwise dropouts over the widened tensor
-    /// (Table 6 row 9; same stochastic-equivalence caveat as
-    /// [`FusedDropout2d`]).
-    FusedDropout wraps hfta_nn::layers::Dropout
-}
-
-stateless_fused! {
-    /// `B` fused leaky ReLUs over the widened tensor (Table 6 row 10).
-    FusedLeakyRelu wraps hfta_nn::layers::LeakyRelu
-}
-
-stateless_fused! {
-    /// `B` fused ReLUs over the widened tensor (Table 6 row 11).
-    FusedRelu wraps hfta_nn::layers::Relu
-}
-
-stateless_fused! {
-    /// `B` fused Tanhs over the widened tensor (Table 6 row 12).
-    FusedTanh wraps hfta_nn::layers::Tanh
-}
-
-// ---------------------------------------------------------------------------
 // Operator families
 // ---------------------------------------------------------------------------
 
-/// An operator family: which layer type realizes each operator kind, and
-/// the layout rules that differ between one model and a fused array (see
-/// the module docs). Models are written once, generic over `O: Ops`.
+/// An operator family: how each operator kind is built, and the layout
+/// rules that differ between one model and a fused array (see the module
+/// docs). Models are written once, generic over `O: Ops`.
 ///
 /// # Example — one definition, two instantiations
 ///
 /// ```
 /// use hfta_core::ops::{Fused, Ops, Serial};
-/// use hfta_nn::{layers::LinearCfg, Module, Tape, Var};
+/// use hfta_nn::{layers::{BatchNorm, LinearCfg}, Module, Tape, Var};
 /// use hfta_tensor::Rng;
 ///
 /// struct Mlp<O: Ops> {
 ///     fc1: O::Linear,
-///     bn: O::BatchNorm,
+///     bn: BatchNorm,
 ///     fc2: O::Linear,
 ///     ops: O,
 /// }
@@ -815,25 +405,18 @@ stateless_fused! {
 /// assert_eq!(y.dims(), vec![5, 4, 3]);
 /// ```
 pub trait Ops: Copy + Debug {
-    /// 2-D convolution.
-    type Conv2d: Module + Debug;
-    /// 2-D transposed convolution.
-    type ConvTranspose2d: Module + Debug;
-    /// 1-D convolution.
-    type Conv1d: Module + Debug;
-    /// Fully connected layer.
+    /// Fully connected layer, the one kind whose fused form is another
+    /// operator.
     type Linear: Module + Debug;
-    /// Batch normalization.
-    type BatchNorm: Module + Debug;
 
     /// Number of models one op of this family computes (1 for [`Serial`]).
     fn b(&self) -> usize;
 
     /// Builds a 2-D convolution.
-    fn conv2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> Self::Conv2d;
+    fn conv2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> Conv2d;
     /// Builds a 2-D transposed convolution.
-    fn conv_transpose2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> Self::ConvTranspose2d;
-    /// Builds an ungrouped 1-D convolution.
+    fn conv_transpose2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> ConvTranspose2d;
+    /// Builds an ungrouped 1-D convolution with bias.
     fn conv1d(
         &self,
         cin: usize,
@@ -842,17 +425,19 @@ pub trait Ops: Copy + Debug {
         stride: usize,
         padding: usize,
         rng: &mut Rng,
-    ) -> Self::Conv1d;
+    ) -> Conv1d;
     /// Builds a fully connected layer.
     fn linear(&self, cfg: LinearCfg, rng: &mut Rng) -> Self::Linear;
     /// Builds a batch norm over `channels` channels per model.
-    fn batch_norm(&self, channels: usize) -> Self::BatchNorm;
+    fn batch_norm(&self, channels: usize) -> BatchNorm {
+        BatchNorm::new(self.b() * channels)
+    }
 
     /// Flattened conv-format features `[N, B*F]` → the family's `Linear`
     /// input (`[N, F]` unchanged, or array format `[B, N, F]`).
     fn to_linear(&self, x: &Var) -> Var;
     /// Applies `bn` to a `Linear` output.
-    fn batch_norm_linear(&self, bn: &Self::BatchNorm, x: &Var) -> Var;
+    fn batch_norm_linear(&self, bn: &BatchNorm, x: &Var) -> Var;
     /// Log-softmax over each model's own classes of conv-format logits
     /// `[N, B*K, P]`.
     fn log_softmax_channels(&self, logits: &Var) -> Var;
@@ -868,11 +453,7 @@ pub trait Ops: Copy + Debug {
 pub struct Serial;
 
 impl Ops for Serial {
-    type Conv2d = Conv2d;
-    type ConvTranspose2d = ConvTranspose2d;
-    type Conv1d = Conv1d;
     type Linear = Linear;
-    type BatchNorm = BatchNorm;
 
     fn b(&self) -> usize {
         1
@@ -902,10 +483,6 @@ impl Ops for Serial {
         Linear::new(cfg, rng)
     }
 
-    fn batch_norm(&self, channels: usize) -> BatchNorm {
-        BatchNorm::new(channels)
-    }
-
     fn to_linear(&self, x: &Var) -> Var {
         x.clone()
     }
@@ -929,27 +506,43 @@ impl Ops for Serial {
     }
 }
 
-/// The horizontally fused family at array width `B`: the `FusedX` modules.
+/// The horizontally fused family at array width `B`: the `hfta-nn` layers
+/// stacked by the `fuse_*` rules, and [`FusedLinear`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fused(pub usize);
 
+impl Fused {
+    /// Builds the `B` per-model layers, each from its own split of `rng`
+    /// exactly as `B` separate jobs would initialize, and stacks them.
+    fn stacked<L, F>(
+        self,
+        rng: &mut Rng,
+        new: impl Fn(&mut Rng) -> L,
+        stack: impl FnOnce(&[L]) -> Result<F>,
+    ) -> F {
+        assert!(self.0 > 0, "array width must be positive");
+        let models: Vec<L> = (0..self.0).map(|_| new(&mut rng.split())).collect();
+        stack(&models).expect("freshly built models always fuse")
+    }
+}
+
 impl Ops for Fused {
-    type Conv2d = FusedConv2d;
-    type ConvTranspose2d = FusedConvTranspose2d;
-    type Conv1d = FusedConv1d;
     type Linear = FusedLinear;
-    type BatchNorm = FusedBatchNorm;
 
     fn b(&self) -> usize {
         self.0
     }
 
-    fn conv2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> FusedConv2d {
-        FusedConv2d::new(self.0, cfg, rng)
+    fn conv2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> Conv2d {
+        self.stacked(rng, |rng| Conv2d::new(cfg, rng), fuse_conv2d)
     }
 
-    fn conv_transpose2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> FusedConvTranspose2d {
-        FusedConvTranspose2d::new(self.0, cfg, rng)
+    fn conv_transpose2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> ConvTranspose2d {
+        self.stacked(
+            rng,
+            |rng| ConvTranspose2d::new(cfg, rng),
+            fuse_conv_transpose2d,
+        )
     }
 
     fn conv1d(
@@ -960,16 +553,13 @@ impl Ops for Fused {
         stride: usize,
         padding: usize,
         rng: &mut Rng,
-    ) -> FusedConv1d {
-        FusedConv1d::new(self.0, cin, cout, kernel, stride, padding, rng)
+    ) -> Conv1d {
+        let new = |rng: &mut Rng| Conv1d::new(cin, cout, kernel, stride, padding, 1, rng);
+        self.stacked(rng, new, fuse_conv1d)
     }
 
     fn linear(&self, cfg: LinearCfg, rng: &mut Rng) -> FusedLinear {
         FusedLinear::new(self.0, cfg, rng)
-    }
-
-    fn batch_norm(&self, channels: usize) -> FusedBatchNorm {
-        FusedBatchNorm::new(self.0, channels)
     }
 
     fn to_linear(&self, x: &Var) -> Var {
@@ -978,7 +568,7 @@ impl Ops for Fused {
 
     /// The widened batch norm runs in conv format: `[B, N, F]` → `[N, B*F]`,
     /// normalize, and back.
-    fn batch_norm_linear(&self, bn: &FusedBatchNorm, x: &Var) -> Var {
+    fn batch_norm_linear(&self, bn: &BatchNorm, x: &Var) -> Var {
         conv_to_array(&bn.forward(&array_to_conv(x)), self.0)
     }
 
@@ -1024,13 +614,9 @@ mod tests {
         Rng::seed_from(42)
     }
 
-    /// Forward the fused module on stacked inputs and compare against each
+    /// Forward the fused layer on stacked inputs and compare against each
     /// per-model forward — the §3.3 equivalence, at operator granularity.
-    fn assert_conv_format_equivalence<M, F>(models: &[M], fused: &F, inputs: &[Tensor], tol: f32)
-    where
-        M: Module,
-        F: Module,
-    {
+    fn assert_conv_format_equivalence<M: Module>(models: &[M], fused: &M, inputs: &[Tensor]) {
         let tape = Tape::new();
         let fused_in = tape.leaf(stack_conv(inputs).unwrap());
         let fused_out = fused.forward(&fused_in).value();
@@ -1038,11 +624,7 @@ mod tests {
         for (i, m) in models.iter().enumerate() {
             let tape = Tape::new();
             let y = m.forward(&tape.leaf(inputs[i].clone())).value();
-            assert!(
-                parts[i].allclose(&y, tol),
-                "model {i} diverges: max diff {}",
-                parts[i].max_abs_diff(&y)
-            );
+            assert_eq!(parts[i], y, "model {i} diverges");
         }
     }
 
@@ -1051,9 +633,10 @@ mod tests {
         let mut r = rng();
         let cfg = Conv2dCfg::new(3, 8, 3).stride(1).padding(1);
         let models: Vec<Conv2d> = (0..4).map(|_| Conv2d::new(cfg, &mut r.split())).collect();
-        let fused = FusedConv2d::from_models(&models).unwrap();
+        let fused = fuse_conv2d(&models).unwrap();
+        assert_eq!(fused.cfg(), Conv2dCfg::new(12, 32, 3).padding(1).groups(4));
         let inputs: Vec<Tensor> = (0..4).map(|_| r.randn([2, 3, 6, 6])).collect();
-        assert_conv_format_equivalence(&models, &fused, &inputs, 1e-4);
+        assert_conv_format_equivalence(&models, &fused, &inputs);
     }
 
     #[test]
@@ -1062,25 +645,10 @@ mod tests {
         let mut r = rng();
         let cfg = Conv2dCfg::new(4, 8, 3).padding(1).groups(2);
         let models: Vec<Conv2d> = (0..3).map(|_| Conv2d::new(cfg, &mut r.split())).collect();
-        let fused = FusedConv2d::from_models(&models).unwrap();
+        let fused = fuse_conv2d(&models).unwrap();
+        assert_eq!(fused.cfg().groups, 6);
         let inputs: Vec<Tensor> = (0..3).map(|_| r.randn([1, 4, 5, 5])).collect();
-        assert_conv_format_equivalence(&models, &fused, &inputs, 1e-4);
-    }
-
-    #[test]
-    fn fused_conv2d_unfuse_round_trip() {
-        let mut r = rng();
-        let cfg = Conv2dCfg::new(2, 4, 3);
-        let models: Vec<Conv2d> = (0..3).map(|_| Conv2d::new(cfg, &mut r.split())).collect();
-        let fused = FusedConv2d::from_models(&models).unwrap();
-        let recovered = fused.unfuse();
-        for (m, u) in models.iter().zip(&recovered) {
-            assert_eq!(m.weight.value_cloned(), u.weight.value_cloned());
-            assert_eq!(
-                m.bias.as_ref().unwrap().value_cloned(),
-                u.bias.as_ref().unwrap().value_cloned()
-            );
-        }
+        assert_conv_format_equivalence(&models, &fused, &inputs);
     }
 
     #[test]
@@ -1088,10 +656,7 @@ mod tests {
         let mut r = rng();
         let a = Conv2d::new(Conv2dCfg::new(3, 8, 3), &mut r);
         let b = Conv2d::new(Conv2dCfg::new(3, 8, 5), &mut r);
-        assert!(matches!(
-            FusedConv2d::from_models(&[a, b]).unwrap_err(),
-            FusionError::ShapeMismatch { index: 1, .. }
-        ));
+        assert_mismatch_at_1(fuse_conv2d(&[a, b]));
     }
 
     #[test]
@@ -1101,9 +666,9 @@ mod tests {
         let models: Vec<ConvTranspose2d> = (0..3)
             .map(|_| ConvTranspose2d::new(cfg, &mut r.split()))
             .collect();
-        let fused = FusedConvTranspose2d::from_models(&models).unwrap();
+        let fused = fuse_conv_transpose2d(&models).unwrap();
         let inputs: Vec<Tensor> = (0..3).map(|_| r.randn([2, 8, 4, 4])).collect();
-        assert_conv_format_equivalence(&models, &fused, &inputs, 1e-4);
+        assert_conv_format_equivalence(&models, &fused, &inputs);
     }
 
     #[test]
@@ -1112,9 +677,50 @@ mod tests {
         let models: Vec<Conv1d> = (0..5)
             .map(|_| Conv1d::new(3, 16, 1, 1, 0, 1, &mut r.split()))
             .collect();
-        let fused = FusedConv1d::from_models(&models).unwrap();
+        let fused = fuse_conv1d(&models).unwrap();
+        assert_eq!(fused.geometry(), (1, 0, 5));
         let inputs: Vec<Tensor> = (0..5).map(|_| r.randn([2, 3, 30])).collect();
-        assert_conv_format_equivalence(&models, &fused, &inputs, 1e-4);
+        assert_conv_format_equivalence(&models, &fused, &inputs);
+    }
+
+    /// Two same-shape 1-D convolutions, with or without a bias each.
+    fn conv1d_pair(bias: [bool; 2]) -> [Conv1d; 2] {
+        bias.map(|bias| {
+            let b = bias.then(|| Tensor::zeros([4]));
+            Conv1d::from_parts(Tensor::zeros([4, 3, 1]), b, 1, 0, 1)
+        })
+    }
+
+    /// Two same-shape linear layers, with or without a bias each.
+    fn linear_pair(bias: [bool; 2]) -> [Linear; 2] {
+        bias.map(|bias| Linear::new(LinearCfg::new(3, 2).bias(bias), &mut rng()))
+    }
+
+    fn assert_mismatch_at_1<T: Debug>(fused: Result<T>) {
+        assert!(
+            matches!(fused, Err(FusionError::ShapeMismatch { index: 1, .. })),
+            "{fused:?}"
+        );
+    }
+
+    #[test]
+    fn fused_conv1d_rejects_bias_then_no_bias() {
+        assert_mismatch_at_1(fuse_conv1d(&conv1d_pair([true, false])));
+    }
+
+    #[test]
+    fn fused_conv1d_rejects_no_bias_then_bias() {
+        assert_mismatch_at_1(fuse_conv1d(&conv1d_pair([false, true])));
+    }
+
+    #[test]
+    fn fused_linear_rejects_bias_then_no_bias() {
+        assert_mismatch_at_1(FusedLinear::from_models(&linear_pair([true, false])));
+    }
+
+    #[test]
+    fn fused_linear_rejects_no_bias_then_bias() {
+        assert_mismatch_at_1(FusedLinear::from_models(&linear_pair([false, true])));
     }
 
     #[test]
@@ -1155,91 +761,52 @@ mod tests {
     fn fused_batch_norm_equals_per_model() {
         let mut r = rng();
         let models: Vec<BatchNorm> = (0..3).map(|_| BatchNorm::new(4)).collect();
-        let fused = FusedBatchNorm::from_models(&models).unwrap();
+        let fused = fuse_batch_norm(&models).unwrap();
         let inputs: Vec<Tensor> = (0..3).map(|_| r.randn([6, 4, 5, 5])).collect();
-        assert_conv_format_equivalence(&models, &fused, &inputs, 1e-4);
+        assert_conv_format_equivalence(&models, &fused, &inputs);
     }
 
     #[test]
     fn fused_batch_norm_running_stats_match_serial() {
         let mut r = rng();
         let serial = BatchNorm::new(2);
-        let fused = FusedBatchNorm::new(3, 2);
+        let fused = Fused(3).batch_norm(2);
         let x: Vec<Tensor> = (0..3).map(|_| r.randn([4, 2, 3])).collect();
         // Run the same input through model 0 of the array and the serial BN.
         let tape = Tape::new();
         let _ = serial.forward(&tape.leaf(x[0].clone()));
-        let fused_in = tape.leaf(stack_conv(&x).unwrap());
-        let _ = fused.forward(&fused_in);
-        let fused_bn0 = &fused.unfuse()[0];
-        for (a, b) in serial
-            .running_mean()
-            .iter()
-            .zip(fused_bn0.running_mean().iter())
-        {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
-        for (a, b) in serial
-            .running_var()
-            .iter()
-            .zip(fused_bn0.running_var().iter())
-        {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
+        let _ = fused.forward(&tape.leaf(stack_conv(&x).unwrap()));
+        assert_eq!(serial.running_mean(), fused.running_mean()[..2]);
+        assert_eq!(serial.running_var(), fused.running_var()[..2]);
     }
 
     #[test]
     fn fused_parameters_expose_model_slices() {
-        let mut r = rng();
-        let fused = FusedConv2d::new(3, Conv2dCfg::new(2, 4, 3), &mut r);
-        let fps = fused.fused_parameters();
+        // The fused family initializes lane i exactly as job i would alone.
+        let cfg = Conv2dCfg::new(2, 4, 3);
+        let fused = Fused(3).conv2d(cfg, &mut rng());
+        let fps = FusedParameter::of(&fused, 3);
         assert_eq!(fps.len(), 2);
-        let w0 = fps[0].model_slice(0);
-        assert_eq!(w0.dims(), &[4, 2, 3, 3]);
-        assert_eq!(fused.unfuse()[0].weight.value_cloned(), w0);
-    }
-
-    #[test]
-    fn stateless_fused_wrappers_are_identities_per_model() {
         let mut r = rng();
-        let b = 3;
-        let xs: Vec<Tensor> = (0..b).map(|_| r.randn([2, 4, 6, 6])).collect();
-        let pool = FusedMaxPool2d::new(b, hfta_nn::layers::MaxPool2d::new(2));
-        assert_eq!(pool.b(), b);
-        let tape = Tape::new();
-        let fx = tape.leaf(stack_conv(&xs).unwrap());
-        let fused_out = pool.forward(&fx).value();
-        let parts = unstack_conv(&fused_out, b);
-        for (i, x) in xs.iter().enumerate() {
-            let tape = Tape::new();
-            let y = hfta_nn::layers::MaxPool2d::new(2)
-                .forward(&tape.leaf(x.clone()))
-                .value();
-            assert!(parts[i].allclose(&y, 1e-6), "model {i}");
+        for i in 0..3 {
+            let alone = Conv2d::new(cfg, &mut r.split());
+            assert_eq!(fps[0].model_slice(i), alone.weight.value_cloned());
+            assert_eq!(
+                fps[1].model_slice(i),
+                alone.bias.as_ref().unwrap().value_cloned()
+            );
         }
-        // ReLU / Tanh wrappers behave identically too.
-        let relu = FusedRelu::new(b, hfta_nn::layers::Relu);
-        let tanh = FusedTanh::new(b, hfta_nn::layers::Tanh);
-        let lrelu = FusedLeakyRelu::new(b, hfta_nn::layers::LeakyRelu::new(0.2));
-        let tape = Tape::new();
-        let fx = tape.leaf(stack_conv(&xs).unwrap());
-        assert_eq!(relu.forward(&fx).value(), fx.value().relu());
-        assert_eq!(tanh.forward(&fx).value(), fx.value().tanh());
-        assert_eq!(lrelu.forward(&fx).value(), fx.value().leaky_relu(0.2));
-        assert!(relu.fused_parameters().is_empty());
     }
 
+    /// `model_slice` and `model_grad_slice` share this check.
     #[test]
-    fn fused_dropout_is_identity_in_eval() {
-        let d = FusedDropout::new(2, hfta_nn::layers::Dropout::new(0.5, 7));
-        d.set_training(false);
-        let tape = Tape::new();
-        let x = tape.leaf(Tensor::ones([4, 8]));
-        assert_eq!(d.forward(&x).value(), Tensor::ones([4, 8]));
-        let d2 = FusedDropout2d::new(2, hfta_nn::layers::Dropout2d::new(0.5, 7));
-        d2.set_training(false);
-        let x = tape.leaf(Tensor::ones([2, 4, 3, 3]));
-        assert_eq!(d2.forward(&x).value(), Tensor::ones([2, 4, 3, 3]));
+    #[should_panic(expected = "not divisible by B = 3")]
+    fn model_slice_panics_on_indivisible_axis0() {
+        let p = FusedParameter {
+            param: Parameter::new(Tensor::zeros([4, 2]), "w"),
+            b: 3,
+        };
+        let _ = p.model_slice(0);
     }
 
     #[test]
@@ -1247,7 +814,7 @@ mod tests {
         // The defining property: training signal for model i must not leak
         // into model j's weights.
         let mut r = rng();
-        let fused = FusedConv2d::new(2, Conv2dCfg::new(1, 2, 3), &mut r);
+        let fused = Fused(2).conv2d(Conv2dCfg::new(1, 2, 3), &mut r);
         let tape = Tape::new();
         // Input where model 1's channels are zero.
         let x0 = r.randn([1, 1, 5, 5]);
@@ -1257,7 +824,7 @@ mod tests {
         // Loss touches only model 0's output channels.
         let loss = y.narrow(1, 0, 2).square().sum();
         loss.backward();
-        let fp = &fused.fused_parameters()[0];
+        let fp = &FusedParameter::of(&fused, 2)[0];
         let g0 = fp.model_grad_slice(0);
         let g1 = fp.model_grad_slice(1);
         assert!(g0.abs().max_value() > 0.0, "model 0 must receive gradient");

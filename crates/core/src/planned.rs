@@ -1,9 +1,9 @@
 //! Planned (partially fused) execution: run an `hfta-plan`
-//! [`FusionPlan`] over the existing fused-op machinery.
+//! [`FusionPlan`] over the fused operators of [`crate::ops`].
 //!
 //! A [`PlannedArray`] materializes each plan block at its own width —
 //! fused blocks as width-`k` fused operators, serial blocks as width-1
-//! fused operators — and runs them all on **one tape**, stitching per-lane
+//! ones — and runs them all on **one tape**, stitching per-lane
 //! activations into block-fused activations with differentiable
 //! `concat`/`narrow` at block boundaries. Because every fused operator
 //! computes each lane independently of the array width and of lane
@@ -17,7 +17,7 @@
 //! Parameter initialization is keyed to `(lane seed, op index in lane)`:
 //! each lane's serial layers are constructed first, in program order,
 //! from that lane's own RNG, and blocks are then assembled with the
-//! `from_models` fusers. The plan's shape therefore never influences
+//! stacking rules of [`crate::ops`]. The plan's shape therefore never influences
 //! initial parameter bits.
 //!
 //! The [`PlannedOptimizer`] is the partially fused optimizer: one fused
@@ -42,29 +42,94 @@ use crate::error::{FusionError, Result};
 use crate::format::{array_to_conv, conv_to_array};
 use crate::loss::{fused_cross_entropy, Reduction};
 use crate::ops::{
-    FusedBatchNorm, FusedConv1d, FusedConv2d, FusedConvTranspose2d, FusedLeakyRelu, FusedLinear,
-    FusedMaxPool2d, FusedModule, FusedParameter, FusedRelu, FusedTanh,
+    fuse_batch_norm, fuse_conv1d, fuse_conv2d, fuse_conv_transpose2d, FusedLinear, FusedModule,
+    FusedParameter,
 };
 use crate::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel};
 use crate::surgery::{self, LaneState};
 
-/// One lane's serial layer, pre-fusion. Construction order (per lane, in
-/// program order, from the lane's own RNG) fixes the parameter bits.
-enum SerialLayer {
+/// One op of one lane (`L = Linear`), or of one block at the block's
+/// width (`L = FusedLinear`). Only `Linear` changes type when fused: a
+/// fused conv or batch norm is the same `hfta-nn` layer at the widened
+/// configuration, and a stateless op runs unchanged over the widened
+/// tensor. Construction order (per lane, in program order, from the
+/// lane's own RNG) fixes the parameter bits.
+enum Layer<L> {
     Conv2d(Conv2d),
     ConvTranspose2d(ConvTranspose2d),
     Conv1d(Conv1d),
     BatchNorm(BatchNorm),
     Relu,
-    LeakyRelu,
+    LeakyRelu(LeakyRelu),
     Tanh,
-    MaxPool2d,
+    MaxPool2d(MaxPool2d),
     Flatten,
-    Linear(Linear),
+    Linear(L),
 }
 
-impl SerialLayer {
-    fn build(spec: &OpSpec, rng: &mut Rng) -> Result<SerialLayer> {
+fn unexecutable(spec: &OpSpec) -> FusionError {
+    FusionError::StructureMismatch {
+        detail: format!(
+            "{:?} is plannable but not executable by PlannedArray",
+            spec.kind
+        ),
+    }
+}
+
+/// Takes each lane's layer of one kind out of a block slot.
+macro_rules! lanes_of {
+    ($layers:expr, $variant:ident) => {
+        $layers
+            .into_iter()
+            .map(|layer| match layer {
+                Layer::$variant(m) => Ok(m),
+                _ => Err(FusionError::StructureMismatch {
+                    detail: format!(
+                        "plan block mixes op kinds at a {} slot",
+                        stringify!($variant)
+                    ),
+                }),
+            })
+            .collect::<Result<Vec<_>>>()?
+    };
+}
+
+impl<L> Layer<L> {
+    /// The stateless op `spec` names, if it names one: the same layer
+    /// serves a lane and a block of any width.
+    fn stateless(spec: &OpSpec) -> Option<Layer<L>> {
+        Some(match spec.kind {
+            OpKind::Relu => Layer::Relu,
+            OpKind::LeakyRelu => Layer::LeakyRelu(LeakyRelu::new(spec.slope())),
+            OpKind::Tanh => Layer::Tanh,
+            OpKind::MaxPool2d => Layer::MaxPool2d(MaxPool2d::new(spec.kernel)),
+            OpKind::Flatten => Layer::Flatten,
+            _ => return None,
+        })
+    }
+}
+
+impl<L: Module> Layer<L> {
+    /// The op as a module; `None` for `Flatten`, a reshape.
+    fn module(&self) -> Option<&dyn Module> {
+        let m: &dyn Module = match self {
+            Layer::Conv2d(m) => m,
+            Layer::ConvTranspose2d(m) => m,
+            Layer::Conv1d(m) => m,
+            Layer::BatchNorm(m) => m,
+            Layer::Relu => &Relu,
+            Layer::LeakyRelu(m) => m,
+            Layer::Tanh => &Tanh,
+            Layer::MaxPool2d(m) => m,
+            Layer::Linear(m) => m,
+            Layer::Flatten => return None,
+        };
+        Some(m)
+    }
+}
+
+impl Layer<Linear> {
+    fn build(spec: &OpSpec, rng: &mut Rng) -> Result<Layer<Linear>> {
         let conv_cfg = |s: &OpSpec| {
             Conv2dCfg::new(s.c_in, s.c_out, s.kernel)
                 .stride(s.stride)
@@ -73,11 +138,11 @@ impl SerialLayer {
                 .bias(s.bias)
         };
         Ok(match spec.kind {
-            OpKind::Conv2d => SerialLayer::Conv2d(Conv2d::new(conv_cfg(spec), rng)),
+            OpKind::Conv2d => Layer::Conv2d(Conv2d::new(conv_cfg(spec), rng)),
             OpKind::ConvTranspose2d => {
-                SerialLayer::ConvTranspose2d(ConvTranspose2d::new(conv_cfg(spec), rng))
+                Layer::ConvTranspose2d(ConvTranspose2d::new(conv_cfg(spec), rng))
             }
-            OpKind::Conv1d => SerialLayer::Conv1d(Conv1d::new(
+            OpKind::Conv1d => Layer::Conv1d(Conv1d::new(
                 spec.c_in,
                 spec.c_out,
                 spec.kernel,
@@ -86,146 +151,47 @@ impl SerialLayer {
                 spec.groups.max(1),
                 rng,
             )),
-            OpKind::BatchNorm => SerialLayer::BatchNorm(BatchNorm::new(spec.c_in)),
-            OpKind::Relu => SerialLayer::Relu,
-            OpKind::LeakyRelu => SerialLayer::LeakyRelu,
-            OpKind::Tanh => SerialLayer::Tanh,
-            OpKind::MaxPool2d => SerialLayer::MaxPool2d,
-            OpKind::Flatten => SerialLayer::Flatten,
-            OpKind::Linear => SerialLayer::Linear(Linear::new(
+            OpKind::BatchNorm => Layer::BatchNorm(BatchNorm::new(spec.c_in)),
+            OpKind::Linear => Layer::Linear(Linear::new(
                 LinearCfg::new(spec.c_in, spec.c_out).bias(spec.bias),
                 rng,
             )),
-            OpKind::GlobalMaxPool | OpKind::ResidualAdd => {
-                return Err(FusionError::StructureMismatch {
-                    detail: format!(
-                        "{:?} is plannable but not executable by PlannedArray",
-                        spec.kind
-                    ),
-                })
-            }
+            _ => Layer::stateless(spec).ok_or_else(|| unexecutable(spec))?,
         })
     }
-}
 
-/// One fused op of one block, at that block's width.
-enum ExecOp {
-    Conv2d(FusedConv2d),
-    ConvTranspose2d(FusedConvTranspose2d),
-    Conv1d(FusedConv1d),
-    BatchNorm(FusedBatchNorm),
-    Relu(FusedRelu),
-    LeakyRelu(FusedLeakyRelu),
-    Tanh(FusedTanh),
-    MaxPool2d(FusedMaxPool2d),
-    Flatten,
-    Linear(FusedLinear),
-}
-
-macro_rules! collect_layers {
-    ($models:expr, $variant:ident, $kind:expr) => {{
-        let mut out = Vec::with_capacity($models.len());
-        for m in $models {
-            match m {
-                SerialLayer::$variant(inner) => out.push(inner),
-                _ => {
-                    return Err(FusionError::StructureMismatch {
-                        detail: format!("plan block mixes op kinds at a {} slot", $kind),
-                    })
-                }
-            }
-        }
-        out
-    }};
-}
-
-impl ExecOp {
-    /// Fuses one op slot across the block's lanes. `models` holds each
-    /// participating lane's serial layer for this slot, in lane order.
-    fn fuse(models: Vec<SerialLayer>, spec: &OpSpec) -> Result<ExecOp> {
-        let b = models.len();
+    /// Fuses one op slot across the block's lanes with the stacking rules.
+    /// `layers` holds each participating lane's layer for this slot, in
+    /// lane order.
+    fn fuse(layers: Vec<Layer<Linear>>, spec: &OpSpec) -> Result<Layer<FusedLinear>> {
         Ok(match spec.kind {
-            OpKind::Conv2d => ExecOp::Conv2d(FusedConv2d::from_models(&collect_layers!(
-                models, Conv2d, "Conv2d"
-            ))?),
-            OpKind::ConvTranspose2d => ExecOp::ConvTranspose2d(FusedConvTranspose2d::from_models(
-                &collect_layers!(models, ConvTranspose2d, "ConvTranspose2d"),
-            )?),
-            OpKind::Conv1d => ExecOp::Conv1d(FusedConv1d::from_models(&collect_layers!(
-                models, Conv1d, "Conv1d"
-            ))?),
-            OpKind::BatchNorm => ExecOp::BatchNorm(FusedBatchNorm::from_models(&collect_layers!(
-                models,
-                BatchNorm,
-                "BatchNorm"
-            ))?),
-            OpKind::Relu => ExecOp::Relu(FusedRelu::new(b, Relu)),
-            OpKind::LeakyRelu => {
-                ExecOp::LeakyRelu(FusedLeakyRelu::new(b, LeakyRelu::new(spec.slope())))
+            OpKind::Conv2d => Layer::Conv2d(fuse_conv2d(&lanes_of!(layers, Conv2d))?),
+            OpKind::ConvTranspose2d => {
+                Layer::ConvTranspose2d(fuse_conv_transpose2d(&lanes_of!(layers, ConvTranspose2d))?)
             }
-            OpKind::Tanh => ExecOp::Tanh(FusedTanh::new(b, Tanh)),
-            OpKind::MaxPool2d => {
-                ExecOp::MaxPool2d(FusedMaxPool2d::new(b, MaxPool2d::new(spec.kernel)))
-            }
-            OpKind::Flatten => ExecOp::Flatten,
-            OpKind::Linear => ExecOp::Linear(FusedLinear::from_models(&collect_layers!(
-                models, Linear, "Linear"
-            ))?),
-            OpKind::GlobalMaxPool | OpKind::ResidualAdd => {
-                return Err(FusionError::StructureMismatch {
-                    detail: format!("{:?} cannot execute in a PlannedArray", spec.kind),
-                })
-            }
+            OpKind::Conv1d => Layer::Conv1d(fuse_conv1d(&lanes_of!(layers, Conv1d))?),
+            OpKind::BatchNorm => Layer::BatchNorm(fuse_batch_norm(&lanes_of!(layers, BatchNorm))?),
+            OpKind::Linear => Layer::Linear(FusedLinear::from_models(&lanes_of!(layers, Linear))?),
+            _ => Layer::stateless(spec).ok_or_else(|| unexecutable(spec))?,
         })
     }
+}
 
+impl Layer<FusedLinear> {
     /// Applies the op to a block-fused activation. Conv-format ops see
     /// `[N, B*C, ...]`; `Flatten` collapses to `[N, B*F]`; `Linear` hops
     /// through array format and back so the block boundary stays on the
     /// channel axis.
-    fn forward(&self, x: &Var, b: usize) -> Var {
+    fn forward(&self, x: &Var) -> Var {
         match self {
-            ExecOp::Conv2d(m) => m.forward(x),
-            ExecOp::ConvTranspose2d(m) => m.forward(x),
-            ExecOp::Conv1d(m) => m.forward(x),
-            ExecOp::BatchNorm(m) => m.forward(x),
-            ExecOp::Relu(m) => m.forward(x),
-            ExecOp::LeakyRelu(m) => m.forward(x),
-            ExecOp::Tanh(m) => m.forward(x),
-            ExecOp::MaxPool2d(m) => m.forward(x),
-            ExecOp::Flatten => {
+            Layer::Flatten => {
                 let dims = x.dims();
                 let n = dims[0];
                 let rest: usize = dims[1..].iter().product();
                 x.reshape(&[n, rest])
             }
-            ExecOp::Linear(m) => array_to_conv(&m.forward(&conv_to_array(x, b))),
-        }
-    }
-
-    fn fused_parameters(&self) -> Vec<FusedParameter> {
-        match self {
-            ExecOp::Conv2d(m) => m.fused_parameters(),
-            ExecOp::ConvTranspose2d(m) => m.fused_parameters(),
-            ExecOp::Conv1d(m) => m.fused_parameters(),
-            ExecOp::BatchNorm(m) => m.fused_parameters(),
-            ExecOp::Linear(m) => m.fused_parameters(),
-            _ => Vec::new(),
-        }
-    }
-
-    fn set_training(&self, training: bool) {
-        match self {
-            ExecOp::Conv2d(m) => m.set_training(training),
-            ExecOp::ConvTranspose2d(m) => m.set_training(training),
-            ExecOp::Conv1d(m) => m.set_training(training),
-            ExecOp::BatchNorm(m) => m.set_training(training),
-            ExecOp::Relu(m) => m.set_training(training),
-            ExecOp::LeakyRelu(m) => m.set_training(training),
-            ExecOp::Tanh(m) => m.set_training(training),
-            ExecOp::MaxPool2d(m) => m.set_training(training),
-            ExecOp::Flatten => {}
-            ExecOp::Linear(m) => m.set_training(training),
+            Layer::Linear(m) => array_to_conv(&m.forward(&conv_to_array(x, m.b()))),
+            op => op.module().expect("every other op is a layer").forward(x),
         }
     }
 }
@@ -234,7 +200,7 @@ impl ExecOp {
 /// block's width.
 struct ExecBlock {
     lanes: Vec<usize>,
-    ops: Vec<ExecOp>,
+    ops: Vec<Layer<FusedLinear>>,
     params: Vec<FusedParameter>,
 }
 
@@ -253,7 +219,7 @@ pub struct PlannedArray {
 impl PlannedArray {
     /// Materializes `plan` over `graphs`: builds each lane's serial
     /// layers in program order from `seeds[lane]`, then fuses each block
-    /// at its own width with the `from_models` fusers.
+    /// at its own width with the stacking rules of [`crate::ops`].
     ///
     /// # Errors
     ///
@@ -288,12 +254,12 @@ impl PlannedArray {
         }
 
         // Per-lane serial layers, keyed to (lane seed, op index in lane).
-        let mut lane_layers: Vec<Vec<Option<SerialLayer>>> = Vec::with_capacity(graphs.len());
+        let mut lane_layers: Vec<Vec<Option<Layer<Linear>>>> = Vec::with_capacity(graphs.len());
         for (l, g) in graphs.iter().enumerate() {
             let mut rng = Rng::seed_from(seeds[l]);
             let mut layers = Vec::with_capacity(g.ops.len());
             for op in &g.ops {
-                layers.push(Some(SerialLayer::build(op, &mut rng)?));
+                layers.push(Some(Layer::build(op, &mut rng)?));
             }
             lane_layers.push(layers);
         }
@@ -311,9 +277,14 @@ impl PlannedArray {
                     })?;
                     models.push(slot);
                 }
-                ops.push(ExecOp::fuse(models, spec)?);
+                ops.push(Layer::fuse(models, spec)?);
             }
-            let params = ops.iter().flat_map(ExecOp::fused_parameters).collect();
+            let b = pb.lanes.len();
+            let params = ops
+                .iter()
+                .filter_map(Layer::module)
+                .flat_map(|m| FusedParameter::of(m, b))
+                .collect();
             blocks.push(ExecBlock {
                 lanes: pb.lanes.clone(),
                 ops,
@@ -358,8 +329,8 @@ impl PlannedArray {
     /// Switches training/eval mode on every block.
     pub fn set_training(&self, training: bool) {
         for b in &self.blocks {
-            for op in &b.ops {
-                op.set_training(training);
+            for m in b.ops.iter().filter_map(Layer::module) {
+                m.set_training(training);
             }
         }
     }
@@ -402,7 +373,7 @@ impl PlannedArray {
                 Var::concat(&refs, 1)
             };
             for op in &block.ops {
-                x = op.forward(&x, b);
+                x = op.forward(&x);
             }
             if b == 1 {
                 acts[block.lanes[0]] = Some(x);
@@ -789,8 +760,8 @@ mod tests {
     /// The hand-fused `ModelArray` path for the base arch, built from the
     /// same per-lane serial layers the planner path constructs.
     struct Chain {
-        conv: FusedConv2d,
-        act: FusedLeakyRelu,
+        conv: Conv2d,
+        act: LeakyRelu,
         fc: FusedLinear,
         b: usize,
     }
@@ -814,12 +785,6 @@ mod tests {
         fn b(&self) -> usize {
             self.b
         }
-
-        fn fused_parameters(&self) -> Vec<FusedParameter> {
-            let mut p = self.conv.fused_parameters();
-            p.extend(self.fc.fused_parameters());
-            p
-        }
     }
 
     #[test]
@@ -834,7 +799,7 @@ mod tests {
         let (pl, ps) = run(&graphs, &plan, false, 3, None);
 
         // Hand-fused reference: identical per-lane layers from the same
-        // (seed, op index) stream, fused with the same from_models path.
+        // (seed, op index) stream, fused with the same stacking rules.
         let mut convs = Vec::new();
         let mut fcs = Vec::new();
         for seed in seeds(lanes) {
@@ -846,8 +811,8 @@ mod tests {
             fcs.push(Linear::new(LinearCfg::new(FEATURES, CLASSES), &mut rng));
         }
         let chain = Chain {
-            conv: FusedConv2d::from_models(&convs).unwrap(),
-            act: FusedLeakyRelu::new(lanes, LeakyRelu::new(0.2)),
+            conv: fuse_conv2d(&convs).unwrap(),
+            act: LeakyRelu::new(0.2),
             fc: FusedLinear::from_models(&fcs).unwrap(),
             b: lanes,
         };

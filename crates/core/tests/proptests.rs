@@ -1,14 +1,17 @@
 //! Property-based tests of the HFTA fusion invariants: every Table 6 rule
-//! is a mathematical identity over random shapes, weights and inputs;
-//! fuse → unfuse round-trips; the loss-scaling rule reconstructs serial
-//! gradients; fused optimizers match serial ones.
+//! is an identity over random shapes, weights and inputs (bit for bit for
+//! the stacking rules, forward and backward); fuse → unfuse round-trips;
+//! the loss-scaling rule reconstructs serial gradients; fused optimizers
+//! match serial ones.
 
 use hfta_core::format::{stack_array, stack_conv, unstack_array, unstack_conv};
 use hfta_core::loss::{fused_cross_entropy, Reduction};
-use hfta_core::ops::{FusedBatchNorm, FusedConv1d, FusedConv2d, FusedLinear, FusedParameter};
+use hfta_core::ops::{
+    fuse_batch_norm, fuse_conv1d, fuse_conv2d, fuse_conv_transpose2d, FusedLinear, FusedParameter,
+};
 use hfta_core::optim::{FusedAdadelta, FusedAdam, FusedOptimizer, FusedSgd, PerModel};
 use hfta_core::rules::fuse;
-use hfta_nn::layers::{BatchNorm, Conv1d, Conv2d, Conv2dCfg, Linear, LinearCfg};
+use hfta_nn::layers::{BatchNorm, Conv1d, Conv2d, Conv2dCfg, ConvTranspose2d, Linear, LinearCfg};
 use hfta_nn::{Adam, Module, Optimizer, Parameter, Tape};
 use hfta_plan::{OpSpec, ShapedOp};
 use hfta_tensor::{Rng, Tensor};
@@ -21,8 +24,48 @@ fn linear_op(n: usize, f_in: usize, f_out: usize) -> ShapedOp {
         .unwrap()
 }
 
+fn bits_of(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 fn bits(t: &Tensor) -> Vec<u32> {
-    t.as_slice().iter().map(|v| v.to_bits()).collect()
+    bits_of(t.as_slice())
+}
+
+/// The stacking rule's contract: the fused layer on stacked conv-format
+/// inputs equals each model on its own input, bit for bit, in the output,
+/// the input gradient and every lane of every parameter gradient. The loss
+/// is `sum(y²)`, so each lane's upstream gradient is its own `2y`.
+fn assert_lanes_bitwise<M: Module>(
+    models: &[M],
+    fused: &M,
+    inputs: &[Tensor],
+) -> Result<(), String> {
+    let b = models.len();
+    let run = |m: &M, x: Tensor| {
+        let x = Parameter::new(x, "x");
+        let tape = Tape::new();
+        let y = m.forward(&tape.param(&x));
+        y.square().sum().backward();
+        (y.value(), x.grad_cloned())
+    };
+    let (y, gx) = run(fused, stack_conv(inputs).unwrap());
+    let (ys, gxs) = (unstack_conv(&y, b), unstack_conv(&gx, b));
+    let lanes = FusedParameter::of(fused, b);
+    for (i, m) in models.iter().enumerate() {
+        let (yi, gxi) = run(m, inputs[i].clone());
+        prop_assert!(bits(&ys[i]) == bits(&yi), "model {i}: output");
+        prop_assert!(bits(&gxs[i]) == bits(&gxi), "model {i}: input gradient");
+        let params = m.parameters();
+        prop_assert_eq!(params.len(), lanes.len());
+        for (j, (lane, p)) in lanes.iter().zip(&params).enumerate() {
+            prop_assert!(
+                bits(&lane.model_grad_slice(i)) == bits(&p.grad_cloned()),
+                "model {i}: parameter {j} gradient"
+            );
+        }
+    }
+    Ok(())
 }
 
 /// The three fused update rules as the tensor-op compositions they were
@@ -212,41 +255,52 @@ proptest! {
         seed in 0u64..1000,
         b in 1usize..4,
         cin in 1usize..3,
-        cout in 1usize..4,
+        cout in 1usize..3,
+        groups in 1usize..3,
         kernel in 1usize..4,
+        stride in 1usize..3,
+        bias in any::<bool>(),
     ) {
+        // Conv2d and ConvTranspose2d share `Conv2dCfg`: one case checks both.
         let mut rng = Rng::seed_from(seed);
-        let cfg = Conv2dCfg::new(cin, cout, kernel).padding(kernel / 2);
-        let models: Vec<Conv2d> = (0..b).map(|_| Conv2d::new(cfg, &mut rng.split())).collect();
-        let fused = FusedConv2d::from_models(&models).unwrap();
-        let inputs: Vec<Tensor> = (0..b).map(|_| rng.randn([2, cin, 5, 5])).collect();
-        let tape = Tape::new();
-        let fx = tape.leaf(stack_conv(&inputs).unwrap());
-        let outs = unstack_conv(&fused.forward(&fx).value(), b);
-        for (i, m) in models.iter().enumerate() {
-            let tape = Tape::new();
-            let y = m.forward(&tape.leaf(inputs[i].clone())).value();
-            prop_assert!(outs[i].allclose(&y, 1e-3), "model {i}");
-        }
+        let cfg = Conv2dCfg::new(cin * groups, cout * groups, kernel)
+            .stride(stride)
+            .padding(kernel / 2)
+            .groups(groups)
+            .bias(bias);
+        let inputs: Vec<Tensor> = (0..b).map(|_| rng.randn([2, cin * groups, 5, 5])).collect();
+        let convs: Vec<Conv2d> = (0..b).map(|_| Conv2d::new(cfg, &mut rng.split())).collect();
+        assert_lanes_bitwise(&convs, &fuse_conv2d(&convs).unwrap(), &inputs)?;
+        let deconvs: Vec<ConvTranspose2d> = (0..b)
+            .map(|_| ConvTranspose2d::new(cfg, &mut rng.split()))
+            .collect();
+        assert_lanes_bitwise(&deconvs, &fuse_conv_transpose2d(&deconvs).unwrap(), &inputs)?;
     }
 
     #[test]
-    fn fused_conv1d_identity(seed in 0u64..1000, b in 1usize..5, cout in 1usize..5) {
+    fn fused_conv1d_identity(
+        seed in 0u64..1000,
+        b in 1usize..5,
+        cin in 1usize..4,
+        cout in 1usize..5,
+        groups in 1usize..3,
+        kernel in 1usize..4,
+        stride in 1usize..3,
+    ) {
         let mut rng = Rng::seed_from(seed);
         let models: Vec<Conv1d> = (0..b)
-            .map(|_| Conv1d::new(3, cout, 1, 1, 0, 1, &mut rng.split()))
+            .map(|_| {
+                let (ci, co) = (cin * groups, cout * groups);
+                Conv1d::new(ci, co, kernel, stride, kernel / 2, groups, &mut rng.split())
+            })
             .collect();
-        let fused = FusedConv1d::from_models(&models).unwrap();
-        let inputs: Vec<Tensor> = (0..b).map(|_| rng.randn([2, 3, 10])).collect();
-        let tape = Tape::new();
-        let fx = tape.leaf(stack_conv(&inputs).unwrap());
-        let outs = unstack_conv(&fused.forward(&fx).value(), b);
-        for (i, m) in models.iter().enumerate() {
-            let tape = Tape::new();
-            let y = m.forward(&tape.leaf(inputs[i].clone())).value();
-            prop_assert!(outs[i].allclose(&y, 1e-3));
-        }
+        let inputs: Vec<Tensor> = (0..b).map(|_| rng.randn([2, cin * groups, 10])).collect();
+        assert_lanes_bitwise(&models, &fuse_conv1d(&models).unwrap(), &inputs)?;
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn fused_linear_identity(seed in 0u64..1000, b in 1usize..5, fin in 1usize..6, fout in 1usize..6) {
@@ -267,18 +321,37 @@ proptest! {
     }
 
     #[test]
-    fn fused_batchnorm_identity(seed in 0u64..1000, b in 1usize..4, c in 1usize..4) {
+    fn fused_batchnorm_identity(
+        seed in 0u64..1000,
+        b in 1usize..4,
+        c in 1usize..4,
+        spatial in 0usize..3,
+        training in any::<bool>(),
+    ) {
         let mut rng = Rng::seed_from(seed);
-        let models: Vec<BatchNorm> = (0..b).map(|_| BatchNorm::new(c)).collect();
-        let fused = FusedBatchNorm::from_models(&models).unwrap();
-        let inputs: Vec<Tensor> = (0..b).map(|_| rng.randn([4, c, 3])).collect();
-        let tape = Tape::new();
-        let fx = tape.leaf(stack_conv(&inputs).unwrap());
-        let outs = unstack_conv(&fused.forward(&fx).value(), b);
+        // Distinct per-model affine weights and running statistics, so eval
+        // mode reads each lane's own.
+        let models: Vec<BatchNorm> = (0..b)
+            .map(|_| {
+                let mean = rng.randn([c]).to_vec();
+                let var = rng.rand([c], 0.5, 2.0).to_vec();
+                BatchNorm::from_parts(rng.randn([c]), rng.randn([c]), mean, var)
+            })
+            .collect();
+        let fused = fuse_batch_norm(&models).unwrap();
+        for m in models.iter().chain([&fused]) {
+            m.set_training(training);
+        }
+        let mut dims = vec![4, c];
+        dims.extend(vec![3; spatial]);
+        let inputs: Vec<Tensor> = (0..b).map(|_| rng.randn(dims.clone())).collect();
+        assert_lanes_bitwise(&models, &fused, &inputs)?;
+        let (mean, var) = (fused.running_mean(), fused.running_var());
         for (i, m) in models.iter().enumerate() {
-            let tape = Tape::new();
-            let y = m.forward(&tape.leaf(inputs[i].clone())).value();
-            prop_assert!(outs[i].allclose(&y, 1e-3));
+            let lane = i * c..(i + 1) * c;
+            let lane_mean = bits_of(&mean[lane.clone()]);
+            prop_assert!(lane_mean == bits_of(&m.running_mean()), "model {i}: running mean");
+            prop_assert!(bits_of(&var[lane]) == bits_of(&m.running_var()), "model {i}: running var");
         }
     }
 
@@ -287,9 +360,10 @@ proptest! {
         let mut rng = Rng::seed_from(seed);
         let cfg = Conv2dCfg::new(2, 4, 3);
         let models: Vec<Conv2d> = (0..b).map(|_| Conv2d::new(cfg, &mut rng.split())).collect();
-        let fused = FusedConv2d::from_models(&models).unwrap();
-        for (m, u) in models.iter().zip(fused.unfuse()) {
-            prop_assert_eq!(m.weight.value_cloned(), u.weight.value_cloned());
+        let fused = fuse_conv2d(&models).unwrap();
+        let lanes = FusedParameter::of(&fused, b);
+        for (i, m) in models.iter().enumerate() {
+            prop_assert_eq!(m.weight.value_cloned(), lanes[0].model_slice(i));
         }
         let linears: Vec<Linear> = (0..b)
             .map(|_| Linear::new(LinearCfg::new(3, 2), &mut rng.split()))

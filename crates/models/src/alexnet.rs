@@ -5,7 +5,7 @@
 //! array of the same code — only the operator classes change.
 
 use hfta_core::ops::{Fused, Ops, Serial};
-use hfta_nn::layers::{Conv2dCfg, Dropout, LinearCfg, MaxPool2d};
+use hfta_nn::layers::{Conv2d, Conv2dCfg, Dropout, LinearCfg, MaxPool2d};
 use hfta_nn::{Module, Parameter, Var};
 use hfta_tensor::Rng;
 
@@ -41,7 +41,7 @@ impl AlexNetCfg {
 /// [`Fused`]). Pooling and dropout are stateless and serve both families.
 #[derive(Debug)]
 pub struct AlexNetOn<O: Ops> {
-    convs: Vec<O::Conv2d>,
+    convs: Vec<Conv2d>,
     pool: MaxPool2d,
     drop1: Dropout,
     fc1: O::Linear,

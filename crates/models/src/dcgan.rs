@@ -9,7 +9,7 @@
 //! the paper-scale op traces live in [`crate::traces`].
 
 use hfta_core::ops::{Fused, Ops, Serial};
-use hfta_nn::layers::Conv2dCfg;
+use hfta_nn::layers::{BatchNorm, Conv2d, Conv2dCfg, ConvTranspose2d};
 use hfta_nn::{Module, Parameter, Var};
 use hfta_tensor::Rng;
 
@@ -61,9 +61,9 @@ impl DcganCfg {
 }
 
 /// A (transposed) convolution and the batch norm that follows it, if any.
-type Stage<C, N> = (C, Option<N>);
+type Stage<C> = (C, Option<BatchNorm>);
 
-fn stage_parameters<C: Module, N: Module>(layers: &[Stage<C, N>]) -> Vec<Parameter> {
+fn stage_parameters<C: Module>(layers: &[Stage<C>]) -> Vec<Parameter> {
     layers
         .iter()
         .flat_map(|(conv, bn)| {
@@ -76,7 +76,7 @@ fn stage_parameters<C: Module, N: Module>(layers: &[Stage<C, N>]) -> Vec<Paramet
         .collect()
 }
 
-fn set_stage_training<C, N: Module>(layers: &[Stage<C, N>], t: bool) {
+fn set_stage_training<C>(layers: &[Stage<C>], t: bool) {
     for bn in layers.iter().filter_map(|(_, bn)| bn.as_ref()) {
         bn.set_training(t);
     }
@@ -86,7 +86,7 @@ fn set_stage_training<C, N: Module>(layers: &[Stage<C, N>], t: bool) {
 /// → images `[N, B*3, S, S]` in `[-1, 1]` (`B = 1` for [`Serial`]).
 #[derive(Debug)]
 pub struct DcganG<O: Ops> {
-    layers: Vec<Stage<O::ConvTranspose2d, O::BatchNorm>>,
+    layers: Vec<Stage<ConvTranspose2d>>,
     ops: O,
 }
 
@@ -164,7 +164,7 @@ impl<O: Ops> Module for DcganG<O> {
 /// (`B = 1` for [`Serial`]).
 #[derive(Debug)]
 pub struct DcganD<O: Ops> {
-    layers: Vec<Stage<O::Conv2d, O::BatchNorm>>,
+    layers: Vec<Stage<Conv2d>>,
     ops: O,
 }
 

@@ -14,7 +14,7 @@
 //! the paper's.
 
 use hfta_core::ops::{Fused, Ops, Serial};
-use hfta_nn::layers::{Dropout, LinearCfg};
+use hfta_nn::layers::{BatchNorm, Conv1d, Dropout, LinearCfg};
 use hfta_nn::{Module, Parameter, Var};
 use hfta_tensor::{Rng, Tensor};
 
@@ -68,11 +68,11 @@ impl PointNetCfg {
 /// (initialized to the identity transform).
 #[derive(Debug)]
 pub struct PointNetStn<O: Ops> {
-    trunk: PointNetFeat<O>,
+    trunk: PointNetFeat,
     fc1: O::Linear,
-    bn1: O::BatchNorm,
+    bn1: BatchNorm,
     fc2: O::Linear,
-    bn2: O::BatchNorm,
+    bn2: BatchNorm,
     fc3: O::Linear,
     ops: O,
 }
@@ -156,17 +156,17 @@ impl<O: Ops> PointNetStn<O> {
 /// three 1x1 `Conv1d`+BN+ReLU stages followed by a global max-pool over
 /// points.
 #[derive(Debug)]
-struct PointNetFeat<O: Ops> {
-    conv1: O::Conv1d,
-    bn1: O::BatchNorm,
-    conv2: O::Conv1d,
-    bn2: O::BatchNorm,
-    conv3: O::Conv1d,
-    bn3: O::BatchNorm,
+struct PointNetFeat {
+    conv1: Conv1d,
+    bn1: BatchNorm,
+    conv2: Conv1d,
+    bn2: BatchNorm,
+    conv3: Conv1d,
+    bn3: BatchNorm,
 }
 
-impl<O: Ops> PointNetFeat<O> {
-    fn build(ops: O, cfg: PointNetCfg, rng: &mut Rng) -> Self {
+impl PointNetFeat {
+    fn build(ops: impl Ops, cfg: PointNetCfg, rng: &mut Rng) -> Self {
         let (c1, c2, c3) = cfg.dims();
         PointNetFeat {
             conv1: ops.conv1d(3, c1, 1, 1, 0, rng),
@@ -217,11 +217,11 @@ impl<O: Ops> PointNetFeat<O> {
 #[derive(Debug)]
 pub struct PointNetClassifier<O: Ops> {
     stn: Option<PointNetStn<O>>,
-    feat: PointNetFeat<O>,
+    feat: PointNetFeat,
     fc1: O::Linear,
-    bnf1: O::BatchNorm,
+    bnf1: BatchNorm,
     fc2: O::Linear,
-    bnf2: O::BatchNorm,
+    bnf2: BatchNorm,
     dropout: Dropout,
     fc3: O::Linear,
     ops: O,
@@ -305,12 +305,12 @@ impl<O: Ops> Module for PointNetClassifier<O> {
 /// contiguous).
 #[derive(Debug)]
 pub struct PointNetSegmenter<O: Ops> {
-    feat: PointNetFeat<O>,
-    conv1: O::Conv1d,
-    bn1: O::BatchNorm,
-    conv2: O::Conv1d,
-    bn2: O::BatchNorm,
-    conv3: O::Conv1d,
+    feat: PointNetFeat,
+    conv1: Conv1d,
+    bn1: BatchNorm,
+    conv2: Conv1d,
+    bn2: BatchNorm,
+    conv3: Conv1d,
     ops: O,
 }
 

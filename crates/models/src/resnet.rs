@@ -5,7 +5,7 @@
 //! [`FusedResNet`] the HFTA-fused array of the same code.
 
 use hfta_core::ops::{Fused, Ops, Serial};
-use hfta_nn::layers::{Conv2dCfg, LinearCfg};
+use hfta_nn::layers::{BatchNorm, Conv2d, Conv2dCfg, LinearCfg};
 use hfta_nn::{Module, Parameter, Var};
 use hfta_tensor::Rng;
 
@@ -41,17 +41,18 @@ impl ResNetCfg {
     }
 }
 
-/// A residual basic block over the operator family `O`.
+/// A residual basic block. Both operator families build it from the same
+/// layer types, the fused one at the widened configuration.
 #[derive(Debug)]
-struct BasicBlock<O: Ops> {
-    conv1: O::Conv2d,
-    bn1: O::BatchNorm,
-    conv2: O::Conv2d,
-    bn2: O::BatchNorm,
-    down: Option<(O::Conv2d, O::BatchNorm)>,
+struct BasicBlock {
+    conv1: Conv2d,
+    bn1: BatchNorm,
+    conv2: Conv2d,
+    bn2: BatchNorm,
+    down: Option<(Conv2d, BatchNorm)>,
 }
 
-impl<O: Ops> BasicBlock<O> {
+impl BasicBlock {
     fn forward(&self, x: &Var) -> Var {
         let h = self.bn1.forward(&self.conv1.forward(x)).relu();
         let h = self.bn2.forward(&self.conv2.forward(&h));
@@ -103,9 +104,9 @@ fn conv1(cin: usize, cout: usize, stride: usize) -> Conv2dCfg {
 /// for [`Fused`]).
 #[derive(Debug)]
 pub struct ResNetOn<O: Ops> {
-    stem: O::Conv2d,
-    stem_bn: O::BatchNorm,
-    blocks: Vec<BasicBlock<O>>,
+    stem: Conv2d,
+    stem_bn: BatchNorm,
+    blocks: Vec<BasicBlock>,
     fc: O::Linear,
     ops: O,
 }

@@ -17,7 +17,7 @@ use std::sync::Mutex;
 
 use hfta_core::format::{conv_to_array, stack_conv, stack_targets};
 use hfta_core::loss::{fused_bce_with_logits, fused_cross_entropy, fused_nll_loss, Reduction};
-use hfta_core::ops::{FusedConv2d, FusedLinear, FusedModule, FusedParameter};
+use hfta_core::ops::{Fused, FusedLinear, FusedModule, FusedParameter, Ops};
 use hfta_core::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel};
 use hfta_data::PointClouds;
 use hfta_mem::Storage;
@@ -90,7 +90,7 @@ fn assert_cold_matches_dirty(what: &str, train: impl Fn() -> Vec<Vec<u32>>) {
 /// parameter's bits.
 fn conv_linear_param_bits(b: usize, seed: u64) -> Vec<Vec<u32>> {
     let mut rng = Rng::seed_from(seed);
-    let conv = FusedConv2d::new(b, Conv2dCfg::new(3, 6, 3), &mut rng);
+    let conv = Fused(b).conv2d(Conv2dCfg::new(3, 6, 3), &mut rng);
     let x = rng.rand([2, 3 * b, 8, 8], -1.0, 1.0);
     // Probe the conv output shape once to size the classifier head.
     let flat = {
@@ -100,7 +100,7 @@ fn conv_linear_param_bits(b: usize, seed: u64) -> Vec<Vec<u32>> {
         d[1] / b * d[2] * d[3]
     };
     let fc = FusedLinear::new(b, LinearCfg::new(flat, 4), &mut rng);
-    let mut params = conv.fused_parameters();
+    let mut params = FusedParameter::of(&conv, b);
     params.extend(fc.fused_parameters());
     let mut opt =
         FusedSgd::new(params.clone(), PerModel::uniform(b, 0.05), 0.9).expect("widths match");
