@@ -802,7 +802,19 @@ mod tests {
                 }
             }
             let (d_row, d_col, d_len) = tables(m, n, k);
-            let dst = fill(par * d_len, seed + 4);
+            let mut dst = fill(par * d_len, seed + 4);
+            // Cells no table reaches must come back holding the sentinel.
+            let mut reached = vec![false; d_len];
+            for &r in &d_row {
+                for &c in &d_col {
+                    reached[r + c] = true;
+                }
+            }
+            for block in dst.chunks_exact_mut(d_len) {
+                for (v, _) in block.iter_mut().zip(&reached).filter(|(_, &hit)| !hit) {
+                    *v = SENTINEL;
+                }
+            }
 
             let oracle = |f: DirectFn, a: &[f32], b: &[f32]| {
                 let mut out = init.clone();
@@ -883,21 +895,27 @@ mod tests {
             }
         }
 
-        /// Every layout's answer through the dispatch on one instantiation.
-        fn dispatch(&self, vector: bool) -> [Vec<u32>; 6] {
+        /// Every layout's answer through the dispatch on one instantiation,
+        /// with the output blocks and scatter destinations spread `gap`
+        /// sentinel cells apart (see [`spread`]).
+        fn dispatch(&self, vector: bool, gap: usize) -> [Vec<u32>; 6] {
             let (m, k, n) = (self.m, self.k, self.n);
+            let spread_f32 = |v: &[f32], len: usize| -> Vec<f32> {
+                let spread = spread(&bits(v), len, gap);
+                spread.into_iter().map(f32::from_bits).collect()
+            };
             let dense = |a: PackA<'_>, b: PackB<'_>, b_len: usize| {
-                let mut out = self.init.clone();
-                let batch = self.batch(m * k, b_len, m * n);
+                let mut out = spread_f32(&self.init, m * n);
+                let batch = self.batch(m * k, b_len, m * n + gap);
                 gemm_batched_on(vector, Out::Add(&mut out), a, b, (m, k, n), batch);
                 bits(&out)
             };
             let src_off = Offsets::new(&self.src_off.0, &self.src_off.1);
             let dst_off = Offsets::new(&self.dst_off.0, &self.dst_off.1);
-            let mut scattered = self.dst.clone();
+            let mut scattered = spread_f32(&self.dst, self.d_len);
             let sink = Out::Scatter(&mut scattered, dst_off);
             let (a, b) = (PackA::T(&self.at), PackB::N(&self.b));
-            let batch = self.batch(m * k, k * n, self.d_len);
+            let batch = self.batch(m * k, k * n, self.d_len + gap);
             gemm_batched_on(vector, sink, a, b, (m, k, n), batch);
             [
                 dense(PackA::N(&self.a), PackB::N(&self.b), k * n),
@@ -945,12 +963,59 @@ mod tests {
             ]
         }
 
-        /// The first layout whose answer in `got` is not the oracle's.
-        fn mismatch(&self, got: [Vec<u32>; 6]) -> Option<&'static str> {
-            let mut pairs = LAYOUTS.into_iter().zip(got.iter().zip(&self.expect));
+        /// The first layout whose answer in `got` is not the oracle's, its
+        /// blocks spread `gap` sentinel cells apart.
+        fn mismatch(&self, got: [Vec<u32>; 6], gap: usize) -> Option<&'static str> {
+            let lens = [self.m * self.n; 5].into_iter().chain([self.d_len]);
+            let want = self
+                .expect
+                .iter()
+                .zip(lens)
+                .map(|(v, len)| spread(v, len, gap));
+            let mut pairs = LAYOUTS.into_iter().zip(got.iter().zip(want));
             pairs
-                .find(|(_, (got, want))| got != want)
+                .find(|(_, (got, want))| **got != *want)
                 .map(|(name, _)| name)
+        }
+    }
+
+    /// Bits no product or sum in these tests produces: a signalling NaN.
+    const SENTINEL: f32 = f32::from_bits(0x7fa0_5a5a);
+
+    /// `v`'s consecutive `len`-cell blocks, each followed by `gap` cells
+    /// holding [`SENTINEL`]'s bits.
+    fn spread(v: &[u32], len: usize, gap: usize) -> Vec<u32> {
+        let mut out = Vec::with_capacity(v.len() / len * (len + gap));
+        for block in v.chunks_exact(len) {
+            out.extend_from_slice(block);
+            out.extend(std::iter::repeat_n(SENTINEL.to_bits(), gap));
+        }
+        out
+    }
+
+    /// The tiles write their own output cells and nothing else. Output
+    /// blocks sit `GAP` cells apart with a `GAP`-cell tail, scatter
+    /// destinations hold cells no table reaches, and all of those hold
+    /// [`SENTINEL`], which every layout must leave as it found it. `m` and
+    /// `n` fall on both sides of a tile (8) and of a tile pair (16); every
+    /// shape is above `SMALL_FLOPS`, so it runs the tiled path, with two
+    /// output blocks each reducing two entries.
+    #[test]
+    fn tiles_write_only_their_own_cells() {
+        const GAP: usize = 5;
+        const DIMS: [usize; 6] = [7, 8, 9, 15, 16, 17];
+        let k = 45;
+        for (m, n) in DIMS.into_iter().flat_map(|m| DIMS.map(|n| (m, n))) {
+            assert!(2 * m * k * n >= SMALL_FLOPS);
+            let case = Case::new(m, k, n, (2, 2, false), (m * 100 + n) as u64);
+            let unreached = case.dst[..case.d_len]
+                .iter()
+                .any(|v| v.to_bits() == SENTINEL.to_bits());
+            assert!(unreached, "every scatter cell reached at ({m},{k},{n})");
+            for vector in instantiations() {
+                let bad = case.mismatch(case.dispatch(vector, GAP), GAP);
+                assert!(bad.is_none(), "{bad:?} at ({m},{k},{n}) vector={vector}");
+            }
         }
     }
 
@@ -969,7 +1034,7 @@ mod tests {
         ] {
             let case = Case::new(m, k, n, (1, 1, false), (m * 31 + k * 7 + n) as u64);
             for vector in instantiations() {
-                let bad = case.mismatch(case.tiled(vector));
+                let bad = case.mismatch(case.tiled(vector), 0);
                 assert!(bad.is_none(), "{bad:?} at ({m},{k},{n}) vector={vector}");
             }
         }
@@ -997,7 +1062,7 @@ mod tests {
         ) {
             let case = Case::new(m, k, n, (par, red, red_outer), seed);
             for vector in instantiations() {
-                let bad = case.mismatch(case.dispatch(vector));
+                let bad = case.mismatch(case.dispatch(vector, 0), 0);
                 prop_assert!(
                     bad.is_none(),
                     "{bad:?} at ({m},{k},{n}) x ({par} blocks, {red} deep) vector={vector}"

@@ -1052,30 +1052,49 @@ mod tests {
         }
     }
 
-    /// Every conv geometry of the benchmark's two conv workloads, fused, as
-    /// `(cin, cout, hw, kernel, cfg)` at batch 2. DCGAN at B = 6 (width 12,
-    /// 64x64): the discriminator's five convs; the generator's stride-2
-    /// transposed convs are the adjoints of the first four, and its 1 -> 4
-    /// projection is the adjoint of the sixth. PointNet at B = 8 (width 4,
-    /// 32 points): the three 1x1 conv1d stages on their unit-height view.
-    /// Each of the first four puts one group's weight-gradient reduction
-    /// (both samples) above the GEMM's per-chunk FLOP target.
+    /// Every conv geometry of the benchmark's three conv workloads, fused
+    /// and serial, as `(cin, cout, hw, kernel, cfg)` at batch 2. DCGAN at
+    /// B = 6 (width 12, 64x64): the discriminator's five convs; the
+    /// generator's stride-2 transposed convs are the adjoints of the first
+    /// four, and its 1 -> 4 projection is the adjoint of the sixth. PointNet
+    /// at B = 8 (width 4, 32 points): the three 1x1 conv1d stages on their
+    /// unit-height view. Each of the first four puts one group's
+    /// weight-gradient reduction (both samples) above the GEMM's per-chunk
+    /// FLOP target. Both again at `groups = 1`, one lane as the serial leg
+    /// runs it. `mixed_plan`'s discriminators (width 8, 64x64): the width-4
+    /// blocks at `groups = 4`, and the width-1 convs, the 3x3 refinement
+    /// block among them, at `groups = 1`.
     #[allow(clippy::type_complexity)]
     fn fused_workload_layers() -> Vec<(usize, usize, (usize, usize), (usize, usize), ConvCfg)> {
-        let down = ConvCfg::square(2, 1, 6);
-        let edge = ConvCfg::square(1, 0, 6);
-        let pointwise = ConvCfg::unit().fused(8);
-        vec![
-            (18, 72, (64, 64), (4, 4), down),
-            (72, 144, (32, 32), (4, 4), down),
-            (144, 288, (16, 16), (4, 4), down),
-            (288, 576, (8, 8), (4, 4), down),
-            (576, 6, (4, 4), (4, 4), edge),
-            (576, 192, (4, 4), (4, 4), edge),
-            (24, 32, (1, 32), (1, 1), pointwise),
-            (32, 64, (1, 32), (1, 1), pointwise),
-            (64, 512, (1, 32), (1, 1), pointwise),
-        ]
+        let down = |g| ConvCfg::square(2, 1, g);
+        let edge = |g| ConvCfg::square(1, 0, g);
+        let pointwise = |g| ConvCfg::unit().fused(g);
+        let mut layers = Vec::new();
+        // DCGAN, then mixed_plan: the discriminator of `width` at `g` groups.
+        for (width, g) in [(12, 6), (12, 1), (8, 4), (8, 1)] {
+            let (c, w) = (width * g, 3 * g);
+            layers.extend([
+                (w, c, (64, 64), (4, 4), down(g)),
+                (c, 2 * c, (32, 32), (4, 4), down(g)),
+                (2 * c, 4 * c, (16, 16), (4, 4), down(g)),
+                (4 * c, 8 * c, (8, 8), (4, 4), down(g)),
+                (8 * c, g, (4, 4), (4, 4), edge(g)),
+            ]);
+        }
+        layers.extend([
+            (576, 192, (4, 4), (4, 4), edge(6)),
+            (96, 32, (4, 4), (4, 4), edge(1)),
+            (8, 8, (32, 32), (3, 3), ConvCfg::square(1, 1, 1)),
+        ]);
+        // PointNet, fused and serial.
+        for g in [8, 1] {
+            layers.extend([
+                (3 * g, 4 * g, (1, 32), (1, 1), pointwise(g)),
+                (4 * g, 8 * g, (1, 32), (1, 1), pointwise(g)),
+                (8 * g, 64 * g, (1, 32), (1, 1), pointwise(g)),
+            ]);
+        }
+        layers
     }
 
     #[test]
