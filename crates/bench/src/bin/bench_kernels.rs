@@ -147,6 +147,8 @@ fn main() {
     let gemm_shapes = [
         ("pointnet", 64usize, 64usize, 1024usize),
         ("dcgan_im2col", 96, 48, 256),
+        // Short `k`: the regime where the copies around the tile cost most.
+        ("dcgan_short_k", 192, 24, 256),
         ("square_large", 256, 256, 256),
     ];
     for (label, m, k, n) in gemm_shapes {

@@ -1,13 +1,18 @@
 //! Cache-blocked, register-tiled f32 GEMM under one FMA contract, behind one
 //! batched entry point.
 //!
-//! Structure: `A` and `B` are packed into contiguous `MR`-row / `NR`-column
-//! panels (transposition is absorbed by the packing, so every layout shares
-//! one macro-kernel), then an `MR x NR` micro-kernel keeps the output tile in
-//! registers and walks the full contraction dimension with sequential panel
-//! reads. The macro-kernel partitions work in 2-D over (row-panel,
-//! column-panel-group) tiles so that medium GEMMs expose at least as many
-//! chunks as the pool has threads even when `m` is small.
+//! Structure: an `MR x NR` micro-kernel (`MR x 2·NR` paired, on the vector
+//! path) keeps an output tile in registers for the full contraction and
+//! reads three strided views: `A` as `(ptr, row stride, k stride)`, `B` as
+//! `(ptr, k stride)` over contiguous columns, the output as `(ptr, ldc,
+//! from_zero)`. A full tile reads `A` where it lies (`PackA::N` at strides
+//! `(k, 1)`, `PackA::T` at `(1, m)`) and `B` too (`PackB::N`), and it
+//! accumulates straight in its [`Out::Add`] block or scatter strip. Only a
+//! partial last row panel of `A`, `PackB::T`, `PackB::Gather` and a partial
+//! last column panel are packed, and a tile with a partial side runs the
+//! same kernel on a stack tile. The macro-kernel partitions work in 2-D over
+//! (row-panel, column-panel-group) tiles so that medium GEMMs expose at
+//! least as many chunks as the pool has threads even when `m` is small.
 //!
 //! # One call per op
 //!
@@ -41,7 +46,7 @@
 //!
 //! | path    | shapes            | with AVX2+FMA                  | without (portable)             |
 //! |---------|-------------------|--------------------------------|--------------------------------|
-//! | tiled   | `>= SMALL_FLOPS`  | [`crate::simd`] 8×8 / paired 8×16 `vfmadd` tile | `portable_microkernel`, `f32::mul_add` |
+//! | tiled   | `>= SMALL_FLOPS`  | [`crate::simd`] 8×8 / paired 8×16 `vfmadd` tile on strided views | `portable_microkernel` (8×8), `f32::mul_add` |
 //! | direct  | `< SMALL_FLOPS`   | reference loops compiled with AVX2+FMA | the reference loops |
 //!
 //! `B` may also be *gathered* through two [`Offsets`] tables while it is
@@ -57,6 +62,8 @@
 //! detection), which each call reads once and passes down as a `vector`
 //! flag. No environment variable or process-wide switch reaches this
 //! module; the unit tests below pick a column by passing the flag.
+
+use std::ops::Range;
 
 use crate::pool::{self, UnsafeSlice};
 use crate::reference;
@@ -444,56 +451,169 @@ fn scatter_add(dst: &mut [f32], off: Offsets<'_>, i0: usize, rows: &[f32], n: us
     }
 }
 
-/// Packs all of `B` into `ceil(n/NR)` zero-padded column panels; panel `jb`
-/// occupies `bpack[jb*k*NR..][p*NR + c] = B[p, jb*NR + c]`. `bpack` must
-/// arrive zero-filled (scratch checkouts are) — the packing only writes the
-/// valid columns and relies on the zeros for panel padding.
-fn pack_b_into(b: PackB<'_>, k: usize, n: usize, bpack: &mut [f32]) {
-    let col_panels = n.div_ceil(NR);
-    debug_assert_eq!(bpack.len(), col_panels * k * NR);
-    for jb in 0..col_panels {
-        let j0 = jb * NR;
-        let cols = NR.min(n - j0);
-        let panel = &mut bpack[jb * k * NR..(jb + 1) * k * NR];
+/// `A` rows as a micro-kernel reads them: `A[i0 + r, p]` at
+/// `ptr + r·rs + p·ks`, in place or in a packed panel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AView {
+    pub(crate) ptr: *const f32,
+    pub(crate) rs: usize,
+    pub(crate) ks: usize,
+}
+
+/// `B` columns as a micro-kernel reads them: `B[p, j0 + c]` at
+/// `ptr + p·ks + c`, the kernel's width of columns contiguous in each row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BView {
+    pub(crate) ptr: *const f32,
+    pub(crate) ks: usize,
+}
+
+/// A tile's output cells: `(r, c)` at `ptr + r·ldc + c`. With `from_zero`
+/// every chain starts at zero and the cells are only written.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CView {
+    pub(crate) ptr: *mut f32,
+    pub(crate) ldc: usize,
+    pub(crate) from_zero: bool,
+}
+
+/// Runs the micro-kernel `width` columns wide (`NR`, or `2·NR` on the
+/// vector path) on one tile: each `C[r, c]` with `r < MR`, `c < width`
+/// becomes the contract's chain over `A[r, p]·B[p, c]`, `p < k` ascending,
+/// from its value or from zero.
+///
+/// # Safety
+///
+/// For those `r`, `c` and `p`, every cell the three views name must lie in
+/// one live allocation, no reference to a `C` cell may be live, and no
+/// mutable one to an `A` or `B` cell. `vector` must come from
+/// `simd::detected`.
+unsafe fn tile(vector: bool, width: usize, k: usize, a: AView, b: BView, c: CView) {
+    match (vector, width == NR) {
+        (true, true) => simd::microkernel(k, a, b, c),
+        (true, false) => simd::microkernel_x2(k, a, b, c),
+        (false, true) => portable_microkernel(k, a, b, c),
+        (false, false) => unreachable!("the portable kernel is {NR} columns wide"),
+    }
+}
+
+/// The portable register-tiled kernel: `C[r, c] = fma(A[r, p], B[p, c],
+/// C[r, c])` for `p` ascending — the contract's chain via [`f32::mul_add`]
+/// (native `fmadd` on aarch64, libm `fmaf` on x86-64 without FMA: slow but
+/// correctly rounded). Runs only where `simd::detected` is false (and in
+/// the tests).
+///
+/// # Safety
+///
+/// As [`tile`], for `NR` columns.
+pub(crate) unsafe fn portable_microkernel(k: usize, a: AView, b: BView, c: CView) {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (r, accr) in acc.iter_mut().enumerate().filter(|_| !c.from_zero) {
+        *accr = *c.ptr.add(r * c.ldc).cast::<[f32; NR]>();
+    }
+    for p in 0..k {
+        let brow = &*b.ptr.add(p * b.ks).cast::<[f32; NR]>();
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let av = *a.ptr.add(r * a.rs + p * a.ks);
+            for (v, &bv) in accr.iter_mut().zip(brow) {
+                *v = av.mul_add(bv, *v);
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        *c.ptr.add(r * c.ldc).cast::<[f32; NR]>() = *accr;
+    }
+}
+
+/// Packs `B`'s column panels from `jb0` on into zero-padded strips two
+/// panels (`2·NR` columns) wide, a lone last panel `NR` wide: each strip
+/// holds its `k` rows at its width apart, so a pair of panels starting an
+/// even number of panels past `jb0` is `2·NR` contiguous columns
+/// ([`b_view`] finds a panel). `bpack` must arrive zero-filled
+/// (scratch checkouts are) — the packing writes only the valid columns and
+/// relies on the zeros for padding.
+fn pack_b_into(b: PackB<'_>, k: usize, n: usize, jb0: usize, bpack: &mut [f32]) {
+    let npad = n.div_ceil(NR) * NR;
+    debug_assert_eq!(bpack.len(), k * (npad - jb0 * NR));
+    let (mut j0, mut at) = (jb0 * NR, 0);
+    while j0 < npad {
+        let w = (2 * NR).min(npad - j0);
+        let cols = w.min(n - j0);
+        let strip = &mut bpack[at..at + k * w];
         match b {
             PackB::N(src) => {
-                for p in 0..k {
-                    let row = &src[p * n + j0..p * n + j0 + cols];
-                    panel[p * NR..p * NR + cols].copy_from_slice(row);
+                for (p, row) in strip.chunks_exact_mut(w).enumerate() {
+                    row[..cols].copy_from_slice(&src[p * n + j0..p * n + j0 + cols]);
                 }
             }
             PackB::T(src) => {
                 let columns = src[j0 * k..(j0 + cols) * k].chunks_exact(k.max(1));
                 for (c, col) in columns.enumerate() {
                     for (p, &v) in col.iter().enumerate() {
-                        panel[p * NR + c] = v;
+                        strip[p * w + c] = v;
                     }
                 }
             }
             PackB::Gather(src, off) => {
-                // A short last panel reads its first column again (to keep
-                // the row loop `NR` wide), then gets its zero padding back.
-                let mut col = [off.col[j0]; NR];
+                // A short last strip reads its first column again (to keep
+                // the row loop full width), then gets its zero padding back.
+                let mut col = [off.col[j0]; 2 * NR];
                 col[..cols].copy_from_slice(&off.col[j0..j0 + cols]);
-                for (prow, &base) in panel.chunks_exact_mut(NR).zip(off.row) {
-                    for (pv, &c) in prow.iter_mut().zip(&col) {
+                for (row, &base) in strip.chunks_exact_mut(w).zip(off.row) {
+                    for (v, &c) in row.iter_mut().zip(&col) {
                         // SAFETY: `Offsets::check` bounded every row + column sum.
-                        *pv = unsafe { *src.get_unchecked(base + c) };
+                        *v = unsafe { *src.get_unchecked(base + c) };
                     }
-                    prow[cols..].fill(0.0);
+                    row[cols..].fill(0.0);
                 }
             }
         }
+        (j0, at) = (j0 + w, at + k * w);
     }
 }
 
-/// Packs rows `i0..i0+rows` of `A` into a zero-padded `MR`-row panel:
-/// `buf[p*MR + r] = A[i0 + r, p]`.
-fn pack_a(a: PackA<'_>, m: usize, k: usize, i0: usize, rows: usize, buf: &mut [f32]) {
-    debug_assert_eq!(buf.len(), k * MR);
-    if rows < MR {
-        buf.fill(0.0);
+/// Column panels `jb..` of `B` as a tile reads them: in place from `B`
+/// stored `[k, n]`, else from the strips [`pack_b_into`] filled.
+fn b_view(b: PackB<'_>, bpack: &[f32], (k, n): (usize, usize), jb0: usize, jb: usize) -> BView {
+    let (src, at, ks) = match b {
+        PackB::N(src) if jb < jb0 => (src, jb * NR, n),
+        _ => {
+            let (strip, half) = ((jb - jb0) / 2, (jb - jb0) % 2);
+            let j0 = (jb0 + 2 * strip) * NR;
+            let width = (2 * NR).min(n.div_ceil(NR) * NR - j0);
+            (bpack, strip * 2 * NR * k + half * NR, width)
+        }
+    };
+    BView {
+        ptr: src.as_ptr().wrapping_add(at),
+        ks,
     }
+}
+
+/// Rows `i0..i0 + MR` of `A` as a tile reads them: in place, or packed
+/// into `apanel` when the panel is the partial last one.
+fn a_view(a: PackA<'_>, (m, k): (usize, usize), i0: usize, apanel: &mut [f32]) -> AView {
+    let (src, at, rs, ks) = match a {
+        _ if i0 + MR > m => {
+            pack_a(a, m, k, i0, apanel);
+            (&*apanel, 0, 1, MR)
+        }
+        PackA::N(src) => (src, i0 * k, k, 1),
+        PackA::T(src) => (src, i0, 1, m),
+    };
+    AView {
+        ptr: src.as_ptr().wrapping_add(at),
+        rs,
+        ks,
+    }
+}
+
+/// Packs the partial last row panel, rows `i0..m` of `A`, into a
+/// zero-padded `MR`-row panel: `buf[p*MR + r] = A[i0 + r, p]`.
+fn pack_a(a: PackA<'_>, m: usize, k: usize, i0: usize, buf: &mut [f32]) {
+    debug_assert_eq!(buf.len(), k * MR);
+    let rows = m - i0;
+    buf.fill(0.0);
     match a {
         PackA::N(src) => {
             for r in 0..rows {
@@ -505,39 +625,7 @@ fn pack_a(a: PackA<'_>, m: usize, k: usize, i0: usize, rows: usize, buf: &mut [f
         }
         PackA::T(src) => {
             for (p, prow) in buf.chunks_exact_mut(MR).enumerate() {
-                let arow = &src[p * m + i0..p * m + i0 + rows];
-                // As for tile rows: a full panel row is a fixed-size copy.
-                if rows == MR {
-                    prow.copy_from_slice(arow);
-                } else {
-                    prow[..rows].copy_from_slice(arow);
-                }
-            }
-        }
-    }
-}
-
-/// The portable register-tiled inner kernel: `acc[r][c] = fma(apanel[p][r],
-/// bpanel[p][c], acc[r][c])` for `p` ascending — the contract's chain via
-/// [`f32::mul_add`] (native `fmadd` on aarch64, libm `fmaf` on x86-64
-/// without FMA: slow but correctly rounded). Runs only where
-/// `simd::detected` is false (and in the tests). `acc` rows/columns beyond the valid
-/// tile see only the panels' zero padding and are never stored.
-#[inline]
-pub(crate) fn portable_microkernel(
-    k: usize,
-    apanel: &[f32],
-    bpanel: &[f32],
-    acc: &mut [[f32; NR]; MR],
-) {
-    for (arow, brow) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)).take(k) {
-        let arow: &[f32; MR] = arow.try_into().unwrap();
-        let brow: &[f32; NR] = brow.try_into().unwrap();
-        for r in 0..MR {
-            let av = arow[r];
-            let accr = &mut acc[r];
-            for c in 0..NR {
-                accr[c] = av.mul_add(brow[c], accr[c]);
+                prow[..rows].copy_from_slice(&src[p * m + i0..p * m + m]);
             }
         }
     }
@@ -572,6 +660,11 @@ fn tile_grid(m: usize, k: usize, n: usize, scatter: bool) -> (usize, usize, usiz
 /// per call, picks the AVX2/FMA instantiation of the micro-kernel over the
 /// portable one.
 ///
+/// A full tile reads `A` and `B` where they lie and accumulates in `out`
+/// itself. Only a partial last row panel of `A`, a partial last column
+/// panel of `B` and the transposed and gathered `B` are packed, and a tile
+/// with a partial side runs the same kernel on a stack tile.
+///
 /// With `scatter` tables `out` is a destination, not `[m, n]`: a row panel's
 /// tiles start from zero and fill the `MR x n` strip beside the tables, which
 /// is then added to `out` row by row. All of it is one chunk, so the adds to
@@ -585,101 +678,116 @@ fn run_tiled(
     b: PackB<'_>,
     (m, k, n): (usize, usize, usize),
 ) {
+    // The tile views below read inside these lengths.
+    let (PackA::N(a_src) | PackA::T(a_src)) = a;
+    assert!(a_src.len() >= m * k, "A needs {} elements", m * k);
+    if let PackB::N(src) | PackB::T(src) = b {
+        assert!(src.len() >= k * n, "B needs {} elements", k * n);
+    }
     let (row_grain, col_grain, n_chunks) = tile_grid(m, k, n, scatter.is_some());
     let (row_panels, col_panels) = (m.div_ceil(MR), n.div_ceil(NR));
     let col_groups = col_panels.div_ceil(col_grain);
     let strip_len = if scatter.is_some() { MR * n } else { 0 };
+    // `B` stored `[k, n]` is read where it lies but for a partial last
+    // panel; the other layouts are packed whole. `jb0` is the first packed.
+    let jb0 = if let PackB::N(_) = b { n / NR } else { 0 };
+    let apanel_len = if m.is_multiple_of(MR) { 0 } else { k * MR };
     scratch::with(strip_len, |strip| {
         let strip = UnsafeSlice::new(strip);
-        scratch::with(col_panels * k * NR, |bpack| {
-            pack_b_into(b, k, n, bpack);
+        scratch::with(k * (col_panels - jb0) * NR, |bpack| {
+            pack_b_into(b, k, n, jb0, bpack);
             let shared = UnsafeSlice::new(out);
+            // Tiles live in `out` itself, or in the strip.
+            let (tiles, from_zero) = match scatter {
+                None => (&shared, false),
+                Some(_) => (&strip, true),
+            };
+            // Row panel `ib`'s tiles in column panels `jbs`.
+            let row_panel = |ib: usize, jbs: Range<usize>, apanel: &mut [f32]| {
+                let i0 = ib * MR;
+                let (rows, row0) = (MR.min(m - i0), if from_zero { 0 } else { i0 });
+                let av = a_view(a, (m, k), i0, apanel);
+                let mut jb = jbs.start;
+                while jb < jbs.end {
+                    // The vector path pairs adjacent column panels (8x16
+                    // tile) whenever the chunk holds both and `B` has them as
+                    // contiguous columns: bitwise equal to two single-tile
+                    // calls (see `simd::microkernel_x2`), so the pairing — a
+                    // chunk-local accident — never changes results.
+                    let pair = vector
+                        && jb + 1 < jbs.end
+                        && match b {
+                            PackB::N(_) => (jb + 2) * NR <= n,
+                            _ => (jb - jb0).is_multiple_of(2),
+                        };
+                    let width = if pair { 2 * NR } else { NR };
+                    let bv = b_view(b, bpack, (k, n), jb0, jb);
+                    let (cols, at) = (width.min(n - jb * NR), row0 * n + jb * NR);
+                    if rows == MR && cols == width {
+                        let ptr = tiles.ptr(at..at + (MR - 1) * n + width);
+                        let c = CView {
+                            ptr,
+                            ldc: n,
+                            from_zero,
+                        };
+                        // SAFETY: the tile reads `A` rows `i0..i0 + MR <= m`
+                        // of the `m·k` elements asserted above, and `B`
+                        // columns `jb·NR..` up to `n` in place (`k·n`
+                        // asserted) or a packed strip of `k` rows `width`
+                        // wide. It writes `MR` row segments, `width` cells
+                        // each, of `tiles` rows `row0..`, inside the range
+                        // `ptr` checked: the entry's `m·n` block, whose bounds
+                        // and disjointness from other entries'
+                        // `gemm_batched_on` asserts, or this chunk's own
+                        // strip. Tile `(ib, jb)` belongs to one chunk and
+                        // each row segment to one tile, so no other chunk
+                        // touches these cells, and no reference to them is
+                        // live.
+                        unsafe { tile(vector, width, k, av, bv, c) };
+                    } else {
+                        let mut edge = [0.0f32; MR * 2 * NR];
+                        let segment = |r: usize| at + r * n..at + r * n + cols;
+                        for r in (0..rows).filter(|_| !from_zero) {
+                            // SAFETY: tile (ib, jb) belongs to exactly one
+                            // chunk, so its row segments are disjoint across
+                            // concurrent chunks.
+                            let orow = unsafe { tiles.slice_mut(segment(r)) };
+                            edge[r * width..][..cols].copy_from_slice(orow);
+                        }
+                        let ptr = edge.as_mut_ptr();
+                        let c = CView {
+                            ptr,
+                            ldc: width,
+                            from_zero,
+                        };
+                        // SAFETY: as above for `A` (a partial row panel is
+                        // packed, `MR` rows) and `B` (a partial column panel
+                        // is packed, `width` wide); `C` is the stack tile.
+                        unsafe { tile(vector, width, k, av, bv, c) };
+                        for r in 0..rows {
+                            // SAFETY: as for the reads above; that borrow ended.
+                            let orow = unsafe { tiles.slice_mut(segment(r)) };
+                            orow.copy_from_slice(&edge[r * width..][..cols]);
+                        }
+                    }
+                    jb += width / NR;
+                }
+                if let Some(tables) = scatter {
+                    // SAFETY (both): a scatter is a single chunk and every
+                    // tile borrow above has ended, so nothing else borrows
+                    // `out` or the strip.
+                    let dst = unsafe { shared.slice_mut(0..shared.len()) };
+                    let done = unsafe { strip.slice_mut(0..rows * n) };
+                    scatter_add(dst, tables, i0, done, n);
+                }
+            };
             pool::parallel_for_work(n_chunks, 1, 2 * m * k * n, |chunks| {
-                scratch::with(k * MR, |apanel| {
+                scratch::with(apanel_len, |apanel| {
                     for chunk in chunks {
-                        let rg = chunk / col_groups;
-                        let jg = chunk % col_groups;
-                        let jp_end = ((jg + 1) * col_grain).min(col_panels);
+                        let (rg, jg) = (chunk / col_groups, chunk % col_groups);
+                        let jbs = jg * col_grain..((jg + 1) * col_grain).min(col_panels);
                         for ib in rg * row_grain..((rg + 1) * row_grain).min(row_panels) {
-                            let i0 = ib * MR;
-                            let rows = MR.min(m - i0);
-                            pack_a(a, m, k, i0, rows, apanel);
-                            // Tiles live in `out` itself, or in the strip.
-                            let (tiles, row0, seeded) = match scatter {
-                                None => (&shared, i0, rows),
-                                Some(_) => (&strip, 0, 0),
-                            };
-                            let load_acc = |jb: usize| -> [[f32; NR]; MR] {
-                                let j0 = jb * NR;
-                                let cols = NR.min(n - j0);
-                                let mut acc = [[0.0f32; NR]; MR];
-                                for (r, accr) in acc.iter_mut().enumerate().take(seeded) {
-                                    let at = (row0 + r) * n + j0;
-                                    // SAFETY: tile (ib, jb) belongs to exactly one
-                                    // chunk, so these regions are disjoint across
-                                    // concurrent chunks.
-                                    let orow = unsafe { tiles.slice_mut(at..at + cols) };
-                                    // A full row copies as one fixed-size block;
-                                    // a variable length is a `memcpy` call per row.
-                                    if cols == NR {
-                                        accr.copy_from_slice(orow);
-                                    } else {
-                                        accr[..cols].copy_from_slice(orow);
-                                    }
-                                }
-                                acc
-                            };
-                            let store_acc = |jb: usize, acc: &[[f32; NR]; MR]| {
-                                let j0 = jb * NR;
-                                let cols = NR.min(n - j0);
-                                for (r, accr) in acc.iter().enumerate().take(rows) {
-                                    let at = (row0 + r) * n + j0;
-                                    // SAFETY: as above (the strip is this chunk's
-                                    // own); the read borrow ended.
-                                    let orow = unsafe { tiles.slice_mut(at..at + cols) };
-                                    if cols == NR {
-                                        orow.copy_from_slice(accr);
-                                    } else {
-                                        orow.copy_from_slice(&accr[..cols]);
-                                    }
-                                }
-                            };
-                            let mut jb = jg * col_grain;
-                            while jb < jp_end {
-                                // The vector path pairs adjacent column panels
-                                // (8x16 tile) whenever the chunk holds two more:
-                                // bitwise equal to two single-tile calls (see
-                                // `simd::microkernel_x2`), so the pairing — a
-                                // chunk-local accident — never changes results.
-                                if vector && jb + 1 < jp_end {
-                                    let bp0 = &bpack[jb * k * NR..(jb + 1) * k * NR];
-                                    let bp1 = &bpack[(jb + 1) * k * NR..(jb + 2) * k * NR];
-                                    let mut acc0 = load_acc(jb);
-                                    let mut acc1 = load_acc(jb + 1);
-                                    simd::microkernel_x2(k, apanel, bp0, bp1, &mut acc0, &mut acc1);
-                                    store_acc(jb, &acc0);
-                                    store_acc(jb + 1, &acc1);
-                                    jb += 2;
-                                    continue;
-                                }
-                                let bpanel = &bpack[jb * k * NR..(jb + 1) * k * NR];
-                                let mut acc = load_acc(jb);
-                                if vector {
-                                    simd::microkernel(k, apanel, bpanel, &mut acc);
-                                } else {
-                                    portable_microkernel(k, apanel, bpanel, &mut acc);
-                                }
-                                store_acc(jb, &acc);
-                                jb += 1;
-                            }
-                            if let Some(tables) = scatter {
-                                // SAFETY (both): a scatter is a single chunk and
-                                // every tile borrow above has ended, so nothing
-                                // else borrows `out` or the strip.
-                                let dst = unsafe { shared.slice_mut(0..shared.len()) };
-                                let done = unsafe { strip.slice_mut(0..rows * n) };
-                                scatter_add(dst, tables, i0, done, n);
-                            }
+                            row_panel(ib, jbs.clone(), apanel);
                         }
                     }
                 });

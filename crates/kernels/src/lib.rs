@@ -7,8 +7,8 @@
 //!   override, a [`set_num_threads`] API, and a determinism contract: chunk
 //!   boundaries depend only on the problem shape, so results are
 //!   bit-identical at any thread count.
-//! * [`gemm`] — cache-blocked, register-tiled f32 GEMM with packed A/B
-//!   panels and a 2-D tiled macro-kernel, under **one contract**: every
+//! * [`gemm`] — register-tiled f32 GEMM whose tiles read A and B in place
+//!   and accumulate in the output, under **one contract**: every
 //!   output element is `acc = fma(a[i,p], b[p,j], acc)` for `p` ascending,
 //!   one rounding per step. Every path computes exactly that chain, so all
 //!   are bit-identical to the retained naive oracle in [`reference`] and to

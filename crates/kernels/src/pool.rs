@@ -456,6 +456,15 @@ impl<'a, T> UnsafeSlice<'a, T> {
         assert!(range.start <= range.end && range.end <= self.len);
         std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.end - range.start)
     }
+
+    /// A pointer to the start of `range`, for strided access to some of its
+    /// cells without borrowing the others (which may be other chunks').
+    /// Each cell touched carries [`UnsafeSlice::slice_mut`]'s obligations.
+    /// Panics if `range` is out of bounds.
+    pub(crate) fn ptr(&self, range: Range<usize>) -> *mut T {
+        assert!(range.start <= range.end && range.end <= self.len);
+        self.ptr.wrapping_add(range.start)
+    }
 }
 
 #[cfg(test)]

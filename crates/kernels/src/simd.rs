@@ -9,7 +9,10 @@
 //!
 //! * the hand-written 8×8 register tile — one f32x8 vector per accumulator
 //!   row, `vfmadd` per contraction step — twin of
-//!   `gemm::portable_microkernel`;
+//!   `gemm::portable_microkernel`. Every tile kernel is `(k, a, b, c)` over
+//!   three strided views: `A` rows `(ptr, rs, ks)`, `B` columns `(ptr, ks)`,
+//!   the output `(ptr, ldc, from_zero)`, so it reads `A` and `B` and
+//!   accumulates into its output block wherever they lie;
 //! * `gemm_small` / `gemm_nt_small` / `gemm_tn_small` — the
 //!   [`crate::reference`] loop bodies compiled with AVX2+FMA enabled, so
 //!   `mul_add` lowers to `vfmadd` and the row loops vectorize 8-wide — the
@@ -17,13 +20,13 @@
 //!
 //! The single-tile kernel is load-port-bound: each contraction step issues
 //! nine load μops (one B vector + eight A broadcasts) against eight FMAs.
-//! [`microkernel_x2`] therefore processes **two adjacent B column panels per
-//! call** (an 8×16 logical tile, walked as two 4×16 register passes so the
-//! eight accumulators, two B vectors and one broadcast fit the sixteen ymm
+//! [`microkernel_x2`] therefore takes a `B` view **`2·NR` columns wide**
+//! (an 8×16 tile, walked as two 4×16 register passes so the eight
+//! accumulators, two B vectors and one broadcast fit the sixteen ymm
 //! registers): every A broadcast now feeds two FMAs, moving the kernel to
 //! the FMA-throughput bound. Each output lane's FMA chain is identical to
-//! the single-panel kernel's, so pairing is purely a scheduling decision.
-//!
+//! the single-tile kernel's, so pairing is purely a scheduling decision.
+
 //! # One contract, two instantiations
 //!
 //! Every output element is `acc = fma(a, b, acc)` for `p` ascending — here
@@ -40,7 +43,7 @@
 
 use std::sync::OnceLock;
 
-use crate::gemm::{MR, NR};
+use crate::gemm::{AView, BView, CView, MR, NR};
 
 const _: () = assert!(
     MR == 8 && NR == 8,
@@ -70,148 +73,139 @@ pub fn simd_available() -> bool {
     detected()
 }
 
-/// AVX2/FMA twin of the portable micro-kernel: `acc[r] = fma(apanel[p][r],
-/// bpanel[p], acc[r])` as an 8-lane `vfmadd`, `p` ascending. Panel layout
-/// is identical to the portable path (`apanel[p*MR + r]`, `bpanel[p*NR +
-/// c]`), so the packing code is shared.
+/// AVX2/FMA twin of the portable micro-kernel: `C[r, c] = fma(A[r, p],
+/// B[p, c], C[r, c])` for `p` ascending, each tile row one 8-lane `vfmadd`
+/// chain held in a register between one load of `C` (or zeros) and one
+/// store. The views are `gemm::tile`'s, so `A` and `C` may lie in place.
 ///
 /// # Safety
 ///
-/// The CPU must have AVX2+FMA, and the panels must hold at least `k * MR` /
-/// `k * NR` elements (they are read through raw pointers).
+/// The CPU must have AVX2+FMA, and the views must meet `gemm::tile`'s
+/// contract for `NR` columns.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_avx2(k: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+unsafe fn microkernel_avx2(k: usize, a: AView, b: BView, c: CView) {
     use std::arch::x86_64::*;
-    debug_assert!(apanel.len() >= k * MR && bpanel.len() >= k * NR);
     let mut rows = [_mm256_setzero_ps(); MR];
-    for (r, accr) in acc.iter().enumerate() {
-        rows[r] = _mm256_loadu_ps(accr.as_ptr());
-    }
-    let ap = apanel.as_ptr();
-    let bp = bpanel.as_ptr();
-    for p in 0..k {
-        let bv = _mm256_loadu_ps(bp.add(p * NR));
-        let ac = ap.add(p * MR);
+    if !c.from_zero {
         for (r, row) in rows.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*ac.add(r));
+            *row = _mm256_loadu_ps(c.ptr.add(r * c.ldc));
+        }
+    }
+    for p in 0..k {
+        let bv = _mm256_loadu_ps(b.ptr.add(p * b.ks));
+        let ac = a.ptr.add(p * a.ks);
+        for (r, row) in rows.iter_mut().enumerate() {
+            let av = _mm256_set1_ps(*ac.add(r * a.rs));
             *row = _mm256_fmadd_ps(av, bv, *row);
         }
     }
-    for (r, accr) in acc.iter_mut().enumerate() {
-        _mm256_storeu_ps(accr.as_mut_ptr(), rows[r]);
+    for (r, row) in rows.iter().enumerate() {
+        _mm256_storeu_ps(c.ptr.add(r * c.ldc), *row);
     }
 }
 
-/// Paired twin of [`microkernel_avx2`]: one walk over the A panel updates
-/// two B panels' accumulator tiles. Two passes of 4 rows × 16 columns keep
-/// the working set (8 accumulators + 2 B vectors + 1 broadcast) inside the
-/// sixteen ymm registers; per pass each contraction step is 6 load μops
-/// against 8 FMAs, so the kernel runs at the FMA bound instead of the
-/// single-tile version's load bound. Lane-for-lane the FMA sequence equals
-/// two single-tile calls, so results are bitwise identical to them.
+/// Paired twin of [`microkernel_avx2`]: one walk over `A` updates a tile
+/// `2·NR` columns wide. Two passes of 4 rows × 16 columns keep the working
+/// set (8 accumulators + 2 B vectors + 1 broadcast) inside the sixteen ymm
+/// registers; per pass each contraction step is 6 load μops against 8
+/// FMAs, so the kernel runs at the FMA bound instead of the single-tile
+/// version's load bound. Lane-for-lane the FMA sequence equals two
+/// single-tile calls on the two halves, so results are bitwise identical
+/// to them.
 ///
 /// # Safety
 ///
-/// As [`microkernel_avx2`], for all three panels.
+/// As [`microkernel_avx2`], for `2·NR` columns.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_avx2_x2(
-    k: usize,
-    apanel: &[f32],
-    bpanel0: &[f32],
-    bpanel1: &[f32],
-    acc0: &mut [[f32; NR]; MR],
-    acc1: &mut [[f32; NR]; MR],
-) {
+unsafe fn microkernel_avx2_x2(k: usize, a: AView, b: BView, c: CView) {
     use std::arch::x86_64::*;
-    debug_assert!(apanel.len() >= k * MR);
-    debug_assert!(bpanel0.len() >= k * NR && bpanel1.len() >= k * NR);
-    let ap = apanel.as_ptr();
-    let bp0 = bpanel0.as_ptr();
-    let bp1 = bpanel1.as_ptr();
     for r0 in [0usize, 4] {
         let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-        for (i, accv) in acc.iter_mut().enumerate() {
-            accv[0] = _mm256_loadu_ps(acc0[r0 + i].as_ptr());
-            accv[1] = _mm256_loadu_ps(acc1[r0 + i].as_ptr());
+        if !c.from_zero {
+            for (i, accv) in acc.iter_mut().enumerate() {
+                let crow = c.ptr.add((r0 + i) * c.ldc);
+                accv[0] = _mm256_loadu_ps(crow);
+                accv[1] = _mm256_loadu_ps(crow.add(NR));
+            }
         }
+        let ar = a.ptr.add(r0 * a.rs);
         // k unrolled by two to amortize loop overhead against the FMA
         // bound; both sub-steps keep `p` ascending per lane, so the
         // accumulation order (and hence every result bit) is unchanged.
         let mut p = 0usize;
         while p + 1 < k {
-            let bv0 = _mm256_loadu_ps(bp0.add(p * NR));
-            let bv1 = _mm256_loadu_ps(bp1.add(p * NR));
-            let ac = ap.add(p * MR + r0);
+            let (bp, bq) = (b.ptr.add(p * b.ks), b.ptr.add((p + 1) * b.ks));
+            let (bv0, bv1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(NR)));
+            let ac = ar.add(p * a.ks);
             for (i, accv) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ac.add(i));
+                let av = _mm256_set1_ps(*ac.add(i * a.rs));
                 accv[0] = _mm256_fmadd_ps(av, bv0, accv[0]);
                 accv[1] = _mm256_fmadd_ps(av, bv1, accv[1]);
             }
-            let bw0 = _mm256_loadu_ps(bp0.add((p + 1) * NR));
-            let bw1 = _mm256_loadu_ps(bp1.add((p + 1) * NR));
-            let ad = ap.add((p + 1) * MR + r0);
+            let (bw0, bw1) = (_mm256_loadu_ps(bq), _mm256_loadu_ps(bq.add(NR)));
+            let ad = ar.add((p + 1) * a.ks);
             for (i, accv) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ad.add(i));
+                let av = _mm256_set1_ps(*ad.add(i * a.rs));
                 accv[0] = _mm256_fmadd_ps(av, bw0, accv[0]);
                 accv[1] = _mm256_fmadd_ps(av, bw1, accv[1]);
             }
             p += 2;
         }
         if p < k {
-            let bv0 = _mm256_loadu_ps(bp0.add(p * NR));
-            let bv1 = _mm256_loadu_ps(bp1.add(p * NR));
-            let ac = ap.add(p * MR + r0);
+            let bp = b.ptr.add(p * b.ks);
+            let (bv0, bv1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(NR)));
+            let ac = ar.add(p * a.ks);
             for (i, accv) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ac.add(i));
+                let av = _mm256_set1_ps(*ac.add(i * a.rs));
                 accv[0] = _mm256_fmadd_ps(av, bv0, accv[0]);
                 accv[1] = _mm256_fmadd_ps(av, bv1, accv[1]);
             }
         }
         for (i, accv) in acc.iter().enumerate() {
-            _mm256_storeu_ps(acc0[r0 + i].as_mut_ptr(), accv[0]);
-            _mm256_storeu_ps(acc1[r0 + i].as_mut_ptr(), accv[1]);
+            let crow = c.ptr.add((r0 + i) * c.ldc);
+            _mm256_storeu_ps(crow, accv[0]);
+            _mm256_storeu_ps(crow.add(NR), accv[1]);
         }
     }
 }
 
-/// Runs the AVX2/FMA micro-kernel. Only [`crate::gemm`]'s tiled path calls
-/// it, on a `vector` flag.
+/// Runs the AVX2/FMA 8×8 micro-kernel. Only [`crate::gemm`]'s tiled path
+/// calls it, on a `vector` flag.
+///
+/// # Safety
+///
+/// The views must meet `gemm::tile`'s contract for `NR` columns.
 #[inline]
-pub(crate) fn microkernel(k: usize, apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+pub(crate) unsafe fn microkernel(k: usize, a: AView, b: BView, c: CView) {
     assert_detected();
-    assert!(apanel.len() >= k * MR && bpanel.len() >= k * NR);
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: the two asserts above checked that AVX2+FMA are present and
-    // that the panels cover every element the kernel reads.
+    // SAFETY: `assert_detected` checked that AVX2+FMA are present; the
+    // views are the caller's obligation.
     unsafe {
-        microkernel_avx2(k, apanel, bpanel, acc);
+        microkernel_avx2(k, a, b, c);
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (k, apanel, bpanel, acc);
+    let _ = (k, a, b, c);
 }
 
-/// Runs the paired (two-B-panel) AVX2/FMA micro-kernel; bitwise equal to
-/// two [`microkernel`] calls on the same panels. Same caller contract.
+/// Runs the paired (8×16) AVX2/FMA micro-kernel; bitwise equal to two
+/// [`microkernel`] calls on the tile's halves.
+///
+/// # Safety
+///
+/// The views must meet `gemm::tile`'s contract for `2·NR` columns.
 #[inline]
-pub(crate) fn microkernel_x2(
-    k: usize,
-    apanel: &[f32],
-    bpanel0: &[f32],
-    bpanel1: &[f32],
-    acc0: &mut [[f32; NR]; MR],
-    acc1: &mut [[f32; NR]; MR],
-) {
+pub(crate) unsafe fn microkernel_x2(k: usize, a: AView, b: BView, c: CView) {
     assert_detected();
-    assert!(apanel.len() >= k * MR && bpanel0.len() >= k * NR && bpanel1.len() >= k * NR);
     #[cfg(target_arch = "x86_64")]
     // SAFETY: as in `microkernel`.
     unsafe {
-        microkernel_avx2_x2(k, apanel, bpanel0, bpanel1, acc0, acc1);
+        microkernel_avx2_x2(k, a, b, c);
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (k, apanel, bpanel0, bpanel1, acc0, acc1);
+    let _ = (k, a, b, c);
 }
 
 /// Part of what makes the safe wrappers in this module sound on their own:
@@ -265,69 +259,96 @@ small_kernel!(
 mod tests {
     use super::*;
 
+    fn fill(len: usize, mul: usize, add: usize, modulo: usize, scale: f32, shift: f32) -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i * mul + add) % modulo) as f32 * scale - shift)
+            .collect()
+    }
+
+    /// `A` with rows `rs` apart and steps `ks` apart, `B` rows `b_ks`
+    /// apart, `C` rows `ldc` apart: every stride wider than its tile, so
+    /// a kernel that reads or writes past its view shows.
+    fn views(a: &[f32], (rs, ks): (usize, usize), b: &[f32], b_ks: usize) -> (AView, BView) {
+        (
+            AView {
+                ptr: a.as_ptr(),
+                rs,
+                ks,
+            },
+            BView {
+                ptr: b.as_ptr(),
+                ks: b_ks,
+            },
+        )
+    }
+
+    fn out(c: &mut [f32], ldc: usize, from_zero: bool) -> CView {
+        CView {
+            ptr: c.as_mut_ptr(),
+            ldc,
+            from_zero,
+        }
+    }
+
     #[test]
     fn vector_tile_is_bitwise_portable_tile() {
         if !detected() {
             eprintln!("skipped: no AVX2+FMA on this CPU");
             return;
         }
-        let k = 37;
-        let apanel: Vec<f32> = (0..k * MR)
-            .map(|i| ((i * 7 + 3) % 23) as f32 * 0.1 - 1.0)
-            .collect();
-        let bpanel: Vec<f32> = (0..k * NR)
-            .map(|i| ((i * 5 + 1) % 19) as f32 * 0.3 - 2.0)
-            .collect();
-        let mut vector_acc = [[0.0f32; NR]; MR];
-        for (r, row) in vector_acc.iter_mut().enumerate() {
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = (r * NR + c) as f32 * 0.7 - 16.0;
+        let (k, ks, b_ks, ldc) = (37, MR + 3, NR + 5, NR + 2);
+        let a = fill(k * ks, 7, 3, 23, 0.1, 1.0);
+        let b = fill(k * b_ks, 5, 1, 19, 0.3, 2.0);
+        let init = fill(MR * ldc, 1, 0, 64, 0.7, 16.0);
+        for from_zero in [false, true] {
+            let (av, bv) = views(&a, (1, ks), &b, b_ks);
+            let (mut vector, mut portable) = (init.clone(), init.clone());
+            // SAFETY: AVX2+FMA are present (checked above), and every view
+            // covers MR rows, NR columns and k steps of its buffer.
+            unsafe {
+                microkernel(k, av, bv, out(&mut vector, ldc, from_zero));
+                crate::gemm::portable_microkernel(k, av, bv, out(&mut portable, ldc, from_zero));
+            }
+            assert_eq!(vector, portable, "from_zero = {from_zero}");
+            for (r, row) in vector.chunks_exact(ldc).enumerate() {
+                assert_eq!(
+                    row[NR..],
+                    init[r * ldc + NR..(r + 1) * ldc],
+                    "row {r} overran"
+                );
             }
         }
-        let mut portable_acc = vector_acc;
-        microkernel(k, &apanel, &bpanel, &mut vector_acc);
-        crate::gemm::portable_microkernel(k, &apanel, &bpanel, &mut portable_acc);
-        assert_eq!(vector_acc, portable_acc);
     }
 
-    /// The invariant the macro-kernel's pairing rests on: processing two B
-    /// panels in one paired call is **bitwise** identical to two single-tile
-    /// calls, so whether a column panel lands in a pair (a chunk-local
-    /// scheduling accident) can never change results.
+    /// The invariant the macro-kernel's pairing rests on: one paired call
+    /// on a tile `2·NR` wide is **bitwise** identical to two single-tile
+    /// calls on its halves, so whether a column panel lands in a pair (a
+    /// chunk-local scheduling accident) can never change results.
     #[test]
     fn paired_kernel_is_bitwise_two_single_calls() {
         if !detected() {
             eprintln!("skipped: no AVX2+FMA on this CPU");
             return;
         }
+        let (b_ks, ldc) = (2 * NR + 3, 2 * NR + 1);
         for k in [1usize, 7, 37, 64] {
-            let apanel: Vec<f32> = (0..k * MR)
-                .map(|i| ((i * 11 + 5) % 29) as f32 * 0.1875 - 2.5)
-                .collect();
-            let bpanel0: Vec<f32> = (0..k * NR)
-                .map(|i| ((i * 13 + 2) % 31) as f32 * 0.0625 - 1.0)
-                .collect();
-            let bpanel1: Vec<f32> = (0..k * NR)
-                .map(|i| ((i * 3 + 7) % 17) as f32 * 0.375 - 3.0)
-                .collect();
-            let init = |r: usize, c: usize, s: f32| (r * NR + c) as f32 * s - 8.0;
-            let mut single0 = [[0.0f32; NR]; MR];
-            let mut single1 = [[0.0f32; NR]; MR];
-            let mut pair0 = [[0.0f32; NR]; MR];
-            let mut pair1 = [[0.0f32; NR]; MR];
-            for r in 0..MR {
-                for c in 0..NR {
-                    single0[r][c] = init(r, c, 0.25);
-                    pair0[r][c] = init(r, c, 0.25);
-                    single1[r][c] = init(r, c, -0.5);
-                    pair1[r][c] = init(r, c, -0.5);
+            let a = fill(MR * k, 11, 5, 29, 0.1875, 2.5);
+            let b = fill(k * b_ks, 13, 2, 31, 0.0625, 1.0);
+            let init = fill(MR * ldc, 3, 7, 17, 0.375, 3.0);
+            for from_zero in [false, true] {
+                let (av, bv) = views(&a, (k, 1), &b, b_ks);
+                let (_, b_hi) = views(&a, (k, 1), &b[NR..], b_ks);
+                let (mut single, mut pair) = (init.clone(), init.clone());
+                // SAFETY: AVX2+FMA are present (checked above); `A` is
+                // `MR x k` row-major, `B` and `C` hold `2·NR` columns
+                // per row.
+                unsafe {
+                    microkernel(k, av, bv, out(&mut single, ldc, from_zero));
+                    microkernel(k, av, b_hi, out(&mut single[NR..], ldc, from_zero));
+                    microkernel_x2(k, av, bv, out(&mut pair, ldc, from_zero));
                 }
+                assert_eq!(pair, single, "k = {k}, from_zero = {from_zero}");
             }
-            microkernel(k, &apanel, &bpanel0, &mut single0);
-            microkernel(k, &apanel, &bpanel1, &mut single1);
-            microkernel_x2(k, &apanel, &bpanel0, &bpanel1, &mut pair0, &mut pair1);
-            assert_eq!(pair0, single0, "panel 0 diverged at k={k}");
-            assert_eq!(pair1, single1, "panel 1 diverged at k={k}");
         }
     }
 }

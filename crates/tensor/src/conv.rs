@@ -29,6 +29,8 @@
 //! scatters — adding into the zeroed image is what turns a `-0.0` product
 //! into `+0.0`.
 
+use std::borrow::Cow;
+
 use crate::tensor::Tensor;
 use hfta_kernels::{self as kernels, Axis, Offsets, Out, PackA, PackB};
 
@@ -125,6 +127,14 @@ fn im2col_tables(
     (koff.collect(), soff.collect())
 }
 
+/// `x` zero-padded by `cfg.padding`; borrowed as it is when there is none.
+fn padded<'a>(x: &'a Tensor, cfg: &ConvCfg) -> Cow<'a, Tensor> {
+    match cfg.padding {
+        (0, 0) => Cow::Borrowed(x),
+        (ph, pw) => Cow::Owned(x.pad2d(ph, pw)),
+    }
+}
+
 /// Whether the im2col tables are the identity: the image block is its own column matrix.
 fn pointwise(kernel: (usize, usize), cfg: &ConvCfg) -> bool {
     (kernel, cfg.stride, cfg.padding) == ((1, 1), (1, 1), (0, 0))
@@ -182,7 +192,7 @@ pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tenso
     let (cing, coutg) = (cin / g, cout / g);
     let (ho, wo) = cfg.out_hw((h, wdt), (kh, kw));
     let (krows, spatial) = (cing * kh * kw, ho * wo);
-    let xp = x.pad2d(cfg.padding.0, cfg.padding.1);
+    let xp = padded(x, &cfg);
     let (hp, wp) = (xp.dim(2), xp.dim(3));
     let tables = (!pointwise((kh, kw), &cfg))
         .then(|| im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo)));
@@ -268,7 +278,10 @@ pub fn conv2d_grad_input(
     let sink = Out::Scatter(gx_pad.as_mut_slice(), Offsets::new(&koff, &soff));
     let (weights, grads) = (PackA::T(w.as_slice()), PackB::N(gy.as_slice()));
     kernels::gemm_batched(sink, weights, grads, (krows, coutg, spatial), batch);
-    gx_pad.unpad2d(ph, pw)
+    match (ph, pw) {
+        (0, 0) => gx_pad,
+        _ => gx_pad.unpad2d(ph, pw),
+    }
 }
 
 /// Gradient of [`conv2d`] with respect to its weight.
@@ -291,7 +304,7 @@ pub fn conv2d_grad_weight(
     check_out_hw(&cfg, (h, wdt), (kh, kw), (ho, wo));
     let (cing, coutg) = (cin / g, cout / g);
     let (krows, spatial) = (cing * kh * kw, ho * wo);
-    let xp = x.pad2d(cfg.padding.0, cfg.padding.1);
+    let xp = padded(x, &cfg);
     let (hp, wp) = (xp.dim(2), xp.dim(3));
     let tables = (!pointwise((kh, kw), &cfg))
         .then(|| im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo)));
