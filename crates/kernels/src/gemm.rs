@@ -350,7 +350,7 @@ fn gemm_batched_on(
     // Worst-case concurrent scratch, declared once for the batch. Entries
     // that fan out across the pool run their GEMMs inline on the workers, so
     // every worker can hold one entry's buffers; a batch on the caller holds
-    // one entry's at a time, whose tile chunks each hold an A panel.
+    // one entry's at a time, whose tile chunks each may pack an A panel.
     let threads = pool::num_threads();
     let nested = pool::in_worker() || !pool::runs_inline(units.div_ceil(grain), work);
     let each = if nested { threads } else { 1 };

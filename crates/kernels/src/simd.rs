@@ -26,7 +26,7 @@
 //! registers): every A broadcast now feeds two FMAs, moving the kernel to
 //! the FMA-throughput bound. Each output lane's FMA chain is identical to
 //! the single-tile kernel's, so pairing is purely a scheduling decision.
-
+//!
 //! # One contract, two instantiations
 //!
 //! Every output element is `acc = fma(a, b, acc)` for `p` ascending — here
