@@ -19,7 +19,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hfta_core::format::stack_conv;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::FusedModule;
-use hfta_core::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedAdam, FusedSgd, PerModel};
 use hfta_models::{
     AlexNet, AlexNetCfg, DcganCfg, Discriminator, FusedAlexNet, FusedDiscriminator, FusedGenerator,
     Generator, Workload,

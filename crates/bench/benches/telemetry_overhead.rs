@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::{Fused, FusedParameter, Ops};
-use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedSgd, PerModel};
 use hfta_core::scope::{ScopeMonitor, SentinelCfg};
 use hfta_nn::layers::{Conv2d, Conv2dCfg};
 use hfta_nn::{Module, Tape};

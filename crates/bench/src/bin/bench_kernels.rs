@@ -27,7 +27,7 @@ use hfta_bench::cli::{write_json, CommonArgs};
 use hfta_bench::record::{KernelRecord, KernelsFile, ScalingRecord};
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::{Fused, FusedParameter, Ops};
-use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedSgd, PerModel};
 use hfta_core::scope::{per_model_ce_losses, ScopeMonitor, SentinelCfg};
 use hfta_kernels::{set_num_threads, simd_available};
 use hfta_nn::layers::{Conv2d, Conv2dCfg};

@@ -19,7 +19,7 @@ use hfta_bench::scope_report::print_health;
 use hfta_core::array::ModelArray;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::FusedLinear;
-use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedSgd, PerModel};
 use hfta_core::scope::{per_model_ce_losses, poison_model_lane, ScopeMonitor, SentinelCfg};
 use hfta_nn::layers::LinearCfg;
 use hfta_telemetry::Profiler;

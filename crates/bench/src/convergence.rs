@@ -9,7 +9,7 @@
 use hfta_core::array::{copy_model_weights, record_step_metrics};
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::FusedModule;
-use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedSgd, PerModel};
 use hfta_data::LabeledImages;
 use hfta_models::{FusedResNet, ResNet, ResNetCfg};
 use hfta_nn::{Module, Optimizer, Sgd, Tape};

@@ -19,7 +19,7 @@
 use hfta_core::format::{stack_conv, stack_targets};
 use hfta_core::loss::{fused_bce_with_logits, fused_nll_loss, Reduction};
 use hfta_core::ops::FusedModule;
-use hfta_core::optim::{FusedAdam, FusedOptimizer, PerModel};
+use hfta_core::optim::{FusedAdam, PerModel};
 use hfta_data::PointClouds;
 use hfta_models::{DcganCfg, FusedDiscriminator, FusedPointNetCls, PointNetCfg};
 use hfta_nn::{Module, Tape};

@@ -11,7 +11,7 @@ use std::process::Command;
 use hfta_bench::telemetry_cli::TraceSession;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::{Fused, FusedParameter, Ops};
-use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedSgd, PerModel};
 use hfta_nn::layers::Conv2dCfg;
 use hfta_nn::{Module, Tape};
 use hfta_sched::sched::SchedReport;

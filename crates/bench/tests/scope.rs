@@ -8,7 +8,7 @@ use hfta_bench::record::{KernelRecord, KernelsFile, SCOPE_OVERHEAD_BUDGET_PCT};
 use hfta_core::array::ModelArray;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::FusedLinear;
-use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedSgd, PerModel};
 use hfta_core::scope::per_model_ce_losses;
 use hfta_nn::layers::LinearCfg;
 use hfta_telemetry::RunReport;

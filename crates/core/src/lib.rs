@@ -22,13 +22,18 @@
 //!   model be written once and instantiated as one job or as an array;
 //! * [`mod@format`] — the fused data layouts and differentiable converters;
 //! * [`loss`] — fused losses with the §3.2 gradient-exact scaling rule;
-//! * [`optim`] — fused optimizers/schedulers with per-model hyper-parameters;
+//! * [`optim`] — the one fused optimizer, [`optim::FusedOptimizer`]: an
+//!   update rule (SGD, Adam or Adadelta) with per-model hyper-parameters
+//!   over parameter groups, whether one hand-fused group or one per block
+//!   of a [`planned::PlannedArray`]; and the per-lane fused scheduler;
+//! * [`planned`] — partially fused execution of an `hfta-plan` fusion plan;
 //! * [`mod@array`] — the [`array::ModelArray`] front door and sweep helpers;
 //! * [`scope`] — hfta-scope: per-model health extraction, divergence
 //!   sentinels, and quarantine ([`scope::ScopeMonitor`]);
-//! * [`surgery`] — lane surgery: extract a model's parameter and
-//!   optimizer-state lanes and splice lanes into another array,
-//!   bit-identically (the mechanism behind `hfta-sched`'s re-packing);
+//! * [`surgery`] — lane surgery: a model's parameter and optimizer-state
+//!   lanes ([`surgery::LaneState`]), extracted from one array and spliced
+//!   into another bit-identically (the mechanism behind `hfta-sched`'s
+//!   re-packing);
 //! * [`snapshot`] — versioned on-disk lane snapshots (params + optimizer
 //!   state + step counter), the persistence layer behind `hfta-serve`'s
 //!   crash-safe checkpoint/restore;
@@ -42,7 +47,7 @@
 //!     array::ModelArray,
 //!     loss::{fused_cross_entropy, Reduction},
 //!     ops::FusedLinear,
-//!     optim::{FusedAdam, FusedOptimizer, PerModel},
+//!     optim::{FusedAdam, PerModel},
 //! };
 //! use hfta_nn::layers::LinearCfg;
 //! use hfta_tensor::{Rng, Tensor};

@@ -1,23 +1,38 @@
-//! Horizontally fused optimizers and learning-rate schedulers.
+//! The horizontally fused optimizer and learning-rate scheduler.
 //!
-//! Hyper-parameter tuning is the paper's flagship use case, so fused
-//! optimizers accept **per-model** hyper-parameters ([`PerModel`]): the
+//! Hyper-parameter tuning is the paper's flagship use case, so the fused
+//! optimizer accepts **per-model** hyper-parameters ([`PerModel`]): the
 //! scalar-vector operations of a serial optimizer (e.g. `lr * grad`) become
 //! vector-vector operations over the fused parameter's model axis (paper
 //! §3.1, Figure 1). A fused parameter is model-major, so that broadcast is
-//! a per-lane scalar: each step walks the `B` contiguous lanes of every
-//! parameter once and hands lane `l`, with model `l`'s hyper-parameters, to
-//! the *same* one-pass slice kernel the serial optimizer runs
+//! a per-lane scalar: each step walks the contiguous lanes of every
+//! parameter once and hands each lane, with its model's hyper-parameters,
+//! to the *same* one-pass slice kernel the serial optimizer runs
 //! (`hfta_nn::{sgd_update, adam_update, adadelta_update}`). Fused(B) is
 //! therefore `B` serial optimizers bit for bit, at any per-lane setting —
 //! provided the kernels keep plain `a * b + c` (see `hfta_nn`'s optimizer
 //! module: a `mul_add` would round once and move every loss).
+//!
+//! There is one optimizer, [`FusedOptimizer`]: parameter groups (fused
+//! parameters plus the global lanes they carry — one group `0..B` for a
+//! hand-fused array, one per parameter-carrying block of a
+//! [`crate::planned::PlannedArray`]), hyper-parameters indexed by global
+//! lane, one quarantine mask, one step counter, and the update rule as a
+//! value of its type parameter ([`SgdUpdate`], [`AdamUpdate`],
+//! [`AdadeltaUpdate`]; [`FusedSgd`], [`FusedAdam`], [`FusedAdadelta`]). Step,
+//! quarantine and lane surgery ([`FusedOptimizer::extract`] /
+//! [`FusedOptimizer::splice`]) exist once, for every rule and lane map, and
+//! the one [`FusedScheduler`] evaluates a serial schedule per lane.
 
-use hfta_nn::{adadelta_update, adam_update, optim_step_span, sgd_update, AdamCoeffs};
+use std::ops::Range;
+
+use hfta_nn::{adadelta_update, adam_update, optim_step_span, sgd_update, AdamCoeffs, LrSchedule};
 use hfta_tensor::Tensor;
 
 use crate::error::{FusionError, Result};
 use crate::ops::FusedParameter;
+use crate::scope::lane_bounds;
+use crate::surgery::LaneState;
 
 /// A per-model hyper-parameter vector (one value per fused model).
 ///
@@ -83,133 +98,171 @@ impl PerModel {
     }
 }
 
-/// An optimizer over fused parameters with per-model hyper-parameters.
-pub trait FusedOptimizer {
-    /// Applies one update step.
-    fn step(&mut self);
+/// An update rule: a serial optimizer's slice kernel with its scalar
+/// hyper-parameters turned into per-lane vectors (paper Figure 1).
+pub trait Update {
+    /// State tensors per parameter, each of the parameter's fused shape, in
+    /// the slot order of [`LaneState::opt_state`].
+    const SLOTS: usize;
+    /// Whether the update depends on the step count (Adam's bias
+    /// correction); the other rules keep it at 0, as their snapshots do.
+    const COUNTS_STEPS: bool;
+    /// The scalars of one step that every lane shares.
+    type Step: Copy;
 
-    /// Zeroes all managed gradients.
-    fn zero_grad(&self);
-
-    /// Current per-model learning rates.
-    fn lr(&self) -> &PerModel;
-
-    /// Replaces the per-model learning rates (used by schedulers).
-    fn set_lr(&mut self, lr: PerModel);
-
-    /// Quarantines model `model`: zeroes its gradient lane and its
-    /// optimizer-state lanes now, and keeps masking its gradient lane at
-    /// the start of every subsequent [`FusedOptimizer::step`], so the
-    /// model's parameters freeze while the other `B − 1` models train on
-    /// bit-for-bit unaffected (lane updates are elementwise, and a masked
-    /// lane contributes exactly `x − 0.0 = x`). Idempotent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `model` is out of range.
-    fn quarantine(&mut self, model: usize);
-
-    /// Per-model quarantine flags.
-    fn quarantined(&self) -> &[bool];
-
-    /// Number of per-parameter state tensors the optimizer keeps (SGD: 1
-    /// velocity; Adam: first/second moments; Adadelta: squared-average /
-    /// accumulated-delta). Each state tensor shares its parameter's fused
-    /// layout, so lane surgery ([`crate::surgery`]) can move a model's
-    /// state lanes alongside its parameter lanes.
-    fn state_slots(&self) -> usize;
-
-    /// State tensor `slot` of parameter `pi` (same fused shape as the
-    /// parameter's value).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi` or `slot` is out of range.
-    fn state(&self, pi: usize, slot: usize) -> &Tensor;
-
-    /// Mutable access to state tensor `slot` of parameter `pi`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi` or `slot` is out of range.
-    fn state_mut(&mut self, pi: usize, slot: usize) -> &mut Tensor;
-
-    /// The shared scalar step counter, for optimizers whose update depends
-    /// on how many steps ran (Adam's bias correction). Stateless-in-time
-    /// optimizers return 0.
-    fn step_count(&self) -> u64 {
-        0
+    /// Checks the per-lane hyper-parameters against the number of lanes:
+    /// [`FusionError::HyperParamLength`] on a mismatch.
+    fn check(&self, _lanes: usize) -> Result<()> {
+        Ok(())
     }
 
-    /// Restores the step counter after lane surgery. A no-op for
-    /// optimizers without one.
-    fn set_step_count(&mut self, _t: u64) {}
+    /// Step `t`'s shared scalars, and its f32 words read + written and
+    /// flops per element (the `optim_step` sample).
+    fn begin(&self, t: u64) -> (Self::Step, usize, usize);
+
+    /// Updates global lane `l` of one parameter at rate `lr`: its value run
+    /// `x`, gradient run `g` and state runs `st`.
+    fn lane(&self, s: Self::Step, l: usize, lr: f32, x: &mut [f32], g: &[f32], st: Slots);
 }
 
-/// Model `model`'s contiguous (model-major) lane of a `b`-wide fused tensor.
-fn lane(t: &mut Tensor, b: usize, model: usize) -> &mut [f32] {
-    let chunk = t.numel() / b;
-    &mut t.as_mut_slice()[model * chunk..(model + 1) * chunk]
+/// The same run of each of one parameter's state tensors: lane `l`'s
+/// optimizer state.
+pub struct Slots<'a>(&'a mut [Tensor], Range<usize>);
+
+/// SGD with per-lane momenta. State: `[velocity]`.
+#[derive(Debug, Clone)]
+pub struct SgdUpdate {
+    /// Per-lane momentum.
+    pub momentum: PerModel,
 }
 
-/// Walks the contiguous lanes of one fused parameter inside a single
-/// `Parameter::update`: `f(model, value lane, grad lane, state lanes)`.
-fn for_each_lane<const S: usize>(
-    p: &FusedParameter,
-    state: &mut [Tensor; S],
-    mut f: impl FnMut(usize, &mut [f32], &[f32], [&mut [f32]; S]),
-) {
-    p.param.update(|value, grad| {
-        let chunk = value.numel() / p.b;
-        for l in 0..p.b {
-            let g = &grad.as_slice()[l * chunk..(l + 1) * chunk];
-            let s = state.each_mut().map(|t| lane(t, p.b, l));
-            f(l, lane(value, p.b, l), g, s);
+impl Update for SgdUpdate {
+    const SLOTS: usize = 1;
+    const COUNTS_STEPS: bool = false;
+    /// Whether every lane runs without momentum.
+    type Step = bool;
+
+    fn check(&self, lanes: usize) -> Result<()> {
+        self.momentum.check_b(lanes)
+    }
+
+    fn begin(&self, _t: u64) -> (bool, usize, usize) {
+        // The plain path is chosen array-wide: a zero-momentum lane of a
+        // momentum array still stores `v = v * 0 + g`, and snapshots and lane
+        // surgery carry those state bits.
+        if self.momentum.values().iter().all(|&m| m == 0.0) {
+            (true, 3, 2)
+        } else {
+            (false, 5, 4)
         }
-    });
-}
+    }
 
-/// Zeroed per-parameter state, `S` tensors of each parameter's fused shape.
-fn zero_state<const S: usize>(params: &[FusedParameter]) -> Vec<[Tensor; S]> {
-    let zeros = |p: &FusedParameter| std::array::from_fn(|_| p.param.value().zeros_like());
-    params.iter().map(zeros).collect()
-}
-
-/// [`FusedOptimizer::quarantine`] for any optimizer: flags `model` and
-/// zeroes its gradient lane and every state lane.
-fn quarantine_lane<const S: usize>(
-    params: &[FusedParameter],
-    state: &mut [[Tensor; S]],
-    quarantined: &mut [bool],
-    model: usize,
-) {
-    assert!(model < quarantined.len(), "model index out of range");
-    quarantined[model] = true;
-    let b = quarantined.len();
-    for (p, s) in params.iter().zip(state) {
-        p.param.update_grad(|g| lane(g, b, model).fill(0.0));
-        s.iter_mut().for_each(|t| lane(t, b, model).fill(0.0));
+    fn lane(&self, plain: bool, l: usize, lr: f32, x: &mut [f32], g: &[f32], st: Slots) {
+        let Slots([v], r) = st else { unreachable!() };
+        let v = (!plain).then(|| &mut v.as_mut_slice()[r]);
+        sgd_update(x, g, v, lr, self.momentum.get(l));
     }
 }
 
-/// Re-masks the gradient lanes of quarantined models — called at the top
-/// of every `step()` because `backward()` keeps accumulating (possibly
-/// non-finite) gradients into the quarantined lane. A no-op (and no borrow
-/// of any parameter) when nothing is quarantined.
-fn zero_quarantined_grads(params: &[FusedParameter], quarantined: &[bool]) {
-    if !quarantined.iter().any(|&q| q) {
-        return;
+/// Adam with betas and epsilon shared by every lane. State: `[m, v]`, the
+/// first and second moments.
+#[derive(Debug, Clone, Copy)]
+pub struct AdamUpdate {
+    /// First-moment decay.
+    pub beta1: f32,
+    /// Second-moment decay.
+    pub beta2: f32,
+    /// Denominator epsilon.
+    pub eps: f32,
+}
+
+impl Default for AdamUpdate {
+    /// `betas = (0.9, 0.999)`, `eps = 1e-8`.
+    fn default() -> Self {
+        AdamUpdate {
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+        }
     }
-    let b = quarantined.len();
-    for p in params {
-        p.param.update_grad(|g| {
-            for (i, &q) in quarantined.iter().enumerate() {
-                if q {
-                    lane(g, b, i).fill(0.0);
-                }
-            }
-        });
+}
+
+impl Update for AdamUpdate {
+    const SLOTS: usize = 2;
+    const COUNTS_STEPS: bool = true;
+    type Step = AdamCoeffs;
+
+    fn begin(&self, t: u64) -> (AdamCoeffs, usize, usize) {
+        let c = AdamCoeffs::at_step(self.beta1, self.beta2, self.eps, t);
+        (c, 7, 14)
     }
+
+    fn lane(&self, c: AdamCoeffs, _l: usize, lr: f32, x: &mut [f32], g: &[f32], st: Slots) {
+        let Slots([m, v], r) = st else { unreachable!() };
+        let (m, v) = (&mut m.as_mut_slice()[r.clone()], &mut v.as_mut_slice()[r]);
+        adam_update(x, g, m, v, lr, c);
+    }
+}
+
+/// Adadelta with per-lane `rho` (the vector-vector form of Figure 1).
+/// State: `[sq_avg, acc_delta]`.
+#[derive(Debug, Clone)]
+pub struct AdadeltaUpdate {
+    /// Per-lane decay rate.
+    pub rho: PerModel,
+    /// Epsilon shared by every lane.
+    pub eps: f32,
+}
+
+impl Update for AdadeltaUpdate {
+    const SLOTS: usize = 2;
+    const COUNTS_STEPS: bool = false;
+    type Step = ();
+
+    fn check(&self, lanes: usize) -> Result<()> {
+        self.rho.check_b(lanes)
+    }
+
+    fn begin(&self, _t: u64) -> ((), usize, usize) {
+        ((), 7, 16)
+    }
+
+    fn lane(&self, (): (), l: usize, lr: f32, x: &mut [f32], g: &[f32], st: Slots) {
+        let Slots([s, a], r) = st else { unreachable!() };
+        let (s, a) = (&mut s.as_mut_slice()[r.clone()], &mut a.as_mut_slice()[r]);
+        adadelta_update(x, g, s, a, lr, self.rho.get(l), self.eps);
+    }
+}
+
+/// The optimizer's parameters `params`, each `lanes.len()` wide, whose lane
+/// `j` trains global lane `lanes[j]`.
+#[derive(Debug)]
+struct Group {
+    lanes: Vec<usize>,
+    params: Range<usize>,
+}
+
+/// `(parameter, lane within it)` of every parameter that carries global
+/// lane `lane`, in group order.
+fn carriers(groups: &[Group], lane: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    groups.iter().flat_map(move |g| {
+        let j = g.lanes.iter().position(|&l| l == lane);
+        j.into_iter()
+            .flat_map(|j| g.params.clone().map(move |pi| (pi, j)))
+    })
+}
+
+/// Lane `j` of a `b`-wide fused tensor.
+fn lane_mut(t: &mut Tensor, b: usize, j: usize) -> &mut [f32] {
+    let (lo, hi) = lane_bounds(t.numel(), b, j);
+    &mut t.as_mut_slice()[lo..hi]
+}
+
+/// Copies `src` into lane `j` of a `b`-wide fused tensor.
+fn copy_lane(t: &mut Tensor, b: usize, j: usize, src: &Tensor) {
+    let dst = lane_mut(t, b, j);
+    assert_eq!(src.numel(), dst.len(), "lane state size mismatch");
+    dst.copy_from_slice(src.as_slice());
 }
 
 fn check_params(params: &[FusedParameter], b: usize) -> Result<()> {
@@ -220,139 +273,305 @@ fn check_params(params: &[FusedParameter], b: usize) -> Result<()> {
                 found: p.b,
             });
         }
-        if p.param.value().dim(0) % b != 0 {
-            return Err(FusionError::StructureMismatch {
-                detail: format!(
-                    "parameter {} axis 0 ({}) not divisible by B = {b}",
-                    p.param.name(),
-                    p.param.value().dim(0)
-                ),
-            });
+        let rows = p.param.value().dim(0);
+        if rows % b != 0 {
+            let name = p.param.name();
+            let detail = format!("parameter {name} axis 0 ({rows}) not divisible by B = {b}");
+            return Err(FusionError::StructureMismatch { detail });
         }
     }
     Ok(())
 }
 
-/// Fused SGD with per-model learning rates and per-model momenta.
+/// The fused optimizer: update rule `U` over parameter groups.
 #[derive(Debug)]
-pub struct FusedSgd {
+pub struct FusedOptimizer<U> {
     params: Vec<FusedParameter>,
+    /// `U::SLOTS` tensors per parameter, parameter-major.
+    state: Vec<Tensor>,
+    groups: Vec<Group>,
     lr: PerModel,
-    momentum: PerModel,
-    /// Per parameter: `[velocity]`.
-    state: Vec<[Tensor; 1]>,
+    update: U,
     quarantined: Vec<bool>,
+    t: u64,
 }
 
-impl FusedSgd {
-    /// Creates fused SGD with one shared momentum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusionError`] if the LR vector or any parameter disagrees
-    /// with the array width.
-    pub fn new(params: Vec<FusedParameter>, lr: PerModel, momentum: f32) -> Result<Self> {
-        let b = lr.b();
-        Self::with_momenta(params, lr, PerModel::uniform(b, momentum))
-    }
+/// Fused SGD with per-model learning rates and momenta.
+pub type FusedSgd = FusedOptimizer<SgdUpdate>;
+/// Fused Adam with per-model learning rates.
+pub type FusedAdam = FusedOptimizer<AdamUpdate>;
+/// Fused Adadelta with per-model learning rates and `rho`.
+pub type FusedAdadelta = FusedOptimizer<AdadeltaUpdate>;
 
-    /// Creates fused SGD with **per-model momenta** — momentum is a common
-    /// sweep axis (paper §3.1 lists optimizer settings among the tuned
-    /// hyper-parameters).
+impl<U: Update> FusedOptimizer<U> {
+    /// Rule `update` over parameter groups `(lanes, params)`: a group's
+    /// parameters are `lanes.len()` wide and their lane `j` trains global
+    /// lane `lanes[j]`; `lr` and the rule's vectors are indexed by global
+    /// lane.
     ///
     /// # Errors
     ///
-    /// Returns [`FusionError`] on array-width mismatches.
-    pub fn with_momenta(
-        params: Vec<FusedParameter>,
+    /// [`FusionError`] when a hyper-parameter vector or parameter disagrees
+    /// with its width, or a group names a lane `lr` lacks.
+    pub fn grouped(
+        groups: Vec<(Vec<usize>, Vec<FusedParameter>)>,
         lr: PerModel,
-        momentum: PerModel,
+        update: U,
     ) -> Result<Self> {
-        check_params(&params, lr.b())?;
-        momentum.check_b(lr.b())?;
-        Ok(FusedSgd {
-            state: zero_state(&params),
-            quarantined: vec![false; lr.b()],
+        let b = lr.b();
+        update.check(b)?;
+        let (mut params, mut spans) = (Vec::new(), Vec::new());
+        for (lanes, group) in groups {
+            if let Some(l) = lanes.iter().find(|&&l| l >= b) {
+                let detail = format!("group lane {l} out of range for {b} lanes");
+                return Err(FusionError::StructureMismatch { detail });
+            }
+            check_params(&group, lanes.len())?;
+            let start = params.len();
+            params.extend(group);
+            spans.push(Group {
+                lanes,
+                params: start..params.len(),
+            });
+        }
+        let zeros = params
+            .iter()
+            .flat_map(|p| (0..U::SLOTS).map(move |_| p.param.value().zeros_like()));
+        let state = zeros.collect();
+        Ok(FusedOptimizer {
+            state,
             params,
+            groups: spans,
             lr,
-            momentum,
+            update,
+            quarantined: vec![false; b],
+            t: 0,
         })
     }
-}
 
-impl FusedOptimizer for FusedSgd {
-    fn step(&mut self) {
-        zero_quarantined_grads(&self.params, &self.quarantined);
-        // The plain path is chosen array-wide: a zero-momentum lane of a
-        // momentum array still stores `v = v * 0 + g`, and snapshots and lane
-        // surgery carry those state bits.
-        let plain = self.momentum.values().iter().all(|&m| m == 0.0);
-        let (words, flops) = if plain { (3, 2) } else { (5, 4) };
+    /// Rule `update` over one group whose lane `l` trains model `l`.
+    fn fused(params: Vec<FusedParameter>, lr: PerModel, update: U) -> Result<Self> {
+        let lanes = (0..lr.b()).collect();
+        Self::grouped(vec![(lanes, params)], lr, update)
+    }
+
+    /// Applies one update step: one `optim_step` sample, one pass over
+    /// every parameter, each lane through the rule's serial kernel.
+    pub fn step(&mut self) {
+        self.mask_quarantined();
+        if U::COUNTS_STEPS {
+            self.t += 1;
+        }
+        let (s, words, flops) = self.update.begin(self.t);
         let _span = optim_step_span(self.params.iter().map(|p| p.param.numel()), words, flops);
-        let (lr, mom) = (self.lr.values(), self.momentum.values());
-        for (p, s) in self.params.iter().zip(&mut self.state) {
-            for_each_lane(p, s, |l, x, g, [v]| {
-                sgd_update(x, g, (!plain).then_some(v), lr[l], mom[l]);
-            });
+        let lr = self.lr.values();
+        for g in &self.groups {
+            let slots = &mut self.state[g.params.start * U::SLOTS..g.params.end * U::SLOTS];
+            let params = &self.params[g.params.clone()];
+            for (p, state) in params.iter().zip(slots.chunks_exact_mut(U::SLOTS)) {
+                p.param.update(|value, grad| {
+                    let chunk = value.numel() / p.b;
+                    for (j, &l) in g.lanes.iter().enumerate() {
+                        let r = j * chunk..(j + 1) * chunk;
+                        let x = &mut value.as_mut_slice()[r.clone()];
+                        let g = &grad.as_slice()[r.clone()];
+                        self.update.lane(s, l, lr[l], x, g, Slots(state, r));
+                    }
+                });
+            }
         }
     }
 
-    fn zero_grad(&self) {
+    /// Re-masks the gradient lanes of quarantined lanes — called at the
+    /// top of every step because `backward()` keeps accumulating (possibly
+    /// non-finite) gradients into them. Borrows no parameter when nothing
+    /// is quarantined.
+    fn mask_quarantined(&self) {
+        let q = &self.quarantined;
+        for g in self.groups.iter().filter(|g| g.lanes.iter().any(|&l| q[l])) {
+            for p in &self.params[g.params.clone()] {
+                p.param.update_grad(|grad| {
+                    for (j, _) in g.lanes.iter().enumerate().filter(|(_, &l)| q[l]) {
+                        lane_mut(grad, p.b, j).fill(0.0);
+                    }
+                });
+            }
+        }
+    }
+
+    /// Zeroes every managed gradient.
+    pub fn zero_grad(&self) {
         for p in &self.params {
             p.param.zero_grad();
         }
     }
 
-    fn lr(&self) -> &PerModel {
+    /// Current per-lane learning rates.
+    pub fn lr(&self) -> &PerModel {
         &self.lr
     }
 
-    fn set_lr(&mut self, lr: PerModel) {
+    /// Replaces the per-lane learning rates (used by schedulers); panics if
+    /// the width differs.
+    pub fn set_lr(&mut self, lr: PerModel) {
         assert_eq!(lr.b(), self.lr.b(), "array width mismatch");
         self.lr = lr;
     }
 
-    fn quarantine(&mut self, model: usize) {
-        quarantine_lane(&self.params, &mut self.state, &mut self.quarantined, model);
+    /// Number of global lanes.
+    pub fn lanes(&self) -> usize {
+        self.quarantined.len()
     }
 
-    fn quarantined(&self) -> &[bool] {
+    /// The managed parameters, group after group.
+    pub fn params(&self) -> &[FusedParameter] {
+        &self.params
+    }
+
+    /// Quarantines global lane `lane`: zeroes its gradient and
+    /// optimizer-state lanes in every group that carries it now, and keeps
+    /// masking its gradient lanes at the start of every later
+    /// [`FusedOptimizer::step`], so the lane's parameters freeze while every
+    /// other lane — fused alongside it or serial elsewhere — trains on bit
+    /// for bit unaffected (lane updates are elementwise, and a masked lane
+    /// contributes exactly `x − 0.0 = x`). Idempotent; panics if `lane` is
+    /// out of range.
+    pub fn quarantine(&mut self, lane: usize) {
+        assert!(lane < self.lanes(), "lane {lane} out of range");
+        self.quarantined[lane] = true;
+        for (pi, j) in carriers(&self.groups, lane) {
+            let p = &self.params[pi];
+            p.param.update_grad(|g| lane_mut(g, p.b, j).fill(0.0));
+            for t in &mut self.state[pi * U::SLOTS..(pi + 1) * U::SLOTS] {
+                lane_mut(t, p.b, j).fill(0.0);
+            }
+        }
+    }
+
+    /// Per-lane quarantine flags.
+    pub fn quarantined(&self) -> &[bool] {
         &self.quarantined
     }
 
-    fn state_slots(&self) -> usize {
-        1
+    /// Number of state tensors per parameter ([`Update::SLOTS`]).
+    pub fn state_slots(&self) -> usize {
+        U::SLOTS
     }
 
-    fn state(&self, pi: usize, slot: usize) -> &Tensor {
-        &self.state[pi][slot]
+    /// State tensor `slot` of parameter `pi` (in [`FusedOptimizer::params`]
+    /// order), of the parameter's fused shape; panics if either is out of
+    /// range.
+    pub fn state(&self, pi: usize, slot: usize) -> &Tensor {
+        assert!(slot < U::SLOTS, "state slot {slot} out of range");
+        &self.state[pi * U::SLOTS + slot]
     }
 
-    fn state_mut(&mut self, pi: usize, slot: usize) -> &mut Tensor {
-        &mut self.state[pi][slot]
+    /// The shared step counter: steps taken for rules whose update depends
+    /// on it (Adam), 0 for the others.
+    pub fn step_count(&self) -> u64 {
+        self.t
+    }
+
+    /// Copies global lane `lane`'s training state out — its parameter lanes
+    /// and every optimizer-state lane, one segment per group that carries
+    /// it, in group order, plus the step counter — leaving the optimizer
+    /// untouched. For a planned array group order is the lane's own program
+    /// order, so the state is interchangeable with a width-1 array's and
+    /// round-trips through [`crate::snapshot`] unchanged. Panics if `lane`
+    /// is out of range.
+    pub fn extract(&self, lane: usize) -> LaneState {
+        assert!(lane < self.lanes(), "lane {lane} out of range");
+        let (mut params, mut opt_state) = (Vec::new(), Vec::new());
+        for (pi, j) in carriers(&self.groups, lane) {
+            let b = self.params[pi].b;
+            let narrow = |t: &Tensor| t.narrow(0, j * t.dim(0) / b, t.dim(0) / b);
+            params.push(narrow(&self.params[pi].param.value()));
+            let slots = &self.state[pi * U::SLOTS..(pi + 1) * U::SLOTS];
+            opt_state.push(slots.iter().map(narrow).collect());
+        }
+        LaneState {
+            params,
+            opt_state,
+            step_count: self.t,
+            ctx: None,
+        }
+    }
+
+    /// Writes an extracted lane state into global lane `lane`, split back
+    /// into the segments of [`FusedOptimizer::extract`].
+    fn write(&mut self, lane: usize, state: &LaneState) {
+        let count = carriers(&self.groups, lane).count();
+        assert!(
+            state.params.len() == count && state.opt_state.len() == count,
+            "lane state has the wrong parameter count"
+        );
+        let segments = state.params.iter().zip(&state.opt_state);
+        for ((pi, j), (value, slots)) in carriers(&self.groups, lane).zip(segments) {
+            assert_eq!(slots.len(), U::SLOTS, "lane state has the wrong slot count");
+            let p = &self.params[pi];
+            p.param.update(|v, _| copy_lane(v, p.b, j, value));
+            let targets = &mut self.state[pi * U::SLOTS..(pi + 1) * U::SLOTS];
+            for (t, s) in targets.iter_mut().zip(slots) {
+                copy_lane(t, p.b, j, s);
+            }
+        }
+    }
+
+    /// Splices one extracted state per lane — lane `i` receives
+    /// `lanes[i]` — and restores the shared step counter from them:
+    /// rebuilding a full-width array from the survivors of several
+    /// fragmented ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes.len()` differs from the width, the lanes disagree
+    /// on their step count, or any lane's parameter count, slot count or
+    /// lane sizes disagree with its program.
+    pub fn splice(&mut self, lanes: &[LaneState]) {
+        assert_eq!(
+            lanes.len(),
+            self.lanes(),
+            "need exactly one lane state per target lane"
+        );
+        let t = lanes.first().map_or(0, |l| l.step_count);
+        assert!(
+            lanes.iter().all(|l| l.step_count == t),
+            "spliced lanes disagree on the optimizer step count"
+        );
+        for (i, state) in lanes.iter().enumerate() {
+            self.write(i, state);
+        }
+        self.t = t;
     }
 }
 
-/// Fused Adam with per-model learning rates (betas and epsilon shared).
-#[derive(Debug)]
-pub struct FusedAdam {
-    params: Vec<FusedParameter>,
-    lr: PerModel,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u64,
-    /// Per parameter: `[m, v]`, the first and second moments.
-    state: Vec<[Tensor; 2]>,
-    quarantined: Vec<bool>,
+impl FusedSgd {
+    /// Fused SGD with one momentum shared by every model; fails like
+    /// [`FusedOptimizer::grouped`].
+    pub fn new(params: Vec<FusedParameter>, lr: PerModel, momentum: f32) -> Result<Self> {
+        let momentum = PerModel::uniform(lr.b(), momentum);
+        Self::with_momenta(params, lr, momentum)
+    }
+
+    /// Fused SGD with **per-model momenta**, a common sweep axis (paper
+    /// §3.1); fails like [`FusedOptimizer::grouped`].
+    pub fn with_momenta(
+        params: Vec<FusedParameter>,
+        lr: PerModel,
+        momentum: PerModel,
+    ) -> Result<Self> {
+        Self::fused(params, lr, SgdUpdate { momentum })
+    }
 }
 
 impl FusedAdam {
-    /// Creates fused Adam with custom betas.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusionError`] on array-width mismatches.
+    /// Fused Adam with the defaults of [`AdamUpdate`]; fails like
+    /// [`FusedOptimizer::grouped`].
+    pub fn new(params: Vec<FusedParameter>, lr: PerModel) -> Result<Self> {
+        Self::fused(params, lr, AdamUpdate::default())
+    }
+
+    /// Fused Adam with custom betas; fails like [`FusedOptimizer::grouped`].
     pub fn with_betas(
         params: Vec<FusedParameter>,
         lr: PerModel,
@@ -360,241 +579,44 @@ impl FusedAdam {
         beta2: f32,
         eps: f32,
     ) -> Result<Self> {
-        check_params(&params, lr.b())?;
-        Ok(FusedAdam {
-            state: zero_state(&params),
-            quarantined: vec![false; lr.b()],
-            params,
-            lr,
-            beta1,
-            beta2,
-            eps,
-            t: 0,
-        })
+        Self::fused(params, lr, AdamUpdate { beta1, beta2, eps })
     }
-
-    /// Creates fused Adam with defaults `betas = (0.9, 0.999)`, `eps = 1e-8`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusionError`] on array-width mismatches.
-    pub fn new(params: Vec<FusedParameter>, lr: PerModel) -> Result<Self> {
-        Self::with_betas(params, lr, 0.9, 0.999, 1e-8)
-    }
-}
-
-impl FusedOptimizer for FusedAdam {
-    fn step(&mut self) {
-        zero_quarantined_grads(&self.params, &self.quarantined);
-        let _span = optim_step_span(self.params.iter().map(|p| p.param.numel()), 7, 14);
-        self.t += 1;
-        let c = AdamCoeffs::at_step(self.beta1, self.beta2, self.eps, self.t);
-        let lr = self.lr.values();
-        for (p, s) in self.params.iter().zip(&mut self.state) {
-            for_each_lane(p, s, |l, x, g, [m, v]| adam_update(x, g, m, v, lr[l], c));
-        }
-    }
-
-    fn zero_grad(&self) {
-        for p in &self.params {
-            p.param.zero_grad();
-        }
-    }
-
-    fn lr(&self) -> &PerModel {
-        &self.lr
-    }
-
-    fn set_lr(&mut self, lr: PerModel) {
-        assert_eq!(lr.b(), self.lr.b(), "array width mismatch");
-        self.lr = lr;
-    }
-
-    fn quarantine(&mut self, model: usize) {
-        quarantine_lane(&self.params, &mut self.state, &mut self.quarantined, model);
-    }
-
-    fn quarantined(&self) -> &[bool] {
-        &self.quarantined
-    }
-
-    fn state_slots(&self) -> usize {
-        2
-    }
-
-    fn state(&self, pi: usize, slot: usize) -> &Tensor {
-        &self.state[pi][slot]
-    }
-
-    fn state_mut(&mut self, pi: usize, slot: usize) -> &mut Tensor {
-        &mut self.state[pi][slot]
-    }
-
-    fn step_count(&self) -> u64 {
-        self.t
-    }
-
-    fn set_step_count(&mut self, t: u64) {
-        self.t = t;
-    }
-}
-
-/// Fused Adadelta with per-model learning rates *and* per-model `rho`
-/// decay rates (the vector-vector form of Figure 1).
-#[derive(Debug)]
-pub struct FusedAdadelta {
-    params: Vec<FusedParameter>,
-    lr: PerModel,
-    rho: PerModel,
-    eps: f32,
-    /// Per parameter: `[sq_avg, acc_delta]`.
-    state: Vec<[Tensor; 2]>,
-    quarantined: Vec<bool>,
 }
 
 impl FusedAdadelta {
-    /// Creates fused Adadelta.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusionError`] on array-width mismatches.
+    /// Fused Adadelta with per-model `rho`; fails like
+    /// [`FusedOptimizer::grouped`].
     pub fn new(params: Vec<FusedParameter>, lr: PerModel, rho: PerModel, eps: f32) -> Result<Self> {
-        check_params(&params, lr.b())?;
-        rho.check_b(lr.b())?;
-        Ok(FusedAdadelta {
-            state: zero_state(&params),
-            quarantined: vec![false; lr.b()],
-            params,
-            lr,
-            rho,
-            eps,
-        })
-    }
-
-    /// Creates fused Adadelta with shared defaults `rho = 0.9`, `eps = 1e-6`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusionError`] on array-width mismatches.
-    pub fn with_defaults(params: Vec<FusedParameter>, lr: PerModel) -> Result<Self> {
-        let b = lr.b();
-        Self::new(params, lr, PerModel::uniform(b, 0.9), 1e-6)
+        Self::fused(params, lr, AdadeltaUpdate { rho, eps })
     }
 }
 
-impl FusedOptimizer for FusedAdadelta {
-    fn step(&mut self) {
-        zero_quarantined_grads(&self.params, &self.quarantined);
-        let _span = optim_step_span(self.params.iter().map(|p| p.param.numel()), 7, 16);
-        let (lr, rho, eps) = (self.lr.values(), self.rho.values(), self.eps);
-        for (p, s) in self.params.iter().zip(&mut self.state) {
-            for_each_lane(p, s, |l, x, g, [sq, acc]| {
-                adadelta_update(x, g, sq, acc, lr[l], rho[l], eps);
-            });
-        }
-    }
-
-    fn zero_grad(&self) {
-        for p in &self.params {
-            p.param.zero_grad();
-        }
-    }
-
-    fn lr(&self) -> &PerModel {
-        &self.lr
-    }
-
-    fn set_lr(&mut self, lr: PerModel) {
-        assert_eq!(lr.b(), self.lr.b(), "array width mismatch");
-        self.lr = lr;
-    }
-
-    fn quarantine(&mut self, model: usize) {
-        quarantine_lane(&self.params, &mut self.state, &mut self.quarantined, model);
-    }
-
-    fn quarantined(&self) -> &[bool] {
-        &self.quarantined
-    }
-
-    fn state_slots(&self) -> usize {
-        2
-    }
-
-    fn state(&self, pi: usize, slot: usize) -> &Tensor {
-        &self.state[pi][slot]
-    }
-
-    fn state_mut(&mut self, pi: usize, slot: usize) -> &mut Tensor {
-        &mut self.state[pi][slot]
-    }
-}
-
-/// Fused StepLR: each model has its own `step_size` and `gamma`, so a
-/// single scheduler drives `B` different learning-rate schedules.
+/// The fused learning-rate scheduler: lane `l` follows its own serial
+/// schedule ([`hfta_nn::StepLr`], [`hfta_nn::ExponentialLr`],
+/// [`hfta_nn::CosineLr`]), so one scheduler drives `B` different schedules
+/// and every lane's rate is the serial expression, bit for bit.
 #[derive(Debug, Clone)]
-pub struct FusedStepLr {
-    base_lr: PerModel,
-    step_size: Vec<usize>,
-    gamma: Vec<f32>,
+pub struct FusedScheduler<S> {
+    lanes: Vec<S>,
     epoch: usize,
 }
 
-impl FusedStepLr {
-    /// Creates the fused scheduler.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusionError::HyperParamLength`] if vector lengths differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `step_size` is zero.
-    pub fn new(base_lr: PerModel, step_size: Vec<usize>, gamma: Vec<f32>) -> Result<Self> {
-        if step_size.len() != base_lr.b() {
-            return Err(FusionError::HyperParamLength {
-                expected: base_lr.b(),
-                found: step_size.len(),
-            });
-        }
-        if gamma.len() != base_lr.b() {
-            return Err(FusionError::HyperParamLength {
-                expected: base_lr.b(),
-                found: gamma.len(),
-            });
-        }
-        assert!(
-            step_size.iter().all(|&s| s > 0),
-            "step sizes must be positive"
-        );
-        Ok(FusedStepLr {
-            base_lr,
-            step_size,
-            gamma,
-            epoch: 0,
-        })
+impl<S: LrSchedule> FusedScheduler<S> {
+    /// One serial schedule per lane.
+    pub fn new(lanes: Vec<S>) -> Self {
+        FusedScheduler { lanes, epoch: 0 }
     }
 
-    /// Per-model LRs the schedule prescribes at `epoch`.
+    /// Per-lane LRs the schedules prescribe at `epoch`.
     pub fn lr_at(&self, epoch: usize) -> PerModel {
-        PerModel::new(
-            (0..self.base_lr.b())
-                .map(|i| {
-                    self.base_lr.get(i) * self.gamma[i].powi((epoch / self.step_size[i]) as i32)
-                })
-                .collect(),
-        )
+        PerModel::new(self.lanes.iter().map(|s| s.lr_at(epoch)).collect())
     }
 
-    /// Advances one epoch and writes the per-model LRs into `opt`.
-    pub fn step(&mut self, opt: &mut dyn FusedOptimizer) {
+    /// Advances one epoch and writes the per-lane LRs into `opt`, which
+    /// must be as wide as the schedules are many.
+    pub fn step<U: Update>(&mut self, opt: &mut FusedOptimizer<U>) {
         self.epoch += 1;
         opt.set_lr(self.lr_at(self.epoch));
-    }
-
-    /// Current epoch counter.
-    pub fn epoch(&self) -> usize {
-        self.epoch
     }
 }
 
@@ -623,7 +645,9 @@ pub fn fused_clip_grad_norm(params: &[FusedParameter], max_norm: f32) -> Vec<f32
             p.param.update_grad(|g| {
                 for (i, &n) in norms.iter().enumerate().filter(|(_, &n)| n > max_norm) {
                     let scale = max_norm / n;
-                    lane(g, norms.len(), i).iter_mut().for_each(|v| *v *= scale);
+                    lane_mut(g, norms.len(), i)
+                        .iter_mut()
+                        .for_each(|v| *v *= scale);
                 }
             });
         }
@@ -631,111 +655,10 @@ pub fn fused_clip_grad_norm(params: &[FusedParameter], max_norm: f32) -> Vec<f32
     norms
 }
 
-/// Fused exponential learning-rate schedule: each model's LR decays by its
-/// own `gamma` every epoch (`torch.optim.lr_scheduler.ExponentialLR`
-/// analogue; part of the paper's "more schedulers" future work).
-#[derive(Debug, Clone)]
-pub struct FusedExponentialLr {
-    base_lr: PerModel,
-    gamma: Vec<f32>,
-    epoch: usize,
-}
-
-impl FusedExponentialLr {
-    /// Creates the fused scheduler.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusionError::HyperParamLength`] if the gamma vector's
-    /// length differs from the array width.
-    pub fn new(base_lr: PerModel, gamma: Vec<f32>) -> Result<Self> {
-        if gamma.len() != base_lr.b() {
-            return Err(FusionError::HyperParamLength {
-                expected: base_lr.b(),
-                found: gamma.len(),
-            });
-        }
-        Ok(FusedExponentialLr {
-            base_lr,
-            gamma,
-            epoch: 0,
-        })
-    }
-
-    /// Per-model LRs at `epoch`.
-    pub fn lr_at(&self, epoch: usize) -> PerModel {
-        PerModel::new(
-            (0..self.base_lr.b())
-                .map(|i| self.base_lr.get(i) * self.gamma[i].powi(epoch as i32))
-                .collect(),
-        )
-    }
-
-    /// Advances one epoch and writes the per-model LRs into `opt`.
-    pub fn step(&mut self, opt: &mut dyn FusedOptimizer) {
-        self.epoch += 1;
-        opt.set_lr(self.lr_at(self.epoch));
-    }
-}
-
-/// Fused cosine-annealing schedule: each model anneals its LR from its
-/// base value to its own `eta_min` over `t_max` epochs.
-#[derive(Debug, Clone)]
-pub struct FusedCosineLr {
-    base_lr: PerModel,
-    eta_min: Vec<f32>,
-    t_max: usize,
-    epoch: usize,
-}
-
-impl FusedCosineLr {
-    /// Creates the fused scheduler.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FusionError::HyperParamLength`] on length mismatches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t_max == 0`.
-    pub fn new(base_lr: PerModel, eta_min: Vec<f32>, t_max: usize) -> Result<Self> {
-        assert!(t_max > 0, "t_max must be positive");
-        if eta_min.len() != base_lr.b() {
-            return Err(FusionError::HyperParamLength {
-                expected: base_lr.b(),
-                found: eta_min.len(),
-            });
-        }
-        Ok(FusedCosineLr {
-            base_lr,
-            eta_min,
-            t_max,
-            epoch: 0,
-        })
-    }
-
-    /// Per-model LRs at `epoch`.
-    pub fn lr_at(&self, epoch: usize) -> PerModel {
-        let t = epoch.min(self.t_max) as f32 / self.t_max as f32;
-        let cos = 0.5 * (1.0 + (std::f32::consts::PI * t).cos());
-        PerModel::new(
-            (0..self.base_lr.b())
-                .map(|i| self.eta_min[i] + (self.base_lr.get(i) - self.eta_min[i]) * cos)
-                .collect(),
-        )
-    }
-
-    /// Advances one epoch and writes the per-model LRs into `opt`.
-    pub fn step(&mut self, opt: &mut dyn FusedOptimizer) {
-        self.epoch += 1;
-        opt.set_lr(self.lr_at(self.epoch));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hfta_nn::{Adadelta, Adam, Optimizer, Parameter, Sgd};
+    use hfta_nn::{Adadelta, Adam, CosineLr, ExponentialLr, Optimizer, Parameter, Sgd, StepLr};
     use hfta_tensor::Rng;
 
     fn bits(t: &Tensor) -> Vec<u32> {
@@ -875,16 +798,19 @@ mod tests {
             param: Parameter::new(Tensor::zeros([4]), "w"),
             b: 2,
         };
-        assert!(FusedSgd::new(vec![p.clone()], PerModel::uniform(3, 0.1), 0.0).is_err());
-        assert!(FusedStepLr::new(PerModel::uniform(2, 0.1), vec![1], vec![0.5, 0.5]).is_err());
-        assert!(FusedStepLr::new(PerModel::uniform(2, 0.1), vec![1, 1], vec![0.5]).is_err());
-        let _ = p;
+        let (lr2, lr3) = (PerModel::uniform(2, 0.1), PerModel::uniform(3, 0.1));
+        assert!(FusedSgd::new(vec![p.clone()], lr3.clone(), 0.0).is_err());
+        assert!(FusedSgd::with_momenta(vec![p.clone()], lr2.clone(), lr3.clone()).is_err());
+        assert!(FusedAdadelta::new(vec![p.clone()], lr2.clone(), lr3.clone(), 1e-6).is_err());
+        // A group may only name lanes the rate vector covers.
+        let groups = vec![(vec![1, 2], vec![p])];
+        assert!(FusedAdam::grouped(groups, lr2, AdamUpdate::default()).is_err());
     }
 
     #[test]
     fn fused_step_lr_drives_distinct_schedules() {
         let mut sched =
-            FusedStepLr::new(PerModel::new(vec![0.1, 0.1]), vec![1, 2], vec![0.5, 0.1]).unwrap();
+            FusedScheduler::new(vec![StepLr::new(0.1, 1, 0.5), StepLr::new(0.1, 2, 0.1)]);
         let p = FusedParameter {
             param: Parameter::new(Tensor::zeros([2]), "w"),
             b: 2,
@@ -928,16 +854,21 @@ mod tests {
 
     #[test]
     fn fused_exponential_lr_decays_per_model() {
-        let sched = FusedExponentialLr::new(PerModel::new(vec![1.0, 1.0]), vec![0.5, 0.9]).unwrap();
+        let sched = FusedScheduler::new(vec![
+            ExponentialLr::new(1.0, 0.5),
+            ExponentialLr::new(1.0, 0.9),
+        ]);
         let at2 = sched.lr_at(2);
         assert!((at2.get(0) - 0.25).abs() < 1e-6);
         assert!((at2.get(1) - 0.81).abs() < 1e-6);
-        assert!(FusedExponentialLr::new(PerModel::uniform(2, 1.0), vec![0.5]).is_err());
     }
 
     #[test]
     fn fused_cosine_lr_anneals_to_eta_min() {
-        let sched = FusedCosineLr::new(PerModel::new(vec![1.0, 0.1]), vec![0.0, 0.01], 10).unwrap();
+        let sched = FusedScheduler::new(vec![
+            CosineLr::new(1.0, 0.0, 10),
+            CosineLr::new(0.1, 0.01, 10),
+        ]);
         let start = sched.lr_at(0);
         assert!((start.get(0) - 1.0).abs() < 1e-6);
         let mid = sched.lr_at(5);
@@ -956,10 +887,13 @@ mod tests {
             b: 2,
         };
         let mut opt = FusedSgd::new(vec![p], PerModel::uniform(2, 1.0), 0.0).unwrap();
-        let mut exp = FusedExponentialLr::new(PerModel::uniform(2, 1.0), vec![0.5, 0.9]).unwrap();
+        let mut exp = FusedScheduler::new(vec![
+            ExponentialLr::new(1.0, 0.5),
+            ExponentialLr::new(1.0, 0.9),
+        ]);
         exp.step(&mut opt);
         assert!((opt.lr().get(0) - 0.5).abs() < 1e-7);
-        let mut cos = FusedCosineLr::new(PerModel::uniform(2, 1.0), vec![0.0, 0.0], 4).unwrap();
+        let mut cos = FusedScheduler::new(vec![CosineLr::new(1.0, 0.0, 4); 2]);
         cos.step(&mut opt);
         assert!(opt.lr().get(0) < 1.0);
     }
@@ -999,16 +933,23 @@ mod tests {
 
     #[test]
     fn fused_schedulers_match_serial_per_model() {
-        use hfta_nn::{CosineLr, ExponentialLr};
-        // Uniform fused schedules must reduce to the serial schedulers.
-        let exp_f = FusedExponentialLr::new(PerModel::uniform(3, 0.2), vec![0.7; 3]).unwrap();
-        let exp_s = ExponentialLr::new(0.2, 0.7);
-        let cos_f = FusedCosineLr::new(PerModel::uniform(3, 0.2), vec![0.01; 3], 6).unwrap();
-        let cos_s = CosineLr::new(0.2, 0.01, 6);
+        // Every lane's rate is its serial scheduler's, bit for bit.
+        let steps = [StepLr::new(0.2, 2, 0.5), StepLr::new(0.1, 3, 0.9)];
+        let exps = [ExponentialLr::new(0.2, 0.7), ExponentialLr::new(0.05, 0.9)];
+        let coss = [CosineLr::new(0.2, 0.01, 6), CosineLr::new(0.3, 0.0, 4)];
+        let (step_f, exp_f, cos_f) = (
+            FusedScheduler::new(steps.to_vec()),
+            FusedScheduler::new(exps.to_vec()),
+            FusedScheduler::new(coss.to_vec()),
+        );
         for e in 0..10 {
-            for m in 0..3 {
-                assert!((exp_f.lr_at(e).get(m) - exp_s.lr_at(e)).abs() < 1e-7);
-                assert!((cos_f.lr_at(e).get(m) - cos_s.lr_at(e)).abs() < 1e-7);
+            for m in 0..2 {
+                assert_eq!(
+                    step_f.lr_at(e).get(m).to_bits(),
+                    steps[m].lr_at(e).to_bits()
+                );
+                assert_eq!(exp_f.lr_at(e).get(m).to_bits(), exps[m].lr_at(e).to_bits());
+                assert_eq!(cos_f.lr_at(e).get(m).to_bits(), coss[m].lr_at(e).to_bits());
             }
         }
     }
@@ -1022,38 +963,28 @@ mod tests {
                 b: 2,
             })
             .collect();
-        let numel = 14.0;
         let lr = PerModel::uniform(2, 0.1);
         let rho = PerModel::uniform(2, 0.9);
-        // (optimizer, f32 words read + written per element)
-        let cases: Vec<(Box<dyn FusedOptimizer>, f64)> = vec![
-            (
-                Box::new(FusedSgd::new(params.clone(), lr.clone(), 0.0).unwrap()),
-                3.0,
-            ),
-            (
-                Box::new(FusedSgd::new(params.clone(), lr.clone(), 0.9).unwrap()),
-                5.0,
-            ),
-            (
-                Box::new(FusedAdam::new(params.clone(), lr.clone()).unwrap()),
-                7.0,
-            ),
-            (
-                Box::new(FusedAdadelta::new(params.clone(), lr, rho, 1e-6).unwrap()),
-                7.0,
-            ),
-        ];
-        for (mut opt, words) in cases {
+        // Two steps' (calls, bytes): one sample per step, not per
+        // parameter, of 14 elements times the f32 words read + written.
+        fn sample<U: Update>(mut opt: FusedOptimizer<U>) -> (u64, f64) {
             let profiler = hfta_telemetry::Profiler::new("optim");
             let _installed = profiler.install();
             opt.step();
             opt.step();
             let report = profiler.report();
             let op = report.experiments[0].op("optim_step").expect("op sample");
-            assert_eq!(op.calls, 2, "one sample per step, not per parameter");
-            assert_eq!(op.bytes, 2.0 * 4.0 * numel * words);
+            (op.calls, op.bytes / (2.0 * 4.0 * 14.0))
         }
+        let sgd = |m| FusedSgd::new(params.clone(), lr.clone(), m).unwrap();
+        assert_eq!(sample(sgd(0.0)), (2, 3.0));
+        assert_eq!(sample(sgd(0.9)), (2, 5.0));
+        assert_eq!(
+            sample(FusedAdam::new(params.clone(), lr.clone()).unwrap()),
+            (2, 7.0)
+        );
+        let adadelta = FusedAdadelta::new(params.clone(), lr, rho, 1e-6).unwrap();
+        assert_eq!(sample(adadelta), (2, 7.0));
     }
 
     #[test]

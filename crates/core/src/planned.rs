@@ -20,15 +20,11 @@
 //! stacking rules of [`crate::ops`]. The plan's shape therefore never influences
 //! initial parameter bits.
 //!
-//! The [`PlannedOptimizer`] is the partially fused optimizer: one fused
-//! optimizer per parameter-carrying block, with per-block hyper-parameter
-//! vectors projected through the block's lane map. Lane surgery
-//! ([`PlannedOptimizer::extract_lane`] / [`PlannedOptimizer::splice_lanes`])
-//! reuses [`crate::surgery`] per block and concatenates the per-block
-//! segments in plan order — which is each lane's own program order — so
-//! extracted [`LaneState`]s are interchangeable with width-1 arrays of
-//! the same program and round-trip through [`crate::snapshot`]
-//! checkpoints unchanged.
+//! The [`PlannedOptimizer`] is the partially fused optimizer: the one
+//! [`FusedOptimizer`] with a parameter group per parameter-carrying block,
+//! carrying the block's lanes. A lane's extracted [`LaneState`] is its
+//! per-block segments in plan order — its own program order — and so is
+//! interchangeable with a width-1 array's of the same program.
 
 use hfta_nn::layers::{
     BatchNorm, Conv1d, Conv2d, Conv2dCfg, ConvTranspose2d, LeakyRelu, Linear, LinearCfg, MaxPool2d,
@@ -45,8 +41,8 @@ use crate::ops::{
     fuse_batch_norm, fuse_conv1d, fuse_conv2d, fuse_conv_transpose2d, FusedLinear, FusedModule,
     FusedParameter,
 };
-use crate::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel};
-use crate::surgery::{self, LaneState};
+use crate::optim::{AdamUpdate, FusedOptimizer, PerModel, SgdUpdate, Update};
+use crate::surgery::LaneState;
 
 /// One op of one lane (`L = Linear`), or of one block at the block's
 /// width (`L = FusedLinear`). Only `Linear` changes type when fused: a
@@ -204,12 +200,6 @@ struct ExecBlock {
     params: Vec<FusedParameter>,
 }
 
-impl ExecBlock {
-    fn lane_index(&self, lane: usize) -> Option<usize> {
-        self.lanes.iter().position(|&l| l == lane)
-    }
-}
-
 /// A partially fused model array executing a [`FusionPlan`].
 pub struct PlannedArray {
     plan: FusionPlan,
@@ -317,15 +307,6 @@ impl PlannedArray {
         self.blocks.iter().flat_map(|b| b.params.clone()).collect()
     }
 
-    /// Number of parameter tensors owned by lane `lane` across blocks.
-    pub fn lane_param_count(&self, lane: usize) -> usize {
-        self.blocks
-            .iter()
-            .filter(|b| b.lane_index(lane).is_some())
-            .map(|b| b.params.len())
-            .sum()
-    }
-
     /// Switches training/eval mode on every block.
     pub fn set_training(&self, training: bool) {
         for b in &self.blocks {
@@ -416,202 +397,54 @@ pub fn per_lane_ce(outputs: &[Var], targets: &[Vec<usize>]) -> (Vec<f32>, Var) {
     (losses, total.expect("at least one lane"))
 }
 
-/// The partially fused optimizer: one fused optimizer per
-/// parameter-carrying block, hyper-parameters projected through each
-/// block's lane map.
-pub struct PlannedOptimizer {
-    /// One entry per array block; `None` for parameter-less blocks.
-    opts: Vec<Option<Box<dyn FusedOptimizer>>>,
-    lane_sets: Vec<Vec<usize>>,
-    lanes: usize,
-    quarantined: Vec<bool>,
+/// The partially fused optimizer: the one [`FusedOptimizer`] over a
+/// [`PlannedArray`]'s blocks (SGD unless named otherwise).
+pub type PlannedOptimizer<U = SgdUpdate> = FusedOptimizer<U>;
+
+impl<U: Update> FusedOptimizer<U> {
+    /// Rule `update` over `array`: one parameter group per
+    /// parameter-carrying block, carrying the block's lanes, in plan order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FusionError`] when `lr` or the rule's vectors disagree
+    /// with the array's lane count.
+    pub fn planned(array: &PlannedArray, lr: &PerModel, update: U) -> Result<Self> {
+        lr.check_b(array.lanes())?;
+        let groups = (array.blocks.iter())
+            .filter(|b| !b.params.is_empty())
+            .map(|b| (b.lanes.clone(), b.params.clone()))
+            .collect();
+        FusedOptimizer::grouped(groups, lr.clone(), update)
+    }
+
+    /// [`FusedOptimizer::extract`] on the planned array it steps.
+    pub fn extract_lane(&self, array: &PlannedArray, lane: usize) -> LaneState {
+        assert_eq!(array.lanes(), self.lanes(), "not this optimizer's array");
+        self.extract(lane)
+    }
+
+    /// [`FusedOptimizer::splice`] on the planned array it steps.
+    pub fn splice_lanes(&mut self, array: &PlannedArray, lanes: &[LaneState]) {
+        assert_eq!(array.lanes(), self.lanes(), "not this optimizer's array");
+        self.splice(lanes);
+    }
 }
 
 impl PlannedOptimizer {
-    fn build(
-        array: &PlannedArray,
-        lr: &PerModel,
-        make: impl Fn(Vec<FusedParameter>, PerModel) -> Result<Box<dyn FusedOptimizer>>,
-    ) -> Result<PlannedOptimizer> {
-        lr.check_b(array.lanes())?;
-        let mut opts = Vec::with_capacity(array.blocks.len());
-        for block in &array.blocks {
-            if block.params.is_empty() {
-                opts.push(None);
-                continue;
-            }
-            let block_lr = PerModel::new(block.lanes.iter().map(|&l| lr.get(l)).collect());
-            opts.push(Some(make(block.params.clone(), block_lr)?));
-        }
-        Ok(PlannedOptimizer {
-            opts,
-            lane_sets: array.blocks.iter().map(|b| b.lanes.clone()).collect(),
-            lanes: array.lanes(),
-            quarantined: vec![false; array.lanes()],
-        })
+    /// SGD with one momentum shared by every lane; fails like
+    /// [`FusedOptimizer::planned`].
+    pub fn sgd(array: &PlannedArray, lr: &PerModel, momentum: f32) -> Result<Self> {
+        let momentum = PerModel::uniform(array.lanes(), momentum);
+        FusedOptimizer::planned(array, lr, SgdUpdate { momentum })
     }
+}
 
-    /// Per-block SGD (optionally with momentum) over per-lane rates.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hyper-parameter/width mismatches from the block
-    /// optimizers.
-    pub fn sgd(array: &PlannedArray, lr: &PerModel, momentum: f32) -> Result<PlannedOptimizer> {
-        PlannedOptimizer::build(array, lr, |params, block_lr| {
-            Ok(Box::new(FusedSgd::new(params, block_lr, momentum)?))
-        })
-    }
-
-    /// Per-block Adam over per-lane rates.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hyper-parameter/width mismatches from the block
-    /// optimizers.
-    pub fn adam(array: &PlannedArray, lr: &PerModel) -> Result<PlannedOptimizer> {
-        PlannedOptimizer::build(array, lr, |params, block_lr| {
-            Ok(Box::new(FusedAdam::new(params, block_lr)?))
-        })
-    }
-
-    /// Applies one update on every block.
-    pub fn step(&mut self) {
-        for opt in self.opts.iter_mut().flatten() {
-            opt.step();
-        }
-    }
-
-    /// Zeroes every block's gradients.
-    pub fn zero_grad(&mut self) {
-        for opt in self.opts.iter_mut().flatten() {
-            opt.zero_grad();
-        }
-    }
-
-    /// Quarantines global lane `lane` in every block containing it: the
-    /// lane's gradients and optimizer state are zeroed now and re-masked
-    /// each step, while every other lane — fused alongside it or serial
-    /// elsewhere — continues bit-identically.
-    pub fn quarantine(&mut self, lane: usize) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        self.quarantined[lane] = true;
-        for (opt, lanes) in self.opts.iter_mut().zip(&self.lane_sets) {
-            if let (Some(opt), Some(j)) = (opt.as_mut(), lanes.iter().position(|&l| l == lane)) {
-                opt.quarantine(j);
-            }
-        }
-    }
-
-    /// Which global lanes are quarantined.
-    pub fn quarantined(&self) -> &[bool] {
-        &self.quarantined
-    }
-
-    /// The shared optimizer step counter (asserted equal across blocks).
-    pub fn step_count(&self) -> u64 {
-        let mut counts = self.opts.iter().flatten().map(|o| o.step_count());
-        let first = counts.next().unwrap_or(0);
-        debug_assert!(
-            self.opts.iter().flatten().all(|o| o.step_count() == first),
-            "planned blocks disagree on step count"
-        );
-        first
-    }
-
-    /// Restores the shared step counter on every block.
-    pub fn set_step_count(&mut self, t: u64) {
-        for opt in self.opts.iter_mut().flatten() {
-            opt.set_step_count(t);
-        }
-    }
-
-    /// Extracts global lane `lane`'s complete training state: per-block
-    /// [`surgery::extract_lane`] segments concatenated in plan order —
-    /// each lane's own program order — so the result is interchangeable
-    /// with a width-1 array's lane state and snapshot-compatible.
-    pub fn extract_lane(&self, array: &PlannedArray, lane: usize) -> LaneState {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        let mut params = Vec::new();
-        let mut opt_state = Vec::new();
-        for (block, opt) in array.blocks.iter().zip(&self.opts) {
-            let Some(j) = block.lane_index(lane) else {
-                continue;
-            };
-            if block.params.is_empty() {
-                continue;
-            }
-            let opt = opt.as_ref().expect("parameter blocks have optimizers");
-            let seg = surgery::extract_lane(&block.params, opt.as_ref(), j);
-            params.extend(seg.params);
-            opt_state.extend(seg.opt_state);
-        }
-        LaneState {
-            params,
-            opt_state,
-            step_count: self.step_count(),
-            ctx: None,
-        }
-    }
-
-    /// Writes one extracted lane state into global lane `lane`,
-    /// splitting it back into per-block segments. Does not touch the
-    /// step counter (see [`PlannedOptimizer::splice_lanes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the state's parameter count disagrees with the lane's
-    /// program.
-    pub fn write_lane(&mut self, array: &PlannedArray, lane: usize, state: &LaneState) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        assert_eq!(
-            state.params.len(),
-            array.lane_param_count(lane),
-            "lane state does not match lane {lane}'s program"
-        );
-        let mut off = 0;
-        for (block, opt) in array.blocks.iter().zip(self.opts.iter_mut()) {
-            let Some(j) = block.lane_index(lane) else {
-                continue;
-            };
-            if block.params.is_empty() {
-                continue;
-            }
-            let count = block.params.len();
-            let seg = LaneState {
-                params: state.params[off..off + count].to_vec(),
-                opt_state: state.opt_state[off..off + count].to_vec(),
-                step_count: state.step_count,
-                ctx: state.ctx,
-            };
-            let opt = opt.as_mut().expect("parameter blocks have optimizers");
-            surgery::write_lane(&block.params, opt.as_mut(), j, &seg);
-            off += count;
-        }
-    }
-
-    /// Splices one extracted state per lane into the array (lane `i`
-    /// receives `lanes[i]`) and restores the shared step counter —
-    /// the planned counterpart of [`surgery::splice_lanes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on width or step-count disagreement.
-    pub fn splice_lanes(&mut self, array: &PlannedArray, lanes: &[LaneState]) {
-        assert_eq!(
-            lanes.len(),
-            self.lanes,
-            "need exactly one lane state per lane"
-        );
-        let t = lanes[0].step_count;
-        assert!(
-            lanes.iter().all(|l| l.step_count == t),
-            "spliced lanes disagree on the optimizer step count"
-        );
-        for (i, state) in lanes.iter().enumerate() {
-            self.write_lane(array, i, state);
-        }
-        self.set_step_count(t);
+impl PlannedOptimizer<AdamUpdate> {
+    /// Adam with the defaults of [`AdamUpdate`]; fails like
+    /// [`FusedOptimizer::planned`].
+    pub fn adam(array: &PlannedArray, lr: &PerModel) -> Result<Self> {
+        FusedOptimizer::planned(array, lr, AdamUpdate::default())
     }
 }
 
@@ -706,15 +539,26 @@ mod tests {
     ) -> (Vec<Vec<u32>>, Vec<LaneState>) {
         let array = PlannedArray::build(graphs, plan, &seeds(graphs.len())).unwrap();
         let lr = lrs(graphs.len());
-        let mut opt = if adam {
-            PlannedOptimizer::adam(&array, &lr).unwrap()
+        if adam {
+            let opt = PlannedOptimizer::adam(&array, &lr).unwrap();
+            train(&array, opt, steps, quarantine)
         } else {
-            PlannedOptimizer::sgd(&array, &lr, 0.9).unwrap()
-        };
+            let opt = PlannedOptimizer::sgd(&array, &lr, 0.9).unwrap();
+            train(&array, opt, steps, quarantine)
+        }
+    }
+
+    fn train<U: Update>(
+        array: &PlannedArray,
+        mut opt: PlannedOptimizer<U>,
+        steps: usize,
+        quarantine: Option<usize>,
+    ) -> (Vec<Vec<u32>>, Vec<LaneState>) {
         if let Some(lane) = quarantine {
             opt.quarantine(lane);
         }
-        let (inputs, targets) = data(graphs.len(), 2);
+        let lanes = array.lanes();
+        let (inputs, targets) = data(lanes, 2);
         let mut loss_bits = Vec::new();
         for _ in 0..steps {
             let (_tape, outs) = array.forward(&inputs).unwrap();
@@ -724,9 +568,7 @@ mod tests {
             opt.zero_grad();
             loss_bits.push(losses.iter().map(|l| l.to_bits()).collect());
         }
-        let states = (0..graphs.len())
-            .map(|l| opt.extract_lane(&array, l))
-            .collect();
+        let states = (0..lanes).map(|l| opt.extract_lane(array, l)).collect();
         (loss_bits, states)
     }
 
@@ -818,7 +660,7 @@ mod tests {
         };
         let array = ModelArray::new(chain);
         let params = array.fused_parameters();
-        let mut opt = FusedSgd::new(params.clone(), lrs(lanes), 0.9).unwrap();
+        let mut opt = crate::optim::FusedSgd::new(params.clone(), lrs(lanes), 0.9).unwrap();
         let (inputs, targets) = data(lanes, 2);
         for (step, expect) in pl.iter().enumerate().take(3) {
             let (_tape, out) = array.forward_conv(&inputs).unwrap();
@@ -833,7 +675,7 @@ mod tests {
             assert_eq!(*expect, loss_bits, "step {step} loss bits");
         }
         for (lane, expect) in ps.iter().enumerate() {
-            let reference = surgery::extract_lane(&params, &opt, lane);
+            let reference = crate::surgery::extract_lane(&params, &opt, lane);
             assert_lane_state_eq(expect, &reference, &format!("lane {lane}"));
         }
     }

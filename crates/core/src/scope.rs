@@ -18,7 +18,7 @@
 //! scalars into the installed profiler, fires [`SentinelEvent`]s when a
 //! model's loss or gradient goes non-finite or explodes, and (when
 //! [`SentinelCfg::quarantine`] is set) quarantines the offending model via
-//! [`crate::optim::FusedOptimizer::quarantine`] — zeroing its gradient lane
+//! [`FusedOptimizer::quarantine`] — zeroing its gradient lane
 //! and freezing its optimizer state so the survivors' training is
 //! bit-for-bit unaffected (see `tests/quarantine.rs`).
 
@@ -27,7 +27,7 @@ use hfta_telemetry::{FlightKind, Profiler, SentinelEvent, SentinelKind};
 use std::collections::VecDeque;
 
 use crate::ops::FusedParameter;
-use crate::optim::FusedOptimizer;
+use crate::optim::{FusedOptimizer, Update};
 
 /// Flat bounds of model `i`'s lane in a fused tensor of `numel` elements.
 ///
@@ -251,12 +251,12 @@ impl ScopeMonitor {
     /// # Panics
     ///
     /// Panics if `losses` or the optimizer disagree with the array width.
-    pub fn after_backward(
+    pub fn after_backward<U: Update>(
         &mut self,
         step: u64,
         losses: &[f32],
         params: &[FusedParameter],
-        opt: &mut dyn FusedOptimizer,
+        opt: &mut FusedOptimizer<U>,
     ) -> Vec<usize> {
         assert_eq!(losses.len(), self.b, "one loss per model");
         assert_eq!(opt.quarantined().len(), self.b, "optimizer width mismatch");
@@ -395,7 +395,7 @@ impl ScopeMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{FusedOptimizer, FusedSgd, PerModel};
+    use crate::optim::{FusedSgd, PerModel};
     use hfta_nn::{Parameter, Tape};
     use hfta_tensor::{Rng, Tensor};
 

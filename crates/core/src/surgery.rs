@@ -1,39 +1,25 @@
 //! Lane surgery: moving individual models between fused arrays,
 //! bit-identically.
 //!
-//! A fused array stores every model's tensors in shared storage whose axis
-//! 0 is split into `B` equal contiguous chunks, so model `i`'s lane of a
-//! tensor with `numel` elements is the flat range
-//! `i * numel/B .. (i+1) * numel/B` (see [`crate::scope::lane_bounds`]).
-//! [`extract_lane`] copies one model's complete training state out of an
-//! array — its parameter lanes **and** every optimizer-state lane
-//! (velocity, Adam moments, …) plus the optimizer's shared step counter —
-//! and [`splice_lanes`] writes such states into the lanes of another
-//! array.
-//!
-//! Because every fused op computes each lane independently of `B` and of
-//! lane position (the bit-identity the quarantine tests prove), a model
-//! extracted from one array and spliced into another continues training
-//! **bit-for-bit** as if it had never moved. This is what lets an elastic
-//! scheduler (`hfta-sched`) evict early-stopped lanes and re-pack
-//! survivors into full-width arrays without perturbing their trajectories.
-//!
-//! Invariants the scheduler must uphold (checked here where possible):
-//!
-//! - All lanes spliced into one array must agree on the optimizer step
-//!   count (Adam's bias correction depends on it) — [`splice_lanes`]
-//!   asserts this and restores the counter on the target optimizer.
-//! - The target array must be freshly built (same parameter count, lane
-//!   shapes, and optimizer family); surgery replaces every lane, so no
-//!   stale state survives.
-//! - Gradients are *not* moved: the training loop zeroes them at the top
-//!   of every step, so they carry no cross-step state.
+//! [`LaneState`] is one model's complete training state — its parameter
+//! lanes, every optimizer-state lane (velocity, Adam moments, …) and the
+//! optimizer's shared step counter — as [`FusedOptimizer::extract`] copies
+//! it out of an array and [`FusedOptimizer::splice`] writes it into the
+//! lanes of another. Because every fused op computes each lane
+//! independently of `B` and of lane position (the bit-identity the
+//! quarantine tests prove), a moved model continues training **bit for
+//! bit** as if it had never moved: what lets an elastic scheduler
+//! (`hfta-sched`) evict early-stopped lanes and re-pack survivors into
+//! full-width arrays. Spliced lanes must agree on the step count (Adam's
+//! bias correction depends on it); the target array is freshly built, and
+//! every lane is replaced. Gradients are not moved: the training loop
+//! zeroes them every step. The functions here are the hand-fused entry
+//! points, plus hfta-flight tracing.
 
 use hfta_tensor::Tensor;
 
 use crate::ops::FusedParameter;
-use crate::optim::FusedOptimizer;
-use crate::scope::lane_bounds;
+use crate::optim::{FusedOptimizer, Update};
 use hfta_telemetry::{FlightKind, Profiler, TraceCtx};
 
 /// One model's complete training state, extracted from a fused array.
@@ -43,7 +29,7 @@ pub struct LaneState {
     /// keeps the fused per-lane shape (axis 0 = `dim0 / B`).
     pub params: Vec<Tensor>,
     /// `opt_state[pi][slot]`: the optimizer-state lanes of parameter
-    /// `pi`, one tensor per [`FusedOptimizer::state_slots`] slot.
+    /// `pi`, one tensor per [`Update::SLOTS`] slot.
     pub opt_state: Vec<Vec<Tensor>>,
     /// The optimizer's shared step counter at extraction time (Adam's
     /// `t`; 0 for optimizers without one).
@@ -62,44 +48,24 @@ impl LaneState {
     }
 }
 
-/// Copies model `lane`'s parameter lanes and optimizer-state lanes out of
-/// a fused array. The array is left untouched.
-///
-/// # Panics
-///
-/// Panics if `params` is empty, widths disagree, or `lane` is out of
-/// range.
-pub fn extract_lane(params: &[FusedParameter], opt: &dyn FusedOptimizer, lane: usize) -> LaneState {
-    assert!(!params.is_empty(), "no parameters to extract");
-    let b = params[0].b;
-    assert!(params.iter().all(|p| p.b == b), "array widths disagree");
-    assert!(lane < b, "lane {lane} out of range (B = {b})");
-    let slots = opt.state_slots();
-    let mut lanes = Vec::with_capacity(params.len());
-    let mut opt_state = Vec::with_capacity(params.len());
-    for (pi, p) in params.iter().enumerate() {
-        let v = p.param.value();
-        let chunk = v.dim(0) / b;
-        lanes.push(v.narrow(0, lane * chunk, chunk));
-        let state: Vec<Tensor> = (0..slots)
-            .map(|slot| {
-                let s = opt.state(pi, slot);
-                assert_eq!(
-                    s.numel(),
-                    v.numel(),
-                    "state slot {slot} of parameter {pi} disagrees with its value"
-                );
-                s.narrow(0, lane * chunk, chunk)
-            })
-            .collect();
-        opt_state.push(state);
-    }
-    LaneState {
-        params: lanes,
-        opt_state,
-        step_count: opt.step_count(),
-        ctx: None,
-    }
+/// Asserts `params` are the parameters `opt` steps, in order.
+fn assert_steps<U: Update>(params: &[FusedParameter], opt: &FusedOptimizer<U>) {
+    assert!(
+        params.len() == opt.params().len()
+            && (params.iter().zip(opt.params())).all(|(a, b)| a.param.same_slot(&b.param)),
+        "the optimizer does not step these parameters"
+    );
+}
+
+/// [`FusedOptimizer::extract`] of model `lane` from the array whose
+/// parameters `opt` steps. Panics if it does not step `params`.
+pub fn extract_lane<U: Update>(
+    params: &[FusedParameter],
+    opt: &FusedOptimizer<U>,
+    lane: usize,
+) -> LaneState {
+    assert_steps(params, opt);
+    opt.extract(lane)
 }
 
 /// [`extract_lane`] plus hfta-flight correlation: stamps the trial id and
@@ -107,9 +73,9 @@ pub fn extract_lane(params: &[FusedParameter], opt: &dyn FusedOptimizer, lane: u
 /// event. The timestamp, device, and source array come from the ambient
 /// flight cursor the scheduler sets around surgery calls; with no
 /// profiler installed this is exactly [`extract_lane`] plus one branch.
-pub fn extract_lane_traced(
+pub fn extract_lane_traced<U: Update>(
     params: &[FusedParameter],
-    opt: &dyn FusedOptimizer,
+    opt: &FusedOptimizer<U>,
     lane: usize,
     trial: u64,
 ) -> LaneState {
@@ -137,98 +103,25 @@ pub fn extract_lane_traced(
     state
 }
 
-/// Writes one extracted lane into lane `lane` of a target array: the
-/// parameter values and every optimizer-state slot. Used by
-/// [`splice_lanes`]; exposed for schedulers that patch a single lane.
-///
-/// # Panics
-///
-/// Panics on parameter-count, state-slot, or lane-size mismatches.
-pub fn write_lane(
+/// [`FusedOptimizer::splice`] of `lanes` into the array whose parameters
+/// `opt` steps. Panics if it does not step `params`.
+pub fn splice_lanes<U: Update>(
+    lanes: &[LaneState],
     params: &[FusedParameter],
-    opt: &mut dyn FusedOptimizer,
-    lane: usize,
-    state: &LaneState,
+    opt: &mut FusedOptimizer<U>,
 ) {
-    assert!(!params.is_empty(), "no parameters to splice into");
-    let b = params[0].b;
-    assert!(lane < b, "lane {lane} out of range (B = {b})");
-    assert_eq!(
-        state.params.len(),
-        params.len(),
-        "lane state has the wrong parameter count"
-    );
-    assert_eq!(
-        state.opt_state.len(),
-        params.len(),
-        "lane state has the wrong optimizer-state count"
-    );
-    let slots = opt.state_slots();
-    for (pi, (p, lane_value)) in params.iter().zip(&state.params).enumerate() {
-        assert_eq!(
-            state.opt_state[pi].len(),
-            slots,
-            "lane state parameter {pi} has the wrong number of state slots"
-        );
-        p.param.update(|value, _| {
-            let (lo, hi) = lane_bounds(value.numel(), b, lane);
-            assert_eq!(
-                lane_value.numel(),
-                hi - lo,
-                "parameter {pi} lane size mismatch"
-            );
-            value.as_mut_slice()[lo..hi].copy_from_slice(lane_value.as_slice());
-        });
-        for (slot, lane_state) in state.opt_state[pi].iter().enumerate() {
-            let target = opt.state_mut(pi, slot);
-            let (lo, hi) = lane_bounds(target.numel(), b, lane);
-            assert_eq!(
-                lane_state.numel(),
-                hi - lo,
-                "parameter {pi} state slot {slot} lane size mismatch"
-            );
-            target.as_mut_slice()[lo..hi].copy_from_slice(lane_state.as_slice());
-        }
-    }
-}
-
-/// Splices extracted lanes into a freshly built array: lane `i` of the
-/// target receives `lanes[i]`, and the optimizer's step counter is
-/// restored from the (shared) extracted counters — rebuilding a
-/// full-width array from the survivors of several fragmented ones.
-///
-/// # Panics
-///
-/// Panics if `lanes.len()` differs from the target width, the lanes
-/// disagree on their step count, or any lane's shape disagrees with the
-/// target (see [`write_lane`]).
-pub fn splice_lanes(lanes: &[LaneState], params: &[FusedParameter], opt: &mut dyn FusedOptimizer) {
-    assert!(!params.is_empty(), "no parameters to splice into");
-    let b = params[0].b;
-    assert_eq!(
-        lanes.len(),
-        b,
-        "need exactly one lane state per target lane"
-    );
-    let t = lanes[0].step_count;
-    assert!(
-        lanes.iter().all(|l| l.step_count == t),
-        "spliced lanes disagree on the optimizer step count"
-    );
-    for (i, lane) in lanes.iter().enumerate() {
-        write_lane(params, opt, i, lane);
-    }
-    opt.set_step_count(t);
+    assert_steps(params, opt);
+    opt.splice(lanes);
 }
 
 /// [`splice_lanes`] plus hfta-flight correlation: records one `Splice`
 /// event per lane carrying a [`TraceCtx`] (source array/lane → the
 /// destination array named by the ambient flight cursor). Lanes without a
 /// ctx (untraced extraction) are spliced silently.
-pub fn splice_lanes_traced(
+pub fn splice_lanes_traced<U: Update>(
     lanes: &[LaneState],
     params: &[FusedParameter],
-    opt: &mut dyn FusedOptimizer,
+    opt: &mut FusedOptimizer<U>,
 ) {
     splice_lanes(lanes, params, opt);
     if let Some(p) = Profiler::current() {

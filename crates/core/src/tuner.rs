@@ -324,7 +324,7 @@ mod tests {
     #[test]
     fn monitored_sweep_kills_poisoned_trials() {
         use crate::ops::FusedParameter;
-        use crate::optim::{FusedOptimizer, FusedSgd, PerModel};
+        use crate::optim::{FusedSgd, PerModel};
         use crate::scope::poison_model_lane;
         use hfta_nn::Parameter;
         use hfta_tensor::Tensor;

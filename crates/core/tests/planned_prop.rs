@@ -1,9 +1,11 @@
 //! Property-based tests of planned (partially fused) execution: over
-//! random mixed model sets, widths, and optimizers, a planner-driven
-//! run is bit-identical per lane to the all-serial plan; lane surgery
-//! round-trips through serial and sub-width blocks; and quarantining a
-//! lane inside fused blocks leaves every other lane bit-identical.
+//! random mixed model sets, widths, and update rules (SGD, Adam, and
+//! Adadelta with per-lane `rho`), a planner-driven run is bit-identical
+//! per lane to the all-serial plan; lane surgery round-trips through
+//! serial and sub-width blocks; and quarantining a lane inside fused
+//! blocks leaves every other lane bit-identical.
 
+use hfta_core::optim::{AdadeltaUpdate, FusedOptimizer, PerModel, Update};
 use hfta_core::planned::{per_lane_ce, PlannedArray, PlannedOptimizer};
 use hfta_core::surgery::LaneState;
 use hfta_nn::layers::{Conv2dCfg, LinearCfg};
@@ -59,8 +61,8 @@ fn seeds(lanes: usize) -> Vec<u64> {
     (0..lanes as u64).map(|l| 900 + l).collect()
 }
 
-fn lrs(lanes: usize) -> hfta_core::optim::PerModel {
-    hfta_core::optim::PerModel::new((0..lanes).map(|l| 0.03 + 0.005 * l as f32).collect())
+fn lrs(lanes: usize) -> PerModel {
+    PerModel::new((0..lanes).map(|l| 0.03 + 0.005 * l as f32).collect())
 }
 
 fn data(lanes: usize, seed: u64) -> (Vec<Tensor>, Vec<Vec<usize>>) {
@@ -89,27 +91,48 @@ fn state_bits(s: &LaneState) -> StateBits {
     )
 }
 
-/// Trains `plan` for `steps` and returns per-step per-lane loss bits and
-/// each lane's extracted final state.
+/// Trains `plan` for `steps` with update rule `rule` (0: SGD with
+/// momentum, 1: Adam, 2: Adadelta with per-lane `rho`) and returns
+/// per-step per-lane loss bits and each lane's extracted final state.
 fn run(
     graphs: &[ModelGraph],
     plan: &FusionPlan,
-    adam: bool,
+    rule: usize,
     steps: usize,
     quarantine: Option<usize>,
     data_seed: u64,
 ) -> (Vec<Vec<u32>>, Vec<LaneState>) {
     let array = PlannedArray::build(graphs, plan, &seeds(graphs.len())).unwrap();
     let lr = lrs(graphs.len());
-    let mut opt = if adam {
-        PlannedOptimizer::adam(&array, &lr).unwrap()
-    } else {
-        PlannedOptimizer::sgd(&array, &lr, 0.9).unwrap()
-    };
+    let data = data(graphs.len(), data_seed);
+    match rule {
+        0 => {
+            let opt = PlannedOptimizer::sgd(&array, &lr, 0.9).unwrap();
+            train(&array, opt, steps, quarantine, data)
+        }
+        1 => {
+            let opt = PlannedOptimizer::adam(&array, &lr).unwrap();
+            train(&array, opt, steps, quarantine, data)
+        }
+        _ => {
+            let rho = PerModel::new((0..graphs.len()).map(|l| 0.9 - 0.05 * l as f32).collect());
+            let update = AdadeltaUpdate { rho, eps: 1e-6 };
+            let opt = FusedOptimizer::planned(&array, &lr, update).unwrap();
+            train(&array, opt, steps, quarantine, data)
+        }
+    }
+}
+
+fn train<U: Update>(
+    array: &PlannedArray,
+    mut opt: PlannedOptimizer<U>,
+    steps: usize,
+    quarantine: Option<usize>,
+    (inputs, targets): (Vec<Tensor>, Vec<Vec<usize>>),
+) -> (Vec<Vec<u32>>, Vec<LaneState>) {
     if let Some(lane) = quarantine {
         opt.quarantine(lane);
     }
-    let (inputs, targets) = data(graphs.len(), data_seed);
     let mut loss_bits = Vec::new();
     for _ in 0..steps {
         let (_tape, outs) = array.forward(&inputs).unwrap();
@@ -119,8 +142,8 @@ fn run(
         opt.zero_grad();
         loss_bits.push(losses.iter().map(|l| l.to_bits()).collect());
     }
-    let states = (0..graphs.len())
-        .map(|l| opt.extract_lane(&array, l))
+    let states = (0..array.lanes())
+        .map(|l| opt.extract_lane(array, l))
         .collect();
     (loss_bits, states)
 }
@@ -141,14 +164,14 @@ proptest! {
     #[test]
     fn planned_is_bit_identical_to_serial_over_random_mixed_sets(
         arch_ids in arch_ids_strategy(),
-        adam in any::<bool>(),
+        rule in 0usize..3,
         data_seed in 0u64..1000,
     ) {
         let graphs = graphs_from(&decode(&arch_ids));
         let fused = FusionPlan::plan(&graphs).unwrap();
         let serial = FusionPlan::serial(&graphs).unwrap();
-        let (fl, fs) = run(&graphs, &fused, adam, 2, None, data_seed);
-        let (sl, ss) = run(&graphs, &serial, adam, 2, None, data_seed);
+        let (fl, fs) = run(&graphs, &fused, rule, 2, None, data_seed);
+        let (sl, ss) = run(&graphs, &serial, rule, 2, None, data_seed);
         prop_assert_eq!(fl, sl);
         for (lane, (a, b)) in fs.iter().zip(&ss).enumerate() {
             let _ = lane;
@@ -186,13 +209,14 @@ proptest! {
     fn quarantine_in_fused_blocks_leaves_other_lanes_bit_identical(
         arch_ids in arch_ids_strategy(),
         lane_pick in 0usize..8,
+        rule in 0usize..3,
         data_seed in 0u64..1000,
     ) {
         let graphs = graphs_from(&decode(&arch_ids));
         let lane = lane_pick % graphs.len();
         let plan = FusionPlan::plan(&graphs).unwrap();
-        let (_, clean) = run(&graphs, &plan, false, 2, None, data_seed);
-        let (_, isolated) = run(&graphs, &plan, false, 2, Some(lane), data_seed);
+        let (_, clean) = run(&graphs, &plan, rule, 2, None, data_seed);
+        let (_, isolated) = run(&graphs, &plan, rule, 2, Some(lane), data_seed);
         for l in 0..graphs.len() {
             if l == lane {
                 continue;

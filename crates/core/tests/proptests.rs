@@ -9,7 +9,7 @@ use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::{
     fuse_batch_norm, fuse_conv1d, fuse_conv2d, fuse_conv_transpose2d, FusedLinear, FusedParameter,
 };
-use hfta_core::optim::{FusedAdadelta, FusedAdam, FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedAdadelta, FusedAdam, FusedOptimizer, FusedSgd, PerModel, Update};
 use hfta_core::rules::fuse;
 use hfta_nn::layers::{BatchNorm, Conv1d, Conv2d, Conv2dCfg, ConvTranspose2d, Linear, LinearCfg};
 use hfta_nn::{Adam, Module, Optimizer, Parameter, Tape};
@@ -196,12 +196,7 @@ fn run_optimizer_case(case: OptimCase, poisoned: bool) -> Result<Vec<Vec<u32>>, 
         PerModel::new(lr.clone()),
         PerModel::new(aux.clone()),
     );
-    let mut opt: Box<dyn FusedOptimizer> = match rule {
-        Rule::Sgd => Box::new(FusedSgd::with_momenta(params, lrs, auxs).unwrap()),
-        Rule::Adam => Box::new(FusedAdam::new(params, lrs).unwrap()),
-        Rule::Adadelta => Box::new(FusedAdadelta::new(params, lrs, auxs, 1e-6).unwrap()),
-    };
-    let mut oracle = Oracle {
+    let oracle = Oracle {
         rule,
         b,
         lr,
@@ -211,6 +206,33 @@ fn run_optimizer_case(case: OptimCase, poisoned: bool) -> Result<Vec<Vec<u32>>, 
         t: 0,
         quarantined: vec![false; b],
     };
+    match rule {
+        Rule::Sgd => {
+            let opt = FusedSgd::with_momenta(params, lrs, auxs).unwrap();
+            lockstep(case, poisoned, opt, oracle, &fused, rng, &dims)
+        }
+        Rule::Adam => {
+            let opt = FusedAdam::new(params, lrs).unwrap();
+            lockstep(case, poisoned, opt, oracle, &fused, rng, &dims)
+        }
+        Rule::Adadelta => {
+            let opt = FusedAdadelta::new(params, lrs, auxs, 1e-6).unwrap();
+            lockstep(case, poisoned, opt, oracle, &fused, rng, &dims)
+        }
+    }
+}
+
+/// The lockstep loop of [`run_optimizer_case`] over one update rule.
+fn lockstep<U: Update>(
+    case: OptimCase,
+    poisoned: bool,
+    mut opt: FusedOptimizer<U>,
+    mut oracle: Oracle,
+    fused: &FusedParameter,
+    mut rng: Rng,
+    dims: &[usize],
+) -> Result<Vec<Vec<u32>>, String> {
+    let b = case.b;
     let (q_lane, q_step) = (case.quarantine.0 % b, case.quarantine.1);
     let (p_lane, p_step) = (case.poison.0 % b, case.poison.1);
     let chunk = oracle.value.numel() / b;
@@ -219,7 +241,7 @@ fn run_optimizer_case(case: OptimCase, poisoned: bool) -> Result<Vec<Vec<u32>>, 
             opt.quarantine(q_lane);
             oracle.quarantine(q_lane);
         }
-        let mut grad = rng.randn(dims.clone());
+        let mut grad = rng.randn(dims.to_vec());
         if poisoned && step >= p_step {
             let lane = &mut grad.as_mut_slice()[p_lane * chunk..(p_lane + 1) * chunk];
             for (i, g) in lane.iter_mut().enumerate() {

@@ -13,7 +13,7 @@
 use hfta_core::array::ModelArray;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::{FusedLinear, FusedParameter};
-use hfta_core::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel, Update};
 use hfta_core::scope::{per_model_ce_losses, poison_model_lane, ScopeMonitor, SentinelCfg};
 use hfta_core::surgery::{extract_lane, splice_lanes, LaneState};
 use hfta_nn::layers::LinearCfg;
@@ -204,19 +204,11 @@ fn surgery_batch(seed: u64, id: usize, step: usize) -> (Tensor, Vec<usize>) {
     (x, y)
 }
 
-fn make_opt(adam: bool, params: Vec<FusedParameter>, lrs: Vec<f32>) -> Box<dyn FusedOptimizer> {
-    if adam {
-        Box::new(FusedAdam::new(params, PerModel::new(lrs)).unwrap())
-    } else {
-        Box::new(FusedSgd::new(params, PerModel::new(lrs), 0.9).unwrap())
-    }
-}
-
 /// Trains `array` for global steps `steps`, lane `j` consuming model
 /// `ids[j]`'s data stream.
-fn train_ids(
+fn train_ids<U: Update>(
     array: &ModelArray<FusedLinear>,
-    opt: &mut dyn FusedOptimizer,
+    opt: &mut FusedOptimizer<U>,
     seed: u64,
     ids: &[usize],
     steps: std::ops::Range<usize>,
@@ -236,16 +228,80 @@ fn train_ids(
     }
 }
 
+/// Trains a 3-way array for `n1` steps, extracts the survivors in `mask`,
+/// splices them into a fresh width-|survivors| array and trains `n2` more
+/// steps; every survivor must end bit-identical (parameters *and*
+/// optimizer-state lanes, and the step count) to an uninterrupted
+/// full-width run. `make` builds the optimizer from parameters and rates.
+fn surgery_resumes_survivors<U: Update>(
+    make: impl Fn(Vec<FusedParameter>, Vec<f32>) -> FusedOptimizer<U>,
+    seed: u64,
+    n1: usize,
+    n2: usize,
+    mask: usize,
+) -> Result<(), String> {
+    let lrs = [0.2f32, 0.05, 0.1];
+    let survivors: Vec<usize> = (0..3).filter(|i| mask & (1 << i) != 0).collect();
+
+    let mut rng = Rng::seed_from(seed);
+    let cfg = LinearCfg::new(F_IN, CLASSES);
+    let members = FusedLinear::new(3, cfg, &mut rng).unfuse();
+
+    // Uninterrupted reference: width 3 for n1 + n2 steps.
+    let reference = ModelArray::new(FusedLinear::from_models(&members).unwrap());
+    let ref_params = reference.fused_parameters();
+    let mut ref_opt = make(ref_params.clone(), lrs.to_vec());
+    train_ids(&reference, &mut ref_opt, seed, &[0, 1, 2], 0..n1 + n2);
+
+    // Subject: the same width-3 array for the first n1 steps...
+    let subject = ModelArray::new(FusedLinear::from_models(&members).unwrap());
+    let sub_params = subject.fused_parameters();
+    let mut sub_opt = make(sub_params.clone(), lrs.to_vec());
+    train_ids(&subject, &mut sub_opt, seed, &[0, 1, 2], 0..n1);
+
+    // ...then surgery: extract the survivors and splice them into a
+    // fresh narrow array (whose own random init and zeroed optimizer
+    // state are fully overwritten)...
+    let lanes: Vec<LaneState> = survivors
+        .iter()
+        .map(|&i| extract_lane(&sub_params, &sub_opt, i))
+        .collect();
+    let packed = ModelArray::new(FusedLinear::new(survivors.len(), cfg, &mut rng));
+    let packed_params = packed.fused_parameters();
+    let packed_lrs: Vec<f32> = survivors.iter().map(|&i| lrs[i]).collect();
+    let mut packed_opt = make(packed_params.clone(), packed_lrs);
+    splice_lanes(&lanes, &packed_params, &mut packed_opt);
+
+    // ...and train the remaining n2 steps on the survivors' streams.
+    train_ids(&packed, &mut packed_opt, seed, &survivors, n1..n1 + n2);
+
+    for (lane, &id) in survivors.iter().enumerate() {
+        let got = extract_lane(&packed_params, &packed_opt, lane);
+        let want = extract_lane(&ref_params, &ref_opt, id);
+        prop_assert_eq!(got.step_count, want.step_count);
+        for (g, w) in got.params.iter().zip(&want.params) {
+            prop_assert!(g.to_vec() == w.to_vec(), "model {} params diverged", id);
+        }
+        for (gs, ws) in got.opt_state.iter().zip(&want.opt_state) {
+            for (g, w) in gs.iter().zip(ws) {
+                prop_assert!(
+                    g.to_vec() == w.to_vec(),
+                    "model {} optimizer state diverged",
+                    id
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Over random survivor subsets, split points, and both optimizer
-    /// families: train a 3-way array, extract the survivors, splice them
-    /// into a fresh width-|survivors| array, train on — every survivor
-    /// must end bit-identical (parameters *and* optimizer-state lanes) to
-    /// an uninterrupted full-width run. Adam additionally checks that
-    /// [`splice_lanes`] restores the shared step counter its bias
-    /// correction depends on.
+    /// families, lane surgery resumes every survivor bit for bit. Adam
+    /// additionally checks that [`splice_lanes`] restores the shared step
+    /// counter its bias correction depends on.
     #[test]
     fn lane_surgery_resumes_survivors_bitwise(
         seed in 0u64..1000,
@@ -254,58 +310,12 @@ proptest! {
         mask in 1usize..8,
         adam in 0usize..2,
     ) {
-        let adam = adam == 1;
-        let lrs = [0.2f32, 0.05, 0.1];
-        let survivors: Vec<usize> = (0..3).filter(|i| mask & (1 << i) != 0).collect();
-
-        let mut rng = Rng::seed_from(seed);
-        let cfg = LinearCfg::new(F_IN, CLASSES);
-        let members = FusedLinear::new(3, cfg, &mut rng).unfuse();
-
-        // Uninterrupted reference: width 3 for n1 + n2 steps.
-        let reference = ModelArray::new(FusedLinear::from_models(&members).unwrap());
-        let ref_params = reference.fused_parameters();
-        let mut ref_opt = make_opt(adam, ref_params.clone(), lrs.to_vec());
-        train_ids(&reference, ref_opt.as_mut(), seed, &[0, 1, 2], 0..n1 + n2);
-
-        // Subject: the same width-3 array for the first n1 steps...
-        let subject = ModelArray::new(FusedLinear::from_models(&members).unwrap());
-        let sub_params = subject.fused_parameters();
-        let mut sub_opt = make_opt(adam, sub_params.clone(), lrs.to_vec());
-        train_ids(&subject, sub_opt.as_mut(), seed, &[0, 1, 2], 0..n1);
-
-        // ...then surgery: extract the survivors and splice them into a
-        // fresh narrow array (whose own random init and zeroed optimizer
-        // state are fully overwritten)...
-        let lanes: Vec<LaneState> = survivors
-            .iter()
-            .map(|&i| extract_lane(&sub_params, sub_opt.as_ref(), i))
-            .collect();
-        let packed = ModelArray::new(FusedLinear::new(survivors.len(), cfg, &mut rng));
-        let packed_params = packed.fused_parameters();
-        let packed_lrs: Vec<f32> = survivors.iter().map(|&i| lrs[i]).collect();
-        let mut packed_opt = make_opt(adam, packed_params.clone(), packed_lrs);
-        splice_lanes(&lanes, &packed_params, packed_opt.as_mut());
-
-        // ...and train the remaining n2 steps on the survivors' streams.
-        train_ids(&packed, packed_opt.as_mut(), seed, &survivors, n1..n1 + n2);
-
-        for (lane, &id) in survivors.iter().enumerate() {
-            let got = extract_lane(&packed_params, packed_opt.as_ref(), lane);
-            let want = extract_lane(&ref_params, ref_opt.as_ref(), id);
-            prop_assert_eq!(got.step_count, want.step_count);
-            for (g, w) in got.params.iter().zip(&want.params) {
-                prop_assert!(g.to_vec() == w.to_vec(), "model {} params diverged", id);
-            }
-            for (gs, ws) in got.opt_state.iter().zip(&want.opt_state) {
-                for (g, w) in gs.iter().zip(ws) {
-                    prop_assert!(
-                        g.to_vec() == w.to_vec(),
-                        "model {} optimizer state diverged",
-                        id
-                    );
-                }
-            }
+        if adam == 1 {
+            let make = |p, lrs| FusedAdam::new(p, PerModel::new(lrs)).unwrap();
+            surgery_resumes_survivors(make, seed, n1, n2, mask)?;
+        } else {
+            let make = |p, lrs| FusedSgd::new(p, PerModel::new(lrs), 0.9).unwrap();
+            surgery_resumes_survivors(make, seed, n1, n2, mask)?;
         }
     }
 }

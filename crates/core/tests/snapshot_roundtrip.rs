@@ -9,7 +9,7 @@
 
 use hfta_core::array::ModelArray;
 use hfta_core::ops::{FusedLinear, FusedParameter};
-use hfta_core::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel, Update};
 use hfta_core::snapshot::{load_lane, save_lane};
 use hfta_core::surgery::{extract_lane, splice_lanes, LaneState};
 use hfta_nn::layers::LinearCfg;
@@ -23,15 +23,10 @@ fn build(b: usize, seed: u64) -> (ModelArray<FusedLinear>, Vec<FusedParameter>) 
     (array, params)
 }
 
-fn make_opt(adam: bool, params: Vec<FusedParameter>, b: usize) -> Box<dyn FusedOptimizer> {
-    // Distinct per-lane learning rates so lanes have genuinely different
-    // trajectories and a lane mix-up cannot cancel out.
-    let lrs = PerModel::new((0..b).map(|i| 0.05 / (i + 1) as f32).collect());
-    if adam {
-        Box::new(FusedAdam::new(params, lrs).unwrap())
-    } else {
-        Box::new(FusedSgd::new(params, lrs, 0.9).unwrap())
-    }
+/// Distinct per-lane learning rates, so lanes have genuinely different
+/// trajectories and a lane mix-up cannot cancel out.
+fn lrs(b: usize) -> PerModel {
+    PerModel::new((0..b).map(|i| 0.05 / (i + 1) as f32).collect())
 }
 
 /// Deterministic gradient for global step `s`: depends only on the step
@@ -59,7 +54,7 @@ fn param_bits(params: &[FusedParameter]) -> Vec<u32> {
         .collect()
 }
 
-fn state_bits(params: &[FusedParameter], opt: &dyn FusedOptimizer) -> Vec<u32> {
+fn state_bits<U: Update>(params: &[FusedParameter], opt: &FusedOptimizer<U>) -> Vec<u32> {
     (0..params.len())
         .flat_map(|pi| {
             (0..opt.state_slots())
@@ -75,6 +70,61 @@ fn state_bits(params: &[FusedParameter], opt: &dyn FusedOptimizer) -> Vec<u32> {
         .collect()
 }
 
+/// Trains `pre + post` steps straight through, and `pre` steps, a
+/// snapshot round trip of every lane into a fresh array, then `post`
+/// steps; the two must end bit-identical.
+fn restore_continues<U: Update>(
+    make: impl Fn(Vec<FusedParameter>, PerModel) -> FusedOptimizer<U>,
+    seed: u64,
+    b: usize,
+    pre: u64,
+    post: u64,
+) -> Result<(), String> {
+    // Uninterrupted reference: pre + post steps straight through.
+    let (_ref_array, ref_params) = build(b, seed);
+    let mut ref_opt = make(ref_params.clone(), lrs(b));
+    for s in 0..pre + post {
+        apply_grad(&ref_params, s);
+        ref_opt.step();
+    }
+
+    // Checkpointed run: train `pre` steps, snapshot every lane to
+    // bytes, decode, splice into a freshly built array with different
+    // init (everything must be overwritten), and train `post` more.
+    let (_src_array, src_params) = build(b, seed);
+    let mut src_opt = make(src_params.clone(), lrs(b));
+    for s in 0..pre {
+        apply_grad(&src_params, s);
+        src_opt.step();
+    }
+    let restored: Vec<LaneState> = (0..b)
+        .map(|lane| {
+            let bytes = save_lane(&extract_lane(&src_params, &src_opt, lane));
+            load_lane(&bytes).expect("snapshot decodes")
+        })
+        .collect();
+    drop(src_opt);
+
+    let (_dst_array, dst_params) = build(b, seed ^ 0xDEAD);
+    let mut dst_opt = make(dst_params.clone(), lrs(b));
+    splice_lanes(&restored, &dst_params, &mut dst_opt);
+    if U::COUNTS_STEPS {
+        // Adam's bias correction depends on the restored counter.
+        prop_assert_eq!(dst_opt.step_count(), pre);
+    }
+    for s in pre..pre + post {
+        apply_grad(&dst_params, s);
+        dst_opt.step();
+    }
+
+    prop_assert_eq!(param_bits(&dst_params), param_bits(&ref_params));
+    prop_assert_eq!(
+        state_bits(&dst_params, &dst_opt),
+        state_bits(&ref_params, &ref_opt)
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -86,47 +136,12 @@ proptest! {
         post in 1u64..5,
         adam in any::<bool>(),
     ) {
-        // Uninterrupted reference: pre + post steps straight through.
-        let (_ref_array, ref_params) = build(b, seed);
-        let mut ref_opt = make_opt(adam, ref_params.clone(), b);
-        for s in 0..pre + post {
-            apply_grad(&ref_params, s);
-            ref_opt.step();
-        }
-
-        // Checkpointed run: train `pre` steps, snapshot every lane to
-        // bytes, decode, splice into a freshly built array with different
-        // init (everything must be overwritten), and train `post` more.
-        let (_src_array, src_params) = build(b, seed);
-        let mut src_opt = make_opt(adam, src_params.clone(), b);
-        for s in 0..pre {
-            apply_grad(&src_params, s);
-            src_opt.step();
-        }
-        let restored: Vec<LaneState> = (0..b)
-            .map(|lane| {
-                let bytes = save_lane(&extract_lane(&src_params, src_opt.as_ref(), lane));
-                load_lane(&bytes).expect("snapshot decodes")
-            })
-            .collect();
-        drop(src_opt);
-
-        let (_dst_array, dst_params) = build(b, seed ^ 0xDEAD);
-        let mut dst_opt = make_opt(adam, dst_params.clone(), b);
-        splice_lanes(&restored, &dst_params, dst_opt.as_mut());
         if adam {
-            // Adam's bias correction depends on the restored counter.
-            prop_assert_eq!(dst_opt.step_count(), pre);
+            let make = |p, lrs| FusedAdam::new(p, lrs).unwrap();
+            restore_continues(make, seed, b, pre, post)?;
+        } else {
+            let make = |p, lrs| FusedSgd::new(p, lrs, 0.9).unwrap();
+            restore_continues(make, seed, b, pre, post)?;
         }
-        for s in pre..pre + post {
-            apply_grad(&dst_params, s);
-            dst_opt.step();
-        }
-
-        prop_assert_eq!(param_bits(&dst_params), param_bits(&ref_params));
-        prop_assert_eq!(
-            state_bits(&dst_params, dst_opt.as_ref()),
-            state_bits(&ref_params, ref_opt.as_ref())
-        );
     }
 }

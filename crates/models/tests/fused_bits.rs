@@ -11,7 +11,7 @@
 
 use hfta_core::loss::{fused_bce_with_logits, fused_cross_entropy, fused_nll_loss, Reduction};
 use hfta_core::ops::FusedModule;
-use hfta_core::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedAdam, FusedSgd, PerModel, Update};
 use hfta_core::planned::{PlannedArray, PlannedOptimizer};
 use hfta_models::graphs::{discriminator_variant_graph, generator_graph};
 use hfta_models::{
@@ -268,10 +268,10 @@ fn alexnet_eval_mode_bits_are_pinned() {
 }
 
 /// Trains `plan` over `graphs` with `loss` per lane output and pins it.
-fn pin_planned(
+fn pin_planned<U: Update>(
     graphs: &[ModelGraph],
     plan: &FusionPlan,
-    adam: bool,
+    optimizer: impl Fn(&PlannedArray, &PerModel) -> PlannedOptimizer<U>,
     input: &[usize],
     loss: impl Fn(&Var) -> Var,
 ) -> [u64; 4] {
@@ -279,11 +279,7 @@ fn pin_planned(
     let seeds: Vec<u64> = (0..lanes as u64).map(|l| 200 + l).collect();
     let array = PlannedArray::build(graphs, plan, &seeds).unwrap();
     let lr = PerModel::new((0..lanes).map(|l| 0.01 + 0.005 * l as f32).collect());
-    let mut opt = if adam {
-        PlannedOptimizer::adam(&array, &lr).unwrap()
-    } else {
-        PlannedOptimizer::sgd(&array, &lr, 0.9).unwrap()
-    };
+    let mut opt = optimizer(&array, &lr);
     let params: Vec<Parameter> = array
         .fused_parameters()
         .into_iter()
@@ -330,10 +326,12 @@ fn planned_array_bits_are_pinned() {
     let gens = vec![generator_graph(cfg); 2];
     let gen_plan = FusionPlan::plan(&gens).unwrap();
     let mse = |out: &Var| out.square().mean();
+    let sgd = |a: &PlannedArray, lr: &PerModel| PlannedOptimizer::sgd(a, lr, 0.9).unwrap();
+    let adam = |a: &PlannedArray, lr: &PerModel| PlannedOptimizer::adam(a, lr).unwrap();
     let got = [
-        pin_planned(&discs, &mixed, false, &[2, 3, s, s], bce),
-        pin_planned(&discs, &mixed, true, &[2, 3, s, s], bce),
-        pin_planned(&gens, &gen_plan, true, &[2, cfg.latent, 1, 1], mse),
+        pin_planned(&discs, &mixed, sgd, &[2, 3, s, s], bce),
+        pin_planned(&discs, &mixed, adam, &[2, 3, s, s], bce),
+        pin_planned(&gens, &gen_plan, adam, &[2, cfg.latent, 1, 1], mse),
     ];
     let want: [[u64; 4]; 3] = [
         [

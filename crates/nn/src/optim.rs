@@ -349,6 +349,13 @@ pub fn clip_grad_norm(params: &[Parameter], max_norm: f32) -> f32 {
     norm
 }
 
+/// A learning-rate schedule. The fused schedulers of `hfta-core` evaluate
+/// one serial schedule per lane, so fused and serial rates agree bit for bit.
+pub trait LrSchedule {
+    /// The LR the schedule prescribes at `epoch`.
+    fn lr_at(&self, epoch: usize) -> f32;
+}
+
 /// Step learning-rate schedule: multiplies the LR by `gamma` every
 /// `step_size` epochs (`torch.optim.lr_scheduler.StepLR` analogue).
 #[derive(Debug, Clone)]
@@ -381,14 +388,15 @@ impl StepLr {
         opt.set_lr(self.lr_at(self.epoch));
     }
 
-    /// The LR the schedule prescribes at a given epoch.
-    pub fn lr_at(&self, epoch: usize) -> f32 {
-        self.base_lr * self.gamma.powi((epoch / self.step_size) as i32)
-    }
-
     /// Current epoch counter.
     pub fn epoch(&self) -> usize {
         self.epoch
+    }
+}
+
+impl LrSchedule for StepLr {
+    fn lr_at(&self, epoch: usize) -> f32 {
+        self.base_lr * self.gamma.powi((epoch / self.step_size) as i32)
     }
 }
 
@@ -411,15 +419,16 @@ impl ExponentialLr {
         }
     }
 
-    /// The LR the schedule prescribes at `epoch`.
-    pub fn lr_at(&self, epoch: usize) -> f32 {
-        self.base_lr * self.gamma.powi(epoch as i32)
-    }
-
     /// Advances one epoch and writes the scheduled LR into `opt`.
     pub fn step(&mut self, opt: &mut dyn Optimizer) {
         self.epoch += 1;
         opt.set_lr(self.lr_at(self.epoch));
+    }
+}
+
+impl LrSchedule for ExponentialLr {
+    fn lr_at(&self, epoch: usize) -> f32 {
+        self.base_lr * self.gamma.powi(epoch as i32)
     }
 }
 
@@ -449,17 +458,19 @@ impl CosineLr {
         }
     }
 
-    /// The LR the schedule prescribes at `epoch` (clamped past `t_max`).
-    pub fn lr_at(&self, epoch: usize) -> f32 {
-        let t = epoch.min(self.t_max) as f32 / self.t_max as f32;
-        let cos = 0.5 * (1.0 + (std::f32::consts::PI * t).cos());
-        self.eta_min + (self.base_lr - self.eta_min) * cos
-    }
-
     /// Advances one epoch and writes the scheduled LR into `opt`.
     pub fn step(&mut self, opt: &mut dyn Optimizer) {
         self.epoch += 1;
         opt.set_lr(self.lr_at(self.epoch));
+    }
+}
+
+/// The rate is clamped at `eta_min` past `t_max`.
+impl LrSchedule for CosineLr {
+    fn lr_at(&self, epoch: usize) -> f32 {
+        let t = epoch.min(self.t_max) as f32 / self.t_max as f32;
+        let cos = 0.5 * (1.0 + (std::f32::consts::PI * t).cos());
+        self.eta_min + (self.base_lr - self.eta_min) * cos
     }
 }
 

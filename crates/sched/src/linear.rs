@@ -13,7 +13,7 @@ use hfta_core::{
     array::ModelArray,
     loss::{fused_cross_entropy, Reduction},
     ops::{FusedLinear, FusedParameter},
-    optim::{FusedOptimizer, FusedSgd, PerModel},
+    optim::{FusedSgd, PerModel},
     scope::{per_model_ce_losses, poison_model_lane, ScopeMonitor, SentinelCfg},
     surgery::{self, LaneState},
 };

@@ -7,7 +7,7 @@
 
 use hfta_core::loss::{fused_bce_with_logits, Reduction};
 use hfta_core::ops::FusedModule;
-use hfta_core::optim::{FusedAdam, FusedOptimizer, PerModel};
+use hfta_core::optim::{FusedAdam, PerModel};
 use hfta_data::GanImages;
 use hfta_models::{DcganCfg, FusedDiscriminator, FusedGenerator};
 use hfta_nn::{Module, Tape};

@@ -14,7 +14,7 @@ use hfta_core::array::copy_model_weights;
 use hfta_core::format::{stack_conv, stack_targets};
 use hfta_core::loss::{fused_nll_loss, Reduction};
 use hfta_core::ops::FusedModule;
-use hfta_core::optim::{FusedAdam, FusedOptimizer, PerModel};
+use hfta_core::optim::{FusedAdam, PerModel};
 use hfta_data::{PointClouds, SHAPE_CLASSES};
 use hfta_models::{FusedPointNetCls, PointNetCfg, PointNetCls};
 use hfta_nn::{Adam, Module, Optimizer, Tape};

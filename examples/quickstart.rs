@@ -9,7 +9,7 @@
 use hfta_core::array::ModelArray;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::FusedLinear;
-use hfta_core::optim::{FusedAdam, FusedOptimizer, PerModel};
+use hfta_core::optim::{FusedAdam, PerModel};
 use hfta_nn::layers::LinearCfg;
 use hfta_tensor::{Rng, Tensor};
 

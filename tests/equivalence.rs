@@ -6,7 +6,7 @@ use hfta_core::array::copy_model_weights;
 use hfta_core::format::{stack_conv, stack_targets};
 use hfta_core::loss::{fused_cross_entropy, fused_nll_loss, Reduction};
 use hfta_core::ops::FusedModule;
-use hfta_core::optim::{FusedAdadelta, FusedAdam, FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedAdadelta, FusedAdam, FusedOptimizer, FusedSgd, PerModel, Update};
 use hfta_data::{LabeledImages, PointClouds};
 use hfta_models::{
     AlexNet, AlexNetCfg, FusedAlexNet, FusedPointNetCls, FusedResNet, PointNetCfg, PointNetCls,
@@ -17,11 +17,11 @@ use hfta_tensor::{Rng, Tensor};
 
 /// Drives `iters` training steps of `b` serial models and the fused array
 /// on identical data, returning (serial losses, fused losses) per model.
-fn run_pair<MSerial, MFused>(
+fn run_pair<MSerial, MFused, U: Update>(
     serial: Vec<MSerial>,
     fused: MFused,
     mut serial_opts: Vec<Box<dyn Optimizer>>,
-    mut fused_opt: Box<dyn FusedOptimizer>,
+    mut fused_opt: FusedOptimizer<U>,
     batches: &[(Tensor, Vec<usize>)],
     classes: usize,
 ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>)
@@ -99,9 +99,7 @@ fn alexnet_array_matches_serial_sgd() {
         .zip(lrs)
         .map(|(m, lr)| Box::new(Sgd::new(m.parameters(), lr, 0.9)) as Box<dyn Optimizer>)
         .collect();
-    let fopt = Box::new(
-        FusedSgd::new(fused.fused_parameters(), PerModel::new(lrs.to_vec()), 0.9).unwrap(),
-    );
+    let fopt = FusedSgd::new(fused.fused_parameters(), PerModel::new(lrs.to_vec()), 0.9).unwrap();
     let mut data = LabeledImages::new(16, 4, 5);
     let batches: Vec<_> = (0..5).map(|_| data.batch(6)).collect();
     let (s, f) = run_pair(serial, fused, opts, fopt, &batches, 4);
@@ -121,8 +119,7 @@ fn resnet_array_matches_serial_adam() {
         .zip(lrs)
         .map(|(m, lr)| Box::new(Adam::new(m.parameters(), lr)) as Box<dyn Optimizer>)
         .collect();
-    let fopt =
-        Box::new(FusedAdam::new(fused.fused_parameters(), PerModel::new(lrs.to_vec())).unwrap());
+    let fopt = FusedAdam::new(fused.fused_parameters(), PerModel::new(lrs.to_vec())).unwrap();
     let mut data = LabeledImages::new(8, 4, 6);
     let batches: Vec<_> = (0..5).map(|_| data.batch(6)).collect();
     let (s, f) = run_pair(serial, fused, opts, fopt, &batches, 4);
@@ -147,15 +144,13 @@ fn resnet_array_matches_serial_adadelta() {
             Box::new(Adadelta::with_rho(m.parameters(), lr, rho, 1e-6)) as Box<dyn Optimizer>
         })
         .collect();
-    let fopt = Box::new(
-        FusedAdadelta::new(
-            fused.fused_parameters(),
-            PerModel::new(lrs.to_vec()),
-            PerModel::new(rhos.to_vec()),
-            1e-6,
-        )
-        .unwrap(),
-    );
+    let fopt = FusedAdadelta::new(
+        fused.fused_parameters(),
+        PerModel::new(lrs.to_vec()),
+        PerModel::new(rhos.to_vec()),
+        1e-6,
+    )
+    .unwrap();
     let mut data = LabeledImages::new(8, 4, 7);
     let batches: Vec<_> = (0..4).map(|_| data.batch(6)).collect();
     let (s, f) = run_pair(serial, fused, opts, fopt, &batches, 4);

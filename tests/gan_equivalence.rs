@@ -7,7 +7,7 @@ use hfta_core::array::copy_model_weights;
 use hfta_core::format::{stack_conv, unstack_conv};
 use hfta_core::loss::{fused_bce_with_logits, Reduction};
 use hfta_core::ops::FusedModule;
-use hfta_core::optim::{FusedAdam, FusedOptimizer, PerModel};
+use hfta_core::optim::{FusedAdam, PerModel};
 use hfta_models::{DcganCfg, Discriminator, FusedDiscriminator, FusedGenerator, Generator};
 use hfta_nn::{Adam, Module, Optimizer, Tape};
 use hfta_tensor::{Rng, Tensor};

@@ -18,7 +18,7 @@ use std::sync::Mutex;
 use hfta_core::format::{conv_to_array, stack_conv, stack_targets};
 use hfta_core::loss::{fused_bce_with_logits, fused_cross_entropy, fused_nll_loss, Reduction};
 use hfta_core::ops::{Fused, FusedLinear, FusedModule, FusedParameter, Ops};
-use hfta_core::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedAdam, FusedSgd, PerModel};
 use hfta_data::PointClouds;
 use hfta_mem::Storage;
 use hfta_models::{DcganCfg, FusedDiscriminator, FusedPointNetCls, PointNetCfg};

@@ -6,7 +6,7 @@
 use hfta_core::format::{stack_conv, stack_targets};
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::FusedModule;
-use hfta_core::optim::{FusedOptimizer, FusedSgd, PerModel};
+use hfta_core::optim::{FusedSgd, PerModel};
 use hfta_core::tuner::{partition_fusable, random_search, sweep, Trial};
 use hfta_data::LabeledImages;
 use hfta_models::{AlexNetCfg, FusedAlexNet};
