@@ -255,12 +255,21 @@ pub fn write_model_weights(fused: &[FusedParameter], index: usize, src: &[Parame
 /// assert_eq!(grid[0].values(), &[0.1, 0.1, 0.1, 0.01, 0.01, 0.01]);
 /// assert_eq!(grid[1].values(), &[0.9, 0.95, 0.99, 0.9, 0.95, 0.99]);
 /// ```
+///
+/// # Panics
+///
+/// Panics if any axis is empty: it has no value to give the models the
+/// other axes span.
 pub fn grid_sweep(axes: &[Vec<f32>]) -> (usize, Vec<PerModel>) {
-    let b: usize = axes.iter().map(|a| a.len().max(1)).product();
+    assert!(
+        axes.iter().all(|a| !a.is_empty()),
+        "grid_sweep axes must be non-empty"
+    );
+    let b: usize = axes.iter().map(Vec::len).product();
     let mut out = Vec::with_capacity(axes.len());
     let mut repeat_inner = b;
     for axis in axes {
-        let len = axis.len().max(1);
+        let len = axis.len();
         repeat_inner /= len;
         let repeat_outer = b / (len * repeat_inner);
         let mut values = Vec::with_capacity(b);
@@ -408,5 +417,13 @@ mod tests {
         let (b, grid) = grid_sweep(&[vec![0.1, 0.2, 0.3]]);
         assert_eq!(b, 3);
         assert_eq!(grid[0].values(), &[0.1, 0.2, 0.3]);
+    }
+
+    /// An empty axis has no value for the models the other axes span: it is
+    /// rejected where it is passed, not later by an optimizer's width check.
+    #[test]
+    #[should_panic(expected = "grid_sweep axes must be non-empty")]
+    fn grid_sweep_rejects_an_empty_axis() {
+        let _ = grid_sweep(&[vec![], vec![0.9, 0.95]]);
     }
 }

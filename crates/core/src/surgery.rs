@@ -32,7 +32,7 @@ pub struct LaneState {
     /// `pi`, one tensor per [`Update::SLOTS`] slot.
     pub opt_state: Vec<Vec<Tensor>>,
     /// The optimizer's shared step counter at extraction time (Adam's
-    /// `t`; 0 for optimizers without one).
+    /// `t`; 0 for rules that do not count steps).
     pub step_count: u64,
     /// hfta-flight correlation context: which trial this state belongs to
     /// and the array/lane it was extracted from. `None` when extracted via
