@@ -844,15 +844,13 @@ mod tests {
         }
     }
 
-    /// Table pair for an `[rows, cols]` matrix scattered over `len` slots:
-    /// strided rows and columns that overlap each other (like a stride-1
-    /// convolution's taps), deterministic in `salt`.
-    fn tables(rows: usize, cols: usize, salt: usize) -> (Vec<usize>, Vec<usize>, usize) {
-        let row: Vec<usize> = (0..rows).map(|i| (i * 3 + salt) % 11 + i / 4 * 5).collect();
-        let col: Vec<usize> = (0..cols).map(|j| j * 2 + (j + salt) % 3).collect();
-        let max = |t: &[usize]| t.iter().max().copied().unwrap_or(0);
-        let len = max(&row) + max(&col) + 1;
-        (row, col, len)
+    /// Table pair for an `[rows, cols]` matrix: strided rows and columns
+    /// that overlap each other (like a stride-1 convolution's taps),
+    /// deterministic in `salt`.
+    fn tables(rows: usize, cols: usize, salt: usize) -> (Vec<usize>, Vec<usize>) {
+        let row = (0..rows).map(|i| (i * 3 + salt) % 11 + i / 4 * 5).collect();
+        let col = (0..cols).map(|j| j * 2 + (j + salt) % 3).collect();
+        (row, col)
     }
 
     /// The layouts a case runs, in order: `A·B`, `A·B^T`, `A^T·B`,
@@ -889,6 +887,27 @@ mod tests {
 
     impl Case {
         fn new(m: usize, k: usize, n: usize, batch: (usize, usize, bool), seed: u64) -> Case {
+            let (src, dst) = (tables(k, n, m), tables(m, n, k));
+            Case::with_tables((m, k, n), batch, seed, src, dst)
+        }
+
+        /// A case whose gathered `B` (`[k]` and `[n]` tables) and scattered
+        /// product (`[m]` and `[n]` tables) go through the given tables,
+        /// each source and destination as long as its tables reach.
+        fn with_tables(
+            (m, k, n): (usize, usize, usize),
+            batch: (usize, usize, bool),
+            seed: u64,
+            (s_row, s_col): (Vec<usize>, Vec<usize>),
+            (d_row, d_col): (Vec<usize>, Vec<usize>),
+        ) -> Case {
+            assert_eq!((s_row.len(), s_col.len()), (k, n));
+            assert_eq!((d_row.len(), d_col.len()), (m, n));
+            let span = |row: &[usize], col: &[usize]| {
+                let max = |t: &[usize]| t.iter().max().copied().unwrap_or(0);
+                max(row) + max(col) + 1
+            };
+            let (s_len, d_len) = (span(&s_row, &s_col), span(&d_row, &d_col));
             let (par, red, red_outer) = batch;
             let entries = par * red;
             let (mk, kn, mn) = (m * k, k * n, m * n);
@@ -899,7 +918,6 @@ mod tests {
 
             // The tables overlap, so each gathered `B` is whatever its
             // source holds where they point.
-            let (s_row, s_col, s_len) = tables(k, n, m);
             let src = fill(entries * s_len, seed + 3);
             let mut b_seen = vec![0.0f32; entries * kn];
             for e in 0..entries {
@@ -909,7 +927,6 @@ mod tests {
                     }
                 }
             }
-            let (d_row, d_col, d_len) = tables(m, n, k);
             let mut dst = fill(par * d_len, seed + 4);
             // Cells no table reaches must come back holding the sentinel.
             let mut reached = vec![false; d_len];
@@ -1125,6 +1142,100 @@ mod tests {
                 assert!(bad.is_none(), "{bad:?} at ({m},{k},{n}) vector={vector}");
             }
         }
+    }
+
+    /// A convolution's `(koff, soff)` tables over `c` channels of the
+    /// smallest image its taps fit, built as `hfta-tensor`'s conv builds
+    /// them: `koff[(ci,u,v)] = (ci·hp + u)·wp + v`, `soff[(oy,ox)] =
+    /// oy·sh·wp + ox·sw`.
+    fn conv_tables(
+        c: usize,
+        (kh, kw): (usize, usize),
+        (sh, sw): (usize, usize),
+        (ho, wo): (usize, usize),
+    ) -> (Vec<usize>, Vec<usize>) {
+        let (hp, wp) = ((ho - 1) * sh + kh, (wo - 1) * sw + kw);
+        let koff = (0..c * kh * kw).map(|r| (r / (kh * kw) * hp + r / kw % kh) * wp + r % kw);
+        let soff = (0..ho * wo).map(|s| s / wo * sh * wp + s % wo * sw);
+        (koff.collect(), soff.collect())
+    }
+
+    /// [`tiles_write_only_their_own_cells`] on conv-shaped tables, one
+    /// case per way a gathered strip or a scattered row can be laid out:
+    /// step-1 runs of 16; stride-2 runs of 32, 8 and 4; a weight
+    /// gradient's four step-1 runs of 4 (`koff` as the column table); an
+    /// irregular table with repeats and descents; a partial last strip; a
+    /// stride-2 table whose last gathered element is its source's last
+    /// element, and whose 1x1 scatter leaves every other cell unreached; and
+    /// one case small enough for the direct loops. Each runs both
+    /// instantiations at 1 and 4 threads, bitwise against the oracle, each
+    /// table's rows serving as both the gather's `[k]` and the scatter's
+    /// `[m]` table.
+    #[test]
+    fn conv_tables_take_every_gather_and_scatter_arm() {
+        const GAP: usize = 5;
+        let irregular = (0..40).map(|j| [3, 3, 0, 1, 2, 9, 5, 7][j % 8] + j / 8 * 4);
+        let (weight_rows, weight_cols) = conv_tables(3, (4, 4), (2, 2), (4, 4));
+        let cases = [
+            ("step-1 runs of 16", conv_tables(2, (3, 3), (1, 1), (2, 16))),
+            (
+                "stride-2 runs of 32",
+                conv_tables(1, (4, 4), (2, 2), (1, 32)),
+            ),
+            ("stride-2 runs of 8", conv_tables(2, (4, 4), (2, 2), (3, 8))),
+            ("stride-2 runs of 4", conv_tables(2, (4, 4), (2, 2), (4, 4))),
+            ("four step-1 runs of 4", (weight_cols, weight_rows)),
+            (
+                "irregular",
+                (
+                    conv_tables(2, (3, 3), (1, 1), (1, 1)).0,
+                    irregular.collect(),
+                ),
+            ),
+            (
+                "partial last strip",
+                conv_tables(2, (4, 4), (2, 2), (1, 21)),
+            ),
+            (
+                "source's last element",
+                conv_tables(12, (1, 1), (2, 2), (2, 8)),
+            ),
+            ("direct loops", conv_tables(2, (1, 1), (2, 2), (2, 8))),
+        ];
+        let _lock = pool::tests::THREAD_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let threads = pool::num_threads();
+        for (seed, (name, (row, col))) in cases.into_iter().enumerate() {
+            let (m, n) = (row.len(), col.len());
+            let tiled = 2 * m * m * n >= SMALL_FLOPS;
+            assert_eq!(tiled, name != "direct loops", "{name} runs the wrong path");
+            let tables = (row, col);
+            let case = Case::with_tables(
+                (m, m, n),
+                (2, 2, false),
+                seed as u64,
+                tables.clone(),
+                tables,
+            );
+            if name == "source's last element" {
+                let unreached = case.dst[..case.d_len]
+                    .iter()
+                    .any(|v| v.to_bits() == SENTINEL.to_bits());
+                assert!(unreached, "every scatter cell of {name} reached");
+            }
+            for pool_threads in [1, 4] {
+                pool::set_num_threads(pool_threads);
+                for vector in instantiations() {
+                    let bad = case.mismatch(case.dispatch(vector, GAP), GAP);
+                    assert!(
+                        bad.is_none(),
+                        "{bad:?} for {name} at {pool_threads} threads, vector={vector}"
+                    );
+                }
+            }
+        }
+        pool::set_num_threads(threads);
     }
 
     #[test]

@@ -468,7 +468,7 @@ impl<'a, T> UnsafeSlice<'a, T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Serializes tests that mutate the global thread count.
