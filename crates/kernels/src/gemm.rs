@@ -161,14 +161,25 @@ impl<'a> PackB<'a> {
 /// larger buffer: element `(i, j)` lives at `row[i] + col[j]`.
 #[derive(Debug, Clone, Copy)]
 pub struct Offsets<'a> {
-    row: &'a [usize],
-    col: &'a [usize],
+    pub(crate) row: &'a [usize],
+    pub(crate) col: &'a [usize],
+    /// `col` as [`split_runs`] reads it, on the vector path only.
+    pub(crate) runs: Option<&'a [Run]>,
 }
 
 impl<'a> Offsets<'a> {
     /// The matrix whose element `(i, j)` lives at `row[i] + col[j]`.
     pub fn new(row: &'a [usize], col: &'a [usize]) -> Self {
-        Offsets { row, col }
+        Offsets {
+            row,
+            col,
+            runs: None,
+        }
+    }
+
+    /// These tables, their column table classified as `runs` or not.
+    fn with(self, runs: Option<&'a [Run]>) -> Self {
+        Offsets { runs, ..self }
     }
 
     /// The one hard check behind the unchecked table loops: the tables have
@@ -190,6 +201,31 @@ impl<'a> Offsets<'a> {
             _ => panic!("offset tables reach {r} + {c}, outside a buffer of {len} elements"),
         }
     }
+}
+
+/// An arithmetic run of a column table: `col[at + t] = col[at] + step·t`
+/// for `t < len`, `step` wrapping (0 for a lone entry).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Run {
+    pub(crate) at: usize,
+    pub(crate) len: usize,
+    pub(crate) step: usize,
+}
+
+/// `col` as consecutive maximal runs, taken greedily from the left. Split
+/// once per call, for the vector twins of the gather and the scatter.
+fn split_runs(col: &[usize]) -> Vec<Run> {
+    let (mut runs, mut at) = (Vec::new(), 0);
+    while at < col.len() {
+        let step = col.get(at + 1).map_or(0, |c| c.wrapping_sub(col[at]));
+        let pairs = col[at + 1..].iter().zip(&col[at..]);
+        let len = 1 + pairs
+            .take_while(|(c, p)| c.wrapping_sub(**p) == step)
+            .count();
+        runs.push(Run { at, len, step });
+        at += len;
+    }
+    runs
 }
 
 /// Where [`gemm_batched`] adds each product.
@@ -330,6 +366,23 @@ fn gemm_batched_on(
     if extent == 0 {
         return;
     }
+    // The one classification of each column table: the vector twins read it
+    // as runs, the portable loops as it is. A scatter without a run of `NR`
+    // cells at step 1 or 2 stays on the portable loop, which adds short runs
+    // faster than a masked vector does.
+    let split = |t: Offsets<'_>, fits: bool| (vector && fits).then(|| split_runs(t.col));
+    let long = |r: &Run| r.len >= NR && (1..=2).contains(&r.step);
+    let gather_runs = match b {
+        // The vector gather indexes its source with 32-bit lanes.
+        PackB::Gather(src, tables) => split(tables, src.len() <= i32::MAX as usize),
+        _ => None,
+    };
+    let scatter_runs = scatter.and_then(|t| split(t, true).filter(|runs| runs.iter().any(long)));
+    let b = match b {
+        PackB::Gather(src, tables) => PackB::Gather(src, tables.with(gather_runs.as_deref())),
+        b => b,
+    };
+    let scatter = scatter.map(|tables| tables.with(scatter_runs.as_deref()));
     // Chunks write distinct blocks concurrently, so they must not overlap.
     let mut end = 0;
     for unit in 0..units {
@@ -443,6 +496,12 @@ fn run_direct(
 
 /// `dst[off.row[i0 + r] + off.col[j]] += rows[r * n + j]`, row-major; `off` checked for `dst`.
 fn scatter_add(dst: &mut [f32], off: Offsets<'_>, i0: usize, rows: &[f32], n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if off.runs.is_some() {
+        // SAFETY: `Offsets::check` bounded every row + column sum, and only
+        // a `vector` call, on a CPU with AVX2+FMA, classifies tables.
+        return unsafe { simd::scatter_strip(dst, off, i0, rows) };
+    }
     for (row, &base) in rows.chunks_exact(n.max(1)).zip(&off.row[i0..]) {
         for (&v, &c) in row.iter().zip(off.col) {
             // SAFETY: `Offsets::check` bounded every row + column sum.
@@ -535,6 +594,11 @@ pub(crate) unsafe fn portable_microkernel(k: usize, a: AView, b: BView, c: CView
 fn pack_b_into(b: PackB<'_>, k: usize, n: usize, jb0: usize, bpack: &mut [f32]) {
     let npad = n.div_ceil(NR) * NR;
     debug_assert_eq!(bpack.len(), k * (npad - jb0 * NR));
+    #[cfg(target_arch = "x86_64")]
+    if let PackB::Gather(src, off @ Offsets { runs: Some(_), .. }) = b {
+        // SAFETY: as in `scatter_add`; a gathered `B` is packed whole.
+        return unsafe { simd::gather_panels(src, off, bpack) };
+    }
     let (mut j0, mut at) = (jb0 * NR, 0);
     while j0 < npad {
         let w = (2 * NR).min(npad - j0);

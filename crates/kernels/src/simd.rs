@@ -43,7 +43,7 @@
 
 use std::sync::OnceLock;
 
-use crate::gemm::{AView, BView, CView, MR, NR};
+use crate::gemm::{AView, BView, CView, Offsets, Run, MR, NR};
 
 const _: () = assert!(
     MR == 8 && NR == 8,
@@ -206,6 +206,112 @@ pub(crate) unsafe fn microkernel_x2(k: usize, a: AView, b: BView, c: CView) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (k, a, b, c);
+}
+
+/// AVX2 twin of `gemm::pack_b_into` for a gathered `B`, `NR` columns of
+/// every strip at a time by the runs they lie in: two 128-bit loads when
+/// each half is step-1 (contiguous, or a weight gradient's runs of 4), two
+/// loads and a shuffle inside one stride-2 run whose span lies in `src`,
+/// else a masked `vgatherdps` on an index vector built once for all `k`
+/// rows. Padding lanes are `+0.0`; each lane copies the portable loop's bits.
+///
+/// # Safety
+///
+/// The CPU must have AVX2+FMA, `off` must be checked for `src` (which `i32`
+/// indexes) and carry runs, and `bpack` must be the whole packed `B`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn gather_panels(src: &[f32], off: Offsets<'_>, bpack: &mut [f32]) {
+    use std::arch::x86_64::*;
+    // Index loops throughout: an iterator adapter may not inline into an
+    // AVX2 function, and an out-of-line `next` per row outweighs its loads.
+    let (runs, at) = (off.runs.unwrap_or_default(), src.as_ptr());
+    let (k, n, zero) = (off.row.len(), off.col.len(), _mm256_setzero_ps());
+    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let mut r = 0;
+    for lo in (0..n).step_by(NR) {
+        let col = &off.col[lo..(lo + NR).min(n)];
+        while runs[r].at + runs[r].len <= lo {
+            r += 1;
+        }
+        let (step, end) = (runs[r].step, runs[r].at + runs[r].len);
+        let next_quad = matches!(runs.get(r + 1), Some(s) if s.step == 1 && s.len >= 4);
+        let quads = step == 1 && (end >= lo + NR || end == lo + 4 && next_quad && col.len() == NR);
+        // The strip from `j0` holds its `k` rows `w` apart, behind `j0·k` cells.
+        let j0 = lo - lo % (2 * NR);
+        let w = (2 * NR).min(n.div_ceil(NR) * NR - j0);
+        let out = bpack.as_mut_ptr().add(j0 * k + lo - j0);
+        if quads {
+            for p in 0..k {
+                let (a, b) = (at.add(off.row[p] + col[0]), at.add(off.row[p] + col[4]));
+                let v = _mm256_set_m128(_mm_loadu_ps(b), _mm_loadu_ps(a));
+                _mm256_storeu_ps(out.add(p * w), v);
+            }
+            continue;
+        }
+        let mut idx = [0i32; NR];
+        for (i, &c) in idx.iter_mut().zip(col) {
+            *i = c as i32;
+        }
+        let idx = _mm256_loadu_si256(idx.as_ptr().cast());
+        let cols = _mm256_set1_epi32(col.len() as i32);
+        let valid = _mm256_castsi256_ps(_mm256_cmpgt_epi32(cols, lanes));
+        let evens = step == 2 && end >= lo + NR;
+        for p in 0..k {
+            // One stride-2 run: its even lanes, if all 2·NR lie in `src`.
+            let v = match src.get(off.row[p] + col[0]..off.row[p] + col[0] + 2 * NR) {
+                Some(span) if evens => {
+                    let (a, b) = (span.as_ptr(), span[NR..].as_ptr());
+                    let (a, b) = (_mm256_loadu_ps(a), _mm256_loadu_ps(b));
+                    let pairs = _mm256_castps_pd(_mm256_shuffle_ps::<0b10_00_10_00>(a, b));
+                    _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(pairs))
+                }
+                _ => _mm256_mask_i32gather_ps::<4>(zero, at.add(off.row[p]), idx, valid),
+            };
+            _mm256_storeu_ps(out.add(p * w), v);
+        }
+    }
+}
+
+/// AVX2 twin of `gemm::scatter_add`: each row of a finished strip added run
+/// by run in ascending `j`, eight cells at a time along a step-1 run, four
+/// along a stride-2 run through a mask on its even lanes (the cells between
+/// are neither read nor written), the rest one at a time. A run's cells are
+/// distinct, so every destination gets the portable loop's adds in order.
+///
+/// # Safety
+///
+/// The CPU must have AVX2+FMA, and `off` must be checked for `dst` and
+/// carry runs.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn scatter_strip(dst: &mut [f32], off: Offsets<'_>, i0: usize, rows: &[f32]) {
+    use std::arch::x86_64::*;
+    let even = _mm256_setr_epi32(-1, 0, -1, 0, -1, 0, -1, 0);
+    let spread = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
+    let n = off.col.len();
+    for i in 0..rows.len() / n {
+        let d = dst.as_mut_ptr().add(off.row[i0 + i]);
+        let v = rows[i * n..].as_ptr();
+        for &Run { at, len, step } in off.runs.unwrap_or_default() {
+            let (mut t, to) = (0, d.add(off.col[at]));
+            while step == 1 && t + NR <= len {
+                let sum = _mm256_add_ps(_mm256_loadu_ps(to.add(t)), _mm256_loadu_ps(v.add(at + t)));
+                _mm256_storeu_ps(to.add(t), sum);
+                t += NR;
+            }
+            while step == 2 && t + 4 <= len {
+                let x = _mm256_castps128_ps256(_mm_loadu_ps(v.add(at + t)));
+                let x = _mm256_permutevar8x32_ps(x, spread);
+                let sum = _mm256_add_ps(_mm256_maskload_ps(to.add(2 * t), even), x);
+                _mm256_maskstore_ps(to.add(2 * t), even, sum);
+                t += 4;
+            }
+            for j in at + t..at + len {
+                *d.add(off.col[j]) += *v.add(j);
+            }
+        }
+    }
 }
 
 /// Part of what makes the safe wrappers in this module sound on their own:
