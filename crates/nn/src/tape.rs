@@ -10,7 +10,9 @@
 //! installed [`Profiler`] every op opens one forward span declaring its
 //! [`OpCost`] (`Tape::record_op`), and the node keeps that cost; the
 //! backward sweep opens one `bwd:<op>` span per node and prices it at the
-//! forward cost times the number of parent gradients the closure returned.
+//! forward cost times the number of parent gradients the closure returned,
+//! except that a gradient the closure declares a reduction
+//! (`BackwardCtx::reduces`, a convolution's bias) costs its sum instead.
 //! That is exact for the GEMM-backed ops (input + weight gradient = 2 x
 //! forward, the 3x-forward training rule the simulator is priced with) and
 //! the right order for elementwise ops. Nothing below the tape (`hfta-tensor`,
@@ -39,9 +41,27 @@ pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &BackwardCtx<'_>) -> ParentGrad
 pub(crate) struct BackwardCtx<'a> {
     nodes: &'a [Node],
     id: usize,
+    /// The returned gradients declared reductions, and the elements they read.
+    reduced: Cell<(usize, usize)>,
 }
 
 impl<'a> BackwardCtx<'a> {
+    fn new(nodes: &'a [Node], id: usize) -> Self {
+        BackwardCtx {
+            nodes,
+            id,
+            reduced: Cell::new((0, 0)),
+        }
+    }
+
+    /// Declares that one of the gradients the closure returns sums `numel`
+    /// elements (a bias gradient over `gy`): the backward span prices it
+    /// as that reduction, not as another forward.
+    pub(crate) fn reduces(&self, numel: usize) {
+        let (grads, elements) = self.reduced.get();
+        self.reduced.set((grads + 1, elements + numel));
+    }
+
     /// The forward value of node `id` (a parent of the running node).
     pub(crate) fn value(&self, id: usize) -> &'a Tensor {
         &self.nodes[id].value
@@ -344,9 +364,12 @@ impl Var {
                     t.profiler
                         .op_span(t.bwd, format!("bwd:{}", node.op), node.cost)
                 });
-                let parent_grads = backward(&g, &BackwardCtx { nodes: &nodes, id });
+                let ctx = BackwardCtx::new(&nodes, id);
+                let parent_grads = backward(&g, &ctx);
                 if let Some(span) = &mut span {
-                    span.scale(parent_grads.len());
+                    let (reductions, numel) = ctx.reduced.get();
+                    span.scale(parent_grads.len() - reductions);
+                    span.add(OpCost::reduction(numel));
                 }
                 for (pid, pg) in parent_grads {
                     debug_assert!(pid < id, "tape must be topologically ordered");
@@ -418,11 +441,10 @@ impl Var {
     pub(crate) fn grad_targets(&self, g: &Tensor) -> Vec<usize> {
         let nodes = self.tape.inner.nodes.borrow();
         let backward = nodes[self.id].backward.as_ref().expect("an op node");
-        let ctx = BackwardCtx {
-            nodes: &nodes,
-            id: self.id,
-        };
-        backward(g, &ctx).into_iter().map(|(id, _)| id).collect()
+        backward(g, &BackwardCtx::new(&nodes, self.id))
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
     }
 }
 
@@ -516,6 +538,30 @@ mod tests {
         assert!(report.experiments[0].op("sum").is_some());
         let bwd = report.experiments[0].op("bwd:mul").expect("bwd:mul sample");
         assert_eq!((bwd.calls, bwd.flops), (1, 2.0 * mul.flops));
+    }
+
+    /// A convolution's bias gradient sums `gy`; it is no third forward.
+    #[test]
+    fn a_conv_bias_gradient_is_priced_as_its_reduction() {
+        let p = Profiler::new("tape-test");
+        let _g = p.install();
+        let param = |dims: &[usize]| Parameter::new(Tensor::ones(dims), "p");
+        let (x, w, b) = (param(&[2, 3, 6, 6]), param(&[4, 3, 3, 3]), param(&[4]));
+        let tape = Tape::new();
+        let cfg = hfta_tensor::conv::ConvCfg::square(1, 1, 1);
+        let y = tape
+            .param(&x)
+            .conv2d(&tape.param(&w), Some(&tape.param(&b)), cfg);
+        let gy_numel = y.numel();
+        y.sum().backward();
+        let report = p.report();
+        let fwd = report.experiments[0].op("conv2d").expect("conv2d sample");
+        let bwd = report.experiments[0]
+            .op("bwd:conv2d")
+            .expect("bwd:conv2d sample");
+        let sum = OpCost::reduction(gy_numel);
+        assert_eq!(bwd.flops, 2.0 * fwd.flops + sum.flops);
+        assert_eq!(bwd.bytes, 2.0 * fwd.bytes + sum.bytes);
     }
 
     #[test]

@@ -62,6 +62,7 @@ fn record_conv(
             out.push((wi, grad_w(g, ctx.value(xi))));
         }
         if let Some(bi) = bi.filter(|&bi| ctx.needs_grad(bi)) {
+            ctx.reduces(g.numel());
             out.push((bi, grad_b(g)));
         }
         out

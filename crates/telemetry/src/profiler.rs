@@ -661,6 +661,13 @@ impl OpSpanGuard {
         self.cost.flops *= n as f64;
         self.cost.bytes *= n as f64;
     }
+
+    /// Adds `extra` to the cost folded on close: work of another kind that
+    /// the span also did (a backward span's bias-gradient reduction).
+    pub fn add(&mut self, extra: OpCost) {
+        self.cost.flops += extra.flops;
+        self.cost.bytes += extra.bytes;
+    }
 }
 
 impl Drop for OpSpanGuard {
