@@ -10,7 +10,8 @@
 //! 4. **Optimizer fusion** — one `FusedAdam` step over the `dcgan_compute`
 //!    array's parameters vs the six serial `Adam` steps it replaces.
 //! 5. **Conv ops** — `conv2d` and its two gradients at the benchmark's four
-//!    stride-2 DCGAN-D layers, µs and GFLOP/s per op at one thread.
+//!    stride-2 DCGAN-D layers, and `conv_transpose2d` and its two gradients
+//!    at its five DCGAN-G layers, µs and GFLOP/s per op at one thread.
 //! 6. **Non-GEMM passes** — activations, batch norm and the global max
 //!    pool through the tape at the benchmark's shapes, µs forward and
 //!    backward per op at one thread.
@@ -26,7 +27,10 @@ use hfta_models::{
 };
 use hfta_nn::{Adam, Module, Optimizer, Sgd, Tape};
 use hfta_sim::{DeviceSpec, GpuSim, SharingPolicy};
-use hfta_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, ConvCfg};
+use hfta_tensor::conv::{
+    conv2d, conv2d_grad_input, conv2d_grad_weight, conv_transpose2d, conv_transpose2d_grad_input,
+    conv_transpose2d_grad_weight, ConvCfg,
+};
 use hfta_tensor::{Rng, Tensor};
 use std::hint::black_box;
 
@@ -236,22 +240,37 @@ fn ablation_optimizer(c: &mut Criterion) {
     group.finish();
 }
 
-/// The three conv ops at the four stride-2 DCGAN-D layers of the benchmark
-/// (`dcgan_compute`: width 12, 64x64, B = 6 fused as groups, batch 2) on
-/// one thread — the per-op before/after of a conv-kernel change,
+/// The three conv ops of every DCGAN layer of the benchmark
+/// (`dcgan_compute`: width 12, latent 32, 64x64, B = 6 fused as groups,
+/// batch 2) on one thread: `conv2d` and its two gradients at the four
+/// stride-2 discriminator layers, and `conv_transpose2d` (the scatter sink)
+/// and its two gradients at the five generator layers — the per-op
+/// before/after of a conv-kernel change on both sides of the adjoint,
 /// independent of the benchmark's replay ledger.
 fn ablation_conv(c: &mut Criterion) {
     let (b, batch) = (6usize, 2usize);
     let threads = hfta_kernels::num_threads();
     hfta_kernels::set_num_threads(1);
-    let cfg = ConvCfg::square(2, 1, b);
     let mut rng = Rng::seed_from(18);
     type ConvOp<'a> = (&'a str, Box<dyn Fn() -> Tensor + 'a>);
     println!(
-        "\n## Ablation: conv ops at the DCGAN-D layers (B = {b} as groups, N = {batch}, 1 thread)"
+        "\n## Ablation: conv ops at the DCGAN layers (B = {b} as groups, N = {batch}, 1 thread)"
     );
-    let mut totals = [0.0f64; 3];
     let mut group = c.benchmark_group("conv");
+    let mut time = |layer: String, flops: f64, ops: [ConvOp<'_>; 3], totals: &mut [f64; 3]| {
+        for ((name, op), total) in ops.iter().zip(totals) {
+            let us = median_secs(41, || drop(black_box(op()))) * 1e6;
+            *total += us;
+            println!(
+                "  {layer:<10} {name:<29} {us:>8.1} us  {:>6.2} GFLOP/s",
+                flops / us / 1e3
+            );
+            let id = format!("{name}/{layer}");
+            group.bench_function(id, |bench| bench.iter(|| black_box(op())));
+        }
+    };
+    let mut d_totals = [0.0f64; 3];
+    let cfg = ConvCfg::square(2, 1, b);
     for (cin, cout, h) in [
         (3usize, 12usize, 64usize),
         (12, 24, 32),
@@ -273,23 +292,51 @@ fn ablation_conv(c: &mut Criterion) {
                 Box::new(|| conv2d_grad_weight(&x, &gy, (4, 4), cfg)),
             ),
         ];
-        for ((name, op), total) in ops.iter().zip(&mut totals) {
-            let us = median_secs(41, || drop(black_box(op()))) * 1e6;
-            *total += us;
-            println!(
-                "  {cin:>2}x{cout:<2} @ {h:<2} {name:<19} {us:>8.1} us  {:>6.2} GFLOP/s",
-                flops / us / 1e3
-            );
-            let id = format!("{name}/{cin}x{cout}x{h}");
-            group.bench_function(id, |bench| bench.iter(|| black_box(op())));
-        }
+        time(format!("{cin}x{cout}x{h}"), flops, ops, &mut d_totals);
+    }
+    let mut g_totals = [0.0f64; 3];
+    for (cin, cout, h, stride, padding) in [
+        (32usize, 96usize, 1usize, 1usize, 0usize),
+        (96, 48, 4, 2, 1),
+        (48, 24, 8, 2, 1),
+        (24, 12, 16, 2, 1),
+        (12, 3, 32, 2, 1),
+    ] {
+        let cfg = ConvCfg::square(stride, padding, b);
+        let x = rng.randn([batch, b * cin, h, h]);
+        let w = rng.randn([b * cin, cout, 4, 4]);
+        let (ho, wo) = cfg.transpose_out_hw((h, h), (4, 4));
+        let gy = rng.randn([batch, b * cout, ho, wo]);
+        let flops = (2 * batch * b * cin * cout * 16 * h * h) as f64;
+        let ops: [ConvOp<'_>; 3] = [
+            (
+                "conv_transpose2d",
+                Box::new(|| conv_transpose2d(&x, &w, None, cfg)),
+            ),
+            (
+                "conv_transpose2d_grad_input",
+                Box::new(|| conv_transpose2d_grad_input(&w, &gy, cfg)),
+            ),
+            (
+                "conv_transpose2d_grad_weight",
+                Box::new(|| conv_transpose2d_grad_weight(&x, &gy, (4, 4), cfg)),
+            ),
+        ];
+        time(format!("G{cin}x{cout}x{h}"), flops, ops, &mut g_totals);
     }
     group.finish();
+    let ms = |us: f64| us / 1e3;
     println!(
         "  totals: conv2d {:.2} ms, grad_input {:.2} ms, grad_weight {:.2} ms",
-        totals[0] / 1e3,
-        totals[1] / 1e3,
-        totals[2] / 1e3
+        ms(d_totals[0]),
+        ms(d_totals[1]),
+        ms(d_totals[2])
+    );
+    println!(
+        "  totals: conv_transpose2d {:.2} ms, grad_input {:.2} ms, grad_weight {:.2} ms",
+        ms(g_totals[0]),
+        ms(g_totals[1]),
+        ms(g_totals[2])
     );
     hfta_kernels::set_num_threads(threads);
 }
