@@ -48,13 +48,18 @@
 //! |---------|-------------------|--------------------------------|--------------------------------|
 //! | tiled   | `>= SMALL_FLOPS`  | [`crate::simd`] 8×8 / paired 8×16 `vfmadd` tile on strided views | `portable_microkernel` (8×8), `f32::mul_add` |
 //! | direct  | `< SMALL_FLOPS`   | reference loops compiled with AVX2+FMA | the reference loops |
+//! | tables  | gather, scatter   | column runs 8 lanes wide: loads, shuffles, masked adds, `vgatherdps` | one cell at a time |
 //!
 //! `B` may also be *gathered* through two [`Offsets`] tables while it is
 //! packed ([`PackB::Gather`]), and the product *scatter-added* through them
 //! one finished `MR`-row strip at a time ([`Out::Scatter`]) — a convolution
 //! on its padded image, no im2col matrix. On the direct row the tables first
-//! materialise the operand (or the product). Same chain per element, same
-//! add order per destination, either row. `A^T B^T` has no direct loops and
+//! materialise the operand (or the product). On the vector column each call
+//! splits the column tables into arithmetic runs once (`split_runs`), and
+//! `simd::gather_panels` / `simd::scatter_strip` read them eight lanes wide:
+//! a gather only moves bits, and a scatter adds a row's distinct cells run
+//! by run in ascending `j`. Same chain per element, same add order per
+//! destination, on every row and column. `A^T B^T` has no direct loops and
 //! tiles at every size.
 //!
 //! Selection is by platform and shape, never by an option: the row comes
@@ -131,7 +136,8 @@ pub enum PackB<'a> {
     /// `b[n, k]` row-major (transposed access).
     T(&'a [f32]),
     /// `b[p, j] = src[row[p] + col[j]]` through `[k]` and `[n]` tables:
-    /// gathered while the panels are packed, so `b` itself never exists.
+    /// gathered while the panels are packed (by `col`'s runs on the vector
+    /// path), so `b` itself never exists.
     Gather(&'a [f32], Offsets<'a>),
 }
 
@@ -237,7 +243,8 @@ pub enum Out<'a> {
     /// `dst[row[i] + col[j]] += product[i, j]` through `[m]` and `[n]`
     /// tables, each product element the contract's chain from zero. The
     /// adds reach `dst` in row-major `(i, j)` order, so overlapping
-    /// destinations are well defined.
+    /// destinations are well defined; the vector path adds a row's runs
+    /// eight or four cells at a time, never touching a cell off the tables.
     Scatter(&'a mut [f32], Offsets<'a>),
 }
 

@@ -4,8 +4,8 @@
 //! The workspace builds for the portable x86-64 baseline (see
 //! `.cargo/config.toml`), where `f32::mul_add` is a libm `fmaf` call and
 //! autovectorization stops at SSE2. This module holds the fast twins of the
-//! two portable code paths, gated behind runtime
-//! `is_x86_feature_detected!` so the binary stays portable:
+//! portable code paths, gated behind runtime `is_x86_feature_detected!` so
+//! the binary stays portable, and every x86 intrinsic in the workspace:
 //!
 //! * the hand-written 8×8 register tile — one f32x8 vector per accumulator
 //!   row, `vfmadd` per contraction step — twin of
@@ -16,7 +16,10 @@
 //! * `gemm_small` / `gemm_nt_small` / `gemm_tn_small` — the
 //!   [`crate::reference`] loop bodies compiled with AVX2+FMA enabled, so
 //!   `mul_add` lowers to `vfmadd` and the row loops vectorize 8-wide — the
-//!   small-shape production path.
+//!   small-shape production path;
+//! * `gather_panels` / `scatter_strip` — a convolution's offset-table gather
+//!   and scatter, eight lanes at a time along the column table's arithmetic
+//!   runs: the portable loops' bits and adds, in their order.
 //!
 //! The single-tile kernel is load-port-bound: each contraction step issues
 //! nine load μops (one B vector + eight A broadcasts) against eight FMAs.
@@ -218,7 +221,7 @@ pub(crate) unsafe fn microkernel_x2(k: usize, a: AView, b: BView, c: CView) {
 /// # Safety
 ///
 /// The CPU must have AVX2+FMA, `off` must be checked for `src` (which `i32`
-/// indexes) and carry runs, and `bpack` must be the whole packed `B`.
+/// indexes) and carry `split_runs(off.col)`, and `bpack` must be all of `B`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 pub(crate) unsafe fn gather_panels(src: &[f32], off: Offsets<'_>, bpack: &mut [f32]) {
@@ -273,16 +276,15 @@ pub(crate) unsafe fn gather_panels(src: &[f32], off: Offsets<'_>, bpack: &mut [f
     }
 }
 
-/// AVX2 twin of `gemm::scatter_add`: each row of a finished strip added run
-/// by run in ascending `j`, eight cells at a time along a step-1 run, four
-/// along a stride-2 run through a mask on its even lanes (the cells between
-/// are neither read nor written), the rest one at a time. A run's cells are
-/// distinct, so every destination gets the portable loop's adds in order.
+/// AVX2 twin of `gemm::scatter_add`: a strip's rows added run by run in
+/// ascending `j` — eight cells per add along step-1 runs, four along stride-2
+/// runs through a mask on the even lanes (the cells between are untouched),
+/// the rest singly. A run's cells are distinct: the portable adds, in order.
 ///
 /// # Safety
 ///
 /// The CPU must have AVX2+FMA, and `off` must be checked for `dst` and
-/// carry runs.
+/// carry `split_runs(off.col)`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 pub(crate) unsafe fn scatter_strip(dst: &mut [f32], off: Offsets<'_>, i0: usize, rows: &[f32]) {

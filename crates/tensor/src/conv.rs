@@ -20,9 +20,9 @@
 //! wants `cols^T`, the same tables swapped), the input gradient — hence the
 //! transposed convolution's forward — *scatter-adds* `w^T @ gy` through them
 //! ([`Out::Scatter`]). That sink adds one finished row strip at a time in
-//! ascending `(ci,u,v)`, the order in which a `col2im` pass hands each pixel
-//! its taps, so every op is bit-identical to pad → im2col → GEMM → col2im
-//! (the oracle the tests keep) without ever writing the columns.
+//! ascending `(ci,u,v)`, `col2im`'s order for each pixel's taps — with AVX2,
+//! eight lanes at a time along the tables' runs (`wo` pixels `sw` apart, `kw`
+//! taps) — so every op is bit-identical to pad → im2col → GEMM → col2im.
 //!
 //! A 1x1, stride-1, unpadded convolution's tables are the identity: its image
 //! block *is* the operand and is read densely. Its input gradient still
