@@ -211,7 +211,7 @@ impl<'a> Offsets<'a> {
 
 /// An arithmetic run of a column table: `col[at + t] = col[at] + step·t`
 /// for `t < len`, `step` wrapping (0 for a lone entry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Run {
     pub(crate) at: usize,
     pub(crate) len: usize,
