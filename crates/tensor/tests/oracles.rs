@@ -9,13 +9,24 @@
 //! does not pin NaN payloads — on inputs that include ±0, NaN, ±inf,
 //! subnormals and negatives whose `x * 0.2` underflows to `-0.0`, at 1 and
 //! 4 worker threads.
+//!
+//! The axis reductions (`sum_axis`, `mean_axis`, `max_axis`, `argmax_axis`,
+//! `sum_to`), the conv bias gradients, the evaluation-mode batch-norm
+//! backward and `permute` are pinned the same way against reference loops
+//! that spell out each output's chain: its start value and its elements in
+//! ascending index order (per-sample partials, then the cross-sample total,
+//! where the production op sums in two steps).
 
 use std::sync::Mutex;
 
 use hfta_kernels::{self as kernels, set_num_threads, UnsafeSlice};
-use hfta_tensor::norm::{batch_norm_backward, batch_norm_eval, batch_norm_train, BatchNormOutput};
+use hfta_tensor::conv::{conv1d_grad_bias, conv2d_grad_bias};
+use hfta_tensor::norm::{
+    batch_norm_backward, batch_norm_eval, batch_norm_eval_backward, batch_norm_train,
+    BatchNormOutput,
+};
 use hfta_tensor::Rng;
-use hfta_tensor::Tensor;
+use hfta_tensor::{Shape, Tensor};
 use proptest::prelude::*;
 
 /// `hfta_tensor`'s elementwise grain at the time the oracles were taken.
@@ -229,6 +240,207 @@ fn max_axis_with_indices_oracle(t: &Tensor, axis: usize) -> (Tensor, Vec<usize>)
     (out_t, idx)
 }
 
+/// `(outer, n, inner)` of `t` around `axis`.
+fn split(t: &Tensor, axis: usize) -> (usize, usize, usize) {
+    let dims = t.dims();
+    let outer: usize = dims[..axis].iter().product();
+    let inner: usize = dims[axis + 1..].iter().product();
+    (outer, dims[axis], inner)
+}
+
+/// `t`'s dims with `axis` reduced (kept as size 1 or removed).
+fn reduced_dims(t: &Tensor, axis: usize, keep_dim: bool) -> Vec<usize> {
+    let mut dims = t.dims().to_vec();
+    if keep_dim {
+        dims[axis] = 1;
+    } else {
+        dims.remove(axis);
+    }
+    dims
+}
+
+/// Each output starts at `init` and folds its line's elements along `axis`
+/// in ascending index order.
+fn reduce_oracle(
+    t: &Tensor,
+    axis: usize,
+    keep_dim: bool,
+    init: f32,
+    f: impl Fn(f32, f32) -> f32,
+) -> Tensor {
+    let (outer, n, inner) = split(t, axis);
+    let data = t.as_slice();
+    let mut out = vec![0.0f32; outer * inner];
+    for o in 0..outer {
+        for i in 0..inner {
+            let mut acc = init;
+            for k in 0..n {
+                acc = f(acc, data[(o * n + k) * inner + i]);
+            }
+            out[o * inner + i] = acc;
+        }
+    }
+    Tensor::from_vec(out, reduced_dims(t, axis, keep_dim))
+}
+
+fn sum_axis_oracle(t: &Tensor, axis: usize, keep_dim: bool) -> Tensor {
+    reduce_oracle(t, axis, keep_dim, 0.0, |acc, v| acc + v)
+}
+
+fn mean_axis_oracle(t: &Tensor, axis: usize, keep_dim: bool) -> Tensor {
+    let n = t.dim(axis) as f32;
+    let sums = sum_axis_oracle(t, axis, keep_dim);
+    let means = sums.as_slice().iter().map(|s| s / n).collect();
+    Tensor::from_vec(means, sums.dims().to_vec())
+}
+
+fn max_axis_oracle(t: &Tensor, axis: usize, keep_dim: bool) -> Tensor {
+    reduce_oracle(t, axis, keep_dim, f32::NEG_INFINITY, f32::max)
+}
+
+fn argmax_axis_oracle(t: &Tensor, axis: usize) -> Tensor {
+    let (outer, n, inner) = split(t, axis);
+    let data = t.as_slice();
+    let mut out = vec![0.0f32; outer * inner];
+    for o in 0..outer {
+        for i in 0..inner {
+            let (mut best, mut best_k) = (f32::NEG_INFINITY, 0usize);
+            for k in 0..n {
+                let v = data[(o * n + k) * inner + i];
+                if v > best {
+                    best = v;
+                    best_k = k;
+                }
+            }
+            out[o * inner + i] = best_k as f32;
+        }
+    }
+    Tensor::from_vec(out, reduced_dims(t, axis, false))
+}
+
+/// Leading extra axes summed away first (axis 0 each time), then each
+/// size-1 target axis in ascending order.
+fn sum_to_oracle(t: &Tensor, target: &[usize]) -> Tensor {
+    let mut t = t.clone();
+    while t.rank() > target.len() {
+        t = sum_axis_oracle(&t, 0, false);
+    }
+    for (axis, &d) in target.iter().enumerate() {
+        if d == 1 && t.dim(axis) != 1 {
+            t = sum_axis_oracle(&t, axis, true);
+        }
+    }
+    t.reshape(target)
+}
+
+/// `gy [N, C, L]`: per sample, the sum over `l` from `+0.0`; then per
+/// channel, those partials over `n` from `+0.0`.
+fn conv1d_grad_bias_oracle(gy: &Tensor) -> Tensor {
+    let (n, c, l) = (gy.dim(0), gy.dim(1), gy.dim(2));
+    let d = gy.as_slice();
+    let out = (0..c)
+        .map(|ci| {
+            let mut total = 0.0f32;
+            for ni in 0..n {
+                let mut partial = 0.0f32;
+                for li in 0..l {
+                    partial += d[(ni * c + ci) * l + li];
+                }
+                total += partial;
+            }
+            total
+        })
+        .collect();
+    Tensor::from_vec(out, vec![c])
+}
+
+/// `gy [N, C, H, W]`: each row over `w`, then each sample's rows over `h`,
+/// then the samples over `n`, every sum from `+0.0`.
+fn conv2d_grad_bias_oracle(gy: &Tensor) -> Tensor {
+    let (n, c, h, w) = (gy.dim(0), gy.dim(1), gy.dim(2), gy.dim(3));
+    let d = gy.as_slice();
+    let out = (0..c)
+        .map(|ci| {
+            let mut total = 0.0f32;
+            for ni in 0..n {
+                let mut sample = 0.0f32;
+                for hi in 0..h {
+                    let mut row = 0.0f32;
+                    for wi in 0..w {
+                        row += d[((ni * c + ci) * h + hi) * w + wi];
+                    }
+                    sample += row;
+                }
+                total += sample;
+            }
+            total
+        })
+        .collect();
+    Tensor::from_vec(out, vec![c])
+}
+
+/// Each channel's `(Σ gy·x̂, Σ gy)` is one chain from `+0.0` across samples
+/// and positions, with `x̂ = (x - rm) * inv_std` recomputed per element;
+/// `grad_input = gy * gamma * inv_std`.
+fn batch_norm_eval_backward_oracle(
+    gy: &Tensor,
+    x: &Tensor,
+    gamma: &Tensor,
+    running_mean: &[f32],
+    running_var: &[f32],
+    eps: f32,
+) -> (Tensor, Tensor, Tensor) {
+    let (n, c, spatial) = check_bn_input(gy);
+    let inv_std: Vec<f32> = running_var.iter().map(|v| 1.0 / (v + eps).sqrt()).collect();
+    let (gyd, xd, g) = (gy.as_slice(), x.as_slice(), gamma.as_slice());
+    let mut ggamma = vec![0.0f32; c];
+    let mut gbeta = vec![0.0f32; c];
+    for ci in 0..c {
+        let (mut sg, mut sb) = (0.0f32, 0.0f32);
+        for ni in 0..n {
+            let base = (ni * c + ci) * spatial;
+            for i in 0..spatial {
+                let gv = gyd[base + i];
+                sg += gv * ((xd[base + i] - running_mean[ci]) * inv_std[ci]);
+                sb += gv;
+            }
+        }
+        ggamma[ci] = sg;
+        gbeta[ci] = sb;
+    }
+    let gx = (0..gyd.len())
+        .map(|idx| {
+            let ci = (idx / spatial) % c;
+            gyd[idx] * g[ci] * inv_std[ci]
+        })
+        .collect();
+    (
+        Tensor::from_vec(gx, gy.dims().to_vec()),
+        Tensor::from_vec(ggamma, vec![c]),
+        Tensor::from_vec(gbeta, vec![c]),
+    )
+}
+
+/// Output element at multi-index `idx` is the source element at
+/// `idx[a]` along source axis `order[a]`.
+fn permute_oracle(t: &Tensor, order: &[usize]) -> Tensor {
+    let src_strides = t.shape().strides();
+    let dims: Vec<usize> = order.iter().map(|&a| t.dim(a)).collect();
+    let numel: usize = dims.iter().product();
+    let src = t.as_slice();
+    let out = (0..numel)
+        .map(|mut flat| {
+            let mut off = 0;
+            for (a, &d) in dims.iter().enumerate().rev() {
+                off += (flat % d) * src_strides[order[a]];
+                flat /= d;
+            }
+            src[off]
+        })
+        .collect();
+    Tensor::from_vec(out, dims)
+}
+
 // --- Harness ----------------------------------------------------------------
 
 /// `set_num_threads` is process-global: cases serialize on this lock and
@@ -320,6 +532,37 @@ fn bn_dims(rng: &mut Rng) -> Vec<usize> {
     }
 }
 
+/// `[N, C, spatial...]` whose rows run 1-40 elements (whole 8-blocks plus
+/// tails) and whose C runs to 70, rarely a multiple of 8.
+fn line_dims(rng: &mut Rng) -> Vec<usize> {
+    let (n, c) = (1 + rng.below(3), 1 + rng.below(70));
+    match rng.below(4) {
+        0 => vec![n, c],
+        1 | 2 => vec![n, c, 1 + rng.below(40)],
+        _ => vec![n, c, 1 + rng.below(6), 1 + rng.below(8)],
+    }
+}
+
+/// Sets one line of `t` along `axis` to `-0.0`, so its sum from `+0.0`
+/// must come out `+0.0`.
+fn negative_zero_line(rng: &mut Rng, t: &mut Tensor, axis: usize) {
+    let (outer, n, inner) = split(t, axis);
+    let (o, i) = (rng.below(outer), rng.below(inner));
+    let data = t.as_mut_slice();
+    for k in 0..n {
+        data[(o * n + k) * inner + i] = -0.0;
+    }
+}
+
+/// Sets every element of channel (axis 1) `ci` of `t` to `-0.0`.
+fn negative_zero_channel(t: &mut Tensor, ci: usize) {
+    let (outer, c, inner) = split(t, 1);
+    let data = t.as_mut_slice();
+    for o in 0..outer {
+        data[(o * c + ci) * inner..][..inner].fill(-0.0);
+    }
+}
+
 // --- Properties ---------------------------------------------------------------
 
 proptest! {
@@ -389,6 +632,155 @@ proptest! {
             Ok(())
         })?;
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn axis_reductions_equal_their_oracles(seed in any::<u64>()) {
+        let mut rng = Rng::seed_from(seed);
+        let dims = if rng.below(2) == 0 { line_dims(&mut rng) } else { any_dims(&mut rng) };
+        let axis = rng.below(dims.len());
+        // Sums go NaN on the first NaN or opposed infinities, so they take
+        // the smaller dose; the maxima the activations' dose.
+        let mut x = tensor(&mut rng, &dims, 40);
+        negative_zero_line(&mut rng, &mut x, axis);
+        let m = tensor(&mut rng, &dims, 4);
+        let lead = rng.below(dims.len() + 1);
+        let target: Vec<usize> = dims[lead..]
+            .iter()
+            .map(|&d| if rng.below(2) == 0 { 1 } else { d })
+            .collect();
+        at_1_and_4_threads(|| {
+            for keep in [false, true] {
+                assert_bits(&x.sum_axis(axis, keep), &sum_axis_oracle(&x, axis, keep), "sum_axis")?;
+                assert_bits(&x.mean_axis(axis, keep), &mean_axis_oracle(&x, axis, keep), "mean_axis")?;
+                assert_bits(&m.max_axis(axis, keep), &max_axis_oracle(&m, axis, keep), "max_axis")?;
+            }
+            assert_bits(&m.argmax_axis(axis), &argmax_axis_oracle(&m, axis), "argmax_axis")?;
+            assert_bits(&x.sum_to(&Shape::new(target.clone())), &sum_to_oracle(&x, &target), "sum_to")
+        })?;
+    }
+
+    #[test]
+    fn conv_bias_gradients_equal_their_oracles(seed in any::<u64>()) {
+        let mut rng = Rng::seed_from(seed);
+        let (n, c) = (1 + rng.below(3), 1 + rng.below(70));
+        let (zero, l, h, w) = (rng.below(c), 1 + rng.below(40), 1 + rng.below(6), 1 + rng.below(8));
+        let mut gy1 = tensor(&mut rng, &[n, c, l], 40);
+        let mut gy2 = tensor(&mut rng, &[n, c, h, w], 40);
+        negative_zero_channel(&mut gy1, zero);
+        negative_zero_channel(&mut gy2, zero);
+        at_1_and_4_threads(|| {
+            let g1 = conv1d_grad_bias(&gy1);
+            prop_assert!(g1.as_slice()[zero].to_bits() == 0, "a -0.0 channel sums to +0.0");
+            assert_bits(&g1, &conv1d_grad_bias_oracle(&gy1), "conv1d_grad_bias")?;
+            assert_bits(&conv2d_grad_bias(&gy2), &conv2d_grad_bias_oracle(&gy2), "conv2d_grad_bias")
+        })?;
+    }
+
+    #[test]
+    fn batch_norm_at_long_rows_equals_its_oracles(seed in any::<u64>()) {
+        let mut rng = Rng::seed_from(seed);
+        let dims = line_dims(&mut rng);
+        let c = dims[1];
+        let x = tensor(&mut rng, &dims, 40);
+        let mut gy = tensor(&mut rng, &dims, 40);
+        negative_zero_channel(&mut gy, rng.below(c));
+        let gamma = tensor(&mut rng, &[c], 40);
+        let beta = tensor(&mut rng, &[c], 40);
+        let rm: Vec<f32> = (0..c).map(|_| rng.uniform(-2.0, 2.0)).collect();
+        let rv: Vec<f32> = (0..c).map(|_| rng.uniform(0.0, 3.0)).collect();
+        at_1_and_4_threads(|| {
+            let eps = 1e-5;
+            let (gx, gg, gb) = batch_norm_eval_backward(&gy, &x, &gamma, &rm, &rv, eps);
+            let (ox, og, ob) = batch_norm_eval_backward_oracle(&gy, &x, &gamma, &rm, &rv, eps);
+            assert_bits(&gx, &ox, "eval backward grad_input")?;
+            assert_bits(&gg, &og, "eval backward grad_gamma")?;
+            assert_bits(&gb, &ob, "eval backward grad_beta")?;
+            let got = batch_norm_train(&x, &gamma, &beta, eps);
+            let want = batch_norm_train_oracle(&x, &gamma, &beta, eps);
+            assert_bits(&got.output, &want.output, "train output")?;
+            assert_slice_bits(&got.mean, &want.mean, "train mean")?;
+            assert_slice_bits(&got.var, &want.var, "train var")?;
+            let (gx, gg, gb) = batch_norm_backward(&gy, &got, &gamma);
+            let (ox, og, ob) = batch_norm_backward_oracle(&gy, &want, &gamma);
+            assert_bits(&gx, &ox, "backward grad_input")?;
+            assert_bits(&gg, &og, "backward grad_gamma")?;
+            assert_bits(&gb, &ob, "backward grad_beta")
+        })?;
+    }
+
+    #[test]
+    fn permute_equals_its_oracle(seed in any::<u64>()) {
+        let mut rng = Rng::seed_from(seed);
+        let dims = if rng.below(2) == 0 { line_dims(&mut rng) } else { any_dims(&mut rng) };
+        let x = tensor(&mut rng, &dims, 4);
+        let mut order: Vec<usize> = (0..dims.len()).collect();
+        rng.shuffle(&mut order);
+        at_1_and_4_threads(|| assert_bits(&x.permute(&order), &permute_oracle(&x, &order), "permute"))?;
+    }
+}
+
+/// The reductions, conv bias gradients, evaluation backward and permute at
+/// PointNet's fused shape and past `ELEMWISE_GRAIN`, plus all-`-0.0` lines.
+#[test]
+fn large_reductions_equal_their_oracles_across_chunks() {
+    let mut rng = Rng::seed_from(32);
+    let finite = |t: Tensor| t.map(|v| if v.is_finite() { v } else { 0.5 });
+    at_1_and_4_threads(|| {
+        for dims in [[2usize, 512, 32], [3, 67, 300]] {
+            let mut x = tensor(&mut rng, &dims, 40);
+            negative_zero_channel(&mut x, 5);
+            for axis in 0..3 {
+                let what = format!("sum_axis({axis}) at {dims:?}");
+                assert_bits(
+                    &x.sum_axis(axis, false),
+                    &sum_axis_oracle(&x, axis, false),
+                    &what,
+                )?;
+                let what = format!("max_axis({axis}) at {dims:?}");
+                assert_bits(
+                    &x.max_axis(axis, true),
+                    &max_axis_oracle(&x, axis, true),
+                    &what,
+                )?;
+                let what = format!("argmax_axis({axis}) at {dims:?}");
+                assert_bits(&x.argmax_axis(axis), &argmax_axis_oracle(&x, axis), &what)?;
+            }
+            let sums = x.sum_axis(2, false);
+            for s in (0..dims[0]).map(|ni| sums.as_slice()[ni * dims[1] + 5]) {
+                prop_assert!(s.to_bits() == 0, "an all -0.0 line sums to +0.0, got {s:?}");
+            }
+            assert_bits(
+                &conv1d_grad_bias(&x),
+                &conv1d_grad_bias_oracle(&x),
+                "conv1d_grad_bias",
+            )?;
+            let x4 = x.reshape(&[dims[0], dims[1], 4, dims[2] / 4]);
+            assert_bits(
+                &conv2d_grad_bias(&x4),
+                &conv2d_grad_bias_oracle(&x4),
+                "conv2d_grad_bias",
+            )?;
+            for order in [[0usize, 2, 1], [2, 1, 0], [1, 0, 2]] {
+                assert_bits(&x.permute(&order), &permute_oracle(&x, &order), "permute")?;
+            }
+            let gy = finite(tensor(&mut rng, &dims, 16));
+            let bx = finite(x.clone());
+            let gamma = finite(tensor(&mut rng, &[dims[1]], 16));
+            let rm: Vec<f32> = (0..dims[1]).map(|_| rng.uniform(-2.0, 2.0)).collect();
+            let rv: Vec<f32> = (0..dims[1]).map(|_| rng.uniform(0.0, 3.0)).collect();
+            let (gx, gg, gb) = batch_norm_eval_backward(&gy, &bx, &gamma, &rm, &rv, 1e-5);
+            let (ox, og, ob) = batch_norm_eval_backward_oracle(&gy, &bx, &gamma, &rm, &rv, 1e-5);
+            assert_bits(&gx, &ox, "eval backward grad_input")?;
+            assert_bits(&gg, &og, "eval backward grad_gamma")?;
+            assert_bits(&gb, &ob, "eval backward grad_beta")?;
+        }
+        Ok(())
+    })
+    .unwrap();
 }
 
 /// Sizes past `ELEMWISE_GRAIN`, so the passes split into parallel chunks.
