@@ -464,11 +464,15 @@ pub fn conv1d_grad_weight(
     gw.reshape(&[gw.dim(0), gw.dim(1), k])
 }
 
-/// Gradient of [`conv1d`] with respect to its bias: `gy` summed over batch
-/// and length (the sums [`conv2d_grad_bias`] takes over the unit-height
-/// view, whose extra size-1 reduction adds each sum to `+0.0` unchanged).
+/// Gradient of [`conv1d`] with respect to its bias: `gy` summed over length
+/// per sample, then over the batch — batch norm's per-channel `Σgy` pass
+/// (the sums [`conv2d_grad_bias`] takes over the unit-height view, whose
+/// extra size-1 reduction adds each sum to `+0.0` unchanged).
 pub fn conv1d_grad_bias(gy: &Tensor) -> Tensor {
-    gy.sum_axis(2, false).sum_axis(0, false)
+    assert_eq!(gy.rank(), 3, "conv1d gradient must be [N, C, L]");
+    let dims = (gy.dim(0), gy.dim(1), gy.dim(2));
+    let sums = crate::norm::channel_sums([gy.as_slice()], dims, |[g]| [g]);
+    Tensor::from_slice(sums.as_flattened(), [dims.1])
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@ pub mod error;
 mod init;
 mod layout;
 mod linalg;
+mod lines;
 pub mod norm;
 pub mod pool;
 mod reduce;

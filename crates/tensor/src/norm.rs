@@ -7,14 +7,14 @@
 //!
 //! Every per-channel statistic pair — forward `(Σx, Σx²)`, training
 //! backward `(Σgy, Σgy·x̂)`, evaluation backward `(Σgy·x̂, Σgy)` — comes
-//! from one pass that advances [`CHAINS`] channels' accumulation chains
-//! together. Each chain keeps one fixed order (elements ascending within a
-//! sample; training statistics add per-sample partials into a
+//! from one pass over each sample's rows of `LINES` channels on
+//! `lines::fold`. Each chain keeps one fixed order (elements ascending
+//! within a sample; training statistics add per-sample partials into a
 //! cross-sample total, the evaluation backward runs one chain across
 //! samples), so results are bit-identical to one channel at a time and at
-//! any thread count; interleaving only lets the independent adds overlap
-//! in the pipeline instead of each waiting on its predecessor.
+//! any thread count; the conv1d bias gradient is the same pass's `Σgy`.
 
+use crate::lines::{self, LINES};
 use crate::tensor::{Tensor, ELEMWISE_GRAIN};
 use hfta_kernels as kernels;
 
@@ -34,10 +34,6 @@ pub struct BatchNormOutput {
     pub var: Vec<f32>,
 }
 
-/// Channels whose accumulation chains one statistics pass advances
-/// together.
-const CHAINS: usize = 8;
-
 fn check_bn_input(x: &Tensor) -> (usize, usize, usize) {
     assert!(
         (2..=4).contains(&x.rank()),
@@ -50,84 +46,73 @@ fn check_bn_input(x: &Tensor) -> (usize, usize, usize) {
     (n, c, spatial)
 }
 
-/// The two sums of each lane of a channel block: `[Σ p; CHAINS]`,
-/// `[Σ q; CHAINS]`. Two arrays, not pairs, so each sum's lanes sit side by
-/// side and their adds vectorize.
-type BlockSums = [[f32; CHAINS]; 2];
+/// `N` sums of each lane of a channel block: `[[Σ p_0; LINES], …]`, each
+/// sum's lanes side by side so their adds vectorize.
+type BlockSums<const N: usize> = [[f32; LINES]; N];
 
-/// Per-channel statistic pairs: `block(channels)` computes the sums of one
-/// block of [`CHAINS`] channels (a tail block repeats its last channel in
-/// the spare lanes, whose results are dropped); blocks spread across the
-/// worker pool, about [`ELEMWISE_GRAIN`] elements per chunk.
-fn per_channel(
+/// Per-channel sums: `block(c0, lanes)` computes the sums of channels
+/// `c0..c0 + lanes` (at most [`LINES`]); blocks spread across the worker
+/// pool, about [`ELEMWISE_GRAIN`] elements per chunk.
+fn per_channel<const N: usize>(
     (n, c, spatial): (usize, usize, usize),
-    block: impl Fn([usize; CHAINS]) -> BlockSums + Sync,
-) -> Vec<[f32; 2]> {
-    let mut out = vec![[0.0f32; 2]; c];
-    let grain = (ELEMWISE_GRAIN / (n * spatial))
+    block: impl Fn(usize, usize) -> BlockSums<N> + Sync,
+) -> Vec<[f32; N]> {
+    let mut out = vec![[0.0f32; N]; c];
+    let grain = (ELEMWISE_GRAIN / (n * spatial).max(1))
         .max(1)
-        .next_multiple_of(CHAINS);
+        .next_multiple_of(LINES);
     kernels::for_each_chunk_mut(&mut out, grain, |start, chunk| {
-        for (k, pairs) in chunk.chunks_mut(CHAINS).enumerate() {
-            let c0 = start + k * CHAINS;
-            let last = c0 + pairs.len() - 1;
-            let [p, q] = block(std::array::from_fn(|j| (c0 + j).min(last)));
-            for (j, pair) in pairs.iter_mut().enumerate() {
-                *pair = [p[j], q[j]];
+        for (sums, c0) in chunk.chunks_mut(LINES).zip((start..).step_by(LINES)) {
+            let lanes = block(c0, sums.len());
+            for (j, s) in sums.iter_mut().enumerate() {
+                *s = std::array::from_fn(|i| lanes[i][j]);
             }
         }
     });
     out
 }
 
-/// Sample `ni`'s row of each channel in `channels`, as slices of `data`.
-fn rows(
-    data: &[f32],
-    ni: usize,
-    channels: [usize; CHAINS],
-    (c, spatial): (usize, usize),
-) -> [&[f32]; CHAINS] {
-    channels.map(|ci| &data[(ni * c + ci) * spatial..][..spatial])
-}
-
-/// `sums` plus `f(lane, a, b)` at every position of one sample's rows,
-/// added into the lanes' two chains in position order.
+/// `sums` plus `f(lane, values)` at every position of sample `ni`'s rows
+/// of channels `c0..c0 + lanes`, added into the lanes' chains in position
+/// order.
 #[inline(always)]
-fn accumulate(
-    mut sums: BlockSums,
-    a: [&[f32]; CHAINS],
-    b: [&[f32]; CHAINS],
-    f: impl Fn(usize, f32, f32) -> (f32, f32),
-) -> BlockSums {
-    for i in 0..a[0].len() {
-        let va: [f32; CHAINS] = std::array::from_fn(|j| a[j][i]);
-        let vb: [f32; CHAINS] = std::array::from_fn(|j| b[j][i]);
-        for j in 0..CHAINS {
-            let (p, q) = f(j, va[j], vb[j]);
-            sums[0][j] += p;
-            sums[1][j] += q;
-        }
-    }
-    sums
+fn accumulate<const S: usize, const N: usize>(
+    sums: BlockSums<N>,
+    srcs: [&[f32]; S],
+    (ni, c0, lanes): (usize, usize, usize),
+    (c, spatial): (usize, usize),
+    f: impl Fn(usize, [f32; S]) -> [f32; N],
+) -> BlockSums<N> {
+    let at = (ni * c + c0) * spatial;
+    lines::fold(
+        srcs,
+        (at, lanes, spatial, spatial),
+        sums,
+        |mut sums, _, v| {
+            for j in 0..LINES {
+                let q = f(j, std::array::from_fn(|s| v[s][j]));
+                for (sum, q) in sums.iter_mut().zip(q) {
+                    sum[j] += q;
+                }
+            }
+            sums
+        },
+    )
 }
 
-/// Per-channel `[Σ p, Σ q]` of `(p, q) = f(a, b)` over each channel's
-/// elements: a partial per sample, then the cross-sample total.
-fn channel_sums(
-    a: &[f32],
-    b: &[f32],
+/// Per-channel sums of `f(values)` over `[N, C, spatial]` sources: a
+/// partial per sample from `+0.0`, then the cross-sample total from `+0.0`.
+pub(crate) fn channel_sums<const S: usize, const N: usize>(
+    srcs: [&[f32]; S],
     dims: (usize, usize, usize),
-    f: impl Fn(f32, f32) -> (f32, f32) + Sync,
-) -> Vec<[f32; 2]> {
+    f: impl Fn([f32; S]) -> [f32; N] + Sync,
+) -> Vec<[f32; N]> {
     let (n, c, spatial) = dims;
-    per_channel(dims, |channels| {
-        let mut total = [[0.0f32; CHAINS]; 2];
+    per_channel(dims, |c0, lanes| {
+        let mut total = [[0.0f32; LINES]; N];
         for ni in 0..n {
-            let (ra, rb) = (
-                rows(a, ni, channels, (c, spatial)),
-                rows(b, ni, channels, (c, spatial)),
-            );
-            let partial = accumulate([[0.0; CHAINS]; 2], ra, rb, |_, x, y| f(x, y));
+            let zero = [[0.0; LINES]; N];
+            let partial = accumulate(zero, srcs, (ni, c0, lanes), (c, spatial), |_, v| f(v));
             for (t, p) in total.iter_mut().flatten().zip(partial.iter().flatten()) {
                 *t += p;
             }
@@ -197,7 +182,7 @@ pub fn batch_norm_train(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> 
     assert_eq!(beta.dims(), &[c], "beta must be [C]");
     let count = (n * spatial) as f32;
     let xd = x.as_slice();
-    let sums = channel_sums(xd, xd, dims, |v, _| (v, v * v));
+    let sums = channel_sums([xd], dims, |[v]| [v, v * v]);
     let mean: Vec<f32> = sums.iter().map(|s| s[0] / count).collect();
     let var: Vec<f32> = sums
         .iter()
@@ -264,7 +249,7 @@ pub fn batch_norm_backward(
     let gyd = gy.as_slice();
     let xh = ctx.xhat.as_slice();
     let g = gamma.as_slice();
-    let sums = channel_sums(gyd, xh, dims, |a, b| (a, a * b));
+    let sums = channel_sums([gyd, xh], dims, |[a, b]| [a, a * b]);
     // Per channel: scale, mean of gy, mean of gy * x̂.
     let coef: Vec<[f32; 3]> = (0..c)
         .map(|ci| {
@@ -315,17 +300,15 @@ pub fn batch_norm_eval_backward(
     assert_eq!(running_var.len(), c, "running var must be [C]");
     let inv_std: Vec<f32> = running_var.iter().map(|v| 1.0 / (v + eps).sqrt()).collect();
     let (gyd, xd, g) = (gy.as_slice(), x.as_slice(), gamma.as_slice());
-    let sums = per_channel(dims, |channels| {
-        let (m, is) = (
-            channels.map(|ci| running_mean[ci]),
-            channels.map(|ci| inv_std[ci]),
-        );
-        (0..n).fold([[0.0; CHAINS]; 2], |acc, ni| {
-            let (rg, rx) = (
-                rows(gyd, ni, channels, (c, spatial)),
-                rows(xd, ni, channels, (c, spatial)),
-            );
-            accumulate(acc, rg, rx, |j, gv, v| (gv * ((v - m[j]) * is[j]), gv))
+    let sums = per_channel(dims, |c0, lanes| {
+        let lane = |j: usize| c0 + j.min(lanes - 1);
+        let m: [f32; LINES] = std::array::from_fn(|j| running_mean[lane(j)]);
+        let is: [f32; LINES] = std::array::from_fn(|j| inv_std[lane(j)]);
+        (0..n).fold([[0.0; LINES]; 2], |acc, ni| {
+            let rows = (ni, c0, lanes);
+            accumulate(acc, [gyd, xd], rows, (c, spatial), |j, [gv, v]| {
+                [gv * ((v - m[j]) * is[j]), gv]
+            })
         })
     });
     let mut gx = Tensor::unfilled(gy.shape().clone());

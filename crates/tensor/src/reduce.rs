@@ -1,5 +1,6 @@
 //! Reductions: sums, means, maxima and the broadcast adjoint `sum_to`.
 
+use crate::lines::{self, LINES};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -87,30 +88,11 @@ impl Tensor {
     ///
     /// Panics if `axis` is out of range or has size 0.
     pub fn argmax_axis(&self, axis: usize) -> Tensor {
-        self.shape().check_axis(axis).expect("argmax axis");
-        let n = self.dim(axis);
-        assert!(n > 0, "argmax over empty axis");
-        let (outer, inner) = self.split_at_axis(axis);
-        let data = self.as_slice();
-        let mut dims = self.dims().to_vec();
-        dims.remove(axis);
-        let mut out_t = Tensor::zeros(dims);
-        let out = out_t.as_mut_slice();
-        for o in 0..outer {
-            for i in 0..inner {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_k = 0usize;
-                for k in 0..n {
-                    let v = data[(o * n + k) * inner + i];
-                    if v > best {
-                        best = v;
-                        best_k = k;
-                    }
-                }
-                out[o * inner + i] = best_k as f32;
-            }
+        let (mut out, idx) = self.max_axis_with_indices(axis);
+        for (slot, k) in out.as_mut_slice().iter_mut().zip(idx) {
+            *slot = k as f32;
         }
-        out_t
+        out
     }
 
     /// Max along `axis` together with the argmax indices (both keep the
@@ -120,14 +102,12 @@ impl Tensor {
     /// a strictly greater value takes over, so the first maximum wins and
     /// NaN never does (an all-NaN or all-`-inf` line gives `-inf` at index
     /// 0). The take-over is a select, not a branch; with contiguous lines
-    /// (`axis` last) several lines' scans advance together.
+    /// (`axis` last) the scans run on the one `lines::fold` pass.
     ///
     /// # Panics
     ///
     /// Panics if `axis` is out of range or has size 0.
     pub fn max_axis_with_indices(&self, axis: usize) -> (Tensor, Vec<usize>) {
-        /// Lines whose scans advance together when each is contiguous.
-        const LINES: usize = 8;
         self.shape().check_axis(axis).expect("max axis");
         let n = self.dim(axis);
         assert!(n > 0, "max over empty axis");
@@ -139,29 +119,28 @@ impl Tensor {
         let out = out_t.as_mut_slice();
         let mut idx = vec![0usize; outer * inner];
         if inner == 1 {
-            for (o0, (best_out, idx_out)) in out
-                .chunks_mut(LINES)
-                .zip(idx.chunks_mut(LINES))
-                .enumerate()
-                .map(|(b, pair)| (b * LINES, pair))
-            {
-                // A short last block repeats its last line in the spare
-                // lanes and drops their results.
-                let last = o0 + best_out.len() - 1;
-                let lines: [&[f32]; LINES] =
-                    std::array::from_fn(|j| &data[(o0 + j).min(last) * n..][..n]);
-                let mut best = [f32::NEG_INFINITY; LINES];
-                let mut at = [0usize; LINES];
-                for k in 0..n {
-                    for ((b, a), line) in best.iter_mut().zip(&mut at).zip(&lines) {
-                        let v = line[k];
-                        let gt = v > *b;
-                        *b = if gt { v } else { *b };
-                        *a = if gt { k } else { *a };
-                    }
-                }
+            // 32-bit indices, as wide as the compare masks that select them.
+            u32::try_from(n).expect("max axis longer than u32::MAX");
+            let blocks = out.chunks_mut(LINES).zip(idx.chunks_mut(LINES));
+            for ((best_out, at_out), o0) in blocks.zip((0..).step_by(LINES)) {
+                let init = ([f32::NEG_INFINITY; LINES], [0u32; LINES]);
+                let (best, at) = lines::fold(
+                    [data],
+                    (o0 * n, best_out.len(), n, n),
+                    init,
+                    |(mut best, mut at), k, [v]| {
+                        for j in 0..LINES {
+                            let gt = v[j] > best[j];
+                            best[j] = if gt { v[j] } else { best[j] };
+                            at[j] = if gt { k as u32 } else { at[j] };
+                        }
+                        (best, at)
+                    },
+                );
                 best_out.copy_from_slice(&best[..best_out.len()]);
-                idx_out.copy_from_slice(&at[..idx_out.len()]);
+                for (slot, &k) in at_out.iter_mut().zip(&at) {
+                    *slot = k as usize;
+                }
             }
         } else if inner > 0 {
             for ((best, at), lines) in out
@@ -224,6 +203,9 @@ impl Tensor {
         (outer, inner)
     }
 
+    /// Each output starts at `init` and folds its line's elements in
+    /// ascending index order; contiguous lines (`inner == 1`) take the one
+    /// `lines::fold` pass.
     fn reduce_axis(
         &self,
         axis: usize,
@@ -241,13 +223,28 @@ impl Tensor {
         } else {
             dims.remove(axis);
         }
+        // Parallel chunks cover whole outer slices, so each output
+        // element's reduction (ascending k) stays on one thread and the
+        // result is bit-identical at any thread count.
+        let grain_outer = (crate::tensor::ELEMWISE_GRAIN / (n * inner).max(1)).max(1);
+        if inner == 1 {
+            let mut out_t = Tensor::unfilled(dims);
+            hfta_kernels::for_each_chunk_mut(out_t.as_mut_slice(), grain_outer, |start, chunk| {
+                for (block, o0) in chunk.chunks_mut(LINES).zip((start..).step_by(LINES)) {
+                    let acc = lines::fold(
+                        [data],
+                        (o0 * n, block.len(), n, n),
+                        [init; LINES],
+                        |acc, _, [v]| std::array::from_fn(|j| f(acc[j], v[j])),
+                    );
+                    block.copy_from_slice(&acc[..block.len()]);
+                }
+            });
+            return out_t;
+        }
         let mut out_t = Tensor::full(dims, init);
         let out = out_t.as_mut_slice();
         if inner > 0 {
-            // Parallel chunks cover whole outer slices, so each output
-            // element's reduction (ascending k) stays on one thread and the
-            // result is bit-identical at any thread count.
-            let grain_outer = (crate::tensor::ELEMWISE_GRAIN / (n * inner).max(1)).max(1);
             hfta_kernels::for_each_chunk_mut(out, grain_outer * inner, |start, chunk| {
                 for (rel, orow) in chunk.chunks_mut(inner).enumerate() {
                     let o = start / inner + rel;
