@@ -81,21 +81,23 @@ impl Tensor {
         let src_strides = self.shape().strides();
         // stride of output axis i in the source layout
         let walk_strides: Vec<usize> = order.iter().map(|&a| src_strides[a]).collect();
-        let mut out_t = Tensor::zeros(new_dims.clone());
+        let (Some((&run, outer_dims)), Some((&step, outer_strides))) =
+            (new_dims.split_last(), walk_strides.split_last())
+        else {
+            return self.clone();
+        };
+        let mut out_t = Tensor::unfilled(new_dims.clone());
         let src = self.as_slice();
-        let rank = new_dims.len();
-        let mut idx = vec![0usize; rank];
-        let mut src_off = 0usize;
-        for slot in out_t.as_mut_slice().iter_mut() {
-            *slot = src[src_off];
-            for axis in (0..rank).rev() {
-                idx[axis] += 1;
-                src_off += walk_strides[axis];
-                if idx[axis] < new_dims[axis] {
-                    break;
-                }
-                idx[axis] = 0;
-                src_off -= walk_strides[axis] * new_dims[axis];
+        // Each innermost output run is one strided read of the source.
+        for (o, out) in out_t.as_mut_slice().chunks_mut(run.max(1)).enumerate() {
+            let (mut rest, mut at) = (o, 0);
+            for (&d, &stride) in outer_dims.iter().zip(outer_strides).rev() {
+                at += rest % d * stride;
+                rest /= d;
+            }
+            let src = &src[at..at + (out.len() - 1) * step + 1];
+            for (t, slot) in out.iter_mut().enumerate() {
+                *slot = src[t * step];
             }
         }
         out_t
