@@ -12,9 +12,10 @@
 //! 5. **Conv ops** — `conv2d` and its two gradients at the benchmark's four
 //!    stride-2 DCGAN-D layers, and `conv_transpose2d` and its two gradients
 //!    at its five DCGAN-G layers, µs and GFLOP/s per op at one thread.
-//! 6. **Non-GEMM passes** — activations, batch norm and the global max
-//!    pool through the tape at the benchmark's shapes, µs forward and
-//!    backward per op at one thread.
+//! 6. **Non-GEMM passes** — activations, batch norm, the global max pool,
+//!    a last-axis sum and PointNet's pointwise conv with its bias gradient
+//!    through the tape at the benchmark's shapes, µs forward and backward
+//!    per op at one thread.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hfta_core::format::stack_conv;
@@ -360,7 +361,12 @@ fn ablation_passes(c: &mut Criterion) {
         x.batch_norm(&gb[0], &gb[1], 1e-5, Some((&rm, &rv))).0
     };
     let max_axis: Op = |x, _| x.max_axis(2);
+    let sum_axis: Op = |x, _| x.sum_axis_keep(2);
+    // PointNet's fused 8 -> 64 pointwise conv at B = 8: 64 -> 512 channels
+    // in 8 groups, with bias.
+    let conv1d: Op = |x, wb| x.conv1d(&wb[0], Some(&wb[1]), 1, 0, 8);
     let (d1, d2, g5) = ([2usize, 72, 32, 32], [2, 144, 16, 16], [2, 18, 64, 64]);
+    let pointnet = [2usize, 512, 32];
     let mut rows: Vec<(&str, &[usize], Op)> = Vec::new();
     for (name, op) in [("leaky_relu", leaky), ("relu", relu), ("tanh", tanh)] {
         for dims in [&d1[..], &d2, &g5] {
@@ -369,8 +375,11 @@ fn ablation_passes(c: &mut Criterion) {
     }
     rows.push(("bn_train", &d1, bn_train));
     rows.push(("bn_train", &[2, 576, 4, 4], bn_train));
-    rows.push(("bn_eval", &[2, 512, 32], bn_eval));
-    rows.push(("max_axis", &[2, 512, 32], max_axis));
+    rows.push(("bn_eval", &pointnet, bn_eval));
+    rows.push(("max_axis", &pointnet, max_axis));
+    rows.push(("sum_axis", &pointnet, sum_axis));
+    rows.push(("bn_train", &pointnet, bn_train));
+    rows.push(("conv1d", &[2, 64, 32], conv1d));
     println!("\n## Ablation: non-GEMM passes through the tape (1 thread, median of 41)");
     println!(
         "  {:<10} {:<16} {:>9} {:>9} {:>9}",
@@ -379,10 +388,15 @@ fn ablation_passes(c: &mut Criterion) {
     let mut group = c.benchmark_group("passes");
     for (name, dims, op) in rows {
         let x = hfta_nn::Parameter::new(rng.randn(dims.to_vec()), "x");
+        // (gamma, beta) of a batch norm, or (weight, bias) of the conv.
         let ch = dims[1];
+        let (p0, p1) = match name {
+            "conv1d" => (vec![512, ch / 8, 1], vec![512]),
+            _ => (vec![ch], vec![ch]),
+        };
         let gb = [
-            hfta_nn::Parameter::new(rng.rand([ch], 0.5, 1.5), "gamma"),
-            hfta_nn::Parameter::new(rng.randn([ch]), "beta"),
+            hfta_nn::Parameter::new(rng.rand(p0, 0.5, 1.5), "gamma"),
+            hfta_nn::Parameter::new(rng.randn(p1), "beta"),
         ];
         let out_dims = {
             let tape = Tape::new();
