@@ -1215,6 +1215,104 @@ mod tests {
         }
     }
 
+    /// [`tiles_write_only_their_own_cells`] for short products, `m` below,
+    /// at and past half a tile, on batches a tile may stack several entries
+    /// of: a grouped-conv forward (two samples sharing `A`, five groups'
+    /// blocks abutting, the samples' runs `GAP` sentinel cells apart), a
+    /// weight gradient (five abutting blocks, each reducing two entries,
+    /// then a `GAP` tail) and a `bmm` whose blocks and `A` operands sit
+    /// `GAP` cells apart. Every layout pair and both instantiations, at 1
+    /// and 4 threads, bitwise against the oracle run entry by entry; every
+    /// cell outside the blocks keeps [`SENTINEL`].
+    #[test]
+    fn short_products_write_only_their_own_cells() {
+        const GAP: usize = 5;
+        let _lock = pool::tests::THREAD_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let threads = pool::num_threads();
+        for m in [1usize, 2, 3, 4, 5, 7] {
+            for (k, n) in [(5usize, 3usize), (37, 8), (16, 9), (3, 17)] {
+                let (mk, kn, mn) = (m * k, k * n, m * n);
+                let axis = |count, a, b, out| Axis { count, a, b, out };
+                let shapes = [
+                    [axis(2, 0, 5 * kn, 5 * mn + GAP), axis(5, mk, kn, mn)],
+                    [axis(5, mk, kn, mn), axis(2, 5 * mk, 5 * kn, 0)],
+                    [axis(5, mk + GAP, kn, mn + GAP), Axis::ONE],
+                ];
+                for (shape, batch) in shapes.into_iter().enumerate() {
+                    let span = |f: fn(&Axis) -> usize, len: usize| {
+                        batch.iter().map(|x| (x.count - 1) * f(x)).sum::<usize>() + len
+                    };
+                    let seed = (m * 1000 + k * 10 + shape) as u64;
+                    let a = fill(span(|x| x.a, mk), seed);
+                    let b = fill(span(|x| x.b, kn), seed + 1);
+                    let mut init = fill(span(|x| x.out, mn) + GAP, seed + 2);
+                    let entries = || {
+                        let [o, i] = batch;
+                        (0..o.count).flat_map(move |p| {
+                            (0..i.count).map(move |q| {
+                                (p * o.a + q * i.a, p * o.b + q * i.b, p * o.out + q * i.out)
+                            })
+                        })
+                    };
+                    let mut inside = vec![false; init.len()];
+                    for (_, _, at) in entries() {
+                        inside[at..at + mn].fill(true);
+                    }
+                    for (v, _) in init.iter_mut().zip(&inside).filter(|(_, &hit)| !hit) {
+                        *v = SENTINEL;
+                    }
+                    for (layout, name) in LAYOUTS[..4].iter().enumerate() {
+                        let mut want = init.clone();
+                        for (a_at, b_at, at) in entries() {
+                            let (ea, eb) = (&a[a_at..a_at + mk], &b[b_at..b_at + kn]);
+                            let block = &mut want[at..at + mn];
+                            match layout {
+                                0 => reference::gemm_ref(block, ea, eb, m, k, n),
+                                1 => reference::gemm_nt_ref(block, ea, eb, m, k, n),
+                                2 => reference::gemm_tn_ref(block, ea, eb, m, k, n),
+                                _ => {
+                                    let ea = transpose_each(ea, k, m);
+                                    reference::gemm_nt_ref(block, &ea, eb, m, k, n)
+                                }
+                            }
+                        }
+                        let pa = if layout < 2 {
+                            PackA::N(&a)
+                        } else {
+                            PackA::T(&a)
+                        };
+                        let pb = if layout % 2 == 0 {
+                            PackB::N(&b)
+                        } else {
+                            PackB::T(&b)
+                        };
+                        for pool_threads in [1, 4] {
+                            pool::set_num_threads(pool_threads);
+                            for vector in instantiations() {
+                                let mut got = init.clone();
+                                gemm_batched_on(
+                                    vector,
+                                    Out::Add(&mut got),
+                                    pa,
+                                    pb,
+                                    (m, k, n),
+                                    batch,
+                                );
+                                assert!(
+                                    bits(&got) == bits(&want),
+                                    "{name} shape {shape} at ({m},{k},{n}), {pool_threads} threads, vector={vector}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        pool::set_num_threads(threads);
+    }
+
     /// A convolution's `(koff, soff)` tables over `c` channels of the
     /// smallest image its taps fit, built as `hfta-tensor`'s conv builds
     /// them: `koff[(ci,u,v)] = (ci·hp + u)·wp + v`, `soff[(oy,ox)] =

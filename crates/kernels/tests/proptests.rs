@@ -322,6 +322,69 @@ fn check_batches(
     })
 }
 
+/// A batch of `runs x entries` products that all write: a fused `bmm`'s
+/// (every entry its own `A`), or a grouped-conv forward's when `shared_a`
+/// (the outer, sample axis has `A` stride 0). The `entries` of a run abut
+/// (`A` and output blocks `m·k` and `m·n` apart), or with `gaps` sit `gap`
+/// cells further apart, as do the runs. `layout` picks `A` (`N`/`T`) and `B`
+/// (`N`/`T`). Against the oracle run entry by entry, at every thread count;
+/// cells outside every block must come back as they went in.
+fn check_lanes(
+    (runs, entries, shared_a): (usize, usize, bool),
+    (m, k, n): (usize, usize, usize),
+    (layout, gap): (usize, usize),
+    seed: u64,
+) -> Result<(), String> {
+    let (mk, kn, mn) = (m * k, k * n, m * n);
+    let inner = Axis {
+        count: entries,
+        a: mk + gap,
+        b: kn,
+        out: mn + gap,
+    };
+    let outer = Axis {
+        count: runs,
+        a: if shared_a { 0 } else { entries * inner.a },
+        b: entries * kn,
+        out: entries * inner.out + gap,
+    };
+    let span = |f: fn(&Axis) -> usize, len: usize| {
+        (runs - 1) * f(&outer) + (entries - 1) * f(&inner) + len
+    };
+    let a = fill(span(|x| x.a, mk), seed, 1);
+    let b = fill(span(|x| x.b, kn), seed, 2);
+    let init = fill(span(|x| x.out, mn) + gap, seed, 3);
+    let mut expect = init.clone();
+    for (r, e) in (0..runs).flat_map(|r| (0..entries).map(move |e| (r, e))) {
+        let at = |f: fn(&Axis) -> usize| r * f(&outer) + e * f(&inner);
+        let (ea, eb) = (&a[at(|x| x.a)..][..mk], &b[at(|x| x.b)..][..kn]);
+        let block = &mut expect[at(|x| x.out)..][..mn];
+        match layout {
+            0 => reference::gemm_ref(block, ea, eb, m, k, n),
+            1 => reference::gemm_nt_ref(block, ea, eb, m, k, n),
+            2 => reference::gemm_tn_ref(block, ea, eb, m, k, n),
+            _ => reference::gemm_nt_ref(block, &transpose(ea, k, m), eb, m, k, n),
+        }
+    }
+    let what =
+        format!("layout {layout}, {runs}x{entries} of {m}x{k}x{n}, gap {gap}, shared A {shared_a}");
+    check_every_configuration(&what, &bits(&expect), || {
+        let mut out = init.clone();
+        let pa = if layout < 2 {
+            PackA::N(&a)
+        } else {
+            PackA::T(&a)
+        };
+        let pb = if layout % 2 == 0 {
+            PackB::N(&b)
+        } else {
+            PackB::T(&b)
+        };
+        gemm_batched(Out::Add(&mut out), pa, pb, (m, k, n), [outer, inner]);
+        bits(&out)
+    })
+}
+
 fn check_random(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
     let a = fill(m * k, seed, 1);
     let b = fill(k * n, seed, 2);
@@ -365,6 +428,29 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         check_batches((groups, samples), (m, k, n), seed)?;
+    }
+
+    // Batches whose every entry writes, shaped like a fused `bmm` and a
+    // grouped-conv forward: 1 to 17 entries in each of 1 to 3 runs, short
+    // and tile-sized `m` (a tile may stack several entries' rows), abutting
+    // or gapped blocks, every layout pair. This binary reaches the
+    // instantiation the CPU has; `src/gemm.rs`'s
+    // `short_products_write_only_their_own_cells` pins both.
+    #[test]
+    fn lane_batches_bit_identical(
+        runs in 1usize..4,
+        entries in 1usize..18,
+        shared_a in any::<bool>(),
+        m in 1usize..10,
+        k in 0usize..41,
+        n in 1usize..21,
+        layout in 0usize..4,
+        gapped in any::<bool>(),
+        gap in 1usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let gap = if gapped { gap } else { 0 };
+        check_lanes((runs, entries, shared_a), (m, k, n), (layout, gap), seed)?;
     }
 
     #[test]
