@@ -3,16 +3,20 @@
 //!
 //! Structure: an `MR x NR` micro-kernel (`MR x 2·NR` paired, on the vector
 //! path) keeps an output tile in registers for the full contraction and
-//! reads three strided views: `A` as `(ptr, row stride, k stride)`, `B` as
-//! `(ptr, k stride)` over contiguous columns, the output as `(ptr, ldc,
-//! from_zero)`. A full tile reads `A` where it lies (`PackA::N` at strides
-//! `(k, 1)`, `PackA::T` at `(1, m)`) and `B` too (`PackB::N`), and it
-//! accumulates straight in its [`Out::Add`] block or scatter strip. Only a
-//! partial last row panel of `A`, `PackB::T`, `PackB::Gather` and a partial
-//! last column panel are packed, and a tile with a partial side runs the
-//! same kernel on a stack tile. The macro-kernel partitions work in 2-D over
+//! reads three strided views: `A` as a row offset per tile row and a k
+//! stride, `B` as `(ptr, k stride)` over contiguous columns plus an offset
+//! per group of rows, the output as `(ptr, ldc, from_zero, rows, cols)`.
+//! Every tile reads `A` and `B` (`PackB::N`) where they lie and accumulates
+//! straight in its [`Out::Add`] block or scatter strip; a tile with a
+//! partial side masks its columns and skips its rows. Only `PackB::T` and
+//! `PackB::Gather` are packed. The macro-kernel partitions work in 2-D over
 //! (row-panel, column-panel-group) tiles so that medium GEMMs expose at
 //! least as many chunks as the pool has threads even when `m` is small.
+//!
+//! A product under `MR` rows fills a tile with *lanes*: the rows of up to
+//! `MR / m` consecutive entries whose output blocks abut, each group of `m`
+//! rows reading its own entry's `B` panel — a fused op's tiny products at
+//! tile speed.
 //!
 //! # One call per op
 //!
@@ -28,8 +32,9 @@
 //! only. Output blocks, each counted with its whole reduction chain, group
 //! into chunks of about `CHUNK_FLOPS`. A batch that makes a single chunk
 //! runs its entries in order on the caller, and each GEMM splits its own
-//! tiles. The direct-or-tiled decision, the instantiation and the scratch
-//! reservations are made once per call, not once per entry.
+//! tiles. The direct-or-tiled decision, the instantiation, the lane stacking
+//! and the scratch reservations are made once per call, and each chunk of
+//! entries checks its scratch out once, not once per entry.
 //!
 //! # The contract
 //!
@@ -44,11 +49,11 @@
 //!
 //! # Paths
 //!
-//! | path    | shapes            | with AVX2+FMA                  | without (portable)             |
-//! |---------|-------------------|--------------------------------|--------------------------------|
-//! | tiled   | `>= SMALL_FLOPS`  | [`crate::simd`] 8×8 / paired 8×16 `vfmadd` tile on strided views | `portable_microkernel` (8×8), `f32::mul_add` |
-//! | direct  | `< SMALL_FLOPS`   | reference loops compiled with AVX2+FMA | the reference loops |
-//! | tables  | gather, scatter   | column runs 8 lanes wide: loads, shuffles, masked adds, `vgatherdps` | one cell at a time |
+//! | path    | with AVX2+FMA                  | without (portable)             |
+//! |---------|--------------------------------|--------------------------------|
+//! | tiled   | every product but a table-addressed one `< SMALL_FLOPS`: [`crate::simd`] 8×8 (lanes: 1–4 rows per entry) / paired 8×16 `vfmadd` tile on strided views, `B^T` packed 8×8 blocks at a time | `>= SMALL_FLOPS`, and `A^T B^T` at every size: `portable_microkernel` (8×8, lanes), `f32::mul_add` |
+//! | direct  | a gathered or scattered product `< SMALL_FLOPS`: `A B` / `A^T B` reference loops compiled with AVX2+FMA | `< SMALL_FLOPS`: the reference loops |
+//! | tables  | column runs 8 lanes wide: loads, shuffles, masked adds, `vgatherdps` | one cell at a time |
 //!
 //! `B` may also be *gathered* through two [`Offsets`] tables while it is
 //! packed ([`PackB::Gather`]), and the product *scatter-added* through them
@@ -59,11 +64,10 @@
 //! `simd::gather_panels` / `simd::scatter_strip` read them eight lanes wide:
 //! a gather only moves bits, and a scatter adds a row's distinct cells run
 //! by run in ascending `j`. Same chain per element, same add order per
-//! destination, on every row and column. `A^T B^T` has no direct loops and
-//! tiles at every size.
+//! destination, on every row and column.
 //!
 //! Selection is by platform and shape, never by an option: the row comes
-//! from the FLOP count, the column from `simd::detected` (runtime
+//! from the FLOP count and the layout, the column from `simd::detected` (runtime
 //! detection), which each call reads once and passes down as a `vector`
 //! flag. No environment variable or process-wide switch reaches this
 //! module; the unit tests below pick a column by passing the flag.
@@ -80,14 +84,14 @@ pub const MR: usize = 8;
 /// Micro-kernel tile columns.
 pub const NR: usize = 8;
 
-/// Below this many FLOPs (2·m·k·n) the packed path's overhead outweighs its
-/// wins and the reference loops run directly instead. Both are the same FMA
-/// chain per element, so this is purely a performance crossover — a
-/// constant, not a knob. Measured with the AVX2 instantiations at 1 thread
-/// on the PointNet / linear-trial shapes: the `nn`/`tn` loops (unit-stride
-/// rows) break even with the tiled path at 8–16 kFLOP, the `nt` loop
-/// (strided `B`) already at ~2 kFLOP; 4 kFLOP sits between. By 64×64×1024
-/// the tiled path is 1.9× ahead.
+/// Below this many FLOPs (2·m·k·n) per entry the reference loops run instead
+/// of the tiles: on the portable column, and on the vector column for a
+/// table-addressed product. The same FMA chain per element, so a performance
+/// crossover, not a knob. Measured at 1 thread on a Xeon (`small products`
+/// ablation): stacked, the AVX2 tiles beat the AVX2 loops on all but two
+/// plain PointNet products (1.1–5×) and trail them by 10–30 % on those two
+/// (0.6–0.8 kFLOP); a 2 kFLOP scatter still runs 1.3× faster on the loops.
+/// The portable loops break even with the tiles at 8–16 kFLOP.
 const SMALL_FLOPS: usize = 1 << 12;
 
 /// Target FLOPs per parallel chunk: of output blocks in a batch, and of
@@ -400,78 +404,116 @@ fn gemm_batched_on(
     assert!(end <= dst.len(), "batch output needs {end} elements");
 
     let flops = 2 * m * k * n;
-    let direct = direct_kernel(vector, flops, a, b);
     let unit_flops = flops * chain;
     let grain = CHUNK_FLOPS
         .checked_div(unit_flops)
         .map_or(units, |g| g.clamp(1, units));
     let work = units * unit_flops;
+    let grid = tile_grid(m, k, n, scatter.is_some());
+    let gather = matches!(b, PackB::Gather(..));
+    let tables = gather || scatter.is_some();
+    let direct = direct_kernel(vector, flops, (a, b), tables);
+    // Lane tiles: a one-chunk product under `MR` rows stacks the rows of up
+    // to `MR / m` consecutive units in one tile, along the writing axis the
+    // units step (the inner one unless it reduces or holds one entry) when
+    // their output blocks abut. `run` units share the other axis's entry.
+    let (lane, run) = if inner.count > 1 && inner.out != 0 {
+        (inner, inner.count)
+    } else {
+        (outer, units)
+    };
+    let stacks = direct.is_none() && !tables && grid.2 == 1 && lane.out == m * n;
+    let lanes = if stacks { (MR / m).clamp(1, run) } else { 1 };
 
-    // Worst-case concurrent scratch, declared once for the batch. Entries
-    // that fan out across the pool run their GEMMs inline on the workers, so
-    // every worker can hold one entry's buffers; a batch on the caller holds
-    // one entry's at a time, whose tile chunks each may pack an A panel.
+    // Worst-case concurrent scratch, declared once for the batch: each chunk
+    // of units checks out one pair of buffers and reuses it for all its
+    // entries (the direct loops' dense `B` and product; the tiles' scatter
+    // strip and the packed `B` of `lanes` entries). Chunks that fan out
+    // across the pool run their GEMMs inline on the workers, so every worker
+    // can hold a pair; a batch on the caller holds one.
     let threads = pool::num_threads();
     let nested = pool::in_worker() || !pool::runs_inline(units.div_ceil(grain), work);
-    let each = if nested { threads } else { 1 };
-    match direct {
-        Some(_) => {
-            if let PackB::Gather(..) = b {
-                scratch::reserve("gemm.dense", k * n, each);
-            }
-            if scatter.is_some() {
-                scratch::reserve("gemm.dense", m * n, each);
-            }
-        }
-        None => {
-            let (_, _, tile_chunks) = tile_grid(m, k, n, scatter.is_some());
-            if scatter.is_some() {
-                scratch::reserve("gemm.dense", MR * n, each);
-            }
-            scratch::reserve("gemm.bpack", n.div_ceil(NR) * k * NR, each);
-            let apanels = if nested {
-                threads
-            } else {
-                threads.min(tile_chunks)
-            };
-            scratch::reserve("gemm.apanel", k * MR, apanels);
-        }
+    let (scattered, packed) = (scatter.is_some(), !matches!(b, PackB::N(_)));
+    // A transposed or gathered `B` is packed whole, or one column panel of
+    // each stacked entry at a time (see `run_tiled`).
+    let panels = if panelwise(b, m, grid.2) {
+        lanes
+    } else {
+        n.div_ceil(NR) * usize::from(packed)
+    };
+    let (tags, lens) = match direct {
+        Some(_) => (
+            ["gemm.dense"; 2],
+            [k * n * usize::from(gather), m * n * usize::from(scattered)],
+        ),
+        None => (
+            ["gemm.dense", "gemm.bpack"],
+            [MR * n * usize::from(scattered), k * NR * panels],
+        ),
+    };
+    for (tag, len) in tags.into_iter().zip(lens) {
+        scratch::reserve(tag, len, if nested { threads } else { 1 });
     }
 
     let shared = UnsafeSlice::new(dst);
     pool::parallel_for_work(units, grain, work, |chunk| {
-        for e in chunk.start * chain..chunk.end * chain {
-            let (a_at, b_at, out_at) = offsets(e);
-            // SAFETY: distinct units own disjoint output blocks (checked
-            // above), and a unit's entries run one after another here.
-            let out = unsafe { shared.slice_mut(out_at..out_at + extent) };
-            let (a, b) = (a.at(a_at, m * k), b.at(b_at, k * n));
-            match direct {
-                Some(f) => run_direct(f, out, scatter, a, b, (m, k, n)),
-                None => run_tiled(vector, out, scatter, a, b, (m, k, n)),
-            }
-        }
+        scratch::with(lens[0], |s0| {
+            scratch::with(lens[1], |s1| {
+                let mut u = chunk.start;
+                while u < chunk.end {
+                    let h = lanes.min(chunk.end - u).min(run - u % run);
+                    let stack = Axis { count: h, ..lane };
+                    for e in u * chain..(u + 1) * chain {
+                        let (a_at, b_at, out_at) = offsets(e);
+                        let end = out_at + (h - 1) * lane.out + extent;
+                        // SAFETY: distinct units own disjoint output blocks
+                        // (checked above), the `h` units stacked here abut,
+                        // and a unit's entries run one after another here.
+                        let out = unsafe { shared.slice_mut(out_at..end) };
+                        let a = a.at(a_at, (h - 1) * lane.a + m * k);
+                        let b = b.at(b_at, (h - 1) * lane.b + k * n);
+                        let bufs = [&mut *s0, &mut *s1];
+                        match direct {
+                            Some(f) => run_direct(f, out, scatter, a, b, (m, k, n), bufs),
+                            None => {
+                                let tiling = (stack, grid);
+                                run_tiled(vector, out, scatter, (a, b), (m, k, n), tiling, bufs)
+                            }
+                        }
+                    }
+                    u += h;
+                }
+            })
+        })
     });
 }
 
 /// The direct-loop kernel this dispatch runs, if any: below [`SMALL_FLOPS`]
-/// the oracle's loops for the layout pair in the `vector` (`fast`) or
-/// portable instantiation; `None` for the tiled path, which `A^T B^T`, with
-/// no loops of its own, takes at every size.
-fn direct_kernel(vector: bool, flops: usize, a: PackA<'_>, b: PackB<'_>) -> Option<DirectFn> {
-    let (portable, fast): (DirectFn, DirectFn) = match (a, b) {
-        _ if flops >= SMALL_FLOPS => return None,
-        (PackA::N(_), PackB::T(_)) => (reference::gemm_nt_ref, simd::gemm_nt_small),
-        (PackA::N(_), _) => (reference::gemm_ref, simd::gemm_small),
-        (PackA::T(_), PackB::T(_)) => return None,
-        (PackA::T(_), _) => (reference::gemm_tn_ref, simd::gemm_tn_small),
+/// the oracle's loops for the layout pair, on the portable column for every
+/// pair but `A^T B^T` (which has no loops of its own), on the vector column
+/// (their AVX2/FMA instantiation) only for a product read or written through
+/// `tables`, which the loops materialise first. `None` for the tiled path.
+fn direct_kernel(
+    vector: bool,
+    flops: usize,
+    ab: (PackA<'_>, PackB<'_>),
+    tables: bool,
+) -> Option<DirectFn> {
+    let (portable, fast): (DirectFn, DirectFn) = match ab {
+        _ if flops >= SMALL_FLOPS || vector && !tables => return None,
+        (PackA::N(_), PackB::T(_)) if !vector => return Some(reference::gemm_nt_ref),
+        (PackA::N(_), PackB::N(_) | PackB::Gather(..)) => (reference::gemm_ref, simd::gemm_small),
+        (PackA::T(_), PackB::N(_) | PackB::Gather(..)) => {
+            (reference::gemm_tn_ref, simd::gemm_tn_small)
+        }
+        _ => return None,
     };
     Some(if vector { fast } else { portable })
 }
 
-/// One entry on the direct loops. A gathered `B` is first copied out dense;
-/// a scattered product lands in zeroed scratch and is then added through
-/// the tables, row-major like the tiled sink.
+/// One entry on the direct loops. A gathered `B` is first copied out into
+/// `dense`; a scattered product lands in `product`, zeroed first, and is then
+/// added through the tables, row-major like the tiled sink.
 fn run_direct(
     f: DirectFn,
     out: &mut [f32],
@@ -479,25 +521,27 @@ fn run_direct(
     a: PackA<'_>,
     b: PackB<'_>,
     (m, k, n): (usize, usize, usize),
+    [dense, product]: [&mut [f32]; 2],
 ) {
     let (PackA::N(a) | PackA::T(a)) = a;
-    let mut product = |b: &[f32]| match scatter {
-        None => f(out, a, b, m, k, n),
-        Some(tables) => scratch::with(m * n, |product| {
-            f(product, a, b, m, k, n);
-            scatter_add(out, tables, 0, product, n);
-        }),
-    };
-    match b {
-        PackB::N(b) | PackB::T(b) => product(b),
-        PackB::Gather(src, tables) => scratch::with(k * n, |dense| {
+    let b = match b {
+        PackB::N(b) | PackB::T(b) => b,
+        PackB::Gather(src, tables) => {
             for (row, &base) in dense.chunks_exact_mut(n.max(1)).zip(tables.row) {
                 for (v, &c) in row.iter_mut().zip(tables.col) {
                     *v = src[base + c];
                 }
             }
-            product(dense)
-        }),
+            dense
+        }
+    };
+    match scatter {
+        None => f(out, a, b, m, k, n),
+        Some(tables) => {
+            product.fill(0.0);
+            f(product, a, b, m, k, n);
+            scatter_add(out, tables, 0, product, n);
+        }
     }
 }
 
@@ -517,44 +561,52 @@ fn scatter_add(dst: &mut [f32], off: Offsets<'_>, i0: usize, rows: &[f32], n: us
     }
 }
 
-/// `A` rows as a micro-kernel reads them: `A[i0 + r, p]` at
-/// `ptr + r·rs + p·ks`, in place or in a packed panel.
+/// `A` rows as a micro-kernel reads them, where they lie: tile row `r`'s
+/// `A[., p]` at `ptr + off[r] + p·ks`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AView {
     pub(crate) ptr: *const f32,
-    pub(crate) rs: usize,
     pub(crate) ks: usize,
+    pub(crate) off: [usize; MR],
 }
 
 /// `B` columns as a micro-kernel reads them: `B[p, j0 + c]` at
-/// `ptr + p·ks + c`, the kernel's width of columns contiguous in each row.
+/// `ptr + off[g] + p·ks + c` for tile row group `g` (rows `g·rows..`, the
+/// last of the `MR / rows` groups taking the rest): one group for one entry,
+/// a group per stacked entry in a lane tile.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BView {
     pub(crate) ptr: *const f32,
     pub(crate) ks: usize,
+    pub(crate) rows: usize,
+    pub(crate) off: [usize; MR],
 }
 
-/// A tile's output cells: `(r, c)` at `ptr + r·ldc + c`. With `from_zero`
-/// every chain starts at zero and the cells are only written.
+/// A tile's output cells: `(r, c)` at `ptr + r·ldc + c`, for `r < rows` and
+/// `c < cols`; a kernel leaves every other cell of its tile alone. With
+/// `from_zero` every chain starts at zero and the cells are only written.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CView {
     pub(crate) ptr: *mut f32,
     pub(crate) ldc: usize,
     pub(crate) from_zero: bool,
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
 }
 
 /// Runs the micro-kernel `width` columns wide (`NR`, or `2·NR` on the
-/// vector path) on one tile: each `C[r, c]` with `r < MR`, `c < width`
-/// becomes the contract's chain over `A[r, p]·B[p, c]`, `p < k` ascending,
-/// from its value or from zero.
+/// vector path for a whole tile of one group of rows) on one tile: each
+/// `C[r, c]` with `r < c.rows`, `c < c.cols` becomes the contract's chain over
+/// `A[r, p]·B[p, c]` (row `r`'s group's `B`), `p < k` ascending, from its
+/// value or from zero.
 ///
 /// # Safety
 ///
-/// For those `r`, `c` and `p`, every cell the three views name must lie in
-/// one live allocation, no reference to a `C` cell may be live, and no
-/// mutable one to an `A` or `B` cell. `vector` must come from
-/// `simd::detected`.
-unsafe fn tile(vector: bool, width: usize, k: usize, a: AView, b: BView, c: CView) {
+/// For `r < MR`, `c < width` and `p < k`, every `A` and `B` cell the views
+/// name, and for the `C` cells above every `C` cell, must lie in one live
+/// allocation; no reference to a `C` cell may be live, and no mutable one to
+/// an `A` or `B` cell. `vector` must come from `simd::detected`.
+unsafe fn tile(vector: bool, width: usize, k: usize, a: &AView, b: &BView, c: CView) {
     match (vector, width == NR) {
         (true, true) => simd::microkernel(k, a, b, c),
         (true, false) => simd::microkernel_x2(k, a, b, c),
@@ -572,51 +624,72 @@ unsafe fn tile(vector: bool, width: usize, k: usize, a: AView, b: BView, c: CVie
 /// # Safety
 ///
 /// As [`tile`], for `NR` columns.
-pub(crate) unsafe fn portable_microkernel(k: usize, a: AView, b: BView, c: CView) {
+pub(crate) unsafe fn portable_microkernel(k: usize, a: &AView, b: &BView, c: CView) {
+    let groups = MR / b.rows;
     let mut acc = [[0.0f32; NR]; MR];
-    for (r, accr) in acc.iter_mut().enumerate().filter(|_| !c.from_zero) {
-        *accr = *c.ptr.add(r * c.ldc).cast::<[f32; NR]>();
+    for (r, accr) in acc
+        .iter_mut()
+        .enumerate()
+        .take(c.rows)
+        .filter(|_| !c.from_zero)
+    {
+        for (j, v) in accr.iter_mut().enumerate().take(c.cols) {
+            *v = *c.ptr.add(r * c.ldc + j);
+        }
     }
     for p in 0..k {
-        let brow = &*b.ptr.add(p * b.ks).cast::<[f32; NR]>();
         for (r, accr) in acc.iter_mut().enumerate() {
-            let av = *a.ptr.add(r * a.rs + p * a.ks);
-            for (v, &bv) in accr.iter_mut().zip(brow) {
-                *v = av.mul_add(bv, *v);
+            let g = (r / b.rows).min(groups - 1);
+            let brow = b.ptr.add(b.off[g] + p * b.ks);
+            let av = *a.ptr.add(a.off[r] + p * a.ks);
+            for (j, v) in accr.iter_mut().enumerate().take(c.cols) {
+                *v = av.mul_add(*brow.add(j), *v);
             }
         }
     }
-    for (r, accr) in acc.iter().enumerate() {
-        *c.ptr.add(r * c.ldc).cast::<[f32; NR]>() = *accr;
+    for (r, accr) in acc.iter().enumerate().take(c.rows) {
+        for (j, v) in accr.iter().enumerate().take(c.cols) {
+            *c.ptr.add(r * c.ldc + j) = *v;
+        }
     }
 }
 
-/// Packs `B`'s column panels from `jb0` on into zero-padded strips two
-/// panels (`2·NR` columns) wide, a lone last panel `NR` wide: each strip
-/// holds its `k` rows at its width apart, so a pair of panels starting an
-/// even number of panels past `jb0` is `2·NR` contiguous columns
-/// ([`b_view`] finds a panel). `bpack` must arrive zero-filled
-/// (scratch checkouts are) — the packing writes only the valid columns and
-/// relies on the zeros for padding.
-fn pack_b_into(b: PackB<'_>, k: usize, n: usize, jb0: usize, bpack: &mut [f32]) {
-    let npad = n.div_ceil(NR) * NR;
-    debug_assert_eq!(bpack.len(), k * (npad - jb0 * NR));
+/// Packs column panels `panels` of a transposed or gathered `B` (one stored
+/// `[k, n]` is read where it lies) into zero-padded strips two panels
+/// (`2·NR` columns) wide, a lone last panel `NR` wide: each strip holds its
+/// `k` rows at its width apart, so a pair of panels starting an even number
+/// of panels past `panels.start` is `2·NR` contiguous columns ([`b_view`]
+/// finds a panel). The padding columns are never read: a tile whose last
+/// columns fall past `n` masks them.
+fn pack_b_into(
+    vector: bool,
+    b: PackB<'_>,
+    (k, n): (usize, usize),
+    panels: Range<usize>,
+    bpack: &mut [f32],
+) {
+    let end = panels.end * NR;
+    debug_assert_eq!(bpack.len(), k * (end - panels.start * NR));
     #[cfg(target_arch = "x86_64")]
-    if let PackB::Gather(src, off @ Offsets { runs: Some(_), .. }) = b {
+    match b {
         // SAFETY: as in `scatter_add`; a gathered `B` is packed whole.
-        return unsafe { simd::gather_panels(src, off, bpack) };
+        PackB::Gather(src, off @ Offsets { runs: Some(_), .. }) => {
+            return unsafe { simd::gather_panels(src, off, bpack) }
+        }
+        // SAFETY: a `vector` call runs on a CPU with AVX2+FMA, and `src`
+        // holds the `k·n` elements `run_tiled` asserts.
+        PackB::T(src) if vector => {
+            return unsafe { simd::pack_transposed(src, (k, n), panels, bpack) }
+        }
+        _ => {}
     }
-    let (mut j0, mut at) = (jb0 * NR, 0);
-    while j0 < npad {
-        let w = (2 * NR).min(npad - j0);
+    let (mut j0, mut at) = (panels.start * NR, 0);
+    while j0 < end {
+        let w = (2 * NR).min(end - j0);
         let cols = w.min(n - j0);
         let strip = &mut bpack[at..at + k * w];
         match b {
-            PackB::N(src) => {
-                for (p, row) in strip.chunks_exact_mut(w).enumerate() {
-                    row[..cols].copy_from_slice(&src[p * n + j0..p * n + j0 + cols]);
-                }
-            }
+            PackB::N(_) => unreachable!("B stored [k, n] is read where it lies"),
             PackB::T(src) => {
                 let columns = src[j0 * k..(j0 + cols) * k].chunks_exact(k.max(1));
                 for (c, col) in columns.enumerate() {
@@ -626,8 +699,8 @@ fn pack_b_into(b: PackB<'_>, k: usize, n: usize, jb0: usize, bpack: &mut [f32]) 
                 }
             }
             PackB::Gather(src, off) => {
-                // A short last strip reads its first column again (to keep
-                // the row loop full width), then gets its zero padding back.
+                // A short last strip reads its first column again, to keep
+                // the row loop full width.
                 let mut col = [off.col[j0]; 2 * NR];
                 col[..cols].copy_from_slice(&off.col[j0..j0 + cols]);
                 for (row, &base) in strip.chunks_exact_mut(w).zip(off.row) {
@@ -635,7 +708,6 @@ fn pack_b_into(b: PackB<'_>, k: usize, n: usize, jb0: usize, bpack: &mut [f32]) 
                         // SAFETY: `Offsets::check` bounded every row + column sum.
                         *v = unsafe { *src.get_unchecked(base + c) };
                     }
-                    row[cols..].fill(0.0);
                 }
             }
         }
@@ -643,62 +715,66 @@ fn pack_b_into(b: PackB<'_>, k: usize, n: usize, jb0: usize, bpack: &mut [f32]) 
     }
 }
 
-/// Column panels `jb..` of `B` as a tile reads them: in place from `B`
-/// stored `[k, n]`, else from the strips [`pack_b_into`] filled.
-fn b_view(b: PackB<'_>, bpack: &[f32], (k, n): (usize, usize), jb0: usize, jb: usize) -> BView {
-    let (src, at, ks) = match b {
-        PackB::N(src) if jb < jb0 => (src, jb * NR, n),
+/// Column panel `jb` of `B` (and `jb + 1`, paired) as a tile reads it: in
+/// place from `B` stored `[k, n]`, else from the strips [`pack_b_into`]
+/// filled with `panels`. The `stack`ed entries' panels lie `stack.b` apart in
+/// place, or one packed region apart.
+fn b_view(
+    b: PackB<'_>,
+    bpack: &[f32],
+    (m, k, n): (usize, usize, usize),
+    jb: usize,
+    panels: Range<usize>,
+    stack: Axis,
+) -> BView {
+    let (src, at, ks, step) = match b {
+        PackB::N(src) => (src, jb * NR, n, stack.b),
         _ => {
-            let (strip, half) = ((jb - jb0) / 2, (jb - jb0) % 2);
-            let j0 = (jb0 + 2 * strip) * NR;
-            let width = (2 * NR).min(n.div_ceil(NR) * NR - j0);
-            (bpack, strip * 2 * NR * k + half * NR, width)
+            let (strip, half) = ((jb - panels.start) / 2, (jb - panels.start) % 2);
+            let j0 = (panels.start + 2 * strip) * NR;
+            let width = (2 * NR).min(panels.end * NR - j0);
+            (
+                bpack,
+                strip * 2 * NR * k + half * NR,
+                width,
+                k * panels.len() * NR,
+            )
         }
+    };
+    let (rows, off) = match stack.count {
+        1 => (MR, [0; MR]),
+        h => (m, std::array::from_fn(|g| g.min(h - 1) * step)),
     };
     BView {
         ptr: src.as_ptr().wrapping_add(at),
         ks,
+        rows,
+        off,
     }
 }
 
-/// Rows `i0..i0 + MR` of `A` as a tile reads them: in place, or packed
-/// into `apanel` when the panel is the partial last one.
-fn a_view(a: PackA<'_>, (m, k): (usize, usize), i0: usize, apanel: &mut [f32]) -> AView {
-    let (src, at, rs, ks) = match a {
-        _ if i0 + MR > m => {
-            pack_a(a, m, k, i0, apanel);
-            (&*apanel, 0, 1, MR)
-        }
-        PackA::N(src) => (src, i0 * k, k, 1),
-        PackA::T(src) => (src, i0, 1, m),
+/// Rows `i0..i0 + MR` of `A` as a tile reads them, in place: row `i` of the
+/// stacked entry `t` (`m` rows each, `stack.a` apart) at `t·stack.a + i·rs`.
+/// Rows past the last stacked one repeat it, so a partial panel reads inside
+/// `A`; the tile never stores their sums.
+fn a_view(a: PackA<'_>, (m, k): (usize, usize), stack: Axis, i0: usize) -> AView {
+    let (src, rs, ks) = match a {
+        PackA::N(src) => (src, k, 1),
+        PackA::T(src) => (src, 1, m),
     };
-    AView {
-        ptr: src.as_ptr().wrapping_add(at),
-        rs,
-        ks,
+    let (mut t, mut i, mut off) = (0, i0, [0; MR]);
+    for o in off.iter_mut() {
+        *o = t * stack.a + i * rs;
+        if i + 1 < m {
+            i += 1;
+        } else if t + 1 < stack.count {
+            (t, i) = (t + 1, 0);
+        }
     }
-}
-
-/// Packs the partial last row panel, rows `i0..m` of `A`, into a
-/// zero-padded `MR`-row panel: `buf[p*MR + r] = A[i0 + r, p]`.
-fn pack_a(a: PackA<'_>, m: usize, k: usize, i0: usize, buf: &mut [f32]) {
-    debug_assert_eq!(buf.len(), k * MR);
-    let rows = m - i0;
-    buf.fill(0.0);
-    match a {
-        PackA::N(src) => {
-            for r in 0..rows {
-                let arow = &src[(i0 + r) * k..(i0 + r + 1) * k];
-                for (p, &v) in arow.iter().enumerate() {
-                    buf[p * MR + r] = v;
-                }
-            }
-        }
-        PackA::T(src) => {
-            for (p, prow) in buf.chunks_exact_mut(MR).enumerate() {
-                prow[..rows].copy_from_slice(&src[p * m + i0..p * m + m]);
-            }
-        }
+    AView {
+        ptr: src.as_ptr(),
+        ks,
+        off,
     }
 }
 
@@ -724,17 +800,23 @@ fn tile_grid(m: usize, k: usize, n: usize, scatter: bool) -> (usize, usize, usiz
     (row_grain, col_grain, chunks)
 }
 
-/// The 2-D tiled macro-kernel on one entry (`m, n >= 1`). Every output
+/// Whether [`run_tiled`] packs `B` one column panel at a time: a transposed
+/// `B` of a one-chunk product under `MR` rows, whose tiles never pair.
+fn panelwise(b: PackB<'_>, m: usize, chunks: usize) -> bool {
+    matches!(b, PackB::T(_)) && m < MR && chunks == 1
+}
+
+/// The 2-D tiled macro-kernel on one entry (`m, n >= 1`), or on `stack.count`
+/// entries `stack.a` and `stack.b` apart whose `[m, n]` blocks abut in `out`
+/// and whose `m` rows each one row panel stacks (a lane tile). Every output
 /// element is produced by exactly one micro-kernel call walking the full
-/// contraction ascending, and the [`tile_grid`] depends only on the shape,
-/// so results are bit-identical at any thread count. `vector`, read once
-/// per call, picks the AVX2/FMA instantiation of the micro-kernel over the
-/// portable one.
+/// contraction ascending, and the tile grid, the call's [`tile_grid`],
+/// depends only on the shape, so results are bit-identical at any thread
+/// count. `vector`, read once per call, picks the AVX2/FMA instantiation of
+/// the micro-kernel over the portable one.
 ///
-/// A full tile reads `A` and `B` where they lie and accumulates in `out`
-/// itself. Only a partial last row panel of `A`, a partial last column
-/// panel of `B` and the transposed and gathered `B` are packed, and a tile
-/// with a partial side runs the same kernel on a stack tile.
+/// Only a transposed or gathered `B` is packed, into the caller's `bpack`:
+/// whole, or one column panel of each stacked entry at a time.
 ///
 /// With `scatter` tables `out` is a destination, not `[m, n]`: a row panel's
 /// tiles start from zero and fill the `MR x n` strip beside the tables, which
@@ -745,125 +827,110 @@ fn run_tiled(
     vector: bool,
     out: &mut [f32],
     scatter: Option<Offsets<'_>>,
-    a: PackA<'_>,
-    b: PackB<'_>,
+    (a, b): (PackA<'_>, PackB<'_>),
     (m, k, n): (usize, usize, usize),
+    (stack, (row_grain, col_grain, n_chunks)): (Axis, (usize, usize, usize)),
+    [strip, bpack]: [&mut [f32]; 2],
 ) {
+    let (h, rows_all) = (stack.count, stack.count * m);
     // The tile views below read inside these lengths.
+    let (a_len, b_len) = ((h - 1) * stack.a + m * k, (h - 1) * stack.b + k * n);
     let (PackA::N(a_src) | PackA::T(a_src)) = a;
-    assert!(a_src.len() >= m * k, "A needs {} elements", m * k);
+    assert!(a_src.len() >= a_len, "A needs {a_len} elements");
     if let PackB::N(src) | PackB::T(src) = b {
-        assert!(src.len() >= k * n, "B needs {} elements", k * n);
+        assert!(src.len() >= b_len, "B needs {b_len} elements");
     }
-    let (row_grain, col_grain, n_chunks) = tile_grid(m, k, n, scatter.is_some());
-    let (row_panels, col_panels) = (m.div_ceil(MR), n.div_ceil(NR));
+    let (row_panels, col_panels) = (rows_all.div_ceil(MR), n.div_ceil(NR));
     let col_groups = col_panels.div_ceil(col_grain);
-    let strip_len = if scatter.is_some() { MR * n } else { 0 };
-    // `B` stored `[k, n]` is read where it lies but for a partial last
-    // panel; the other layouts are packed whole. `jb0` is the first packed.
-    let jb0 = if let PackB::N(_) = b { n / NR } else { 0 };
-    let apanel_len = if m.is_multiple_of(MR) { 0 } else { k * MR };
-    scratch::with(strip_len, |strip| {
-        let strip = UnsafeSlice::new(strip);
-        scratch::with(k * (col_panels - jb0) * NR, |bpack| {
-            pack_b_into(b, k, n, jb0, bpack);
-            let shared = UnsafeSlice::new(out);
-            // Tiles live in `out` itself, or in the strip.
-            let (tiles, from_zero) = match scatter {
-                None => (&shared, false),
-                Some(_) => (&strip, true),
+    let packed = !matches!(b, PackB::N(_));
+    let (shared, strip) = (UnsafeSlice::new(out), UnsafeSlice::new(strip));
+    // Tiles live in `out` itself, or in the strip.
+    let (tiles, from_zero) = match scatter {
+        None => (&shared, false),
+        Some(_) => (&strip, true),
+    };
+    // Row panel `ib`'s tiles in column panels `jbs`, `B` packed with `panels`.
+    let row_panel = |ib: usize, jbs: Range<usize>, bpack: &[f32], panels: Range<usize>| {
+        let i0 = ib * MR;
+        let (rows, row0) = (MR.min(rows_all - i0), if from_zero { 0 } else { i0 });
+        let av = a_view(a, (m, k), stack, i0);
+        let mut jb = jbs.start;
+        while jb < jbs.end {
+            // The vector path pairs adjacent full column panels (8x16 tile)
+            // of one entry's full row panel whenever the chunk holds both and
+            // `B` has them as contiguous columns: bitwise equal to two
+            // single-tile calls (see `simd::microkernel_x2`), so the pairing
+            // — a chunk-local accident — never changes results.
+            let pair = vector
+                && h == 1
+                && rows == MR
+                && jb + 1 < jbs.end
+                && (jb + 2) * NR <= n
+                && (!packed || (jb - panels.start).is_multiple_of(2));
+            let width = if pair { 2 * NR } else { NR };
+            let bv = b_view(b, bpack, (m, k, n), jb, panels.clone(), stack);
+            let (cols, at) = (width.min(n - jb * NR), row0 * n + jb * NR);
+            let c = CView {
+                ptr: tiles.ptr(at..at + (rows - 1) * n + cols),
+                ldc: n,
+                from_zero,
+                rows,
+                cols,
             };
-            // Row panel `ib`'s tiles in column panels `jbs`.
-            let row_panel = |ib: usize, jbs: Range<usize>, apanel: &mut [f32]| {
-                let i0 = ib * MR;
-                let (rows, row0) = (MR.min(m - i0), if from_zero { 0 } else { i0 });
-                let av = a_view(a, (m, k), i0, apanel);
-                let mut jb = jbs.start;
-                while jb < jbs.end {
-                    // The vector path pairs adjacent column panels (8x16
-                    // tile) whenever the chunk holds both and `B` has them as
-                    // contiguous columns: bitwise equal to two single-tile
-                    // calls (see `simd::microkernel_x2`), so the pairing — a
-                    // chunk-local accident — never changes results.
-                    let pair = vector
-                        && jb + 1 < jbs.end
-                        && match b {
-                            PackB::N(_) => (jb + 2) * NR <= n,
-                            _ => (jb - jb0).is_multiple_of(2),
-                        };
-                    let width = if pair { 2 * NR } else { NR };
-                    let bv = b_view(b, bpack, (k, n), jb0, jb);
-                    let (cols, at) = (width.min(n - jb * NR), row0 * n + jb * NR);
-                    if rows == MR && cols == width {
-                        let ptr = tiles.ptr(at..at + (MR - 1) * n + width);
-                        let c = CView {
-                            ptr,
-                            ldc: n,
-                            from_zero,
-                        };
-                        // SAFETY: the tile reads `A` rows `i0..i0 + MR <= m`
-                        // of the `m·k` elements asserted above, and `B`
-                        // columns `jb·NR..` up to `n` in place (`k·n`
-                        // asserted) or a packed strip of `k` rows `width`
-                        // wide. It writes `MR` row segments, `width` cells
-                        // each, of `tiles` rows `row0..`, inside the range
-                        // `ptr` checked: the entry's `m·n` block, whose bounds
-                        // and disjointness from other entries'
-                        // `gemm_batched_on` asserts, or this chunk's own
-                        // strip. Tile `(ib, jb)` belongs to one chunk and
-                        // each row segment to one tile, so no other chunk
-                        // touches these cells, and no reference to them is
-                        // live.
-                        unsafe { tile(vector, width, k, av, bv, c) };
-                    } else {
-                        let mut edge = [0.0f32; MR * 2 * NR];
-                        let segment = |r: usize| at + r * n..at + r * n + cols;
-                        for r in (0..rows).filter(|_| !from_zero) {
-                            // SAFETY: tile (ib, jb) belongs to exactly one
-                            // chunk, so its row segments are disjoint across
-                            // concurrent chunks.
-                            let orow = unsafe { tiles.slice_mut(segment(r)) };
-                            edge[r * width..][..cols].copy_from_slice(orow);
-                        }
-                        let ptr = edge.as_mut_ptr();
-                        let c = CView {
-                            ptr,
-                            ldc: width,
-                            from_zero,
-                        };
-                        // SAFETY: as above for `A` (a partial row panel is
-                        // packed, `MR` rows) and `B` (a partial column panel
-                        // is packed, `width` wide); `C` is the stack tile.
-                        unsafe { tile(vector, width, k, av, bv, c) };
-                        for r in 0..rows {
-                            // SAFETY: as for the reads above; that borrow ended.
-                            let orow = unsafe { tiles.slice_mut(segment(r)) };
-                            orow.copy_from_slice(&edge[r * width..][..cols]);
-                        }
-                    }
-                    jb += width / NR;
-                }
-                if let Some(tables) = scatter {
-                    // SAFETY (both): a scatter is a single chunk and every
-                    // tile borrow above has ended, so nothing else borrows
-                    // `out` or the strip.
-                    let dst = unsafe { shared.slice_mut(0..shared.len()) };
-                    let done = unsafe { strip.slice_mut(0..rows * n) };
-                    scatter_add(dst, tables, i0, done, n);
-                }
-            };
-            pool::parallel_for_work(n_chunks, 1, 2 * m * k * n, |chunks| {
-                scratch::with(apanel_len, |apanel| {
-                    for chunk in chunks {
-                        let (rg, jg) = (chunk / col_groups, chunk % col_groups);
-                        let jbs = jg * col_grain..((jg + 1) * col_grain).min(col_panels);
-                        for ib in rg * row_grain..((rg + 1) * row_grain).min(row_panels) {
-                            row_panel(ib, jbs.clone(), apanel);
-                        }
-                    }
-                });
-            });
-        });
+            // SAFETY: the tile reads `A` rows `i0..i0 + MR` of the stacked
+            // rows (or repeats of the last), inside the `a_len` elements
+            // asserted above, and each row group's `B` columns `jb·NR..`,
+            // those up to `n` in place inside the `b_len` asserted or a
+            // packed strip of `k` rows `width` wide. It touches `rows` row
+            // segments, `cols` cells each, of `tiles` rows `row0..`, inside
+            // the range `ptr` checked: the entries' abutting `m·n` blocks,
+            // whose bounds and disjointness from other entries'
+            // `gemm_batched_on` asserts, or this chunk's own strip. Tile
+            // `(ib, jb)` belongs to one chunk and each row segment to one
+            // tile, so no other chunk touches these cells, and no reference
+            // to them is live.
+            unsafe { tile(vector, width, k, &av, &bv, c) };
+            jb += width / NR;
+        }
+        if let Some(tables) = scatter {
+            // SAFETY (both): a scatter is a single chunk and every tile borrow
+            // above has ended, so nothing else borrows `out` or the strip.
+            let dst = unsafe { shared.slice_mut(0..shared.len()) };
+            let done = unsafe { strip.slice_mut(0..rows * n) };
+            scatter_add(dst, tables, i0, done, n);
+        }
+    };
+    if panelwise(b, m, n_chunks) {
+        // One chunk of one row panel: pack each stacked entry's column
+        // panel, then run its tile.
+        let per = k * NR;
+        for jb in 0..col_panels {
+            for t in 0..h {
+                let entry = b.at(t * stack.b, k * n);
+                pack_b_into(
+                    vector,
+                    entry,
+                    (k, n),
+                    jb..jb + 1,
+                    &mut bpack[t * per..][..per],
+                );
+            }
+            row_panel(0, jb..jb + 1, bpack, jb..jb + 1);
+        }
+        return;
+    }
+    if packed {
+        pack_b_into(vector, b, (k, n), 0..col_panels, bpack);
+    }
+    let bpack = &*bpack;
+    pool::parallel_for_work(n_chunks, 1, 2 * m * k * n, |chunks| {
+        for chunk in chunks {
+            let (rg, jg) = (chunk / col_groups, chunk % col_groups);
+            let jbs = jg * col_grain..((jg + 1) * col_grain).min(col_panels);
+            for ib in rg * row_grain..((rg + 1) * row_grain).min(row_panels) {
+                row_panel(ib, jbs.clone(), bpack, 0..col_panels);
+            }
+        }
     });
 }
 
@@ -897,6 +964,31 @@ mod tests {
             }
         }
         out
+    }
+
+    /// One entry on the tiled macro-kernel, at any size, with the scratch a
+    /// call holds.
+    fn tiled_alone(
+        vector: bool,
+        out: &mut [f32],
+        scatter: Option<Offsets<'_>>,
+        (a, b): (PackA<'_>, PackB<'_>),
+        (m, k, n): (usize, usize, usize),
+    ) {
+        let grid = tile_grid(m, k, n, scatter.is_some());
+        let l0 = if scatter.is_some() { MR * n } else { 0 };
+        let panels = match (b, panelwise(b, m, grid.2)) {
+            (PackB::N(_), _) => 0,
+            (_, true) => 1,
+            _ => n.div_ceil(NR),
+        };
+        let l1 = k * NR * panels;
+        scratch::with(l0, |s0| {
+            scratch::with(l1, |s1| {
+                let tiling = (Axis::ONE, grid);
+                run_tiled(vector, out, scatter, (a, b), (m, k, n), tiling, [s0, s1])
+            })
+        })
     }
 
     /// Bit patterns, so `-0.0 != 0.0`.
@@ -1134,21 +1226,15 @@ mod tests {
             let mkn = (self.m, self.k, self.n);
             let tiled = |a: PackA<'_>, b: PackB<'_>| {
                 let mut out = self.init.clone();
-                run_tiled(vector, &mut out, None, a, b, mkn);
+                tiled_alone(vector, &mut out, None, (a, b), mkn);
                 bits(&out)
             };
             let src_off = Offsets::new(&self.src_off.0, &self.src_off.1);
             let dst_off = Offsets::new(&self.dst_off.0, &self.dst_off.1);
             let (a, at, b, bt) = (&self.a, &self.at, &self.b, &self.bt);
             let mut scattered = self.dst.clone();
-            run_tiled(
-                vector,
-                &mut scattered,
-                Some(dst_off),
-                PackA::T(at),
-                PackB::N(b),
-                mkn,
-            );
+            let operands = (PackA::T(at), PackB::N(b));
+            tiled_alone(vector, &mut scattered, Some(dst_off), operands, mkn);
             [
                 tiled(PackA::N(a), PackB::N(b)),
                 tiled(PackA::N(a), PackB::T(bt)),

@@ -10,16 +10,18 @@
 //! * the hand-written 8×8 register tile — one f32x8 vector per accumulator
 //!   row, `vfmadd` per contraction step — twin of
 //!   `gemm::portable_microkernel`. Every tile kernel is `(k, a, b, c)` over
-//!   three strided views: `A` rows `(ptr, rs, ks)`, `B` columns `(ptr, ks)`,
-//!   the output `(ptr, ldc, from_zero)`, so it reads `A` and `B` and
-//!   accumulates into its output block wherever they lie;
-//! * `gemm_small` / `gemm_nt_small` / `gemm_tn_small` — the
-//!   [`crate::reference`] loop bodies compiled with AVX2+FMA enabled, so
-//!   `mul_add` lowers to `vfmadd` and the row loops vectorize 8-wide — the
-//!   small-shape production path;
-//! * `gather_panels` / `scatter_strip` — a convolution's offset-table gather
-//!   and scatter, eight lanes at a time along the column table's arithmetic
-//!   runs: the portable loops' bits and adds, in their order.
+//!   three strided views (`gemm::AView` / `BView` / `CView`), so it reads `A`
+//!   and `B` and accumulates into its output block wherever they lie; the
+//!   single-width one also stacks entries (a `B` panel per group of rows)
+//!   and masks a partial tile's columns;
+//! * `gemm_small` / `gemm_tn_small` — the [`crate::reference`] loop bodies
+//!   compiled with AVX2+FMA enabled, so `mul_add` lowers to `vfmadd` and the
+//!   row loops vectorize 8-wide — the path of small table-addressed
+//!   products;
+//! * `pack_transposed`, `gather_panels` / `scatter_strip` — a transposed `B`
+//!   packed as 8×8 register transposes, and a convolution's offset-table
+//!   gather and scatter, eight lanes at a time along the column table's
+//!   arithmetic runs: the portable loops' bits and adds, in their order.
 //!
 //! The single-tile kernel is load-port-bound: each contraction step issues
 //! nine load μops (one B vector + eight A broadcasts) against eight FMAs.
@@ -44,6 +46,7 @@
 //! flag themselves to pin vector == portable == oracle bitwise. This is
 //! the only file that asks the CPU what it has.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::gemm::{AView, BView, CView, Offsets, Run, MR, NR};
@@ -80,6 +83,9 @@ pub fn simd_available() -> bool {
 /// B[p, c], C[r, c])` for `p` ascending, each tile row one 8-lane `vfmadd`
 /// chain held in a register between one load of `C` (or zeros) and one
 /// store. The views are `gemm::tile`'s, so `A` and `C` may lie in place.
+/// `ROWS` is `b.rows`: each contraction step loads one `B` vector per group
+/// of `ROWS` tile rows (one for a tile of one entry, `MR / ROWS` for a lane
+/// tile) and feeds it to that group's rows.
 ///
 /// # Safety
 ///
@@ -87,24 +93,40 @@ pub fn simd_available() -> bool {
 /// contract for `NR` columns.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_avx2(k: usize, a: AView, b: BView, c: CView) {
+unsafe fn microkernel_avx2<const ROWS: usize>(k: usize, a: &AView, b: &BView, c: CView) {
     use std::arch::x86_64::*;
+    let groups = MR / ROWS;
+    // A partial tile's `B` and `C` cells go through a mask of its first
+    // `cols` lanes.
+    let (full, lanes) = (c.cols >= NR, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(c.cols as i32), lanes);
+    let load = |at: *const f32| match full {
+        true => _mm256_loadu_ps(at),
+        false => _mm256_maskload_ps(at, mask),
+    };
     let mut rows = [_mm256_setzero_ps(); MR];
-    if !c.from_zero {
-        for (r, row) in rows.iter_mut().enumerate() {
-            *row = _mm256_loadu_ps(c.ptr.add(r * c.ldc));
+    for (r, row) in rows.iter_mut().enumerate().take(c.rows) {
+        if !c.from_zero {
+            *row = load(c.ptr.add(r * c.ldc));
         }
     }
+    let ar: [*const f32; MR] = std::array::from_fn(|r| a.ptr.wrapping_add(a.off[r]));
+    let bg: [*const f32; MR] = std::array::from_fn(|g| b.ptr.wrapping_add(b.off[g]));
     for p in 0..k {
-        let bv = _mm256_loadu_ps(b.ptr.add(p * b.ks));
-        let ac = a.ptr.add(p * a.ks);
+        let mut bv = [_mm256_setzero_ps(); MR];
+        for (g, v) in bv.iter_mut().enumerate().take(groups) {
+            *v = load(bg[g].add(p * b.ks));
+        }
         for (r, row) in rows.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*ac.add(r * a.rs));
-            *row = _mm256_fmadd_ps(av, bv, *row);
+            let av = _mm256_set1_ps(*ar[r].add(p * a.ks));
+            *row = _mm256_fmadd_ps(av, bv[(r / ROWS).min(groups - 1)], *row);
         }
     }
-    for (r, row) in rows.iter().enumerate() {
-        _mm256_storeu_ps(c.ptr.add(r * c.ldc), *row);
+    for (r, &row) in rows.iter().enumerate().take(c.rows) {
+        match full {
+            true => _mm256_storeu_ps(c.ptr.add(r * c.ldc), row),
+            false => _mm256_maskstore_ps(c.ptr.add(r * c.ldc), mask, row),
+        }
     }
 }
 
@@ -122,7 +144,7 @@ unsafe fn microkernel_avx2(k: usize, a: AView, b: BView, c: CView) {
 /// As [`microkernel_avx2`], for `2·NR` columns.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_avx2_x2(k: usize, a: AView, b: BView, c: CView) {
+unsafe fn microkernel_avx2_x2(k: usize, a: &AView, b: &BView, c: CView) {
     use std::arch::x86_64::*;
     for r0 in [0usize, 4] {
         let mut acc = [[_mm256_setzero_ps(); 2]; 4];
@@ -133,7 +155,7 @@ unsafe fn microkernel_avx2_x2(k: usize, a: AView, b: BView, c: CView) {
                 accv[1] = _mm256_loadu_ps(crow.add(NR));
             }
         }
-        let ar = a.ptr.add(r0 * a.rs);
+        let ar: [*const f32; 4] = std::array::from_fn(|i| a.ptr.wrapping_add(a.off[r0 + i]));
         // k unrolled by two to amortize loop overhead against the FMA
         // bound; both sub-steps keep `p` ascending per lane, so the
         // accumulation order (and hence every result bit) is unchanged.
@@ -141,16 +163,14 @@ unsafe fn microkernel_avx2_x2(k: usize, a: AView, b: BView, c: CView) {
         while p + 1 < k {
             let (bp, bq) = (b.ptr.add(p * b.ks), b.ptr.add((p + 1) * b.ks));
             let (bv0, bv1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(NR)));
-            let ac = ar.add(p * a.ks);
             for (i, accv) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ac.add(i * a.rs));
+                let av = _mm256_set1_ps(*ar[i].add(p * a.ks));
                 accv[0] = _mm256_fmadd_ps(av, bv0, accv[0]);
                 accv[1] = _mm256_fmadd_ps(av, bv1, accv[1]);
             }
             let (bw0, bw1) = (_mm256_loadu_ps(bq), _mm256_loadu_ps(bq.add(NR)));
-            let ad = ar.add((p + 1) * a.ks);
             for (i, accv) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ad.add(i * a.rs));
+                let av = _mm256_set1_ps(*ar[i].add((p + 1) * a.ks));
                 accv[0] = _mm256_fmadd_ps(av, bw0, accv[0]);
                 accv[1] = _mm256_fmadd_ps(av, bw1, accv[1]);
             }
@@ -159,9 +179,8 @@ unsafe fn microkernel_avx2_x2(k: usize, a: AView, b: BView, c: CView) {
         if p < k {
             let bp = b.ptr.add(p * b.ks);
             let (bv0, bv1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(NR)));
-            let ac = ar.add(p * a.ks);
             for (i, accv) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ac.add(i * a.rs));
+                let av = _mm256_set1_ps(*ar[i].add(p * a.ks));
                 accv[0] = _mm256_fmadd_ps(av, bv0, accv[0]);
                 accv[1] = _mm256_fmadd_ps(av, bv1, accv[1]);
             }
@@ -174,20 +193,27 @@ unsafe fn microkernel_avx2_x2(k: usize, a: AView, b: BView, c: CView) {
     }
 }
 
-/// Runs the AVX2/FMA 8×8 micro-kernel. Only [`crate::gemm`]'s tiled path
-/// calls it, on a `vector` flag.
+/// Runs the AVX2/FMA 8×8 micro-kernel, instantiated for the row grouping
+/// of `b`: a lane tile's 1 to 4 rows per entry, else one group. Only
+/// [`crate::gemm`]'s tiled path calls it, on a `vector` flag.
 ///
 /// # Safety
 ///
 /// The views must meet `gemm::tile`'s contract for `NR` columns.
 #[inline]
-pub(crate) unsafe fn microkernel(k: usize, a: AView, b: BView, c: CView) {
+pub(crate) unsafe fn microkernel(k: usize, a: &AView, b: &BView, c: CView) {
     assert_detected();
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `assert_detected` checked that AVX2+FMA are present; the
     // views are the caller's obligation.
     unsafe {
-        microkernel_avx2(k, a, b, c);
+        match b.rows {
+            1 => microkernel_avx2::<1>(k, a, b, c),
+            2 => microkernel_avx2::<2>(k, a, b, c),
+            3 => microkernel_avx2::<3>(k, a, b, c),
+            4 => microkernel_avx2::<4>(k, a, b, c),
+            _ => microkernel_avx2::<MR>(k, a, b, c),
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (k, a, b, c);
@@ -200,7 +226,7 @@ pub(crate) unsafe fn microkernel(k: usize, a: AView, b: BView, c: CView) {
 ///
 /// The views must meet `gemm::tile`'s contract for `2·NR` columns.
 #[inline]
-pub(crate) unsafe fn microkernel_x2(k: usize, a: AView, b: BView, c: CView) {
+pub(crate) unsafe fn microkernel_x2(k: usize, a: &AView, b: &BView, c: CView) {
     assert_detected();
     #[cfg(target_arch = "x86_64")]
     // SAFETY: as in `microkernel`.
@@ -209,6 +235,64 @@ pub(crate) unsafe fn microkernel_x2(k: usize, a: AView, b: BView, c: CView) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (k, a, b, c);
+}
+
+/// AVX2 twin of `gemm::pack_b_into` for `B` stored `[n, k]`, column panels
+/// `panels`: 8×8 blocks, eight masked row loads transposed in registers.
+/// Every lane copies the portable loop's bits.
+///
+/// # Safety
+///
+/// The CPU must have AVX2+FMA, `src` must hold the `k·n` elements, and
+/// `bpack` must be those panels' strips.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn pack_transposed(
+    src: &[f32],
+    (k, n): (usize, usize),
+    panels: Range<usize>,
+    bpack: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let (at, base, end) = (src.as_ptr(), panels.start * NR, panels.end * NR);
+    for lo in (base..end).step_by(NR) {
+        let cols = NR.min(n - lo);
+        // The strip from `j0` holds its `k` rows `w` apart, behind `(j0 - base)·k` cells.
+        let j0 = lo - (lo - base) % (2 * NR);
+        let w = (2 * NR).min(end - j0);
+        let out = bpack.as_mut_ptr().add((j0 - base) * k + lo - j0);
+        for p0 in (0..k).step_by(8) {
+            let steps = 8.min(k - p0);
+            let valid = _mm256_cmpgt_epi32(_mm256_set1_epi32(steps as i32), lanes);
+            let mut v = [_mm256_setzero_ps(); 8];
+            for (c, row) in v.iter_mut().enumerate().take(cols) {
+                *row = _mm256_maskload_ps(at.add((lo + c) * k + p0), valid);
+            }
+            // Transpose: interleave rows in pairs, pairs in pairs, then halves.
+            let mut t = v;
+            for i in [0, 2, 4, 6] {
+                (t[i], t[i + 1]) = (
+                    _mm256_unpacklo_ps(v[i], v[i + 1]),
+                    _mm256_unpackhi_ps(v[i], v[i + 1]),
+                );
+            }
+            for i in [0, 1, 4, 5] {
+                let (x, y, to) = (t[i], t[i + 2], i + (i & 1));
+                (v[to], v[to + 1]) = (
+                    _mm256_shuffle_ps::<0x44>(x, y),
+                    _mm256_shuffle_ps::<0xEE>(x, y),
+                );
+            }
+            for r in 0..steps {
+                let row = match r < 4 {
+                    true => _mm256_permute2f128_ps::<0x20>(v[r], v[r + 4]),
+                    false => _mm256_permute2f128_ps::<0x31>(v[r - 4], v[r]),
+                };
+                _mm256_storeu_ps(out.add((p0 + r) * w), row);
+            }
+        }
+    }
 }
 
 /// AVX2 twin of `gemm::pack_b_into` for a gathered `B`, `NR` columns of
@@ -355,10 +439,6 @@ small_kernel!(
     gemm_small => crate::reference::gemm_ref
 );
 small_kernel!(
-    /// AVX2/FMA instantiation of [`crate::reference::gemm_nt_ref`].
-    gemm_nt_small => crate::reference::gemm_nt_ref
-);
-small_kernel!(
     /// AVX2/FMA instantiation of [`crate::reference::gemm_tn_ref`].
     gemm_tn_small => crate::reference::gemm_tn_ref
 );
@@ -380,12 +460,14 @@ mod tests {
         (
             AView {
                 ptr: a.as_ptr(),
-                rs,
                 ks,
+                off: std::array::from_fn(|r| r * rs),
             },
             BView {
                 ptr: b.as_ptr(),
                 ks: b_ks,
+                rows: MR,
+                off: [0; MR],
             },
         )
     }
@@ -395,6 +477,8 @@ mod tests {
             ptr: c.as_mut_ptr(),
             ldc,
             from_zero,
+            rows: MR,
+            cols: NR,
         }
     }
 
@@ -414,8 +498,8 @@ mod tests {
             // SAFETY: AVX2+FMA are present (checked above), and every view
             // covers MR rows, NR columns and k steps of its buffer.
             unsafe {
-                microkernel(k, av, bv, out(&mut vector, ldc, from_zero));
-                crate::gemm::portable_microkernel(k, av, bv, out(&mut portable, ldc, from_zero));
+                microkernel(k, &av, &bv, out(&mut vector, ldc, from_zero));
+                crate::gemm::portable_microkernel(k, &av, &bv, out(&mut portable, ldc, from_zero));
             }
             assert_eq!(vector, portable, "from_zero = {from_zero}");
             for (r, row) in vector.chunks_exact(ldc).enumerate() {
@@ -451,9 +535,9 @@ mod tests {
                 // `MR x k` row-major, `B` and `C` hold `2·NR` columns
                 // per row.
                 unsafe {
-                    microkernel(k, av, bv, out(&mut single, ldc, from_zero));
-                    microkernel(k, av, b_hi, out(&mut single[NR..], ldc, from_zero));
-                    microkernel_x2(k, av, bv, out(&mut pair, ldc, from_zero));
+                    microkernel(k, &av, &bv, out(&mut single, ldc, from_zero));
+                    microkernel(k, &av, &b_hi, out(&mut single[NR..], ldc, from_zero));
+                    microkernel_x2(k, &av, &bv, out(&mut pair, ldc, from_zero));
                 }
                 assert_eq!(pair, single, "k = {k}, from_zero = {from_zero}");
             }
