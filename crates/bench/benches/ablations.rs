@@ -16,12 +16,16 @@
 //!    a last-axis sum and PointNet's pointwise conv with its bias gradient
 //!    through the tape at the benchmark's shapes, µs forward and backward
 //!    per op at one thread.
+//! 7. **Small products** — `gemm_batched` on every batch a `pointnet_overhead`
+//!    array step issues (B = 8, width 4, STN, 32 points, batch 2), with its
+//!    exact axes: µs per call, GFLOP/s and the step's total, at one thread.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hfta_core::format::stack_conv;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::FusedModule;
 use hfta_core::optim::{FusedAdam, FusedSgd, PerModel};
+use hfta_kernels::{gemm_batched, Axis, Offsets, Out, PackA, PackB};
 use hfta_models::{
     AlexNet, AlexNetCfg, DcganCfg, Discriminator, FusedAlexNet, FusedDiscriminator, FusedGenerator,
     Generator, Workload,
@@ -446,9 +450,191 @@ fn ablation_passes(c: &mut Criterion) {
     hfta_kernels::set_num_threads(threads);
 }
 
+/// Every `gemm_batched` call of a `pointnet_overhead` array step (fused
+/// B = 8, width 4, STN, 32 points, batch 2), with the axes the conv and
+/// `bmm` ops pass: the pointwise convs' forward (`N·N`, samples sharing the
+/// weights), weight gradient (`N·T`, the sample axis reducing) and input
+/// gradient (`T·N` scattered through the tables), the fused Linears' `bmm`s
+/// and `transform_points`. Min of 9 rounds of 1000 calls on one thread, and
+/// the step's total over the calls it makes of each.
+fn ablation_small_products(c: &mut Criterion) {
+    let threads = hfta_kernels::num_threads();
+    hfta_kernels::set_num_threads(1);
+    let ax = |count, a, b, out| Axis { count, a, b, out };
+    let one = Axis::ONE;
+    // (op, layout, (m, k, n), outer axis, inner axis, calls per step)
+    let shapes = [
+        (
+            "conv1 fwd",
+            "N·N",
+            (4, 3, 32),
+            ax(2, 0, 768, 1024),
+            ax(8, 12, 96, 128),
+            2,
+        ),
+        (
+            "conv2 fwd",
+            "N·N",
+            (8, 4, 32),
+            ax(2, 0, 1024, 2048),
+            ax(8, 32, 128, 256),
+            2,
+        ),
+        (
+            "conv3 fwd",
+            "N·N",
+            (64, 8, 32),
+            ax(2, 0, 2048, 16384),
+            ax(8, 512, 256, 2048),
+            2,
+        ),
+        (
+            "conv1 wgrad",
+            "N·T",
+            (4, 32, 3),
+            ax(8, 128, 96, 12),
+            ax(2, 1024, 768, 0),
+            2,
+        ),
+        (
+            "conv2 wgrad",
+            "N·T",
+            (8, 32, 4),
+            ax(8, 256, 128, 32),
+            ax(2, 2048, 1024, 0),
+            2,
+        ),
+        (
+            "conv3 wgrad",
+            "N·T",
+            (64, 32, 8),
+            ax(8, 2048, 256, 512),
+            ax(2, 16384, 2048, 0),
+            2,
+        ),
+        (
+            "conv1 igrad",
+            "scatter",
+            (3, 4, 32),
+            ax(2, 0, 1024, 768),
+            ax(8, 12, 128, 96),
+            1,
+        ),
+        (
+            "conv2 igrad",
+            "scatter",
+            (4, 8, 32),
+            ax(2, 0, 2048, 1024),
+            ax(8, 32, 256, 128),
+            2,
+        ),
+        (
+            "conv3 igrad",
+            "scatter",
+            (8, 64, 32),
+            ax(2, 0, 16384, 2048),
+            ax(8, 512, 2048, 256),
+            2,
+        ),
+        ("fc1 fwd", "N·N", (2, 64, 32), ax(8, 128, 2048, 64), one, 2),
+        ("fc2 fwd", "N·N", (2, 32, 16), ax(8, 64, 512, 32), one, 2),
+        ("fc3 fwd", "N·N", (2, 16, 16), ax(8, 32, 256, 32), one, 1),
+        ("stn fc3 fwd", "N·N", (2, 16, 9), ax(8, 32, 144, 18), one, 1),
+        (
+            "fc1 igrad",
+            "N·T",
+            (2, 32, 64),
+            ax(8, 64, 2048, 128),
+            one,
+            2,
+        ),
+        ("fc2 igrad", "N·T", (2, 16, 32), ax(8, 32, 512, 64), one, 2),
+        ("fc3 igrad", "N·T", (2, 16, 16), ax(8, 32, 256, 32), one, 1),
+        (
+            "stn fc3 igrad",
+            "N·T",
+            (2, 9, 16),
+            ax(8, 18, 144, 32),
+            one,
+            1,
+        ),
+        (
+            "fc1 wgrad",
+            "T·N",
+            (64, 2, 32),
+            ax(8, 128, 64, 2048),
+            one,
+            2,
+        ),
+        ("fc2 wgrad", "T·N", (32, 2, 16), ax(8, 64, 32, 512), one, 2),
+        ("fc3 wgrad", "T·N", (16, 2, 16), ax(8, 32, 32, 256), one, 1),
+        (
+            "stn fc3 wgrad",
+            "T·N",
+            (16, 2, 9),
+            ax(8, 32, 18, 144),
+            one,
+            1,
+        ),
+        ("tp fwd", "N·N", (32, 3, 3), ax(16, 96, 9, 96), one, 1),
+        ("tp igrad", "N·T", (32, 3, 3), ax(16, 96, 9, 96), one, 1),
+        ("tp wgrad", "T·N", (3, 32, 3), ax(16, 96, 96, 9), one, 1),
+    ];
+    println!(
+        "\n## Ablation: small products of a PointNet array step (1 thread, min of 9x1000 calls)"
+    );
+    let mut group = c.benchmark_group("small_products");
+    let mut step_us = 0.0;
+    for (op, layout, (m, k, n), outer, inner, calls) in shapes {
+        let span = |f: fn(&Axis) -> usize, len: usize| {
+            (outer.count - 1) * f(&outer) + (inner.count - 1) * f(&inner) + len
+        };
+        let mut rng = Rng::seed_from(33);
+        let a = rng.randn([span(|x| x.a, m * k)]);
+        let b = rng.randn([span(|x| x.b, k * n)]);
+        let mut out = vec![0.0f32; span(|x| x.out, m * n)];
+        // A pointwise conv's input-gradient tables: channel rows `n` apart.
+        let (row, col): (Vec<usize>, Vec<usize>) =
+            ((0..m).map(|r| r * n).collect(), (0..n).collect());
+        let mut call = || {
+            let (a, b) = (a.as_slice(), b.as_slice());
+            let (pa, pb) = match layout {
+                "N·N" => (PackA::N(a), PackB::N(b)),
+                "N·T" => (PackA::N(a), PackB::T(b)),
+                _ => (PackA::T(a), PackB::N(b)),
+            };
+            let sink = match layout {
+                "scatter" => Out::Scatter(&mut out, Offsets::new(&row, &col)),
+                _ => Out::Add(&mut out),
+            };
+            gemm_batched(sink, pa, pb, (m, k, n), [outer, inner]);
+        };
+        let us = (0..9)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                for _ in 0..1000 {
+                    call();
+                }
+                started.elapsed().as_secs_f64() * 1e3
+            })
+            .fold(f64::INFINITY, f64::min);
+        let flops = (2 * m * k * n * outer.count * inner.count) as f64;
+        step_us += us * calls as f64;
+        println!(
+            "  {op:<14} {layout:<8} ({m},{k},{n}) x{:<3} {us:>7.2} us  {:>6.2} GFLOP/s",
+            outer.count * inner.count,
+            flops / us / 1e3
+        );
+        group.bench_function(format!("{op}/({m},{k},{n})"), |bench| bench.iter(&mut call));
+    }
+    group.finish();
+    println!("  total per array step: {step_us:.1} us");
+    hfta_kernels::set_num_threads(threads);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).warm_up_time(std::time::Duration::from_millis(500)).measurement_time(std::time::Duration::from_secs(2));
-    targets = ablation_mechanisms, ablation_loss_scaling, ablation_step_time, ablation_optimizer, ablation_conv, ablation_passes
+    targets = ablation_mechanisms, ablation_loss_scaling, ablation_step_time, ablation_optimizer, ablation_conv, ablation_passes, ablation_small_products
 }
 criterion_main!(benches);
