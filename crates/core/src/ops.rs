@@ -128,10 +128,11 @@ fn check_same<T: PartialEq + Debug>(
     Ok(first)
 }
 
-/// Concatenates one tensor per model on axis 0, the model axis.
-fn concat(parts: impl Iterator<Item = Tensor>) -> Tensor {
-    let parts: Vec<Tensor> = parts.collect();
-    Tensor::concat(&parts.iter().collect::<Vec<_>>(), 0)
+/// Concatenates one parameter per model on axis 0, the model axis, reading
+/// each value where it lies rather than copying it out first.
+fn concat<'a>(params: impl Iterator<Item = &'a Parameter>) -> Tensor {
+    let values: Vec<_> = params.map(Parameter::value).collect();
+    Tensor::concat(&values.iter().map(|v| &**v).collect::<Vec<_>>(), 0)
 }
 
 /// Checks that the models' `(weight, bias)` pairs share one weight shape
@@ -152,9 +153,11 @@ fn stack_weights<'a>(
 ) -> Result<(Tensor, Option<Tensor>)> {
     check_weights(layers.clone(), kind)?;
     let (weights, biases): (Vec<_>, Vec<_>) = layers.unzip();
-    let concat_values = |ps: Vec<&Parameter>| concat(ps.into_iter().map(Parameter::value_cloned));
     let biases: Option<Vec<_>> = biases.into_iter().collect();
-    Ok((concat_values(weights), biases.map(concat_values)))
+    Ok((
+        concat(weights.into_iter()),
+        biases.map(|b| concat(b.into_iter())),
+    ))
 }
 
 /// `cfg` at array width `b`: channels and groups `×b`.
@@ -237,8 +240,8 @@ pub fn fuse_conv1d(models: &[Conv1d]) -> Result<Conv1d> {
 pub fn fuse_batch_norm(models: &[BatchNorm]) -> Result<BatchNorm> {
     check_same(models.iter().map(|m| m.gamma.numel()), "BatchNorm")?;
     Ok(BatchNorm::from_parts(
-        concat(models.iter().map(|m| m.gamma.value_cloned())),
-        concat(models.iter().map(|m| m.beta.value_cloned())),
+        concat(models.iter().map(|m| &m.gamma)),
+        concat(models.iter().map(|m| &m.beta)),
         models.iter().flat_map(BatchNorm::running_mean).collect(),
         models.iter().flat_map(BatchNorm::running_var).collect(),
     ))
@@ -280,22 +283,18 @@ impl FusedLinear {
             models.iter().map(|m| (&m.weight, m.bias.as_ref())),
             "Linear",
         )?;
-        let ws: Vec<Tensor> = models
-            .iter()
-            .map(|m| m.weight.value_cloned().unsqueeze(0))
-            .collect();
-        let weight = Tensor::concat(&ws.iter().collect::<Vec<_>>(), 0);
-        let bias = models[0].bias.is_some().then(|| {
-            let bs: Vec<Tensor> = models
-                .iter()
-                .filter_map(|m| m.bias.as_ref())
-                .map(|b| {
-                    let b = b.value_cloned();
-                    let f = b.numel();
-                    b.reshape(&[1, 1, f])
-                })
-                .collect();
-            Tensor::concat(&bs.iter().collect::<Vec<_>>(), 0)
+        // `[in, out]` weights and `[out]` biases stacked on the model axis,
+        // taken as `[B, in, out]` and `[B, 1, out]` without another copy.
+        let stacked = |t: Tensor, dims: &[usize]| {
+            Tensor::from_vec(t.into_vec(), [&[models.len()], dims].concat())
+        };
+        let weight = stacked(
+            concat(models.iter().map(|m| &m.weight)),
+            models[0].weight.value().dims(),
+        );
+        let bias = models[0].bias.as_ref().map(|b| {
+            let biases = concat(models.iter().filter_map(|m| m.bias.as_ref()));
+            stacked(biases, &[1, b.numel()])
         });
         Ok(FusedLinear {
             weight: Parameter::new(weight, "fused_linear.weight"),
