@@ -283,17 +283,22 @@ impl FusedLinear {
             models.iter().map(|m| (&m.weight, m.bias.as_ref())),
             "Linear",
         )?;
-        // `[in, out]` weights and `[out]` biases stacked on the model axis,
-        // taken as `[B, in, out]` and `[B, 1, out]` without another copy.
-        let stacked = |t: Tensor, dims: &[usize]| {
-            Tensor::from_vec(t.into_vec(), [&[models.len()], dims].concat())
+        // `[in, out]` weights and `[out]` biases stacked on the model axis
+        // as `[B, in, out]` and `[B, 1, out]`, each read where it lies.
+        let stacked = |params: Vec<&Parameter>, dims: &[usize]| {
+            let mut out = Tensor::zeros([&[params.len()], dims].concat());
+            let blocks = out
+                .as_mut_slice()
+                .chunks_exact_mut(dims.iter().product::<usize>().max(1));
+            for (block, p) in blocks.zip(params) {
+                block.copy_from_slice(p.value().as_slice());
+            }
+            out
         };
-        let weight = stacked(
-            concat(models.iter().map(|m| &m.weight)),
-            models[0].weight.value().dims(),
-        );
+        let weights = models.iter().map(|m| &m.weight).collect();
+        let weight = stacked(weights, models[0].weight.value().dims());
         let bias = models[0].bias.as_ref().map(|b| {
-            let biases = concat(models.iter().filter_map(|m| m.bias.as_ref()));
+            let biases = models.iter().filter_map(|m| m.bias.as_ref()).collect();
             stacked(biases, &[1, b.numel()])
         });
         Ok(FusedLinear {
