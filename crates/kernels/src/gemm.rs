@@ -602,10 +602,11 @@ pub(crate) struct CView {
 ///
 /// # Safety
 ///
-/// For `r < MR`, `c < width` and `p < k`, every `A` and `B` cell the views
-/// name, and for the `C` cells above every `C` cell, must lie in one live
-/// allocation; no reference to a `C` cell may be live, and no mutable one to
-/// an `A` or `B` cell. `vector` must come from `simd::detected`.
+/// For `p < k`, every `A` cell the view names for `r < MR`, every `B` cell
+/// it names for `c < c.cols` (all `width` columns of a whole tile) and
+/// every `C` cell above must lie in one live allocation; no reference to a
+/// `C` cell may be live, and no mutable one to an `A` or `B` cell. `vector`
+/// must come from `simd::detected`.
 unsafe fn tile(vector: bool, width: usize, k: usize, a: &AView, b: &BView, c: CView) {
     match (vector, width == NR) {
         (true, true) => simd::microkernel(k, a, b, c),
