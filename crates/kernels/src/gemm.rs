@@ -472,7 +472,7 @@ fn gemm_batched_on(
                         let out = unsafe { shared.slice_mut(out_at..end) };
                         let a = a.at(a_at, (h - 1) * lane.a + m * k);
                         let b = b.at(b_at, (h - 1) * lane.b + k * n);
-                        let bufs = [&mut *s0, &mut *s1];
+                        let bufs = (&mut *s0, &mut *s1);
                         match direct {
                             Some(f) => run_direct(f, out, scatter, a, b, (m, k, n), bufs),
                             None => {
@@ -521,7 +521,7 @@ fn run_direct(
     a: PackA<'_>,
     b: PackB<'_>,
     (m, k, n): (usize, usize, usize),
-    [dense, product]: [&mut [f32]; 2],
+    (dense, product): (&mut [f32], &mut [f32]),
 ) {
     let (PackA::N(a) | PackA::T(a)) = a;
     let b = match b {
@@ -656,12 +656,12 @@ pub(crate) unsafe fn portable_microkernel(k: usize, a: &AView, b: &BView, c: CVi
 }
 
 /// Packs column panels `panels` of a transposed or gathered `B` (one stored
-/// `[k, n]` is read where it lies) into zero-padded strips two panels
-/// (`2·NR` columns) wide, a lone last panel `NR` wide: each strip holds its
-/// `k` rows at its width apart, so a pair of panels starting an even number
-/// of panels past `panels.start` is `2·NR` contiguous columns ([`b_view`]
-/// finds a panel). The padding columns are never read: a tile whose last
-/// columns fall past `n` masks them.
+/// `[k, n]` is read where it lies) into strips two panels (`2·NR` columns)
+/// wide, a lone last panel `NR` wide: each strip holds its `k` rows at its
+/// width apart, so a pair of panels starting an even number of panels past
+/// `panels.start` is `2·NR` contiguous columns ([`b_view`] finds a panel).
+/// The padding columns are never read: a tile whose last columns fall past
+/// `n` masks them.
 fn pack_b_into(
     vector: bool,
     b: PackB<'_>,
@@ -831,7 +831,7 @@ fn run_tiled(
     (a, b): (PackA<'_>, PackB<'_>),
     (m, k, n): (usize, usize, usize),
     (stack, (row_grain, col_grain, n_chunks)): (Axis, (usize, usize, usize)),
-    [strip, bpack]: [&mut [f32]; 2],
+    (strip, bpack): (&mut [f32], &mut [f32]),
 ) {
     let (h, rows_all) = (stack.count, stack.count * m);
     // The tile views below read inside these lengths.
@@ -987,7 +987,7 @@ mod tests {
         scratch::with(l0, |s0| {
             scratch::with(l1, |s1| {
                 let tiling = (Axis::ONE, grid);
-                run_tiled(vector, out, scatter, (a, b), (m, k, n), tiling, [s0, s1])
+                run_tiled(vector, out, scatter, (a, b), (m, k, n), tiling, (s0, s1))
             })
         })
     }

@@ -18,8 +18,8 @@
 //!   ([`PackB::Gather`]) and the product optionally added ([`Out::Scatter`])
 //!   through two [`Offsets`] tables — how `hfta-tensor` convolves a padded
 //!   image without materialising its im2col matrix. [`gemm()`],
-//!   [`gemm_nt()`] and [`gemm_tn()`] are its one-entry case. The FLOP count
-//!   picks the tiled or the direct loops, the CPU picks the instantiation,
+//!   [`gemm_nt()`] and [`gemm_tn()`] are its one-entry case. Shape and layout
+//!   pick the tiled or the direct loops, the CPU picks the instantiation,
 //!   and nothing switches either at run time.
 //! * [`simd`] — the runtime-detected AVX2/FMA instantiations (8×8 / paired
 //!   8×16 micro-kernel, small-shape loops) `Auto` takes wherever the CPU
