@@ -1033,6 +1033,94 @@ mod tests {
             }
         }
 
+        // Results that hang on the padding taps, on the geometries above.
+        // Every weight tap that only ever meets padding holds ±inf or NaN,
+        // so each chain through it must still take the padding's `+0.0` and
+        // turn NaN (and the input gradient must drop what it scatters
+        // there); the input's, the weight's and `gy`'s borders and half the
+        // biases hold `-0.0`, which a chain that skipped a `+0.0` tap would
+        // leave as it is.
+        #[test]
+        fn padding_taps_keep_their_non_finite_and_signed_zero_bits(
+            n in 1usize..3,
+            g in 0usize..3,
+            cing in 1usize..4,
+            coutg in 1usize..9,
+            kernel in 0usize..4,
+            sh in 1usize..4,
+            sw in 1usize..4,
+            ph in 0usize..3,
+            pw in 0usize..3,
+            ho in 1usize..6,
+            wo in 0usize..5,
+            eh in 0usize..3,
+            ew in 0usize..3,
+            special in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let (g, (kh, kw), wo) = (GROUPS[g], KERNELS[kernel], OUT_WIDTHS[wo]);
+            let (th, tw) = ((ho - 1) * sh + kh, (wo - 1) * sw + kw);
+            let (ph, pw) = (ph.min((th - 1) / 2), pw.min((tw - 1) / 2));
+            let (hp, wp) = (th + eh % sh, tw + ew % sw);
+            let (hw, cin, cout) = ((hp - 2 * ph, wp - 2 * pw), g * cing, g * coutg);
+            let cfg = ConvCfg { stride: (sh, sw), padding: (ph, pw), groups: g };
+            // Tap `u` of an axis meets only padding when no output reads a pixel with it.
+            let padding_only = |taps: usize, out: usize, s: usize, p: usize, len: usize| {
+                (0..taps)
+                    .map(|u| (0..out).all(|o| o * s + u < p || o * s + u >= p + len))
+                    .collect::<Vec<_>>()
+            };
+            let (rows, cols) = (padding_only(kh, ho, sh, ph, hw.0), padding_only(kw, wo, sw, pw, hw.1));
+            let bad = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][special];
+            let border = |y: usize, x: usize, (h, w): (usize, usize)| {
+                y == 0 || x == 0 || y + 1 == h || x + 1 == w
+            };
+            // `-0.0` on every other border cell of each `[h, w]` plane.
+            let zero_borders = |t: &mut Tensor, hw: (usize, usize)| {
+                for (at, v) in t.as_mut_slice().iter_mut().enumerate() {
+                    let (y, x) = (at / hw.1 % hw.0, at % hw.1);
+                    if border(y, x, hw) && (at + seed as usize).is_multiple_of(2) {
+                        *v = -0.0;
+                    }
+                }
+            };
+            let mut x = randn(&[n, cin, hw.0, hw.1], seed);
+            let mut w = randn(&[cout, cing, kh, kw], seed + 1);
+            let mut gy = randn(&[n, cout, ho, wo], seed + 3);
+            zero_borders(&mut x, hw);
+            zero_borders(&mut w, (kh, kw));
+            zero_borders(&mut gy, (ho, wo));
+            for (at, v) in w.as_mut_slice().iter_mut().enumerate() {
+                let (u, t) = (at / kw % kh, at % kw);
+                if rows[u] || cols[t] {
+                    *v = if at % 2 == 0 { bad } else { -bad };
+                }
+            }
+            let half_zero = |len: usize, seed: u64| {
+                let mut b = randn(&[len], seed);
+                b.as_mut_slice().iter_mut().step_by(2).for_each(|v| *v = -0.0);
+                b
+            };
+            let (bias, tbias) = (half_zero(cout, seed + 2), half_zero(cin, seed + 4));
+            for b in [None, Some(&bias)] {
+                prop_assert_eq!(bits(&conv2d(&x, &w, b, cfg)), bits(&oracle_conv2d(&x, &w, b, cfg)));
+            }
+            prop_assert_eq!(
+                bits(&conv2d_grad_input(&w, &gy, hw, cin, cfg)),
+                bits(&oracle_grad_input(&w, &gy, hw, cin, cfg))
+            );
+            prop_assert_eq!(
+                bits(&conv2d_grad_weight(&x, &gy, (kh, kw), cfg)),
+                bits(&oracle_grad_weight(&x, &gy, (kh, kw), cfg))
+            );
+            for b in [None, Some(&tbias)] {
+                prop_assert_eq!(
+                    bits(&conv_transpose2d(&gy, &w, b, cfg)),
+                    bits(&oracle_conv_transpose2d(&gy, &w, b, cfg))
+                );
+            }
+        }
+
         #[test]
         fn conv1d_is_bitwise_the_im2col_composition(
             n in 1usize..3,
