@@ -54,11 +54,13 @@
 //! | tiled   | every product but a table-addressed one `< SMALL_FLOPS`: [`crate::simd`] 8×8 (lanes: 1–4 rows per entry) / paired 8×16 `vfmadd` tile on strided views, `B^T` packed 8×8 blocks at a time | `>= SMALL_FLOPS`, and `A^T B^T` at every size: `portable_microkernel` (8×8, lanes), `f32::mul_add` |
 //! | direct  | a gathered or scattered product `< SMALL_FLOPS`: `A B` / `A^T B` reference loops compiled with AVX2+FMA | `< SMALL_FLOPS`: the reference loops |
 //! | tables  | column runs 8 lanes wide: loads, shuffles, masked adds, `vgatherdps` | one cell at a time |
+//! | windows | each entry's planes zero-padded in scratch (`Pad`), then the tables row | the same |
 //!
 //! `B` may also be *gathered* through two [`Offsets`] tables while it is
 //! packed ([`PackB::Gather`]), and the product *scatter-added* through them
 //! one finished `MR`-row strip at a time ([`Out::Scatter`]) — a convolution
-//! on its padded image, no im2col matrix. On the direct row the tables first
+//! on its unpadded image, whose padding is the tables' [`Window`], with no
+//! im2col matrix and no padded copy. On the direct row the tables first
 //! materialise the operand (or the product). On the vector column each call
 //! splits the column tables into arithmetic runs once (`split_runs`), and
 //! `simd::gather_panels` / `simd::scatter_strip` read them eight lanes wide:
@@ -168,21 +170,51 @@ impl<'a> PackB<'a> {
 }
 
 /// Two offset tables addressing a logical `[rows, cols]` matrix inside a
-/// larger buffer: element `(i, j)` lives at `row[i] + col[j]`.
+/// larger buffer: element `(i, j)` lives at `row[i] + col[j]`, where its
+/// [`Window`], if any, holds it.
 #[derive(Debug, Clone, Copy)]
 pub struct Offsets<'a> {
-    pub(crate) row: &'a [usize],
-    pub(crate) col: &'a [usize],
+    pub(crate) row: &'a [isize],
+    pub(crate) col: &'a [isize],
+    window: Option<&'a Window<'a>>,
     /// `col` as [`split_runs`] reads it, on the vector path only.
     pub(crate) runs: Option<&'a [Run]>,
+}
+
+/// Which elements of a table pair exist. Every entry is a whole number of
+/// `[h, w]` planes plus a shift inside one: `row[i] = base + y[i]·w + x[i]`,
+/// and `col[j]` likewise. Element `(i, j)` exists only where the summed
+/// shift `(y[i] + y[j], x[i] + x[j])` lies in `[0, h) × [0, w)`: a missing
+/// one gathers as `+0.0` and scatters nowhere. A convolution's zero padding
+/// is such a window, with no padded copy of its image.
+#[derive(Debug, Clone, Copy)]
+pub struct Window<'a> {
+    /// The rows' `y` and `x` shifts.
+    pub row: [&'a [i32]; 2],
+    /// The columns' `y` and `x` shifts.
+    pub col: [&'a [i32]; 2],
+    /// The planes' `(h, w)`.
+    pub hw: (usize, usize),
 }
 
 impl<'a> Offsets<'a> {
     /// The matrix whose element `(i, j)` lives at `row[i] + col[j]`.
     pub fn new(row: &'a [usize], col: &'a [usize]) -> Self {
+        // SAFETY: `usize` and `isize` share size and alignment, and every
+        // bit pattern is an `isize`; an entry past `isize::MAX` reads as
+        // negative, which `check` rejects.
+        let signed =
+            |t: &'a [usize]| unsafe { std::slice::from_raw_parts(t.as_ptr().cast(), t.len()) };
+        Offsets::windowed(signed(row), signed(col), None)
+    }
+
+    /// The matrix whose element `(i, j)` lives at `row[i] + col[j]`, where
+    /// `window`, if any, holds it.
+    pub fn windowed(row: &'a [isize], col: &'a [isize], window: Option<&'a Window<'a>>) -> Self {
         Offsets {
             row,
             col,
+            window,
             runs: None,
         }
     }
@@ -193,21 +225,21 @@ impl<'a> Offsets<'a> {
     }
 
     /// The one hard check behind the unchecked table loops: the tables have
-    /// the matrix's extents and their largest sum indexes inside `len`.
-    /// Returns the span they address, `max(row) + max(col) + 1`, or 0 for
-    /// an empty matrix.
+    /// the matrix's extents, their least sum is not negative and their
+    /// largest indexes inside `len`. Returns the span they address,
+    /// `max(row) + max(col) + 1`, or 0 for an empty matrix.
     fn check(self, rows: usize, cols: usize, len: usize) -> usize {
         assert_eq!(
             (self.row.len(), self.col.len()),
             (rows, cols),
             "offset tables do not match the {rows}x{cols} matrix they address"
         );
-        let max = |t: &[usize]| t.iter().max().copied();
-        let (Some(r), Some(c)) = (max(self.row), max(self.col)) else {
+        let span = |t: &[isize]| t.iter().copied().min().zip(t.iter().copied().max());
+        let (Some((r0, r)), Some((c0, c))) = (span(self.row), span(self.col)) else {
             return 0;
         };
-        match r.checked_add(c) {
-            Some(at) if at < len => at + 1,
+        match (r0.checked_add(c0), r.checked_add(c)) {
+            (Some(0..), Some(at)) if (at as usize) < len => at as usize + 1,
             _ => panic!("offset tables reach {r} + {c}, outside a buffer of {len} elements"),
         }
     }
@@ -219,12 +251,12 @@ impl<'a> Offsets<'a> {
 pub(crate) struct Run {
     pub(crate) at: usize,
     pub(crate) len: usize,
-    pub(crate) step: usize,
+    pub(crate) step: isize,
 }
 
 /// `col` as consecutive maximal runs, taken greedily from the left. Split
 /// once per call, for the vector twins of the gather and the scatter.
-fn split_runs(col: &[usize]) -> Vec<Run> {
+fn split_runs(col: &[isize]) -> Vec<Run> {
     let (mut runs, mut at) = (Vec::new(), 0);
     while at < col.len() {
         let step = col.get(at + 1).map_or(0, |c| c.wrapping_sub(col[at]));
@@ -236,6 +268,145 @@ fn split_runs(col: &[usize]) -> Vec<Run> {
         at += len;
     }
     runs
+}
+
+/// A windowed operand as every path reads it: each entry's `planes` `[h, w]`
+/// planes copied into zeroed `[hp, wp]` ones at `(top, left)` in scratch,
+/// wide enough that every element, there or not, lands inside them, and the
+/// tables remapped to them. A gather reads a missing element from the zero
+/// margin, and a scatter adds it there, to be dropped when the planes are
+/// copied back. The padded planes of one entry stay in cache; reading them
+/// costs less than testing every row of every `NR`-column group against
+/// the window (a third of the rows of a 3x3 convolution's border groups).
+struct Pad {
+    planes: usize,
+    hw: (usize, usize),
+    at: (usize, usize),
+    padded: (usize, usize),
+    row: Vec<isize>,
+    col: Vec<isize>,
+}
+
+impl Pad {
+    /// The padded planes of `t` under its window; `check` on the remapped
+    /// tables bounds what a table of the wrong length or shifts remaps to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry's base is not a whole number of planes.
+    fn new(t: Offsets<'_>, win: &Window<'_>) -> Pad {
+        let (h, w) = (win.hw.0 as isize, win.hw.1 as isize);
+        // Each table's least and greatest `y` and `x` shift, in one pass.
+        let span = |[ys, xs]: [&[i32]; 2]| {
+            let mut b = [i32::MAX, i32::MIN, i32::MAX, i32::MIN];
+            for (&y, &x) in ys.iter().zip(xs) {
+                b = [b[0].min(y), b[1].max(y), b[2].min(x), b[3].max(x)];
+            }
+            b.map(|v| v as isize)
+        };
+        let ([ry0, ry1, rx0, rx1], [cy0, cy1, cx0, cx1]) = (span(win.row), span(win.col));
+        let (top, left) = ((-(ry0 + cy0)).max(0), (-(rx0 + cx0)).max(0));
+        let (hp, wp) = (top + h.max(ry1 + cy1 + 1), left + w.max(rx1 + cx1 + 1));
+        // Each entry as a plane and a shift inside the padded planes; a run
+        // of entries on one plane divides once.
+        let remap = |t: &[isize], [ys, xs]: [&[i32]; 2], (dy, dx): (isize, isize)| {
+            let (mut out, mut base, mut plane, mut last) = (Vec::with_capacity(t.len()), 0, 0, 0);
+            for ((&o, &y), &x) in t.iter().zip(ys).zip(xs) {
+                let (y, x) = (y as isize, x as isize);
+                if o.wrapping_sub(y * w + x) != base || out.is_empty() {
+                    base = o.wrapping_sub(y * w + x);
+                    plane = base / (h * w);
+                    assert!(
+                        plane * h * w == base,
+                        "window table base {base} is not whole planes"
+                    );
+                    last = last.max(plane);
+                }
+                out.push(plane * hp * wp + (y + dy) * wp + x + dx);
+            }
+            (out, last)
+        };
+        let ((row, r), (col, c)) = (
+            remap(t.row, win.row, (top, left)),
+            remap(t.col, win.col, (0, 0)),
+        );
+        Pad {
+            planes: (r + c + 1).max(0) as usize,
+            hw: win.hw,
+            at: (top as usize, left as usize),
+            padded: (hp as usize, wp as usize),
+            row,
+            col,
+        }
+    }
+
+    /// The remapped tables.
+    fn offsets(&self) -> Offsets<'_> {
+        Offsets::windowed(&self.row, &self.col, None)
+    }
+
+    /// `t`, or its padded planes' tables, as the loops read them, checked
+    /// for them (the source planes for the entries' `len`); and their span.
+    fn checked<'a>(
+        pad: &'a Option<Pad>,
+        t: Offsets<'a>,
+        mn: (usize, usize),
+        len: usize,
+    ) -> (Offsets<'a>, usize) {
+        let Some(pad) = pad else {
+            return (t, t.check(mn.0, mn.1, len));
+        };
+        let (padded, planes) = pad.lens();
+        assert!(
+            planes <= len,
+            "window planes reach {planes}, outside a buffer of {len} elements"
+        );
+        pad.offsets().check(mn.0, mn.1, padded);
+        (pad.offsets(), planes)
+    }
+
+    /// The padded planes' length, and the source planes'.
+    fn lens(&self) -> (usize, usize) {
+        let ((h, w), (hp, wp)) = (self.hw, self.padded);
+        (self.planes * hp * wp, self.planes * h * w)
+    }
+
+    /// One entry's planes of `src`, padded into `dst`.
+    fn fill(&self, src: &[f32], dst: &mut [f32]) {
+        let ((h, w), (top, left), (hp, wp)) = (self.hw, self.at, self.padded);
+        let (padded, planes) = self.lens();
+        let pairs = dst[..padded]
+            .chunks_exact_mut(hp * wp)
+            .zip(src[..planes].chunks_exact(h * w));
+        for (to, from) in pairs {
+            to[..top * wp].fill(0.0);
+            to[(top + h) * wp..].fill(0.0);
+            for (row, from) in to[top * wp..]
+                .chunks_exact_mut(wp)
+                .zip(from.chunks_exact(w))
+            {
+                row[..left].fill(0.0);
+                row[left..left + w].copy_from_slice(from);
+                row[left + w..].fill(0.0);
+            }
+        }
+    }
+
+    /// The interiors of `padded` copied back into the entry's planes `out`.
+    fn drain(&self, padded: &[f32], out: &mut [f32]) {
+        let ((h, w), (top, left), (hp, wp)) = (self.hw, self.at, self.padded);
+        let pairs = padded
+            .chunks_exact(hp * wp)
+            .zip(out[..self.lens().1].chunks_exact_mut(h * w));
+        for (from, to) in pairs {
+            for (row, to) in from[top * wp..]
+                .chunks_exact(wp)
+                .zip(to.chunks_exact_mut(w))
+            {
+                to.copy_from_slice(&row[left..left + w]);
+            }
+        }
+    }
 }
 
 /// Where [`gemm_batched`] adds each product.
@@ -363,16 +534,29 @@ fn gemm_batched_on(
         )
     };
     let (_, b_last, out_last) = offsets(entries - 1);
-    if let PackB::Gather(src, tables) = b {
-        tables.check(k, n, src.len().saturating_sub(b_last));
-    }
     let (dst, scatter) = match out {
         Out::Add(dst) => (dst, None),
         Out::Scatter(dst, tables) => (dst, Some(tables)),
     };
-    let extent = match scatter {
-        None => m * n,
-        Some(tables) => tables.check(m, n, dst.len().saturating_sub(out_last)),
+    // A windowed table pair is read and written through its padded planes.
+    let pad = |t: Offsets<'_>| t.window.map(|w| Pad::new(t, w));
+    let b_pad = match b {
+        PackB::Gather(_, t) => pad(t),
+        _ => None,
+    };
+    let out_pad = scatter.and_then(pad);
+    let b_tables = match b {
+        PackB::Gather(src, t) => {
+            Some(Pad::checked(&b_pad, t, (k, n), src.len().saturating_sub(b_last)).0)
+        }
+        _ => None,
+    };
+    let (scatter, extent) = match scatter {
+        None => (None, m * n),
+        Some(t) => {
+            let (t, extent) = Pad::checked(&out_pad, t, (m, n), dst.len().saturating_sub(out_last));
+            (Some(t), extent)
+        }
     };
     if extent == 0 {
         return;
@@ -383,16 +567,17 @@ fn gemm_batched_on(
     // faster than a masked vector does.
     let split = |t: Offsets<'_>, fits: bool| (vector && fits).then(|| split_runs(t.col));
     let long = |r: &Run| r.len >= NR && (1..=2).contains(&r.step);
-    let gather_runs = match b {
-        // The vector gather indexes its source with 32-bit lanes.
-        PackB::Gather(src, tables) => split(tables, src.len() <= i32::MAX as usize),
+    let gather_runs = match (b, b_tables) {
+        // The vector gather indexes its source (or padded planes) with 32-bit lanes.
+        (PackB::Gather(src, _), Some(t)) => {
+            let len = b_pad.as_ref().map_or(src.len(), |p| p.lens().0);
+            let lanes = t.col.iter().all(|&c| i32::try_from(c).is_ok());
+            split(t, lanes && len <= i32::MAX as usize)
+        }
         _ => None,
     };
     let scatter_runs = scatter.and_then(|t| split(t, true).filter(|runs| runs.iter().any(long)));
-    let b = match b {
-        PackB::Gather(src, tables) => PackB::Gather(src, tables.with(gather_runs.as_deref())),
-        b => b,
-    };
+    let b_tables = b_tables.map(|t| t.with(gather_runs.as_deref()));
     let scatter = scatter.map(|tables| tables.with(scatter_runs.as_deref()));
     // Chunks write distinct blocks concurrently, so they must not overlap.
     let mut end = 0;
@@ -441,7 +626,7 @@ fn gemm_batched_on(
     } else {
         n.div_ceil(NR) * usize::from(packed)
     };
-    let (tags, lens) = match direct {
+    let (tags, mut lens) = match direct {
         Some(_) => (
             ["gemm.dense"; 2],
             [k * n * usize::from(gather), m * n * usize::from(scattered)],
@@ -451,6 +636,10 @@ fn gemm_batched_on(
             [MR * n * usize::from(scattered), k * NR * panels],
         ),
     };
+    // Behind the first buffer, an entry's padded planes of `B` and of the output.
+    let planes = [&b_pad, &out_pad].map(|p| p.as_ref().map_or(0, |p| p.lens().0));
+    let first = lens[0];
+    lens[0] += planes[0] + planes[1];
     for (tag, len) in tags.into_iter().zip(lens) {
         scratch::reserve(tag, len, if nested { threads } else { 1 });
     }
@@ -469,16 +658,36 @@ fn gemm_batched_on(
                         // SAFETY: distinct units own disjoint output blocks
                         // (checked above), the `h` units stacked here abut,
                         // and a unit's entries run one after another here.
-                        let out = unsafe { shared.slice_mut(out_at..end) };
+                        let block = unsafe { shared.slice_mut(out_at..end) };
                         let a = a.at(a_at, (h - 1) * lane.a + m * k);
                         let b = b.at(b_at, (h - 1) * lane.b + k * n);
-                        let bufs = (&mut *s0, &mut *s1);
+                        let (s0, rest) = s0.split_at_mut(first);
+                        let (b_planes, out_planes) = rest.split_at_mut(planes[0]);
+                        let b = match (b, b_tables, &b_pad) {
+                            (PackB::Gather(src, _), Some(t), Some(pad)) => {
+                                pad.fill(src, b_planes);
+                                PackB::Gather(b_planes, t)
+                            }
+                            (PackB::Gather(src, _), Some(t), None) => PackB::Gather(src, t),
+                            _ => b,
+                        };
+                        let out = match &out_pad {
+                            Some(pad) => {
+                                pad.fill(block, out_planes);
+                                &mut *out_planes
+                            }
+                            None => &mut *block,
+                        };
+                        let bufs = (s0, &mut *s1);
                         match direct {
                             Some(f) => run_direct(f, out, scatter, a, b, (m, k, n), bufs),
                             None => {
                                 let tiling = (stack, grid);
                                 run_tiled(vector, out, scatter, (a, b), (m, k, n), tiling, bufs)
                             }
+                        }
+                        if let Some(pad) = &out_pad {
+                            pad.drain(out_planes, block);
                         }
                     }
                     u += h;
@@ -529,7 +738,7 @@ fn run_direct(
         PackB::Gather(src, tables) => {
             for (row, &base) in dense.chunks_exact_mut(n.max(1)).zip(tables.row) {
                 for (v, &c) in row.iter_mut().zip(tables.col) {
-                    *v = src[base + c];
+                    *v = src[(base + c) as usize];
                 }
             }
             dense
@@ -556,7 +765,7 @@ fn scatter_add(dst: &mut [f32], off: Offsets<'_>, i0: usize, rows: &[f32], n: us
     for (row, &base) in rows.chunks_exact(n.max(1)).zip(&off.row[i0..]) {
         for (&v, &c) in row.iter().zip(off.col) {
             // SAFETY: `Offsets::check` bounded every row + column sum.
-            unsafe { *dst.get_unchecked_mut(base + c) += v };
+            unsafe { *dst.get_unchecked_mut((base + c) as usize) += v };
         }
     }
 }
@@ -707,7 +916,7 @@ fn pack_b_into(
                 for (row, &base) in strip.chunks_exact_mut(w).zip(off.row) {
                     for (v, &c) in row.iter_mut().zip(&col) {
                         // SAFETY: `Offsets::check` bounded every row + column sum.
-                        *v = unsafe { *src.get_unchecked(base + c) };
+                        *v = unsafe { *src.get_unchecked((base + c) as usize) };
                     }
                 }
             }
@@ -1488,6 +1697,167 @@ mod tests {
                         bad.is_none(),
                         "{bad:?} for {name} at {pool_threads} threads, vector={vector}"
                     );
+                }
+            }
+        }
+        pool::set_num_threads(threads);
+    }
+
+    /// A `c`-channel convolution's windowed tables over unpadded `[h, w]`
+    /// planes, taps then pixels, as `hfta-tensor`'s conv builds them: tap
+    /// `(ci,u,v)` at `ci·h·w + (u−ph)·w + (v−pw)` shifted `(u−ph, v−pw)`,
+    /// pixel `(oy,ox)` at `oy·sh·w + ox·sw` shifted `(oy·sh, ox·sw)`.
+    #[allow(clippy::type_complexity)]
+    fn windowed_tables(
+        c: usize,
+        (h, w): (usize, usize),
+        (kh, kw): (usize, usize),
+        (sh, sw): (usize, usize),
+        (ph, pw): (usize, usize),
+    ) -> ([Vec<isize>; 2], [[Vec<i32>; 2]; 2]) {
+        let (ho, wo) = ((h + 2 * ph - kh) / sh + 1, (w + 2 * pw - kw) / sw + 1);
+        let (mut off, mut shift): ([Vec<isize>; 2], [[Vec<i32>; 2]; 2]) = Default::default();
+        let mut push = |side: usize, base: usize, y: isize, x: isize| {
+            off[side].push(base as isize + y * w as isize + x);
+            shift[side][0].push(y as i32);
+            shift[side][1].push(x as i32);
+        };
+        for ci in 0..c {
+            for u in 0..kh {
+                for v in 0..kw {
+                    push(
+                        0,
+                        ci * h * w,
+                        u as isize - ph as isize,
+                        v as isize - pw as isize,
+                    );
+                }
+            }
+        }
+        for oy in 0..ho {
+            for ox in 0..wo {
+                push(1, 0, (oy * sh) as isize, (ox * sw) as isize);
+            }
+        }
+        (off, shift)
+    }
+
+    /// The window canary. Windowed conv tables, forward (`[taps, pixels]`)
+    /// and swapped (`[pixels, taps]`), over sources and destinations whose
+    /// cells outside the entries' planes — before, between and after them —
+    /// hold [`SENTINEL`], a signalling NaN. A gather must read `+0.0` for
+    /// every element the window leaves out (a sentinel read turns the
+    /// product NaN), and a scatter must leave every cell outside the planes
+    /// at its sentinel: both instantiations, at 1 and 4 threads, bitwise
+    /// against reference loops that materialise the zeros. The cases put the
+    /// gather on quads (a weight gradient's runs of 4), stride-2 evens, the
+    /// masked gather (groups spanning output rows) and the direct loops, and
+    /// the scatter on step-1 runs, stride-2 runs and the portable loop.
+    #[test]
+    fn windows_read_zeros_and_write_nothing_outside_their_planes() {
+        const GAP: usize = 7;
+        // (channels, plane, kernel, stride, padding, swapped)
+        let cases = [
+            (2, (8, 32), (3, 3), (1, 1), (1, 1), false),
+            (3, (16, 32), (4, 4), (2, 2), (1, 1), false),
+            (4, (8, 8), (4, 4), (2, 2), (1, 1), false),
+            (3, (16, 16), (4, 4), (2, 2), (1, 1), true),
+            (2, (6, 7), (3, 2), (1, 2), (2, 1), true),
+            (1, (3, 4), (2, 2), (1, 1), (1, 1), false),
+        ];
+        let _lock = pool::tests::THREAD_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let threads = pool::num_threads();
+        for (seed, &(c, (h, w), kernel, stride, pad, swapped)) in cases.iter().enumerate() {
+            let (off, shift) = windowed_tables(c, (h, w), kernel, stride, pad);
+            let (r, q) = (usize::from(swapped), usize::from(!swapped));
+            let yx = |s: usize| [&shift[s][0][..], &shift[s][1][..]];
+            let window = Window {
+                row: yx(r),
+                col: yx(q),
+                hw: (h, w),
+            };
+            let tables = Offsets::windowed(&off[r], &off[q], Some(&window));
+            let (k, n, m, entries) = (off[r].len(), off[q].len(), 5, 3);
+            let plane = c * h * w;
+            // Entry `e`'s planes start `GAP + e·(plane + GAP)` in: sentinels
+            // before, between and after them.
+            let stride = plane + GAP;
+            let mut src = vec![SENTINEL; GAP + entries * stride];
+            let values = fill(entries * plane, seed as u64);
+            for (e, v) in values.chunks_exact(plane).enumerate() {
+                src[GAP + e * stride..][..plane].copy_from_slice(v);
+            }
+            let exists = |i: usize, j: usize| {
+                let y = window.row[0][i] + window.col[0][j];
+                let x = window.row[1][i] + window.col[1][j];
+                (0..h as i32).contains(&y) && (0..w as i32).contains(&x)
+            };
+            let at = |i: usize, j: usize| (tables.row[i] + tables.col[j]) as usize;
+            let a = fill(entries * m * k, seed as u64 + 1);
+            let at_t = fill(entries * k * m, seed as u64 + 2);
+            let gy = fill(entries * m * n, seed as u64 + 3);
+            // The gather's oracle: `B` with the missing elements as `+0.0`.
+            let mut want_gather = vec![0.0f32; entries * m * n];
+            // The scatter's oracle: each `a^T gy` from zero, added where it exists.
+            let mut want_scatter = src.clone();
+            for e in 0..entries {
+                let mut dense = vec![0.0f32; k * n];
+                for (p, j) in (0..k).flat_map(|p| (0..n).map(move |j| (p, j))) {
+                    if exists(p, j) {
+                        dense[p * n + j] = src[GAP + e * stride + at(p, j)];
+                    }
+                }
+                let block = &mut want_gather[e * m * n..][..m * n];
+                reference::gemm_ref(block, &a[e * m * k..][..m * k], &dense, m, k, n);
+                let mut product = vec![0.0f32; k * n];
+                let (ae, ge) = (&at_t[e * k * m..][..k * m], &gy[e * m * n..][..m * n]);
+                reference::gemm_tn_ref(&mut product, ae, ge, k, m, n);
+                for (i, j) in (0..k).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                    if exists(i, j) {
+                        want_scatter[GAP + e * stride + at(i, j)] += product[i * n + j];
+                    }
+                }
+            }
+            for pool_threads in [1, 4] {
+                pool::set_num_threads(pool_threads);
+                for vector in instantiations() {
+                    let what = format!("case {seed} at {pool_threads} threads, vector={vector}");
+                    let mut got = vec![0.0f32; entries * m * n];
+                    let batch = [
+                        Axis {
+                            count: entries,
+                            a: m * k,
+                            b: stride,
+                            out: m * n,
+                        },
+                        Axis::ONE,
+                    ];
+                    let b = PackB::Gather(&src[GAP..], tables);
+                    gemm_batched_on(
+                        vector,
+                        Out::Add(&mut got),
+                        PackA::N(&a),
+                        b,
+                        (m, k, n),
+                        batch,
+                    );
+                    assert!(bits(&got) == bits(&want_gather), "gather of {what}");
+                    let mut dst = src.clone();
+                    let batch = [
+                        Axis {
+                            count: entries,
+                            a: k * m,
+                            b: m * n,
+                            out: stride,
+                        },
+                        Axis::ONE,
+                    ];
+                    let sink = Out::Scatter(&mut dst[GAP..], tables);
+                    let operands = (PackA::T(&at_t), PackB::N(&gy));
+                    gemm_batched_on(vector, sink, operands.0, operands.1, (k, m, n), batch);
+                    assert!(bits(&dst) == bits(&want_scatter), "scatter of {what}");
                 }
             }
         }

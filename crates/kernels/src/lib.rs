@@ -25,7 +25,8 @@
 //!   8×16 micro-kernel, small-shape loops) `Auto` takes wherever the CPU
 //!   has them; elsewhere the portable `f32::mul_add` twins run. FMA is
 //!   correctly rounded on both, which is why the choice is by platform and
-//!   never changes a bit. [`simd_available`] reports it.
+//!   never changes a bit. [`simd_available`] reports it. [`tanh`] is the
+//!   in-tree `tanh` (fdlibm's `tanhf`, eight lanes wide where AVX2 is).
 //! * [`tune`] — a one-function stub (`enabled() == false`) kept for the
 //!   benchmark's host record; nothing tunes. So are [`gemm::backend`]
 //!   (always `"auto"`) and [`gemm::auto_simd`].
@@ -52,9 +53,9 @@ pub mod reference;
 pub mod simd;
 pub mod tune;
 
-pub use gemm::{gemm, gemm_batched, gemm_nt, gemm_tn, Axis, Offsets, Out, PackA, PackB};
+pub use gemm::{gemm, gemm_batched, gemm_nt, gemm_tn, Axis, Offsets, Out, PackA, PackB, Window};
 pub use pool::{
     for_each_chunk_mut, num_threads, parallel_for, parallel_for_work, pool_dispatches,
     set_num_threads, UnsafeSlice,
 };
-pub use simd::simd_available;
+pub use simd::{simd_available, tanh};

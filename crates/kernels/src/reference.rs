@@ -65,6 +65,81 @@ pub fn gemm_tn_ref(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n:
     }
 }
 
+/// `tanh` as fdlibm's `tanhf` computes it through its `expm1f` — the code
+/// glibc's `tanhf` runs — in plain `f32` `+ − × ÷` and integer ops, never
+/// `mul_add`, so its bits are the same on every platform: the oracle of the
+/// vector twin [`crate::simd::tanh`] runs on AVX2, and its portable path.
+pub fn tanhf(x: f32) -> f32 {
+    let ix = x.to_bits() & 0x7fff_ffff;
+    let z = match ix {
+        // A NaN comes back quieted (`x + x`, as `1/x ± 1` does), ±inf as ±1.
+        0x7f80_0001.. => return x + x,
+        0x7f80_0000 => 1.0,
+        // |x| < 2^-55, ±0 included.
+        ..0x2400_0000 => return x * (1.0 + x),
+        // |x| >= 22: fdlibm's `1 - 1e-30`, which rounds to 1.
+        0x41b0_0000.. => 1.0,
+        0x3f80_0000.. => 1.0 - 2.0 / (expm1f(2.0 * x.abs()) + 2.0),
+        _ => {
+            let t = expm1f(-2.0 * x.abs());
+            -t / (t + 2.0)
+        }
+    };
+    // `-z` for a negative `x`.
+    f32::from_bits(z.to_bits() ^ (x.to_bits() & 0x8000_0000))
+}
+
+/// fdlibm's `expm1f` constants: `ln2` in two parts, `1/ln2`, `Q1`..`Q5`.
+#[rustfmt::skip]
+pub(crate) const EXPM1F: [u32; 8] = [
+    0x3f31_7180, 0x3717_f7d1, 0x3fb8_aa3b, 0xbd08_8889, 0x3ad0_0d01, 0xb8a6_70cd, 0x3686_7e54, 0xb457_edbb,
+];
+
+/// fdlibm's `expm1f` on the arguments [`tanhf`] passes it, `2|x|` in
+/// `[2, 44)` and `-2|x|` in `(-2, -2^-54]`, which reach none of its
+/// overflow and non-finite filters and not its `k == 1` branch.
+fn expm1f(x: f32) -> f32 {
+    let [ln2_hi, ln2_lo, invln2, q1, q2, q3, q4, q5] = EXPM1F.map(f32::from_bits);
+    let hx = x.to_bits() & 0x7fff_ffff;
+    // x = k·ln2 + r, r = hi - lo carried as `x` with its rounding error `c`.
+    let (k, x, c) = if hx < 0x3300_0000 {
+        return x; // |x| < 2^-25
+    } else if hx <= 0x3eb1_7218 {
+        (0, x, 0.0)
+    } else {
+        let (k, hi, lo) = if hx < 0x3f85_1592 {
+            debug_assert!(x < 0.0, "expm1f's k == 1 branch is not ported");
+            (-1, x + ln2_hi, -ln2_lo)
+        } else {
+            let k = (invln2 * x + if x < 0.0 { -0.5 } else { 0.5 }) as i32;
+            let t = k as f32;
+            (k, x - t * ln2_hi, t * ln2_lo)
+        };
+        let r = hi - lo;
+        (k, r, (hi - r) - lo)
+    };
+    let hfx = 0.5 * x;
+    let hxs = x * hfx;
+    let r1 = 1.0 + hxs * (q1 + hxs * (q2 + hxs * (q3 + hxs * (q4 + hxs * q5))));
+    let t = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - t) / (6.0 - x * t));
+    if k == 0 {
+        return x - (x * e - hxs);
+    }
+    let e = x * (e - c) - c - hxs;
+    // `y·2^k`, by adding `k` to the exponent field.
+    let scale = |y: f32| f32::from_bits(y.to_bits().wrapping_add((k << 23) as u32));
+    if k == -1 {
+        0.5 * (x - e) - 0.5
+    } else if k <= -2 || k > 56 {
+        scale(1.0 - (e - x)) - 1.0
+    } else if k < 23 {
+        scale(f32::from_bits(0x3f80_0000 - (0x100_0000 >> k)) - (e - x))
+    } else {
+        scale(x - (e + f32::from_bits(((0x7f - k) << 23) as u32)) + 1.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,7 +21,9 @@
 //! * `pack_transposed`, `gather_panels` / `scatter_strip` — a transposed `B`
 //!   packed as 8×8 register transposes, and a convolution's offset-table
 //!   gather and scatter, eight lanes at a time along the column table's
-//!   arithmetic runs: the portable loops' bits and adds, in their order.
+//!   arithmetic runs: the portable loops' bits and adds, in their order;
+//! * [`tanh`] — every branch of fdlibm's `tanhf` eight lanes wide, bit for
+//!   bit [`crate::reference::tanhf`], the port the portable path runs.
 //!
 //! The single-tile kernel is load-port-bound: each contraction step issues
 //! nine load μops (one B vector + eight A broadcasts) against eight FMAs.
@@ -330,7 +332,10 @@ pub(crate) unsafe fn gather_panels(src: &[f32], off: Offsets<'_>, bpack: &mut [f
         let out = bpack.as_mut_ptr().add(j0 * k + lo - j0);
         if quads {
             for p in 0..k {
-                let (a, b) = (at.add(off.row[p] + col[0]), at.add(off.row[p] + col[4]));
+                let (a, b) = (
+                    at.offset(off.row[p] + col[0]),
+                    at.offset(off.row[p] + col[4]),
+                );
                 let v = _mm256_set_m128(_mm_loadu_ps(b), _mm_loadu_ps(a));
                 _mm256_storeu_ps(out.add(p * w), v);
             }
@@ -346,14 +351,21 @@ pub(crate) unsafe fn gather_panels(src: &[f32], off: Offsets<'_>, bpack: &mut [f
         let evens = step == 2 && end >= lo + NR;
         for p in 0..k {
             // One stride-2 run: its even lanes, if all 2·NR lie in `src`.
-            let v = match src.get(off.row[p] + col[0]..off.row[p] + col[0] + 2 * NR) {
+            let first = off.row[p] + col[0];
+            let span = match first >= 0 {
+                true => src.get(first as usize..first as usize + 2 * NR),
+                false => None,
+            };
+            let v = match span {
                 Some(span) if evens => {
                     let (a, b) = (span.as_ptr(), span[NR..].as_ptr());
                     let (a, b) = (_mm256_loadu_ps(a), _mm256_loadu_ps(b));
                     let pairs = _mm256_castps_pd(_mm256_shuffle_ps::<0b10_00_10_00>(a, b));
                     _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(pairs))
                 }
-                _ => _mm256_mask_i32gather_ps::<4>(zero, at.add(off.row[p]), idx, valid),
+                _ => {
+                    _mm256_mask_i32gather_ps::<4>(zero, at.wrapping_offset(off.row[p]), idx, valid)
+                }
             };
             _mm256_storeu_ps(out.add(p * w), v);
         }
@@ -377,10 +389,10 @@ pub(crate) unsafe fn scatter_strip(dst: &mut [f32], off: Offsets<'_>, i0: usize,
     let spread = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
     let n = off.col.len();
     for i in 0..rows.len() / n {
-        let d = dst.as_mut_ptr().add(off.row[i0 + i]);
+        let d = dst.as_mut_ptr().wrapping_offset(off.row[i0 + i]);
         let v = rows[i * n..].as_ptr();
         for &Run { at, len, step } in off.runs.unwrap_or_default() {
-            let (mut t, to) = (0, d.add(off.col[at]));
+            let (mut t, to) = (0, d.wrapping_offset(off.col[at]));
             while step == 1 && t + NR <= len {
                 let sum = _mm256_add_ps(_mm256_loadu_ps(to.add(t)), _mm256_loadu_ps(v.add(at + t)));
                 _mm256_storeu_ps(to.add(t), sum);
@@ -394,9 +406,110 @@ pub(crate) unsafe fn scatter_strip(dst: &mut [f32], off: Offsets<'_>, i0: usize,
                 t += 4;
             }
             for j in at + t..at + len {
-                *d.add(off.col[j]) += *v.add(j);
+                *d.wrapping_offset(off.col[j]) += *v.add(j);
             }
         }
+    }
+}
+
+/// `out[i] = tanh(x[i])`, bit for bit [`crate::reference::tanhf`]: eight
+/// lanes at a time where the CPU has AVX2, the port itself elsewhere.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn tanh(out: &mut [f32], x: &[f32]) {
+    assert_eq!(out.len(), x.len(), "tanh: output and input lengths differ");
+    #[cfg(target_arch = "x86_64")]
+    if detected() {
+        // SAFETY: AVX2+FMA are present, and the lengths are equal.
+        return unsafe { tanh_avx2(out, x) };
+    }
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = crate::reference::tanhf(v);
+    }
+}
+
+/// AVX2 twin of `reference::tanhf`: every branch of it and of the `expm1f`
+/// under it computed for all eight lanes with the same IEEE ops, then
+/// selected per lane. One division serves `|x| >= 1` (`1 - 2/(t + 2)`) and
+/// `|x| < 1` (`-t/(t + 2)`); a NaN lane takes `x + x`. The tail runs the port.
+///
+/// # Safety
+///
+/// The CPU must have AVX2+FMA, and `out` must be as long as `x`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn tanh_avx2(out: &mut [f32], x: &[f32]) {
+    use std::arch::x86_64::*;
+    let [ln2_hi, ln2_lo, invln2, q1, q2, q3, q4, q5] =
+        crate::reference::EXPM1F.map(|c| _mm256_set1_ps(f32::from_bits(c)));
+    let (f, i, sign) = (_mm256_set1_ps, _mm256_set1_epi32, _mm256_set1_ps(-0.0));
+    let (add, sub) = (|a, b| _mm256_add_ps(a, b), |a, b| _mm256_sub_ps(a, b));
+    let (mul, bits) = (|a, b| _mm256_mul_ps(a, b), |a| _mm256_castps_si256(a));
+    let sel = |m, yes, no| _mm256_blendv_ps(no, yes, _mm256_castsi256_ps(m));
+    // Lanes whose integer `a` is above, or below, `b`.
+    let above = |a, b| _mm256_cmpgt_epi32(a, i(b));
+    let below = |a, b| _mm256_cmpgt_epi32(i(b), a);
+    let whole = x.len() / 8 * 8;
+    for at in (0..whole).step_by(8) {
+        let v = _mm256_loadu_ps(x.as_ptr().add(at));
+        let (ax, xs) = (_mm256_andnot_ps(sign, v), _mm256_and_ps(sign, v));
+        let (ix, ge1) = (bits(ax), above(bits(ax), 0x3f7f_ffff));
+        // expm1's argument `y`, reduced to `k·ln2 + r` with `r`'s error `c`.
+        let y = mul(sel(ge1, f(2.0), f(-2.0)), ax);
+        let hy = bits(_mm256_andnot_ps(sign, y));
+        let kg = _mm256_cvttps_epi32(add(
+            mul(invln2, y),
+            _mm256_or_ps(f(0.5), _mm256_and_ps(sign, y)),
+        ));
+        let (tg, near) = (_mm256_cvtepi32_ps(kg), below(hy, 0x3f85_1592));
+        let hi = sel(near, add(y, ln2_hi), sub(y, mul(tg, ln2_hi)));
+        let lo = sel(near, _mm256_xor_ps(sign, ln2_lo), mul(tg, ln2_lo));
+        let (r, reduced) = (sub(hi, lo), above(hy, 0x3eb1_7218));
+        let c = _mm256_and_ps(_mm256_castsi256_ps(reduced), sub(sub(hi, r), lo));
+        let r = sel(reduced, r, y);
+        let k = _mm256_and_si256(reduced, _mm256_blendv_epi8(kg, i(-1), near));
+        let (hfx, hxs) = (mul(f(0.5), r), mul(r, mul(f(0.5), r)));
+        let mut p = mul(hxs, q5);
+        for q in [q4, q3, q2, q1] {
+            p = mul(hxs, add(q, p));
+        }
+        let r1 = add(f(1.0), p);
+        let t = sub(f(3.0), mul(r1, hfx));
+        let e = mul(hxs, _mm256_div_ps(sub(r1, t), sub(f(6.0), mul(r, t))));
+        let at_k0 = sub(r, sub(mul(r, e), hxs));
+        let e = sub(sub(mul(r, sub(e, c)), c), hxs);
+        let at_m1 = sub(mul(f(0.5), sub(r, e)), f(0.5));
+        // `y·2^k`, by adding `k` to the exponent field.
+        let scale = |y| _mm256_castsi256_ps(_mm256_add_epi32(bits(y), _mm256_slli_epi32::<23>(k)));
+        let e_x = sub(e, r);
+        let wide = sub(scale(sub(f(1.0), e_x)), f(1.0));
+        let t_lt = _mm256_sub_epi32(i(0x3f80_0000), _mm256_srlv_epi32(i(0x100_0000), k));
+        let lt23 = scale(sub(_mm256_castsi256_ps(t_lt), e_x));
+        let t_ge = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_sub_epi32(i(0x7f), k)));
+        let ge23 = scale(add(sub(r, add(e, t_ge)), f(1.0)));
+        let em = sel(below(k, 23), lt23, ge23);
+        let em = sel(_mm256_or_si256(below(k, -1), above(k, 56)), wide, em);
+        let em = sel(_mm256_cmpeq_epi32(k, i(-1)), at_m1, em);
+        let em = sel(_mm256_cmpeq_epi32(k, i(0)), at_k0, em);
+        let t = sel(below(hy, 0x3300_0000), y, em);
+        // tanh from `t = expm1(y)`, its sign, then the special inputs.
+        let q = _mm256_div_ps(sel(ge1, f(2.0), _mm256_xor_ps(sign, t)), add(t, f(2.0)));
+        let z = sel(above(ix, 0x41af_ffff), f(1.0), sel(ge1, sub(f(1.0), q), q));
+        let z = sel(
+            below(ix, 0x2400_0000),
+            mul(v, add(f(1.0), v)),
+            _mm256_xor_ps(z, xs),
+        );
+        let special = sel(above(ix, 0x7f80_0000), add(v, v), _mm256_or_ps(f(1.0), xs));
+        _mm256_storeu_ps(
+            out.as_mut_ptr().add(at),
+            sel(above(ix, 0x7f7f_ffff), special, z),
+        );
+    }
+    for (o, &v) in out[whole..].iter_mut().zip(&x[whole..]) {
+        *o = crate::reference::tanhf(v);
     }
 }
 

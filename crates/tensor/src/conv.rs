@@ -12,27 +12,25 @@
 //! samples reducing into each group's block in ascending order. How the
 //! batch splits across threads is the kernel layer's one shape-only rule.
 //!
-//! On a padded image im2col is *separable*: `cols[(ci,u,v), (oy,ox)] =
-//! img[koff[(ci,u,v)] + soff[(oy,ox)]]` with `koff = (ci*hp + u)*wp + v` and
-//! `soff = oy*sh*wp + ox*sw`. Each op builds the two tables once per call:
-//! the forward pass and the weight gradient *gather* their GEMM operand
-//! through them as it is packed ([`PackB::Gather`]; the weight gradient
-//! wants `cols^T`, the same tables swapped), the input gradient — hence the
-//! transposed convolution's forward — *scatter-adds* `w^T @ gy` through them
-//! ([`Out::Scatter`]). That sink adds one finished row strip at a time in
-//! ascending `(ci,u,v)`, `col2im`'s order for each pixel's taps — with AVX2,
-//! eight lanes at a time along the tables' runs (`wo` pixels `sw` apart, `kw`
-//! taps) — so every op is bit-identical to pad → im2col → GEMM → col2im.
+//! im2col is *separable*: `cols[(ci,u,v), (oy,ox)] = x[koff + soff]` with
+//! `koff = ci*h*w + (u-ph)*w + (v-pw)` and `soff = oy*sh*w + ox*sw` on the
+//! unpadded block, where the [`Window`] of shifts `(u-ph, v-pw) + (oy*sh,
+//! ox*sw)` lies in `[0, h) x [0, w)`: padding reads `+0.0`, writes nowhere.
+//! The forward pass and the weight gradient *gather* their operand through
+//! the tables ([`PackB::Gather`]; `cols^T` swaps them), the input gradient —
+//! hence the transposed convolution's forward — *scatter-adds* `w^T @ gy`
+//! into the zeroed gradient ([`Out::Scatter`]) one row strip at a time in
+//! ascending `(ci,u,v)`, `col2im`'s order for each pixel's taps. Every op is
+//! bit-identical to pad → im2col → GEMM → col2im → unpad, with no padded
+//! tensor.
 //!
 //! A 1x1, stride-1, unpadded convolution's tables are the identity: its image
 //! block *is* the operand and is read densely. Its input gradient still
 //! scatters — adding into the zeroed image is what turns a `-0.0` product
 //! into `+0.0`.
 
-use std::borrow::Cow;
-
 use crate::tensor::Tensor;
-use hfta_kernels::{self as kernels, Axis, Offsets, Out, PackA, PackB};
+use hfta_kernels::{self as kernels, Axis, Offsets, Out, PackA, PackB, Window};
 
 /// Configuration for 2-D (de)convolutions: `(height, width)` stride and
 /// zero-padding, plus channel groups.
@@ -114,25 +112,62 @@ impl Default for ConvCfg {
     }
 }
 
-/// The separable `(koff, soff)` tables of one padded `[c, hp, wp]` image block.
-fn im2col_tables(
-    c: usize,
-    (hp, wp): (usize, usize),
-    (kh, kw): (usize, usize),
-    (sh, sw): (usize, usize),
-    (ho, wo): (usize, usize),
-) -> (Vec<usize>, Vec<usize>) {
-    let koff = (0..c * kh * kw).map(|r| (r / (kh * kw) * hp + r / kw % kh) * wp + r % kw);
-    let soff = (0..ho * wo).map(|s| s / wo * sh * wp + s % wo * sw);
-    (koff.collect(), soff.collect())
+/// The im2col tables of one `[c, h, w]` block, taps then pixels: offsets
+/// and, under padding, `[y, x]` shifts.
+struct Tables {
+    off: [Vec<isize>; 2],
+    shift: [[Vec<i32>; 2]; 2],
+    hw: (usize, usize),
 }
 
-/// `x` zero-padded by `cfg.padding`; borrowed as it is when there is none.
-fn padded<'a>(x: &'a Tensor, cfg: &ConvCfg) -> Cow<'a, Tensor> {
-    match cfg.padding {
-        (0, 0) => Cow::Borrowed(x),
-        (ph, pw) => Cow::Owned(x.pad2d(ph, pw)),
+impl Tables {
+    fn new(c: usize, (h, w): (usize, usize), (kh, kw): (usize, usize), cfg: &ConvCfg) -> Self {
+        let ((ph, pw), (sh, sw), hw) = (cfg.padding, cfg.stride, (h, w));
+        let (ho, wo) = cfg.out_hw(hw, (kh, kw));
+        let (lens, padded) = ([c * kh * kw, ho * wo], (ph, pw) != (0, 0));
+        let off = lens.map(Vec::with_capacity);
+        let shift = lens.map(|n| [n * usize::from(padded); 2].map(Vec::with_capacity));
+        let mut t = Tables { off, shift, hw };
+        let mut push = |side: usize, base: usize, y: isize, x: isize| {
+            t.off[side].push(base as isize + y * w as isize + x);
+            if padded {
+                t.shift[side][0].push(y as i32);
+                t.shift[side][1].push(x as i32);
+            }
+        };
+        let (ph, pw) = (ph as isize, pw as isize);
+        for ci in 0..c {
+            for u in 0..kh as isize {
+                for v in 0..kw as isize {
+                    push(0, ci * h * w, u - ph, v - pw);
+                }
+            }
+        }
+        for oy in 0..ho {
+            for ox in 0..wo {
+                push(1, 0, (oy * sh) as isize, (ox * sw) as isize);
+            }
+        }
+        t
     }
+
+    /// The padding window of the `[taps, pixels]` matrix, or (`swap`) of
+    /// its transpose; then its tables through it.
+    fn window(&self, swap: bool) -> Option<Window<'_>> {
+        let yx = |s: usize| [&self.shift[s][0][..], &self.shift[s][1][..]];
+        let (row, col, hw) = (yx(usize::from(swap)), yx(usize::from(!swap)), self.hw);
+        (!row[0].is_empty()).then_some(Window { row, col, hw })
+    }
+
+    fn offsets<'a>(&'a self, swap: bool, window: &'a Option<Window<'a>>) -> Offsets<'a> {
+        let (r, c) = (usize::from(swap), usize::from(!swap));
+        Offsets::windowed(&self.off[r], &self.off[c], window.as_ref())
+    }
+}
+
+/// One batch axis: `count` entries, `a`, `b` and `out` elements apart.
+fn axis(count: usize, a: usize, b: usize, out: usize) -> Axis {
+    Axis { count, a, b, out }
 }
 
 /// Whether the im2col tables are the identity: the image block is its own column matrix.
@@ -191,14 +226,12 @@ pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tenso
     let g = cfg.groups;
     let (cing, coutg) = (cin / g, cout / g);
     let (ho, wo) = cfg.out_hw((h, wdt), (kh, kw));
-    let (krows, spatial) = (cing * kh * kw, ho * wo);
-    let xp = padded(x, &cfg);
-    let (hp, wp) = (xp.dim(2), xp.dim(3));
-    let tables = (!pointwise((kh, kw), &cfg))
-        .then(|| im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo)));
+    let (krows, spatial, plane) = (cing * kh * kw, ho * wo, h * wdt);
+    let tables = (!pointwise((kh, kw), &cfg)).then(|| Tables::new(cing, (h, wdt), (kh, kw), &cfg));
+    let window = tables.as_ref().and_then(|t| t.window(false));
     let image = match &tables {
-        Some((koff, soff)) => PackB::Gather(xp.as_slice(), Offsets::new(koff, soff)),
-        None => PackB::N(xp.as_slice()),
+        Some(tables) => PackB::Gather(x.as_slice(), tables.offsets(false, &window)),
+        None => PackB::N(x.as_slice()),
     };
     let mut out = Tensor::zeros([n, cout, ho, wo]);
     // Each output row starts from its channel's bias and the GEMM adds on
@@ -211,20 +244,10 @@ pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tenso
             row.fill(bv);
         }
     }
-    // out[ni, gi] += w[gi] @ cols(xp[ni, gi]) : [coutg, spatial]
+    // out[ni, gi] += w[gi] @ cols(x[ni, gi]) : [coutg, spatial]
     let batch = [
-        Axis {
-            count: n,
-            a: 0,
-            b: cin * hp * wp,
-            out: cout * spatial,
-        },
-        Axis {
-            count: g,
-            a: coutg * krows,
-            b: cing * hp * wp,
-            out: coutg * spatial,
-        },
+        axis(n, 0, cin * plane, cout * spatial),
+        axis(g, coutg * krows, cing * plane, coutg * spatial),
     ];
     let (blocks, weights) = (Out::Add(out.as_mut_slice()), PackA::N(w.as_slice()));
     kernels::gemm_batched(blocks, weights, image, (coutg, krows, spatial), batch);
@@ -255,33 +278,19 @@ pub fn conv2d_grad_input(
     let (cing, coutg) = (cin / g, cout / g);
     assert_eq!(w.dim(0), cout, "weight Cout mismatch");
     assert_eq!(w.dim(1), cing, "weight Cin/g mismatch");
-    let (ph, pw) = cfg.padding;
-    let (hp, wp) = (input_hw.0 + 2 * ph, input_hw.1 + 2 * pw);
-    let (krows, spatial) = (cing * kh * kw, ho * wo);
-    let (koff, soff) = im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo));
-    let mut gx_pad = Tensor::zeros([n, cin, hp, wp]);
-    // gx_pad[ni, gi][cols] += w[gi]^T @ gy[ni, gi] : [krows, spatial]
+    let (krows, spatial, plane) = (cing * kh * kw, ho * wo, input_hw.0 * input_hw.1);
+    let tables = Tables::new(cing, input_hw, (kh, kw), &cfg);
+    let mut gx = Tensor::zeros([n, cin, input_hw.0, input_hw.1]);
+    // gx[ni, gi][cols] += w[gi]^T @ gy[ni, gi] : [krows, spatial]
     let batch = [
-        Axis {
-            count: n,
-            a: 0,
-            b: cout * spatial,
-            out: cin * hp * wp,
-        },
-        Axis {
-            count: g,
-            a: coutg * krows,
-            b: coutg * spatial,
-            out: cing * hp * wp,
-        },
+        axis(n, 0, cout * spatial, cin * plane),
+        axis(g, coutg * krows, coutg * spatial, cing * plane),
     ];
-    let sink = Out::Scatter(gx_pad.as_mut_slice(), Offsets::new(&koff, &soff));
+    let window = tables.window(false);
+    let sink = Out::Scatter(gx.as_mut_slice(), tables.offsets(false, &window));
     let (weights, grads) = (PackA::T(w.as_slice()), PackB::N(gy.as_slice()));
     kernels::gemm_batched(sink, weights, grads, (krows, coutg, spatial), batch);
-    match (ph, pw) {
-        (0, 0) => gx_pad,
-        _ => gx_pad.unpad2d(ph, pw),
-    }
+    gx
 }
 
 /// Gradient of [`conv2d`] with respect to its weight.
@@ -303,32 +312,20 @@ pub fn conv2d_grad_weight(
     check_groups(cin, cout, g);
     check_out_hw(&cfg, (h, wdt), (kh, kw), (ho, wo));
     let (cing, coutg) = (cin / g, cout / g);
-    let (krows, spatial) = (cing * kh * kw, ho * wo);
-    let xp = padded(x, &cfg);
-    let (hp, wp) = (xp.dim(2), xp.dim(3));
-    let tables = (!pointwise((kh, kw), &cfg))
-        .then(|| im2col_tables(cing, (hp, wp), (kh, kw), cfg.stride, (ho, wo)));
+    let (krows, spatial, plane) = (cing * kh * kw, ho * wo, h * wdt);
+    let tables = (!pointwise((kh, kw), &cfg)).then(|| Tables::new(cing, (h, wdt), (kh, kw), &cfg));
+    let window = tables.as_ref().and_then(|t| t.window(true));
     let image_t = match &tables {
-        Some((koff, soff)) => PackB::Gather(xp.as_slice(), Offsets::new(soff, koff)),
-        None => PackB::T(xp.as_slice()),
+        Some(tables) => PackB::Gather(x.as_slice(), tables.offsets(true, &window)),
+        None => PackB::T(x.as_slice()),
     };
     let mut gw = Tensor::zeros([cout, cing, kh, kw]);
-    // gw[gi] += gy[ni, gi] @ cols(xp[ni, gi])^T : [coutg, krows]. The weight
+    // gw[gi] += gy[ni, gi] @ cols(x[ni, gi])^T : [coutg, krows]. The weight
     // gradient REDUCES over the batch: the sample axis writes no new block,
     // so each group's samples add into it in ascending order.
     let batch = [
-        Axis {
-            count: g,
-            a: coutg * spatial,
-            b: cing * hp * wp,
-            out: coutg * krows,
-        },
-        Axis {
-            count: n,
-            a: cout * spatial,
-            b: cin * hp * wp,
-            out: 0,
-        },
+        axis(g, coutg * spatial, cing * plane, coutg * krows),
+        axis(n, cout * spatial, cin * plane, 0),
     ];
     let (blocks, grads) = (Out::Add(gw.as_mut_slice()), PackA::N(gy.as_slice()));
     kernels::gemm_batched(blocks, grads, image_t, (coutg, spatial, krows), batch);
@@ -480,6 +477,50 @@ mod tests {
     use super::*;
     use hfta_kernels::reference;
     use proptest::prelude::*;
+
+    /// The zero-padding copies the ops made before padding became a window,
+    /// kept for the oracles.
+    trait Pad2d {
+        fn pad2d(&self, pad_h: usize, pad_w: usize) -> Tensor;
+        fn unpad2d(&self, pad_h: usize, pad_w: usize) -> Tensor;
+    }
+
+    impl Pad2d for Tensor {
+        /// Zero-pads the last two axes by `(pad_h, pad_w)` on each side.
+        fn pad2d(&self, pad_h: usize, pad_w: usize) -> Tensor {
+            let rank = self.rank();
+            let (h, w) = (self.dim(rank - 2), self.dim(rank - 1));
+            let (nh, nw) = (h + 2 * pad_h, w + 2 * pad_w);
+            let mut dims = self.dims().to_vec();
+            dims[rank - 2..].copy_from_slice(&[nh, nw]);
+            let mut out = Tensor::zeros(dims);
+            let planes = out.as_mut_slice().chunks_exact_mut(nh * nw);
+            for (to, from) in planes.zip(self.as_slice().chunks_exact(h * w)) {
+                for (y, row) in from.chunks_exact(w).enumerate() {
+                    to[(y + pad_h) * nw + pad_w..][..w].copy_from_slice(row);
+                }
+            }
+            out
+        }
+
+        /// Removes `(pad_h, pad_w)` from each side of the last two axes.
+        fn unpad2d(&self, pad_h: usize, pad_w: usize) -> Tensor {
+            let rank = self.rank();
+            let (h, w) = (self.dim(rank - 2), self.dim(rank - 1));
+            self.narrow(rank - 2, pad_h, h - 2 * pad_h)
+                .narrow(rank - 1, pad_w, w - 2 * pad_w)
+        }
+    }
+
+    #[test]
+    fn pad_unpad_round_trip() {
+        let t = Tensor::arange(4).reshape(&[1, 1, 2, 2]);
+        let p = t.pad2d(1, 2);
+        assert_eq!(p.dims(), &[1, 1, 4, 6]);
+        assert_eq!(p.at(&[0, 0, 0, 0]), 0.0);
+        assert_eq!(p.at(&[0, 0, 1, 2]), t.at(&[0, 0, 0, 0]));
+        assert_eq!(p.unpad2d(1, 2), t);
+    }
 
     /// Lowers one padded image `[c, hp, wp]` into `cols` (`[c*kh*kw, ho*wo]`,
     /// fully overwritten), so callers can hand in recycled scratch.

@@ -174,9 +174,16 @@ impl Tensor {
         self.map(|v| v.powf(e))
     }
 
-    /// Elementwise hyperbolic tangent.
+    /// Elementwise hyperbolic tangent: [`hfta_kernels::tanh`], the in-tree
+    /// port of fdlibm's `tanhf`, so its bits do not depend on the host libm.
     pub fn tanh(&self) -> Tensor {
-        self.map(f32::tanh)
+        let src = self.as_slice();
+        let mut out = Tensor::unfilled(self.shape().clone());
+        let grain = crate::tensor::ELEMWISE_GRAIN;
+        hfta_kernels::for_each_chunk_mut(out.as_mut_slice(), grain, |start, chunk| {
+            hfta_kernels::tanh(chunk, &src[start..start + chunk.len()])
+        });
+        out
     }
 
     /// Elementwise logistic sigmoid.

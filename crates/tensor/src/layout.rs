@@ -290,56 +290,6 @@ impl Tensor {
         let copies: Vec<&Tensor> = std::iter::repeat_n(self, repeats).collect();
         Tensor::concat(&copies, axis)
     }
-
-    /// Zero-pads the last two axes by `(pad_h, pad_w)` on each side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor has rank < 2.
-    pub fn pad2d(&self, pad_h: usize, pad_w: usize) -> Tensor {
-        assert!(self.rank() >= 2, "pad2d requires rank >= 2");
-        if pad_h == 0 && pad_w == 0 {
-            return self.clone();
-        }
-        let rank = self.rank();
-        let h = self.dim(rank - 2);
-        let w = self.dim(rank - 1);
-        let outer: usize = self.dims()[..rank - 2].iter().product();
-        let nh = h + 2 * pad_h;
-        let nw = w + 2 * pad_w;
-        let src = self.as_slice();
-        let mut dims = self.dims().to_vec();
-        dims[rank - 2] = nh;
-        dims[rank - 1] = nw;
-        let mut out_t = Tensor::zeros(dims);
-        let out = out_t.as_mut_slice();
-        for o in 0..outer {
-            for y in 0..h {
-                let src_base = (o * h + y) * w;
-                let dst_base = (o * nh + y + pad_h) * nw + pad_w;
-                out[dst_base..dst_base + w].copy_from_slice(&src[src_base..src_base + w]);
-            }
-        }
-        out_t
-    }
-
-    /// Removes `(pad_h, pad_w)` from each side of the last two axes —
-    /// the adjoint of [`Tensor::pad2d`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the padding exceeds the axis sizes.
-    pub fn unpad2d(&self, pad_h: usize, pad_w: usize) -> Tensor {
-        if pad_h == 0 && pad_w == 0 {
-            return self.clone();
-        }
-        let rank = self.rank();
-        let h = self.dim(rank - 2);
-        let w = self.dim(rank - 1);
-        assert!(h > 2 * pad_h && w > 2 * pad_w, "unpad2d exceeds dims");
-        self.narrow(rank - 2, pad_h, h - 2 * pad_h)
-            .narrow(rank - 1, pad_w, w - 2 * pad_w)
-    }
 }
 
 #[cfg(test)]
@@ -449,15 +399,5 @@ mod tests {
             vec![1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
         );
         assert_eq!(t.tile(3, 0).to_vec(), vec![1.0, 2.0, 1.0, 2.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn pad_unpad_round_trip() {
-        let t = Tensor::arange(4).reshape(&[1, 1, 2, 2]);
-        let p = t.pad2d(1, 2);
-        assert_eq!(p.dims(), &[1, 1, 4, 6]);
-        assert_eq!(p.at(&[0, 0, 0, 0]), 0.0);
-        assert_eq!(p.at(&[0, 0, 1, 2]), t.at(&[0, 0, 0, 0]));
-        assert_eq!(p.unpad2d(1, 2), t);
     }
 }
