@@ -101,21 +101,30 @@ pub fn per_model_param_sq_norms(params: &[FusedParameter]) -> Vec<f32> {
 /// logits `[B, N, C]` and model-major targets `[B * N]` — the per-model
 /// loss the fused §3.2-scaled loss hides.
 ///
+/// Reads the logits' value off the tape and records nothing on it: one
+/// row-wise `log_softmax` over the whole array, then each lane's negative
+/// log-likelihood summed over its rows in order and divided by `N` — per
+/// row and per lane the operations `cross_entropy` performs on that lane
+/// alone, so the bits are the same.
+///
 /// # Panics
 ///
-/// Panics on layout mismatches.
+/// Panics on layout mismatches or a target class out of range.
 pub fn per_model_ce_losses(logits: &Var, targets: &[usize]) -> Vec<f32> {
     let dims = logits.dims();
     assert_eq!(dims.len(), 3, "fused logits must be [B, N, C]");
     let (b, n, c) = (dims[0], dims[1], dims[2]);
     assert_eq!(targets.len(), b * n, "targets must be model-major [B * N]");
+    let log_probs = logits.with_value(|x| x.log_softmax(2));
+    let lp = log_probs.as_slice();
     (0..b)
         .map(|i| {
-            logits
-                .narrow(0, i, 1)
-                .reshape(&[n, c])
-                .cross_entropy(&targets[i * n..(i + 1) * n])
-                .item()
+            let mut total = 0.0f32;
+            for (row, &t) in (i * n..).zip(&targets[i * n..(i + 1) * n]) {
+                assert!(t < c, "target class {t} out of range (C = {c})");
+                total -= lp[row * c + t];
+            }
+            total / n as f32
         })
         .collect()
 }
@@ -472,7 +481,13 @@ mod tests {
         let targets: Vec<usize> = (0..b * n).map(|_| rng.below(c)).collect();
         let tape = Tape::new();
         let lv = tape.leaf(logits.clone());
+        let nodes = tape.len();
         let losses = per_model_ce_losses(&lv, &targets);
+        assert_eq!(
+            tape.len(),
+            nodes,
+            "the per-lane losses recorded on the tape"
+        );
         assert_eq!(losses.len(), b);
         for (i, &l) in losses.iter().enumerate() {
             let tape = Tape::new();

@@ -26,7 +26,9 @@
 //!   has them; elsewhere the portable `f32::mul_add` twins run. FMA is
 //!   correctly rounded on both, which is why the choice is by platform and
 //!   never changes a bit. [`simd_available`] reports it. [`tanh`] is the
-//!   in-tree `tanh` (fdlibm's `tanhf`, eight lanes wide where AVX2 is).
+//!   in-tree `tanh` (fdlibm's `tanhf`, eight lanes wide where AVX2 is), and
+//!   [`chacha8_blocks`] the ChaCha8 keystream (eight blocks at once where
+//!   AVX2 is) under `hfta-tensor`'s `Rng`.
 //! * [`tune`] — a one-function stub (`enabled() == false`) kept for the
 //!   benchmark's host record; nothing tunes. So are [`gemm::backend`]
 //!   (always `"auto"`) and [`gemm::auto_simd`].
@@ -58,4 +60,4 @@ pub use pool::{
     for_each_chunk_mut, num_threads, parallel_for, parallel_for_work, pool_dispatches,
     set_num_threads, UnsafeSlice,
 };
-pub use simd::{simd_available, tanh};
+pub use simd::{chacha8_blocks, simd_available, tanh};

@@ -13,6 +13,9 @@
 //! same bodies with AVX2/FMA enabled for the small-shape production path;
 //! called directly (the small-shape path without AVX2/FMA, the tests) they
 //! compile for the portable baseline.
+//!
+//! The scalar oracles of the other vector twins in [`crate::simd`] live here
+//! too: [`tanhf`] and the ChaCha8 block, [`chacha8_block`].
 
 /// `out[m,n] += a[m,k] @ b[k,n]`, all row-major.
 #[inline(always)]
@@ -140,6 +143,39 @@ fn expm1f(x: f32) -> f32 {
     }
 }
 
+/// ChaCha's "expand 32-byte k" words, the first four of every input block.
+pub const CHACHA_CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+/// One ChaCha8 keystream block of `state` (the four constants, eight key
+/// words, the 64-bit block counter in words 12-13 low word first, two nonce
+/// words): four double rounds of column then diagonal quarter rounds, the
+/// input added back word by word. The scalar oracle of
+/// [`crate::simd::chacha8_blocks`], and the block its portable path runs.
+pub fn chacha8_block(state: &[u32; 16]) -> [u32; 16] {
+    let mut x = *state;
+    let mut quarter = |a: usize, b: usize, c: usize, d: usize| {
+        x[a] = x[a].wrapping_add(x[b]);
+        x[d] = (x[d] ^ x[a]).rotate_left(16);
+        x[c] = x[c].wrapping_add(x[d]);
+        x[b] = (x[b] ^ x[c]).rotate_left(12);
+        x[a] = x[a].wrapping_add(x[b]);
+        x[d] = (x[d] ^ x[a]).rotate_left(8);
+        x[c] = x[c].wrapping_add(x[d]);
+        x[b] = (x[b] ^ x[c]).rotate_left(7);
+    };
+    for _ in 0..4 {
+        quarter(0, 4, 8, 12);
+        quarter(1, 5, 9, 13);
+        quarter(2, 6, 10, 14);
+        quarter(3, 7, 11, 15);
+        quarter(0, 5, 10, 15);
+        quarter(1, 6, 11, 12);
+        quarter(2, 7, 8, 13);
+        quarter(3, 4, 9, 14);
+    }
+    std::array::from_fn(|w| x[w].wrapping_add(state[w]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,6 +223,24 @@ mod tests {
         for (x, y) in base.iter().zip(&out_nt) {
             assert!((x - y).abs() < 1e-6);
         }
+    }
+
+    /// The all-zero key, nonce and counter: the first ChaCha8 block of the
+    /// published 8-round, 256-bit-key test vector.
+    #[test]
+    fn chacha8_block_matches_the_zero_key_vector() {
+        let mut state = [0u32; 16];
+        state[..4].copy_from_slice(&CHACHA_CONSTANTS);
+        let bytes: Vec<u8> = chacha8_block(&state)
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "3e00ef2f895f40d67f5bb8e81f09a5a12c840ec3ce9a7f3b181be188ef711a1e\
+             984ce172b9216f419f445367456d5619314a42a3da86b001387bfdb80e0cfe42"
+        );
     }
 
     #[test]

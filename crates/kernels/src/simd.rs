@@ -23,7 +23,9 @@
 //!   gather and scatter, eight lanes at a time along the column table's
 //!   arithmetic runs: the portable loops' bits and adds, in their order;
 //! * [`tanh`] — every branch of fdlibm's `tanhf` eight lanes wide, bit for
-//!   bit [`crate::reference::tanhf`], the port the portable path runs.
+//!   bit [`crate::reference::tanhf`], the port the portable path runs;
+//! * [`chacha8_blocks`] — eight ChaCha8 keystream blocks at once, one per
+//!   lane, bit for bit [`crate::reference::chacha8_block`].
 //!
 //! The single-tile kernel is load-port-bound: each contraction step issues
 //! nine load μops (one B vector + eight A broadcasts) against eight FMAs.
@@ -513,6 +515,136 @@ unsafe fn tanh_avx2(out: &mut [f32], x: &[f32]) {
     }
 }
 
+/// Writes `out.len() / 16` consecutive ChaCha8 keystream blocks of `state`
+/// into `out`, the first at its 64-bit block counter (words 12-13, low word
+/// first), and advances the counter past them, wrapping at 2^64. Each block
+/// is [`crate::reference::chacha8_block`]'s bits; where the CPU has AVX2,
+/// eight blocks are computed at once.
+///
+/// # Panics
+///
+/// Panics if `out` does not hold whole blocks.
+pub fn chacha8_blocks(state: &mut [u32; 16], out: &mut [u32]) {
+    chacha8_blocks_on(detected(), state, out);
+}
+
+/// [`chacha8_blocks`] on the instantiation `vector` names.
+pub(crate) fn chacha8_blocks_on(vector: bool, state: &mut [u32; 16], out: &mut [u32]) {
+    assert_eq!(
+        out.len() % 16,
+        0,
+        "chacha8_blocks writes whole 16-word blocks"
+    );
+    let counter = u64::from(state[12]) | u64::from(state[13]) << 32;
+    let at = |j: usize| counter.wrapping_add(j as u64);
+    if vector {
+        assert_detected();
+        #[cfg(target_arch = "x86_64")]
+        for (g, group) in out.chunks_mut(8 * 16).enumerate() {
+            // SAFETY: `assert_detected` just checked that AVX2+FMA are
+            // present.
+            unsafe { chacha8_avx2(state, at(8 * g), group) };
+        }
+    } else {
+        let mut input = *state;
+        for (j, block) in out.chunks_exact_mut(16).enumerate() {
+            [input[12], input[13]] = [at(j) as u32, (at(j) >> 32) as u32];
+            block.copy_from_slice(&crate::reference::chacha8_block(&input));
+        }
+    }
+    let next = at(out.len() / 16);
+    [state[12], state[13]] = [next as u32, (next >> 32) as u32];
+}
+
+/// AVX2 twin of `reference::chacha8_block` for up to eight blocks: lane `j`
+/// of sixteen word vectors runs block `counter + j`, rotations by 16 and 8
+/// as byte shuffles and by 12 and 7 as shift pairs; two 8×8 transposes
+/// then put each block's words in order. A group of fewer than eight
+/// blocks computes all eight and stores the ones asked for.
+///
+/// # Safety
+///
+/// The CPU must have AVX2, and `out` must hold at most eight whole blocks.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn chacha8_avx2(state: &[u32; 16], counter: u64, out: &mut [u32]) {
+    use std::arch::x86_64::*;
+    let ctr: [u64; 8] = std::array::from_fn(|j| counter.wrapping_add(j as u64));
+    let lanes = |f: fn(u64) -> u32| _mm256_loadu_si256(ctr.map(f).as_ptr().cast());
+    let input: [__m256i; 16] = std::array::from_fn(|w| match w {
+        12 => lanes(|c| c as u32),
+        13 => lanes(|c| (c >> 32) as u32),
+        _ => _mm256_set1_epi32(state[w] as i32),
+    });
+    #[rustfmt::skip]
+    let (rot16, rot8) = (
+        _mm256_setr_epi8(2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+                         2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13),
+        _mm256_setr_epi8(3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+                         3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14),
+    );
+    let mut x = input;
+    let mut quarter = |a: usize, b: usize, c: usize, d: usize| {
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = _mm256_shuffle_epi8(_mm256_xor_si256(x[d], x[a]), rot16);
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        let t = _mm256_xor_si256(x[b], x[c]);
+        x[b] = _mm256_or_si256(_mm256_slli_epi32::<12>(t), _mm256_srli_epi32::<20>(t));
+        x[a] = _mm256_add_epi32(x[a], x[b]);
+        x[d] = _mm256_shuffle_epi8(_mm256_xor_si256(x[d], x[a]), rot8);
+        x[c] = _mm256_add_epi32(x[c], x[d]);
+        let t = _mm256_xor_si256(x[b], x[c]);
+        x[b] = _mm256_or_si256(_mm256_slli_epi32::<7>(t), _mm256_srli_epi32::<25>(t));
+    };
+    for _ in 0..4 {
+        quarter(0, 4, 8, 12);
+        quarter(1, 5, 9, 13);
+        quarter(2, 6, 10, 14);
+        quarter(3, 7, 11, 15);
+        quarter(0, 5, 10, 15);
+        quarter(1, 6, 11, 12);
+        quarter(2, 7, 8, 13);
+        quarter(3, 4, 9, 14);
+    }
+    let x: [__m256i; 16] = std::array::from_fn(|w| _mm256_add_epi32(x[w], input[w]));
+    // Row `j` of the transpose of eight word vectors is block `j`'s eight
+    // words: interleave pairs of words, then pairs of pairs, then halves.
+    let transpose = |v: &[__m256i]| -> [__m256i; 8] {
+        let t: [__m256i; 8] = std::array::from_fn(|i| match i % 2 {
+            0 => _mm256_unpacklo_epi32(v[i], v[i + 1]),
+            _ => _mm256_unpackhi_epi32(v[i - 1], v[i]),
+        });
+        let u: [__m256i; 8] = std::array::from_fn(|i| {
+            let (at, j) = (i / 4 * 4, i % 4);
+            let (p, q) = (t[at + j % 2], t[at + j % 2 + 2]);
+            match j / 2 {
+                0 => _mm256_unpacklo_epi64(p, q),
+                _ => _mm256_unpackhi_epi64(p, q),
+            }
+        });
+        std::array::from_fn(|r| {
+            let (lo, hi) = (u[[0, 2, 1, 3][r % 4]], u[[4, 6, 5, 7][r % 4]]);
+            match r < 4 {
+                true => _mm256_permute2x128_si256::<0x20>(lo, hi),
+                false => _mm256_permute2x128_si256::<0x31>(lo, hi),
+            }
+        })
+    };
+    let (words_lo, words_hi) = (transpose(&x[..8]), transpose(&x[8..]));
+    let mut whole = [0u32; 8 * 16];
+    let to = match out.len() {
+        128 => out.as_mut_ptr(),
+        _ => whole.as_mut_ptr(),
+    };
+    for j in 0..8 {
+        _mm256_storeu_si256(to.add(16 * j).cast(), words_lo[j]);
+        _mm256_storeu_si256(to.add(16 * j + 8).cast(), words_hi[j]);
+    }
+    if out.len() < 128 {
+        out.copy_from_slice(&whole[..out.len()]);
+    }
+}
+
 /// Part of what makes the safe wrappers in this module sound on their own:
 /// every one checks the CPU before its `unsafe` call. Callers only get here
 /// on a `vector` flag that came from [`detected`] (never true off x86-64),
@@ -623,6 +755,66 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Both instantiations of [`chacha8_blocks`] against
+    /// `reference::chacha8_block` block by block, in `gemm.rs`'s manner: 1-17
+    /// blocks (whole eight-block groups and partial ones), from counters
+    /// whose low word carries into the high one mid-call (`0xffff_fffa`) and
+    /// that wrap at 2^64, at 1 and 4 pool threads. Each call must advance
+    /// the counter past its blocks and write nothing past them.
+    #[test]
+    fn chacha8_blocks_equal_the_reference_block_by_block() {
+        const SENTINEL: u32 = 0xdead_beef;
+        let _lock = crate::pool::tests::THREAD_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let threads = crate::pool::num_threads();
+        let instantiations: &[bool] = if detected() {
+            &[false, true]
+        } else {
+            eprintln!("note: no AVX2 here; vector == portable is vacuous on this CPU");
+            &[false]
+        };
+        let mut state = [0u32; 16];
+        state[..4].copy_from_slice(&crate::reference::CHACHA_CONSTANTS);
+        for (w, v) in state[4..].iter_mut().enumerate() {
+            *v = 0x9e37_79b9u32.wrapping_mul(w as u32 + 1) ^ 0x0123_4567;
+        }
+        let counters = [
+            (0, 0),
+            (3, 0),
+            (0xffff_fffa, 0),
+            (0xffff_fffa, 41),
+            (0xffff_fffa, u32::MAX),
+            (u32::MAX, u32::MAX),
+        ];
+        for pool_threads in [1, 4] {
+            crate::pool::set_num_threads(pool_threads);
+            for (lo, hi) in counters {
+                [state[12], state[13]] = [lo, hi];
+                for blocks in 1..=17 {
+                    let (mut want, mut next) = (Vec::new(), state);
+                    for _ in 0..blocks {
+                        want.extend(crate::reference::chacha8_block(&next));
+                        let c = (u64::from(next[12]) | u64::from(next[13]) << 32).wrapping_add(1);
+                        [next[12], next[13]] = [c as u32, (c >> 32) as u32];
+                    }
+                    for &vector in instantiations {
+                        let ctx = format!(
+                            "counter ({lo:#x}, {hi:#x}), {blocks} blocks, \
+                             {pool_threads} threads, vector={vector}"
+                        );
+                        let (mut got_state, mut got) = (state, vec![SENTINEL; 16 * blocks + 16]);
+                        chacha8_blocks_on(vector, &mut got_state, &mut got[..16 * blocks]);
+                        assert_eq!(got[..16 * blocks], want[..], "{ctx}");
+                        assert!(got[16 * blocks..].iter().all(|&w| w == SENTINEL), "{ctx}");
+                        assert_eq!(got_state, next, "{ctx}");
+                    }
+                }
+            }
+        }
+        crate::pool::set_num_threads(threads);
     }
 
     /// The invariant the macro-kernel's pairing rests on: one paired call

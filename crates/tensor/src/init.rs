@@ -1,16 +1,25 @@
 //! Deterministic random tensor construction and weight initializers.
 
-use rand::{Rng as _, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::{RngCore, SeedableRng};
 
 use crate::tensor::Tensor;
 
+/// Keystream words per refill: eight ChaCha8 blocks, one call to
+/// [`hfta_kernels::chacha8_blocks`].
+const WORDS: usize = 8 * 16;
+
 /// A deterministic, seedable random number generator for tensors.
 ///
-/// Thin wrapper over ChaCha8 so every experiment in the workspace is
-/// reproducible from a single `u64` seed. HFTA's convergence-equivalence
-/// experiments (paper §3.3) rely on serial and fused runs drawing the *same*
-/// initial weights; [`Rng::split`] derives independent per-model streams.
+/// A ChaCha8 keystream (the vendored ChaCha8 generator's, word for word:
+/// [`SeedableRng::seed_from_u64`]'s key derivation, a zero nonce, a 64-bit
+/// block counter from zero), refilled eight blocks at a time, so every
+/// experiment in the workspace is reproducible from a single `u64` seed.
+/// HFTA's convergence-equivalence experiments (paper §3.3) rely on serial
+/// and fused runs drawing the *same* initial weights; [`Rng::split`]
+/// derives independent per-model streams. Tensor draws take their words
+/// from the buffer in bulk; every draw maps words to values with the same
+/// formulas one at a time or in bulk, so the stream does not depend on how
+/// it is drawn.
 ///
 /// # Example
 ///
@@ -22,27 +31,117 @@ use crate::tensor::Tensor;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Rng {
-    inner: ChaCha8Rng,
+    /// ChaCha input block: constants, 8 key words, the 64-bit block counter
+    /// of the next refill (words 12-13), 2 nonce words.
+    state: [u32; 16],
+    /// Eight blocks of keystream.
+    buf: [u32; WORDS],
+    /// Next unread word of `buf`; `WORDS` means refill.
+    at: usize,
+}
+
+/// `[0, 1)` from a word's top 24 bits, as `rand`'s `gen::<f32>()`.
+fn unit(w: u32) -> f32 {
+    (w >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
+}
+
+/// `[lo, hi)` from a word, as `rand`'s `gen_range(lo..hi)`: `lo + (hi −
+/// lo)·u`, and `lo` where rounding lands on `hi`.
+fn in_range(w: u32, lo: f32, hi: f32) -> f32 {
+    let v = lo + (hi - lo) * unit(w);
+    if v >= hi {
+        lo
+    } else {
+        v
+    }
+}
+
+/// One standard normal sample from two words (Box–Muller): `u1` in
+/// `[EPSILON, 1)`, `u2` in `[0, 1)`, one `f32` `ln`, `sqrt` and `cos` each.
+fn box_muller(w1: u32, w2: u32) -> f32 {
+    let (u1, u2) = (in_range(w1, f32::EPSILON, 1.0), unit(w2));
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}
+
+impl SeedableRng for Rng {
+    type Seed = [u8; 32];
+
+    fn from_seed(seed: [u8; 32]) -> Self {
+        let mut state = [0u32; 16];
+        state[..4].copy_from_slice(&hfta_kernels::reference::CHACHA_CONSTANTS);
+        for (w, key) in state[4..12].iter_mut().zip(seed.chunks_exact(4)) {
+            *w = u32::from_le_bytes([key[0], key[1], key[2], key[3]]);
+        }
+        Rng {
+            state,
+            buf: [0; WORDS],
+            at: WORDS,
+        }
+    }
+}
+
+impl RngCore for Rng {
+    fn next_u32(&mut self) -> u32 {
+        if self.at == WORDS {
+            self.refill();
+        }
+        self.at += 1;
+        self.buf[self.at - 1]
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let lo = self.next_u32();
+        u64::from(self.next_u32()) << 32 | u64::from(lo)
+    }
 }
 
 impl Rng {
     /// Creates a generator from a seed.
     pub fn seed_from(seed: u64) -> Self {
-        Rng {
-            inner: ChaCha8Rng::seed_from_u64(seed),
+        Rng::seed_from_u64(seed)
+    }
+
+    fn refill(&mut self) {
+        hfta_kernels::chacha8_blocks(&mut self.state, &mut self.buf);
+        self.at = 0;
+    }
+
+    /// `out[i] = f(words)` for the next `K` words per element, in stream
+    /// order: straight from the buffer, and word by word only for an element
+    /// whose words straddle a refill.
+    fn fill<const K: usize>(&mut self, out: &mut [f32], f: impl Fn([u32; K]) -> f32) {
+        let mut done = 0;
+        while done < out.len() {
+            if self.at == WORDS {
+                self.refill();
+            }
+            let whole = ((WORDS - self.at) / K).min(out.len() - done);
+            if whole == 0 {
+                out[done] = f(std::array::from_fn(|_| self.next_u32()));
+                done += 1;
+                continue;
+            }
+            let words = &self.buf[self.at..self.at + whole * K];
+            for (o, w) in out[done..done + whole]
+                .iter_mut()
+                .zip(words.chunks_exact(K))
+            {
+                *o = f(std::array::from_fn(|i| w[i]));
+            }
+            self.at += whole * K;
+            done += whole;
         }
     }
 
     /// Derives an independent child stream (e.g. one per model in an array).
     pub fn split(&mut self) -> Rng {
-        Rng::seed_from(self.inner.gen::<u64>())
+        Rng::seed_from(self.next_u64())
     }
 
     /// One sample from the standard normal distribution (Box–Muller).
     pub fn standard_normal(&mut self) -> f32 {
-        let u1: f32 = self.inner.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = self.inner.gen();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+        let w1 = self.next_u32();
+        box_muller(w1, self.next_u32())
     }
 
     /// One sample uniform in `[lo, hi)`.
@@ -52,7 +151,7 @@ impl Rng {
     /// Panics if `lo >= hi`.
     pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
         assert!(lo < hi, "uniform requires lo < hi");
-        self.inner.gen_range(lo..hi)
+        in_range(self.next_u32(), lo, hi)
     }
 
     /// One sample uniform integer in `[0, n)`.
@@ -62,28 +161,23 @@ impl Rng {
     /// Panics if `n == 0`.
     pub fn below(&mut self, n: usize) -> usize {
         assert!(n > 0, "below requires n > 0");
-        self.inner.gen_range(0..n)
+        (self.next_u64() % n as u64) as usize
     }
 
     /// Tensor of i.i.d. standard normal samples.
     ///
-    /// The buffer comes from the recycling pool (same element order as a
-    /// `collect` into a fresh `Vec`), so re-initializing models inside a
-    /// warm process allocates nothing.
+    /// The buffer comes from the recycling pool, so re-initializing models
+    /// inside a warm process allocates nothing.
     pub fn randn(&mut self, shape: impl Into<crate::Shape>) -> Tensor {
-        let mut t = Tensor::zeros(shape.into());
-        for v in t.as_mut_slice() {
-            *v = self.standard_normal();
-        }
+        let mut t = Tensor::unfilled(shape);
+        self.fill(t.as_mut_slice(), |[w1, w2]| box_muller(w1, w2));
         t
     }
 
     /// Tensor of i.i.d. `N(mean, std^2)` samples.
     pub fn normal(&mut self, shape: impl Into<crate::Shape>, mean: f32, std: f32) -> Tensor {
-        let mut t = Tensor::zeros(shape.into());
-        for v in t.as_mut_slice() {
-            *v = mean + std * self.standard_normal();
-        }
+        let mut t = Tensor::unfilled(shape);
+        self.fill(t.as_mut_slice(), |[w1, w2]| mean + std * box_muller(w1, w2));
         t
     }
 
@@ -93,10 +187,9 @@ impl Rng {
     ///
     /// Panics if `lo >= hi`.
     pub fn rand(&mut self, shape: impl Into<crate::Shape>, lo: f32, hi: f32) -> Tensor {
-        let mut t = Tensor::zeros(shape.into());
-        for v in t.as_mut_slice() {
-            *v = self.uniform(lo, hi);
-        }
+        assert!(lo < hi, "uniform requires lo < hi");
+        let mut t = Tensor::unfilled(shape);
+        self.fill(t.as_mut_slice(), |[w]| in_range(w, lo, hi));
         t
     }
 
@@ -129,7 +222,7 @@ impl Rng {
     /// Fisher–Yates shuffle of a slice of indices.
     pub fn shuffle(&mut self, data: &mut [usize]) {
         for i in (1..data.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
+            let j = (self.next_u64() % (i as u64 + 1)) as usize;
             data.swap(i, j);
         }
     }
