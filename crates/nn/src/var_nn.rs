@@ -22,13 +22,26 @@ use hfta_telemetry::OpCost;
 
 use crate::tape::{BackwardCtx, ParentGrads, Var};
 
-/// FLOP/byte cost of a direct convolution producing `out_numel` outputs,
-/// each accumulating over `k_per_out` kernel taps.
-fn conv_cost(out_numel: usize, k_per_out: usize, in_numel: usize, w_numel: usize) -> OpCost {
+/// FLOP/byte cost of a convolution-shaped op: `macs` multiply-adds (its
+/// GEMM's summed `m·k·n`) over `in_numel` input, `w_numel` weight and
+/// `out_numel` output elements.
+fn conv_cost(macs: usize, in_numel: usize, w_numel: usize, out_numel: usize) -> OpCost {
     OpCost {
-        flops: 2.0 * out_numel as f64 * k_per_out as f64,
+        flops: 2.0 * macs as f64,
         bytes: 4.0 * (in_numel + w_numel + out_numel) as f64,
     }
+}
+
+/// [`conv_cost`] of `conv_transpose2d` over `x [N, Cin, H, W]` and
+/// `w [Cin, Cout/g, kh, kw]`: every input pixel meets `(Cout/g)·kh·kw`
+/// taps, `2·N·Cin·(Cout/g)·kh·kw·H·W` FLOPs — the GEMMs of the adjoint
+/// `conv2d_grad_input` it runs.
+fn conv_transpose2d_cost(xd: &[usize], wd: &[usize], cfg: ConvCfg) -> OpCost {
+    let (ho, wo) = cfg.transpose_out_hw((xd[2], xd[3]), (wd[2], wd[3]));
+    let x_numel: usize = xd.iter().product();
+    let w_numel: usize = wd.iter().product();
+    let out_numel = xd[0] * wd[1] * cfg.groups * ho * wo;
+    conv_cost(x_numel * wd[1] * wd[2] * wd[3], x_numel, w_numel, out_numel)
 }
 
 /// Per-channel batch statistics `(mean, variance)` returned by
@@ -80,12 +93,9 @@ impl Var {
         let _t = self.tape.record_op("conv2d", || {
             let (xd, wd) = (self.dims(), weight.dims());
             let (ho, wo) = cfg.out_hw((xd[2], xd[3]), (wd[2], wd[3]));
-            conv_cost(
-                xd[0] * wd[0] * ho * wo,
-                wd[1] * wd[2] * wd[3],
-                self.numel(),
-                weight.numel(),
-            )
+            let out_numel = xd[0] * wd[0] * ho * wo;
+            let macs = out_numel * wd[1] * wd[2] * wd[3];
+            conv_cost(macs, self.numel(), weight.numel(), out_numel)
         });
         let (xd, wd) = (self.dims(), weight.dims());
         let (input_hw, cin, kernel_hw) = ((xd[2], xd[3]), xd[1], (wd[2], wd[3]));
@@ -116,11 +126,12 @@ impl Var {
         let _t = self.tape.record_op("conv1d", || {
             let (xd, wd) = (self.dims(), weight.dims());
             let lo = (xd[2] + 2 * padding - wd[2]) / stride + 1;
+            let out_numel = xd[0] * wd[0] * lo;
             conv_cost(
-                xd[0] * wd[0] * lo,
-                wd[1] * wd[2],
+                out_numel * wd[1] * wd[2],
                 self.numel(),
                 weight.numel(),
+                out_numel,
             )
         });
         let (xd, k) = (self.dims(), weight.dim(2));
@@ -144,14 +155,7 @@ impl Var {
     /// Panics on shape/group inconsistencies.
     pub fn conv_transpose2d(&self, weight: &Var, bias: Option<&Var>, cfg: ConvCfg) -> Var {
         let _t = self.tape.record_op("conv_transpose2d", || {
-            let (xd, wd) = (self.dims(), weight.dims());
-            let (ho, wo) = cfg.transpose_out_hw((xd[2], xd[3]), (wd[2], wd[3]));
-            conv_cost(
-                xd[0] * wd[1] * cfg.groups * ho * wo,
-                wd[1] * wd[2] * wd[3],
-                self.numel(),
-                weight.numel(),
-            )
+            conv_transpose2d_cost(&self.dims(), &weight.dims(), cfg)
         });
         let wd = weight.dims();
         let kernel_hw = (wd[2], wd[3]);
@@ -367,6 +371,34 @@ mod tests {
     use crate::parameter::Parameter;
     use crate::tape::Tape;
     use hfta_tensor::Rng;
+
+    /// `conv_transpose2d` is priced by the products it runs: its forward is
+    /// `conv2d_grad_input` over the same weight, a batch of `N·g` entries of
+    /// `(m, k, n) = ((Cout/g)·kh·kw, Cin/g, H·W)` (conv2d's `krows`, `coutg`
+    /// and `spatial`, with the channel roles swapped). Cases: the fused
+    /// DCGAN generator's 1×1 → 4×4 first layer and a stride-2 layer, an
+    /// uneven grouped one and a 1×1 one.
+    #[test]
+    fn conv_transpose2d_is_priced_by_its_adjoint_gemm() {
+        let uneven = ConvCfg {
+            stride: (2, 3),
+            padding: (1, 0),
+            groups: 2,
+        };
+        let cases = [
+            ([2, 600, 1, 1], [600, 64, 4, 4], ConvCfg::square(1, 0, 6)),
+            ([2, 384, 4, 4], [384, 32, 4, 4], ConvCfg::square(2, 1, 6)),
+            ([3, 4, 5, 7], [4, 3, 3, 2], uneven),
+            ([1, 3, 2, 2], [3, 5, 1, 1], ConvCfg::unit()),
+        ];
+        for (xd, wd, cfg) in cases {
+            let (n, cin, h, w, g) = (xd[0], xd[1], xd[2], xd[3], cfg.groups);
+            let (m, k, cols) = (wd[1] * wd[2] * wd[3], cin / g, h * w);
+            let adjoint = (n * g) as f64 * 2.0 * (m * k * cols) as f64;
+            let cost = conv_transpose2d_cost(&xd, &wd, cfg);
+            assert_eq!(cost.flops, adjoint, "x {xd:?}, w {wd:?}");
+        }
+    }
 
     #[test]
     fn leaf_inputs_get_no_gradient_and_weight_grads_stay_bitwise() {
