@@ -528,7 +528,9 @@ pub fn chacha8_blocks(state: &mut [u32; 16], out: &mut [u32]) {
     chacha8_blocks_on(detected(), state, out);
 }
 
-/// [`chacha8_blocks`] on the instantiation `vector` names.
+/// [`chacha8_blocks`] on the instantiation `vector` names: eight blocks
+/// per AVX2 call, and the blocks after the last whole group (all of them on
+/// the portable path) one at a time.
 pub(crate) fn chacha8_blocks_on(vector: bool, state: &mut [u32; 16], out: &mut [u32]) {
     assert_eq!(
         out.len() % 16,
@@ -537,45 +539,51 @@ pub(crate) fn chacha8_blocks_on(vector: bool, state: &mut [u32; 16], out: &mut [
     );
     let counter = u64::from(state[12]) | u64::from(state[13]) << 32;
     let at = |j: usize| counter.wrapping_add(j as u64);
-    if vector {
+    let grouped = if vector { out.len() / 128 * 128 } else { 0 };
+    if grouped > 0 {
         assert_detected();
         #[cfg(target_arch = "x86_64")]
-        for (g, group) in out.chunks_mut(8 * 16).enumerate() {
+        for (g, group) in out[..grouped].chunks_exact_mut(128).enumerate() {
+            let group = group.try_into().expect("chunks of 128 words");
             // SAFETY: `assert_detected` just checked that AVX2+FMA are
             // present.
             unsafe { chacha8_avx2(state, at(8 * g), group) };
         }
-    } else {
-        let mut input = *state;
-        for (j, block) in out.chunks_exact_mut(16).enumerate() {
-            [input[12], input[13]] = [at(j) as u32, (at(j) >> 32) as u32];
-            block.copy_from_slice(&crate::reference::chacha8_block(&input));
-        }
+    }
+    let mut input = *state;
+    for (j, block) in (grouped / 16..).zip(out[grouped..].chunks_exact_mut(16)) {
+        [input[12], input[13]] = [at(j) as u32, (at(j) >> 32) as u32];
+        block.copy_from_slice(&crate::reference::chacha8_block(&input));
     }
     let next = at(out.len() / 16);
     [state[12], state[13]] = [next as u32, (next >> 32) as u32];
 }
 
-/// AVX2 twin of `reference::chacha8_block` for up to eight blocks: lane `j`
-/// of sixteen word vectors runs block `counter + j`, rotations by 16 and 8
-/// as byte shuffles and by 12 and 7 as shift pairs; two 8×8 transposes
-/// then put each block's words in order. A group of fewer than eight
-/// blocks computes all eight and stores the ones asked for.
+/// AVX2 twin of `reference::chacha8_block` for eight blocks: lane `j` of
+/// sixteen word vectors runs block `counter + j`, rotations by 16 and 8 as
+/// byte shuffles and by 12 and 7 as shift pairs; two 8×8 transposes then
+/// put each block's words in order.
 ///
 /// # Safety
 ///
-/// The CPU must have AVX2, and `out` must hold at most eight whole blocks.
+/// The CPU must have AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn chacha8_avx2(state: &[u32; 16], counter: u64, out: &mut [u32]) {
+unsafe fn chacha8_avx2(state: &[u32; 16], counter: u64, out: &mut [u32; 128]) {
     use std::arch::x86_64::*;
-    let ctr: [u64; 8] = std::array::from_fn(|j| counter.wrapping_add(j as u64));
-    let lanes = |f: fn(u64) -> u32| _mm256_loadu_si256(ctr.map(f).as_ptr().cast());
-    let input: [__m256i; 16] = std::array::from_fn(|w| match w {
-        12 => lanes(|c| c as u32),
-        13 => lanes(|c| (c >> 32) as u32),
-        _ => _mm256_set1_epi32(state[w] as i32),
-    });
+    // Index loops only: a closure handed to a generic (`from_fn`, `map`)
+    // cannot inline into it across the target-feature boundary.
+    let (mut lo, mut hi) = ([0u32; 8], [0u32; 8]);
+    for j in 0..8 {
+        let c = counter.wrapping_add(j as u64);
+        (lo[j], hi[j]) = (c as u32, (c >> 32) as u32);
+    }
+    let mut input = [_mm256_setzero_si256(); 16];
+    for w in 0..16 {
+        input[w] = _mm256_set1_epi32(state[w] as i32);
+    }
+    input[12] = _mm256_loadu_si256(lo.as_ptr().cast());
+    input[13] = _mm256_loadu_si256(hi.as_ptr().cast());
     #[rustfmt::skip]
     let (rot16, rot8) = (
         _mm256_setr_epi8(2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
@@ -606,42 +614,40 @@ unsafe fn chacha8_avx2(state: &[u32; 16], counter: u64, out: &mut [u32]) {
         quarter(2, 7, 8, 13);
         quarter(3, 4, 9, 14);
     }
-    let x: [__m256i; 16] = std::array::from_fn(|w| _mm256_add_epi32(x[w], input[w]));
-    // Row `j` of the transpose of eight word vectors is block `j`'s eight
-    // words: interleave pairs of words, then pairs of pairs, then halves.
-    let transpose = |v: &[__m256i]| -> [__m256i; 8] {
-        let t: [__m256i; 8] = std::array::from_fn(|i| match i % 2 {
-            0 => _mm256_unpacklo_epi32(v[i], v[i + 1]),
-            _ => _mm256_unpackhi_epi32(v[i - 1], v[i]),
-        });
-        let u: [__m256i; 8] = std::array::from_fn(|i| {
-            let (at, j) = (i / 4 * 4, i % 4);
-            let (p, q) = (t[at + j % 2], t[at + j % 2 + 2]);
-            match j / 2 {
-                0 => _mm256_unpacklo_epi64(p, q),
-                _ => _mm256_unpackhi_epi64(p, q),
-            }
-        });
-        std::array::from_fn(|r| {
-            let (lo, hi) = (u[[0, 2, 1, 3][r % 4]], u[[4, 6, 5, 7][r % 4]]);
-            match r < 4 {
-                true => _mm256_permute2x128_si256::<0x20>(lo, hi),
-                false => _mm256_permute2x128_si256::<0x31>(lo, hi),
-            }
-        })
-    };
-    let (words_lo, words_hi) = (transpose(&x[..8]), transpose(&x[8..]));
-    let mut whole = [0u32; 8 * 16];
-    let to = match out.len() {
-        128 => out.as_mut_ptr(),
-        _ => whole.as_mut_ptr(),
-    };
-    for j in 0..8 {
-        _mm256_storeu_si256(to.add(16 * j).cast(), words_lo[j]);
-        _mm256_storeu_si256(to.add(16 * j + 8).cast(), words_hi[j]);
+    for w in 0..16 {
+        x[w] = _mm256_add_epi32(x[w], input[w]);
     }
-    if out.len() < 128 {
-        out.copy_from_slice(&whole[..out.len()]);
+    // Lane `j` of word vectors `h..h + 8` is block `j`'s words `h..h + 8`:
+    // transpose each half, interleaving words in pairs, pairs in pairs,
+    // then 128-bit halves, so row `j` lands at block `j`.
+    let to = out.as_mut_ptr();
+    for h in [0, 8] {
+        let v = &x[h..h + 8];
+        let mut t = [_mm256_setzero_si256(); 8];
+        for i in [0, 2, 4, 6] {
+            t[i] = _mm256_unpacklo_epi32(v[i], v[i + 1]);
+            t[i + 1] = _mm256_unpackhi_epi32(v[i], v[i + 1]);
+        }
+        // `u[q + r]` holds words `r` (low half) and `r + 4` (high half) of
+        // vectors `q..q + 4`.
+        let mut u = [_mm256_setzero_si256(); 8];
+        for q in [0, 4] {
+            u[q] = _mm256_unpacklo_epi64(t[q], t[q + 2]);
+            u[q + 1] = _mm256_unpackhi_epi64(t[q], t[q + 2]);
+            u[q + 2] = _mm256_unpacklo_epi64(t[q + 1], t[q + 3]);
+            u[q + 3] = _mm256_unpackhi_epi64(t[q + 1], t[q + 3]);
+        }
+        for r in 0..4 {
+            let (a, b) = (u[r], u[r + 4]);
+            _mm256_storeu_si256(
+                to.add(16 * r + h).cast(),
+                _mm256_permute2x128_si256::<0x20>(a, b),
+            );
+            _mm256_storeu_si256(
+                to.add(16 * (r + 4) + h).cast(),
+                _mm256_permute2x128_si256::<0x31>(a, b),
+            );
+        }
     }
 }
 
