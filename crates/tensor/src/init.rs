@@ -40,9 +40,15 @@ pub struct Rng {
     at: usize,
 }
 
-/// `[0, 1)` from a word's top 24 bits, as `rand`'s `gen::<f32>()`.
+/// `[0, 1)` from a word's top 24 bits `m`, as `rand`'s `gen::<f32>()`:
+/// exactly `m · 2^-24`, built as `(1 + (m >> 1) · 2^-23) − 1` plus `2^-24`
+/// when `m` is odd. Both steps are exact, so the bits are those of
+/// `m as f32 * 2^-24`, without its integer-to-float conversion: that
+/// instruction writes only the low lane of its register, so consecutive
+/// draws inlined into one loop would chain through the lane's old value.
 fn unit(w: u32) -> f32 {
-    (w >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
+    let halves = f32::from_bits(0x3f80_0000 | w >> 9) - 1.0;
+    halves + f32::from_bits((w >> 8 & 1) * 0x3380_0000)
 }
 
 /// `[lo, hi)` from a word, as `rand`'s `gen_range(lo..hi)`: `lo + (hi −
@@ -231,6 +237,17 @@ impl Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `unit` against the conversion it replaces, for every top-24-bit
+    /// value (the low byte, which both ignore, varies too).
+    #[test]
+    fn unit_equals_the_scaled_conversion_for_every_value() {
+        for m in 0..1u32 << 24 {
+            let w = m << 8 | (m.wrapping_mul(0x9e37_79b9) >> 24);
+            let want = (w >> 8) as f32 * (1.0 / (1u32 << 24) as f32);
+            assert_eq!(unit(w).to_bits(), want.to_bits(), "word {w:#010x}");
+        }
+    }
 
     #[test]
     fn deterministic_from_seed() {
