@@ -1,6 +1,7 @@
 //! Layout transforms: reshape, permute, concatenation, slicing, padding.
 //!
-//! All transforms materialize new contiguous storage.
+//! All transforms materialize new contiguous storage; a transform that
+//! writes every output element starts from unfilled storage.
 
 use crate::tensor::Tensor;
 
@@ -145,7 +146,7 @@ impl Tensor {
         let total_axis: usize = tensors.iter().map(|t| t.dim(axis)).sum();
         let mut dims = first.dims().to_vec();
         dims[axis] = total_axis;
-        let mut out_t = Tensor::zeros(dims);
+        let mut out_t = Tensor::unfilled(dims);
         let out = out_t.as_mut_slice();
         let mut axis_off = 0usize;
         for t in tensors {
@@ -197,7 +198,7 @@ impl Tensor {
         let src = self.as_slice();
         let mut dims = self.dims().to_vec();
         dims[axis] = len;
-        let mut out_t = Tensor::zeros(dims);
+        let mut out_t = Tensor::unfilled(dims);
         let out = out_t.as_mut_slice();
         for o in 0..outer {
             let src_base = (o * n + start) * inner;
@@ -216,6 +217,33 @@ impl Tensor {
     ///
     /// Panics if shapes are incompatible or the window is out of bounds.
     pub fn narrow_assign(&mut self, axis: usize, start: usize, src: &Tensor) {
+        self.window_runs(axis, start, src, |dst, src| dst.copy_from_slice(src));
+    }
+
+    /// Adds `src` into the window of `len = src.dim(axis)` elements starting
+    /// at `start` along `axis`, in place: `self[i] + src[i]` for every
+    /// element of the window, and nothing outside it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes are incompatible or the window is out of bounds.
+    pub fn narrow_add_assign(&mut self, axis: usize, start: usize, src: &Tensor) {
+        self.window_runs(axis, start, src, |dst, src| {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d += s;
+            }
+        });
+    }
+
+    /// Hands `f` each contiguous run of the window `src` covers, paired
+    /// with the run of `src` that lands there.
+    fn window_runs(
+        &mut self,
+        axis: usize,
+        start: usize,
+        src: &Tensor,
+        mut f: impl FnMut(&mut [f32], &[f32]),
+    ) {
         assert!(axis < self.rank(), "narrow_assign axis out of range");
         assert_eq!(src.rank(), self.rank(), "narrow_assign rank mismatch");
         let len = src.dim(axis);
@@ -232,8 +260,10 @@ impl Tensor {
         for o in 0..outer {
             let dst_base = (o * n + start) * inner;
             let src_base = o * len * inner;
-            dst[dst_base..dst_base + len * inner]
-                .copy_from_slice(&s[src_base..src_base + len * inner]);
+            f(
+                &mut dst[dst_base..dst_base + len * inner],
+                &s[src_base..src_base + len * inner],
+            );
         }
     }
 
@@ -249,7 +279,7 @@ impl Tensor {
         let src = self.as_slice();
         let mut dims = self.dims().to_vec();
         dims[axis] = indices.len();
-        let mut out_t = Tensor::zeros(dims);
+        let mut out_t = Tensor::unfilled(dims);
         let out = out_t.as_mut_slice();
         for o in 0..outer {
             for (j, &ix) in indices.iter().enumerate() {
@@ -399,5 +429,17 @@ mod tests {
             vec![1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
         );
         assert_eq!(t.tile(3, 0).to_vec(), vec![1.0, 2.0, 1.0, 2.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn narrow_add_assign_adds_inside_the_window_only() {
+        let mut t = Tensor::full([2, 3, 2], -0.0);
+        t.narrow_add_assign(1, 1, &Tensor::full([2, 1, 2], 0.0));
+        t.narrow_add_assign(1, 2, &Tensor::full([2, 1, 2], 2.5));
+        let bits: Vec<u32> = (0..3).map(|i| t.at(&[1, i, 1]).to_bits()).collect();
+        assert_eq!(
+            bits,
+            [(-0.0f32).to_bits(), 0.0f32.to_bits(), 2.5f32.to_bits()]
+        );
     }
 }

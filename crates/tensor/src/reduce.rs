@@ -195,6 +195,39 @@ impl Tensor {
         t
     }
 
+    /// Repeats this tensor's size-1 axis `axis` `n` times, each element as
+    /// `0.0 + v` — the bits of `Tensor::zeros(expanded).add(self)` (a `-0.0`
+    /// becomes `+0.0`) in one pass, the gradient of a kept-dim `sum_axis`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `axis` is out of range or not of size 1.
+    pub fn expand_axis(&self, axis: usize, n: usize) -> Tensor {
+        assert_eq!(self.dim(axis), 1, "expand_axis needs a size-1 axis");
+        let (_, inner) = self.split_at_axis(axis);
+        let mut dims = self.dims().to_vec();
+        dims[axis] = n;
+        let mut out_t = Tensor::unfilled(dims);
+        if out_t.numel() == 0 {
+            return out_t;
+        }
+        let lines = self.as_slice().chunks(inner);
+        for (block, line) in out_t.as_mut_slice().chunks_mut(n * inner).zip(lines) {
+            if inner == 1 {
+                block.fill(0.0 + line[0]);
+                continue;
+            }
+            let (first, rest) = block.split_at_mut(inner);
+            for (d, &v) in first.iter_mut().zip(line) {
+                *d = 0.0 + v;
+            }
+            for row in rest.chunks_mut(inner) {
+                row.copy_from_slice(first);
+            }
+        }
+        out_t
+    }
+
     /// (product of dims before `axis`, product of dims after `axis`).
     pub(crate) fn split_at_axis(&self, axis: usize) -> (usize, usize) {
         let dims = self.dims();
@@ -336,5 +369,32 @@ mod tests {
         // First outer block: rows [0..4],[4..8],[8..12] summed columnwise.
         assert_eq!(s.at(&[0, 0]), 0.0 + 4.0 + 8.0);
         assert_eq!(s.at(&[1, 3]), 15.0 + 19.0 + 23.0);
+    }
+
+    /// `expand_axis` is the broadcast sum `zeros + g` bit for bit: `-0.0`
+    /// turns into `+0.0`, a signalling NaN is quieted and every other value
+    /// is copied, along every axis of a rank-3 tensor.
+    #[test]
+    fn expand_axis_equals_the_broadcast_sum_over_zeros() {
+        let specials = [
+            -0.0,
+            0.0,
+            f32::NAN,
+            f32::from_bits(0x7f80_0042),
+            -1.5,
+            1e-45,
+        ];
+        let dims = [2, 3, 4];
+        for axis in 0..3 {
+            let mut kept = dims;
+            kept[axis] = 1;
+            let n: usize = kept.iter().product();
+            let g = Tensor::from_vec((0..n).map(|i| specials[i % specials.len()]).collect(), kept);
+            let want = Tensor::zeros(dims).add(&g);
+            let got = g.expand_axis(axis, dims[axis]);
+            assert_eq!(got.dims(), &dims);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "axis {axis}");
+        }
     }
 }
