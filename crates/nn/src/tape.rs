@@ -2,14 +2,16 @@
 //!
 //! A [`Tape`] records the forward computation as a topologically ordered
 //! list of nodes; [`Var::backward`] sweeps it in reverse, accumulating
-//! gradients into [`Parameter`] slots. The tape is rebuilt every training
-//! iteration while parameters persist outside it — the same lifecycle as
-//! PyTorch's dynamic graph.
+//! gradients into [`Parameter`] slots. An op over constants only records no
+//! backward: it is a constant like a [`Tape::leaf`]. The tape is rebuilt
+//! every training iteration while parameters persist outside it — the same
+//! lifecycle as PyTorch's dynamic graph.
 //!
 //! The tape is also the **one place an op sample comes from**. Under an
 //! installed [`Profiler`] every op opens one forward span declaring its
 //! [`OpCost`] (`Tape::record_op`), and the node keeps that cost; the
-//! backward sweep opens one `bwd:<op>` span per node and prices it at the
+//! backward sweep opens one `bwd:<op>` span per node it reaches (only ops
+//! that can reach a parameter have a backward) and prices it at the
 //! forward cost times the number of parent gradients the closure returned,
 //! except that a gradient the closure declares a reduction
 //! (`BackwardCtx::reduces`, a convolution's bias) costs its sum instead.
@@ -20,10 +22,11 @@
 //! once under its own name.
 
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::rc::Rc;
 
 use hfta_telemetry::{LaneId, OpCost, OpSpanGuard, Profiler};
-use hfta_tensor::Tensor;
+use hfta_tensor::{Shape, Tensor};
 
 use crate::parameter::Parameter;
 
@@ -34,6 +37,13 @@ pub(crate) type ParentGrads = Vec<(usize, Tensor)>;
 /// gradients, reading whatever values it needs from the tape through the
 /// [`BackwardCtx`] instead of holding copies of them.
 pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &BackwardCtx<'_>) -> ParentGrads>;
+
+/// How a node sends its output gradient back: through a closure, or (a
+/// `narrow`) as the window `(parent, axis, start)` added into the parent's.
+pub(crate) enum Backward {
+    Closure(BackwardFn),
+    Window(usize, usize, usize),
+}
 
 /// What a backward closure may read during the reverse sweep: the values
 /// the tape already holds — its parents' and its own output — and which
@@ -72,23 +82,85 @@ impl<'a> BackwardCtx<'a> {
         &self.nodes[self.id].value
     }
 
-    /// Whether a gradient sent to node `id` can reach anything. A
-    /// [`Tape::leaf`] has no backward and no parameter, so its gradient
-    /// would be dropped unread: ops skip computing it.
+    /// Whether a gradient sent to node `id` can reach a parameter. A
+    /// constant — a [`Tape::leaf`] or an op over constants only — would drop
+    /// it unread: ops skip computing it.
     pub(crate) fn needs_grad(&self, id: usize) -> bool {
-        let node = &self.nodes[id];
-        node.backward.is_some() || node.param.is_some()
+        self.nodes[id].needs_grad()
     }
 }
 
 pub(crate) struct Node {
     pub(crate) value: Tensor,
-    pub(crate) backward: Option<BackwardFn>,
+    pub(crate) backward: Option<Backward>,
     pub(crate) param: Option<Parameter>,
     /// Op that produced this node and the cost its forward span declared;
     /// they name and price the backward span.
     pub(crate) op: &'static str,
     pub(crate) cost: OpCost,
+}
+
+impl Node {
+    fn needs_grad(&self) -> bool {
+        self.backward.is_some() || self.param.is_some()
+    }
+}
+
+/// A node's gradient as the sweep accumulates it, with the bits of the plain
+/// rule (first gradient moved in, later ones added whole, windows
+/// zero-padded). Padding adds `+0.0` outside a window, which only turns
+/// `-0.0` into `+0.0` and quiets a signalling NaN; so a lone window is kept
+/// as it arrived, and disjoint windows on one axis are added into one
+/// zeroed slot (`0.0 + g`) in place. Anything else takes the plain rule.
+enum Slot {
+    Empty,
+    /// `(axis, spans, grad)`; `grad` is the window itself while it is alone.
+    Windows(usize, Vec<Range<usize>>, Tensor),
+    Whole(Tensor),
+}
+
+impl Slot {
+    /// Empties the slot of a node of shape `shape`, returning its gradient.
+    fn take(&mut self, shape: &Shape) -> Option<Tensor> {
+        match std::mem::replace(self, Slot::Empty) {
+            Slot::Empty => None,
+            Slot::Windows(axis, spans, grad) if spans.len() == 1 => {
+                let mut full = Tensor::zeros(shape.clone());
+                full.narrow_assign(axis, spans[0].start, &grad);
+                Some(full)
+            }
+            Slot::Windows(_, _, grad) | Slot::Whole(grad) => Some(grad),
+        }
+    }
+
+    fn add(&mut self, shape: &Shape, g: Tensor) {
+        let sum = self.take(shape).map(|mut sum| {
+            sum.add_assign_scaled(&g, 1.0);
+            sum
+        });
+        *self = Slot::Whole(sum.unwrap_or(g));
+    }
+
+    fn add_window(&mut self, shape: &Shape, axis: usize, start: usize, g: Tensor) {
+        let span = start..start + g.dim(axis);
+        let apart = |r: &Range<usize>| r.end <= span.start || span.end <= r.start;
+        match self {
+            Slot::Empty => *self = Slot::Windows(axis, vec![span], g),
+            Slot::Windows(a, spans, grad) if *a == axis && spans.iter().all(apart) => {
+                if let [first] = &spans[..] {
+                    let mut full = Tensor::zeros(shape.clone());
+                    full.narrow_add_assign(axis, first.start, grad);
+                    *grad = full;
+                }
+                grad.narrow_add_assign(axis, start, &g);
+                spans.push(span);
+            }
+            _ => {
+                let padded = Slot::Windows(axis, vec![span], g).take(shape);
+                self.add(shape, padded.expect("a window"));
+            }
+        }
+    }
 }
 
 /// Telemetry captured once per tape so hot paths pay a single branch.
@@ -217,16 +289,29 @@ impl Tape {
         f(&values)
     }
 
-    /// Records an op's output with its backward closure.
+    /// Records an op's output over `parents` with its backward closure.
     pub(crate) fn push_op(
         &self,
         value: Tensor,
+        parents: &[usize],
         backward: impl Fn(&Tensor, &BackwardCtx<'_>) -> ParentGrads + 'static,
     ) -> Var {
-        self.push(value, Some(Box::new(backward)), None)
+        self.push_with(value, parents, || Backward::Closure(Box::new(backward)))
     }
 
-    fn push(&self, value: Tensor, backward: Option<BackwardFn>, param: Option<Parameter>) -> Var {
+    /// Records an op's output over `parents` with the backward `f` builds;
+    /// if no parent needs a gradient the output is a constant, `f` unrun.
+    pub(crate) fn push_with(
+        &self,
+        value: Tensor,
+        parents: &[usize],
+        f: impl FnOnce() -> Backward,
+    ) -> Var {
+        let tracked = (parents.iter()).any(|&id| self.inner.nodes.borrow()[id].needs_grad());
+        self.push(value, tracked.then(f), None)
+    }
+
+    fn push(&self, value: Tensor, backward: Option<Backward>, param: Option<Parameter>) -> Var {
         let (op, cost) = self
             .inner
             .current_op
@@ -354,53 +439,57 @@ impl Var {
         );
         let telemetry = self.tape.inner.telemetry.as_ref();
         let _sweep = telemetry.map(|t| t.profiler.span(t.bwd, "backward"));
-        let mut grads: Vec<Option<Tensor>> = vec![None; self.id + 1];
-        grads[self.id] = Some(seed);
+        let mut slots: Vec<Slot> = (0..=self.id).map(|_| Slot::Empty).collect();
+        slots[self.id] = Slot::Whole(seed);
         for id in (0..=self.id).rev() {
-            let Some(g) = grads[id].take() else { continue };
             let node = &nodes[id];
+            let Some(g) = slots[id].take(node.value.shape()) else {
+                continue;
+            };
+            if let Some(param) = &node.param {
+                param.accumulate_grad(&g);
+            }
             if let Some(backward) = &node.backward {
                 let mut span = telemetry.map(|t| {
                     t.profiler
                         .op_span(t.bwd, format!("bwd:{}", node.op), node.cost)
                 });
-                let ctx = BackwardCtx::new(&nodes, id);
-                let parent_grads = backward(&g, &ctx);
-                if let Some(span) = &mut span {
-                    let (reductions, numel) = ctx.reduced.get();
-                    span.scale(parent_grads.len() - reductions);
-                    span.add(OpCost::reduction(numel));
-                }
+                let parent_grads = match backward {
+                    Backward::Closure(backward) => {
+                        let ctx = BackwardCtx::new(&nodes, id);
+                        let parent_grads = backward(&g, &ctx);
+                        if let Some(span) = &mut span {
+                            let (reductions, numel) = ctx.reduced.get();
+                            span.scale(parent_grads.len() - reductions);
+                            span.add(OpCost::reduction(numel));
+                        }
+                        parent_grads
+                    }
+                    &Backward::Window(parent, axis, start) => {
+                        let shape = nodes[parent].value.shape();
+                        slots[parent].add_window(shape, axis, start, g);
+                        continue;
+                    }
+                };
                 for (pid, pg) in parent_grads {
                     debug_assert!(pid < id, "tape must be topologically ordered");
-                    match &mut grads[pid] {
-                        Some(existing) => existing.add_assign_scaled(&pg, 1.0),
-                        slot @ None => *slot = Some(pg),
-                    }
+                    slots[pid].add(nodes[pid].value.shape(), pg);
                 }
-            }
-            if let Some(param) = &node.param {
-                param.accumulate_grad(&g);
             }
         }
     }
 
     /// Records a unary op whose `backward(g, x, y)` maps the output
     /// gradient to this node's gradient, reading this node's value `x` and
-    /// the op's output `y` from the tape. Skipped when this node needs no
-    /// gradient.
+    /// the op's output `y` from the tape. A constant if this node is one.
     pub(crate) fn unary(
         &self,
         value: Tensor,
         backward: impl Fn(&Tensor, &Tensor, &Tensor) -> Tensor + 'static,
     ) -> Var {
         let id = self.id;
-        self.tape.push_op(value, move |g, ctx| {
-            if ctx.needs_grad(id) {
-                vec![(id, backward(g, ctx.value(id), ctx.output()))]
-            } else {
-                Vec::new()
-            }
+        self.tape.push_op(value, &[id], move |g, ctx| {
+            vec![(id, backward(g, ctx.value(id), ctx.output()))]
         })
     }
 
@@ -420,7 +509,7 @@ impl Var {
             "operands must share a tape"
         );
         let (a, b) = (self.id, other.id);
-        self.tape.push_op(value, move |g, ctx| {
+        self.tape.push_op(value, &[a, b], move |g, ctx| {
             let (av, bv) = (ctx.value(a), ctx.value(b));
             let mut out = Vec::with_capacity(2);
             if ctx.needs_grad(a) {
@@ -440,11 +529,13 @@ impl Var {
     /// output gradient `g`.
     pub(crate) fn grad_targets(&self, g: &Tensor) -> Vec<usize> {
         let nodes = self.tape.inner.nodes.borrow();
-        let backward = nodes[self.id].backward.as_ref().expect("an op node");
-        backward(g, &BackwardCtx::new(&nodes, self.id))
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
+        match nodes[self.id].backward.as_ref().expect("an op node") {
+            Backward::Closure(backward) => backward(g, &BackwardCtx::new(&nodes, self.id))
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect(),
+            Backward::Window(parent, ..) => vec![*parent],
+        }
     }
 }
 

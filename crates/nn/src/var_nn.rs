@@ -3,8 +3,7 @@
 //!
 //! Backward closures read their operands (`x`, `w`, `gamma`) and outputs
 //! from the tape rather than capturing copies, and skip the gradient of any
-//! operand that needs none — a plain [`crate::Tape::leaf`] such as a model's
-//! input batch.
+//! operand that needs none — a constant, such as a model's input batch.
 
 use hfta_tensor::activation::{log_softmax_backward, softmax_backward};
 use hfta_tensor::conv::{
@@ -66,7 +65,8 @@ fn record_conv(
         .tape
         .with_values(&operands, |v| forward(v[0], v[1], v.get(2).copied()));
     let (xi, wi, bi) = (x.id, weight.id, bias.map(|b| b.id));
-    x.tape.push_op(y, move |g, ctx| {
+    let parents = [xi, wi, bi.unwrap_or(wi)];
+    x.tape.push_op(y, &parents, move |g, ctx| {
         let mut out: ParentGrads = Vec::with_capacity(3);
         if ctx.needs_grad(xi) {
             out.push((xi, grad_x(g, ctx.value(wi))));
@@ -224,7 +224,7 @@ impl Var {
                 // per-channel inverse std, all `batch_norm_backward` reads.
                 let y = std::mem::take(&mut ctx.output);
                 let stats = (std::mem::take(&mut ctx.mean), std::mem::take(&mut ctx.var));
-                let var = self.tape.push_op(y, move |g, c| {
+                let var = self.tape.push_op(y, &[xi, gi, bi], move |g, c| {
                     grads(c, batch_norm_backward(g, &ctx, c.value(gi)))
                 });
                 (var, Some(stats))
@@ -234,7 +234,7 @@ impl Var {
                     batch_norm_eval(v[0], v[1], v[2], rm, rvar, eps)
                 });
                 let (rm, rvar) = (rm.to_vec(), rvar.to_vec());
-                let var = self.tape.push_op(y, move |g, c| {
+                let var = self.tape.push_op(y, &[xi, gi, bi], move |g, c| {
                     let (x, gv) = (c.value(xi), c.value(gi));
                     grads(c, batch_norm_eval_backward(g, x, gv, &rm, &rvar, eps))
                 });

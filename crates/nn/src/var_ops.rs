@@ -12,7 +12,7 @@ use hfta_tensor::activation::{
 };
 use hfta_tensor::Tensor;
 
-use crate::tape::Var;
+use crate::tape::{Backward, Var};
 
 impl Var {
     // ------------------------------------------------------------------
@@ -25,13 +25,11 @@ impl Var {
             OpCost::elementwise(self.numel().max(other.numel()))
         });
         let value = self.with_value(|a| other.with_value(|b| a.add(b)));
-        let sa = self.with_value(|a| a.shape().clone());
-        let sb = other.with_value(|b| b.shape().clone());
         self.binary(
             other,
             value,
-            move |g, _, _| g.sum_to(&sa),
-            move |g, _, _| g.sum_to(&sb),
+            |g, a, _| g.sum_to(a.shape()),
+            |g, _, b| g.sum_to(b.shape()),
         )
     }
 
@@ -41,13 +39,11 @@ impl Var {
             OpCost::elementwise(self.numel().max(other.numel()))
         });
         let value = self.with_value(|a| other.with_value(|b| a.sub(b)));
-        let sa = self.with_value(|a| a.shape().clone());
-        let sb = other.with_value(|b| b.shape().clone());
         self.binary(
             other,
             value,
-            move |g, _, _| g.sum_to(&sa),
-            move |g, _, _| g.neg().sum_to(&sb),
+            |g, a, _| g.sum_to(a.shape()),
+            |g, _, b| g.neg().sum_to(b.shape()),
         )
     }
 
@@ -228,10 +224,10 @@ impl Var {
         let _t = self
             .tape
             .record_op("sum_axis", || OpCost::reduction(self.numel()));
-        self.unary(self.with_value(|v| v.sum_axis(axis, true)), |g, x, _| {
-            // Broadcast the reduced gradient back across the axis.
-            Tensor::zeros(x.shape().clone()).add(g)
-        })
+        self.unary(
+            self.with_value(|v| v.sum_axis(axis, true)),
+            move |g, x, _| g.expand_axis(axis, x.dim(axis)),
+        )
     }
 
     /// Mean along `axis`, keeping it as size 1.
@@ -315,19 +311,14 @@ impl Var {
         self.permute(&order)
     }
 
-    /// Slice of `len` elements from `start` along `axis`.
+    /// Slice of `len` elements from `start` along `axis`. Its gradient is
+    /// added into the window of this node's gradient it came from.
     pub fn narrow(&self, axis: usize, start: usize, len: usize) -> Var {
         let _t = self
             .tape
             .record_op("narrow", || OpCost::elementwise(self.numel()));
-        self.unary(
-            self.with_value(|v| v.narrow(axis, start, len)),
-            move |g, x, _| {
-                let mut gx = Tensor::zeros(x.shape().clone());
-                gx.narrow_assign(axis, start, g);
-                gx
-            },
-        )
+        let (value, id) = (self.with_value(|v| v.narrow(axis, start, len)), self.id);
+        (self.tape).push_with(value, &[id], || Backward::Window(id, axis, start))
     }
 
     /// Concatenates variables along `axis`.
@@ -346,7 +337,7 @@ impl Var {
             (Tensor::concat(values, axis), sizes)
         });
         let ids: Vec<usize> = vars.iter().map(|v| v.id).collect();
-        tape.push_op(value, move |g, ctx| {
+        tape.push_op(value, &ids.clone(), move |g, ctx| {
             let mut out = Vec::with_capacity(ids.len());
             let mut off = 0;
             for (&id, &size) in ids.iter().zip(&sizes) {
