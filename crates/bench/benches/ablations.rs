@@ -380,6 +380,11 @@ fn ablation_passes(c: &mut Criterion) {
     rows.push(("bn_train", &d1, bn_train));
     rows.push(("bn_train", &[2, 576, 4, 4], bn_train));
     rows.push(("bn_eval", &pointnet, bn_eval));
+    // One-element rows: PointNet's fused linear-layer batch norms at B = 8
+    // (the `[8, 2, 32]` array format is this work), and shorter rows.
+    rows.push(("bn_eval", &[2, 256], bn_eval));
+    rows.push(("bn_train", &[2, 256], bn_train));
+    rows.push(("bn_eval", &[2, 64, 32], bn_eval));
     rows.push(("max_axis", &pointnet, max_axis));
     rows.push(("sum_axis", &pointnet, sum_axis));
     rows.push(("bn_train", &pointnet, bn_train));

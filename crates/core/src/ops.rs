@@ -48,7 +48,7 @@ use hfta_nn::{Module, Parameter, Var};
 use hfta_tensor::{Rng, Tensor};
 
 use crate::error::{FusionError, Result};
-use crate::format::{array_to_conv, conv_to_array, fused_concat_channels};
+use crate::format::{conv_to_array, fused_concat_channels};
 
 /// A fused parameter together with its array width; axis 0 is always the
 /// model axis (divided into `b` equal chunks), which is how per-model
@@ -570,10 +570,10 @@ impl Ops for Fused {
         conv_to_array(x, self.0)
     }
 
-    /// The widened batch norm runs in conv format: `[B, N, F]` → `[N, B*F]`,
-    /// normalize, and back.
+    /// The widened batch norm over the array format `[B, N, F]` as it
+    /// lies: `B` groups, model `b`'s feature `f` its channel `b * F + f`.
     fn batch_norm_linear(&self, bn: &BatchNorm, x: &Var) -> Var {
-        conv_to_array(&bn.forward(&array_to_conv(x)), self.0)
+        bn.forward_grouped(x, Some(self.0))
     }
 
     fn log_softmax_channels(&self, logits: &Var) -> Var {

@@ -529,15 +529,15 @@ impl BatchNorm {
             training: Cell::new(true),
         }
     }
-}
 
-impl Module for BatchNorm {
-    fn forward(&self, x: &Var) -> Var {
+    /// [`Module::forward`] over `x [G, N, C, spatial…]` when `groups` is
+    /// `Some(G)`, the layer's channels being the `G * C` pairs `(g, c)`.
+    pub fn forward_grouped(&self, x: &Var, groups: Option<usize>) -> Var {
         let tape = x.tape().clone();
         let g = tape.param(&self.gamma);
         let b = tape.param(&self.beta);
         if self.training.get() {
-            let (y, stats) = x.batch_norm(&g, &b, self.eps, None);
+            let (y, stats) = x.batch_norm_grouped(groups, &g, &b, self.eps, None);
             let (mean, var) = stats.expect("training mode yields batch stats");
             // PyTorch tracks the *unbiased* variance in running stats.
             let n = (x.numel() / mean.len()) as f32;
@@ -552,9 +552,15 @@ impl Module for BatchNorm {
         } else {
             let rm = self.running_mean.borrow();
             let rv = self.running_var.borrow();
-            let (y, _) = x.batch_norm(&g, &b, self.eps, Some((&rm, &rv)));
+            let (y, _) = x.batch_norm_grouped(groups, &g, &b, self.eps, Some((&rm, &rv)));
             y
         }
+    }
+}
+
+impl Module for BatchNorm {
+    fn forward(&self, x: &Var) -> Var {
+        self.forward_grouped(x, None)
     }
 
     fn parameters(&self) -> Vec<Parameter> {

@@ -12,7 +12,8 @@ use hfta_tensor::conv::{
     conv_transpose2d_grad_weight, ConvCfg,
 };
 use hfta_tensor::norm::{
-    batch_norm_backward, batch_norm_eval, batch_norm_eval_backward, batch_norm_train,
+    batch_norm_backward_grouped, batch_norm_eval_backward_grouped, batch_norm_eval_grouped,
+    batch_norm_train_grouped, eval_inv_std,
 };
 use hfta_tensor::pool::{max_pool2d, max_pool2d_backward};
 use hfta_tensor::Tensor;
@@ -204,6 +205,19 @@ impl Var {
         eps: f32,
         running_stats: Option<(&[f32], &[f32])>,
     ) -> (Var, Option<BatchStats>) {
+        self.batch_norm_grouped(None, gamma, beta, eps, running_stats)
+    }
+
+    /// [`Var::batch_norm`] over `[G, N, C, spatial…]` when `groups` is
+    /// `Some(G)`, channel `(g, c)` being `g * C + c`.
+    pub fn batch_norm_grouped(
+        &self,
+        groups: Option<usize>,
+        gamma: &Var,
+        beta: &Var,
+        eps: f32,
+        running_stats: Option<(&[f32], &[f32])>,
+    ) -> (Var, Option<BatchStats>) {
         let _t = self
             .tape
             .record_op("batch_norm", || OpCost::elementwise(self.numel()));
@@ -217,26 +231,29 @@ impl Var {
         let operands = [self, gamma, beta];
         match running_stats {
             None => {
-                let mut ctx = self
-                    .tape
-                    .with_values(&operands, |v| batch_norm_train(v[0], v[1], v[2], eps));
+                let mut ctx = self.tape.with_values(&operands, |v| {
+                    batch_norm_train_grouped(v[0], groups, v[1], v[2], eps)
+                });
                 // The tape keeps the output; the closure keeps x̂ and the
                 // per-channel inverse std, all `batch_norm_backward` reads.
                 let y = std::mem::take(&mut ctx.output);
                 let stats = (std::mem::take(&mut ctx.mean), std::mem::take(&mut ctx.var));
                 let var = self.tape.push_op(y, &[xi, gi, bi], move |g, c| {
-                    grads(c, batch_norm_backward(g, &ctx, c.value(gi)))
+                    grads(c, batch_norm_backward_grouped(g, groups, &ctx, c.value(gi)))
                 });
                 (var, Some(stats))
             }
             Some((rm, rvar)) => {
+                // The backward reuses the forward's inverse std.
+                let inv_std = eval_inv_std(rvar, eps);
                 let y = self.tape.with_values(&operands, |v| {
-                    batch_norm_eval(v[0], v[1], v[2], rm, rvar, eps)
+                    batch_norm_eval_grouped(v[0], groups, v[1], v[2], rm, &inv_std)
                 });
-                let (rm, rvar) = (rm.to_vec(), rvar.to_vec());
+                let rm = rm.to_vec();
                 let var = self.tape.push_op(y, &[xi, gi, bi], move |g, c| {
                     let (x, gv) = (c.value(xi), c.value(gi));
-                    grads(c, batch_norm_eval_backward(g, x, gv, &rm, &rvar, eps))
+                    let d = batch_norm_eval_backward_grouped(g, x, groups, gv, &rm, &inv_std);
+                    grads(c, d)
                 });
                 (var, None)
             }

@@ -188,22 +188,19 @@ fn check_out_hw(cfg: &ConvCfg, hw: (usize, usize), kernel: (usize, usize), got: 
     assert_eq!(got, want, "grad output extent for input {hw:?}");
 }
 
-fn check_conv_args(x: &Tensor, w: &Tensor, cfg: &ConvCfg) {
-    assert_eq!(x.rank(), 4, "conv2d input must be [N, C, H, W]");
-    assert_eq!(w.rank(), 4, "conv2d weight must be [Cout, Cin/g, kh, kw]");
-    let cin = x.dim(1);
-    check_groups(cin, w.dim(0), cfg.groups);
-    assert_eq!(
-        w.dim(1),
-        cin / cfg.groups,
-        "weight in-channels {} != Cin/groups {}",
-        w.dim(1),
-        cin / cfg.groups
-    );
+/// `[N, C, H, W]` extents of a convolution operand; a 1-D one `[N, C, L]`
+/// is read where it lies at unit height, `[N, C, 1, L]`.
+fn nchw(t: &Tensor) -> [usize; 4] {
+    match *t.dims() {
+        [a, b, l] => [a, b, 1, l],
+        [a, b, h, w] => [a, b, h, w],
+        ref d => panic!("convolution operand {d:?} is neither [N, C, L] nor [N, C, H, W]"),
+    }
 }
 
 /// 2-D convolution: `x [N, Cin, H, W]`, `w [Cout, Cin/g, kh, kw]`,
-/// optional `b [Cout]` → `[N, Cout, Ho, Wo]`.
+/// optional `b [Cout]` → `[N, Cout, Ho, Wo]`; 1-D operands at unit height
+/// (see [`conv1d`]).
 ///
 /// # Panics
 ///
@@ -220,11 +217,11 @@ fn check_conv_args(x: &Tensor, w: &Tensor, cfg: &ConvCfg) {
 /// assert_eq!(y.to_vec(), vec![4.0; 4]);
 /// ```
 pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tensor {
-    check_conv_args(x, w, &cfg);
-    let (n, cin, h, wdt) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (cout, _, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
-    let g = cfg.groups;
-    let (cing, coutg) = (cin / g, cout / g);
+    let ([n, cin, h, wdt], [cout, wcin, kh, kw], g) = (nchw(x), nchw(w), cfg.groups);
+    check_groups(cin, cout, g);
+    let cing = cin / g;
+    assert_eq!(wcin, cing, "weight in-channels {wcin} != Cin/groups {cing}");
+    let coutg = cout / g;
     let (ho, wo) = cfg.out_hw((h, wdt), (kh, kw));
     let (krows, spatial, plane) = (cing * kh * kw, ho * wo, h * wdt);
     let tables = (!pointwise((kh, kw), &cfg)).then(|| Tables::new(cing, (h, wdt), (kh, kw), &cfg));
@@ -233,17 +230,21 @@ pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tenso
         Some(tables) => PackB::Gather(x.as_slice(), tables.offsets(false, &window)),
         None => PackB::N(x.as_slice()),
     };
-    let mut out = Tensor::zeros([n, cout, ho, wo]);
     // Each output row starts from its channel's bias and the GEMM adds on
     // top: the bias comes first in every element's chain, with no second
     // pass over the output.
-    if let Some(bias) = b {
-        assert_eq!(bias.dims(), &[cout], "bias must be [Cout]");
-        let rows = out.as_mut_slice().chunks_exact_mut(spatial.max(1));
-        for (row, &bv) in rows.zip(bias.as_slice().iter().cycle()) {
-            row.fill(bv);
+    let mut out = match b {
+        Some(bias) => {
+            assert_eq!(bias.dims(), &[cout], "bias must be [Cout]");
+            let mut out = Tensor::unfilled([n, cout, ho, wo]);
+            let rows = out.as_mut_slice().chunks_exact_mut(spatial.max(1));
+            for (row, &bv) in rows.zip(bias.as_slice().iter().cycle()) {
+                row.fill(bv);
+            }
+            out
         }
-    }
+        None => Tensor::zeros([n, cout, ho, wo]),
+    };
     // out[ni, gi] += w[gi] @ cols(x[ni, gi]) : [coutg, spatial]
     let batch = [
         axis(n, 0, cin * plane, cout * spatial),
@@ -269,9 +270,7 @@ pub fn conv2d_grad_input(
     cin: usize,
     cfg: ConvCfg,
 ) -> Tensor {
-    assert_eq!(gy.rank(), 4, "grad output must be [N, Cout, Ho, Wo]");
-    let (n, cout, ho, wo) = (gy.dim(0), gy.dim(1), gy.dim(2), gy.dim(3));
-    let (kh, kw) = (w.dim(2), w.dim(3));
+    let ([n, cout, ho, wo], [_, _, kh, kw]) = (nchw(gy), nchw(w));
     let g = cfg.groups;
     check_groups(cin, cout, g);
     check_out_hw(&cfg, input_hw, (kh, kw), (ho, wo));
@@ -304,8 +303,7 @@ pub fn conv2d_grad_weight(
     kernel_hw: (usize, usize),
     cfg: ConvCfg,
 ) -> Tensor {
-    let (n, cin, h, wdt) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (n2, cout, ho, wo) = (gy.dim(0), gy.dim(1), gy.dim(2), gy.dim(3));
+    let ([n, cin, h, wdt], [n2, cout, ho, wo]) = (nchw(x), nchw(gy));
     assert_eq!(n, n2, "batch mismatch between input and grad output");
     let (kh, kw) = kernel_hw;
     let g = cfg.groups;
@@ -404,15 +402,15 @@ fn conv1d_cfg(stride: usize, padding: usize, groups: usize) -> ConvCfg {
     }
 }
 
-/// `[N, C, L]` as `[N, C, 1, L]` (and weights `[Cout, Cin/g, k]` as
-/// `[Cout, Cin/g, 1, k]`).
-fn unit_height(t: &Tensor) -> Tensor {
-    t.reshape(&[t.dim(0), t.dim(1), 1, t.dim(2)])
+/// `[a, b, 1, l]` as `[a, b, l]`, its storage moved.
+fn drop_height(t: Tensor) -> Tensor {
+    let dims = [t.dim(0), t.dim(1), t.dim(3)];
+    t.into_shape(dims)
 }
 
 /// 1-D convolution: `x [N, Cin, L]`, `w [Cout, Cin/g, k]` → `[N, Cout, Lo]`.
 ///
-/// Delegates to [`conv2d`] with a unit height axis.
+/// [`conv2d`] at unit height, over the operands where they lie.
 ///
 /// # Panics
 ///
@@ -427,9 +425,7 @@ pub fn conv1d(
 ) -> Tensor {
     assert_eq!(x.rank(), 3, "conv1d input must be [N, C, L]");
     assert_eq!(w.rank(), 3, "conv1d weight must be [Cout, Cin/g, k]");
-    let cfg = conv1d_cfg(stride, padding, groups);
-    let y = conv2d(&unit_height(x), &unit_height(w), b, cfg);
-    y.reshape(&[y.dim(0), y.dim(1), y.dim(3)])
+    drop_height(conv2d(x, w, b, conv1d_cfg(stride, padding, groups)))
 }
 
 /// Gradient of [`conv1d`] with respect to its input of length `len` and
@@ -443,8 +439,7 @@ pub fn conv1d_grad_input(
     groups: usize,
 ) -> Tensor {
     let cfg = conv1d_cfg(stride, padding, groups);
-    let gx = conv2d_grad_input(&unit_height(w), &unit_height(gy), (1, len), cin, cfg);
-    gx.reshape(&[gy.dim(0), cin, len])
+    drop_height(conv2d_grad_input(w, gy, (1, len), cin, cfg))
 }
 
 /// Gradient of [`conv1d`] with respect to its weight of kernel size `k`.
@@ -457,8 +452,7 @@ pub fn conv1d_grad_weight(
     groups: usize,
 ) -> Tensor {
     let cfg = conv1d_cfg(stride, padding, groups);
-    let gw = conv2d_grad_weight(&unit_height(x), &unit_height(gy), (1, k), cfg);
-    gw.reshape(&[gw.dim(0), gw.dim(1), k])
+    drop_height(conv2d_grad_weight(x, gy, (1, k), cfg))
 }
 
 /// Gradient of [`conv1d`] with respect to its bias: `gy` summed over length
@@ -467,9 +461,9 @@ pub fn conv1d_grad_weight(
 /// extra size-1 reduction adds each sum to `+0.0` unchanged).
 pub fn conv1d_grad_bias(gy: &Tensor) -> Tensor {
     assert_eq!(gy.rank(), 3, "conv1d gradient must be [N, C, L]");
-    let dims = (gy.dim(0), gy.dim(1), gy.dim(2));
-    let sums = crate::norm::channel_sums([gy.as_slice()], dims, |[g]| [g]);
-    Tensor::from_slice(sums.as_flattened(), [dims.1])
+    let dims = (1, gy.dim(0), gy.dim(1), gy.dim(2));
+    let sums = crate::norm::channel_sums([gy.as_slice()], dims, [], true, |_, [g]| [g]);
+    Tensor::from_slice(sums.as_flattened(), [dims.2])
 }
 
 #[cfg(test)]

@@ -3,16 +3,21 @@
 //! Normalizes over all axes except the channel axis (axis 1), covering the
 //! `BatchNorm1d` (`[N, C]` / `[N, C, L]`) and `BatchNorm2d` (`[N, C, H, W]`)
 //! cases. The HFTA fusion of `B` batch-norms simply widens the channel axis
-//! to `B * C` — these kernels are oblivious to the fusion.
+//! to `B * C` — these kernels are oblivious to the fusion. The `*_grouped`
+//! forms read `[G, N, C, spatial…]` with channel `(g, c)` at `g * C + c`
+//! (the array format `[B, N, F]`); every pass indexes channels through that
+//! group axis, conv format being one group.
 //!
 //! Every per-channel statistic pair — forward `(Σx, Σx²)`, training
 //! backward `(Σgy, Σgy·x̂)`, evaluation backward `(Σgy·x̂, Σgy)` — comes
-//! from one pass over each sample's rows of `LINES` channels on
+//! from one pass: across each sample's contiguous channels when rows have
+//! one element, else over each sample's rows of `LINES` channels on
 //! `lines::fold`. Each chain keeps one fixed order (elements ascending
-//! within a sample; training statistics add per-sample partials into a
-//! cross-sample total, the evaluation backward runs one chain across
-//! samples), so results are bit-identical to one channel at a time and at
-//! any thread count; the conv1d bias gradient is the same pass's `Σgy`.
+//! within a sample; training statistics add per-sample partials from
+//! `+0.0` into a cross-sample total, the evaluation backward runs one chain
+//! across samples), so results are bit-identical to one channel at a time
+//! and at any thread count; the conv1d bias gradient is the same pass's
+//! `Σgy`. The map passes read a channel's constants once per row.
 
 use crate::lines::{self, LINES};
 use crate::tensor::{Tensor, ELEMWISE_GRAIN};
@@ -34,140 +39,179 @@ pub struct BatchNormOutput {
     pub var: Vec<f32>,
 }
 
-fn check_bn_input(x: &Tensor) -> (usize, usize, usize) {
+/// `(G, N, C, spatial)` of a `[G, N, C, spatial…]` operand.
+pub(crate) type Dims = (usize, usize, usize, usize);
+
+/// The extents of `x`: `[N, C, spatial…]`, after a group axis of `G` when
+/// `groups` is `Some(G)`.
+fn check_bn_input(x: &Tensor, groups: Option<usize>) -> Dims {
+    let (lead, g) = (usize::from(groups.is_some()), groups.unwrap_or(1));
     assert!(
-        (2..=4).contains(&x.rank()),
-        "batch_norm input must be [N, C], [N, C, L] or [N, C, H, W]"
+        (2 + lead..=4 + lead).contains(&x.rank()) && (lead == 0 || x.dim(0) == g),
+        "batch_norm input must be [N, C], [N, C, L] or [N, C, H, W], after [{g}] if grouped"
     );
-    let n = x.dim(0);
-    let c = x.dim(1);
-    let spatial: usize = x.dims()[2..].iter().product();
-    assert!(n * spatial > 0, "batch_norm over empty batch");
-    (n, c, spatial)
+    let d = &x.dims()[lead..];
+    let spatial: usize = d[2..].iter().product();
+    assert!(d[0] * spatial > 0, "batch_norm over empty batch");
+    (g, d[0], d[1], spatial)
 }
 
-/// `N` sums of each lane of a channel block: `[[Σ p_0; LINES], …]`, each
-/// sum's lanes side by side so their adds vectorize.
-type BlockSums<const N: usize> = [[f32; LINES]; N];
+fn check_channels(t: &[f32], (g, _, c, _): Dims, what: &str) {
+    assert_eq!(t.len(), g * c, "{what} must be [C]");
+}
 
-/// Per-channel sums: `block(c0, lanes)` computes the sums of channels
-/// `c0..c0 + lanes` (at most [`LINES`]); blocks spread across the worker
+/// `(first, len)` of the pieces of `start..start + len` cut at multiples of
+/// `c`: runs of channels within one group, or of rows within one sample.
+fn runs(start: usize, len: usize, c: usize) -> impl Iterator<Item = (usize, usize)> {
+    let end = start + len;
+    let mut at = start;
+    std::iter::from_fn(move || {
+        let first = at;
+        at = ((at / c + 1) * c).min(end);
+        (first < end).then_some((first, at - first))
+    })
+}
+
+/// Per-channel sums of `f(k, values)`, `k` the channel's entries of
+/// `consts`: with `partials` a sum per sample from `+0.0` added into the
+/// total, else one chain across samples. Channels spread across the worker
 /// pool, about [`ELEMWISE_GRAIN`] elements per chunk.
-fn per_channel<const N: usize>(
-    (n, c, spatial): (usize, usize, usize),
-    block: impl Fn(usize, usize) -> BlockSums<N> + Sync,
+pub(crate) fn channel_sums<const S: usize, const M: usize, const N: usize>(
+    srcs: [&[f32]; S],
+    dims @ (_, n, c, spatial): Dims,
+    consts: [&[f32]; M],
+    partials: bool,
+    f: impl Fn([f32; M], [f32; S]) -> [f32; N] + Sync,
 ) -> Vec<[f32; N]> {
-    let mut out = vec![[0.0f32; N]; c];
+    let mut out = vec![[0.0f32; N]; dims.0 * c];
     let grain = (ELEMWISE_GRAIN / (n * spatial).max(1))
         .max(1)
         .next_multiple_of(LINES);
     kernels::for_each_chunk_mut(&mut out, grain, |start, chunk| {
-        for (sums, c0) in chunk.chunks_mut(LINES).zip((start..).step_by(LINES)) {
-            let lanes = block(c0, sums.len());
-            for (j, s) in sums.iter_mut().enumerate() {
-                *s = std::array::from_fn(|i| lanes[i][j]);
+        for (ch0, len) in runs(start, chunk.len(), c) {
+            let sums = &mut chunk[ch0 - start..][..len];
+            let k = consts.map(|t| &t[ch0..ch0 + len]);
+            // Sample `ni`'s rows of this run start here.
+            let row = |ni: usize| ((ch0 / c * n + ni) * c + ch0 % c) * spatial;
+            if spatial == 1 {
+                for ni in 0..n {
+                    sums_across(sums, srcs.map(|s| &s[row(ni)..][..len]), k, partials, &f);
+                }
+                continue;
+            }
+            for (b, sums) in sums.chunks_mut(LINES).enumerate() {
+                let lanes = sums.len();
+                let kb: [[f32; LINES]; M] =
+                    k.map(|t| std::array::from_fn(|j| t[b * LINES + j.min(lanes - 1)]));
+                let mut acc = [[0.0f32; LINES]; N];
+                for ni in 0..n {
+                    let at = row(ni) + b * LINES * spatial;
+                    let zero = [[0.0f32; LINES]; N];
+                    let start = if partials { zero } else { acc };
+                    let got =
+                        lines::fold(srcs, (at, lanes, spatial, spatial), start, |mut s, _, v| {
+                            for j in 0..LINES {
+                                let q = f(kb.map(|t| t[j]), std::array::from_fn(|i| v[i][j]));
+                                for (sum, q) in s.iter_mut().zip(q) {
+                                    sum[j] += q;
+                                }
+                            }
+                            s
+                        });
+                    if !partials {
+                        acc = got;
+                        continue;
+                    }
+                    for (t, p) in acc.iter_mut().flatten().zip(got.iter().flatten()) {
+                        *t += p;
+                    }
+                }
+                for (j, s) in sums.iter_mut().enumerate() {
+                    *s = std::array::from_fn(|i| acc[i][j]);
+                }
             }
         }
     });
     out
 }
 
-/// `sums` plus `f(lane, values)` at every position of sample `ni`'s rows
-/// of channels `c0..c0 + lanes`, added into the lanes' chains in position
-/// order.
-#[inline(always)]
-fn accumulate<const S: usize, const N: usize>(
-    sums: BlockSums<N>,
-    srcs: [&[f32]; S],
-    (ni, c0, lanes): (usize, usize, usize),
-    (c, spatial): (usize, usize),
-    f: impl Fn(usize, [f32; S]) -> [f32; N],
-) -> BlockSums<N> {
-    let at = (ni * c + c0) * spatial;
-    lines::fold(
-        srcs,
-        (at, lanes, spatial, spatial),
-        sums,
-        |mut sums, _, v| {
-            for j in 0..LINES {
-                let q = f(j, std::array::from_fn(|s| v[s][j]));
-                for (sum, q) in sums.iter_mut().zip(q) {
-                    sum[j] += q;
-                }
-            }
-            sums
-        },
-    )
-}
-
-/// Per-channel sums of `f(values)` over `[N, C, spatial]` sources: a
-/// partial per sample from `+0.0`, then the cross-sample total from `+0.0`.
-pub(crate) fn channel_sums<const S: usize, const N: usize>(
-    srcs: [&[f32]; S],
-    dims: (usize, usize, usize),
-    f: impl Fn([f32; S]) -> [f32; N] + Sync,
-) -> Vec<[f32; N]> {
-    let (n, c, spatial) = dims;
-    per_channel(dims, |c0, lanes| {
-        let mut total = [[0.0f32; LINES]; N];
-        for ni in 0..n {
-            let zero = [[0.0; LINES]; N];
-            let partial = accumulate(zero, srcs, (ni, c0, lanes), (c, spatial), |_, v| f(v));
-            for (t, p) in total.iter_mut().flatten().zip(partial.iter().flatten()) {
-                *t += p;
-            }
-        }
-        total
-    })
-}
-
-/// Writes every element of `out` as `f(channel, a, b)` of the same
-/// position in `a` and `b`, rows spread across the worker pool. Each
-/// element is written once, so `out` may start unfilled.
-fn map_rows(
-    out: &mut Tensor,
-    a: &[f32],
-    b: &[f32],
-    (_, c, spatial): (usize, usize, usize),
-    f: impl Fn(usize, f32, f32) -> f32 + Sync,
-) {
-    let grain = (ELEMWISE_GRAIN / spatial).max(1) * spatial;
-    kernels::for_each_chunk_mut(out.as_mut_slice(), grain, |start, chunk| {
-        let span = start..start + chunk.len();
-        rows_into(
-            chunk,
-            &a[span.clone()],
-            &b[span],
-            (start / spatial, c, spatial),
-            &f,
-        );
-    });
-}
-
-/// The loop of [`map_rows`] over whole rows from row `row0`, out of line
-/// so `out` arrives as a `&mut` argument: only then is it known not to
-/// alias the inputs or `f`'s per-channel tables, and the rows vectorize.
+/// `sums[j] += f(k[j], v[j])` over one sample's one-element rows, out of
+/// line so `sums` arrives as a `&mut` argument.
 #[inline(never)]
-fn rows_into(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    (row0, c, spatial): (usize, usize, usize),
-    f: &impl Fn(usize, f32, f32) -> f32,
+fn sums_across<const S: usize, const M: usize, const N: usize>(
+    sums: &mut [[f32; N]],
+    v: [&[f32]; S],
+    k: [&[f32]; M],
+    partials: bool,
+    f: &impl Fn([f32; M], [f32; S]) -> [f32; N],
 ) {
-    let rows = out
-        .chunks_mut(spatial)
-        .zip(a.chunks(spatial))
-        .zip(b.chunks(spatial));
-    for (k, ((o, a), b)) in rows.enumerate() {
-        let ci = (row0 + k) % c;
-        for ((o, &x), &y) in o.iter_mut().zip(a).zip(b) {
-            *o = f(ci, x, y);
+    for (j, sum) in sums.iter_mut().enumerate() {
+        let q = f(k.map(|t| t[j]), v.map(|t| t[j]));
+        for (s, q) in sum.iter_mut().zip(q) {
+            *s += if partials { 0.0 + q } else { q };
         }
     }
 }
 
-/// Batch normalization in **training** mode.
+/// Sum `i` of every channel, as a `[C]` tensor.
+fn sum_tensor<const N: usize>(sums: &[[f32; N]], i: usize) -> Tensor {
+    let v: Vec<f32> = sums.iter().map(|s| s[i]).collect();
+    Tensor::from_slice(&v, [sums.len()])
+}
+
+/// Writes every element of `out` as `f(k, a, b)` of the same position in
+/// `a` and `b`, `k` its channel's entries of the `consts` tables; rows
+/// spread across the worker pool. Each element is written once, so `out`
+/// may start unfilled.
+fn map_rows<const M: usize>(
+    out: &mut Tensor,
+    (a, b): (&[f32], &[f32]),
+    (_, n, c, spatial): Dims,
+    consts: [&[f32]; M],
+    f: impl Fn([f32; M], f32, f32) -> f32 + Sync,
+) {
+    let grain = (ELEMWISE_GRAIN / spatial).max(1) * spatial;
+    kernels::for_each_chunk_mut(out.as_mut_slice(), grain, |start, chunk| {
+        for (r0, rows) in runs(start / spatial, chunk.len() / spatial, c) {
+            let span = r0 * spatial - start..(r0 + rows) * spatial - start;
+            let (a, b) = (&a[start..][span.clone()], &b[start..][span.clone()]);
+            let ch0 = r0 / (n * c) * c + r0 % c;
+            let k = consts.map(|t| &t[ch0..ch0 + rows]);
+            rows_into(&mut chunk[span], (a, b), spatial, k, &f);
+        }
+    });
+}
+
+/// The loop of [`map_rows`] over rows of consecutive channels, out of line
+/// so `out` arrives as a `&mut` argument: only then is it known not to
+/// alias the inputs or the tables, and the rows vectorize.
+#[inline(never)]
+fn rows_into<const M: usize>(
+    out: &mut [f32],
+    (a, b): (&[f32], &[f32]),
+    spatial: usize,
+    k: [&[f32]; M],
+    f: &impl Fn([f32; M], f32, f32) -> f32,
+) {
+    if spatial == 1 {
+        for (j, ((o, &x), &y)) in out.iter_mut().zip(a).zip(b).enumerate() {
+            *o = f(k.map(|t| t[j]), x, y);
+        }
+        return;
+    }
+    let rows = out
+        .chunks_exact_mut(spatial)
+        .zip(a.chunks_exact(spatial))
+        .zip(b.chunks_exact(spatial));
+    for (j, ((o, a), b)) in rows.enumerate() {
+        let k = k.map(|t| t[j]);
+        for ((o, &x), &y) in o.iter_mut().zip(a).zip(b) {
+            *o = f(k, x, y);
+        }
+    }
+}
+
+/// Batch normalization in **training** mode over a conv-format input.
 ///
 /// `gamma`/`beta` are per-channel scale and shift (`[C]`). Returns the
 /// output plus the statistics needed for [`batch_norm_backward`] and for
@@ -177,12 +221,25 @@ fn rows_into(
 ///
 /// Panics on rank/shape inconsistencies.
 pub fn batch_norm_train(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> BatchNormOutput {
-    let dims @ (n, c, spatial) = check_bn_input(x);
-    assert_eq!(gamma.dims(), &[c], "gamma must be [C]");
-    assert_eq!(beta.dims(), &[c], "beta must be [C]");
+    batch_norm_train_grouped(x, None, gamma, beta, eps)
+}
+
+/// [`batch_norm_train`] over `x [G, N, C, spatial…]` when `groups` is
+/// `Some(G)`, `gamma`/`beta` then `[G * C]`.
+pub fn batch_norm_train_grouped(
+    x: &Tensor,
+    groups: Option<usize>,
+    gamma: &Tensor,
+    beta: &Tensor,
+    eps: f32,
+) -> BatchNormOutput {
+    let dims @ (_, n, _, spatial) = check_bn_input(x, groups);
+    let (g, bt) = (gamma.as_slice(), beta.as_slice());
+    check_channels(g, dims, "gamma");
+    check_channels(bt, dims, "beta");
     let count = (n * spatial) as f32;
     let xd = x.as_slice();
-    let sums = channel_sums([xd], dims, |[v]| [v, v * v]);
+    let sums = channel_sums([xd], dims, [], true, |_, [v]| [v, v * v]);
     let mean: Vec<f32> = sums.iter().map(|s| s[0] / count).collect();
     let var: Vec<f32> = sums
         .iter()
@@ -190,14 +247,17 @@ pub fn batch_norm_train(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> 
         .map(|(s, m)| (s[1] / count - m * m).max(0.0))
         .collect();
     let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + eps).sqrt()).collect();
-    let (g, bt) = (gamma.as_slice(), beta.as_slice());
     let mut xhat = Tensor::unfilled(x.shape().clone());
-    map_rows(&mut xhat, xd, xd, dims, |ci, v, _| {
-        (v - mean[ci]) * inv_std[ci]
-    });
+    map_rows(
+        &mut xhat,
+        (xd, xd),
+        dims,
+        [&mean, &inv_std],
+        |[m, is], v, _| (v - m) * is,
+    );
     let mut out = Tensor::unfilled(x.shape().clone());
     let xh = xhat.as_slice();
-    map_rows(&mut out, xh, xh, dims, |ci, h, _| g[ci] * h + bt[ci]);
+    map_rows(&mut out, (xh, xh), dims, [g, bt], |[g, b], h, _| g * h + b);
     BatchNormOutput {
         output: out,
         xhat,
@@ -207,8 +267,14 @@ pub fn batch_norm_train(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> 
     }
 }
 
-/// Batch normalization in **evaluation** mode, using provided running
-/// statistics.
+/// `1 / sqrt(running_var + eps)` per channel: the evaluation forward's and
+/// backward's scale.
+pub fn eval_inv_std(running_var: &[f32], eps: f32) -> Vec<f32> {
+    running_var.iter().map(|v| 1.0 / (v + eps).sqrt()).collect()
+}
+
+/// Batch normalization in **evaluation** mode over a conv-format input,
+/// using provided running statistics.
 ///
 /// # Panics
 ///
@@ -221,15 +287,28 @@ pub fn batch_norm_eval(
     running_var: &[f32],
     eps: f32,
 ) -> Tensor {
-    let dims @ (_, c, _) = check_bn_input(x);
-    assert_eq!(running_mean.len(), c, "running mean must be [C]");
-    assert_eq!(running_var.len(), c, "running var must be [C]");
+    let inv_std = eval_inv_std(running_var, eps);
+    batch_norm_eval_grouped(x, None, gamma, beta, running_mean, &inv_std)
+}
+
+/// [`batch_norm_eval`] over `x [G, N, C, spatial…]` when `groups` is
+/// `Some(G)`, with the running variance as [`eval_inv_std`].
+pub fn batch_norm_eval_grouped(
+    x: &Tensor,
+    groups: Option<usize>,
+    gamma: &Tensor,
+    beta: &Tensor,
+    running_mean: &[f32],
+    inv_std: &[f32],
+) -> Tensor {
+    let dims = check_bn_input(x, groups);
+    check_channels(running_mean, dims, "running mean");
+    check_channels(inv_std, dims, "running var");
     let xd = x.as_slice();
-    let (g, bt) = (gamma.as_slice(), beta.as_slice());
-    let inv_std: Vec<f32> = running_var.iter().map(|v| 1.0 / (v + eps).sqrt()).collect();
+    let consts = [gamma.as_slice(), running_mean, inv_std, beta.as_slice()];
     let mut out = Tensor::unfilled(x.shape().clone());
-    map_rows(&mut out, xd, xd, dims, |ci, v, _| {
-        g[ci] * (v - running_mean[ci]) * inv_std[ci] + bt[ci]
+    map_rows(&mut out, (xd, xd), dims, consts, |[g, m, is, b], v, _| {
+        g * (v - m) * is + b
     });
     out
 }
@@ -244,40 +323,42 @@ pub fn batch_norm_backward(
     ctx: &BatchNormOutput,
     gamma: &Tensor,
 ) -> (Tensor, Tensor, Tensor) {
-    let dims @ (n, c, spatial) = check_bn_input(gy);
+    batch_norm_backward_grouped(gy, None, ctx, gamma)
+}
+
+/// Gradients of [`batch_norm_train_grouped`] over the same `groups`.
+pub fn batch_norm_backward_grouped(
+    gy: &Tensor,
+    groups: Option<usize>,
+    ctx: &BatchNormOutput,
+    gamma: &Tensor,
+) -> (Tensor, Tensor, Tensor) {
+    let dims @ (_, n, _, spatial) = check_bn_input(gy, groups);
     let count = (n * spatial) as f32;
-    let gyd = gy.as_slice();
-    let xh = ctx.xhat.as_slice();
-    let g = gamma.as_slice();
-    let sums = channel_sums([gyd, xh], dims, |[a, b]| [a, a * b]);
+    let (gyd, xh) = (gy.as_slice(), ctx.xhat.as_slice());
+    let sums = channel_sums([gyd, xh], dims, [], true, |_, [a, b]| [a, a * b]);
     // Per channel: scale, mean of gy, mean of gy * x̂.
-    let coef: Vec<[f32; 3]> = (0..c)
-        .map(|ci| {
-            [
-                g[ci] * ctx.inv_std[ci],
-                sums[ci][0] / count,
-                sums[ci][1] / count,
-            ]
-        })
+    let scale: Vec<f32> = gamma
+        .as_slice()
+        .iter()
+        .zip(&ctx.inv_std)
+        .map(|(g, s)| g * s)
         .collect();
+    let (mg, mgx): (Vec<f32>, Vec<f32>) = sums.iter().map(|s| (s[0] / count, s[1] / count)).unzip();
     let mut gx = Tensor::unfilled(gy.shape().clone());
-    map_rows(&mut gx, gyd, xh, dims, |ci, gv, h| {
-        let [scale, mg, mgx] = coef[ci];
-        scale * (gv - mg - h * mgx)
-    });
-    let (sum_gy, sum_gy_xhat): (Vec<f32>, Vec<f32>) = sums.iter().map(|s| (s[0], s[1])).unzip();
-    (
-        gx,
-        Tensor::from_slice(&sum_gy_xhat, [c]),
-        Tensor::from_slice(&sum_gy, [c]),
-    )
+    map_rows(
+        &mut gx,
+        (gyd, xh),
+        dims,
+        [&scale, &mg, &mgx],
+        |[s, mg, mgx], gv, h| s * (gv - mg - h * mgx),
+    );
+    (gx, sum_tensor(&sums, 1), sum_tensor(&sums, 0))
 }
 
 /// Gradients of [`batch_norm_eval`] — `y = gamma * (x - rm) * inv_std +
 /// beta` with the running statistics held constant — as `(grad_input,
-/// grad_gamma, grad_beta)`. `x̂ = (x - rm) * inv_std` is recomputed from
-/// `x` inside the statistics pass; each channel's two sums run as one
-/// chain across samples.
+/// grad_gamma, grad_beta)`.
 ///
 /// # Panics
 ///
@@ -290,35 +371,44 @@ pub fn batch_norm_eval_backward(
     running_var: &[f32],
     eps: f32,
 ) -> (Tensor, Tensor, Tensor) {
-    let dims @ (n, c, spatial) = check_bn_input(gy);
+    let inv_std = eval_inv_std(running_var, eps);
+    batch_norm_eval_backward_grouped(gy, x, None, gamma, running_mean, &inv_std)
+}
+
+/// Gradients of [`batch_norm_eval_grouped`] over the same `groups` and
+/// `inv_std`. `x̂ = (x - rm) * inv_std` is recomputed from `x` inside the
+/// statistics pass; each channel's two sums run as one chain across
+/// samples.
+pub fn batch_norm_eval_backward_grouped(
+    gy: &Tensor,
+    x: &Tensor,
+    groups: Option<usize>,
+    gamma: &Tensor,
+    running_mean: &[f32],
+    inv_std: &[f32],
+) -> (Tensor, Tensor, Tensor) {
+    let dims = check_bn_input(gy, groups);
     assert_eq!(
         x.shape(),
         gy.shape(),
         "batch_norm input/grad shape mismatch"
     );
-    assert_eq!(running_mean.len(), c, "running mean must be [C]");
-    assert_eq!(running_var.len(), c, "running var must be [C]");
-    let inv_std: Vec<f32> = running_var.iter().map(|v| 1.0 / (v + eps).sqrt()).collect();
-    let (gyd, xd, g) = (gy.as_slice(), x.as_slice(), gamma.as_slice());
-    let sums = per_channel(dims, |c0, lanes| {
-        let lane = |j: usize| c0 + j.min(lanes - 1);
-        let m: [f32; LINES] = std::array::from_fn(|j| running_mean[lane(j)]);
-        let is: [f32; LINES] = std::array::from_fn(|j| inv_std[lane(j)]);
-        (0..n).fold([[0.0; LINES]; 2], |acc, ni| {
-            let rows = (ni, c0, lanes);
-            accumulate(acc, [gyd, xd], rows, (c, spatial), |j, [gv, v]| {
-                [gv * ((v - m[j]) * is[j]), gv]
-            })
-        })
+    check_channels(running_mean, dims, "running mean");
+    check_channels(inv_std, dims, "running var");
+    let (gyd, xd) = (gy.as_slice(), x.as_slice());
+    let stats = [running_mean, inv_std];
+    let sums = channel_sums([gyd, xd], dims, stats, false, |[m, is], [gv, v]| {
+        [gv * ((v - m) * is), gv]
     });
     let mut gx = Tensor::unfilled(gy.shape().clone());
-    map_rows(&mut gx, gyd, gyd, dims, |ci, d, _| d * g[ci] * inv_std[ci]);
-    let (ggamma, gbeta): (Vec<f32>, Vec<f32>) = sums.iter().map(|s| (s[0], s[1])).unzip();
-    (
-        gx,
-        Tensor::from_slice(&ggamma, [c]),
-        Tensor::from_slice(&gbeta, [c]),
-    )
+    map_rows(
+        &mut gx,
+        (gyd, gyd),
+        dims,
+        [gamma.as_slice(), inv_std],
+        |[g, is], d, _| d * g * is,
+    );
+    (gx, sum_tensor(&sums, 0), sum_tensor(&sums, 1))
 }
 
 #[cfg(test)]
@@ -441,5 +531,61 @@ mod tests {
         let yf = batch_norm_train(&xf, &gf, &bf, 1e-5).output;
         let expect = Tensor::concat(&[&y0, &y1], 1);
         assert!(yf.allclose(&expect, 1e-5));
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every pass over `[G, N, C, spatial…]` equals the same pass over its
+    /// conv-format copy `[N, G * C, spatial…]`, bit for bit: one-element
+    /// and longer rows, runs of channels that cross chunk boundaries, at 1,
+    /// 2 and 4 threads.
+    #[test]
+    fn grouped_layout_equals_its_conv_format_copy() {
+        let mut rng = crate::Rng::seed_from(9);
+        for dims in [
+            vec![3, 2, 5],
+            vec![8, 2, 32],
+            vec![5, 3, 7, 4],
+            vec![2, 2, 9, 3, 3],
+            vec![3, 1500, 11],
+            vec![2, 40, 13, 40],
+        ] {
+            let (g, c) = (dims[0], dims[2]);
+            let mut order: Vec<usize> = (0..dims.len()).collect();
+            order.swap(0, 1);
+            let to_conv = |t: &Tensor| {
+                let mut d = t.dims().to_vec();
+                let p = t.permute(&order);
+                d.remove(0);
+                d[1] *= g;
+                p.reshape(&d)
+            };
+            let x = rng.randn(dims.clone());
+            let gy = rng.randn(dims.clone());
+            let (gamma, beta) = (rng.rand([g * c], 0.5, 1.5), rng.randn([g * c]));
+            let rm = rng.randn([g * c]).to_vec();
+            let inv_std = eval_inv_std(&rng.rand([g * c], 0.5, 2.0).to_vec(), 1e-5);
+            let (xc, gyc) = (to_conv(&x), to_conv(&gy));
+            crate::thread_counts::each(|threads| {
+                let at = format!("{dims:?} at {threads} threads");
+                let got = batch_norm_train_grouped(&x, Some(g), &gamma, &beta, 1e-5);
+                let want = batch_norm_train(&xc, &gamma, &beta, 1e-5);
+                assert_eq!(bits(&to_conv(&got.output)), bits(&want.output), "{at}");
+                assert_eq!(bits(&to_conv(&got.xhat)), bits(&want.xhat), "{at}");
+                let got = batch_norm_backward_grouped(&gy, Some(g), &got, &gamma);
+                let want = batch_norm_backward(&gyc, &want, &gamma);
+                assert_eq!(bits(&to_conv(&got.0)), bits(&want.0), "{at}");
+                assert_eq!((bits(&got.1), bits(&got.2)), (bits(&want.1), bits(&want.2)));
+                let got = batch_norm_eval_grouped(&x, Some(g), &gamma, &beta, &rm, &inv_std);
+                let want = batch_norm_eval_grouped(&xc, None, &gamma, &beta, &rm, &inv_std);
+                assert_eq!(bits(&to_conv(&got)), bits(&want), "{at}");
+                let got = batch_norm_eval_backward_grouped(&gy, &x, Some(g), &gamma, &rm, &inv_std);
+                let want = batch_norm_eval_backward_grouped(&gyc, &xc, None, &gamma, &rm, &inv_std);
+                assert_eq!(bits(&to_conv(&got.0)), bits(&want.0), "{at}");
+                assert_eq!((bits(&got.1), bits(&got.2)), (bits(&want.1), bits(&want.2)));
+            });
+        }
     }
 }

@@ -129,6 +129,14 @@ impl Tensor {
         }
     }
 
+    /// This tensor under a new shape of equal element count, its storage
+    /// moved rather than copied.
+    pub(crate) fn into_shape(mut self, shape: impl Into<Shape>) -> Self {
+        self.shape = shape.into();
+        debug_assert_eq!(self.data.len(), self.shape.numel());
+        self
+    }
+
     /// Pooled copy of a slice — unlike [`Tensor::from_vec`], the backing
     /// buffer comes from the recycling pool, so hot paths that build a
     /// tensor from scratch data stay allocation-free at steady state.
