@@ -95,7 +95,7 @@ pub(crate) fn channel_sums<const S: usize, const M: usize, const N: usize>(
             let row = |ni: usize| ((ch0 / c * n + ni) * c + ch0 % c) * spatial;
             if spatial == 1 {
                 for ni in 0..n {
-                    sums_across(sums, srcs.map(|s| &s[row(ni)..][..len]), k, partials, &f);
+                    sums_across(sums, srcs.map(|s| &s[row(ni)..][..len]), k, &f);
                 }
                 continue;
             }
@@ -136,19 +136,20 @@ pub(crate) fn channel_sums<const S: usize, const M: usize, const N: usize>(
 }
 
 /// `sums[j] += f(k[j], v[j])` over one sample's one-element rows, out of
-/// line so `sums` arrives as a `&mut` argument.
+/// line so `sums` arrives as a `&mut` argument. A one-element partial
+/// `0.0 + q` differs from `q` only at `q = -0.0`, and a sum that starts at
+/// `+0.0` is never `-0.0`, so adding either gives the same bits.
 #[inline(never)]
 fn sums_across<const S: usize, const M: usize, const N: usize>(
     sums: &mut [[f32; N]],
     v: [&[f32]; S],
     k: [&[f32]; M],
-    partials: bool,
     f: &impl Fn([f32; M], [f32; S]) -> [f32; N],
 ) {
     for (j, sum) in sums.iter_mut().enumerate() {
         let q = f(k.map(|t| t[j]), v.map(|t| t[j]));
         for (s, q) in sum.iter_mut().zip(q) {
-            *s += if partials { 0.0 + q } else { q };
+            *s += q;
         }
     }
 }
