@@ -237,6 +237,11 @@ impl Adam {
     pub fn steps(&self) -> u64 {
         self.t
     }
+
+    /// The first and second moment estimates, one of each per parameter.
+    pub fn moments(&self) -> (&[Tensor], &[Tensor]) {
+        (&self.m, &self.v)
+    }
 }
 
 impl Optimizer for Adam {
