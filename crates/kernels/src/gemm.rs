@@ -613,11 +613,18 @@ fn gemm_batched_on(
     // Worst-case concurrent scratch, declared once for the batch: each chunk
     // of units checks out one pair of buffers and reuses it for all its
     // entries (the direct loops' dense `B` and product; the tiles' scatter
-    // strip and the packed `B` of `lanes` entries). Chunks that fan out
-    // across the pool run their GEMMs inline on the workers, so every worker
-    // can hold a pair; a batch on the caller holds one.
-    let threads = pool::num_threads();
-    let nested = pool::in_worker() || !pool::runs_inline(units.div_ceil(grain), work);
+    // strip and the packed `B` of `lanes` entries). A batch inside a worker
+    // may run beside one on every other worker, so each can hold a pair; a
+    // batch that fans out from the caller runs at most one chunk per thread;
+    // a batch inline on the caller holds one.
+    let (threads, chunks) = (pool::num_threads(), units.div_ceil(grain));
+    let pairs = if pool::in_worker() {
+        threads
+    } else if pool::runs_inline(chunks, work) {
+        1
+    } else {
+        threads.min(chunks)
+    };
     let (scattered, packed) = (scatter.is_some(), !matches!(b, PackB::N(_)));
     // A transposed or gathered `B` is packed whole, or one column panel of
     // each stacked entry at a time (see `run_tiled`).
@@ -641,7 +648,7 @@ fn gemm_batched_on(
     let first = lens[0];
     lens[0] += planes[0] + planes[1];
     for (tag, len) in tags.into_iter().zip(lens) {
-        scratch::reserve(tag, len, if nested { threads } else { 1 });
+        scratch::reserve(tag, len, pairs);
     }
 
     let shared = UnsafeSlice::new(dst);
