@@ -1,15 +1,59 @@
 //! Trainable parameters with persistent gradient slots.
+//!
+//! A parameter's value is shared with the tapes that record it (a write
+//! copies it first while one is alive), and its gradient slot does only
+//! the work a reader sees (see `Slot`).
 
-use std::cell::{Ref, RefCell};
+use std::cell::{Ref, RefCell, RefMut};
 use std::fmt;
 use std::rc::Rc;
 
 use hfta_tensor::Tensor;
 
+use crate::tape::Grad;
+
+/// What the gradient storage holds since the last zero: nothing (it reads
+/// as zeros), the gradients' sum unread, or — once read (its optimizer has
+/// stepped) — the sum with every later gradient but the latest, which
+/// waits, unevaluated if it is a product, for a read or `zero_grad`.
+enum Slot {
+    Empty,
+    Open,
+    Read(Option<Grad>),
+}
+
 struct ParamInner {
-    value: Tensor,
+    value: Rc<Tensor>,
     grad: Tensor,
+    slot: Slot,
     name: String,
+}
+
+impl ParamInner {
+    /// Adds `g` after the gradient waiting, if any; into an empty slot with
+    /// the bits of zero-filling and then adding `g * 1.0`: `0.0 + g`.
+    fn add(&mut self, g: &Tensor) {
+        assert_eq!(
+            self.grad.shape(),
+            g.shape(),
+            "gradient shape mismatch for parameter {}",
+            self.name
+        );
+        match &mut self.slot {
+            Slot::Empty => {
+                let out = self.grad.as_mut_slice().iter_mut();
+                out.zip(g.as_slice()).for_each(|(v, &x)| *v = 0.0 + x * 1.0);
+                self.slot = Slot::Open;
+            }
+            Slot::Open => self.grad.add_assign_scaled(g, 1.0),
+            Slot::Read(waiting) => {
+                if let Some(before) = waiting.take() {
+                    self.grad.add_assign_scaled(&before.force(), 1.0);
+                }
+                self.grad.add_assign_scaled(g, 1.0);
+            }
+        }
+    }
 }
 
 /// A trainable tensor that persists across training iterations.
@@ -41,8 +85,9 @@ impl Parameter {
         let grad = value.zeros_like();
         Parameter {
             inner: Rc::new(RefCell::new(ParamInner {
-                value,
+                value: Rc::new(value),
                 grad,
+                slot: Slot::Empty,
                 name: name.into(),
             })),
         }
@@ -59,12 +104,33 @@ impl Parameter {
     ///
     /// Panics if the parameter is currently mutably borrowed.
     pub fn value(&self) -> Ref<'_, Tensor> {
-        Ref::map(self.inner.borrow(), |p| &p.value)
+        Ref::map(self.inner.borrow(), |p| &*p.value)
     }
 
     /// Clone of the current value.
     pub fn value_cloned(&self) -> Tensor {
-        self.inner.borrow().value.clone()
+        Tensor::clone(&self.inner.borrow().value)
+    }
+
+    /// The current value, shared (a tape records it so).
+    pub(crate) fn shared_value(&self) -> Rc<Tensor> {
+        Rc::clone(&self.inner.borrow().value)
+    }
+
+    /// Zeroes an empty slot or adds the gradient waiting, and marks it read.
+    fn read(&self) -> RefMut<'_, ParamInner> {
+        let mut inner = self.inner.borrow_mut();
+        match std::mem::replace(&mut inner.slot, Slot::Read(None)) {
+            Slot::Empty => inner.grad.as_mut_slice().fill(0.0),
+            Slot::Open | Slot::Read(None) => {}
+            Slot::Read(Some(g)) => inner.grad.add_assign_scaled(&g.force(), 1.0),
+        }
+        inner
+    }
+
+    /// Whether the slot was read since it was last zeroed.
+    pub(crate) fn is_read(&self) -> bool {
+        matches!(self.inner.borrow().slot, Slot::Read(_))
     }
 
     /// Borrow of the accumulated gradient.
@@ -73,12 +139,13 @@ impl Parameter {
     ///
     /// Panics if the parameter is currently mutably borrowed.
     pub fn grad(&self) -> Ref<'_, Tensor> {
+        drop(self.read());
         Ref::map(self.inner.borrow(), |p| &p.grad)
     }
 
     /// Clone of the accumulated gradient.
     pub fn grad_cloned(&self) -> Tensor {
-        self.inner.borrow().grad.clone()
+        self.read().grad.clone()
     }
 
     /// Replaces the value outright (e.g. when loading weights).
@@ -93,7 +160,7 @@ impl Parameter {
             value.shape(),
             "set_value must preserve the parameter shape"
         );
-        inner.value = value;
+        inner.value = Rc::new(value);
     }
 
     /// Accumulates `g` into the gradient slot.
@@ -102,34 +169,41 @@ impl Parameter {
     ///
     /// Panics if the gradient shape differs from the value shape.
     pub fn accumulate_grad(&self, g: &Tensor) {
-        let mut inner = self.inner.borrow_mut();
-        assert_eq!(
-            inner.grad.shape(),
-            g.shape(),
-            "gradient shape mismatch for parameter {}",
-            inner.name
-        );
-        inner.grad.add_assign_scaled(g, 1.0);
+        self.inner.borrow_mut().add(g);
     }
 
-    /// Zeroes the gradient slot in place (the storage is kept, so a
-    /// training step pays no pool round-trip per parameter for it).
+    /// [`Parameter::accumulate_grad`] from the sweep: a read slot keeps `g`
+    /// waiting, so a `zero_grad` before the next read drops it unevaluated.
+    pub(crate) fn accumulate(&self, g: Grad) {
+        let mut inner = self.inner.borrow_mut();
+        match &mut inner.slot {
+            Slot::Read(waiting) => {
+                if let Some(before) = waiting.replace(g) {
+                    inner.grad.add_assign_scaled(&before.force(), 1.0);
+                }
+            }
+            _ => inner.add(&g.force()),
+        }
+    }
+
+    /// Empties the gradient slot, keeping its storage unfilled; a gradient
+    /// waiting is dropped unevaluated.
     pub fn zero_grad(&self) {
-        self.inner.borrow_mut().grad.as_mut_slice().fill(0.0);
+        self.inner.borrow_mut().slot = Slot::Empty;
     }
 
     /// Applies an in-place update `f(&mut value, &grad)` — the optimizer
-    /// entry point.
+    /// entry point. The value is copied first if a live tape shares it.
     pub fn update(&self, f: impl FnOnce(&mut Tensor, &Tensor)) {
-        let inner = &mut *self.inner.borrow_mut();
-        f(&mut inner.value, &inner.grad);
+        let inner = &mut *self.read();
+        f(Rc::make_mut(&mut inner.value), &inner.grad);
     }
 
     /// Applies an in-place edit to the gradient slot — e.g. masking or
     /// poisoning one model lane of a fused gradient, where
     /// [`Parameter::accumulate_grad`] (which adds) cannot express the edit.
     pub fn update_grad(&self, f: impl FnOnce(&mut Tensor)) {
-        f(&mut self.inner.borrow_mut().grad);
+        f(&mut self.read().grad);
     }
 
     /// Number of scalar elements.
@@ -145,7 +219,7 @@ impl Parameter {
 
 impl fmt::Debug for Parameter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.borrow();
+        let inner = self.read();
         write!(
             f,
             "Parameter({:?}, shape {}, |g| {:.3e})",

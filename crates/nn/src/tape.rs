@@ -17,9 +17,10 @@
 //! (`BackwardCtx::reduces`, a convolution's bias) costs its sum instead.
 //! That is exact for the GEMM-backed ops (input + weight gradient = 2 x
 //! forward, the 3x-forward training rule the simulator is priced with) and
-//! the right order for elementwise ops. Nothing below the tape (`hfta-tensor`,
-//! `hfta-kernels`, `hfta-mem`) records anything, so every op is counted
-//! once under its own name.
+//! the right order for elementwise ops; a product a parameter slot defers
+//! (`BackwardCtx::product`) opens its own span if it is forced. Nothing below
+//! the tape (`hfta-tensor`, `hfta-kernels`, `hfta-mem`) records anything,
+//! so every op is counted once under its own name.
 
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
@@ -45,23 +46,74 @@ pub(crate) enum Backward {
     Window(usize, usize, usize),
 }
 
+/// A gradient: computed, or a product `BackwardCtx::product` deferred.
+pub(crate) enum Grad {
+    Now(Tensor),
+    Later(Box<dyn FnOnce() -> Tensor>),
+}
+
+impl Grad {
+    pub(crate) fn force(self) -> Tensor {
+        match self {
+            Grad::Now(g) => g,
+            Grad::Later(product) => product(),
+        }
+    }
+}
+
 /// What a backward closure may read during the reverse sweep: the values
 /// the tape already holds — its parents' and its own output — and which
 /// parents want a gradient at all.
 pub(crate) struct BackwardCtx<'a> {
     nodes: &'a [Node],
     id: usize,
+    /// The output gradient, shared with any deferred product.
+    g: &'a Rc<Tensor>,
     /// The returned gradients declared reductions, and the elements they read.
     reduced: Cell<(usize, usize)>,
+    /// Products deferred into read parameter slots, for the sweep to hand on.
+    deferred: RefCell<Vec<(usize, Grad)>>,
 }
 
 impl<'a> BackwardCtx<'a> {
-    fn new(nodes: &'a [Node], id: usize) -> Self {
+    fn new(nodes: &'a [Node], id: usize, g: &'a Rc<Tensor>) -> Self {
         BackwardCtx {
             nodes,
             id,
+            g,
             reduced: Cell::new((0, 0)),
+            deferred: RefCell::new(Vec::new()),
         }
+    }
+
+    /// Parent `id`'s gradient `f(g, v)` over node `of`'s value, priced as a
+    /// forward (if `reduction`, as summing `g`): computed now, unless `id` is
+    /// a parameter whose slot was read since its last zero. Then it goes to
+    /// the sweep unevaluated, holding `g` and `v` shared, and is `None` here.
+    pub(crate) fn product<F>(&self, id: usize, of: usize, f: &F, reduction: bool) -> Option<Tensor>
+    where
+        F: Fn(&Tensor, &Tensor) -> Tensor + Clone + 'static,
+    {
+        let (g, v, node) = (self.g, &self.nodes[of].value, &self.nodes[self.id]);
+        let (op, cost) = match reduction {
+            true => (node.op, OpCost::reduction(g.numel())),
+            false => (node.op, node.cost),
+        };
+        if !(self.nodes[id].param.as_ref()).is_some_and(Parameter::is_read) {
+            if reduction {
+                self.reduces(g.numel());
+            }
+            return Some(f(g, v));
+        }
+        let (f, g, v) = (f.clone(), Rc::clone(g), Rc::clone(v));
+        // Forced, it opens its own span under the profiler installed then.
+        let product = Box::new(move || {
+            let _span = Profiler::current()
+                .map(|p| p.op_span(p.lane("autograd", "backward"), format!("bwd:{op}"), cost));
+            f(&g, &v)
+        });
+        self.deferred.borrow_mut().push((id, Grad::Later(product)));
+        None
     }
 
     /// Declares that one of the gradients the closure returns sums `numel`
@@ -91,7 +143,8 @@ impl<'a> BackwardCtx<'a> {
 }
 
 pub(crate) struct Node {
-    pub(crate) value: Tensor,
+    /// Shared with a [`Tape::param`]'s parameter and any deferred product.
+    pub(crate) value: Rc<Tensor>,
     pub(crate) backward: Option<Backward>,
     pub(crate) param: Option<Parameter>,
     /// Op that produced this node and the cost its forward span declared;
@@ -112,33 +165,38 @@ impl Node {
 /// `-0.0` into `+0.0` and quiets a signalling NaN; so a lone window is kept
 /// as it arrived, and disjoint windows on one axis are added into one
 /// zeroed slot (`0.0 + g`) in place. Anything else takes the plain rule.
+/// A deferred product waits only while it is a parameter node's sole gradient.
 enum Slot {
     Empty,
     /// `(axis, spans, grad)`; `grad` is the window itself while it is alone.
     Windows(usize, Vec<Range<usize>>, Tensor),
-    Whole(Tensor),
+    Whole(Grad),
 }
 
 impl Slot {
     /// Empties the slot of a node of shape `shape`, returning its gradient.
-    fn take(&mut self, shape: &Shape) -> Option<Tensor> {
+    fn take(&mut self, shape: &Shape) -> Option<Grad> {
         match std::mem::replace(self, Slot::Empty) {
             Slot::Empty => None,
             Slot::Windows(axis, spans, grad) if spans.len() == 1 => {
                 let mut full = Tensor::zeros(shape.clone());
                 full.narrow_assign(axis, spans[0].start, &grad);
-                Some(full)
+                Some(Grad::Now(full))
             }
-            Slot::Windows(_, _, grad) | Slot::Whole(grad) => Some(grad),
+            Slot::Windows(_, _, grad) => Some(Grad::Now(grad)),
+            Slot::Whole(g) => Some(g),
         }
     }
 
-    fn add(&mut self, shape: &Shape, g: Tensor) {
-        let sum = self.take(shape).map(|mut sum| {
-            sum.add_assign_scaled(&g, 1.0);
-            sum
+    fn add(&mut self, shape: &Shape, g: Grad) {
+        *self = Slot::Whole(match self.take(shape) {
+            None => g,
+            Some(sum) => {
+                let mut sum = sum.force();
+                sum.add_assign_scaled(&g.force(), 1.0);
+                Grad::Now(sum)
+            }
         });
-        *self = Slot::Whole(sum.unwrap_or(g));
     }
 
     fn add_window(&mut self, shape: &Shape, axis: usize, start: usize, g: Tensor) {
@@ -258,13 +316,13 @@ impl Tape {
 
     /// Records a constant leaf (no gradient tracking).
     pub fn leaf(&self, value: Tensor) -> Var {
-        self.push(value, None, None)
+        self.push(Rc::new(value), None, None)
     }
 
-    /// Records a trainable leaf bound to `param`; gradients reaching it
-    /// accumulate into the parameter's grad slot.
+    /// Records a trainable leaf bound to `param`, sharing its value;
+    /// gradients reaching it accumulate into the parameter's grad slot.
     pub fn param(&self, param: &Parameter) -> Var {
-        self.push(param.value_cloned(), None, Some(param.clone()))
+        self.push(param.shared_value(), None, Some(param.clone()))
     }
 
     /// Runs `f` against borrows of several variables' values at once — the
@@ -283,7 +341,7 @@ impl Tape {
                     Rc::ptr_eq(&self.inner, &v.tape.inner),
                     "operands must share a tape"
                 );
-                &nodes[v.id].value
+                &*nodes[v.id].value
             })
             .collect();
         f(&values)
@@ -308,10 +366,10 @@ impl Tape {
         f: impl FnOnce() -> Backward,
     ) -> Var {
         let tracked = (parents.iter()).any(|&id| self.inner.nodes.borrow()[id].needs_grad());
-        self.push(value, tracked.then(f), None)
+        self.push(Rc::new(value), tracked.then(f), None)
     }
 
-    fn push(&self, value: Tensor, backward: Option<Backward>, param: Option<Parameter>) -> Var {
+    fn push(&self, value: Rc<Tensor>, backward: Option<Backward>, param: Option<Parameter>) -> Var {
         let (op, cost) = self
             .inner
             .current_op
@@ -440,40 +498,41 @@ impl Var {
         let telemetry = self.tape.inner.telemetry.as_ref();
         let _sweep = telemetry.map(|t| t.profiler.span(t.bwd, "backward"));
         let mut slots: Vec<Slot> = (0..=self.id).map(|_| Slot::Empty).collect();
-        slots[self.id] = Slot::Whole(seed);
+        slots[self.id] = Slot::Whole(Grad::Now(seed));
         for id in (0..=self.id).rev() {
             let node = &nodes[id];
             let Some(g) = slots[id].take(node.value.shape()) else {
                 continue;
             };
             if let Some(param) = &node.param {
-                param.accumulate_grad(&g);
-            }
-            if let Some(backward) = &node.backward {
+                param.accumulate(g);
+            } else if let Some(backward) = &node.backward {
                 let mut span = telemetry.map(|t| {
                     t.profiler
                         .op_span(t.bwd, format!("bwd:{}", node.op), node.cost)
                 });
-                let parent_grads = match backward {
+                match backward {
                     Backward::Closure(backward) => {
-                        let ctx = BackwardCtx::new(&nodes, id);
+                        let g = Rc::new(g.force());
+                        let ctx = BackwardCtx::new(&nodes, id, &g);
                         let parent_grads = backward(&g, &ctx);
                         if let Some(span) = &mut span {
                             let (reductions, numel) = ctx.reduced.get();
                             span.scale(parent_grads.len() - reductions);
                             span.add(OpCost::reduction(numel));
                         }
-                        parent_grads
+                        for (pid, pg) in parent_grads {
+                            debug_assert!(pid < id, "tape must be topologically ordered");
+                            slots[pid].add(nodes[pid].value.shape(), Grad::Now(pg));
+                        }
+                        for (pid, pg) in ctx.deferred.take() {
+                            slots[pid].add(nodes[pid].value.shape(), pg);
+                        }
                     }
                     &Backward::Window(parent, axis, start) => {
                         let shape = nodes[parent].value.shape();
-                        slots[parent].add_window(shape, axis, start, g);
-                        continue;
+                        slots[parent].add_window(shape, axis, start, g.force());
                     }
-                };
-                for (pid, pg) in parent_grads {
-                    debug_assert!(pid < id, "tape must be topologically ordered");
-                    slots[pid].add(nodes[pid].value.shape(), pg);
                 }
             }
         }
@@ -530,10 +589,13 @@ impl Var {
     pub(crate) fn grad_targets(&self, g: &Tensor) -> Vec<usize> {
         let nodes = self.tape.inner.nodes.borrow();
         match nodes[self.id].backward.as_ref().expect("an op node") {
-            Backward::Closure(backward) => backward(g, &BackwardCtx::new(&nodes, self.id))
-                .into_iter()
-                .map(|(id, _)| id)
-                .collect(),
+            Backward::Closure(backward) => {
+                let g = Rc::new(g.clone());
+                let ctx = BackwardCtx::new(&nodes, self.id, &g);
+                let now = backward(&g, &ctx).into_iter().map(|(id, _)| id);
+                now.chain(ctx.deferred.take().into_iter().map(|(id, _)| id))
+                    .collect()
+            }
             Backward::Window(parent, ..) => vec![*parent],
         }
     }

@@ -48,19 +48,21 @@ fn conv_transpose2d_cost(xd: &[usize], wd: &[usize], cfg: ConvCfg) -> OpCost {
 /// training-mode batch norm.
 pub type BatchStats = (Vec<f32>, Vec<f32>);
 
-/// Records a convolution-shaped op over `x`, `w` and an optional bias:
-/// `forward(x, w, b)` computes the output now; in the backward sweep
-/// `grad_x(g, w)`, `grad_w(g, x)` and `grad_b(g)` run for each operand that
-/// needs a gradient, reading `x` and `w` from the tape.
-fn record_conv(
+type BiasGrad = fn(&Tensor) -> Tensor;
+
+/// Records a convolution or matrix product over `x`, `w` and an optional
+/// bias with its gradient `grad_b(g)`: `forward(x, w, b)` runs now; in the
+/// sweep `grad_x(g, w)`, `grad_w(g, x)` and `grad_b` run for each operand
+/// needing a gradient (the last two as products a read slot may defer).
+pub(crate) fn record_product(
     x: &Var,
     weight: &Var,
-    bias: Option<&Var>,
+    bias: Option<(&Var, BiasGrad)>,
     forward: impl FnOnce(&Tensor, &Tensor, Option<&Tensor>) -> Tensor,
     grad_x: impl Fn(&Tensor, &Tensor) -> Tensor + 'static,
-    grad_w: impl Fn(&Tensor, &Tensor) -> Tensor + 'static,
-    grad_b: fn(&Tensor) -> Tensor,
+    grad_w: impl Fn(&Tensor, &Tensor) -> Tensor + Clone + 'static,
 ) -> Var {
+    let (bias, grad_b) = (bias.map(|b| b.0), bias.map(|b| b.1));
     let operands: Vec<&Var> = [x, weight].into_iter().chain(bias).collect();
     let y = x
         .tape
@@ -73,11 +75,11 @@ fn record_conv(
             out.push((xi, grad_x(g, ctx.value(wi))));
         }
         if ctx.needs_grad(wi) {
-            out.push((wi, grad_w(g, ctx.value(xi))));
+            out.extend(ctx.product(wi, xi, &grad_w, false).map(|gw| (wi, gw)));
         }
-        if let Some(bi) = bi.filter(|&bi| ctx.needs_grad(bi)) {
-            ctx.reduces(g.numel());
-            out.push((bi, grad_b(g)));
+        if let (Some(bi), Some(grad_b)) = (bi.filter(|&bi| ctx.needs_grad(bi)), grad_b) {
+            let grad_b = move |g: &Tensor, _: &Tensor| grad_b(g);
+            out.extend(ctx.product(bi, xi, &grad_b, true).map(|gb| (bi, gb)));
         }
         out
     })
@@ -100,14 +102,13 @@ impl Var {
         });
         let (xd, wd) = (self.dims(), weight.dims());
         let (input_hw, cin, kernel_hw) = ((xd[2], xd[3]), xd[1], (wd[2], wd[3]));
-        record_conv(
+        record_product(
             self,
             weight,
-            bias,
+            bias.map(|b| (b, conv2d_grad_bias as _)),
             |x, w, b| conv2d(x, w, b, cfg),
             move |g, w| conv2d_grad_input(w, g, input_hw, cin, cfg),
             move |g, x| conv2d_grad_weight(x, g, kernel_hw, cfg),
-            conv2d_grad_bias,
         )
     }
 
@@ -137,14 +138,13 @@ impl Var {
         });
         let (xd, k) = (self.dims(), weight.dim(2));
         let (cin, len) = (xd[1], xd[2]);
-        record_conv(
+        record_product(
             self,
             weight,
-            bias,
+            bias.map(|b| (b, conv1d_grad_bias as _)),
             |x, w, b| hfta_tensor::conv::conv1d(x, w, b, stride, padding, groups),
             move |g, w| conv1d_grad_input(w, g, (cin, len), stride, padding, groups),
             move |g, x| conv1d_grad_weight(x, g, k, stride, padding, groups),
-            conv1d_grad_bias,
         )
     }
 
@@ -160,14 +160,13 @@ impl Var {
         });
         let wd = weight.dims();
         let kernel_hw = (wd[2], wd[3]);
-        record_conv(
+        record_product(
             self,
             weight,
-            bias,
+            bias.map(|b| (b, conv2d_grad_bias as _)),
             |x, w, b| conv_transpose2d(x, w, b, cfg),
             move |g, w| conv_transpose2d_grad_input(w, g, cfg),
             move |g, x| conv_transpose2d_grad_weight(x, g, kernel_hw, cfg),
-            conv2d_grad_bias,
         )
     }
 

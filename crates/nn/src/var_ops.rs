@@ -13,6 +13,7 @@ use hfta_tensor::activation::{
 use hfta_tensor::Tensor;
 
 use crate::tape::{Backward, Var};
+use crate::var_nn::record_product;
 
 impl Var {
     // ------------------------------------------------------------------
@@ -360,9 +361,8 @@ impl Var {
             let (a, b) = (self.dims(), other.dims());
             OpCost::matmul(1, a[0], a[1], b[1])
         });
-        let value = self.with_value(|a| other.with_value(|b| a.matmul(b)));
         // The rank-2 `_nt` / `_tn` products read the transposes in place.
-        self.binary(other, value, |g, _, b| g.bmm_nt(b), |g, a, _| a.bmm_tn(g))
+        self.product(other, Tensor::matmul)
     }
 
     /// Batched matrix product `[B, m, k] x [B, k, n]`.
@@ -371,8 +371,21 @@ impl Var {
             let (a, b) = (self.dims(), other.dims());
             OpCost::matmul(a[0], a[1], a[2], b[2])
         });
-        let value = self.with_value(|a| other.with_value(|b| a.bmm(b)));
-        self.binary(other, value, |g, _, b| g.bmm_nt(b), |g, a, _| a.bmm_tn(g))
+        self.product(other, Tensor::bmm)
+    }
+
+    /// Records the (batched) matrix product `forward(self, other)`: operand
+    /// gradients `g·bᵀ` and, deferrable like a convolution weight's, `aᵀ·g`.
+    fn product(&self, other: &Var, forward: fn(&Tensor, &Tensor) -> Tensor) -> Var {
+        let forward = |a: &Tensor, b: &Tensor, _: Option<&Tensor>| forward(a, b);
+        record_product(
+            self,
+            other,
+            None,
+            forward,
+            |g, b| g.bmm_nt(b),
+            |g, a| a.bmm_tn(g),
+        )
     }
 
     /// Batched `bias + self @ other` with broadcastable bias — the fused
