@@ -3,13 +3,15 @@
 //! slots), so the discriminator's convolution weight gradients wait in
 //! those slots unevaluated: the step's `bwd:conv2d` rows price the
 //! discriminator's input gradients only (1x forward). If the next
-//! discriminator step zeroes first they are dropped and no span appears;
+//! discriminator step zeroes first they are dropped and no span appears,
+//! even after a lane splice (a write of values, not a read of gradients);
 //! reading them instead forces them, each under its own `bwd:conv2d` span,
 //! and those spans make up the FLOP difference to the eager 2x forward.
 
 use hfta_core::loss::{fused_bce_with_logits, Reduction};
 use hfta_core::ops::FusedModule;
 use hfta_core::optim::{FusedAdam, PerModel};
+use hfta_core::surgery::{extract_lane, splice_lanes};
 use hfta_models::{DcganCfg, FusedDiscriminator, FusedGenerator};
 use hfta_nn::{Module, Tape};
 use hfta_telemetry::{ExperimentReport, Profiler};
@@ -70,6 +72,12 @@ fn a_generator_step_prices_only_the_discriminator_input_gradients() {
         let next = profiled(|| {
             if read_d {
                 disc.parameters().iter().for_each(|p| drop(p.grad()));
+            } else {
+                let params = disc.fused_parameters();
+                let lanes: Vec<_> = (0..LANES)
+                    .map(|l| extract_lane(&params, &opt_d, LANES - 1 - l))
+                    .collect();
+                splice_lanes(&lanes, &params, &mut opt_d);
             }
             opt_d.zero_grad();
         });

@@ -509,7 +509,7 @@ impl<U: Update> FusedOptimizer<U> {
         for ((pi, j), (value, slots)) in carriers(&self.groups, lane).zip(segments) {
             assert_eq!(slots.len(), U::SLOTS, "lane state has the wrong slot count");
             let p = &self.params[pi];
-            p.param.update(|v, _| copy_lane(v, p.b, j, value));
+            p.param.update_value(|v| copy_lane(v, p.b, j, value));
             let targets = &mut self.state[pi * U::SLOTS..(pi + 1) * U::SLOTS];
             for (t, s) in targets.iter_mut().zip(slots) {
                 copy_lane(t, p.b, j, s);

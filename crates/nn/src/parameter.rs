@@ -12,10 +12,9 @@ use hfta_tensor::Tensor;
 
 use crate::tape::Grad;
 
-/// What the gradient storage holds since the last zero: nothing (it reads
-/// as zeros), the gradients' sum unread, or — once read (its optimizer has
-/// stepped) — the sum with every later gradient but the latest, which
-/// waits, unevaluated if it is a product, for a read or `zero_grad`.
+/// Since the last zero, the storage holds nothing (it reads as zeros), the
+/// gradients' sum unread, or — once read — their sum but for the latest,
+/// which waits (unevaluated, if a product) for a read or `zero_grad`.
 enum Slot {
     Empty,
     Open,
@@ -30,8 +29,7 @@ struct ParamInner {
 }
 
 impl ParamInner {
-    /// Adds `g` after the gradient waiting, if any; into an empty slot with
-    /// the bits of zero-filling and then adding `g * 1.0`: `0.0 + g`.
+    /// Adds `g` after any gradient waiting; to an empty slot as `0.0 + g * 1.0`.
     fn add(&mut self, g: &Tensor) {
         assert_eq!(
             self.grad.shape(),
@@ -197,6 +195,11 @@ impl Parameter {
     pub fn update(&self, f: impl FnOnce(&mut Tensor, &Tensor)) {
         let inner = &mut *self.read();
         f(Rc::make_mut(&mut inner.value), &inner.grad);
+    }
+
+    /// [`Parameter::update`] of the value alone (a lane write): reads no gradient.
+    pub fn update_value(&self, f: impl FnOnce(&mut Tensor)) {
+        f(Rc::make_mut(&mut self.inner.borrow_mut().value));
     }
 
     /// Applies an in-place edit to the gradient slot — e.g. masking or

@@ -17,10 +17,9 @@
 //! (`BackwardCtx::reduces`, a convolution's bias) costs its sum instead.
 //! That is exact for the GEMM-backed ops (input + weight gradient = 2 x
 //! forward, the 3x-forward training rule the simulator is priced with) and
-//! the right order for elementwise ops; a product a parameter slot defers
-//! (`BackwardCtx::product`) opens its own span if it is forced. Nothing below
-//! the tape (`hfta-tensor`, `hfta-kernels`, `hfta-mem`) records anything,
-//! so every op is counted once under its own name.
+//! the right order for elementwise ops; a deferred product (`BackwardCtx::product`)
+//! opens its own span if forced. Nothing below the tape (`hfta-tensor`,
+//! `hfta-kernels`, `hfta-mem`) records anything, so every op counts once.
 
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
@@ -67,7 +66,6 @@ impl Grad {
 pub(crate) struct BackwardCtx<'a> {
     nodes: &'a [Node],
     id: usize,
-    /// The output gradient, shared with any deferred product.
     g: &'a Rc<Tensor>,
     /// The returned gradients declared reductions, and the elements they read.
     reduced: Cell<(usize, usize)>,
@@ -87,9 +85,8 @@ impl<'a> BackwardCtx<'a> {
     }
 
     /// Parent `id`'s gradient `f(g, v)` over node `of`'s value, priced as a
-    /// forward (if `reduction`, as summing `g`): computed now, unless `id` is
-    /// a parameter whose slot was read since its last zero. Then it goes to
-    /// the sweep unevaluated, holding `g` and `v` shared, and is `None` here.
+    /// forward (or as summing `g`): computed now unless `id`'s parameter slot
+    /// was read since its last zero, else deferred holding `g`, `v` shared.
     pub(crate) fn product<F>(&self, id: usize, of: usize, f: &F, reduction: bool) -> Option<Tensor>
     where
         F: Fn(&Tensor, &Tensor) -> Tensor + Clone + 'static,
