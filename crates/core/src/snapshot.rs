@@ -9,6 +9,11 @@
 //! bit-for-bit (lane surgery is bit-exact, and `f32::to_le_bytes` /
 //! `from_le_bytes` round-trip every bit pattern including NaNs).
 //!
+//! A model's parameter set is one more lane snapshot, with no optimizer
+//! slots, step 0 and no trace context: [`save_params`] / [`load_params`]
+//! ship one array member as a standalone model (through
+//! `array::copy_model_weights`) or restore one.
+//!
 //! The format is self-describing little-endian:
 //! `magic "HFSN" | version u32 | step_count u64 | ctx flag u8
 //! [trial u64, array u64, lane u64] | param count u32 |
@@ -17,6 +22,7 @@
 
 use std::fmt;
 
+use hfta_nn::Parameter;
 use hfta_telemetry::flight::TraceCtx;
 use hfta_tensor::Tensor;
 
@@ -36,6 +42,11 @@ pub enum SnapshotError {
     Truncated,
     /// The stream declared contents but bytes were left over.
     TrailingBytes,
+    /// The snapshot's parameters do not match the destination's.
+    Mismatch {
+        /// Human-readable detail naming the destination parameter.
+        detail: String,
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -45,6 +56,9 @@ impl fmt::Display for SnapshotError {
             SnapshotError::BadVersion(v) => write!(f, "unsupported snapshot version {v}"),
             SnapshotError::Truncated => write!(f, "snapshot is truncated"),
             SnapshotError::TrailingBytes => write!(f, "snapshot has trailing bytes"),
+            SnapshotError::Mismatch { detail } => {
+                write!(f, "snapshot does not match the destination: {detail}")
+            }
         }
     }
 }
@@ -199,6 +213,53 @@ pub fn load_lane(bytes: &[u8]) -> Result<LaneState, SnapshotError> {
     })
 }
 
+/// Serializes a model's parameter values as a lane snapshot.
+pub fn save_params(params: &[Parameter]) -> Vec<u8> {
+    save_lane(&LaneState {
+        params: params.iter().map(Parameter::value_cloned).collect(),
+        opt_state: vec![Vec::new(); params.len()],
+        step_count: 0,
+        ctx: None,
+    })
+}
+
+/// Restores parameter values, in order, from a snapshot's parameter
+/// tensors; its optimizer slots, step count and context are not read.
+///
+/// # Errors
+///
+/// Returns [`SnapshotError::Mismatch`] if the count or a shape differs,
+/// and the [`load_lane`] errors otherwise. Every shape is checked before
+/// anything is written, so on error no parameter is modified.
+pub fn load_params(bytes: &[u8], params: &[Parameter]) -> Result<(), SnapshotError> {
+    let state = load_lane(bytes)?;
+    if state.params.len() != params.len() {
+        return Err(SnapshotError::Mismatch {
+            detail: format!(
+                "snapshot has {} parameters, destination has {}",
+                state.params.len(),
+                params.len()
+            ),
+        });
+    }
+    for (t, p) in state.params.iter().zip(params) {
+        if t.dims() != p.value().dims() {
+            return Err(SnapshotError::Mismatch {
+                detail: format!(
+                    "parameter {}: snapshot shape {:?}, destination {:?}",
+                    p.name(),
+                    t.dims(),
+                    p.value().dims()
+                ),
+            });
+        }
+    }
+    for (t, p) in state.params.into_iter().zip(params) {
+        p.set_value(t);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,5 +382,93 @@ mod tests {
         let back = load_lane(&save_lane(&src)).unwrap();
         assert_eq!(back.params, src.params);
         assert_eq!(back.opt_state, src.opt_state);
+    }
+
+    fn params(seed: u64) -> Vec<Parameter> {
+        let mut rng = Rng::seed_from(seed);
+        vec![
+            Parameter::new(rng.randn([3, 4]), "w1"),
+            Parameter::new(rng.randn([4]), "b1"),
+            Parameter::new(rng.randn([2, 2, 2]), "w2"),
+        ]
+    }
+
+    fn bits(params: &[Parameter]) -> Vec<Vec<u32>> {
+        params
+            .iter()
+            .map(|p| p.value().as_slice().iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn params_round_trip_bit_exact() {
+        let src = params(1);
+        // A quiet NaN with a payload, a signalling-pattern NaN, -0.0 and
+        // an infinity must come back with their exact bit patterns.
+        let mut data = src[1].value_cloned().to_vec();
+        data[0] = f32::from_bits(0x7fc0_1234);
+        data[1] = f32::from_bits(0xff80_0001);
+        data[2] = -0.0;
+        data[3] = f32::INFINITY;
+        src[1].set_value(Tensor::from_vec(data, vec![4]));
+        let dst = params(2); // different values, same shapes
+        load_params(&save_params(&src), &dst).unwrap();
+        assert_eq!(bits(&dst), bits(&src));
+        assert_eq!(dst[1].value().as_slice()[2].to_bits(), 0x8000_0000);
+    }
+
+    #[test]
+    fn empty_parameter_list_round_trips() {
+        let bytes = save_params(&[]);
+        load_params(&bytes, &[]).unwrap();
+        assert!(load_lane(&bytes).unwrap().params.is_empty());
+    }
+
+    #[test]
+    fn params_count_mismatch_leaves_model_untouched() {
+        let bytes = save_params(&params(1));
+        for dst in [params(2)[..1].to_vec(), [params(2), params(3)].concat()] {
+            let before = bits(&dst);
+            assert!(matches!(
+                load_params(&bytes, &dst),
+                Err(SnapshotError::Mismatch { .. })
+            ));
+            assert_eq!(bits(&dst), before, "load_params must be atomic");
+        }
+    }
+
+    #[test]
+    fn params_shape_mismatch_leaves_model_untouched() {
+        let bytes = save_params(&params(1));
+        let mut rng = Rng::seed_from(9);
+        let wrong = vec![
+            Parameter::new(rng.randn([3, 4]), "w1"),
+            Parameter::new(rng.randn([5]), "b1"),
+            Parameter::new(rng.randn([2, 2, 2]), "w2"),
+        ];
+        let before = bits(&wrong);
+        match load_params(&bytes, &wrong) {
+            Err(SnapshotError::Mismatch { detail }) => {
+                assert!(detail.contains("b1"), "names the destination: {detail}")
+            }
+            other => panic!("expected a mismatch, got {other:?}"),
+        }
+        assert_eq!(bits(&wrong), before, "load_params must be atomic");
+    }
+
+    #[test]
+    fn params_serialize_deterministically() {
+        // Two separately built parameter sets with equal values give equal
+        // bytes (no addresses, no hash-map order), equal to a lane
+        // snapshot with no slots, step 0 and no context.
+        let (a, b) = (params(4), params(4));
+        assert_eq!(save_params(&a), save_params(&b));
+        let lane = LaneState {
+            params: a.iter().map(Parameter::value_cloned).collect(),
+            opt_state: vec![vec![]; a.len()],
+            step_count: 0,
+            ctx: None,
+        };
+        assert_eq!(save_params(&a), save_lane(&lane));
     }
 }

@@ -8,9 +8,9 @@ use hfta_core::format::{stack_conv, stack_targets};
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::FusedModule;
 use hfta_core::optim::{FusedSgd, PerModel};
+use hfta_core::snapshot::{load_params, save_params};
 use hfta_data::LabeledImages;
 use hfta_models::{AlexNet, AlexNetCfg, FusedAlexNet};
-use hfta_nn::checkpoint;
 use hfta_nn::{Module, Tape};
 use hfta_tensor::{Rng, Tensor};
 
@@ -46,14 +46,14 @@ fn train_fused_checkpoint_winner_restore_serial() {
     let scratch = AlexNet::new(cfg, &mut rng);
     scratch.set_training(false);
     copy_model_weights(&array.fused_parameters(), 1, &scratch.parameters());
-    let bytes = checkpoint::save(&scratch.parameters());
+    let bytes = save_params(&scratch.parameters());
     assert!(!bytes.is_empty());
 
     // A fresh model restored from the checkpoint must match the array's
     // model 1 output exactly.
     let restored = AlexNet::new(cfg, &mut rng);
     restored.set_training(false);
-    checkpoint::load(&bytes, &restored.parameters()).unwrap();
+    load_params(&bytes, &restored.parameters()).unwrap();
 
     let x = rng.randn([2, 3, 16, 16]);
     let tape = Tape::new();
@@ -78,7 +78,7 @@ fn checkpoints_are_stable_across_processes() {
     // the same checkpoint (no hash maps, no pointers).
     let mut rng = Rng::seed_from(3);
     let model = AlexNet::new(AlexNetCfg::mini(4), &mut rng);
-    let a = checkpoint::save(&model.parameters());
-    let b = checkpoint::save(&model.parameters());
+    let a = save_params(&model.parameters());
+    let b = save_params(&model.parameters());
     assert_eq!(a, b);
 }
