@@ -4,6 +4,8 @@
 //! optimizers — the "PyTorch substrate" of the HFTA (MLSys 2021)
 //! reproduction. The fused operators in `hfta-core` wrap this crate's
 //! [`Var`] ops; the serial training baselines use its layers directly.
+//! It has no on-disk format: a model's parameters are saved and restored
+//! as a lane snapshot (`hfta_core::snapshot::{save_params, load_params}`).
 //!
 //! # Example — one SGD step
 //!
@@ -25,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 mod gradcheck;
 pub mod layers;
 mod module;
