@@ -4,20 +4,34 @@
 //! those slots unevaluated: the step's `bwd:conv2d` rows price the
 //! discriminator's input gradients only (1x forward). If the next
 //! discriminator step zeroes first they are dropped and no span appears,
-//! even after a lane splice (a write of values, not a read of gradients);
-//! reading them instead forces them, each under its own `bwd:conv2d` span,
-//! and those spans make up the FLOP difference to the eager 2x forward.
+//! even after a lane splice or a lane write from a standalone model (writes
+//! of values, not reads of gradients); reading them instead forces them,
+//! each under its own `bwd:conv2d` span, and those spans make up the FLOP
+//! difference to the eager 2x forward.
 
+use hfta_core::array::write_model_weights;
 use hfta_core::loss::{fused_bce_with_logits, Reduction};
 use hfta_core::ops::FusedModule;
 use hfta_core::optim::{FusedAdam, PerModel};
 use hfta_core::surgery::{extract_lane, splice_lanes};
 use hfta_models::{DcganCfg, FusedDiscriminator, FusedGenerator};
-use hfta_nn::{Module, Tape};
+use hfta_nn::{Module, Parameter, Tape};
 use hfta_telemetry::{ExperimentReport, Profiler};
 use hfta_tensor::{Rng, Tensor};
 
 const LANES: usize = 2;
+
+/// What runs on D's parameters between the generator step and the next
+/// `opt_d.zero_grad()`.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Between {
+    /// Splice every lane back in reverse order.
+    Splice,
+    /// Write lane 0 from a standalone copy of lane 1.
+    WriteLane,
+    /// Read every gradient slot.
+    Read,
+}
 
 /// `(calls, flops)` of op row `name`, zero when it never ran.
 fn row(ops: &ExperimentReport, name: &str) -> (u64, f64) {
@@ -45,7 +59,7 @@ fn a_generator_step_prices_only_the_discriminator_input_gradients() {
     let ones = Tensor::ones([n, LANES]);
     let s = cfg.image;
 
-    for read_d in [false, true] {
+    for between in [Between::Splice, Between::WriteLane, Between::Read] {
         // Discriminator step: its slots are read by its optimizer.
         opt_d.zero_grad();
         let tape = Tape::new();
@@ -70,22 +84,34 @@ fn a_generator_step_prices_only_the_discriminator_input_gradients() {
         );
 
         let next = profiled(|| {
-            if read_d {
-                disc.parameters().iter().for_each(|p| drop(p.grad()));
-            } else {
-                let params = disc.fused_parameters();
-                let lanes: Vec<_> = (0..LANES)
-                    .map(|l| extract_lane(&params, &opt_d, LANES - 1 - l))
-                    .collect();
-                splice_lanes(&lanes, &params, &mut opt_d);
+            let params = disc.fused_parameters();
+            match between {
+                Between::Splice => {
+                    let lanes: Vec<_> = (0..LANES)
+                        .map(|l| extract_lane(&params, &opt_d, LANES - 1 - l))
+                        .collect();
+                    splice_lanes(&lanes, &params, &mut opt_d);
+                }
+                Between::WriteLane => {
+                    let standalone: Vec<_> = params
+                        .iter()
+                        .map(|fp| Parameter::new(fp.model_slice(1), "lane 1"))
+                        .collect();
+                    write_model_weights(&params, 0, &standalone);
+                }
+                Between::Read => disc.parameters().iter().for_each(|p| drop(p.grad())),
             }
             opt_d.zero_grad();
         });
-        if read_d {
+        if between == Between::Read {
             // The forced weight gradients, one span each: the eager sweep's 2x.
             assert_eq!(row(&next, "bwd:conv2d"), (convs, conv_flops));
         } else {
-            assert_eq!(row(&next, "bwd:conv2d"), (0, 0.0), "dropped unevaluated");
+            assert_eq!(
+                row(&next, "bwd:conv2d"),
+                (0, 0.0),
+                "{between:?}: dropped unevaluated"
+            );
         }
     }
 }

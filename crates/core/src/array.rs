@@ -221,7 +221,7 @@ pub fn copy_model_weights(fused: &[FusedParameter], index: usize, dest: &[Parame
 /// parameter set — the inverse of [`copy_model_weights`], used to restore
 /// one array member from a checkpoint or to seed a lane from a serial
 /// replica. Round-tripping through both is bit-exact (storage is copied,
-/// never recomputed).
+/// never recomputed). Only values are written: no gradient slot is read.
 ///
 /// # Panics
 ///
@@ -235,7 +235,7 @@ pub fn write_model_weights(fused: &[FusedParameter], index: usize, src: &[Parame
     );
     for (fp, s) in fused.iter().zip(src) {
         let sv = s.value_cloned();
-        fp.param.update(|value, _| {
+        fp.param.update_value(|value| {
             let (lo, hi) = crate::scope::lane_bounds(value.numel(), fp.b, index);
             assert_eq!(sv.numel(), hi - lo, "parameter {} size mismatch", s.name());
             value.as_mut_slice()[lo..hi].copy_from_slice(sv.as_slice());
