@@ -4,12 +4,6 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// Simulated seconds → the integer nanosecond grid every flight and
-/// journal timestamp uses.
-pub fn ns(t: f64) -> u64 {
-    (t * 1e9).round() as u64
-}
-
 struct Event<K> {
     t: f64,
     prio: u8,

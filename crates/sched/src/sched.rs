@@ -25,13 +25,13 @@ use std::collections::{HashMap, VecDeque};
 
 use hfta_core::surgery::LaneState;
 use hfta_sim::{DeviceFleet, SharingPolicy, TrainingJob};
-use hfta_telemetry::flight::{self, FlightCursor, FlightKind, FlightRecorder, SimSegment};
+use hfta_telemetry::flight::{self, ns, FlightCursor, FlightKind, FlightRecorder, SimSegment};
 use hfta_telemetry::{LaneId, Profiler, SchedStats};
 use serde::{Deserialize, Serialize};
 
 use crate::asha::{RungLedger, RungPolicy};
 use crate::backend::{ArrayBackend, TrainOutcome};
-use crate::events::{ns, EventQueue};
+use crate::events::EventQueue;
 use crate::trial::{Trial, TrialStatus};
 
 /// The scheduling policy under test.
@@ -202,7 +202,7 @@ impl<B: ArrayBackend> Engine<'_, B> {
             self.fleet
                 .step_time_s(device, &self.profile, ra.width, self.cfg.policy.sharing());
         let start_ns = ns(t);
-        let per_step_ns = (step_s * 1e9).round() as u64;
+        let per_step_ns = ns(step_s);
         let end_ns = start_ns + steps * per_step_ns;
         let base_step = if ra.rung == 0 {
             0

@@ -44,10 +44,10 @@ use std::path::PathBuf;
 use hfta_core::surgery::LaneState;
 use hfta_sched::asha::RungPolicy;
 use hfta_sched::backend::ArrayBackend;
-use hfta_sched::events::{ns, EventQueue};
+use hfta_sched::events::EventQueue;
 use hfta_sched::trial::Trial;
 use hfta_sim::{DeviceFleet, SharingPolicy, TrainingJob};
-use hfta_telemetry::flight::{self, FlightCursor, FlightKind, FlightRecorder, SimSegment};
+use hfta_telemetry::flight::{self, ns, FlightCursor, FlightKind, FlightRecorder, SimSegment};
 use hfta_telemetry::Profiler;
 
 use crate::admission::{AdmitPolicy, FairQueue};
@@ -686,11 +686,6 @@ impl<B: ArrayBackend> ServeEngine<B> {
 
     // -- segment settlement -------------------------------------------
 
-    /// Grid step duration (ns) of a booked segment.
-    fn per_step_ns(step_s: f64) -> u64 {
-        (step_s * 1e9).round() as u64
-    }
-
     /// Runs the deferred arithmetic for `steps` of a booked segment and
     /// posts the realized occupancy/FLOPs/service charges.
     fn train_part(
@@ -699,7 +694,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
         steps: u64,
     ) -> hfta_sched::backend::TrainOutcome {
         let start_ns = ns(seg.start_s);
-        let per_step_ns = Self::per_step_ns(seg.step_s);
+        let per_step_ns = ns(seg.step_s);
         if let Some(p) = &self.profiler {
             p.set_flight_cursor(FlightCursor {
                 t_ns: start_ns,
@@ -745,7 +740,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
             .expect("completion for unknown segment");
         let steps = seg.steps;
         let outcome = self.train_part(&mut seg, steps);
-        let end_ns = ns(seg.start_s) + Self::per_step_ns(seg.step_s) * steps;
+        let end_ns = ns(seg.start_s) + ns(seg.step_s) * steps;
         let dev = Some(seg.device as u64);
         let arr = Some(seg.aid);
         if let Some(p) = &self.profiler {
@@ -1166,7 +1161,7 @@ impl<B: ArrayBackend> ServeEngine<B> {
         self.cancelled_segs.insert(key);
         self.preemptions += 1;
         let outcome = self.train_part(&mut seg, k);
-        let cut_ns = ns(seg.start_s) + Self::per_step_ns(seg.step_s) * k;
+        let cut_ns = ns(seg.start_s) + ns(seg.step_s) * k;
         let cut_s = seg.start_s + k as f64 * seg.step_s;
         self.busy[seg.device] = cut_s.min(t);
         let dev = Some(seg.device as u64);

@@ -9,17 +9,12 @@
 //! `live / allocated` is the packing efficiency the elastic scheduler
 //! exists to maximize.
 
+use hfta_telemetry::flight::ns;
 use hfta_telemetry::{FlightKind, Profiler, FLEET_TRIAL};
 
 use crate::device::DeviceSpec;
 use crate::gpu::{GpuSim, SharingPolicy};
 use crate::kernel::{GemmDims, JobMemory, Kernel, TrainingJob};
-
-/// Simulated seconds → the integer-ns flight grid (same rounding as the
-/// scheduler's event timestamps, so bind/release align with trial events).
-fn ns(t: f64) -> u64 {
-    (t * 1e9).round() as u64
-}
 
 /// Scales a per-model training job to a `B`-wide fused job, the way HFTA
 /// fusion scales each kernel (paper §3.1): arithmetic, traffic and tiles

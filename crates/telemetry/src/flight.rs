@@ -31,6 +31,12 @@ use std::rc::Rc;
 /// the vendored JSON layer (`Value::U64`).
 pub const FLEET_TRIAL: u64 = u64::MAX;
 
+/// Simulated seconds → the integer-nanosecond grid every flight and
+/// journal timestamp (and every step duration on it) uses.
+pub fn ns(t: f64) -> u64 {
+    (t * 1e9).round() as u64
+}
+
 /// Default ring capacity per experiment scope (~65k events).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 65_536;
 
