@@ -220,8 +220,8 @@ pub fn copy_model_weights(fused: &[FusedParameter], index: usize, dest: &[Parame
 /// Writes a per-model parameter set into model `index`'s lane of a fused
 /// parameter set — the inverse of [`copy_model_weights`], used to restore
 /// one array member from a checkpoint or to seed a lane from a serial
-/// replica. Round-tripping through both is bit-exact (storage is copied,
-/// never recomputed). Only values are written: no gradient slot is read.
+/// replica; it reads no gradient slot. Round-tripping through both is
+/// bit-exact (storage is copied, never recomputed).
 ///
 /// # Panics
 ///

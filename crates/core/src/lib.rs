@@ -35,8 +35,8 @@
 //!   into another bit-identically (the mechanism behind `hfta-sched`'s
 //!   re-packing);
 //! * [`snapshot`] — versioned on-disk lane snapshots (params + optimizer
-//!   state + step counter), the persistence layer behind `hfta-serve`'s
-//!   crash-safe checkpoint/restore;
+//!   state + step counter, or a model's parameters alone), the persistence
+//!   layer behind `hfta-serve`'s crash-safe checkpoint/restore;
 //! * [`tuner`] — a hyper-parameter tuning driver that packs sweep
 //!   candidates into fused arrays (the paper's §6 integration target).
 //!

@@ -10,9 +10,7 @@
 //! `from_le_bytes` round-trip every bit pattern including NaNs).
 //!
 //! A model's parameter set is one more lane snapshot, with no optimizer
-//! slots, step 0 and no trace context: [`save_params`] / [`load_params`]
-//! ship one array member as a standalone model (through
-//! `array::copy_model_weights`) or restore one.
+//! slots, step 0 and no trace context ([`save_params`] / [`load_params`]).
 //!
 //! The format is self-describing little-endian:
 //! `magic "HFSN" | version u32 | step_count u64 | ctx flag u8
@@ -56,9 +54,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::BadVersion(v) => write!(f, "unsupported snapshot version {v}"),
             SnapshotError::Truncated => write!(f, "snapshot is truncated"),
             SnapshotError::TrailingBytes => write!(f, "snapshot has trailing bytes"),
-            SnapshotError::Mismatch { detail } => {
-                write!(f, "snapshot does not match the destination: {detail}")
-            }
+            SnapshotError::Mismatch { detail } => write!(f, "snapshot mismatch: {detail}"),
         }
     }
 }
@@ -232,29 +228,22 @@ pub fn save_params(params: &[Parameter]) -> Vec<u8> {
 /// and the [`load_lane`] errors otherwise. Every shape is checked before
 /// anything is written, so on error no parameter is modified.
 pub fn load_params(bytes: &[u8], params: &[Parameter]) -> Result<(), SnapshotError> {
-    let state = load_lane(bytes)?;
-    if state.params.len() != params.len() {
-        return Err(SnapshotError::Mismatch {
-            detail: format!(
-                "snapshot has {} parameters, destination has {}",
-                state.params.len(),
-                params.len()
-            ),
-        });
+    let values = load_lane(bytes)?.params;
+    let mismatch = |detail| Err(SnapshotError::Mismatch { detail });
+    let (n, m) = (values.len(), params.len());
+    if n != m {
+        return mismatch(format!("snapshot has {n} parameters, destination has {m}"));
     }
-    for (t, p) in state.params.iter().zip(params) {
-        if t.dims() != p.value().dims() {
-            return Err(SnapshotError::Mismatch {
-                detail: format!(
-                    "parameter {}: snapshot shape {:?}, destination {:?}",
-                    p.name(),
-                    t.dims(),
-                    p.value().dims()
-                ),
-            });
+    for (t, p) in values.iter().zip(params) {
+        let value = p.value();
+        if t.dims() != value.dims() {
+            let (name, got, want) = (p.name(), t.dims(), value.dims());
+            return mismatch(format!(
+                "parameter {name}: snapshot {got:?}, destination {want:?}"
+            ));
         }
     }
-    for (t, p) in state.params.into_iter().zip(params) {
+    for (t, p) in values.into_iter().zip(params) {
         p.set_value(t);
     }
     Ok(())
