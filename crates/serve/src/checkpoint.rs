@@ -485,6 +485,49 @@ mod tests {
     }
 
     #[test]
+    fn malformed_inputs_are_rejected() {
+        use hfta_core::snapshot::SnapshotError;
+        let dir = tmpdir("malformed");
+        let mut store = CheckpointStore::create(&dir).unwrap();
+        let state = LaneState {
+            params: vec![Rng::seed_from(5).randn([2, 3])],
+            opt_state: vec![],
+            step_count: 2,
+            ctx: None,
+        };
+        store.write_snapshot(4, &state).unwrap();
+        let mut ckpt = ServeJournalRec::blank("ckpt", 1);
+        ckpt.trial = 4;
+        store.append(&ckpt).unwrap();
+        let path = snapshot_path(&dir, 4, store.live[&4]);
+        let good = fs::read(&path).unwrap();
+        let mut bad_version = good.clone();
+        bad_version[4] = 99;
+        let corruptions = [
+            (b"nope".to_vec(), SnapshotError::BadMagic),
+            (good[..good.len() - 3].to_vec(), SnapshotError::Truncated),
+            (bad_version, SnapshotError::BadVersion(99)),
+            ([&good[..], &[0]].concat(), SnapshotError::TrailingBytes),
+        ];
+        // A committed file damaged on disk is the decoder's typed error,
+        // passed on as InvalidData; it never panics or yields a state.
+        for (bytes, want) in corruptions {
+            fs::write(&path, bytes).unwrap();
+            let err = store.load_snapshot(4).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{want}");
+            assert_eq!(err.to_string(), want.to_string());
+        }
+        fs::write(&path, &good).unwrap();
+        assert_eq!(store.load_snapshot(4).unwrap().params, state.params);
+        fs::remove_file(&path).unwrap();
+        assert_eq!(
+            store.load_snapshot(4).unwrap_err().kind(),
+            io::ErrorKind::NotFound
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_step_commits_as_one_line_or_not_at_all() {
         let dir = tmpdir("group");
         let mut store = CheckpointStore::create(&dir).unwrap();
