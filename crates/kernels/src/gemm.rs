@@ -1871,6 +1871,133 @@ mod tests {
         pool::set_num_threads(threads);
     }
 
+    /// The three products of every `dcgan_compute` layer (B = 6 as groups,
+    /// batch 2), with `hfta-tensor`'s conv tables and axes: each `(cing,
+    /// coutg)` conv over `[h, h]` planes below is D1-D5, and as the adjoint
+    /// of a transposed conv, G5-G2 (D1-D4's products) and G1 (the last).
+    /// The forward gathers, the input gradient scatter-adds, the weight
+    /// gradient gathers the swapped tables with the samples reducing; each
+    /// against reference loops over the materialised operand (`+0.0` where
+    /// the window leaves an element out) and `col2im`'s row-major adds, on
+    /// both instantiations at 1 and 4 threads, bit for bit.
+    #[test]
+    fn dcgan_layer_products_on_both_instantiations() {
+        // (cing, coutg, h, stride, pad): 4x4 kernels throughout.
+        let layers = [
+            (3, 12, 64, 2, 1),
+            (12, 24, 32, 2, 1),
+            (24, 48, 16, 2, 1),
+            (48, 96, 8, 2, 1),
+            (96, 1, 4, 1, 0),
+            (96, 32, 4, 1, 0),
+        ];
+        let (groups, samples) = (6, 2);
+        let _lock = pool::tests::THREAD_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let threads = pool::num_threads();
+        for (seed, &(cing, coutg, h, s, p)) in layers.iter().enumerate() {
+            let (off, shift) = windowed_tables(cing, (h, h), (4, 4), (s, s), (p, p));
+            let yx = |side: usize| [&shift[side][0][..], &shift[side][1][..]];
+            let windows = [false, true].map(|swap| Window {
+                row: yx(usize::from(swap)),
+                col: yx(usize::from(!swap)),
+                hw: (h, h),
+            });
+            let tables = |swap: bool| {
+                let (r, c) = (usize::from(swap), usize::from(!swap));
+                let window = (p > 0).then_some(&windows[usize::from(swap)]);
+                Offsets::windowed(&off[r], &off[c], window)
+            };
+            let (krows, spatial, plane) = (off[0].len(), off[1].len(), cing * h * h);
+            let (cin, cout) = (groups * cing, groups * coutg);
+            let inside = |tap: usize, pixel: usize| {
+                let y = shift[0][0][tap] + shift[1][0][pixel];
+                let x = shift[0][1][tap] + shift[1][1][pixel];
+                (0..h as i32).contains(&y) && (0..h as i32).contains(&x)
+            };
+            let at = |tap: usize, pixel: usize| (off[0][tap] + off[1][pixel]) as usize;
+            let seed = seed as u64 * 10;
+            let x = fill(samples * cin * plane, seed);
+            let w = fill(cout * cing * 16, seed + 1);
+            let gy = fill(samples * cout * spatial, seed + 2);
+            let (mut fwd, mut igrad) = (vec![0.0f32; gy.len()], vec![0.0f32; x.len()]);
+            let mut wgrad = vec![0.0f32; w.len()];
+            for (ni, gi) in (0..groups).flat_map(|g| (0..samples).map(move |n| (n, g))) {
+                let img = &x[(ni * cin + gi * cing) * plane..][..plane];
+                let mut cols = vec![0.0f32; krows * spatial];
+                for (t, px) in (0..krows).flat_map(|t| (0..spatial).map(move |px| (t, px))) {
+                    if inside(t, px) {
+                        cols[t * spatial + px] = img[at(t, px)];
+                    }
+                }
+                let wg = &w[gi * coutg * krows..][..coutg * krows];
+                let gyg = &gy[(ni * cout + gi * coutg) * spatial..][..coutg * spatial];
+                let block = &mut fwd[(ni * cout + gi * coutg) * spatial..][..coutg * spatial];
+                reference::gemm_ref(block, wg, &cols, coutg, krows, spatial);
+                let mut product = vec![0.0f32; krows * spatial];
+                reference::gemm_tn_ref(&mut product, wg, gyg, krows, coutg, spatial);
+                let dst = &mut igrad[(ni * cin + gi * cing) * plane..][..plane];
+                for (t, px) in (0..krows).flat_map(|t| (0..spatial).map(move |px| (t, px))) {
+                    if inside(t, px) {
+                        dst[at(t, px)] += product[t * spatial + px];
+                    }
+                }
+                let block = &mut wgrad[gi * coutg * krows..][..coutg * krows];
+                reference::gemm_nt_ref(block, gyg, &cols, coutg, spatial, krows);
+            }
+            let axis = |count, a, b, out| Axis { count, a, b, out };
+            for pool_threads in [1, 4] {
+                pool::set_num_threads(pool_threads);
+                for vector in instantiations() {
+                    let what = format!(
+                        "{cing}->{coutg} over {h}x{h} at {pool_threads} threads, vector={vector}"
+                    );
+                    let mut got = vec![0.0f32; gy.len()];
+                    let batch = [
+                        axis(samples, 0, cin * plane, cout * spatial),
+                        axis(groups, coutg * krows, cing * plane, coutg * spatial),
+                    ];
+                    let (a, b) = (PackA::N(&w), PackB::Gather(&x, tables(false)));
+                    gemm_batched_on(
+                        vector,
+                        Out::Add(&mut got),
+                        a,
+                        b,
+                        (coutg, krows, spatial),
+                        batch,
+                    );
+                    assert!(bits(&got) == bits(&fwd), "forward of {what}");
+                    let mut got = vec![0.0f32; x.len()];
+                    let batch = [
+                        axis(samples, 0, cout * spatial, cin * plane),
+                        axis(groups, coutg * krows, coutg * spatial, cing * plane),
+                    ];
+                    let sink = Out::Scatter(&mut got, tables(false));
+                    let (a, b) = (PackA::T(&w), PackB::N(&gy));
+                    gemm_batched_on(vector, sink, a, b, (krows, coutg, spatial), batch);
+                    assert!(bits(&got) == bits(&igrad), "input gradient of {what}");
+                    let mut got = vec![0.0f32; w.len()];
+                    let batch = [
+                        axis(groups, coutg * spatial, cing * plane, coutg * krows),
+                        axis(samples, cout * spatial, cin * plane, 0),
+                    ];
+                    let (a, b) = (PackA::N(&gy), PackB::Gather(&x, tables(true)));
+                    gemm_batched_on(
+                        vector,
+                        Out::Add(&mut got),
+                        a,
+                        b,
+                        (coutg, spatial, krows),
+                        batch,
+                    );
+                    assert!(bits(&got) == bits(&wgrad), "weight gradient of {what}");
+                }
+            }
+        }
+        pool::set_num_threads(threads);
+    }
+
     #[test]
     fn tiled_bitwise_equals_reference_over_shape_sweep() {
         for &(m, k, n) in &[

@@ -28,7 +28,7 @@
 
 use hfta_kernels::{
     gemm, gemm_batched, gemm_nt, gemm_tn, reference, set_num_threads, Axis, Offsets, Out, PackA,
-    PackB,
+    PackB, Window,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -385,6 +385,160 @@ fn check_lanes(
     })
 }
 
+/// A thin batch: `groups` output blocks, each the sum of `samples` entries
+/// in ascending order, every entry `m x k x n` with `m` or `n` equal to 1 and
+/// `k` up to past 1536 (the DCGAN edge layers' `96·4·4`). Each layout pair
+/// of dense operands against the oracle run entry by entry, at every thread
+/// count.
+fn check_thin(
+    (groups, samples): (usize, usize),
+    (m, k, n): (usize, usize, usize),
+    layout: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let entries = groups * samples;
+    let (mk, kn, mn) = (m * k, k * n, m * n);
+    let a = fill(entries * mk, seed, 1);
+    let b = fill(entries * kn, seed, 2);
+    let init = fill(groups * mn, seed, 3);
+    let mut expect = init.clone();
+    for (g, s) in (0..groups).flat_map(|g| (0..samples).map(move |s| (g, s))) {
+        let e = s * groups + g;
+        let (ea, eb) = (&a[e * mk..][..mk], &b[e * kn..][..kn]);
+        let block = &mut expect[g * mn..][..mn];
+        match layout {
+            0 => reference::gemm_ref(block, ea, eb, m, k, n),
+            1 => reference::gemm_nt_ref(block, ea, eb, m, k, n),
+            2 => reference::gemm_tn_ref(block, ea, eb, m, k, n),
+            _ => reference::gemm_nt_ref(block, &transpose(ea, k, m), eb, m, k, n),
+        }
+    }
+    let group = Axis {
+        count: groups,
+        a: mk,
+        b: kn,
+        out: mn,
+    };
+    let sample = Axis {
+        count: samples,
+        a: groups * mk,
+        b: groups * kn,
+        out: 0,
+    };
+    let what = format!("thin layout {layout}, {groups}x{samples} of {m}x{k}x{n}");
+    check_every_configuration(&what, &bits(&expect), || {
+        let mut out = init.clone();
+        let pa = if layout < 2 {
+            PackA::N(&a)
+        } else {
+            PackA::T(&a)
+        };
+        let pb = if layout.is_multiple_of(2) {
+            PackB::N(&b)
+        } else {
+            PackB::T(&b)
+        };
+        gemm_batched(Out::Add(&mut out), pa, pb, (m, k, n), [group, sample]);
+        bits(&out)
+    })
+}
+
+/// A `cing`-channel 4x4 convolution's windowed tables over unpadded `[h, h]`
+/// planes at stride 1, taps then pixels, as `hfta-tensor`'s conv builds
+/// them, and the shifts of each.
+#[allow(clippy::type_complexity)]
+fn conv_window(cing: usize, h: usize, pad: usize) -> ([Vec<isize>; 2], [[Vec<i32>; 2]; 2]) {
+    let out = h + 2 * pad - 3;
+    let (mut off, mut shift): ([Vec<isize>; 2], [[Vec<i32>; 2]; 2]) = Default::default();
+    let mut push = |side: usize, base: usize, y: isize, x: isize| {
+        off[side].push(base as isize + y * h as isize + x);
+        shift[side][0].push(y as i32);
+        shift[side][1].push(x as i32);
+    };
+    let p = pad as isize;
+    for ci in 0..cing {
+        for u in 0..4 {
+            for v in 0..4 {
+                push(0, ci * h * h, u - p, v - p);
+            }
+        }
+    }
+    for oy in 0..out {
+        for ox in 0..out {
+            push(1, 0, oy as isize, ox as isize);
+        }
+    }
+    (off, shift)
+}
+
+/// A grouped conv's gathered products at thin shapes: the forward
+/// (`[coutg, taps] x [taps, pixels]`) or, `swapped`, the weight gradient
+/// (`[coutg, pixels] x [pixels, taps]`), through a windowed table pair over
+/// `cing` channels of `[h, h]` planes (`pad` 0 to 2, so one to nine pixels
+/// against up to 1600 taps). `groups` blocks, each reducing `samples`
+/// entries, against the oracle on the `B` the tables materialise (`+0.0`
+/// where the window leaves an element out), at every thread count.
+fn check_thin_gather(
+    (groups, samples): (usize, usize),
+    (coutg, cing, h, pad): (usize, usize, usize, usize),
+    swapped: bool,
+    seed: u64,
+) -> Result<(), String> {
+    let (off, shift) = conv_window(cing, h, pad);
+    let (r, q) = (usize::from(swapped), usize::from(!swapped));
+    let yx = |s: usize| [&shift[s][0][..], &shift[s][1][..]];
+    let window = Window {
+        row: yx(r),
+        col: yx(q),
+        hw: (h, h),
+    };
+    let window = (pad > 0).then_some(window);
+    let tables = Offsets::windowed(&off[r], &off[q], window.as_ref());
+    let (m, k, n) = (coutg, off[r].len(), off[q].len());
+    let (entries, plane) = (groups * samples, cing * h * h);
+    let a = fill(entries * m * k, seed, 1);
+    let src = fill(entries * plane, seed, 2);
+    let init = fill(groups * m * n, seed, 3);
+    let inside = |i: usize, j: usize| {
+        let y = shift[r][0][i] + shift[q][0][j];
+        let x = shift[r][1][i] + shift[q][1][j];
+        (0..h as i32).contains(&y) && (0..h as i32).contains(&x)
+    };
+    let mut expect = init.clone();
+    for (g, s) in (0..groups).flat_map(|g| (0..samples).map(move |s| (g, s))) {
+        let e = s * groups + g;
+        let mut dense = vec![0.0f32; k * n];
+        for (p, j) in (0..k).flat_map(|p| (0..n).map(move |j| (p, j))) {
+            if inside(p, j) {
+                dense[p * n + j] = src[e * plane + (off[r][p] + off[q][j]) as usize];
+            }
+        }
+        let block = &mut expect[g * m * n..][..m * n];
+        reference::gemm_ref(block, &a[e * m * k..][..m * k], &dense, m, k, n);
+    }
+    let group = Axis {
+        count: groups,
+        a: m * k,
+        b: plane,
+        out: m * n,
+    };
+    let sample = Axis {
+        count: samples,
+        a: groups * m * k,
+        b: groups * plane,
+        out: 0,
+    };
+    let what = format!(
+        "thin gather {groups}x{samples} of {m}x{k}x{n}, {cing} channels of {h}x{h}, pad {pad}"
+    );
+    check_every_configuration(&what, &bits(&expect), || {
+        let mut out = init.clone();
+        let (pa, pb) = (PackA::N(&a), PackB::Gather(&src, tables));
+        gemm_batched(Out::Add(&mut out), pa, pb, (m, k, n), [group, sample]);
+        bits(&out)
+    })
+}
+
 fn check_random(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
     let a = fill(m * k, seed, 1);
     let b = fill(k * n, seed, 2);
@@ -451,6 +605,41 @@ proptest! {
     ) {
         let gap = if gapped { gap } else { 0 };
         check_lanes((runs, entries, shared_a), (m, k, n), (layout, gap), seed)?;
+    }
+
+    // Thin products: `m` or `n` is 1 (both, sometimes) and `k` runs to past
+    // the 1536 of the DCGAN edge layers, in every layout pair, on batches of
+    // 1 to 6 blocks each reducing 1 to 3 entries.
+    #[test]
+    fn thin_products_bit_identical(
+        groups in 1usize..7,
+        samples in 1usize..4,
+        unit_m in any::<bool>(),
+        other in 1usize..40,
+        k in 0usize..1700,
+        layout in 0usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let (m, n) = if unit_m { (1, other) } else { (other, 1) };
+        check_thin((groups, samples), (m, k, n), layout, seed)?;
+    }
+
+    // The gathered thin products of a grouped conv's edge layers: a 4x4
+    // kernel over 1 to 100 channels of a 1x1 to 4x4 plane (zero-padded by
+    // a window, or not), forward or weight-gradient orientation, `m` 1 to 3,
+    // samples reducing into each group's block.
+    #[test]
+    fn thin_gathers_bit_identical(
+        groups in 1usize..7,
+        samples in 1usize..4,
+        coutg in 1usize..4,
+        cing in 1usize..101,
+        h in 1usize..5,
+        swapped in any::<bool>(),
+        seed in 0u64..1_000_000,
+    ) {
+        let pad = if h < 4 { (5 - h) / 2 } else { (seed % 2) as usize };
+        check_thin_gather((groups, samples), (coutg, cing, h, pad), swapped, seed)?;
     }
 
     #[test]
