@@ -85,6 +85,13 @@ use hfta_mem::scratch;
 pub const MR: usize = 8;
 /// Micro-kernel tile columns.
 pub const NR: usize = 8;
+/// Column panels the vector path's one-row kernel spans: eight independent
+/// accumulator chains, enough to hide the FMA latency a single row exposes.
+pub(crate) const ROW: usize = 8;
+
+/// How [`run_tiled`] walks one call: the stacked entries, the `A` and `B`
+/// strides of a folded contraction's steps, and the [`tile_grid`].
+type Tiling = (Axis, Option<(usize, usize)>, (usize, usize, usize));
 
 /// Below this many FLOPs (2·m·k·n) per entry the reference loops run instead
 /// of the tiles: on the portable column, and on the vector column for a
@@ -179,6 +186,10 @@ pub struct Offsets<'a> {
     window: Option<&'a Window<'a>>,
     /// `col` as [`split_runs`] reads it, on the vector path only.
     pub(crate) runs: Option<&'a [Run]>,
+    /// With `runs`: every `col` entry has `col[0]`'s parity, so a row one
+    /// cell past another never meets it (a stride-2 scatter's taps `v` and
+    /// `v + 1`).
+    pub(crate) even: bool,
 }
 
 /// Which elements of a table pair exist. Every entry is a whole number of
@@ -216,12 +227,18 @@ impl<'a> Offsets<'a> {
             col,
             window,
             runs: None,
+            even: false,
         }
     }
 
     /// These tables, their column table classified as `runs` or not.
     fn with(self, runs: Option<&'a [Run]>) -> Self {
-        Offsets { runs, ..self }
+        let even = runs.is_some()
+            && self
+                .col
+                .iter()
+                .all(|c| c.wrapping_sub(self.col[0]) % 2 == 0);
+        Offsets { runs, even, ..self }
     }
 
     /// The one hard check behind the unchecked table loops: the tables have
@@ -506,6 +523,29 @@ fn gemm_batched_on(
     (m, k, n): (usize, usize, usize),
     batch: [Axis; 2],
 ) {
+    let b = dense(b, (k, n));
+    // A column product with `A` stored `[k, m]` is its transpose, the row
+    // product `B^T A^T` over `B` and `A` where they lie: each output
+    // element the same chain (`fma` commutes its factors), a scatter's adds
+    // in the same order, `n = 1` reading as `m = 1`.
+    if let (1, 2.., PackA::T(at), PackB::N(col) | PackB::T(col)) = (n, m, a, b) {
+        let (a, b) = (PackA::N(col), PackB::N(at));
+        let batch = batch.map(|x| Axis {
+            a: x.b,
+            b: x.a,
+            ..x
+        });
+        let Out::Scatter(dst, t) = out else {
+            return gemm_batched_on(vector, out, a, b, (1, k, m), batch);
+        };
+        let window = t.window.map(|w| Window {
+            row: w.col,
+            col: w.row,
+            hw: w.hw,
+        });
+        let t = Offsets::windowed(t.col, t.row, window.as_ref());
+        return gemm_batched_on(vector, Out::Scatter(dst, t), a, b, (1, k, m), batch);
+    }
     // A reducing axis goes inside, so each output block's entries are
     // consecutive: `chain` entries make one unit of work.
     let [outer, inner] = match batch {
@@ -594,10 +634,20 @@ fn gemm_batched_on(
         .checked_div(unit_flops)
         .map_or(units, |g| g.clamp(1, units));
     let work = units * unit_flops;
-    let grid = tile_grid(m, k, n, scatter.is_some());
     let gather = matches!(b, PackB::Gather(..));
     let tables = gather || scatter.is_some();
     let direct = direct_kernel(vector, flops, (a, b), tables);
+    // A reduction of one-step tiled products in place folds into the
+    // contraction: a block's `chain` entries are the `chain` steps of one
+    // product, `A` and `B` stepping by the reducing axis's strides, so a
+    // tile keeps its accumulators across them — the same chain per element.
+    let fold = (k == 1 && chain > 1 && chain == inner.count && inner.out == 0)
+        && (direct.is_none() && scatter.is_none() && matches!(b, PackB::N(_)));
+    let (k_run, per_unit, steps) = match fold {
+        true => (chain, 1, Some((inner.a, inner.b))),
+        false => (k, chain, None),
+    };
+    let grid = tile_grid(m, k_run, n, scatter.is_some());
     // Lane tiles: a one-chunk product under `MR` rows stacks the rows of up
     // to `MR / m` consecutive units in one tile, along the writing axis the
     // units step (the inner one unless it reduces or holds one entry) when
@@ -659,15 +709,17 @@ fn gemm_batched_on(
                 while u < chunk.end {
                     let h = lanes.min(chunk.end - u).min(run - u % run);
                     let stack = Axis { count: h, ..lane };
-                    for e in u * chain..(u + 1) * chain {
+                    for e in u * chain..u * chain + per_unit {
                         let (a_at, b_at, out_at) = offsets(e);
                         let end = out_at + (h - 1) * lane.out + extent;
                         // SAFETY: distinct units own disjoint output blocks
                         // (checked above), the `h` units stacked here abut,
                         // and a unit's entries run one after another here.
                         let block = unsafe { shared.slice_mut(out_at..end) };
-                        let a = a.at(a_at, (h - 1) * lane.a + m * k);
-                        let b = b.at(b_at, (h - 1) * lane.b + k * n);
+                        let (sa, sb) =
+                            steps.map_or((0, 0), |(sa, sb)| ((chain - 1) * sa, (chain - 1) * sb));
+                        let a = a.at(a_at, (h - 1) * lane.a + sa + m * k);
+                        let b = b.at(b_at, (h - 1) * lane.b + sb + k * n);
                         let (s0, rest) = s0.split_at_mut(first);
                         let (b_planes, out_planes) = rest.split_at_mut(planes[0]);
                         let b = match (b, b_tables, &b_pad) {
@@ -689,8 +741,9 @@ fn gemm_batched_on(
                         match direct {
                             Some(f) => run_direct(f, out, scatter, a, b, (m, k, n), bufs),
                             None => {
-                                let tiling = (stack, grid);
-                                run_tiled(vector, out, scatter, (a, b), (m, k, n), tiling, bufs)
+                                let tiling = (stack, steps, grid);
+                                let mkn = (m, k_run, n);
+                                run_tiled(vector, out, scatter, (a, b), mkn, tiling, bufs)
                             }
                         }
                         if let Some(pad) = &out_pad {
@@ -702,6 +755,27 @@ fn gemm_batched_on(
             })
         })
     });
+}
+
+/// A gathered `B` whose tables lay it out densely — no window, rows `n`
+/// apart, columns adjacent — as `B` stored `[k, n]` from its first element:
+/// a gather moves bits only, so reading it in place changes none.
+fn dense(b: PackB<'_>, (k, n): (usize, usize)) -> PackB<'_> {
+    let PackB::Gather(src, t) = b else { return b };
+    let steps = |t: &[isize], by: usize| {
+        t.windows(2)
+            .all(|w| w[1].checked_sub(w[0]) == isize::try_from(by).ok())
+    };
+    let start = match (t.row.first(), t.col.first()) {
+        (Some(&r), Some(&c)) if t.window.is_none() && steps(t.row, n) && steps(t.col, 1) => {
+            r.checked_add(c).and_then(|at| usize::try_from(at).ok())
+        }
+        _ => None,
+    };
+    match start.and_then(|at| src.get(at..)) {
+        Some(b) if b.len() >= k * n => PackB::N(b),
+        _ => PackB::Gather(src, t),
+    }
 }
 
 /// The direct-loop kernel this dispatch runs, if any: below [`SMALL_FLOPS`]
@@ -824,11 +898,12 @@ pub(crate) struct CView {
 /// `C` cell may be live, and no mutable one to an `A` or `B` cell. `vector`
 /// must come from `simd::detected`.
 unsafe fn tile(vector: bool, width: usize, k: usize, a: &AView, b: &BView, c: CView) {
-    match (vector, width == NR) {
-        (true, true) => simd::microkernel(k, a, b, c),
-        (true, false) => simd::microkernel_x2(k, a, b, c),
-        (false, true) => portable_microkernel(k, a, b, c),
-        (false, false) => unreachable!("the portable kernel is {NR} columns wide"),
+    match (vector, width / NR) {
+        (true, 1) => simd::microkernel(k, a, b, c),
+        (true, 2) => simd::microkernel_x2(k, a, b, c),
+        (true, _) => simd::row_kernel(k, a, b, c),
+        (false, 1) => portable_microkernel(k, a, b, c),
+        (false, _) => unreachable!("the portable kernel is {NR} columns wide"),
     }
 }
 
@@ -1046,12 +1121,18 @@ fn run_tiled(
     scatter: Option<Offsets<'_>>,
     (a, b): (PackA<'_>, PackB<'_>),
     (m, k, n): (usize, usize, usize),
-    (stack, (row_grain, col_grain, n_chunks)): (Axis, (usize, usize, usize)),
+    (stack, steps, (row_grain, col_grain, n_chunks)): Tiling,
     (strip, bpack): (&mut [f32], &mut [f32]),
 ) {
     let (h, rows_all) = (stack.count, stack.count * m);
     // The tile views below read inside these lengths.
-    let (a_len, b_len) = ((h - 1) * stack.a + m * k, (h - 1) * stack.b + k * n);
+    let (a_len, b_len) = match steps {
+        None => ((h - 1) * stack.a + m * k, (h - 1) * stack.b + k * n),
+        Some((sa, sb)) => (
+            (h - 1) * stack.a + (k - 1) * sa + m,
+            (h - 1) * stack.b + (k - 1) * sb + n,
+        ),
+    };
     let (PackA::N(a_src) | PackA::T(a_src)) = a;
     assert!(a_src.len() >= a_len, "A needs {a_len} elements");
     if let PackB::N(src) | PackB::T(src) = b {
@@ -1070,22 +1151,32 @@ fn run_tiled(
     let row_panel = |ib: usize, jbs: Range<usize>, bpack: &[f32], panels: Range<usize>| {
         let i0 = ib * MR;
         let (rows, row0) = (MR.min(rows_all - i0), if from_zero { 0 } else { i0 });
-        let av = a_view(a, (m, k), stack, i0);
+        // A folded step reads each entry's one-column `A` at its own stride.
+        let mut av = a_view(a, (m, if steps.is_some() { 1 } else { k }), stack, i0);
+        if let Some((sa, _)) = steps {
+            av.ks = sa;
+        }
         let mut jb = jbs.start;
         while jb < jbs.end {
-            // The vector path pairs adjacent full column panels (8x16 tile)
-            // of one entry's full row panel whenever the chunk holds both and
-            // `B` has them as contiguous columns: bitwise equal to two
-            // single-tile calls (see `simd::microkernel_x2`), so the pairing
-            // — a chunk-local accident — never changes results.
-            let pair = vector
-                && h == 1
-                && rows == MR
-                && jb + 1 < jbs.end
-                && (jb + 2) * NR <= n
-                && (!packed || (jb - panels.start).is_multiple_of(2));
-            let width = if pair { 2 * NR } else { NR };
-            let bv = b_view(b, bpack, (m, k, n), jb, panels.clone(), stack);
+            // The vector path runs a lone row of `B` in place `ROW` panels
+            // at a time, and pairs adjacent full column panels (8x16 tile)
+            // of one entry's row panel whenever the chunk holds both and `B`
+            // has them as contiguous columns: bitwise equal to single-tile
+            // calls (see `simd::microkernel_x2`, `simd::row_kernel`), so
+            // which one runs — a chunk-local accident — never changes results.
+            let fits = |panels: usize| jb + panels <= jbs.end && (jb + panels) * NR <= n;
+            let row = vector && rows_all == 1 && !packed && fits(ROW);
+            let pair =
+                vector && h == 1 && fits(2) && (!packed || (jb - panels.start).is_multiple_of(2));
+            let width = match (row, pair) {
+                (true, _) => ROW * NR,
+                (_, true) => 2 * NR,
+                _ => NR,
+            };
+            let mut bv = b_view(b, bpack, (m, k, n), jb, panels.clone(), stack);
+            if let Some((_, sb)) = steps {
+                bv.ks = sb;
+            }
             let (cols, at) = (width.min(n - jb * NR), row0 * n + jb * NR);
             let c = CView {
                 ptr: tiles.ptr(at..at + (rows - 1) * n + cols),
@@ -1202,7 +1293,7 @@ mod tests {
         let l1 = k * NR * panels;
         scratch::with(l0, |s0| {
             scratch::with(l1, |s1| {
-                let tiling = (Axis::ONE, grid);
+                let tiling = (Axis::ONE, None, grid);
                 run_tiled(vector, out, scatter, (a, b), (m, k, n), tiling, (s0, s1))
             })
         })

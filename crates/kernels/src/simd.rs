@@ -53,7 +53,7 @@
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use crate::gemm::{AView, BView, CView, Offsets, Run, MR, NR};
+use crate::gemm::{AView, BView, CView, Offsets, Run, MR, NR, ROW};
 
 const _: () = assert!(
     MR == 8 && NR == 8,
@@ -151,12 +151,20 @@ unsafe fn microkernel_avx2<const ROWS: usize>(k: usize, a: &AView, b: &BView, c:
 unsafe fn microkernel_avx2_x2(k: usize, a: &AView, b: &BView, c: CView) {
     use std::arch::x86_64::*;
     for r0 in [0usize, 4] {
+        // A partial tile's pass over rows past `c.rows` reads `A` rows the
+        // view repeats and stores nothing; one wholly past them is skipped.
+        if r0 >= c.rows {
+            break;
+        }
+        let rows = (c.rows - r0).min(4);
         let mut acc = [[_mm256_setzero_ps(); 2]; 4];
         if !c.from_zero {
-            for (i, accv) in acc.iter_mut().enumerate() {
-                let crow = c.ptr.add((r0 + i) * c.ldc);
-                accv[0] = _mm256_loadu_ps(crow);
-                accv[1] = _mm256_loadu_ps(crow.add(NR));
+            // Index loops with a constant trip count keep `acc` in registers.
+            for i in 0..4 {
+                if i < rows {
+                    let crow = c.ptr.add((r0 + i) * c.ldc);
+                    acc[i] = [_mm256_loadu_ps(crow), _mm256_loadu_ps(crow.add(NR))];
+                }
             }
         }
         let ar: [*const f32; 4] = std::array::from_fn(|i| a.ptr.wrapping_add(a.off[r0 + i]));
@@ -190,10 +198,43 @@ unsafe fn microkernel_avx2_x2(k: usize, a: &AView, b: &BView, c: CView) {
             }
         }
         for (i, accv) in acc.iter().enumerate() {
-            let crow = c.ptr.add((r0 + i) * c.ldc);
-            _mm256_storeu_ps(crow, accv[0]);
-            _mm256_storeu_ps(crow.add(NR), accv[1]);
+            if i < rows {
+                let crow = c.ptr.add((r0 + i) * c.ldc);
+                _mm256_storeu_ps(crow, accv[0]);
+                _mm256_storeu_ps(crow.add(NR), accv[1]);
+            }
         }
+    }
+}
+
+/// One-row twin of [`microkernel_avx2`]: tile row 0 across `ROW·NR` whole
+/// columns, one `vfmadd` chain per 8 of them, so the `ROW` independent
+/// chains hide the FMA latency that a single row's one chain would expose.
+/// Per contraction step it loads one `A` broadcast and `ROW` `B` vectors.
+/// Each lane's FMA sequence is the single-tile kernel's.
+///
+/// # Safety
+///
+/// As [`microkernel_avx2`], for row 0 and `ROW·NR` columns.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn row_avx2(k: usize, a: &AView, b: &BView, c: CView) {
+    use std::arch::x86_64::*;
+    let mut acc = [_mm256_setzero_ps(); ROW];
+    if !c.from_zero {
+        for (v, acc) in acc.iter_mut().enumerate() {
+            *acc = _mm256_loadu_ps(c.ptr.add(v * NR));
+        }
+    }
+    let (ar, br) = (a.ptr.wrapping_add(a.off[0]), b.ptr.wrapping_add(b.off[0]));
+    for p in 0..k {
+        let (av, bp) = (_mm256_set1_ps(*ar.add(p * a.ks)), br.add(p * b.ks));
+        for (v, acc) in acc.iter_mut().enumerate() {
+            *acc = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(v * NR)), *acc);
+        }
+    }
+    for (v, &acc) in acc.iter().enumerate() {
+        _mm256_storeu_ps(c.ptr.add(v * NR), acc);
     }
 }
 
@@ -218,6 +259,25 @@ pub(crate) unsafe fn microkernel(k: usize, a: &AView, b: &BView, c: CView) {
             4 => microkernel_avx2::<4>(k, a, b, c),
             _ => microkernel_avx2::<MR>(k, a, b, c),
         }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (k, a, b, c);
+}
+
+/// Runs the one-row AVX2/FMA kernel across `ROW·NR` columns; bitwise equal
+/// to `ROW` [`microkernel`] calls on the row's column panels.
+///
+/// # Safety
+///
+/// The views must meet `gemm::tile`'s contract for row 0 and `ROW·NR`
+/// columns.
+#[inline]
+pub(crate) unsafe fn row_kernel(k: usize, a: &AView, b: &BView, c: CView) {
+    assert_detected();
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: as in `microkernel`.
+    unsafe {
+        row_avx2(k, a, b, c);
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (k, a, b, c);
@@ -378,6 +438,10 @@ pub(crate) unsafe fn gather_panels(src: &[f32], off: Offsets<'_>, bpack: &mut [f
 /// ascending `j` — eight cells per add along step-1 runs, four along stride-2
 /// runs through a mask on the even lanes (the cells between are untouched),
 /// the rest singly. A run's cells are distinct: the portable adds, in order.
+/// Under `off.even`, a row whose successor lands one cell past it takes that
+/// row along: their cells are disjoint, so interleaving the two rows' adds
+/// (eight cells per add along stride-2 runs) gives each cell its adds in
+/// the portable order.
 ///
 /// # Safety
 ///
@@ -389,11 +453,34 @@ pub(crate) unsafe fn scatter_strip(dst: &mut [f32], off: Offsets<'_>, i0: usize,
     use std::arch::x86_64::*;
     let even = _mm256_setr_epi32(-1, 0, -1, 0, -1, 0, -1, 0);
     let spread = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
-    let n = off.col.len();
-    for i in 0..rows.len() / n {
+    let (n, runs) = (off.col.len(), off.runs.unwrap_or_default());
+    let (count, mut i) = (rows.len() / n, 0);
+    while i < count {
         let d = dst.as_mut_ptr().wrapping_offset(off.row[i0 + i]);
         let v = rows[i * n..].as_ptr();
-        for &Run { at, len, step } in off.runs.unwrap_or_default() {
+        if off.even && i + 1 < count && off.row[i0 + i + 1] == off.row[i0 + i] + 1 {
+            // Rows `i` and `i + 1` meet disjoint cells, one past the
+            // other: a stride-2 run takes both rows' four values as one
+            // unmasked add of eight.
+            let w = rows[(i + 1) * n..].as_ptr();
+            for &Run { at, len, step } in runs {
+                let (mut t, to) = (0, d.wrapping_offset(off.col[at]));
+                while step == 2 && t + 4 <= len {
+                    let (x, y) = (_mm_loadu_ps(v.add(at + t)), _mm_loadu_ps(w.add(at + t)));
+                    let xy = _mm256_set_m128(_mm_unpackhi_ps(x, y), _mm_unpacklo_ps(x, y));
+                    let sum = _mm256_add_ps(_mm256_loadu_ps(to.add(2 * t)), xy);
+                    _mm256_storeu_ps(to.add(2 * t), sum);
+                    t += 4;
+                }
+                for j in at + t..at + len {
+                    *d.wrapping_offset(off.col[j]) += *v.add(j);
+                    *d.wrapping_offset(off.col[j] + 1) += *w.add(j);
+                }
+            }
+            i += 2;
+            continue;
+        }
+        for &Run { at, len, step } in runs {
             let (mut t, to) = (0, d.wrapping_offset(off.col[at]));
             while step == 1 && t + NR <= len {
                 let sum = _mm256_add_ps(_mm256_loadu_ps(to.add(t)), _mm256_loadu_ps(v.add(at + t)));
@@ -411,6 +498,7 @@ pub(crate) unsafe fn scatter_strip(dst: &mut [f32], off: Offsets<'_>, i0: usize,
                 *d.wrapping_offset(off.col[j]) += *v.add(j);
             }
         }
+        i += 1;
     }
 }
 
