@@ -26,7 +26,9 @@
 
 use std::ops::Range;
 
-use hfta_nn::{adadelta_update, adam_update, optim_step_span, sgd_update, AdamCoeffs, LrSchedule};
+use hfta_nn::{
+    adadelta_update, adam_update, optim_step_span, sgd_update, AdamCoeffs, LrSchedule, ValueRun,
+};
 use hfta_tensor::Tensor;
 
 use crate::error::{FusionError, Result};
@@ -122,7 +124,7 @@ pub trait Update {
 
     /// Updates global lane `l` of one parameter at rate `lr`: its value run
     /// `x`, gradient run `g` and state runs `st`.
-    fn lane(&self, s: Self::Step, l: usize, lr: f32, x: &mut [f32], g: &[f32], st: Slots);
+    fn lane(&self, s: Self::Step, l: usize, lr: f32, x: ValueRun<'_>, g: &[f32], st: Slots);
 }
 
 /// The same run of each of one parameter's state tensors: lane `l`'s
@@ -157,7 +159,7 @@ impl Update for SgdUpdate {
         }
     }
 
-    fn lane(&self, plain: bool, l: usize, lr: f32, x: &mut [f32], g: &[f32], st: Slots) {
+    fn lane(&self, plain: bool, l: usize, lr: f32, x: ValueRun<'_>, g: &[f32], st: Slots) {
         let Slots([v], r) = st else { unreachable!() };
         let v = (!plain).then(|| &mut v.as_mut_slice()[r]);
         sgd_update(x, g, v, lr, self.momentum.get(l));
@@ -197,7 +199,7 @@ impl Update for AdamUpdate {
         (c, 7, 14)
     }
 
-    fn lane(&self, c: AdamCoeffs, _l: usize, lr: f32, x: &mut [f32], g: &[f32], st: Slots) {
+    fn lane(&self, c: AdamCoeffs, _l: usize, lr: f32, x: ValueRun<'_>, g: &[f32], st: Slots) {
         let Slots([m, v], r) = st else { unreachable!() };
         let (m, v) = (&mut m.as_mut_slice()[r.clone()], &mut v.as_mut_slice()[r]);
         adam_update(x, g, m, v, lr, c);
@@ -227,7 +229,7 @@ impl Update for AdadeltaUpdate {
         ((), 7, 16)
     }
 
-    fn lane(&self, (): (), l: usize, lr: f32, x: &mut [f32], g: &[f32], st: Slots) {
+    fn lane(&self, (): (), l: usize, lr: f32, x: ValueRun<'_>, g: &[f32], st: Slots) {
         let Slots([s, a], r) = st else { unreachable!() };
         let (s, a) = (&mut s.as_mut_slice()[r.clone()], &mut a.as_mut_slice()[r]);
         adadelta_update(x, g, s, a, lr, self.rho.get(l), self.eps);
@@ -369,13 +371,13 @@ impl<U: Update> FusedOptimizer<U> {
             let slots = &mut self.state[g.params.start * U::SLOTS..g.params.end * U::SLOTS];
             let params = &self.params[g.params.clone()];
             for (p, state) in params.iter().zip(slots.chunks_exact_mut(U::SLOTS)) {
-                p.param.update(|value, grad| {
-                    let chunk = value.numel() / p.b;
+                p.param.update_run(|mut value, grad| {
+                    let chunk = value.len() / p.b;
                     for (j, &l) in g.lanes.iter().enumerate() {
                         let r = j * chunk..(j + 1) * chunk;
-                        let x = &mut value.as_mut_slice()[r.clone()];
                         let g = &grad.as_slice()[r.clone()];
-                        self.update.lane(s, l, lr[l], x, g, Slots(state, r));
+                        self.update
+                            .lane(s, l, lr[l], value.at(r.clone()), g, Slots(state, r));
                     }
                 });
             }

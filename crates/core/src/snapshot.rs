@@ -20,6 +20,7 @@
 
 use std::fmt;
 
+use hfta_mem::Storage;
 use hfta_nn::Parameter;
 use hfta_telemetry::flight::TraceCtx;
 use hfta_tensor::Tensor;
@@ -150,12 +151,14 @@ impl<'a> Reader<'a> {
             .iter()
             .try_fold(4usize, |acc, &d| acc.checked_mul(d))
             .ok_or(SnapshotError::Truncated)?;
-        let data: Vec<f32> = self
-            .take(byte_len)?
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        Ok(Tensor::from_vec(data, dims))
+        // Decoded straight into a pooled buffer, drawn only once the bytes
+        // are there.
+        let bytes = self.take(byte_len)?;
+        let mut data = Storage::unfilled(byte_len / 4);
+        for (v, c) in data.as_mut_slice().iter_mut().zip(bytes.chunks_exact(4)) {
+            *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        }
+        Ok(Tensor::from_storage(data, dims))
     }
 }
 

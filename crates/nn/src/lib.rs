@@ -40,7 +40,7 @@ pub use gradcheck::check_gradients;
 pub use module::{Module, Sequential};
 pub use optim::{
     adadelta_update, adam_update, clip_grad_norm, optim_step_span, sgd_update, Adadelta, Adam,
-    AdamCoeffs, CosineLr, ExponentialLr, LrSchedule, Optimizer, Sgd, StepLr,
+    AdamCoeffs, CosineLr, ExponentialLr, LrSchedule, Optimizer, Sgd, StepLr, ValueRun,
 };
 pub use parameter::Parameter;
 pub use tape::{Tape, Var};

@@ -31,6 +31,54 @@ pub fn optim_step_span(
     Some(p.op_span(p.lane("optim", "step"), "optim_step", cost))
 }
 
+/// One contiguous run of a parameter's value as an update rule writes it:
+/// in place, or, while a live tape still shares the old value, read from
+/// `old` and written into a fresh buffer — one pass either way.
+#[derive(Debug)]
+pub enum ValueRun<'a> {
+    /// The value itself, updated in place.
+    InPlace(&'a mut [f32]),
+    /// The shared old value and the fresh buffer the new one goes to.
+    Fresh(&'a [f32], &'a mut [f32]),
+}
+
+impl ValueRun<'_> {
+    /// Elements in the run.
+    pub fn len(&self) -> usize {
+        match self {
+            ValueRun::InPlace(x) => x.len(),
+            ValueRun::Fresh(_, new) => new.len(),
+        }
+    }
+
+    /// Whether the run is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Elements `r` of the run.
+    pub fn at(&mut self, r: std::ops::Range<usize>) -> ValueRun<'_> {
+        match self {
+            ValueRun::InPlace(x) => ValueRun::InPlace(&mut x[r]),
+            ValueRun::Fresh(old, new) => ValueRun::Fresh(&old[r.clone()], &mut new[r]),
+        }
+    }
+
+    /// Each element `x` becomes `x + delta(s)` for its item `s` of `state`,
+    /// in order: the rule's `x += d`, wherever the new value goes.
+    #[inline(always)]
+    fn add<S>(self, state: impl Iterator<Item = S>, mut delta: impl FnMut(S) -> f32) {
+        match self {
+            ValueRun::InPlace(x) => x.iter_mut().zip(state).for_each(|(x, s)| *x += delta(s)),
+            ValueRun::Fresh(old, new) => new
+                .iter_mut()
+                .zip(old)
+                .zip(state)
+                .for_each(|((y, &x), s)| *y = x + delta(s)),
+        }
+    }
+}
+
 /// SGD over one contiguous run of elements: `v = v * momentum + g;
 /// x += v * -lr` (PyTorch convention), or `x += g * -lr` with no `velocity`.
 ///
@@ -38,7 +86,7 @@ pub fn optim_step_span(
 ///
 /// Panics if the slice lengths differ.
 pub fn sgd_update(
-    value: &mut [f32],
+    value: ValueRun<'_>,
     grad: &[f32],
     velocity: Option<&mut [f32]>,
     lr: f32,
@@ -46,16 +94,13 @@ pub fn sgd_update(
 ) {
     assert_eq!(value.len(), grad.len(), "sgd_update length mismatch");
     let Some(velocity) = velocity else {
-        for (x, &g) in value.iter_mut().zip(grad) {
-            *x += g * -lr;
-        }
-        return;
+        return value.add(grad.iter(), |&g| g * -lr);
     };
     assert_eq!(value.len(), velocity.len(), "sgd_update length mismatch");
-    for ((x, &g), v) in value.iter_mut().zip(grad).zip(velocity) {
+    value.add(grad.iter().zip(velocity), |(&g, v)| {
         *v = *v * momentum + g;
-        *x += *v * -lr;
-    }
+        *v * -lr
+    });
 }
 
 /// The per-step scalars of Adam shared by every element (and every lane).
@@ -87,7 +132,7 @@ impl AdamCoeffs {
 ///
 /// Panics if the slice lengths differ.
 pub fn adam_update(
-    value: &mut [f32],
+    value: ValueRun<'_>,
     grad: &[f32],
     m: &mut [f32],
     v: &mut [f32],
@@ -100,11 +145,11 @@ pub fn adam_update(
         "adam_update length mismatch"
     );
     let (w1, w2) = (1.0 - c.beta1, 1.0 - c.beta2);
-    for (((x, &g), m), v) in value.iter_mut().zip(grad).zip(m).zip(v) {
+    value.add(grad.iter().zip(m).zip(v), |((&g, m), v)| {
         *m = *m * c.beta1 + g * w1;
         *v = *v * c.beta2 + (g * g) * w2;
-        *x += (*m / c.bc1) / ((*v / c.bc2).sqrt() + c.eps) * -lr;
-    }
+        (*m / c.bc1) / ((*v / c.bc2).sqrt() + c.eps) * -lr
+    });
 }
 
 /// Adadelta over one contiguous run of elements.
@@ -113,7 +158,7 @@ pub fn adam_update(
 ///
 /// Panics if the slice lengths differ.
 pub fn adadelta_update(
-    value: &mut [f32],
+    value: ValueRun<'_>,
     grad: &[f32],
     sq_avg: &mut [f32],
     acc_delta: &mut [f32],
@@ -127,12 +172,12 @@ pub fn adadelta_update(
         "adadelta_update length mismatch"
     );
     let w = 1.0 - rho;
-    for (((x, &g), sq), acc) in value.iter_mut().zip(grad).zip(sq_avg).zip(acc_delta) {
+    value.add(grad.iter().zip(sq_avg).zip(acc_delta), |((&g, sq), acc)| {
         *sq = *sq * rho + (g * g) * w;
         let delta = (*acc + eps).sqrt() / (*sq + eps).sqrt() * g;
         *acc = *acc * rho + (delta * delta) * w;
-        *x += delta * -lr;
-    }
+        delta * -lr
+    });
 }
 
 /// A first-order optimizer over a set of [`Parameter`]s.
@@ -178,7 +223,7 @@ impl Optimizer for Sgd {
         let _span = optim_step_span(self.params.iter().map(Parameter::numel), words, flops);
         for (p, v) in self.params.iter().zip(&mut self.velocity) {
             let v = (self.momentum != 0.0).then(|| v.as_mut_slice());
-            p.update(|x, g| sgd_update(x.as_mut_slice(), g.as_slice(), v, self.lr, self.momentum));
+            p.update_run(|x, g| sgd_update(x, g.as_slice(), v, self.lr, self.momentum));
         }
     }
 
@@ -251,7 +296,7 @@ impl Optimizer for Adam {
         let c = AdamCoeffs::at_step(self.beta1, self.beta2, self.eps, self.t);
         for ((p, m), v) in self.params.iter().zip(&mut self.m).zip(&mut self.v) {
             let (m, v) = (m.as_mut_slice(), v.as_mut_slice());
-            p.update(|x, g| adam_update(x.as_mut_slice(), g.as_slice(), m, v, self.lr, c));
+            p.update_run(|x, g| adam_update(x, g.as_slice(), m, v, self.lr, c));
         }
     }
 
@@ -310,7 +355,7 @@ impl Optimizer for Adadelta {
         let state = self.sq_avg.iter_mut().zip(&mut self.acc_delta);
         for (p, (sq, acc)) in self.params.iter().zip(state) {
             let (sq, acc) = (sq.as_mut_slice(), acc.as_mut_slice());
-            p.update(|x, g| adadelta_update(x.as_mut_slice(), g.as_slice(), sq, acc, lr, rho, eps));
+            p.update_run(|x, g| adadelta_update(x, g.as_slice(), sq, acc, lr, rho, eps));
         }
     }
 
@@ -529,7 +574,8 @@ mod tests {
         // contracted `mul_add` keeps the 2^-24 and would move every loss.
         let a = 1.0 + 2f32.powi(-12);
         let (mut x, mut v) = ([0.0f32], [a]);
-        sgd_update(&mut x, &[-(1.0 + 2f32.powi(-11))], Some(&mut v), 1.0, a);
+        let g = [-(1.0 + 2f32.powi(-11))];
+        sgd_update(ValueRun::InPlace(&mut x), &g, Some(&mut v), 1.0, a);
         assert_eq!((v[0].to_bits(), x[0].to_bits()), (0, 0));
     }
 

@@ -8,8 +8,10 @@ use std::cell::{Ref, RefCell, RefMut};
 use std::fmt;
 use std::rc::Rc;
 
+use hfta_mem::Storage;
 use hfta_tensor::Tensor;
 
+use crate::optim::ValueRun;
 use crate::tape::Grad;
 
 /// Since the last zero, the storage holds nothing (it reads as zeros), the
@@ -195,6 +197,23 @@ impl Parameter {
     pub fn update(&self, f: impl FnOnce(&mut Tensor, &Tensor)) {
         let inner = &mut *self.read();
         f(Rc::make_mut(&mut inner.value), &inner.grad);
+    }
+
+    /// [`Parameter::update`] for a one-pass rule: `f` writes the new value
+    /// through a [`ValueRun`] — in place, or, while a live tape shares the
+    /// value, from the old value into a fresh pooled buffer that then
+    /// becomes the value (no copy first).
+    pub fn update_run(&self, f: impl FnOnce(ValueRun<'_>, &Tensor)) {
+        let inner = &mut *self.read();
+        if let Some(value) = Rc::get_mut(&mut inner.value) {
+            return f(ValueRun::InPlace(value.as_mut_slice()), &inner.grad);
+        }
+        let mut fresh = Storage::unfilled(inner.value.numel());
+        f(
+            ValueRun::Fresh(inner.value.as_slice(), fresh.as_mut_slice()),
+            &inner.grad,
+        );
+        inner.value = Rc::new(Tensor::from_storage(fresh, inner.value.shape().clone()));
     }
 
     /// [`Parameter::update`] of the value alone (a lane write): reads no gradient.

@@ -66,6 +66,23 @@ impl Tensor {
         }
     }
 
+    /// A tensor over a pooled buffer, e.g. one a decoder or an update rule
+    /// filled from [`Storage::unfilled`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` does not equal the shape's element count.
+    pub fn from_storage(data: Storage, shape: impl Into<Shape>) -> Self {
+        let shape = shape.into();
+        assert_eq!(
+            data.len(),
+            shape.numel(),
+            "storage of {} elements does not match shape {shape}",
+            data.len()
+        );
+        Tensor { data, shape }
+    }
+
     /// Fallible variant of [`Tensor::from_vec`].
     ///
     /// # Errors
