@@ -85,8 +85,7 @@ use hfta_mem::scratch;
 pub const MR: usize = 8;
 /// Micro-kernel tile columns.
 pub const NR: usize = 8;
-/// Column panels the vector path's one-row kernel spans: eight independent
-/// accumulator chains, enough to hide the FMA latency a single row exposes.
+/// Column panels of the one-row kernel: eight chains hide the FMA latency.
 pub(crate) const ROW: usize = 8;
 
 /// How [`run_tiled`] walks one call: the stacked entries, the `A` and `B`
@@ -187,8 +186,7 @@ pub struct Offsets<'a> {
     /// `col` as [`split_runs`] reads it, on the vector path only.
     pub(crate) runs: Option<&'a [Run]>,
     /// With `runs`: every `col` entry has `col[0]`'s parity, so a row one
-    /// cell past another never meets it (a stride-2 scatter's taps `v` and
-    /// `v + 1`).
+    /// cell past another never meets it (a stride-2 scatter's `v`, `v + 1`).
     pub(crate) even: bool,
 }
 
@@ -525,9 +523,8 @@ fn gemm_batched_on(
 ) {
     let b = dense(b, (k, n));
     // A column product with `A` stored `[k, m]` is its transpose, the row
-    // product `B^T A^T` over `B` and `A` where they lie: each output
-    // element the same chain (`fma` commutes its factors), a scatter's adds
-    // in the same order, `n = 1` reading as `m = 1`.
+    // product `B^T A^T` over the operands where they lie: the same chain per
+    // element (`fma` commutes its factors), a scatter's adds in one order.
     if let (1, 2.., PackA::T(at), PackB::N(col) | PackB::T(col)) = (n, m, a, b) {
         let (a, b) = (PackA::N(col), PackB::N(at));
         let batch = batch.map(|x| Axis {
@@ -638,9 +635,8 @@ fn gemm_batched_on(
     let tables = gather || scatter.is_some();
     let direct = direct_kernel(vector, flops, (a, b), tables);
     // A reduction of one-step tiled products in place folds into the
-    // contraction: a block's `chain` entries are the `chain` steps of one
-    // product, `A` and `B` stepping by the reducing axis's strides, so a
-    // tile keeps its accumulators across them — the same chain per element.
+    // contraction: a block's entries are the steps of one product, `A` and
+    // `B` stepping by the reducing axis's strides, in the same order.
     let fold = (k == 1 && chain > 1 && chain == inner.count && inner.out == 0)
         && (direct.is_none() && scatter.is_none() && matches!(b, PackB::N(_)));
     let (k_run, per_unit, steps) = match fold {
@@ -757,24 +753,19 @@ fn gemm_batched_on(
     });
 }
 
-/// A gathered `B` whose tables lay it out densely — no window, rows `n`
-/// apart, columns adjacent — as `B` stored `[k, n]` from its first element:
-/// a gather moves bits only, so reading it in place changes none.
+/// A gathered `B` whose tables lay it out densely (no window, rows `n`
+/// apart, columns adjacent) as `B` stored `[k, n]`: a gather moves bits only.
 fn dense(b: PackB<'_>, (k, n): (usize, usize)) -> PackB<'_> {
     let PackB::Gather(src, t) = b else { return b };
-    let steps = |t: &[isize], by: usize| {
-        t.windows(2)
-            .all(|w| w[1].checked_sub(w[0]) == isize::try_from(by).ok())
-    };
-    let start = match (t.row.first(), t.col.first()) {
-        (Some(&r), Some(&c)) if t.window.is_none() && steps(t.row, n) && steps(t.col, 1) => {
-            r.checked_add(c).and_then(|at| usize::try_from(at).ok())
-        }
-        _ => None,
-    };
-    match start.and_then(|at| src.get(at..)) {
+    let steps = |t: &[isize], by| t.windows(2).all(|w| w[1].checked_sub(w[0]) == Some(by));
+    let dense = t.window.is_none() && steps(t.row, n as isize) && steps(t.col, 1);
+    let start = (t.row.first().zip(t.col.first())).and_then(|(r, c)| r.checked_add(*c));
+    match start
+        .filter(|_| dense)
+        .and_then(|at| src.get(usize::try_from(at).ok()?..))
+    {
         Some(b) if b.len() >= k * n => PackB::N(b),
-        _ => PackB::Gather(src, t),
+        _ => b,
     }
 }
 
@@ -898,12 +889,11 @@ pub(crate) struct CView {
 /// `C` cell may be live, and no mutable one to an `A` or `B` cell. `vector`
 /// must come from `simd::detected`.
 unsafe fn tile(vector: bool, width: usize, k: usize, a: &AView, b: &BView, c: CView) {
-    match (vector, width / NR) {
-        (true, 1) => simd::microkernel(k, a, b, c),
-        (true, 2) => simd::microkernel_x2(k, a, b, c),
-        (true, _) => simd::row_kernel(k, a, b, c),
-        (false, 1) => portable_microkernel(k, a, b, c),
-        (false, _) => unreachable!("the portable kernel is {NR} columns wide"),
+    match (vector, width == NR) {
+        (true, true) => simd::microkernel(k, a, b, c),
+        (true, false) => simd::microkernel_x2(k, a, b, c),
+        (false, true) => portable_microkernel(k, a, b, c),
+        (false, false) => unreachable!("the portable kernel is {NR} columns wide"),
     }
 }
 
@@ -1153,16 +1143,14 @@ fn run_tiled(
         let (rows, row0) = (MR.min(rows_all - i0), if from_zero { 0 } else { i0 });
         // A folded step reads each entry's one-column `A` at its own stride.
         let mut av = a_view(a, (m, if steps.is_some() { 1 } else { k }), stack, i0);
-        if let Some((sa, _)) = steps {
-            av.ks = sa;
-        }
+        av.ks = steps.map_or(av.ks, |(sa, _)| sa);
         let mut jb = jbs.start;
         while jb < jbs.end {
             // The vector path runs a lone row of `B` in place `ROW` panels
             // at a time, and pairs adjacent full column panels (8x16 tile)
             // of one entry's row panel whenever the chunk holds both and `B`
             // has them as contiguous columns: bitwise equal to single-tile
-            // calls (see `simd::microkernel_x2`, `simd::row_kernel`), so
+            // calls (see `simd::microkernel_x2`), so
             // which one runs — a chunk-local accident — never changes results.
             let fits = |panels: usize| jb + panels <= jbs.end && (jb + panels) * NR <= n;
             let row = vector && rows_all == 1 && !packed && fits(ROW);
@@ -1174,9 +1162,7 @@ fn run_tiled(
                 _ => NR,
             };
             let mut bv = b_view(b, bpack, (m, k, n), jb, panels.clone(), stack);
-            if let Some((_, sb)) = steps {
-                bv.ks = sb;
-            }
+            bv.ks = steps.map_or(bv.ks, |(_, sb)| sb);
             let (cols, at) = (width.min(n - jb * NR), row0 * n + jb * NR);
             let c = CView {
                 ptr: tiles.ptr(at..at + (rows - 1) * n + cols),

@@ -264,38 +264,23 @@ pub(crate) unsafe fn microkernel(k: usize, a: &AView, b: &BView, c: CView) {
     let _ = (k, a, b, c);
 }
 
-/// Runs the one-row AVX2/FMA kernel across `ROW·NR` columns; bitwise equal
-/// to `ROW` [`microkernel`] calls on the row's column panels.
+/// Runs the paired (8×16) AVX2/FMA micro-kernel, or across `ROW·NR`
+/// columns of one row the one-row kernel; bitwise equal to [`microkernel`]
+/// calls on the tile's column panels.
 ///
 /// # Safety
 ///
-/// The views must meet `gemm::tile`'s contract for row 0 and `ROW·NR`
-/// columns.
-#[inline]
-pub(crate) unsafe fn row_kernel(k: usize, a: &AView, b: &BView, c: CView) {
-    assert_detected();
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: as in `microkernel`.
-    unsafe {
-        row_avx2(k, a, b, c);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (k, a, b, c);
-}
-
-/// Runs the paired (8×16) AVX2/FMA micro-kernel; bitwise equal to two
-/// [`microkernel`] calls on the tile's halves.
-///
-/// # Safety
-///
-/// The views must meet `gemm::tile`'s contract for `2·NR` columns.
+/// The views must meet `gemm::tile`'s contract for `c.cols` columns.
 #[inline]
 pub(crate) unsafe fn microkernel_x2(k: usize, a: &AView, b: &BView, c: CView) {
     assert_detected();
     #[cfg(target_arch = "x86_64")]
     // SAFETY: as in `microkernel`.
     unsafe {
-        microkernel_avx2_x2(k, a, b, c);
+        match c.cols > 2 * NR {
+            true => row_avx2(k, a, b, c),
+            false => microkernel_avx2_x2(k, a, b, c),
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (k, a, b, c);
