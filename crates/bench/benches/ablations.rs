@@ -22,7 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hfta_core::format::stack_conv;
-use hfta_core::loss::{fused_cross_entropy, Reduction};
+use hfta_core::loss::{fused_bce_with_logits, fused_cross_entropy, Reduction};
 use hfta_core::ops::FusedModule;
 use hfta_core::optim::{FusedAdam, FusedSgd, PerModel};
 use hfta_kernels::{gemm_batched, Axis, Offsets, Out, PackA, PackB};
@@ -32,6 +32,7 @@ use hfta_models::{
 };
 use hfta_nn::{Adam, Module, Optimizer, Sgd, Tape};
 use hfta_sim::{DeviceSpec, GpuSim, SharingPolicy};
+use hfta_telemetry::Profiler;
 use hfta_tensor::conv::{
     conv2d, conv2d_grad_input, conv2d_grad_weight, conv_transpose2d, conv_transpose2d_grad_input,
     conv_transpose2d_grad_weight, ConvCfg,
@@ -248,12 +249,20 @@ fn ablation_optimizer(c: &mut Criterion) {
 /// The three conv ops of every DCGAN layer of the benchmark
 /// (`dcgan_compute`: width 12, latent 32, 64x64, B = 6 fused as groups,
 /// batch 2) on one thread: `conv2d` and its two gradients at the four
-/// stride-2 discriminator layers, and `conv_transpose2d` (the scatter sink)
-/// and its two gradients at the five generator layers — the per-op
-/// before/after of a conv-kernel change on both sides of the adjoint,
-/// independent of the benchmark's replay ledger.
+/// stride-2 discriminator layers and the critic head (96 -> 1, 4x4 valid),
+/// and `conv_transpose2d` (the scatter sink) and its two gradients at the
+/// five generator layers — the per-op before/after of a conv-kernel change
+/// on both sides of the adjoint, independent of the benchmark's replay
+/// ledger. The per-step total weights each row by how often one traced
+/// array step runs it ([`dcgan_step_passes`]).
 fn ablation_conv(c: &mut Criterion) {
     let (b, batch) = (6usize, 2usize);
+    let cfg = DcganCfg {
+        latent: 32,
+        width: 12,
+        image: 64,
+    };
+    let passes = dcgan_step_passes(b, batch, cfg);
     let threads = hfta_kernels::num_threads();
     hfta_kernels::set_num_threads(1);
     let mut rng = Rng::seed_from(18);
@@ -262,30 +271,37 @@ fn ablation_conv(c: &mut Criterion) {
         "\n## Ablation: conv ops at the DCGAN layers (B = {b} as groups, N = {batch}, 1 thread)"
     );
     let mut group = c.benchmark_group("conv");
+    // Per layer: its three ops' µs, timed and printed.
     let mut time = |layer: String, flops: f64, ops: [ConvOp<'_>; 3], totals: &mut [f64; 3]| {
-        for ((name, op), total) in ops.iter().zip(totals) {
-            let us = median_secs(41, || drop(black_box(op()))) * 1e6;
-            *total += us;
+        let mut us = [0.0f64; 3];
+        for (((name, op), total), us) in ops.iter().zip(totals).zip(&mut us) {
+            *us = median_secs(41, || drop(black_box(op()))) * 1e6;
+            *total += *us;
             println!(
-                "  {layer:<10} {name:<29} {us:>8.1} us  {:>6.2} GFLOP/s",
-                flops / us / 1e3
+                "  {layer:<10} {name:<29} {:>8.1} us  {:>6.2} GFLOP/s",
+                *us,
+                flops / *us / 1e3
             );
             let id = format!("{name}/{layer}");
             group.bench_function(id, |bench| bench.iter(|| black_box(op())));
         }
+        us
     };
+    let mut layer_us = Vec::new();
     let mut d_totals = [0.0f64; 3];
-    let cfg = ConvCfg::square(2, 1, b);
-    for (cin, cout, h) in [
-        (3usize, 12usize, 64usize),
-        (12, 24, 32),
-        (24, 48, 16),
-        (48, 96, 8),
+    for (cin, cout, h, stride, padding) in [
+        (3usize, 12usize, 64usize, 2usize, 1usize),
+        (12, 24, 32, 2, 1),
+        (24, 48, 16, 2, 1),
+        (48, 96, 8, 2, 1),
+        (96, 1, 4, 1, 0),
     ] {
+        let cfg = ConvCfg::square(stride, padding, b);
+        let (ho, wo) = cfg.out_hw((h, h), (4, 4));
         let x = rng.randn([batch, b * cin, h, h]);
         let w = rng.randn([b * cout, cin, 4, 4]);
-        let gy = rng.randn([batch, b * cout, h / 2, h / 2]);
-        let flops = (2 * batch * b * cout * cin * 16 * (h / 2) * (h / 2)) as f64;
+        let gy = rng.randn([batch, b * cout, ho, wo]);
+        let flops = (2 * batch * b * cout * cin * 16 * ho * wo) as f64;
         let ops: [ConvOp<'_>; 3] = [
             ("conv2d", Box::new(|| conv2d(&x, &w, None, cfg))),
             (
@@ -297,7 +313,7 @@ fn ablation_conv(c: &mut Criterion) {
                 Box::new(|| conv2d_grad_weight(&x, &gy, (4, 4), cfg)),
             ),
         ];
-        time(format!("{cin}x{cout}x{h}"), flops, ops, &mut d_totals);
+        layer_us.push(time(format!("{cin}x{cout}x{h}"), flops, ops, &mut d_totals));
     }
     let mut g_totals = [0.0f64; 3];
     for (cin, cout, h, stride, padding) in [
@@ -327,7 +343,12 @@ fn ablation_conv(c: &mut Criterion) {
                 Box::new(|| conv_transpose2d_grad_weight(&x, &gy, (4, 4), cfg)),
             ),
         ];
-        time(format!("G{cin}x{cout}x{h}"), flops, ops, &mut g_totals);
+        layer_us.push(time(
+            format!("G{cin}x{cout}x{h}"),
+            flops,
+            ops,
+            &mut g_totals,
+        ));
     }
     group.finish();
     let ms = |us: f64| us / 1e3;
@@ -343,7 +364,115 @@ fn ablation_conv(c: &mut Criterion) {
         ms(g_totals[1]),
         ms(g_totals[2])
     );
+    // Layers D1-D5 then G1-G5, as timed above and as the step's spans list them.
+    let mut step_us = 0.0;
+    for (us, (fwd, bwd)) in layer_us.iter().zip(&passes) {
+        step_us += fwd * us[0] + bwd * (us[1] + us[2]) / 2.0;
+    }
+    let calls: Vec<String> = passes
+        .iter()
+        .map(|(f, bw)| format!("{f:.0}/{bw:.0}"))
+        .collect();
+    println!(
+        "  per dcgan_compute step: {:.2} ms (forward calls / gradient passes, D1-D5 then G1-G5: {}; \
+         a layer's gradient passes priced at the mean of its two gradient ops)",
+        ms(step_us),
+        calls.join(" ")
+    );
     hfta_kernels::set_num_threads(threads);
+}
+
+/// How often one `dcgan_compute` array step (B = `b`, batch `batch`) runs
+/// each conv layer, read from the `nn` spans of a traced step: per layer,
+/// D1-D5 then G1-G5, its forward calls and its gradient products (input
+/// and weight gradients, each one pass). The step is the benchmark's fused
+/// leg — the discriminator on a real and a detached fake batch, then the
+/// generator through it, each with its `FusedAdam` — traced after one
+/// untraced step, so the generator step's waiting discriminator gradients
+/// drop as they do in steady state. A layer's forward spans carry its
+/// `(flops, bytes)`; a backward span carries `k` times them for the `k`
+/// products it ran, and a waiting product forced later opens its own.
+fn dcgan_step_passes(b: usize, batch: usize, cfg: DcganCfg) -> Vec<(f64, f64)> {
+    let mut rng = Rng::seed_from(41);
+    let gen = FusedGenerator::new(b, cfg, &mut rng);
+    let disc = FusedDiscriminator::new(b, cfg, &mut rng);
+    let lrs = PerModel::uniform(b, 2e-4);
+    let mut opt_g = FusedAdam::new(gen.fused_parameters(), lrs.clone()).unwrap();
+    let mut opt_d = FusedAdam::new(disc.fused_parameters(), lrs).unwrap();
+    let mut step = |rng: &mut Rng| {
+        let (ones, zeros) = (Tensor::ones([batch, b]), Tensor::zeros([batch, b]));
+        let z = |rng: &mut Rng| rng.randn([batch, b * cfg.latent, 1, 1]);
+        let real = rng.randn([batch, b * 3, cfg.image, cfg.image]);
+        opt_d.zero_grad();
+        let tape = Tape::new();
+        let d_real = disc.forward(&tape.leaf(real));
+        let fake = gen.forward(&tape.leaf(z(rng))).value();
+        let d_fake = disc.forward(&tape.leaf(fake));
+        let up = fused_bce_with_logits(&d_real, &ones, b, Reduction::Mean);
+        let down = fused_bce_with_logits(&d_fake, &zeros, b, Reduction::Mean);
+        up.add(&down).backward();
+        opt_d.step();
+        opt_g.zero_grad();
+        let tape = Tape::new();
+        let d_out = disc.forward(&gen.forward(&tape.leaf(z(rng))));
+        fused_bce_with_logits(&d_out, &ones, b, Reduction::Mean).backward();
+        opt_g.step();
+    };
+    step(&mut rng);
+    let profiler = Profiler::new("dcgan-step");
+    {
+        let _traced = profiler.install();
+        step(&mut rng);
+    }
+    let trace: serde::Value = serde_json::from_str(&profiler.trace_json()).unwrap();
+    let Some(serde::Value::Array(events)) = trace.get("traceEvents") else {
+        panic!("a trace without events");
+    };
+    let num = |e: &serde::Value, key: &str| match e.get("args").and_then(|a| a.get(key)) {
+        Some(&serde::Value::F64(v)) => v,
+        Some(&serde::Value::U64(v)) => v as f64,
+        _ => 0.0,
+    };
+    // Each layer as its op and forward `(flops, bytes)`, D then G, each in
+    // first-seen order (a forward runs its layers in order).
+    let mut layers: Vec<(&str, f64, f64, f64, f64)> = Vec::new();
+    let mut backward = Vec::new();
+    for e in events {
+        let (Some(serde::Value::Str(name)), Some(serde::Value::Str(ph))) =
+            (e.get("name"), e.get("ph"))
+        else {
+            continue;
+        };
+        let (op, cost) = (
+            name.trim_start_matches("bwd:"),
+            (num(e, "flops"), num(e, "bytes")),
+        );
+        if ph != "E" || !matches!(op, "conv2d" | "conv_transpose2d") {
+            continue;
+        }
+        if op != name {
+            backward.push((op, cost));
+            continue;
+        }
+        match layers
+            .iter_mut()
+            .find(|l| (l.0, l.1, l.2) == (op, cost.0, cost.1))
+        {
+            Some(layer) => layer.3 += 1.0,
+            None => layers.push((op, cost.0, cost.1, 1.0, 0.0)),
+        }
+    }
+    for (op, (flops, bytes)) in backward {
+        let matched = layers.iter_mut().find_map(|l| {
+            let k = flops / l.1;
+            (l.0 == op && (k == 1.0 || k == 2.0) && bytes == k * l.2).then_some((l, k))
+        });
+        let (layer, k) = matched.expect("a backward span matches a layer's forward");
+        layer.4 += k;
+    }
+    layers.sort_by_key(|l| l.0 != "conv2d");
+    assert_eq!(layers.len(), 10, "a DCGAN step runs ten conv layers");
+    layers.iter().map(|l| (l.3, l.4)).collect()
 }
 
 /// The non-GEMM passes of a fused step at the `dcgan_compute` (B = 6,
