@@ -159,11 +159,10 @@ unsafe fn microkernel_avx2_x2(k: usize, a: &AView, b: &BView, c: CView) {
         let rows = (c.rows - r0).min(4);
         let mut acc = [[_mm256_setzero_ps(); 2]; 4];
         if !c.from_zero {
-            // Index loops with a constant trip count keep `acc` in registers.
-            for i in 0..4 {
+            for (i, accv) in acc.iter_mut().enumerate() {
                 if i < rows {
                     let crow = c.ptr.add((r0 + i) * c.ldc);
-                    acc[i] = [_mm256_loadu_ps(crow), _mm256_loadu_ps(crow.add(NR))];
+                    *accv = [_mm256_loadu_ps(crow), _mm256_loadu_ps(crow.add(NR))];
                 }
             }
         }

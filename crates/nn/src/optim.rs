@@ -2,8 +2,9 @@
 //!
 //! Each update rule is written once, as a one-pass slice kernel
 //! ([`sgd_update`], [`adam_update`], [`adadelta_update`]): one read of
-//! `grad`, one read-modify-write of `value` and of each state slice, scalar
-//! hyper-parameters, no temporary. The serial optimizers here pass whole
+//! `grad`, one read-modify-write of `value` (or, while a tape shares it, a
+//! read of the old value and a write of a fresh one) and of each state
+//! slice, scalar hyper-parameters, no temporary. The serial optimizers here pass whole
 //! tensors; the fused ones in `hfta-core` pass one model lane at a time, so
 //! fused == serial bit for bit by construction. The arithmetic is plain
 //! `a * b + c`, never `mul_add`: contraction rounds once instead of twice
@@ -539,6 +540,43 @@ mod tests {
         loss.backward();
         opt.step();
         l
+    }
+
+    /// An update while a live tape shares the value writes the same bits
+    /// into a fresh buffer as the update in place, and leaves the tape's
+    /// value as it was: every rule, special values included.
+    #[test]
+    fn shared_values_update_out_of_place_to_the_same_bits() {
+        let x = [1.5, -0.0, 0.0, 1e-38, -3.25, 7.0];
+        let g = [0.25, -1.0, 0.0, -1e-38, 2.0, -0.5];
+        type Rule = fn(Vec<Parameter>) -> Box<dyn Optimizer>;
+        let rules: [Rule; 3] = [
+            |p| Box::new(Sgd::new(p, 0.1, 0.9)),
+            |p| Box::new(Adam::new(p, 0.1)),
+            |p| Box::new(Adadelta::new(p, 1.0)),
+        ];
+        for (rule, make) in rules.iter().enumerate() {
+            let bits = |p: &Parameter| {
+                p.value()
+                    .to_vec()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            let params = [0, 1].map(|_| Parameter::new(Tensor::from_slice(&x, [6]), "w"));
+            let tape = Tape::new();
+            let shared = tape.param(&params[1]);
+            for p in &params {
+                let mut opt = make(vec![p.clone()]);
+                for _ in 0..2 {
+                    opt.zero_grad();
+                    p.accumulate_grad(&Tensor::from_slice(&g, [6]));
+                    opt.step();
+                }
+            }
+            assert_eq!(bits(&params[0]), bits(&params[1]), "rule {rule}");
+            assert_eq!(shared.with_value(|v| v.to_vec()), x, "rule {rule}");
+        }
     }
 
     #[test]
