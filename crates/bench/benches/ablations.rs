@@ -10,8 +10,9 @@
 //! 4. **Optimizer fusion** — one `FusedAdam` step over the `dcgan_compute`
 //!    array's parameters vs the six serial `Adam` steps it replaces.
 //! 5. **Conv ops** — `conv2d` and its two gradients at the benchmark's four
-//!    stride-2 DCGAN-D layers, and `conv_transpose2d` and its two gradients
-//!    at its five DCGAN-G layers, µs and GFLOP/s per op at one thread.
+//!    stride-2 DCGAN-D layers and its critic head, and `conv_transpose2d` and
+//!    its two gradients at its five DCGAN-G layers, µs and GFLOP/s per op at
+//!    one thread, and their total over one traced array step's calls.
 //! 6. **Non-GEMM passes** — activations, batch norm, the global max pool,
 //!    a last-axis sum and PointNet's pointwise conv with its bias gradient
 //!    through the tape at the benchmark's shapes, µs forward and backward
