@@ -7,7 +7,8 @@
 //! stride, `B` as `(ptr, k stride)` over contiguous columns plus an offset
 //! per group of rows, the output as `(ptr, ldc, from_zero, rows, cols)`.
 //! Every tile reads `A` and `B` (`PackB::N`) where they lie and accumulates
-//! straight in its [`Out::Add`] block or scatter strip; a tile with a
+//! straight in its output block (from its value, or from zero for a write
+//! sink's first entry) or scatter strip; a tile with a
 //! partial side masks its columns and skips its rows. Only `PackB::T` and
 //! `PackB::Gather` are packed. The macro-kernel partitions work in 2-D over
 //! (row-panel, column-panel-group) tiles so that medium GEMMs expose at
@@ -25,8 +26,10 @@
 //! fused `bmm`. Each operand has a layout ([`PackA`], [`PackB`]), the
 //! products go to an [`Out`], and two [`Axis`] strides place every entry. An
 //! axis whose output stride is 0 is a reduction: its entries add into one
-//! block in ascending order. [`gemm()`], [`gemm_nt`] and [`gemm_tn`] are the
-//! one-entry case.
+//! block in ascending order, and a tiled one *folds* — the entries become
+//! segments of one contraction, so each tile keeps its chains in registers
+//! across them and stores once. [`gemm()`], [`gemm_nt`] and [`gemm_tn`] are
+//! the one-entry case.
 //!
 //! The batch splits across the pool by one rule, which depends on the shape
 //! only. Output blocks, each counted with its whole reduction chain, group
@@ -55,6 +58,8 @@
 //! | direct  | a gathered or scattered product `< SMALL_FLOPS`: `A B` / `A^T B` reference loops compiled with AVX2+FMA | `< SMALL_FLOPS`: the reference loops |
 //! | tables  | column runs 8 lanes wide: loads, shuffles, masked adds, `vgatherdps` | one cell at a time |
 //! | windows | each entry's planes zero-padded in scratch (`Pad`), then the tables row | the same |
+//! | sinks   | [`Out::Add`] / [`Out::Scatter`] add to the destination; [`Out::Write`] tiles start from zeros in registers (the direct loops: a zeroed block), [`Out::ScatterWrite`] zeroes its padded planes (unpadded: its block) instead of filling them from the destination | the same |
+//! | folds   | a tiled reduction of `B` read in place, or of packed `B` under `FOLD_STEPS` steps: one contraction of `k`-step segments, each entry's `B` packed after the last's | the same |
 //!
 //! `B` may also be *gathered* through two [`Offsets`] tables while it is
 //! packed ([`PackB::Gather`]), and the product *scatter-added* through them
@@ -88,9 +93,33 @@ pub const NR: usize = 8;
 /// Column panels of the one-row kernel: eight chains hide the FMA latency.
 pub(crate) const ROW: usize = 8;
 
-/// How [`run_tiled`] walks one call: the stacked entries, the `A` and `B`
-/// strides of a folded contraction's steps, and the [`tile_grid`].
-type Tiling = (Axis, Option<(usize, usize)>, (usize, usize, usize));
+/// How [`run_tiled`] walks one call: the stacked entries, the contraction's
+/// [`Steps`] over the operands (a folded reduction's entries as its
+/// segments) and whether its chains start from zero (`None`: one segment,
+/// added to the output), and the [`tile_grid`].
+type Tiling = (Axis, Option<(Steps, bool)>, (usize, usize, usize));
+
+/// A contraction as a micro-kernel walks it: `segs` segments of `k` steps,
+/// segment `s` reading `A` `s·a` and `B` `s·b` elements past segment 0.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Steps {
+    pub(crate) k: usize,
+    pub(crate) segs: usize,
+    pub(crate) a: usize,
+    pub(crate) b: usize,
+}
+
+impl From<usize> for Steps {
+    /// `k` steps in one segment.
+    fn from(k: usize) -> Steps {
+        Steps {
+            k,
+            segs: 1,
+            a: 0,
+            b: 0,
+        }
+    }
+}
 
 /// Below this many FLOPs (2·m·k·n) per entry the reference loops run instead
 /// of the tiles: on the portable column, and on the vector column for a
@@ -105,6 +134,12 @@ const SMALL_FLOPS: usize = 1 << 12;
 /// Target FLOPs per parallel chunk: of output blocks in a batch, and of
 /// tiles inside one GEMM.
 const CHUNK_FLOPS: usize = 1 << 19;
+
+/// Most steps, over all its entries, of a reduction whose packed `B` folds:
+/// past it the packed entries outgrow the L2 cache for a saving under 1/64
+/// of the FMAs (DCGAN D1 / D2 weight gradients, 2 x 1024 / 2 x 256 steps,
+/// ran x0.9 folded, D4's 2 x 16 x1.15). A performance crossover, not a knob.
+const FOLD_STEPS: usize = 128;
 
 /// The one GEMM dispatch, as [`backend`] reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -424,18 +459,29 @@ impl Pad {
     }
 }
 
-/// Where [`gemm_batched`] adds each product.
+/// Where [`gemm_batched`] puts each product: added to what the destination
+/// holds, or written. A write sink is its adding twin on a destination
+/// zeroed first, bit for bit, but never reads the destination: a tile's
+/// chains start from `+0.0` registers, padded planes start zeroed, and
+/// only a destination cell no kernel writes is stored as `+0.0` — so it
+/// may be handed over unfilled. The adding sinks stay for what really
+/// accumulates: a bias already in the output, the `gemm*` calls.
 #[derive(Debug)]
 pub enum Out<'a> {
     /// Row-major `[m, n]` blocks: `out[i*n + j] += product[i, j]`, each
     /// element the contract's chain from its value.
     Add(&'a mut [f32]),
+    /// [`Out::Add`] into `dst` zeroed: every block element the chain from
+    /// `+0.0`, every other cell `+0.0`.
+    Write(&'a mut [f32]),
     /// `dst[row[i] + col[j]] += product[i, j]` through `[m]` and `[n]`
     /// tables, each product element the contract's chain from zero. The
     /// adds reach `dst` in row-major `(i, j)` order, so overlapping
     /// destinations are well defined; the vector path adds a row's runs
     /// eight or four cells at a time, never touching a cell off the tables.
     Scatter(&'a mut [f32], Offsets<'a>),
+    /// [`Out::Scatter`] into `dst` zeroed: a cell no table reaches is `+0.0`.
+    ScatterWrite(&'a mut [f32], Offsets<'a>),
 }
 
 /// One axis of a [`gemm_batched`] batch: `count` entries, each `a`, `b` and
@@ -522,27 +568,33 @@ fn gemm_batched_on(
     batch: [Axis; 2],
 ) {
     let b = dense(b, (k, n));
+    let (dst, scatter, write) = match out {
+        Out::Add(dst) => (dst, None, false),
+        Out::Write(dst) => (dst, None, true),
+        Out::Scatter(dst, t) => (dst, Some(t), false),
+        Out::ScatterWrite(dst, t) => (dst, Some(t), true),
+    };
     // A column product with `A` stored `[k, m]` is its transpose, the row
     // product `B^T A^T` over the operands where they lie: the same chain per
     // element (`fma` commutes its factors), a scatter's adds in one order.
-    if let (1, 2.., PackA::T(at), PackB::N(col) | PackB::T(col)) = (n, m, a, b) {
-        let (a, b) = (PackA::N(col), PackB::N(at));
-        let batch = batch.map(|x| Axis {
-            a: x.b,
-            b: x.a,
-            ..x
-        });
-        let Out::Scatter(dst, t) = out else {
-            return gemm_batched_on(vector, out, a, b, (1, k, m), batch);
-        };
-        let window = t.window.map(|w| Window {
-            row: w.col,
-            col: w.row,
-            hw: w.hw,
-        });
-        let t = Offsets::windowed(t.col, t.row, window.as_ref());
-        return gemm_batched_on(vector, Out::Scatter(dst, t), a, b, (1, k, m), batch);
-    }
+    let window;
+    let (a, b, (m, n), batch, scatter) = match (n, m, a, b) {
+        (1, 2.., PackA::T(at), PackB::N(col) | PackB::T(col)) => {
+            let swap = |x: Axis| Axis {
+                a: x.b,
+                b: x.a,
+                ..x
+            };
+            window = scatter.and_then(|t| t.window).map(|w| Window {
+                row: w.col,
+                col: w.row,
+                hw: w.hw,
+            });
+            let t = scatter.map(|t| Offsets::windowed(t.col, t.row, window.as_ref()));
+            (PackA::N(col), PackB::N(at), (1, m), batch.map(swap), t)
+        }
+        _ => (a, b, (m, n), batch, scatter),
+    };
     // A reducing axis goes inside, so each output block's entries are
     // consecutive: `chain` entries make one unit of work.
     let [outer, inner] = match batch {
@@ -550,7 +602,11 @@ fn gemm_batched_on(
         axes => axes,
     };
     let entries = outer.count * inner.count;
-    if entries == 0 {
+    if entries == 0 || m * n == 0 {
+        // Nothing to compute: a write sink's destination is all zeros.
+        if write {
+            dst.fill(0.0);
+        }
         return;
     }
     let chain = if inner.out != 0 {
@@ -571,10 +627,6 @@ fn gemm_batched_on(
         )
     };
     let (_, b_last, out_last) = offsets(entries - 1);
-    let (dst, scatter) = match out {
-        Out::Add(dst) => (dst, None),
-        Out::Scatter(dst, tables) => (dst, Some(tables)),
-    };
     // A windowed table pair is read and written through its padded planes.
     let pad = |t: Offsets<'_>| t.window.map(|w| Pad::new(t, w));
     let b_pad = match b {
@@ -595,9 +647,6 @@ fn gemm_batched_on(
             (Some(t), extent)
         }
     };
-    if extent == 0 {
-        return;
-    }
     // The one classification of each column table: the vector twins read it
     // as runs, the portable loops as it is. A scatter without a run of `NR`
     // cells at step 1 or 2 stays on the portable loop, which adds short runs
@@ -634,16 +683,17 @@ fn gemm_batched_on(
     let gather = matches!(b, PackB::Gather(..));
     let tables = gather || scatter.is_some();
     let direct = direct_kernel(vector, flops, (a, b), tables);
-    // A reduction of one-step tiled products in place folds into the
-    // contraction: a block's entries are the steps of one product, `A` and
-    // `B` stepping by the reducing axis's strides, in the same order.
-    let fold = (k == 1 && chain > 1 && chain == inner.count && inner.out == 0)
-        && (direct.is_none() && scatter.is_none() && matches!(b, PackB::N(_)));
-    let (k_run, per_unit, steps) = match fold {
-        true => (chain, 1, Some((inner.a, inner.b))),
-        false => (k, chain, None),
-    };
-    let grid = tile_grid(m, k_run, n, scatter.is_some());
+    // A reduction of tiled products into blocks folds into the contraction:
+    // a block's entries are the segments of one product, each entry's `A`
+    // and `B` (or packed `B`) one step of the reducing axis past the last,
+    // in the same order, so a tile keeps its chains in registers across
+    // them and stores once.
+    let fold = (chain > 1 && chain == inner.count && inner.out == 0)
+        && (direct.is_none() && scatter.is_none())
+        && (chain * k <= FOLD_STEPS || matches!(b, PackB::N(_)));
+    let segs = if fold { chain } else { 1 };
+    let per_unit = chain / segs;
+    let grid = tile_grid(m, segs * k, n, scatter.is_some());
     // Lane tiles: a one-chunk product under `MR` rows stacks the rows of up
     // to `MR / m` consecutive units in one tile, along the writing axis the
     // units step (the inner one unless it reduces or holds one entry) when
@@ -659,10 +709,10 @@ fn gemm_batched_on(
     // Worst-case concurrent scratch, declared once for the batch: each chunk
     // of units checks out one pair of buffers and reuses it for all its
     // entries (the direct loops' dense `B` and product; the tiles' scatter
-    // strip and the packed `B` of `lanes` entries). A batch inside a worker
-    // may run beside one on every other worker, so each can hold a pair; a
-    // batch that fans out from the caller runs at most one chunk per thread;
-    // a batch inline on the caller holds one.
+    // strip and the packed `B` of `lanes` entries, each of `segs`). A batch
+    // inside a worker may run beside one on every other worker, so each can
+    // hold a pair; a batch that fans out from the caller runs at most one
+    // chunk per thread; a batch inline on the caller holds one.
     let (threads, chunks) = (pool::num_threads(), units.div_ceil(grain));
     let pairs = if pool::in_worker() {
         threads
@@ -686,18 +736,34 @@ fn gemm_batched_on(
         ),
         None => (
             ["gemm.dense", "gemm.bpack"],
-            [MR * n * usize::from(scattered), k * NR * panels],
+            [MR * n * usize::from(scattered), k * NR * panels * segs],
         ),
     };
-    // Behind the first buffer, an entry's padded planes of `B` and of the output.
+    // Behind the first buffer, the padded planes of each folded entry's `B`
+    // and of the output.
     let planes = [&b_pad, &out_pad].map(|p| p.as_ref().map_or(0, |p| p.lens().0));
     let first = lens[0];
-    lens[0] += planes[0] + planes[1];
+    lens[0] += planes[0] * segs + planes[1];
     for (tag, len) in tags.into_iter().zip(lens) {
         scratch::reserve(tag, len, pairs);
     }
 
-    let shared = UnsafeSlice::new(dst);
+    // A unit's kernels write its blocks (tiles from zero, padded planes
+    // drained) unless they add into them: the direct loops, an unwindowed
+    // scatter. A write sink zeroes what they leave, up to the next unit's
+    // block (and, for the first unit, what lies before its own).
+    let writes = (direct.is_none() && scatter.is_none()) || out_pad.is_some();
+    let (len, shared) = (dst.len(), UnsafeSlice::new(dst));
+    // Segment `s` of a folded unit: its `s`-th entry, whose planes pad
+    // `planes[0]` apart.
+    let b_seg = if b_pad.is_some() { planes[0] } else { inner.b };
+    let steps = Steps {
+        k,
+        segs,
+        a: inner.a,
+        b: b_seg,
+    };
+    let next = |u: usize| if u < units { offsets(u * chain).2 } else { len };
     pool::parallel_for_work(units, grain, work, |chunk| {
         scratch::with(lens[0], |s0| {
             scratch::with(lens[1], |s1| {
@@ -706,21 +772,33 @@ fn gemm_batched_on(
                     let h = lanes.min(chunk.end - u).min(run - u % run);
                     let stack = Axis { count: h, ..lane };
                     for e in u * chain..u * chain + per_unit {
+                        let (head, tail) = (e == u * chain, e + 1 == u * chain + per_unit);
                         let (a_at, b_at, out_at) = offsets(e);
                         let end = out_at + (h - 1) * lane.out + extent;
+                        if write && head {
+                            let (lo, hi) = (if u == 0 { 0 } else { out_at }, next(u + h));
+                            // SAFETY: these units own the cells up to the
+                            // next unit's block, and the first also those
+                            // before its own; no other borrow of them lives.
+                            unsafe { shared.slice_mut(lo..out_at) }.fill(0.0);
+                            let from = if writes { end } else { out_at };
+                            unsafe { shared.slice_mut(from..hi) }.fill(0.0);
+                        }
                         // SAFETY: distinct units own disjoint output blocks
                         // (checked above), the `h` units stacked here abut,
                         // and a unit's entries run one after another here.
                         let block = unsafe { shared.slice_mut(out_at..end) };
-                        let (sa, sb) =
-                            steps.map_or((0, 0), |(sa, sb)| ((chain - 1) * sa, (chain - 1) * sb));
-                        let a = a.at(a_at, (h - 1) * lane.a + sa + m * k);
-                        let b = b.at(b_at, (h - 1) * lane.b + sb + k * n);
+                        let (fa, fb) = ((segs - 1) * inner.a, (segs - 1) * inner.b);
+                        let a = a.at(a_at, (h - 1) * lane.a + fa + m * k);
+                        let b = b.at(b_at, (h - 1) * lane.b + fb + k * n);
                         let (s0, rest) = s0.split_at_mut(first);
-                        let (b_planes, out_planes) = rest.split_at_mut(planes[0]);
+                        let (b_planes, out_planes) = rest.split_at_mut(planes[0] * segs);
+                        // Each folded entry's planes, padded one after another.
                         let b = match (b, b_tables, &b_pad) {
                             (PackB::Gather(src, _), Some(t), Some(pad)) => {
-                                pad.fill(src, b_planes);
+                                for (s, to) in b_planes.chunks_exact_mut(planes[0]).enumerate() {
+                                    pad.fill(&src[s * inner.b..], to);
+                                }
                                 PackB::Gather(b_planes, t)
                             }
                             (PackB::Gather(src, _), Some(t), None) => PackB::Gather(src, t),
@@ -728,7 +806,11 @@ fn gemm_batched_on(
                         };
                         let out = match &out_pad {
                             Some(pad) => {
-                                pad.fill(block, out_planes);
+                                match (head, write) {
+                                    (true, true) => out_planes.fill(0.0),
+                                    (true, false) => pad.fill(block, out_planes),
+                                    _ => {}
+                                }
                                 &mut *out_planes
                             }
                             None => &mut *block,
@@ -737,12 +819,12 @@ fn gemm_batched_on(
                         match direct {
                             Some(f) => run_direct(f, out, scatter, a, b, (m, k, n), bufs),
                             None => {
-                                let tiling = (stack, steps, grid);
-                                let mkn = (m, k_run, n);
-                                run_tiled(vector, out, scatter, (a, b), mkn, tiling, bufs)
+                                let zero = write && head && scatter.is_none();
+                                let tiling = (stack, Some((steps, zero)), grid);
+                                run_tiled(vector, out, scatter, (a, b), (m, k, n), tiling, bufs)
                             }
                         }
-                        if let Some(pad) = &out_pad {
+                        if let (Some(pad), true) = (&out_pad, tail) {
                             pad.drain(out_planes, block);
                         }
                     }
@@ -878,17 +960,17 @@ pub(crate) struct CView {
 /// Runs the micro-kernel `width` columns wide (`NR`, or `2·NR` on the
 /// vector path for a whole tile of one group of rows) on one tile: each
 /// `C[r, c]` with `r < c.rows`, `c < c.cols` becomes the contract's chain over
-/// `A[r, p]·B[p, c]` (row `r`'s group's `B`), `p < k` ascending, from its
-/// value or from zero.
+/// `A[r, p]·B[p, c]` (row `r`'s group's `B`), `p` ascending through `k`'s
+/// segments, from its value or from zero.
 ///
 /// # Safety
 ///
-/// For `p < k`, every `A` cell the view names for `r < MR`, every `B` cell
+/// For every step of `k`, every `A` cell the view names for `r < MR`, every `B` cell
 /// it names for `c < c.cols` (all `width` columns of a whole tile) and
 /// every `C` cell above must lie in one live allocation; no reference to a
 /// `C` cell may be live, and no mutable one to an `A` or `B` cell. `vector`
 /// must come from `simd::detected`.
-unsafe fn tile(vector: bool, width: usize, k: usize, a: &AView, b: &BView, c: CView) {
+unsafe fn tile(vector: bool, width: usize, k: Steps, a: &AView, b: &BView, c: CView) {
     match (vector, width == NR) {
         (true, true) => simd::microkernel(k, a, b, c),
         (true, false) => simd::microkernel_x2(k, a, b, c),
@@ -898,7 +980,8 @@ unsafe fn tile(vector: bool, width: usize, k: usize, a: &AView, b: &BView, c: CV
 }
 
 /// The portable register-tiled kernel: `C[r, c] = fma(A[r, p], B[p, c],
-/// C[r, c])` for `p` ascending — the contract's chain via [`f32::mul_add`]
+/// C[r, c])` for `p` ascending through `k`'s segments — the contract's
+/// chain via [`f32::mul_add`]
 /// (native `fmadd` on aarch64, libm `fmaf` on x86-64 without FMA: slow but
 /// correctly rounded). Runs only where `simd::detected` is false (and in
 /// the tests).
@@ -906,8 +989,8 @@ unsafe fn tile(vector: bool, width: usize, k: usize, a: &AView, b: &BView, c: CV
 /// # Safety
 ///
 /// As [`tile`], for `NR` columns.
-pub(crate) unsafe fn portable_microkernel(k: usize, a: &AView, b: &BView, c: CView) {
-    let groups = MR / b.rows;
+pub(crate) unsafe fn portable_microkernel(k: impl Into<Steps>, a: &AView, b: &BView, c: CView) {
+    let (k, groups) = (k.into(), MR / b.rows);
     let mut acc = [[0.0f32; NR]; MR];
     for (r, accr) in acc
         .iter_mut()
@@ -919,11 +1002,11 @@ pub(crate) unsafe fn portable_microkernel(k: usize, a: &AView, b: &BView, c: CVi
             *v = *c.ptr.add(r * c.ldc + j);
         }
     }
-    for p in 0..k {
+    for (s, p) in (0..k.segs).flat_map(|s| (0..k.k).map(move |p| (s, p))) {
         for (r, accr) in acc.iter_mut().enumerate() {
             let g = (r / b.rows).min(groups - 1);
-            let brow = b.ptr.add(b.off[g] + p * b.ks);
-            let av = *a.ptr.add(a.off[r] + p * a.ks);
+            let brow = b.ptr.add(b.off[g] + s * k.b + p * b.ks);
+            let av = *a.ptr.add(a.off[r] + s * k.a + p * a.ks);
             for (j, v) in accr.iter_mut().enumerate().take(c.cols) {
                 *v = av.mul_add(*brow.add(j), *v);
             }
@@ -1000,14 +1083,14 @@ fn pack_b_into(
 /// Column panel `jb` of `B` (and `jb + 1`, paired) as a tile reads it: in
 /// place from `B` stored `[k, n]`, else from the strips [`pack_b_into`]
 /// filled with `panels`. The `stack`ed entries' panels lie `stack.b` apart in
-/// place, or one packed region apart.
+/// place, or `segs` packed regions apart.
 fn b_view(
     b: PackB<'_>,
     bpack: &[f32],
     (m, k, n): (usize, usize, usize),
-    jb: usize,
-    panels: Range<usize>,
+    (jb, panels): (usize, Range<usize>),
     stack: Axis,
+    segs: usize,
 ) -> BView {
     let (src, at, ks, step) = match b {
         PackB::N(src) => (src, jb * NR, n, stack.b),
@@ -1019,7 +1102,7 @@ fn b_view(
                 bpack,
                 strip * 2 * NR * k + half * NR,
                 width,
-                k * panels.len() * NR,
+                k * panels.len() * NR * segs,
             )
         }
     };
@@ -1098,7 +1181,8 @@ fn panelwise(b: PackB<'_>, m: usize, chunks: usize) -> bool {
 /// the micro-kernel over the portable one.
 ///
 /// Only a transposed or gathered `B` is packed, into the caller's `bpack`:
-/// whole, or one column panel of each stacked entry at a time.
+/// whole, or one column panel of each stacked entry at a time, and each
+/// entry of the `chain` apart.
 ///
 /// With `scatter` tables `out` is a destination, not `[m, n]`: a row panel's
 /// tiles start from zero and fill the `MR x n` strip beside the tables, which
@@ -1111,18 +1195,16 @@ fn run_tiled(
     scatter: Option<Offsets<'_>>,
     (a, b): (PackA<'_>, PackB<'_>),
     (m, k, n): (usize, usize, usize),
-    (stack, steps, (row_grain, col_grain, n_chunks)): Tiling,
+    (stack, chain, (row_grain, col_grain, n_chunks)): Tiling,
     (strip, bpack): (&mut [f32], &mut [f32]),
 ) {
     let (h, rows_all) = (stack.count, stack.count * m);
+    let (chain, zero) = chain.unwrap_or((Steps::from(k), false));
     // The tile views below read inside these lengths.
-    let (a_len, b_len) = match steps {
-        None => ((h - 1) * stack.a + m * k, (h - 1) * stack.b + k * n),
-        Some((sa, sb)) => (
-            (h - 1) * stack.a + (k - 1) * sa + m,
-            (h - 1) * stack.b + (k - 1) * sb + n,
-        ),
-    };
+    let (a_len, b_len) = (
+        (h - 1) * stack.a + (chain.segs - 1) * chain.a + m * k,
+        (h - 1) * stack.b + (chain.segs - 1) * chain.b + k * n,
+    );
     let (PackA::N(a_src) | PackA::T(a_src)) = a;
     assert!(a_src.len() >= a_len, "A needs {a_len} elements");
     if let PackB::N(src) | PackB::T(src) = b {
@@ -1132,18 +1214,24 @@ fn run_tiled(
     let col_groups = col_panels.div_ceil(col_grain);
     let packed = !matches!(b, PackB::N(_));
     let (shared, strip) = (UnsafeSlice::new(out), UnsafeSlice::new(strip));
-    // Tiles live in `out` itself, or in the strip.
+    // Tiles live in `out` itself, or from zero in the strip.
     let (tiles, from_zero) = match scatter {
-        None => (&shared, false),
+        None => (&shared, zero),
         Some(_) => (&strip, true),
     };
     // Row panel `ib`'s tiles in column panels `jbs`, `B` packed with `panels`.
     let row_panel = |ib: usize, jbs: Range<usize>, bpack: &[f32], panels: Range<usize>| {
         let i0 = ib * MR;
-        let (rows, row0) = (MR.min(rows_all - i0), if from_zero { 0 } else { i0 });
-        // A folded step reads each entry's one-column `A` at its own stride.
-        let mut av = a_view(a, (m, if steps.is_some() { 1 } else { k }), stack, i0);
-        av.ks = steps.map_or(av.ks, |(sa, _)| sa);
+        let (rows, row0) = (MR.min(rows_all - i0), i0 * usize::from(scatter.is_none()));
+        // Segment `s` reads `B` `s` entries (or packed regions) on; one-step
+        // segments are the steps of one segment, at their strides.
+        let region = k * panels.len() * NR;
+        let b_seg = if packed { region } else { chain.b };
+        let mut steps = Steps { b: b_seg, ..chain };
+        let mut av = a_view(a, (m, k), stack, i0);
+        if k == 1 {
+            (av.ks, steps) = (chain.a, Steps::from(chain.segs));
+        }
         let mut jb = jbs.start;
         while jb < jbs.end {
             // The vector path runs a lone row of `B` in place `ROW` panels
@@ -1161,8 +1249,8 @@ fn run_tiled(
                 (_, true) => 2 * NR,
                 _ => NR,
             };
-            let mut bv = b_view(b, bpack, (m, k, n), jb, panels.clone(), stack);
-            bv.ks = steps.map_or(bv.ks, |(_, sb)| sb);
+            let mut bv = b_view(b, bpack, (m, k, n), (jb, panels.clone()), stack, chain.segs);
+            bv.ks = if k == 1 { b_seg } else { bv.ks };
             let (cols, at) = (width.min(n - jb * NR), row0 * n + jb * NR);
             let c = CView {
                 ptr: tiles.ptr(at..at + (rows - 1) * n + cols),
@@ -1175,15 +1263,15 @@ fn run_tiled(
             // rows (or repeats of the last), inside the `a_len` elements
             // asserted above, and each row group's `B` columns `jb·NR..`,
             // those up to `n` in place inside the `b_len` asserted or a
-            // packed strip of `k` rows `width` wide. It touches `rows` row
-            // segments, `cols` cells each, of `tiles` rows `row0..`, inside
+            // packed strip of `k` rows `width` wide, in each segment. It
+            // touches `rows` row segments, `cols` cells each, of `tiles` rows `row0..`, inside
             // the range `ptr` checked: the entries' abutting `m·n` blocks,
             // whose bounds and disjointness from other entries'
             // `gemm_batched_on` asserts, or this chunk's own strip. Tile
             // `(ib, jb)` belongs to one chunk and each row segment to one
             // tile, so no other chunk touches these cells, and no reference
             // to them is live.
-            unsafe { tile(vector, width, k, &av, &bv, c) };
+            unsafe { tile(vector, width, steps, &av, &bv, c) };
             jb += width / NR;
         }
         if let Some(tables) = scatter {
@@ -1196,28 +1284,27 @@ fn run_tiled(
     };
     if panelwise(b, m, n_chunks) {
         // One chunk of one row panel: pack each stacked entry's column
-        // panel, then run its tile.
+        // panel, each of its chain's, then run its tile.
         let per = k * NR;
         for jb in 0..col_panels {
-            for t in 0..h {
-                let entry = b.at(t * stack.b, k * n);
-                pack_b_into(
-                    vector,
-                    entry,
-                    (k, n),
-                    jb..jb + 1,
-                    &mut bpack[t * per..][..per],
-                );
+            for e in 0..h * chain.segs {
+                let (t, s) = (e / chain.segs, e % chain.segs);
+                let entry = b.at(t * stack.b + s * chain.b, k * n);
+                let to = &mut bpack[e * per..][..per];
+                pack_b_into(vector, entry, (k, n), jb..jb + 1, to);
             }
             row_panel(0, jb..jb + 1, bpack, jb..jb + 1);
         }
         return;
     }
-    if packed {
-        pack_b_into(vector, b, (k, n), 0..col_panels, bpack);
+    let per = k * col_panels * NR;
+    for s in (0..chain.segs).filter(|_| packed) {
+        let to = &mut bpack[s * per..][..per];
+        pack_b_into(vector, b.at(s * chain.b, k * n), (k, n), 0..col_panels, to);
     }
     let bpack = &*bpack;
-    pool::parallel_for_work(n_chunks, 1, 2 * m * k * n, |chunks| {
+    let work = 2 * m * chain.segs * k * n;
+    pool::parallel_for_work(n_chunks, 1, work, |chunks| {
         for chunk in chunks {
             let (rg, jg) = (chunk / col_groups, chunk % col_groups);
             let jbs = jg * col_grain..((jg + 1) * col_grain).min(col_panels);
@@ -2124,6 +2211,77 @@ mod tests {
                     "{bad:?} at ({m},{k},{n}) x ({par} blocks, {red} deep) vector={vector}"
                 );
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // Each write sink on a destination of NaN equals its adding twin on
+        // zeros, on both instantiations at 1 and 4 threads: dense blocks in
+        // every layout pair (`B` gathered too), a scatter through
+        // overlapping tables and a conv's windowed scatter at strides 1 and
+        // 2; `par` blocks `gap` cells apart, each reducing `red` entries.
+        #[test]
+        fn write_sinks_are_adds_into_zeros_on_both_instantiations(
+            m in 1usize..24,
+            k in 1usize..41,
+            n in 1usize..36,
+            par in 1usize..4,
+            red in 1usize..4,
+            red_outer in any::<bool>(),
+            gap in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let case = Case::new(m, k, n, (par, red, red_outer), seed);
+            let (cing, h, stride) = (1 + m % 3, 2 + n % 5, 1 + k % 2);
+            let (off, shift) = windowed_tables(cing, (h, h), (3, 3), (stride, stride), (1, 1));
+            let yx = |s: usize| [&shift[s][0][..], &shift[s][1][..]];
+            let window = Window { row: yx(0), col: yx(1), hw: (h, h) };
+            let conv = Offsets::windowed(&off[0], &off[1], Some(&window));
+            let (src_off, dst_off) = (
+                Offsets::new(&case.src_off.0, &case.src_off.1),
+                Offsets::new(&case.dst_off.0, &case.dst_off.1),
+            );
+            let (taps, pixels) = (off[0].len(), off[1].len());
+            let (a, b) = (fill(par * red * taps * k, seed), fill(par * red * k * pixels, seed + 1));
+            type Sink<'a> = (PackA<'a>, PackB<'a>, Option<Offsets<'a>>, (usize, usize, usize), usize, usize);
+            let (ka, kb) = (m * k, k * n);
+            let sinks: [Sink<'_>; 6] = [
+                (PackA::N(&case.a), PackB::N(&case.b), None, (m, k, n), kb, m * n),
+                (PackA::N(&case.a), PackB::T(&case.bt), None, (m, k, n), kb, m * n),
+                (PackA::T(&case.at), PackB::N(&case.b), None, (m, k, n), kb, m * n),
+                (PackA::N(&case.a), PackB::Gather(&case.src, src_off), None, (m, k, n), case.s_len, m * n),
+                (PackA::T(&case.at), PackB::N(&case.b), Some(dst_off), (m, k, n), kb, case.d_len),
+                (PackA::T(&a), PackB::N(&b), Some(conv), (taps, k, pixels), k * pixels, cing * h * h),
+            ];
+            let _lock = pool::tests::THREAD_LOCK
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let threads = pool::num_threads();
+            for (i, &(pa, pb, tables, mkn, b_len, block)) in sinks.iter().enumerate() {
+                let a_len = if i == 5 { taps * k } else { ka };
+                let batch = case.batch(a_len, b_len, block + gap);
+                let run = |vector: bool, write: bool| {
+                    let mut out = vec![if write { f32::NAN } else { 0.0 }; par * (block + gap)];
+                    let sink = match (tables, write) {
+                        (None, false) => Out::Add(&mut out),
+                        (None, true) => Out::Write(&mut out),
+                        (Some(t), false) => Out::Scatter(&mut out, t),
+                        (Some(t), true) => Out::ScatterWrite(&mut out, t),
+                    };
+                    gemm_batched_on(vector, sink, pa, pb, mkn, batch);
+                    bits(&out)
+                };
+                for pool_threads in [1, 4] {
+                    pool::set_num_threads(pool_threads);
+                    for vector in instantiations() {
+                        let what = format!("sink {i} at {mkn:?}, {pool_threads} threads, vector={vector}");
+                        prop_assert!(run(vector, true) == run(vector, false), "{}", what);
+                    }
+                }
+            }
+            pool::set_num_threads(threads);
         }
     }
 

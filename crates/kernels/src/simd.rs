@@ -11,7 +11,8 @@
 //!   row, `vfmadd` per contraction step — twin of
 //!   `gemm::portable_microkernel`. Every tile kernel is `(k, a, b, c)` over
 //!   three strided views (`gemm::AView` / `BView` / `CView`), so it reads `A`
-//!   and `B` and accumulates into its output block wherever they lie; the
+//!   and `B` and accumulates into its output block wherever they lie, `k`
+//!   the steps of one segment or of a folded reduction's several; the
 //!   single-width one also stacks entries (a `B` panel per group of rows)
 //!   and masks a partial tile's columns;
 //! * `gemm_small` / `gemm_tn_small` — the [`crate::reference`] loop bodies
@@ -53,7 +54,7 @@
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use crate::gemm::{AView, BView, CView, Offsets, Run, MR, NR, ROW};
+use crate::gemm::{AView, BView, CView, Offsets, Run, Steps, MR, NR, ROW};
 
 const _: () = assert!(
     MR == 8 && NR == 8,
@@ -84,12 +85,14 @@ pub fn simd_available() -> bool {
 }
 
 /// AVX2/FMA twin of the portable micro-kernel: `C[r, c] = fma(A[r, p],
-/// B[p, c], C[r, c])` for `p` ascending, each tile row one 8-lane `vfmadd`
-/// chain held in a register between one load of `C` (or zeros) and one
-/// store. The views are `gemm::tile`'s, so `A` and `C` may lie in place.
-/// `ROWS` is `b.rows`: each contraction step loads one `B` vector per group
-/// of `ROWS` tile rows (one for a tile of one entry, `MR / ROWS` for a lane
-/// tile) and feeds it to that group's rows.
+/// B[p, c], C[r, c])` for `p` ascending through `k`'s segments, each tile
+/// row one 8-lane `vfmadd` chain held in a register between one load of `C`
+/// (or zeros) and one store. The views are `gemm::tile`'s, so `A` and `C`
+/// may lie in place. `ROWS` is `b.rows`: each contraction step loads one `B`
+/// vector per group of `ROWS` tile rows (one for a tile of one entry,
+/// `MR / ROWS` for a lane tile) and feeds it to that group's rows. Without
+/// `SEG` the kernel walks one segment and its loop compiles away (a segment
+/// loop read at run time slowed a 2-step tile by a fifth).
 ///
 /// # Safety
 ///
@@ -97,7 +100,12 @@ pub fn simd_available() -> bool {
 /// contract for `NR` columns.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_avx2<const ROWS: usize>(k: usize, a: &AView, b: &BView, c: CView) {
+unsafe fn microkernel_avx2<const ROWS: usize, const SEG: bool>(
+    k: Steps,
+    a: &AView,
+    b: &BView,
+    c: CView,
+) {
     use std::arch::x86_64::*;
     let groups = MR / ROWS;
     // A partial tile's `B` and `C` cells go through a mask of its first
@@ -116,14 +124,17 @@ unsafe fn microkernel_avx2<const ROWS: usize>(k: usize, a: &AView, b: &BView, c:
     }
     let ar: [*const f32; MR] = std::array::from_fn(|r| a.ptr.wrapping_add(a.off[r]));
     let bg: [*const f32; MR] = std::array::from_fn(|g| b.ptr.wrapping_add(b.off[g]));
-    for p in 0..k {
-        let mut bv = [_mm256_setzero_ps(); MR];
-        for (g, v) in bv.iter_mut().enumerate().take(groups) {
-            *v = load(bg[g].add(p * b.ks));
-        }
-        for (r, row) in rows.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*ar[r].add(p * a.ks));
-            *row = _mm256_fmadd_ps(av, bv[(r / ROWS).min(groups - 1)], *row);
+    for s in 0..if SEG { k.segs } else { 1 } {
+        let (sa, sb) = if SEG { (s * k.a, s * k.b) } else { (0, 0) };
+        for p in 0..k.k {
+            let mut bv = [_mm256_setzero_ps(); MR];
+            for (g, v) in bv.iter_mut().enumerate().take(groups) {
+                *v = load(bg[g].add(sb + p * b.ks));
+            }
+            for (r, row) in rows.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(*ar[r].add(sa + p * a.ks));
+                *row = _mm256_fmadd_ps(av, bv[(r / ROWS).min(groups - 1)], *row);
+            }
         }
     }
     for (r, &row) in rows.iter().enumerate().take(c.rows) {
@@ -148,7 +159,7 @@ unsafe fn microkernel_avx2<const ROWS: usize>(k: usize, a: &AView, b: &BView, c:
 /// As [`microkernel_avx2`], for `2·NR` columns.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_avx2_x2(k: usize, a: &AView, b: &BView, c: CView) {
+unsafe fn microkernel_avx2_x2<const SEG: bool>(k: Steps, a: &AView, b: &BView, c: CView) {
     use std::arch::x86_64::*;
     for r0 in [0usize, 4] {
         // A partial tile's pass over rows past `c.rows` reads `A` rows the
@@ -167,33 +178,36 @@ unsafe fn microkernel_avx2_x2(k: usize, a: &AView, b: &BView, c: CView) {
             }
         }
         let ar: [*const f32; 4] = std::array::from_fn(|i| a.ptr.wrapping_add(a.off[r0 + i]));
-        // k unrolled by two to amortize loop overhead against the FMA
-        // bound; both sub-steps keep `p` ascending per lane, so the
-        // accumulation order (and hence every result bit) is unchanged.
-        let mut p = 0usize;
-        while p + 1 < k {
-            let (bp, bq) = (b.ptr.add(p * b.ks), b.ptr.add((p + 1) * b.ks));
-            let (bv0, bv1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(NR)));
-            for (i, accv) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ar[i].add(p * a.ks));
-                accv[0] = _mm256_fmadd_ps(av, bv0, accv[0]);
-                accv[1] = _mm256_fmadd_ps(av, bv1, accv[1]);
+        for s in 0..if SEG { k.segs } else { 1 } {
+            let (sa, sb) = if SEG { (s * k.a, s * k.b) } else { (0, 0) };
+            // k unrolled by two to amortize loop overhead against the FMA
+            // bound; both sub-steps keep `p` ascending per lane, so the
+            // accumulation order (and hence every result bit) is unchanged.
+            let mut p = 0usize;
+            while p + 1 < k.k {
+                let (bp, bq) = (b.ptr.add(sb + p * b.ks), b.ptr.add(sb + (p + 1) * b.ks));
+                let (bv0, bv1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(NR)));
+                for (i, accv) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(*ar[i].add(sa + p * a.ks));
+                    accv[0] = _mm256_fmadd_ps(av, bv0, accv[0]);
+                    accv[1] = _mm256_fmadd_ps(av, bv1, accv[1]);
+                }
+                let (bw0, bw1) = (_mm256_loadu_ps(bq), _mm256_loadu_ps(bq.add(NR)));
+                for (i, accv) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(*ar[i].add(sa + (p + 1) * a.ks));
+                    accv[0] = _mm256_fmadd_ps(av, bw0, accv[0]);
+                    accv[1] = _mm256_fmadd_ps(av, bw1, accv[1]);
+                }
+                p += 2;
             }
-            let (bw0, bw1) = (_mm256_loadu_ps(bq), _mm256_loadu_ps(bq.add(NR)));
-            for (i, accv) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ar[i].add((p + 1) * a.ks));
-                accv[0] = _mm256_fmadd_ps(av, bw0, accv[0]);
-                accv[1] = _mm256_fmadd_ps(av, bw1, accv[1]);
-            }
-            p += 2;
-        }
-        if p < k {
-            let bp = b.ptr.add(p * b.ks);
-            let (bv0, bv1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(NR)));
-            for (i, accv) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*ar[i].add(p * a.ks));
-                accv[0] = _mm256_fmadd_ps(av, bv0, accv[0]);
-                accv[1] = _mm256_fmadd_ps(av, bv1, accv[1]);
+            if p < k.k {
+                let bp = b.ptr.add(sb + p * b.ks);
+                let (bv0, bv1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(NR)));
+                for (i, accv) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(*ar[i].add(sa + p * a.ks));
+                    accv[0] = _mm256_fmadd_ps(av, bv0, accv[0]);
+                    accv[1] = _mm256_fmadd_ps(av, bv1, accv[1]);
+                }
             }
         }
         for (i, accv) in acc.iter().enumerate() {
@@ -217,7 +231,7 @@ unsafe fn microkernel_avx2_x2(k: usize, a: &AView, b: &BView, c: CView) {
 /// As [`microkernel_avx2`], for row 0 and `ROW·NR` columns.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn row_avx2(k: usize, a: &AView, b: &BView, c: CView) {
+unsafe fn row_avx2<const SEG: bool>(k: Steps, a: &AView, b: &BView, c: CView) {
     use std::arch::x86_64::*;
     let mut acc = [_mm256_setzero_ps(); ROW];
     if !c.from_zero {
@@ -226,10 +240,16 @@ unsafe fn row_avx2(k: usize, a: &AView, b: &BView, c: CView) {
         }
     }
     let (ar, br) = (a.ptr.wrapping_add(a.off[0]), b.ptr.wrapping_add(b.off[0]));
-    for p in 0..k {
-        let (av, bp) = (_mm256_set1_ps(*ar.add(p * a.ks)), br.add(p * b.ks));
-        for (v, acc) in acc.iter_mut().enumerate() {
-            *acc = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(v * NR)), *acc);
+    for s in 0..if SEG { k.segs } else { 1 } {
+        let (sa, sb) = if SEG { (s * k.a, s * k.b) } else { (0, 0) };
+        for p in 0..k.k {
+            let (av, bp) = (
+                _mm256_set1_ps(*ar.add(sa + p * a.ks)),
+                br.add(sb + p * b.ks),
+            );
+            for (v, acc) in acc.iter_mut().enumerate() {
+                *acc = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(v * NR)), *acc);
+            }
         }
     }
     for (v, &acc) in acc.iter().enumerate() {
@@ -245,18 +265,27 @@ unsafe fn row_avx2(k: usize, a: &AView, b: &BView, c: CView) {
 ///
 /// The views must meet `gemm::tile`'s contract for `NR` columns.
 #[inline]
-pub(crate) unsafe fn microkernel(k: usize, a: &AView, b: &BView, c: CView) {
+pub(crate) unsafe fn microkernel(k: impl Into<Steps>, a: &AView, b: &BView, c: CView) {
+    let k = k.into();
     assert_detected();
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `assert_detected` checked that AVX2+FMA are present; the
     // views are the caller's obligation.
     unsafe {
-        match b.rows {
-            1 => microkernel_avx2::<1>(k, a, b, c),
-            2 => microkernel_avx2::<2>(k, a, b, c),
-            3 => microkernel_avx2::<3>(k, a, b, c),
-            4 => microkernel_avx2::<4>(k, a, b, c),
-            _ => microkernel_avx2::<MR>(k, a, b, c),
+        macro_rules! rows {
+            ($seg:literal) => {
+                match b.rows {
+                    1 => microkernel_avx2::<1, $seg>(k, a, b, c),
+                    2 => microkernel_avx2::<2, $seg>(k, a, b, c),
+                    3 => microkernel_avx2::<3, $seg>(k, a, b, c),
+                    4 => microkernel_avx2::<4, $seg>(k, a, b, c),
+                    _ => microkernel_avx2::<MR, $seg>(k, a, b, c),
+                }
+            };
+        }
+        match k.segs > 1 {
+            true => rows!(true),
+            false => rows!(false),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -271,14 +300,17 @@ pub(crate) unsafe fn microkernel(k: usize, a: &AView, b: &BView, c: CView) {
 ///
 /// The views must meet `gemm::tile`'s contract for `c.cols` columns.
 #[inline]
-pub(crate) unsafe fn microkernel_x2(k: usize, a: &AView, b: &BView, c: CView) {
+pub(crate) unsafe fn microkernel_x2(k: impl Into<Steps>, a: &AView, b: &BView, c: CView) {
+    let k = k.into();
     assert_detected();
     #[cfg(target_arch = "x86_64")]
     // SAFETY: as in `microkernel`.
     unsafe {
-        match c.cols > 2 * NR {
-            true => row_avx2(k, a, b, c),
-            false => microkernel_avx2_x2(k, a, b, c),
+        match (c.cols > 2 * NR, k.segs > 1) {
+            (true, true) => row_avx2::<true>(k, a, b, c),
+            (true, false) => row_avx2::<false>(k, a, b, c),
+            (false, true) => microkernel_avx2_x2::<true>(k, a, b, c),
+            (false, false) => microkernel_avx2_x2::<false>(k, a, b, c),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]

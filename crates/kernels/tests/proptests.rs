@@ -539,6 +539,97 @@ fn check_thin_gather(
     })
 }
 
+/// A write sink against its adding twin on a zeroed destination, bit for
+/// bit at every thread count: `Out::Write` against `Out::Add`,
+/// `Out::ScatterWrite` against `Out::Scatter`, the writing call's
+/// destination filled with NaN first. `groups` blocks, `gap` cells apart,
+/// each reduce `samples` entries (the reducing axis listed first when
+/// `red_outer`). `sink` 0 writes dense blocks, `B` stored `[k, n]`,
+/// `[n, k]` or gathered through random tables; 1 scatters through random
+/// tables; 2 scatters through a 4x4 conv's windowed tables over `[h, h]`
+/// planes (`m` taps of `1 + m % 3` channels, `n` pixels), as an input
+/// gradient does. `layout` picks the layouts; the operands are random, so
+/// either reading of a buffer is a product.
+fn check_write_sink(
+    (groups, samples, red_outer): (usize, usize, bool),
+    (m, k, n): (usize, usize, usize),
+    (sink, layout, gap): (usize, usize, usize),
+    seed: u64,
+) -> Result<(), String> {
+    let entries = groups * samples;
+    let (cing, h) = (1 + m % 3, 1 + n % 5);
+    let pad = if h < 2 { 2 } else { 1 + (seed % 2) as usize };
+    let (off, shift) = conv_window(cing, h, pad);
+    let yx = |s: usize| [&shift[s][0][..], &shift[s][1][..]];
+    let window = Window {
+        row: yx(0),
+        col: yx(1),
+        hw: (h, h),
+    };
+    let (row, col) = (table(m, m + 3, seed, 5), table(n, n / 2 + 1, seed, 6));
+    let (src_row, src_col) = (table(k, 3 * k, seed, 7), table(n, 2 * n, seed, 8));
+    let (m, n, block) = match sink {
+        0 => (m, n, m * n),
+        1 => (m, n, m + 3 + n / 2),
+        _ => (off[0].len(), off[1].len(), cing * h * h),
+    };
+    let src_len = 3 * k + 2 * n;
+    let a = fill(entries * m * k, seed, 1);
+    let b = fill(entries * k * n.max(src_len), seed, 2);
+    let b_len = if sink == 0 && layout / 2 == 2 {
+        src_len
+    } else {
+        k * n
+    };
+    let group = Axis {
+        count: groups,
+        a: m * k,
+        b: b_len,
+        out: block + gap,
+    };
+    let sample = Axis {
+        count: samples,
+        a: groups * m * k,
+        b: groups * b_len,
+        out: 0,
+    };
+    let batch = if red_outer {
+        [sample, group]
+    } else {
+        [group, sample]
+    };
+    let pa = match layout % 2 {
+        0 => PackA::N(&a),
+        _ => PackA::T(&a),
+    };
+    let pb = match (sink, layout / 2 % 3) {
+        (0, 2) => PackB::Gather(&b, Offsets::new(&src_row, &src_col)),
+        (_, 1) => PackB::T(&b),
+        _ => PackB::N(&b),
+    };
+    let tables = match sink {
+        1 => Some(Offsets::new(&row, &col)),
+        2 => Some(Offsets::windowed(&off[0], &off[1], Some(&window))),
+        _ => None,
+    };
+    let len = groups * (block + gap);
+    let run = |write: bool| {
+        let mut out = vec![if write { f32::NAN } else { 0.0 }; len];
+        let sink = match (tables, write) {
+            (None, false) => Out::Add(&mut out),
+            (None, true) => Out::Write(&mut out),
+            (Some(t), false) => Out::Scatter(&mut out, t),
+            (Some(t), true) => Out::ScatterWrite(&mut out, t),
+        };
+        gemm_batched(sink, pa, pb, (m, k, n), batch);
+        bits(&out)
+    };
+    let expect = run(false);
+    let what =
+        format!("sink {sink}, layout {layout}: {groups}x{samples} of {m}x{k}x{n}, gap {gap}");
+    check_every_configuration(&what, &expect, || run(true))
+}
+
 fn check_random(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
     let a = fill(m * k, seed, 1);
     let b = fill(k * n, seed, 2);
@@ -640,6 +731,28 @@ proptest! {
     ) {
         let pad = if h < 4 { (5 - h) / 2 } else { (seed % 2) as usize };
         check_thin_gather((groups, samples), (coutg, cing, h, pad), swapped, seed)?;
+    }
+
+    // Write sinks: dense blocks, random-table scatters and a conv's
+    // windowed scatter, each on a destination full of NaN, against the
+    // adding sink on zeros; `k` 1 to 40 (a tile's chains kept across a
+    // folded reduction of 1 to 3 entries, or stored and reloaded).
+    // `src/gemm.rs`'s `write_sinks_are_adds_into_zeros_on_both_instantiations`
+    // names each instantiation.
+    #[test]
+    fn write_sinks_equal_adds_into_zeros(
+        groups in 1usize..4,
+        samples in 1usize..4,
+        red_outer in any::<bool>(),
+        m in 1usize..28,
+        k in 1usize..41,
+        n in 1usize..40,
+        sink in 0usize..3,
+        layout in 0usize..6,
+        gap in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        check_write_sink((groups, samples, red_outer), (m, k, n), (sink, layout, gap), seed)?;
     }
 
     #[test]

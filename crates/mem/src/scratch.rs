@@ -2,9 +2,9 @@
 //!
 //! Kernels that need per-chunk working buffers (GEMM packing panels, the
 //! scatter sink's row strip, the direct paths' dense copy of a
-//! table-addressed operand) check them out with [`with`], which zero-fills
-//! the buffer — bit-identical to the `vec![0.0; len]` they replace — runs
-//! the closure, and parks the buffer again. The free lists are shared across
+//! table-addressed operand) check them out with [`with`], which hands the
+//! buffer over unfilled — every caller writes a cell before it reads it —
+//! runs the closure, and parks the buffer again. The free lists are shared across
 //! threads, so a handful of buffers serve the whole worker pool forever.
 //!
 //! # Deterministic zero-miss steady state
@@ -100,9 +100,10 @@ pub fn reserve(tag: &'static str, len: usize, count: usize) {
     pool::bump_footprint();
 }
 
-/// Checks out a zero-filled scratch buffer of `len` elements, runs `f`,
-/// and returns the buffer to the arena. Falls back to a plain allocation
-/// when the request is oversize.
+/// Checks out a scratch buffer of `len` elements, runs `f`, and returns the
+/// buffer to the arena. Its values are unspecified (what the last checkout
+/// left, zeros past it): `f` must write every cell it reads. Falls back to
+/// a plain allocation when the request is oversize.
 pub fn with<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     if len == 0 {
         return f(&mut []);
@@ -125,7 +126,7 @@ pub fn with<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
         }
     };
     CHECKOUTS.fetch_add(1, Ordering::Relaxed);
-    buf.clear();
+    buf.truncate(len);
     buf.resize(len, 0.0);
     let r = f(&mut buf);
     FREE[c].lock().unwrap().push(buf);
