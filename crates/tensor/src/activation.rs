@@ -57,7 +57,7 @@ impl Tensor {
         assert!(n > 0, "log_softmax over empty axis");
         let (outer, inner) = self.split_at_axis(axis);
         let src = self.as_slice();
-        let mut out_t = Tensor::zeros(self.shape().clone());
+        let mut out_t = Tensor::unfilled(self.shape().clone());
         let out = out_t.as_mut_slice();
         for o in 0..outer {
             for i in 0..inner {

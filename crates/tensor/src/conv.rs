@@ -19,15 +19,19 @@
 //! The forward pass and the weight gradient *gather* their operand through
 //! the tables ([`PackB::Gather`]; `cols^T` swaps them), the input gradient —
 //! hence the transposed convolution's forward — *scatter-adds* `w^T @ gy`
-//! into the zeroed gradient ([`Out::Scatter`]) one row strip at a time in
-//! ascending `(ci,u,v)`, `col2im`'s order for each pixel's taps. Every op is
-//! bit-identical to pad → im2col → GEMM → col2im → unpad, with no padded
-//! tensor.
+//! into the gradient as if zeroed ([`Out::ScatterWrite`]) one row strip at a
+//! time in ascending `(ci,u,v)`, `col2im`'s order for each pixel's taps.
+//! Every op is bit-identical to pad → im2col → GEMM → col2im → unpad, with
+//! no padded tensor.
+//!
+//! Every output is handed to the GEMM unfilled and written there
+//! ([`Out::Write`], [`Out::ScatterWrite`]), never zero-filled first; only a
+//! bias, which leads each forward chain, is filled in ahead of the adds.
 //!
 //! A 1x1, stride-1, unpadded convolution's tables are the identity: its image
-//! block *is* the operand and is read densely. Its input gradient still
-//! scatters — adding into the zeroed image is what turns a `-0.0` product
-//! into `+0.0`.
+//! block *is* the operand and is read densely, and its input gradient is a
+//! dense write, each element its chain from `+0.0` (one that underflows to
+//! `-0.0` stays so, where an add into a zeroed image would give `+0.0`).
 
 use crate::tensor::Tensor;
 use hfta_kernels::{self as kernels, Axis, Offsets, Out, PackA, PackB, Window};
@@ -232,25 +236,25 @@ pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, cfg: ConvCfg) -> Tenso
     };
     // Each output row starts from its channel's bias and the GEMM adds on
     // top: the bias comes first in every element's chain, with no second
-    // pass over the output.
-    let mut out = match b {
+    // pass over the output. Without one the GEMM writes every element.
+    let mut out = Tensor::unfilled([n, cout, ho, wo]);
+    let blocks = match b {
         Some(bias) => {
             assert_eq!(bias.dims(), &[cout], "bias must be [Cout]");
-            let mut out = Tensor::unfilled([n, cout, ho, wo]);
             let rows = out.as_mut_slice().chunks_exact_mut(spatial.max(1));
             for (row, &bv) in rows.zip(bias.as_slice().iter().cycle()) {
                 row.fill(bv);
             }
-            out
+            Out::Add(out.as_mut_slice())
         }
-        None => Tensor::zeros([n, cout, ho, wo]),
+        None => Out::Write(out.as_mut_slice()),
     };
     // out[ni, gi] += w[gi] @ cols(x[ni, gi]) : [coutg, spatial]
     let batch = [
         axis(n, 0, cin * plane, cout * spatial),
         axis(g, coutg * krows, cing * plane, coutg * spatial),
     ];
-    let (blocks, weights) = (Out::Add(out.as_mut_slice()), PackA::N(w.as_slice()));
+    let weights = PackA::N(w.as_slice());
     kernels::gemm_batched(blocks, weights, image, (coutg, krows, spatial), batch);
     out
 }
@@ -278,15 +282,18 @@ pub fn conv2d_grad_input(
     assert_eq!(w.dim(0), cout, "weight Cout mismatch");
     assert_eq!(w.dim(1), cing, "weight Cin/g mismatch");
     let (krows, spatial, plane) = (cing * kh * kw, ho * wo, input_hw.0 * input_hw.1);
-    let tables = Tables::new(cing, input_hw, (kh, kw), &cfg);
-    let mut gx = Tensor::zeros([n, cin, input_hw.0, input_hw.1]);
-    // gx[ni, gi][cols] += w[gi]^T @ gy[ni, gi] : [krows, spatial]
+    let tables = (!pointwise((kh, kw), &cfg)).then(|| Tables::new(cing, input_hw, (kh, kw), &cfg));
+    let window = tables.as_ref().and_then(|t| t.window(false));
+    let mut gx = Tensor::unfilled([n, cin, input_hw.0, input_hw.1]);
+    // gx[ni, gi][cols] = w[gi]^T @ gy[ni, gi] : [krows, spatial]
     let batch = [
         axis(n, 0, cout * spatial, cin * plane),
         axis(g, coutg * krows, coutg * spatial, cing * plane),
     ];
-    let window = tables.window(false);
-    let sink = Out::Scatter(gx.as_mut_slice(), tables.offsets(false, &window));
+    let sink = match &tables {
+        Some(tables) => Out::ScatterWrite(gx.as_mut_slice(), tables.offsets(false, &window)),
+        None => Out::Write(gx.as_mut_slice()),
+    };
     let (weights, grads) = (PackA::T(w.as_slice()), PackB::N(gy.as_slice()));
     kernels::gemm_batched(sink, weights, grads, (krows, coutg, spatial), batch);
     gx
@@ -317,15 +324,15 @@ pub fn conv2d_grad_weight(
         Some(tables) => PackB::Gather(x.as_slice(), tables.offsets(true, &window)),
         None => PackB::T(x.as_slice()),
     };
-    let mut gw = Tensor::zeros([cout, cing, kh, kw]);
-    // gw[gi] += gy[ni, gi] @ cols(x[ni, gi])^T : [coutg, krows]. The weight
-    // gradient REDUCES over the batch: the sample axis writes no new block,
-    // so each group's samples add into it in ascending order.
+    let mut gw = Tensor::unfilled([cout, cing, kh, kw]);
+    // gw[gi] = Σ_ni gy[ni, gi] @ cols(x[ni, gi])^T : [coutg, krows]. The
+    // weight gradient REDUCES over the batch: the sample axis writes no new
+    // block, so each group's samples add into it in ascending order.
     let batch = [
         axis(g, coutg * spatial, cing * plane, coutg * krows),
         axis(n, cout * spatial, cin * plane, 0),
     ];
-    let (blocks, grads) = (Out::Add(gw.as_mut_slice()), PackA::N(gy.as_slice()));
+    let (blocks, grads) = (Out::Write(gw.as_mut_slice()), PackA::N(gy.as_slice()));
     kernels::gemm_batched(blocks, grads, image_t, (coutg, spatial, krows), batch);
     gw
 }

@@ -45,7 +45,7 @@ fn broadcast_zip(
     let db = b.as_slice();
     let rank = out_shape.rank();
     let dims = out_shape.dims().to_vec();
-    let mut out = Tensor::zeros(out_shape);
+    let mut out = Tensor::unfilled(out_shape);
     // Odometer walk with incremental source offsets.
     let mut idx = vec![0usize; rank];
     let mut oa = 0usize;

@@ -99,7 +99,7 @@ impl Tensor {
         } else {
             vec![m, n]
         };
-        let mut out = Tensor::zeros(dims);
+        let mut out = Tensor::unfilled(dims);
         let (lhs, rhs) = (self.as_slice(), other.as_slice());
         let a = if ta { PackA::T(lhs) } else { PackA::N(lhs) };
         let b = if tb { PackB::T(rhs) } else { PackB::N(rhs) };
@@ -110,7 +110,7 @@ impl Tensor {
             out: m * n,
         };
         let batch = [entries, Axis::ONE];
-        kernels::gemm_batched(Out::Add(out.as_mut_slice()), a, b, (m, k, n), batch);
+        kernels::gemm_batched(Out::Write(out.as_mut_slice()), a, b, (m, k, n), batch);
         out
     }
 

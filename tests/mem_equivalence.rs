@@ -21,7 +21,7 @@ use hfta_core::ops::{Fused, FusedLinear, FusedModule, FusedParameter, Ops};
 use hfta_core::optim::{FusedAdam, FusedSgd, PerModel};
 use hfta_data::PointClouds;
 use hfta_mem::Storage;
-use hfta_models::{DcganCfg, FusedDiscriminator, FusedPointNetCls, PointNetCfg};
+use hfta_models::{DcganCfg, FusedDiscriminator, FusedGenerator, FusedPointNetCls, PointNetCfg};
 use hfta_nn::layers::{Conv2dCfg, LinearCfg};
 use hfta_nn::{Module, Tape};
 use hfta_tensor::{Rng, Tensor};
@@ -166,6 +166,35 @@ fn dcgan_step_cold_pool_matches_dirty_pool() {
             let tape = Tape::new();
             let copies: Vec<Tensor> = vec![real.clone(); 3];
             let d = disc.forward(&tape.leaf(stack_conv(&copies).expect("stackable")));
+            fused_bce_with_logits(&d, &labels, 3, Reduction::Mean).backward();
+            opt.step();
+        }
+        param_bits(&params)
+    });
+}
+
+/// DCGAN-G bit-identity at the full-model level, cold pool vs dirty pool:
+/// the generator trained through a discriminator, so its transposed
+/// convolutions' forwards write through windowed (and, for the latent
+/// projection, unwindowed) scatter sinks and their weight gradients
+/// through reductions over the batch, all into unfilled tensors.
+#[test]
+fn dcgan_generator_step_cold_pool_matches_dirty_pool() {
+    let _g = lock();
+    assert_cold_matches_dirty("DCGAN-G", || {
+        let mut rng = Rng::seed_from(35);
+        let gen = FusedGenerator::new(3, DcganCfg::mini(), &mut rng);
+        let disc = FusedDiscriminator::new(3, DcganCfg::mini(), &mut rng);
+        disc.set_training(false);
+        let params = gen.fused_parameters();
+        let mut opt =
+            FusedAdam::new(params.clone(), PerModel::uniform(3, 2e-3)).expect("widths match");
+        let labels = Tensor::ones([4, 3]);
+        for _ in 0..2 {
+            opt.zero_grad();
+            let tape = Tape::new();
+            let z = tape.leaf(rng.randn([4, 3 * DcganCfg::mini().latent, 1, 1]));
+            let d = disc.forward(&gen.forward(&z));
             fused_bce_with_logits(&d, &labels, 3, Reduction::Mean).backward();
             opt.step();
         }
