@@ -367,16 +367,16 @@ fn ablation_conv(c: &mut Criterion) {
     );
     // Layers D1-D5 then G1-G5, as timed above and as the step's spans list them.
     let mut step_us = 0.0;
-    for (us, (fwd, bwd)) in layer_us.iter().zip(&passes) {
-        step_us += fwd * us[0] + bwd * (us[1] + us[2]) / 2.0;
+    for (us, (fwd, input, weight)) in layer_us.iter().zip(&passes) {
+        step_us += fwd * us[0] + input * us[1] + weight * us[2];
     }
     let calls: Vec<String> = passes
         .iter()
-        .map(|(f, bw)| format!("{f:.0}/{bw:.0}"))
+        .map(|(f, i, w)| format!("{f:.0}/{i:.0}/{w:.0}"))
         .collect();
     println!(
-        "  per dcgan_compute step: {:.2} ms (forward calls / gradient passes, D1-D5 then G1-G5: {}; \
-         a layer's gradient passes priced at the mean of its two gradient ops)",
+        "  per dcgan_compute step: {:.2} ms (forward calls / input / weight gradient passes, \
+         D1-D5 then G1-G5: {})",
         ms(step_us),
         calls.join(" ")
     );
@@ -385,15 +385,16 @@ fn ablation_conv(c: &mut Criterion) {
 
 /// How often one `dcgan_compute` array step (B = `b`, batch `batch`) runs
 /// each conv layer, read from the `nn` spans of a traced step: per layer,
-/// D1-D5 then G1-G5, its forward calls and its gradient products (input
-/// and weight gradients, each one pass). The step is the benchmark's fused
-/// leg — the discriminator on a real and a detached fake batch, then the
-/// generator through it, each with its `FusedAdam` — traced after one
-/// untraced step, so the generator step's waiting discriminator gradients
-/// drop as they do in steady state. A layer's forward spans carry its
-/// `(flops, bytes)`; a backward span carries `k` times them for the `k`
-/// products it ran, and a waiting product forced later opens its own.
-fn dcgan_step_passes(b: usize, batch: usize, cfg: DcganCfg) -> Vec<(f64, f64)> {
+/// D1-D5 then G1-G5, its forward calls, input gradients and weight
+/// gradients. The step is the benchmark's fused leg — the discriminator on
+/// a real and a detached fake batch, then the generator through it, each
+/// with its `FusedAdam` — traced after one untraced step, so the generator
+/// step's waiting discriminator gradients drop as they do in steady state.
+/// A layer's forward spans carry its `(flops, bytes)`; a backward span
+/// names the gradients it ran (`input` / `weight`: `now`) and carries `k`
+/// times the forward cost for the `k` it ran, which finds its layer, and a
+/// waiting product forced later opens its own.
+fn dcgan_step_passes(b: usize, batch: usize, cfg: DcganCfg) -> Vec<(f64, f64, f64)> {
     let mut rng = Rng::seed_from(41);
     let gen = FusedGenerator::new(b, cfg, &mut rng);
     let disc = FusedDiscriminator::new(b, cfg, &mut rng);
@@ -434,9 +435,13 @@ fn dcgan_step_passes(b: usize, batch: usize, cfg: DcganCfg) -> Vec<(f64, f64)> {
         Some(&serde::Value::U64(v)) => v as f64,
         _ => 0.0,
     };
-    // Each layer as its op and forward `(flops, bytes)`, D then G, each in
-    // first-seen order (a forward runs its layers in order).
-    let mut layers: Vec<(&str, f64, f64, f64, f64)> = Vec::new();
+    let ran = |e: &serde::Value, key: &str| {
+        let arg = e.get("args").and_then(|a| a.get(key));
+        f64::from(matches!(arg, Some(serde::Value::Str(v)) if v == "now"))
+    };
+    // Each layer as its op, forward `(flops, bytes)` and counts, D then G,
+    // each in first-seen order (a forward runs its layers in order).
+    let mut layers: Vec<(&str, f64, f64, [f64; 3])> = Vec::new();
     let mut backward = Vec::new();
     for e in events {
         let (Some(serde::Value::Str(name)), Some(serde::Value::Str(ph))) =
@@ -452,28 +457,32 @@ fn dcgan_step_passes(b: usize, batch: usize, cfg: DcganCfg) -> Vec<(f64, f64)> {
             continue;
         }
         if op != name {
-            backward.push((op, cost));
+            backward.push((op, cost, [ran(e, "input"), ran(e, "weight")]));
             continue;
         }
         match layers
             .iter_mut()
             .find(|l| (l.0, l.1, l.2) == (op, cost.0, cost.1))
         {
-            Some(layer) => layer.3 += 1.0,
-            None => layers.push((op, cost.0, cost.1, 1.0, 0.0)),
+            Some(layer) => layer.3[0] += 1.0,
+            None => layers.push((op, cost.0, cost.1, [1.0, 0.0, 0.0])),
         }
     }
-    for (op, (flops, bytes)) in backward {
-        let matched = layers.iter_mut().find_map(|l| {
-            let k = flops / l.1;
-            (l.0 == op && (k == 1.0 || k == 2.0) && bytes == k * l.2).then_some((l, k))
-        });
-        let (layer, k) = matched.expect("a backward span matches a layer's forward");
-        layer.4 += k;
+    // A span that ran nothing (its weight gradient waiting) costs nothing.
+    for (op, (flops, bytes), [input, weight]) in backward {
+        let k = input + weight;
+        if k == 0.0 {
+            continue;
+        }
+        let layer = (layers.iter_mut())
+            .find(|l| l.0 == op && flops == k * l.1 && bytes == k * l.2)
+            .expect("a backward span matches a layer's forward");
+        layer.3[1] += input;
+        layer.3[2] += weight;
     }
     layers.sort_by_key(|l| l.0 != "conv2d");
     assert_eq!(layers.len(), 10, "a DCGAN step runs ten conv layers");
-    layers.iter().map(|l| (l.3, l.4)).collect()
+    layers.iter().map(|l| (l.3[0], l.3[1], l.3[2])).collect()
 }
 
 /// The non-GEMM passes of a fused step at the `dcgan_compute` (B = 6,

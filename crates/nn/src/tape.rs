@@ -18,7 +18,10 @@
 //! That is exact for the GEMM-backed ops (input + weight gradient = 2 x
 //! forward, the 3x-forward training rule the simulator is priced with) and
 //! the right order for elementwise ops; a deferred product (`BackwardCtx::product`)
-//! opens its own span if forced. Nothing below the tape (`hfta-tensor`,
+//! opens its own span if forced. Each backward span's end event says which
+//! gradients it ran: `input: now` for the gradients the closure computed
+//! itself, `weight` / `bias` `now` or `deferred` for a product's (a forced
+//! product's own span: `now`). Nothing below the tape (`hfta-tensor`,
 //! `hfta-kernels`, `hfta-mem`) records anything, so every op counts once.
 
 use std::cell::{Cell, RefCell};
@@ -44,6 +47,10 @@ pub(crate) enum Backward {
     Closure(BackwardFn),
     Window(usize, usize, usize),
 }
+
+/// The span arg naming a product's gradient: `BackwardCtx::product`'s
+/// weight, or (a reduction) its bias.
+const PART: [&str; 2] = ["weight", "bias"];
 
 /// A gradient: computed, or a product `BackwardCtx::product` deferred.
 pub(crate) enum Grad {
@@ -71,6 +78,8 @@ pub(crate) struct BackwardCtx<'a> {
     reduced: Cell<(usize, usize)>,
     /// Products deferred into read parameter slots, for the sweep to hand on.
     deferred: RefCell<Vec<(usize, Grad)>>,
+    /// Each [`PART`]'s product: run `"now"`, `"deferred"`, or not asked for.
+    ran: Cell<[Option<&'static str>; 2]>,
 }
 
 impl<'a> BackwardCtx<'a> {
@@ -81,6 +90,7 @@ impl<'a> BackwardCtx<'a> {
             g,
             reduced: Cell::new((0, 0)),
             deferred: RefCell::new(Vec::new()),
+            ran: Cell::new([None; 2]),
         }
     }
 
@@ -96,7 +106,11 @@ impl<'a> BackwardCtx<'a> {
             true => (node.op, OpCost::reduction(g.numel())),
             false => (node.op, node.cost),
         };
-        if !(self.nodes[id].param.as_ref()).is_some_and(Parameter::is_read) {
+        let (part, mut ran) = (usize::from(reduction), self.ran.get());
+        let now = !(self.nodes[id].param.as_ref()).is_some_and(Parameter::is_read);
+        ran[part] = Some(if now { "now" } else { "deferred" });
+        self.ran.set(ran);
+        if now {
             if reduction {
                 self.reduces(g.numel());
             }
@@ -105,8 +119,11 @@ impl<'a> BackwardCtx<'a> {
         let (f, g, v) = (f.clone(), Rc::clone(g), Rc::clone(v));
         // Forced, it opens its own span under the profiler installed then.
         let product = Box::new(move || {
-            let _span = Profiler::current()
-                .map(|p| p.op_span(p.lane("autograd", "backward"), format!("bwd:{op}"), cost));
+            let _span = Profiler::current().map(|p| {
+                let mut span = p.op_span(p.lane("autograd", "backward"), format!("bwd:{op}"), cost);
+                span.arg(PART[part], "now");
+                span
+            });
             f(&g, &v)
         });
         self.deferred.borrow_mut().push((id, Grad::Later(product)));
@@ -517,6 +534,16 @@ impl Var {
                             let (reductions, numel) = ctx.reduced.get();
                             span.scale(parent_grads.len() - reductions);
                             span.add(OpCost::reduction(numel));
+                            let ran = ctx.ran.get();
+                            let products = ran.iter().filter(|r| **r == Some("now")).count();
+                            if parent_grads.len() > products {
+                                span.arg("input", "now");
+                            }
+                            for (part, ran) in PART.into_iter().zip(ran) {
+                                if let Some(ran) = ran {
+                                    span.arg(part, ran);
+                                }
+                            }
                         }
                         for (pid, pg) in parent_grads {
                             debug_assert!(pid < id, "tape must be topologically ordered");
@@ -712,6 +739,37 @@ mod tests {
         let sum = OpCost::reduction(gy_numel);
         assert_eq!(bwd.flops, 2.0 * fwd.flops + sum.flops);
         assert_eq!(bwd.bytes, 2.0 * fwd.bytes + sum.bytes);
+    }
+
+    /// Each backward span names the gradients it ran: a conv's input and
+    /// weight gradients now; with the weight's slot read since its last
+    /// zero, its gradient deferred, then run in its own span when forced.
+    #[test]
+    fn backward_spans_name_the_gradients_they_ran() {
+        let p = Profiler::new("tape-test");
+        let _g = p.install();
+        let param = |dims: &[usize]| Parameter::new(Tensor::ones(dims), "p");
+        let (x, w) = (param(&[1, 2, 5, 5]), param(&[3, 2, 3, 3]));
+        let cfg = hfta_tensor::conv::ConvCfg::square(1, 1, 1);
+        let step = || {
+            let tape = Tape::new();
+            let y = tape.param(&x).conv2d(&tape.param(&w), None, cfg);
+            y.sum().backward();
+        };
+        step();
+        drop(w.grad());
+        step();
+        drop(w.grad());
+        let json: String = p.trace_json().split_whitespace().collect();
+        let conv: Vec<&str> = (json.split("},{"))
+            .filter(|e| e.contains(r#""name":"bwd:conv2d""#))
+            .collect();
+        assert_eq!(conv.len(), 6, "three spans, begin and end");
+        let count = |s: &str| conv.iter().filter(|e| e.contains(s)).count();
+        assert_eq!(count(r#""input":"now""#), 2);
+        assert_eq!(count(r#""weight":"now""#), 2);
+        assert_eq!(count(r#""weight":"deferred""#), 1);
+        assert_eq!(count(r#""bias""#), 0);
     }
 
     #[test]

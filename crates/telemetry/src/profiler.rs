@@ -317,6 +317,7 @@ impl Profiler {
             lane,
             name,
             cost,
+            args: Vec::new(),
             started: Instant::now(),
         }
     }
@@ -650,10 +651,19 @@ pub struct OpSpanGuard {
     lane: LaneId,
     name: String,
     cost: OpCost,
+    args: Vec<(String, Value)>,
     started: Instant,
 }
 
 impl OpSpanGuard {
+    /// Adds `key: value` to the args of the span's end event, after its
+    /// cost: what the span ran, where the name alone does not say (the
+    /// tape's backward spans name the gradients they computed).
+    pub fn arg(&mut self, key: &'static str, value: &'static str) {
+        self.args
+            .push((key.to_string(), Value::Str(value.to_string())));
+    }
+
     /// Multiplies the cost folded on close by `n`: a span whose work is
     /// only known once it ran (the tape's backward sweep prices a node at
     /// its forward cost times the parent gradients it produced).
@@ -682,10 +692,13 @@ impl Drop for OpSpanGuard {
             ts_us: ts,
             pid: self.lane.pid,
             tid: self.lane.tid,
-            args: vec![
+            args: [
                 ("flops".to_string(), Value::F64(self.cost.flops)),
                 ("bytes".to_string(), Value::F64(self.cost.bytes)),
-            ],
+            ]
+            .into_iter()
+            .chain(std::mem::take(&mut self.args))
+            .collect(),
         });
     }
 }
