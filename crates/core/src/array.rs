@@ -1,5 +1,5 @@
-//! The [`ModelArray`] convenience wrapper and hyper-parameter sweep
-//! helpers.
+//! The [`ModelArray`] convenience wrapper, step metrics, and per-model
+//! weight transfer into and out of an array's lanes.
 
 use hfta_nn::{Parameter, Tape, Var};
 use hfta_telemetry::{Profiler, StepMetric};
@@ -8,7 +8,6 @@ use hfta_tensor::Tensor;
 use crate::error::Result;
 use crate::format::{stack_array, stack_conv};
 use crate::ops::{FusedModule, FusedParameter};
-use crate::optim::PerModel;
 
 /// Ties a fused module to its array width and input-stacking conventions —
 /// the user-facing entry point for "train these `B` jobs together".
@@ -46,11 +45,6 @@ impl<M: FusedModule> ModelArray<M> {
     /// The wrapped fused module.
     pub fn module(&self) -> &M {
         &self.module
-    }
-
-    /// Mutable access to the wrapped module.
-    pub fn module_mut(&mut self) -> &mut M {
-        &mut self.module
     }
 
     /// Consumes the wrapper, returning the module.
@@ -243,49 +237,6 @@ pub fn write_model_weights(fused: &[FusedParameter], index: usize, src: &[Parame
     }
 }
 
-/// Expands lists of candidate hyper-parameter values into the per-model
-/// vectors of a grid sweep — the repetitive-job launcher HFTA replaces.
-///
-/// # Example
-///
-/// ```
-/// use hfta_core::array::grid_sweep;
-/// let (b, grid) = grid_sweep(&[vec![0.1, 0.01], vec![0.9, 0.95, 0.99]]);
-/// assert_eq!(b, 6);
-/// assert_eq!(grid[0].values(), &[0.1, 0.1, 0.1, 0.01, 0.01, 0.01]);
-/// assert_eq!(grid[1].values(), &[0.9, 0.95, 0.99, 0.9, 0.95, 0.99]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if any axis is empty: it has no value to give the models the
-/// other axes span.
-pub fn grid_sweep(axes: &[Vec<f32>]) -> (usize, Vec<PerModel>) {
-    assert!(
-        axes.iter().all(|a| !a.is_empty()),
-        "grid_sweep axes must be non-empty"
-    );
-    let b: usize = axes.iter().map(Vec::len).product();
-    let mut out = Vec::with_capacity(axes.len());
-    let mut repeat_inner = b;
-    for axis in axes {
-        let len = axis.len();
-        repeat_inner /= len;
-        let repeat_outer = b / (len * repeat_inner);
-        let mut values = Vec::with_capacity(b);
-        for _ in 0..repeat_outer {
-            for v in axis {
-                for _ in 0..repeat_inner {
-                    values.push(*v);
-                }
-            }
-        }
-        out.push(PerModel::new(values));
-        // Keep shrinking the inner repeat for the next (faster-varying) axis.
-    }
-    (b, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,28 +353,5 @@ mod tests {
             .map(|_| Parameter::new(Tensor::zeros([1]), "bad"))
             .collect();
         write_model_weights(&fused, 0, &bad);
-    }
-
-    #[test]
-    fn grid_sweep_cartesian() {
-        let (b, grid) = grid_sweep(&[vec![1.0, 2.0], vec![10.0, 20.0]]);
-        assert_eq!(b, 4);
-        assert_eq!(grid[0].values(), &[1.0, 1.0, 2.0, 2.0]);
-        assert_eq!(grid[1].values(), &[10.0, 20.0, 10.0, 20.0]);
-    }
-
-    #[test]
-    fn grid_sweep_single_axis() {
-        let (b, grid) = grid_sweep(&[vec![0.1, 0.2, 0.3]]);
-        assert_eq!(b, 3);
-        assert_eq!(grid[0].values(), &[0.1, 0.2, 0.3]);
-    }
-
-    /// An empty axis has no value for the models the other axes span: it is
-    /// rejected where it is passed, not later by an optimizer's width check.
-    #[test]
-    #[should_panic(expected = "grid_sweep axes must be non-empty")]
-    fn grid_sweep_rejects_an_empty_axis() {
-        let _ = grid_sweep(&[vec![], vec![0.9, 0.95]]);
     }
 }

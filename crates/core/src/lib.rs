@@ -27,7 +27,8 @@
 //!   over parameter groups, whether one hand-fused group or one per block
 //!   of a [`planned::PlannedArray`]; and the per-lane fused scheduler;
 //! * [`planned`] — partially fused execution of an `hfta-plan` fusion plan;
-//! * [`mod@array`] — the [`array::ModelArray`] front door and sweep helpers;
+//! * [`mod@array`] — the [`array::ModelArray`] front door and lane weight
+//!   transfer;
 //! * [`scope`] — hfta-scope: per-model health extraction, divergence
 //!   sentinels, and quarantine ([`scope::ScopeMonitor`]);
 //! * [`surgery`] — lane surgery: a model's parameter and optimizer-state
@@ -36,9 +37,11 @@
 //!   re-packing);
 //! * [`snapshot`] — versioned on-disk lane snapshots (params + optimizer
 //!   state + step counter, or a model's parameters alone), the persistence
-//!   layer behind `hfta-serve`'s crash-safe checkpoint/restore;
-//! * [`tuner`] — a hyper-parameter tuning driver that packs sweep
-//!   candidates into fused arrays (the paper's §6 integration target).
+//!   layer behind `hfta-serve`'s crash-safe checkpoint/restore.
+//!
+//! A tuning sweep (the paper's §6 integration target) runs through
+//! `hfta-sched` / `hfta-serve`: their one backend trains any
+//! [`ops::Architecture`] written once over [`ops::Ops`].
 //!
 //! # Example — fuse a hyper-parameter sweep
 //!
@@ -81,6 +84,5 @@ pub mod rules;
 pub mod scope;
 pub mod snapshot;
 pub mod surgery;
-pub mod tuner;
 
 pub use error::{FusionError, Result};

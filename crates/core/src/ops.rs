@@ -45,6 +45,7 @@ use std::fmt::Debug;
 
 use hfta_nn::layers::{BatchNorm, Conv1d, Conv2d, Conv2dCfg, ConvTranspose2d, Linear, LinearCfg};
 use hfta_nn::{Module, Parameter, Var};
+use hfta_sim::TrainingJob;
 use hfta_tensor::{Rng, Tensor};
 
 use crate::error::{FusionError, Result};
@@ -606,6 +607,34 @@ impl Ops for Fused {
             .permute(&[1, 0, 3, 2]) // [N, B, 3, P]
             .reshape(&[n, b * 3, p])
     }
+}
+
+/// A model architecture as a tuning service trains it: the model written
+/// once over [`Ops`], plus the little that differs between models around
+/// it — a lane's batch, how lane inputs stack into the array layout, and
+/// the simulator's cost profile of one step. `hfta-sched`'s one backend
+/// builds, trains and moves lanes of any architecture through this.
+pub trait Architecture {
+    /// The model over the operator family `O`; at [`Fused`] its logits are
+    /// array format `[B, N, classes]`.
+    type Model<O: Ops>: Module + Debug;
+
+    /// Builds the model out of `ops`' layers.
+    fn build<O: Ops>(&self, ops: O, rng: &mut Rng) -> Self::Model<O>;
+
+    /// One lane's training batch, inputs and class targets, drawn from
+    /// `seed` alone.
+    fn batch(&self, seed: u64) -> (Tensor, Vec<usize>);
+
+    /// Stacks per-lane inputs into the layout the [`Fused`] model reads.
+    ///
+    /// # Errors
+    ///
+    /// Returns a fusion error if the input shapes differ.
+    fn stack(inputs: &[Tensor]) -> Result<Tensor>;
+
+    /// The per-model simulator cost profile of one training step.
+    fn job_profile(&self) -> TrainingJob;
 }
 
 #[cfg(test)]

@@ -4,10 +4,23 @@
 //! [`AlexNet`] is the serial model and [`FusedAlexNet`] the HFTA-fused
 //! array of the same code — only the operator classes change.
 
-use hfta_core::ops::{Fused, Ops, Serial};
+use hfta_core::error::Result;
+use hfta_core::format::stack_conv;
+use hfta_core::ops::{Architecture, Fused, Ops, Serial};
+use hfta_data::LabeledImages;
 use hfta_nn::layers::{Conv2d, Conv2dCfg, Dropout, LinearCfg, MaxPool2d};
 use hfta_nn::{Module, Parameter, Var};
-use hfta_tensor::Rng;
+use hfta_plan::{ModelGraph, OpSpec};
+use hfta_sim::TrainingJob;
+use hfta_tensor::{Rng, Tensor};
+
+use crate::lower_plan::{lane_job, PlanSimCfg};
+
+/// Per-model batch of a tuning trial's step.
+const TUNING_BATCH: usize = 8;
+
+/// The convolutions a 2x2 max pool follows (the classic 3-pool layout).
+const POOLED: [usize; 3] = [0, 1, 4];
 
 /// AlexNet configuration (CIFAR-scale mini by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +45,74 @@ impl AlexNetCfg {
 
     fn spatial_out(&self) -> usize {
         self.image / 8 // three stride-2 max pools
+    }
+
+    /// The five 3x3 convolutions, in order.
+    fn convs(&self) -> [Conv2dCfg; 5] {
+        let w = self.width;
+        [
+            (3, w),
+            (w, 2 * w),
+            (2 * w, 4 * w),
+            (4 * w, 4 * w),
+            (4 * w, 2 * w),
+        ]
+        .map(|(cin, cout)| Conv2dCfg::new(cin, cout, 3).padding(1))
+    }
+
+    /// The three fully connected layers, in order.
+    fn fcs(&self) -> [LinearCfg; 3] {
+        let (w, s) = (self.width, self.spatial_out());
+        [
+            LinearCfg::new(2 * w * s * s, 4 * w),
+            LinearCfg::new(4 * w, 4 * w),
+            LinearCfg::new(4 * w, self.classes),
+        ]
+    }
+
+    /// One model's forward program as a planner graph; dropout, an
+    /// identity in eval mode, has no op.
+    fn graph(&self) -> ModelGraph {
+        let mut ops = Vec::new();
+        for (i, cfg) in self.convs().into_iter().enumerate() {
+            ops.extend([OpSpec::conv2d(cfg), OpSpec::relu()]);
+            if POOLED.contains(&i) {
+                ops.push(OpSpec::max_pool2d(2));
+            }
+        }
+        ops.push(OpSpec::flatten());
+        let [fc1, fc2, fc3] = self.fcs();
+        ops.extend([OpSpec::linear(fc1), OpSpec::relu()]);
+        ops.extend([OpSpec::linear(fc2), OpSpec::relu()]);
+        ops.push(OpSpec::linear(fc3));
+        ModelGraph::new("alexnet", vec![3, self.image, self.image], ops)
+    }
+}
+
+/// AlexNet as a tuning service trains it: synthetic labeled images
+/// ([`LabeledImages`]) of the configured side and classes, batches of 8
+/// per model, and a cost profile lowered from its op graph.
+impl Architecture for AlexNetCfg {
+    type Model<O: Ops> = AlexNetOn<O>;
+
+    fn build<O: Ops>(&self, ops: O, rng: &mut Rng) -> AlexNetOn<O> {
+        AlexNetOn::build(ops, *self, rng)
+    }
+
+    fn batch(&self, seed: u64) -> (Tensor, Vec<usize>) {
+        LabeledImages::new(self.image, self.classes, seed).batch(TUNING_BATCH)
+    }
+
+    fn stack(inputs: &[Tensor]) -> Result<Tensor> {
+        stack_conv(inputs)
+    }
+
+    fn job_profile(&self) -> TrainingJob {
+        let cfg = PlanSimCfg {
+            batch: TUNING_BATCH,
+            ..PlanSimCfg::default()
+        };
+        lane_job(&self.graph(), &cfg).expect("AlexNet's graph shape-checks")
     }
 }
 
@@ -59,24 +140,20 @@ pub type FusedAlexNet = AlexNetOn<Fused>;
 impl<O: Ops> AlexNetOn<O> {
     /// Builds the network out of `ops`' layers.
     pub fn build(ops: O, cfg: AlexNetCfg, rng: &mut Rng) -> Self {
-        let w = cfg.width;
-        let convs = vec![
-            ops.conv2d(Conv2dCfg::new(3, w, 3).padding(1), rng),
-            ops.conv2d(Conv2dCfg::new(w, 2 * w, 3).padding(1), rng),
-            ops.conv2d(Conv2dCfg::new(2 * w, 4 * w, 3).padding(1), rng),
-            ops.conv2d(Conv2dCfg::new(4 * w, 4 * w, 3).padding(1), rng),
-            ops.conv2d(Conv2dCfg::new(4 * w, 2 * w, 3).padding(1), rng),
-        ];
-        let s = cfg.spatial_out();
-        let flat = 2 * w * s * s;
+        let convs = cfg
+            .convs()
+            .into_iter()
+            .map(|c| ops.conv2d(c, rng))
+            .collect();
+        let [fc1, fc2, fc3] = cfg.fcs();
         AlexNetOn {
             convs,
             pool: MaxPool2d::new(2),
             drop1: Dropout::new(0.5, rng.split().below(u32::MAX as usize) as u64),
-            fc1: ops.linear(LinearCfg::new(flat, 4 * w), rng),
+            fc1: ops.linear(fc1, rng),
             drop2: Dropout::new(0.5, rng.split().below(u32::MAX as usize) as u64),
-            fc2: ops.linear(LinearCfg::new(4 * w, 4 * w), rng),
-            fc3: ops.linear(LinearCfg::new(4 * w, cfg.classes), rng),
+            fc2: ops.linear(fc2, rng),
+            fc3: ops.linear(fc3, rng),
             ops,
         }
     }
@@ -87,8 +164,7 @@ impl<O: Ops> Module for AlexNetOn<O> {
         let mut h = x.clone();
         for (i, conv) in self.convs.iter().enumerate() {
             h = conv.forward(&h).relu();
-            // Pools after conv 0, 1 and 4 (the classic 3-pool layout).
-            if i == 0 || i == 1 || i == 4 {
+            if POOLED.contains(&i) {
                 h = self.pool.forward(&h);
             }
         }
@@ -136,6 +212,19 @@ mod tests {
         let tape = Tape::new();
         let y = m.forward(&tape.leaf(rng.randn([2, 12, 16, 16])));
         assert_eq!(y.dims(), vec![4, 2, 10]);
+    }
+
+    /// The graph the job profile is lowered from is the model's program:
+    /// the same parameter count and the same logits shape.
+    #[test]
+    fn graph_matches_the_model() {
+        let cfg = AlexNetCfg::mini(10);
+        let model = AlexNet::new(cfg, &mut Rng::seed_from(3));
+        let ops = cfg.graph().shaped(1).unwrap();
+        let params: usize = model.parameters().iter().map(|p| p.numel()).sum();
+        assert_eq!(ops.iter().map(|o| o.param_count()).sum::<usize>(), params);
+        assert_eq!(ops.last().unwrap().out_shape(), vec![10]);
+        assert_eq!(cfg.job_profile().examples_per_iteration, TUNING_BATCH);
     }
 
     #[test]

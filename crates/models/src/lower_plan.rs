@@ -130,7 +130,7 @@ pub fn planned_step_time_s(
     Ok(total_us * 1e-6)
 }
 
-fn lane_job(graph: &ModelGraph, cfg: &PlanSimCfg) -> Result<TrainingJob, PlanError> {
+pub(crate) fn lane_job(graph: &ModelGraph, cfg: &PlanSimCfg) -> Result<TrainingJob, PlanError> {
     Ok(build_job(
         graph.name.clone(),
         &lower_graph(graph, cfg.batch)?,

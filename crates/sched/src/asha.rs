@@ -90,11 +90,6 @@ impl RungLedger {
         let rank = at.iter().filter(|&&s| s > score).count();
         rank < keep
     }
-
-    /// Scores recorded at `rung` so far, in arrival order.
-    pub fn scores_at(&self, rung: usize) -> &[f32] {
-        &self.scores[rung]
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +126,6 @@ mod tests {
         assert!(!ledger.record_and_decide(0, 0.5, 2)); // n=2, keep 1, rank 1
         assert!(ledger.record_and_decide(0, 2.0, 2)); // n=3, keep 2, rank 0
         assert!(!ledger.record_and_decide(0, 0.1, 2)); // n=4, keep 2, rank 3
-        assert_eq!(ledger.scores_at(0).len(), 4);
     }
 
     #[test]

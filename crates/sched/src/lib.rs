@@ -18,8 +18,10 @@
 //! * [`backend`] — the training-backend abstraction ([`ArrayBackend`]);
 //! * [`events`] — the simulated-time event queue this crate's engine and
 //!   `hfta-serve`'s both drive;
-//! * [`linear`] — a concrete backend (fused linear classifiers) whose
-//!   per-trial trajectories are bit-invariant to width/lane placement;
+//! * [`model`] — the one backend, [`ModelBackend`]: fused arrays of any
+//!   architecture written once over `hfta_core::ops::Ops`, whose per-trial
+//!   trajectories are bit-invariant to width/lane placement;
+//! * [`linear`] — the linear-classifier architecture ([`LinearBackend`]);
 //! * [`sched`] — the event-driven engine and the serial / static-fusion /
 //!   elastic policies, reporting makespan, device-hours, occupancy, and
 //!   packing efficiency per policy.
@@ -55,11 +57,13 @@ pub mod asha;
 pub mod backend;
 pub mod events;
 pub mod linear;
+pub mod model;
 pub mod sched;
 pub mod trial;
 
 pub use asha::{RungLedger, RungPolicy};
 pub use backend::{ArrayBackend, TrainOutcome};
 pub use linear::{LinearBackend, LinearTrialCfg};
+pub use model::{ModelBackend, TrialCfg};
 pub use sched::{run, Policy, SchedCfg, SchedReport, SchedRun};
 pub use trial::{Trial, TrialStatus};

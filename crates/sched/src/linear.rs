@@ -1,206 +1,50 @@
-//! A concrete [`ArrayBackend`]: fused linear classifiers on synthetic
-//! data, the workload of the repo's hyper-parameter tuning experiments.
-//!
-//! Everything a trial computes is a function of `(trial id, global step)`
-//! alone: the trial's init weights come from a seed mixed from its id, and
-//! every step's batch comes from a seed mixed from its id and the step
-//! index. Array width and lane position never enter, so a trial's
-//! trajectory is bit-identical whether it trains solo, in a width-8 array,
-//! or across three re-packed arrays — the invariant the scheduler's lane
-//! surgery relies on (and the integration tests assert exactly).
+//! The linear-classifier architecture: one fused `Linear` on synthetic
+//! data, the workload of the repo's scheduler and service experiments, and
+//! its [`ModelBackend`] under the names the benchmarks and tools use.
 
-use hfta_core::{
-    array::ModelArray,
-    loss::{fused_cross_entropy, Reduction},
-    ops::{FusedLinear, FusedParameter},
-    optim::{FusedSgd, PerModel},
-    scope::{per_model_ce_losses, poison_model_lane, ScopeMonitor, SentinelCfg},
-    surgery::{self, LaneState},
-};
-use hfta_nn::layers::{Linear, LinearCfg};
+use hfta_core::error::Result;
+use hfta_core::format::stack_array;
+use hfta_core::ops::{Architecture, Ops};
+use hfta_nn::layers::LinearCfg;
 use hfta_sim::{JobMemory, Kernel, TrainingJob};
-use hfta_telemetry::Profiler;
-use hfta_tensor::Rng;
+use hfta_tensor::{Rng, Tensor};
 
-use crate::backend::{ArrayBackend, TrainOutcome};
-use crate::trial::Trial;
+use crate::model::{ModelBackend, TrialArray, TrialCfg};
 
-/// SplitMix64-style avalanche mix of two words — the seed derivation for
-/// per-trial init and per-(trial, step) batches.
-fn mix(a: u64, b: u64) -> u64 {
-    let mut x = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    x ^= x >> 33;
-    x
-}
+/// Batch size per model.
+const N: usize = 8;
+/// Input features.
+const F_IN: usize = 12;
+/// Output classes.
+const CLASSES: usize = 4;
 
-/// Hyper-parameters of one linear-classifier trial.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct LinearTrialCfg {
-    /// Learning rate (the swept hyper-parameter).
-    pub lr: f32,
-    /// Inject NaNs into the trial's gradient lane at this global step —
-    /// a synthetic divergence for exercising sentinel kills.
-    pub poison_at: Option<u64>,
-}
+/// A one-layer linear classifier over `[N, 12]` Gaussian features and
+/// uniform labels from 4 classes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinearClassifier;
 
-/// Backend configuration: model/data shapes and shared seeds.
-#[derive(Debug, Clone)]
-pub struct LinearBackend {
-    /// Base seed every trial/batch seed is mixed from.
-    pub base_seed: u64,
-    /// Batch size per model.
-    pub n: usize,
-    /// Input features.
-    pub f_in: usize,
-    /// Output classes.
-    pub classes: usize,
-    /// SGD momentum (shared across trials).
-    pub momentum: f32,
-    /// Divergence-sentinel thresholds for every array's monitor.
-    pub sentinel: SentinelCfg,
-}
-
-impl Default for LinearBackend {
-    fn default() -> Self {
-        LinearBackend {
-            base_seed: 0x48F7_A000,
-            n: 8,
-            f_in: 12,
-            classes: 4,
-            momentum: 0.9,
-            sentinel: SentinelCfg::default(),
-        }
-    }
-}
-
+/// The backend training [`LinearClassifier`] trials.
+pub type LinearBackend = ModelBackend<LinearClassifier>;
 /// A live fused array of linear trials.
-#[derive(Debug)]
-pub struct LinearArray {
-    array: ModelArray<FusedLinear>,
-    params: Vec<FusedParameter>,
-    opt: FusedSgd,
-    monitor: ScopeMonitor,
-    trials: Vec<Trial<LinearTrialCfg>>,
-    step: u64,
-}
+pub type LinearArray = TrialArray<LinearClassifier>;
+/// Hyper-parameters of one linear-classifier trial.
+pub type LinearTrialCfg = TrialCfg;
 
-impl LinearArray {
-    /// Global steps every lane has taken.
-    pub fn step(&self) -> u64 {
-        self.step
+impl Architecture for LinearClassifier {
+    type Model<O: Ops> = O::Linear;
+
+    fn build<O: Ops>(&self, ops: O, rng: &mut Rng) -> O::Linear {
+        ops.linear(LinearCfg::new(F_IN, CLASSES), rng)
     }
 
-    /// The array width.
-    pub fn b(&self) -> usize {
-        self.array.b()
-    }
-}
-
-impl LinearBackend {
-    fn init_seed(&self, id: u64) -> u64 {
-        mix(self.base_seed, id * 2 + 1)
+    fn batch(&self, seed: u64) -> (Tensor, Vec<usize>) {
+        let mut rng = Rng::seed_from(seed);
+        let x = rng.randn([N, F_IN]);
+        (x, (0..N).map(|_| rng.below(CLASSES)).collect())
     }
 
-    fn batch_seed(&self, id: u64, step: u64) -> u64 {
-        mix(mix(self.base_seed, id * 2), step)
-    }
-
-    fn assemble(&self, trials: &[Trial<LinearTrialCfg>]) -> LinearArray {
-        assert!(!trials.is_empty(), "an array needs at least one trial");
-        let cfg = LinearCfg::new(self.f_in, self.classes);
-        let models: Vec<Linear> = trials
-            .iter()
-            .map(|t| Linear::new(cfg, &mut Rng::seed_from(self.init_seed(t.id))))
-            .collect();
-        let fused = FusedLinear::from_models(&models).expect("same-shape models always fuse");
-        let array = ModelArray::new(fused);
-        let params = array.fused_parameters();
-        let lrs = PerModel::new(trials.iter().map(|t| t.config.lr).collect());
-        let opt = FusedSgd::new(params.clone(), lrs, self.momentum)
-            .expect("per-model lr count matches array width");
-        let monitor = ScopeMonitor::with_model_ids(
-            trials.len(),
-            self.sentinel,
-            trials.iter().map(|t| t.id).collect(),
-        );
-        LinearArray {
-            array,
-            params,
-            opt,
-            monitor,
-            trials: trials.to_vec(),
-            step: 0,
-        }
-    }
-}
-
-impl ArrayBackend for LinearBackend {
-    type Config = LinearTrialCfg;
-    type Array = LinearArray;
-
-    fn build(&self, trials: &[Trial<LinearTrialCfg>]) -> LinearArray {
-        self.assemble(trials)
-    }
-
-    fn splice(
-        &self,
-        trials: &[Trial<LinearTrialCfg>],
-        lanes: &[LaneState],
-        start_step: u64,
-    ) -> LinearArray {
-        let mut la = self.assemble(trials);
-        surgery::splice_lanes_traced(lanes, &la.params, &mut la.opt);
-        la.step = start_step;
-        la
-    }
-
-    fn extract(&self, array: &LinearArray, lane: usize) -> LaneState {
-        surgery::extract_lane_traced(&array.params, &array.opt, lane, array.trials[lane].id)
-    }
-
-    fn train(&self, la: &mut LinearArray, steps: u64) -> TrainOutcome {
-        let b = la.b();
-        let profiler = Profiler::current();
-        let mut losses = vec![0.0f32; b];
-        for _ in 0..steps {
-            let gstep = la.step;
-            let mut inputs = Vec::with_capacity(b);
-            let mut targets = Vec::with_capacity(b * self.n);
-            for t in &la.trials {
-                let mut rng = Rng::seed_from(self.batch_seed(t.id, gstep));
-                inputs.push(rng.randn([self.n, self.f_in]));
-                targets.extend((0..self.n).map(|_| rng.below(self.classes)));
-            }
-            la.opt.zero_grad();
-            let (_tape, logits) = la
-                .array
-                .forward_array(&inputs)
-                .expect("same-shape batches always stack");
-            losses = per_model_ce_losses(&logits, &targets);
-            let loss = fused_cross_entropy(&logits, &targets, Reduction::Mean);
-            loss.backward();
-            for (i, t) in la.trials.iter().enumerate() {
-                if t.config.poison_at == Some(gstep) && !la.opt.quarantined()[i] {
-                    poison_model_lane(&la.params, i);
-                }
-            }
-            la.monitor
-                .after_backward(gstep, &losses, &la.params, &mut la.opt);
-            la.opt.step();
-            la.monitor.after_step(gstep, &la.params);
-            if let Some(p) = &profiler {
-                for (i, t) in la.trials.iter().enumerate() {
-                    p.scalar(t.id, "loss", gstep, losses[i] as f64);
-                }
-            }
-            la.step += 1;
-        }
-        TrainOutcome {
-            scores: losses.iter().map(|&l| -l).collect(),
-            killed: la.monitor.fired_models().to_vec(),
-        }
+    fn stack(inputs: &[Tensor]) -> Result<Tensor> {
+        stack_array(inputs)
     }
 
     fn job_profile(&self) -> TrainingJob {
@@ -223,7 +67,7 @@ impl ArrayBackend for LinearBackend {
                 workspace_gib: 0.2,
             },
             models_per_job: 1,
-            examples_per_iteration: self.n,
+            examples_per_iteration: N,
         }
     }
 }
@@ -231,6 +75,8 @@ impl ArrayBackend for LinearBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ArrayBackend;
+    use crate::trial::Trial;
 
     fn trial(id: u64, lr: f32) -> Trial<LinearTrialCfg> {
         Trial {

@@ -1,13 +1,16 @@
 //! Integration tests for the elastic fusion scheduler: bit-identity of
-//! lane surgery through a full ASHA run, makespan ordering of the three
-//! policies, run determinism, and telemetry wiring.
+//! lane surgery through a full ASHA run (linear classifiers and
+//! AlexNet-mini), makespan ordering of the three policies, run
+//! determinism, and telemetry wiring.
 
+use hfta_models::AlexNetCfg;
 use hfta_sched::{
     asha::RungPolicy,
     backend::ArrayBackend,
     linear::{LinearBackend, LinearTrialCfg},
     sched::{run, Policy, SchedCfg, SchedRun},
     trial::{Trial, TrialStatus},
+    ModelBackend, TrialCfg,
 };
 use hfta_sim::{DeviceFleet, DeviceSpec};
 use hfta_telemetry::Profiler;
@@ -47,27 +50,29 @@ fn run_policy(policy: Policy, n: usize) -> SchedRun {
     run(&backend, &mut fleet, &arrivals(n), &cfg(policy))
 }
 
-/// The headline invariant: a trial that survived to the end under the
-/// elastic policy — through rung evictions, per-rung buffering, and
-/// re-packs into differently-shaped arrays on different devices — has
-/// final parameter *and* optimizer-state lanes bit-identical to the same
-/// trial trained solo, uninterrupted, in a width-1 array.
-#[test]
-fn elastic_survivors_are_bit_identical_to_solo_runs() {
-    let n = 12;
-    let outcome = run_policy(Policy::Elastic, n);
+/// Runs `arrivals` over `backend` under `cfg` (an elastic policy) on two
+/// V100s and checks the headline invariant: a trial that survived to the
+/// end — through rung evictions, per-rung buffering, and re-packs into
+/// differently-shaped arrays on different devices — has final parameter
+/// *and* optimizer-state lanes bit-identical to the same trial trained
+/// solo, uninterrupted, in a width-1 array. Returns the run.
+fn assert_survivors_match_solo_runs<B: ArrayBackend>(
+    backend: &B,
+    arrivals: &[(f64, B::Config)],
+    cfg: &SchedCfg,
+) -> SchedRun {
+    let mut fleet = DeviceFleet::homogeneous(DeviceSpec::v100(), false, 2);
+    let outcome = run(backend, &mut fleet, arrivals, cfg);
     assert!(
         outcome.report.repacks > 0,
         "elastic run never re-packed; test exercises nothing"
     );
     assert!(outcome.report.finished > 0, "no trial finished");
-    let backend = LinearBackend::default();
-    let total_steps = cfg(Policy::Elastic).rung.total_steps_at(2);
-    let arrivals = arrivals(n);
+    let total_steps = cfg.rung.total_steps_at(cfg.rung.final_rung());
     for (id, state) in &outcome.final_states {
         let trial = Trial {
             id: *id,
-            config: arrivals[*id as usize].1,
+            config: arrivals[*id as usize].1.clone(),
         };
         let mut solo = backend.build(&[trial]);
         backend.train(&mut solo, total_steps);
@@ -86,6 +91,36 @@ fn elastic_survivors_are_bit_identical_to_solo_runs() {
             }
         }
     }
+    outcome
+}
+
+#[test]
+fn elastic_survivors_are_bit_identical_to_solo_runs() {
+    let backend = LinearBackend::default();
+    assert_survivors_match_solo_runs(&backend, &arrivals(12), &cfg(Policy::Elastic));
+}
+
+/// The same invariant for AlexNet-mini trials (width 4, 8x8 images), one
+/// of them diverging and killed in its first rung.
+#[test]
+fn alexnet_survivors_are_bit_identical_to_solo_runs() {
+    let backend = ModelBackend::new(AlexNetCfg {
+        width: 4,
+        classes: 4,
+        image: 8,
+    });
+    let arrivals: Vec<(f64, TrialCfg)> = (0..8)
+        .map(|i| {
+            let cfg = TrialCfg {
+                lr: 0.08 / (1.0 + 0.5 * i as f32),
+                poison_at: (i == 5).then_some(1),
+            };
+            ((i / 4) as f64 * 1e-2, cfg)
+        })
+        .collect();
+    let outcome = assert_survivors_match_solo_runs(&backend, &arrivals, &cfg(Policy::Elastic));
+    assert_eq!(outcome.statuses[5], TrialStatus::Killed);
+    assert_eq!(outcome.report.killed, 1);
 }
 
 #[test]

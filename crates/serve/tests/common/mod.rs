@@ -1,12 +1,14 @@
 //! The soak shared by `restart.rs` and `crash_matrix.rs`: a two-device
-//! fleet, a three-rung ladder, and a command stream that saturates the
-//! fleet with big low-priority sweeps before high-priority arrivals
-//! trigger preemption.
+//! fleet, a three-rung ladder, and a linear-classifier command stream that
+//! saturates the fleet with big low-priority sweeps before high-priority
+//! arrivals trigger preemption. [`run_soak`] runs any backend's stream on
+//! the same fleet and ladder.
 
 use std::fs;
 use std::path::PathBuf;
 
 use hfta_sched::asha::RungPolicy;
+use hfta_sched::backend::ArrayBackend;
 use hfta_sched::linear::{LinearBackend, LinearTrialCfg};
 use hfta_serve::engine::{ServeCfg, ServeCmd, ServeEngine, ServeRun, SweepSpec};
 use hfta_serve::AdmitPolicy;
@@ -61,16 +63,20 @@ pub fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Uninterrupted run; returns the result and its batch count.
-pub fn run_full(policy: AdmitPolicy) -> (ServeRun, u64) {
-    let mut eng = ServeEngine::new(
-        LinearBackend::default(),
-        fleet(),
-        cfg(policy, None),
-        commands(),
-    )
-    .unwrap();
+/// Uninterrupted run of `commands` over `backend`; returns the result and
+/// its batch count.
+pub fn run_soak<B: ArrayBackend>(
+    backend: B,
+    commands: Vec<(f64, ServeCmd<B::Config>)>,
+    policy: AdmitPolicy,
+) -> (ServeRun, u64) {
+    let mut eng = ServeEngine::new(backend, fleet(), cfg(policy, None), commands).unwrap();
     eng.drain().unwrap();
     let batches = eng.batches();
     (eng.finish(), batches)
+}
+
+/// Uninterrupted run of the linear soak.
+pub fn run_full(policy: AdmitPolicy) -> (ServeRun, u64) {
+    run_soak(LinearBackend::default(), commands(), policy)
 }

@@ -104,12 +104,6 @@ impl DeviceFleet {
         )
     }
 
-    /// The device-class (spec) name of device `id`, without the fleet
-    /// index: `"V100"` for `"V100#3"`.
-    pub fn device_class(&self, id: usize) -> &str {
-        &self.devices[id].sim.device().name
-    }
-
     /// A fleet from explicit per-device simulators.
     ///
     /// # Panics
@@ -199,18 +193,6 @@ impl DeviceFleet {
             self.name(id)
         );
         result.round_us * 1e-6
-    }
-
-    /// The device that frees up first (lowest `busy_until`, ties to the
-    /// lowest id) and the time it frees.
-    pub fn next_free(&self) -> (usize, f64) {
-        let mut best = 0;
-        for (i, d) in self.devices.iter().enumerate() {
-            if d.busy_until_s < self.devices[best].busy_until_s {
-                best = i;
-            }
-        }
-        (best, self.devices[best].busy_until_s)
     }
 
     /// Devices idle at simulated time `t`, in id order.
@@ -420,8 +402,6 @@ mod tests {
         assert_eq!(fleet.name(1), "V100#1");
         assert_eq!(fleet.name(2), "RTX6000#2");
         assert_eq!(fleet.name(3), "A100#3");
-        assert_eq!(fleet.device_class(1), "V100");
-        assert_eq!(fleet.device_class(3), "A100");
         // The faster class runs the same fused step faster.
         let v100 = fleet.step_time_s(0, &job(), 4, SharingPolicy::Hfta);
         let a100 = fleet.step_time_s(3, &job(), 4, SharingPolicy::Hfta);
@@ -443,10 +423,8 @@ mod tests {
     #[test]
     fn occupancy_and_packing_accounting() {
         let mut fleet = DeviceFleet::homogeneous(DeviceSpec::v100(), false, 2);
-        assert_eq!(fleet.next_free(), (0, 0.0));
         fleet.occupy(0, 0.0, 10.0, 8, 8);
         fleet.occupy(1, 0.0, 5.0, 8, 4); // half the width rides dead
-        assert_eq!(fleet.next_free(), (1, 5.0));
         assert_eq!(fleet.idle_devices(5.0), vec![1]);
         fleet.occupy(1, 6.0, 4.0, 4, 4);
         assert!((fleet.device_seconds() - 19.0).abs() < 1e-12);

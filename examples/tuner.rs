@@ -1,96 +1,90 @@
 //! Hyper-parameter tuning on top of HFTA — the paper's §6 integration
-//! target. Random-search candidates over (learning rate, momentum) are
-//! packed into fused arrays; each array trains `B` AlexNet-mini models on
-//! one (simulated-shared) device and reports per-model validation scores.
+//! target. Random-search learning rates for AlexNet-mini go to a tuning
+//! service as two tenants' sweeps; the service packs each sweep's trials
+//! into fused arrays on a simulated two-GPU fleet, stops the weaker half
+//! at every rung (successive halving), lets the later, higher-priority
+//! sweep preempt the first, and ranks every trial that finished.
 //!
 //! Run with: `cargo run --release --example tuner`
 
-use hfta_core::format::{stack_conv, stack_targets};
-use hfta_core::loss::{fused_cross_entropy, Reduction};
-use hfta_core::ops::FusedModule;
-use hfta_core::optim::{FusedSgd, PerModel};
-use hfta_core::tuner::{random_search, sweep};
-use hfta_data::LabeledImages;
-use hfta_models::{AlexNetCfg, FusedAlexNet};
-use hfta_nn::{Module, Tape};
-use hfta_tensor::{Rng, Tensor};
+use hfta_models::AlexNetCfg;
+use hfta_sched::{asha::RungPolicy, ModelBackend, TrialCfg};
+use hfta_serve::{AdmitPolicy, ServeCfg, ServeCmd, ServeEngine, SweepSpec};
+use hfta_sim::{DeviceFleet, DeviceSpec};
+use hfta_tensor::Rng;
+
+/// Samples `n` learning rates log-uniformly from `[lo, hi]` — the
+/// random-search baseline of Bergstra & Bengio (2012), which the paper
+/// cites as the standard tuning practice.
+fn random_search(lo: f32, hi: f32, n: usize, seed: u64) -> Vec<f32> {
+    assert!(lo > 0.0 && hi > lo, "log-uniform needs 0 < lo < hi");
+    let mut rng = Rng::seed_from(seed);
+    (0..n)
+        .map(|_| rng.uniform(lo.ln(), hi.ln()).exp())
+        .collect()
+}
+
+fn sweep(tenant: &str, priority: f64, lrs: &[f32]) -> SweepSpec<TrialCfg> {
+    SweepSpec {
+        tenant: tenant.to_string(),
+        priority,
+        configs: lrs
+            .iter()
+            .map(|&lr| TrialCfg {
+                lr,
+                poison_at: None,
+            })
+            .collect(),
+        archs: Vec::new(),
+    }
+}
 
 fn main() {
-    // 12 random-search candidates over two axes (log-uniform), packed into
-    // arrays of 4 — three devices' worth of training replaces twelve.
-    let candidates = random_search(&[("lr", 1e-3, 3e-1), ("momentum", 0.5, 0.99)], 12, 42);
-    let array_width = 4;
-    let cfg = AlexNetCfg::mini(4);
+    let lrs = random_search(1e-3, 3e-1, 12, 42);
+    let backend = ModelBackend::new(AlexNetCfg::mini(4));
+    let fleet = DeviceFleet::homogeneous(DeviceSpec::v100(), false, 2);
+    let cfg = ServeCfg {
+        policy: AdmitPolicy::FairShare,
+        rung: RungPolicy {
+            base_steps: 8,
+            eta: 2,
+            rungs: 3,
+        },
+        width_cap: 4,
+        checkpoint_dir: None,
+    };
+    let commands = vec![
+        (0.0, ServeCmd::Submit(sweep("explore", 1.0, &lrs[..8]))),
+        (0.05, ServeCmd::Submit(sweep("refine", 4.0, &lrs[8..]))),
+    ];
+    let mut engine = ServeEngine::new(backend, fleet, cfg, commands).expect("no journal to open");
+    engine.drain().expect("no journal to write");
+    let run = engine.finish();
 
-    let mut array_counter = 0;
-    let report = sweep(candidates, array_width, |chunk| {
-        array_counter += 1;
-        let b = chunk.len();
-        let lrs: Vec<f32> = chunk.iter().map(|c| c[0].1).collect();
-        let moms: Vec<f32> = chunk.iter().map(|c| c[1].1).collect();
-        println!(
-            "array {array_counter}: training {b} models (lr {:?})",
-            lrs.iter().map(|v| format!("{v:.4}")).collect::<Vec<_>>()
-        );
-
-        let mut rng = Rng::seed_from(1000 + array_counter);
-        let model = FusedAlexNet::new(b, cfg, &mut rng);
-        model.set_training(false);
-        let mut opt = FusedSgd::with_momenta(
-            model.fused_parameters(),
-            PerModel::new(lrs),
-            PerModel::new(moms),
-        )
-        .expect("widths match");
-
-        let mut data = LabeledImages::new(16, 4, 7);
-        for _ in 0..15 {
-            let (x, y) = data.batch(16);
-            opt.zero_grad();
-            let tape = Tape::new();
-            let copies: Vec<Tensor> = (0..b).map(|_| x.clone()).collect();
-            let logits = model.forward(&tape.leaf(stack_conv(&copies).expect("uniform")));
-            let targets = stack_targets(&vec![y.clone(); b]).expect("uniform");
-            fused_cross_entropy(&logits, &targets, Reduction::Mean).backward();
-            opt.step();
-        }
-        // Validation: negative loss on a held-out batch, per model.
-        let mut val = LabeledImages::new(16, 4, 99);
-        let (x, y) = val.batch(32);
-        let tape = Tape::new();
-        let copies: Vec<Tensor> = (0..b).map(|_| x.clone()).collect();
-        let logits = model.forward(&tape.leaf(stack_conv(&copies).expect("uniform")));
-        (0..b)
-            .map(|i| {
-                -logits
-                    .narrow(0, i, 1)
-                    .reshape(&[32, 4])
-                    .cross_entropy(&y)
-                    .item()
-            })
-            .collect()
-    })
-    .expect("sweep runs");
-
+    let r = &run.report;
     println!(
-        "\n{} candidates evaluated with {} fused arrays ({}x fewer jobs)",
-        report.serial_jobs_replaced,
-        report.arrays_trained,
-        report.serial_jobs_replaced / report.arrays_trained
+        "{} trials in {} sweeps: {} finished, {} stopped early, {} killed",
+        r.trials, r.sweeps, r.finished, r.stopped, r.killed
     );
-    println!("\nrank | val loss | lr      | momentum");
-    for (i, t) in report.trials.iter().take(5).enumerate() {
-        println!(
-            "{:>4} | {:>8.4} | {:.5} | {:.3}",
-            i + 1,
-            -t.score,
-            t.config[0].1,
-            t.config[1].1
-        );
+    println!(
+        "{} fused arrays (max width {}), {} preemptions, {} lanes migrated",
+        r.arrays_built, r.max_width, r.preemptions, r.lanes_migrated
+    );
+    let mut finished: Vec<(f32, f32, &str)> = run
+        .outcomes
+        .iter()
+        .filter(|o| o.has_loss)
+        .map(|o| {
+            let lr = lrs[o.trial as usize];
+            (f32::from_bits(o.loss_bits), lr, o.tenant.as_str())
+        })
+        .collect();
+    finished.sort_by(|a, b| a.0.total_cmp(&b.0));
+    println!("\nrank | loss     | lr      | tenant");
+    for (i, (loss, lr, tenant)) in finished.iter().enumerate() {
+        println!("{:>4} | {loss:>8.4} | {lr:.5} | {tenant}", i + 1);
     }
-    let best = report.best();
-    println!(
-        "\nbest: lr = {:.5}, momentum = {:.3} (val loss {:.4})",
-        best.config[0].1, best.config[1].1, -best.score
-    );
+    if let Some((loss, lr, _)) = finished.first() {
+        println!("\nbest: lr = {lr:.5} (loss {loss:.4})");
+    }
 }

@@ -1,101 +1,89 @@
-//! End-to-end tuner integration: a mixed hyper-parameter + architecture
-//! sweep is partitioned into fusable groups (same-shape models only, the
-//! paper's Observation 1), each group packed into fused arrays, trained,
-//! and ranked.
+//! End-to-end tuning integration: a mixed hyper-parameter + architecture
+//! search over AlexNet-mini widths 4 and 8. Only same-shape models fuse
+//! (the paper's Observation 1), so the search runs one tuning service per
+//! width, each over its own `ModelBackend`: two widths never share an array
+//! by construction. Each service packs its width's trials into one fused
+//! array, trains them, and every trial comes back ranked.
 
-use hfta_core::format::{stack_conv, stack_targets};
-use hfta_core::loss::{fused_cross_entropy, Reduction};
-use hfta_core::ops::FusedModule;
-use hfta_core::optim::{FusedSgd, PerModel};
-use hfta_core::tuner::{partition_fusable, random_search, sweep, Trial};
-use hfta_data::LabeledImages;
-use hfta_models::{AlexNetCfg, FusedAlexNet};
-use hfta_nn::{Module, Tape};
-use hfta_tensor::{Rng, Tensor};
+use hfta_models::AlexNetCfg;
+use hfta_sched::{asha::RungPolicy, ModelBackend, TrialCfg};
+use hfta_serve::{AdmitPolicy, ServeCfg, ServeCmd, ServeEngine, ServeRun, SweepSpec};
+use hfta_sim::{DeviceFleet, DeviceSpec};
+use hfta_tensor::Rng;
 
-/// One candidate of an architecture + hyper-parameter search.
-#[derive(Debug, Clone, PartialEq)]
-struct Candidate {
-    width: usize,
-    lr: f32,
-}
-
-fn train_width_group(width: usize, chunk: &[Candidate], seed: u64) -> Vec<f32> {
-    let b = chunk.len();
+/// One service run training `lrs` on AlexNet-mini at `width`, every trial
+/// to the end of one 6-step rung.
+fn search(width: usize, lrs: &[f32]) -> ServeRun {
     let cfg = AlexNetCfg {
         width,
         classes: 4,
         image: 16,
     };
-    let mut rng = Rng::seed_from(seed);
-    let model = FusedAlexNet::new(b, cfg, &mut rng);
-    model.set_training(false);
-    let lrs: Vec<f32> = chunk.iter().map(|c| c.lr).collect();
-    let mut opt =
-        FusedSgd::new(model.fused_parameters(), PerModel::new(lrs), 0.9).expect("widths match");
-    let mut data = LabeledImages::new(16, 4, 7);
-    for _ in 0..6 {
-        let (x, y) = data.batch(8);
-        opt.zero_grad();
-        let tape = Tape::new();
-        let copies: Vec<Tensor> = (0..b).map(|_| x.clone()).collect();
-        let logits = model.forward(&tape.leaf(stack_conv(&copies).unwrap()));
-        let targets = stack_targets(&vec![y.clone(); b]).unwrap();
-        fused_cross_entropy(&logits, &targets, Reduction::Mean).backward();
-        opt.step();
-    }
-    let (x, y) = LabeledImages::new(16, 4, 99).batch(16);
-    let tape = Tape::new();
-    let copies: Vec<Tensor> = (0..b).map(|_| x.clone()).collect();
-    let logits = model.forward(&tape.leaf(stack_conv(&copies).unwrap()));
-    (0..b)
-        .map(|i| {
-            -logits
-                .narrow(0, i, 1)
-                .reshape(&[16, 4])
-                .cross_entropy(&y)
-                .item()
-        })
-        .collect()
+    let spec = SweepSpec {
+        tenant: format!("width-{width}"),
+        priority: 1.0,
+        configs: lrs
+            .iter()
+            .map(|&lr| TrialCfg {
+                lr,
+                poison_at: None,
+            })
+            .collect(),
+        archs: Vec::new(),
+    };
+    let serve = ServeCfg {
+        policy: AdmitPolicy::FairShare,
+        rung: RungPolicy {
+            base_steps: 6,
+            eta: 2,
+            rungs: 1,
+        },
+        width_cap: 4,
+        checkpoint_dir: None,
+    };
+    let mut engine = ServeEngine::new(
+        ModelBackend::new(cfg),
+        DeviceFleet::homogeneous(DeviceSpec::v100(), false, 1),
+        serve,
+        vec![(0.0, ServeCmd::Submit(spec))],
+    )
+    .unwrap();
+    engine.drain().unwrap();
+    engine.finish()
 }
 
 #[test]
 fn architecture_search_partitions_then_fuses() {
-    // 8 candidates across two widths — widths cannot fuse together.
-    let lrs = random_search(&[("lr", 1e-3, 1e-1)], 8, 5);
-    let candidates: Vec<Candidate> = lrs
-        .iter()
-        .enumerate()
-        .map(|(i, cfg)| Candidate {
-            width: if i % 2 == 0 { 4 } else { 8 },
-            lr: cfg[0].1,
-        })
+    // 8 log-uniform learning rates across two widths.
+    let mut rng = Rng::seed_from(5);
+    let lrs: Vec<f32> = (0..8)
+        .map(|_| rng.uniform(1e-3f32.ln(), 1e-1f32.ln()).exp())
         .collect();
-
-    let groups = partition_fusable(candidates, |c| c.width);
-    assert_eq!(groups.len(), 2, "two architectures, two groups");
-
-    let mut all_trials: Vec<Trial<Candidate>> = Vec::new();
+    let mut ranked: Vec<(f32, usize, f32)> = Vec::new();
     let mut arrays = 0;
-    for group in groups {
-        let width = group[0].width;
-        assert!(group.iter().all(|c| c.width == width), "group is fusable");
-        let report = sweep(group, 4, |chunk| {
-            train_width_group(width, chunk, 100 + width as u64)
-        })
-        .expect("sweep runs");
-        arrays += report.arrays_trained;
-        all_trials.extend(report.trials);
+    for width in [4, 8] {
+        // Even candidates are width 4, odd ones width 8.
+        let first = if width == 4 { 0 } else { 1 };
+        let group: Vec<f32> = lrs[first..].iter().step_by(2).copied().collect();
+        let run = search(width, &group);
+        assert_eq!(run.report.trials, 4);
+        assert_eq!(run.report.finished, 4, "one rung: every trial finishes");
+        arrays += run.report.arrays_built;
+        for o in &run.outcomes {
+            assert!(o.has_loss, "trial {} of width {width} has no loss", o.trial);
+            ranked.push((f32::from_bits(o.loss_bits), width, group[o.trial as usize]));
+        }
     }
-    all_trials.sort_by(|a, b| b.score.total_cmp(&a.score));
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
 
-    assert_eq!(all_trials.len(), 8);
-    // 8 serial jobs collapsed into 2 fused arrays.
+    assert_eq!(ranked.len(), 8);
+    // 8 serial jobs collapsed into 2 fused arrays, one per width.
     assert_eq!(arrays, 2);
-    // Every score is a finite negative loss.
-    for t in &all_trials {
-        assert!(t.score.is_finite() && t.score < 0.0, "score {}", t.score);
+    // Every loss is finite and positive.
+    for (loss, width, lr) in &ranked {
+        assert!(
+            loss.is_finite() && *loss > 0.0,
+            "width {width}, lr {lr}: loss {loss}"
+        );
     }
-    // The ranking is consistent.
-    assert!(all_trials.windows(2).all(|w| w[0].score >= w[1].score));
 }
