@@ -228,7 +228,7 @@ pub fn write_model_weights(fused: &[FusedParameter], index: usize, src: &[Parame
         "fused/serial parameter count mismatch"
     );
     for (fp, s) in fused.iter().zip(src) {
-        let sv = s.value_cloned();
+        let sv = s.value();
         fp.param.update_value(|value| {
             let (lo, hi) = crate::scope::lane_bounds(value.numel(), fp.b, index);
             assert_eq!(sv.numel(), hi - lo, "parameter {} size mismatch", s.name());

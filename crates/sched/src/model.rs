@@ -111,24 +111,17 @@ impl<A: Architecture> ModelBackend<A> {
         mix(mix(self.base_seed, id * 2), step)
     }
 
-    /// The array for `trials`, lane `i` initialized exactly as trial `i`'s
-    /// model alone would be. It trains in eval mode (dropout off), so a
-    /// lane's trajectory is its solo run's.
+    /// The array for `trials`, its parameters still to be written lane by
+    /// lane (the array's own init is not any trial's). It trains in eval
+    /// mode (dropout off), so a lane's trajectory is its solo run's.
     fn assemble(&self, trials: &[Trial<TrialCfg>]) -> TrialArray<A> {
         assert!(!trials.is_empty(), "an array needs at least one trial");
         let b = trials.len();
-        // The array's own init is overwritten lane by lane below.
         let model = self
             .arch
             .build(Fused(b), &mut Rng::seed_from(self.base_seed));
         model.set_training(false);
         let params = FusedParameter::of(&model, b);
-        for (i, t) in trials.iter().enumerate() {
-            let lane = self
-                .arch
-                .build(Serial, &mut Rng::seed_from(self.init_seed(t.id)));
-            write_model_weights(&params, i, &lane.parameters());
-        }
         let lrs = PerModel::new(trials.iter().map(|t| t.config.lr).collect());
         let opt = FusedSgd::new(params.clone(), lrs, MOMENTUM)
             .expect("per-model lr count matches array width");
@@ -152,8 +145,17 @@ impl<A: Architecture> ArrayBackend for ModelBackend<A> {
     type Config = TrialCfg;
     type Array = TrialArray<A>;
 
+    /// Lane `i` starts exactly as trial `i`'s model alone would: built at
+    /// `Serial` from the trial's own seed and written into its lane.
     fn build(&self, trials: &[Trial<TrialCfg>]) -> TrialArray<A> {
-        self.assemble(trials)
+        let ta = self.assemble(trials);
+        for (i, t) in trials.iter().enumerate() {
+            let lane = self
+                .arch
+                .build(Serial, &mut Rng::seed_from(self.init_seed(t.id)));
+            write_model_weights(&ta.params, i, &lane.parameters());
+        }
+        ta
     }
 
     fn splice(
