@@ -13,6 +13,7 @@ use hfta_core::optim::{FusedSgd, PerModel};
 use hfta_data::LabeledImages;
 use hfta_models::{FusedResNet, ResNet, ResNetCfg};
 use hfta_nn::{Module, Optimizer, Sgd, Tape};
+use hfta_telemetry::Profiler;
 use hfta_tensor::{Rng, Tensor};
 
 /// Per-iteration training losses of serial vs HFTA runs.
@@ -57,20 +58,30 @@ pub fn resnet_convergence(lrs: &[f32], iters: usize, seed: u64) -> LossCurves {
     let mut data = LabeledImages::new(8, 4, seed ^ 0xDA7A);
     let batches: Vec<(Tensor, Vec<usize>)> = (0..iters).map(|_| data.batch(8)).collect();
 
-    // Serial runs.
+    // Serial runs, every replica one step at a time. A traced run records
+    // them in their own `fig3_serial` scope, each replica under its own
+    // model id, apart from the fused lanes' streams.
+    let profiler = Profiler::current();
+    let serial_scope = profiler.as_ref().map(|p| p.experiment("fig3_serial"));
+    let mut opts: Vec<Sgd> = serial_models
+        .iter()
+        .zip(lrs)
+        .map(|(model, &lr)| Sgd::new(model.parameters(), lr, 0.9))
+        .collect();
     let mut serial = vec![Vec::with_capacity(iters); b];
-    for (i, model) in serial_models.iter().enumerate() {
-        let mut opt = Sgd::new(model.parameters(), lrs[i], 0.9);
-        for (t, (x, y)) in batches.iter().enumerate() {
+    for (t, (x, y)) in batches.iter().enumerate() {
+        for ((model, opt), curve) in serial_models.iter().zip(&mut opts).zip(&mut serial) {
             opt.zero_grad();
             let tape = Tape::new();
             let loss = model.forward(&tape.leaf(x.clone())).cross_entropy(y);
-            serial[i].push(loss.item());
-            record_step_metrics(t as u64, &[loss.item()], 0.0, 1);
+            curve.push(loss.item());
             loss.backward();
             opt.step();
         }
+        let step_losses: Vec<f32> = serial.iter().map(|curve| curve[t]).collect();
+        record_step_metrics(t as u64, &step_losses, 0.0, 1);
     }
+    drop(serial_scope);
 
     // Fused run: stack the same batch B times (same data per model).
     let mut opt = FusedSgd::new(
@@ -124,6 +135,31 @@ mod tests {
         for s in &curves.serial {
             assert!(s.iter().any(|&v| (v - s[0]).abs() > 1e-6));
         }
+    }
+
+    #[test]
+    fn traced_run_streams_each_replica_under_its_own_id() {
+        let p = Profiler::new("fig3");
+        let guard = p.install();
+        let curves = resnet_convergence(&[0.1, 0.05, 0.01], 3, 42);
+        drop(guard);
+        let report = p.report();
+        let streams = |scope: &str| -> Vec<Vec<f32>> {
+            let exp = report.experiment(scope).expect("a scope");
+            assert_eq!(exp.scalar_models(), vec![0, 1, 2], "{scope}");
+            (0..3)
+                .map(|m| {
+                    let stream = exp.scalar_stream(m, "loss").expect("a loss stream");
+                    stream.points.iter().map(|pt| pt.value as f32).collect()
+                })
+                .collect()
+        };
+        assert_eq!(streams("fig3_serial"), curves.serial);
+        assert_eq!(streams("fig3"), curves.fused);
+        let serial = report.experiment("fig3_serial").unwrap();
+        assert!(serial.steps.iter().all(|s| s.fused_width == 1));
+        let fused = report.experiment("fig3").unwrap();
+        assert!(fused.steps.iter().all(|s| s.fused_width == 3));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! * `repro_all [<id>...]` prints one artifact per section id
 //!   (`repro_all fig4`); with no id it runs everything and emits the
 //!   EXPERIMENTS.md paper-vs-measured report.
-//! * `bench_kernels`, `bench_mem`, `bench_plan`, `bench_serve`,
-//!   `sched_sweep`, `scope_sweep` each define one workload.
+//! * `bench_kernels`, `bench_mem`, `bench_plan`, `bench_serve` and
+//!   `sched_sweep` each define one workload.
 //! * `hfta_report <health|diff|summarize|roofline|flight|top|plan>`
 //!   renders and compares their outputs; [`record`] is the single schema
 //!   both sides share.

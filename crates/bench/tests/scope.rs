@@ -1,17 +1,19 @@
-//! hfta-scope integration tests: fused loss streams vs unfused runs
-//! (ISSUE satellite c), the `scope_sweep` trace pipeline, and the
+//! hfta-scope integration tests: fused loss streams vs unfused runs, the
+//! scope trace pipeline over `sched_sweep`'s traced run, and the
 //! `hfta_report diff` exit-code contract (including the acceptance
 //! cases: an injected ≥10% throughput regression must exit 1, a file the
 //! record schema cannot parse must exit 2).
 
 use hfta_bench::record::{KernelRecord, KernelsFile, SCOPE_OVERHEAD_BUDGET_PCT};
-use hfta_core::array::ModelArray;
+use hfta_core::array::record_step_metrics;
+use hfta_core::format::stack_array;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
-use hfta_core::ops::FusedLinear;
+use hfta_core::ops::{FusedLinear, FusedModule};
 use hfta_core::optim::{FusedSgd, PerModel};
 use hfta_core::scope::per_model_ce_losses;
 use hfta_nn::layers::LinearCfg;
-use hfta_telemetry::RunReport;
+use hfta_nn::{Module, Tape};
+use hfta_telemetry::{RunReport, SentinelKind};
 use hfta_tensor::{Rng, Tensor};
 use std::path::Path;
 use std::process::Command;
@@ -22,7 +24,7 @@ const F_IN: usize = 6;
 const CLASSES: usize = 3;
 
 /// Trains a fused array on fixed batches and returns each model's loss
-/// curve as recorded by `ModelArray::record_step` into the profiler's
+/// curve as recorded by `record_step_metrics` into the profiler's
 /// per-model scalar streams.
 fn loss_streams(
     model: FusedLinear,
@@ -30,16 +32,16 @@ fn loss_streams(
     batches: &[(Vec<Tensor>, Vec<usize>)],
 ) -> Vec<Vec<f64>> {
     let b = lrs.len();
-    let array = ModelArray::new(model);
-    let mut opt = FusedSgd::new(array.fused_parameters(), PerModel::new(lrs.to_vec()), 0.9)
+    let mut opt = FusedSgd::new(model.fused_parameters(), PerModel::new(lrs.to_vec()), 0.9)
         .expect("matching widths");
     let profiler = hfta_telemetry::Profiler::new("stream-test");
     let guard = profiler.install();
     for (step, (xs, targets)) in batches.iter().enumerate() {
         opt.zero_grad();
-        let (_tape, logits) = array.forward_array(xs).unwrap();
+        let tape = Tape::new();
+        let logits = model.forward(&tape.leaf(stack_array(xs).unwrap()));
         let losses = per_model_ce_losses(&logits, targets);
-        array.record_step(step as u64, &losses, 0.0);
+        record_step_metrics(step as u64, &losses, 0.0, b as u64);
         fused_cross_entropy(&logits, targets, Reduction::Mean).backward();
         opt.step();
     }
@@ -58,7 +60,7 @@ fn loss_streams(
         .collect()
 }
 
-/// ISSUE satellite c: the per-model losses `record_step` streams from a
+/// The per-model losses `record_step_metrics` streams from a
 /// fused run must equal what each model reports when trained alone (the
 /// fused ops compute every lane independently, so this holds bit-for-bit,
 /// not just approximately).
@@ -97,30 +99,41 @@ fn hfta_report(args: &[&str]) -> std::process::Output {
         .expect("spawn hfta_report")
 }
 
+/// The sched sweep's trials poisoned at step 1 (`k % 9 == 4` of 48).
+const POISONED: [u64; 5] = [4, 13, 22, 31, 40];
+
+/// The scope gate rides `sched_sweep`'s traced run: every trial's four
+/// streams, the poisoned trials' quarantined sentinels, the `health` view,
+/// and the `diff` / `summarize` contract over the report.
 #[test]
 fn scope_sweep_trace_renders_and_self_diffs_clean() {
     let dir = std::env::temp_dir().join("hfta-scope-sweep-test");
     let _ = std::fs::remove_dir_all(&dir);
-    let sweep = Command::new(env!("CARGO_BIN_EXE_scope_sweep"))
+    let sweep = Command::new(env!("CARGO_BIN_EXE_sched_sweep"))
         .args(["--trace", &dir.display().to_string()])
         .output()
-        .expect("spawn scope_sweep");
-    assert!(sweep.status.success(), "scope_sweep failed: {sweep:?}");
+        .expect("spawn sched_sweep");
+    assert!(sweep.status.success(), "sched_sweep failed: {sweep:?}");
 
-    // The report contains the full scope picture: 4 models' streams, one
-    // quarantined sentinel on model 3 at step 1.
-    let report_path = dir.join("scope_sweep.report.json");
+    // Each policy's scope holds the full picture: 48 trials' streams, one
+    // quarantined NaN-gradient sentinel per poisoned trial at step 1.
+    let report_path = dir.join("sched_sweep.report.json");
     let text = std::fs::read_to_string(&report_path).unwrap();
     let run: RunReport = serde_json::from_str(&text).expect("a run report");
-    let exp = &run.experiments[0];
-    assert_eq!(exp.scalar_models(), vec![0, 1, 2, 3]);
-    for metric in ["loss", "grad_norm", "param_norm", "update_ratio"] {
-        assert!(exp.scalar_stream(0, metric).is_some(), "missing {metric}");
+    for policy in ["serial", "static-fusion", "elastic"] {
+        let exp = run.experiment(policy).expect("a scope per policy");
+        assert_eq!(exp.scalar_models(), (0..48).collect::<Vec<u64>>());
+        for metric in ["loss", "grad_norm", "param_norm", "update_ratio"] {
+            assert!(exp.scalar_stream(0, metric).is_some(), "missing {metric}");
+        }
+        let sentinels: Vec<u64> = exp.sentinels.iter().map(|e| e.model).collect();
+        assert_eq!(sentinels, POISONED, "{policy}");
+        for event in &exp.sentinels {
+            assert_eq!(event.step, 1);
+            assert_eq!(event.kind, SentinelKind::NonFiniteGrad);
+            assert!(event.quarantined);
+        }
     }
-    assert_eq!(exp.sentinels.len(), 1);
-    assert_eq!(exp.sentinels[0].model, 3);
-    assert_eq!(exp.sentinels[0].step, 1);
-    assert!(exp.sentinels[0].quarantined);
 
     // Health mode renders the quarantine.
     let health = hfta_report(&["health", &dir.display().to_string()]);
@@ -151,7 +164,11 @@ fn scope_sweep_trace_renders_and_self_diffs_clean() {
 
     // A drifted loss fails the diff (exit 1).
     let mut tampered = run.clone();
-    tampered.experiments[0]
+    tampered
+        .experiments
+        .iter_mut()
+        .find(|e| e.name == "serial")
+        .unwrap()
         .scalars
         .iter_mut()
         .find(|s| s.model == 0 && s.metric == "loss")

@@ -1,116 +1,15 @@
-//! The [`ModelArray`] convenience wrapper, step metrics, and per-model
-//! weight transfer into and out of an array's lanes.
+//! Step metrics and per-model weight transfer into and out of an array's
+//! lanes.
 
-use hfta_nn::{Parameter, Tape, Var};
+use hfta_nn::Parameter;
 use hfta_telemetry::{Profiler, StepMetric};
-use hfta_tensor::Tensor;
 
-use crate::error::Result;
-use crate::format::{stack_array, stack_conv};
-use crate::ops::{FusedModule, FusedParameter};
+use crate::ops::FusedParameter;
 
-/// Ties a fused module to its array width and input-stacking conventions —
-/// the user-facing entry point for "train these `B` jobs together".
-///
-/// # Example
-///
-/// ```
-/// use hfta_core::{array::ModelArray, ops::{FusedLinear, FusedModule}};
-/// use hfta_nn::layers::LinearCfg;
-/// use hfta_tensor::{Rng, Tensor};
-///
-/// let mut rng = Rng::seed_from(0);
-/// let array = ModelArray::new(FusedLinear::new(3, LinearCfg::new(4, 2), &mut rng));
-/// let inputs: Vec<Tensor> = (0..3).map(|_| rng.randn([8, 4])).collect();
-/// let (tape, out) = array.forward_array(&inputs).unwrap();
-/// assert_eq!(out.dims(), vec![3, 8, 2]);
-/// # let _ = tape;
-/// ```
-#[derive(Debug)]
-pub struct ModelArray<M> {
-    module: M,
-}
-
-impl<M: FusedModule> ModelArray<M> {
-    /// Wraps a fused module.
-    pub fn new(module: M) -> Self {
-        ModelArray { module }
-    }
-
-    /// The array width.
-    pub fn b(&self) -> usize {
-        self.module.b()
-    }
-
-    /// The wrapped fused module.
-    pub fn module(&self) -> &M {
-        &self.module
-    }
-
-    /// Consumes the wrapper, returning the module.
-    pub fn into_module(self) -> M {
-        self.module
-    }
-
-    /// All trainable parameters.
-    pub fn parameters(&self) -> Vec<Parameter> {
-        self.module.parameters()
-    }
-
-    /// Parameters with fusion metadata, ready for a fused optimizer.
-    pub fn fused_parameters(&self) -> Vec<FusedParameter> {
-        self.module.fused_parameters()
-    }
-
-    /// Switches training/eval mode.
-    pub fn set_training(&self, training: bool) {
-        self.module.set_training(training);
-    }
-
-    /// Stacks per-model conv-format inputs `[N, C, ...]` and runs the
-    /// fused forward pass; returns the tape for a subsequent backward.
-    ///
-    /// # Errors
-    ///
-    /// Returns a fusion error if input shapes differ across models.
-    pub fn forward_conv(&self, inputs: &[Tensor]) -> Result<(Tape, Var)> {
-        let fused = stack_conv(inputs)?;
-        let tape = Tape::new();
-        let x = tape.leaf(fused);
-        let y = self.module.forward(&x);
-        Ok((tape, y))
-    }
-
-    /// Stacks per-model array-format inputs `[N, F]` and runs the fused
-    /// forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns a fusion error if input shapes differ across models.
-    pub fn forward_array(&self, inputs: &[Tensor]) -> Result<(Tape, Var)> {
-        let fused = stack_array(inputs)?;
-        let tape = Tape::new();
-        let x = tape.leaf(fused);
-        let y = self.module.forward(&x);
-        Ok((tape, y))
-    }
-
-    /// Runs the fused forward on an already-stacked input.
-    pub fn forward(&self, x: &Var) -> Var {
-        self.module.forward(x)
-    }
-
-    /// Records one training step's per-model losses (and aggregate
-    /// samples/s) into the installed profiler, tagged with this array's
-    /// fused width `B`. A single branch when no profiler is installed.
-    pub fn record_step(&self, step: u64, losses: &[f32], samples_per_s: f64) {
-        record_step_metrics(step, losses, samples_per_s, self.b() as u64);
-    }
-}
-
-/// Free-function form of [`ModelArray::record_step`] for training loops
-/// that do not go through the wrapper (e.g. serial baselines, where
-/// `fused_width` is 1).
+/// Records one training step's per-model losses (and aggregate
+/// samples/s) into the installed profiler, tagged with the fused width
+/// (1 for a serial baseline). A single branch when no profiler is
+/// installed.
 ///
 /// Each model's loss lands both in the step-metric table and in its
 /// hfta-scope `loss` scalar stream, so `scope_report` can render per-model
@@ -240,38 +139,19 @@ pub fn write_model_weights(fused: &[FusedParameter], index: usize, src: &[Parame
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::FusedLinear;
+    use crate::ops::{FusedLinear, FusedModule};
     use hfta_nn::layers::LinearCfg;
-    use hfta_tensor::Rng;
-
-    #[test]
-    fn model_array_forward_and_params() {
-        let mut rng = Rng::seed_from(0);
-        let array = ModelArray::new(FusedLinear::new(2, LinearCfg::new(3, 4), &mut rng));
-        assert_eq!(array.b(), 2);
-        assert_eq!(array.parameters().len(), 2);
-        assert_eq!(array.fused_parameters()[0].b, 2);
-        let inputs: Vec<Tensor> = (0..2).map(|_| rng.randn([5, 3])).collect();
-        let (_tape, y) = array.forward_array(&inputs).unwrap();
-        assert_eq!(y.dims(), vec![2, 5, 4]);
-    }
-
-    #[test]
-    fn forward_array_rejects_mismatched_inputs() {
-        let mut rng = Rng::seed_from(1);
-        let array = ModelArray::new(FusedLinear::new(2, LinearCfg::new(3, 4), &mut rng));
-        let bad = vec![rng.randn([5, 3]), rng.randn([4, 3])];
-        assert!(array.forward_array(&bad).is_err());
-    }
+    use hfta_tensor::{Rng, Tensor};
 
     #[test]
     fn record_step_feeds_installed_profiler() {
+        // A live 2-wide array gives the memory snapshot a footprint.
         let mut rng = Rng::seed_from(2);
-        let array = ModelArray::new(FusedLinear::new(2, LinearCfg::new(3, 4), &mut rng));
-        array.record_step(0, &[1.0, 2.0], 0.0); // no profiler: no-op
+        let _model = FusedLinear::new(2, LinearCfg::new(3, 4), &mut rng);
+        record_step_metrics(0, &[1.0, 2.0], 0.0, 2); // no profiler: no-op
         let p = Profiler::new("array-test");
         let _g = p.install();
-        array.record_step(1, &[0.5, 0.25], 128.0);
+        record_step_metrics(1, &[0.5, 0.25], 128.0, 2);
         let report = p.report();
         let exp = &report.experiments[0];
         let steps = &exp.steps;
@@ -303,8 +183,7 @@ mod tests {
     #[test]
     fn copy_then_write_model_weights_round_trips_bitwise() {
         let mut rng = Rng::seed_from(3);
-        let array = ModelArray::new(FusedLinear::new(3, LinearCfg::new(4, 2), &mut rng));
-        let fused = array.fused_parameters();
+        let fused = FusedLinear::new(3, LinearCfg::new(4, 2), &mut rng).fused_parameters();
         let before: Vec<Vec<f32>> = fused
             .iter()
             .map(|p| p.param.value_cloned().to_vec())
@@ -346,8 +225,7 @@ mod tests {
     #[should_panic(expected = "size mismatch")]
     fn write_model_weights_rejects_wrong_shapes() {
         let mut rng = Rng::seed_from(4);
-        let array = ModelArray::new(FusedLinear::new(2, LinearCfg::new(3, 2), &mut rng));
-        let fused = array.fused_parameters();
+        let fused = FusedLinear::new(2, LinearCfg::new(3, 2), &mut rng).fused_parameters();
         let bad: Vec<Parameter> = fused
             .iter()
             .map(|_| Parameter::new(Tensor::zeros([1]), "bad"))

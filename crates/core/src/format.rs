@@ -176,6 +176,14 @@ mod tests {
     }
 
     #[test]
+    fn stack_array_rejects_mismatch() {
+        let a = Tensor::zeros([5, 3]);
+        let b = Tensor::zeros([4, 3]);
+        assert!(stack_array(&[a, b]).is_err());
+        assert_eq!(stack_array(&[]).unwrap_err(), FusionError::Empty);
+    }
+
+    #[test]
     fn stack_unstack_array_round_trip() {
         let a = Tensor::arange(6).reshape(&[2, 3]);
         let b = a.add_scalar(100.0);

@@ -27,7 +27,7 @@
 //!   over parameter groups, whether one hand-fused group or one per block
 //!   of a [`planned::PlannedArray`]; and the per-lane fused scheduler;
 //! * [`planned`] — partially fused execution of an `hfta-plan` fusion plan;
-//! * [`mod@array`] — the [`array::ModelArray`] front door and lane weight
+//! * [`mod@array`] — per-step loss and memory metrics and lane weight
 //!   transfer;
 //! * [`scope`] — hfta-scope: per-model health extraction, divergence
 //!   sentinels, and quarantine ([`scope::ScopeMonitor`]);
@@ -47,25 +47,26 @@
 //!
 //! ```
 //! use hfta_core::{
-//!     array::ModelArray,
+//!     format::stack_array,
 //!     loss::{fused_cross_entropy, Reduction},
-//!     ops::FusedLinear,
+//!     ops::{FusedLinear, FusedModule},
 //!     optim::{FusedAdam, PerModel},
 //! };
-//! use hfta_nn::layers::LinearCfg;
+//! use hfta_nn::{layers::LinearCfg, Module, Tape};
 //! use hfta_tensor::{Rng, Tensor};
 //!
 //! let mut rng = Rng::seed_from(0);
 //! // Three jobs differing only in learning rate:
 //! let lrs = PerModel::new(vec![0.1, 0.01, 0.001]);
-//! let array = ModelArray::new(FusedLinear::new(3, LinearCfg::new(8, 4), &mut rng));
-//! let mut opt = FusedAdam::new(array.fused_parameters(), lrs).unwrap();
+//! let model = FusedLinear::new(3, LinearCfg::new(8, 4), &mut rng);
+//! let mut opt = FusedAdam::new(model.fused_parameters(), lrs).unwrap();
 //!
 //! let inputs: Vec<Tensor> = (0..3).map(|_| rng.randn([16, 8])).collect();
 //! let targets: Vec<usize> = (0..3 * 16).map(|_| rng.below(4)).collect();
 //!
 //! opt.zero_grad();
-//! let (_tape, logits) = array.forward_array(&inputs).unwrap();
+//! let tape = Tape::new();
+//! let logits = model.forward(&tape.leaf(stack_array(&inputs).unwrap())); // [B, N, 4]
 //! let loss = fused_cross_entropy(&logits, &targets, Reduction::Mean);
 //! loss.backward();
 //! opt.step();

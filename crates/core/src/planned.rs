@@ -11,8 +11,8 @@
 //! concat/narrow are bit-preserving copies, a planned run is
 //! **bit-identical per lane** to the all-serial plan over the same
 //! graphs — and a fully homogeneous plan is bit-identical to the
-//! hand-fused [`crate::array::ModelArray`] path built from the same
-//! per-lane models.
+//! hand-fused model (the fused layers of [`crate::ops`]) built from the
+//! same per-lane models.
 //!
 //! Parameter initialization is keyed to `(lane seed, op index in lane)`:
 //! each lane's serial layers are constructed first, in program order,
@@ -451,7 +451,7 @@ impl PlannedOptimizer<AdamUpdate> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::ModelArray;
+    use crate::format::stack_conv;
     use hfta_nn::layers::{Conv2dCfg, LinearCfg};
     use hfta_nn::Parameter;
     use hfta_tensor::{Rng, Tensor};
@@ -599,8 +599,8 @@ mod tests {
         }
     }
 
-    /// The hand-fused `ModelArray` path for the base arch, built from the
-    /// same per-lane serial layers the planner path constructs.
+    /// The hand-fused model for the base arch, built from the same
+    /// per-lane serial layers the planner path constructs.
     struct Chain {
         conv: Conv2d,
         act: LeakyRelu,
@@ -623,14 +623,8 @@ mod tests {
         }
     }
 
-    impl FusedModule for Chain {
-        fn b(&self) -> usize {
-            self.b
-        }
-    }
-
     #[test]
-    fn homogeneous_plan_is_bit_identical_to_model_array() {
+    fn homogeneous_plan_is_bit_identical_to_hand_fused_model() {
         let lanes = 3;
         let graphs: Vec<ModelGraph> = (0..lanes)
             .map(|l| ModelGraph::new(format!("m{l}"), INPUT.to_vec(), base_ops()))
@@ -658,12 +652,12 @@ mod tests {
             fc: FusedLinear::from_models(&fcs).unwrap(),
             b: lanes,
         };
-        let array = ModelArray::new(chain);
-        let params = array.fused_parameters();
+        let params = FusedParameter::of(&chain, lanes);
         let mut opt = crate::optim::FusedSgd::new(params.clone(), lrs(lanes), 0.9).unwrap();
         let (inputs, targets) = data(lanes, 2);
         for (step, expect) in pl.iter().enumerate().take(3) {
-            let (_tape, out) = array.forward_conv(&inputs).unwrap();
+            let tape = Tape::new();
+            let out = chain.forward(&tape.leaf(stack_conv(&inputs).unwrap()));
             let per_lane: Vec<Var> = (0..lanes)
                 .map(|l| out.narrow(1, l * CLASSES, CLASSES))
                 .collect();

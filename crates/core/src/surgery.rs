@@ -144,8 +144,7 @@ pub fn splice_lanes_traced<U: Update>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::ModelArray;
-    use crate::ops::FusedLinear;
+    use crate::ops::{FusedLinear, FusedModule};
     use crate::optim::{FusedAdam, FusedSgd, PerModel};
     use hfta_nn::layers::LinearCfg;
     use hfta_tensor::Rng;
@@ -158,16 +157,14 @@ mod tests {
         }
     }
 
-    fn array_with_opt(b: usize, seed: u64) -> (ModelArray<FusedLinear>, Vec<FusedParameter>) {
+    fn array_params(b: usize, seed: u64) -> Vec<FusedParameter> {
         let mut rng = Rng::seed_from(seed);
-        let array = ModelArray::new(FusedLinear::new(b, LinearCfg::new(3, 2), &mut rng));
-        let params = array.fused_parameters();
-        (array, params)
+        FusedLinear::new(b, LinearCfg::new(3, 2), &mut rng).fused_parameters()
     }
 
     #[test]
     fn extract_copies_param_and_state_lanes() {
-        let (_array, params) = array_with_opt(3, 7);
+        let params = array_params(3, 7);
         let mut opt = FusedSgd::new(params.clone(), PerModel::uniform(3, 0.1), 0.9).unwrap();
         // Give the velocity a recognizable value via one step.
         let mut rng = Rng::seed_from(8);
@@ -198,7 +195,7 @@ mod tests {
     fn splice_round_trips_every_lane_bitwise() {
         // Extract all three lanes of a trained source array, splice them
         // (permuted) into a fresh target, and verify storage bitwise.
-        let (_src, src_params) = array_with_opt(3, 11);
+        let src_params = array_params(3, 11);
         let mut src_opt = FusedAdam::new(src_params.clone(), PerModel::uniform(3, 0.01)).unwrap();
         let mut rng = Rng::seed_from(12);
         for _ in 0..3 {
@@ -211,7 +208,7 @@ mod tests {
             .map(|&i| extract_lane(&src_params, &src_opt, i))
             .collect();
 
-        let (_dst, dst_params) = array_with_opt(3, 99); // different init, fully overwritten
+        let dst_params = array_params(3, 99); // different init, fully overwritten
         let mut dst_opt = FusedAdam::new(dst_params.clone(), PerModel::uniform(3, 0.01)).unwrap();
         splice_lanes(&lanes, &dst_params, &mut dst_opt);
         assert_eq!(dst_opt.step_count(), 3);
@@ -248,7 +245,7 @@ mod tests {
             device: Some(1),
             array: Some(7),
         });
-        let (_a, params) = array_with_opt(2, 1);
+        let params = array_params(2, 1);
         let opt = FusedSgd::new(params.clone(), PerModel::uniform(2, 0.1), 0.0).unwrap();
         let lanes = vec![
             extract_lane_traced(&params, &opt, 0, 40),
@@ -262,7 +259,7 @@ mod tests {
                 lane: 0
             })
         );
-        let (_b, dst) = array_with_opt(2, 2);
+        let dst = array_params(2, 2);
         let mut dst_opt = FusedSgd::new(dst.clone(), PerModel::uniform(2, 0.1), 0.0).unwrap();
         p.set_flight_cursor(FlightCursor {
             t_ns: 900,
@@ -285,14 +282,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "disagree on the optimizer step count")]
     fn splice_rejects_mismatched_step_counts() {
-        let (_a, params) = array_with_opt(2, 1);
+        let params = array_params(2, 1);
         let opt = FusedSgd::new(params.clone(), PerModel::uniform(2, 0.1), 0.0).unwrap();
         let mut lanes = vec![
             extract_lane(&params, &opt, 0),
             extract_lane(&params, &opt, 1),
         ];
         lanes[1].step_count = 5;
-        let (_b, dst) = array_with_opt(2, 2);
+        let dst = array_params(2, 2);
         let mut dst_opt = FusedSgd::new(dst.clone(), PerModel::uniform(2, 0.1), 0.0).unwrap();
         splice_lanes(&lanes, &dst, &mut dst_opt);
     }
@@ -300,10 +297,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "one lane state per target lane")]
     fn splice_rejects_wrong_width() {
-        let (_a, params) = array_with_opt(2, 1);
+        let params = array_params(2, 1);
         let opt = FusedSgd::new(params.clone(), PerModel::uniform(2, 0.1), 0.0).unwrap();
         let lanes = vec![extract_lane(&params, &opt, 0)];
-        let (_b, dst) = array_with_opt(2, 2);
+        let dst = array_params(2, 2);
         let mut dst_opt = FusedSgd::new(dst.clone(), PerModel::uniform(2, 0.1), 0.0).unwrap();
         splice_lanes(&lanes, &dst, &mut dst_opt);
     }

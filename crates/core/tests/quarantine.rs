@@ -10,13 +10,14 @@
 //! gradients do not depend on B), and the kernels are bit-deterministic —
 //! so the comparison is exact `f32` equality, not `allclose`.
 
-use hfta_core::array::ModelArray;
+use hfta_core::format::stack_array;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
-use hfta_core::ops::{FusedLinear, FusedParameter};
+use hfta_core::ops::{FusedLinear, FusedModule, FusedParameter};
 use hfta_core::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel, Update};
 use hfta_core::scope::{per_model_ce_losses, poison_model_lane, ScopeMonitor, SentinelCfg};
 use hfta_core::surgery::{extract_lane, splice_lanes, LaneState};
 use hfta_nn::layers::LinearCfg;
+use hfta_nn::{Module, Tape, Var};
 use hfta_telemetry::SentinelKind;
 use hfta_tensor::{Rng, Tensor};
 use proptest::prelude::*;
@@ -39,6 +40,13 @@ struct RunResult {
     monitor: ScopeMonitor,
 }
 
+/// Stacks per-model `[N, F]` inputs and runs the fused forward pass.
+fn forward(model: &FusedLinear, xs: &[Tensor]) -> (Tape, Var) {
+    let tape = Tape::new();
+    let logits = model.forward(&tape.leaf(stack_array(xs).unwrap()));
+    (tape, logits)
+}
+
 /// Trains a fused array on fixed per-model batches; when `poison` is set,
 /// NaN-seeds that model's gradient lane after `backward()` at step
 /// `POISON_STEP` (the sentinel then quarantines it).
@@ -49,15 +57,14 @@ fn train(
     poison: Option<usize>,
 ) -> RunResult {
     let b = lrs.len();
-    let array = ModelArray::new(model);
-    let params = array.fused_parameters();
+    let params = model.fused_parameters();
     let mut opt = FusedSgd::new(params.clone(), PerModel::new(lrs.to_vec()), 0.9).unwrap();
     let mut monitor = ScopeMonitor::new(b, SentinelCfg::default());
     let mut losses = Vec::with_capacity(STEPS);
     let mut weight_history = Vec::with_capacity(STEPS);
     for (step, (xs, ys)) in batches.iter().enumerate() {
         opt.zero_grad();
-        let (_tape, logits) = array.forward_array(xs).unwrap();
+        let (_tape, logits) = forward(&model, xs);
         let targets: Vec<usize> = ys.iter().flatten().copied().collect();
         losses.push(per_model_ce_losses(&logits, &targets));
         let loss = fused_cross_entropy(&logits, &targets, Reduction::Mean);
@@ -70,12 +77,11 @@ fn train(
         monitor.after_backward(step as u64, losses.last().unwrap(), &params, &mut opt);
         opt.step();
         monitor.after_step(step as u64, &params);
-        weight_history.push(array.module().weight.value_cloned().to_vec());
+        weight_history.push(model.weight.value_cloned().to_vec());
     }
-    let module = array.into_module();
     RunResult {
-        weight: module.weight.value_cloned().to_vec(),
-        bias: module.bias.as_ref().unwrap().value_cloned().to_vec(),
+        weight: model.weight.value_cloned().to_vec(),
+        bias: model.bias.as_ref().unwrap().value_cloned().to_vec(),
         losses,
         weight_history,
         monitor,
@@ -169,19 +175,18 @@ fn unquarantined_nan_poisons_its_own_lane_only() {
     // the next step — but still never crosses into the survivors' lanes.
     let mut rng = Rng::seed_from(42);
     let fused = FusedLinear::new(2, LinearCfg::new(F_IN, CLASSES), &mut rng);
-    let array = ModelArray::new(fused);
-    let params = array.fused_parameters();
+    let params = fused.fused_parameters();
     let mut opt = FusedSgd::new(params.clone(), PerModel::uniform(2, 0.1), 0.9).unwrap();
     let xs: Vec<Tensor> = (0..2).map(|_| rng.randn([N, F_IN])).collect();
     let targets: Vec<usize> = (0..2 * N).map(|_| rng.below(CLASSES)).collect();
     for _ in 0..2 {
         opt.zero_grad();
-        let (_tape, logits) = array.forward_array(&xs).unwrap();
+        let (_tape, logits) = forward(&fused, &xs);
         fused_cross_entropy(&logits, &targets, Reduction::Mean).backward();
         poison_model_lane(&params, 1);
         opt.step(); // no monitor: the NaN reaches the victim's parameters
     }
-    let w = array.module().weight.value_cloned().to_vec();
+    let w = fused.weight.value_cloned().to_vec();
     let lane = w.len() / 2;
     assert!(w[..lane].iter().all(|v| v.is_finite()), "survivor poisoned");
     assert!(w[lane..].iter().any(|v| v.is_nan()), "victim should be NaN");
@@ -204,10 +209,10 @@ fn surgery_batch(seed: u64, id: usize, step: usize) -> (Tensor, Vec<usize>) {
     (x, y)
 }
 
-/// Trains `array` for global steps `steps`, lane `j` consuming model
+/// Trains `model` for global steps `steps`, lane `j` consuming model
 /// `ids[j]`'s data stream.
 fn train_ids<U: Update>(
-    array: &ModelArray<FusedLinear>,
+    model: &FusedLinear,
     opt: &mut FusedOptimizer<U>,
     seed: u64,
     ids: &[usize],
@@ -222,7 +227,7 @@ fn train_ids<U: Update>(
             xs.push(x);
             targets.extend(y);
         }
-        let (_tape, logits) = array.forward_array(&xs).unwrap();
+        let (_tape, logits) = forward(model, &xs);
         fused_cross_entropy(&logits, &targets, Reduction::Mean).backward();
         opt.step();
     }
@@ -248,13 +253,13 @@ fn surgery_resumes_survivors<U: Update>(
     let members = FusedLinear::new(3, cfg, &mut rng).unfuse();
 
     // Uninterrupted reference: width 3 for n1 + n2 steps.
-    let reference = ModelArray::new(FusedLinear::from_models(&members).unwrap());
+    let reference = FusedLinear::from_models(&members).unwrap();
     let ref_params = reference.fused_parameters();
     let mut ref_opt = make(ref_params.clone(), lrs.to_vec());
     train_ids(&reference, &mut ref_opt, seed, &[0, 1, 2], 0..n1 + n2);
 
     // Subject: the same width-3 array for the first n1 steps...
-    let subject = ModelArray::new(FusedLinear::from_models(&members).unwrap());
+    let subject = FusedLinear::from_models(&members).unwrap();
     let sub_params = subject.fused_parameters();
     let mut sub_opt = make(sub_params.clone(), lrs.to_vec());
     train_ids(&subject, &mut sub_opt, seed, &[0, 1, 2], 0..n1);
@@ -266,7 +271,7 @@ fn surgery_resumes_survivors<U: Update>(
         .iter()
         .map(|&i| extract_lane(&sub_params, &sub_opt, i))
         .collect();
-    let packed = ModelArray::new(FusedLinear::new(survivors.len(), cfg, &mut rng));
+    let packed = FusedLinear::new(survivors.len(), cfg, &mut rng);
     let packed_params = packed.fused_parameters();
     let packed_lrs: Vec<f32> = survivors.iter().map(|&i| lrs[i]).collect();
     let mut packed_opt = make(packed_params.clone(), packed_lrs);

@@ -7,8 +7,7 @@
 //! runs this at `HFTA_NUM_THREADS` 1 and 4, so the property also pins
 //! down thread-count independence of the restored trajectory.
 
-use hfta_core::array::ModelArray;
-use hfta_core::ops::{FusedLinear, FusedParameter};
+use hfta_core::ops::{FusedLinear, FusedModule, FusedParameter};
 use hfta_core::optim::{FusedAdam, FusedOptimizer, FusedSgd, PerModel, Update};
 use hfta_core::snapshot::{load_lane, save_lane};
 use hfta_core::surgery::{extract_lane, splice_lanes, LaneState};
@@ -16,11 +15,9 @@ use hfta_nn::layers::LinearCfg;
 use hfta_tensor::Rng;
 use proptest::prelude::*;
 
-fn build(b: usize, seed: u64) -> (ModelArray<FusedLinear>, Vec<FusedParameter>) {
+fn build(b: usize, seed: u64) -> Vec<FusedParameter> {
     let mut rng = Rng::seed_from(seed);
-    let array = ModelArray::new(FusedLinear::new(b, LinearCfg::new(4, 3), &mut rng));
-    let params = array.fused_parameters();
-    (array, params)
+    FusedLinear::new(b, LinearCfg::new(4, 3), &mut rng).fused_parameters()
 }
 
 /// Distinct per-lane learning rates, so lanes have genuinely different
@@ -81,7 +78,7 @@ fn restore_continues<U: Update>(
     post: u64,
 ) -> Result<(), String> {
     // Uninterrupted reference: pre + post steps straight through.
-    let (_ref_array, ref_params) = build(b, seed);
+    let ref_params = build(b, seed);
     let mut ref_opt = make(ref_params.clone(), lrs(b));
     for s in 0..pre + post {
         apply_grad(&ref_params, s);
@@ -91,7 +88,7 @@ fn restore_continues<U: Update>(
     // Checkpointed run: train `pre` steps, snapshot every lane to
     // bytes, decode, splice into a freshly built array with different
     // init (everything must be overwritten), and train `post` more.
-    let (_src_array, src_params) = build(b, seed);
+    let src_params = build(b, seed);
     let mut src_opt = make(src_params.clone(), lrs(b));
     for s in 0..pre {
         apply_grad(&src_params, s);
@@ -105,7 +102,7 @@ fn restore_continues<U: Update>(
         .collect();
     drop(src_opt);
 
-    let (_dst_array, dst_params) = build(b, seed ^ 0xDEAD);
+    let dst_params = build(b, seed ^ 0xDEAD);
     let mut dst_opt = make(dst_params.clone(), lrs(b));
     splice_lanes(&restored, &dst_params, &mut dst_opt);
     if U::COUNTS_STEPS {

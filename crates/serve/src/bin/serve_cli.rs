@@ -108,7 +108,13 @@ fn main() -> ExitCode {
         fleet.len()
     );
 
-    let handle = ServeHandle::spawn(LinearBackend::default(), fleet, cfg);
+    let handle = match ServeHandle::spawn(LinearBackend::default(), fleet, cfg) {
+        Ok(handle) => handle,
+        Err(e) => {
+            eprintln!("service failed to start: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if args.mixed_arch {
         // Two model graphs with no isomorphic same-shaped structure: the
         // planner fuses nothing, so admission must reject the sweep with

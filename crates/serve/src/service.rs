@@ -3,7 +3,8 @@
 //!
 //! [`ServeHandle::spawn`] builds the engine *inside* the worker thread
 //! (the engine itself is not `Send`: it may hold a thread-local profiler
-//! handle) and returns a cheap cloneable handle. `submit`, `status`, and
+//! handle), hands the construction result back over a channel, and
+//! returns a handle or the construction error. `submit`, `status`, and
 //! `cancel` enqueue a request and block on a reply channel — the async
 //! boundary is the mpsc queue, so many client threads can feed one
 //! service. Commands land at the engine's *current simulated time*: the
@@ -14,6 +15,7 @@
 //! `shutdown` drains the remaining simulation and returns the final
 //! [`ServeRun`].
 
+use std::io;
 use std::sync::mpsc;
 use std::thread::{self, JoinHandle};
 
@@ -58,7 +60,7 @@ enum Request<C> {
         reply: mpsc::Sender<()>,
     },
     Shutdown {
-        reply: mpsc::Sender<std::io::Result<ServeRun>>,
+        reply: mpsc::Sender<io::Result<ServeRun>>,
     },
 }
 
@@ -72,20 +74,38 @@ impl<C: Send + 'static> ServeHandle<C> {
     /// Starts the service: the worker thread builds the engine from
     /// `backend`, `fleet`, and `cfg`, then alternates between serving
     /// client requests and advancing the simulation.
-    pub fn spawn<B>(backend: B, fleet: DeviceFleet, cfg: ServeCfg) -> ServeHandle<C>
+    ///
+    /// # Errors
+    ///
+    /// Returns the engine's construction error (the checkpoint store
+    /// cannot be created under `cfg.checkpoint_dir`); the worker has
+    /// exited by then.
+    pub fn spawn<B>(backend: B, fleet: DeviceFleet, cfg: ServeCfg) -> io::Result<ServeHandle<C>>
     where
         B: ArrayBackend<Config = C> + Send + 'static,
     {
         let (tx, rx) = mpsc::channel::<Request<C>>();
+        let (built_tx, built) = mpsc::channel::<io::Result<()>>();
         let worker = thread::spawn(move || {
-            let engine = ServeEngine::new(backend, fleet, cfg, Vec::new())
-                .expect("service engine construction failed");
-            serve(engine, &rx);
+            let engine = ServeEngine::new(backend, fleet, cfg, Vec::new());
+            match engine {
+                Ok(engine) => {
+                    let _ = built_tx.send(Ok(()));
+                    serve(engine, &rx);
+                }
+                Err(e) => {
+                    let _ = built_tx.send(Err(e));
+                }
+            }
         });
-        ServeHandle {
+        if let Err(e) = built.recv().expect("service thread reports construction") {
+            let _ = worker.join();
+            return Err(e);
+        }
+        Ok(ServeHandle {
             tx,
             worker: Some(worker),
-        }
+        })
     }
 
     /// Submits a sweep; returns its sweep id, or the typed admission
@@ -118,7 +138,7 @@ impl<C: Send + 'static> ServeHandle<C> {
     }
 
     /// Drains the simulation and returns the final run.
-    pub fn shutdown(mut self) -> std::io::Result<ServeRun> {
+    pub fn shutdown(mut self) -> io::Result<ServeRun> {
         let (reply, rx) = mpsc::channel();
         self.tx
             .send(Request::Shutdown { reply })

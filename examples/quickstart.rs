@@ -6,11 +6,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use hfta_core::array::ModelArray;
+use hfta_core::format::stack_array;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
-use hfta_core::ops::FusedLinear;
+use hfta_core::ops::{FusedLinear, FusedModule};
 use hfta_core::optim::{FusedAdam, PerModel};
 use hfta_nn::layers::LinearCfg;
+use hfta_nn::{Module, Tape};
 use hfta_tensor::{Rng, Tensor};
 
 fn main() {
@@ -20,8 +21,8 @@ fn main() {
     let b = lrs.b();
 
     let mut rng = Rng::seed_from(0);
-    let array = ModelArray::new(FusedLinear::new(b, LinearCfg::new(16, 4), &mut rng));
-    let mut opt = FusedAdam::new(array.fused_parameters(), lrs.clone()).expect("widths match");
+    let model = FusedLinear::new(b, LinearCfg::new(16, 4), &mut rng);
+    let mut opt = FusedAdam::new(model.fused_parameters(), lrs.clone()).expect("widths match");
 
     // A toy 4-class problem; every job trains on the same stream.
     let mut data_rng = Rng::seed_from(7);
@@ -41,7 +42,9 @@ fn main() {
 
         opt.zero_grad();
         let inputs: Vec<Tensor> = (0..b).map(|_| x.clone()).collect();
-        let (_tape, logits) = array.forward_array(&inputs).expect("uniform inputs");
+        let tape = Tape::new();
+        let stacked = stack_array(&inputs).expect("uniform inputs"); // [B, 32, 16]
+        let logits = model.forward(&tape.leaf(stacked));
         let targets: Vec<usize> = (0..b).flat_map(|_| y.iter().copied()).collect();
         let loss = fused_cross_entropy(&logits, &targets, Reduction::Mean);
         loss.backward();
