@@ -12,7 +12,10 @@
 //! 5. **Conv ops** — `conv2d` and its two gradients at the benchmark's four
 //!    stride-2 DCGAN-D layers and its critic head, and `conv_transpose2d` and
 //!    its two gradients at its five DCGAN-G layers, µs and GFLOP/s per op at
-//!    one thread, and their total over one traced array step's calls.
+//!    one thread, and their total over one traced array step's calls; then
+//!    the `mixed_plan` layers (its width-4 blocks and the 3x3 refinement
+//!    conv at widths 1 and 2), each op beside the same `gemm_batched`
+//!    product over dense operands, and their ratio.
 //! 6. **Non-GEMM passes** — activations, batch norm, the global max pool,
 //!    a last-axis sum and PointNet's pointwise conv with its bias gradient
 //!    through the tape at the benchmark's shapes, µs forward and backward
@@ -380,7 +383,111 @@ fn ablation_conv(c: &mut Criterion) {
         ms(step_us),
         calls.join(" ")
     );
+    mixed_plan_conv_ledger(&mut rng);
     hfta_kernels::set_num_threads(threads);
+}
+
+/// The per-layer ledger of the conv ops at the `mixed_plan` layer shapes
+/// (batch 2, one thread): each op's µs beside the same `gemm_batched`
+/// product over dense `A` and `B` (its operand materialised, the batch axes
+/// the op passes, the product written), and `conv / dense`. Each figure is
+/// the least of three medians of 41 calls.
+fn mixed_plan_conv_ledger(rng: &mut Rng) {
+    let n = 2usize;
+    println!(
+        "\n## Ablation: conv ops at the mixed_plan layers (N = {n}, 1 thread): conv / dense us"
+    );
+    let time = |f: &mut dyn FnMut()| {
+        (0..3)
+            .map(|_| median_secs(41, &mut *f) * 1e6)
+            .fold(f64::MAX, f64::min)
+    };
+    // (name, groups, cing, coutg, plane, kernel, stride, padding)
+    for (name, g, cing, coutg, h, k, s, p) in [
+        (
+            "D1 3->8", 4usize, 3usize, 8usize, 64usize, 4usize, 2usize, 1usize,
+        ),
+        ("refine 8->8 x1", 1, 8, 8, 32, 3, 1, 1),
+        ("refine 8->8 x2", 2, 8, 8, 32, 3, 1, 1),
+        ("D2 8->16", 4, 8, 16, 32, 4, 2, 1),
+        ("D3 16->32", 4, 16, 32, 16, 4, 2, 1),
+        ("D4 32->64", 4, 32, 64, 8, 4, 2, 1),
+    ] {
+        let cfg = ConvCfg::square(s, p, g);
+        let (ho, wo) = cfg.out_hw((h, h), (k, k));
+        let (krows, spatial) = (cing * k * k, ho * wo);
+        let x = rng.randn([n, g * cing, h, h]);
+        let w = rng.randn([g * coutg, cing, k, k]);
+        let gy = rng.randn([n, g * coutg, ho, wo]);
+        // Each (sample, group) block's columns, and their transposes.
+        let cols = rng.randn([n * g * krows * spatial]);
+        // Each product's exact output: a write sink zeroes what it leaves.
+        let (mut y, mut product) = (vec![0.0f32; gy.numel()], vec![0.0f32; cols.numel()]);
+        let mut gw = vec![0.0f32; w.numel()];
+        let axis = |count, a, b, out| Axis { count, a, b, out };
+        let (fwd, input, weight) = (
+            [
+                axis(n, 0, g * krows * spatial, g * coutg * spatial),
+                axis(g, coutg * krows, krows * spatial, coutg * spatial),
+            ],
+            [
+                axis(n, 0, g * coutg * spatial, g * krows * spatial),
+                axis(g, coutg * krows, coutg * spatial, krows * spatial),
+            ],
+            [
+                axis(g, coutg * spatial, spatial * krows, coutg * krows),
+                axis(n, g * coutg * spatial, g * spatial * krows, 0),
+            ],
+        );
+        let (wt, gyt, colst) = (w.as_slice(), gy.as_slice(), cols.as_slice());
+        let rows = [
+            (
+                "conv2d",
+                time(&mut || drop(black_box(conv2d(&x, &w, None, cfg)))),
+                time(&mut || {
+                    gemm_batched(
+                        Out::Write(&mut y),
+                        PackA::N(wt),
+                        PackB::N(colst),
+                        (coutg, krows, spatial),
+                        fwd,
+                    )
+                }),
+            ),
+            (
+                "conv2d_grad_input",
+                time(&mut || drop(black_box(conv2d_grad_input(&w, &gy, (h, h), g * cing, cfg)))),
+                time(&mut || {
+                    gemm_batched(
+                        Out::Write(&mut product),
+                        PackA::T(wt),
+                        PackB::N(gyt),
+                        (krows, coutg, spatial),
+                        input,
+                    )
+                }),
+            ),
+            (
+                "conv2d_grad_weight",
+                time(&mut || drop(black_box(conv2d_grad_weight(&x, &gy, (k, k), cfg)))),
+                time(&mut || {
+                    gemm_batched(
+                        Out::Write(&mut gw),
+                        PackA::N(gyt),
+                        PackB::N(colst),
+                        (coutg, spatial, krows),
+                        weight,
+                    )
+                }),
+            ),
+        ];
+        for (op, conv, dense) in rows {
+            println!(
+                "  {name:<15} {op:<19} {conv:>8.1} / {dense:>8.1} = {:.2}x",
+                conv / dense
+            );
+        }
+    }
 }
 
 /// How often one `dcgan_compute` array step (B = `b`, batch `batch`) runs

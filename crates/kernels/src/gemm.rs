@@ -6,11 +6,12 @@
 //! reads three strided views: `A` as a row offset per tile row and a k
 //! stride, `B` as `(ptr, k stride)` over contiguous columns plus an offset
 //! per group of rows, the output as `(ptr, ldc, from_zero, rows, cols)`.
-//! Every tile reads `A` and `B` (`PackB::N`) where they lie and accumulates
-//! straight in its output block (from its value, or from zero for a write
-//! sink's first entry) or scatter strip; a tile with a
-//! partial side masks its columns and skips its rows. Only `PackB::T` and
-//! `PackB::Gather` are packed. The macro-kernel partitions work in 2-D over
+//! Every tile reads `A` and `B` (`PackB::N`, and `PackB::Gather` as a view)
+//! where they lie and accumulates straight in its output block (from its
+//! value, or from zero for a write sink's first entry) or scatter strip; a
+//! tile with a partial side masks its columns and skips its rows. Only
+//! `PackB::T` is packed. The
+//! macro-kernel partitions work in 2-D over
 //! (row-panel, column-panel-group) tiles so that medium GEMMs expose at
 //! least as many chunks as the pool has threads even when `m` is small.
 //!
@@ -56,22 +57,23 @@
 //! |---------|--------------------------------|--------------------------------|
 //! | tiled   | every product but a table-addressed one `< SMALL_FLOPS`: [`crate::simd`] 8×8 (lanes: 1–4 rows per entry) / paired 8×16 `vfmadd` tile on strided views, `B^T` packed 8×8 blocks at a time | `>= SMALL_FLOPS`, and `A^T B^T` at every size: `portable_microkernel` (8×8, lanes), `f32::mul_add` |
 //! | direct  | a gathered or scattered product `< SMALL_FLOPS`: `A B` / `A^T B` reference loops compiled with AVX2+FMA | `< SMALL_FLOPS`: the reference loops |
-//! | tables  | column runs 8 lanes wide: loads, shuffles, masked adds, `vgatherdps` | one cell at a time |
-//! | windows | each entry's planes zero-padded in scratch (`Pad`), then the tables row | the same |
+//! | tables  | a gathered `B` as a view: row `p` at its table offset, each panel's columns adjacent (`loadu`), two quads or `vgatherdps` (`view_panels`); a scatter's column runs 8 lanes wide | the view cell by cell; the scatter one cell at a time |
+//! | windows | each entry's planes zero-padded in scratch (`Pad`; a stride-2 gather's split by column parity, so its output rows read as adjacent cells), then the tables row | the same |
 //! | sinks   | [`Out::Add`] / [`Out::Scatter`] add to the destination; [`Out::Write`] tiles start from zeros in registers (the direct loops: a zeroed block), [`Out::ScatterWrite`] zeroes its padded planes (unpadded: its block) instead of filling them from the destination | the same |
 //! | folds   | a tiled reduction of `B` read in place, or of packed `B` under `FOLD_STEPS` steps: one contraction of `k`-step segments, each entry's `B` packed after the last's | the same |
 //!
-//! `B` may also be *gathered* through two [`Offsets`] tables while it is
-//! packed ([`PackB::Gather`]), and the product *scatter-added* through them
-//! one finished `MR`-row strip at a time ([`Out::Scatter`]) — a convolution
-//! on its unpadded image, whose padding is the tables' [`Window`], with no
-//! im2col matrix and no padded copy. On the direct row the tables first
-//! materialise the operand (or the product). On the vector column each call
-//! splits the column tables into arithmetic runs once (`split_runs`), and
-//! `simd::gather_panels` / `simd::scatter_strip` read them eight lanes wide:
-//! a gather only moves bits, and a scatter adds a row's distinct cells run
-//! by run in ascending `j`. Same chain per element, same add order per
-//! destination, on every row and column.
+//! `B` may also be *gathered* through two [`Offsets`] tables
+//! ([`PackB::Gather`]), which the tiles read as a view — step `p` at
+//! `row[p]`, a panel's columns past `col[j0]` — and the product
+//! *scatter-added* through them one finished `MR`-row strip at a time
+//! ([`Out::Scatter`]) — a convolution on its unpadded image, whose padding
+//! is the tables' [`Window`], with no im2col matrix and no padded copy. On
+//! the direct row the tables first materialise the operand (or the
+//! product). On the vector column each call splits a scatter's column table
+//! into arithmetic runs once (`split_runs`), and `simd::scatter_strip` adds
+//! a row's distinct cells run by run in ascending `j`. A gather only moves
+//! bits: same chain per element, same add order per destination, on every
+//! row and column.
 //!
 //! Selection is by platform and shape, never by an option: the row comes
 //! from the FLOP count and the layout, the column from `simd::detected` (runtime
@@ -183,8 +185,8 @@ pub enum PackB<'a> {
     /// `b[n, k]` row-major (transposed access).
     T(&'a [f32]),
     /// `b[p, j] = src[row[p] + col[j]]` through `[k]` and `[n]` tables:
-    /// gathered while the panels are packed (by `col`'s runs on the vector
-    /// path), so `b` itself never exists.
+    /// read by the tiles where it lies, as a view, so `b` itself never
+    /// exists.
     Gather(&'a [f32], Offsets<'a>),
 }
 
@@ -220,6 +222,8 @@ pub struct Offsets<'a> {
     window: Option<&'a Window<'a>>,
     /// `col` as [`split_runs`] reads it, on the vector path only.
     pub(crate) runs: Option<&'a [Run]>,
+    /// A gathered `B`'s column panels as [`view_panels`] classifies them.
+    pub(crate) panels: Option<&'a [Cols]>,
     /// With `runs`: every `col` entry has `col[0]`'s parity, so a row one
     /// cell past another never meets it (a stride-2 scatter's `v`, `v + 1`).
     pub(crate) even: bool,
@@ -260,6 +264,7 @@ impl<'a> Offsets<'a> {
             col,
             window,
             runs: None,
+            panels: None,
             even: false,
         }
     }
@@ -305,7 +310,7 @@ pub(crate) struct Run {
 }
 
 /// `col` as consecutive maximal runs, taken greedily from the left. Split
-/// once per call, for the vector twins of the gather and the scatter.
+/// once per call, for the scatter's vector twin.
 fn split_runs(col: &[isize]) -> Vec<Run> {
     let (mut runs, mut at) = (Vec::new(), 0);
     while at < col.len() {
@@ -328,11 +333,17 @@ fn split_runs(col: &[isize]) -> Vec<Run> {
 /// copied back. The padded planes of one entry stay in cache; reading them
 /// costs less than testing every row of every `NR`-column group against
 /// the window (a third of the rows of a 3x3 convolution's border groups).
+///
+/// With `phase` (a gather whose columns all shift `x` by even amounts, a
+/// stride-2 convolution's output pixels) each padded row holds its even
+/// columns, then its odd ones: a column step of 2 becomes a step of 1, so
+/// a view loads an output row's pixels as adjacent cells.
 struct Pad {
     planes: usize,
     hw: (usize, usize),
     at: (usize, usize),
     padded: (usize, usize),
+    phase: bool,
     row: Vec<isize>,
     col: Vec<isize>,
 }
@@ -344,7 +355,7 @@ impl Pad {
     /// # Panics
     ///
     /// Panics if an entry's base is not a whole number of planes.
-    fn new(t: Offsets<'_>, win: &Window<'_>) -> Pad {
+    fn new(t: Offsets<'_>, win: &Window<'_>, phase: bool) -> Pad {
         let (h, w) = (win.hw.0 as isize, win.hw.1 as isize);
         // Each table's least and greatest `y` and `x` shift, in one pass.
         let span = |[ys, xs]: [&[i32]; 2]| {
@@ -357,6 +368,15 @@ impl Pad {
         let ([ry0, ry1, rx0, rx1], [cy0, cy1, cx0, cx1]) = (span(win.row), span(win.col));
         let (top, left) = ((-(ry0 + cy0)).max(0), (-(rx0 + cx0)).max(0));
         let (hp, wp) = (top + h.max(ry1 + cy1 + 1), left + w.max(rx1 + cx1 + 1));
+        let wp = wp + (wp & isize::from(phase));
+        // Padded column `x`'s place in its row.
+        let at = |x: isize| {
+            if phase {
+                (x & 1) * (wp / 2) + (x >> 1)
+            } else {
+                x
+            }
+        };
         // Each entry as a plane and a shift inside the padded planes; a run
         // of entries on one plane divides once.
         let remap = |t: &[isize], [ys, xs]: [&[i32]; 2], (dy, dx): (isize, isize)| {
@@ -372,7 +392,7 @@ impl Pad {
                     );
                     last = last.max(plane);
                 }
-                out.push(plane * hp * wp + (y + dy) * wp + x + dx);
+                out.push(plane * hp * wp + (y + dy) * wp + at(x + dx));
             }
             (out, last)
         };
@@ -385,6 +405,7 @@ impl Pad {
             hw: win.hw,
             at: (top as usize, left as usize),
             padded: (hp as usize, wp as usize),
+            phase,
             row,
             col,
         }
@@ -425,6 +446,7 @@ impl Pad {
     fn fill(&self, src: &[f32], dst: &mut [f32]) {
         let ((h, w), (top, left), (hp, wp)) = (self.hw, self.at, self.padded);
         let (padded, planes) = self.lens();
+        let mut line = vec![0.0; if self.phase { wp } else { 0 }];
         let pairs = dst[..padded]
             .chunks_exact_mut(hp * wp)
             .zip(src[..planes].chunks_exact(h * w));
@@ -435,6 +457,15 @@ impl Pad {
                 .chunks_exact_mut(wp)
                 .zip(from.chunks_exact(w))
             {
+                if self.phase {
+                    // The padded row, its columns dealt to the two halves.
+                    line[left..left + w].copy_from_slice(from);
+                    let (evens, odds) = row.split_at_mut(wp / 2);
+                    for ((e, o), pair) in evens.iter_mut().zip(odds).zip(line.chunks_exact(2)) {
+                        (*e, *o) = (pair[0], pair[1]);
+                    }
+                    continue;
+                }
                 row[..left].fill(0.0);
                 row[left..left + w].copy_from_slice(from);
                 row[left + w..].fill(0.0);
@@ -627,13 +658,22 @@ fn gemm_batched_on(
         )
     };
     let (_, b_last, out_last) = offsets(entries - 1);
-    // A windowed table pair is read and written through its padded planes.
-    let pad = |t: Offsets<'_>| t.window.map(|w| Pad::new(t, w));
+    // A windowed table pair is read and written through its padded planes,
+    // a gather's split by column parity when its columns step `x` by 2.
+    let pad = |t: Offsets<'_>, phase: bool| t.window.map(|w| Pad::new(t, w, phase));
     let b_pad = match b {
-        PackB::Gather(_, t) => pad(t),
+        PackB::Gather(_, t) => {
+            let even = |w: &&Window| w.col[1].iter().all(|x| x % 2 == 0);
+            pad(
+                t,
+                t.window
+                    .filter(even)
+                    .is_some_and(|w| w.col[1].iter().any(|&x| x != 0)),
+            )
+        }
         _ => None,
     };
-    let out_pad = scatter.and_then(pad);
+    let out_pad = scatter.and_then(|t| pad(t, false));
     let b_tables = match b {
         PackB::Gather(src, t) => {
             Some(Pad::checked(&b_pad, t, (k, n), src.len().saturating_sub(b_last)).0)
@@ -647,23 +687,25 @@ fn gemm_batched_on(
             (Some(t), extent)
         }
     };
-    // The one classification of each column table: the vector twins read it
-    // as runs, the portable loops as it is. A scatter without a run of `NR`
-    // cells at step 1 or 2 stays on the portable loop, which adds short runs
-    // faster than a masked vector does.
-    let split = |t: Offsets<'_>, fits: bool| (vector && fits).then(|| split_runs(t.col));
-    let long = |r: &Run| r.len >= NR && (1..=2).contains(&r.step);
-    let gather_runs = match (b, b_tables) {
-        // The vector gather indexes its source (or padded planes) with 32-bit lanes.
-        (PackB::Gather(src, _), Some(t)) => {
-            let len = b_pad.as_ref().map_or(src.len(), |p| p.lens().0);
-            let lanes = t.col.iter().all(|&c| i32::try_from(c).is_ok());
-            split(t, lanes && len <= i32::MAX as usize)
-        }
-        _ => None,
+    // The one classification of each column table: a gather's column
+    // panels, which every tile reads it by, and a scatter's runs, which the
+    // vector twin adds by. The vector gather indexes with 32-bit lanes. A
+    // scatter without a run of `NR` cells at step 1 or 2 stays on the
+    // portable loop, which adds short runs faster than a masked vector does.
+    let b_panels = b_tables.map(|t| view_panels(t.col));
+    let lanes = |t: Offsets<'_>| {
+        let (lo, hi) = (t.col.iter().min(), t.col.iter().max());
+        lo.zip(hi)
+            .is_none_or(|(lo, hi)| i32::try_from(hi - lo).is_ok())
     };
-    let scatter_runs = scatter.and_then(|t| split(t, true).filter(|runs| runs.iter().any(long)));
-    let b_tables = b_tables.map(|t| t.with(gather_runs.as_deref()));
+    let vector = vector && b_tables.is_none_or(lanes);
+    let split = |t: Offsets<'_>| vector.then(|| split_runs(t.col));
+    let long = |r: &Run| r.len >= NR && (1..=2).contains(&r.step);
+    let scatter_runs = scatter.and_then(|t| split(t).filter(|runs| runs.iter().any(long)));
+    let b_tables = b_tables.map(|t| Offsets {
+        panels: b_panels.as_deref(),
+        ..t
+    });
     let scatter = scatter.map(|tables| tables.with(scatter_runs.as_deref()));
     // Chunks write distinct blocks concurrently, so they must not overlap.
     let mut end = 0;
@@ -690,7 +732,7 @@ fn gemm_batched_on(
     // them and stores once.
     let fold = (chain > 1 && chain == inner.count && inner.out == 0)
         && (direct.is_none() && scatter.is_none())
-        && (chain * k <= FOLD_STEPS || matches!(b, PackB::N(_)));
+        && (chain * k <= FOLD_STEPS || !matches!(b, PackB::T(_)));
     let segs = if fold { chain } else { 1 };
     let per_unit = chain / segs;
     let grid = tile_grid(m, segs * k, n, scatter.is_some());
@@ -721,9 +763,9 @@ fn gemm_batched_on(
     } else {
         threads.min(chunks)
     };
-    let (scattered, packed) = (scatter.is_some(), !matches!(b, PackB::N(_)));
-    // A transposed or gathered `B` is packed whole, or one column panel of
-    // each stacked entry at a time (see `run_tiled`).
+    let (scattered, packed) = (scatter.is_some(), matches!(b, PackB::T(_)));
+    // A transposed `B` is packed whole, or one column panel of each stacked
+    // entry at a time (see `run_tiled`).
     let panels = if panelwise(b, m, grid.2) {
         lanes
     } else {
@@ -937,12 +979,70 @@ pub(crate) struct AView {
 /// `ptr + off[g] + p·ks + c` for tile row group `g` (rows `g·rows..`, the
 /// last of the `MR / rows` groups taking the rest): one group for one entry,
 /// a group per stacked entry in a lane tile.
+///
+/// A *view* reads a gathered `B` where it lies (or in its padded planes),
+/// one column panel at a time: step `p`'s row at `steps[p]` instead of
+/// `p·ks`, its columns past the panel's first as `cols` says.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BView {
     pub(crate) ptr: *const f32,
     pub(crate) ks: usize,
     pub(crate) rows: usize,
     pub(crate) off: [usize; MR],
+    /// A view's `k` step offsets (each segment's), or null.
+    pub(crate) steps: *const isize,
+    pub(crate) cols: Cols,
+    /// Where a paired tile's second panel starts, past the first.
+    pub(crate) pair: isize,
+    /// A gathered view's column table, from the panel's first column.
+    pub(crate) at: *const isize,
+}
+
+/// Where the columns of a `B` row lie past its first, as a tile loads
+/// them: adjacent (a view's output row at stride 1, or at stride 2 in
+/// planes split by column parity), as two adjacent quads `d` apart (a
+/// weight gradient's kernel rows, an output row of 4), or anywhere.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Cols {
+    Adjacent,
+    Quads(isize),
+    /// Column `c` at `at[c] - at[0]` of the panel's column table `at`.
+    Gather,
+}
+
+impl BView {
+    /// Column `c` of a row, past its first.
+    ///
+    /// # Safety
+    ///
+    /// A gathered view's panel must hold column `c`.
+    #[inline(always)]
+    pub(crate) unsafe fn col(&self, c: usize) -> isize {
+        match self.cols {
+            Cols::Adjacent => c as isize,
+            Cols::Quads(d) if c >= 4 => d + c as isize - 4,
+            Cols::Quads(_) => c as isize,
+            Cols::Gather => *self.at.add(c) - *self.at,
+        }
+    }
+}
+
+/// A gathered `B`'s column panels, `NR` columns each (the last may hold
+/// fewer), classified once per call for every tile that reads them.
+fn view_panels(col: &[isize]) -> Vec<Cols> {
+    let panel = |c: &[isize]| {
+        let adjacent =
+            |lo: usize, hi: usize| (lo..hi.min(c.len())).all(|i| c[i] - c[lo] == (i - lo) as isize);
+        match (
+            adjacent(0, NR),
+            c.len() == NR && adjacent(0, 4) && adjacent(4, NR),
+        ) {
+            (true, _) => Cols::Adjacent,
+            (_, true) => Cols::Quads(c[4] - c[0]),
+            _ => Cols::Gather,
+        }
+    };
+    col.chunks(NR).map(panel).collect()
 }
 
 /// A tile's output cells: `(r, c)` at `ptr + r·ldc + c`, for `r < rows` and
@@ -1003,12 +1103,17 @@ pub(crate) unsafe fn portable_microkernel(k: impl Into<Steps>, a: &AView, b: &BV
         }
     }
     for (s, p) in (0..k.segs).flat_map(|s| (0..k.k).map(move |p| (s, p))) {
+        let at = (s * k.b) as isize
+            + match b.steps.is_null() {
+                true => (p * b.ks) as isize,
+                false => *b.steps.add(p),
+            };
         for (r, accr) in acc.iter_mut().enumerate() {
             let g = (r / b.rows).min(groups - 1);
-            let brow = b.ptr.add(b.off[g] + s * k.b + p * b.ks);
+            let brow = b.ptr.add(b.off[g]).offset(at);
             let av = *a.ptr.add(a.off[r] + s * k.a + p * a.ks);
             for (j, v) in accr.iter_mut().enumerate().take(c.cols) {
-                *v = av.mul_add(*brow.add(j), *v);
+                *v = av.mul_add(*brow.offset(b.col(j)), *v);
             }
         }
     }
@@ -1019,13 +1124,12 @@ pub(crate) unsafe fn portable_microkernel(k: impl Into<Steps>, a: &AView, b: &BV
     }
 }
 
-/// Packs column panels `panels` of a transposed or gathered `B` (one stored
-/// `[k, n]` is read where it lies) into strips two panels (`2·NR` columns)
-/// wide, a lone last panel `NR` wide: each strip holds its `k` rows at its
-/// width apart, so a pair of panels starting an even number of panels past
-/// `panels.start` is `2·NR` contiguous columns ([`b_view`] finds a panel).
-/// The padding columns are never read: a tile whose last columns fall past
-/// `n` masks them.
+/// Packs column panels `panels` of `B` stored `[n, k]` into strips two
+/// panels (`2·NR` columns) wide, a lone last panel `NR` wide: each strip
+/// holds its `k` rows at its width apart, so a pair of panels starting an
+/// even number of panels past `panels.start` is `2·NR` contiguous columns
+/// ([`b_view`] finds a panel). The padding columns are never read: a tile
+/// whose last columns fall past `n` masks them.
 fn pack_b_into(
     vector: bool,
     b: PackB<'_>,
@@ -1033,47 +1137,26 @@ fn pack_b_into(
     panels: Range<usize>,
     bpack: &mut [f32],
 ) {
+    let PackB::T(src) = b else {
+        unreachable!("only a transposed B is packed")
+    };
     let end = panels.end * NR;
     debug_assert_eq!(bpack.len(), k * (end - panels.start * NR));
     #[cfg(target_arch = "x86_64")]
-    match b {
-        // SAFETY: as in `scatter_add`; a gathered `B` is packed whole.
-        PackB::Gather(src, off @ Offsets { runs: Some(_), .. }) => {
-            return unsafe { simd::gather_panels(src, off, bpack) }
-        }
+    if vector {
         // SAFETY: a `vector` call runs on a CPU with AVX2+FMA, and `src`
         // holds the `k·n` elements `run_tiled` asserts.
-        PackB::T(src) if vector => {
-            return unsafe { simd::pack_transposed(src, (k, n), panels, bpack) }
-        }
-        _ => {}
+        return unsafe { simd::pack_transposed(src, (k, n), panels, bpack) };
     }
     let (mut j0, mut at) = (panels.start * NR, 0);
     while j0 < end {
         let w = (2 * NR).min(end - j0);
         let cols = w.min(n - j0);
         let strip = &mut bpack[at..at + k * w];
-        match b {
-            PackB::N(_) => unreachable!("B stored [k, n] is read where it lies"),
-            PackB::T(src) => {
-                let columns = src[j0 * k..(j0 + cols) * k].chunks_exact(k.max(1));
-                for (c, col) in columns.enumerate() {
-                    for (p, &v) in col.iter().enumerate() {
-                        strip[p * w + c] = v;
-                    }
-                }
-            }
-            PackB::Gather(src, off) => {
-                // A short last strip reads its first column again, to keep
-                // the row loop full width.
-                let mut col = [off.col[j0]; 2 * NR];
-                col[..cols].copy_from_slice(&off.col[j0..j0 + cols]);
-                for (row, &base) in strip.chunks_exact_mut(w).zip(off.row) {
-                    for (v, &c) in row.iter_mut().zip(&col) {
-                        // SAFETY: `Offsets::check` bounded every row + column sum.
-                        *v = unsafe { *src.get_unchecked((base + c) as usize) };
-                    }
-                }
+        let columns = src[j0 * k..(j0 + cols) * k].chunks_exact(k.max(1));
+        for (c, col) in columns.enumerate() {
+            for (p, &v) in col.iter().enumerate() {
+                strip[p * w + c] = v;
             }
         }
         (j0, at) = (j0 + w, at + k * w);
@@ -1081,12 +1164,14 @@ fn pack_b_into(
 }
 
 /// Column panel `jb` of `B` (and `jb + 1`, paired) as a tile reads it: in
-/// place from `B` stored `[k, n]`, else from the strips [`pack_b_into`]
-/// filled with `panels`. The `stack`ed entries' panels lie `stack.b` apart in
-/// place, or `segs` packed regions apart.
+/// place from `B` stored `[k, n]`, a gathered `B` as a view through its
+/// tables and `cols`, its panels' classes, else from the strips
+/// [`pack_b_into`] filled with `panels`. The `stack`ed entries' panels lie
+/// `stack.b` apart in place, or `segs` packed regions apart.
+#[inline(always)]
 fn b_view(
     b: PackB<'_>,
-    bpack: &[f32],
+    (bpack, cols): (&[f32], &[Cols]),
     (m, k, n): (usize, usize, usize),
     (jb, panels): (usize, Range<usize>),
     stack: Axis,
@@ -1094,7 +1179,20 @@ fn b_view(
 ) -> BView {
     let (src, at, ks, step) = match b {
         PackB::N(src) => (src, jb * NR, n, stack.b),
-        _ => {
+        PackB::Gather(src, t) => {
+            debug_assert_eq!(stack.count, 1, "a view stacks no entries");
+            return BView {
+                ptr: src.as_ptr().wrapping_offset(t.col[jb * NR]),
+                ks: 0,
+                rows: MR,
+                off: [0; MR],
+                steps: t.row.as_ptr(),
+                cols: cols[jb],
+                pair: t.col.get(jb * NR + NR).map_or(0, |c| c - t.col[jb * NR]),
+                at: t.col[jb * NR..].as_ptr(),
+            };
+        }
+        PackB::T(_) => {
             let (strip, half) = ((jb - panels.start) / 2, (jb - panels.start) % 2);
             let j0 = (panels.start + 2 * strip) * NR;
             let width = (2 * NR).min(panels.end * NR - j0);
@@ -1115,6 +1213,10 @@ fn b_view(
         ks,
         rows,
         off,
+        steps: std::ptr::null(),
+        cols: Cols::Adjacent,
+        pair: NR as isize,
+        at: std::ptr::null(),
     }
 }
 
@@ -1180,7 +1282,7 @@ fn panelwise(b: PackB<'_>, m: usize, chunks: usize) -> bool {
 /// count. `vector`, read once per call, picks the AVX2/FMA instantiation of
 /// the micro-kernel over the portable one.
 ///
-/// Only a transposed or gathered `B` is packed, into the caller's `bpack`:
+/// Only a transposed `B` is packed, into the caller's `bpack`:
 /// whole, or one column panel of each stacked entry at a time, and each
 /// entry of the `chain` apart.
 ///
@@ -1212,7 +1314,17 @@ fn run_tiled(
     }
     let (row_panels, col_panels) = (rows_all.div_ceil(MR), n.div_ceil(NR));
     let col_groups = col_panels.div_ceil(col_grain);
-    let packed = !matches!(b, PackB::N(_));
+    // A gathered `B` is a view, its column panels classified once per call
+    // (here, for a call that did not).
+    let view = match b {
+        PackB::Gather(_, t) => Some(t),
+        _ => None,
+    };
+    let classified = view
+        .filter(|t| t.panels.is_none())
+        .map(|t| view_panels(t.col));
+    let cols = (view.and_then(|t| t.panels).or(classified.as_deref())).unwrap_or_default();
+    let packed = matches!(b, PackB::T(_));
     let (shared, strip) = (UnsafeSlice::new(out), UnsafeSlice::new(strip));
     // Tiles live in `out` itself, or from zero in the strip.
     let (tiles, from_zero) = match scatter {
@@ -1229,7 +1341,7 @@ fn run_tiled(
         let b_seg = if packed { region } else { chain.b };
         let mut steps = Steps { b: b_seg, ..chain };
         let mut av = a_view(a, (m, k), stack, i0);
-        if k == 1 {
+        if k == 1 && view.is_none() {
             (av.ks, steps) = (chain.a, Steps::from(chain.segs));
         }
         let mut jb = jbs.start;
@@ -1241,16 +1353,32 @@ fn run_tiled(
             // calls (see `simd::microkernel_x2`), so
             // which one runs — a chunk-local accident — never changes results.
             let fits = |panels: usize| jb + panels <= jbs.end && (jb + panels) * NR <= n;
-            let row = vector && rows_all == 1 && !packed && fits(ROW);
-            let pair =
-                vector && h == 1 && fits(2) && (!packed || (jb - panels.start).is_multiple_of(2));
+            let row = vector && rows_all == 1 && !packed && view.is_none() && fits(ROW);
+            // A view pairs two panels of one class: adjacent, or quads alike.
+            let alike = |_| cols[jb] == cols[jb + 1] && cols[jb] != Cols::Gather;
+            let pair = vector
+                && h == 1
+                && fits(2)
+                && (!packed || (jb - panels.start).is_multiple_of(2))
+                && view.is_none_or(alike);
             let width = match (row, pair) {
                 (true, _) => ROW * NR,
                 (_, true) => 2 * NR,
                 _ => NR,
             };
-            let mut bv = b_view(b, bpack, (m, k, n), (jb, panels.clone()), stack, chain.segs);
-            bv.ks = if k == 1 { b_seg } else { bv.ks };
+            let mut bv = b_view(
+                b,
+                (bpack, cols),
+                (m, k, n),
+                (jb, panels.clone()),
+                stack,
+                chain.segs,
+            );
+            bv.ks = if k == 1 && view.is_none() {
+                b_seg
+            } else {
+                bv.ks
+            };
             let (cols, at) = (width.min(n - jb * NR), row0 * n + jb * NR);
             let c = CView {
                 ptr: tiles.ptr(at..at + (rows - 1) * n + cols),
@@ -1262,8 +1390,10 @@ fn run_tiled(
             // SAFETY: the tile reads `A` rows `i0..i0 + MR` of the stacked
             // rows (or repeats of the last), inside the `a_len` elements
             // asserted above, and each row group's `B` columns `jb·NR..`,
-            // those up to `n` in place inside the `b_len` asserted or a
-            // packed strip of `k` rows `width` wide, in each segment. It
+            // those up to `n` in place inside the `b_len` asserted, a
+            // packed strip of `k` rows `width` wide, or a view's cells
+            // `row[p] + col[j]`, which `gemm_batched_on` checked for each
+            // entry's source (or padded planes), in each segment. It
             // touches `rows` row segments, `cols` cells each, of `tiles` rows `row0..`, inside
             // the range `ptr` checked: the entries' abutting `m·n` blocks,
             // whose bounds and disjointness from other entries'
@@ -2160,6 +2290,115 @@ mod tests {
             }
         }
         pool::set_num_threads(threads);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // The three products of a grouped conv, as `hfta-tensor` issues
+        // them, on both instantiations at 1 and 4 threads against reference
+        // loops over the materialised operand: strides 1 and 2, kernels 1-5,
+        // padding 0-2, output rows of 1 to 19 pixels, up to 11 output
+        // channels per group (a view at up to 8, packed past) and one or two
+        // samples folding into the weight gradient.
+        #[test]
+        fn conv_views_are_the_oracle_on_both_instantiations(
+            cing in 1usize..4,
+            coutg in 1usize..12,
+            groups in 1usize..3,
+            samples in 1usize..3,
+            h in 1usize..7,
+            w in 1usize..18,
+            kernel in 1usize..6,
+            stride in 1usize..3,
+            pad in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            if h + 2 * pad < kernel || w + 2 * pad < kernel {
+                return Ok(());
+            }
+            let (off, shift) = windowed_tables(cing, (h, w), (kernel, kernel), (stride, stride), (pad, pad));
+            let yx = |side: usize| [&shift[side][0][..], &shift[side][1][..]];
+            let windows = [false, true].map(|swap| Window {
+                row: yx(usize::from(swap)),
+                col: yx(usize::from(!swap)),
+                hw: (h, w),
+            });
+            let tables = |swap: bool| {
+                let (r, c) = (usize::from(swap), usize::from(!swap));
+                Offsets::windowed(&off[r], &off[c], Some(&windows[usize::from(swap)]))
+            };
+            let (krows, spatial, plane) = (off[0].len(), off[1].len(), cing * h * w);
+            let (cin, cout) = (groups * cing, groups * coutg);
+            let exists = |t: usize, q: usize| {
+                let (y, x) = (shift[0][0][t] + shift[1][0][q], shift[0][1][t] + shift[1][1][q]);
+                (0..h as i32).contains(&y) && (0..w as i32).contains(&x)
+            };
+            let at = |t: usize, q: usize| (off[0][t] + off[1][q]) as usize;
+            let x = fill(samples * cin * plane, seed);
+            let wt = fill(cout * krows, seed + 1);
+            let gy = fill(samples * cout * spatial, seed + 2);
+            let (mut fwd, mut igrad) = (vec![0.0f32; gy.len()], vec![0.0f32; x.len()]);
+            let mut wgrad = vec![0.0f32; wt.len()];
+            for (gi, ni) in (0..groups).flat_map(|g| (0..samples).map(move |n| (g, n))) {
+                let img = &x[(ni * cin + gi * cing) * plane..][..plane];
+                let mut cols = vec![0.0f32; krows * spatial];
+                for (t, q) in (0..krows).flat_map(|t| (0..spatial).map(move |q| (t, q))) {
+                    if exists(t, q) {
+                        cols[t * spatial + q] = img[at(t, q)];
+                    }
+                }
+                let wg = &wt[gi * coutg * krows..][..coutg * krows];
+                let gyg = &gy[(ni * cout + gi * coutg) * spatial..][..coutg * spatial];
+                let block = &mut fwd[(ni * cout + gi * coutg) * spatial..][..coutg * spatial];
+                reference::gemm_ref(block, wg, &cols, coutg, krows, spatial);
+                let mut product = vec![0.0f32; krows * spatial];
+                reference::gemm_tn_ref(&mut product, wg, gyg, krows, coutg, spatial);
+                let dst = &mut igrad[(ni * cin + gi * cing) * plane..][..plane];
+                for (t, q) in (0..krows).flat_map(|t| (0..spatial).map(move |q| (t, q))) {
+                    if exists(t, q) {
+                        dst[at(t, q)] += product[t * spatial + q];
+                    }
+                }
+                let block = &mut wgrad[gi * coutg * krows..][..coutg * krows];
+                reference::gemm_nt_ref(block, gyg, &cols, coutg, spatial, krows);
+            }
+            let axis = |count, a, b, out| Axis { count, a, b, out };
+            let _lock = pool::tests::THREAD_LOCK
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let threads = pool::num_threads();
+            for (pool_threads, vector) in [1, 4].into_iter().flat_map(|t| instantiations().into_iter().map(move |v| (t, v))) {
+                pool::set_num_threads(pool_threads);
+                let what = format!("{pool_threads} threads, vector={vector}");
+                let mut got = vec![f32::NAN; gy.len()];
+                let batch = [
+                    axis(samples, 0, cin * plane, cout * spatial),
+                    axis(groups, coutg * krows, cing * plane, coutg * spatial),
+                ];
+                let (a, b) = (PackA::N(&wt), PackB::Gather(&x, tables(false)));
+                gemm_batched_on(vector, Out::Write(&mut got), a, b, (coutg, krows, spatial), batch);
+                let forward = bits(&got) == bits(&fwd);
+                let mut got = vec![f32::NAN; x.len()];
+                let batch = [
+                    axis(samples, 0, cout * spatial, cin * plane),
+                    axis(groups, coutg * krows, coutg * spatial, cing * plane),
+                ];
+                let sink = Out::ScatterWrite(&mut got, tables(false));
+                gemm_batched_on(vector, sink, PackA::T(&wt), PackB::N(&gy), (krows, coutg, spatial), batch);
+                let input = bits(&got) == bits(&igrad);
+                let mut got = vec![f32::NAN; wt.len()];
+                let batch = [
+                    axis(groups, coutg * spatial, cing * plane, coutg * krows),
+                    axis(samples, cout * spatial, cin * plane, 0),
+                ];
+                let (a, b) = (PackA::N(&gy), PackB::Gather(&x, tables(true)));
+                gemm_batched_on(vector, Out::Write(&mut got), a, b, (coutg, spatial, krows), batch);
+                let weight = bits(&got) == bits(&wgrad);
+                pool::set_num_threads(threads);
+                prop_assert!(forward && input && weight, "forward {forward}, input {input}, weight {weight} at {what}");
+            }
+        }
     }
 
     #[test]

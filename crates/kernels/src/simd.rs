@@ -14,15 +14,17 @@
 //!   and `B` and accumulates into its output block wherever they lie, `k`
 //!   the steps of one segment or of a folded reduction's several; the
 //!   single-width one also stacks entries (a `B` panel per group of rows)
-//!   and masks a partial tile's columns;
+//!   and masks a partial tile's columns, and both read a gathered `B` as a
+//!   view (a row per step at its table offset, the panel's columns
+//!   adjacent, as two quads or gathered);
 //! * `gemm_small` / `gemm_tn_small` — the [`crate::reference`] loop bodies
 //!   compiled with AVX2+FMA enabled, so `mul_add` lowers to `vfmadd` and the
 //!   row loops vectorize 8-wide — the path of small table-addressed
 //!   products;
-//! * `pack_transposed`, `gather_panels` / `scatter_strip` — a transposed `B`
-//!   packed as 8×8 register transposes, and a convolution's offset-table
-//!   gather and scatter, eight lanes at a time along the column table's
-//!   arithmetic runs: the portable loops' bits and adds, in their order;
+//! * `pack_transposed`, `scatter_strip` — a transposed `B` packed as 8×8
+//!   register transposes, and a convolution's offset-table scatter, eight
+//!   lanes at a time along the column table's arithmetic runs: the portable
+//!   loops' bits and adds, in their order;
 //! * [`tanh`] — every branch of fdlibm's `tanhf` eight lanes wide, bit for
 //!   bit [`crate::reference::tanhf`], the port the portable path runs;
 //! * [`chacha8_blocks`] — eight ChaCha8 keystream blocks at once, one per
@@ -54,7 +56,7 @@
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use crate::gemm::{AView, BView, CView, Offsets, Run, Steps, MR, NR, ROW};
+use crate::gemm::{AView, BView, CView, Cols, Offsets, Run, Steps, MR, NR, ROW};
 
 const _: () = assert!(
     MR == 8 && NR == 8,
@@ -92,7 +94,9 @@ pub fn simd_available() -> bool {
 /// vector per group of `ROWS` tile rows (one for a tile of one entry,
 /// `MR / ROWS` for a lane tile) and feeds it to that group's rows. Without
 /// `SEG` the kernel walks one segment and its loop compiles away (a segment
-/// loop read at run time slowed a 2-step tile by a fifth).
+/// loop read at run time slowed a 2-step tile by a fifth). `COLS` is how a
+/// `B` row's columns load ([`cols_kind`]): `NR` adjacent ones `p·ks` on, or
+/// a view's row at its step offset, adjacent, two quads or gathered.
 ///
 /// # Safety
 ///
@@ -100,7 +104,7 @@ pub fn simd_available() -> bool {
 /// contract for `NR` columns.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_avx2<const ROWS: usize, const SEG: bool>(
+unsafe fn microkernel_avx2<const ROWS: usize, const SEG: bool, const COLS: u8>(
     k: Steps,
     a: &AView,
     b: &BView,
@@ -116,6 +120,30 @@ unsafe fn microkernel_avx2<const ROWS: usize, const SEG: bool>(
         true => _mm256_loadu_ps(at),
         false => _mm256_maskload_ps(at, mask),
     };
+    let (quad, idx) = match b.cols {
+        Cols::Quads(d) => (d, lanes),
+        Cols::Gather => {
+            // Index loop: `map` may not inline across the feature boundary.
+            let mut idx = [0i32; NR];
+            for (c, i) in idx.iter_mut().enumerate().take(c.cols) {
+                *i = b.col(c) as i32;
+            }
+            (0, _mm256_loadu_si256(idx.as_ptr().cast()))
+        }
+        Cols::Adjacent => (0, lanes),
+    };
+    let load_b = |at: *const f32| match COLS {
+        QUADS => _mm256_set_m128(_mm_loadu_ps(at.offset(quad)), _mm_loadu_ps(at)),
+        GATHER => {
+            let valid = _mm256_castsi256_ps(mask);
+            _mm256_mask_i32gather_ps::<4>(_mm256_setzero_ps(), at, idx, valid)
+        }
+        _ => load(at),
+    };
+    let step = |p: usize| match COLS {
+        STRIDED => (p * b.ks) as isize,
+        _ => *b.steps.add(p),
+    };
     let mut rows = [_mm256_setzero_ps(); MR];
     for (r, row) in rows.iter_mut().enumerate().take(c.rows) {
         if !c.from_zero {
@@ -127,9 +155,10 @@ unsafe fn microkernel_avx2<const ROWS: usize, const SEG: bool>(
     for s in 0..if SEG { k.segs } else { 1 } {
         let (sa, sb) = if SEG { (s * k.a, s * k.b) } else { (0, 0) };
         for p in 0..k.k {
+            let at = sb as isize + step(p);
             let mut bv = [_mm256_setzero_ps(); MR];
             for (g, v) in bv.iter_mut().enumerate().take(groups) {
-                *v = load(bg[g].add(sb + p * b.ks));
+                *v = load_b(bg[g].offset(at));
             }
             for (r, row) in rows.iter_mut().enumerate() {
                 let av = _mm256_set1_ps(*ar[r].add(sa + p * a.ks));
@@ -152,15 +181,38 @@ unsafe fn microkernel_avx2<const ROWS: usize, const SEG: bool>(
 /// FMAs, so the kernel runs at the FMA bound instead of the single-tile
 /// version's load bound. Lane-for-lane the FMA sequence equals two
 /// single-tile calls on the two halves, so results are bitwise identical
-/// to them.
+/// to them. The second half's `B` columns lie `b.pair` past the first's;
+/// a view's halves load alike, adjacent or as quads (`COLS`).
 ///
 /// # Safety
 ///
 /// As [`microkernel_avx2`], for `2·NR` columns.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_avx2_x2<const SEG: bool>(k: Steps, a: &AView, b: &BView, c: CView) {
+unsafe fn microkernel_avx2_x2<const SEG: bool, const COLS: u8>(
+    k: Steps,
+    a: &AView,
+    b: &BView,
+    c: CView,
+) {
     use std::arch::x86_64::*;
+    let row = |at: usize, p: usize| match COLS {
+        STRIDED => b.ptr.add(at + p * b.ks),
+        _ => b.ptr.offset(at as isize + *b.steps.add(p)),
+    };
+    let quad = match b.cols {
+        Cols::Quads(d) => d,
+        _ => 0,
+    };
+    let load = |at: *const f32| match COLS {
+        QUADS => _mm256_set_m128(_mm_loadu_ps(at.offset(quad)), _mm_loadu_ps(at)),
+        _ => _mm256_loadu_ps(at),
+    };
+    let pair = match COLS {
+        STRIDED => NR as isize,
+        _ => b.pair,
+    };
+    let halves = |at: *const f32| (load(at), load(at.offset(pair)));
     for r0 in [0usize, 4] {
         // A partial tile's pass over rows past `c.rows` reads `A` rows the
         // view repeats and stores nothing; one wholly past them is skipped.
@@ -185,14 +237,14 @@ unsafe fn microkernel_avx2_x2<const SEG: bool>(k: Steps, a: &AView, b: &BView, c
             // accumulation order (and hence every result bit) is unchanged.
             let mut p = 0usize;
             while p + 1 < k.k {
-                let (bp, bq) = (b.ptr.add(sb + p * b.ks), b.ptr.add(sb + (p + 1) * b.ks));
-                let (bv0, bv1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(NR)));
+                let (bp, bq) = (row(sb, p), row(sb, p + 1));
+                let (bv0, bv1) = halves(bp);
                 for (i, accv) in acc.iter_mut().enumerate() {
                     let av = _mm256_set1_ps(*ar[i].add(sa + p * a.ks));
                     accv[0] = _mm256_fmadd_ps(av, bv0, accv[0]);
                     accv[1] = _mm256_fmadd_ps(av, bv1, accv[1]);
                 }
-                let (bw0, bw1) = (_mm256_loadu_ps(bq), _mm256_loadu_ps(bq.add(NR)));
+                let (bw0, bw1) = halves(bq);
                 for (i, accv) in acc.iter_mut().enumerate() {
                     let av = _mm256_set1_ps(*ar[i].add(sa + (p + 1) * a.ks));
                     accv[0] = _mm256_fmadd_ps(av, bw0, accv[0]);
@@ -201,8 +253,7 @@ unsafe fn microkernel_avx2_x2<const SEG: bool>(k: Steps, a: &AView, b: &BView, c
                 p += 2;
             }
             if p < k.k {
-                let bp = b.ptr.add(sb + p * b.ks);
-                let (bv0, bv1) = (_mm256_loadu_ps(bp), _mm256_loadu_ps(bp.add(NR)));
+                let (bv0, bv1) = halves(row(sb, p));
                 for (i, accv) in acc.iter_mut().enumerate() {
                     let av = _mm256_set1_ps(*ar[i].add(sa + p * a.ks));
                     accv[0] = _mm256_fmadd_ps(av, bv0, accv[0]);
@@ -257,9 +308,28 @@ unsafe fn row_avx2<const SEG: bool>(k: Steps, a: &AView, b: &BView, c: CView) {
     }
 }
 
+/// How a tile's `B` row loads, as the kernels' `COLS` parameter: `NR`
+/// adjacent columns `p·ks` past the panel, or a view's row
+/// ([`BView::steps`]) read as its [`Cols`].
+const STRIDED: u8 = 0;
+const ADJACENT: u8 = 1;
+const QUADS: u8 = 2;
+const GATHER: u8 = 3;
+
+/// `b`'s `COLS` parameter.
+fn cols_kind(b: &BView) -> u8 {
+    match (b.steps.is_null(), b.cols) {
+        (true, _) => STRIDED,
+        (false, Cols::Adjacent) => ADJACENT,
+        (false, Cols::Quads(_)) => QUADS,
+        (false, Cols::Gather) => GATHER,
+    }
+}
+
 /// Runs the AVX2/FMA 8×8 micro-kernel, instantiated for the row grouping
-/// of `b`: a lane tile's 1 to 4 rows per entry, else one group. Only
-/// [`crate::gemm`]'s tiled path calls it, on a `vector` flag.
+/// of `b` (a lane tile's 1 to 4 rows per entry, else one group) and how
+/// its rows load. Only [`crate::gemm`]'s tiled path calls it, on a
+/// `vector` flag.
 ///
 /// # Safety
 ///
@@ -274,12 +344,18 @@ pub(crate) unsafe fn microkernel(k: impl Into<Steps>, a: &AView, b: &BView, c: C
     unsafe {
         macro_rules! rows {
             ($seg:literal) => {
-                match b.rows {
-                    1 => microkernel_avx2::<1, $seg>(k, a, b, c),
-                    2 => microkernel_avx2::<2, $seg>(k, a, b, c),
-                    3 => microkernel_avx2::<3, $seg>(k, a, b, c),
-                    4 => microkernel_avx2::<4, $seg>(k, a, b, c),
-                    _ => microkernel_avx2::<MR, $seg>(k, a, b, c),
+                // A strided `B` (every lane tile) tests nothing else first.
+                match (b.steps.is_null(), b.rows) {
+                    (true, 1) => microkernel_avx2::<1, $seg, STRIDED>(k, a, b, c),
+                    (true, 2) => microkernel_avx2::<2, $seg, STRIDED>(k, a, b, c),
+                    (true, 3) => microkernel_avx2::<3, $seg, STRIDED>(k, a, b, c),
+                    (true, 4) => microkernel_avx2::<4, $seg, STRIDED>(k, a, b, c),
+                    (true, _) => microkernel_avx2::<MR, $seg, STRIDED>(k, a, b, c),
+                    _ => match cols_kind(b) {
+                        ADJACENT => microkernel_avx2::<MR, $seg, ADJACENT>(k, a, b, c),
+                        QUADS => microkernel_avx2::<MR, $seg, QUADS>(k, a, b, c),
+                        _ => microkernel_avx2::<MR, $seg, GATHER>(k, a, b, c),
+                    },
                 }
             };
         }
@@ -294,7 +370,7 @@ pub(crate) unsafe fn microkernel(k: impl Into<Steps>, a: &AView, b: &BView, c: C
 
 /// Runs the paired (8×16) AVX2/FMA micro-kernel, or across `ROW·NR`
 /// columns of one row the one-row kernel; bitwise equal to [`microkernel`]
-/// calls on the tile's column panels.
+/// calls on the tile's column panels. A view pairs panels of one class.
 ///
 /// # Safety
 ///
@@ -306,11 +382,20 @@ pub(crate) unsafe fn microkernel_x2(k: impl Into<Steps>, a: &AView, b: &BView, c
     #[cfg(target_arch = "x86_64")]
     // SAFETY: as in `microkernel`.
     unsafe {
+        macro_rules! cols {
+            ($seg:literal) => {
+                match cols_kind(b) {
+                    ADJACENT => microkernel_avx2_x2::<$seg, ADJACENT>(k, a, b, c),
+                    QUADS => microkernel_avx2_x2::<$seg, QUADS>(k, a, b, c),
+                    _ => microkernel_avx2_x2::<$seg, STRIDED>(k, a, b, c),
+                }
+            };
+        }
         match (c.cols > 2 * NR, k.segs > 1) {
             (true, true) => row_avx2::<true>(k, a, b, c),
             (true, false) => row_avx2::<false>(k, a, b, c),
-            (false, true) => microkernel_avx2_x2::<true>(k, a, b, c),
-            (false, false) => microkernel_avx2_x2::<false>(k, a, b, c),
+            (false, true) => cols!(true),
+            (false, false) => cols!(false),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -371,81 +456,6 @@ pub(crate) unsafe fn pack_transposed(
                 };
                 _mm256_storeu_ps(out.add((p0 + r) * w), row);
             }
-        }
-    }
-}
-
-/// AVX2 twin of `gemm::pack_b_into` for a gathered `B`, `NR` columns of
-/// every strip at a time by the runs they lie in: two 128-bit loads when
-/// each half is step-1 (contiguous, or a weight gradient's runs of 4), two
-/// loads and a shuffle inside one stride-2 run whose span lies in `src`,
-/// else a masked `vgatherdps` on an index vector built once for all `k`
-/// rows. Padding lanes are `+0.0`; each lane copies the portable loop's bits.
-///
-/// # Safety
-///
-/// The CPU must have AVX2+FMA, `off` must be checked for `src` (which `i32`
-/// indexes) and carry `split_runs(off.col)`, and `bpack` must be all of `B`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn gather_panels(src: &[f32], off: Offsets<'_>, bpack: &mut [f32]) {
-    use std::arch::x86_64::*;
-    // Index loops throughout: an iterator adapter may not inline into an
-    // AVX2 function, and an out-of-line `next` per row outweighs its loads.
-    let (runs, at) = (off.runs.unwrap_or_default(), src.as_ptr());
-    let (k, n, zero) = (off.row.len(), off.col.len(), _mm256_setzero_ps());
-    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    let mut r = 0;
-    for lo in (0..n).step_by(NR) {
-        let col = &off.col[lo..(lo + NR).min(n)];
-        while runs[r].at + runs[r].len <= lo {
-            r += 1;
-        }
-        let (step, end) = (runs[r].step, runs[r].at + runs[r].len);
-        let next_quad = matches!(runs.get(r + 1), Some(s) if s.step == 1 && s.len >= 4);
-        let quads = step == 1 && (end >= lo + NR || end == lo + 4 && next_quad && col.len() == NR);
-        // The strip from `j0` holds its `k` rows `w` apart, behind `j0·k` cells.
-        let j0 = lo - lo % (2 * NR);
-        let w = (2 * NR).min(n.div_ceil(NR) * NR - j0);
-        let out = bpack.as_mut_ptr().add(j0 * k + lo - j0);
-        if quads {
-            for p in 0..k {
-                let (a, b) = (
-                    at.offset(off.row[p] + col[0]),
-                    at.offset(off.row[p] + col[4]),
-                );
-                let v = _mm256_set_m128(_mm_loadu_ps(b), _mm_loadu_ps(a));
-                _mm256_storeu_ps(out.add(p * w), v);
-            }
-            continue;
-        }
-        let mut idx = [0i32; NR];
-        for (i, &c) in idx.iter_mut().zip(col) {
-            *i = c as i32;
-        }
-        let idx = _mm256_loadu_si256(idx.as_ptr().cast());
-        let cols = _mm256_set1_epi32(col.len() as i32);
-        let valid = _mm256_castsi256_ps(_mm256_cmpgt_epi32(cols, lanes));
-        let evens = step == 2 && end >= lo + NR;
-        for p in 0..k {
-            // One stride-2 run: its even lanes, if all 2·NR lie in `src`.
-            let first = off.row[p] + col[0];
-            let span = match first >= 0 {
-                true => src.get(first as usize..first as usize + 2 * NR),
-                false => None,
-            };
-            let v = match span {
-                Some(span) if evens => {
-                    let (a, b) = (span.as_ptr(), span[NR..].as_ptr());
-                    let (a, b) = (_mm256_loadu_ps(a), _mm256_loadu_ps(b));
-                    let pairs = _mm256_castps_pd(_mm256_shuffle_ps::<0b10_00_10_00>(a, b));
-                    _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(pairs))
-                }
-                _ => {
-                    _mm256_mask_i32gather_ps::<4>(zero, at.wrapping_offset(off.row[p]), idx, valid)
-                }
-            };
-            _mm256_storeu_ps(out.add(p * w), v);
         }
     }
 }
@@ -823,6 +833,10 @@ mod tests {
                 ks: b_ks,
                 rows: MR,
                 off: [0; MR],
+                steps: std::ptr::null(),
+                cols: Cols::Adjacent,
+                pair: NR as isize,
+                at: std::ptr::null(),
             },
         )
     }

@@ -61,8 +61,10 @@ pub(crate) fn reset_counters() {
     FRESH.store(0, Ordering::Relaxed);
 }
 
+/// A class buffer, full class length from its creation (the bytes its
+/// class accounts), so a checkout never fills it.
 fn new_class_buffer(c: usize) -> Vec<f32> {
-    let buf = Vec::with_capacity(class_elems(c));
+    let buf = vec![0.0; class_elems(c)];
     OWNED_COUNT[c].fetch_add(1, Ordering::Relaxed);
     OWNED_BYTES.fetch_add((class_elems(c) * 4) as u64, Ordering::Relaxed);
     FRESH.fetch_add(1, Ordering::Relaxed);
@@ -102,16 +104,16 @@ pub fn reserve(tag: &'static str, len: usize, count: usize) {
 
 /// Checks out a scratch buffer of `len` elements, runs `f`, and returns the
 /// buffer to the arena. Its values are unspecified (what the last checkout
-/// left, zeros past it): `f` must write every cell it reads. Falls back to
-/// a plain allocation when the request is oversize.
+/// left): `f` must write every cell it reads. Debug builds hand it over
+/// NaN-filled, so a read before a write shows in every bit-identity test.
+/// Falls back to a plain allocation when the request is oversize.
 pub fn with<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     if len == 0 {
         return f(&mut []);
     }
     let Some(c) = class_of(len) else {
         FRESH.fetch_add(1, Ordering::Relaxed);
-        let mut buf = vec![0.0f32; len];
-        return f(&mut buf);
+        return f(unfilled(&mut vec![0.0f32; len]));
     };
     let popped = FREE[c].lock().unwrap().pop();
     let mut buf = match popped {
@@ -126,11 +128,17 @@ pub fn with<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
         }
     };
     CHECKOUTS.fetch_add(1, Ordering::Relaxed);
-    buf.truncate(len);
-    buf.resize(len, 0.0);
-    let r = f(&mut buf);
+    let r = f(unfilled(&mut buf[..len]));
     FREE[c].lock().unwrap().push(buf);
     r
+}
+
+/// `buf` as [`with`] hands it over: NaN in debug builds, as it is otherwise.
+fn unfilled(buf: &mut [f32]) -> &mut [f32] {
+    if cfg!(debug_assertions) {
+        buf.fill(f32::NAN);
+    }
+    buf
 }
 
 /// Drops every parked scratch buffer and forgets all reservation targets.

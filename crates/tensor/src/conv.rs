@@ -17,10 +17,12 @@
 //! unpadded block, where the [`Window`] of shifts `(u-ph, v-pw) + (oy*sh,
 //! ox*sw)` lies in `[0, h) x [0, w)`: padding reads `+0.0`, writes nowhere.
 //! The forward pass and the weight gradient *gather* their operand through
-//! the tables ([`PackB::Gather`]; `cols^T` swaps them), the input gradient —
-//! hence the transposed convolution's forward — *scatter-adds* `w^T @ gy`
-//! into the gradient as if zeroed ([`Out::ScatterWrite`]) one row strip at a
-//! time in ascending `(ci,u,v)`, `col2im`'s order for each pixel's taps.
+//! the tables ([`PackB::Gather`]; `cols^T` swaps them), which the GEMM's
+//! tiles read where it lies as a view of the image's padded planes (packed
+//! once only when many row panels read it), the input gradient — hence the
+//! transposed convolution's forward — *scatter-adds* `w^T @ gy` into the
+//! gradient as if zeroed ([`Out::ScatterWrite`]) one row strip at a time in
+//! ascending `(ci,u,v)`, `col2im`'s order for each pixel's taps.
 //! Every op is bit-identical to pad → im2col → GEMM → col2im → unpad, with
 //! no padded tensor.
 //!

@@ -225,3 +225,210 @@ proptest! {
         }
     }
 }
+
+// The three conv ops against pad -> im2col -> GEMM -> col2im -> unpad, bit
+// for bit. The GEMM reads a gathered image as a view (one row panel, or a
+// weight gradient folding more steps than a packed `B` does) or packs it,
+// and adds the input gradient through its tables; the cases span both
+// sides of that split and of an 8-column panel.
+
+use hfta_kernels::reference::{gemm_nt_ref, gemm_ref, gemm_tn_ref};
+
+/// Bit patterns with every NaN as one (a NaN product's payload is the
+/// platform's).
+fn canon(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { 0x7fc0_0000 } else { x.to_bits() })
+        .collect()
+}
+
+/// `conv2d(x, w, bias)`, `conv2d_grad_input(w, gy)` and
+/// `conv2d_grad_weight(x, gy)` by the oracle: each `(sample, group)` block's
+/// zero-padded image lowered to columns, the reference loops over them
+/// (every output chain from its bias or `+0.0`, each weight-gradient block
+/// through the samples in order), the input gradient's product added back
+/// into zeroed padded planes tap by tap and cropped; a pointwise one is the
+/// product itself.
+fn conv_oracle(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&Tensor>,
+    gy: &Tensor,
+    cfg: ConvCfg,
+) -> [Vec<f32>; 3] {
+    let (&[n, cin, h, wd], &[cout, cing, kh, kw]) = (x.dims(), w.dims()) else {
+        panic!("4-d operands")
+    };
+    let (g, (ph, pw), (sh, sw)) = (cfg.groups, cfg.padding, cfg.stride);
+    let (coutg, hp, wp) = (cout / g, h + 2 * ph, wd + 2 * pw);
+    let (ho, wo) = ((hp - kh) / sh + 1, (wp - kw) / sw + 1);
+    let (krows, spatial, plane) = (cing * kh * kw, ho * wo, hp * wp);
+    let tap = |r: usize, q: usize| {
+        let (ci, u, v, oy, ox) = (r / (kh * kw), r / kw % kh, r % kw, q / wo, q % wo);
+        (ci * hp + oy * sh + u) * wp + ox * sw + v
+    };
+    let mut y = vec![0.0f32; n * cout * spatial];
+    if let Some(b) = bias {
+        for (row, &bv) in y.chunks_exact_mut(spatial).zip(b.as_slice().iter().cycle()) {
+            row.fill(bv);
+        }
+    }
+    let (mut gx, mut gw) = (vec![0.0f32; x.numel()], vec![0.0f32; w.numel()]);
+    let pointwise = (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0);
+    for (gi, ni) in (0..g).flat_map(|gi| (0..n).map(move |ni| (gi, ni))) {
+        let img = &x.as_slice()[(ni * cin + gi * cing) * h * wd..][..cing * h * wd];
+        let mut padded = vec![0.0f32; cing * plane];
+        for (c, row) in (0..cing * h).zip(img.chunks_exact(wd)) {
+            padded[(c / h * hp + c % h + ph) * wp + pw..][..wd].copy_from_slice(row);
+        }
+        let mut cols = vec![0.0f32; krows * spatial];
+        for (r, q) in (0..krows).flat_map(|r| (0..spatial).map(move |q| (r, q))) {
+            cols[r * spatial + q] = padded[tap(r, q)];
+        }
+        let wg = &w.as_slice()[gi * coutg * krows..][..coutg * krows];
+        let gyg = &gy.as_slice()[(ni * cout + gi * coutg) * spatial..][..coutg * spatial];
+        let yg = &mut y[(ni * cout + gi * coutg) * spatial..][..coutg * spatial];
+        gemm_ref(yg, wg, &cols, coutg, krows, spatial);
+        let mut product = vec![0.0f32; krows * spatial];
+        gemm_tn_ref(&mut product, wg, gyg, krows, coutg, spatial);
+        let gxg = &mut gx[(ni * cin + gi * cing) * h * wd..][..cing * h * wd];
+        if pointwise {
+            gxg.copy_from_slice(&product);
+        } else {
+            let mut back = vec![0.0f32; cing * plane];
+            for (r, q) in (0..krows).flat_map(|r| (0..spatial).map(move |q| (r, q))) {
+                back[tap(r, q)] += product[r * spatial + q];
+            }
+            for (c, row) in (0..cing * h).zip(gxg.chunks_exact_mut(wd)) {
+                row.copy_from_slice(&back[(c / h * hp + c % h + ph) * wp + pw..][..wd]);
+            }
+        }
+        let gwg = &mut gw[gi * coutg * krows..][..coutg * krows];
+        gemm_nt_ref(gwg, gyg, &cols, coutg, spatial, krows);
+    }
+    [y, gx, gw]
+}
+
+/// The three ops at `threads` against `want`, NaNs as one pattern.
+fn conv_ops_match(
+    (x, w, bias, gy): (&Tensor, &Tensor, Option<&Tensor>, &Tensor),
+    cfg: ConvCfg,
+    want: &[Vec<f32>; 3],
+    threads: usize,
+) -> Result<(), String> {
+    set_num_threads(threads);
+    let (&[_, cin, h, wd], &[_, _, kh, kw]) = (x.dims(), w.dims()) else {
+        panic!("4-d operands")
+    };
+    let got = [
+        conv2d(x, w, bias, cfg),
+        conv2d_grad_input(w, gy, (h, wd), cin, cfg),
+        conv2d_grad_weight(x, gy, (kh, kw), cfg),
+    ];
+    for ((op, got), want) in ["forward", "input gradient", "weight gradient"]
+        .iter()
+        .zip(&got)
+        .zip(want)
+    {
+        if canon(got.as_slice()) != canon(want) {
+            return Err(format!("{op} differs at {threads} threads, {cfg:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// The operands of one conv: seeded image, weight (its cell `special.1`
+/// set to `special.0` when given), bias and output gradient.
+fn conv_operands(
+    (n, g, cing, coutg): (usize, usize, usize, usize),
+    (h, wd, kh, kw): (usize, usize, usize, usize),
+    cfg: ConvCfg,
+    special: Option<(f32, usize)>,
+    seed: usize,
+) -> (Tensor, Tensor, Tensor, Tensor) {
+    let x = mk_tensor(seed, &[n, g * cing, h, wd]);
+    let mut w = mk_tensor(seed + 13, &[g * coutg, cing, kh, kw]);
+    if let Some((v, at)) = special {
+        let cells = w.numel();
+        w.as_mut_slice()[at % cells] = v;
+    }
+    let bias = mk_tensor(seed + 29, &[g * coutg]);
+    let (ho, wo) = cfg.out_hw((h, wd), (kh, kw));
+    let gy = mk_tensor(seed + 71, &[n, g * coutg, ho, wo]);
+    (x, w, bias, gy)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Strides 1 and 2, kernels 1-5, padding 0-2, output rows from 1 to 25
+    // wide, 1-3 groups of 1-11 output channels (views at up to 8, packed
+    // past), one or two samples reducing into the weight gradient, with and
+    // without a bias (an adding and a writing sink), a NaN or an infinite
+    // weight, at 1 and 4 threads.
+    #[test]
+    fn conv_ops_equal_the_im2col_oracle(
+        n in 1usize..3,
+        g in 1usize..4,
+        cing in 1usize..4,
+        coutg in 1usize..12,
+        h in 1usize..9,
+        wd in 1usize..22,
+        kh in 1usize..6,
+        kw in 1usize..6,
+        stride in 1usize..3,
+        pad in 0usize..3,
+        bias in any::<bool>(),
+        special in 0usize..4,
+        seed in 0usize..1000,
+    ) {
+        if h + 2 * pad < kh || wd + 2 * pad < kw {
+            return Ok(());
+        }
+        let _l = THREADS_LOCK.lock().unwrap();
+        let _restore = RestoreThreads(hfta_kernels::num_threads());
+        let cfg = ConvCfg::square(stride, pad, g);
+        let special = [None, Some((f32::NAN, seed)), Some((f32::INFINITY, seed)), Some((-0.0, seed))][special];
+        let (x, w, b, gy) = conv_operands((n, g, cing, coutg), (h, wd, kh, kw), cfg, special, seed);
+        let bias = bias.then_some(&b);
+        let want = conv_oracle(&x, &w, bias, &gy, cfg);
+        for threads in [1, 4] {
+            conv_ops_match((&x, &w, bias, &gy), cfg, &want, threads)?;
+        }
+    }
+}
+
+/// Every conv layer shape of the `mixed_plan` and `dcgan_compute` workloads
+/// (batch 2; a DCGAN generator layer as the conv it is the adjoint of), its
+/// three ops against the oracle at 1 and 4 threads.
+#[test]
+fn workload_conv_layers_equal_the_im2col_oracle() {
+    let _l = THREADS_LOCK.lock().unwrap();
+    let _restore = RestoreThreads(hfta_kernels::num_threads());
+    // (groups, cing, coutg, plane, kernel, stride, padding)
+    let layers = [
+        // mixed_plan: width-4 blocks of D1-D5 and the 3x3 refinements at widths 1 and 2.
+        (4, 3, 8, 64, 4, 2, 1),
+        (1, 8, 8, 32, 3, 1, 1),
+        (2, 8, 8, 32, 3, 1, 1),
+        (4, 8, 16, 32, 4, 2, 1),
+        (4, 16, 32, 16, 4, 2, 1),
+        (4, 32, 64, 8, 4, 2, 1),
+        (4, 64, 1, 4, 4, 1, 0),
+        // dcgan_compute at B = 6: D1-D5, and G1's conv (G2-G5's are D4-D1's).
+        (6, 3, 12, 64, 4, 2, 1),
+        (6, 12, 24, 32, 4, 2, 1),
+        (6, 24, 48, 16, 4, 2, 1),
+        (6, 48, 96, 8, 4, 2, 1),
+        (6, 96, 1, 4, 4, 1, 0),
+        (6, 96, 32, 4, 4, 1, 0),
+    ];
+    for (seed, &(g, cing, coutg, hw, k, stride, pad)) in layers.iter().enumerate() {
+        let cfg = ConvCfg::square(stride, pad, g);
+        let (x, w, _, gy) = conv_operands((2, g, cing, coutg), (hw, hw, k, k), cfg, None, seed);
+        let want = conv_oracle(&x, &w, None, &gy, cfg);
+        for threads in [1, 4] {
+            conv_ops_match((&x, &w, None, &gy), cfg, &want, threads).unwrap();
+        }
+    }
+}
