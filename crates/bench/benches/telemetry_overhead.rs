@@ -30,7 +30,7 @@ struct Setup {
 
 fn setup() -> Setup {
     let mut rng = Rng::seed_from(7);
-    let conv = Fused(B).conv2d(Conv2dCfg::new(3, 4, 3), &mut rng);
+    let conv = Fused(B).conv2d(Conv2dCfg::new(3, 4, 3), &mut Fused(B).lanes(&mut rng));
     let opt = FusedSgd::new(
         FusedParameter::of(&conv, B),
         PerModel::new(vec![0.01; B]),

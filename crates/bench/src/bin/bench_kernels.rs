@@ -223,7 +223,7 @@ fn main() {
     set_num_threads(mt);
     let scope_iters = if quick { 5 } else { 30 };
     let sb = 6usize;
-    let conv = Fused(sb).conv2d(Conv2dCfg::new(3, 16, 4), &mut rng);
+    let conv = Fused(sb).conv2d(Conv2dCfg::new(3, 16, 4), &mut Fused(sb).lanes(&mut rng));
     let params = FusedParameter::of(&conv, sb);
     let mut opt =
         FusedSgd::new(params.clone(), PerModel::new(vec![0.01; sb]), 0.9).expect("matching widths");

@@ -4,18 +4,17 @@
 //! those slots unevaluated: the step's `bwd:conv2d` rows price the
 //! discriminator's input gradients only (1x forward). If the next
 //! discriminator step zeroes first they are dropped and no span appears,
-//! even after a lane splice or a lane write from a standalone model (writes
-//! of values, not reads of gradients); reading them instead forces them,
+//! even after a lane splice or a write of one lane's values over another
+//! (writes of values, not reads of gradients); reading them instead forces them,
 //! each under its own `bwd:conv2d` span, and those spans make up the FLOP
 //! difference to the eager 2x forward.
 
-use hfta_core::array::write_model_weights;
 use hfta_core::loss::{fused_bce_with_logits, Reduction};
 use hfta_core::ops::FusedModule;
 use hfta_core::optim::{FusedAdam, PerModel};
 use hfta_core::surgery::{extract_lane, splice_lanes};
 use hfta_models::{DcganCfg, FusedDiscriminator, FusedGenerator};
-use hfta_nn::{Module, Parameter, Tape};
+use hfta_nn::{Module, Tape};
 use hfta_telemetry::{ExperimentReport, Profiler};
 use hfta_tensor::{Rng, Tensor};
 
@@ -27,7 +26,7 @@ const LANES: usize = 2;
 enum Between {
     /// Splice every lane back in reverse order.
     Splice,
-    /// Write lane 0 from a standalone copy of lane 1.
+    /// Write lane 1's values over lane 0's.
     WriteLane,
     /// Read every gradient slot.
     Read,
@@ -93,11 +92,12 @@ fn a_generator_step_prices_only_the_discriminator_input_gradients() {
                     splice_lanes(&lanes, &params, &mut opt_d);
                 }
                 Between::WriteLane => {
-                    let standalone: Vec<_> = params
-                        .iter()
-                        .map(|fp| Parameter::new(fp.model_slice(1), "lane 1"))
-                        .collect();
-                    write_model_weights(&params, 0, &standalone);
+                    for fp in &params {
+                        fp.param.update_value(|v| {
+                            let lane = v.numel() / LANES;
+                            v.as_mut_slice().copy_within(lane..2 * lane, 0);
+                        });
+                    }
                 }
                 Between::Read => disc.parameters().iter().for_each(|p| drop(p.grad())),
             }

@@ -28,7 +28,7 @@ fn trace_dcgan_step(dir: &Path) {
     let p = session.profiler().expect("active session").clone();
 
     let mut rng = Rng::seed_from(11);
-    let conv = Fused(B).conv2d(Conv2dCfg::new(3, 8, 3), &mut rng);
+    let conv = Fused(B).conv2d(Conv2dCfg::new(3, 8, 3), &mut Fused(B).lanes(&mut rng));
     let mut opt = FusedSgd::new(
         FusedParameter::of(&conv, B),
         PerModel::new(vec![0.01; B]),

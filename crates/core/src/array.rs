@@ -1,5 +1,4 @@
-//! Step metrics and per-model weight transfer into and out of an array's
-//! lanes.
+//! Step metrics, and copying one model's weights out of an array's lane.
 
 use hfta_nn::Parameter;
 use hfta_telemetry::{Profiler, StepMetric};
@@ -110,38 +109,12 @@ pub fn copy_model_weights(fused: &[FusedParameter], index: usize, dest: &[Parame
     }
 }
 
-/// Writes a per-model parameter set into model `index`'s lane of a fused
-/// parameter set — the inverse of [`copy_model_weights`], used to restore
-/// one array member from a checkpoint or to seed a lane from a serial
-/// replica; it reads no gradient slot. Round-tripping through both is
-/// bit-exact (storage is copied, never recomputed).
-///
-/// # Panics
-///
-/// Panics if the parameter counts differ, `index` is out of range, or a
-/// source's element count differs from its lane.
-pub fn write_model_weights(fused: &[FusedParameter], index: usize, src: &[Parameter]) {
-    assert_eq!(
-        fused.len(),
-        src.len(),
-        "fused/serial parameter count mismatch"
-    );
-    for (fp, s) in fused.iter().zip(src) {
-        let sv = s.value();
-        fp.param.update_value(|value| {
-            let (lo, hi) = crate::scope::lane_bounds(value.numel(), fp.b, index);
-            assert_eq!(sv.numel(), hi - lo, "parameter {} size mismatch", s.name());
-            value.as_mut_slice()[lo..hi].copy_from_slice(sv.as_slice());
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{FusedLinear, FusedModule};
+    use crate::ops::FusedLinear;
     use hfta_nn::layers::LinearCfg;
-    use hfta_tensor::{Rng, Tensor};
+    use hfta_tensor::Rng;
 
     #[test]
     fn record_step_feeds_installed_profiler() {
@@ -178,58 +151,5 @@ mod tests {
         // Even split across the two lanes, conserving the total.
         assert!((lane0 + lane1 - gauge("mem.footprint_bytes")).abs() <= 1.0);
         assert!((lane0 - lane1).abs() <= 1.0);
-    }
-
-    #[test]
-    fn copy_then_write_model_weights_round_trips_bitwise() {
-        let mut rng = Rng::seed_from(3);
-        let fused = FusedLinear::new(3, LinearCfg::new(4, 2), &mut rng).fused_parameters();
-        let before: Vec<Vec<f32>> = fused
-            .iter()
-            .map(|p| p.param.value_cloned().to_vec())
-            .collect();
-
-        // Copy lane 1 out into per-model parameters...
-        let dest: Vec<Parameter> = fused
-            .iter()
-            .map(|p| {
-                let dims: Vec<usize> = {
-                    let v = p.param.value();
-                    let mut d = v.dims().to_vec();
-                    d[0] /= p.b;
-                    d
-                };
-                Parameter::new(Tensor::zeros(dims), "dest")
-            })
-            .collect();
-        copy_model_weights(&fused, 1, &dest);
-
-        // ...scribble over the lane, then write the copies back.
-        for p in &fused {
-            p.param.update(|v, _| {
-                let n = v.numel();
-                v.as_mut_slice()[n / 3..2 * n / 3].fill(f32::NAN);
-            });
-        }
-        write_model_weights(&fused, 1, &dest);
-        for (p, orig) in fused.iter().zip(&before) {
-            assert_eq!(
-                &p.param.value_cloned().to_vec(),
-                orig,
-                "round trip not bit-exact"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn write_model_weights_rejects_wrong_shapes() {
-        let mut rng = Rng::seed_from(4);
-        let fused = FusedLinear::new(2, LinearCfg::new(3, 2), &mut rng).fused_parameters();
-        let bad: Vec<Parameter> = fused
-            .iter()
-            .map(|_| Parameter::new(Tensor::zeros([1]), "bad"))
-            .collect();
-        write_model_weights(&fused, 0, &bad);
     }
 }

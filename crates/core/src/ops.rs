@@ -40,10 +40,22 @@
 //! to the ops that impose them, so a model definition never encodes how it
 //! is mapped onto the device; each is an identity (a handle clone, no tape
 //! node) or the plain per-model op for [`Serial`].
+//!
+//! # One init rule
+//!
+//! A family's constructors draw from its [`Ops::Init`]: one [`Rng`] for
+//! [`Serial`], one generator per lane (`[Rng]`) for [`Fused`]`(B)`. A
+//! fused constructor builds lane `i`'s layer from lane `i`'s generator and
+//! stacks the `B` layers, so `A::build(Fused(b), lanes)` is lane for lane,
+//! bit for bit, `A::build(Serial, lanes[i])` stacked, and leaves every
+//! lane's generator where the solo build leaves it. A lane starts as its
+//! solo run whatever the array width and whatever else the model holds.
 
 use std::fmt::Debug;
 
-use hfta_nn::layers::{BatchNorm, Conv1d, Conv2d, Conv2dCfg, ConvTranspose2d, Linear, LinearCfg};
+use hfta_nn::layers::{
+    BatchNorm, Conv1d, Conv2d, Conv2dCfg, ConvTranspose2d, Dropout, Linear, LinearCfg,
+};
 use hfta_nn::{Module, Parameter, Var};
 use hfta_sim::TrainingJob;
 use hfta_tensor::{Rng, Tensor};
@@ -264,13 +276,14 @@ pub struct FusedLinear {
 }
 
 impl FusedLinear {
-    /// Creates `b` independently initialized fused linear layers.
+    /// Creates `b` fused linear layers, lane `i` initialized from the
+    /// `i`-th of `b` generators split off `rng` ([`Fused::lanes`]).
     ///
     /// # Panics
     ///
     /// Panics if `b == 0`.
     pub fn new(b: usize, cfg: LinearCfg, rng: &mut Rng) -> Self {
-        Fused(b).stacked(rng, |rng| Linear::new(cfg, rng), Self::from_models)
+        Fused(b).linear(cfg, &mut Fused(b).lanes(rng))
     }
 
     /// Fuses existing per-model layers.
@@ -373,7 +386,7 @@ impl FusedModule for FusedLinear {
 /// # Example — one definition, two instantiations
 ///
 /// ```
-/// use hfta_core::ops::{Fused, Ops, Serial};
+/// use hfta_core::ops::{Fused, FusedParameter, Ops, Serial};
 /// use hfta_nn::{layers::{BatchNorm, LinearCfg}, Module, Tape, Var};
 /// use hfta_tensor::Rng;
 ///
@@ -385,11 +398,11 @@ impl FusedModule for FusedLinear {
 /// }
 ///
 /// impl<O: Ops> Mlp<O> {
-///     fn build(ops: O, rng: &mut Rng) -> Self {
+///     fn build(ops: O, init: &mut O::Init) -> Self {
 ///         Mlp {
-///             fc1: ops.linear(LinearCfg::new(6, 8), rng),
+///             fc1: ops.linear(LinearCfg::new(6, 8), init),
 ///             bn: ops.batch_norm(8),
-///             fc2: ops.linear(LinearCfg::new(8, 3), rng),
+///             fc2: ops.linear(LinearCfg::new(8, 3), init),
 ///             ops,
 ///         }
 ///     }
@@ -401,26 +414,35 @@ impl FusedModule for FusedLinear {
 ///     }
 /// }
 ///
-/// let (tape, mut rng) = (Tape::new(), Rng::seed_from(0));
-/// let one_job = Mlp::build(Serial, &mut rng);
-/// let y = one_job.forward(&tape.leaf(rng.randn([4, 6])));
+/// let tape = Tape::new();
+/// let one_job = Mlp::build(Serial, &mut Rng::seed_from(7));
+/// let y = one_job.forward(&tape.leaf(Rng::seed_from(0).randn([4, 6])));
 /// assert_eq!(y.dims(), vec![4, 3]);
-/// let array = Mlp::build(Fused(5), &mut rng);
-/// let y = array.forward(&tape.leaf(rng.randn([4, 5 * 6])));
+/// // Five lanes, lane i from seed 7 + i: lane 0 is `one_job`, bit for bit.
+/// let mut lanes: Vec<Rng> = (7..12).map(Rng::seed_from).collect();
+/// let array = Mlp::build(Fused(5), &mut lanes);
+/// assert_eq!(
+///     FusedParameter::of(&array.fc1, 5)[0].model_slice(0).to_vec(),
+///     one_job.fc1.weight.value().to_vec(),
+/// );
+/// let y = array.forward(&tape.leaf(Rng::seed_from(0).randn([4, 5 * 6])));
 /// assert_eq!(y.dims(), vec![5, 4, 3]);
 /// ```
 pub trait Ops: Copy + Debug {
     /// Fully connected layer, the one kind whose fused form is another
     /// operator.
     type Linear: Module + Debug;
+    /// Where the family's initial weights come from: one generator per
+    /// model the family computes.
+    type Init: ?Sized;
 
     /// Number of models one op of this family computes (1 for [`Serial`]).
     fn b(&self) -> usize;
 
     /// Builds a 2-D convolution.
-    fn conv2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> Conv2d;
+    fn conv2d(&self, cfg: Conv2dCfg, init: &mut Self::Init) -> Conv2d;
     /// Builds a 2-D transposed convolution.
-    fn conv_transpose2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> ConvTranspose2d;
+    fn conv_transpose2d(&self, cfg: Conv2dCfg, init: &mut Self::Init) -> ConvTranspose2d;
     /// Builds an ungrouped 1-D convolution with bias.
     fn conv1d(
         &self,
@@ -429,14 +451,16 @@ pub trait Ops: Copy + Debug {
         kernel: usize,
         stride: usize,
         padding: usize,
-        rng: &mut Rng,
+        init: &mut Self::Init,
     ) -> Conv1d;
     /// Builds a fully connected layer.
-    fn linear(&self, cfg: LinearCfg, rng: &mut Rng) -> Self::Linear;
+    fn linear(&self, cfg: LinearCfg, init: &mut Self::Init) -> Self::Linear;
     /// Builds a batch norm over `channels` channels per model.
     fn batch_norm(&self, channels: usize) -> BatchNorm {
         BatchNorm::new(self.b() * channels)
     }
+    /// Builds a dropout of probability `p`, seeded by a draw from `init`.
+    fn dropout(&self, p: f32, init: &mut Self::Init) -> Dropout;
 
     /// Flattened conv-format features `[N, B*F]` → the family's `Linear`
     /// input (`[N, F]` unchanged, or array format `[B, N, F]`).
@@ -457,8 +481,14 @@ pub trait Ops: Copy + Debug {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Serial;
 
+/// A dropout seed drawn from `rng`.
+fn dropout_seed(rng: &mut Rng) -> u64 {
+    rng.split().below(u32::MAX as usize) as u64
+}
+
 impl Ops for Serial {
     type Linear = Linear;
+    type Init = Rng;
 
     fn b(&self) -> usize {
         1
@@ -488,6 +518,10 @@ impl Ops for Serial {
         Linear::new(cfg, rng)
     }
 
+    fn dropout(&self, p: f32, rng: &mut Rng) -> Dropout {
+        Dropout::new(p, dropout_seed(rng))
+    }
+
     fn to_linear(&self, x: &Var) -> Var {
         x.clone()
     }
@@ -512,39 +546,52 @@ impl Ops for Serial {
 }
 
 /// The horizontally fused family at array width `B`: the `hfta-nn` layers
-/// stacked by the `fuse_*` rules, and [`FusedLinear`].
+/// stacked by the `fuse_*` rules, and [`FusedLinear`]. Its init source is
+/// one generator per lane; lane `i`'s layer is built from lane `i`'s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fused(pub usize);
 
 impl Fused {
-    /// Builds the `B` per-model layers, each from its own split of `rng`
-    /// exactly as `B` separate jobs would initialize, and stacks them.
-    fn stacked<L, F>(
+    /// `B` lane generators split off `rng`, lane `i` the `i`-th split: the
+    /// init source of an array whose caller holds one generator.
+    pub fn lanes(self, rng: &mut Rng) -> Vec<Rng> {
+        (0..self.0).map(|_| rng.split()).collect()
+    }
+
+    /// Builds lane `i`'s layer from `lanes[i]`, exactly as job `i` alone
+    /// would from the same generator, and stacks the `B` layers.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one generator per lane and `B > 0`.
+    pub(crate) fn stacked<L, F>(
         self,
-        rng: &mut Rng,
+        lanes: &mut [Rng],
         new: impl Fn(&mut Rng) -> L,
         stack: impl FnOnce(&[L]) -> Result<F>,
     ) -> F {
         assert!(self.0 > 0, "array width must be positive");
-        let models: Vec<L> = (0..self.0).map(|_| new(&mut rng.split())).collect();
+        assert_eq!(lanes.len(), self.0, "one generator per lane");
+        let models: Vec<L> = lanes.iter_mut().map(new).collect();
         stack(&models).expect("freshly built models always fuse")
     }
 }
 
 impl Ops for Fused {
     type Linear = FusedLinear;
+    type Init = [Rng];
 
     fn b(&self) -> usize {
         self.0
     }
 
-    fn conv2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> Conv2d {
-        self.stacked(rng, |rng| Conv2d::new(cfg, rng), fuse_conv2d)
+    fn conv2d(&self, cfg: Conv2dCfg, lanes: &mut [Rng]) -> Conv2d {
+        self.stacked(lanes, |rng| Conv2d::new(cfg, rng), fuse_conv2d)
     }
 
-    fn conv_transpose2d(&self, cfg: Conv2dCfg, rng: &mut Rng) -> ConvTranspose2d {
+    fn conv_transpose2d(&self, cfg: Conv2dCfg, lanes: &mut [Rng]) -> ConvTranspose2d {
         self.stacked(
-            rng,
+            lanes,
             |rng| ConvTranspose2d::new(cfg, rng),
             fuse_conv_transpose2d,
         )
@@ -557,14 +604,22 @@ impl Ops for Fused {
         kernel: usize,
         stride: usize,
         padding: usize,
-        rng: &mut Rng,
+        lanes: &mut [Rng],
     ) -> Conv1d {
         let new = |rng: &mut Rng| Conv1d::new(cin, cout, kernel, stride, padding, 1, rng);
-        self.stacked(rng, new, fuse_conv1d)
+        self.stacked(lanes, new, fuse_conv1d)
     }
 
-    fn linear(&self, cfg: LinearCfg, rng: &mut Rng) -> FusedLinear {
-        FusedLinear::new(self.0, cfg, rng)
+    fn linear(&self, cfg: LinearCfg, lanes: &mut [Rng]) -> FusedLinear {
+        let new = |rng: &mut Rng| Linear::new(cfg, rng);
+        self.stacked(lanes, new, FusedLinear::from_models)
+    }
+
+    /// Every lane makes its solo run's draw, so its generator stays in
+    /// step; the one dropout over the widened tensor takes lane 0's seed.
+    fn dropout(&self, p: f32, lanes: &mut [Rng]) -> Dropout {
+        let seeds: Vec<u64> = lanes.iter_mut().map(dropout_seed).collect();
+        Dropout::new(p, seeds[0])
     }
 
     fn to_linear(&self, x: &Var) -> Var {
@@ -619,8 +674,8 @@ pub trait Architecture {
     /// array format `[B, N, classes]`.
     type Model<O: Ops>: Module + Debug;
 
-    /// Builds the model out of `ops`' layers.
-    fn build<O: Ops>(&self, ops: O, rng: &mut Rng) -> Self::Model<O>;
+    /// Builds the model out of `ops`' layers, drawing from `init`.
+    fn build<O: Ops>(&self, ops: O, init: &mut O::Init) -> Self::Model<O>;
 
     /// One lane's training batch, inputs and class targets, drawn from
     /// `seed` alone.
@@ -817,7 +872,7 @@ mod tests {
     fn fused_parameters_expose_model_slices() {
         // The fused family initializes lane i exactly as job i would alone.
         let cfg = Conv2dCfg::new(2, 4, 3);
-        let fused = Fused(3).conv2d(cfg, &mut rng());
+        let fused = Fused(3).conv2d(cfg, &mut Fused(3).lanes(&mut rng()));
         let fps = FusedParameter::of(&fused, 3);
         assert_eq!(fps.len(), 2);
         let mut r = rng();
@@ -847,7 +902,7 @@ mod tests {
         // The defining property: training signal for model i must not leak
         // into model j's weights.
         let mut r = rng();
-        let fused = Fused(2).conv2d(Conv2dCfg::new(1, 2, 3), &mut r);
+        let fused = Fused(2).conv2d(Conv2dCfg::new(1, 2, 3), &mut Fused(2).lanes(&mut r));
         let tape = Tape::new();
         // Input where model 1's channels are zero.
         let x0 = r.randn([1, 1, 5, 5]);

@@ -14,11 +14,12 @@
 //! hand-fused model (the fused layers of [`crate::ops`]) built from the
 //! same per-lane models.
 //!
-//! Parameter initialization is keyed to `(lane seed, op index in lane)`:
-//! each lane's serial layers are constructed first, in program order,
-//! from that lane's own RNG, and blocks are then assembled with the
-//! stacking rules of [`crate::ops`]. The plan's shape therefore never influences
-//! initial parameter bits.
+//! Parameter initialization follows the one init rule of [`crate::ops`]:
+//! each lane owns a generator seeded from its seed, and each block op is
+//! built at the block's width by [`Fused`], lane `j` of the block from its
+//! lane's generator. A lane's blocks come in its program order, so every
+//! lane draws its ops in program order whatever the plan's shape: the
+//! plan never influences initial parameter bits.
 //!
 //! The [`PlannedOptimizer`] is the partially fused optimizer: the one
 //! [`FusedOptimizer`] with a parameter group per parameter-carrying block,
@@ -27,8 +28,8 @@
 //! interchangeable with a width-1 array's of the same program.
 
 use hfta_nn::layers::{
-    BatchNorm, Conv1d, Conv2d, Conv2dCfg, ConvTranspose2d, LeakyRelu, Linear, LinearCfg, MaxPool2d,
-    Relu, Tanh,
+    BatchNorm, Conv1d, Conv2d, Conv2dCfg, ConvTranspose2d, LeakyRelu, LinearCfg, MaxPool2d, Relu,
+    Tanh,
 };
 use hfta_nn::{Module, Tape, Var};
 use hfta_plan::{FusionPlan, ModelGraph, OpKind, OpSpec};
@@ -37,20 +38,15 @@ use hfta_tensor::{Rng, Tensor};
 use crate::error::{FusionError, Result};
 use crate::format::{array_to_conv, conv_to_array};
 use crate::loss::{fused_cross_entropy, Reduction};
-use crate::ops::{
-    fuse_batch_norm, fuse_conv1d, fuse_conv2d, fuse_conv_transpose2d, FusedLinear, FusedModule,
-    FusedParameter,
-};
+use crate::ops::{fuse_conv1d, Fused, FusedLinear, FusedModule, FusedParameter, Ops};
 use crate::optim::{AdamUpdate, FusedOptimizer, PerModel, SgdUpdate, Update};
 use crate::surgery::LaneState;
 
-/// One op of one lane (`L = Linear`), or of one block at the block's
-/// width (`L = FusedLinear`). Only `Linear` changes type when fused: a
-/// fused conv or batch norm is the same `hfta-nn` layer at the widened
-/// configuration, and a stateless op runs unchanged over the widened
-/// tensor. Construction order (per lane, in program order, from the
-/// lane's own RNG) fixes the parameter bits.
-enum Layer<L> {
+/// One op of one block at the block's width. Only `Linear` changes type
+/// when fused: a fused conv or batch norm is the same `hfta-nn` layer at
+/// the widened configuration, and a stateless op runs unchanged over the
+/// widened tensor.
+enum Layer {
     Conv2d(Conv2d),
     ConvTranspose2d(ConvTranspose2d),
     Conv1d(Conv1d),
@@ -60,52 +56,52 @@ enum Layer<L> {
     Tanh,
     MaxPool2d(MaxPool2d),
     Flatten,
-    Linear(L),
+    Linear(FusedLinear),
 }
 
-fn unexecutable(spec: &OpSpec) -> FusionError {
-    FusionError::StructureMismatch {
-        detail: format!(
-            "{:?} is plannable but not executable by PlannedArray",
-            spec.kind
-        ),
-    }
+fn mismatch(detail: String) -> FusionError {
+    FusionError::StructureMismatch { detail }
 }
 
-/// Takes each lane's layer of one kind out of a block slot.
-macro_rules! lanes_of {
-    ($layers:expr, $variant:ident) => {
-        $layers
-            .into_iter()
-            .map(|layer| match layer {
-                Layer::$variant(m) => Ok(m),
-                _ => Err(FusionError::StructureMismatch {
-                    detail: format!(
-                        "plan block mixes op kinds at a {} slot",
-                        stringify!($variant)
-                    ),
-                }),
-            })
-            .collect::<Result<Vec<_>>>()?
-    };
-}
-
-impl<L> Layer<L> {
-    /// The stateless op `spec` names, if it names one: the same layer
-    /// serves a lane and a block of any width.
-    fn stateless(spec: &OpSpec) -> Option<Layer<L>> {
-        Some(match spec.kind {
+impl Layer {
+    /// Builds `spec` at the width of `ops`, lane `j` from `lanes[j]`.
+    fn build(spec: &OpSpec, ops: Fused, lanes: &mut [Rng]) -> Result<Layer> {
+        let conv_cfg = Conv2dCfg::new(spec.c_in, spec.c_out, spec.kernel)
+            .stride(spec.stride)
+            .padding(spec.padding)
+            .groups(spec.groups)
+            .bias(spec.bias);
+        Ok(match spec.kind {
+            OpKind::Conv2d => Layer::Conv2d(ops.conv2d(conv_cfg, lanes)),
+            OpKind::ConvTranspose2d => {
+                Layer::ConvTranspose2d(ops.conv_transpose2d(conv_cfg, lanes))
+            }
+            OpKind::Conv1d => {
+                let (s, groups) = (spec, spec.groups.max(1));
+                let new = |rng: &mut Rng| {
+                    Conv1d::new(s.c_in, s.c_out, s.kernel, s.stride, s.padding, groups, rng)
+                };
+                Layer::Conv1d(ops.stacked(lanes, new, fuse_conv1d))
+            }
+            OpKind::BatchNorm => Layer::BatchNorm(ops.batch_norm(spec.c_in)),
+            OpKind::Linear => {
+                let cfg = LinearCfg::new(spec.c_in, spec.c_out).bias(spec.bias);
+                Layer::Linear(ops.linear(cfg, lanes))
+            }
             OpKind::Relu => Layer::Relu,
             OpKind::LeakyRelu => Layer::LeakyRelu(LeakyRelu::new(spec.slope())),
             OpKind::Tanh => Layer::Tanh,
             OpKind::MaxPool2d => Layer::MaxPool2d(MaxPool2d::new(spec.kernel)),
             OpKind::Flatten => Layer::Flatten,
-            _ => return None,
+            _ => {
+                return Err(mismatch(format!(
+                    "{:?} is plannable but not executable by PlannedArray",
+                    spec.kind
+                )))
+            }
         })
     }
-}
 
-impl<L: Module> Layer<L> {
     /// The op as a module; `None` for `Flatten`, a reshape.
     fn module(&self) -> Option<&dyn Module> {
         let m: &dyn Module = match self {
@@ -122,58 +118,7 @@ impl<L: Module> Layer<L> {
         };
         Some(m)
     }
-}
 
-impl Layer<Linear> {
-    fn build(spec: &OpSpec, rng: &mut Rng) -> Result<Layer<Linear>> {
-        let conv_cfg = |s: &OpSpec| {
-            Conv2dCfg::new(s.c_in, s.c_out, s.kernel)
-                .stride(s.stride)
-                .padding(s.padding)
-                .groups(s.groups)
-                .bias(s.bias)
-        };
-        Ok(match spec.kind {
-            OpKind::Conv2d => Layer::Conv2d(Conv2d::new(conv_cfg(spec), rng)),
-            OpKind::ConvTranspose2d => {
-                Layer::ConvTranspose2d(ConvTranspose2d::new(conv_cfg(spec), rng))
-            }
-            OpKind::Conv1d => Layer::Conv1d(Conv1d::new(
-                spec.c_in,
-                spec.c_out,
-                spec.kernel,
-                spec.stride,
-                spec.padding,
-                spec.groups.max(1),
-                rng,
-            )),
-            OpKind::BatchNorm => Layer::BatchNorm(BatchNorm::new(spec.c_in)),
-            OpKind::Linear => Layer::Linear(Linear::new(
-                LinearCfg::new(spec.c_in, spec.c_out).bias(spec.bias),
-                rng,
-            )),
-            _ => Layer::stateless(spec).ok_or_else(|| unexecutable(spec))?,
-        })
-    }
-
-    /// Fuses one op slot across the block's lanes with the stacking rules.
-    /// `layers` holds each participating lane's layer for this slot, in
-    /// lane order.
-    fn fuse(layers: Vec<Layer<Linear>>, spec: &OpSpec) -> Result<Layer<FusedLinear>> {
-        Ok(match spec.kind {
-            OpKind::Conv2d => Layer::Conv2d(fuse_conv2d(&lanes_of!(layers, Conv2d))?),
-            OpKind::ConvTranspose2d => {
-                Layer::ConvTranspose2d(fuse_conv_transpose2d(&lanes_of!(layers, ConvTranspose2d))?)
-            }
-            OpKind::Conv1d => Layer::Conv1d(fuse_conv1d(&lanes_of!(layers, Conv1d))?),
-            OpKind::BatchNorm => Layer::BatchNorm(fuse_batch_norm(&lanes_of!(layers, BatchNorm))?),
-            OpKind::Linear => Layer::Linear(FusedLinear::from_models(&lanes_of!(layers, Linear))?),
-            _ => Layer::stateless(spec).ok_or_else(|| unexecutable(spec))?,
-        })
-    }
-}
-
-impl Layer<FusedLinear> {
     /// Applies the op to a block-fused activation. Conv-format ops see
     /// `[N, B*C, ...]`; `Flatten` collapses to `[N, B*F]`; `Linear` hops
     /// through array format and back so the block boundary stays on the
@@ -196,7 +141,7 @@ impl Layer<FusedLinear> {
 /// block's width.
 struct ExecBlock {
     lanes: Vec<usize>,
-    ops: Vec<Layer<FusedLinear>>,
+    ops: Vec<Layer>,
     params: Vec<FusedParameter>,
 }
 
@@ -207,67 +152,65 @@ pub struct PlannedArray {
 }
 
 impl PlannedArray {
-    /// Materializes `plan` over `graphs`: builds each lane's serial
-    /// layers in program order from `seeds[lane]`, then fuses each block
-    /// at its own width with the stacking rules of [`crate::ops`].
+    /// Materializes `plan` over `graphs`: builds each block's ops at the
+    /// block's width, lane `j` of the block from its lane's generator
+    /// (seeded from `seeds[lane]`), in plan order.
     ///
     /// # Errors
     ///
-    /// Structure errors when the plan does not cover the graphs, an op is
-    /// not executable ([`hfta_plan::OpKind::GlobalMaxPool`] /
-    /// [`hfta_plan::OpKind::ResidualAdd`]), or fusion shape checks fail.
+    /// Structure errors when the plan does not cover the graphs (a block
+    /// op differs from a lane's graph op, a lane's blocks skip or revisit
+    /// ops, or ops are left over), or an op is not executable
+    /// ([`hfta_plan::OpKind::GlobalMaxPool`] /
+    /// [`hfta_plan::OpKind::ResidualAdd`]).
     pub fn build(graphs: &[ModelGraph], plan: &FusionPlan, seeds: &[u64]) -> Result<PlannedArray> {
         if graphs.is_empty() {
             return Err(FusionError::Empty);
         }
         if plan.lanes != graphs.len() || seeds.len() != graphs.len() {
-            return Err(FusionError::StructureMismatch {
-                detail: format!(
-                    "plan covers {} lanes, got {} graphs and {} seeds",
-                    plan.lanes,
-                    graphs.len(),
-                    seeds.len()
-                ),
-            });
+            return Err(mismatch(format!(
+                "plan covers {} lanes, got {} graphs and {} seeds",
+                plan.lanes,
+                graphs.len(),
+                seeds.len()
+            )));
         }
-        for (l, g) in graphs.iter().enumerate() {
-            if plan.lane_ops[l] != g.ops.len() {
-                return Err(FusionError::StructureMismatch {
-                    detail: format!(
-                        "plan expects {} ops in lane {l}, graph {:?} has {}",
-                        plan.lane_ops[l],
-                        g.name,
-                        g.ops.len()
-                    ),
-                });
-            }
-        }
-
-        // Per-lane serial layers, keyed to (lane seed, op index in lane).
-        let mut lane_layers: Vec<Vec<Option<Layer<Linear>>>> = Vec::with_capacity(graphs.len());
-        for (l, g) in graphs.iter().enumerate() {
-            let mut rng = Rng::seed_from(seeds[l]);
-            let mut layers = Vec::with_capacity(g.ops.len());
-            for op in &g.ops {
-                layers.push(Some(Layer::build(op, &mut rng)?));
-            }
-            lane_layers.push(layers);
-        }
-
+        let mut rngs: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
+        // The next op of each lane's program the plan must reach.
+        let mut next = vec![0; graphs.len()];
         let mut blocks = Vec::with_capacity(plan.blocks.len());
         for pb in &plan.blocks {
-            let mut ops = Vec::with_capacity(pb.ops.len());
-            for (oi, spec) in pb.ops.iter().enumerate() {
-                let mut models = Vec::with_capacity(pb.lanes.len());
-                for (&l, &s) in pb.lanes.iter().zip(&pb.starts) {
-                    let slot = lane_layers[l][s + oi].take().ok_or_else(|| {
-                        FusionError::StructureMismatch {
-                            detail: format!("plan covers lane {l} op {} twice", s + oi),
-                        }
-                    })?;
-                    models.push(slot);
+            let ascending = pb.lanes.windows(2).all(|w| w[0] < w[1]);
+            if pb.lanes.is_empty() || pb.lanes.len() != pb.starts.len() || !ascending {
+                return Err(mismatch(format!(
+                    "a block needs distinct ascending lanes, one start each: {:?} at {:?}",
+                    pb.lanes, pb.starts
+                )));
+            }
+            for (&l, &s) in pb.lanes.iter().zip(&pb.starts) {
+                let g = graphs
+                    .get(l)
+                    .ok_or_else(|| mismatch(format!("no lane {l}")))?;
+                if s != next[l] {
+                    return Err(mismatch(format!(
+                        "lane {l}'s block starts at op {s}, its program is at op {}",
+                        next[l]
+                    )));
                 }
-                ops.push(Layer::fuse(models, spec)?);
+                if g.ops.get(s..s + pb.ops.len()) != Some(&pb.ops[..]) {
+                    return Err(mismatch(format!(
+                        "block ops at lane {l} op {s} differ from graph {:?}",
+                        g.name
+                    )));
+                }
+                next[l] += pb.ops.len();
+            }
+            let mut lanes: Vec<Rng> = pb.lanes.iter().map(|&l| rngs[l].clone()).collect();
+            let ops = (pb.ops.iter())
+                .map(|spec| Layer::build(spec, Fused(pb.lanes.len()), &mut lanes))
+                .collect::<Result<Vec<_>>>()?;
+            for (&l, rng) in pb.lanes.iter().zip(lanes) {
+                rngs[l] = rng;
             }
             let b = pb.lanes.len();
             let params = ops
@@ -281,10 +224,10 @@ impl PlannedArray {
                 params,
             });
         }
-        if lane_layers.iter().flatten().any(Option::is_some) {
-            return Err(FusionError::StructureMismatch {
-                detail: "plan does not cover every op of every lane".into(),
-            });
+        if (graphs.iter().zip(&next)).any(|(g, &n)| n != g.ops.len()) {
+            return Err(mismatch(
+                "plan does not cover every op of every lane".into(),
+            ));
         }
         Ok(PlannedArray {
             plan: plan.clone(),
@@ -452,7 +395,8 @@ impl PlannedOptimizer<AdamUpdate> {
 mod tests {
     use super::*;
     use crate::format::stack_conv;
-    use hfta_nn::layers::{Conv2dCfg, LinearCfg};
+    use crate::ops::fuse_conv2d;
+    use hfta_nn::layers::{Conv2dCfg, Linear, LinearCfg};
     use hfta_nn::Parameter;
     use hfta_tensor::{Rng, Tensor};
 
@@ -722,6 +666,34 @@ mod tests {
         // Plan/graph disagreement.
         let other = FusionPlan::plan(&graphs[..2.min(graphs.len())]).unwrap();
         assert!(PlannedArray::build(&graphs, &other, &seeds(graphs.len())).is_err());
+
+        let rejects = |plan: &FusionPlan, what: &str| {
+            let built = PlannedArray::build(&graphs, plan, &seeds(graphs.len()));
+            assert!(
+                matches!(built, Err(FusionError::StructureMismatch { .. })),
+                "{what}: {:?}",
+                built.err()
+            );
+        };
+        // A block op that is not the lanes' graph op.
+        let mut wrong_op = plan.clone();
+        wrong_op.blocks[0].ops[0] = OpSpec::conv2d(Conv2dCfg::new(2, 5, 3).padding(1));
+        rejects(&wrong_op, "block op differs from the graph");
+        let mut wrong_kind = plan.clone();
+        wrong_kind.blocks[0].ops[0] = OpSpec::relu();
+        rejects(&wrong_kind, "block op kind differs from the graph");
+        // Every lane's first block listed last: out of program order.
+        let mut reordered = plan.clone();
+        reordered.blocks.rotate_left(1);
+        rejects(&reordered, "blocks out of program order");
+        // A block listed twice revisits its lanes' ops.
+        let mut twice = plan.clone();
+        twice.blocks.insert(1, plan.blocks[0].clone());
+        rejects(&twice, "a block listed twice");
+        // The last block missing leaves ops uncovered.
+        let mut short = plan.clone();
+        short.blocks.pop();
+        rejects(&short, "ops left over");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use hfta_nn::layers::{Conv2d, Conv2dCfg, Dropout, LinearCfg, MaxPool2d};
 use hfta_nn::{Module, Parameter, Var};
 use hfta_plan::{ModelGraph, OpSpec};
 use hfta_sim::TrainingJob;
-use hfta_tensor::{Rng, Tensor};
+use hfta_tensor::Tensor;
 
 use crate::lower_plan::{lane_job, PlanSimCfg};
 
@@ -95,8 +95,8 @@ impl AlexNetCfg {
 impl Architecture for AlexNetCfg {
     type Model<O: Ops> = AlexNetOn<O>;
 
-    fn build<O: Ops>(&self, ops: O, rng: &mut Rng) -> AlexNetOn<O> {
-        AlexNetOn::build(ops, *self, rng)
+    fn build<O: Ops>(&self, ops: O, init: &mut O::Init) -> AlexNetOn<O> {
+        AlexNetOn::build(ops, *self, init)
     }
 
     fn batch(&self, seed: u64) -> (Tensor, Vec<usize>) {
@@ -139,21 +139,21 @@ pub type FusedAlexNet = AlexNetOn<Fused>;
 
 impl<O: Ops> AlexNetOn<O> {
     /// Builds the network out of `ops`' layers.
-    pub fn build(ops: O, cfg: AlexNetCfg, rng: &mut Rng) -> Self {
+    pub fn build(ops: O, cfg: AlexNetCfg, init: &mut O::Init) -> Self {
         let convs = cfg
             .convs()
             .into_iter()
-            .map(|c| ops.conv2d(c, rng))
+            .map(|c| ops.conv2d(c, init))
             .collect();
         let [fc1, fc2, fc3] = cfg.fcs();
         AlexNetOn {
             convs,
             pool: MaxPool2d::new(2),
-            drop1: Dropout::new(0.5, rng.split().below(u32::MAX as usize) as u64),
-            fc1: ops.linear(fc1, rng),
-            drop2: Dropout::new(0.5, rng.split().below(u32::MAX as usize) as u64),
-            fc2: ops.linear(fc2, rng),
-            fc3: ops.linear(fc3, rng),
+            drop1: ops.dropout(0.5, init),
+            fc1: ops.linear(fc1, init),
+            drop2: ops.dropout(0.5, init),
+            fc2: ops.linear(fc2, init),
+            fc3: ops.linear(fc3, init),
             ops,
         }
     }
@@ -195,6 +195,7 @@ instantiate!(AlexNetOn, AlexNetCfg);
 mod tests {
     use super::*;
     use hfta_nn::Tape;
+    use hfta_tensor::Rng;
 
     #[test]
     fn serial_forward_shapes() {

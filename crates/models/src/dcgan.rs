@@ -11,7 +11,6 @@
 use hfta_core::ops::{Fused, Ops, Serial};
 use hfta_nn::layers::{BatchNorm, Conv2d, Conv2dCfg, ConvTranspose2d};
 use hfta_nn::{Module, Parameter, Var};
-use hfta_tensor::Rng;
 
 /// DCGAN configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +96,7 @@ pub type FusedGenerator = DcganG<Fused>;
 
 impl<O: Ops> DcganG<O> {
     /// Builds the generator out of `ops`' layers.
-    pub fn build(ops: O, cfg: DcganCfg, rng: &mut Rng) -> Self {
+    pub fn build(ops: O, cfg: DcganCfg, init: &mut O::Init) -> Self {
         cfg.check();
         let s = cfg.stages();
         let mut layers = Vec::new();
@@ -109,7 +108,7 @@ impl<O: Ops> DcganG<O> {
                     .stride(1)
                     .padding(0)
                     .bias(false),
-                rng,
+                init,
             ),
             Some(ops.batch_norm(c)),
         ));
@@ -117,7 +116,7 @@ impl<O: Ops> DcganG<O> {
             layers.push((
                 ops.conv_transpose2d(
                     Conv2dCfg::new(c, c / 2, 4).stride(2).padding(1).bias(false),
-                    rng,
+                    init,
                 ),
                 Some(ops.batch_norm(c / 2)),
             ));
@@ -126,7 +125,7 @@ impl<O: Ops> DcganG<O> {
         layers.push((
             ops.conv_transpose2d(
                 Conv2dCfg::new(c, 3, 4).stride(2).padding(1).bias(false),
-                rng,
+                init,
             ),
             None,
         ));
@@ -175,7 +174,7 @@ pub type FusedDiscriminator = DcganD<Fused>;
 
 impl<O: Ops> DcganD<O> {
     /// Builds the discriminator out of `ops`' layers.
-    pub fn build(ops: O, cfg: DcganCfg, rng: &mut Rng) -> Self {
+    pub fn build(ops: O, cfg: DcganCfg, init: &mut O::Init) -> Self {
         cfg.check();
         let s = cfg.stages();
         let mut layers = Vec::new();
@@ -183,7 +182,7 @@ impl<O: Ops> DcganD<O> {
         layers.push((
             ops.conv2d(
                 Conv2dCfg::new(3, c, 4).stride(2).padding(1).bias(false),
-                rng,
+                init,
             ),
             None, // first layer has no BN, per the DCGAN recipe
         ));
@@ -191,7 +190,7 @@ impl<O: Ops> DcganD<O> {
             layers.push((
                 ops.conv2d(
                     Conv2dCfg::new(c, c * 2, 4).stride(2).padding(1).bias(false),
-                    rng,
+                    init,
                 ),
                 Some(ops.batch_norm(c * 2)),
             ));
@@ -200,7 +199,7 @@ impl<O: Ops> DcganD<O> {
         layers.push((
             ops.conv2d(
                 Conv2dCfg::new(c, 1, 4).stride(1).padding(0).bias(false),
-                rng,
+                init,
             ),
             None,
         ));
@@ -241,6 +240,7 @@ instantiate!(DcganD, DcganCfg);
 mod tests {
     use super::*;
     use hfta_nn::Tape;
+    use hfta_tensor::Rng;
 
     #[test]
     fn generator_produces_images_in_range() {

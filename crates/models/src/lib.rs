@@ -22,9 +22,10 @@
 #![warn(missing_docs)]
 
 /// Gives the two instantiations of a model `$model<O: Ops>` (with a
-/// `build(ops, cfg, rng)` constructor and an `ops` field) the constructor
+/// `build(ops, cfg, init)` constructor and an `ops` field) the constructor
 /// signatures of the serial model and of the fused array, and makes the
-/// fused one a `FusedModule`.
+/// fused one a `FusedModule`. The fused one splits its `b` lane generators
+/// off the caller's generator first.
 macro_rules! instantiate {
     ($model:ident, $cfg:ty) => {
         impl $model<hfta_core::ops::Serial> {
@@ -35,9 +36,11 @@ macro_rules! instantiate {
         }
 
         impl $model<hfta_core::ops::Fused> {
-            /// Builds a `b`-wide fused array.
+            /// Builds a `b`-wide fused array, lane `i` from the `i`-th of
+            /// `b` generators split off `rng`.
             pub fn new(b: usize, cfg: $cfg, rng: &mut hfta_tensor::Rng) -> Self {
-                Self::build(hfta_core::ops::Fused(b), cfg, rng)
+                let ops = hfta_core::ops::Fused(b);
+                Self::build(ops, cfg, &mut ops.lanes(rng))
             }
         }
 

@@ -92,16 +92,16 @@ impl Stn3d {
 impl FusedStn3d {
     /// Builds a `b`-wide fused transformer.
     pub fn new(b: usize, cfg: PointNetCfg, rng: &mut Rng) -> Self {
-        Self::build(Fused(b), cfg, rng)
+        Self::build(Fused(b), cfg, &mut Fused(b).lanes(rng))
     }
 }
 
 impl<O: Ops> PointNetStn<O> {
     /// Builds the transformer out of `ops`' layers.
-    pub fn build(ops: O, cfg: PointNetCfg, rng: &mut Rng) -> Self {
+    pub fn build(ops: O, cfg: PointNetCfg, init: &mut O::Init) -> Self {
         let (_, _, c3) = cfg.dims();
         let (f1, f2) = (8 * cfg.width, 4 * cfg.width);
-        let fc3 = ops.linear(LinearCfg::new(f2, 9), rng);
+        let fc3 = ops.linear(LinearCfg::new(f2, 9), init);
         // Reference init: zero weights, identity bias, so every model's
         // transform starts as the identity.
         let params = fc3.parameters();
@@ -112,10 +112,10 @@ impl<O: Ops> PointNetStn<O> {
         let bias_shape = bias.value().shape().clone();
         bias.set_value(Tensor::from_vec(eye, bias_shape));
         PointNetStn {
-            trunk: PointNetFeat::build(ops, cfg, rng),
-            fc1: ops.linear(LinearCfg::new(c3, f1), rng),
+            trunk: PointNetFeat::build(ops, cfg, init),
+            fc1: ops.linear(LinearCfg::new(c3, f1), init),
             bn1: ops.batch_norm(f1),
-            fc2: ops.linear(LinearCfg::new(f1, f2), rng),
+            fc2: ops.linear(LinearCfg::new(f1, f2), init),
             bn2: ops.batch_norm(f2),
             fc3,
             ops,
@@ -166,14 +166,14 @@ struct PointNetFeat {
 }
 
 impl PointNetFeat {
-    fn build(ops: impl Ops, cfg: PointNetCfg, rng: &mut Rng) -> Self {
+    fn build<O: Ops>(ops: O, cfg: PointNetCfg, init: &mut O::Init) -> Self {
         let (c1, c2, c3) = cfg.dims();
         PointNetFeat {
-            conv1: ops.conv1d(3, c1, 1, 1, 0, rng),
+            conv1: ops.conv1d(3, c1, 1, 1, 0, init),
             bn1: ops.batch_norm(c1),
-            conv2: ops.conv1d(c1, c2, 1, 1, 0, rng),
+            conv2: ops.conv1d(c1, c2, 1, 1, 0, init),
             bn2: ops.batch_norm(c2),
-            conv3: ops.conv1d(c2, c3, 1, 1, 0, rng),
+            conv3: ops.conv1d(c2, c3, 1, 1, 0, init),
             bn3: ops.batch_norm(c3),
         }
     }
@@ -234,18 +234,18 @@ pub type FusedPointNetCls = PointNetClassifier<Fused>;
 
 impl<O: Ops> PointNetClassifier<O> {
     /// Builds the classifier out of `ops`' layers.
-    pub fn build(ops: O, cfg: PointNetCfg, rng: &mut Rng) -> Self {
+    pub fn build(ops: O, cfg: PointNetCfg, init: &mut O::Init) -> Self {
         let (_, _, c3) = cfg.dims();
         let (f1, f2) = (8 * cfg.width, 4 * cfg.width);
         PointNetClassifier {
-            stn: cfg.with_stn.then(|| PointNetStn::build(ops, cfg, rng)),
-            feat: PointNetFeat::build(ops, cfg, rng),
-            fc1: ops.linear(LinearCfg::new(c3, f1), rng),
+            stn: cfg.with_stn.then(|| PointNetStn::build(ops, cfg, init)),
+            feat: PointNetFeat::build(ops, cfg, init),
+            fc1: ops.linear(LinearCfg::new(c3, f1), init),
             bnf1: ops.batch_norm(f1),
-            fc2: ops.linear(LinearCfg::new(f1, f2), rng),
+            fc2: ops.linear(LinearCfg::new(f1, f2), init),
             bnf2: ops.batch_norm(f2),
-            dropout: Dropout::new(0.3, rng.split().below(u32::MAX as usize) as u64),
-            fc3: ops.linear(LinearCfg::new(f2, cfg.classes), rng),
+            dropout: ops.dropout(0.3, init),
+            fc3: ops.linear(LinearCfg::new(f2, cfg.classes), init),
             ops,
         }
     }
@@ -321,17 +321,17 @@ pub type FusedPointNetSeg = PointNetSegmenter<Fused>;
 
 impl<O: Ops> PointNetSegmenter<O> {
     /// Builds the segmentation model out of `ops`' layers.
-    pub fn build(ops: O, cfg: PointNetCfg, rng: &mut Rng) -> Self {
+    pub fn build(ops: O, cfg: PointNetCfg, init: &mut O::Init) -> Self {
         let (c1, _, c3) = cfg.dims();
         let concat = c1 + c3; // local + global (1088 at paper scale)
         let (h1, h2) = (8 * cfg.width, 4 * cfg.width);
         PointNetSegmenter {
-            feat: PointNetFeat::build(ops, cfg, rng),
-            conv1: ops.conv1d(concat, h1, 1, 1, 0, rng),
+            feat: PointNetFeat::build(ops, cfg, init),
+            conv1: ops.conv1d(concat, h1, 1, 1, 0, init),
             bn1: ops.batch_norm(h1),
-            conv2: ops.conv1d(h1, h2, 1, 1, 0, rng),
+            conv2: ops.conv1d(h1, h2, 1, 1, 0, init),
             bn2: ops.batch_norm(h2),
-            conv3: ops.conv1d(h2, cfg.classes, 1, 1, 0, rng),
+            conv3: ops.conv1d(h2, cfg.classes, 1, 1, 0, init),
             ops,
         }
     }

@@ -7,7 +7,6 @@
 use hfta_core::ops::{Fused, Ops, Serial};
 use hfta_nn::layers::{BatchNorm, Conv2d, Conv2dCfg, LinearCfg};
 use hfta_nn::{Module, Parameter, Var};
-use hfta_tensor::Rng;
 
 /// ResNet configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,7 +117,7 @@ pub type FusedResNet = ResNetOn<Fused>;
 
 impl<O: Ops> ResNetOn<O> {
     /// Builds the network out of `ops`' layers.
-    pub fn build(ops: O, cfg: ResNetCfg, rng: &mut Rng) -> Self {
+    pub fn build(ops: O, cfg: ResNetCfg, init: &mut O::Init) -> Self {
         let w = cfg.width;
         let mut blocks = Vec::new();
         let mut cin = w;
@@ -128,11 +127,11 @@ impl<O: Ops> ResNetOn<O> {
             for block in 0..2 {
                 let (s, ci) = if block == 0 { (stride, cin) } else { (1, cout) };
                 let down = (s != 1 || ci != cout)
-                    .then(|| (ops.conv2d(conv1(ci, cout, s), rng), ops.batch_norm(cout)));
+                    .then(|| (ops.conv2d(conv1(ci, cout, s), init), ops.batch_norm(cout)));
                 blocks.push(BasicBlock {
-                    conv1: ops.conv2d(conv3(ci, cout, s), rng),
+                    conv1: ops.conv2d(conv3(ci, cout, s), init),
                     bn1: ops.batch_norm(cout),
-                    conv2: ops.conv2d(conv3(cout, cout, 1), rng),
+                    conv2: ops.conv2d(conv3(cout, cout, 1), init),
                     bn2: ops.batch_norm(cout),
                     down,
                 });
@@ -140,10 +139,10 @@ impl<O: Ops> ResNetOn<O> {
             cin = cout;
         }
         ResNetOn {
-            stem: ops.conv2d(conv3(3, w, 1), rng),
+            stem: ops.conv2d(conv3(3, w, 1), init),
             stem_bn: ops.batch_norm(w),
             blocks,
-            fc: ops.linear(LinearCfg::new(cin, cfg.classes), rng),
+            fc: ops.linear(LinearCfg::new(cin, cfg.classes), init),
             ops,
         }
     }
@@ -186,6 +185,7 @@ instantiate!(ResNetOn, ResNetCfg);
 mod tests {
     use super::*;
     use hfta_nn::Tape;
+    use hfta_tensor::Rng;
 
     #[test]
     fn serial_forward_shapes() {

@@ -33,8 +33,8 @@ pub type LinearTrialCfg = TrialCfg;
 impl Architecture for LinearClassifier {
     type Model<O: Ops> = O::Linear;
 
-    fn build<O: Ops>(&self, ops: O, rng: &mut Rng) -> O::Linear {
-        ops.linear(LinearCfg::new(F_IN, CLASSES), rng)
+    fn build<O: Ops>(&self, ops: O, init: &mut O::Init) -> O::Linear {
+        ops.linear(LinearCfg::new(F_IN, CLASSES), init)
     }
 
     fn batch(&self, seed: u64) -> (Tensor, Vec<usize>) {

@@ -2,8 +2,9 @@
 //! once over `hfta_core::ops::Ops`, trained with per-trial SGD.
 //!
 //! Everything a trial computes is a function of `(trial id, global step)`
-//! alone: the trial's init weights come from a seed mixed from its id (its
-//! lane is built at `Serial` from that seed and written into the array),
+//! alone: the trial's init weights come from a generator seeded from its
+//! id (the array is built at `Fused(b)` from its trials' generators, lane
+//! `i` from trial `i`'s, which is the trial's `Serial` build bit for bit),
 //! and every step's batch comes from a seed mixed from its id and the step
 //! index. Array width and lane position never enter, so a trial's
 //! trajectory is bit-identical whether it trains solo, in a width-8 array,
@@ -16,9 +17,8 @@
 //! and lane surgery are written here once for every model.
 
 use hfta_core::{
-    array::write_model_weights,
     loss::{fused_cross_entropy, Reduction},
-    ops::{Architecture, Fused, FusedParameter, Serial},
+    ops::{Architecture, Fused, FusedParameter},
     optim::{FusedSgd, PerModel},
     scope::{per_model_ce_losses, poison_model_lane, ScopeMonitor, SentinelCfg},
     surgery::{self, LaneState},
@@ -110,16 +110,22 @@ impl<A: Architecture> ModelBackend<A> {
     fn batch_seed(&self, id: u64, step: u64) -> u64 {
         mix(mix(self.base_seed, id * 2), step)
     }
+}
 
-    /// The array for `trials`, its parameters still to be written lane by
-    /// lane (the array's own init is not any trial's). It trains in eval
-    /// mode (dropout off), so a lane's trajectory is its solo run's.
-    fn assemble(&self, trials: &[Trial<TrialCfg>]) -> TrialArray<A> {
+impl<A: Architecture> ArrayBackend for ModelBackend<A> {
+    type Config = TrialCfg;
+    type Array = TrialArray<A>;
+
+    /// Lane `i` starts exactly as trial `i`'s model alone would: built from
+    /// the trial's own init generator. The array trains in eval mode
+    /// (dropout off), so a lane's trajectory is its solo run's.
+    fn build(&self, trials: &[Trial<TrialCfg>]) -> TrialArray<A> {
         assert!(!trials.is_empty(), "an array needs at least one trial");
         let b = trials.len();
-        let model = self
-            .arch
-            .build(Fused(b), &mut Rng::seed_from(self.base_seed));
+        let mut lanes: Vec<Rng> = (trials.iter())
+            .map(|t| Rng::seed_from(self.init_seed(t.id)))
+            .collect();
+        let model = self.arch.build(Fused(b), &mut lanes);
         model.set_training(false);
         let params = FusedParameter::of(&model, b);
         let lrs = PerModel::new(trials.iter().map(|t| t.config.lr).collect());
@@ -139,24 +145,6 @@ impl<A: Architecture> ModelBackend<A> {
             step: 0,
         }
     }
-}
-
-impl<A: Architecture> ArrayBackend for ModelBackend<A> {
-    type Config = TrialCfg;
-    type Array = TrialArray<A>;
-
-    /// Lane `i` starts exactly as trial `i`'s model alone would: built at
-    /// `Serial` from the trial's own seed and written into its lane.
-    fn build(&self, trials: &[Trial<TrialCfg>]) -> TrialArray<A> {
-        let ta = self.assemble(trials);
-        for (i, t) in trials.iter().enumerate() {
-            let lane = self
-                .arch
-                .build(Serial, &mut Rng::seed_from(self.init_seed(t.id)));
-            write_model_weights(&ta.params, i, &lane.parameters());
-        }
-        ta
-    }
 
     fn splice(
         &self,
@@ -164,7 +152,7 @@ impl<A: Architecture> ArrayBackend for ModelBackend<A> {
         lanes: &[LaneState],
         start_step: u64,
     ) -> TrialArray<A> {
-        let mut ta = self.assemble(trials);
+        let mut ta = self.build(trials);
         surgery::splice_lanes_traced(lanes, &ta.params, &mut ta.opt);
         ta.step = start_step;
         ta

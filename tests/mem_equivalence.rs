@@ -90,7 +90,7 @@ fn assert_cold_matches_dirty(what: &str, train: impl Fn() -> Vec<Vec<u32>>) {
 /// parameter's bits.
 fn conv_linear_param_bits(b: usize, seed: u64) -> Vec<Vec<u32>> {
     let mut rng = Rng::seed_from(seed);
-    let conv = Fused(b).conv2d(Conv2dCfg::new(3, 6, 3), &mut rng);
+    let conv = Fused(b).conv2d(Conv2dCfg::new(3, 6, 3), &mut Fused(b).lanes(&mut rng));
     let x = rng.rand([2, 3 * b, 8, 8], -1.0, 1.0);
     // Probe the conv output shape once to size the classifier head.
     let flat = {
