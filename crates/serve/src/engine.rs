@@ -1286,6 +1286,12 @@ impl<B: ArrayBackend> ServeEngine<B> {
     /// surviving lane from its snapshot, re-emits the journaled flight
     /// history, and requeues unprocessed commands. In-flight segments at
     /// the crash retrain from their last snapshot bit-identically.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] when `cfg` names no checkpoint
+    /// directory; otherwise the store's I/O errors, and
+    /// [`io::ErrorKind::InvalidData`] for a journal that does not replay.
     pub fn recover(
         backend: B,
         fleet: DeviceFleet,
@@ -1293,10 +1299,12 @@ impl<B: ArrayBackend> ServeEngine<B> {
         commands: Vec<(f64, ServeCmd<B::Config>)>,
     ) -> io::Result<ServeEngine<B>> {
         cfg.rung.validate();
-        let dir = cfg
-            .checkpoint_dir
-            .clone()
-            .expect("recover requires a checkpoint_dir");
+        let dir = cfg.checkpoint_dir.clone().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "recover requires a checkpoint_dir",
+            )
+        })?;
         let (recs, store) = CheckpointStore::resume(&dir)?;
         let mut eng = ServeEngine::bare(backend, fleet, cfg, Some(store));
         let mut cmds: VecDeque<(f64, ServeCmd<B::Config>)> = commands.into();

@@ -56,6 +56,20 @@ fn run_with_crash(policy: AdmitPolicy, tag: &str, crash_after: u64) -> ServeRun 
 }
 
 #[test]
+fn recover_without_a_checkpoint_dir_is_an_invalid_input_error() {
+    let err = ServeEngine::recover(
+        LinearBackend::default(),
+        fleet(),
+        cfg(AdmitPolicy::FairShare, None),
+        commands(),
+    )
+    .err()
+    .expect("nothing to recover from");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("checkpoint_dir"), "{err}");
+}
+
+#[test]
 fn fair_share_restart_is_bit_identical_mid_soak() {
     let (full, batches) = run_full(AdmitPolicy::FairShare);
     assert!(
