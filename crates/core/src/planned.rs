@@ -64,8 +64,9 @@ fn mismatch(detail: String) -> FusionError {
 }
 
 impl Layer {
-    /// Builds `spec` at the width of `ops`, lane `j` from `lanes[j]`.
-    fn build(spec: &OpSpec, ops: Fused, lanes: &mut [Rng]) -> Result<Layer> {
+    /// Builds `spec` at one lane per generator, lane `j` from `lanes[j]`.
+    fn build(spec: &OpSpec, lanes: &mut [Rng]) -> Result<Layer> {
+        let ops = Fused(lanes.len());
         let conv_cfg = Conv2dCfg::new(spec.c_in, spec.c_out, spec.kernel)
             .stride(spec.stride)
             .padding(spec.padding)
@@ -207,7 +208,7 @@ impl PlannedArray {
             }
             let mut lanes: Vec<Rng> = pb.lanes.iter().map(|&l| rngs[l].clone()).collect();
             let ops = (pb.ops.iter())
-                .map(|spec| Layer::build(spec, Fused(pb.lanes.len()), &mut lanes))
+                .map(|spec| Layer::build(spec, &mut lanes))
                 .collect::<Result<Vec<_>>>()?;
             for (&l, rng) in pb.lanes.iter().zip(lanes) {
                 rngs[l] = rng;
