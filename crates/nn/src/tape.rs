@@ -772,6 +772,115 @@ mod tests {
         assert_eq!(count(r#""bias""#), 0);
     }
 
+    /// The end events of the `bwd:<op>` spans, in order: each one's FLOPs,
+    /// bytes and the `key:value` args naming the gradients it ran.
+    fn bwd_spans(p: &Profiler, op: &str) -> Vec<(f64, f64, Vec<String>)> {
+        let head = format!(r#"{{"name":"bwd:{op}","ph":"E""#);
+        (p.trace_json().split(&head).skip(1))
+            .map(|event| {
+                let args = event.split(r#""args":{"#).nth(1).expect("end args");
+                let args = &args[..args.find('}').expect("args close")];
+                let mut kv = args.split(',').map(|a| {
+                    let (k, v) = a.split_once(':').expect("key:value");
+                    (k.trim_matches('"'), v.trim_matches('"'))
+                });
+                let mut cost = |key| match kv.next() {
+                    Some((k, v)) if k == key => v.parse::<f64>().expect("a number"),
+                    other => panic!("{op}: {key} expected, {other:?} found"),
+                };
+                let (flops, bytes) = (cost("flops"), cost("bytes"));
+                (flops, bytes, kv.map(|(k, v)| format!("{k}:{v}")).collect())
+            })
+            .collect()
+    }
+
+    /// Every product kind's backward spans. With empty slots the sweep's
+    /// span prices the input and weight gradients at the forward's cost
+    /// each and the bias gradient at summing `gy`, and names all three
+    /// `now`; with the weight and bias slots read it prices the input
+    /// gradient alone and names the other two `deferred`; reading the
+    /// slots then forces each in a span of its own.
+    #[test]
+    fn backward_spans_price_and_name_every_product_kind() {
+        type Product = fn(&Var, &Var, Option<&Var>) -> Var;
+        /// Name, input and weight dims, bias channels, the op.
+        type Case = (
+            &'static str,
+            &'static [usize],
+            &'static [usize],
+            Option<usize>,
+            Product,
+        );
+        let cases: [Case; 5] = [
+            (
+                "conv2d",
+                &[2, 4, 6, 6],
+                &[6, 2, 3, 3],
+                Some(6),
+                |x, w, b| x.conv2d(w, b, hfta_tensor::conv::ConvCfg::square(2, 1, 2)),
+            ),
+            ("conv1d", &[2, 4, 9], &[6, 2, 3], Some(6), |x, w, b| {
+                x.conv1d(w, b, 1, 1, 2)
+            }),
+            (
+                "conv_transpose2d",
+                &[2, 4, 3, 3],
+                &[4, 3, 4, 4],
+                Some(6),
+                |x, w, b| x.conv_transpose2d(w, b, hfta_tensor::conv::ConvCfg::square(2, 1, 2)),
+            ),
+            ("matmul", &[3, 4], &[4, 5], None, |x, w, _| x.matmul(w)),
+            ("bmm", &[2, 3, 4], &[2, 4, 5], None, |x, w, _| x.bmm(w)),
+        ];
+        let strings = |s: &[&str]| s.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for (name, xd, wd, bias, op) in cases {
+            let param = |dims: &[usize]| Parameter::new(Tensor::ones(dims), "p");
+            let (x, w, b) = (param(xd), param(wd), bias.map(|c| param(&[c])));
+            let read_slots = || {
+                drop(w.grad());
+                b.iter().for_each(|b| drop(b.grad()));
+            };
+            // One step under `p`, returning the cost of summing `gy`.
+            let step = |p: &Profiler| {
+                let _g = p.install();
+                let tape = Tape::new();
+                let bv = b.as_ref().map(|b| tape.param(b));
+                let y = op(&tape.param(&x), &tape.param(&w), bv.as_ref());
+                let gy = OpCost::reduction(y.numel());
+                y.sum().backward();
+                gy
+            };
+
+            let eager = Profiler::new("eager");
+            let gy = step(&eager);
+            let report = eager.report();
+            let fwd = report.experiments[0].op(name).expect("forward sample");
+            let (mut flops, mut bytes) = (2.0 * fwd.flops, 2.0 * fwd.bytes);
+            let mut args = strings(&["input:now", "weight:now"]);
+            if bias.is_some() {
+                (flops, bytes) = (flops + gy.flops, bytes + gy.bytes);
+                args.push("bias:now".into());
+            }
+            assert_eq!(bwd_spans(&eager, name), [(flops, bytes, args)], "{name}");
+
+            read_slots();
+            let deferred = Profiler::new("deferred");
+            step(&deferred);
+            let mut args = strings(&["input:now", "weight:deferred"]);
+            args.extend(bias.map(|_| "bias:deferred".to_string()));
+            let want = [(fwd.flops, fwd.bytes, args)];
+            assert_eq!(bwd_spans(&deferred, name), want, "{name}");
+
+            let forced = Profiler::new("forced");
+            let guard = forced.install();
+            read_slots();
+            drop(guard);
+            let mut want = vec![(fwd.flops, fwd.bytes, strings(&["weight:now"]))];
+            want.extend(bias.map(|_| (gy.flops, gy.bytes, strings(&["bias:now"]))));
+            assert_eq!(bwd_spans(&forced, name), want, "{name}");
+        }
+    }
+
     #[test]
     fn no_profiler_means_no_tape_telemetry() {
         let tape = Tape::new();

@@ -611,6 +611,19 @@ mod tests {
     }
 
     #[test]
+    fn softmax_gradcheck() {
+        // Softmax rows sum to one; weight them so the loss depends on each.
+        let mut rng = Rng::seed_from(22);
+        let x = Parameter::new(rng.randn([3, 4]), "x");
+        let w = rng.randn([3, 4]);
+        check_gradients(
+            std::slice::from_ref(&x),
+            |tape| tape.param(&x).softmax(1).mul_const(&w).sum(),
+            1e-2,
+        );
+    }
+
+    #[test]
     fn nll_loss_3d_segmentation_form() {
         // [N, C, D] log-probs with per-position targets.
         let mut rng = Rng::seed_from(18);
