@@ -2,8 +2,12 @@
 //!
 //! A [`Tape`] records the forward computation as a topologically ordered
 //! list of nodes; [`Var::backward`] sweeps it in reverse, accumulating
-//! gradients into [`Parameter`] slots. An op over constants only records no
-//! backward: it is a constant like a [`Tape::leaf`]. The tape is rebuilt
+//! gradients into [`Parameter`] slots. An op node records its backward as
+//! data, an [`Op`]: its parents' ids and what the backward reads besides
+//! the values the tape holds (a scalar, an axis, a product's shapes, argmax
+//! indices, targets, batch norm's x̂ and inverse std). The sweep runs every
+//! backward through one `match` over it. An op over constants only records
+//! no backward: it is a constant like a [`Tape::leaf`]. The tape is rebuilt
 //! every training iteration while parameters persist outside it — the same
 //! lifecycle as PyTorch's dynamic graph.
 //!
@@ -11,155 +15,130 @@
 //! installed [`Profiler`] every op opens one forward span declaring its
 //! [`OpCost`] (`Tape::record_op`), and the node keeps that cost; the
 //! backward sweep opens one `bwd:<op>` span per node it reaches (only ops
-//! that can reach a parameter have a backward) and prices it at the
-//! forward cost times the number of parent gradients the closure returned,
-//! except that a gradient the closure declares a reduction
-//! (`BackwardCtx::reduces`, a convolution's bias) costs its sum instead.
-//! That is exact for the GEMM-backed ops (input + weight gradient = 2 x
-//! forward, the 3x-forward training rule the simulator is priced with) and
-//! the right order for elementwise ops; a deferred product (`BackwardCtx::product`)
-//! opens its own span if forced. Each backward span's end event says which
-//! gradients it ran: `input: now` for the gradients the closure computed
-//! itself, `weight` / `bias` `now` or `deferred` for a product's (a forced
-//! product's own span: `now`). Nothing below the tape (`hfta-tensor`,
-//! `hfta-kernels`, `hfta-mem`) records anything, so every op counts once.
+//! that can reach a parameter have a backward) and prices it by what the
+//! `match` ran: the forward cost per input or weight gradient, and a sum
+//! of the output gradient per bias gradient. That is exact for the
+//! GEMM-backed ops (input + weight gradient = 2 x forward, the 3x-forward
+//! training rule the simulator is priced with) and the right order for
+//! elementwise ops; a `narrow`'s window costs its forward. A product's
+//! weight or bias gradient deferred into a read parameter slot opens its
+//! own span if forced. Each backward span's end event says which gradients
+//! it ran: `input: now` for the gradients toward inputs, `weight` / `bias`
+//! `now` or `deferred` for a product's (a forced product's own span:
+//! `now`). Nothing below the tape (`hfta-tensor`, `hfta-kernels`,
+//! `hfta-mem`) records anything, so every op counts once.
 
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::rc::Rc;
 
 use hfta_telemetry::{LaneId, OpCost, OpSpanGuard, Profiler};
+use hfta_tensor::activation::{
+    leaky_relu_backward, log_softmax_backward, relu_backward, sigmoid_backward, softmax_backward,
+    tanh_backward,
+};
+use hfta_tensor::norm::{
+    batch_norm_backward_grouped, batch_norm_eval_backward_grouped, BatchNormOutput,
+};
+use hfta_tensor::pool::max_pool2d_backward;
 use hfta_tensor::{Shape, Tensor};
 
 use crate::parameter::Parameter;
+use crate::var_nn::Product;
 
-/// Gradients flowing to each parent: `(parent_node_id, gradient)` pairs.
-pub(crate) type ParentGrads = Vec<(usize, Tensor)>;
-
-/// A backward function: maps the node's output gradient to parent
-/// gradients, reading whatever values it needs from the tape through the
-/// [`BackwardCtx`] instead of holding copies of them.
-pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &BackwardCtx<'_>) -> ParentGrads>;
-
-/// How a node sends its output gradient back: through a closure, or (a
-/// `narrow`) as the window `(parent, axis, start)` added into the parent's.
-pub(crate) enum Backward {
-    Closure(BackwardFn),
-    Window(usize, usize, usize),
+/// A node's backward as data: its parents' ids (the first field, `x`, or
+/// `[x, gamma, beta]`) and what the backward reads besides the values the
+/// tape holds. [`Var::backward_with`] runs every variant in one `match`.
+pub(crate) enum Op {
+    /// Broadcasting `add`, `sub`, `mul` and `div` of two parents.
+    Add(usize, usize),
+    Sub(usize, usize),
+    Mul(usize, usize),
+    Div(usize, usize),
+    AddScalar(usize),
+    MulScalar(usize, f32),
+    Neg(usize),
+    Relu(usize),
+    LeakyRelu(usize, f32),
+    Tanh(usize),
+    Sigmoid(usize),
+    Exp(usize),
+    Ln(usize),
+    Square(usize),
+    /// Times the constant tensor, broadcast.
+    MulConst(usize, Tensor),
+    /// Plus a constant tensor, broadcast.
+    AddConst(usize),
+    Sum(usize),
+    Mean(usize),
+    /// Sum along the axis, kept.
+    SumAxis(usize, usize),
+    /// Max along the axis: each output's argmax along it.
+    MaxAxis(usize, usize, Vec<usize>),
+    /// `reshape` or `flatten_from`.
+    Reshape(usize),
+    /// `permute`: the inverse order.
+    Permute(usize, Vec<usize>),
+    /// `narrow` at `(axis, start)`: its gradient is added into the
+    /// parent's slot as a window.
+    Narrow(usize, usize, usize),
+    /// `concat` along the axis of `(parent, size along the axis)` parts.
+    Concat(Vec<(usize, usize)>, usize),
+    /// A convolution or (batched) matrix product of an input and a weight,
+    /// with an optional bias.
+    Product(usize, usize, Option<usize>, Product),
+    /// 2-D max pooling: each output's flat input index.
+    MaxPool2d(usize, Vec<usize>),
+    /// Training batch norm over groups: the forward's x̂ and inverse std.
+    BatchNorm([usize; 3], Option<usize>, BatchNormOutput),
+    /// Eval batch norm over groups: the running mean and its inverse std.
+    BatchNormEval([usize; 3], Option<usize>, Vec<f32>, Vec<f32>),
+    LogSoftmax(usize, usize),
+    Softmax(usize, usize),
+    /// Mean negative log-likelihood of the targets.
+    NllLoss(usize, Vec<usize>),
+    /// Mean binary cross-entropy of the logits against the targets.
+    BceWithLogits(usize, Tensor),
+    /// Mean squared error: the forward's `x - target`.
+    MseLoss(usize, Tensor),
 }
 
-/// The span arg naming a product's gradient: `BackwardCtx::product`'s
-/// weight, or (a reduction) its bias.
-const PART: [&str; 2] = ["weight", "bias"];
+/// The span args naming the gradients a backward ran: toward inputs (every
+/// parent but a product's weight and bias), a product's weight, its bias.
+const PART: [&str; 3] = ["input", "weight", "bias"];
 
-/// A gradient: computed, or a product `BackwardCtx::product` deferred.
+/// A gradient: computed, or a product's deferred into a read slot.
 pub(crate) enum Grad {
     Now(Tensor),
-    Later(Box<dyn FnOnce() -> Tensor>),
+    Later(Deferred),
 }
+
+/// A product's weight (or, `true`, bias) gradient waiting unevaluated in a
+/// read parameter slot: `(product, bias, g, x, op, cost)`, the output
+/// gradient and input it reads shared with the tape, and the op name and
+/// cost of its span if forced.
+pub(crate) struct Deferred(Product, bool, Rc<Tensor>, Rc<Tensor>, &'static str, OpCost);
 
 impl Grad {
     pub(crate) fn force(self) -> Tensor {
-        match self {
-            Grad::Now(g) => g,
-            Grad::Later(product) => product(),
-        }
-    }
-}
-
-/// What a backward closure may read during the reverse sweep: the values
-/// the tape already holds — its parents' and its own output — and which
-/// parents want a gradient at all.
-pub(crate) struct BackwardCtx<'a> {
-    nodes: &'a [Node],
-    id: usize,
-    g: &'a Rc<Tensor>,
-    /// The returned gradients declared reductions, and the elements they read.
-    reduced: Cell<(usize, usize)>,
-    /// Products deferred into read parameter slots, for the sweep to hand on.
-    deferred: RefCell<Vec<(usize, Grad)>>,
-    /// Each [`PART`]'s product: run `"now"`, `"deferred"`, or not asked for.
-    ran: Cell<[Option<&'static str>; 2]>,
-}
-
-impl<'a> BackwardCtx<'a> {
-    fn new(nodes: &'a [Node], id: usize, g: &'a Rc<Tensor>) -> Self {
-        BackwardCtx {
-            nodes,
-            id,
-            g,
-            reduced: Cell::new((0, 0)),
-            deferred: RefCell::new(Vec::new()),
-            ran: Cell::new([None; 2]),
-        }
-    }
-
-    /// Parent `id`'s gradient `f(g, v)` over node `of`'s value, priced as a
-    /// forward (or as summing `g`): computed now unless `id`'s parameter slot
-    /// was read since its last zero, else deferred holding `g`, `v` shared.
-    pub(crate) fn product<F>(&self, id: usize, of: usize, f: &F, reduction: bool) -> Option<Tensor>
-    where
-        F: Fn(&Tensor, &Tensor) -> Tensor + Clone + 'static,
-    {
-        let (g, v, node) = (self.g, &self.nodes[of].value, &self.nodes[self.id]);
-        let (op, cost) = match reduction {
-            true => (node.op, OpCost::reduction(g.numel())),
-            false => (node.op, node.cost),
+        let Deferred(product, bias, g, x, op, cost) = match self {
+            Grad::Now(g) => return g,
+            Grad::Later(d) => d,
         };
-        let (part, mut ran) = (usize::from(reduction), self.ran.get());
-        let now = !(self.nodes[id].param.as_ref()).is_some_and(Parameter::is_read);
-        ran[part] = Some(if now { "now" } else { "deferred" });
-        self.ran.set(ran);
-        if now {
-            if reduction {
-                self.reduces(g.numel());
-            }
-            return Some(f(g, v));
-        }
-        let (f, g, v) = (f.clone(), Rc::clone(g), Rc::clone(v));
         // Forced, it opens its own span under the profiler installed then.
-        let product = Box::new(move || {
-            let _span = Profiler::current().map(|p| {
-                let mut span = p.op_span(p.lane("autograd", "backward"), format!("bwd:{op}"), cost);
-                span.arg(PART[part], "now");
-                span
-            });
-            f(&g, &v)
+        let _span = Profiler::current().map(|p| {
+            let mut span = p.op_span(p.lane("autograd", "backward"), format!("bwd:{op}"), cost);
+            span.arg(PART[1 + usize::from(bias)], "now");
+            span
         });
-        self.deferred.borrow_mut().push((id, Grad::Later(product)));
-        None
-    }
-
-    /// Declares that one of the gradients the closure returns sums `numel`
-    /// elements (a bias gradient over `gy`): the backward span prices it
-    /// as that reduction, not as another forward.
-    pub(crate) fn reduces(&self, numel: usize) {
-        let (grads, elements) = self.reduced.get();
-        self.reduced.set((grads + 1, elements + numel));
-    }
-
-    /// The forward value of node `id` (a parent of the running node).
-    pub(crate) fn value(&self, id: usize) -> &'a Tensor {
-        &self.nodes[id].value
-    }
-
-    /// The running node's own forward output.
-    pub(crate) fn output(&self) -> &'a Tensor {
-        &self.nodes[self.id].value
-    }
-
-    /// Whether a gradient sent to node `id` can reach a parameter. A
-    /// constant — a [`Tape::leaf`] or an op over constants only — would drop
-    /// it unread: ops skip computing it.
-    pub(crate) fn needs_grad(&self, id: usize) -> bool {
-        self.nodes[id].needs_grad()
+        product.grad(bias, &g, &x)
     }
 }
 
 pub(crate) struct Node {
     /// Shared with a [`Tape::param`]'s parameter and any deferred product.
     pub(crate) value: Rc<Tensor>,
-    pub(crate) backward: Option<Backward>,
+    pub(crate) backward: Option<Op>,
     pub(crate) param: Option<Parameter>,
     /// Op that produced this node and the cost its forward span declared;
     /// they name and price the backward span.
@@ -168,6 +147,9 @@ pub(crate) struct Node {
 }
 
 impl Node {
+    /// Whether a gradient sent here can reach a parameter. A constant — a
+    /// [`Tape::leaf`] or an op over constants only — would drop it unread:
+    /// the sweep computes none toward it.
     fn needs_grad(&self) -> bool {
         self.backward.is_some() || self.param.is_some()
     }
@@ -230,6 +212,185 @@ impl Slot {
             _ => {
                 let padded = Slot::Windows(axis, vec![span], g).take(shape);
                 self.add(shape, padded.expect("a window"));
+            }
+        }
+    }
+}
+
+/// Where one node's backward sends its parents' gradients, and what it ran.
+struct Sent<'a> {
+    nodes: &'a [Node],
+    slots: &'a mut [Slot],
+    /// Gradients computed toward inputs.
+    inputs: usize,
+    /// Each [`PART`]'s gradients: sent `"now"`, `"deferred"`, or none asked for.
+    ran: [Option<&'static str>; 3],
+}
+
+impl Sent<'_> {
+    /// Sends parent `id` the gradient `f` computes, if it needs one.
+    fn input(&mut self, id: usize, f: impl FnOnce() -> Tensor) {
+        if self.nodes[id].needs_grad() {
+            self.inputs += 1;
+            self.ran[0] = Some("now");
+            self.add(id, Grad::Now(f()));
+        }
+    }
+
+    /// Sends parent `id` a product's weight (or `bias`) gradient.
+    fn part(&mut self, id: usize, bias: bool, g: Grad) {
+        let now = matches!(g, Grad::Now(_));
+        self.ran[1 + usize::from(bias)] = Some(if now { "now" } else { "deferred" });
+        self.add(id, g);
+    }
+
+    fn add(&mut self, id: usize, g: Grad) {
+        self.slots[id].add(self.nodes[id].value.shape(), g);
+    }
+}
+
+/// Runs op node `id`'s backward on its output gradient `g`: one `match`
+/// over its [`Op`] adds each parent that needs one its gradient in `slots`,
+/// and `span` is priced by what ran.
+fn backward(nodes: &[Node], id: usize, g: Tensor, slots: &mut [Slot], span: Option<OpSpanGuard>) {
+    let node = &nodes[id];
+    let (v, y) = (|id: usize| &*nodes[id].value, &*node.value);
+    let mut to = Sent {
+        nodes,
+        slots,
+        inputs: 0,
+        ran: [None; 3],
+    };
+    let numel = g.numel();
+    match *node.backward.as_ref().expect("an op node") {
+        Op::Add(a, b) => {
+            to.input(a, || g.sum_to(v(a).shape()));
+            to.input(b, || g.sum_to(v(b).shape()));
+        }
+        Op::Sub(a, b) => {
+            to.input(a, || g.sum_to(v(a).shape()));
+            to.input(b, || g.neg().sum_to(v(b).shape()));
+        }
+        Op::Mul(a, b) => {
+            to.input(a, || g.mul(v(b)).sum_to(v(a).shape()));
+            to.input(b, || g.mul(v(a)).sum_to(v(b).shape()));
+        }
+        Op::Div(a, b) => {
+            to.input(a, || g.div(v(b)).sum_to(v(a).shape()));
+            to.input(b, || {
+                g.mul(v(a)).neg().div(&v(b).square()).sum_to(v(b).shape())
+            });
+        }
+        Op::AddScalar(x) => to.input(x, || g),
+        Op::MulScalar(x, s) => to.input(x, || g.mul_scalar(s)),
+        Op::Neg(x) => to.input(x, || g.neg()),
+        Op::Relu(x) => to.input(x, || relu_backward(&g, v(x))),
+        Op::LeakyRelu(x, slope) => to.input(x, || leaky_relu_backward(&g, v(x), slope)),
+        Op::Tanh(x) => to.input(x, || tanh_backward(&g, y)),
+        Op::Sigmoid(x) => to.input(x, || sigmoid_backward(&g, y)),
+        Op::Exp(x) => to.input(x, || g.mul(y)),
+        Op::Ln(x) => to.input(x, || g.div(v(x))),
+        Op::Square(x) => to.input(x, || g.mul(v(x)).mul_scalar(2.0)),
+        Op::MulConst(x, ref c) => to.input(x, || g.mul(c).sum_to(v(x).shape())),
+        Op::AddConst(x) => to.input(x, || g.sum_to(v(x).shape())),
+        Op::Sum(x) => to.input(x, || Tensor::full(v(x).shape().clone(), g.item())),
+        Op::Mean(x) => to.input(x, || {
+            Tensor::full(v(x).shape().clone(), g.item() / v(x).numel() as f32)
+        }),
+        Op::SumAxis(x, axis) => to.input(x, || g.expand_axis(axis, v(x).dim(axis))),
+        Op::MaxAxis(x, axis, ref indices) => to.input(x, || {
+            let dims = v(x).dims();
+            let (n, inner) = (dims[axis], dims[axis + 1..].iter().product::<usize>());
+            let mut gx = Tensor::zeros(dims);
+            let out = gx.as_mut_slice();
+            for (oi, (&k, &gv)) in indices.iter().zip(g.as_slice()).enumerate() {
+                out[(oi / inner * n + k) * inner + oi % inner] += gv;
+            }
+            gx
+        }),
+        Op::Reshape(x) => to.input(x, || g.reshape(v(x).dims())),
+        Op::Permute(x, ref inverse) => to.input(x, || g.permute(inverse)),
+        Op::Narrow(x, axis, start) => {
+            // A window costs its forward and names no gradient.
+            return to.slots[x].add_window(v(x).shape(), axis, start, g);
+        }
+        Op::Concat(ref parts, axis) => {
+            let mut offset = 0;
+            for &(id, size) in parts {
+                to.input(id, || g.narrow(axis, offset, size));
+                offset += size;
+            }
+        }
+        Op::Product(x, w, b, product) => {
+            to.input(x, || product.grad_input(&g, v(w)));
+            // The weight's and bias's gradients run now, but for one whose
+            // parameter slot was read since its last zero: that one waits
+            // there unevaluated, sharing `g` and `x` with the tape.
+            let parts = [Some((w, false)), b.map(|b| (b, true))];
+            let parts = parts.map(|p| p.filter(|&(id, _)| nodes[id].needs_grad()));
+            let read = |&(id, _): &(usize, bool)| {
+                (nodes[id].param.as_ref()).is_some_and(Parameter::is_read)
+            };
+            for (id, bias) in parts.into_iter().flatten().filter(|p| !read(p)) {
+                to.part(id, bias, Grad::Now(product.grad(bias, &g, v(x))));
+            }
+            if parts.iter().flatten().any(read) {
+                let g = Rc::new(g);
+                for (id, bias) in parts.into_iter().flatten().filter(read) {
+                    let cost = [node.cost, OpCost::reduction(numel)][usize::from(bias)];
+                    let (g, x) = (Rc::clone(&g), Rc::clone(&nodes[x].value));
+                    let d = Deferred(product, bias, g, x, node.op, cost);
+                    to.part(id, bias, Grad::Later(d));
+                }
+            }
+        }
+        Op::MaxPool2d(x, ref indices) => {
+            to.input(x, || max_pool2d_backward(&g, indices, v(x).dims()));
+        }
+        Op::BatchNorm([x, gamma, beta], groups, ref ctx) => {
+            let (gx, ggamma, gbeta) = batch_norm_backward_grouped(&g, groups, ctx, v(gamma));
+            for (id, grad) in [(x, gx), (gamma, ggamma), (beta, gbeta)] {
+                to.input(id, || grad);
+            }
+        }
+        Op::BatchNormEval([x, gamma, beta], groups, ref mean, ref inv_std) => {
+            let grads = batch_norm_eval_backward_grouped(&g, v(x), groups, v(gamma), mean, inv_std);
+            for (id, grad) in [(x, grads.0), (gamma, grads.1), (beta, grads.2)] {
+                to.input(id, || grad);
+            }
+        }
+        Op::LogSoftmax(x, axis) => to.input(x, || log_softmax_backward(&g, y, axis)),
+        Op::Softmax(x, axis) => to.input(x, || softmax_backward(&g, y, axis)),
+        Op::NllLoss(x, ref targets) => to.input(x, || {
+            let lp = v(x);
+            let (n, c) = (lp.dim(0), lp.dim(1));
+            let d = if lp.rank() == 3 { lp.dim(2) } else { 1 };
+            let scale = -g.item() / (n * d) as f32;
+            let mut gx = Tensor::zeros(lp.shape().clone());
+            let out = gx.as_mut_slice();
+            for (i, &t) in targets.iter().enumerate() {
+                out[(i / d * c + t) * d + i % d] = scale;
+            }
+            gx
+        }),
+        Op::BceWithLogits(x, ref targets) => to.input(x, || {
+            // d/dx = sigmoid(x) - y.
+            let x = v(x);
+            x.sigmoid()
+                .sub(targets)
+                .mul_scalar(g.item() / x.numel() as f32)
+        }),
+        Op::MseLoss(x, ref diff) => {
+            to.input(x, || diff.mul_scalar(2.0 * g.item() / diff.numel() as f32))
+        }
+    }
+    if let Some(mut span) = span {
+        let now = to.ran.map(|ran| ran == Some("now"));
+        span.scale(to.inputs + usize::from(now[1]));
+        span.add(OpCost::reduction(numel * usize::from(now[2])));
+        for (part, ran) in PART.into_iter().zip(to.ran) {
+            if let Some(ran) = ran {
+                span.arg(part, ran);
             }
         }
     }
@@ -361,29 +522,14 @@ impl Tape {
         f(&values)
     }
 
-    /// Records an op's output over `parents` with its backward closure.
-    pub(crate) fn push_op(
-        &self,
-        value: Tensor,
-        parents: &[usize],
-        backward: impl Fn(&Tensor, &BackwardCtx<'_>) -> ParentGrads + 'static,
-    ) -> Var {
-        self.push_with(value, parents, || Backward::Closure(Box::new(backward)))
-    }
-
-    /// Records an op's output over `parents` with the backward `f` builds;
-    /// if no parent needs a gradient the output is a constant, `f` unrun.
-    pub(crate) fn push_with(
-        &self,
-        value: Tensor,
-        parents: &[usize],
-        f: impl FnOnce() -> Backward,
-    ) -> Var {
+    /// Records an op's output over `parents` with the backward `op`
+    /// describes; if no parent needs a gradient the output is a constant.
+    pub(crate) fn push_op(&self, value: Tensor, parents: &[usize], op: Op) -> Var {
         let tracked = (parents.iter()).any(|&id| self.inner.nodes.borrow()[id].needs_grad());
-        self.push(Rc::new(value), tracked.then(f), None)
+        self.push(Rc::new(value), tracked.then_some(op), None)
     }
 
-    fn push(&self, value: Rc<Tensor>, backward: Option<Backward>, param: Option<Parameter>) -> Var {
+    fn push(&self, value: Rc<Tensor>, backward: Option<Op>, param: Option<Parameter>) -> Var {
         let (op, cost) = self
             .inner
             .current_op
@@ -520,89 +666,20 @@ impl Var {
             };
             if let Some(param) = &node.param {
                 param.accumulate(g);
-            } else if let Some(backward) = &node.backward {
-                let mut span = telemetry.map(|t| {
+            } else if node.backward.is_some() {
+                let span = telemetry.map(|t| {
                     t.profiler
                         .op_span(t.bwd, format!("bwd:{}", node.op), node.cost)
                 });
-                match backward {
-                    Backward::Closure(backward) => {
-                        let g = Rc::new(g.force());
-                        let ctx = BackwardCtx::new(&nodes, id, &g);
-                        let parent_grads = backward(&g, &ctx);
-                        if let Some(span) = &mut span {
-                            let (reductions, numel) = ctx.reduced.get();
-                            span.scale(parent_grads.len() - reductions);
-                            span.add(OpCost::reduction(numel));
-                            let ran = ctx.ran.get();
-                            let products = ran.iter().filter(|r| **r == Some("now")).count();
-                            if parent_grads.len() > products {
-                                span.arg("input", "now");
-                            }
-                            for (part, ran) in PART.into_iter().zip(ran) {
-                                if let Some(ran) = ran {
-                                    span.arg(part, ran);
-                                }
-                            }
-                        }
-                        for (pid, pg) in parent_grads {
-                            debug_assert!(pid < id, "tape must be topologically ordered");
-                            slots[pid].add(nodes[pid].value.shape(), Grad::Now(pg));
-                        }
-                        for (pid, pg) in ctx.deferred.take() {
-                            slots[pid].add(nodes[pid].value.shape(), pg);
-                        }
-                    }
-                    &Backward::Window(parent, axis, start) => {
-                        let shape = nodes[parent].value.shape();
-                        slots[parent].add_window(shape, axis, start, g.force());
-                    }
-                }
+                backward(&nodes, id, g.force(), &mut slots, span);
             }
         }
     }
 
-    /// Records a unary op whose `backward(g, x, y)` maps the output
-    /// gradient to this node's gradient, reading this node's value `x` and
-    /// the op's output `y` from the tape. A constant if this node is one.
-    pub(crate) fn unary(
-        &self,
-        value: Tensor,
-        backward: impl Fn(&Tensor, &Tensor, &Tensor) -> Tensor + 'static,
-    ) -> Var {
-        let id = self.id;
-        self.tape.push_op(value, &[id], move |g, ctx| {
-            vec![(id, backward(g, ctx.value(id), ctx.output()))]
-        })
-    }
-
-    /// Records a binary op: `grad_a(g, a, b)` / `grad_b(g, a, b)` map the
-    /// output gradient to each operand's gradient, reading both operand
-    /// values from the tape; each runs only if its operand needs a
-    /// gradient.
-    pub(crate) fn binary(
-        &self,
-        other: &Var,
-        value: Tensor,
-        grad_a: impl Fn(&Tensor, &Tensor, &Tensor) -> Tensor + 'static,
-        grad_b: impl Fn(&Tensor, &Tensor, &Tensor) -> Tensor + 'static,
-    ) -> Var {
-        assert!(
-            Rc::ptr_eq(&self.tape.inner, &other.tape.inner),
-            "operands must share a tape"
-        );
-        let (a, b) = (self.id, other.id);
-        self.tape.push_op(value, &[a, b], move |g, ctx| {
-            let (av, bv) = (ctx.value(a), ctx.value(b));
-            let mut out = Vec::with_capacity(2);
-            if ctx.needs_grad(a) {
-                out.push((a, grad_a(g, av, bv)));
-            }
-            if ctx.needs_grad(b) {
-                out.push((b, grad_b(g, av, bv)));
-            }
-            out
-        })
+    /// Records an op over this node alone: its output `value` and the
+    /// backward `op` describes.
+    pub(crate) fn record(&self, value: Tensor, op: Op) -> Var {
+        self.tape.push_op(value, &[self.id], op)
     }
 }
 
@@ -612,16 +689,11 @@ impl Var {
     /// output gradient `g`.
     pub(crate) fn grad_targets(&self, g: &Tensor) -> Vec<usize> {
         let nodes = self.tape.inner.nodes.borrow();
-        match nodes[self.id].backward.as_ref().expect("an op node") {
-            Backward::Closure(backward) => {
-                let g = Rc::new(g.clone());
-                let ctx = BackwardCtx::new(&nodes, self.id, &g);
-                let now = backward(&g, &ctx).into_iter().map(|(id, _)| id);
-                now.chain(ctx.deferred.take().into_iter().map(|(id, _)| id))
-                    .collect()
-            }
-            Backward::Window(parent, ..) => vec![*parent],
-        }
+        let mut slots: Vec<Slot> = (0..self.id).map(|_| Slot::Empty).collect();
+        backward(&nodes, self.id, g.clone(), &mut slots, None);
+        (0..self.id)
+            .filter(|&id| !matches!(slots[id], Slot::Empty))
+            .collect()
     }
 }
 

@@ -1,26 +1,26 @@
 //! Differentiable neural-network ops on [`Var`]: convolutions, pooling,
 //! batch norm, softmax and loss primitives.
 //!
-//! Backward closures read their operands (`x`, `w`, `gamma`) and outputs
-//! from the tape rather than capturing copies, and skip the gradient of any
-//! operand that needs none — a constant, such as a model's input batch.
+//! Each op computes its forward from borrowed operands and records an
+//! `Op` for the sweep's one `match`: its parents' ids and what the forward
+//! worked out that the backward reads besides the tape's values — a
+//! convolution or matrix product's [`Product`] (its shapes and
+//! configuration), pooling's argmax indices, batch norm's x̂ and inverse
+//! std, a loss's targets. No gradient runs toward an operand that needs
+//! none — a constant, such as a model's input batch.
 
-use hfta_tensor::activation::{log_softmax_backward, softmax_backward};
 use hfta_tensor::conv::{
-    conv1d_grad_bias, conv1d_grad_input, conv1d_grad_weight, conv2d, conv2d_grad_bias,
+    conv1d, conv1d_grad_bias, conv1d_grad_input, conv1d_grad_weight, conv2d, conv2d_grad_bias,
     conv2d_grad_input, conv2d_grad_weight, conv_transpose2d, conv_transpose2d_grad_input,
     conv_transpose2d_grad_weight, ConvCfg,
 };
-use hfta_tensor::norm::{
-    batch_norm_backward_grouped, batch_norm_eval_backward_grouped, batch_norm_eval_grouped,
-    batch_norm_train_grouped, eval_inv_std,
-};
-use hfta_tensor::pool::{max_pool2d, max_pool2d_backward};
+use hfta_tensor::norm::{batch_norm_eval_grouped, batch_norm_train_grouped, eval_inv_std};
+use hfta_tensor::pool::max_pool2d;
 use hfta_tensor::Tensor;
 
 use hfta_telemetry::OpCost;
 
-use crate::tape::{BackwardCtx, ParentGrads, Var};
+use crate::tape::{Op, Var};
 
 /// FLOP/byte cost of a convolution-shaped op: `macs` multiply-adds (its
 /// GEMM's summed `m·k·n`) over `in_numel` input, `w_numel` weight and
@@ -48,44 +48,74 @@ fn conv_transpose2d_cost(xd: &[usize], wd: &[usize], cfg: ConvCfg) -> OpCost {
 /// training-mode batch norm.
 pub type BatchStats = (Vec<f32>, Vec<f32>);
 
-type BiasGrad = fn(&Tensor) -> Tensor;
+/// A convolution or (batched) matrix product of an input `x`, a weight `w`
+/// and an optional bias, with the shapes its gradients need: what its
+/// backward and a deferred weight or bias gradient run.
+#[derive(Clone, Copy)]
+pub(crate) enum Product {
+    /// `(cfg, input (h, w), input channels, kernel (h, w))`.
+    Conv2d(ConvCfg, (usize, usize), usize, (usize, usize)),
+    /// `([stride, padding, groups], input (channels, length), kernel length)`.
+    Conv1d([usize; 3], (usize, usize), usize),
+    /// `(cfg, kernel (h, w))`.
+    ConvTranspose2d(ConvCfg, (usize, usize)),
+    /// Rank 2; its gradient products read the transposes in place, as
+    /// `Bmm`'s do.
+    Matmul,
+    Bmm,
+}
 
-/// Records a convolution or matrix product over `x`, `w` and an optional
-/// bias with its gradient `grad_b(g)`: `forward(x, w, b)` runs now; in the
-/// sweep `grad_x(g, w)`, `grad_w(g, x)` and `grad_b` run for each operand
-/// needing a gradient (the last two as products a read slot may defer).
-pub(crate) fn record_product(
-    x: &Var,
-    weight: &Var,
-    bias: Option<(&Var, BiasGrad)>,
-    forward: impl FnOnce(&Tensor, &Tensor, Option<&Tensor>) -> Tensor,
-    grad_x: impl Fn(&Tensor, &Tensor) -> Tensor + 'static,
-    grad_w: impl Fn(&Tensor, &Tensor) -> Tensor + Clone + 'static,
-) -> Var {
-    let (bias, grad_b) = (bias.map(|b| b.0), bias.map(|b| b.1));
-    let operands: Vec<&Var> = [x, weight].into_iter().chain(bias).collect();
-    let y = x
-        .tape
-        .with_values(&operands, |v| forward(v[0], v[1], v.get(2).copied()));
-    let (xi, wi, bi) = (x.id, weight.id, bias.map(|b| b.id));
-    let parents = [xi, wi, bi.unwrap_or(wi)];
-    x.tape.push_op(y, &parents, move |g, ctx| {
-        let mut out: ParentGrads = Vec::with_capacity(3);
-        if ctx.needs_grad(xi) {
-            out.push((xi, grad_x(g, ctx.value(wi))));
+impl Product {
+    fn forward(self, x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Tensor {
+        match self {
+            Product::Conv2d(cfg, ..) => conv2d(x, w, b, cfg),
+            Product::Conv1d([s, p, groups], ..) => conv1d(x, w, b, s, p, groups),
+            Product::ConvTranspose2d(cfg, _) => conv_transpose2d(x, w, b, cfg),
+            Product::Matmul => x.matmul(w),
+            Product::Bmm => x.bmm(w),
         }
-        if ctx.needs_grad(wi) {
-            out.extend(ctx.product(wi, xi, &grad_w, false).map(|gw| (wi, gw)));
+    }
+
+    /// The input's gradient from the output's, `g`, and the weight `w`.
+    pub(crate) fn grad_input(self, g: &Tensor, w: &Tensor) -> Tensor {
+        match self {
+            Product::Conv2d(cfg, hw, cin, _) => conv2d_grad_input(w, g, hw, cin, cfg),
+            Product::Conv1d([s, p, groups], input, _) => {
+                conv1d_grad_input(w, g, input, s, p, groups)
+            }
+            Product::ConvTranspose2d(cfg, _) => conv_transpose2d_grad_input(w, g, cfg),
+            Product::Matmul | Product::Bmm => g.bmm_nt(w),
         }
-        if let (Some(bi), Some(grad_b)) = (bi.filter(|&bi| ctx.needs_grad(bi)), grad_b) {
-            let grad_b = move |g: &Tensor, _: &Tensor| grad_b(g);
-            out.extend(ctx.product(bi, xi, &grad_b, true).map(|gb| (bi, gb)));
+    }
+
+    /// The weight's gradient from the output's, `g`, and the input `x`; or,
+    /// if `bias`, the bias's (a sum of `g`).
+    pub(crate) fn grad(self, bias: bool, g: &Tensor, x: &Tensor) -> Tensor {
+        match (self, bias) {
+            (Product::Conv1d(..), true) => conv1d_grad_bias(g),
+            (_, true) => conv2d_grad_bias(g),
+            (Product::Conv2d(cfg, .., k), false) => conv2d_grad_weight(x, g, k, cfg),
+            (Product::Conv1d([s, p, groups], _, k), false) => {
+                conv1d_grad_weight(x, g, k, s, p, groups)
+            }
+            (Product::ConvTranspose2d(cfg, k), false) => conv_transpose2d_grad_weight(x, g, k, cfg),
+            (Product::Matmul | Product::Bmm, false) => x.bmm_tn(g),
         }
-        out
-    })
+    }
 }
 
 impl Var {
+    /// Records `product` of this input, `weight` and an optional `bias`.
+    pub(crate) fn product(&self, weight: &Var, bias: Option<&Var>, product: Product) -> Var {
+        let operands: Vec<&Var> = [self, weight].into_iter().chain(bias).collect();
+        let y = (self.tape).with_values(&operands, |v| {
+            product.forward(v[0], v[1], v.get(2).copied())
+        });
+        let (x, w, b) = (self.id, weight.id, bias.map(|b| b.id));
+        self.tape
+            .push_op(y, &[x, w, b.unwrap_or(w)], Op::Product(x, w, b, product))
+    }
+
     /// 2-D convolution (`x [N, Cin, H, W]`, `w [Cout, Cin/g, kh, kw]`,
     /// optional bias `[Cout]`).
     ///
@@ -101,15 +131,8 @@ impl Var {
             conv_cost(macs, self.numel(), weight.numel(), out_numel)
         });
         let (xd, wd) = (self.dims(), weight.dims());
-        let (input_hw, cin, kernel_hw) = ((xd[2], xd[3]), xd[1], (wd[2], wd[3]));
-        record_product(
-            self,
-            weight,
-            bias.map(|b| (b, conv2d_grad_bias as _)),
-            |x, w, b| conv2d(x, w, b, cfg),
-            move |g, w| conv2d_grad_input(w, g, input_hw, cin, cfg),
-            move |g, x| conv2d_grad_weight(x, g, kernel_hw, cfg),
-        )
+        let product = Product::Conv2d(cfg, (xd[2], xd[3]), xd[1], (wd[2], wd[3]));
+        self.product(weight, bias, product)
     }
 
     /// 1-D convolution (`x [N, Cin, L]`, `w [Cout, Cin/g, k]`).
@@ -137,15 +160,8 @@ impl Var {
             )
         });
         let (xd, k) = (self.dims(), weight.dim(2));
-        let (cin, len) = (xd[1], xd[2]);
-        record_product(
-            self,
-            weight,
-            bias.map(|b| (b, conv1d_grad_bias as _)),
-            |x, w, b| hfta_tensor::conv::conv1d(x, w, b, stride, padding, groups),
-            move |g, w| conv1d_grad_input(w, g, (cin, len), stride, padding, groups),
-            move |g, x| conv1d_grad_weight(x, g, k, stride, padding, groups),
-        )
+        let product = Product::Conv1d([stride, padding, groups], (xd[1], xd[2]), k);
+        self.product(weight, bias, product)
     }
 
     /// 2-D transposed convolution (`x [N, Cin, H, W]`,
@@ -158,16 +174,8 @@ impl Var {
         let _t = self.tape.record_op("conv_transpose2d", || {
             conv_transpose2d_cost(&self.dims(), &weight.dims(), cfg)
         });
-        let wd = weight.dims();
-        let kernel_hw = (wd[2], wd[3]);
-        record_product(
-            self,
-            weight,
-            bias.map(|b| (b, conv2d_grad_bias as _)),
-            |x, w, b| conv_transpose2d(x, w, b, cfg),
-            move |g, w| conv_transpose2d_grad_input(w, g, cfg),
-            move |g, x| conv_transpose2d_grad_weight(x, g, kernel_hw, cfg),
-        )
+        let kernel_hw = (weight.dim(2), weight.dim(3));
+        self.product(weight, bias, Product::ConvTranspose2d(cfg, kernel_hw))
     }
 
     /// 2-D max pooling.
@@ -180,10 +188,7 @@ impl Var {
             .tape
             .record_op("max_pool2d", || OpCost::reduction(self.numel()));
         let r = self.with_value(|x| max_pool2d(x, kernel, stride));
-        let indices = r.indices;
-        self.unary(r.output, move |g, x, _| {
-            max_pool2d_backward(g, &indices, x.dims())
-        })
+        self.record(r.output, Op::MaxPool2d(self.id, r.indices))
     }
 
     /// Batch normalization.
@@ -220,26 +225,18 @@ impl Var {
         let _t = self
             .tape
             .record_op("batch_norm", || OpCost::elementwise(self.numel()));
-        let (xi, gi, bi) = (self.id, gamma.id, beta.id);
-        let grads = move |ctx: &BackwardCtx<'_>, (gx, ggamma, gbeta): (Tensor, Tensor, Tensor)| {
-            [(xi, gx), (gi, ggamma), (bi, gbeta)]
-                .into_iter()
-                .filter(|(id, _)| ctx.needs_grad(*id))
-                .collect::<ParentGrads>()
-        };
+        let ids = [self.id, gamma.id, beta.id];
         let operands = [self, gamma, beta];
         match running_stats {
             None => {
                 let mut ctx = self.tape.with_values(&operands, |v| {
                     batch_norm_train_grouped(v[0], groups, v[1], v[2], eps)
                 });
-                // The tape keeps the output; the closure keeps x̂ and the
+                // The tape keeps the output; the op keeps x̂ and the
                 // per-channel inverse std, all `batch_norm_backward` reads.
                 let y = std::mem::take(&mut ctx.output);
                 let stats = (std::mem::take(&mut ctx.mean), std::mem::take(&mut ctx.var));
-                let var = self.tape.push_op(y, &[xi, gi, bi], move |g, c| {
-                    grads(c, batch_norm_backward_grouped(g, groups, &ctx, c.value(gi)))
-                });
+                let var = (self.tape).push_op(y, &ids, Op::BatchNorm(ids, groups, ctx));
                 (var, Some(stats))
             }
             Some((rm, rvar)) => {
@@ -248,13 +245,8 @@ impl Var {
                 let y = self.tape.with_values(&operands, |v| {
                     batch_norm_eval_grouped(v[0], groups, v[1], v[2], rm, &inv_std)
                 });
-                let rm = rm.to_vec();
-                let var = self.tape.push_op(y, &[xi, gi, bi], move |g, c| {
-                    let (x, gv) = (c.value(xi), c.value(gi));
-                    let d = batch_norm_eval_backward_grouped(g, x, groups, gv, &rm, &inv_std);
-                    grads(c, d)
-                });
-                (var, None)
+                let op = Op::BatchNormEval(ids, groups, rm.to_vec(), inv_std);
+                (self.tape.push_op(y, &ids, op), None)
             }
         }
     }
@@ -264,9 +256,8 @@ impl Var {
         let _t = self
             .tape
             .record_op("log_softmax", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.log_softmax(axis)), move |g, _, y| {
-            log_softmax_backward(g, y, axis)
-        })
+        let y = self.with_value(|x| x.log_softmax(axis));
+        self.record(y, Op::LogSoftmax(self.id, axis))
     }
 
     /// Softmax along `axis`.
@@ -274,9 +265,10 @@ impl Var {
         let _t = self
             .tape
             .record_op("softmax", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.softmax(axis)), move |g, _, y| {
-            softmax_backward(g, y, axis)
-        })
+        self.record(
+            self.with_value(|x| x.softmax(axis)),
+            Op::Softmax(self.id, axis),
+        )
     }
 
     /// Negative log-likelihood of integer targets given log-probabilities
@@ -290,7 +282,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("nll_loss", || OpCost::reduction(self.numel()));
-        let (total, n, c, d) = self.with_value(|lp| {
+        let (total, count) = self.with_value(|lp| {
             assert!(
                 lp.rank() == 2 || lp.rank() == 3,
                 "nll_loss expects [N, C] or [N, C, D]"
@@ -308,22 +300,10 @@ impl Var {
                     total -= data[(ni * c + t) * d + di];
                 }
             }
-            (total, n, c, d)
+            (total, (n * d) as f32)
         });
-        let count = (n * d) as f32;
-        let targets = targets.to_vec();
-        self.unary(Tensor::scalar(total / count), move |g, lp, _| {
-            let scale = -g.item() / count;
-            let mut gx_t = Tensor::zeros(lp.shape().clone());
-            let gx = gx_t.as_mut_slice();
-            for ni in 0..n {
-                for di in 0..d {
-                    let t = targets[ni * d + di];
-                    gx[(ni * c + t) * d + di] = scale;
-                }
-            }
-            gx_t
-        })
+        let loss = Tensor::scalar(total / count);
+        self.record(loss, Op::NllLoss(self.id, targets.to_vec()))
     }
 
     /// Cross-entropy of logits against integer targets:
@@ -352,11 +332,8 @@ impl Var {
                 .sum();
             (total, x.numel() as f32)
         });
-        let tc = targets.clone();
-        self.unary(Tensor::scalar(total / n), move |g, x, _| {
-            // d/dx = sigmoid(x) - y.
-            x.sigmoid().sub(&tc).mul_scalar(g.item() / n)
-        })
+        let op = Op::BceWithLogits(self.id, targets.clone());
+        self.record(Tensor::scalar(total / n), op)
     }
 
     /// Mean-squared error against a constant target, mean-reduced.
@@ -372,11 +349,8 @@ impl Var {
             assert_eq!(x.shape(), target.shape(), "mse target shape mismatch");
             x.sub(target)
         });
-        let n = diff.numel() as f32;
-        let loss = diff.square().sum().item() / n;
-        self.unary(Tensor::scalar(loss), move |g, _, _| {
-            diff.mul_scalar(2.0 * g.item() / n)
-        })
+        let loss = diff.square().sum().item() / diff.numel() as f32;
+        self.record(Tensor::scalar(loss), Op::MseLoss(self.id, diff))
     }
 }
 

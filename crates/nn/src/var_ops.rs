@@ -3,19 +3,37 @@
 //! Every substantive op opens a forward telemetry span via
 //! `Tape::record_op` before computing; when no profiler is installed the
 //! call is a single branch and the cost closure never runs. Forward bodies
-//! borrow their operands in place (`with_value`) and backward closures read
-//! them back from the tape, so no op copies a value the tape already holds.
+//! borrow their operands in place (`with_value`) and record an `Op` — the
+//! parents' ids plus any scalar, axis, constant or index the backward
+//! needs — which the sweep's one `match` reads the operands back from the
+//! tape for, so no op copies a value the tape already holds.
+
+use std::rc::Rc;
 
 use hfta_telemetry::OpCost;
-use hfta_tensor::activation::{
-    leaky_relu_backward, relu_backward, sigmoid_backward, tanh_backward,
-};
 use hfta_tensor::Tensor;
 
-use crate::tape::{Backward, Var};
-use crate::var_nn::record_product;
+use crate::tape::{Op, Var};
+use crate::var_nn::Product;
 
 impl Var {
+    /// Records the broadcasting op `forward(self, other)`, its backward
+    /// `op(self, other)`; the operands must share a tape.
+    fn broadcast(
+        &self,
+        other: &Var,
+        forward: fn(&Tensor, &Tensor) -> Tensor,
+        op: fn(usize, usize) -> Op,
+    ) -> Var {
+        assert!(
+            Rc::ptr_eq(&self.tape.inner, &other.tape.inner),
+            "operands must share a tape"
+        );
+        let value = self.with_value(|a| other.with_value(|b| forward(a, b)));
+        let (a, b) = (self.id, other.id);
+        self.tape.push_op(value, &[a, b], op(a, b))
+    }
+
     // ------------------------------------------------------------------
     // Broadcasting arithmetic
     // ------------------------------------------------------------------
@@ -25,13 +43,7 @@ impl Var {
         let _t = self.tape.record_op("add", || {
             OpCost::elementwise(self.numel().max(other.numel()))
         });
-        let value = self.with_value(|a| other.with_value(|b| a.add(b)));
-        self.binary(
-            other,
-            value,
-            |g, a, _| g.sum_to(a.shape()),
-            |g, _, b| g.sum_to(b.shape()),
-        )
+        self.broadcast(other, Tensor::add, Op::Add)
     }
 
     /// Elementwise subtraction with broadcasting.
@@ -39,13 +51,7 @@ impl Var {
         let _t = self.tape.record_op("sub", || {
             OpCost::elementwise(self.numel().max(other.numel()))
         });
-        let value = self.with_value(|a| other.with_value(|b| a.sub(b)));
-        self.binary(
-            other,
-            value,
-            |g, a, _| g.sum_to(a.shape()),
-            |g, _, b| g.neg().sum_to(b.shape()),
-        )
+        self.broadcast(other, Tensor::sub, Op::Sub)
     }
 
     /// Elementwise multiplication with broadcasting.
@@ -53,13 +59,7 @@ impl Var {
         let _t = self.tape.record_op("mul", || {
             OpCost::elementwise(self.numel().max(other.numel()))
         });
-        let value = self.with_value(|a| other.with_value(|b| a.mul(b)));
-        self.binary(
-            other,
-            value,
-            |g, a, b| g.mul(b).sum_to(a.shape()),
-            |g, a, b| g.mul(a).sum_to(b.shape()),
-        )
+        self.broadcast(other, Tensor::mul, Op::Mul)
     }
 
     /// Elementwise division with broadcasting.
@@ -67,13 +67,7 @@ impl Var {
         let _t = self.tape.record_op("div", || {
             OpCost::elementwise(self.numel().max(other.numel()))
         });
-        let value = self.with_value(|a| other.with_value(|b| a.div(b)));
-        self.binary(
-            other,
-            value,
-            |g, a, b| g.div(b).sum_to(a.shape()),
-            |g, a, b| g.mul(a).neg().div(&b.square()).sum_to(b.shape()),
-        )
+        self.broadcast(other, Tensor::div, Op::Div)
     }
 
     /// Adds a scalar.
@@ -81,7 +75,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("add_scalar", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.add_scalar(s)), |g, _, _| g.clone())
+        self.record(self.with_value(|x| x.add_scalar(s)), Op::AddScalar(self.id))
     }
 
     /// Multiplies by a scalar.
@@ -89,9 +83,10 @@ impl Var {
         let _t = self
             .tape
             .record_op("mul_scalar", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.mul_scalar(s)), move |g, _, _| {
-            g.mul_scalar(s)
-        })
+        self.record(
+            self.with_value(|x| x.mul_scalar(s)),
+            Op::MulScalar(self.id, s),
+        )
     }
 
     /// Negation.
@@ -99,7 +94,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("neg", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.neg()), |g, _, _| g.neg())
+        self.record(self.with_value(|x| x.neg()), Op::Neg(self.id))
     }
 
     // ------------------------------------------------------------------
@@ -111,7 +106,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("relu", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.relu()), |g, x, _| relu_backward(g, x))
+        self.record(self.with_value(|x| x.relu()), Op::Relu(self.id))
     }
 
     /// Leaky ReLU with the given negative slope.
@@ -119,9 +114,8 @@ impl Var {
         let _t = self
             .tape
             .record_op("leaky_relu", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.leaky_relu(slope)), move |g, x, _| {
-            leaky_relu_backward(g, x, slope)
-        })
+        let y = self.with_value(|x| x.leaky_relu(slope));
+        self.record(y, Op::LeakyRelu(self.id, slope))
     }
 
     /// Hyperbolic tangent.
@@ -129,7 +123,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("tanh", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.tanh()), |g, _, y| tanh_backward(g, y))
+        self.record(self.with_value(|x| x.tanh()), Op::Tanh(self.id))
     }
 
     /// Logistic sigmoid.
@@ -137,9 +131,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("sigmoid", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.sigmoid()), |g, _, y| {
-            sigmoid_backward(g, y)
-        })
+        self.record(self.with_value(|x| x.sigmoid()), Op::Sigmoid(self.id))
     }
 
     /// Natural exponential.
@@ -147,7 +139,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("exp", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.exp()), |g, _, y| g.mul(y))
+        self.record(self.with_value(|x| x.exp()), Op::Exp(self.id))
     }
 
     /// Natural logarithm.
@@ -155,7 +147,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("ln", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.ln()), |g, x, _| g.div(x))
+        self.record(self.with_value(|x| x.ln()), Op::Ln(self.id))
     }
 
     /// Elementwise square.
@@ -163,9 +155,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("square", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|x| x.square()), |g, x, _| {
-            g.mul(x).mul_scalar(2.0)
-        })
+        self.record(self.with_value(|x| x.square()), Op::Square(self.id))
     }
 
     /// Multiplies elementwise by a *constant* tensor (no gradient into the
@@ -178,10 +168,10 @@ impl Var {
         let _t = self
             .tape
             .record_op("mul_const", || OpCost::elementwise(self.numel()));
-        let cc = c.clone();
-        self.unary(self.with_value(|v| v.mul(c)), move |g, x, _| {
-            g.mul(&cc).sum_to(x.shape())
-        })
+        self.record(
+            self.with_value(|v| v.mul(c)),
+            Op::MulConst(self.id, c.clone()),
+        )
     }
 
     /// Adds a *constant* tensor (no gradient into the constant).
@@ -193,7 +183,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("add_const", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|v| v.add(c)), |g, x, _| g.sum_to(x.shape()))
+        self.record(self.with_value(|v| v.add(c)), Op::AddConst(self.id))
     }
 
     // ------------------------------------------------------------------
@@ -205,9 +195,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("sum", || OpCost::reduction(self.numel()));
-        self.unary(self.with_value(|v| v.sum()), |g, x, _| {
-            Tensor::full(x.shape().clone(), g.item())
-        })
+        self.record(self.with_value(|v| v.sum()), Op::Sum(self.id))
     }
 
     /// Mean of all elements (scalar output).
@@ -215,9 +203,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("mean", || OpCost::reduction(self.numel()));
-        self.unary(self.with_value(|v| v.mean()), |g, x, _| {
-            Tensor::full(x.shape().clone(), g.item() / x.numel() as f32)
-        })
+        self.record(self.with_value(|v| v.mean()), Op::Mean(self.id))
     }
 
     /// Sum along `axis`, keeping it as size 1.
@@ -225,10 +211,8 @@ impl Var {
         let _t = self
             .tape
             .record_op("sum_axis", || OpCost::reduction(self.numel()));
-        self.unary(
-            self.with_value(|v| v.sum_axis(axis, true)),
-            move |g, x, _| g.expand_axis(axis, x.dim(axis)),
-        )
+        let y = self.with_value(|v| v.sum_axis(axis, true));
+        self.record(y, Op::SumAxis(self.id, axis))
     }
 
     /// Mean along `axis`, keeping it as size 1.
@@ -243,19 +227,7 @@ impl Var {
             .tape
             .record_op("max_axis", || OpCost::reduction(self.numel()));
         let (out, indices) = self.with_value(|v| v.max_axis_with_indices(axis));
-        self.unary(out, move |g, x, _| {
-            let dims = x.dims();
-            let n = dims[axis];
-            let inner: usize = dims[axis + 1..].iter().product();
-            let gd = g.as_slice();
-            let mut gx_t = Tensor::zeros(dims);
-            let gx = gx_t.as_mut_slice();
-            for (oi, (&k, &gv)) in indices.iter().zip(gd).enumerate() {
-                let (o, i) = (oi / inner, oi % inner);
-                gx[(o * n + k) * inner + i] += gv;
-            }
-            gx_t
-        })
+        self.record(out, Op::MaxAxis(self.id, axis, indices))
     }
 
     // ------------------------------------------------------------------
@@ -271,9 +243,7 @@ impl Var {
         let _t = self
             .tape
             .record_op("reshape", || OpCost::elementwise(self.numel()));
-        self.unary(self.with_value(|v| v.reshape(dims)), |g, x, _| {
-            g.reshape(x.dims())
-        })
+        self.record(self.with_value(|v| v.reshape(dims)), Op::Reshape(self.id))
     }
 
     /// Flattens all dimensions from `start_axis` onward.
@@ -281,10 +251,8 @@ impl Var {
         let _t = self
             .tape
             .record_op("flatten", || OpCost::elementwise(self.numel()));
-        self.unary(
-            self.with_value(|v| v.flatten_from(start_axis)),
-            |g, x, _| g.reshape(x.dims()),
-        )
+        let y = self.with_value(|v| v.flatten_from(start_axis));
+        self.record(y, Op::Reshape(self.id))
     }
 
     /// Permutes axes.
@@ -300,9 +268,8 @@ impl Var {
         for (i, &a) in order.iter().enumerate() {
             inverse[a] = i;
         }
-        self.unary(self.with_value(|v| v.permute(order)), move |g, _, _| {
-            g.permute(&inverse)
-        })
+        let y = self.with_value(|v| v.permute(order));
+        self.record(y, Op::Permute(self.id, inverse))
     }
 
     /// Swaps two axes.
@@ -318,8 +285,8 @@ impl Var {
         let _t = self
             .tape
             .record_op("narrow", || OpCost::elementwise(self.numel()));
-        let (value, id) = (self.with_value(|v| v.narrow(axis, start, len)), self.id);
-        (self.tape).push_with(value, &[id], || Backward::Window(id, axis, start))
+        let y = self.with_value(|v| v.narrow(axis, start, len));
+        self.record(y, Op::Narrow(self.id, axis, start))
     }
 
     /// Concatenates variables along `axis`.
@@ -333,22 +300,12 @@ impl Var {
         let _t = tape.record_op("concat", || {
             OpCost::elementwise(vars.iter().map(|v| v.numel()).sum())
         });
-        let (value, sizes) = tape.with_values(vars, |values| {
-            let sizes: Vec<usize> = values.iter().map(|v| v.dim(axis)).collect();
-            (Tensor::concat(values, axis), sizes)
+        let (value, parts) = tape.with_values(vars, |values| {
+            let parts = (vars.iter().zip(values)).map(|(v, t)| (v.id, t.dim(axis)));
+            (Tensor::concat(values, axis), parts.collect::<Vec<_>>())
         });
         let ids: Vec<usize> = vars.iter().map(|v| v.id).collect();
-        tape.push_op(value, &ids.clone(), move |g, ctx| {
-            let mut out = Vec::with_capacity(ids.len());
-            let mut off = 0;
-            for (&id, &size) in ids.iter().zip(&sizes) {
-                if ctx.needs_grad(id) {
-                    out.push((id, g.narrow(axis, off, size)));
-                }
-                off += size;
-            }
-            out
-        })
+        tape.push_op(value, &ids, Op::Concat(parts, axis))
     }
 
     // ------------------------------------------------------------------
@@ -361,8 +318,7 @@ impl Var {
             let (a, b) = (self.dims(), other.dims());
             OpCost::matmul(1, a[0], a[1], b[1])
         });
-        // The rank-2 `_nt` / `_tn` products read the transposes in place.
-        self.product(other, Tensor::matmul)
+        self.product(other, None, Product::Matmul)
     }
 
     /// Batched matrix product `[B, m, k] x [B, k, n]`.
@@ -371,21 +327,7 @@ impl Var {
             let (a, b) = (self.dims(), other.dims());
             OpCost::matmul(a[0], a[1], a[2], b[2])
         });
-        self.product(other, Tensor::bmm)
-    }
-
-    /// Records the (batched) matrix product `forward(self, other)`: operand
-    /// gradients `g·bᵀ` and, deferrable like a convolution weight's, `aᵀ·g`.
-    fn product(&self, other: &Var, forward: fn(&Tensor, &Tensor) -> Tensor) -> Var {
-        let forward = |a: &Tensor, b: &Tensor, _: Option<&Tensor>| forward(a, b);
-        record_product(
-            self,
-            other,
-            None,
-            forward,
-            |g, b| g.bmm_nt(b),
-            |g, a| a.bmm_tn(g),
-        )
+        self.product(other, None, Product::Bmm)
     }
 
     /// Batched `bias + self @ other` with broadcastable bias — the fused
