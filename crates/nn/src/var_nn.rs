@@ -112,8 +112,8 @@ impl Var {
             product.forward(v[0], v[1], v.get(2).copied())
         });
         let (x, w, b) = (self.id, weight.id, bias.map(|b| b.id));
-        self.tape
-            .push_op(y, &[x, w, b.unwrap_or(w)], Op::Product(x, w, b, product))
+        let op = Op::Product(x, w, b, product);
+        self.tape.push_op(y, &[x, w, b.unwrap_or(w)], op)
     }
 
     /// 2-D convolution (`x [N, Cin, H, W]`, `w [Cout, Cin/g, kh, kw]`,
@@ -265,10 +265,8 @@ impl Var {
         let _t = self
             .tape
             .record_op("softmax", || OpCost::elementwise(self.numel()));
-        self.record(
-            self.with_value(|x| x.softmax(axis)),
-            Op::Softmax(self.id, axis),
-        )
+        let y = self.with_value(|x| x.softmax(axis));
+        self.record(y, Op::Softmax(self.id, axis))
     }
 
     /// Negative log-likelihood of integer targets given log-probabilities

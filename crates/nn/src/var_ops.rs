@@ -83,10 +83,8 @@ impl Var {
         let _t = self
             .tape
             .record_op("mul_scalar", || OpCost::elementwise(self.numel()));
-        self.record(
-            self.with_value(|x| x.mul_scalar(s)),
-            Op::MulScalar(self.id, s),
-        )
+        let y = self.with_value(|x| x.mul_scalar(s));
+        self.record(y, Op::MulScalar(self.id, s))
     }
 
     /// Negation.
