@@ -19,10 +19,12 @@
 //! `roofline` calibrates the machine peaks when it runs (about a quarter of
 //! a second; nothing is cached) and places every recorded op on them: one
 //! row per forward op and one `bwd:<op>` row per backward node, each counted
-//! once by the autograd tape. `flight` and `top` read the
-//! `*.flight.jsonl` journals (simulated integer nanoseconds, so `--out`
-//! summaries are bit-reproducible and can be committed as goldens); `top`
-//! replays the recorded timeline as `--frames` refresh-in-place frames.
+//! once by the autograd tape. Every `<trace-dir>` view reads the
+//! directory's run reports (`*.report.json`); `flight` and `top` take each
+//! scope's `flight` journal from them (simulated integer nanoseconds, so
+//! `--out` summaries are bit-reproducible and can be committed as goldens);
+//! `top` replays the recorded timeline as `--frames` refresh-in-place
+//! frames.
 //!
 //! Exit codes, every subcommand: 0 = clean, 1 = regression found,
 //! 2 = usage or I/O error.
@@ -31,7 +33,7 @@ use std::path::Path;
 
 use hfta_bench::cli::{finish_diff, usage_exit, write_json, CommonArgs};
 use hfta_bench::flight_report::{
-    load_journal_dir, render_frame, render_gantt, render_slo_table, summarize,
+    flight_journal, render_frame, render_gantt, render_slo_table, summarize, FlightJournal,
 };
 use hfta_bench::probe_report::{collect_run_reports, print_lanes, print_roofline, print_timelines};
 use hfta_bench::record::{diff_records, load, Loaded};
@@ -122,8 +124,12 @@ fn roofline(dir: &Path) {
     }
 }
 
+fn load_journal(dir: &str) -> FlightJournal {
+    flight_journal(ok(collect_run_reports(Path::new(dir))))
+}
+
 fn flight(dir: &str, width: usize, out_path: Option<String>) {
-    let journal = ok(load_journal_dir(Path::new(dir)));
+    let journal = load_journal(dir);
     let summary = ok(summarize(&journal));
     println!("# flight report: {dir}");
     print!("{}", render_slo_table(&summary));
@@ -140,7 +146,7 @@ fn flight(dir: &str, width: usize, out_path: Option<String>) {
 const CLEAR: &str = "\x1b[2J\x1b[H";
 
 fn top(dir: &str, exp: Option<String>, frames: u64, delay_ms: u64, clear: bool) {
-    let journal = ok(load_journal_dir(Path::new(dir)));
+    let journal = load_journal(dir);
     let name = match exp {
         Some(name) if journal.contains_key(&name) => name,
         Some(name) => {

@@ -1,5 +1,5 @@
-//! hfta-flight reporting: rebuild causal trial timelines from the
-//! `*.flight.jsonl` journals a `--trace` run leaves behind, render ASCII
+//! hfta-flight reporting: rebuild causal trial timelines from the `flight`
+//! arrays of the run reports a `--trace` run leaves behind, render ASCII
 //! Gantt charts, critical paths and SLO tables, and summarize to a
 //! machine-independent [`FlightSummary`] (the record `hfta_report diff`
 //! gates — its schema lives in [`crate::record`]).
@@ -11,63 +11,29 @@
 //! module.
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::PathBuf;
 
-use hfta_telemetry::flight::{bucket_intervals, derive_all_strict, nearest_rank};
-use hfta_telemetry::{FlightEvent, FlightKind, JournalLine, TrialSlo, FLEET_TRIAL};
+use hfta_telemetry::flight::{bucket_intervals, derive_all_strict, SloRollup};
+use hfta_telemetry::{FlightEvent, FlightKind, RunReport, TrialSlo, FLEET_TRIAL};
 
 use crate::record::{ExpSlo, FlightSummary, FLIGHT_SCHEMA};
 
-/// A loaded trace directory's journals: experiment scope → events, in
+/// A trace directory's flight journal: experiment scope → events, in
 /// recorded order. Trial ids repeat across experiments (each policy replays
 /// the same arrival stream), so the scope tag is the outer key.
 pub type FlightJournal = BTreeMap<String, Vec<FlightEvent>>;
 
-/// Parses JSONL journal text into lines; malformed lines are errors (a
-/// journal is machine-written, so damage means a real bug).
-///
-/// # Errors
-///
-/// Returns a message naming the first unparsable line.
-pub fn parse_journal(text: &str) -> Result<Vec<JournalLine>, String> {
-    text.lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| {
-            serde_json::from_str::<JournalLine>(l).map_err(|e| format!("line {}: {e}", i + 1))
-        })
-        .collect()
-}
-
-/// Loads every `*.flight.jsonl` under `dir` and groups events by
-/// experiment scope.
-///
-/// # Errors
-///
-/// Returns a message on I/O failure, parse failure, or when the directory
-/// holds no journal files.
-pub fn load_journal_dir(dir: &Path) -> Result<FlightJournal, String> {
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("reading {}: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .is_some_and(|n| n.to_string_lossy().ends_with(".flight.jsonl"))
-        })
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(format!("no *.flight.jsonl files in {}", dir.display()));
-    }
+/// Groups the `flight` arrays of a trace directory's run reports (as
+/// [`collect_run_reports`](crate::probe_report::collect_run_reports) loads
+/// them) by experiment scope. Scopes that recorded no event are left out.
+pub fn flight_journal(reports: Vec<(PathBuf, RunReport)>) -> FlightJournal {
     let mut journal = FlightJournal::new();
-    for path in files {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        for line in parse_journal(&text).map_err(|e| format!("{}: {e}", path.display()))? {
-            journal.entry(line.exp).or_default().push(line.event);
+    for exp in reports.into_iter().flat_map(|(_, run)| run.experiments) {
+        if !exp.flight.is_empty() {
+            journal.entry(exp.name).or_default().extend(exp.flight);
         }
     }
-    Ok(journal)
+    journal
 }
 
 /// Derives per-trial SLOs for one experiment's journal, strictly: a
@@ -88,32 +54,24 @@ pub fn experiment_slos(name: &str, events: &[FlightEvent]) -> Result<Vec<TrialSl
 pub fn summarize(journal: &FlightJournal) -> Result<FlightSummary, String> {
     let mut experiments = Vec::new();
     for (name, events) in journal {
-        let slos = experiment_slos(name, events)?;
-        let us = |ns: u64| ns as f64 / 1e3;
-        let queues: Vec<f64> = slos.iter().map(|s| us(s.queue_ns)).collect();
-        let e2es: Vec<f64> = slos.iter().map(|s| us(s.e2e_ns())).collect();
+        let r = SloRollup::from_slos(experiment_slos(name, events)?);
+        let count = |f: fn(&TrialSlo) -> bool| r.slos.iter().filter(|s| f(s)).count() as u64;
         experiments.push(ExpSlo {
             name: name.clone(),
-            trials: slos.len() as u64,
-            completed: slos
-                .iter()
-                .filter(|s| s.outcome == FlightKind::Complete)
-                .count() as u64,
-            evicted: slos
-                .iter()
-                .filter(|s| s.outcome == FlightKind::Evict)
-                .count() as u64,
-            faulted: slos.iter().filter(|s| s.faulted).count() as u64,
-            queue_wait_p50_us: nearest_rank(&queues, 0.50),
-            queue_wait_p95_us: nearest_rank(&queues, 0.95),
-            queue_wait_p99_us: nearest_rank(&queues, 0.99),
-            e2e_p50_us: nearest_rank(&e2es, 0.50),
-            e2e_p95_us: nearest_rank(&e2es, 0.95),
-            e2e_p99_us: nearest_rank(&e2es, 0.99),
-            queue_us: slos.iter().map(|s| us(s.queue_ns)).sum(),
-            compute_us: slos.iter().map(|s| us(s.compute_ns)).sum(),
-            surgery_us: slos.iter().map(|s| us(s.surgery_ns)).sum(),
-            quarantine_us: slos.iter().map(|s| us(s.quarantine_ns)).sum(),
+            trials: r.slos.len() as u64,
+            completed: count(|s| s.outcome == FlightKind::Complete),
+            evicted: count(|s| s.outcome == FlightKind::Evict),
+            faulted: count(|s| s.faulted),
+            queue_wait_p50_us: r.queue_wait_us(0.50),
+            queue_wait_p95_us: r.queue_wait_us(0.95),
+            queue_wait_p99_us: r.queue_wait_us(0.99),
+            e2e_p50_us: r.e2e_latency_us(0.50),
+            e2e_p95_us: r.e2e_latency_us(0.95),
+            e2e_p99_us: r.e2e_latency_us(0.99),
+            queue_us: r.queue_us,
+            compute_us: r.compute_us,
+            surgery_us: r.surgery_us,
+            quarantine_us: r.quarantine_us,
         });
     }
     Ok(FlightSummary {
@@ -511,29 +469,6 @@ mod tests {
         };
         assert!(diff(&base, &empty).regressed());
         assert!(!diff(&empty, &base).regressed());
-    }
-
-    #[test]
-    fn journal_round_trips_through_jsonl_files() {
-        let dir = std::env::temp_dir().join(format!("hfta_flight_report_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let j = journal_one_exp();
-        let mut text = String::new();
-        for (exp, events) in &j {
-            for e in events {
-                let line = JournalLine {
-                    exp: exp.clone(),
-                    event: e.clone(),
-                };
-                text.push_str(&serde_json::to_string(&line).unwrap());
-                text.push('\n');
-            }
-        }
-        std::fs::write(dir.join("sweep.flight.jsonl"), &text).unwrap();
-        let loaded = load_journal_dir(&dir).expect("load");
-        assert_eq!(loaded, j);
-        assert!(load_journal_dir(&dir.join("missing")).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -14,12 +14,16 @@ use std::path::{Path, PathBuf};
 
 use hfta_probe::{classify_experiment, per_lane_utilization, PeakEntry};
 use hfta_telemetry::{CounterSeries, ExperimentReport, RunReport};
+use serde::{Deserialize, Value};
 
-/// Loads every `*.report.json` under `dir`, sorted by file name.
+/// Loads every run report (`*.report.json`) under `dir`, sorted by file
+/// name. A `*.report.json` without the run report's `trace_events` key (a
+/// flight summary written with `--out` into the same directory, a
+/// `summarize` output) is not a run report and is passed over.
 ///
 /// # Errors
 ///
-/// Fails when the directory is unreadable, holds no report file, or one
+/// Fails when the directory is unreadable, holds no run report, or a file
 /// does not parse.
 pub fn collect_run_reports(dir: &Path) -> Result<Vec<(PathBuf, RunReport)>, String> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
@@ -31,16 +35,23 @@ pub fn collect_run_reports(dir: &Path) -> Result<Vec<(PathBuf, RunReport)>, Stri
         })
         .collect();
     paths.sort();
-    if paths.is_empty() {
-        return Err(format!("no *.report.json files in {}", dir.display()));
-    }
     let mut out = Vec::with_capacity(paths.len());
     for path in paths {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let run: RunReport =
+        let v: Value =
             serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        if v.get("trace_events").is_none() {
+            continue;
+        }
+        let run = RunReport::deserialize(&v).map_err(|e| format!("{}: {e}", path.display()))?;
         out.push((path, run));
+    }
+    if out.is_empty() {
+        return Err(format!(
+            "no run reports (*.report.json) in {}",
+            dir.display()
+        ));
     }
     Ok(out)
 }
@@ -227,7 +238,6 @@ mod tests {
             sentinels: vec![],
             ops: vec![],
             flight: vec![],
-            trial_slo: vec![],
         };
         let names: Vec<&str> = utilization_series(&exp)
             .iter()

@@ -189,7 +189,6 @@ mod tests {
             sentinels: vec![],
             ops: vec![],
             flight: vec![],
-            trial_slo: vec![],
         }
     }
 

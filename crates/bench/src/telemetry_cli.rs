@@ -2,18 +2,16 @@
 //!
 //! Every harness accepts `--trace <dir>` (or `--trace=<dir>`, parsed by
 //! [`CommonArgs`](crate::cli::CommonArgs)): when given, a [`Profiler`] is
-//! installed for the duration of the run and three files are written on
+//! installed for the duration of the run and two files are written on
 //! exit —
 //!
 //! * `<dir>/<bin>.trace.json` — Chrome trace-event JSON, loadable in
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`;
 //! * `<dir>/<bin>.report.json` — the serialized
 //!   [`RunReport`](hfta_telemetry::RunReport) (per-experiment wall times,
-//!   step metrics, counters and time-series);
-//! * `<dir>/<bin>.flight.jsonl` — the hfta-flight journal (one
-//!   [`JournalLine`](hfta_telemetry::JournalLine) per line): ring-buffer
-//!   spill-over during the run plus the in-memory tail flushed on exit.
-//!   `hfta_report flight` and `hfta_report top` read this file.
+//!   step metrics, counters, time-series and the hfta-flight journal,
+//!   each scope's events in its `flight` array). Every `hfta_report`
+//!   trace-dir view reads this file.
 //!
 //! Without the flag nothing is installed and the instrumented code paths
 //! stay on their single-branch disabled fast path.
@@ -52,13 +50,11 @@ impl TraceSession {
     pub fn active(bin: &str, dir: impl Into<PathBuf>) -> TraceSession {
         let profiler = Profiler::new(bin);
         let guard = profiler.install();
-        let dir = dir.into();
-        profiler.set_flight_spill(dir.join(format!("{bin}.flight.jsonl")));
         TraceSession {
             inner: Some(Active {
                 profiler,
                 _guard: guard,
-                dir,
+                dir: dir.into(),
                 bin: bin.to_string(),
             }),
         }
@@ -98,7 +94,6 @@ impl TraceSession {
             return Ok(None);
         };
         std::fs::create_dir_all(&active.dir)?;
-        active.profiler.flush_flight_journal()?;
         let trace_path = active.dir.join(format!("{}.trace.json", active.bin));
         std::fs::write(&trace_path, active.profiler.trace_json())?;
         let report = active.profiler.report();
@@ -165,27 +160,65 @@ mod tests {
     }
 
     #[test]
-    fn active_session_spills_and_flushes_the_flight_journal() {
-        use hfta_telemetry::{FlightKind, JournalLine};
+    fn flight_events_read_back_from_the_report_by_scope() {
+        use crate::flight_report::flight_journal;
+        use crate::probe_report::collect_run_reports;
+        use hfta_telemetry::FlightKind;
         let dir = std::env::temp_dir().join("hfta-telemetry-cli-test-flight");
         let _ = std::fs::remove_dir_all(&dir);
         let s = TraceSession::active("fl", &dir);
         let p = Profiler::current().expect("installed");
+        let submit = |trial, t| {
+            p.flight_event(
+                trial,
+                t,
+                FlightKind::Submit,
+                None,
+                None,
+                None,
+                String::new(),
+            )
+        };
+        {
+            let _exp = p.experiment("runB");
+            submit(0, 100);
+            submit(1, 150);
+        }
         {
             let _exp = p.experiment("runA");
-            p.flight_event(0, 100, FlightKind::Submit, None, None, None, String::new());
-            p.flight_event(0, 200, FlightKind::Enqueue, None, None, None, String::new());
+            submit(0, 300);
         }
         s.finish().unwrap().expect("active");
-        let text = std::fs::read_to_string(dir.join("fl.flight.jsonl")).unwrap();
-        let lines: Vec<JournalLine> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).expect("journal line"))
+        let journal = flight_journal(collect_run_reports(&dir).unwrap());
+        let scopes: Vec<(&str, Vec<(u64, u64)>)> = journal
+            .iter()
+            .map(|(name, events)| {
+                (
+                    name.as_str(),
+                    events.iter().map(|e| (e.trial, e.t_ns)).collect(),
+                )
+            })
             .collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0].exp, "runA");
-        assert_eq!(lines[0].event.kind, FlightKind::Submit);
-        assert_eq!(lines[1].event.t_ns, 200);
+        // The root scope `fl` recorded nothing and is absent.
+        assert_eq!(
+            scopes,
+            vec![("runA", vec![(0, 300)]), ("runB", vec![(0, 100), (1, 150)])]
+        );
+        let mut written: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        written.sort();
+        assert_eq!(written, ["fl.report.json", "fl.trace.json"]);
+        // A flight summary written into the same directory (`hfta_report
+        // flight --out`) is passed over, not parsed as a run report.
+        let summary = crate::record::FlightSummary {
+            schema: crate::record::FLIGHT_SCHEMA,
+            experiments: Vec::new(),
+        };
+        let out = dir.join("flight_sweep.report.json");
+        crate::cli::write_json(&out.display().to_string(), &summary).unwrap();
+        assert_eq!(flight_journal(collect_run_reports(&dir).unwrap()), journal);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

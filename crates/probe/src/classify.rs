@@ -198,7 +198,6 @@ mod tests {
             scalars: vec![],
             sentinels: vec![],
             flight: vec![],
-            trial_slo: vec![],
             ops,
         }
     }

@@ -11,20 +11,15 @@
 //! end-to-end latency and is reproducible across machines and thread
 //! counts.
 //!
-//! Storage mirrors the profiler's cost model: events land in a bounded
-//! ring buffer per experiment scope ([`FlightLog`]), optionally spilling
-//! oldest-half batches to a JSONL journal under `--trace`; with no
-//! profiler installed the recording path ([`FlightRecorder`]) is a single
-//! branch on a cached `None`.
+//! Storage mirrors the profiler's cost model: events append to one
+//! [`FlightLog`] per experiment scope and reach disk once, as that scope's
+//! `flight` array in the run report `--trace` writes; with no profiler
+//! installed the recording path ([`FlightRecorder`]) is a single branch on
+//! a cached `None`.
 
 use crate::profiler::Profiler;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::io::Write;
-use std::path::PathBuf;
-use std::rc::Rc;
 
 /// Sentinel trial id for fleet-level events (device bind/release) that are
 /// not owned by any single trial. `u64::MAX` round-trips losslessly through
@@ -36,9 +31,6 @@ pub const FLEET_TRIAL: u64 = u64::MAX;
 pub fn ns(t: f64) -> u64 {
     (t * 1e9).round() as u64
 }
-
-/// Default ring capacity per experiment scope (~65k events).
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 65_536;
 
 /// Lifecycle edge kinds. Unit variants only: the vendored derive serializes
 /// them as the variant-name string.
@@ -143,17 +135,6 @@ pub struct TraceCtx {
     pub lane: u64,
 }
 
-/// One line of the on-disk JSONL journal: the event tagged with the
-/// experiment scope (policy) it was recorded under, since trial ids repeat
-/// across experiment scopes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JournalLine {
-    /// Experiment scope name (e.g. the scheduling policy).
-    pub exp: String,
-    /// The event itself.
-    pub event: FlightEvent,
-}
-
 /// Ambient placement cursor: set by the scheduler around surgery calls so
 /// layers that only know the lane (extract/splice) can stamp timestamps,
 /// device and array ids without threading them through every signature.
@@ -192,90 +173,19 @@ impl SimSegment {
     }
 }
 
-/// Shared spill target: one JSONL file per trace session, shared by every
-/// experiment scope's [`FlightLog`]. The first write truncates any stale
-/// journal from a previous run; later writes append.
-#[derive(Debug)]
-pub struct SpillState {
-    path: PathBuf,
-    started: bool,
-}
-
-impl SpillState {
-    /// New spill target at `path`; nothing touches disk until a write.
-    pub fn new(path: PathBuf) -> Rc<RefCell<SpillState>> {
-        Rc::new(RefCell::new(SpillState {
-            path,
-            started: false,
-        }))
-    }
-
-    /// The journal path.
-    pub fn path(&self) -> &PathBuf {
-        &self.path
-    }
-
-    fn append(&mut self, lines: &[JournalLine]) -> std::io::Result<usize> {
-        if let Some(parent) = self.path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut file = if self.started {
-            std::fs::OpenOptions::new().append(true).open(&self.path)?
-        } else {
-            self.started = true;
-            std::fs::File::create(&self.path)?
-        };
-        let mut buf = String::new();
-        for line in lines {
-            buf.push_str(&serde_json::to_string(line).expect("flight serialization is infallible"));
-            buf.push('\n');
-        }
-        file.write_all(buf.as_bytes())?;
-        Ok(lines.len())
-    }
-}
-
-/// Bounded append-only event ring for one experiment scope. Assigns
-/// per-trial contiguous `seq`, clamps per-trial timestamps monotone (the
-/// f64 heap time and the integer grid can disagree by a nanosecond), and
-/// either spills the oldest half to the shared JSONL journal on overflow
-/// or drops it (counted) when no spill target is configured.
+/// Append-only event journal for one experiment scope. Assigns per-trial
+/// contiguous `seq` and clamps per-trial timestamps monotone (the f64 heap
+/// time and the integer grid can disagree by a nanosecond). Every event is
+/// kept: the count only grows, so a reader can tee what arrived since a
+/// count it saw before.
 #[derive(Debug, Clone, Default)]
 pub struct FlightLog {
-    events: VecDeque<FlightEvent>,
-    capacity: usize,
+    events: Vec<FlightEvent>,
     next_seq: HashMap<u64, u64>,
     last_ns: HashMap<u64, u64>,
-    spill: Option<(Rc<RefCell<SpillState>>, String)>,
-    spilled: u64,
-    dropped: u64,
 }
 
 impl FlightLog {
-    /// Empty log with the default capacity.
-    pub fn new() -> FlightLog {
-        FlightLog::with_capacity(DEFAULT_FLIGHT_CAPACITY)
-    }
-
-    /// Empty log with an explicit ring capacity (tests).
-    pub fn with_capacity(capacity: usize) -> FlightLog {
-        FlightLog {
-            events: VecDeque::new(),
-            capacity: capacity.max(2),
-            next_seq: HashMap::new(),
-            last_ns: HashMap::new(),
-            spill: None,
-            spilled: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Configure the shared spill target; `exp` tags this log's journal
-    /// lines with its experiment scope name.
-    pub fn set_spill(&mut self, state: Rc<RefCell<SpillState>>, exp: &str) {
-        self.spill = Some((state, exp.to_string()));
-    }
-
     /// Append one event, assigning `seq` and clamping `t_ns` monotone
     /// within the trial.
     #[allow(clippy::too_many_arguments)]
@@ -305,10 +215,7 @@ impl FlightLog {
             *last = t;
             t
         };
-        if self.events.len() >= self.capacity {
-            self.overflow();
-        }
-        self.events.push_back(FlightEvent {
+        self.events.push(FlightEvent {
             trial,
             seq,
             t_ns,
@@ -320,80 +227,29 @@ impl FlightLog {
         });
     }
 
-    fn overflow(&mut self) {
-        let drain = (self.capacity / 2).max(1);
-        let batch: Vec<FlightEvent> = self.events.drain(..drain.min(self.events.len())).collect();
-        match &self.spill {
-            Some((state, exp)) => {
-                let lines: Vec<JournalLine> = batch
-                    .into_iter()
-                    .map(|event| JournalLine {
-                        exp: exp.clone(),
-                        event,
-                    })
-                    .collect();
-                match state.borrow_mut().append(&lines) {
-                    Ok(n) => self.spilled += n as u64,
-                    Err(_) => self.dropped += lines.len() as u64,
-                }
-            }
-            None => self.dropped += batch.len() as u64,
-        }
-    }
-
-    /// Events currently held in memory (spilled prefix lives on disk).
-    pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
-        self.events.iter()
-    }
-
-    /// Snapshot of the in-memory tail as a `Vec`.
-    pub fn snapshot(&self) -> Vec<FlightEvent> {
-        self.events.iter().cloned().collect()
+    /// Every event recorded so far, in recording order.
+    pub fn events(&self) -> &[FlightEvent] {
+        &self.events
     }
 
     /// Last `n` events (the post-mortem window for fault details).
-    pub fn tail(&self, n: usize) -> Vec<FlightEvent> {
-        let skip = self.events.len().saturating_sub(n);
-        self.events.iter().skip(skip).cloned().collect()
+    pub fn tail(&self, n: usize) -> &[FlightEvent] {
+        &self.events[self.events.len().saturating_sub(n)..]
     }
 
-    /// Number of in-memory events.
+    /// The recorded events, consuming the log.
+    pub fn into_events(self) -> Vec<FlightEvent> {
+        self.events
+    }
+
+    /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.events.len()
     }
 
-    /// True when no events are held in memory.
+    /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Events spilled to the journal so far.
-    pub fn spilled(&self) -> u64 {
-        self.spilled
-    }
-
-    /// Events dropped on overflow with no spill target.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Flush the in-memory tail to the shared spill target as journal
-    /// lines (called once at trace finish). Returns lines written.
-    pub fn flush(&mut self) -> std::io::Result<usize> {
-        let Some((state, exp)) = self.spill.clone() else {
-            return Ok(0);
-        };
-        let lines: Vec<JournalLine> = self
-            .events
-            .iter()
-            .map(|event| JournalLine {
-                exp: exp.clone(),
-                event: event.clone(),
-            })
-            .collect();
-        let n = state.borrow_mut().append(&lines)?;
-        self.spilled += n as u64;
-        Ok(n)
     }
 }
 
@@ -689,7 +545,7 @@ pub fn group_by_trial(events: &[FlightEvent]) -> Vec<(u64, Vec<FlightEvent>)> {
 }
 
 /// Lenient derivation: SLOs for every trial whose sequence validates,
-/// silently skipping malformed/truncated ones (e.g. ring overflow).
+/// skipping the rest (e.g. trials a killed pass left unterminated).
 pub fn derive_all(events: &[FlightEvent]) -> Vec<TrialSlo> {
     group_by_trial(events)
         .iter()
@@ -986,54 +842,16 @@ mod tests {
 
     #[test]
     fn log_assigns_seq_and_clamps_time_per_trial() {
-        let mut log = FlightLog::new();
+        let mut log = FlightLog::default();
         log.record(1, 50, FlightKind::Submit, None, None, None, String::new());
         log.record(2, 10, FlightKind::Submit, None, None, None, String::new());
         // 49 < 50: clamp to the trial's last timestamp, not a panic.
         log.record(1, 49, FlightKind::Enqueue, None, None, None, String::new());
-        let events = log.snapshot();
+        let events = log.events();
         assert_eq!(events[0].seq, 0);
         assert_eq!(events[1].seq, 0);
         assert_eq!(events[2].seq, 1);
         assert_eq!(events[2].t_ns, 50);
-    }
-
-    #[test]
-    fn ring_overflow_without_spill_drops_oldest_half() {
-        let mut log = FlightLog::with_capacity(4);
-        for i in 0..6 {
-            log.record(i, i, FlightKind::Submit, None, None, None, String::new());
-        }
-        assert!(log.len() <= 4);
-        assert_eq!(log.dropped(), 2);
-        assert_eq!(log.spilled(), 0);
-        // The newest events survive.
-        assert_eq!(log.snapshot().last().unwrap().trial, 5);
-    }
-
-    #[test]
-    fn spill_writes_journal_lines_and_flush_appends_tail() {
-        let dir = std::env::temp_dir().join(format!("hfta_flight_{}", std::process::id()));
-        let path = dir.join("spill.flight.jsonl");
-        let state = SpillState::new(path.clone());
-        let mut log = FlightLog::with_capacity(4);
-        log.set_spill(state, "unit");
-        for i in 0..6 {
-            log.record(i, i, FlightKind::Submit, None, None, None, String::new());
-        }
-        assert_eq!(log.dropped(), 0);
-        assert_eq!(log.spilled(), 2);
-        log.flush().expect("flush tail");
-        let text = std::fs::read_to_string(&path).expect("journal exists");
-        let lines: Vec<JournalLine> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).expect("journal line"))
-            .collect();
-        assert_eq!(lines.len(), 6);
-        assert!(lines.iter().all(|l| l.exp == "unit"));
-        assert_eq!(lines[0].event.trial, 0);
-        assert_eq!(lines[5].event.trial, 5);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub mod scope;
 pub mod trace;
 
 pub use flight::{
-    FlightCursor, FlightEvent, FlightKind, FlightLog, FlightRecorder, JournalLine, SimSegment,
-    SloBucket, TraceCtx, TrialSlo, FLEET_TRIAL,
+    FlightCursor, FlightEvent, FlightKind, FlightLog, FlightRecorder, SimSegment, SloBucket,
+    TraceCtx, TrialSlo, FLEET_TRIAL,
 };
 pub use metrics::{CounterSample, HistogramSummary, MetricsRegistry};
 pub use profiler::{

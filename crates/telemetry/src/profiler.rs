@@ -14,9 +14,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
 
-use crate::flight::{
-    self, FlightCursor, FlightEvent, FlightKind, FlightLog, SimSegment, SpillState,
-};
+use crate::flight::{FlightCursor, FlightEvent, FlightKind, FlightLog, SimSegment};
 use crate::metrics::MetricsRegistry;
 use crate::report::{CounterSeries, ExperimentReport, OpAgg, RunReport, SeriesPoint, StepMetric};
 use crate::scope::{ScopeLog, SentinelEvent};
@@ -100,7 +98,7 @@ impl ExperimentAcc {
             scope: ScopeLog::new(),
             ops: Vec::new(),
             op_index: HashMap::new(),
-            flight: FlightLog::new(),
+            flight: FlightLog::default(),
         }
     }
 
@@ -128,8 +126,6 @@ impl ExperimentAcc {
     }
 
     fn into_report(self) -> ExperimentReport {
-        let flight_events = self.flight.snapshot();
-        let trial_slo = flight::derive_all(&flight_events);
         ExperimentReport {
             name: self.name,
             wall_ms: self.wall_ms,
@@ -146,8 +142,7 @@ impl ExperimentAcc {
             scalars: self.scope.streams().to_vec(),
             sentinels: self.scope.sentinels().to_vec(),
             ops: self.ops,
-            flight: flight_events,
-            trial_slo,
+            flight: self.flight.into_events(),
         }
     }
 }
@@ -160,8 +155,6 @@ struct Shared {
     experiments: RefCell<Vec<ExperimentAcc>>,
     /// Index into `experiments` that metric recording targets.
     current: Cell<usize>,
-    /// hfta-flight: shared JSONL spill target under `--trace`.
-    flight_spill: RefCell<Option<Rc<RefCell<SpillState>>>>,
     /// Ambient surgery placement (time/device/array) set by the scheduler.
     flight_cursor: Cell<FlightCursor>,
     /// Ambient description of the segment currently training.
@@ -197,7 +190,6 @@ impl Profiler {
                 events: RefCell::new(Vec::new()),
                 experiments: RefCell::new(vec![ExperimentAcc::new(name)]),
                 current: Cell::new(0),
-                flight_spill: RefCell::new(None),
                 flight_cursor: Cell::new(FlightCursor::default()),
                 sim_segment: Cell::new(None),
             }),
@@ -456,11 +448,7 @@ impl Profiler {
     pub fn experiment(&self, name: impl Into<String>) -> ExperimentGuard {
         let mut experiments = self.shared.experiments.borrow_mut();
         let prev = self.shared.current.get();
-        let mut acc = ExperimentAcc::new(name.into());
-        if let Some(state) = self.shared.flight_spill.borrow().as_ref() {
-            acc.flight.set_spill(state.clone(), &acc.name);
-        }
-        experiments.push(acc);
+        experiments.push(ExperimentAcc::new(name.into()));
         self.shared.current.set(experiments.len() - 1);
         ExperimentGuard {
             profiler: self.clone(),
@@ -489,44 +477,27 @@ impl Profiler {
             .record(trial, t_ns, kind, device, array, lane, detail);
     }
 
-    /// Snapshot of the current experiment scope's in-memory journal.
+    /// Copy of the current experiment scope's journal.
     pub fn flight_events(&self) -> Vec<FlightEvent> {
         let experiments = self.shared.experiments.borrow();
-        experiments[self.shared.current.get()].flight.snapshot()
+        experiments[self.shared.current.get()]
+            .flight
+            .events()
+            .to_vec()
     }
 
     /// Last `n` journal events of the current scope (fault post-mortems).
     pub fn flight_tail(&self, n: usize) -> Vec<FlightEvent> {
         let experiments = self.shared.experiments.borrow();
-        experiments[self.shared.current.get()].flight.tail(n)
+        experiments[self.shared.current.get()]
+            .flight
+            .tail(n)
+            .to_vec()
     }
 
-    /// Configures the shared JSONL spill target for every experiment
-    /// scope, existing and future (called by `--trace` session setup).
-    /// Nothing touches disk until the first overflow or flush.
-    pub fn set_flight_spill(&self, path: std::path::PathBuf) {
-        let state = SpillState::new(path);
-        let mut experiments = self.shared.experiments.borrow_mut();
-        for acc in experiments.iter_mut() {
-            let name = acc.name.clone();
-            acc.flight.set_spill(state.clone(), &name);
-        }
-        *self.shared.flight_spill.borrow_mut() = Some(state);
-    }
-
-    /// Flushes every scope's in-memory journal tail to the spill target
-    /// (the spilled prefix is already on disk). Returns lines written; a
-    /// no-op returning 0 when no spill target was configured.
-    pub fn flush_flight_journal(&self) -> std::io::Result<usize> {
-        let mut experiments = self.shared.experiments.borrow_mut();
-        let mut total = 0;
-        for acc in experiments.iter_mut() {
-            total += acc.flight.flush()?;
-        }
-        Ok(total)
-    }
-
-    /// Total journal events currently held in memory across all scopes.
+    /// Total journal events recorded across all scopes. It never
+    /// decreases, so `ServeEngine::commit` tees the events recorded since
+    /// the count it last saw.
     pub fn flight_event_count(&self) -> usize {
         self.shared
             .experiments
@@ -920,11 +891,29 @@ mod tests {
         assert!(report.experiments[0].flight.is_empty());
         let exp = report.experiment("elastic").unwrap();
         assert_eq!(exp.flight.len(), 4);
-        assert_eq!(exp.trial_slo.len(), 1);
-        let slo = &exp.trial_slo[0];
-        assert_eq!(slo.queue_ns, 5);
-        assert_eq!(slo.compute_ns, 4);
-        assert_eq!(slo.e2e_ns(), 9);
+        let slos = crate::flight::derive_all(&exp.flight);
+        assert_eq!(slos.len(), 1);
+        assert_eq!(slos[0].queue_ns, 5);
+        assert_eq!(slos[0].compute_ns, 4);
+        assert_eq!(slos[0].e2e_ns(), 9);
+    }
+
+    #[test]
+    fn a_scope_keeps_every_flight_event_it_records() {
+        const N: u64 = 70_000;
+        let p = Profiler::new("run");
+        let _e = p.experiment("long");
+        for i in 0..N {
+            p.flight_event(i, i, FlightKind::Submit, None, None, None, String::new());
+            assert_eq!(
+                p.flight_event_count(),
+                i as usize + 1,
+                "count fell at event {i}"
+            );
+        }
+        assert_eq!(p.flight_events().len(), N as usize);
+        let tail: Vec<u64> = p.flight_tail(10).iter().map(|e| e.trial).collect();
+        assert_eq!(tail, (N - 10..N).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! totals, histogram summaries, and counter time-series (e.g. the simulated
 //! `nvidia-smi` utilization the paper plots in Figure 11).
 
-use crate::flight::{FlightEvent, TrialSlo};
+use crate::flight::FlightEvent;
 use crate::metrics::{CounterSample, HistogramSummary};
 use crate::scope::{ScalarStream, SentinelEvent};
 use serde::{Deserialize, Serialize};
@@ -82,10 +82,11 @@ impl OpAgg {
 
 /// Everything recorded inside one experiment scope.
 ///
-/// `Deserialize` is hand-written (the vendored derive has no
-/// `#[serde(default)]`): reports written before op samples existed simply
-/// lack the `ops` key, and must keep parsing — the committed CI goldens are
-/// exactly such files.
+/// `Deserialize` is hand-written because the vendored derive has no
+/// `#[serde(default)]`: a report written before op samples or flight
+/// tracing existed lacks the `ops` / `flight` key and must keep parsing.
+/// (The committed CI goldens are not such files: they are `hfta-bench`'s
+/// run summaries, which `record::load` parses on its own.)
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentReport {
     /// Experiment name (e.g. `fig3`, `table1`).
@@ -109,11 +110,10 @@ pub struct ExperimentReport {
     /// Per-op-kind aggregated cost samples (hfta-probe). Empty for reports
     /// written before op sampling existed.
     pub ops: Vec<OpAgg>,
-    /// Trial-lifecycle journal tail (hfta-flight). Empty for reports
+    /// Trial-lifecycle journal (hfta-flight), every event the scope
+    /// recorded; per-trial SLOs are derived from it. Empty for reports
     /// written before flight tracing existed.
     pub flight: Vec<FlightEvent>,
-    /// Per-trial SLO decomposition derived from `flight` (hfta-flight).
-    pub trial_slo: Vec<TrialSlo>,
 }
 
 impl Deserialize for ExperimentReport {
@@ -134,10 +134,6 @@ impl Deserialize for ExperimentReport {
             },
             flight: match v.get("flight") {
                 Some(f) => Deserialize::deserialize(f)?,
-                None => Vec::new(),
-            },
-            trial_slo: match v.get("trial_slo") {
-                Some(s) => Deserialize::deserialize(s)?,
                 None => Vec::new(),
             },
         })
@@ -268,17 +264,6 @@ mod tests {
                     lane: Some(0),
                     detail: "rung 0".into(),
                 }],
-                trial_slo: vec![TrialSlo {
-                    trial: 7,
-                    submit_ns: 1_000,
-                    terminal_ns: 5_000,
-                    queue_ns: 1_000,
-                    compute_ns: 2_500,
-                    surgery_ns: 400,
-                    quarantine_ns: 100,
-                    outcome: crate::flight::FlightKind::Complete,
-                    faulted: false,
-                }],
             }],
         };
         let json = serde_json::to_string_pretty(&report).unwrap();
@@ -310,6 +295,5 @@ mod tests {
         let back: RunReport = serde_json::from_str(json).unwrap();
         assert!(back.experiments[0].ops.is_empty());
         assert!(back.experiments[0].flight.is_empty());
-        assert!(back.experiments[0].trial_slo.is_empty());
     }
 }
