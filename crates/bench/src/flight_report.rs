@@ -472,6 +472,43 @@ mod tests {
     }
 
     #[test]
+    fn journal_round_trips_through_run_reports() {
+        use crate::probe_report::collect_run_reports;
+        let dir = std::env::temp_dir().join(format!("hfta_flight_report_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let j = journal_one_exp();
+        let scope = |name: &str, flight: Vec<FlightEvent>| hfta_telemetry::ExperimentReport {
+            name: name.into(),
+            wall_ms: 0.0,
+            steps: vec![],
+            counters: vec![],
+            gauges: vec![],
+            histograms: vec![],
+            series: vec![],
+            scalars: vec![],
+            sentinels: vec![],
+            ops: vec![],
+            flight,
+        };
+        let run = RunReport {
+            name: "sweep".into(),
+            wall_ms: 0.0,
+            trace_events: 0,
+            experiments: vec![
+                scope("idle", vec![]),
+                scope("elastic", j["elastic"].clone()),
+            ],
+        };
+        let path = dir.join("sweep.report.json");
+        crate::cli::write_json(&path.display().to_string(), &run).unwrap();
+        // The scope with no events is left out; the other reads back whole.
+        let loaded = flight_journal(collect_run_reports(&dir).expect("load"));
+        assert_eq!(loaded, j);
+        assert!(collect_run_reports(&dir.join("missing")).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn snapshot_tracks_queue_running_and_devices() {
         use FlightKind as K;
         let mut events = journal_one_exp()["elastic"].clone();
