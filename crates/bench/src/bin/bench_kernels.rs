@@ -218,8 +218,10 @@ fn main() {
     }
     // --- hfta-scope overhead on a fused DCGAN-style training step --------
     // No profiler is installed, so both sides run the identical disabled
-    // fast path; the delta is exactly hfta-scope's per-step compute (one
-    // fused gradient reduction, per-model losses, one parameter pass).
+    // fast path; the delta is exactly hfta-scope's untraced per-step compute
+    // (one fused gradient reduction and the per-model losses). The
+    // parameter pass of `after_step` feeds only a profiler's streams, so it
+    // does nothing here and is priced only under one.
     set_num_threads(mt);
     let scope_iters = if quick { 5 } else { 30 };
     let sb = 6usize;

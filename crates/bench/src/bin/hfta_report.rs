@@ -24,7 +24,9 @@
 //! scope's `flight` journal from them (simulated integer nanoseconds, so
 //! `--out` summaries are bit-reproducible and can be committed as goldens);
 //! `top` replays the recorded timeline as `--frames` refresh-in-place
-//! frames.
+//! frames. `flight` reports each scope's terminated trials and lists the
+//! ones a killed pass left without a terminal event; any other malformed
+//! timeline is an error.
 //!
 //! Exit codes, every subcommand: 0 = clean, 1 = regression found,
 //! 2 = usage or I/O error.

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use hfta_telemetry::flight::{bucket_intervals, derive_all_strict, SloRollup};
+use hfta_telemetry::flight::{bucket_intervals, derive_terminated, SloRollup};
 use hfta_telemetry::{FlightEvent, FlightKind, RunReport, TrialSlo, FLEET_TRIAL};
 
 use crate::record::{ExpSlo, FlightSummary, FLIGHT_SCHEMA};
@@ -37,16 +37,21 @@ pub fn flight_journal(reports: Vec<(PathBuf, RunReport)>) -> FlightJournal {
 }
 
 /// Derives per-trial SLOs for one experiment's journal, strictly: a
-/// malformed timeline is an error, not a skip.
+/// malformed timeline is an error, not a skip. Trials a killed pass left
+/// unterminated are returned by id beside the SLOs of the rest.
 ///
 /// # Errors
 ///
-/// Propagates [`derive_all_strict`] diagnostics prefixed with the scope.
-pub fn experiment_slos(name: &str, events: &[FlightEvent]) -> Result<Vec<TrialSlo>, String> {
-    derive_all_strict(events).map_err(|e| format!("{name}: {e}"))
+/// Propagates [`derive_terminated`] diagnostics prefixed with the scope.
+pub fn experiment_slos(
+    name: &str,
+    events: &[FlightEvent],
+) -> Result<(Vec<TrialSlo>, Vec<u64>), String> {
+    derive_terminated(events).map_err(|e| format!("{name}: {e}"))
 }
 
-/// Summarizes a loaded journal into the golden-gated aggregate.
+/// Summarizes a loaded journal into the golden-gated aggregate of its
+/// terminated trials.
 ///
 /// # Errors
 ///
@@ -54,7 +59,7 @@ pub fn experiment_slos(name: &str, events: &[FlightEvent]) -> Result<Vec<TrialSl
 pub fn summarize(journal: &FlightJournal) -> Result<FlightSummary, String> {
     let mut experiments = Vec::new();
     for (name, events) in journal {
-        let r = SloRollup::from_slos(experiment_slos(name, events)?);
+        let r = SloRollup::from_slos(experiment_slos(name, events)?.0);
         let count = |f: fn(&TrialSlo) -> bool| r.slos.iter().filter(|s| f(s)).count() as u64;
         experiments.push(ExpSlo {
             name: name.clone(),
@@ -130,17 +135,18 @@ pub fn render_slo_table(summary: &FlightSummary) -> String {
 /// each row is a trial, each column a time bucket, each cell the bucket
 /// glyph (`.` queue, `#` compute, `s` surgery, `!` quarantine). The
 /// longest-latency trial's row is marked `<- critical`, followed by its
-/// critical-path chain with per-phase durations.
+/// critical-path chain with per-phase durations. Unterminated trials get
+/// no row; they are listed after the chart.
 ///
 /// # Errors
 ///
 /// Propagates malformed-timeline diagnostics.
 pub fn render_gantt(name: &str, events: &[FlightEvent], width: usize) -> Result<String, String> {
-    let slos = experiment_slos(name, events)?;
+    let (slos, open) = experiment_slos(name, events)?;
     let width = width.max(10);
     let mut by_trial: BTreeMap<u64, Vec<FlightEvent>> = BTreeMap::new();
     for e in events {
-        if e.trial != FLEET_TRIAL {
+        if e.trial != FLEET_TRIAL && !open.contains(&e.trial) {
             by_trial.entry(e.trial).or_default().push(e.clone());
         }
     }
@@ -208,6 +214,13 @@ pub fn render_gantt(name: &str, events: &[FlightEvent], width: usize) -> Result<
                 ));
             }
         }
+    }
+    if !open.is_empty() {
+        let ids: Vec<String> = open.iter().map(u64::to_string).collect();
+        out.push_str(&format!(
+            "unterminated (no terminal event): trials {}\n",
+            ids.join(", ")
+        ));
     }
     Ok(out)
 }
@@ -423,8 +436,26 @@ mod tests {
     #[test]
     fn malformed_journal_fails_summarize() {
         let mut j = journal_one_exp();
-        j.get_mut("elastic").unwrap().pop(); // drop trial 1's terminal
+        j.get_mut("elastic").unwrap().remove(8); // drop trial 1's dispatch
         assert!(summarize(&j).is_err());
+        assert!(render_gantt("elastic", &j["elastic"], 24).is_err());
+    }
+
+    #[test]
+    fn unterminated_trials_are_listed_not_fatal() {
+        let mut j = journal_one_exp();
+        j.get_mut("elastic").unwrap().pop(); // drop trial 1's terminal
+        let s = summarize(&j).expect("an unterminated trial is not malformed");
+        assert_eq!(
+            (s.experiments[0].trials, s.experiments[0].completed),
+            (1, 1)
+        );
+        let g = render_gantt("elastic", &j["elastic"], 24).expect("render");
+        assert!(g.contains("trial   0") && !g.contains("trial   1"), "{g}");
+        assert!(
+            g.ends_with("unterminated (no terminal event): trials 1\n"),
+            "{g}"
+        );
     }
 
     #[test]

@@ -166,7 +166,9 @@ record! {
         records: Vec<KernelRecord> => Records(&KERNEL_RECORD),
         /// Per-shape thread scaling (empty on a 1-CPU host).
         scaling_efficiency: Vec<ScalingRecord> => OptionalRecords(&SCALING_RECORD),
-        /// hfta-scope cost on a fused DCGAN-style training step, percent.
+        /// Untraced hfta-scope cost on a fused DCGAN-style training step,
+        /// percent. `after_step`'s parameter pass runs only under a
+        /// profiler, so it is not in this figure.
         scope_overhead_pct: f64 => Gate::AtMost(SCOPE_OVERHEAD_BUDGET_PCT),
     }
 }

@@ -51,15 +51,61 @@ impl Reduction {
 /// Panics if the logits are not `[B, N, C]` or the target length is not
 /// `B * N`.
 pub fn fused_cross_entropy(logits: &Var, targets: &[usize], reduction: Reduction) -> Var {
+    let (log_probs, b) = fused_log_probs(logits, targets);
+    log_probs
+        .nll_loss(targets)
+        .mul_scalar(reduction.fused_scale(b))
+}
+
+/// [`fused_cross_entropy`] and each model's own mean cross-entropy, read
+/// off the one log-softmax the loss records.
+///
+/// # Panics
+///
+/// Panics like [`fused_cross_entropy`], or on a target class out of range.
+pub fn fused_cross_entropy_per_model(
+    logits: &Var,
+    targets: &[usize],
+    reduction: Reduction,
+) -> (Var, Vec<f32>) {
+    let (log_probs, b) = fused_log_probs(logits, targets);
+    let per_model = log_probs.with_value(|lp| per_model_nll(lp, targets, b));
+    let loss = log_probs
+        .nll_loss(targets)
+        .mul_scalar(reduction.fused_scale(b));
+    (loss, per_model)
+}
+
+/// The row-wise log-softmax of `[B, N, C]` logits flattened to `[B*N, C]`
+/// (the fused mean averages over `B*N`, the §3.2 scale restores per-model
+/// magnitudes), and `B`.
+fn fused_log_probs(logits: &Var, targets: &[usize]) -> (Var, usize) {
     let dims = logits.dims();
     assert_eq!(dims.len(), 3, "fused logits must be [B, N, C]");
     let (b, n, c) = (dims[0], dims[1], dims[2]);
     assert_eq!(targets.len(), b * n, "targets must be model-major [B * N]");
-    // Flatten models into the batch: [B*N, C]; the fused mean then averages
-    // over B*N, and the scale restores per-model magnitudes.
-    let flat = logits.reshape(&[b * n, c]);
-    flat.cross_entropy(targets)
-        .mul_scalar(reduction.fused_scale(b))
+    (logits.reshape(&[b * n, c]).log_softmax(1), b)
+}
+
+/// Each of `b` models' mean negative log-likelihood off log-probabilities
+/// whose rows (classes on the last axis) hold the models' examples,
+/// model-major, against targets `[B * N]`: each lane's rows summed in order
+/// and divided by `N`, the operations `nll_loss` performs on that lane
+/// alone, so the bits are the same.
+///
+/// # Panics
+///
+/// Panics on a target class out of range.
+pub fn per_model_nll(log_probs: &Tensor, targets: &[usize], b: usize) -> Vec<f32> {
+    let c = log_probs.dims()[log_probs.rank() - 1];
+    let n = targets.len() / b;
+    let mut picked = (log_probs.as_slice().chunks_exact(c).zip(targets)).map(|(row, &t)| {
+        assert!(t < c, "target class {t} out of range (C = {c})");
+        row[t]
+    });
+    (0..b)
+        .map(|_| picked.by_ref().take(n).fold(0.0f32, |nll, lp| nll - lp) / n as f32)
+        .collect()
 }
 
 /// Fused negative log-likelihood over array-format log-probabilities
@@ -237,6 +283,24 @@ mod tests {
         let ce = fused_cross_entropy(&lv, &t, Reduction::Mean);
         let nll = fused_nll_loss(&lv.log_softmax(2), &t, Reduction::Mean);
         assert!((ce.item() - nll.item()).abs() < 1e-5);
+    }
+
+    #[test]
+    fn per_model_losses_come_off_the_fused_loss_log_softmax() {
+        let mut rng = Rng::seed_from(4);
+        let (b, n, c) = (3, 5, 4);
+        let logits = rng.randn([b, n, c]);
+        let t: Vec<usize> = (0..b * n).map(|_| rng.below(c)).collect();
+        let tape = Tape::new();
+        let lv = tape.leaf(logits.clone());
+        let alone = fused_cross_entropy(&lv, &t, Reduction::Mean);
+        let nodes = tape.len();
+        let (loss, per_model) = fused_cross_entropy_per_model(&lv, &t, Reduction::Mean);
+        assert_eq!(tape.len() - nodes, nodes - 1, "the same ops, recorded once");
+        assert_eq!(loss.item().to_bits(), alone.item().to_bits());
+        let separate = crate::scope::per_model_ce_losses(&lv, &t);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&per_model), bits(&separate));
     }
 
     #[test]

@@ -44,12 +44,15 @@
 //! # One init rule
 //!
 //! A family's constructors draw from its [`Ops::Init`]: one [`Rng`] for
-//! [`Serial`], one generator per lane (`[Rng]`) for [`Fused`]`(B)`. A
-//! fused constructor builds lane `i`'s layer from lane `i`'s generator and
-//! stacks the `B` layers, so `A::build(Fused(b), lanes)` is lane for lane,
-//! bit for bit, `A::build(Serial, lanes[i])` stacked, and leaves every
-//! lane's generator where the solo build leaves it. A lane starts as its
-//! solo run whatever the array width and whatever else the model holds.
+//! [`Serial`], one [`LaneInit`] per lane for [`Fused`]`(B)`. A fused
+//! constructor builds lane `i`'s layer from lane `i`'s generator and
+//! stacks the `B` layers' parameters, so `A::build(Fused(b), lanes)` is
+//! lane for lane, bit for bit, `A::build(Serial, lanes[i])` stacked, and
+//! leaves every lane's generator where the solo build leaves it. A lane
+//! starts as its solo run whatever the array width and whatever else the
+//! model holds. A lane may instead hand over trained parameter tensors
+//! ([`LaneInit::Take`]): the same constructors stack them as they are and
+//! draw nothing, which is how an array is built from moved lane states.
 
 use std::fmt::Debug;
 
@@ -59,6 +62,8 @@ use hfta_nn::layers::{
 use hfta_nn::{Module, Parameter, Var};
 use hfta_sim::TrainingJob;
 use hfta_tensor::{Rng, Tensor};
+
+use hfta_mem::Storage;
 
 use crate::error::{FusionError, Result};
 use crate::format::{conv_to_array, fused_concat_channels};
@@ -141,13 +146,6 @@ fn check_same<T: PartialEq + Debug>(
     Ok(first)
 }
 
-/// Concatenates one parameter per model on axis 0, the model axis, reading
-/// each value where it lies rather than copying it out first.
-fn concat<'a>(params: impl Iterator<Item = &'a Parameter>) -> Tensor {
-    let values: Vec<_> = params.map(Parameter::value).collect();
-    Tensor::concat(&values.iter().map(|v| &**v).collect::<Vec<_>>(), 0)
-}
-
 /// Checks that the models' `(weight, bias)` pairs share one weight shape
 /// and one bias shape, whether there is a bias included.
 fn check_weights<'a>(
@@ -158,19 +156,48 @@ fn check_weights<'a>(
     check_same(layers.map(|(w, b)| (dims(w), b.map(dims))), kind).map(drop)
 }
 
-/// Concatenates the models' weights and, when they have them, biases on
-/// axis 0, after [`check_weights`].
+/// Stacks the models' weights and, when they have them, biases on axis 0,
+/// after [`check_weights`].
 fn stack_weights<'a>(
     layers: impl Iterator<Item = (&'a Parameter, Option<&'a Parameter>)> + Clone,
     kind: &'static str,
 ) -> Result<(Tensor, Option<Tensor>)> {
     check_weights(layers.clone(), kind)?;
-    let (weights, biases): (Vec<_>, Vec<_>) = layers.unzip();
-    let biases: Option<Vec<_>> = biases.into_iter().collect();
-    Ok((
-        concat(weights.into_iter()),
-        biases.map(|b| concat(b.into_iter())),
-    ))
+    let values = |(w, b): (&Parameter, Option<&Parameter>)| {
+        std::iter::once(w)
+            .chain(b)
+            .map(Parameter::value_cloned)
+            .collect()
+    };
+    Ok(stack_lanes(layers.map(values).collect()))
+}
+
+/// Stacks one layer's weight and, when the lanes hold two tensors each,
+/// bias over the lanes on the model axis: lane 0's shape with axis 0 `B`x,
+/// lane `i` the `i`-th of `B` equal chunks.
+///
+/// # Panics
+///
+/// Panics if the lanes differ in tensor count or size.
+fn stack_lanes(lanes: Vec<Vec<Tensor>>) -> (Tensor, Option<Tensor>) {
+    let first = &lanes[0];
+    assert!(
+        lanes.iter().all(|l| l.len() == first.len()),
+        "lanes differ in parameter count"
+    );
+    let mut stacked = first.iter().enumerate().map(|(k, t)| {
+        let mut dims = t.dims().to_vec();
+        dims[0] *= lanes.len();
+        let mut data = Storage::unfilled(dims.iter().product());
+        for (out, lane) in data.as_mut_slice().chunks_mut(t.numel().max(1)).zip(&lanes) {
+            out.copy_from_slice(lane[k].as_slice());
+        }
+        Tensor::from_storage(data, dims)
+    });
+    (
+        stacked.next().expect("a layer has a weight"),
+        stacked.next(),
+    )
 }
 
 /// `cfg` at array width `b`: channels and groups `×b`.
@@ -252,9 +279,11 @@ pub fn fuse_conv1d(models: &[Conv1d]) -> Result<Conv1d> {
 /// Returns [`FusionError`] if channel counts differ or the slice is empty.
 pub fn fuse_batch_norm(models: &[BatchNorm]) -> Result<BatchNorm> {
     check_same(models.iter().map(|m| m.gamma.numel()), "BatchNorm")?;
+    let affine = |m: &BatchNorm| vec![m.gamma.value_cloned(), m.beta.value_cloned()];
+    let (gamma, beta) = stack_lanes(models.iter().map(affine).collect());
     Ok(BatchNorm::from_parts(
-        concat(models.iter().map(|m| &m.gamma)),
-        concat(models.iter().map(|m| &m.beta)),
+        gamma,
+        beta.expect("a batch norm has a shift"),
         models.iter().flat_map(BatchNorm::running_mean).collect(),
         models.iter().flat_map(BatchNorm::running_var).collect(),
     ))
@@ -286,6 +315,17 @@ impl FusedLinear {
         Fused(b).linear(cfg, &mut Fused(b).lanes(rng))
     }
 
+    /// `b` lanes of `cfg` over weights and biases stacked lane-major, as
+    /// `[B, F_in, F_out]` and `[B, 1, F_out]`.
+    fn from_stacked(b: usize, cfg: LinearCfg, weight: Tensor, bias: Option<Tensor>) -> Self {
+        let (fi, fo) = (cfg.in_features, cfg.out_features);
+        FusedLinear {
+            weight: Parameter::new(weight.reshape(&[b, fi, fo]), "fused_linear.weight"),
+            bias: bias.map(|t| Parameter::new(t.reshape(&[b, 1, fo]), "fused_linear.bias")),
+            b,
+        }
+    }
+
     /// Fuses existing per-model layers.
     ///
     /// # Errors
@@ -293,33 +333,11 @@ impl FusedLinear {
     /// Returns [`FusionError`] if weight or bias shapes (including whether
     /// there is a bias) differ, or the slice is empty.
     pub fn from_models(models: &[Linear]) -> Result<Self> {
-        check_weights(
-            models.iter().map(|m| (&m.weight, m.bias.as_ref())),
-            "Linear",
-        )?;
-        // `[in, out]` weights and `[out]` biases stacked on the model axis
-        // as `[B, in, out]` and `[B, 1, out]`, each read where it lies.
-        let stacked = |params: Vec<&Parameter>, dims: &[usize]| {
-            let mut out = Tensor::zeros([&[params.len()], dims].concat());
-            let blocks = out
-                .as_mut_slice()
-                .chunks_exact_mut(dims.iter().product::<usize>().max(1));
-            for (block, p) in blocks.zip(params) {
-                block.copy_from_slice(p.value().as_slice());
-            }
-            out
-        };
-        let weights = models.iter().map(|m| &m.weight).collect();
-        let weight = stacked(weights, models[0].weight.value().dims());
-        let bias = models[0].bias.as_ref().map(|b| {
-            let biases = models.iter().filter_map(|m| m.bias.as_ref()).collect();
-            stacked(biases, &[1, b.numel()])
-        });
-        Ok(FusedLinear {
-            weight: Parameter::new(weight, "fused_linear.weight"),
-            bias: bias.map(|b| Parameter::new(b, "fused_linear.bias")),
-            b: models.len(),
-        })
+        let layers = models.iter().map(|m| (&m.weight, m.bias.as_ref()));
+        let (weight, bias) = stack_weights(layers, "Linear")?;
+        let dims = models[0].weight.value().dims().to_vec();
+        let cfg = LinearCfg::new(dims[0], dims[1]);
+        Ok(Self::from_stacked(models.len(), cfg, weight, bias))
     }
 
     /// Recovers the per-model layers.
@@ -386,7 +404,7 @@ impl FusedModule for FusedLinear {
 /// # Example — one definition, two instantiations
 ///
 /// ```
-/// use hfta_core::ops::{Fused, FusedParameter, Ops, Serial};
+/// use hfta_core::ops::{Fused, FusedParameter, LaneInit, Ops, Serial};
 /// use hfta_nn::{layers::{BatchNorm, LinearCfg}, Module, Tape, Var};
 /// use hfta_tensor::Rng;
 ///
@@ -419,7 +437,7 @@ impl FusedModule for FusedLinear {
 /// let y = one_job.forward(&tape.leaf(Rng::seed_from(0).randn([4, 6])));
 /// assert_eq!(y.dims(), vec![4, 3]);
 /// // Five lanes, lane i from seed 7 + i: lane 0 is `one_job`, bit for bit.
-/// let mut lanes: Vec<Rng> = (7..12).map(Rng::seed_from).collect();
+/// let mut lanes: Vec<LaneInit> = (7..12).map(|s| LaneInit::Draw(Rng::seed_from(s))).collect();
 /// let array = Mlp::build(Fused(5), &mut lanes);
 /// assert_eq!(
 ///     FusedParameter::of(&array.fc1, 5)[0].model_slice(0).to_vec(),
@@ -432,8 +450,8 @@ pub trait Ops: Copy + Debug {
     /// Fully connected layer, the one kind whose fused form is another
     /// operator.
     type Linear: Module + Debug;
-    /// Where the family's initial weights come from: one generator per
-    /// model the family computes.
+    /// Where the family's initial weights come from: one source per model
+    /// the family computes.
     type Init: ?Sized;
 
     /// Number of models one op of this family computes (1 for [`Serial`]).
@@ -546,55 +564,82 @@ impl Ops for Serial {
 }
 
 /// The horizontally fused family at array width `B`: the `hfta-nn` layers
-/// stacked by the `fuse_*` rules, and [`FusedLinear`]. Its init source is
-/// one generator per lane; lane `i`'s layer is built from lane `i`'s.
+/// at the widened configuration over their lanes' stacked parameters, and
+/// [`FusedLinear`]. Its init source is one [`LaneInit`] per lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fused(pub usize);
+
+/// Where one lane of a [`Fused`] build gets its parameters.
+// A build holds one per lane for its duration; boxing the generator would
+// only add an allocation per lane.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub enum LaneInit {
+    /// The lane's generator: every layer draws its lane exactly as the
+    /// lane's solo build would, and leaves the generator where that does.
+    Draw(Rng),
+    /// Trained parameter tensors in the model's `parameters()` order, each
+    /// in its fused per-lane shape (a
+    /// [`LaneState`](crate::surgery::LaneState)'s `params`): every layer
+    /// takes its lane's next ones as they are and draws nothing.
+    Take(std::vec::IntoIter<Tensor>),
+}
 
 impl Fused {
     /// `B` lane generators split off `rng`, lane `i` the `i`-th split: the
     /// init source of an array whose caller holds one generator.
-    pub fn lanes(self, rng: &mut Rng) -> Vec<Rng> {
-        (0..self.0).map(|_| rng.split()).collect()
+    pub fn lanes(self, rng: &mut Rng) -> Vec<LaneInit> {
+        (0..self.0).map(|_| LaneInit::Draw(rng.split())).collect()
     }
 
-    /// Builds lane `i`'s layer from `lanes[i]`, exactly as job `i` alone
-    /// would from the same generator, and stacks the `B` layers.
+    /// One layer's weight and, with `bias`, bias, stacked over the lanes
+    /// ([`stack_lanes`]): a drawing lane's from the layer `new` builds from
+    /// its generator, exactly as job `i` alone would, a taking lane's its
+    /// next tensors.
     ///
     /// # Panics
     ///
-    /// Panics unless there is one generator per lane and `B > 0`.
-    pub(crate) fn stacked<L, F>(
+    /// Panics unless there is one source per lane and `B > 0`, or if a
+    /// lane runs out of tensors or holds one of another size.
+    pub(crate) fn stacked<L: Module>(
         self,
-        lanes: &mut [Rng],
+        lanes: &mut [LaneInit],
+        bias: bool,
         new: impl Fn(&mut Rng) -> L,
-        stack: impl FnOnce(&[L]) -> Result<F>,
-    ) -> F {
+    ) -> (Tensor, Option<Tensor>) {
         assert!(self.0 > 0, "array width must be positive");
-        assert_eq!(lanes.len(), self.0, "one generator per lane");
-        let models: Vec<L> = lanes.iter_mut().map(new).collect();
-        stack(&models).expect("freshly built models always fuse")
+        assert_eq!(lanes.len(), self.0, "one init source per lane");
+        let count = 1 + usize::from(bias);
+        let parts: Vec<Vec<Tensor>> = (lanes.iter_mut())
+            .map(|lane| match lane {
+                LaneInit::Draw(rng) => (new(rng).parameters().iter())
+                    .map(Parameter::value_cloned)
+                    .collect(),
+                LaneInit::Take(tensors) => tensors.take(count).collect(),
+            })
+            .collect();
+        assert_eq!(parts[0].len(), count, "a lane ran out of tensors");
+        stack_lanes(parts)
     }
 }
 
 impl Ops for Fused {
     type Linear = FusedLinear;
-    type Init = [Rng];
+    type Init = [LaneInit];
 
     fn b(&self) -> usize {
         self.0
     }
 
-    fn conv2d(&self, cfg: Conv2dCfg, lanes: &mut [Rng]) -> Conv2d {
-        self.stacked(lanes, |rng| Conv2d::new(cfg, rng), fuse_conv2d)
+    fn conv2d(&self, cfg: Conv2dCfg, lanes: &mut [LaneInit]) -> Conv2d {
+        let (weight, bias) = self.stacked(lanes, cfg.bias, |rng| Conv2d::new(cfg, rng));
+        Conv2d::from_parts(widened(cfg, self.0), weight, bias)
     }
 
-    fn conv_transpose2d(&self, cfg: Conv2dCfg, lanes: &mut [Rng]) -> ConvTranspose2d {
-        self.stacked(
-            lanes,
-            |rng| ConvTranspose2d::new(cfg, rng),
-            fuse_conv_transpose2d,
-        )
+    fn conv_transpose2d(&self, cfg: Conv2dCfg, lanes: &mut [LaneInit]) -> ConvTranspose2d {
+        let new = |rng: &mut Rng| ConvTranspose2d::new(cfg, rng);
+        let (weight, bias) = self.stacked(lanes, cfg.bias, new);
+        ConvTranspose2d::from_parts(widened(cfg, self.0), weight, bias)
     }
 
     fn conv1d(
@@ -604,22 +649,29 @@ impl Ops for Fused {
         kernel: usize,
         stride: usize,
         padding: usize,
-        lanes: &mut [Rng],
+        lanes: &mut [LaneInit],
     ) -> Conv1d {
         let new = |rng: &mut Rng| Conv1d::new(cin, cout, kernel, stride, padding, 1, rng);
-        self.stacked(lanes, new, fuse_conv1d)
+        let (weight, bias) = self.stacked(lanes, true, new);
+        Conv1d::from_parts(weight, bias, stride, padding, self.0)
     }
 
-    fn linear(&self, cfg: LinearCfg, lanes: &mut [Rng]) -> FusedLinear {
-        let new = |rng: &mut Rng| Linear::new(cfg, rng);
-        self.stacked(lanes, new, FusedLinear::from_models)
+    fn linear(&self, cfg: LinearCfg, lanes: &mut [LaneInit]) -> FusedLinear {
+        let (weight, bias) = self.stacked(lanes, cfg.bias, |rng| Linear::new(cfg, rng));
+        FusedLinear::from_stacked(self.0, cfg, weight, bias)
     }
 
-    /// Every lane makes its solo run's draw, so its generator stays in
-    /// step; the one dropout over the widened tensor takes lane 0's seed.
-    fn dropout(&self, p: f32, lanes: &mut [Rng]) -> Dropout {
-        let seeds: Vec<u64> = lanes.iter_mut().map(dropout_seed).collect();
-        Dropout::new(p, seeds[0])
+    /// Every drawing lane makes its solo run's draw, so its generator stays
+    /// in step; the one dropout over the widened tensor takes the first
+    /// drawing lane's seed, or 0 when every lane takes its tensors.
+    fn dropout(&self, p: f32, lanes: &mut [LaneInit]) -> Dropout {
+        let seeds: Vec<u64> = (lanes.iter_mut())
+            .filter_map(|lane| match lane {
+                LaneInit::Draw(rng) => Some(dropout_seed(rng)),
+                LaneInit::Take(_) => None,
+            })
+            .collect();
+        Dropout::new(p, seeds.first().copied().unwrap_or(0))
     }
 
     fn to_linear(&self, x: &Var) -> Var {

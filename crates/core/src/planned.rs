@@ -38,7 +38,7 @@ use hfta_tensor::{Rng, Tensor};
 use crate::error::{FusionError, Result};
 use crate::format::{array_to_conv, conv_to_array};
 use crate::loss::{fused_cross_entropy, Reduction};
-use crate::ops::{fuse_conv1d, Fused, FusedLinear, FusedModule, FusedParameter, Ops};
+use crate::ops::{Fused, FusedLinear, FusedModule, FusedParameter, LaneInit, Ops};
 use crate::optim::{AdamUpdate, FusedOptimizer, PerModel, SgdUpdate, Update};
 use crate::surgery::LaneState;
 
@@ -64,8 +64,8 @@ fn mismatch(detail: String) -> FusionError {
 }
 
 impl Layer {
-    /// Builds `spec` at one lane per generator, lane `j` from `lanes[j]`.
-    fn build(spec: &OpSpec, lanes: &mut [Rng]) -> Result<Layer> {
+    /// Builds `spec` at one lane per init source, lane `j` from `lanes[j]`.
+    fn build(spec: &OpSpec, lanes: &mut [LaneInit]) -> Result<Layer> {
         let ops = Fused(lanes.len());
         let conv_cfg = Conv2dCfg::new(spec.c_in, spec.c_out, spec.kernel)
             .stride(spec.stride)
@@ -82,7 +82,11 @@ impl Layer {
                 let new = |rng: &mut Rng| {
                     Conv1d::new(s.c_in, s.c_out, s.kernel, s.stride, s.padding, groups, rng)
                 };
-                Layer::Conv1d(ops.stacked(lanes, new, fuse_conv1d))
+                let (weight, bias) = ops.stacked(lanes, true, new);
+                let groups = lanes.len() * groups;
+                Layer::Conv1d(Conv1d::from_parts(
+                    weight, bias, s.stride, s.padding, groups,
+                ))
             }
             OpKind::BatchNorm => Layer::BatchNorm(ops.batch_norm(spec.c_in)),
             OpKind::Linear => {
@@ -176,7 +180,9 @@ impl PlannedArray {
                 seeds.len()
             )));
         }
-        let mut rngs: Vec<Rng> = seeds.iter().map(|&s| Rng::seed_from(s)).collect();
+        let mut rngs: Vec<LaneInit> = (seeds.iter())
+            .map(|&s| LaneInit::Draw(Rng::seed_from(s)))
+            .collect();
         // The next op of each lane's program the plan must reach.
         let mut next = vec![0; graphs.len()];
         let mut blocks = Vec::with_capacity(plan.blocks.len());
@@ -206,7 +212,7 @@ impl PlannedArray {
                 }
                 next[l] += pb.ops.len();
             }
-            let mut lanes: Vec<Rng> = pb.lanes.iter().map(|&l| rngs[l].clone()).collect();
+            let mut lanes: Vec<LaneInit> = pb.lanes.iter().map(|&l| rngs[l].clone()).collect();
             let ops = (pb.ops.iter())
                 .map(|spec| Layer::build(spec, &mut lanes))
                 .collect::<Result<Vec<_>>>()?;

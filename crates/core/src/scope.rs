@@ -26,6 +26,7 @@ use hfta_nn::Var;
 use hfta_telemetry::{FlightKind, Profiler, SentinelEvent, SentinelKind};
 use std::collections::VecDeque;
 
+use crate::loss::per_model_nll;
 use crate::ops::FusedParameter;
 use crate::optim::{FusedOptimizer, Update};
 
@@ -102,10 +103,10 @@ pub fn per_model_param_sq_norms(params: &[FusedParameter]) -> Vec<f32> {
 /// loss the fused §3.2-scaled loss hides.
 ///
 /// Reads the logits' value off the tape and records nothing on it: one
-/// row-wise `log_softmax` over the whole array, then each lane's negative
-/// log-likelihood summed over its rows in order and divided by `N` — per
-/// row and per lane the operations `cross_entropy` performs on that lane
-/// alone, so the bits are the same.
+/// row-wise `log_softmax` over the whole array, then
+/// [`per_model_nll`](crate::loss::per_model_nll). A training step that also
+/// takes the fused loss reads both off one log-softmax with
+/// [`fused_cross_entropy_per_model`](crate::loss::fused_cross_entropy_per_model).
 ///
 /// # Panics
 ///
@@ -113,20 +114,9 @@ pub fn per_model_param_sq_norms(params: &[FusedParameter]) -> Vec<f32> {
 pub fn per_model_ce_losses(logits: &Var, targets: &[usize]) -> Vec<f32> {
     let dims = logits.dims();
     assert_eq!(dims.len(), 3, "fused logits must be [B, N, C]");
-    let (b, n, c) = (dims[0], dims[1], dims[2]);
+    let (b, n) = (dims[0], dims[1]);
     assert_eq!(targets.len(), b * n, "targets must be model-major [B * N]");
-    let log_probs = logits.with_value(|x| x.log_softmax(2));
-    let lp = log_probs.as_slice();
-    (0..b)
-        .map(|i| {
-            let mut total = 0.0f32;
-            for (row, &t) in (i * n..).zip(&targets[i * n..(i + 1) * n]) {
-                assert!(t < c, "target class {t} out of range (C = {c})");
-                total -= lp[row * c + t];
-            }
-            total / n as f32
-        })
-        .collect()
+    logits.with_value(|x| per_model_nll(&x.log_softmax(2), targets, b))
 }
 
 /// Seeds NaN into model `model`'s gradient lane of every parameter —
@@ -347,12 +337,19 @@ impl ScopeMonitor {
     /// Streams each model's `param_norm` and `update_ratio`
     /// (`‖Δθ‖ / ‖θ_prev‖`, 0 at the first call) after `opt.step()`. One
     /// linear pass per fused parameter plus one value snapshot for the next
-    /// step's delta.
+    /// step's delta. Only a profiler reads these streams, so with none
+    /// installed the call computes nothing and keeps no snapshot: the first
+    /// traced step after untraced ones reads `update_ratio` 0.
     ///
     /// # Panics
     ///
-    /// Panics if the parameter set changed width or count between calls.
+    /// Panics if the parameter set changed width or count between traced
+    /// calls.
     pub fn after_step(&mut self, step: u64, params: &[FusedParameter]) {
+        let Some(profiler) = Profiler::current() else {
+            self.prev_values = None;
+            return;
+        };
         assert!(!params.is_empty(), "no parameters to scan");
         let b = params[0].b;
         assert_eq!(b, self.b, "parameter width mismatch");
@@ -385,17 +382,15 @@ impl ScopeMonitor {
                 }
             }
         }
-        if let Some(profiler) = Profiler::current() {
-            let had_prev = self.prev_values.is_some();
-            for i in 0..b {
-                profiler.scalar(self.ids[i], "param_norm", step, cur_sq[i].sqrt() as f64);
-                let ratio = if had_prev && prev_sq[i] > 0.0 {
-                    (delta_sq[i].sqrt() / prev_sq[i].sqrt()) as f64
-                } else {
-                    0.0
-                };
-                profiler.scalar(self.ids[i], "update_ratio", step, ratio);
-            }
+        let had_prev = self.prev_values.is_some();
+        for i in 0..b {
+            profiler.scalar(self.ids[i], "param_norm", step, cur_sq[i].sqrt() as f64);
+            let ratio = if had_prev && prev_sq[i] > 0.0 {
+                (delta_sq[i].sqrt() / prev_sq[i].sqrt()) as f64
+            } else {
+                0.0
+            };
+            profiler.scalar(self.ids[i], "update_ratio", step, ratio);
         }
         self.prev_values = Some(params.iter().map(|p| p.param.value_cloned()).collect());
     }
@@ -580,6 +575,32 @@ mod tests {
         assert!(ur0.points[1].value > 0.0);
         let ur1 = exp.scalar_stream(1, "update_ratio").unwrap();
         assert_eq!(ur1.points[1].value, 0.0);
+    }
+
+    #[test]
+    fn untraced_after_step_keeps_no_snapshot() {
+        let p = fused_param(vec![1.0, 1.0, 2.0, 2.0], 2);
+        p.param
+            .accumulate_grad(&Tensor::from_vec(vec![0.3, 0.4, 0.1, 0.1], [4]));
+        let params = vec![p];
+        let mut opt = FusedSgd::new(params.clone(), PerModel::uniform(2, 0.5), 0.0).unwrap();
+        let mut monitor = ScopeMonitor::new(2, SentinelCfg::default());
+        opt.step();
+        monitor.after_step(0, &params);
+        assert!(monitor.prev_values.is_none());
+        let prof = Profiler::new("scope-untraced");
+        let _g = prof.install();
+        opt.step();
+        monitor.after_step(1, &params);
+        opt.step();
+        monitor.after_step(2, &params);
+        let report = prof.report();
+        let ur = report.experiments[0]
+            .scalar_stream(0, "update_ratio")
+            .unwrap();
+        // The first traced step reads 0; the next sees the traced delta.
+        assert_eq!(ur.points[0].value, 0.0);
+        assert!(ur.points[1].value > 0.0);
     }
 
     #[test]

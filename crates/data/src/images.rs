@@ -1,5 +1,6 @@
 //! Synthetic images standing in for LSUN (DCGAN) and CIFAR-10 (ResNet-18).
 
+use hfta_mem::Storage;
 use hfta_tensor::{Rng, Tensor};
 
 /// Unlabeled "natural-looking" image generator for GAN training — a
@@ -38,7 +39,8 @@ impl GanImages {
     /// Samples a batch `[N, 3, S, S]` in `[-1, 1]`.
     pub fn batch(&mut self, n: usize) -> Tensor {
         let s = self.size;
-        let mut data = vec![0.0f32; n * 3 * s * s];
+        let mut storage = Storage::unfilled(n * 3 * s * s);
+        let data = storage.as_mut_slice();
         for i in 0..n {
             // Gradient background per channel.
             let mut base = [[0.0f32; 3]; 2];
@@ -76,7 +78,8 @@ impl GanImages {
                 }
             }
         }
-        Tensor::from_vec(data, [n, 3, s, s]).clamp(-1.0, 1.0)
+        data.iter_mut().for_each(|v| *v = v.clamp(-1.0, 1.0));
+        Tensor::from_storage(storage, [n, 3, s, s])
     }
 }
 
@@ -114,7 +117,8 @@ impl LabeledImages {
     /// Samples a batch: `([N, 3, S, S], labels)`.
     pub fn batch(&mut self, n: usize) -> (Tensor, Vec<usize>) {
         let s = self.size;
-        let mut data = vec![0.0f32; n * 3 * s * s];
+        let mut storage = Storage::unfilled(n * 3 * s * s);
+        let data = storage.as_mut_slice();
         let mut labels = Vec::with_capacity(n);
         for i in 0..n {
             let class = self.rng.below(self.classes);
@@ -136,7 +140,7 @@ impl LabeledImages {
                 }
             }
         }
-        (Tensor::from_vec(data, [n, 3, s, s]), labels)
+        (Tensor::from_storage(storage, [n, 3, s, s]), labels)
     }
 }
 

@@ -5,6 +5,7 @@
 //! the surface region — the same `(points, class)` and
 //! `(points, per-point part)` supervision shapes as ShapeNet-part.
 
+use hfta_mem::Storage;
 use hfta_tensor::{Rng, Tensor};
 
 /// Number of shape classes the generator produces.
@@ -123,7 +124,8 @@ impl PointClouds {
 
     /// Samples a batch of `n` clouds: `([N, 3, P], class labels)`.
     pub fn batch(&mut self, n: usize) -> (Tensor, Vec<usize>) {
-        let mut data = vec![0.0f32; n * 3 * self.points];
+        let mut storage = Storage::unfilled(n * 3 * self.points);
+        let data = storage.as_mut_slice();
         let mut labels = Vec::with_capacity(n);
         for i in 0..n {
             let class = self.rng.below(SHAPE_CLASSES);
@@ -135,7 +137,7 @@ impl PointClouds {
                 }
             }
         }
-        (Tensor::from_vec(data, [n, 3, self.points]), labels)
+        (Tensor::from_storage(storage, [n, 3, self.points]), labels)
     }
 }
 
@@ -157,7 +159,8 @@ impl PartLabeledClouds {
 
     /// Samples a batch: `([N, 3, P], per-point labels of length N * P)`.
     pub fn batch(&mut self, n: usize) -> (Tensor, Vec<usize>) {
-        let mut data = vec![0.0f32; n * 3 * self.points];
+        let mut storage = Storage::unfilled(n * 3 * self.points);
+        let data = storage.as_mut_slice();
         let mut labels = Vec::with_capacity(n * self.points);
         for i in 0..n {
             let class = self.rng.below(SHAPE_CLASSES);
@@ -169,7 +172,7 @@ impl PartLabeledClouds {
                 labels.push(part);
             }
         }
-        (Tensor::from_vec(data, [n, 3, self.points]), labels)
+        (Tensor::from_storage(storage, [n, 3, self.points]), labels)
     }
 }
 

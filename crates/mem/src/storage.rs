@@ -58,7 +58,10 @@ impl Storage {
     }
 
     /// Adopts an externally allocated `Vec` (accounted from here on; its
-    /// capacity is normalized up to the class size so it recycles).
+    /// capacity is normalized up to the class size so it recycles). The
+    /// pool never frees, so the buffer stays in it for the life of the
+    /// process: a producer that runs every step fills [`Storage::unfilled`]
+    /// instead.
     pub fn from_vec(mut buf: Vec<f32>) -> Self {
         pool::adopt(&mut buf);
         Storage { buf }

@@ -2,7 +2,7 @@
 //! lanes)` is `build(Serial, lanes[i])` bit for bit, and every lane's
 //! generator ends where the solo build leaves it, at widths 1 to 3.
 
-use hfta_core::ops::{Fused, FusedParameter, Ops, Serial};
+use hfta_core::ops::{Fused, FusedParameter, LaneInit, Ops, Serial};
 use hfta_models::{
     AlexNetCfg, AlexNetOn, DcganCfg, DcganD, DcganG, PointNetCfg, PointNetClassifier,
     PointNetSegmenter, ResNetCfg, ResNetOn,
@@ -23,11 +23,11 @@ fn position(rng: &Rng) -> Vec<u32> {
 fn assert_lanes_are_serial_builds<S: Module, F: Module>(
     family: &str,
     serial: impl Fn(&mut Rng) -> S,
-    fused: impl Fn(Fused, &mut [Rng]) -> F,
+    fused: impl Fn(Fused, &mut [LaneInit]) -> F,
 ) {
     for b in 1..=3 {
         let seeds: Vec<Rng> = (0..b).map(|i| Rng::seed_from(40 + 7 * i as u64)).collect();
-        let mut lanes = seeds.clone();
+        let mut lanes: Vec<LaneInit> = seeds.iter().cloned().map(LaneInit::Draw).collect();
         let array = fused(Fused(b), &mut lanes);
         let params = FusedParameter::of(&array, b);
         for (i, seed) in seeds.iter().enumerate() {
@@ -41,8 +41,11 @@ fn assert_lanes_are_serial_builds<S: Module, F: Module>(
                     "{family} b={b}: lane {i} parameter {k}"
                 );
             }
+            let LaneInit::Draw(lane) = &lanes[i] else {
+                unreachable!("every lane draws")
+            };
             assert_eq!(
-                position(&lanes[i]),
+                position(lane),
                 position(&rng),
                 "{family} b={b}: lane {i}'s generator"
             );

@@ -17,10 +17,10 @@
 //! and lane surgery are written here once for every model.
 
 use hfta_core::{
-    loss::{fused_cross_entropy, Reduction},
-    ops::{Architecture, Fused, FusedParameter},
+    loss::{fused_cross_entropy_per_model, Reduction},
+    ops::{Architecture, Fused, FusedParameter, LaneInit},
     optim::{FusedSgd, PerModel},
-    scope::{per_model_ce_losses, poison_model_lane, ScopeMonitor, SentinelCfg},
+    scope::{poison_model_lane, ScopeMonitor, SentinelCfg},
     surgery::{self, LaneState},
 };
 use hfta_nn::{Module, Tape};
@@ -110,22 +110,13 @@ impl<A: Architecture> ModelBackend<A> {
     fn batch_seed(&self, id: u64, step: u64) -> u64 {
         mix(mix(self.base_seed, id * 2), step)
     }
-}
 
-impl<A: Architecture> ArrayBackend for ModelBackend<A> {
-    type Config = TrialCfg;
-    type Array = TrialArray<A>;
-
-    /// Lane `i` starts exactly as trial `i`'s model alone would: built from
-    /// the trial's own init generator. The array trains in eval mode
-    /// (dropout off), so a lane's trajectory is its solo run's.
-    fn build(&self, trials: &[Trial<TrialCfg>]) -> TrialArray<A> {
+    /// A fresh array of `trials` whose model is built at `Fused(b)` from
+    /// `lanes`, one init source per trial, in eval mode (dropout off).
+    fn array(&self, trials: &[Trial<TrialCfg>], lanes: &mut [LaneInit]) -> TrialArray<A> {
         assert!(!trials.is_empty(), "an array needs at least one trial");
         let b = trials.len();
-        let mut lanes: Vec<Rng> = (trials.iter())
-            .map(|t| Rng::seed_from(self.init_seed(t.id)))
-            .collect();
-        let model = self.arch.build(Fused(b), &mut lanes);
+        let model = self.arch.build(Fused(b), lanes);
         model.set_training(false);
         let params = FusedParameter::of(&model, b);
         let lrs = PerModel::new(trials.iter().map(|t| t.config.lr).collect());
@@ -145,14 +136,41 @@ impl<A: Architecture> ArrayBackend for ModelBackend<A> {
             step: 0,
         }
     }
+}
 
+impl<A: Architecture> ArrayBackend for ModelBackend<A> {
+    type Config = TrialCfg;
+    type Array = TrialArray<A>;
+
+    /// Lane `i` starts exactly as trial `i`'s model alone would: built from
+    /// the trial's own init generator. The array trains in eval mode
+    /// (dropout off), so a lane's trajectory is its solo run's.
+    fn build(&self, trials: &[Trial<TrialCfg>]) -> TrialArray<A> {
+        let mut lanes: Vec<LaneInit> = (trials.iter())
+            .map(|t| LaneInit::Draw(Rng::seed_from(self.init_seed(t.id))))
+            .collect();
+        self.array(trials, &mut lanes)
+    }
+
+    /// Lane `i` continues `lanes[i]`: the model is built at `Fused(b)`
+    /// straight from the lanes' parameter tensors (Table 6 stacking, no init
+    /// drawn), then the lanes' optimizer slots and step count are spliced
+    /// in. Its dropout is seeded 0 ([`LaneInit::Take`] draws nothing); no
+    /// seed is observable while the array trains in eval mode.
     fn splice(
         &self,
         trials: &[Trial<TrialCfg>],
         lanes: &[LaneState],
         start_step: u64,
     ) -> TrialArray<A> {
-        let mut ta = self.build(trials);
+        let mut init: Vec<LaneInit> = (lanes.iter())
+            .map(|l| LaneInit::Take(l.params.clone().into_iter()))
+            .collect();
+        let mut ta = self.array(trials, &mut init);
+        assert!(
+            (init.iter()).all(|l| matches!(l, LaneInit::Take(rest) if rest.len() == 0)),
+            "the model left lane-state parameters untaken"
+        );
         surgery::splice_lanes_traced(lanes, &ta.params, &mut ta.opt);
         ta.step = start_step;
         ta
@@ -179,8 +197,9 @@ impl<A: Architecture> ArrayBackend for ModelBackend<A> {
             let stacked = A::stack(&inputs).expect("same-shape batches always stack");
             let tape = Tape::new();
             let logits = ta.model.forward(&tape.leaf(stacked));
-            losses = per_model_ce_losses(&logits, &targets);
-            let loss = fused_cross_entropy(&logits, &targets, Reduction::Mean);
+            let (loss, step_losses) =
+                fused_cross_entropy_per_model(&logits, &targets, Reduction::Mean);
+            losses = step_losses;
             loss.backward();
             for (i, t) in ta.trials.iter().enumerate() {
                 if t.config.poison_at == Some(gstep) && !ta.opt.quarantined()[i] {
@@ -206,5 +225,95 @@ impl<A: Architecture> ArrayBackend for ModelBackend<A> {
 
     fn job_profile(&self) -> TrainingJob {
         self.arch.job_profile()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::linear::LinearClassifier;
+    use hfta_models::AlexNetCfg;
+    use hfta_tensor::Tensor;
+
+    /// Lane by lane: parameter bits, optimizer-slot bits, step count.
+    type Bits = Vec<(Vec<Vec<u32>>, Vec<Vec<Vec<u32>>>, u64)>;
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn lane_bits<A: Architecture>(backend: &ModelBackend<A>, ta: &TrialArray<A>) -> Bits {
+        (0..ta.b())
+            .map(|lane| {
+                let s = backend.extract(ta, lane);
+                let slots = s.opt_state.iter().map(|p| p.iter().map(bits).collect());
+                (
+                    s.params.iter().map(bits).collect(),
+                    slots.collect(),
+                    s.step_count,
+                )
+            })
+            .collect()
+    }
+
+    /// The model stacked from the lane states holds their parameters, and
+    /// `splice` equals `build` with the lanes spliced over its fresh init,
+    /// bit for bit, at widths 1-8, and still does after 3 more steps.
+    fn splice_is_build_then_splice<A: Architecture>(backend: ModelBackend<A>) {
+        let trials: Vec<Trial<TrialCfg>> = (0..8)
+            .map(|id| Trial {
+                id,
+                config: TrialCfg {
+                    lr: 0.05 / (1.0 + id as f32),
+                    poison_at: None,
+                },
+            })
+            .collect();
+        let mut source = backend.build(&trials);
+        backend.train(&mut source, 2);
+        for b in 1..=8 {
+            // Lanes from the back, so each moves to another position.
+            let picked: Vec<usize> = (0..b).map(|i| 7 - i).collect();
+            let moved: Vec<_> = picked.iter().map(|&l| trials[l].clone()).collect();
+            let lanes: Vec<LaneState> = (picked.iter())
+                .map(|&l| backend.extract(&source, l))
+                .collect();
+            let mut take: Vec<LaneInit> = (lanes.iter())
+                .map(|l| LaneInit::Take(l.params.clone().into_iter()))
+                .collect();
+            let stacked = backend.array(&moved, &mut take);
+            for (i, lane) in lanes.iter().enumerate() {
+                let held = stacked.params.iter().map(|p| bits(&p.model_slice(i)));
+                let want = lane.params.iter().map(bits);
+                assert!(held.eq(want), "width {b}: lane {i}'s stacked parameters");
+            }
+            let mut fused = backend.splice(&moved, &lanes, source.step());
+            let mut overwritten = backend.build(&moved);
+            surgery::splice_lanes(&lanes, &overwritten.params, &mut overwritten.opt);
+            overwritten.step = source.step();
+            for after in [0, 3] {
+                backend.train(&mut fused, after);
+                backend.train(&mut overwritten, after);
+                assert_eq!(fused.step(), overwritten.step(), "width {b}");
+                assert!(
+                    lane_bits(&backend, &fused) == lane_bits(&backend, &overwritten),
+                    "width {b}, {after} steps after the splice"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn linear_splice_is_build_then_splice() {
+        splice_is_build_then_splice(ModelBackend::new(LinearClassifier));
+    }
+
+    #[test]
+    fn alexnet_splice_is_build_then_splice() {
+        splice_is_build_then_splice(ModelBackend::new(AlexNetCfg {
+            width: 4,
+            classes: 4,
+            image: 8,
+        }));
     }
 }

@@ -11,7 +11,7 @@ use hfta_sched::{
     trial::TrialStatus,
 };
 use hfta_sim::{DeviceFleet, DeviceSpec};
-use hfta_telemetry::flight::derive_all_strict;
+use hfta_telemetry::flight::derive_terminated;
 use hfta_telemetry::{FlightEvent, FlightKind, Profiler, FLEET_TRIAL};
 use proptest::prelude::*;
 
@@ -81,9 +81,11 @@ proptest! {
             let (outcome, events) = run_traced(policy, &stream);
 
             // Strict derivation: any malformed sequence (gapped seq,
-            // illegal transition, missing/duplicate terminal) is an Err.
-            let slos = derive_all_strict(&events)
+            // illegal transition, duplicate terminal) is an Err, and a
+            // missing terminal leaves the trial unterminated.
+            let (slos, open) = derive_terminated(&events)
                 .unwrap_or_else(|e| panic!("{}: malformed journal: {e}", policy.name()));
+            prop_assert!(open.is_empty(), "{}: unterminated {:?}", policy.name(), open);
 
             // Exactly one complete timeline per submitted trial, no orphans.
             prop_assert_eq!(slos.len(), stream.len());

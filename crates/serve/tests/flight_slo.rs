@@ -13,7 +13,7 @@ use hfta_sched::linear::{LinearBackend, LinearTrialCfg};
 use hfta_serve::engine::{ServeCfg, ServeCmd, ServeEngine, SweepSpec};
 use hfta_serve::AdmitPolicy;
 use hfta_sim::{DeviceFleet, DeviceSpec};
-use hfta_telemetry::flight::{derive_all_strict, SloRollup};
+use hfta_telemetry::flight::{derive_terminated, SloRollup};
 use hfta_telemetry::{FlightKind, Profiler};
 
 fn fleet() -> DeviceFleet {
@@ -80,7 +80,8 @@ fn serve_journal_is_well_formed_with_preemption_and_checkpoints() {
     let events = profiler.flight_events();
     assert!(events.iter().any(|e| e.kind == FlightKind::Preempt));
     assert!(events.iter().any(|e| e.kind == FlightKind::Checkpoint));
-    let slos = derive_all_strict(&events).expect("well-formed serve journal");
+    let (slos, open) = derive_terminated(&events).expect("well-formed serve journal");
+    assert!(open.is_empty(), "unterminated trials {open:?}");
     assert_eq!(slos.len(), run.outcomes.len());
     for slo in &slos {
         assert_eq!(
@@ -144,7 +145,8 @@ fn slo_decomposition_spans_a_service_restart() {
         events.iter().any(|e| e.kind == FlightKind::Restore),
         "recovery must mark restored trials"
     );
-    let slos = derive_all_strict(&events).expect("restart-spanning journal is well-formed");
+    let (slos, open) = derive_terminated(&events).expect("restart-spanning journal is well-formed");
+    assert!(open.is_empty(), "unterminated trials {open:?}");
     assert_eq!(slos.len(), run.outcomes.len());
     for slo in &slos {
         assert_eq!(

@@ -356,6 +356,18 @@ enum TrialPhase {
 /// lifecycle state machine and derive its SLO decomposition. Errors name
 /// the offending event so the proptest failure output is actionable.
 pub fn derive_slo(events: &[FlightEvent]) -> Result<TrialSlo, String> {
+    match walk(events)? {
+        (slo, TrialPhase::Done) => Ok(slo),
+        (slo, phase) => Err(format!(
+            "trial {}: no terminal event (ended in {phase:?})",
+            slo.trial
+        )),
+    }
+}
+
+/// Validates a sequence as [`derive_slo`] does, up to the terminal check:
+/// the SLO decomposition so far and the phase the trial ended in.
+fn walk(events: &[FlightEvent]) -> Result<(TrialSlo, TrialPhase), String> {
     let first = events.first().ok_or("empty event sequence")?;
     let trial = first.trial;
     if first.kind != FlightKind::Submit {
@@ -423,12 +435,7 @@ pub fn derive_slo(events: &[FlightEvent]) -> Result<TrialSlo, String> {
             slo.terminal_ns = e.t_ns;
         }
     }
-    if phase != TrialPhase::Done {
-        return Err(format!(
-            "trial {trial}: no terminal event (ended in {phase:?})"
-        ));
-    }
-    Ok(slo)
+    Ok((slo, phase))
 }
 
 /// Which SLO bucket a span of a trial's timeline is attributed to.
@@ -553,13 +560,20 @@ pub fn derive_all(events: &[FlightEvent]) -> Vec<TrialSlo> {
         .collect()
 }
 
-/// Strict derivation: every trial must validate, or the first error is
-/// returned (the conservation law the proptest gates).
-pub fn derive_all_strict(events: &[FlightEvent]) -> Result<Vec<TrialSlo>, String> {
-    group_by_trial(events)
-        .iter()
-        .map(|(_, seq)| derive_slo(seq))
-        .collect()
+/// Strict derivation: the terminated trials' SLOs and the ids of trials
+/// whose otherwise valid timeline stops before a terminal event (a pass
+/// killed mid-run leaves its trials so). Any other malformed timeline is
+/// an error, the first one returned (the conservation law the proptests
+/// gate).
+pub fn derive_terminated(events: &[FlightEvent]) -> Result<(Vec<TrialSlo>, Vec<u64>), String> {
+    let (mut slos, mut open) = (Vec::new(), Vec::new());
+    for (trial, seq) in group_by_trial(events) {
+        match walk(&seq)? {
+            (slo, TrialPhase::Done) => slos.push(slo),
+            _ => open.push(trial),
+        }
+    }
+    Ok((slos, open))
 }
 
 /// Exact nearest-rank quantile over unsorted values (deterministic, unlike
