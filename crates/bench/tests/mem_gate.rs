@@ -1,5 +1,5 @@
 //! The memory bench's own gates on a quick report. The zero-fresh-alloc
-//! gate reads `hfta-mem`'s process-global pool counters, so this test must
+//! gate reads `hfta-mem`'s pool counters, summed over every thread, so it must
 //! own its process: it is the only test in this binary, where nothing else
 //! allocates pooled buffers concurrently.
 

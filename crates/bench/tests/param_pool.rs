@@ -3,8 +3,8 @@
 //! shares it, and not at all once every such tape is gone; `zero_grad`
 //! draws nothing either.
 //!
-//! One test in its own binary: `hfta_mem::stats()` is process-global, so no
-//! other test may allocate while it counts.
+//! One test in its own binary: `hfta_mem::stats()` sums every thread's
+//! counters, so no other test may allocate while it counts.
 
 use hfta_nn::{Parameter, Tape};
 use hfta_tensor::Tensor;

@@ -500,8 +500,9 @@ impl<U: Update> FusedOptimizer<U> {
     }
 
     /// Writes an extracted lane state into global lane `lane`, split back
-    /// into the segments of [`FusedOptimizer::extract`].
-    fn write(&mut self, lane: usize, state: &LaneState) {
+    /// into the segments of [`FusedOptimizer::extract`]: the optimizer
+    /// slots, and the parameter values too when `params`.
+    fn write(&mut self, lane: usize, state: &LaneState, params: bool) {
         let count = carriers(&self.groups, lane).count();
         assert!(
             state.params.len() == count && state.opt_state.len() == count,
@@ -511,7 +512,9 @@ impl<U: Update> FusedOptimizer<U> {
         for ((pi, j), (value, slots)) in carriers(&self.groups, lane).zip(segments) {
             assert_eq!(slots.len(), U::SLOTS, "lane state has the wrong slot count");
             let p = &self.params[pi];
-            p.param.update_value(|v| copy_lane(v, p.b, j, value));
+            if params {
+                p.param.update_value(|v| copy_lane(v, p.b, j, value));
+            }
             let targets = &mut self.state[pi * U::SLOTS..(pi + 1) * U::SLOTS];
             for (t, s) in targets.iter_mut().zip(slots) {
                 copy_lane(t, p.b, j, s);
@@ -530,6 +533,17 @@ impl<U: Update> FusedOptimizer<U> {
     /// on their step count, or any lane's parameter count, slot count or
     /// lane sizes disagree with its program.
     pub fn splice(&mut self, lanes: &[LaneState]) {
+        self.splice_with(lanes, true);
+    }
+
+    /// [`FusedOptimizer::splice`] into an array whose parameters already
+    /// hold the lanes' (a model built from their parameter tensors): writes
+    /// only the optimizer slots and the step counter. Panics like `splice`.
+    pub fn splice_state(&mut self, lanes: &[LaneState]) {
+        self.splice_with(lanes, false);
+    }
+
+    fn splice_with(&mut self, lanes: &[LaneState], params: bool) {
         assert_eq!(
             lanes.len(),
             self.lanes(),
@@ -541,7 +555,7 @@ impl<U: Update> FusedOptimizer<U> {
             "spliced lanes disagree on the optimizer step count"
         );
         for (i, state) in lanes.iter().enumerate() {
-            self.write(i, state);
+            self.write(i, state, params);
         }
         self.t = t;
     }

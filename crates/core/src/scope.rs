@@ -74,30 +74,6 @@ pub fn per_model_grad_sq_norms(params: &[FusedParameter]) -> (Vec<f32>, Vec<bool
     (sq, nonfinite)
 }
 
-/// Per-model squared parameter L2 norms, one linear pass per fused tensor.
-///
-/// # Panics
-///
-/// Panics if `params` is empty or widths disagree.
-pub fn per_model_param_sq_norms(params: &[FusedParameter]) -> Vec<f32> {
-    assert!(!params.is_empty(), "no parameters to scan");
-    let b = params[0].b;
-    assert!(params.iter().all(|p| p.b == b), "array widths disagree");
-    let mut sq = vec![0.0f32; b];
-    for p in params {
-        let v = p.param.value();
-        let s = v.as_slice();
-        let chunk = s.len() / b;
-        for i in 0..b {
-            sq[i] += s[i * chunk..(i + 1) * chunk]
-                .iter()
-                .map(|x| x * x)
-                .sum::<f32>();
-        }
-    }
-    sq
-}
-
 /// Recovers each model's own mean cross-entropy from fused array-format
 /// logits `[B, N, C]` and model-major targets `[B * N]` — the per-model
 /// loss the fused §3.2-scaled loss hides.
@@ -459,13 +435,6 @@ mod tests {
         assert_eq!(nonfinite, vec![false, true, false]);
         assert!(sq[1].is_nan());
         assert_eq!(sq[0], 0.0);
-    }
-
-    #[test]
-    fn param_norms_per_lane() {
-        let p = fused_param(vec![3.0, 4.0, 0.0, 0.0], 2);
-        let sq = per_model_param_sq_norms(std::slice::from_ref(&p));
-        assert_eq!(sq, vec![25.0, 0.0]);
     }
 
     #[test]

@@ -114,16 +114,19 @@ pub fn splice_lanes<U: Update>(
     opt.splice(lanes);
 }
 
-/// [`splice_lanes`] plus hfta-flight correlation: records one `Splice`
-/// event per lane carrying a [`TraceCtx`] (source array/lane → the
-/// destination array named by the ambient flight cursor). Lanes without a
-/// ctx (untraced extraction) are spliced silently.
-pub fn splice_lanes_traced<U: Update>(
+/// [`FusedOptimizer::splice_state`] of `lanes` into the array whose
+/// parameters — built from the lanes' own — `opt` steps, plus hfta-flight
+/// correlation: records one `Splice` event per lane carrying a
+/// [`TraceCtx`] (source array/lane → the destination array named by the
+/// ambient flight cursor). Lanes without a ctx (untraced extraction) are
+/// spliced silently. Panics if `opt` does not step `params`.
+pub fn splice_state_traced<U: Update>(
     lanes: &[LaneState],
     params: &[FusedParameter],
     opt: &mut FusedOptimizer<U>,
 ) {
-    splice_lanes(lanes, params, opt);
+    assert_steps(params, opt);
+    opt.splice_state(lanes);
     if let Some(p) = Profiler::current() {
         let cursor = p.flight_cursor();
         for (i, lane) in lanes.iter().enumerate() {
@@ -266,7 +269,7 @@ mod tests {
             device: Some(0),
             array: Some(9),
         });
-        splice_lanes_traced(&lanes, &dst, &mut dst_opt);
+        splice_state_traced(&lanes, &dst, &mut dst_opt);
         let events = p.flight_events();
         assert_eq!(events.len(), 4);
         assert!(events[..2]

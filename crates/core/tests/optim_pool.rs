@@ -1,7 +1,7 @@
 //! A fused optimizer step moves no memory through the pool: the one-pass
 //! lane kernels update `value` and the state tensors in place and
-//! `zero_grad` fills the gradient slot in place. The pool counters are
-//! process-global, so this is the only test in its binary (see
+//! `zero_grad` fills the gradient slot in place. `hfta_mem::stats()` sums
+//! every thread's counters, so this is the only test in its binary (see
 //! `crates/bench/tests/mem_gate.rs`).
 
 use hfta_core::ops::FusedParameter;

@@ -5,11 +5,12 @@
 //! * [`Storage`] — the `Vec<f32>`-backed buffer every `Tensor` owns. Dropped
 //!   storages return to a size-class recycling pool; later allocations of
 //!   the same class reuse them instead of hitting the system allocator.
-//! * [`pool`] — the size-class pool plus byte-accurate accounting: live and
-//!   peak bytes (total and per class), fresh allocations vs reuses, and a
-//!   process *footprint* (live + pool-held + scratch-held bytes) whose
-//!   high-water mark is the CPU analogue of the paper's Table 8/9
-//!   `nvidia-smi` peak-usage measurements.
+//! * [`pool`] — the size-class pool, one per thread (a checkout takes no
+//!   lock and no atomic read-modify-write), plus byte-accurate accounting
+//!   summed over threads: live and peak bytes (total and per class), fresh
+//!   allocations vs reuses, and a process *footprint* (live + pool-held +
+//!   scratch-held bytes) whose high-water mark is the CPU analogue of the
+//!   paper's Table 8/9 `nvidia-smi` peak-usage measurements.
 //! * [`scratch`] — step-scoped scratch arenas for kernel workspace (GEMM
 //!   packing panels and scatter strips; convolutions read their image
 //!   through offset tables and hold no im2col columns). Call sites [`scratch::reserve`] their
@@ -29,8 +30,9 @@
 //!
 //! Accounting covers `f32` buffers owned by [`Storage`] and the scratch
 //! arenas — the tensors, gradients and kernel workspace that dominate a
-//! training step — not incidental bookkeeping allocations (tape nodes,
-//! shape vectors), which are O(ops), not O(elements).
+//! training step — not incidental bookkeeping allocations (tape nodes),
+//! which are O(ops), not O(elements). A tensor's shape lives inline and
+//! allocates nothing.
 
 #![warn(missing_docs)]
 

@@ -6,8 +6,14 @@
 //! capacity of at least its class size, so recycled buffers always satisfy
 //! later requests of the same class without reallocating.
 //!
-//! Accounting is always on (a handful of relaxed atomics per allocation),
-//! for pooled and oversize buffers alike:
+//! Each thread owns its pool — its free lists and a block of counters only
+//! it writes (a plain load and store; atomics only so [`stats`] can read
+//! them) — so a checkout or release takes no lock and no atomic
+//! read-modify-write. A buffer is filed, and its bytes debited, on the
+//! thread that drops it; a thread's cached buffers are freed when it exits,
+//! and its counters fold into the registry's.
+//!
+//! Accounting is always on, for pooled and oversize buffers alike:
 //!
 //! * `live_bytes` — bytes inside live [`crate::Storage`] values (requested
 //!   lengths, not capacities — byte-accurate, no class-rounding slack).
@@ -17,12 +23,16 @@
 //!   (`peak_footprint_bytes`) is what `bench_mem` reports as the Table-8/9
 //!   style peak footprint.
 //!
-//! All counters are deterministic for a fixed workload: tensor storage is
-//! acquired and released on the thread that owns the tensor, and scratch
-//! growth is serialized under the reservation lock (see [`crate::scratch`]).
+//! [`stats`] sums every thread's counters. A `peak_*` figure is the highest
+//! any one thread's storage reached since the last [`reset_stats`] (the
+//! footprint's: plus the scratch arenas then), never below the current
+//! total: with one thread allocating storage — a training loop, whose
+//! kernel workers check out scratch only — the process high-water mark,
+//! deterministic for a fixed workload; with several, a lower bound on it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 
 /// Element count of the smallest size class (256 B of `f32`s). Requests
 /// below this still occupy a class-0 buffer so tiny per-step tensors
@@ -70,34 +80,195 @@ fn account_idx(len: usize) -> usize {
     class_of(len).unwrap_or(NUM_CLASSES)
 }
 
+/// Adds `v` to a counter only one writer writes; returns the new value.
+/// A thread that drops buffers another thread allocated runs its live
+/// bytes below zero, so sums wrap and high-water marks compare signed.
+fn add(a: &AtomicU64, v: u64) -> u64 {
+    let n = a.load(Relaxed).wrapping_add(v);
+    a.store(n, Relaxed);
+    n
+}
+
+fn max_signed(a: u64, b: u64) -> u64 {
+    (a as i64).max(b as i64) as u64
+}
+
+fn raise(peak: &AtomicU64, v: u64) {
+    peak.store(max_signed(peak.load(Relaxed), v), Relaxed);
+}
+
+/// One size class's counters (or the oversize bucket's).
+#[derive(Default)]
 struct ClassCounters {
     fresh: AtomicU64,
     reuses: AtomicU64,
-    live_bytes: AtomicU64,
-    peak_live_bytes: AtomicU64,
+    live: AtomicU64,
+    peak_live: AtomicU64,
 }
 
-#[allow(clippy::declare_interior_mutable_const)]
-const CLASS_COUNTERS_INIT: ClassCounters = ClassCounters {
-    fresh: AtomicU64::new(0),
-    reuses: AtomicU64::new(0),
-    live_bytes: AtomicU64::new(0),
-    peak_live_bytes: AtomicU64::new(0),
-};
+/// One thread's counters, written only by that thread. Event counts and
+/// high-water marks count from `epoch`: a block [`reset_stats`] has passed
+/// reads as reset, and restarts them at its next checkout.
+#[derive(Default)]
+struct Counters {
+    epoch: AtomicU64,
+    live: AtomicU64,
+    peak_live: AtomicU64,
+    pooled: AtomicU64,
+    peak_footprint: AtomicU64,
+    classes: [ClassCounters; NUM_CLASSES + 1],
+}
 
-static CLASSES: [ClassCounters; NUM_CLASSES + 1] = [CLASS_COUNTERS_INIT; NUM_CLASSES + 1];
+/// Advanced by every [`reset_stats`], under the registry lock.
+static EPOCH: AtomicU64 = AtomicU64::new(0);
 
-#[allow(clippy::declare_interior_mutable_const)]
-const FREE_LIST_INIT: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
+impl Counters {
+    fn footprint(&self) -> u64 {
+        (self.live.load(Relaxed))
+            .wrapping_add(self.pooled.load(Relaxed))
+            .wrapping_add(crate::scratch::owned_bytes())
+    }
 
-static FREE: [Mutex<Vec<Vec<f32>>>; NUM_CLASSES] = [FREE_LIST_INIT; NUM_CLASSES];
+    /// Restarts the event counts and high-water marks if a [`reset_stats`]
+    /// came since they were last written.
+    fn sync(&self) {
+        let epoch = EPOCH.load(Relaxed);
+        if self.epoch.load(Relaxed) != epoch {
+            self.peak_live.store(self.live.load(Relaxed), Relaxed);
+            self.peak_footprint.store(self.footprint(), Relaxed);
+            for c in &self.classes {
+                c.fresh.store(0, Relaxed);
+                c.reuses.store(0, Relaxed);
+                c.peak_live.store(c.live.load(Relaxed), Relaxed);
+            }
+            self.epoch.store(epoch, Relaxed);
+        }
+    }
 
-static FRESH_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static REUSES: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static POOLED_FREE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_FOOTPRINT_BYTES: AtomicU64 = AtomicU64::new(0);
+    /// A checkout of `len` elements: fresh (pool miss or adoption), or a
+    /// recycled buffer filed at `recycled` elements.
+    fn checkout(&self, len: usize, recycled: Option<usize>) {
+        self.sync();
+        let bytes = (len * 4) as u64;
+        let c = &self.classes[account_idx(len)];
+        if let Some(old) = recycled {
+            add(&self.pooled, ((old * 4) as u64).wrapping_neg());
+            add(&c.reuses, 1);
+        } else {
+            add(&c.fresh, 1);
+        }
+        raise(&c.peak_live, add(&c.live, bytes));
+        raise(&self.peak_live, add(&self.live, bytes));
+        if recycled.is_none() {
+            raise(&self.peak_footprint, self.footprint());
+        }
+    }
+
+    /// `len` elements leave live storage, into the free lists if `filed`.
+    fn release(&self, len: usize, filed: bool) {
+        let bytes = (len * 4) as u64;
+        add(&self.live, bytes.wrapping_neg());
+        add(&self.classes[account_idx(len)].live, bytes.wrapping_neg());
+        if filed {
+            add(&self.pooled, bytes);
+        }
+    }
+
+    /// Adds this block into the totals `s` (an exiting thread's, into the
+    /// registry's `exited`).
+    fn add_to(&self, s: &mut MemStats) {
+        // What the block counted since the last reset, or `stale` if the
+        // reset came after its last checkout.
+        let current = self.epoch.load(Relaxed) == EPOCH.load(Relaxed);
+        let since = |a: &AtomicU64, stale: u64| if current { a.load(Relaxed) } else { stale };
+        let live = self.live.load(Relaxed);
+        s.live_bytes = s.live_bytes.wrapping_add(live);
+        s.pooled_free_bytes += self.pooled.load(Relaxed);
+        s.peak_live_bytes = max_signed(s.peak_live_bytes, since(&self.peak_live, live));
+        let footprint = since(&self.peak_footprint, self.footprint());
+        s.peak_footprint_bytes = max_signed(s.peak_footprint_bytes, footprint);
+        for (t, c) in s.classes.iter_mut().zip(&self.classes) {
+            let live = c.live.load(Relaxed);
+            t.live_bytes = t.live_bytes.wrapping_add(live);
+            t.peak_live_bytes = max_signed(t.peak_live_bytes, since(&c.peak_live, live));
+            t.fresh_allocs += since(&c.fresh, 0);
+            t.reuses += since(&c.reuses, 0);
+        }
+    }
+}
+
+/// Every live thread's counters, and `exited`: what exited threads counted,
+/// plus the high-water marks [`reset_stats`] re-bases.
+struct Registry {
+    threads: Vec<Arc<Counters>>,
+    exited: MemStats,
+}
+
+static REGISTRY: LazyLock<Mutex<Registry>> = LazyLock::new(|| {
+    Mutex::new(Registry {
+        threads: Vec::new(),
+        exited: MemStats::empty(),
+    })
+});
+
+/// The registry. A panic under its lock leaves every count a plain
+/// number and the thread list whole, so a poisoned lock is taken as is.
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+type FreeLists = RefCell<[Vec<Vec<f32>>; NUM_CLASSES]>;
+
+/// One thread's pool.
+struct Local {
+    free: FreeLists,
+    counters: Arc<Counters>,
+}
+
+thread_local! {
+    static LOCAL: Local = {
+        let counters = Arc::<Counters>::default();
+        registry().threads.push(Arc::clone(&counters));
+        Local {
+            free: RefCell::new([const { Vec::new() }; NUM_CLASSES]),
+            counters,
+        }
+    };
+}
+
+/// Frees every buffer in `free`, debiting `counters`.
+fn drain(free: &FreeLists, counters: &Counters) {
+    for buf in free.borrow_mut().iter_mut().flat_map(|list| list.drain(..)) {
+        add(&counters.pooled, ((buf.len() * 4) as u64).wrapping_neg());
+    }
+}
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        drain(&self.free, &self.counters);
+        // Read under the lock, so no reset_stats falls between the read
+        // and the fold.
+        let mut reg = registry();
+        self.counters.add_to(&mut reg.exited);
+        reg.threads.retain(|c| !Arc::ptr_eq(c, &self.counters));
+    }
+}
+
+/// Runs `f` on this thread's free lists and counters — or, on a thread
+/// whose pool is already gone (a storage dropped by a later thread-local
+/// destructor), on no free lists and counters folded into `exited`.
+fn with_pool<R>(f: impl FnOnce(Option<&FreeLists>, &Counters) -> R) -> R {
+    let mut f = Some(f);
+    LOCAL
+        .try_with(|l| f.take().expect("the pool runs f once")(Some(&l.free), &l.counters))
+        .unwrap_or_else(|_| {
+            let (mut reg, orphan) = (registry(), Counters::default());
+            orphan.epoch.store(EPOCH.load(Relaxed), Relaxed);
+            let r = f.take().expect("the pool runs f once")(None, &orphan);
+            orphan.add_to(&mut reg.exited);
+            r
+        })
+}
 
 /// Whether the recycling pool is on: always `true`, there is no switch.
 /// Kept, like `hfta_kernels::tune::enabled`, only because the
@@ -106,29 +277,13 @@ pub fn pool_enabled() -> bool {
     true
 }
 
-/// Updates the footprint high-water mark after any owned-bytes increase.
+/// Raises the calling thread's footprint high-water mark to its storage
+/// plus the scratch arenas now, as a scratch reservation or growth does.
 pub(crate) fn bump_footprint() {
-    let fp = LIVE_BYTES.load(Ordering::Relaxed)
-        + POOLED_FREE_BYTES.load(Ordering::Relaxed)
-        + crate::scratch::owned_bytes();
-    PEAK_FOOTPRINT_BYTES.fetch_max(fp, Ordering::Relaxed);
-}
-
-fn account_live_add(len: usize) {
-    let bytes = (len * 4) as u64;
-    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
-    let c = &CLASSES[account_idx(len)];
-    let class_live = c.live_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    c.peak_live_bytes.fetch_max(class_live, Ordering::Relaxed);
-}
-
-fn account_live_sub(len: usize) {
-    let bytes = (len * 4) as u64;
-    LIVE_BYTES.fetch_sub(bytes, Ordering::Relaxed);
-    CLASSES[account_idx(len)]
-        .live_bytes
-        .fetch_sub(bytes, Ordering::Relaxed);
+    with_pool(|_, counters| {
+        counters.sync();
+        raise(&counters.peak_footprint, counters.footprint());
+    });
 }
 
 /// Allocates (or recycles) a buffer of exactly `len` elements, every
@@ -167,28 +322,20 @@ fn acquire_with(len: usize, init: impl FnOnce(&mut Vec<f32>)) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
     }
-    let idx = account_idx(len);
     let class = class_of(len);
-    if let Some(c) = class {
-        if let Some(mut buf) = FREE[c].lock().unwrap().pop() {
-            POOLED_FREE_BYTES.fetch_sub((buf.len() * 4) as u64, Ordering::Relaxed);
-            init(&mut buf);
-            debug_assert_eq!(buf.len(), len);
-            REUSES.fetch_add(1, Ordering::Relaxed);
-            CLASSES[idx].reuses.fetch_add(1, Ordering::Relaxed);
-            account_live_add(len);
-            return buf;
-        }
-    }
+    let recycled = with_pool(|free, counters| {
+        let buf = free
+            .zip(class)
+            .and_then(|(free, c)| free.borrow_mut()[c].pop());
+        counters.checkout(len, buf.as_ref().map(Vec::len));
+        buf
+    });
     // Miss: allocate at full class capacity so the buffer serves any later
     // request of its class once recycled; an oversize request gets exactly
     // `len`, still accounted.
-    let mut buf = Vec::with_capacity(class.map_or(len, class_elems));
+    let mut buf = recycled.unwrap_or_else(|| Vec::with_capacity(class.map_or(len, class_elems)));
     init(&mut buf);
-    FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    CLASSES[idx].fresh.fetch_add(1, Ordering::Relaxed);
-    account_live_add(len);
-    bump_footprint();
+    debug_assert_eq!(buf.len(), len);
     buf
 }
 
@@ -206,40 +353,35 @@ pub(crate) fn adopt(buf: &mut Vec<f32>) {
             buf.reserve_exact(want - len);
         }
     }
-    FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    CLASSES[account_idx(len)]
-        .fresh
-        .fetch_add(1, Ordering::Relaxed);
-    account_live_add(len);
-    bump_footprint();
+    with_pool(|_, counters| counters.checkout(len, None));
 }
 
 /// Removes a buffer from live accounting without recycling it (the `Vec`
 /// leaves [`crate::Storage`] ownership via `into_vec`).
 pub(crate) fn disown(len: usize) {
-    if len == 0 {
-        return;
+    if len > 0 {
+        with_pool(|_, counters| counters.release(len, false));
     }
-    account_live_sub(len);
 }
 
-/// Returns a buffer to the pool (or drops it when its capacity is below the
-/// smallest class).
+/// Returns a buffer to this thread's pool (or drops it when its capacity
+/// is below the smallest class).
 pub(crate) fn release(buf: Vec<f32>) {
     let len = buf.len();
     if len == 0 {
         return;
     }
-    account_live_sub(len);
-    let Some(c) = floor_class_of_capacity(buf.capacity()) else {
-        return;
-    };
-    POOLED_FREE_BYTES.fetch_add((len * 4) as u64, Ordering::Relaxed);
-    FREE[c].lock().unwrap().push(buf);
+    with_pool(|free, counters| {
+        let class = floor_class_of_capacity(buf.capacity()).filter(|_| free.is_some());
+        counters.release(len, class.is_some());
+        if let (Some(free), Some(c)) = (free, class) {
+            free.borrow_mut()[c].push(buf);
+        }
+    });
 }
 
 /// Per-size-class accounting snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClassStats {
     /// Element capacity of the class (`0` marks the oversize bucket).
     pub elems: usize,
@@ -254,7 +396,7 @@ pub struct ClassStats {
 }
 
 /// Snapshot of the pool + scratch accounting counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MemStats {
     /// Fresh storage allocations (pool misses, adopted `Vec`s, oversize).
     pub pool_fresh_allocs: u64,
@@ -287,70 +429,69 @@ impl MemStats {
     pub fn fresh_allocs(&self) -> u64 {
         self.pool_fresh_allocs + self.scratch_fresh_allocs
     }
+
+    fn empty() -> Self {
+        let elems = |i| if i < NUM_CLASSES { class_elems(i) } else { 0 };
+        MemStats {
+            classes: (0..=NUM_CLASSES)
+                .map(|i| ClassStats {
+                    elems: elems(i),
+                    ..Default::default()
+                })
+                .collect(),
+            ..Default::default()
+        }
+    }
 }
 
-/// Snapshots every counter.
-///
-/// The high-water marks are clamped so a snapshot is always internally
-/// consistent (`peak >= current`): the current values are assembled from
-/// several independent atomics, so under concurrent allocation they can
-/// transiently exceed a peak recorded a moment earlier.
-pub fn stats() -> MemStats {
-    let live = LIVE_BYTES.load(Ordering::Relaxed);
-    let pooled = POOLED_FREE_BYTES.load(Ordering::Relaxed);
-    let scratch_owned = crate::scratch::owned_bytes();
-    let footprint = live + pooled + scratch_owned;
-    MemStats {
-        pool_fresh_allocs: FRESH_ALLOCS.load(Ordering::Relaxed),
-        pool_reuses: REUSES.load(Ordering::Relaxed),
-        live_bytes: live,
-        peak_live_bytes: PEAK_LIVE_BYTES.load(Ordering::Relaxed).max(live),
-        pooled_free_bytes: pooled,
-        scratch_owned_bytes: scratch_owned,
-        scratch_checkouts: crate::scratch::checkouts(),
-        scratch_fresh_allocs: crate::scratch::fresh_allocs(),
-        footprint_bytes: footprint,
-        peak_footprint_bytes: PEAK_FOOTPRINT_BYTES.load(Ordering::Relaxed).max(footprint),
-        classes: (0..=NUM_CLASSES)
-            .map(|i| ClassStats {
-                elems: if i < NUM_CLASSES { class_elems(i) } else { 0 },
-                fresh_allocs: CLASSES[i].fresh.load(Ordering::Relaxed),
-                reuses: CLASSES[i].reuses.load(Ordering::Relaxed),
-                live_bytes: CLASSES[i].live_bytes.load(Ordering::Relaxed),
-                peak_live_bytes: CLASSES[i].peak_live_bytes.load(Ordering::Relaxed),
-            })
-            .collect(),
+/// The process totals: every thread's block added to `exited`, each
+/// high-water mark at least its current value.
+fn totals(reg: &Registry) -> MemStats {
+    let mut s = reg.exited.clone();
+    for counters in &reg.threads {
+        counters.add_to(&mut s);
     }
+    s.pool_fresh_allocs = s.classes.iter().map(|c| c.fresh_allocs).sum();
+    s.pool_reuses = s.classes.iter().map(|c| c.reuses).sum();
+    s.scratch_owned_bytes = crate::scratch::owned_bytes();
+    s.scratch_checkouts = crate::scratch::checkouts();
+    s.scratch_fresh_allocs = crate::scratch::fresh_allocs();
+    s.footprint_bytes = s.live_bytes + s.pooled_free_bytes + s.scratch_owned_bytes;
+    s.peak_live_bytes = s.peak_live_bytes.max(s.live_bytes);
+    s.peak_footprint_bytes = s.peak_footprint_bytes.max(s.footprint_bytes);
+    for c in &mut s.classes {
+        c.peak_live_bytes = c.peak_live_bytes.max(c.live_bytes);
+    }
+    s
+}
+
+/// Snapshots every counter, summed over all threads (see the module docs
+/// for what the high-water marks mean when several threads allocate).
+pub fn stats() -> MemStats {
+    totals(&registry())
 }
 
 /// Zeroes the event counters and re-bases the high-water marks on the
 /// current state (live buffers and pool contents are untouched).
 pub fn reset_stats() {
-    FRESH_ALLOCS.store(0, Ordering::Relaxed);
-    REUSES.store(0, Ordering::Relaxed);
-    crate::scratch::reset_counters();
-    PEAK_LIVE_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
-    let fp = LIVE_BYTES.load(Ordering::Relaxed)
-        + POOLED_FREE_BYTES.load(Ordering::Relaxed)
-        + crate::scratch::owned_bytes();
-    PEAK_FOOTPRINT_BYTES.store(fp, Ordering::Relaxed);
-    for c in &CLASSES {
-        c.fresh.store(0, Ordering::Relaxed);
-        c.reuses.store(0, Ordering::Relaxed);
-        c.peak_live_bytes
-            .store(c.live_bytes.load(Ordering::Relaxed), Ordering::Relaxed);
+    let mut reg = registry();
+    let now = totals(&reg);
+    let exited = &mut reg.exited;
+    for (c, t) in exited.classes.iter_mut().zip(&now.classes) {
+        (c.fresh_allocs, c.reuses, c.peak_live_bytes) = (0, 0, t.live_bytes);
     }
+    exited.peak_live_bytes = now.live_bytes;
+    exited.peak_footprint_bytes = now.footprint_bytes;
+    add(&EPOCH, 1);
+    crate::scratch::reset_counters();
 }
 
-/// Releases every pooled free buffer and scratch buffer back to the system
-/// allocator (live storages are untouched). Used by `bench_mem` to isolate
-/// per-width footprint measurements.
+/// Frees the calling thread's pooled buffers and every scratch buffer
+/// (live storages are untouched; other threads' pooled buffers are freed
+/// when those threads exit). Used by `bench_mem` to isolate per-width
+/// footprint measurements.
 pub fn trim() {
-    for free in &FREE {
-        for buf in free.lock().unwrap().drain(..) {
-            POOLED_FREE_BYTES.fetch_sub((buf.len() * 4) as u64, Ordering::Relaxed);
-        }
-    }
+    with_pool(|free, counters| free.map(|free| drain(free, counters)));
     crate::scratch::trim_scratch();
 }
 

@@ -6,9 +6,9 @@ use crate::pool;
 ///
 /// `Storage` behaves like an immovable-length `Vec<f32>`: it is created at
 /// its final length, read and written through slices, and never grows. On
-/// drop the buffer returns to the size-class pool so the
-/// next same-class allocation reuses it; every path keeps the live/peak
-/// byte accounting in [`crate::pool`] exact.
+/// drop the buffer returns to the dropping thread's size-class pool so
+/// that thread's next same-class allocation reuses it; every path keeps
+/// the live/peak byte accounting in [`crate::pool`] exact.
 ///
 /// # Example
 ///
@@ -58,9 +58,9 @@ impl Storage {
     }
 
     /// Adopts an externally allocated `Vec` (accounted from here on; its
-    /// capacity is normalized up to the class size so it recycles). The
-    /// pool never frees, so the buffer stays in it for the life of the
-    /// process: a producer that runs every step fills [`Storage::unfilled`]
+    /// capacity is normalized up to the class size so it recycles). Once
+    /// dropped it stays in its thread's pool until that thread exits or
+    /// trims: a producer that runs every step fills [`Storage::unfilled`]
     /// instead.
     pub fn from_vec(mut buf: Vec<f32>) -> Self {
         pool::adopt(&mut buf);

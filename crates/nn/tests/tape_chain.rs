@@ -4,8 +4,8 @@
 //! (`Var::value()`) and built masks and derivative temporaries — while
 //! drawing strictly fewer buffers from the pool.
 //!
-//! One test in its own binary: `hfta_mem::stats()` is process-global, so no
-//! other test may allocate while it counts.
+//! One test in its own binary: `hfta_mem::stats()` sums every thread's
+//! counters, so no other test may allocate while it counts.
 
 use hfta_kernels::set_num_threads;
 use hfta_nn::{Parameter, Tape};

@@ -154,9 +154,10 @@ impl<A: Architecture> ArrayBackend for ModelBackend<A> {
 
     /// Lane `i` continues `lanes[i]`: the model is built at `Fused(b)`
     /// straight from the lanes' parameter tensors (Table 6 stacking, no init
-    /// drawn), then the lanes' optimizer slots and step count are spliced
-    /// in. Its dropout is seeded 0 ([`LaneInit::Take`] draws nothing); no
-    /// seed is observable while the array trains in eval mode.
+    /// drawn), then only the lanes' optimizer slots and step count are
+    /// spliced in — each parameter is written once, by the stacking. Its
+    /// dropout is seeded 0 ([`LaneInit::Take`] draws nothing); no seed is
+    /// observable while the array trains in eval mode.
     fn splice(
         &self,
         trials: &[Trial<TrialCfg>],
@@ -171,7 +172,7 @@ impl<A: Architecture> ArrayBackend for ModelBackend<A> {
             (init.iter()).all(|l| matches!(l, LaneInit::Take(rest) if rest.len() == 0)),
             "the model left lane-state parameters untaken"
         );
-        surgery::splice_lanes_traced(lanes, &ta.params, &mut ta.opt);
+        surgery::splice_state_traced(lanes, &ta.params, &mut ta.opt);
         ta.step = start_step;
         ta
     }

@@ -1,14 +1,14 @@
 //! Elementwise arithmetic with NumPy-style broadcasting.
 
-use crate::shape::Shape;
+use crate::shape::{Dims, Shape, MAX_RANK};
 use crate::tensor::Tensor;
 
 /// Strides of `shape` when broadcast into `out` (0 on broadcast axes),
 /// aligned to `out`'s rank.
-pub(crate) fn broadcast_strides(shape: &Shape, out: &Shape) -> Vec<usize> {
+pub(crate) fn broadcast_strides(shape: &Shape, out: &Shape) -> Dims {
     let strides = shape.strides();
     let offset = out.rank() - shape.rank();
-    let mut result = vec![0; out.rank()];
+    let mut result: Dims = std::iter::repeat_n(0, out.rank()).collect();
     for i in 0..shape.rank() {
         result[offset + i] = if shape.dim(i) == 1 { 0 } else { strides[i] };
     }
@@ -44,10 +44,10 @@ fn broadcast_zip(
     let da = a.as_slice();
     let db = b.as_slice();
     let rank = out_shape.rank();
-    let dims = out_shape.dims().to_vec();
+    let dims = Dims::from(out_shape.dims());
     let mut out = Tensor::unfilled(out_shape);
     // Odometer walk with incremental source offsets.
-    let mut idx = vec![0usize; rank];
+    let mut idx = [0usize; MAX_RANK];
     let mut oa = 0usize;
     let mut ob = 0usize;
     for slot in out.as_mut_slice().iter_mut() {

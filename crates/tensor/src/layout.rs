@@ -3,6 +3,7 @@
 //! All transforms materialize new contiguous storage; a transform that
 //! writes every output element starts from unfilled storage.
 
+use crate::shape::Dims;
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -20,7 +21,7 @@ impl Tensor {
             self.numel(),
             dims
         );
-        self.copy_with_shape(dims.to_vec())
+        self.copy_with_shape(dims)
     }
 
     /// Flattens into a 1-D tensor.
@@ -35,8 +36,8 @@ impl Tensor {
     /// Panics if `start_axis >= rank`.
     pub fn flatten_from(&self, start_axis: usize) -> Tensor {
         assert!(start_axis < self.rank(), "flatten_from axis out of range");
-        let mut dims: Vec<usize> = self.dims()[..start_axis].to_vec();
-        dims.push(self.dims()[start_axis..].iter().product());
+        let mut dims = Dims::from(&self.dims()[..=start_axis]);
+        dims[start_axis] = self.dims()[start_axis..].iter().product();
         self.reshape(&dims)
     }
 
@@ -47,7 +48,7 @@ impl Tensor {
     /// Panics if `axis > rank`.
     pub fn unsqueeze(&self, axis: usize) -> Tensor {
         assert!(axis <= self.rank(), "unsqueeze axis out of range");
-        let mut dims = self.dims().to_vec();
+        let mut dims = Dims::from(self.dims());
         dims.insert(axis, 1);
         self.reshape(&dims)
     }
@@ -60,7 +61,7 @@ impl Tensor {
     pub fn squeeze(&self, axis: usize) -> Tensor {
         assert!(axis < self.rank(), "squeeze axis out of range");
         assert_eq!(self.dim(axis), 1, "squeeze axis must have size 1");
-        let mut dims = self.dims().to_vec();
+        let mut dims = Dims::from(self.dims());
         dims.remove(axis);
         self.reshape(&dims)
     }
@@ -72,22 +73,22 @@ impl Tensor {
     /// Panics if `order` is not a permutation of `0..rank`.
     pub fn permute(&self, order: &[usize]) -> Tensor {
         assert_eq!(order.len(), self.rank(), "permute rank mismatch");
-        let mut seen = vec![false; self.rank()];
+        let mut seen = [false; crate::MAX_RANK];
         for &a in order {
             assert!(a < self.rank() && !seen[a], "permute order invalid");
             seen[a] = true;
         }
         let src_dims = self.dims();
-        let new_dims: Vec<usize> = order.iter().map(|&a| src_dims[a]).collect();
+        let new_dims: Dims = order.iter().map(|&a| src_dims[a]).collect();
         let src_strides = self.shape().strides();
         // stride of output axis i in the source layout
-        let walk_strides: Vec<usize> = order.iter().map(|&a| src_strides[a]).collect();
+        let walk_strides: Dims = order.iter().map(|&a| src_strides[a]).collect();
         let (Some((&run, outer_dims)), Some((&step, outer_strides))) =
             (new_dims.split_last(), walk_strides.split_last())
         else {
             return self.clone();
         };
-        let mut out_t = Tensor::unfilled(new_dims.clone());
+        let mut out_t = Tensor::unfilled(new_dims);
         let src = self.as_slice();
         // Each innermost output run is one strided read of the source.
         for (o, out) in out_t.as_mut_slice().chunks_mut(run.max(1)).enumerate() {
@@ -110,7 +111,7 @@ impl Tensor {
     ///
     /// Panics if either axis is out of range.
     pub fn transpose(&self, a: usize, b: usize) -> Tensor {
-        let mut order: Vec<usize> = (0..self.rank()).collect();
+        let mut order: Dims = (0..self.rank()).collect();
         order.swap(a, b);
         self.permute(&order)
     }
@@ -144,7 +145,7 @@ impl Tensor {
         }
         let (outer, inner) = first.split_at_axis(axis);
         let total_axis: usize = tensors.iter().map(|t| t.dim(axis)).sum();
-        let mut dims = first.dims().to_vec();
+        let mut dims = Dims::from(first.dims());
         dims[axis] = total_axis;
         let mut out_t = Tensor::unfilled(dims);
         let out = out_t.as_mut_slice();
@@ -196,7 +197,7 @@ impl Tensor {
         );
         let (outer, inner) = self.split_at_axis(axis);
         let src = self.as_slice();
-        let mut dims = self.dims().to_vec();
+        let mut dims = Dims::from(self.dims());
         dims[axis] = len;
         let mut out_t = Tensor::unfilled(dims);
         let out = out_t.as_mut_slice();
@@ -277,7 +278,7 @@ impl Tensor {
         let n = self.dim(axis);
         let (outer, inner) = self.split_at_axis(axis);
         let src = self.as_slice();
-        let mut dims = self.dims().to_vec();
+        let mut dims = Dims::from(self.dims());
         dims[axis] = indices.len();
         let mut out_t = Tensor::unfilled(dims);
         let out = out_t.as_mut_slice();

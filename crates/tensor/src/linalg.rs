@@ -94,11 +94,7 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let dims = if rank == 3 {
-            vec![count, m, n]
-        } else {
-            vec![m, n]
-        };
+        let dims: &[usize] = if rank == 3 { &[count, m, n] } else { &[m, n] };
         let mut out = Tensor::unfilled(dims);
         let (lhs, rhs) = (self.as_slice(), other.as_slice());
         let a = if ta { PackA::T(lhs) } else { PackA::N(lhs) };

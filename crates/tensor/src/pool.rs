@@ -72,7 +72,7 @@ pub fn max_pool2d_backward(gy: &Tensor, indices: &[usize], input_dims: &[usize])
     let plane = h * w;
     let (ho, wo) = (gy.dim(2), gy.dim(3));
     let oplane = ho * wo;
-    let mut gx_t = Tensor::zeros(input_dims.to_vec());
+    let mut gx_t = Tensor::zeros(input_dims);
     let gx = gx_t.as_mut_slice();
     let g = gy.as_slice();
     for (o, &ix) in indices.iter().enumerate() {

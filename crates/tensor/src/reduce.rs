@@ -1,7 +1,7 @@
 //! Reductions: sums, means, maxima and the broadcast adjoint `sum_to`.
 
 use crate::lines::{self, LINES};
-use crate::shape::Shape;
+use crate::shape::{Dims, Shape};
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -113,7 +113,7 @@ impl Tensor {
         assert!(n > 0, "max over empty axis");
         let (outer, inner) = self.split_at_axis(axis);
         let data = self.as_slice();
-        let mut dims = self.dims().to_vec();
+        let mut dims = Dims::from(self.dims());
         dims.remove(axis);
         let mut out_t = Tensor::unfilled(dims);
         let out = out_t.as_mut_slice();
@@ -205,7 +205,7 @@ impl Tensor {
     pub fn expand_axis(&self, axis: usize, n: usize) -> Tensor {
         assert_eq!(self.dim(axis), 1, "expand_axis needs a size-1 axis");
         let (_, inner) = self.split_at_axis(axis);
-        let mut dims = self.dims().to_vec();
+        let mut dims = Dims::from(self.dims());
         dims[axis] = n;
         let mut out_t = Tensor::unfilled(dims);
         if out_t.numel() == 0 {
@@ -250,7 +250,7 @@ impl Tensor {
         let n = self.dim(axis);
         let (_, inner) = self.split_at_axis(axis);
         let data = self.as_slice();
-        let mut dims = self.dims().to_vec();
+        let mut dims = Dims::from(self.dims());
         if keep_dim {
             dims[axis] = 1;
         } else {

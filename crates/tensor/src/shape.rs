@@ -1,11 +1,83 @@
 //! Shape arithmetic: dimension bookkeeping, strides and broadcasting.
 
+use std::ops::{Deref, DerefMut};
+
 use crate::error::{Result, TensorError};
+
+/// The highest rank a [`Shape`] holds. Its dims live inline, so building,
+/// cloning, reshaping or broadcasting a tensor allocates nothing but its
+/// storage.
+pub const MAX_RANK: usize = 8;
+
+/// Up to [`MAX_RANK`] sizes held inline — a shape's dims or its strides —
+/// read and written as a slice. Growing one past [`MAX_RANK`] panics.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct Dims {
+    len: usize,
+    // Entries past `len` stay zero, so the derived `Eq` and `Hash` hold.
+    vals: [usize; MAX_RANK],
+}
+
+impl Dims {
+    /// Inserts `v` at `i`, shifting the values after it (`Vec::insert`).
+    pub fn insert(&mut self, i: usize, v: usize) {
+        assert!(
+            self.len < MAX_RANK,
+            "a shape has at most MAX_RANK = {MAX_RANK} dims"
+        );
+        self.vals[i..=self.len].rotate_right(1);
+        self.vals[i] = v;
+        self.len += 1;
+    }
+
+    /// Removes and returns the value at `i` (`Vec::remove`).
+    pub fn remove(&mut self, i: usize) -> usize {
+        let v = std::mem::take(&mut self[i]);
+        self.vals[i..self.len].rotate_left(1);
+        self.len -= 1;
+        v
+    }
+}
+
+impl FromIterator<usize> for Dims {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        let mut dims = Dims::default();
+        iter.into_iter().for_each(|v| dims.insert(dims.len, v));
+        dims
+    }
+}
+
+impl From<&[usize]> for Dims {
+    fn from(vals: &[usize]) -> Self {
+        vals.iter().copied().collect()
+    }
+}
+
+impl Deref for Dims {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.vals[..self.len]
+    }
+}
+
+impl DerefMut for Dims {
+    fn deref_mut(&mut self) -> &mut [usize] {
+        &mut self.vals[..self.len]
+    }
+}
+
+impl std::fmt::Debug for Dims {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// The shape (dimension sizes) of a tensor.
 ///
 /// Shapes are always row-major; [`Shape::strides`] returns the contiguous
 /// row-major strides. A rank-0 shape denotes a scalar with one element.
+/// The rank is at most [`MAX_RANK`].
 ///
 /// # Example
 ///
@@ -13,22 +85,26 @@ use crate::error::{Result, TensorError};
 /// use hfta_tensor::Shape;
 /// let s = Shape::new(vec![2, 3, 4]);
 /// assert_eq!(s.numel(), 24);
-/// assert_eq!(s.strides(), vec![12, 4, 1]);
+/// assert_eq!(*s.strides(), [12, 4, 1]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Shape {
-    dims: Vec<usize>,
+    dims: Dims,
 }
 
 impl Shape {
     /// Creates a shape from dimension sizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`MAX_RANK`] dims.
     pub fn new(dims: Vec<usize>) -> Self {
-        Shape { dims }
+        Shape::from(&dims[..])
     }
 
     /// The scalar shape (rank 0, one element).
     pub fn scalar() -> Self {
-        Shape { dims: Vec::new() }
+        Shape::default()
     }
 
     /// Dimension sizes as a slice.
@@ -56,10 +132,11 @@ impl Shape {
     }
 
     /// Row-major (C-contiguous) strides for this shape.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
+    pub fn strides(&self) -> Dims {
+        let mut strides = self.dims;
+        let mut stride = 1;
+        for s in strides.iter_mut().rev() {
+            (*s, stride) = (stride, stride * *s);
         }
         strides
     }
@@ -118,32 +195,23 @@ impl Shape {
     /// ```
     pub fn broadcast(&self, other: &Shape) -> Result<Shape> {
         let rank = self.rank().max(other.rank());
-        let mut dims = vec![0; rank];
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..rank {
-            let a = if i < rank - self.rank() {
-                1
-            } else {
-                self.dims[i - (rank - self.rank())]
-            };
-            let b = if i < rank - other.rank() {
-                1
-            } else {
-                other.dims[i - (rank - other.rank())]
-            };
-            dims[i] = if a == b || b == 1 {
-                a
-            } else if a == 1 {
-                b
-            } else {
+        let mut dims: Dims = std::iter::repeat_n(1, rank).collect();
+        for (i, &a) in self.dims.iter().enumerate() {
+            dims[rank - self.rank() + i] = a;
+        }
+        for (i, &b) in other.dims.iter().enumerate() {
+            let d = &mut dims[rank - other.rank() + i];
+            if *d == 1 {
+                *d = b;
+            } else if b != *d && b != 1 {
                 return Err(TensorError::ShapeMismatch {
-                    lhs: self.dims.clone(),
-                    rhs: other.dims.clone(),
+                    lhs: self.dims.to_vec(),
+                    rhs: other.dims.to_vec(),
                     op: "broadcast",
                 });
-            };
+            }
         }
-        Ok(Shape::new(dims))
+        Ok(Shape { dims })
     }
 
     /// Whether this shape broadcasts to `target` without ambiguity.
@@ -163,13 +231,19 @@ impl From<Vec<usize>> for Shape {
 
 impl From<&[usize]> for Shape {
     fn from(dims: &[usize]) -> Self {
-        Shape::new(dims.to_vec())
+        Shape { dims: dims.into() }
     }
 }
 
 impl<const N: usize> From<[usize; N]> for Shape {
     fn from(dims: [usize; N]) -> Self {
-        Shape::new(dims.to_vec())
+        Shape::from(&dims[..])
+    }
+}
+
+impl From<Dims> for Shape {
+    fn from(dims: Dims) -> Self {
+        Shape { dims }
     }
 }
 
@@ -234,8 +308,8 @@ mod tests {
 
     #[test]
     fn strides_row_major() {
-        assert_eq!(Shape::new(vec![2, 3, 4]).strides(), vec![12, 4, 1]);
-        assert_eq!(Shape::new(vec![5]).strides(), vec![1]);
+        assert_eq!(*Shape::new(vec![2, 3, 4]).strides(), [12, 4, 1]);
+        assert_eq!(*Shape::new(vec![5]).strides(), [1]);
         assert!(Shape::scalar().strides().is_empty());
     }
 

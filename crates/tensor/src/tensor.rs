@@ -47,8 +47,8 @@ impl Tensor {
 
     /// Creates a tensor from a flat `Vec` and a shape.
     ///
-    /// The `Vec` is adopted into the storage pool and stays there for the
-    /// life of the process, so a producer that runs every step fills a
+    /// The `Vec` is adopted into the storage pool and stays there until its
+    /// thread exits (or trims), so a producer that runs every step fills a
     /// pooled buffer instead ([`Storage::unfilled`] + [`Tensor::from_storage`]).
     ///
     /// # Panics

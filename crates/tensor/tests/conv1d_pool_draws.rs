@@ -1,8 +1,8 @@
 //! A 1-D convolution reads its operands where they lie: the forward pass
 //! and each gradient draw exactly one pooled buffer, their output.
 //!
-//! One test in its own binary: `hfta_mem::stats()` is process-global, so no
-//! other test may allocate while it counts.
+//! One test in its own binary: `hfta_mem::stats()` sums every thread's
+//! counters, so no other test may allocate while it counts.
 
 use hfta_tensor::conv::{conv1d, conv1d_grad_input, conv1d_grad_weight};
 use hfta_tensor::{Rng, Tensor};

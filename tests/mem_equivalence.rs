@@ -13,7 +13,7 @@
 //! identical pool statistics, and after warm-up a training step performs
 //! zero fresh allocations.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use hfta_core::format::{conv_to_array, stack_conv, stack_targets};
 use hfta_core::loss::{fused_bce_with_logits, fused_cross_entropy, fused_nll_loss, Reduction};
@@ -27,13 +27,29 @@ use hfta_nn::{Module, Tape};
 use hfta_tensor::{Rng, Tensor};
 use proptest::prelude::*;
 
-/// The worker-thread count is process-wide, and so are the pool's free
-/// lists and counters these tests poison and read: every test in this
-/// binary runs under one lock.
+/// The worker-thread count is process-wide, and `hfta_mem::stats()` sums
+/// every thread's pool counters: every test in this binary runs under one
+/// lock.
 static GLOBAL: Mutex<()> = Mutex::new(());
 
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
+/// The lock, held by one test. Each thread owns its pool and `trim()`
+/// frees only the caller's, so a test frees what its thread cached before
+/// it lets the next one in; otherwise the next test's footprint would
+/// count buffers a finished test's thread still holds until it exits.
+struct Exclusive {
+    _guard: MutexGuard<'static, ()>,
+}
+
+impl Drop for Exclusive {
+    fn drop(&mut self) {
+        hfta_mem::trim();
+    }
+}
+
+fn lock() -> Exclusive {
+    Exclusive {
+        _guard: GLOBAL.lock().unwrap_or_else(|e| e.into_inner()),
+    }
 }
 
 /// Every parameter of a fused model as raw `f32` bit patterns.
