@@ -30,7 +30,8 @@ fn main() {
         .unwrap_or_else(|| "BENCH_mem.json".to_string());
 
     // Pin the worker count so footprints are comparable across runs
-    // (scratch arenas are per-worker, so it is part of the footprint).
+    // (a fanned-out GEMM's workspace holds one slot per thread, so it is
+    // part of the footprint).
     set_num_threads(4);
 
     let (widths, warm, measured): (&[usize], usize, usize) = if quick {

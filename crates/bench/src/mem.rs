@@ -5,12 +5,12 @@
 //! For each (model, B) the harness trims the recycling pool, resets the
 //! byte accounting, then builds the fused array *and* its optimizer and
 //! trains it entirely inside the measurement window — parameters,
-//! optimizer state, activations, tape gradient buffers and GEMM packing
-//! scratch all count toward the session peak, the same
-//! way `nvidia-smi` attributes a whole training process. The serial
-//! baseline for width B is B × the measured B = 1 peak: B independent
-//! runs each pay their own workspace arenas and pool slack, while the
-//! fused run shares one set across all lanes.
+//! optimizer state, activations, tape gradient buffers and GEMM
+//! workspace all count toward the session peak, the same way `nvidia-smi`
+//! attributes a whole training process. The serial baseline for width B
+//! is B × the measured B = 1 peak: B independent runs each pay their own
+//! workspace and pool slack, while the fused run shares one set across
+//! all lanes.
 //!
 //! The same records double as the steady-state allocation gate: after the
 //! warm-up steps every measured step must be served entirely from

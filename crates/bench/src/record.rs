@@ -190,7 +190,7 @@ record! {
         /// Steps inside the steady-state allocation window.
         measured_steps: u64 => Info,
         /// Peak accounted footprint of the fused session (live + pooled
-        /// free + scratch arenas), in bytes.
+        /// free), in bytes.
         peak_bytes: u64 => Lower(BENCH_BOUND_PCT),
         /// B × the measured B = 1 peak — what B separate processes would
         /// pay.

@@ -46,12 +46,10 @@ pub fn record_mem_metrics(step: u64, b: usize) {
     profiler.set_gauge("mem.live_bytes", mem.live_bytes as f64);
     profiler.set_gauge("mem.peak_live_bytes", mem.peak_live_bytes as f64);
     profiler.set_gauge("mem.pooled_free_bytes", mem.pooled_free_bytes as f64);
-    profiler.set_gauge("mem.scratch_owned_bytes", mem.scratch_owned_bytes as f64);
     profiler.set_gauge("mem.footprint_bytes", mem.footprint_bytes as f64);
     profiler.set_gauge("mem.peak_footprint_bytes", mem.peak_footprint_bytes as f64);
     profiler.set_gauge("mem.pool_fresh_allocs", mem.pool_fresh_allocs as f64);
     profiler.set_gauge("mem.pool_reuses", mem.pool_reuses as f64);
-    profiler.set_gauge("mem.scratch_fresh_allocs", mem.scratch_fresh_allocs as f64);
     for class in &mem.classes {
         if class.fresh_allocs == 0 && class.reuses == 0 {
             continue;

@@ -30,14 +30,7 @@ fn assert_no_pool_traffic<U: Update>(name: &str, mut opt: FusedOptimizer<U>) {
         iterate();
     }
     let after = hfta_mem::stats();
-    let traffic = |s: &hfta_mem::MemStats| {
-        (
-            s.pool_fresh_allocs,
-            s.pool_reuses,
-            s.scratch_checkouts,
-            s.scratch_fresh_allocs,
-        )
-    };
+    let traffic = |s: &hfta_mem::MemStats| (s.pool_fresh_allocs, s.pool_reuses);
     assert_eq!(traffic(&after), traffic(&before), "{name}: pool traffic");
     assert_eq!(after.live_bytes, before.live_bytes, "{name}: live bytes");
 }

@@ -37,8 +37,8 @@
 //! into chunks of about `CHUNK_FLOPS`. A batch that makes a single chunk
 //! runs its entries in order on the caller, and each GEMM splits its own
 //! tiles. The direct-or-tiled decision, the instantiation, the lane stacking
-//! and the scratch reservations are made once per call, and each chunk of
-//! entries checks its scratch out once, not once per entry.
+//! and the workspace checkout are made once per call, and each chunk of
+//! entries holds one slot of that workspace, not one buffer per entry.
 //!
 //! # The contract
 //!
@@ -58,7 +58,7 @@
 //! | tiled   | every product but a table-addressed one `< SMALL_FLOPS`: [`crate::simd`] 8×8 (lanes: 1–4 rows per entry) / paired 8×16 `vfmadd` tile on strided views, `B^T` packed 8×8 blocks at a time | `>= SMALL_FLOPS`, and `A^T B^T` at every size: `portable_microkernel` (8×8, lanes), `f32::mul_add` |
 //! | direct  | a gathered or scattered product `< SMALL_FLOPS`: `A B` / `A^T B` reference loops compiled with AVX2+FMA | `< SMALL_FLOPS`: the reference loops |
 //! | tables  | a gathered `B` as a view: row `p` at its table offset, each panel's columns adjacent (`loadu`), two quads or `vgatherdps` (`view_panels`); a scatter's column runs 8 lanes wide | the view cell by cell; the scatter one cell at a time |
-//! | windows | each entry's planes zero-padded in scratch (`Pad`; a stride-2 gather's split by column parity, so its output rows read as adjacent cells), then the tables row | the same |
+//! | windows | each entry's planes zero-padded in workspace (`Pad`; a stride-2 gather's split by column parity, so its output rows read as adjacent cells), then the tables row | the same |
 //! | sinks   | [`Out::Add`] / [`Out::Scatter`] add to the destination; [`Out::Write`] tiles start from zeros in registers (the direct loops: a zeroed block), [`Out::ScatterWrite`] zeroes its padded planes (unpadded: its block) instead of filling them from the destination | the same |
 //! | folds   | a tiled reduction of `B` read in place, or of packed `B` under `FOLD_STEPS` steps: one contraction of `k`-step segments, each entry's `B` packed after the last's | the same |
 //!
@@ -82,11 +82,12 @@
 //! module; the unit tests below pick a column by passing the flag.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::pool::{self, UnsafeSlice};
 use crate::reference;
 use crate::simd;
-use hfta_mem::scratch;
+use hfta_mem::Storage;
 
 /// Micro-kernel tile rows.
 pub const MR: usize = 8;
@@ -326,7 +327,7 @@ fn split_runs(col: &[isize]) -> Vec<Run> {
 }
 
 /// A windowed operand as every path reads it: each entry's `planes` `[h, w]`
-/// planes copied into zeroed `[hp, wp]` ones at `(top, left)` in scratch,
+/// planes copied into zeroed `[hp, wp]` ones at `(top, left)` in workspace,
 /// wide enough that every element, there or not, lands inside them, and the
 /// tables remapped to them. A gather reads a missing element from the zero
 /// margin, and a scatter adds it there, to be dropped when the planes are
@@ -748,17 +749,14 @@ fn gemm_batched_on(
     let stacks = direct.is_none() && !tables && grid.2 == 1 && lane.out == m * n;
     let lanes = if stacks { (MR / m).clamp(1, run) } else { 1 };
 
-    // Worst-case concurrent scratch, declared once for the batch: each chunk
-    // of units checks out one pair of buffers and reuses it for all its
-    // entries (the direct loops' dense `B` and product; the tiles' scatter
-    // strip and the packed `B` of `lanes` entries, each of `segs`). A batch
-    // inside a worker may run beside one on every other worker, so each can
-    // hold a pair; a batch that fans out from the caller runs at most one
-    // chunk per thread; a batch inline on the caller holds one.
+    // The call's workspace, one storage checked out on this thread and cut
+    // into `pairs` slots: each chunk of units holds one slot, a pair of
+    // buffers it reuses for all its entries (the direct loops' dense `B` and
+    // product; the tiles' scatter strip and the packed `B` of `lanes`
+    // entries, each of `segs`). A call that fans out runs at most one chunk
+    // per thread; one inline on its thread holds one slot.
     let (threads, chunks) = (pool::num_threads(), units.div_ceil(grain));
-    let pairs = if pool::in_worker() {
-        threads
-    } else if pool::runs_inline(chunks, work) {
+    let pairs = if pool::runs_inline(chunks, work) {
         1
     } else {
         threads.min(chunks)
@@ -771,24 +769,18 @@ fn gemm_batched_on(
     } else {
         n.div_ceil(NR) * usize::from(packed)
     };
-    let (tags, mut lens) = match direct {
-        Some(_) => (
-            ["gemm.dense"; 2],
-            [k * n * usize::from(gather), m * n * usize::from(scattered)],
-        ),
-        None => (
-            ["gemm.dense", "gemm.bpack"],
-            [MR * n * usize::from(scattered), k * NR * panels * segs],
-        ),
+    let mut lens = match direct {
+        Some(_) => [k * n * usize::from(gather), m * n * usize::from(scattered)],
+        None => [MR * n * usize::from(scattered), k * NR * panels * segs],
     };
     // Behind the first buffer, the padded planes of each folded entry's `B`
     // and of the output.
     let planes = [&b_pad, &out_pad].map(|p| p.as_ref().map_or(0, |p| p.lens().0));
     let first = lens[0];
     lens[0] += planes[0] * segs + planes[1];
-    for (tag, len) in tags.into_iter().zip(lens) {
-        scratch::reserve(tag, len, pairs);
-    }
+    let slot = lens[0] + lens[1];
+    let mut workspace = Storage::unfilled(pairs * slot);
+    let (workspace, taken) = (UnsafeSlice::new(&mut workspace), AtomicU64::new(0));
 
     // A unit's kernels write its blocks (tiles from zero, padded planes
     // drained) unless they add into them: the direct loops, an unwindowed
@@ -806,74 +798,86 @@ fn gemm_batched_on(
         b: b_seg,
     };
     let next = |u: usize| if u < units { offsets(u * chain).2 } else { len };
-    pool::parallel_for_work(units, grain, work, |chunk| {
-        scratch::with(lens[0], |s0| {
-            scratch::with(lens[1], |s1| {
-                let mut u = chunk.start;
-                while u < chunk.end {
-                    let h = lanes.min(chunk.end - u).min(run - u % run);
-                    let stack = Axis { count: h, ..lane };
-                    for e in u * chain..u * chain + per_unit {
-                        let (head, tail) = (e == u * chain, e + 1 == u * chain + per_unit);
-                        let (a_at, b_at, out_at) = offsets(e);
-                        let end = out_at + (h - 1) * lane.out + extent;
-                        if write && head {
-                            let (lo, hi) = (if u == 0 { 0 } else { out_at }, next(u + h));
-                            // SAFETY: these units own the cells up to the
-                            // next unit's block, and the first also those
-                            // before its own; no other borrow of them lives.
-                            unsafe { shared.slice_mut(lo..out_at) }.fill(0.0);
-                            let from = if writes { end } else { out_at };
-                            unsafe { shared.slice_mut(from..hi) }.fill(0.0);
-                        }
-                        // SAFETY: distinct units own disjoint output blocks
-                        // (checked above), the `h` units stacked here abut,
-                        // and a unit's entries run one after another here.
-                        let block = unsafe { shared.slice_mut(out_at..end) };
-                        let (fa, fb) = ((segs - 1) * inner.a, (segs - 1) * inner.b);
-                        let a = a.at(a_at, (h - 1) * lane.a + fa + m * k);
-                        let b = b.at(b_at, (h - 1) * lane.b + fb + k * n);
-                        let (s0, rest) = s0.split_at_mut(first);
-                        let (b_planes, out_planes) = rest.split_at_mut(planes[0] * segs);
-                        // Each folded entry's planes, padded one after another.
-                        let b = match (b, b_tables, &b_pad) {
-                            (PackB::Gather(src, _), Some(t), Some(pad)) => {
-                                for (s, to) in b_planes.chunks_exact_mut(planes[0]).enumerate() {
-                                    pad.fill(&src[s * inner.b..], to);
-                                }
-                                PackB::Gather(b_planes, t)
-                            }
-                            (PackB::Gather(src, _), Some(t), None) => PackB::Gather(src, t),
-                            _ => b,
-                        };
-                        let out = match &out_pad {
-                            Some(pad) => {
-                                match (head, write) {
-                                    (true, true) => out_planes.fill(0.0),
-                                    (true, false) => pad.fill(block, out_planes),
-                                    _ => {}
-                                }
-                                &mut *out_planes
-                            }
-                            None => &mut *block,
-                        };
-                        let bufs = (s0, &mut *s1);
-                        match direct {
-                            Some(f) => run_direct(f, out, scatter, a, b, (m, k, n), bufs),
-                            None => {
-                                let zero = write && head && scatter.is_none();
-                                let tiling = (stack, Some((steps, zero)), grid);
-                                run_tiled(vector, out, scatter, (a, b), (m, k, n), tiling, bufs)
-                            }
-                        }
-                        if let (Some(pad), true) = (&out_pad, tail) {
-                            pad.drain(out_planes, block);
-                        }
-                    }
-                    u += h;
+    pool::parallel_for_on(threads, units, grain, work, |chunk| {
+        // A free slot, held while the chunk runs: at most `pairs` chunks
+        // run at once, one per thread.
+        let free = taken.fetch_update(Ordering::Acquire, Ordering::Relaxed, |t| {
+            Some(t | 1 << (!t).trailing_zeros())
+        });
+        let i = (!free.expect("the update always applies")).trailing_zeros() as usize;
+        assert!(i < pairs, "more chunks in flight than workspace slots");
+        // SAFETY: slot `i` is this chunk's alone until it clears its bit.
+        let ws = unsafe { workspace.slice_mut(i * slot..(i + 1) * slot) };
+        if cfg!(debug_assertions) {
+            // Unspecified values: a read before a write shows in every
+            // bit-identity test.
+            ws.fill(f32::NAN);
+        }
+        let (s0, s1) = ws.split_at_mut(lens[0]);
+        let mut u = chunk.start;
+        while u < chunk.end {
+            let h = lanes.min(chunk.end - u).min(run - u % run);
+            let stack = Axis { count: h, ..lane };
+            for e in u * chain..u * chain + per_unit {
+                let (head, tail) = (e == u * chain, e + 1 == u * chain + per_unit);
+                let (a_at, b_at, out_at) = offsets(e);
+                let end = out_at + (h - 1) * lane.out + extent;
+                if write && head {
+                    let (lo, hi) = (if u == 0 { 0 } else { out_at }, next(u + h));
+                    // SAFETY: these units own the cells up to the next unit's
+                    // block, and the first also those before its own; no
+                    // other borrow of them lives.
+                    unsafe { shared.slice_mut(lo..out_at) }.fill(0.0);
+                    let from = if writes { end } else { out_at };
+                    unsafe { shared.slice_mut(from..hi) }.fill(0.0);
                 }
-            })
-        })
+                // SAFETY: distinct units own disjoint output blocks (checked
+                // above), the `h` units stacked here abut, and a unit's
+                // entries run one after another here.
+                let block = unsafe { shared.slice_mut(out_at..end) };
+                let (fa, fb) = ((segs - 1) * inner.a, (segs - 1) * inner.b);
+                let a = a.at(a_at, (h - 1) * lane.a + fa + m * k);
+                let b = b.at(b_at, (h - 1) * lane.b + fb + k * n);
+                let (s0, rest) = s0.split_at_mut(first);
+                let (b_planes, out_planes) = rest.split_at_mut(planes[0] * segs);
+                // Each folded entry's planes, padded one after another.
+                let b = match (b, b_tables, &b_pad) {
+                    (PackB::Gather(src, _), Some(t), Some(pad)) => {
+                        for (s, to) in b_planes.chunks_exact_mut(planes[0]).enumerate() {
+                            pad.fill(&src[s * inner.b..], to);
+                        }
+                        PackB::Gather(b_planes, t)
+                    }
+                    (PackB::Gather(src, _), Some(t), None) => PackB::Gather(src, t),
+                    _ => b,
+                };
+                let out = match &out_pad {
+                    Some(pad) => {
+                        match (head, write) {
+                            (true, true) => out_planes.fill(0.0),
+                            (true, false) => pad.fill(block, out_planes),
+                            _ => {}
+                        }
+                        &mut *out_planes
+                    }
+                    None => &mut *block,
+                };
+                let bufs = (s0, &mut *s1);
+                match direct {
+                    Some(f) => run_direct(f, out, scatter, a, b, (m, k, n), bufs),
+                    None => {
+                        let zero = write && head && scatter.is_none();
+                        let tiling = (stack, Some((steps, zero)), grid);
+                        run_tiled(vector, out, scatter, (a, b), (m, k, n), tiling, bufs)
+                    }
+                }
+                if let (Some(pad), true) = (&out_pad, tail) {
+                    pad.drain(out_planes, block);
+                }
+            }
+            u += h;
+        }
+        taken.fetch_and(!(1 << i), Ordering::Release);
     });
 }
 
@@ -1477,8 +1481,8 @@ mod tests {
         out
     }
 
-    /// One entry on the tiled macro-kernel, at any size, with the scratch a
-    /// call holds.
+    /// One entry on the tiled macro-kernel, at any size, with the workspace
+    /// a call holds (NaN, as debug builds hand it over).
     fn tiled_alone(
         vector: bool,
         out: &mut [f32],
@@ -1494,12 +1498,9 @@ mod tests {
             _ => n.div_ceil(NR),
         };
         let l1 = k * NR * panels;
-        scratch::with(l0, |s0| {
-            scratch::with(l1, |s1| {
-                let tiling = (Axis::ONE, None, grid);
-                run_tiled(vector, out, scatter, (a, b), (m, k, n), tiling, (s0, s1))
-            })
-        })
+        let tiling = (Axis::ONE, None, grid);
+        let bufs = (&mut vec![f32::NAN; l0][..], &mut vec![f32::NAN; l1][..]);
+        run_tiled(vector, out, scatter, (a, b), (m, k, n), tiling, bufs)
     }
 
     /// Bit patterns, so `-0.0 != 0.0`.

@@ -107,9 +107,9 @@ pub fn num_threads() -> usize {
 /// Overrides the pool thread count (clamped to `1..=MAX_THREADS`).
 ///
 /// Lowering the count after workers have spawned leaves the extra workers
-/// parked; they may still pick up chunks of an in-flight dispatch, which is
-/// harmless under the determinism contract (results do not depend on which
-/// thread runs a chunk).
+/// parked: each dispatch records how many workers it runs on, and a worker
+/// spawned past that count sits it out, so a dispatch never runs on more
+/// threads than the count it was submitted at.
 pub fn set_num_threads(n: usize) {
     THREADS.store(n.clamp(1, MAX_THREADS), Ordering::Relaxed);
 }
@@ -127,6 +127,8 @@ struct Job {
     /// submitter blocks until `remaining == 0`, so it outlives all uses.
     task: *const Task,
     n_chunks: usize,
+    /// Workers that claim chunks: those spawned below this index.
+    workers: usize,
 }
 
 // SAFETY: the raw pointer is only dereferenced while the submitting frame is
@@ -210,12 +212,14 @@ fn ensure_workers(pool: &'static Pool, target: usize) {
         }
         std::thread::Builder::new()
             .name(format!("hfta-kernels-{spawned}"))
-            .spawn(move || worker_loop(pool))
+            .spawn(move || worker_loop(pool, spawned))
             .expect("spawning hfta-kernels worker");
     }
 }
 
-fn worker_loop(pool: &'static Pool) {
+/// Worker `index`'s loop: it claims chunks of every job that runs on more
+/// than `index` workers.
+fn worker_loop(pool: &'static Pool, index: usize) {
     IN_POOL.with(|f| f.set(true));
     let mut last_gen = 0u64;
     let mut guard = pool.state.lock().unwrap();
@@ -230,18 +234,15 @@ fn worker_loop(pool: &'static Pool) {
             continue;
         }
         let gen = guard.generation;
-        let (task, n_chunks) = {
+        let (task, n_chunks, workers) = {
             let job = guard.job.as_ref().unwrap();
-            (job.task, job.n_chunks)
+            (job.task, job.n_chunks, job.workers)
         };
         last_gen = gen;
-        loop {
-            // The job cannot be replaced while `remaining > 0` (the submit
-            // lock is held until completion), so `next_chunk` still refers
-            // to this generation.
-            if guard.job.is_none() || guard.next_chunk >= n_chunks {
-                break;
-            }
+        // A worker spawned past the job's count sits it out. The job cannot
+        // be replaced while `remaining > 0` (the submit lock is held until
+        // completion), so `next_chunk` still refers to this generation.
+        while index < workers && guard.job.is_some() && guard.next_chunk < n_chunks {
             let chunk = guard.next_chunk;
             guard.next_chunk += 1;
             drop(guard);
@@ -290,6 +291,18 @@ pub fn parallel_for_work(
     work: usize,
     f: impl Fn(Range<usize>) + Sync,
 ) {
+    parallel_for_on(num_threads(), n_items, grain, work, f);
+}
+
+/// [`parallel_for_work`] on at most `threads` threads: the caller's read of
+/// [`num_threads`], so it can size per-thread state to the dispatch.
+pub(crate) fn parallel_for_on(
+    threads: usize,
+    n_items: usize,
+    grain: usize,
+    work: usize,
+    f: impl Fn(Range<usize>) + Sync,
+) {
     if n_items == 0 {
         return;
     }
@@ -300,12 +313,7 @@ pub fn parallel_for_work(
             f(chunk_range(chunk, grain, n_items));
         }
     };
-    if runs_inline(n_chunks, work) {
-        run_inline();
-        return;
-    }
-    let threads = num_threads();
-    if threads == 1 {
+    if threads == 1 || runs_inline(n_chunks, work) {
         run_inline();
         return;
     }
@@ -336,7 +344,11 @@ pub fn parallel_for_work(
         st.next_chunk = 0;
         st.remaining = n_chunks;
         st.panicked = false;
-        st.job = Some(Job { task, n_chunks });
+        st.job = Some(Job {
+            task,
+            n_chunks,
+            workers: threads - 1,
+        });
         pool.work_cv.notify_all();
     }
     // Participate: the submitting thread claims chunks like a worker. Panics
@@ -604,6 +616,31 @@ pub(crate) mod tests {
         }
         // At or above the threshold the dispatch goes through the pool.
         assert!(reaches_pool(), "threshold-sized op never reached the pool");
+        set_num_threads(1);
+    }
+
+    #[test]
+    fn a_dispatch_runs_on_at_most_its_thread_count() {
+        let _guard = THREAD_LOCK.lock().unwrap();
+        // Distinct threads that ran one dispatch of chunks long enough for
+        // every woken worker to claim one.
+        let threads_of_dispatch = || {
+            let ids = Mutex::new(std::collections::HashSet::new());
+            parallel_for_work(32, 1, MIN_POOL_WORK, |_range| {
+                ids.lock().unwrap().insert(std::thread::current().id());
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            });
+            ids.into_inner().unwrap().len()
+        };
+        set_num_threads(4);
+        // Retried: another module's in-flight dispatch makes ours inline.
+        let spread = (0..100).map(|_| threads_of_dispatch()).find(|&t| t > 2);
+        assert!(spread.is_some(), "4 threads never ran one dispatch");
+        set_num_threads(2);
+        for _ in 0..10 {
+            let ran_on = threads_of_dispatch();
+            assert!(ran_on <= 2, "a dispatch at 2 threads ran on {ran_on}");
+        }
         set_num_threads(1);
     }
 

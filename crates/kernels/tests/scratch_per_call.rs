@@ -1,17 +1,16 @@
-//! `gemm_batched` checks its scratch buffers out once per call (once per
-//! chunk of entries when a batch fans out across the pool), not once per
-//! entry: a 2-entry and a 16-entry batch of the same shape check out the
-//! same number. The scratch counters are process-global, so this is the
-//! only test in its binary, and it runs on one thread, where every batch
-//! here is one chunk.
+//! `gemm_batched` checks its workspace out once per call, as one pooled
+//! storage on the calling thread, whatever the batch size and the thread
+//! count: a 2-entry and a 16-entry batch of the same shape each draw
+//! exactly one buffer from the pool, at 1 thread and at 4. The pool's
+//! counters sum every thread's, so this is the only test in its binary.
 
 use hfta_kernels::{gemm_batched, set_num_threads, Axis, Offsets, Out, PackA, PackB};
 
-/// Scratch checkouts of one `gemm_batched` call over `count` entries of
-/// `(m, k, n)`, each with its own operands and output block: `A·B^T` into
-/// dense blocks, or `A^T·B` scattered through `tables` into blocks of
-/// `block` cells.
-fn checkouts(
+/// Storage draws (fresh or recycled) of one `gemm_batched` call over
+/// `count` entries of `(m, k, n)`, each with its own operands and output
+/// block: `A·B^T` into dense blocks, or `A^T·B` scattered through `tables`
+/// into blocks of `block` cells.
+fn draws(
     count: usize,
     (m, k, n): (usize, usize, usize),
     scatter: Option<(&Offsets<'_>, usize)>,
@@ -24,7 +23,11 @@ fn checkouts(
     };
     let (a, b) = (vec![0.5f32; count * m * k], vec![0.25f32; count * k * n]);
     let mut out = vec![0.0f32; count * entries.out];
-    let before = hfta_mem::stats().scratch_checkouts;
+    let pool_draws = || {
+        let s = hfta_mem::stats();
+        s.pool_fresh_allocs + s.pool_reuses
+    };
+    let before = pool_draws();
     match scatter {
         None => gemm_batched(
             Out::Add(&mut out),
@@ -41,12 +44,11 @@ fn checkouts(
             [entries, Axis::ONE],
         ),
     }
-    hfta_mem::stats().scratch_checkouts - before
+    pool_draws() - before
 }
 
 #[test]
 fn batches_check_out_scratch_once_per_call() {
-    set_num_threads(1);
     // A pointwise conv's input-gradient tables: channel rows `n` apart.
     let (rows_4, rows_8): (Vec<usize>, Vec<usize>) = (
         (0..4).map(|r| r * 32).collect(),
@@ -62,9 +64,15 @@ fn batches_check_out_scratch_once_per_call() {
         // Conv3's: the tiles' scatter strip.
         ("scattered (8, 64, 32)", (8, 64, 32), Some((&large, 256))),
     ];
-    for (name, mkn, scatter) in cases {
-        let (two, sixteen) = (checkouts(2, mkn, scatter), checkouts(16, mkn, scatter));
-        assert!(two > 0, "{name}: checks out no scratch");
-        assert_eq!(two, sixteen, "{name}: checkouts grow with the batch");
+    for threads in [1, 4] {
+        set_num_threads(threads);
+        for (name, mkn, scatter) in cases {
+            let (two, sixteen) = (draws(2, mkn, scatter), draws(16, mkn, scatter));
+            assert_eq!(
+                (two, sixteen),
+                (1, 1),
+                "{name} at {threads} threads: storage draws of a 2- and a 16-entry batch"
+            );
+        }
     }
 }

@@ -8,14 +8,15 @@
 //! * [`pool`] — the size-class pool, one per thread (a checkout takes no
 //!   lock and no atomic read-modify-write), plus byte-accurate accounting
 //!   summed over threads: live and peak bytes (total and per class), fresh
-//!   allocations vs reuses, and a process *footprint* (live + pool-held +
-//!   scratch-held bytes) whose high-water mark is the CPU analogue of the
-//!   paper's Table 8/9 `nvidia-smi` peak-usage measurements.
-//! * [`scratch`] — step-scoped scratch arenas for kernel workspace (GEMM
-//!   packing panels and scatter strips; convolutions read their image
-//!   through offset tables and hold no im2col columns). Call sites [`scratch::reserve`] their
-//!   worst-case concurrency up front so steady-state training steps perform
-//!   **zero fresh allocations** on the hot path.
+//!   allocations vs reuses, and a process *footprint* (live + pool-held
+//!   bytes) whose high-water mark is the CPU analogue of the paper's
+//!   Table 8/9 `nvidia-smi` peak-usage measurements.
+//!
+//! Kernel workspace is storage too: a batched GEMM checks out one
+//! [`Storage`] per call on the calling thread (its packing panels and
+//! scatter strips; convolutions read their image through offset tables and
+//! hold no im2col columns), so steady-state training steps perform **zero
+//! fresh allocations** on the hot path and one pool counts every byte.
 //!
 //! # Bit-identity
 //!
@@ -28,16 +29,14 @@
 //! and requires equal bits. The pool is always on: there is no switch and
 //! no environment variable reaches this crate.
 //!
-//! Accounting covers `f32` buffers owned by [`Storage`] and the scratch
-//! arenas — the tensors, gradients and kernel workspace that dominate a
-//! training step — not incidental bookkeeping allocations (tape nodes),
-//! which are O(ops), not O(elements). A tensor's shape lives inline and
-//! allocates nothing.
+//! Accounting covers `f32` buffers owned by [`Storage`] — the tensors,
+//! gradients and kernel workspace that dominate a training step — not
+//! incidental bookkeeping allocations (tape nodes), which are O(ops), not
+//! O(elements). A tensor's shape lives inline and allocates nothing.
 
 #![warn(missing_docs)]
 
 pub mod pool;
-pub mod scratch;
 pub mod storage;
 
 pub use pool::{pool_enabled, reset_stats, stats, trim, ClassStats, MemStats};

@@ -18,16 +18,15 @@
 //! * `live_bytes` — bytes inside live [`crate::Storage`] values (requested
 //!   lengths, not capacities — byte-accurate, no class-rounding slack).
 //! * `pooled_free_bytes` — bytes parked in the free lists.
-//! * `footprint_bytes` — live + pooled + scratch-owned: everything this
-//!   layer holds from the system allocator. Its high-water mark
-//!   (`peak_footprint_bytes`) is what `bench_mem` reports as the Table-8/9
-//!   style peak footprint.
+//! * `footprint_bytes` — live + pooled: everything this layer holds from
+//!   the system allocator. Its high-water mark (`peak_footprint_bytes`) is
+//!   what `bench_mem` reports as the Table-8/9 style peak footprint.
 //!
 //! [`stats`] sums every thread's counters. A `peak_*` figure is the highest
-//! any one thread's storage reached since the last [`reset_stats`] (the
-//! footprint's: plus the scratch arenas then), never below the current
-//! total: with one thread allocating storage — a training loop, whose
-//! kernel workers check out scratch only — the process high-water mark,
+//! any one thread's storage reached since the last [`reset_stats`], never
+//! below the current total: with one thread allocating storage — a
+//! training loop, whose caller checks out its kernels' workspace and whose
+//! kernel workers check out nothing — the process high-water mark,
 //! deterministic for a fixed workload; with several, a lower bound on it.
 
 use std::cell::RefCell;
@@ -45,13 +44,13 @@ pub const MIN_CLASS_ELEMS: usize = 64;
 pub const NUM_CLASSES: usize = 25;
 
 /// Element capacity of class `c`.
-pub(crate) fn class_elems(c: usize) -> usize {
+fn class_elems(c: usize) -> usize {
     MIN_CLASS_ELEMS << c
 }
 
 /// Smallest class whose capacity is >= `len`, or `None` for zero-length
 /// and oversize requests.
-pub(crate) fn class_of(len: usize) -> Option<usize> {
+fn class_of(len: usize) -> Option<usize> {
     if len == 0 {
         return None;
     }
@@ -124,9 +123,9 @@ static EPOCH: AtomicU64 = AtomicU64::new(0);
 
 impl Counters {
     fn footprint(&self) -> u64 {
-        (self.live.load(Relaxed))
+        self.live
+            .load(Relaxed)
             .wrapping_add(self.pooled.load(Relaxed))
-            .wrapping_add(crate::scratch::owned_bytes())
     }
 
     /// Restarts the event counts and high-water marks if a [`reset_stats`]
@@ -146,7 +145,8 @@ impl Counters {
     }
 
     /// A checkout of `len` elements: fresh (pool miss or adoption), or a
-    /// recycled buffer filed at `recycled` elements.
+    /// recycled buffer filed at `recycled` elements. Either grows the
+    /// footprint unless the buffer was filed at least `len` long.
     fn checkout(&self, len: usize, recycled: Option<usize>) {
         self.sync();
         let bytes = (len * 4) as u64;
@@ -159,7 +159,7 @@ impl Counters {
         }
         raise(&c.peak_live, add(&c.live, bytes));
         raise(&self.peak_live, add(&self.live, bytes));
-        if recycled.is_none() {
+        if recycled.is_none_or(|old| old < len) {
             raise(&self.peak_footprint, self.footprint());
         }
     }
@@ -277,15 +277,6 @@ pub fn pool_enabled() -> bool {
     true
 }
 
-/// Raises the calling thread's footprint high-water mark to its storage
-/// plus the scratch arenas now, as a scratch reservation or growth does.
-pub(crate) fn bump_footprint() {
-    with_pool(|_, counters| {
-        counters.sync();
-        raise(&counters.peak_footprint, counters.footprint());
-    });
-}
-
 /// Allocates (or recycles) a buffer of exactly `len` elements, every
 /// element set to `fill` — bit-identical to `vec![fill; len]`.
 pub(crate) fn acquire(len: usize, fill: f32) -> Vec<f32> {
@@ -395,7 +386,7 @@ pub struct ClassStats {
     pub peak_live_bytes: u64,
 }
 
-/// Snapshot of the pool + scratch accounting counters.
+/// Snapshot of the pool's accounting counters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MemStats {
     /// Fresh storage allocations (pool misses, adopted `Vec`s, oversize).
@@ -408,14 +399,7 @@ pub struct MemStats {
     pub peak_live_bytes: u64,
     /// Bytes parked in the storage free lists.
     pub pooled_free_bytes: u64,
-    /// Bytes owned by the scratch arenas (free or checked out).
-    pub scratch_owned_bytes: u64,
-    /// Scratch buffer checkouts served.
-    pub scratch_checkouts: u64,
-    /// Scratch allocations that hit the system allocator (reserve growth
-    /// plus hot-path misses).
-    pub scratch_fresh_allocs: u64,
-    /// Current live + pooled + scratch bytes.
+    /// Current live + pooled bytes.
     pub footprint_bytes: u64,
     /// High-water `footprint_bytes` — the Table-8/9 peak-usage analogue.
     pub peak_footprint_bytes: u64,
@@ -424,10 +408,11 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Total fresh heap allocations (storage + scratch) — the counter the
-    /// steady-state "zero fresh mallocs" guard asserts on.
+    /// Fresh heap allocations — `pool_fresh_allocs`, the counter the
+    /// steady-state "zero fresh mallocs" guard asserts on. Kept because the
+    /// out-of-workspace `benchmark/` reads it.
     pub fn fresh_allocs(&self) -> u64 {
-        self.pool_fresh_allocs + self.scratch_fresh_allocs
+        self.pool_fresh_allocs
     }
 
     fn empty() -> Self {
@@ -453,10 +438,7 @@ fn totals(reg: &Registry) -> MemStats {
     }
     s.pool_fresh_allocs = s.classes.iter().map(|c| c.fresh_allocs).sum();
     s.pool_reuses = s.classes.iter().map(|c| c.reuses).sum();
-    s.scratch_owned_bytes = crate::scratch::owned_bytes();
-    s.scratch_checkouts = crate::scratch::checkouts();
-    s.scratch_fresh_allocs = crate::scratch::fresh_allocs();
-    s.footprint_bytes = s.live_bytes + s.pooled_free_bytes + s.scratch_owned_bytes;
+    s.footprint_bytes = s.live_bytes + s.pooled_free_bytes;
     s.peak_live_bytes = s.peak_live_bytes.max(s.live_bytes);
     s.peak_footprint_bytes = s.peak_footprint_bytes.max(s.footprint_bytes);
     for c in &mut s.classes {
@@ -483,16 +465,13 @@ pub fn reset_stats() {
     exited.peak_live_bytes = now.live_bytes;
     exited.peak_footprint_bytes = now.footprint_bytes;
     add(&EPOCH, 1);
-    crate::scratch::reset_counters();
 }
 
-/// Frees the calling thread's pooled buffers and every scratch buffer
-/// (live storages are untouched; other threads' pooled buffers are freed
-/// when those threads exit). Used by `bench_mem` to isolate per-width
-/// footprint measurements.
+/// Frees the calling thread's pooled buffers (live storages are untouched;
+/// other threads' pooled buffers are freed when those threads exit). Used
+/// by `bench_mem` to isolate per-width footprint measurements.
 pub fn trim() {
     with_pool(|free, counters| free.map(|free| drain(free, counters)));
-    crate::scratch::trim_scratch();
 }
 
 #[cfg(test)]

@@ -39,16 +39,13 @@ pub fn sequence() -> Vec<Storage> {
 }
 
 /// Every scalar field of `s`, in declaration order.
-pub fn scalars(s: &MemStats) -> [u64; 10] {
+pub fn scalars(s: &MemStats) -> [u64; 7] {
     [
         s.pool_fresh_allocs,
         s.pool_reuses,
         s.live_bytes,
         s.peak_live_bytes,
         s.pooled_free_bytes,
-        s.scratch_owned_bytes,
-        s.scratch_checkouts,
-        s.scratch_fresh_allocs,
         s.footprint_bytes,
         s.peak_footprint_bytes,
     ]

@@ -164,11 +164,6 @@ impl Tensor {
         self.map(|v| v * v)
     }
 
-    /// Elementwise reciprocal.
-    pub fn recip(&self) -> Tensor {
-        self.map(|v| 1.0 / v)
-    }
-
     /// Elementwise power with a scalar exponent.
     pub fn powf(&self, e: f32) -> Tensor {
         self.map(|v| v.powf(e))

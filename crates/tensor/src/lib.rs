@@ -46,7 +46,7 @@ mod tensor;
 
 pub use error::{Result, TensorError};
 pub use init::Rng;
-pub use shape::{Dims, IndexIter, Shape, MAX_RANK};
+pub use shape::{Dims, Shape, MAX_RANK};
 pub use tensor::Tensor;
 
 /// The worker-pool sizes the bit-identity tests run at.

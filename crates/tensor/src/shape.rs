@@ -253,55 +253,6 @@ impl std::fmt::Display for Shape {
     }
 }
 
-/// Iterates over all multi-dimensional indices of a shape in row-major order.
-///
-/// Produced by [`Shape`]-driven loops in kernels that cannot be expressed as
-/// flat traversals (e.g. broadcast binary ops).
-#[derive(Debug, Clone)]
-pub struct IndexIter {
-    dims: Vec<usize>,
-    current: Vec<usize>,
-    done: bool,
-}
-
-impl IndexIter {
-    /// Creates an iterator over all indices of `shape`.
-    pub fn new(shape: &Shape) -> Self {
-        let done = shape.numel() == 0;
-        IndexIter {
-            dims: shape.dims().to_vec(),
-            current: vec![0; shape.rank()],
-            done,
-        }
-    }
-}
-
-impl Iterator for IndexIter {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        if self.done {
-            return None;
-        }
-        let out = self.current.clone();
-        // Advance odometer-style.
-        let mut i = self.dims.len();
-        loop {
-            if i == 0 {
-                self.done = true;
-                break;
-            }
-            i -= 1;
-            self.current[i] += 1;
-            if self.current[i] < self.dims[i] {
-                break;
-            }
-            self.current[i] = 0;
-        }
-        Some(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,25 +296,6 @@ mod tests {
         let t = Shape::new(vec![5, 3]);
         assert!(a.broadcasts_to(&t));
         assert!(!t.broadcasts_to(&a));
-    }
-
-    #[test]
-    fn index_iter_row_major_order() {
-        let s = Shape::new(vec![2, 2]);
-        let all: Vec<_> = IndexIter::new(&s).collect();
-        assert_eq!(all, vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]]);
-    }
-
-    #[test]
-    fn index_iter_empty_shape_yields_nothing() {
-        let s = Shape::new(vec![0, 3]);
-        assert_eq!(IndexIter::new(&s).count(), 0);
-    }
-
-    #[test]
-    fn index_iter_scalar_yields_one_empty_index() {
-        let all: Vec<_> = IndexIter::new(&Shape::scalar()).collect();
-        assert_eq!(all, vec![Vec::<usize>::new()]);
     }
 
     #[test]

@@ -259,7 +259,6 @@ fn pool_stats_are_deterministic_for_fixed_workload() {
         (
             s.pool_fresh_allocs,
             s.pool_reuses,
-            s.scratch_fresh_allocs,
             s.peak_footprint_bytes,
             s.live_bytes,
         )
