@@ -10,15 +10,11 @@
 //! statistics after the step, every NaN as one value. Checked at 1 and 4
 //! worker threads.
 
-use std::sync::Mutex;
-
 use hfta_core::ops::{Fused, Ops};
 use hfta_kernels::set_num_threads;
 use hfta_nn::layers::BatchNorm;
 use hfta_nn::{Module, Parameter, Tape};
 use hfta_tensor::{Rng, Tensor};
-
-static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Values sprinkled into inputs and upstream gradients: ±0, ±inf, quiet
 /// NaNs of either sign with payloads, a signalling NaN and a subnormal.
@@ -98,17 +94,9 @@ fn digest(train: bool) -> u64 {
 }
 
 fn check(train: bool, want: u64) {
-    let _l = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let before = hfta_kernels::num_threads();
-    let got: Vec<(usize, u64)> = [1, 4]
-        .into_iter()
-        .map(|threads| {
-            set_num_threads(threads);
-            (threads, digest(train))
-        })
-        .collect();
-    set_num_threads(before);
-    for (threads, got) in got {
+    for threads in [1, 4] {
+        set_num_threads(threads);
+        let got = digest(train);
         assert_eq!(
             got, want,
             "train = {train} at {threads} threads: {got:#018x}"

@@ -1,9 +1,10 @@
-//! The kernels' worker threads check out scratch, never storage: every
-//! tensor a training step makes is built and dropped on the thread that
-//! runs the step. Each thread owns its storage pool, so a buffer a worker
-//! checked out would miss on that worker's empty free lists every step; a
-//! conv + linear training step therefore has the same storage counts at 4
-//! threads, where the products fan out across the workers, as at 1.
+//! The kernels' worker threads check out no storage: every tensor a
+//! training step makes, and each GEMM call's workspace, is built and
+//! dropped on the thread that runs the step. Each thread owns its storage
+//! pool, so a buffer a worker checked out would miss on that worker's empty
+//! free lists every step; a conv + linear training step therefore has the
+//! same storage counts at 4 threads, where the products fan out across the
+//! workers, as at 1.
 //!
 //! One test in its own binary: `hfta_mem::stats()` sums every thread's
 //! counters, so no other test may allocate while it counts.

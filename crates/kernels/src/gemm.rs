@@ -754,12 +754,13 @@ fn gemm_batched_on(
     // buffers it reuses for all its entries (the direct loops' dense `B` and
     // product; the tiles' scatter strip and the packed `B` of `lanes`
     // entries, each of `segs`). A call that fans out runs at most one chunk
-    // per thread; one inline on its thread holds one slot.
-    let (threads, chunks) = (pool::num_threads(), units.div_ceil(grain));
+    // per thread; one inline on its thread holds one slot. The count is
+    // this thread's own, so the dispatch below reads the same one.
+    let chunks = units.div_ceil(grain);
     let pairs = if pool::runs_inline(chunks, work) {
         1
     } else {
-        threads.min(chunks)
+        pool::num_threads().min(chunks)
     };
     let (scattered, packed) = (scatter.is_some(), matches!(b, PackB::T(_)));
     // A transposed `B` is packed whole, or one column panel of each stacked
@@ -798,7 +799,7 @@ fn gemm_batched_on(
         b: b_seg,
     };
     let next = |u: usize| if u < units { offsets(u * chain).2 } else { len };
-    pool::parallel_for_on(threads, units, grain, work, |chunk| {
+    pool::parallel_for_work(units, grain, work, |chunk| {
         // A free slot, held while the chunk runs: at most `pairs` chunks
         // run at once, one per thread.
         let free = taken.fetch_update(Ordering::Acquire, Ordering::Relaxed, |t| {
@@ -1825,10 +1826,6 @@ mod tests {
     #[test]
     fn short_products_write_only_their_own_cells() {
         const GAP: usize = 5;
-        let _lock = pool::tests::THREAD_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let threads = pool::num_threads();
         for m in [1usize, 2, 3, 4, 5, 7] {
             for (k, n) in [(5usize, 3usize), (37, 8), (16, 9), (3, 17)] {
                 let (mk, kn, mn) = (m * k, k * n, m * n);
@@ -1908,7 +1905,6 @@ mod tests {
                 }
             }
         }
-        pool::set_num_threads(threads);
     }
 
     /// A convolution's `(koff, soff)` tables over `c` channels of the
@@ -1969,10 +1965,6 @@ mod tests {
             ),
             ("direct loops", conv_tables(2, (1, 1), (2, 2), (2, 8))),
         ];
-        let _lock = pool::tests::THREAD_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let threads = pool::num_threads();
         for (seed, (name, (row, col))) in cases.into_iter().enumerate() {
             let (m, n) = (row.len(), col.len());
             let tiled = 2 * m * m * n >= SMALL_FLOPS;
@@ -2002,7 +1994,6 @@ mod tests {
                 }
             }
         }
-        pool::set_num_threads(threads);
     }
 
     /// A `c`-channel convolution's windowed tables over unpadded `[h, w]`
@@ -2067,10 +2058,6 @@ mod tests {
             (2, (6, 7), (3, 2), (1, 2), (2, 1), true),
             (1, (3, 4), (2, 2), (1, 1), (1, 1), false),
         ];
-        let _lock = pool::tests::THREAD_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let threads = pool::num_threads();
         for (seed, &(c, (h, w), kernel, stride, pad, swapped)) in cases.iter().enumerate() {
             let (off, shift) = windowed_tables(c, (h, w), kernel, stride, pad);
             let (r, q) = (usize::from(swapped), usize::from(!swapped));
@@ -2163,7 +2150,6 @@ mod tests {
                 }
             }
         }
-        pool::set_num_threads(threads);
     }
 
     /// The three products of every `dcgan_compute` layer (B = 6 as groups,
@@ -2187,10 +2173,6 @@ mod tests {
             (96, 32, 4, 1, 0),
         ];
         let (groups, samples) = (6, 2);
-        let _lock = pool::tests::THREAD_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let threads = pool::num_threads();
         for (seed, &(cing, coutg, h, s, p)) in layers.iter().enumerate() {
             let (off, shift) = windowed_tables(cing, (h, h), (4, 4), (s, s), (p, p));
             let yx = |side: usize| [&shift[side][0][..], &shift[side][1][..]];
@@ -2290,7 +2272,6 @@ mod tests {
                 }
             }
         }
-        pool::set_num_threads(threads);
     }
 
     proptest! {
@@ -2365,10 +2346,6 @@ mod tests {
                 reference::gemm_nt_ref(block, gyg, &cols, coutg, spatial, krows);
             }
             let axis = |count, a, b, out| Axis { count, a, b, out };
-            let _lock = pool::tests::THREAD_LOCK
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            let threads = pool::num_threads();
             for (pool_threads, vector) in [1, 4].into_iter().flat_map(|t| instantiations().into_iter().map(move |v| (t, v))) {
                 pool::set_num_threads(pool_threads);
                 let what = format!("{pool_threads} threads, vector={vector}");
@@ -2396,7 +2373,6 @@ mod tests {
                 let (a, b) = (PackA::N(&gy), PackB::Gather(&x, tables(true)));
                 gemm_batched_on(vector, Out::Write(&mut got), a, b, (coutg, spatial, krows), batch);
                 let weight = bits(&got) == bits(&wgrad);
-                pool::set_num_threads(threads);
                 prop_assert!(forward && input && weight, "forward {forward}, input {input}, weight {weight} at {what}");
             }
         }
@@ -2495,10 +2471,6 @@ mod tests {
                 (PackA::T(&case.at), PackB::N(&case.b), Some(dst_off), (m, k, n), kb, case.d_len),
                 (PackA::T(&a), PackB::N(&b), Some(conv), (taps, k, pixels), k * pixels, cing * h * h),
             ];
-            let _lock = pool::tests::THREAD_LOCK
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            let threads = pool::num_threads();
             for (i, &(pa, pb, tables, mkn, b_len, block)) in sinks.iter().enumerate() {
                 let a_len = if i == 5 { taps * k } else { ka };
                 let batch = case.batch(a_len, b_len, block + gap);
@@ -2521,7 +2493,6 @@ mod tests {
                     }
                 }
             }
-            pool::set_num_threads(threads);
         }
     }
 

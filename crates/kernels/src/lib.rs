@@ -3,8 +3,9 @@
 //! The compute-kernel layer under the HFTA reproduction's tensor substrate:
 //!
 //! * [`pool`] — a persistent, lazily initialized worker pool
-//!   ([`parallel_for`], [`for_each_chunk_mut`]) with an `HFTA_NUM_THREADS`
-//!   override, a [`set_num_threads`] API, and a determinism contract: chunk
+//!   ([`parallel_for`], [`for_each_chunk_mut`]) shared by the process, each
+//!   thread dispatching at its own count ([`set_num_threads`], starting at
+//!   the `HFTA_NUM_THREADS` default), and a determinism contract: chunk
 //!   boundaries depend only on the problem shape, so results are
 //!   bit-identical at any thread count.
 //! * [`gemm`] — register-tiled f32 GEMM whose tiles read A and B in place
@@ -35,17 +36,18 @@
 //!
 //! This crate carries no observability code: op spans and samples are
 //! recorded once, on the autograd tape in `hfta-nn`, and the pool's
-//! internals are visible as a plain counter ([`pool_dispatches`]) the
-//! reporter reads.
+//! internals are visible as a plain per-thread counter
+//! ([`pool_dispatches`]) the reporter reads.
 //!
 //! The paper's Figure 3 claim — fused training is bit-exact with serial
 //! training — survives this layer because every kernel here is
 //! deterministic by construction; the property tests in `tests/proptests.rs`
 //! enforce it.
 //!
-//! **Selection is by platform and shape; the only env var and the only
-//! process-wide setting is the worker-pool size (`HFTA_NUM_THREADS`,
-//! [`set_num_threads`]), a resource setting.**
+//! **Selection is by platform and shape; the only env var is the default
+//! worker-pool size (`HFTA_NUM_THREADS`), and the only setting, a resource
+//! setting, is each thread's own ([`set_num_threads`]): no process-wide
+//! setting.**
 
 #![warn(missing_docs)]
 

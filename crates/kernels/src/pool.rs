@@ -2,8 +2,11 @@
 //!
 //! The pool is lazily initialized on first dispatch and its threads live for
 //! the rest of the process — no per-call `std::thread::scope` spawn cost.
-//! Thread count comes from `HFTA_NUM_THREADS` (env, read once) or
-//! [`set_num_threads`]; the default is `std::thread::available_parallelism`.
+//! The workers are shared by the process; how many of them a dispatch runs
+//! on is the submitting thread's own count ([`set_num_threads`]), which
+//! starts at the process default: `HFTA_NUM_THREADS` (env, read once) or
+//! `std::thread::available_parallelism`. Setting it on one thread changes
+//! no other thread's dispatches.
 //!
 //! # Determinism contract
 //!
@@ -49,25 +52,26 @@ pub const MAX_THREADS: usize = 64;
 /// decision, like the chunk decomposition, is identical on any pool size.
 pub const MIN_POOL_WORK: usize = 1 << 16;
 
-/// Configured thread count. 0 = not yet resolved from env/default.
-static THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Jobs actually handed to the worker pool (inline runs excluded). The
-/// small-op regression guard in `benches/telemetry_overhead.rs` asserts
-/// this stays flat across a loop of tiny tensor ops.
-static DISPATCHES: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of jobs ever dispatched to pool workers (inline fast-path runs
-/// do not count). Monotonic; useful for asserting that small operations
-/// never wake the pool.
-pub fn pool_dispatches() -> u64 {
-    DISPATCHES.load(Ordering::Relaxed) as u64
-}
+/// The count a thread starts at, resolved once from the env or the machine.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
 thread_local! {
     /// True on pool workers and on a submitting thread while it participates
     /// in a dispatch; nested `parallel_for` calls then run inline.
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
+    /// This thread's count, or 0 for the process default.
+    static THREAD_COUNT: Cell<usize> = const { Cell::new(0) };
+    /// Jobs this thread handed to the workers.
+    static SUBMITTED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of jobs the calling thread ever handed to pool workers (inline
+/// fast-path runs do not count). Monotonic; useful for asserting that small
+/// operations never wake the pool — the small-op regression guard in
+/// `benches/telemetry_overhead.rs` asserts it stays flat across a loop of
+/// tiny tensor ops. Other threads' dispatches never move it.
+pub fn pool_dispatches() -> u64 {
+    SUBMITTED.with(Cell::get)
 }
 
 fn resolve_default_threads() -> usize {
@@ -88,30 +92,25 @@ fn resolve_default_threads() -> usize {
     n.clamp(1, MAX_THREADS)
 }
 
-/// Worker threads used by [`parallel_for`] (including the submitting
-/// thread). Resolved once from `HFTA_NUM_THREADS` or the machine's available
-/// parallelism; override with [`set_num_threads`].
+/// Threads the calling thread's dispatches run on (itself included): its
+/// own [`set_num_threads`] count, else the process default resolved once
+/// from `HFTA_NUM_THREADS` or the machine's available parallelism.
 pub fn num_threads() -> usize {
-    match THREADS.load(Ordering::Relaxed) {
-        0 => {
-            let n = resolve_default_threads();
-            // Racing first calls resolve to the same value, so either store
-            // wins harmlessly.
-            let _ = THREADS.compare_exchange(0, n, Ordering::Relaxed, Ordering::Relaxed);
-            THREADS.load(Ordering::Relaxed)
-        }
+    match THREAD_COUNT.with(Cell::get) {
+        0 => *DEFAULT_THREADS.get_or_init(resolve_default_threads),
         n => n,
     }
 }
 
-/// Overrides the pool thread count (clamped to `1..=MAX_THREADS`).
+/// Sets the calling thread's count (clamped to `1..=MAX_THREADS`); every
+/// other thread keeps its own.
 ///
-/// Lowering the count after workers have spawned leaves the extra workers
-/// parked: each dispatch records how many workers it runs on, and a worker
-/// spawned past that count sits it out, so a dispatch never runs on more
-/// threads than the count it was submitted at.
+/// The workers are shared, so more may have spawned than this count: each
+/// dispatch records how many workers it runs on, and a worker spawned past
+/// that count sits it out, so a dispatch never runs on more threads than
+/// the count it was submitted at.
 pub fn set_num_threads(n: usize) {
-    THREADS.store(n.clamp(1, MAX_THREADS), Ordering::Relaxed);
+    THREAD_COUNT.with(|count| count.set(n.clamp(1, MAX_THREADS)));
 }
 
 /// Whether the current thread is a pool worker (or a participating
@@ -267,7 +266,7 @@ fn chunk_range(chunk: usize, grain: usize, n_items: usize) -> Range<usize> {
 /// Chunk boundaries depend only on `(n_items, grain)`, so as long as `f`
 /// writes disjoint output per chunk the result is bit-identical at any
 /// thread count. Runs inline (still chunked, in ascending chunk order) when
-/// the pool has one thread, when there is a single chunk, when called from
+/// the caller's count is one, when there is a single chunk, when called from
 /// inside a pool worker, or when another dispatch is already in flight.
 ///
 /// Each item counts as one unit of work for the [`MIN_POOL_WORK`] inline
@@ -291,18 +290,6 @@ pub fn parallel_for_work(
     work: usize,
     f: impl Fn(Range<usize>) + Sync,
 ) {
-    parallel_for_on(num_threads(), n_items, grain, work, f);
-}
-
-/// [`parallel_for_work`] on at most `threads` threads: the caller's read of
-/// [`num_threads`], so it can size per-thread state to the dispatch.
-pub(crate) fn parallel_for_on(
-    threads: usize,
-    n_items: usize,
-    grain: usize,
-    work: usize,
-    f: impl Fn(Range<usize>) + Sync,
-) {
     if n_items == 0 {
         return;
     }
@@ -313,7 +300,13 @@ pub(crate) fn parallel_for_on(
             f(chunk_range(chunk, grain, n_items));
         }
     };
-    if threads == 1 || runs_inline(n_chunks, work) {
+    // A worker never reads its own count: its dispatches run inline.
+    let threads = if runs_inline(n_chunks, work) {
+        1
+    } else {
+        num_threads()
+    };
+    if threads == 1 {
         run_inline();
         return;
     }
@@ -330,7 +323,7 @@ pub(crate) fn parallel_for_on(
             return;
         }
     };
-    DISPATCHES.fetch_add(1, Ordering::Relaxed);
+    SUBMITTED.with(|n| n.set(n.get() + 1));
     ensure_workers(pool, threads - 1);
     let call = |chunk: usize| f(chunk_range(chunk, grain, n_items));
     let task_ref: &(dyn Fn(usize) + Sync) = &call;
@@ -480,19 +473,21 @@ impl<'a, T> UnsafeSlice<'a, T> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-
-    /// Serializes tests that mutate the global thread count.
-    pub(crate) static THREAD_LOCK: Mutex<()> = Mutex::new(());
+    use std::collections::HashSet;
+    use std::sync::Barrier;
+    use std::time::{Duration, Instant};
 
     /// Whether a threshold-sized dispatch goes through the pool (the
-    /// submitter participates with the pool flag set). Retried, yielding
-    /// in between: tests of other modules share this process's pool without
-    /// taking [`THREAD_LOCK`], and while one of their dispatches is in
-    /// flight ours falls back to inline.
+    /// submitter participates with the pool flag set). Retried for up to
+    /// 30 s, yielding in between: other tests share this process's workers
+    /// and may hold them for seconds (the sleeping chunks of
+    /// `a_dispatch_runs_on_at_most_its_thread_count`), and while one of
+    /// their dispatches is in flight ours falls back to inline.
     fn reaches_pool() -> bool {
-        for _ in 0..10_000 {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while Instant::now() < deadline {
             let flagged = AtomicUsize::new(0);
             parallel_for_work(4096, 64, MIN_POOL_WORK, |_range| {
                 if in_worker() {
@@ -509,7 +504,6 @@ pub(crate) mod tests {
 
     #[test]
     fn chunks_cover_exactly_once() {
-        let _guard = THREAD_LOCK.lock().unwrap();
         for threads in [1, 2, 4] {
             set_num_threads(threads);
             let mut hits = vec![0.0f32; 1003];
@@ -522,12 +516,10 @@ pub(crate) mod tests {
                 assert_eq!(*v, i as f32, "thread count {threads}, index {i}");
             }
         }
-        set_num_threads(1);
     }
 
     #[test]
     fn nested_dispatch_runs_inline() {
-        let _guard = THREAD_LOCK.lock().unwrap();
         set_num_threads(4);
         let mut out = vec![0.0f32; 64];
         let shared = UnsafeSlice::new(&mut out);
@@ -547,12 +539,10 @@ pub(crate) mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as f32);
         }
-        set_num_threads(1);
     }
 
     #[test]
     fn chunk_panic_propagates_and_pool_survives() {
-        let _guard = THREAD_LOCK.lock().unwrap();
         set_num_threads(4);
         for _ in 0..4 {
             // The panicking chunk may land on a worker or on the submitter;
@@ -580,18 +570,16 @@ pub(crate) mod tests {
             // later parallel_for for the rest of the process.
             assert!(reaches_pool(), "pool stopped dispatching after a panic");
         }
-        set_num_threads(1);
     }
 
     #[test]
     fn small_work_never_touches_the_pool() {
-        let _guard = THREAD_LOCK.lock().unwrap();
         set_num_threads(4);
         let caller = std::thread::current().id();
         // Many chunks, but total work below MIN_POOL_WORK: must run inline —
         // every chunk on the calling thread, pool flag never set. (Inline
         // execution is unconditional below the threshold, so this cannot be
-        // perturbed by concurrent tests sharing the process-wide pool.)
+        // perturbed by concurrent tests sharing the workers.)
         let escaped = AtomicUsize::new(0);
         let mut out = vec![0.0f32; 4096];
         let shared = UnsafeSlice::new(&mut out);
@@ -616,24 +604,22 @@ pub(crate) mod tests {
         }
         // At or above the threshold the dispatch goes through the pool.
         assert!(reaches_pool(), "threshold-sized op never reached the pool");
-        set_num_threads(1);
     }
 
     #[test]
     fn a_dispatch_runs_on_at_most_its_thread_count() {
-        let _guard = THREAD_LOCK.lock().unwrap();
         // Distinct threads that ran one dispatch of chunks long enough for
         // every woken worker to claim one.
         let threads_of_dispatch = || {
-            let ids = Mutex::new(std::collections::HashSet::new());
+            let ids = Mutex::new(HashSet::new());
             parallel_for_work(32, 1, MIN_POOL_WORK, |_range| {
                 ids.lock().unwrap().insert(std::thread::current().id());
-                std::thread::sleep(std::time::Duration::from_millis(1));
+                std::thread::sleep(Duration::from_millis(1));
             });
             ids.into_inner().unwrap().len()
         };
         set_num_threads(4);
-        // Retried: another module's in-flight dispatch makes ours inline.
+        // Retried: another test's in-flight dispatch makes ours inline.
         let spread = (0..100).map(|_| threads_of_dispatch()).find(|&t| t > 2);
         assert!(spread.is_some(), "4 threads never ran one dispatch");
         set_num_threads(2);
@@ -641,7 +627,6 @@ pub(crate) mod tests {
             let ran_on = threads_of_dispatch();
             assert!(ran_on <= 2, "a dispatch at 2 threads ran on {ran_on}");
         }
-        set_num_threads(1);
     }
 
     #[test]
@@ -653,11 +638,54 @@ pub(crate) mod tests {
     #[test]
     fn env_override_is_clamped() {
         // Can't re-read env after first resolution, but the setter clamps.
-        let _guard = THREAD_LOCK.lock().unwrap();
         set_num_threads(0);
         assert_eq!(num_threads(), 1);
         set_num_threads(MAX_THREADS + 100);
         assert_eq!(num_threads(), MAX_THREADS);
-        set_num_threads(1);
+    }
+
+    /// Two threads at 1 and 4 each read back their own count after both
+    /// set theirs, and a 32-chunk dispatch from the one at 1 runs on it
+    /// alone while the other is at 4.
+    #[test]
+    fn each_thread_owns_its_count() {
+        let barrier = Barrier::new(2);
+        std::thread::scope(|s| {
+            for count in [1, 4] {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    set_num_threads(count);
+                    barrier.wait();
+                    assert_eq!(num_threads(), count, "a thread's count moved");
+                    if count == 1 {
+                        let ids = Mutex::new(HashSet::new());
+                        parallel_for_work(32, 1, MIN_POOL_WORK, |_range| {
+                            ids.lock().unwrap().insert(std::thread::current().id());
+                            std::thread::sleep(Duration::from_millis(1));
+                        });
+                        let me = HashSet::from([std::thread::current().id()]);
+                        assert_eq!(ids.into_inner().unwrap(), me, "ran past its count");
+                    }
+                });
+            }
+        });
+    }
+
+    /// One thread's [`pool_dispatches`] stays put while another thread's
+    /// threshold-sized dispatches reach the workers ten times.
+    #[test]
+    fn dispatch_counts_are_per_thread() {
+        let before = pool_dispatches();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                set_num_threads(4);
+                let start = pool_dispatches();
+                for _ in 0..10 {
+                    assert!(reaches_pool(), "a dispatch never reached the pool");
+                }
+                assert!(pool_dispatches() - start >= 10);
+            });
+        });
+        assert_eq!(pool_dispatches(), before, "counted another thread's jobs");
     }
 }

@@ -890,10 +890,6 @@ mod tests {
     #[test]
     fn chacha8_blocks_equal_the_reference_block_by_block() {
         const SENTINEL: u32 = 0xdead_beef;
-        let _lock = crate::pool::tests::THREAD_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let threads = crate::pool::num_threads();
         let instantiations: &[bool] = if detected() {
             &[false, true]
         } else {
@@ -938,7 +934,6 @@ mod tests {
                 }
             }
         }
-        crate::pool::set_num_threads(threads);
     }
 
     /// The invariant the macro-kernel's pairing rests on: one paired call

@@ -21,19 +21,12 @@
 //! That the AVX2/FMA and the portable instantiations agree is a unit test
 //! in `src/gemm.rs`, which can name an instantiation; from here, dispatch
 //! takes whichever the CPU has.
-//!
-//! `set_num_threads` is process-wide, so every test in this binary
-//! serializes on [`THREADS_LOCK`] and restores the thread count before
-//! releasing it.
 
 use hfta_kernels::{
     gemm, gemm_batched, gemm_nt, gemm_tn, reference, set_num_threads, Axis, Offsets, Out, PackA,
     PackB, Window,
 };
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Deterministic pseudo-random fill (xorshift), decorrelated by `salt`.
 fn fill(n: usize, seed: u64, salt: u64) -> Vec<f32> {
@@ -64,15 +57,6 @@ fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 /// Bit patterns, so `-0.0 != 0.0` and NaNs compare by payload.
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// Restores the thread count when a test body exits (even early).
-struct RestoreThreads(usize);
-
-impl Drop for RestoreThreads {
-    fn drop(&mut self) {
-        set_num_threads(self.0);
-    }
 }
 
 /// The three public entry points, each fed from the same logical operands
@@ -170,8 +154,6 @@ fn check_every_configuration(
     expect: &[u32],
     run: impl Fn() -> Vec<u32>,
 ) -> Result<(), String> {
-    let _g = THREADS_LOCK.lock().unwrap();
-    let _restore = RestoreThreads(hfta_kernels::num_threads());
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);
         prop_assert!(

@@ -48,7 +48,7 @@ fn draws(
 }
 
 #[test]
-fn batches_check_out_scratch_once_per_call() {
+fn batches_draw_one_storage_per_call() {
     // A pointwise conv's input-gradient tables: channel rows `n` apart.
     let (rows_4, rows_8): (Vec<usize>, Vec<usize>) = (
         (0..4).map(|r| r * 32).collect(),

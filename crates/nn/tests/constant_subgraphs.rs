@@ -9,8 +9,6 @@
 //! and at 4 worker threads. A loss that reaches no parameter must leave
 //! every gradient slot as it was.
 
-use std::sync::Mutex;
-
 use hfta_kernels::set_num_threads;
 use hfta_nn::{Parameter, Tape, Var};
 use hfta_tensor::conv::{conv2d, ConvCfg};
@@ -20,22 +18,12 @@ use proptest::prelude::*;
 /// Shape every constant op takes and returns, so any sequence composes.
 const S: [usize; 4] = [2, 4, 4, 4];
 
-static THREADS_LOCK: Mutex<()> = Mutex::new(());
-
 /// Runs `case` at 1 and at 4 worker threads.
 fn at_1_and_4_threads(mut case: impl FnMut() -> Result<(), String>) -> Result<(), String> {
-    let _l = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let before = hfta_kernels::num_threads();
-    let mut result = Ok(());
-    for threads in [1, 4] {
+    [1, 4].into_iter().try_for_each(|threads| {
         set_num_threads(threads);
-        result = case();
-        if result.is_err() {
-            break;
-        }
-    }
-    set_num_threads(before);
-    result
+        case()
+    })
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {

@@ -10,14 +10,10 @@
 //! input both a constant leaf and a parameter; batch norm runs in training
 //! and in eval mode, plain and grouped.
 
-use std::sync::Mutex;
-
 use hfta_kernels::set_num_threads;
 use hfta_nn::{Parameter, Tape, Var};
 use hfta_tensor::conv::ConvCfg;
 use hfta_tensor::{Rng, Tensor};
-
-static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
 /// An operand: its dims, whether it is a parameter (else a constant
 /// leaf), and whether its values are kept positive (`ln`, a divisor,
@@ -254,13 +250,10 @@ fn digest(case: usize, operands: &[Operand], op: OpFn) -> u64 {
 
 /// Runs `f` at 1 and at 4 worker threads.
 fn at_1_and_4_threads(mut f: impl FnMut()) {
-    let _l = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let before = hfta_kernels::num_threads();
     for threads in [1, 4] {
         set_num_threads(threads);
         f();
     }
-    set_num_threads(before);
 }
 
 /// The digests, one per case in `cases()` order.

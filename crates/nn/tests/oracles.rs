@@ -10,8 +10,6 @@
 //! with `-0.0` first, so the accumulation `-0.0 + g` is the identity on
 //! every bit pattern and the comparison sees the closure's own output.
 
-use std::sync::Mutex;
-
 use hfta_kernels::set_num_threads;
 use hfta_nn::{Parameter, Tape, Var};
 use hfta_tensor::{Rng, Tensor};
@@ -97,22 +95,12 @@ fn batch_norm_eval_backward_oracle(
 
 // --- Harness ----------------------------------------------------------------
 
-static THREADS_LOCK: Mutex<()> = Mutex::new(());
-
 /// Runs `case` at 1 and at 4 worker threads.
 fn at_1_and_4_threads(mut case: impl FnMut() -> Result<(), String>) -> Result<(), String> {
-    let _l = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let before = hfta_kernels::num_threads();
-    let mut result = Ok(());
-    for threads in [1, 4] {
+    [1, 4].into_iter().try_for_each(|threads| {
         set_num_threads(threads);
-        result = case();
-        if result.is_err() {
-            break;
-        }
-    }
-    set_num_threads(before);
-    result
+        case()
+    })
 }
 
 fn assert_bits(got: &Tensor, want: &Tensor, what: &str) -> Result<(), String> {

@@ -131,7 +131,6 @@ fn chain_grads_match_the_copying_oracle_with_fewer_pool_draws() {
         seed: rng.randn([2, 6, 5]),
         cfg: ConvCfg::square(1, 1, 2),
     };
-    let before = hfta_kernels::num_threads();
     for threads in [1, 4] {
         set_num_threads(threads);
         chain.zero_grads();
@@ -148,5 +147,4 @@ fn chain_grads_match_the_copying_oracle_with_fewer_pool_draws() {
             "tape drew {tape_draws} pool buffers, the copying oracle {oracle_draws}"
         );
     }
-    set_num_threads(before);
 }

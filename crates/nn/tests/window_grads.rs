@@ -13,15 +13,11 @@
 //! bit for bit; an FNV-1a digest per kind of set pins them, at 1 and 4
 //! worker threads.
 
-use std::sync::Mutex;
-
 use hfta_kernels::set_num_threads;
 use hfta_nn::{Parameter, Tape, Var};
 use hfta_tensor::{Rng, Tensor};
 
 const DIMS: [usize; 3] = [6, 5, 4];
-
-static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Seed-gradient values: ±0, ±inf, quiet NaNs of either sign with
 /// payloads, a signalling NaN, subnormals and ordinary values.
@@ -209,17 +205,9 @@ fn digest(kind: &str) -> u64 {
 }
 
 fn check(kind: &str, want: u64) {
-    let _l = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let before = hfta_kernels::num_threads();
-    let got: Vec<(usize, u64)> = [1, 4]
-        .into_iter()
-        .map(|threads| {
-            set_num_threads(threads);
-            (threads, digest(kind))
-        })
-        .collect();
-    set_num_threads(before);
-    for (threads, got) in got {
+    for threads in [1, 4] {
+        set_num_threads(threads);
+        let got = digest(kind);
         assert_eq!(
             got, want,
             "{kind} windows at {threads} threads: {got:#018x}"

@@ -61,8 +61,9 @@ const STREAM_LEN: usize = 8 << 20;
 const REPS: usize = 3;
 
 /// One-shot machine calibration: measures attainable peak f32 GFLOP/s and
-/// stream GB/s at each of `thread_counts`, restoring the worker-pool
-/// thread count afterwards. Entries come back sorted ascending by threads.
+/// stream GB/s at each of `thread_counts`, restoring the calling thread's
+/// worker-pool count afterwards. Entries come back sorted ascending by
+/// threads.
 ///
 /// # Panics
 ///

@@ -71,9 +71,10 @@ pub struct ServeHandle<C> {
 }
 
 impl<C: Send + 'static> ServeHandle<C> {
-    /// Starts the service: the worker thread builds the engine from
-    /// `backend`, `fleet`, and `cfg`, then alternates between serving
-    /// client requests and advancing the simulation.
+    /// Starts the service: the worker thread takes the calling thread's
+    /// worker-pool count, builds the engine from `backend`, `fleet`, and
+    /// `cfg`, then alternates between serving client requests and advancing
+    /// the simulation.
     ///
     /// # Errors
     ///
@@ -86,7 +87,9 @@ impl<C: Send + 'static> ServeHandle<C> {
     {
         let (tx, rx) = mpsc::channel::<Request<C>>();
         let (built_tx, built) = mpsc::channel::<io::Result<()>>();
+        let threads = hfta_kernels::num_threads();
         let worker = thread::spawn(move || {
+            hfta_kernels::set_num_threads(threads);
             let engine = ServeEngine::new(backend, fleet, cfg, Vec::new());
             match engine {
                 Ok(engine) => {
@@ -245,9 +248,13 @@ fn status_of<B: ArrayBackend>(engine: &ServeEngine<B>) -> Vec<SweepStatus> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hfta_core::surgery::LaneState;
     use hfta_sched::asha::RungPolicy;
+    use hfta_sched::backend::TrainOutcome;
     use hfta_sched::linear::{LinearBackend, LinearTrialCfg};
-    use hfta_sim::DeviceSpec;
+    use hfta_sched::Trial;
+    use hfta_sim::{DeviceSpec, TrainingJob};
+    use std::sync::{Arc, Mutex};
 
     fn sweep(tenant: &str, priority: f64, n: usize) -> SweepSpec<LinearTrialCfg> {
         SweepSpec {
@@ -263,11 +270,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn submit_status_cancel_round_trip() {
-        let backend = LinearBackend::default();
-        let fleet = DeviceFleet::homogeneous(DeviceSpec::v100(), false, 2);
-        let cfg = ServeCfg {
+    fn fleet() -> DeviceFleet {
+        DeviceFleet::homogeneous(DeviceSpec::v100(), false, 2)
+    }
+
+    fn cfg() -> ServeCfg {
+        ServeCfg {
             policy: crate::admission::AdmitPolicy::FairShare,
             rung: RungPolicy {
                 base_steps: 2,
@@ -276,7 +284,12 @@ mod tests {
             },
             width_cap: 4,
             checkpoint_dir: None,
-        };
+        }
+    }
+
+    #[test]
+    fn submit_status_cancel_round_trip() {
+        let (backend, fleet, cfg) = (LinearBackend::default(), fleet(), cfg());
         // Every request is queued before the worker loop starts, so all of
         // them land at simulated time 0 and the cancel provably precedes
         // bob's first step. (Through a live handle the cancel would race the
@@ -309,5 +322,71 @@ mod tests {
             .outcomes
             .iter()
             .any(|o| o.sweep == a && o.status == "finished"));
+    }
+
+    /// The linear backend, recording the worker-pool count each `train`
+    /// call runs at.
+    struct CountsThreads {
+        inner: LinearBackend,
+        seen: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl ArrayBackend for CountsThreads {
+        type Config = LinearTrialCfg;
+        type Array = <LinearBackend as ArrayBackend>::Array;
+
+        fn build(&self, trials: &[Trial<LinearTrialCfg>]) -> Self::Array {
+            self.inner.build(trials)
+        }
+
+        fn splice(
+            &self,
+            trials: &[Trial<LinearTrialCfg>],
+            lanes: &[LaneState],
+            start_step: u64,
+        ) -> Self::Array {
+            self.inner.splice(trials, lanes, start_step)
+        }
+
+        fn extract(&self, array: &Self::Array, lane: usize) -> LaneState {
+            self.inner.extract(array, lane)
+        }
+
+        fn train(&self, array: &mut Self::Array, steps: u64) -> TrainOutcome {
+            self.seen.lock().unwrap().push(hfta_kernels::num_threads());
+            self.inner.train(array, steps)
+        }
+
+        fn job_profile(&self) -> TrainingJob {
+            self.inner.job_profile()
+        }
+    }
+
+    /// A handle spawned from a thread at 3 (2 where that is the process
+    /// default) trains at that count, not at the default its engine thread
+    /// would start at, and driving it from this thread changes nothing.
+    #[test]
+    fn the_engine_trains_at_the_spawning_threads_count() {
+        let count = if hfta_kernels::num_threads() == 3 {
+            2
+        } else {
+            3
+        };
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let backend = CountsThreads {
+            inner: LinearBackend::default(),
+            seen: Arc::clone(&seen),
+        };
+        let handle = thread::spawn(move || {
+            hfta_kernels::set_num_threads(count);
+            ServeHandle::spawn(backend, fleet(), cfg()).unwrap()
+        })
+        .join()
+        .unwrap();
+        handle.submit(sweep("alice", 1.0, 4)).unwrap();
+        handle.shutdown().unwrap();
+        let seen = seen.lock().unwrap();
+        assert!(!seen.is_empty(), "the sweep never trained");
+        assert!(seen.iter().all(|&n| n == count), "trained at {seen:?}");
     }
 }

@@ -31,7 +31,7 @@ fn pool_draws(cols: usize, f: impl Fn() -> Tensor) -> (u64, u64) {
 }
 
 #[test]
-fn conv1d_and_its_gradients_draw_only_their_outputs() {
+fn conv1d_and_its_gradients_draw_their_outputs_and_one_workspace() {
     let mut rng = Rng::seed_from(5);
     // PointNet's fused 8 -> 64 pointwise stage at B = 8, and a padded,
     // strided, grouped kernel; each op's draws in all.

@@ -17,8 +17,6 @@
 //! ascending index order (per-sample partials, then the cross-sample total,
 //! where the production op sums in two steps).
 
-use std::sync::Mutex;
-
 use hfta_kernels::{self as kernels, set_num_threads, UnsafeSlice};
 use hfta_tensor::conv::{conv1d_grad_bias, conv2d_grad_bias};
 use hfta_tensor::norm::{
@@ -443,24 +441,12 @@ fn permute_oracle(t: &Tensor, order: &[usize]) -> Tensor {
 
 // --- Harness ----------------------------------------------------------------
 
-/// `set_num_threads` is process-global: cases serialize on this lock and
-/// restore the pool size before releasing it.
-static THREADS_LOCK: Mutex<()> = Mutex::new(());
-
 /// Runs `case` at 1 and at 4 worker threads.
 fn at_1_and_4_threads(mut case: impl FnMut() -> Result<(), String>) -> Result<(), String> {
-    let _l = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let before = kernels::num_threads();
-    let mut result = Ok(());
-    for threads in [1, 4] {
+    [1, 4].into_iter().try_for_each(|threads| {
         set_num_threads(threads);
-        result = case();
-        if result.is_err() {
-            break;
-        }
-    }
-    set_num_threads(before);
-    result
+        case()
+    })
 }
 
 fn assert_bits(got: &Tensor, want: &Tensor, what: &str) -> Result<(), String> {

@@ -139,22 +139,10 @@ proptest! {
 // every thread count: HFTA's Figure 3 claim (fused training is bit-exact
 // with serial training) only survives if the compute layer underneath is
 // deterministic. (That conv equals its im2col + reference oracle is a unit
-// test in `src/conv.rs`.) `set_num_threads` is process-wide, so these tests
-// serialize on a mutex and restore the thread count before releasing it.
+// test in `src/conv.rs`.) Each test sets its own thread's count.
 
 use hfta_kernels::set_num_threads;
 use hfta_tensor::conv::{conv2d_grad_input, conv2d_grad_weight};
-use std::sync::Mutex;
-
-static THREADS_LOCK: Mutex<()> = Mutex::new(());
-
-struct RestoreThreads(usize);
-
-impl Drop for RestoreThreads {
-    fn drop(&mut self) {
-        set_num_threads(self.0);
-    }
-}
 
 fn mk_tensor(seed: usize, dims: &[usize]) -> Tensor {
     let n: usize = dims.iter().product();
@@ -184,8 +172,6 @@ proptest! {
         pad in 0usize..2,
         seed in 0usize..1000,
     ) {
-        let _l = THREADS_LOCK.lock().unwrap();
-        let _restore = RestoreThreads(hfta_kernels::num_threads());
         let cfg = ConvCfg::square(stride, pad, g);
         let x = mk_tensor(seed, &[n, g * cing, hw, hw]);
         let w = mk_tensor(seed + 13, &[g * coutg, cing, 3, 3]);
@@ -210,8 +196,6 @@ proptest! {
         nn in 1usize..10,
         seed in 0usize..1000,
     ) {
-        let _l = THREADS_LOCK.lock().unwrap();
-        let _restore = RestoreThreads(hfta_kernels::num_threads());
         let x = mk_tensor(seed, &[b, m, k]);
         let w = mk_tensor(seed + 3, &[b, k, nn]);
         let p = x.bmm(&w);
@@ -385,8 +369,6 @@ proptest! {
         if h + 2 * pad < kh || wd + 2 * pad < kw {
             return Ok(());
         }
-        let _l = THREADS_LOCK.lock().unwrap();
-        let _restore = RestoreThreads(hfta_kernels::num_threads());
         let cfg = ConvCfg::square(stride, pad, g);
         let special = [None, Some((f32::NAN, seed)), Some((f32::INFINITY, seed)), Some((-0.0, seed))][special];
         let (x, w, b, gy) = conv_operands((n, g, cing, coutg), (h, wd, kh, kw), cfg, special, seed);
@@ -403,8 +385,6 @@ proptest! {
 /// three ops against the oracle at 1 and 4 threads.
 #[test]
 fn workload_conv_layers_equal_the_im2col_oracle() {
-    let _l = THREADS_LOCK.lock().unwrap();
-    let _restore = RestoreThreads(hfta_kernels::num_threads());
     // (groups, cing, coutg, plane, kernel, stride, padding)
     let layers = [
         // mixed_plan: width-4 blocks of D1-D5 and the 3x3 refinements at widths 1 and 2.

@@ -246,7 +246,7 @@ fn pointnet_step_cold_pool_matches_dirty_pool() {
 
 /// Satellite (c): identical workloads produce identical pool statistics —
 /// the accounting itself is deterministic (fixed to 1 worker thread, the
-/// configuration where scratch-arena growth order is fully determined).
+/// configuration where the order of pool checkouts is fully determined).
 #[test]
 fn pool_stats_are_deterministic_for_fixed_workload() {
     let _g = lock();
@@ -270,7 +270,8 @@ fn pool_stats_are_deterministic_for_fixed_workload() {
 }
 
 /// Satellite (f): after warm-up, a training step allocates nothing fresh —
-/// every buffer on the hot path comes from the pool or a scratch arena.
+/// every buffer on the hot path, the GEMM workspace included, comes from
+/// the pool.
 #[test]
 fn steady_state_steps_allocate_nothing() {
     let _g = lock();
@@ -278,7 +279,7 @@ fn steady_state_steps_allocate_nothing() {
     for b in [1usize, 4] {
         hfta_mem::trim();
         hfta_mem::reset_stats();
-        run_dcgan_steps(b, 3); // warm-up: grows pool + arenas to steady state
+        run_dcgan_steps(b, 3); // warm-up: grows the pool to steady state
         let before = hfta_mem::stats();
         run_dcgan_steps(b, 2); // rebuilds the model too: still no fresh allocs
         let after = hfta_mem::stats();
