@@ -62,4 +62,5 @@ pub use pool::{
     for_each_chunk_mut, num_threads, parallel_for, parallel_for_work, pool_dispatches,
     set_num_threads, UnsafeSlice,
 };
-pub use simd::{chacha8_blocks, simd_available, tanh};
+pub use reference::logf;
+pub use simd::{chacha8_blocks, exp, expf, ln, normals, simd_available, tanh};

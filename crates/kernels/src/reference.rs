@@ -15,7 +15,11 @@
 //! compile for the portable baseline.
 //!
 //! The scalar oracles of the other vector twins in [`crate::simd`] live here
-//! too: [`tanhf`] and the ChaCha8 block, [`chacha8_block`].
+//! too: [`tanhf`], the ChaCha8 block [`chacha8_block`], and [`logf`],
+//! [`expf`] and the Box–Muller draw [`normal`] — the algorithms glibc 2.36
+//! runs (Arm's optimized-routines `logf`, `expf` and `cosf`), with their
+//! tables and polynomials, so their bits are the host's on x86-64 linux-gnu
+//! and the same on every other platform.
 
 /// `out[m,n] += a[m,k] @ b[k,n]`, all row-major.
 #[inline(always)]
@@ -140,6 +144,198 @@ fn expm1f(x: f32) -> f32 {
         scale(f32::from_bits(0x3f80_0000 - (0x100_0000 >> k)) - (e - x))
     } else {
         scale(x - (e + f32::from_bits(((0x7f - k) << 23) as u32)) + 1.0)
+    }
+}
+
+/// `[0, 1)` from a word's top 24 bits `m`, as `rand`'s `gen::<f32>()`:
+/// exactly `m · 2^-24`, built as `(1 + (m >> 1) · 2^-23) − 1` plus `2^-24`
+/// when `m` is odd. Both steps are exact, so the bits are those of
+/// `m as f32 * 2^-24`, without its integer-to-float conversion: that
+/// instruction writes only the low lane of its register, so consecutive
+/// draws inlined into one loop would chain through the lane's old value.
+#[inline(always)]
+pub fn unit(w: u32) -> f32 {
+    let halves = f32::from_bits(0x3f80_0000 | w >> 9) - 1.0;
+    halves + f32::from_bits((w >> 8 & 1) * 0x3380_0000)
+}
+
+/// `[lo, hi)` from a word, as `rand`'s `gen_range(lo..hi)`: `lo + (hi −
+/// lo)·u`, and `lo` where rounding lands on `hi`.
+#[inline(always)]
+pub fn in_range(w: u32, lo: f32, hi: f32) -> f32 {
+    let v = lo + (hi - lo) * unit(w);
+    if v >= hi {
+        lo
+    } else {
+        v
+    }
+}
+
+/// One standard normal sample from two words (Box–Muller): `u1` in
+/// `[EPSILON, 1)`, `u2` in `[0, 1)`, `sqrt(-2·logf(u1))·cosf(2π·u2)` in
+/// `f32`. The scalar oracle of [`crate::simd::normals`].
+pub fn normal(w1: u32, w2: u32) -> f32 {
+    let (u1, u2) = (in_range(w1, f32::EPSILON, 1.0), unit(w2));
+    (-2.0 * logf(u1)).sqrt() * cos_angle(2.0 * std::f32::consts::PI * u2)
+}
+
+/// `logf`'s table: `1/c` and `ln c` for the `c` near the middle of each of
+/// the 16 subintervals `z` falls in, `f64` bits.
+#[rustfmt::skip]
+pub(crate) const LOGF_INVC: [u64; 16] = [
+    0x3ff6_61ec_79f8_f3be, 0x3ff5_71ed_4aaf_883d, 0x3ff4_9539_f0f0_10b0, 0x3ff3_c995_b0b8_0385,
+    0x3ff3_0d19_0c88_64a5, 0x3ff2_5e22_7b0b_8ea0, 0x3ff1_bb4a_4a1a_343f, 0x3ff1_2358_f08a_e5ba,
+    0x3ff0_953f_4199_00a7, 0x3ff0_0000_0000_0000, 0x3fee_608c_fd9a_47ac, 0x3fec_a4b3_1f02_6aa0,
+    0x3feb_2036_576a_fce6, 0x3fe9_c2d1_63a1_aa2d, 0x3fe8_86e6_0378_41ed, 0x3fe7_67dc_f553_4862,
+];
+#[rustfmt::skip]
+pub(crate) const LOGF_LOGC: [u64; 16] = [
+    0xbfd5_7bf7_808c_aade, 0xbfd2_bef0_a7c0_6ddb, 0xbfd0_1eae_7f51_3a67, 0xbfcb_31d8_a682_24e9,
+    0xbfc6_574f_0ac0_7758, 0xbfc1_aa2b_c79c_8100, 0xbfba_4e76_ce8c_0e5e, 0xbfb1_973c_5a61_1ccc,
+    0xbfa2_52f4_38e1_0c1e, 0x0000_0000_0000_0000, 0x3faa_a5aa_5df2_5984, 0x3fbc_5e53_aa36_2eb4,
+    0x3fc5_26e5_7720_db08, 0x3fcb_c286_0d22_4770, 0x3fd1_058b_c8a0_7ee1, 0x3fd4_0430_57b6_ee09,
+];
+/// `logf`'s `ln 2` and `log1p` polynomial `A[0..3]`, `f64` bits.
+#[rustfmt::skip]
+pub(crate) const LOGF_POLY: [u64; 4] = [
+    0x3fe6_2e42_fefa_39ef, 0xbfd0_0ea3_48b8_8334, 0x3fd5_575b_0be0_0b6a, 0xbfdf_fffe_f20a_4123,
+];
+
+/// The NaN an x86 invalid operation returns (`0/0`, `ln` of a negative):
+/// what glibc's `logf` gives for a negative input there.
+pub(crate) const DEFAULT_NAN: u32 = 0xffc0_0000;
+
+/// `ln x` as glibc's `logf` computes it: `x = 2^k·z` with `z` in `[0.7,
+/// 1.4)`, `ln x = log1p(z/c − 1) + ln c + k·ln 2` in `f64` for the table's
+/// `c`, with plain `+ − ×` — its FMA-contracted form gives the same bits on
+/// every input. A negative input returns x86's default NaN, a NaN comes back
+/// quieted.
+pub fn logf(x: f32) -> f32 {
+    let mut ix = x.to_bits();
+    if ix.wrapping_sub(0x0080_0000) >= 0x7f00_0000 {
+        // Subnormal, zero, negative, inf or NaN.
+        if ix << 1 == 0 {
+            return f32::NEG_INFINITY;
+        }
+        if ix == 0x7f80_0000 {
+            return x;
+        }
+        if x.is_nan() {
+            return x + x;
+        }
+        if ix >> 31 != 0 {
+            return f32::from_bits(DEFAULT_NAN);
+        }
+        ix = (x * 8_388_608.0).to_bits().wrapping_sub(23 << 23);
+    }
+    let [ln2, a0, a1, a2] = LOGF_POLY.map(f64::from_bits);
+    let tmp = ix.wrapping_sub(0x3f33_0000);
+    let i = (tmp >> 19) as usize % 16;
+    let k = (tmp as i32) >> 23;
+    let z = f64::from(f32::from_bits(ix.wrapping_sub(tmp & 0xff80_0000)));
+    let r = z * f64::from_bits(LOGF_INVC[i]) - 1.0;
+    let y0 = f64::from_bits(LOGF_LOGC[i]) + f64::from(k) * ln2;
+    let r2 = r * r;
+    let y = a0 * r2 + (a1 * r + a2);
+    (y * r2 + (y0 + r)) as f32
+}
+
+/// `expf`'s table: `2^(i/32)`'s `f64` bits less `i << 47`, so adding `k <<
+/// 47` for any `k ≡ i (mod 32)` gives `2^(k/32)`.
+#[rustfmt::skip]
+pub(crate) const EXPF_T: [u64; 32] = [
+    0x3ff0_0000_0000_0000, 0x3fef_d9b0_d315_8574, 0x3fef_b558_6cf9_890f, 0x3fef_9301_d012_5b51,
+    0x3fef_72b8_3c7d_517b, 0x3fef_5487_3168_b9aa, 0x3fef_387a_6e75_6238, 0x3fef_1e9d_f51f_dee1,
+    0x3fef_06fe_0a31_b715, 0x3fee_f1a7_373a_a9cb, 0x3fee_dea6_4c12_3422, 0x3fee_ce08_6061_892d,
+    0x3fee_bfda_d536_2a27, 0x3fee_b42b_569d_4f82, 0x3fee_ab07_dd48_5429, 0x3fee_a47e_b03a_5585,
+    0x3fee_a09e_667f_3bcd, 0x3fee_9f75_e8ec_5f74, 0x3fee_a114_73eb_0187, 0x3fee_a589_994c_ce13,
+    0x3fee_ace5_422a_a0db, 0x3fee_b737_b0cd_c5e5, 0x3fee_c491_82a3_f090, 0x3fee_d503_b23e_255d,
+    0x3fee_e89f_995a_d3ad, 0x3fee_ff76_f2fb_5e47, 0x3fef_199b_dd85_529c, 0x3fef_3720_dcef_9069,
+    0x3fef_5818_dcfb_a487, 0x3fef_7c97_337b_9b5f, 0x3fef_a4af_a2a4_90da, 0x3fef_d076_5b6e_4540,
+];
+/// `expf`'s `32/ln 2`, rounding shift `1.5·2^52` and `2^(r/32)` polynomial
+/// `C[0..3]`, `f64` bits.
+#[rustfmt::skip]
+pub(crate) const EXPF_POLY: [u64; 5] = [
+    0x4047_1547_652b_82fe, 0x4338_0000_0000_0000, 0x3ebc_6af8_4b91_2394,
+    0x3f2e_bfce_50fa_c4f3, 0x3f96_2e42_ff0c_52d6,
+];
+/// The inputs past which `expf` overflows to `+inf` and underflows to `+0`.
+pub(crate) const EXPF_OVERFLOW: u32 = 0x42b1_7217;
+pub(crate) const EXPF_UNDERFLOW: u32 = 0xc2cf_f1b4;
+
+/// `e^x` as glibc's `expf` computes it where the CPU has FMA (its
+/// `__expf_fma`): `x·32/ln 2 = k + r`, `e^x = 2^(k/32)·2^(r/32)` in `f64`,
+/// every multiply-add fused. The plain form differs at 2 of the 2^32
+/// inputs. `mul_add` is correctly rounded everywhere, so the bits are the
+/// same on every platform; on the x86-64 baseline each is a libm `fma`
+/// call, which is why [`crate::simd::expf`] runs this body compiled with
+/// FMA where the CPU has it.
+#[inline(always)]
+pub fn expf(x: f32) -> f32 {
+    if x.to_bits() >> 20 & 0x7ff >= 0x42b {
+        // |x| >= 88, inf or NaN.
+        if x.is_nan() {
+            return x + x;
+        }
+        if x > f32::from_bits(EXPF_OVERFLOW) {
+            return f32::INFINITY;
+        }
+        if x < f32::from_bits(EXPF_UNDERFLOW) {
+            return 0.0;
+        }
+    }
+    let [inv_ln2, shift, c0, c1, c2] = EXPF_POLY.map(f64::from_bits);
+    let xd = f64::from(x);
+    // `k` rounded to nearest in `kd`'s low bits, `r = x·32/ln 2 − k`.
+    let kd = inv_ln2.mul_add(xd, shift);
+    let ki = kd.to_bits();
+    let r = inv_ln2.mul_add(xd, -(kd - shift));
+    let s = f64::from_bits(EXPF_T[ki as usize % 32].wrapping_add(ki << 47));
+    let y = c0.mul_add(r, c1).mul_add(r * r, c2.mul_add(r, 1.0));
+    (y * s) as f32
+}
+
+/// `cosf`'s `2^24·2/π`, `π/2`, cosine polynomial `c0..c4` and sine
+/// polynomial `s1..s3`, `f64` bits.
+#[rustfmt::skip]
+pub(crate) const COSF: [u64; 10] = [
+    0x4164_5f30_6dc9_c883, 0x3ff9_21fb_5444_2d18,
+    0x3ff0_0000_0000_0000, 0xbfdf_ffff_fd0c_621c, 0x3fa5_5553_e106_8f19, 0xbf56_c087_e89a_359d,
+    0x3ef9_9343_027b_f8c3,
+    0xbfc5_5554_5995_a603, 0x3f81_1076_0523_0bc4, 0xbf29_94eb_3774_cf24,
+];
+
+/// `cos y` as glibc's `cosf` computes it for `y` in `[0, 120)`, which holds
+/// Box–Muller's angles `[0, 2π)`: `1` below `2^-12`; below `0.75` the cosine
+/// polynomial; above, `y = n·π/2 + x` for the nearest `n` and the sine or
+/// cosine polynomial of `x` by `n`'s parity, signed by its quadrant. Plain
+/// `+ − ×`, like [`logf`].
+fn cos_angle(y: f32) -> f32 {
+    let [hpi_inv, hpi, c0, c1, c2, c3, c4, s1, s2, s3] = COSF.map(f64::from_bits);
+    let top = y.to_bits() >> 20 & 0x7ff;
+    if top < 0x398 {
+        return 1.0;
+    }
+    let x = f64::from(y);
+    let n = if top < 0x3f4 {
+        0
+    } else {
+        ((x * hpi_inv) as i32 + 0x80_0000) >> 24
+    };
+    let x = x - f64::from(n) * hpi;
+    let x2 = x * x;
+    if n & 1 == 0 {
+        // The cosine, its coefficients negated in quadrant 2.
+        let c = |c: f64| if n & 2 != 0 { -c } else { c };
+        let x4 = x2 * x2;
+        let p = c(c0) + x2 * c(c1) + x4 * c(c2);
+        (p + x4 * x2 * (c(c3) + x2 * c(c4))) as f32
+    } else {
+        // The sine of `x`, negated in quadrant 1.
+        let x = if n & 2 == 0 { -x } else { x };
+        let x3 = x * x2;
+        (x + x3 * s1 + x3 * x2 * (s2 + x2 * s3)) as f32
     }
 }
 

@@ -28,7 +28,12 @@
 //! * [`tanh`] — every branch of fdlibm's `tanhf` eight lanes wide, bit for
 //!   bit [`crate::reference::tanhf`], the port the portable path runs;
 //! * [`chacha8_blocks`] — eight ChaCha8 keystream blocks at once, one per
-//!   lane, bit for bit [`crate::reference::chacha8_block`].
+//!   lane, bit for bit [`crate::reference::chacha8_block`];
+//! * [`exp`], [`ln`] and [`normals`] — glibc's `expf`, `logf` and the
+//!   Box–Muller draw over its `cosf` eight lanes wide, each half of the
+//!   `f64` core four `f64` lanes with its table read by gather, bit for bit
+//!   [`crate::reference::expf`], [`crate::reference::logf`] and
+//!   [`crate::reference::normal`]; [`expf`] is one `expf` compiled with FMA.
 //!
 //! The single-tile kernel is load-port-bound: each contraction step issues
 //! nine load μops (one B vector + eight A broadcasts) against eight FMAs.
@@ -57,6 +62,8 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::gemm::{AView, BView, CView, Cols, Offsets, Run, Steps, MR, NR, ROW};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m256, __m256d};
 
 const _: () = assert!(
     MR == 8 && NR == 8,
@@ -528,104 +535,330 @@ pub(crate) unsafe fn scatter_strip(dst: &mut [f32], off: Offsets<'_>, i0: usize,
     }
 }
 
-/// `out[i] = tanh(x[i])`, bit for bit [`crate::reference::tanhf`]: eight
-/// lanes at a time where the CPU has AVX2, the port itself elsewhere.
+/// Stamps a slice kernel `out[i] = f(x[i])`, bit for bit its scalar port:
+/// `$lanes` eight lanes at a time and the port on the tail where the CPU has
+/// AVX2+FMA, the port on every element elsewhere.
+macro_rules! slice_kernel {
+    ($(#[$doc:meta])* $name:ident => $lanes:ident, $port:path) => {
+        $(#[$doc])*
+        ///
+        /// # Panics
+        ///
+        /// Panics if the slices differ in length.
+        pub fn $name(out: &mut [f32], x: &[f32]) {
+            let what = concat!(stringify!($name), ": output and input lengths differ");
+            assert_eq!(out.len(), x.len(), "{what}");
+            #[cfg(target_arch = "x86_64")]
+            if detected() {
+                #[target_feature(enable = "avx2,fma")]
+                unsafe fn vector(out: &mut [f32], x: &[f32]) {
+                    use std::arch::x86_64::*;
+                    let whole = x.len() / 8 * 8;
+                    for at in (0..whole).step_by(8) {
+                        let y = $lanes(_mm256_loadu_ps(x.as_ptr().add(at)));
+                        _mm256_storeu_ps(out.as_mut_ptr().add(at), y);
+                    }
+                    for (o, &v) in out[whole..].iter_mut().zip(&x[whole..]) {
+                        *o = $port(v);
+                    }
+                }
+                // SAFETY: AVX2+FMA are present, and the lengths are equal.
+                return unsafe { vector(out, x) };
+            }
+            for (o, &v) in out.iter_mut().zip(x) {
+                *o = $port(v);
+            }
+        }
+    };
+}
+
+slice_kernel!(
+    /// `out[i] = tanh(x[i])`, bit for bit [`crate::reference::tanhf`]: eight
+    /// lanes at a time where the CPU has AVX2, the port itself elsewhere.
+    tanh => tanh8, crate::reference::tanhf
+);
+slice_kernel!(
+    /// `out[i] = e^x[i]`, bit for bit [`crate::reference::expf`]: eight lanes
+    /// at a time where the CPU has AVX2+FMA, the port itself elsewhere.
+    exp => expf8, crate::reference::expf
+);
+slice_kernel!(
+    /// `out[i] = ln x[i]`, bit for bit [`crate::reference::logf`]: eight lanes
+    /// at a time where the CPU has AVX2, the port itself elsewhere.
+    ln => logf8, crate::reference::logf
+);
+
+/// `out[i] = normal(words[2i], words[2i + 1])`, bit for bit
+/// [`crate::reference::normal`]'s Box–Muller draws: eight at a time where
+/// the CPU has AVX2, the port itself elsewhere.
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length.
-pub fn tanh(out: &mut [f32], x: &[f32]) {
-    assert_eq!(out.len(), x.len(), "tanh: output and input lengths differ");
+/// Panics unless `words` holds two words per output.
+pub fn normals(out: &mut [f32], words: &[u32]) {
+    assert_eq!(words.len(), 2 * out.len(), "normals: two words per output");
     #[cfg(target_arch = "x86_64")]
     if detected() {
-        // SAFETY: AVX2+FMA are present, and the lengths are equal.
-        return unsafe { tanh_avx2(out, x) };
+        // SAFETY: AVX2+FMA are present, and `words` holds two per output.
+        return unsafe { normals_avx2(out, words) };
     }
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o = crate::reference::tanhf(v);
+    for (o, w) in out.iter_mut().zip(words.chunks_exact(2)) {
+        *o = crate::reference::normal(w[0], w[1]);
     }
 }
 
-/// AVX2 twin of `reference::tanhf`: every branch of it and of the `expm1f`
-/// under it computed for all eight lanes with the same IEEE ops, then
-/// selected per lane. One division serves `|x| >= 1` (`1 - 2/(t + 2)`) and
-/// `|x| < 1` (`-t/(t + 2)`); a NaN lane takes `x + x`. The tail runs the port.
-///
-/// # Safety
-///
-/// The CPU must have AVX2+FMA, and `out` must be as long as `x`.
+/// One `e^x`, bit for bit [`crate::reference::expf`], for scalar callers:
+/// its body compiled with FMA where the CPU has it, so each multiply-add is
+/// one `vfmadd` rather than a libm `fma` call.
+pub fn expf(x: f32) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if detected() {
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn fused(x: f32) -> f32 {
+            crate::reference::expf(x)
+        }
+        // SAFETY: AVX2+FMA are present.
+        return unsafe { fused(x) };
+    }
+    crate::reference::expf(x)
+}
+
+/// AVX2 twin of `reference::tanhf` on eight lanes: every branch of it and
+/// of the `expm1f` under it computed for all eight lanes with the same IEEE
+/// ops, then selected per lane. One division serves `|x| >= 1` (`1 - 2/(t +
+/// 2)`) and `|x| < 1` (`-t/(t + 2)`); a NaN lane takes `x + x`.
 #[cfg(target_arch = "x86_64")]
+#[inline]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn tanh_avx2(out: &mut [f32], x: &[f32]) {
+unsafe fn tanh8(v: __m256) -> __m256 {
     use std::arch::x86_64::*;
-    let [ln2_hi, ln2_lo, invln2, q1, q2, q3, q4, q5] =
-        crate::reference::EXPM1F.map(|c| _mm256_set1_ps(f32::from_bits(c)));
     let (f, i, sign) = (_mm256_set1_ps, _mm256_set1_epi32, _mm256_set1_ps(-0.0));
+    // Index reads, not `map`: a closure handed to a generic cannot inline
+    // into it across the target-feature boundary.
+    let e = |j: usize| f(f32::from_bits(crate::reference::EXPM1F[j]));
+    let (ln2_hi, ln2_lo, invln2) = (e(0), e(1), e(2));
+    let (q1, q2, q3, q4, q5) = (e(3), e(4), e(5), e(6), e(7));
     let (add, sub) = (|a, b| _mm256_add_ps(a, b), |a, b| _mm256_sub_ps(a, b));
     let (mul, bits) = (|a, b| _mm256_mul_ps(a, b), |a| _mm256_castps_si256(a));
     let sel = |m, yes, no| _mm256_blendv_ps(no, yes, _mm256_castsi256_ps(m));
     // Lanes whose integer `a` is above, or below, `b`.
     let above = |a, b| _mm256_cmpgt_epi32(a, i(b));
     let below = |a, b| _mm256_cmpgt_epi32(i(b), a);
-    let whole = x.len() / 8 * 8;
-    for at in (0..whole).step_by(8) {
-        let v = _mm256_loadu_ps(x.as_ptr().add(at));
-        let (ax, xs) = (_mm256_andnot_ps(sign, v), _mm256_and_ps(sign, v));
-        let (ix, ge1) = (bits(ax), above(bits(ax), 0x3f7f_ffff));
-        // expm1's argument `y`, reduced to `k·ln2 + r` with `r`'s error `c`.
-        let y = mul(sel(ge1, f(2.0), f(-2.0)), ax);
-        let hy = bits(_mm256_andnot_ps(sign, y));
-        let kg = _mm256_cvttps_epi32(add(
-            mul(invln2, y),
-            _mm256_or_ps(f(0.5), _mm256_and_ps(sign, y)),
-        ));
-        let (tg, near) = (_mm256_cvtepi32_ps(kg), below(hy, 0x3f85_1592));
-        let hi = sel(near, add(y, ln2_hi), sub(y, mul(tg, ln2_hi)));
-        let lo = sel(near, _mm256_xor_ps(sign, ln2_lo), mul(tg, ln2_lo));
-        let (r, reduced) = (sub(hi, lo), above(hy, 0x3eb1_7218));
-        let c = _mm256_and_ps(_mm256_castsi256_ps(reduced), sub(sub(hi, r), lo));
-        let r = sel(reduced, r, y);
-        let k = _mm256_and_si256(reduced, _mm256_blendv_epi8(kg, i(-1), near));
-        let (hfx, hxs) = (mul(f(0.5), r), mul(r, mul(f(0.5), r)));
-        let mut p = mul(hxs, q5);
-        for q in [q4, q3, q2, q1] {
-            p = mul(hxs, add(q, p));
-        }
-        let r1 = add(f(1.0), p);
-        let t = sub(f(3.0), mul(r1, hfx));
-        let e = mul(hxs, _mm256_div_ps(sub(r1, t), sub(f(6.0), mul(r, t))));
-        let at_k0 = sub(r, sub(mul(r, e), hxs));
-        let e = sub(sub(mul(r, sub(e, c)), c), hxs);
-        let at_m1 = sub(mul(f(0.5), sub(r, e)), f(0.5));
-        // `y·2^k`, by adding `k` to the exponent field.
-        let scale = |y| _mm256_castsi256_ps(_mm256_add_epi32(bits(y), _mm256_slli_epi32::<23>(k)));
-        let e_x = sub(e, r);
-        let wide = sub(scale(sub(f(1.0), e_x)), f(1.0));
-        let t_lt = _mm256_sub_epi32(i(0x3f80_0000), _mm256_srlv_epi32(i(0x100_0000), k));
-        let lt23 = scale(sub(_mm256_castsi256_ps(t_lt), e_x));
-        let t_ge = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_sub_epi32(i(0x7f), k)));
-        let ge23 = scale(add(sub(r, add(e, t_ge)), f(1.0)));
-        let em = sel(below(k, 23), lt23, ge23);
-        let em = sel(_mm256_or_si256(below(k, -1), above(k, 56)), wide, em);
-        let em = sel(_mm256_cmpeq_epi32(k, i(-1)), at_m1, em);
-        let em = sel(_mm256_cmpeq_epi32(k, i(0)), at_k0, em);
-        let t = sel(below(hy, 0x3300_0000), y, em);
-        // tanh from `t = expm1(y)`, its sign, then the special inputs.
-        let q = _mm256_div_ps(sel(ge1, f(2.0), _mm256_xor_ps(sign, t)), add(t, f(2.0)));
-        let z = sel(above(ix, 0x41af_ffff), f(1.0), sel(ge1, sub(f(1.0), q), q));
-        let z = sel(
-            below(ix, 0x2400_0000),
-            mul(v, add(f(1.0), v)),
-            _mm256_xor_ps(z, xs),
-        );
-        let special = sel(above(ix, 0x7f80_0000), add(v, v), _mm256_or_ps(f(1.0), xs));
-        _mm256_storeu_ps(
-            out.as_mut_ptr().add(at),
-            sel(above(ix, 0x7f7f_ffff), special, z),
-        );
+    let (ax, xs) = (_mm256_andnot_ps(sign, v), _mm256_and_ps(sign, v));
+    let (ix, ge1) = (bits(ax), above(bits(ax), 0x3f7f_ffff));
+    // expm1's argument `y`, reduced to `k·ln2 + r` with `r`'s error `c`.
+    let y = mul(sel(ge1, f(2.0), f(-2.0)), ax);
+    let hy = bits(_mm256_andnot_ps(sign, y));
+    let kg = _mm256_cvttps_epi32(add(
+        mul(invln2, y),
+        _mm256_or_ps(f(0.5), _mm256_and_ps(sign, y)),
+    ));
+    let (tg, near) = (_mm256_cvtepi32_ps(kg), below(hy, 0x3f85_1592));
+    let hi = sel(near, add(y, ln2_hi), sub(y, mul(tg, ln2_hi)));
+    let lo = sel(near, _mm256_xor_ps(sign, ln2_lo), mul(tg, ln2_lo));
+    let (r, reduced) = (sub(hi, lo), above(hy, 0x3eb1_7218));
+    let c = _mm256_and_ps(_mm256_castsi256_ps(reduced), sub(sub(hi, r), lo));
+    let r = sel(reduced, r, y);
+    let k = _mm256_and_si256(reduced, _mm256_blendv_epi8(kg, i(-1), near));
+    let (hfx, hxs) = (mul(f(0.5), r), mul(r, mul(f(0.5), r)));
+    let mut p = mul(hxs, q5);
+    for q in [q4, q3, q2, q1] {
+        p = mul(hxs, add(q, p));
     }
-    for (o, &v) in out[whole..].iter_mut().zip(&x[whole..]) {
-        *o = crate::reference::tanhf(v);
+    let r1 = add(f(1.0), p);
+    let t = sub(f(3.0), mul(r1, hfx));
+    let e = mul(hxs, _mm256_div_ps(sub(r1, t), sub(f(6.0), mul(r, t))));
+    let at_k0 = sub(r, sub(mul(r, e), hxs));
+    let e = sub(sub(mul(r, sub(e, c)), c), hxs);
+    let at_m1 = sub(mul(f(0.5), sub(r, e)), f(0.5));
+    // `y·2^k`, by adding `k` to the exponent field.
+    let scale = |y| _mm256_castsi256_ps(_mm256_add_epi32(bits(y), _mm256_slli_epi32::<23>(k)));
+    let e_x = sub(e, r);
+    let wide = sub(scale(sub(f(1.0), e_x)), f(1.0));
+    let t_lt = _mm256_sub_epi32(i(0x3f80_0000), _mm256_srlv_epi32(i(0x100_0000), k));
+    let lt23 = scale(sub(_mm256_castsi256_ps(t_lt), e_x));
+    let t_ge = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_sub_epi32(i(0x7f), k)));
+    let ge23 = scale(add(sub(r, add(e, t_ge)), f(1.0)));
+    let em = sel(below(k, 23), lt23, ge23);
+    let em = sel(_mm256_or_si256(below(k, -1), above(k, 56)), wide, em);
+    let em = sel(_mm256_cmpeq_epi32(k, i(-1)), at_m1, em);
+    let em = sel(_mm256_cmpeq_epi32(k, i(0)), at_k0, em);
+    let t = sel(below(hy, 0x3300_0000), y, em);
+    // tanh from `t = expm1(y)`, its sign, then the special inputs.
+    let q = _mm256_div_ps(sel(ge1, f(2.0), _mm256_xor_ps(sign, t)), add(t, f(2.0)));
+    let z = sel(above(ix, 0x41af_ffff), f(1.0), sel(ge1, sub(f(1.0), q), q));
+    let z = sel(
+        below(ix, 0x2400_0000),
+        mul(v, add(f(1.0), v)),
+        _mm256_xor_ps(z, xs),
+    );
+    let special = sel(above(ix, 0x7f80_0000), add(v, v), _mm256_or_ps(f(1.0), xs));
+    sel(above(ix, 0x7f7f_ffff), special, z)
+}
+
+/// Four `f64` lanes of a constant's bits.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn splat(bits: u64) -> __m256d {
+    std::arch::x86_64::_mm256_set1_pd(f64::from_bits(bits))
+}
+
+/// AVX2 twin of `reference::expf` on eight lanes: its `f64` core, every
+/// fused multiply-add a `vfmadd`, on each half; then the overflow,
+/// underflow and NaN lanes.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn expf8(v: __m256) -> __m256 {
+    use std::arch::x86_64::*;
+    let [inv_ln2, shift, c0, c1, c2] = crate::reference::EXPF_POLY.map(f64::from_bits);
+    let (inv_ln2, shift) = (_mm256_set1_pd(inv_ln2), _mm256_set1_pd(shift));
+    let core = |x: __m128| {
+        let xd = _mm256_cvtps_pd(x);
+        let kd = _mm256_fmadd_pd(inv_ln2, xd, shift);
+        let ki = _mm256_castpd_si256(kd);
+        let r = _mm256_fmsub_pd(inv_ln2, xd, _mm256_sub_pd(kd, shift));
+        let i = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+        let t = _mm256_i64gather_epi64::<8>(crate::reference::EXPF_T.as_ptr().cast(), i);
+        let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+        let z = _mm256_fmadd_pd(_mm256_set1_pd(c0), r, _mm256_set1_pd(c1));
+        let y = _mm256_fmadd_pd(_mm256_set1_pd(c2), r, _mm256_set1_pd(1.0));
+        let y = _mm256_fmadd_pd(z, _mm256_mul_pd(r, r), y);
+        _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
+    };
+    let y = _mm256_set_m128(
+        core(_mm256_extractf128_ps::<1>(v)),
+        core(_mm256_castps256_ps128(v)),
+    );
+    let bound = |b: u32| _mm256_set1_ps(f32::from_bits(b));
+    let over = _mm256_cmp_ps::<_CMP_GT_OQ>(v, bound(crate::reference::EXPF_OVERFLOW));
+    let under = _mm256_cmp_ps::<_CMP_LT_OQ>(v, bound(crate::reference::EXPF_UNDERFLOW));
+    let y = _mm256_andnot_ps(under, _mm256_blendv_ps(y, bound(0x7f80_0000), over));
+    _mm256_blendv_ps(y, _mm256_add_ps(v, v), _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v))
+}
+
+/// AVX2 twin of `reference::logf` on eight lanes: subnormals normalized,
+/// the `f64` core on each half with the table read by gather, then the
+/// zero, negative, `+inf` and NaN lanes.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn logf8(v: __m256) -> __m256 {
+    use crate::reference::{LOGF_INVC, LOGF_LOGC, LOGF_POLY};
+    use std::arch::x86_64::*;
+    let (i, bits) = (_mm256_set1_epi32, _mm256_castps_si256(v));
+    let above = |a, b| _mm256_cmpgt_epi32(a, i(b));
+    let sel = |m, yes, no| _mm256_blendv_ps(no, yes, _mm256_castsi256_ps(m));
+    let sub = _mm256_andnot_si256(above(bits, 0x007f_ffff), above(bits, 0));
+    let scaled = _mm256_castps_si256(_mm256_mul_ps(v, _mm256_set1_ps(8_388_608.0)));
+    let ix = _mm256_blendv_epi8(bits, _mm256_sub_epi32(scaled, i(23 << 23)), sub);
+    let tmp = _mm256_sub_epi32(ix, i(0x3f33_0000));
+    let idx = _mm256_and_si256(_mm256_srli_epi32::<19>(tmp), i(15));
+    let k = _mm256_srai_epi32::<23>(tmp);
+    let iz = _mm256_sub_epi32(ix, _mm256_and_si256(tmp, i(0xff80_0000_u32 as i32)));
+    let [ln2, a0, a1, a2] = LOGF_POLY.map(f64::from_bits);
+    let (add, mul) = (|a, b| _mm256_add_pd(a, b), |a, b| _mm256_mul_pd(a, b));
+    let f = _mm256_set1_pd;
+    let core = |iz: __m128i, i: __m128i, k: __m128i| {
+        let z = _mm256_cvtps_pd(_mm_castsi128_ps(iz));
+        let invc = _mm256_i32gather_pd::<8>(LOGF_INVC.as_ptr().cast(), i);
+        let logc = _mm256_i32gather_pd::<8>(LOGF_LOGC.as_ptr().cast(), i);
+        let r = _mm256_sub_pd(mul(z, invc), f(1.0));
+        let y0 = add(logc, mul(_mm256_cvtepi32_pd(k), f(ln2)));
+        let r2 = mul(r, r);
+        let y = add(mul(f(a0), r2), add(mul(f(a1), r), f(a2)));
+        _mm256_cvtpd_ps(add(mul(y, r2), add(y0, r)))
+    };
+    let (lo, hi) = (_mm256_castsi256_si128, |a| _mm256_extracti128_si256::<1>(a));
+    let y = _mm256_set_m128(core(hi(iz), hi(idx), hi(k)), core(lo(iz), lo(idx), lo(k)));
+    let nan = _mm256_castsi256_ps(i(crate::reference::DEFAULT_NAN as i32));
+    let y = sel(_mm256_cmpgt_epi32(i(0), bits), nan, y);
+    let y = sel(_mm256_cmpeq_epi32(bits, i(0x7f80_0000)), v, y);
+    let y = _mm256_blendv_ps(y, _mm256_add_ps(v, v), _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v));
+    let zero = _mm256_cmp_ps::<_CMP_EQ_OQ>(v, _mm256_setzero_ps());
+    _mm256_blendv_ps(y, _mm256_set1_ps(f32::NEG_INFINITY), zero)
+}
+
+/// AVX2 twin of `reference::normal`: eight pairs of words split into `u1`
+/// and `u2` lanes, `logf8` of `u1`, and `reference::cos_angle`'s `f64` core
+/// on each half of the angle — `n = 0` below `0.75` (`x − 0·π/2` is `x`),
+/// the cosine's coefficients negated where `n & 2`, the sine's `x` where `n
+/// & 3 == 1`, the two polynomials selected by `n`'s parity — then `sqrt(−2·
+/// l)·c`. The tail runs the port.
+///
+/// # Safety
+///
+/// The CPU must have AVX2+FMA, and `words` must hold two per output.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn normals_avx2(out: &mut [f32], words: &[u32]) {
+    use std::arch::x86_64::*;
+    let [hpi_inv, hpi, c0, c1, c2, c3, c4, s1, s2, s3] = crate::reference::COSF;
+    const EPS: f32 = f32::EPSILON;
+    let (i, f) = (_mm256_set1_epi32, _mm256_set1_ps);
+    let (add, mul) = (|a, b| _mm256_add_pd(a, b), |a, b| _mm256_mul_pd(a, b));
+    let cos = |y: __m128, small: __m128i| {
+        let x = _mm256_cvtps_pd(y);
+        let n = _mm256_cvttpd_epi32(mul(x, splat(hpi_inv)));
+        let n = _mm_srai_epi32::<24>(_mm_add_epi32(n, _mm_set1_epi32(0x80_0000)));
+        let n = _mm_andnot_si128(small, n);
+        let x = _mm256_sub_pd(x, mul(_mm256_cvtepi32_pd(n), splat(hpi)));
+        let (x2, n) = (mul(x, x), _mm256_cvtepi32_epi64(n));
+        // Sign bits: `n & 2` for the cosine, `n & 3 == 1` for the sine.
+        let flip = _mm256_slli_epi64::<62>(_mm256_and_si256(n, _mm256_set1_epi64x(2)));
+        let odd = _mm256_slli_epi64::<63>(n);
+        let c = |c: u64| _mm256_xor_pd(splat(c), _mm256_castsi256_pd(flip));
+        let x4 = mul(x2, x2);
+        let p = add(add(c(c0), mul(x2, c(c1))), mul(x4, c(c2)));
+        let cos = add(p, mul(mul(x4, x2), add(c(c3), mul(x2, c(c4)))));
+        let xs = _mm256_xor_pd(x, _mm256_castsi256_pd(_mm256_andnot_si256(flip, odd)));
+        let x3 = mul(xs, x2);
+        let sin = add(xs, mul(x3, splat(s1)));
+        let sin = add(sin, mul(mul(x3, x2), add(splat(s2), mul(x2, splat(s3)))));
+        _mm256_cvtpd_ps(_mm256_blendv_pd(cos, sin, _mm256_castsi256_pd(odd)))
+    };
+    // `unit`'s two exact steps.
+    let unit = |w: __m256i| {
+        let halves = _mm256_or_si256(i(0x3f80_0000), _mm256_srli_epi32::<9>(w));
+        let odd = _mm256_and_si256(_mm256_srli_epi32::<8>(w), i(1));
+        let low = _mm256_castsi256_ps(_mm256_mullo_epi32(odd, i(0x3380_0000)));
+        _mm256_add_ps(_mm256_sub_ps(_mm256_castsi256_ps(halves), f(1.0)), low)
+    };
+    // Even words, or odd ones, back in order.
+    let split =
+        |v: __m256| _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_castps_pd(v)));
+    let whole = out.len() / 8 * 8;
+    for at in (0..whole).step_by(8) {
+        let lo = _mm256_loadu_ps(words.as_ptr().add(2 * at).cast());
+        let hi = _mm256_loadu_ps(words.as_ptr().add(2 * at + 8).cast());
+        let w1 = _mm256_castps_si256(split(_mm256_shuffle_ps::<0b10_00_10_00>(lo, hi)));
+        let w2 = _mm256_castps_si256(split(_mm256_shuffle_ps::<0b11_01_11_01>(lo, hi)));
+        // `in_range`'s `lo + (hi − lo)·u`, and `lo` where that rounds to `hi`.
+        let u1 = _mm256_add_ps(f(EPS), _mm256_mul_ps(f(1.0 - EPS), unit(w1)));
+        let u1 = _mm256_blendv_ps(u1, f(EPS), _mm256_cmp_ps::<_CMP_GE_OQ>(u1, f(1.0)));
+        let angle = _mm256_mul_ps(f(2.0 * std::f32::consts::PI), unit(w2));
+        let top = _mm256_srli_epi32::<20>(_mm256_castps_si256(angle));
+        let small = _mm256_cmpgt_epi32(i(0x3f4), top);
+        let (a_lo, a_hi) = (
+            _mm256_castps256_ps128(angle),
+            _mm256_extractf128_ps::<1>(angle),
+        );
+        let (s_lo, s_hi) = (
+            _mm256_castsi256_si128(small),
+            _mm256_extracti128_si256::<1>(small),
+        );
+        let c = _mm256_set_m128(cos(a_hi, s_hi), cos(a_lo, s_lo));
+        let tiny = _mm256_castsi256_ps(_mm256_cmpgt_epi32(i(0x398), top));
+        let c = _mm256_blendv_ps(c, f(1.0), tiny);
+        let r = _mm256_sqrt_ps(_mm256_mul_ps(f(-2.0), logf8(u1)));
+        _mm256_storeu_ps(out.as_mut_ptr().add(at), _mm256_mul_ps(r, c));
+    }
+    let tail = out[whole..]
+        .iter_mut()
+        .zip(words[2 * whole..].chunks_exact(2));
+    for (o, w) in tail {
+        *o = crate::reference::normal(w[0], w[1]);
     }
 }
 

@@ -1,5 +1,6 @@
 //! Deterministic random tensor construction and weight initializers.
 
+use hfta_kernels::reference::{in_range, normal};
 use rand::{RngCore, SeedableRng};
 
 use crate::tensor::Tensor;
@@ -38,35 +39,6 @@ pub struct Rng {
     buf: [u32; WORDS],
     /// Next unread word of `buf`; `WORDS` means refill.
     at: usize,
-}
-
-/// `[0, 1)` from a word's top 24 bits `m`, as `rand`'s `gen::<f32>()`:
-/// exactly `m · 2^-24`, built as `(1 + (m >> 1) · 2^-23) − 1` plus `2^-24`
-/// when `m` is odd. Both steps are exact, so the bits are those of
-/// `m as f32 * 2^-24`, without its integer-to-float conversion: that
-/// instruction writes only the low lane of its register, so consecutive
-/// draws inlined into one loop would chain through the lane's old value.
-fn unit(w: u32) -> f32 {
-    let halves = f32::from_bits(0x3f80_0000 | w >> 9) - 1.0;
-    halves + f32::from_bits((w >> 8 & 1) * 0x3380_0000)
-}
-
-/// `[lo, hi)` from a word, as `rand`'s `gen_range(lo..hi)`: `lo + (hi −
-/// lo)·u`, and `lo` where rounding lands on `hi`.
-fn in_range(w: u32, lo: f32, hi: f32) -> f32 {
-    let v = lo + (hi - lo) * unit(w);
-    if v >= hi {
-        lo
-    } else {
-        v
-    }
-}
-
-/// One standard normal sample from two words (Box–Muller): `u1` in
-/// `[EPSILON, 1)`, `u2` in `[0, 1)`, one `f32` `ln`, `sqrt` and `cos` each.
-fn box_muller(w1: u32, w2: u32) -> f32 {
-    let (u1, u2) = (in_range(w1, f32::EPSILON, 1.0), unit(w2));
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 impl SeedableRng for Rng {
@@ -112,10 +84,10 @@ impl Rng {
         self.at = 0;
     }
 
-    /// `out[i] = f(words)` for the next `K` words per element, in stream
-    /// order: straight from the buffer, and word by word only for an element
-    /// whose words straddle a refill.
-    fn fill<const K: usize>(&mut self, out: &mut [f32], f: impl Fn([u32; K]) -> f32) {
+    /// Fills `out` from the next `K` words per element, in stream order:
+    /// `f(out, words)` straight from the buffer, and one element at a time
+    /// from its words gathered only where they straddle a refill.
+    fn fill<const K: usize>(&mut self, out: &mut [f32], f: impl Fn(&mut [f32], &[u32])) {
         let mut done = 0;
         while done < out.len() {
             if self.at == WORDS {
@@ -123,17 +95,15 @@ impl Rng {
             }
             let whole = ((WORDS - self.at) / K).min(out.len() - done);
             if whole == 0 {
-                out[done] = f(std::array::from_fn(|_| self.next_u32()));
+                let words: [u32; K] = std::array::from_fn(|_| self.next_u32());
+                f(&mut out[done..done + 1], &words);
                 done += 1;
                 continue;
             }
-            let words = &self.buf[self.at..self.at + whole * K];
-            for (o, w) in out[done..done + whole]
-                .iter_mut()
-                .zip(words.chunks_exact(K))
-            {
-                *o = f(std::array::from_fn(|i| w[i]));
-            }
+            f(
+                &mut out[done..done + whole],
+                &self.buf[self.at..self.at + whole * K],
+            );
             self.at += whole * K;
             done += whole;
         }
@@ -144,10 +114,11 @@ impl Rng {
         Rng::seed_from(self.next_u64())
     }
 
-    /// One sample from the standard normal distribution (Box–Muller).
+    /// One sample from the standard normal distribution (Box–Muller,
+    /// [`hfta_kernels::reference::normal`]).
     pub fn standard_normal(&mut self) -> f32 {
         let w1 = self.next_u32();
-        box_muller(w1, self.next_u32())
+        normal(w1, self.next_u32())
     }
 
     /// One sample uniform in `[lo, hi)`.
@@ -176,14 +147,17 @@ impl Rng {
     /// inside a warm process allocates nothing.
     pub fn randn(&mut self, shape: impl Into<crate::Shape>) -> Tensor {
         let mut t = Tensor::unfilled(shape);
-        self.fill(t.as_mut_slice(), |[w1, w2]| box_muller(w1, w2));
+        self.fill::<2>(t.as_mut_slice(), hfta_kernels::normals);
         t
     }
 
     /// Tensor of i.i.d. `N(mean, std^2)` samples.
     pub fn normal(&mut self, shape: impl Into<crate::Shape>, mean: f32, std: f32) -> Tensor {
         let mut t = Tensor::unfilled(shape);
-        self.fill(t.as_mut_slice(), |[w1, w2]| mean + std * box_muller(w1, w2));
+        self.fill::<2>(t.as_mut_slice(), |out, words| {
+            hfta_kernels::normals(out, words);
+            out.iter_mut().for_each(|v| *v = mean + std * *v);
+        });
         t
     }
 
@@ -195,7 +169,11 @@ impl Rng {
     pub fn rand(&mut self, shape: impl Into<crate::Shape>, lo: f32, hi: f32) -> Tensor {
         assert!(lo < hi, "uniform requires lo < hi");
         let mut t = Tensor::unfilled(shape);
-        self.fill(t.as_mut_slice(), |[w]| in_range(w, lo, hi));
+        self.fill::<1>(t.as_mut_slice(), |out, words| {
+            for (o, &w) in out.iter_mut().zip(words) {
+                *o = in_range(w, lo, hi);
+            }
+        });
         t
     }
 
@@ -237,6 +215,7 @@ impl Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hfta_kernels::reference::unit;
 
     /// `unit` against the conversion it replaces, for every top-24-bit
     /// value (the low byte, which both ignore, varies too).
