@@ -27,9 +27,12 @@
 //!   has them; elsewhere the portable `f32::mul_add` twins run. FMA is
 //!   correctly rounded on both, which is why the choice is by platform and
 //!   never changes a bit. [`simd_available`] reports it. [`tanh`] is the
-//!   in-tree `tanh` (fdlibm's `tanhf`, eight lanes wide where AVX2 is), and
-//!   [`chacha8_blocks`] the ChaCha8 keystream (eight blocks at once where
-//!   AVX2 is) under `hfta-tensor`'s `Rng`.
+//!   in-tree `tanh` (fdlibm's `tanhf`, eight lanes wide where AVX2 is);
+//!   [`exp`], [`ln`] and [`normals`] are glibc 2.36's `expf`, `logf` and a
+//!   Box–Muller draw over its `cosf` (the same, with [`expf`] and [`logf`]
+//!   for one value), bit for bit the host's on x86-64 linux-gnu and the
+//!   same everywhere else; and [`chacha8_blocks`] is the ChaCha8 keystream
+//!   (eight blocks at once where AVX2 is) under `hfta-tensor`'s `Rng`.
 //! * [`tune`] — a one-function stub (`enabled() == false`) kept for the
 //!   benchmark's host record; nothing tunes. So are [`gemm::backend`]
 //!   (always `"auto"`) and [`gemm::auto_simd`].

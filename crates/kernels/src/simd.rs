@@ -63,7 +63,7 @@ use std::sync::OnceLock;
 
 use crate::gemm::{AView, BView, CView, Cols, Offsets, Run, Steps, MR, NR, ROW};
 #[cfg(target_arch = "x86_64")]
-use std::arch::x86_64::{__m256, __m256d};
+use std::arch::x86_64::__m256;
 
 const _: () = assert!(
     MR == 8 && NR == 8,
@@ -627,6 +627,10 @@ pub fn expf(x: f32) -> f32 {
 /// of the `expm1f` under it computed for all eight lanes with the same IEEE
 /// ops, then selected per lane. One division serves `|x| >= 1` (`1 - 2/(t +
 /// 2)`) and `|x| < 1` (`-t/(t + 2)`); a NaN lane takes `x + x`.
+///
+/// # Safety
+///
+/// The CPU must have AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2,fma")]
@@ -696,17 +700,13 @@ unsafe fn tanh8(v: __m256) -> __m256 {
     sel(above(ix, 0x7f7f_ffff), special, z)
 }
 
-/// Four `f64` lanes of a constant's bits.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn splat(bits: u64) -> __m256d {
-    std::arch::x86_64::_mm256_set1_pd(f64::from_bits(bits))
-}
-
 /// AVX2 twin of `reference::expf` on eight lanes: its `f64` core, every
 /// fused multiply-add a `vfmadd`, on each half; then the overflow,
 /// underflow and NaN lanes.
+///
+/// # Safety
+///
+/// The CPU must have AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2,fma")]
@@ -741,6 +741,10 @@ unsafe fn expf8(v: __m256) -> __m256 {
 /// AVX2 twin of `reference::logf` on eight lanes: subnormals normalized,
 /// the `f64` core on each half with the table read by gather, then the
 /// zero, negative, `+inf` and NaN lanes.
+///
+/// # Safety
+///
+/// The CPU must have AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2,fma")]
@@ -795,6 +799,7 @@ unsafe fn logf8(v: __m256) -> __m256 {
 unsafe fn normals_avx2(out: &mut [f32], words: &[u32]) {
     use std::arch::x86_64::*;
     let [hpi_inv, hpi, c0, c1, c2, c3, c4, s1, s2, s3] = crate::reference::COSF;
+    let splat = |c: u64| _mm256_set1_pd(f64::from_bits(c));
     const EPS: f32 = f32::EPSILON;
     let (i, f) = (_mm256_set1_epi32, _mm256_set1_ps);
     let (add, mul) = (|a, b| _mm256_add_pd(a, b), |a, b| _mm256_mul_pd(a, b));

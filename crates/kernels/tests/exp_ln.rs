@@ -10,11 +10,13 @@
 use hfta_kernels::reference::{expf, logf};
 
 /// Whether `f32::exp` and `f32::ln` here are the code the ports follow.
+/// `simd_available` is the crate's AVX2+FMA detection.
 fn host_is_glibc_fma() -> bool {
-    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
-    return is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
-    #[allow(unreachable_code)]
-    false
+    cfg!(all(
+        target_arch = "x86_64",
+        target_os = "linux",
+        target_env = "gnu"
+    )) && hfta_kernels::simd_available()
 }
 
 /// `(op, x, vector, port, host)` for the first input whose answers disagree.
