@@ -28,11 +28,11 @@
 //!   correctly rounded on both, which is why the choice is by platform and
 //!   never changes a bit. [`simd_available`] reports it. [`tanh`] is the
 //!   in-tree `tanh` (fdlibm's `tanhf`, eight lanes wide where AVX2 is);
-//!   [`exp`], [`ln`] and [`normals`] are glibc 2.36's `expf`, `logf` and a
-//!   Box–Muller draw over its `cosf` (the same, with [`expf`] and [`logf`]
-//!   for one value), bit for bit the host's on x86-64 linux-gnu and the
-//!   same everywhere else; and [`chacha8_blocks`] is the ChaCha8 keystream
-//!   (eight blocks at once where AVX2 is) under `hfta-tensor`'s `Rng`.
+//!   [`ln`] and [`normals`] are glibc 2.36's `logf` and a Box–Muller draw
+//!   over its `cosf` (eight lanes wide where AVX2 is), bit for bit the
+//!   host's on x86-64 linux-gnu with AVX2+FMA and the same bits on every
+//!   other platform; and [`chacha8_blocks`] is the ChaCha8 keystream (eight
+//!   blocks at once where AVX2 is) under `hfta-tensor`'s `Rng`.
 //! * [`tune`] — a one-function stub (`enabled() == false`) kept for the
 //!   benchmark's host record; nothing tunes. So are [`gemm::backend`]
 //!   (always `"auto"`) and [`gemm::auto_simd`].
@@ -65,5 +65,4 @@ pub use pool::{
     for_each_chunk_mut, num_threads, parallel_for, parallel_for_work, pool_dispatches,
     set_num_threads, UnsafeSlice,
 };
-pub use reference::logf;
-pub use simd::{chacha8_blocks, exp, expf, ln, normals, simd_available, tanh};
+pub use simd::{chacha8_blocks, ln, normals, simd_available, tanh};

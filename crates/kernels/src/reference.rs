@@ -15,11 +15,11 @@
 //! compile for the portable baseline.
 //!
 //! The scalar oracles of the other vector twins in [`crate::simd`] live here
-//! too: [`tanhf`], the ChaCha8 block [`chacha8_block`], and [`logf`],
-//! [`expf`] and the Box–Muller draw [`normal`] — the algorithms glibc 2.36
-//! runs (Arm's optimized-routines `logf`, `expf` and `cosf`), with their
-//! tables and polynomials, so their bits are the host's on x86-64 linux-gnu
-//! and the same on every other platform.
+//! too: [`tanhf`], the ChaCha8 block [`chacha8_block`], and [`logf`] and
+//! the Box–Muller draw [`normal`] — the algorithms glibc 2.36 runs (Arm's
+//! optimized-routines `logf` and `cosf`), with their tables and
+//! polynomials, so their bits are the host's on x86-64 linux-gnu with
+//! AVX2+FMA and the same on every other platform.
 
 /// `out[m,n] += a[m,k] @ b[k,n]`, all row-major.
 #[inline(always)]
@@ -238,62 +238,6 @@ pub fn logf(x: f32) -> f32 {
     let r2 = r * r;
     let y = a0 * r2 + (a1 * r + a2);
     (y * r2 + (y0 + r)) as f32
-}
-
-/// `expf`'s table: `2^(i/32)`'s `f64` bits less `i << 47`, so adding `k <<
-/// 47` for any `k ≡ i (mod 32)` gives `2^(k/32)`.
-#[rustfmt::skip]
-pub(crate) const EXPF_T: [u64; 32] = [
-    0x3ff0_0000_0000_0000, 0x3fef_d9b0_d315_8574, 0x3fef_b558_6cf9_890f, 0x3fef_9301_d012_5b51,
-    0x3fef_72b8_3c7d_517b, 0x3fef_5487_3168_b9aa, 0x3fef_387a_6e75_6238, 0x3fef_1e9d_f51f_dee1,
-    0x3fef_06fe_0a31_b715, 0x3fee_f1a7_373a_a9cb, 0x3fee_dea6_4c12_3422, 0x3fee_ce08_6061_892d,
-    0x3fee_bfda_d536_2a27, 0x3fee_b42b_569d_4f82, 0x3fee_ab07_dd48_5429, 0x3fee_a47e_b03a_5585,
-    0x3fee_a09e_667f_3bcd, 0x3fee_9f75_e8ec_5f74, 0x3fee_a114_73eb_0187, 0x3fee_a589_994c_ce13,
-    0x3fee_ace5_422a_a0db, 0x3fee_b737_b0cd_c5e5, 0x3fee_c491_82a3_f090, 0x3fee_d503_b23e_255d,
-    0x3fee_e89f_995a_d3ad, 0x3fee_ff76_f2fb_5e47, 0x3fef_199b_dd85_529c, 0x3fef_3720_dcef_9069,
-    0x3fef_5818_dcfb_a487, 0x3fef_7c97_337b_9b5f, 0x3fef_a4af_a2a4_90da, 0x3fef_d076_5b6e_4540,
-];
-/// `expf`'s `32/ln 2`, rounding shift `1.5·2^52` and `2^(r/32)` polynomial
-/// `C[0..3]`, `f64` bits.
-#[rustfmt::skip]
-pub(crate) const EXPF_POLY: [u64; 5] = [
-    0x4047_1547_652b_82fe, 0x4338_0000_0000_0000, 0x3ebc_6af8_4b91_2394,
-    0x3f2e_bfce_50fa_c4f3, 0x3f96_2e42_ff0c_52d6,
-];
-/// The inputs past which `expf` overflows to `+inf` and underflows to `+0`.
-pub(crate) const EXPF_OVERFLOW: u32 = 0x42b1_7217;
-pub(crate) const EXPF_UNDERFLOW: u32 = 0xc2cf_f1b4;
-
-/// `e^x` as glibc's `expf` computes it where the CPU has FMA (its
-/// `__expf_fma`): `x·32/ln 2 = k + r`, `e^x = 2^(k/32)·2^(r/32)` in `f64`,
-/// every multiply-add fused. The plain form differs at 2 of the 2^32
-/// inputs. `mul_add` is correctly rounded everywhere, so the bits are the
-/// same on every platform; on the x86-64 baseline each is a libm `fma`
-/// call, which is why [`crate::simd::expf`] runs this body compiled with
-/// FMA where the CPU has it.
-#[inline(always)]
-pub fn expf(x: f32) -> f32 {
-    if x.to_bits() >> 20 & 0x7ff >= 0x42b {
-        // |x| >= 88, inf or NaN.
-        if x.is_nan() {
-            return x + x;
-        }
-        if x > f32::from_bits(EXPF_OVERFLOW) {
-            return f32::INFINITY;
-        }
-        if x < f32::from_bits(EXPF_UNDERFLOW) {
-            return 0.0;
-        }
-    }
-    let [inv_ln2, shift, c0, c1, c2] = EXPF_POLY.map(f64::from_bits);
-    let xd = f64::from(x);
-    // `k` rounded to nearest in `kd`'s low bits, `r = x·32/ln 2 − k`.
-    let kd = inv_ln2.mul_add(xd, shift);
-    let ki = kd.to_bits();
-    let r = inv_ln2.mul_add(xd, -(kd - shift));
-    let s = f64::from_bits(EXPF_T[ki as usize % 32].wrapping_add(ki << 47));
-    let y = c0.mul_add(r, c1).mul_add(r * r, c2.mul_add(r, 1.0));
-    (y * s) as f32
 }
 
 /// `cosf`'s `2^24·2/π`, `π/2`, cosine polynomial `c0..c4` and sine

@@ -29,11 +29,10 @@
 //!   bit [`crate::reference::tanhf`], the port the portable path runs;
 //! * [`chacha8_blocks`] — eight ChaCha8 keystream blocks at once, one per
 //!   lane, bit for bit [`crate::reference::chacha8_block`];
-//! * [`exp`], [`ln`] and [`normals`] — glibc's `expf`, `logf` and the
-//!   Box–Muller draw over its `cosf` eight lanes wide, each half of the
-//!   `f64` core four `f64` lanes with its table read by gather, bit for bit
-//!   [`crate::reference::expf`], [`crate::reference::logf`] and
-//!   [`crate::reference::normal`]; [`expf`] is one `expf` compiled with FMA.
+//! * [`ln`] and [`normals`] — glibc's `logf` and the Box–Muller draw over
+//!   its `cosf` eight lanes wide, each half of the `f64` core four `f64`
+//!   lanes with its table read by gather, bit for bit
+//!   [`crate::reference::logf`] and [`crate::reference::normal`].
 //!
 //! The single-tile kernel is load-port-bound: each contraction step issues
 //! nine load μops (one B vector + eight A broadcasts) against eight FMAs.
@@ -578,11 +577,6 @@ slice_kernel!(
     tanh => tanh8, crate::reference::tanhf
 );
 slice_kernel!(
-    /// `out[i] = e^x[i]`, bit for bit [`crate::reference::expf`]: eight lanes
-    /// at a time where the CPU has AVX2+FMA, the port itself elsewhere.
-    exp => expf8, crate::reference::expf
-);
-slice_kernel!(
     /// `out[i] = ln x[i]`, bit for bit [`crate::reference::logf`]: eight lanes
     /// at a time where the CPU has AVX2, the port itself elsewhere.
     ln => logf8, crate::reference::logf
@@ -605,22 +599,6 @@ pub fn normals(out: &mut [f32], words: &[u32]) {
     for (o, w) in out.iter_mut().zip(words.chunks_exact(2)) {
         *o = crate::reference::normal(w[0], w[1]);
     }
-}
-
-/// One `e^x`, bit for bit [`crate::reference::expf`], for scalar callers:
-/// its body compiled with FMA where the CPU has it, so each multiply-add is
-/// one `vfmadd` rather than a libm `fma` call.
-pub fn expf(x: f32) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if detected() {
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn fused(x: f32) -> f32 {
-            crate::reference::expf(x)
-        }
-        // SAFETY: AVX2+FMA are present.
-        return unsafe { fused(x) };
-    }
-    crate::reference::expf(x)
 }
 
 /// AVX2 twin of `reference::tanhf` on eight lanes: every branch of it and
@@ -698,44 +676,6 @@ unsafe fn tanh8(v: __m256) -> __m256 {
     );
     let special = sel(above(ix, 0x7f80_0000), add(v, v), _mm256_or_ps(f(1.0), xs));
     sel(above(ix, 0x7f7f_ffff), special, z)
-}
-
-/// AVX2 twin of `reference::expf` on eight lanes: its `f64` core, every
-/// fused multiply-add a `vfmadd`, on each half; then the overflow,
-/// underflow and NaN lanes.
-///
-/// # Safety
-///
-/// The CPU must have AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn expf8(v: __m256) -> __m256 {
-    use std::arch::x86_64::*;
-    let [inv_ln2, shift, c0, c1, c2] = crate::reference::EXPF_POLY.map(f64::from_bits);
-    let (inv_ln2, shift) = (_mm256_set1_pd(inv_ln2), _mm256_set1_pd(shift));
-    let core = |x: __m128| {
-        let xd = _mm256_cvtps_pd(x);
-        let kd = _mm256_fmadd_pd(inv_ln2, xd, shift);
-        let ki = _mm256_castpd_si256(kd);
-        let r = _mm256_fmsub_pd(inv_ln2, xd, _mm256_sub_pd(kd, shift));
-        let i = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
-        let t = _mm256_i64gather_epi64::<8>(crate::reference::EXPF_T.as_ptr().cast(), i);
-        let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
-        let z = _mm256_fmadd_pd(_mm256_set1_pd(c0), r, _mm256_set1_pd(c1));
-        let y = _mm256_fmadd_pd(_mm256_set1_pd(c2), r, _mm256_set1_pd(1.0));
-        let y = _mm256_fmadd_pd(z, _mm256_mul_pd(r, r), y);
-        _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
-    };
-    let y = _mm256_set_m128(
-        core(_mm256_extractf128_ps::<1>(v)),
-        core(_mm256_castps256_ps128(v)),
-    );
-    let bound = |b: u32| _mm256_set1_ps(f32::from_bits(b));
-    let over = _mm256_cmp_ps::<_CMP_GT_OQ>(v, bound(crate::reference::EXPF_OVERFLOW));
-    let under = _mm256_cmp_ps::<_CMP_LT_OQ>(v, bound(crate::reference::EXPF_UNDERFLOW));
-    let y = _mm256_andnot_ps(under, _mm256_blendv_ps(y, bound(0x7f80_0000), over));
-    _mm256_blendv_ps(y, _mm256_add_ps(v, v), _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v))
 }
 
 /// AVX2 twin of `reference::logf` on eight lanes: subnormals normalized,

@@ -326,10 +326,7 @@ impl Var {
                 .as_slice()
                 .iter()
                 .zip(targets.as_slice())
-                .map(|(&xi, &yi)| {
-                    let softplus = hfta_kernels::logf(1.0 + hfta_kernels::expf(-xi.abs()));
-                    xi.max(0.0) - xi * yi + softplus
-                })
+                .map(|(&xi, &yi)| xi.max(0.0) - xi * yi + (1.0 + (-xi.abs()).exp()).ln())
                 .sum();
             (total, x.numel() as f32)
         });

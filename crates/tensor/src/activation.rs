@@ -43,7 +43,7 @@ impl Tensor {
     ///
     /// Panics if `axis` is out of range or the axis is empty.
     pub fn softmax(&self, axis: usize) -> Tensor {
-        Tensor::exp(&self.log_softmax(axis))
+        self.log_softmax(axis).exp()
     }
 
     /// Numerically stable log-softmax along `axis`.
@@ -59,25 +59,20 @@ impl Tensor {
         let src = self.as_slice();
         let mut out_t = Tensor::unfilled(self.shape().clone());
         let out = out_t.as_mut_slice();
-        let (mut shifted, mut e) = ([0.0f32; 64], [0.0f32; 64]);
         for o in 0..outer {
             for i in 0..inner {
-                let at = |k: usize| (o * n + k) * inner + i;
-                let mx = (0..n).fold(f32::NEG_INFINITY, |mx, k| mx.max(src[at(k)]));
-                // `e^(x - max)` through the kernel a stack block at a time,
-                // summed in `k` order.
-                let mut sum = 0.0f32;
-                for k0 in (0..n).step_by(64) {
-                    let len = (n - k0).min(64);
-                    for (j, d) in shifted[..len].iter_mut().enumerate() {
-                        *d = src[at(k0 + j)] - mx;
-                    }
-                    hfta_kernels::exp(&mut e[..len], &shifted[..len]);
-                    sum = e[..len].iter().fold(sum, |sum, &v| sum + v);
-                }
-                let lse = mx + hfta_kernels::logf(sum);
+                let mut mx = f32::NEG_INFINITY;
                 for k in 0..n {
-                    out[at(k)] = src[at(k)] - lse;
+                    mx = mx.max(src[(o * n + k) * inner + i]);
+                }
+                let mut sum = 0.0f32;
+                for k in 0..n {
+                    sum += (src[(o * n + k) * inner + i] - mx).exp();
+                }
+                let lse = mx + sum.ln();
+                for k in 0..n {
+                    let idx = (o * n + k) * inner + i;
+                    out[idx] = src[idx] - lse;
                 }
             }
         }
@@ -89,7 +84,7 @@ impl Tensor {
 /// along the same axis.
 pub fn log_softmax_backward(gy: &Tensor, log_probs: &Tensor, axis: usize) -> Tensor {
     let sum_gy = gy.sum_axis(axis, true);
-    gy.sub(&Tensor::exp(log_probs).mul(&sum_gy))
+    gy.sub(&log_probs.exp().mul(&sum_gy))
 }
 
 /// Gradient of [`Tensor::softmax`]:

@@ -144,16 +144,15 @@ impl Tensor {
         self.map(f32::abs)
     }
 
-    /// Elementwise natural exponential: [`hfta_kernels::exp`], the in-tree
-    /// port of glibc's `expf`.
+    /// Elementwise natural exponential.
     pub fn exp(&self) -> Tensor {
-        self.kernel(hfta_kernels::exp)
+        self.map(f32::exp)
     }
 
     /// Elementwise natural logarithm: [`hfta_kernels::ln`], the in-tree
     /// port of glibc's `logf`.
     pub fn ln(&self) -> Tensor {
-        self.kernel(hfta_kernels::ln)
+        self.map_slices(hfta_kernels::ln)
     }
 
     /// Elementwise square root.
@@ -174,30 +173,12 @@ impl Tensor {
     /// Elementwise hyperbolic tangent: [`hfta_kernels::tanh`], the in-tree
     /// port of fdlibm's `tanhf`, so its bits do not depend on the host libm.
     pub fn tanh(&self) -> Tensor {
-        self.kernel(hfta_kernels::tanh)
+        self.map_slices(hfta_kernels::tanh)
     }
 
-    /// Elementwise logistic sigmoid, `1 / (1 + e^-x)` with `e^-x` through
-    /// [`hfta_kernels::exp`] a stack block at a time.
+    /// Elementwise logistic sigmoid.
     pub fn sigmoid(&self) -> Tensor {
-        self.kernel(|out, x| {
-            for (out, x) in out.chunks_mut(64).zip(x.chunks(64)) {
-                let neg: [f32; 64] = std::array::from_fn(|i| -x.get(i).unwrap_or(&0.0));
-                hfta_kernels::exp(out, &neg[..x.len()]);
-                out.iter_mut().for_each(|e| *e = 1.0 / (1.0 + *e));
-            }
-        })
-    }
-
-    /// `kernel(out, x)` over the pool's elementwise chunks.
-    fn kernel(&self, kernel: impl Fn(&mut [f32], &[f32]) + Sync) -> Tensor {
-        let src = self.as_slice();
-        let mut out = Tensor::unfilled(self.shape().clone());
-        let grain = crate::tensor::ELEMWISE_GRAIN;
-        hfta_kernels::for_each_chunk_mut(out.as_mut_slice(), grain, |start, chunk| {
-            kernel(chunk, &src[start..start + chunk.len()])
-        });
-        out
+        self.map(|v| 1.0 / (1.0 + (-v).exp()))
     }
 
     /// Elementwise rectified linear unit. NaN propagates (as in

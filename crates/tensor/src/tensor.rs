@@ -343,10 +343,16 @@ impl Tensor {
     /// Applies `f` elementwise, producing a new tensor: one pass that
     /// writes each output element once.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+        self.map_slices(|out, src| map_into(out, src, &f))
+    }
+
+    /// [`Tensor::map`] for a slice kernel: `f(out, src)` over the pool's
+    /// elementwise chunks of a new tensor and of `self`.
+    pub(crate) fn map_slices(&self, f: impl Fn(&mut [f32], &[f32]) + Sync) -> Tensor {
         let src = self.data.as_slice();
         let mut out = Tensor::unfilled(self.shape.clone());
         hfta_kernels::for_each_chunk_mut(out.as_mut_slice(), ELEMWISE_GRAIN, |start, chunk| {
-            map_into(chunk, &src[start..start + chunk.len()], &f);
+            f(chunk, &src[start..start + chunk.len()]);
         });
         out
     }

@@ -3,9 +3,12 @@
 //! change branch — ±0, subnormals, 1.0, `expf`'s overflow and underflow
 //! cut-offs, ±inf, quiet and signalling NaNs — and FNV-1a digests of their
 //! output bits over every 4096th bit pattern and of `randn` streams that
-//! straddle the keystream's refills. The expected bits were taken once
-//! from glibc 2.36 on x86-64 (whose `expf` there is its FMA variant); no
-//! host libm is called here, so the tables hold on every platform.
+//! straddle the keystream's refills. The expected bits were taken from
+//! glibc 2.36 on x86-64 with AVX2+FMA. `ln` and the normal draws run
+//! in-tree ports of its `logf` and `cosf`, so their pins hold on every
+//! platform; `exp`, `sigmoid` and `log_softmax` call the host's libm, so
+//! theirs hold where that is glibc's FMA `expf`, like the workspace's other
+//! digests.
 
 use hfta_tensor::{Rng, Tensor};
 
