@@ -1,30 +1,33 @@
-//! Kernel-layer benchmark harness with machine-readable output.
+//! Kernel-layer benchmark harness.
 //!
 //! Measures the `hfta-kernels` GEMM dispatch (`auto`, the only one: the
 //! AVX2/FMA tile where the CPU has it, the portable `mul_add` tile
 //! elsewhere) and the fused conv training step (forward + grad_input +
-//! grad_weight, B = 6 fused DCGAN-style models), and writes every
-//! measurement to a JSON file.
+//! grad_weight, B = 6 fused DCGAN-style models), and prints every
+//! measurement.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench_kernels [--quick] [--bench-json <path>]   # default BENCH_kernels.json
-//!               [--gate-scaling <ratio>]
+//! bench_kernels [--quick] [--gate-scaling <ratio>]
 //! ```
 //!
 //! Rows are measured at 1 thread and at `min(4, host_cpus)` threads; no row
 //! is ever emitted with more threads than the host has CPUs, because two
 //! threads time-slicing one core measure the scheduler, not the kernel.
-//! Per shape, `scaling_efficiency` reports GFLOP/s at the multi-thread
-//! count over 1 thread (absent on a 1-CPU host).
+//! Per shape, a `scaling efficiency` line reports GFLOP/s at the
+//! multi-thread count over 1 thread (absent on a 1-CPU host).
 //!
-//! `--gate-scaling <ratio>` turns the 4T/1T scaling ratio into a CI gate on
-//! large shapes (exit 1 below the ratio; skipped with a note on hosts with
-//! fewer than 4 CPUs).
+//! The binary exits 1 if hfta-scope's untraced cost exceeds
+//! [`SCOPE_OVERHEAD_BUDGET_PCT`] of a fused training step.
+//! `--gate-scaling <ratio>` turns the 4T/1T scaling ratio into a gate on
+//! large shapes too (exit 1 below the ratio; skipped with a note on hosts
+//! with fewer than 4 CPUs).
 
-use hfta_bench::cli::{write_json, CommonArgs};
-use hfta_bench::record::{KernelRecord, KernelsFile, ScalingRecord};
+use std::cmp::Ordering;
+use std::process::ExitCode;
+
+use hfta_bench::cli::CommonArgs;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
 use hfta_core::ops::{Fused, FusedParameter, Ops};
 use hfta_core::optim::{FusedSgd, PerModel};
@@ -97,6 +100,27 @@ fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
 /// small GEMMs are latency- not throughput-bound.
 const LARGE_SHAPE_FLOPS: f64 = (1u64 << 23) as f64;
 
+/// Upper bound on hfta-scope's untraced cost, percent of a fused
+/// training step.
+const SCOPE_OVERHEAD_BUDGET_PCT: f64 = 5.0;
+
+/// One timed (op, shape, threads) cell.
+struct Row {
+    op: &'static str,
+    shape: String,
+    threads: usize,
+    /// Best mean nanoseconds per iteration.
+    ns_per_iter: f64,
+    /// FLOPs per iteration.
+    flops: f64,
+}
+
+impl Row {
+    fn gflops(&self) -> f64 {
+        self.flops / self.ns_per_iter
+    }
+}
+
 /// The `model name` of the first CPU in `/proc/cpuinfo`.
 fn cpu_model() -> String {
     std::fs::read_to_string("/proc/cpuinfo")
@@ -110,30 +134,31 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-const USAGE: &str = "bench_kernels [--quick] [--bench-json <path>] [--gate-scaling <ratio>]";
+const USAGE: &str = "bench_kernels [--quick] [--gate-scaling <ratio>]";
 
-fn main() {
-    let args = CommonArgs::parse(USAGE);
+fn main() -> ExitCode {
+    let mut args = CommonArgs::from_env();
+    let quick = args.take_switch("--quick");
+    let gate_scaling = args.take(
+        USAGE,
+        "--gate-scaling",
+        "a non-negative ratio",
+        |r: &f64| *r >= 0.0,
+    );
     args.expect_no_rest(USAGE);
-    let quick = args.quick;
-    let json_path = args
-        .bench_json
-        .clone()
-        .unwrap_or_else(|| "BENCH_kernels.json".to_string());
     let iters = if quick { 1 } else { 10 };
     let prev_threads = hfta_kernels::num_threads();
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(1) as u64;
-    let simd = simd_available();
-    if !simd {
+        .unwrap_or(1);
+    if !simd_available() {
         println!("note: AVX2/FMA unavailable on this CPU; `auto` rows run the portable kernels");
     }
 
     // Thread counts measured: 1 and — never above the host's CPU count —
     // `mt`.
-    let backend = hfta_kernels::gemm::backend().name().to_string();
-    let mt = host_cpus.min(4) as usize;
+    let backend = hfta_kernels::gemm::backend().name();
+    let mt = host_cpus.min(4);
     let mut thread_counts = vec![1];
     if mt > 1 {
         thread_counts.push(mt);
@@ -155,7 +180,6 @@ fn main() {
         let a = rng.randn([m, k]);
         let b = rng.randn([k, n]);
         let flops = 2.0 * (m * k * n) as f64;
-        let bytes = 4.0 * (m * k + k * n + m * n) as f64;
         for &threads in &thread_counts {
             set_num_threads(threads);
             let mut out = vec![0.0f32; m * n];
@@ -170,14 +194,12 @@ fn main() {
                     n,
                 );
             });
-            records.push(KernelRecord {
-                op: "gemm".to_string(),
+            records.push(Row {
+                op: "gemm",
                 shape: format!("{label}:{m}x{k}x{n}"),
-                backend: backend.clone(),
-                threads: threads as u64,
+                threads,
                 ns_per_iter: ns,
-                gflops: flops / ns,
-                bytes_per_iter: bytes,
+                flops,
             });
         }
     }
@@ -194,10 +216,6 @@ fn main() {
     let krows = 3 * 4 * 4;
     // fwd + grad_input + grad_weight are each one GEMM of this size.
     let step_flops = 3.0 * 2.0 * (4 * 16 * b * spatial * krows) as f64;
-    // Each of the three GEMMs streams the activations, weights and the
-    // output-sized gradient once — close enough for roofline placement.
-    let step_bytes =
-        3.0 * 4.0 * (x.as_slice().len() + w.as_slice().len() + y.as_slice().len()) as f64;
     for &threads in &thread_counts {
         set_num_threads(threads);
         let ns = time_ns(iters, || {
@@ -206,14 +224,12 @@ fn main() {
             let gw = conv2d_grad_weight(&x, &gy, (4, 4), cfg);
             black_box((y, gx, gw));
         });
-        records.push(KernelRecord {
-            op: "fused_conv_training_step".to_string(),
+        records.push(Row {
+            op: "fused_conv_training_step",
             shape: format!("B={b}:x4x{}x32x32:w{}x3x4x4", 3 * b, 16 * b),
-            backend: backend.clone(),
-            threads: threads as u64,
+            threads,
             ns_per_iter: ns,
-            gflops: step_flops / ns,
-            bytes_per_iter: step_bytes,
+            flops: step_flops,
         });
     }
     // --- hfta-scope overhead on a fused DCGAN-style training step --------
@@ -264,88 +280,82 @@ fn main() {
 
     set_num_threads(prev_threads);
 
-    // Thread scaling per shape: GFLOP/s at `mt` over 1T.
-    let rows = |threads: usize| records.iter().filter(move |r| r.threads == threads as u64);
-    let mut scaling = Vec::new();
-    if mt > 1 {
-        for (r1, r_mt) in rows(1).zip(rows(mt)) {
-            debug_assert!(r1.op == r_mt.op && r1.shape == r_mt.shape);
-            scaling.push(ScalingRecord {
-                op: r1.op.clone(),
-                shape: r1.shape.clone(),
-                threads: mt as u64,
-                scaling_efficiency: r_mt.gflops / r1.gflops,
-            });
-        }
-    }
-
-    let report = KernelsFile {
-        host_cpus,
-        cpu_model: cpu_model(),
-        simd_available: simd,
-        records,
-        scaling_efficiency: scaling,
-        scope_overhead_pct,
-    };
-    write_json(&json_path, &report).unwrap_or_else(|e| {
-        eprintln!("failed to write {json_path}: {e}");
-        std::process::exit(1);
-    });
-
     println!(
-        "# hfta-kernels benchmark ({} CPUs, {})",
-        report.host_cpus, report.cpu_model
+        "# hfta-kernels benchmark ({host_cpus} CPUs, {})",
+        cpu_model()
     );
     println!(
         "{:<28} {:>24} {:>8} {:>8} {:>14} {:>9}",
         "op", "shape", "backend", "threads", "ns/iter", "GFLOP/s"
     );
-    for r in &report.records {
+    for r in &records {
         println!(
-            "{:<28} {:>24} {:>8} {:>8} {:>14.0} {:>9.2}",
-            r.op, r.shape, r.backend, r.threads, r.ns_per_iter, r.gflops
+            "{:<28} {:>24} {backend:>8} {:>8} {:>14.0} {:>9.2}",
+            r.op,
+            r.shape,
+            r.threads,
+            r.ns_per_iter,
+            r.gflops()
         );
     }
-    for s in &report.scaling_efficiency {
+    // Thread scaling per shape: GFLOP/s at `mt` over 1T, with the 1T row.
+    let rows = |threads: usize| records.iter().filter(move |r| r.threads == threads);
+    let scaling: Vec<(&Row, f64)> = match mt {
+        1 => Vec::new(),
+        _ => rows(1)
+            .zip(rows(mt))
+            .map(|(r1, r_mt)| (r1, r_mt.gflops() / r1.gflops()))
+            .collect(),
+    };
+    for (r, ratio) in &scaling {
         println!(
-            "scaling efficiency (@{}T / @1T) {:<28} {:>24} {:.2}x",
-            s.threads, s.op, s.shape, s.scaling_efficiency
+            "scaling efficiency (@{mt}T / @1T) {:<28} {:>24} {ratio:.2}x",
+            r.op, r.shape
         );
     }
-    println!("hfta-scope overhead on a fused DCGAN step: {scope_overhead_pct:.2}% (budget 5%)");
-    println!("wrote {json_path}");
+    println!(
+        "hfta-scope overhead on a fused DCGAN step: {scope_overhead_pct:.2}% \
+         (budget {SCOPE_OVERHEAD_BUDGET_PCT}%)"
+    );
 
+    // NaN must fail too, so "at most, comparably" is the pass condition.
+    let mut failed = !matches!(
+        scope_overhead_pct.partial_cmp(&SCOPE_OVERHEAD_BUDGET_PCT),
+        Some(Ordering::Less | Ordering::Equal)
+    );
+    if failed {
+        eprintln!(
+            "FAIL: hfta-scope overhead {scope_overhead_pct:.2}% exceeds its \
+             {SCOPE_OVERHEAD_BUDGET_PCT}% budget"
+        );
+    }
     // --- Thread-scaling gate ---------------------------------------------
-    if let Some(min_ratio) = args.gate_scaling {
+    if let Some(min_ratio) = gate_scaling {
         if host_cpus < 4 {
             println!(
                 "note: --gate-scaling skipped; host exposes {host_cpus} CPU(s), \
                  so 4-thread scaling is not measurable here"
             );
         } else {
-            let mut failed = false;
-            for s in &report.scaling_efficiency {
-                let flops = report
-                    .records
-                    .iter()
-                    .find(|r| r.op == s.op && r.shape == s.shape && r.threads == 1)
-                    .map(|r| r.gflops * r.ns_per_iter)
-                    .unwrap_or(0.0);
-                if flops < LARGE_SHAPE_FLOPS {
-                    continue;
-                }
-                if s.scaling_efficiency < min_ratio {
+            let mut passed = true;
+            for (r, ratio) in &scaling {
+                if r.flops >= LARGE_SHAPE_FLOPS && *ratio < min_ratio {
                     eprintln!(
-                        "scaling gate FAILED: {}/{} @4T/@1T = {:.2}x < {min_ratio:.2}x",
-                        s.op, s.shape, s.scaling_efficiency
+                        "scaling gate FAILED: {}/{} @4T/@1T = {ratio:.2}x < {min_ratio:.2}x",
+                        r.op, r.shape
                     );
-                    failed = true;
+                    passed = false;
                 }
             }
-            if failed {
-                std::process::exit(1);
+            if passed {
+                println!("scaling gate passed (@4T/@1T >= {min_ratio:.2}x on large shapes)");
             }
-            println!("scaling gate passed (@4T/@1T >= {min_ratio:.2}x on large shapes)");
+            failed |= !passed;
         }
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }

@@ -36,13 +36,15 @@
 //! each leg's per-lane loss streams under the `serial` / `partial-fusion`
 //! experiment scopes — `hfta_report diff` gates those against
 //! `ci/golden/plan.report.json`. `--bench-json` writes the per-plan
-//! timing records that `hfta_report diff` gates across PRs.
+//! simulated step times, fused fraction, speedup and bit-identity flag
+//! that `hfta_report diff` gates against `ci/golden/plan.bench.json`.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use hfta_bench::cli::{write_json, CommonArgs};
 use hfta_bench::record::{PlanFile, PlanRecord};
+use hfta_bench::telemetry_cli::TraceSession;
 use hfta_core::optim::PerModel;
 use hfta_core::planned::{per_lane_ce, PlannedArray, PlannedOptimizer};
 use hfta_models::{planned_step_time_s, serial_step_time_s, PlanSimCfg};
@@ -67,18 +69,23 @@ struct Args {
     steps: usize,
     width: usize,
     batch: usize,
-    common: CommonArgs,
+    bench_json: Option<String>,
+    session: TraceSession,
 }
 
 fn parse_args() -> Args {
-    let mut common = CommonArgs::parse(USAGE);
+    let mut common = CommonArgs::from_env();
     let steps = common.take(USAGE, "--steps", "a positive integer", |v: &usize| *v > 0);
+    let quick = common.take_switch("--quick");
+    let bench_json = common.take(USAGE, "--bench-json", "a path", |_: &String| true);
+    let session = common.take_trace(USAGE, "bench_plan");
     common.expect_no_rest(USAGE);
     Args {
-        steps: steps.unwrap_or(if common.quick { 3 } else { 60 }),
+        steps: steps.unwrap_or(if quick { 3 } else { 60 }),
         width: 8,
-        batch: if common.quick { 2 } else { 4 },
-        common,
+        batch: if quick { 2 } else { 4 },
+        bench_json,
+        session,
     }
 }
 
@@ -199,7 +206,7 @@ fn run_leg(
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let session = args.common.trace_session("bench_plan");
+    let session = args.session;
 
     let graphs = sweep(args.width);
     let serial = FusionPlan::serial(&graphs).expect("sweep shape-checks");
@@ -263,7 +270,7 @@ fn main() -> ExitCode {
         failed = true;
     }
 
-    if let Some(dir) = &args.common.trace {
+    if let Some(dir) = session.dir() {
         let path = dir.join("plan.json").display().to_string();
         if let Err(e) = write_json(&path, &fused) {
             eprintln!("FAIL: cannot write {path}: {e}");
@@ -271,7 +278,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = &args.common.bench_json {
+    if let Some(path) = &args.bench_json {
         let file = PlanFile {
             name: "bench_plan".into(),
             device: "V100".into(),

@@ -3,8 +3,7 @@
 //! restart leg proving crash-safe checkpoint/restore at soak scale.
 //!
 //! ```text
-//! bench_serve [--trials <n>] [--span <s>] [--quick]
-//!             [--bench-json <path>] [--trace <dir>]
+//! bench_serve [--trials <n>] [--span <s>] [--quick] [--trace <dir>]
 //! ```
 //!
 //! The arrival stream comes from `hfta-cluster`: a synthetic trace is
@@ -24,14 +23,12 @@
 //! uninterrupted fair-share leg. Everything runs in bit-exact simulated
 //! time, so `--trace` reports diff clean across machines and thread
 //! counts (CI keeps a golden in `ci/golden/serve.report.json`).
-//! `--bench-json` writes the per-policy SLO table for
-//! `hfta_report diff` gating.
 
 use std::fs;
 use std::process::ExitCode;
 
-use hfta_bench::cli::{write_json, CommonArgs};
-use hfta_bench::record::ServeFile;
+use hfta_bench::cli::CommonArgs;
+use hfta_bench::telemetry_cli::TraceSession;
 use hfta_cluster::replay::{normalize_arrivals_open, sweep_arrivals, OpenLoopCfg};
 use hfta_cluster::trace::{generate, TraceCfg};
 use hfta_sched::asha::RungPolicy;
@@ -50,26 +47,27 @@ const RATE_SCALE: f64 = 0.9;
 /// Seed for the open-loop thinning coin.
 const OPEN_LOOP_SEED: u64 = 7;
 
-const USAGE: &str = "bench_serve [--trials <n>] [--span <s>] [--quick] \
-                     [--bench-json <path>] [--trace <dir>]";
+const USAGE: &str = "bench_serve [--trials <n>] [--span <s>] [--quick] [--trace <dir>]";
 
 struct Args {
     trials: usize,
     span_s: f64,
-    common: CommonArgs,
+    session: TraceSession,
 }
 
 fn parse_args() -> Args {
-    let mut common = CommonArgs::parse(USAGE);
+    let mut common = CommonArgs::from_env();
+    let quick = common.take_switch("--quick");
     let trials = common.take(USAGE, "--trials", "a positive integer", |v: &usize| *v > 0);
     let span_s = common.take(USAGE, "--span", "a non-negative number", |v: &f64| {
         *v >= 0.0
     });
+    let session = common.take_trace(USAGE, "bench_serve");
     common.expect_no_rest(USAGE);
     Args {
-        trials: trials.unwrap_or(if common.quick { 64 } else { 128 }),
-        span_s: span_s.unwrap_or(if common.quick { 0.025 } else { 0.05 }),
-        common,
+        trials: trials.unwrap_or(if quick { 64 } else { 128 }),
+        span_s: span_s.unwrap_or(if quick { 0.025 } else { 0.05 }),
+        session,
     }
 }
 
@@ -168,13 +166,12 @@ fn serve_cfg(policy: AdmitPolicy, dir: Option<std::path::PathBuf>) -> ServeCfg {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let session = args.common.trace_session("bench_serve");
+    let session = args.session;
     // The engine derives its SLO rollup from the ambient profiler's
     // flight journal; install one even when `--trace` is absent.
     let local_profiler = session.local_profiler("bench_serve");
     let profiler = Profiler::current().expect("profiler installed");
     let commands = command_stream(args.trials, args.span_s);
-    let devices = fleet().len();
 
     let run_leg = |scope: &str, policy: AdmitPolicy| -> (ServeRun, u64) {
         let _exp = profiler.experiment(scope);
@@ -314,28 +311,6 @@ fn main() -> ExitCode {
     if !bit_identical {
         eprintln!("FAIL: restarted outcomes differ from the uninterrupted run");
         failed = true;
-    }
-
-    if let Some(path) = &args.common.bench_json {
-        let file = ServeFile {
-            name: "bench_serve".into(),
-            trials: args.trials as u64,
-            devices: devices as u64,
-            span_s: args.span_s,
-            fair_share_speedup_vs_static: stat.report.makespan_s / fair.report.makespan_s,
-            fair_share_p99_queue_wait_improvement_pct: (1.0
-                - fair.report.queue_wait_p99_us / stat.report.queue_wait_p99_us)
-                * 100.0,
-            restart_bit_identical: bit_identical,
-            records: vec![stat.report, fair.report],
-            restart: restarted.report,
-        };
-        if let Err(e) = write_json(path, &file) {
-            eprintln!("FAIL: cannot write {path}: {e}");
-            failed = true;
-        } else {
-            println!("wrote {path}");
-        }
     }
 
     drop(local_profiler);

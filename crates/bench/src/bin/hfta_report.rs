@@ -1,5 +1,6 @@
-//! The one report CLI: every view over the files a `--trace` / `--bench-json`
-//! run leaves behind, and the gate that compares two of them.
+//! The one report CLI: every view over the files a `--trace` /
+//! `bench_plan --bench-json` run leaves behind, and the gate that compares
+//! two of them.
 //!
 //! ```text
 //! hfta_report health <trace-dir>        # per-model health tables (hfta-scope)
@@ -13,8 +14,8 @@
 //! ```
 //!
 //! `diff` auto-detects what `<base>` / `<candidate>` are — run reports
-//! (full `<bin>.report.json` or `summarize` output), `BENCH_*.json` bench
-//! files, or flight summaries — and gates each field the way
+//! (full `<bin>.report.json` or `summarize` output), plan bench files, or
+//! flight summaries — and gates each field the way
 //! [`hfta_bench::record`] declares; both sides must be the same kind.
 //! `roofline` calibrates the machine peaks when it runs (about a quarter of
 //! a second; nothing is cached) and places every recorded op on them: one
@@ -192,16 +193,13 @@ fn plan(dir: &str) {
 }
 
 fn main() {
-    let mut argv = std::env::args().skip(1);
-    let Some(cmd) = argv.next() else {
+    let mut args = CommonArgs::from_env();
+    if args.rest.is_empty() {
         usage_exit(USAGE, "expected a subcommand");
-    };
+    }
+    let cmd = args.rest.remove(0);
     // Only the flags a subcommand takes below are accepted; whatever is
     // left must be its positionals.
-    let mut args = CommonArgs {
-        rest: argv.collect(),
-        ..CommonArgs::default()
-    };
     let any = |_: &String| true;
     match cmd.as_str() {
         "health" => {

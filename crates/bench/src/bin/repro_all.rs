@@ -92,7 +92,8 @@ fn main() {
         "repro_all [--trace <dir>] [<id>...]\n       ids: {} (none = all, writes EXPERIMENTS.md)",
         ids.join(" ")
     );
-    let mut args = CommonArgs::parse(&usage);
+    let mut args = CommonArgs::from_env();
+    let session = args.take_trace(&usage, "repro_all");
     // Detail view: the named sections under their own ids. Roll-up: every
     // section that has a roll-up scope.
     let mut picked: Vec<(&str, &Section)> = Vec::new();
@@ -107,7 +108,6 @@ fn main() {
         picked.extend(SECTIONS.iter().filter_map(|s| Some((s.1?, s))));
     }
 
-    let session = args.trace_session("repro_all");
     let mut ctx = Ctx {
         rollup,
         profiler: session.profiler(),

@@ -2,8 +2,7 @@
 //! re-packing on the same trial stream and simulated fleet.
 //!
 //! ```text
-//! sched_sweep [--trials <n>] [--devices <n>] [--span <s>]
-//!             [--bench-json <path>] [--trace <dir>]
+//! sched_sweep [--trials <n>] [--devices <n>] [--span <s>] [--trace <dir>]
 //! ```
 //!
 //! The trial stream comes from `hfta-cluster`: a synthetic two-week trace
@@ -18,24 +17,24 @@
 //! fusion beats serial on makespan — and exits 1 if the ordering ever
 //! breaks; CI also diffs the `--trace` report against
 //! `ci/golden/sched_sweep.report.json` (losses, streams, and sentinels
-//! are bit-reproducible; wall times are not gated). `--bench-json` writes
-//! the makespan/device-hours/packing table — now including the per-policy
-//! SLO decomposition (queue/compute/surgery/quarantine plus p50/p99
-//! queue-wait and e2e latency, all in bit-exact simulated time) — for the
-//! artifact upload; the same p99s are gated exactly (bound 0) by the
-//! `ci/golden/flight_sweep.report.json` diff.
+//! are bit-reproducible; wall times are not gated). The second table is
+//! the per-policy SLO decomposition (p50/p99 queue-wait and e2e latency
+//! plus queue/compute/surgery/quarantine sums, all in bit-exact simulated
+//! µs, the latencies printed at round-trip precision); the same p99s are
+//! gated exactly (bound 0) by the `ci/golden/flight_sweep.report.json`
+//! diff.
 
 use std::process::ExitCode;
 
-use hfta_bench::cli::{write_json, CommonArgs};
+use hfta_bench::cli::CommonArgs;
+use hfta_bench::telemetry_cli::TraceSession;
 use hfta_cluster::replay::{normalize_arrivals, sweep_arrivals};
 use hfta_cluster::trace::{generate, TraceCfg};
 use hfta_sched::asha::RungPolicy;
 use hfta_sched::linear::{LinearBackend, LinearTrialCfg};
-use hfta_sched::sched::{run, Policy, SchedCfg, SchedReport};
+use hfta_sched::sched::{run, Policy, SchedCfg};
 use hfta_sim::{DeviceFleet, DeviceSpec};
 use hfta_telemetry::Profiler;
-use serde::Serialize;
 
 /// Burst-grouping gap when recovering sweeps from the trace, seconds.
 const BURST_GAP_S: u64 = 120;
@@ -44,43 +43,30 @@ const MIN_TRIALS: u64 = 4;
 /// Every ninth trial (offset 4) is NaN-poisoned at this step.
 const POISON_STEP: u64 = 1;
 
-#[derive(Debug, Serialize)]
-struct BenchFile {
-    name: &'static str,
-    trials: usize,
-    devices: usize,
-    span_s: f64,
-    records: Vec<SchedReport>,
-    static_speedup_vs_serial: f64,
-    elastic_speedup_vs_serial: f64,
-    elastic_speedup_vs_static: f64,
-    elastic_device_hours_saved_vs_static_pct: f64,
-}
-
-const USAGE: &str = "sched_sweep [--trials <n>] [--devices <n>] [--span <s>] \
-                     [--bench-json <path>] [--trace <dir>]";
+const USAGE: &str = "sched_sweep [--trials <n>] [--devices <n>] [--span <s>] [--trace <dir>]";
 
 struct Args {
     trials: usize,
     devices: usize,
     span_s: f64,
-    common: CommonArgs,
+    session: TraceSession,
 }
 
 fn parse_args() -> Args {
-    let mut common = CommonArgs::parse(USAGE);
+    let mut common = CommonArgs::from_env();
     let positive = |v: &usize| *v > 0;
     let trials = common.take(USAGE, "--trials", "a positive integer", positive);
     let devices = common.take(USAGE, "--devices", "a positive integer", positive);
     let span_s = common.take(USAGE, "--span", "a non-negative number", |v: &f64| {
         *v >= 0.0
     });
+    let session = common.take_trace(USAGE, "sched_sweep");
     common.expect_no_rest(USAGE);
     Args {
         trials: trials.unwrap_or(48),
         devices: devices.unwrap_or(2),
         span_s: span_s.unwrap_or(0.01),
-        common,
+        session,
     }
 }
 
@@ -115,7 +101,7 @@ fn trial_stream(n: usize, span_s: f64) -> Vec<(f64, LinearTrialCfg)> {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let session = args.common.trace_session("sched_sweep");
+    let session = args.session;
     // The SLO columns are read back from the ambient profiler's flight
     // journal: untraced, every latency would read zero.
     let _local = session.local_profiler("sched_sweep");
@@ -166,20 +152,20 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "\n{:>14} {:>11} {:>11} {:>11} {:>11} {:>10} {:>10} {:>10} {:>10}",
+        "\n{:>14} {:>13} {:>13} {:>13} {:>13} {:>12} {:>12} {:>12} {:>12}",
         "policy",
-        "qwait_p50",
-        "qwait_p99",
-        "e2e_p50",
-        "e2e_p99",
+        "qwait_p50_us",
+        "qwait_p99_us",
+        "e2e_p50_us",
+        "e2e_p99_us",
         "queue_us",
-        "compute",
-        "surgery",
-        "quarant"
+        "compute_us",
+        "surgery_us",
+        "quarant_us"
     );
     for r in &records {
         println!(
-            "{:>14} {:>9.1}us {:>9.1}us {:>9.1}us {:>9.1}us {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
+            "{:>14} {:>13} {:>13} {:>13} {:>13} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
             r.policy,
             r.queue_wait_p50_us,
             r.queue_wait_p99_us,
@@ -227,28 +213,6 @@ fn main() -> ExitCode {
             elastic.packing_efficiency, stat.packing_efficiency
         );
         failed = true;
-    }
-
-    if let Some(path) = &args.common.bench_json {
-        let file = BenchFile {
-            name: "sched_sweep",
-            trials: args.trials,
-            devices: args.devices,
-            span_s: args.span_s,
-            static_speedup_vs_serial: serial.makespan_s / stat.makespan_s,
-            elastic_speedup_vs_serial: serial.makespan_s / elastic.makespan_s,
-            elastic_speedup_vs_static: stat.makespan_s / elastic.makespan_s,
-            elastic_device_hours_saved_vs_static_pct: (1.0
-                - elastic.device_hours / stat.device_hours)
-                * 100.0,
-            records,
-        };
-        if let Err(e) = write_json(path, &file) {
-            eprintln!("FAIL: cannot write {path}: {e}");
-            failed = true;
-        } else {
-            println!("wrote {path}");
-        }
     }
 
     session.finish_or_exit();

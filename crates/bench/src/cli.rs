@@ -1,95 +1,68 @@
 //! Shared command-line parsing for the bench binaries.
 //!
-//! [`CommonArgs`] parses the flags the bins share (`--quick`,
-//! `--bench-json`, `--trace`, `--gate-scaling`) in one place, in both
-//! `--flag value` and `--flag=value` forms, and hands anything it does not
-//! recognize back in [`CommonArgs::rest`] for bin-specific parsing.
+//! [`CommonArgs`] is only the parser: each binary takes exactly the flags
+//! it reads ([`CommonArgs::take`], [`CommonArgs::take_switch`],
+//! [`CommonArgs::take_trace`]), in both `--flag value` and `--flag=value`
+//! forms, and [`CommonArgs::expect_no_rest`] turns any flag it did not take
+//! into a usage error (exit 2).
 
 use std::path::PathBuf;
 
 use crate::record::DiffOutcome;
 use crate::telemetry_cli::TraceSession;
 
-/// Flags shared across the bench binaries.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The arguments of one bench binary, consumed flag by flag.
+#[derive(Debug)]
 pub struct CommonArgs {
-    /// `--quick`: shrink iteration counts for smoke runs.
-    pub quick: bool,
-    /// `--bench-json <path>`: machine-readable output file.
-    pub bench_json: Option<String>,
-    /// `--trace <dir>`: telemetry output directory (see [`TraceSession`]).
-    pub trace: Option<PathBuf>,
-    /// `--gate-scaling <ratio>`: minimum default-dispatch 4T/1T GFLOP/s
-    /// ratio on large shapes; below it the bin exits non-zero. Skipped
-    /// (with a note) when the host has fewer than 4 CPUs.
-    pub gate_scaling: Option<f64>,
-    /// Arguments this parser did not consume, in order.
+    /// Arguments not taken yet, in order.
     pub rest: Vec<String>,
 }
 
 impl CommonArgs {
-    /// Parses the shared flags out of an explicit argument list. Unknown
-    /// arguments are left in [`CommonArgs::rest`], in order (with any
-    /// `--flag=value` form intact), for the caller to interpret.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when a shared flag is missing its value or
-    /// `--gate-scaling` is not a non-negative number.
-    pub fn parse_iter(args: impl IntoIterator<Item = String>) -> Result<CommonArgs, String> {
-        let mut out = CommonArgs {
+    /// Wraps an explicit argument list.
+    pub fn new(args: impl IntoIterator<Item = String>) -> CommonArgs {
+        CommonArgs {
             rest: args.into_iter().collect(),
-            ..CommonArgs::default()
-        };
-        out.quick = out.take_switch("--quick");
-        out.bench_json = out.pull("--bench-json")?;
-        out.trace = out.pull("--trace")?.map(PathBuf::from);
-        if let Some(v) = out.pull("--gate-scaling")? {
-            match v.parse::<f64>() {
-                Ok(r) if r >= 0.0 => out.gate_scaling = Some(r),
-                _ => return Err(format!("--gate-scaling needs a non-negative ratio: {v}")),
-            }
         }
-        Ok(out)
+    }
+
+    /// The process arguments, program name excluded.
+    pub fn from_env() -> CommonArgs {
+        Self::new(std::env::args().skip(1))
     }
 
     /// Removes the first `--flag <value>` / `--flag=<value>` from
-    /// [`CommonArgs::rest`], returning the value.
-    fn pull(&mut self, flag: &str) -> Result<Option<String>, String> {
+    /// [`CommonArgs::rest`]: `None` when the flag is absent, `Some(None)`
+    /// when its value is missing.
+    fn pull(&mut self, flag: &str) -> Option<Option<String>> {
         let name = |a: &String| a.split_once('=').map_or(a.as_str(), |(f, _)| f) == flag;
-        let Some(i) = self.rest.iter().position(name) else {
+        let i = self.rest.iter().position(name)?;
+        let arg = self.rest.remove(i);
+        Some(match arg.split_once('=') {
+            Some((_, v)) => Some(v.to_string()),
+            None => (i < self.rest.len()).then(|| self.rest.remove(i)),
+        })
+    }
+
+    /// Removes `--flag <value>` / `--flag=<value>` and parses it; `None`
+    /// when the flag is absent, an error (`<flag> needs <what>`) when the
+    /// value is missing, does not parse, or fails `ok`.
+    fn try_take<T: std::str::FromStr>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, String> {
+        let Some(value) = self.pull(flag) else {
             return Ok(None);
         };
-        let arg = self.rest.remove(i);
-        match arg.split_once('=') {
-            Some((_, v)) => Ok(Some(v.to_string())),
-            None if i < self.rest.len() => Ok(Some(self.rest.remove(i))),
-            None => Err(format!("{flag} requires a value")),
-        }
+        let parsed = value.and_then(|v| v.parse().ok()).filter(ok);
+        parsed
+            .map(Some)
+            .ok_or_else(|| format!("{flag} needs {what}"))
     }
 
-    /// Parses the process arguments; on a malformed shared flag prints the
-    /// error plus `usage:` line and exits with status 2.
-    pub fn parse(usage: &str) -> CommonArgs {
-        match Self::parse_iter(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => usage_exit(usage, &msg),
-        }
-    }
-
-    /// Opens the telemetry session implied by `--trace` (disabled when the
-    /// flag was absent).
-    pub fn trace_session(&self, bin: &str) -> TraceSession {
-        match &self.trace {
-            Some(dir) => TraceSession::active(bin, dir.clone()),
-            None => TraceSession::disabled(),
-        }
-    }
-
-    /// Removes a bin-specific `--flag <value>` / `--flag=<value>` from
-    /// [`CommonArgs::rest`] and parses it; `None` when the flag is absent.
-    /// Exits with usage status 2 (`<flag> needs <what>`) when the value is
-    /// missing, does not parse, or fails `ok`.
+    /// [`CommonArgs::try_take`], exiting with usage status 2 on an error.
     pub fn take<T: std::str::FromStr>(
         &mut self,
         usage: &str,
@@ -97,25 +70,27 @@ impl CommonArgs {
         what: &str,
         ok: impl Fn(&T) -> bool,
     ) -> Option<T> {
-        let parsed = self
-            .pull(flag)
-            .map(|v| v.map(|v| v.parse().ok().filter(&ok)));
-        match parsed {
-            Ok(None) => None,
-            Ok(Some(Some(v))) => Some(v),
-            _ => usage_exit(usage, &format!("{flag} needs {what}")),
-        }
+        self.try_take(flag, what, ok)
+            .unwrap_or_else(|msg| usage_exit(usage, &msg))
     }
 
-    /// Removes a bare `--flag` switch from [`CommonArgs::rest`]; whether
-    /// it was there.
+    /// Removes a bare `--flag` switch; whether it was there.
     pub fn take_switch(&mut self, flag: &str) -> bool {
         let before = self.rest.len();
         self.rest.retain(|a| a != flag);
         self.rest.len() != before
     }
 
-    /// Exits with usage status 2 if any unrecognized arguments remain.
+    /// Takes `--trace <dir>` and opens the telemetry session it implies
+    /// (disabled when the flag is absent).
+    pub fn take_trace(&mut self, usage: &str, bin: &str) -> TraceSession {
+        match self.take(usage, "--trace", "a directory", |_: &PathBuf| true) {
+            Some(dir) => TraceSession::active(bin, dir),
+            None => TraceSession::disabled(),
+        }
+    }
+
+    /// Exits with usage status 2 if any argument was not taken.
     pub fn expect_no_rest(&self, usage: &str) {
         if let Some(first) = self.rest.first() {
             usage_exit(usage, &format!("unknown argument: {first}"));
@@ -179,45 +154,60 @@ pub fn finish_diff(header: &str, out: &DiffOutcome) -> ! {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> CommonArgs {
-        CommonArgs::parse_iter(args.iter().map(|s| s.to_string())).unwrap()
+    fn args(list: &[&str]) -> CommonArgs {
+        CommonArgs::new(list.iter().map(|s| s.to_string()))
+    }
+
+    fn ratio(a: &mut CommonArgs) -> Result<Option<f64>, String> {
+        a.try_take("--gate-scaling", "a non-negative ratio", |r: &f64| {
+            *r >= 0.0
+        })
     }
 
     #[test]
     fn shared_flags_parse_in_both_forms() {
-        let a = parse(&[
+        let mut a = args(&[
             "--quick",
             "--bench-json",
             "out.json",
             "--trace=/tmp/t",
             "--gate-scaling=2.5",
         ]);
-        assert!(a.quick);
-        assert_eq!(a.bench_json.as_deref(), Some("out.json"));
-        assert_eq!(a.trace, Some(PathBuf::from("/tmp/t")));
-        assert_eq!(a.gate_scaling, Some(2.5));
+        assert!(a.take_switch("--quick"));
+        let any = |_: &String| true;
+        assert_eq!(
+            a.try_take("--bench-json", "a path", any),
+            Ok(Some("out.json".to_string()))
+        );
+        assert_eq!(
+            a.try_take("--trace", "a directory", |_: &PathBuf| true),
+            Ok(Some(PathBuf::from("/tmp/t")))
+        );
+        assert_eq!(ratio(&mut a), Ok(Some(2.5)));
         assert!(a.rest.is_empty());
     }
 
     #[test]
     fn unknown_arguments_pass_through_in_order() {
-        let a = parse(&["--steps", "7", "--quick", "positional", "--devices=3"]);
-        assert!(a.quick);
+        let mut a = args(&["--steps", "7", "--quick", "positional", "--devices=3"]);
+        assert!(a.take_switch("--quick"));
+        assert!(!a.take_switch("--quick"));
         assert_eq!(a.rest, vec!["--steps", "7", "positional", "--devices=3"]);
     }
 
     #[test]
     fn missing_values_and_bad_gate_scaling_are_errors() {
-        assert!(CommonArgs::parse_iter(vec!["--bench-json".to_string()]).is_err());
-        assert!(CommonArgs::parse_iter(vec!["--trace".to_string()]).is_err());
-        let bad = vec!["--gate-scaling".to_string(), "-3".to_string()];
-        assert!(CommonArgs::parse_iter(bad).is_err());
-        let bad_gate = vec!["--gate-scaling".to_string(), "nope".to_string()];
-        assert!(CommonArgs::parse_iter(bad_gate).is_err());
+        let missing = args(&["--bench-json"]).try_take("--bench-json", "a path", |_: &String| true);
+        assert!(missing.is_err());
+        let trace = args(&["--trace"]).try_take("--trace", "a directory", |_: &PathBuf| true);
+        assert!(trace.is_err());
+        assert!(ratio(&mut args(&["--gate-scaling", "-3"])).is_err());
+        assert!(ratio(&mut args(&["--gate-scaling", "nope"])).is_err());
+        assert_eq!(ratio(&mut args(&[])), Ok(None));
     }
 
     #[test]
     fn trace_session_activates_only_with_flag() {
-        assert!(!parse(&[]).trace_session("t").is_active());
+        assert!(!args(&[]).take_trace("usage", "t").is_active());
     }
 }

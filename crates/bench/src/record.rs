@@ -1,30 +1,25 @@
-//! The one module that knows what a bench / flight / run-summary record is
-//! and how each of its fields gates.
+//! The one module that knows what a plan-bench / flight / run-summary
+//! record is and how each of its fields gates.
 //!
-//! Producers (`bench_kernels`, `bench_mem`, `bench_plan`, `bench_serve`,
-//! `hfta_report flight --out`, `hfta_report summarize`) build the typed
-//! structs below and serialize them; `hfta_report diff` reads them back
-//! through the *same* structs, so a file the schema cannot parse is a typed
-//! error naming the missing field — never a silently skipped record. Each
-//! field declares its [`Gate`] where the struct declares the field
-//! (`record!`), in the vocabulary `BENCHMARK.json` uses (`higher` / `lower`
-//! with a bound, `exact`, `must_be_zero`, `must_be_true`, `info`), and one
-//! generic [`diff_records`] walks any two documents of the same
-//! [`Schema`]. The bounds are constants, not flags: CI only ever ran them
-//! at one value.
+//! Producers (`bench_plan --bench-json`, `hfta_report flight --out`,
+//! `hfta_report summarize`) build the typed structs below and serialize
+//! them; `hfta_report diff` reads them back through the *same* structs, so
+//! a file the schema cannot parse is a typed error naming the missing field
+//! — never a silently skipped record. Each field declares its [`Gate`]
+//! where the struct declares the field (`record!`), in the vocabulary
+//! `BENCHMARK.json` uses (`higher` / `lower` with a bound, `exact`,
+//! `must_be_true`, `info`), and one generic [`diff_records`] walks any two
+//! documents of the same [`Schema`]. The bounds are constants, not flags:
+//! CI only ever ran them at one value.
 
-use hfta_serve::engine::ServeReport;
 use hfta_telemetry::{RunReport, SentinelKind};
 use serde::{Deserialize, Serialize, Value};
 
-/// Bound, percent, on every relative kernel / memory / serve / plan gate.
+/// Bound, percent, on every relative plan-bench gate.
 pub const BENCH_BOUND_PCT: f64 = 10.0;
 /// Bound, percent, on flight-summary latency statistics: they are simulated
 /// integer nanoseconds, so any growth is a real scheduling change.
 pub const FLIGHT_BOUND_PCT: f64 = 0.0;
-/// Upper bound on `scope_overhead_pct` — hfta-scope must stay under 5% of
-/// a fused training step.
-pub const SCOPE_OVERHEAD_BUDGET_PCT: f64 = 5.0;
 /// Maximum |base − candidate| on a model's final loss in a run report.
 pub const LOSS_TOL: f64 = 1e-6;
 
@@ -37,9 +32,6 @@ pub enum Gate {
     Higher(f64),
     /// Lower is better: may not rise more than this percent above base.
     Lower(f64),
-    /// The candidate value may not exceed this absolute cap, whatever the
-    /// base says.
-    AtMost(f64),
     /// Must equal the base value.
     Exact,
     /// The candidate value must be `true`.
@@ -48,14 +40,7 @@ pub enum Gate {
     Info,
     /// A list of records matched by key and diffed field by field.
     Records(&'static Schema),
-    /// Like [`Gate::Records`], but a candidate whose list is empty could
-    /// not measure it on its host (thread scaling on one CPU) and is not
-    /// gated.
-    OptionalRecords(&'static Schema),
 }
-
-/// The absolute zero-tolerance claim (`steady_fresh_allocs`).
-pub const MUST_BE_ZERO: Gate = Gate::AtMost(0.0);
 
 /// The gate table of one record shape.
 #[derive(Debug)]
@@ -68,7 +53,7 @@ pub struct Schema {
     pub fields: &'static [(&'static str, Gate)],
 }
 
-use Gate::{Exact, Higher, Info, Key, Lower, MustBeTrue, OptionalRecords, Records};
+use Gate::{Exact, Higher, Info, Key, Lower, MustBeTrue, Records};
 
 /// A typed record document that knows its own gate table.
 pub trait Record: Serialize + Deserialize {
@@ -109,178 +94,7 @@ macro_rules! record {
 const FLIGHT_US: Gate = Lower(FLIGHT_BOUND_PCT);
 
 // ---------------------------------------------------------------------------
-// BENCH_kernels.json
-// ---------------------------------------------------------------------------
-
-record! {
-    /// One timed (op, shape, backend, threads) cell.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
-    struct KernelRecord, KERNEL_RECORD = ("kernel record", "{op}/{shape}/{backend}@{threads}T") {
-        /// Operator (`gemm`, `fused_conv_training_step`).
-        op: String => Key,
-        /// Shape label.
-        shape: String => Key,
-        /// GEMM dispatch name (`auto`, the only one).
-        backend: String => Key,
-        /// Worker threads the cell ran at.
-        threads: u64 => Key,
-        /// Best mean nanoseconds per iteration.
-        ns_per_iter: f64 => Info,
-        /// Attained GFLOP/s.
-        gflops: f64 => Higher(BENCH_BOUND_PCT),
-        /// Bytes moved per iteration (operand reads + result writes) — what
-        /// roofline classification needs alongside the FLOPs.
-        bytes_per_iter: f64 => Info,
-    }
-}
-
-record! {
-    /// Thread-scaling quality of the default dispatch on one shape.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
-    struct ScalingRecord, SCALING_RECORD = ("scaling record", "scaling:{op}/{shape}") {
-        /// Operator.
-        op: String => Key,
-        /// Shape label.
-        shape: String => Key,
-        /// The multi-thread count of the ratio (`min(4, host_cpus)`).
-        threads: u64 => Info,
-        /// GFLOP/s at `threads` over 1 thread; `threads` would be
-        /// perfect scaling, below 1.0 means threading actively hurts.
-        scaling_efficiency: f64 => Higher(BENCH_BOUND_PCT),
-    }
-}
-
-record! {
-    /// The `BENCH_kernels.json` document.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
-    struct KernelsFile, KERNELS = ("kernel bench file", "") {
-        /// CPUs the host exposes; no record has more threads than this.
-        host_cpus: u64 => Info,
-        /// The host CPU's model name (`unknown` where `/proc/cpuinfo` has
-        /// none).
-        cpu_model: String => Info,
-        /// Whether `auto` ran the AVX2/FMA kernels (false: the portable
-        /// `mul_add` twins — same bits, far fewer GFLOP/s).
-        simd_available: bool => Info,
-        /// Every timed cell.
-        records: Vec<KernelRecord> => Records(&KERNEL_RECORD),
-        /// Per-shape thread scaling (empty on a 1-CPU host).
-        scaling_efficiency: Vec<ScalingRecord> => OptionalRecords(&SCALING_RECORD),
-        /// Untraced hfta-scope cost on a fused DCGAN-style training step,
-        /// percent. `after_step`'s parameter pass runs only under a
-        /// profiler, so it is not in this figure.
-        scope_overhead_pct: f64 => Gate::AtMost(SCOPE_OVERHEAD_BUDGET_PCT),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_mem.json
-// ---------------------------------------------------------------------------
-
-record! {
-    /// One (model, B) footprint measurement.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
-    struct MemRecord, MEM_RECORD = ("memory record", "mem:{model}/B={b}") {
-        /// Model family driving the session.
-        model: String => Key,
-        /// Fused array width.
-        b: u64 => Key,
-        /// Warm-up steps excluded from the steady-state allocation window.
-        warm_steps: u64 => Info,
-        /// Steps inside the steady-state allocation window.
-        measured_steps: u64 => Info,
-        /// Peak accounted footprint of the fused session (live + pooled
-        /// free), in bytes.
-        peak_bytes: u64 => Lower(BENCH_BOUND_PCT),
-        /// B × the measured B = 1 peak — what B separate processes would
-        /// pay.
-        serial_peak_bytes: u64 => Info,
-        /// `serial_peak_bytes / peak_bytes`; > 1 means fusion saves memory.
-        savings_ratio: f64 => Higher(BENCH_BOUND_PCT),
-        /// Fresh heap allocations during the measured steps.
-        steady_fresh_allocs: u64 => MUST_BE_ZERO,
-        /// Pool reuses during the measured steps (shows recycling is
-        /// active).
-        steady_pool_reuses: u64 => Info,
-    }
-}
-
-record! {
-    /// The `BENCH_mem.json` document.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
-    struct MemReport, MEM = ("memory bench file", "") {
-        /// All (model, B) measurements.
-        records: Vec<MemRecord> => Records(&MEM_RECORD),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_serve.json
-// ---------------------------------------------------------------------------
-
-/// Gate table of [`ServeReport`], the per-policy record `hfta-serve`
-/// defines (so its fields cannot be declared through `record!`; the
-/// completeness test keeps the two lists in step).
-static SERVE_RECORD: Schema = Schema {
-    name: "serve record",
-    key: "serve:{policy}",
-    fields: &[
-        ("policy", Key),
-        ("sweeps", Info),
-        ("trials", Info),
-        ("finished", Info),
-        ("stopped", Info),
-        ("killed", Info),
-        ("cancelled", Info),
-        ("makespan_s", Info),
-        ("device_hours", Info),
-        ("occupancy", Higher(BENCH_BOUND_PCT)),
-        ("packing_efficiency", Info),
-        ("arrays_built", Info),
-        ("preemptions", Info),
-        ("checkpoints", Info),
-        ("restores", Info),
-        ("lanes_migrated", Info),
-        ("max_width", Info),
-        ("queue_wait_p50_us", Lower(BENCH_BOUND_PCT)),
-        ("queue_wait_p99_us", Lower(BENCH_BOUND_PCT)),
-        ("e2e_latency_p50_us", Info),
-        ("e2e_latency_p99_us", Info),
-        ("queue_us", Info),
-        ("compute_us", Info),
-        ("surgery_us", Info),
-        ("quarantine_us", Info),
-    ],
-};
-
-record! {
-    /// The `BENCH_serve.json` document.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
-    struct ServeFile, SERVE = ("serve bench file", "") {
-        /// Producer name (`bench_serve`).
-        name: String => Info,
-        /// Trials in the replayed stream.
-        trials: u64 => Info,
-        /// Fleet size.
-        devices: u64 => Info,
-        /// Simulated arrival span, seconds.
-        span_s: f64 => Info,
-        /// One record per admission policy (unique `policy` keys).
-        records: Vec<ServeReport> => Records(&SERVE_RECORD),
-        /// The kill-and-restart fair-share leg (same policy key as the
-        /// uninterrupted one, so kept out of `records`).
-        restart: ServeReport => Info,
-        /// Static / fair-share makespan ratio.
-        fair_share_speedup_vs_static: f64 => Info,
-        /// Fair-share p99 queue-wait improvement over static, percent.
-        fair_share_p99_queue_wait_improvement_pct: f64 => Info,
-        /// Whether the restarted leg settled bit-identically.
-        restart_bit_identical: bool => Info,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_plan.json
+// Plan bench file (`bench_plan --bench-json`)
 // ---------------------------------------------------------------------------
 
 record! {
@@ -291,14 +105,15 @@ record! {
         plan: String => Key,
         /// Simulated V100 step time (deterministic). Host wall-clock is
         /// printed to stdout only: it is machine- and load-dependent, and
-        /// keeping it out of the file is what makes `BENCH_plan.json`
-        /// byte-identical across runs and thread counts.
+        /// keeping it out of the file is what makes the file byte-identical
+        /// across runs and thread counts.
         sim_step_us: f64 => Lower(BENCH_BOUND_PCT),
     }
 }
 
 record! {
-    /// The `BENCH_plan.json` document.
+    /// The `bench_plan --bench-json` document (committed as
+    /// `ci/golden/plan.bench.json`).
     #[derive(Debug, Clone, Serialize, Deserialize)]
     struct PlanFile, PLAN = ("plan bench file", "") {
         /// Producer name (`bench_plan`).
@@ -559,7 +374,7 @@ impl Doc {
 pub enum Loaded {
     /// A run report, full or already summarized.
     Run(RunSummary),
-    /// A bench file or flight summary.
+    /// A plan bench file or flight summary.
     Records(Doc),
 }
 
@@ -574,10 +389,7 @@ type Parse = fn(&Value) -> Result<Doc, String>;
 /// match wins.
 static KINDS: &[(&str, Parse)] = &[
     ("schema", typed::<FlightSummary>),
-    ("scope_overhead_pct", typed::<KernelsFile>),
     ("partial_fusion_speedup", typed::<PlanFile>),
-    ("restart", typed::<ServeFile>),
-    ("records", typed::<MemReport>),
 ];
 
 /// Parses report JSON, detecting the file kind from its top-level fields.
@@ -600,7 +412,7 @@ pub fn load(text: &str) -> Result<Loaded, String> {
         return Ok(Loaded::Run(run));
     }
     Err(
-        "unrecognized report: expected a run report, run summary, bench file or flight summary"
+        "unrecognized report: expected a run report, run summary, plan bench file or flight summary"
             .into(),
     )
 }
@@ -684,11 +496,8 @@ fn rows<'a>(schema: &Schema, list: &'a Value) -> Vec<(String, &'a Value)> {
     }
 }
 
-fn diff_list(schema: &Schema, base: &Value, cand: &Value, optional: bool, out: &mut DiffOutcome) {
+fn diff_list(schema: &Schema, base: &Value, cand: &Value, out: &mut DiffOutcome) {
     let (base_rows, cand_rows) = (rows(schema, base), rows(schema, cand));
-    if optional && cand_rows.is_empty() {
-        return;
-    }
     for (key, b) in &base_rows {
         match cand_rows.iter().find(|(k, _)| k == key) {
             Some((_, c)) => diff_fields(schema, key, b, c, out),
@@ -721,8 +530,7 @@ fn diff_fields(schema: &Schema, key: &str, base: &Value, cand: &Value, out: &mut
         let within = |lo: f64, hi: f64| lo <= change && change <= hi;
         match gate {
             Key | Info => {}
-            Records(inner) => diff_list(inner, bv, cv, false, out),
-            OptionalRecords(inner) => diff_list(inner, bv, cv, true, out),
+            Records(inner) => diff_list(inner, bv, cv, out),
             Higher(pct) if !within(-pct, f64::INFINITY) => out.regress(format!(
                 "{label}: {c} is {:.3}% below baseline {b} (bound {pct}%)",
                 -change
@@ -731,10 +539,6 @@ fn diff_fields(schema: &Schema, key: &str, base: &Value, cand: &Value, out: &mut
                 "{label}: {c} is {change:.3}% above baseline {b} (bound {pct}%)"
             )),
             Higher(_) | Lower(_) => out.note(format!("{label}: {c} vs {b} ({change:+.1}%)")),
-            Gate::AtMost(cap) if c.is_nan() || c > cap => {
-                out.regress(format!("{label}: {c} exceeds the bound {cap}"))
-            }
-            Gate::AtMost(cap) => out.note(format!("{label}: {c} (bound {cap})")),
             Exact if bv != cv => {
                 out.regress(format!("{label}: changed {} -> {}", show(bv), show(cv)))
             }
@@ -769,106 +573,6 @@ pub fn diff_records(base: &Doc, cand: &Doc) -> Result<DiffOutcome, String> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-
-    fn serve_report(policy: &str, p50: f64, p99: f64, occupancy: f64) -> ServeReport {
-        ServeReport {
-            policy: policy.into(),
-            sweeps: 8,
-            trials: 64,
-            finished: 8,
-            stopped: 50,
-            killed: 6,
-            cancelled: 0,
-            makespan_s: 0.05,
-            device_hours: 4e-5,
-            occupancy,
-            packing_efficiency: 0.9,
-            arrays_built: 30,
-            preemptions: 4,
-            checkpoints: 12,
-            restores: 3,
-            lanes_migrated: 20,
-            max_width: 8,
-            queue_wait_p50_us: p50,
-            queue_wait_p99_us: p99,
-            e2e_latency_p50_us: 9000.0,
-            e2e_latency_p99_us: 30000.0,
-            queue_us: 40000.0,
-            compute_us: 90000.0,
-            surgery_us: 7000.0,
-            quarantine_us: 100.0,
-        }
-    }
-
-    /// A kernel bench file: a fixed `auto@1T` row plus one `auto@4T` row at
-    /// `gflops`, scaling efficiency 3.0 on two shapes, scope overhead 1%.
-    pub(crate) fn kernels_file(gflops: f64) -> KernelsFile {
-        let record = |threads: u64, gflops: f64| KernelRecord {
-            op: "gemm".into(),
-            shape: "a".into(),
-            backend: "auto".into(),
-            threads,
-            ns_per_iter: 10.0,
-            gflops,
-            bytes_per_iter: 49152.0,
-        };
-        KernelsFile {
-            host_cpus: 4,
-            cpu_model: "test".into(),
-            simd_available: true,
-            records: vec![record(1, 20.0), record(4, gflops)],
-            scaling_efficiency: ["a", "b"]
-                .map(|shape| ScalingRecord {
-                    op: "gemm".into(),
-                    shape: shape.into(),
-                    threads: 4,
-                    scaling_efficiency: 3.0,
-                })
-                .to_vec(),
-            scope_overhead_pct: 1.0,
-        }
-    }
-
-    /// A memory bench file: a fixed `dcgan_d` B=1 row plus a B=4 row with
-    /// the given fields.
-    pub(crate) fn mem_report(peak_bytes: u64, savings_ratio: f64, fresh: u64) -> MemReport {
-        let record = |b: u64, peak_bytes, savings_ratio, steady_fresh_allocs| MemRecord {
-            model: "dcgan_d".into(),
-            b,
-            warm_steps: 2,
-            measured_steps: 2,
-            peak_bytes,
-            serial_peak_bytes: b * 100_000,
-            savings_ratio,
-            steady_fresh_allocs,
-            steady_pool_reuses: 300,
-        };
-        MemReport {
-            records: vec![
-                record(1, 100_000, 1.0, 0),
-                record(4, peak_bytes, savings_ratio, fresh),
-            ],
-        }
-    }
-
-    /// A serve bench file: a fixed `static` row plus a `fair-share` row
-    /// with the given SLOs.
-    pub(crate) fn serve_file(p50: f64, p99: f64, occupancy: f64) -> ServeFile {
-        ServeFile {
-            name: "bench_serve".into(),
-            trials: 64,
-            devices: 4,
-            span_s: 0.025,
-            records: vec![
-                serve_report("static", 900.0, 4000.0, 0.5),
-                serve_report("fair-share", p50, p99, occupancy),
-            ],
-            restart: serve_report("fair-share", p50, p99, occupancy),
-            fair_share_speedup_vs_static: 1.2,
-            fair_share_p99_queue_wait_improvement_pct: 30.0,
-            restart_bit_identical: true,
-        }
-    }
 
     /// A plan bench file: a fixed `serial` row plus a `partial-fusion` row
     /// at `fused_us`.
@@ -915,9 +619,6 @@ pub(crate) mod tests {
             quarantine_us: 12.5,
         };
         vec![
-            Doc::of(&kernels_file(100.0)),
-            Doc::of(&mem_report(300_000, 1.33, 0)),
-            Doc::of(&serve_file(500.0, 2000.0, 0.6)),
             Doc::of(&plan_file(12417.7, 2.79, 0.824, true)),
             Doc::of(&FlightSummary {
                 schema: FLIGHT_SCHEMA,
@@ -935,7 +636,7 @@ pub(crate) mod tests {
         let mut out = Vec::new();
         for &(name, gate) in doc.schema.fields {
             out.push((None, String::new(), name, gate));
-            if let Records(inner) | OptionalRecords(inner) = gate {
+            if let Records(inner) = gate {
                 for (i, (key, _)) in rows(inner, field(&doc.value, name)).iter().enumerate() {
                     for &(f, g) in inner.fields {
                         out.push((Some((name, i)), key.clone(), f, g));
@@ -988,16 +689,18 @@ pub(crate) mod tests {
             for (place, key, name, gate) in fields_of(&doc) {
                 let record = match place {
                     None => &doc.value,
-                    Some((list, i)) => rows(&MEM, field(&doc.value, list))[i].1,
+                    Some((list, i)) => match field(&doc.value, list) {
+                        Value::Array(items) => &items[i],
+                        other => panic!("expected array, found {}", other.kind()),
+                    },
                 };
                 let b = number(field(record, name));
                 // (bad candidate value, good candidate value)
                 let (bad, good) = match gate {
                     Higher(pct) => (b * (1.0 - (pct + 5.0) / 100.0), b * 1.5),
                     Lower(pct) => (b * (1.0 + (pct + 5.0) / 100.0), b * 0.5),
-                    Gate::AtMost(cap) => (cap + 1.0, cap),
                     Exact => (b + 1.0, b),
-                    MustBeTrue | Key | Info | Records(_) | OptionalRecords(_) => (b, b),
+                    MustBeTrue | Key | Info | Records(_) => (b, b),
                 };
                 let label = format!("{key} {name}");
                 let label = label.trim_start();
@@ -1006,7 +709,7 @@ pub(crate) mod tests {
                     Exact => (Value::F64(bad), field(record, name).clone()),
                     _ => (Value::F64(bad), Value::F64(good)),
                 };
-                let gated = !matches!(gate, Key | Info | Records(_) | OptionalRecords(_));
+                let gated = !matches!(gate, Key | Info | Records(_));
                 if !gated {
                     continue;
                 }
@@ -1040,7 +743,7 @@ pub(crate) mod tests {
     fn a_missing_record_regresses_and_a_new_one_only_notes() {
         for doc in samples() {
             for &(name, gate) in doc.schema.fields {
-                let (Records(inner) | OptionalRecords(inner)) = gate else {
+                let Records(inner) = gate else {
                     continue;
                 };
                 let list = rows(inner, field(&doc.value, name));
@@ -1061,19 +764,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn an_empty_optional_list_is_not_gated() {
-        let kernels = &samples()[0];
-        let cand = with(kernels, None, "scaling_efficiency", Value::Array(vec![]));
-        let out = diff_records(kernels, &cand).unwrap();
-        assert!(!out.regressed(), "{:?}", out.regressions);
-        // The required list beside it is.
-        let cand = with(kernels, None, "records", Value::Array(vec![]));
-        assert_eq!(diff_records(kernels, &cand).unwrap().regressions.len(), 2);
-    }
-
-    #[test]
     fn non_finite_candidates_regress() {
-        let plan = &samples()[3];
+        let plan = &samples()[0];
         let cand = with(plan, Some(("records", 0)), "sim_step_us", Value::Null);
         let out = diff_records(plan, &cand).unwrap();
         assert_eq!(out.regressions.len(), 1, "{:?}", out.regressions);
@@ -1089,7 +781,7 @@ pub(crate) mod tests {
         for &(name, gate) in schema.fields {
             let in_key = schema.key.contains(&format!("{{{name}}}"));
             assert_eq!(in_key, matches!(gate, Key), "{} `{name}`", schema.name);
-            if let Records(inner) | OptionalRecords(inner) = gate {
+            if let Records(inner) = gate {
                 for (_, row) in rows(inner, field(value, name)) {
                     declared(inner, row);
                 }
@@ -1128,22 +820,20 @@ pub(crate) mod tests {
     fn a_file_the_schema_cannot_parse_is_an_error_naming_the_field() {
         // The same field renamed on both sides used to drop every record
         // from the diff and report `no regressions`.
-        let serve = serde_json::to_string(&samples()[2].value).unwrap();
-        let renamed = serve.replace("\"occupancy\"", "\"occupancy_ratio\"");
+        let plan = serde_json::to_string(&samples()[0].value).unwrap();
+        let renamed = plan.replace("\"sim_step_us\"", "\"step_us\"");
         let err = load(&renamed).unwrap_err();
-        assert!(err.contains("occupancy"), "{err}");
-        // Likewise a kernel record predating the backend/threads columns.
-        let old = r#"{"records": [{"op": "gemm", "shape": "64x64", "ns_per_iter": 10.0,
-            "gflops": 100.0}], "scaling_efficiency": [],
-            "scope_overhead_pct": 1.0, "host_cpus": 1, "cpu_model": "x",
-            "simd_available": false}"#;
-        assert!(load(old).unwrap_err().contains("backend"));
+        assert!(err.contains("sim_step_us"), "{err}");
+        // Likewise a plan file predating the bit-identity flag.
+        let old = plan.replace(",\"bit_identical\":true", "");
+        assert_ne!(old, plan);
+        assert!(load(&old).unwrap_err().contains("bit_identical"));
     }
 
     #[test]
     fn documents_of_different_kinds_do_not_diff() {
         let docs = samples();
         let err = diff_records(&docs[0], &docs[1]).unwrap_err();
-        assert!(err.contains("kernel bench file") && err.contains("memory bench file"));
+        assert!(err.contains("plan bench file") && err.contains("flight summary"));
     }
 }

@@ -13,8 +13,8 @@
 //!   point count, each model's final loss (within
 //!   [`LOSS_TOL`](crate::record::LOSS_TOL)) and the sentinel events. Both
 //!   sides are [`RunSummary`]s — a full report is reduced to one on load —
-//!   so wall-clock fields never enter the comparison. Bench files and
-//!   flight summaries diff through [`crate::record::diff_records`].
+//!   so wall-clock fields never enter the comparison. The plan bench
+//!   file and flight summaries diff through [`crate::record::diff_records`].
 
 use hfta_telemetry::{ExperimentReport, SentinelEvent};
 
@@ -164,8 +164,10 @@ pub fn diff_runs(base: &RunSummary, cand: &RunSummary) -> DiffOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::tests::{kernels_file, mem_report, plan_file, serve_file};
-    use crate::record::{diff_records, load, Doc, Loaded, Record, KERNELS};
+    use crate::record::tests::plan_file;
+    use crate::record::{
+        diff_records, load, Doc, FlightSummary, Loaded, Record, FLIGHT_SCHEMA, PLAN,
+    };
     use hfta_telemetry::{RunReport, ScalarPoint, ScalarStream, SentinelKind};
 
     fn exp_with_losses(name: &str, losses: &[(u64, f64)]) -> ExperimentReport {
@@ -320,130 +322,15 @@ mod tests {
 
     #[test]
     fn bench_diff_gates_ten_percent_throughput_regressions() {
-        let base = kernels_file(100.0);
-        // 12% gflops drop: over the 10% bound.
-        let out = diff(&base, &kernels_file(88.0));
-        assert_eq!(out.regressions.len(), 1);
-        assert!(out.regressions[0].starts_with("gemm/a/auto@4T gflops:"));
-        // A 5% drop is within it.
-        assert!(!diff(&base, &kernels_file(95.0)).regressed());
-    }
-
-    #[test]
-    fn bench_diff_gates_scope_overhead_budget() {
-        let base = kernels_file(100.0);
-        let mut cand = kernels_file(100.0);
-        cand.scope_overhead_pct = 7.5;
-        let out = diff(&base, &cand);
-        assert!(out.regressed());
-        assert!(out.regressions[0].contains("scope_overhead_pct"));
-        // The bound is absolute: a base already over it does not excuse it.
-        assert!(diff(&cand, &cand).regressed());
-    }
-
-    #[test]
-    fn bench_diff_gates_scaling_efficiency_only_when_both_report_it() {
-        let base = kernels_file(100.0);
-        // A 20% efficiency drop gates at the 10% bound.
-        let mut cand = kernels_file(100.0);
-        cand.scaling_efficiency[0].scaling_efficiency = 2.4;
-        let out = diff(&base, &cand);
-        assert!(out.regressed());
-        assert!(out.regressions[0].contains("scaling:gemm/a"));
-        // A 1-CPU candidate cannot measure scaling: skipped, not regressed.
-        cand.scaling_efficiency.clear();
-        let out = diff(&base, &cand);
-        assert!(!out.regressed(), "{:?}", out.regressions);
-    }
-
-    #[test]
-    fn mem_diff_gates_peak_growth_and_savings_drop() {
-        let base = mem_report(300_000, 1.33, 0);
-        // Identical: clean, with informational lines for both fields.
-        let out = diff(&base, &mem_report(300_000, 1.33, 0));
-        assert!(!out.regressed(), "{:?}", out.regressions);
-        assert!(out.lines.iter().any(|l| l.contains("peak_bytes")));
-        // 20% peak growth: over the 10% bound; 5% is within it.
-        let out = diff(&base, &mem_report(360_000, 1.33, 0));
-        assert!(out.regressed());
-        assert!(out.regressions[0].contains("mem:dcgan_d/B=4 peak_bytes"));
-        assert!(!diff(&base, &mem_report(315_000, 1.33, 0)).regressed());
-        // Savings ratio dropping 15% regresses; rising never does.
-        let out = diff(&base, &mem_report(300_000, 1.13, 0));
-        assert!(out.regressed());
-        assert!(out.regressions[0].contains("savings_ratio"));
-        assert!(!diff(&base, &mem_report(300_000, 1.50, 0)).regressed());
-    }
-
-    #[test]
-    fn mem_diff_fresh_allocs_gate_is_absolute() {
-        let base = mem_report(300_000, 1.33, 0);
-        let out = diff(&base, &mem_report(300_000, 1.33, 2));
-        assert!(out.regressed());
-        assert!(out.regressions[0].contains("steady_fresh_allocs"));
-    }
-
-    #[test]
-    fn mem_diff_flags_missing_records_and_skips_kernel_records() {
-        let base = mem_report(300_000, 1.33, 0);
-        let mut only_b1 = mem_report(300_000, 1.33, 0);
-        only_b1.records.pop();
-        let out = diff(&base, &only_b1);
-        assert!(out
-            .regressions
-            .iter()
-            .any(|r| r.contains("mem:dcgan_d/B=4") && r.contains("missing")));
-        // A kernel bench diff says nothing about memory.
-        let kernels = kernels_file(100.0);
-        let out = diff(&kernels, &kernels);
-        assert!(!out.regressed(), "{:?}", out.regressions);
-        assert!(!out.lines.iter().any(|l| l.contains("mem:")));
-    }
-
-    #[test]
-    fn serve_diff_gates_queue_latency_growth_and_occupancy_drop() {
-        let base = serve_file(500.0, 2000.0, 0.60);
-        // Identical: clean, with informational lines for all three gauges.
-        let out = diff(&base, &serve_file(500.0, 2000.0, 0.60));
-        assert!(!out.regressed(), "{:?}", out.regressions);
-        assert!(out
-            .lines
-            .iter()
-            .any(|l| l.contains("serve:fair-share queue_wait_p99_us")));
-        assert!(out
-            .lines
-            .iter()
-            .any(|l| l.contains("serve:static occupancy")));
-        // 25% p99 growth: over the 10% bound; 5% is within it.
-        let out = diff(&base, &serve_file(500.0, 2500.0, 0.60));
-        assert!(out.regressed());
-        assert!(out.regressions[0].contains("queue_wait_p99_us"));
-        assert!(!diff(&base, &serve_file(500.0, 2100.0, 0.60)).regressed());
-        // p50 gates too.
-        let out = diff(&base, &serve_file(600.0, 2000.0, 0.60));
-        assert!(out.regressed());
-        assert!(out.regressions[0].contains("queue_wait_p50_us"));
-        // Occupancy dropping 20% regresses; improving latency never does.
-        let out = diff(&base, &serve_file(500.0, 2000.0, 0.48));
-        assert!(out.regressed());
-        assert!(out.regressions[0].contains("occupancy"));
-        assert!(!diff(&base, &serve_file(300.0, 1000.0, 0.80)).regressed());
-    }
-
-    #[test]
-    fn serve_diff_flags_missing_policy_and_skips_other_records() {
-        let base = serve_file(500.0, 2000.0, 0.60);
-        let mut static_only = serve_file(500.0, 2000.0, 0.60);
-        static_only.records.pop();
-        let out = diff(&base, &static_only);
-        assert!(out
-            .regressions
-            .iter()
-            .any(|r| r.contains("serve:fair-share") && r.contains("missing")));
-        // A memory bench diff says nothing about serving.
-        let mem = mem_report(300_000, 1.33, 0);
-        let out = diff(&mem, &mem);
-        assert!(!out.lines.iter().any(|l| l.contains("serve:")));
+        let base = plan_file(12417.7, 2.79, 0.824, true);
+        // Both throughput figures 12% worse: one regression each, naming
+        // the record and field.
+        let out = diff(&base, &plan_file(13907.8, 2.455, 0.824, true));
+        assert_eq!(out.regressions.len(), 2, "{:?}", out.regressions);
+        assert!(out.regressions[0].starts_with("plan:partial-fusion sim_step_us:"));
+        assert!(out.regressions[1].starts_with("partial_fusion_speedup:"));
+        // 9% worse is within the bound.
+        assert!(!diff(&base, &plan_file(13535.3, 2.539, 0.824, true)).regressed());
     }
 
     #[test]
@@ -494,16 +381,20 @@ mod tests {
             .regressions
             .iter()
             .any(|r| r.contains("plan:partial-fusion") && r.contains("missing")));
-        // A serve bench diff says nothing about plans.
-        let serve = serve_file(500.0, 2000.0, 0.60);
-        let out = diff(&serve, &serve);
+        // A flight summary diff says nothing about plans.
+        let flight = FlightSummary {
+            schema: FLIGHT_SCHEMA,
+            experiments: Vec::new(),
+        };
+        let out = diff(&flight, &flight);
+        assert!(!out.regressed(), "{:?}", out.regressions);
         assert!(!out.lines.iter().any(|l| l.contains("plan:")));
     }
 
     #[test]
     fn load_report_detects_both_kinds() {
-        let bench = serde_json::to_string(&kernels_file(100.0)).unwrap();
-        assert!(matches!(load(&bench), Ok(Loaded::Records(d)) if d.kind() == KERNELS.name));
+        let bench = serde_json::to_string(&plan_file(12417.7, 2.79, 0.824, true)).unwrap();
+        assert!(matches!(load(&bench), Ok(Loaded::Records(d)) if d.kind() == PLAN.name));
         let run_json = serde_json::to_string(&run(vec![])).unwrap();
         assert!(matches!(load(&run_json), Ok(Loaded::Run(_))));
     }

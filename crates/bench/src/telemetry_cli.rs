@@ -1,9 +1,10 @@
 //! Shared `--trace <dir>` support for the bench binaries.
 //!
-//! Every harness accepts `--trace <dir>` (or `--trace=<dir>`, parsed by
-//! [`CommonArgs`](crate::cli::CommonArgs)): when given, a [`Profiler`] is
-//! installed for the duration of the run and two files are written on
-//! exit —
+//! `repro_all`, `bench_plan`, `bench_serve` and `sched_sweep` accept
+//! `--trace <dir>` (or `--trace=<dir>`, taken by
+//! [`CommonArgs::take_trace`](crate::cli::CommonArgs::take_trace)): when
+//! given, a [`Profiler`] is installed for the duration of the run and two
+//! files are written on exit —
 //!
 //! * `<dir>/<bin>.trace.json` — Chrome trace-event JSON, loadable in
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`;
@@ -17,14 +18,14 @@
 //! stay on their single-branch disabled fast path.
 
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use hfta_telemetry::{InstallGuard, Profiler};
 
 /// An optionally-active telemetry session for one benchmark binary.
 ///
 /// Construct it first thing in `main` (via
-/// [`CommonArgs::trace_session`](crate::cli::CommonArgs::trace_session)),
+/// [`CommonArgs::take_trace`](crate::cli::CommonArgs::take_trace)),
 /// run the workload, then call
 /// [`TraceSession::finish`] (fallible mains) or
 /// [`TraceSession::finish_or_exit`] (infallible mains) last.
@@ -68,6 +69,11 @@ impl TraceSession {
     /// Whether `--trace` was given.
     pub fn is_active(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// The `--trace` directory, if the session is recording.
+    pub fn dir(&self) -> Option<&Path> {
+        self.inner.as_ref().map(|a| a.dir.as_path())
     }
 
     /// For bins whose numbers are read back from the ambient profiler's
@@ -124,7 +130,7 @@ mod tests {
     use crate::cli::CommonArgs;
 
     fn session(bin: &str, args: Vec<String>) -> TraceSession {
-        CommonArgs::parse_iter(args).unwrap().trace_session(bin)
+        CommonArgs::new(args).take_trace("usage", bin)
     }
 
     #[test]

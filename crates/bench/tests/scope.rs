@@ -4,7 +4,7 @@
 //! cases: an injected ≥10% throughput regression must exit 1, a file the
 //! record schema cannot parse must exit 2).
 
-use hfta_bench::record::{KernelRecord, KernelsFile, SCOPE_OVERHEAD_BUDGET_PCT};
+use hfta_bench::record::{PlanFile, PlanRecord};
 use hfta_core::array::record_step_metrics;
 use hfta_core::format::stack_array;
 use hfta_core::loss::{fused_cross_entropy, Reduction};
@@ -15,7 +15,6 @@ use hfta_nn::layers::LinearCfg;
 use hfta_nn::{Module, Tape};
 use hfta_telemetry::{RunReport, SentinelKind};
 use hfta_tensor::{Rng, Tensor};
-use std::path::Path;
 use std::process::Command;
 
 const STEPS: usize = 3;
@@ -187,29 +186,35 @@ fn scope_sweep_trace_renders_and_self_diffs_clean() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn bench_file(gflops: f64) -> String {
-    let file = KernelsFile {
-        host_cpus: 4,
-        cpu_model: "test".into(),
-        simd_available: true,
-        records: vec![KernelRecord {
-            op: "gemm".into(),
-            shape: "64x64".into(),
-            backend: "auto".into(),
-            threads: 4,
-            ns_per_iter: 10.0,
-            gflops,
-            bytes_per_iter: 49152.0,
-        }],
-        scaling_efficiency: vec![],
-        scope_overhead_pct: 0.5,
+/// A plan bench file whose partial-fusion plan steps in `fused_us`
+/// simulated µs.
+fn bench_file(fused_us: f64) -> String {
+    let record = |plan: &str, sim_step_us| PlanRecord {
+        plan: plan.into(),
+        sim_step_us,
+    };
+    let file = PlanFile {
+        name: "bench_plan".into(),
+        device: "V100".into(),
+        lanes: 4,
+        steps: 3,
+        width: 8,
+        batch: 2,
+        fused_fraction: 0.824,
+        max_fused_width: 4,
+        records: vec![
+            record("serial", 34607.5),
+            record("partial-fusion", fused_us),
+        ],
+        partial_fusion_speedup: 34607.5 / 12417.7,
+        bit_identical: true,
     };
     serde_json::to_string_pretty(&file).unwrap()
 }
 
-/// ISSUE acceptance: injecting a ≥10% throughput regression into one of
-/// two otherwise-identical BENCH_*.json files makes `hfta_report diff`
-/// exit 1, naming the record and field.
+/// Injecting a ≥10% throughput regression into one of two
+/// otherwise-identical plan bench files makes `hfta_report diff` exit
+/// 1, naming the record and field.
 #[test]
 fn diff_cli_fails_on_injected_throughput_regression() {
     let dir = std::env::temp_dir().join("hfta-scope-diff-test");
@@ -218,9 +223,9 @@ fn diff_cli_fails_on_injected_throughput_regression() {
     let base = dir.join("base.json");
     let same = dir.join("same.json");
     let slow = dir.join("slow.json");
-    std::fs::write(&base, bench_file(100.0)).unwrap();
-    std::fs::write(&same, bench_file(100.0)).unwrap();
-    std::fs::write(&slow, bench_file(88.0)).unwrap(); // 12% regression
+    std::fs::write(&base, bench_file(12417.7)).unwrap();
+    std::fs::write(&same, bench_file(12417.7)).unwrap();
+    std::fs::write(&slow, bench_file(13907.8)).unwrap(); // 12% slower step
     let (base, same, slow) = (
         base.display().to_string(),
         same.display().to_string(),
@@ -232,7 +237,7 @@ fn diff_cli_fails_on_injected_throughput_regression() {
     assert_eq!(regressed.status.code(), Some(1), "{regressed:?}");
     let stdout = String::from_utf8_lossy(&regressed.stdout);
     assert!(
-        stdout.contains("REGRESSION: gemm/64x64/auto@4T gflops"),
+        stdout.contains("REGRESSION: plan:partial-fusion sim_step_us"),
         "{stdout}"
     );
     // Usage errors exit 2; the bounds are constants, not flags.
@@ -252,43 +257,25 @@ fn diff_cli_rejects_a_file_with_a_renamed_field() {
     let dir = std::env::temp_dir().join("hfta-scope-renamed-field-test");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let good = dir.join("BENCH_serve.json");
-    let serve = Command::new(env!("CARGO_BIN_EXE_bench_serve"))
+    let good = dir.join("plan.bench.json");
+    let plan = Command::new(env!("CARGO_BIN_EXE_bench_plan"))
         .args(["--quick", "--bench-json", &good.display().to_string()])
         .output()
-        .expect("spawn bench_serve");
-    assert!(serve.status.success(), "bench_serve failed: {serve:?}");
+        .expect("spawn bench_plan");
+    assert!(plan.status.success(), "bench_plan failed: {plan:?}");
     let good_path = good.display().to_string();
     assert!(hfta_report(&["diff", &good_path, &good_path])
         .status
         .success());
 
     let text = std::fs::read_to_string(&good).unwrap();
-    assert!(text.contains("\"occupancy\""));
+    assert!(text.contains("\"sim_step_us\""));
     let renamed = dir.join("renamed.json");
-    std::fs::write(
-        &renamed,
-        text.replace("\"occupancy\"", "\"fleet_occupancy\""),
-    )
-    .unwrap();
+    std::fs::write(&renamed, text.replace("\"sim_step_us\"", "\"step_us\"")).unwrap();
     let renamed = renamed.display().to_string();
     let out = hfta_report(&["diff", &renamed, &renamed]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("missing field `occupancy`"), "{stderr}");
+    assert!(stderr.contains("missing field `sim_step_us`"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The committed bench file records hfta-scope's measured cost on a fused
-/// DCGAN-style step; the acceptance budget is < 5%.
-#[test]
-fn committed_bench_json_has_scope_overhead_under_budget() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernels.json");
-    let text = std::fs::read_to_string(&path).unwrap();
-    let file: KernelsFile = serde_json::from_str(&text).expect("a kernel bench file");
-    assert!(
-        file.scope_overhead_pct < SCOPE_OVERHEAD_BUDGET_PCT,
-        "scope overhead {}% exceeds budget",
-        file.scope_overhead_pct
-    );
 }

@@ -20,7 +20,7 @@
 //! * `pooled_free_bytes` — bytes parked in the free lists.
 //! * `footprint_bytes` — live + pooled: everything this layer holds from
 //!   the system allocator. Its high-water mark (`peak_footprint_bytes`) is
-//!   what `bench_mem` reports as the Table-8/9 style peak footprint.
+//!   the Table-8/9 style peak footprint `tests/mem_equivalence.rs` gates.
 //!
 //! [`stats`] sums every thread's counters. A `peak_*` figure is the highest
 //! any one thread's storage reached since the last [`reset_stats`], never
@@ -469,7 +469,7 @@ pub fn reset_stats() {
 
 /// Frees the calling thread's pooled buffers (live storages are untouched;
 /// other threads' pooled buffers are freed when those threads exit). Used
-/// by `bench_mem` to isolate per-width footprint measurements.
+/// to isolate per-width footprint measurements.
 pub fn trim() {
     with_pool(|free, counters| free.map(|free| drain(free, counters)));
 }

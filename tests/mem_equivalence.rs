@@ -8,10 +8,11 @@
 //! cold pool (`hfta_mem::trim()`: every buffer fresh) and from a dirty one
 //! whose free lists hold only NaN-filled buffers — and compare every
 //! parameter bit-for-bit at 1 and 4 worker threads, so a pass that reads an
-//! unfilled buffer before writing it fails here. Then they pin down the two
+//! unfilled buffer before writing it fails here. Then they pin down the
 //! properties the memory layer itself claims: fixed workloads produce
-//! identical pool statistics, and after warm-up a training step performs
-//! zero fresh allocations.
+//! identical pool statistics, after warm-up a DCGAN-D or PointNet training
+//! step performs zero fresh allocations, and a fused array's peak footprint
+//! stays below B separate runs' (the paper's Tables 8 and 9 in miniature).
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -144,14 +145,20 @@ proptest! {
     }
 }
 
-/// One fused DCGAN discriminator step; returns the step closure's driver
-/// state so callers control warm-up vs measured windows.
-fn run_dcgan_steps(b: usize, steps: usize) {
-    let mut rng = Rng::seed_from(21);
+/// A training driver: `(width, steps, seed)` to the trained parameters.
+type Driver = fn(usize, usize, u64) -> Vec<FusedParameter>;
+
+/// The models whose pool behaviour is pinned, with their drivers.
+const MODELS: [(&str, Driver); 2] = [("DCGAN-D", train_dcgan_d), ("PointNet", train_pointnet)];
+
+/// Builds a fused DCGAN discriminator of width `b` and trains it on one
+/// real batch (BCE with logits, Adam) for `steps` steps.
+fn train_dcgan_d(b: usize, steps: usize, seed: u64) -> Vec<FusedParameter> {
+    let mut rng = Rng::seed_from(seed);
     let disc = FusedDiscriminator::new(b, DcganCfg::mini(), &mut rng);
     disc.set_training(false);
-    let mut opt =
-        FusedAdam::new(disc.fused_parameters(), PerModel::uniform(b, 2e-3)).expect("widths match");
+    let params = disc.fused_parameters();
+    let mut opt = FusedAdam::new(params.clone(), PerModel::uniform(b, 2e-3)).expect("widths match");
     let real = rng.rand([4, 3, 16, 16], -1.0, 1.0);
     let labels = Tensor::ones([4, b]);
     for _ in 0..steps {
@@ -162,31 +169,36 @@ fn run_dcgan_steps(b: usize, steps: usize) {
         fused_bce_with_logits(&d, &labels, b, Reduction::Mean).backward();
         opt.step();
     }
+    params
+}
+
+/// Builds a fused PointNet classifier of width `b` and trains it on one
+/// point-cloud batch (NLL loss, Adam) for `steps` steps.
+fn train_pointnet(b: usize, steps: usize, seed: u64) -> Vec<FusedParameter> {
+    let mut rng = Rng::seed_from(seed);
+    let net = FusedPointNetCls::new(b, PointNetCfg::mini(6), &mut rng);
+    net.set_training(false);
+    let params = net.fused_parameters();
+    let mut opt = FusedAdam::new(params.clone(), PerModel::uniform(b, 1e-3)).expect("widths match");
+    let mut data = PointClouds::new(32, 8);
+    let (x, y) = data.batch(6);
+    let targets = stack_targets(&vec![y.clone(); b]).expect("stackable");
+    for _ in 0..steps {
+        opt.zero_grad();
+        let tape = Tape::new();
+        let copies: Vec<Tensor> = vec![x.clone(); b];
+        let lp = net.forward(&tape.leaf(stack_conv(&copies).expect("stackable")));
+        fused_nll_loss(&lp, &targets, Reduction::Mean).backward();
+        opt.step();
+    }
+    params
 }
 
 /// DCGAN-D bit-identity at the full-model level, cold pool vs dirty pool.
 #[test]
 fn dcgan_step_cold_pool_matches_dirty_pool() {
     let _g = lock();
-    assert_cold_matches_dirty("DCGAN-D", || {
-        let mut rng = Rng::seed_from(33);
-        let disc = FusedDiscriminator::new(3, DcganCfg::mini(), &mut rng);
-        disc.set_training(false);
-        let params = disc.fused_parameters();
-        let mut opt =
-            FusedAdam::new(params.clone(), PerModel::uniform(3, 2e-3)).expect("widths match");
-        let real = rng.rand([4, 3, 16, 16], -1.0, 1.0);
-        let labels = Tensor::ones([4, 3]);
-        for _ in 0..2 {
-            opt.zero_grad();
-            let tape = Tape::new();
-            let copies: Vec<Tensor> = vec![real.clone(); 3];
-            let d = disc.forward(&tape.leaf(stack_conv(&copies).expect("stackable")));
-            fused_bce_with_logits(&d, &labels, 3, Reduction::Mean).backward();
-            opt.step();
-        }
-        param_bits(&params)
-    });
+    assert_cold_matches_dirty("DCGAN-D", || param_bits(&train_dcgan_d(3, 2, 33)));
 }
 
 /// DCGAN-G bit-identity at the full-model level, cold pool vs dirty pool:
@@ -222,31 +234,12 @@ fn dcgan_generator_step_cold_pool_matches_dirty_pool() {
 #[test]
 fn pointnet_step_cold_pool_matches_dirty_pool() {
     let _g = lock();
-    assert_cold_matches_dirty("PointNet", || {
-        let mut rng = Rng::seed_from(34);
-        let net = FusedPointNetCls::new(2, PointNetCfg::mini(6), &mut rng);
-        net.set_training(false);
-        let params = net.fused_parameters();
-        let mut opt =
-            FusedAdam::new(params.clone(), PerModel::uniform(2, 1e-3)).expect("widths match");
-        let mut data = PointClouds::new(32, 8);
-        let (x, y) = data.batch(6);
-        let targets = stack_targets(&vec![y.clone(); 2]).expect("stackable");
-        for _ in 0..2 {
-            opt.zero_grad();
-            let tape = Tape::new();
-            let copies: Vec<Tensor> = vec![x.clone(); 2];
-            let lp = net.forward(&tape.leaf(stack_conv(&copies).expect("stackable")));
-            fused_nll_loss(&lp, &targets, Reduction::Mean).backward();
-            opt.step();
-        }
-        param_bits(&params)
-    });
+    assert_cold_matches_dirty("PointNet", || param_bits(&train_pointnet(2, 2, 34)));
 }
 
-/// Satellite (c): identical workloads produce identical pool statistics —
-/// the accounting itself is deterministic (fixed to 1 worker thread, the
-/// configuration where the order of pool checkouts is fully determined).
+/// Identical workloads produce identical pool statistics — the accounting
+/// itself is deterministic (fixed to 1 worker thread, the configuration
+/// where the order of pool checkouts is fully determined).
 #[test]
 fn pool_stats_are_deterministic_for_fixed_workload() {
     let _g = lock();
@@ -254,7 +247,7 @@ fn pool_stats_are_deterministic_for_fixed_workload() {
     let observe = || {
         hfta_mem::trim();
         hfta_mem::reset_stats();
-        run_dcgan_steps(2, 3);
+        train_dcgan_d(2, 3, 21);
         let s = hfta_mem::stats();
         (
             s.pool_fresh_allocs,
@@ -269,28 +262,53 @@ fn pool_stats_are_deterministic_for_fixed_workload() {
     assert!(a.1 > 0, "workload never reused a pooled buffer");
 }
 
-/// Satellite (f): after warm-up, a training step allocates nothing fresh —
-/// every buffer on the hot path, the GEMM workspace included, comes from
-/// the pool.
+/// After warm-up, a training step allocates nothing fresh — every buffer
+/// on the hot path, the GEMM workspace included, comes from the pool.
 #[test]
 fn steady_state_steps_allocate_nothing() {
     let _g = lock();
     hfta_kernels::set_num_threads(4);
-    for b in [1usize, 4] {
+    for (model, train) in MODELS {
+        for b in [1usize, 4] {
+            hfta_mem::trim();
+            hfta_mem::reset_stats();
+            train(b, 3, 21); // warm-up: grows the pool to steady state
+            let before = hfta_mem::stats();
+            train(b, 2, 21); // rebuilds the model too: still no fresh allocs
+            let after = hfta_mem::stats();
+            assert_eq!(
+                after.fresh_allocs() - before.fresh_allocs(),
+                0,
+                "{model} B={b}: steady-state steps allocated fresh memory"
+            );
+            assert!(
+                after.pool_reuses > before.pool_reuses,
+                "{model} B={b}: steady-state steps never hit the pool"
+            );
+        }
+    }
+}
+
+/// The paper's memory claim (Tables 8 and 9) in miniature: the peak
+/// footprint of a width-4 array's session (model, optimizer state,
+/// activations, tape gradients and GEMM workspace, four steps) stays below
+/// four separate width-1 sessions'. At 4 worker threads, because a
+/// fanned-out GEMM's workspace holds one slot per thread.
+#[test]
+fn fused_peak_is_below_b_serial_peaks() {
+    let _g = lock();
+    hfta_kernels::set_num_threads(4);
+    let peak = |train: Driver, b| {
         hfta_mem::trim();
         hfta_mem::reset_stats();
-        run_dcgan_steps(b, 3); // warm-up: grows the pool to steady state
-        let before = hfta_mem::stats();
-        run_dcgan_steps(b, 2); // rebuilds the model too: still no fresh allocs
-        let after = hfta_mem::stats();
-        assert_eq!(
-            after.fresh_allocs() - before.fresh_allocs(),
-            0,
-            "B={b}: steady-state steps allocated fresh memory"
-        );
+        train(b, 4, 21);
+        hfta_mem::stats().peak_footprint_bytes
+    };
+    for (model, train) in MODELS {
+        let (serial, fused) = (4 * peak(train, 1), peak(train, 4));
         assert!(
-            after.pool_reuses > before.pool_reuses,
-            "B={b}: steady-state steps never hit the pool"
+            fused < serial,
+            "{model}: the B=4 peak, {fused} B, is not below 4 x the B=1 peak, {serial} B"
         );
     }
 }
